@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-check crash fmt vet golden serve server-smoke
+.PHONY: all build test race bench bench-compare bench-check benchmark benchmark-compare crash fmt vet golden serve server-smoke
 
 all: build test
 
@@ -26,6 +26,20 @@ bench-compare:
 # baseline and fail on a >25% cold-wall regression.
 bench-check:
 	$(GO) run ./cmd/benchcheck -baseline BENCH_9.json -experiments table1 -threshold 1.6
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): all four
+# workloads at seed 1, end-to-end metrics, saved for benchmark-compare.
+# Everything it writes stays under benchmark/out/ (git-ignored).
+benchmark:
+	mkdir -p benchmark/out
+	$(GO) run ./benchmark --workload all --seed 1 > benchmark/out/run.json
+
+# Judge one saved benchmark output against another with the bounds of
+# BENCHMARK.json: make benchmark-compare A=parent.json B=change.json
+# (B defaults to the output of `make benchmark`).
+B ?= benchmark/out/run.json
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # The crash-recovery fault-injection sweep (CRASH_SEED varies the torn
 # prefix length and flipped bit position; CI runs seeds 1-4).

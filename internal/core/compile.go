@@ -7,6 +7,7 @@ import (
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 	"repro/internal/plan"
 )
 
@@ -129,22 +130,40 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
 			// Compiled path: residual conjuncts become a pair program and
 			// the join runs as the morsel-scheduled kernel merge-join (one
-			// morsel when serial). A bridge error falls back to the
-			// interpreted operators below.
+			// morsel when serial), emitting only what the plan still reads
+			// of its rows and folding the answer's max reduction into the
+			// sweep where the plan recorded one. A bridge error falls back
+			// to the interpreted operators below, which emit full rows.
 			if e.kernelsOn() && plan.KernelEligible(extraPreds) {
 				if pp, kerr := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds); kerr == nil {
 					kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
 					if err != nil {
 						return nil, err
 					}
+					label := step.LeftAttr + " = " + step.RightAttr
+					if step.Emit != nil {
+						emit := make([]int, len(step.Emit))
+						for i, ref := range step.Emit {
+							if emit[i], err = kj.Schema().Resolve(ref); err != nil {
+								return nil, err
+							}
+						}
+						if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
+							return nil, err
+						}
+						if step.Fold != plan.FoldNone {
+							label += " fold(" + step.Fold.String() + ")"
+						}
+					}
+					node := e.newNode("merge-join", label)
 					kj.Stats = node
 					cur = e.attach(node, kj, sortedCur, sortedNext)
 					continue
 				}
 			}
+			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
 			extra, err := compileExtras()
 			if err != nil {
 				return nil, err
@@ -227,24 +246,24 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	var terms []exec.JoinPred
-	for _, pr := range a.Corr {
+	// The penalty's conjuncts: the correlations, then the linking
+	// predicate, complemented for JALL.
+	preds := append([]fsql.Predicate{}, a.Corr...)
+	if a.HasLink {
+		preds = append(preds, a.Link)
+	}
+	negLast := a.HasLink && a.Mode == plan.AntiAll
+	terms := make([]exec.JoinPred, len(preds))
+	for i, pr := range preds {
 		jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr)
 		if err != nil {
 			return nil, err
 		}
-		terms = append(terms, jp)
-	}
-	if a.HasLink {
-		linkJP, err := e.compileJoinPred(outer.Schema(), inner.Schema(), a.Link)
-		if err != nil {
-			return nil, err
+		if negLast && i == len(preds)-1 {
+			link := jp
+			jp = func(l, r frel.Tuple) float64 { return 1 - link(l, r) }
 		}
-		if a.Mode == plan.AntiAll {
-			orig := linkJP
-			linkJP = func(l, r frel.Tuple) float64 { return 1 - orig(l, r) }
-		}
-		terms = append(terms, linkJP)
+		terms[i] = jp
 	}
 	penalty := func(l, r frel.Tuple) float64 {
 		d := r.D
@@ -272,6 +291,19 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, &e.Counters)
 		if err != nil {
 			return nil, err
+		}
+		// Compiled path: the same conjuncts as a pair program make the
+		// batch form the kernel anti-min. A bridge error leaves the tuple
+		// operator, which the batch adapter serves.
+		if e.kernelsOn() && plan.KernelEligible(preds) {
+			if steps, kerr := e.pairSteps(outer.Schema(), inner.Schema(), preds); kerr == nil {
+				if negLast {
+					steps[len(steps)-1].Neg = true
+				}
+				if pp, kerr := kernel.CompilePair(steps); kerr == nil {
+					am.Terms, am.Workers = pp, e.workers()
+				}
+			}
 		}
 		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
 		am.Stats = node
@@ -321,6 +353,9 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, &e.Counters)
 	if err != nil {
 		return nil, err
+	}
+	if e.kernelsOn() {
+		ga.Workers = e.workers() // the batch form is the kernel group-aggregate
 	}
 	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
 	ga.Stats = node
@@ -403,6 +438,18 @@ func (e *Env) constantSubquerySet(sub *fsql.Select) ([]setMember, error) {
 		}
 	}
 	return set, nil
+}
+
+// kernelFold maps the plan's fold decision to the kernel join's.
+func kernelFold(f plan.Fold) exec.Fold {
+	switch f {
+	case plan.FoldOuter:
+		return exec.FoldOuter
+	case plan.FoldInner:
+		return exec.FoldInner
+	default:
+		return exec.FoldNone
+	}
 }
 
 func hasAggItems(items []fsql.SelectItem) bool {

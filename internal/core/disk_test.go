@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/storage"
@@ -147,5 +149,52 @@ func TestDiskInsertThroughCatalogRoundTrip(t *testing.T) {
 	// positive degree; age 20 has degree 0.
 	if rel.Len() != 9 {
 		t.Errorf("answer = %v", rel.Tuples)
+	}
+}
+
+// TestSortIntermediateBySize: a sort input that is not a base relation (a
+// filtered scan here) is sorted in memory when it fits the sort memory and
+// through the external sorter when it does not. The input's size decides,
+// and the answer does not depend on which it was.
+func TestSortIntermediateBySize(t *testing.T) {
+	q, err := fsql.ParseQuery(`SELECT R.TAG FROM R WHERE R.U >= 0 AND R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sortedFilter finds the sort node over the filtered scan of R.
+	var sortedFilter func(n *exec.StatsSnapshot) *exec.StatsSnapshot
+	sortedFilter = func(n *exec.StatsSnapshot) *exec.StatsSnapshot {
+		if n.Op == "sort" && len(n.Children) == 1 && n.Children[0].Op != "scan" {
+			return n
+		}
+		for _, c := range n.Children {
+			if m := sortedFilter(c); m != nil {
+				return m
+			}
+		}
+		return nil
+	}
+	var answers []*frel.Relation
+	for _, pages := range []int{256, 2} {
+		e := diskEnv(t, rand.New(rand.NewSource(11)), 500, 200)
+		e.SortMemPages = pages
+		rel, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := sortedFilter(es.Plan())
+		if node == nil {
+			t.Fatalf("no sort over a filtered input in:\n%s", es.Plan().Render())
+		}
+		if node.Comparisons == 0 {
+			t.Errorf("sort memory %d pages: the input was not sorted:\n%s", pages, es.Plan().Render())
+		}
+		if inMemory := pages == 256; inMemory != (node.SortRuns == 0 && node.SpillBytes == 0) {
+			t.Errorf("sort memory %d pages: runs %d, spill %d B:\n%s", pages, node.SortRuns, node.SpillBytes, es.Plan().Render())
+		}
+		answers = append(answers, rel)
+	}
+	if !answers[0].Equal(answers[1], 0) {
+		t.Errorf("in-memory and external sorts of the intermediate give different answers")
 	}
 }

@@ -328,13 +328,83 @@ func (e *Env) collect(src exec.Source) (*frel.Relation, error) {
 	return exec.CollectBatched(src)
 }
 
-// spill materializes src into a temporary heap file, batched unless the
-// ablation switch forces tuple-at-a-time.
-func (e *Env) spill(mgr *storage.Manager, src exec.Source) (*storage.HeapFile, error) {
+// forEach drains src into fn, batched unless the ablation switch forces
+// tuple-at-a-time.
+func (e *Env) forEach(src exec.Source, fn func(frel.Tuple) error) error {
 	if e.DisableBatch {
-		return exec.Spill(mgr, src)
+		it, err := src.Open()
+		if err != nil {
+			return err
+		}
+		defer it.Close()
+		for {
+			t, ok := it.Next()
+			if !ok {
+				return it.Err()
+			}
+			if err := fn(t); err != nil {
+				return err
+			}
+		}
 	}
-	return exec.SpillBatched(mgr, src)
+	it, err := exec.OpenBatches(src)
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		b, ok := it.NextBatch()
+		if !ok {
+			return it.Err()
+		}
+		for _, t := range b {
+			if err := fn(t); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// gather drains a sort input that is not a base relation (a filtered scan,
+// a join's intermediate result). While its encoded size stays within the
+// sort memory the tuples are kept; the moment it exceeds it, they move to
+// a temporary heap file that takes the rest as well. Exactly one of the
+// returns is set. Without storage there is nowhere to spill to and
+// everything is kept.
+func (e *Env) gather(src exec.Source) (tuples []frel.Tuple, spilled *storage.HeapFile, err error) {
+	schema := src.Schema()
+	budget, bytes := e.SortMemPages*storage.PageSize, 0
+	err = e.forEach(src, func(t frel.Tuple) error {
+		if spilled != nil {
+			return spilled.Append(t)
+		}
+		tuples = append(tuples, t)
+		if !e.external() {
+			return nil
+		}
+		if bytes += frel.EncodedSize(schema, t); bytes < budget {
+			return nil
+		}
+		h, err := e.cat.Manager().CreateTemp(schema)
+		if err != nil {
+			return err
+		}
+		spilled = h
+		for _, u := range tuples {
+			if err := spilled.Append(u); err != nil {
+				return err
+			}
+		}
+		tuples = nil
+		return nil
+	})
+	if err != nil {
+		if spilled != nil {
+			_ = spilled.Drop() // best-effort cleanup; the drain's error is the one to report
+		}
+		return nil, nil, err
+	}
+	return tuples, spilled, nil
 }
 
 // shiftSource adds a constant distribution to one numeric attribute of
@@ -469,118 +539,128 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	if memBase != nil {
 		return e.memSort(src, memSrc, memBase, attr, attrIdx, total, less)
 	}
-	if e.external() {
-		if heapBase != nil {
-			key := sortKey{heap: heapBase, attr: attrIdx, total: total}
-			// An order loaded from a persistent index lives in the memory
-			// side of the cache; repeat sorts of the unmodified heap replay
-			// it without touching the index again.
-			if ent, ok := e.sortMem[key]; ok && ent.version == e.heapVersion(heapBase) {
-				e.Counters.SortCacheHits.Add(1)
-				rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-				out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
-				if node := e.newNode("sort", attr); node != nil {
-					node.CacheHits.Store(1)
-					out = e.attach(node, out, src)
-				}
-				return out, nil
+	if heapBase != nil {
+		key := sortKey{heap: heapBase, attr: attrIdx, total: total}
+		// An order loaded from a persistent index lives in the memory
+		// side of the cache; repeat sorts of the unmodified heap replay
+		// it without touching the index again.
+		if ent, ok := e.sortMem[key]; ok && ent.version == e.heapVersion(heapBase) {
+			e.Counters.SortCacheHits.Add(1)
+			rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
+			out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
+			if node := e.newNode("sort", attr); node != nil {
+				node.CacheHits.Store(1)
+				out = e.attach(node, out, src)
 			}
-			if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
-				e.Counters.SortCacheHits.Add(1)
-				var out exec.Source = &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}
-				out = exec.WithContext(e.ctx, out)
-				if node := e.newNode("sort", attr); node != nil {
-					node.CacheHits.Store(1)
-					out = e.attach(node, out, src)
-				}
-				return out, nil
-			}
-			if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil {
-				return nil, err
-			} else if ok {
-				return out, nil
-			}
+			return out, nil
 		}
-		mgr := e.cat.Manager()
-		sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
-		var sorted *storage.HeapFile
-		var st extsort.Stats
-		var elapsed time.Duration
-		if heapBase != nil {
-			// A plain base-heap scan needs no pre-sort spill — the spill
-			// would be a verbatim copy of the heap — so the sorter reads the
-			// base directly, bounded by the scan's snapshot limit. This
-			// halves the write traffic of a cold sort.
-			start := time.Now()
-			iosBefore := mgr.Stats().IO()
-			sorted, st, err = sorter.SortPrefix(heapBase, heapScanLimit(src), less)
-			if err != nil {
-				return nil, err
+		if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
+			e.Counters.SortCacheHits.Add(1)
+			var out exec.Source = &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}
+			out = exec.WithContext(e.ctx, out)
+			if node := e.newNode("sort", attr); node != nil {
+				node.CacheHits.Store(1)
+				out = e.attach(node, out, src)
 			}
-			elapsed = time.Since(start)
-			e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
-		} else {
-			tmp, err := e.spill(mgr, src)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			iosBefore := mgr.Stats().IO()
-			sorted, st, err = sorter.Sort(tmp, less)
-			if err != nil {
-				return nil, err
-			}
-			elapsed = time.Since(start)
-			e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
-			if derr := tmp.Drop(); derr != nil {
-				return nil, derr
-			}
+			return out, nil
 		}
-		e.Phases.SortWall += elapsed
-		e.Counters.Comparisons.Add(st.Comparisons)
-		miss := heapBase != nil
-		if miss {
-			key := sortKey{heap: heapBase, attr: attrIdx, total: total}
-			// Keyed by the version the evaluation saw: a bounded snapshot
-			// scan's sorted copy must only serve readers of that snapshot
-			// state, never the live (possibly further-appended) heap.
-			e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
-			e.Counters.SortCacheMisses.Add(1)
+		if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil {
+			return nil, err
+		} else if ok {
+			return out, nil
 		}
-		out := exec.Source(exec.NewHeapSource(sorted))
-		if heapBase != nil {
-			// The directly sorted heap carries the base schema; restore the
-			// source's (possibly aliased) schema, as the cache-hit path does.
-			out = &renameSource{Source: out, schema: src.Schema()}
+		// A plain base-heap scan needs no pre-sort spill — the spill would
+		// be a verbatim copy of the heap — so the sorter reads the base
+		// directly, bounded by the scan's snapshot limit. This halves the
+		// write traffic of a cold sort.
+		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
+			return s.SortPrefix(heapBase, heapScanLimit(src), less)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if node := e.newNode("sort", attr); node != nil {
-			node.SortRuns.Store(int64(st.Runs))
-			node.MergePasses.Store(int64(st.MergePasses))
-			node.SpillBytes.Store(st.SpillBytes)
-			node.Comparisons.Store(st.Comparisons)
-			node.WallNanos.Store(elapsed.Nanoseconds())
-			if miss {
-				node.CacheMisses.Store(1)
-			}
+		// Keyed by the version the evaluation saw: a bounded snapshot
+		// scan's sorted copy must only serve readers of that snapshot
+		// state, never the live (possibly further-appended) heap.
+		e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
+		e.Counters.SortCacheMisses.Add(1)
+		// The directly sorted heap carries the base schema; restore the
+		// source's (possibly aliased) schema, as the cache-hit path does.
+		out := exec.Source(&renameSource{Source: exec.NewHeapSource(sorted), schema: src.Schema()})
+		if node := e.externalSortNode(attr, st, elapsed); node != nil {
+			node.CacheMisses.Store(1)
 			out = e.attach(node, out, src)
 		}
 		return out, nil
 	}
-	rel, err := e.collect(src)
+
+	// Not a base relation: the size of the input decides. One that fits
+	// the sort memory is sorted where it is and served with its key
+	// column, like a cached order; a larger one goes through the external
+	// sorter.
+	tuples, spilled, err := e.gather(src)
 	if err != nil {
 		return nil, err
 	}
-	rel = rel.Clone()
+	if spilled != nil {
+		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
+			return s.Sort(spilled, less)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := spilled.Drop(); err != nil {
+			return nil, err
+		}
+		out := exec.Source(exec.NewHeapSource(sorted))
+		if node := e.externalSortNode(attr, st, elapsed); node != nil {
+			out = e.attach(node, out, src)
+		}
+		return out, nil
+	}
+	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
 	cmp := extsort.SortRelation(rel, less)
-	e.Counters.Comparisons.Add(cmp)
 	elapsed := time.Since(start)
+	e.Counters.Comparisons.Add(cmp)
 	e.Phases.SortWall += elapsed
-	out := exec.Source(exec.NewMemSource(rel))
+	out := exec.Source(exec.NewKeyedMemSource(rel, frel.SupportKeys(tuples, attrIdx)))
 	if node := e.newNode("sort", attr); node != nil {
 		node.Comparisons.Store(cmp)
 		node.WallNanos.Store(elapsed.Nanoseconds())
 		out = e.attach(node, out, src)
 	}
 	return out, nil
+}
+
+// sortHeapFile runs one external sort, accounting its wall time, page I/O
+// and comparisons to the environment.
+func (e *Env) sortHeapFile(sort func(*extsort.Sorter) (*storage.HeapFile, extsort.Stats, error)) (*storage.HeapFile, extsort.Stats, time.Duration, error) {
+	mgr := e.cat.Manager()
+	sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
+	start := time.Now()
+	iosBefore := mgr.Stats().IO()
+	sorted, st, err := sort(sorter)
+	if err != nil {
+		return nil, st, 0, err
+	}
+	elapsed := time.Since(start)
+	e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
+	e.Phases.SortWall += elapsed
+	e.Counters.Comparisons.Add(st.Comparisons)
+	return sorted, st, elapsed, nil
+}
+
+// externalSortNode creates the stats node of an external sort (nil when no
+// EXPLAIN ANALYZE collection is active).
+func (e *Env) externalSortNode(attr string, st extsort.Stats, elapsed time.Duration) *exec.OpStats {
+	node := e.newNode("sort", attr)
+	if node != nil {
+		node.SortRuns.Store(int64(st.Runs))
+		node.MergePasses.Store(int64(st.MergePasses))
+		node.SpillBytes.Store(st.SpillBytes)
+		node.Comparisons.Store(st.Comparisons)
+		node.WallNanos.Store(elapsed.Nanoseconds())
+	}
+	return node
 }

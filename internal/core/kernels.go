@@ -83,12 +83,10 @@ func kernelPairOperand(info operandInfo) (kernel.PairOperand, error) {
 	}
 }
 
-// compilePairProgram compiles the residual join conjuncts of a merge step
-// into a pair program for the kernel merge-join. Operand resolution (left
-// input first, then right, literals settled against the opposite kind)
-// mirrors compileJoinPred; evaluation order and short-circuiting mirror
-// andJoinPreds, so degree-evaluation counts are identical.
-func (e *Env) compilePairProgram(left, right *frel.Schema, preds []fsql.Predicate) (*kernel.PairProgram, error) {
+// pairSteps resolves two-input conjuncts into kernel pair steps. Operand
+// resolution (left input first, then right, literals settled against the
+// opposite kind) mirrors compileJoinPred.
+func (e *Env) pairSteps(left, right *frel.Schema, preds []fsql.Predicate) ([]kernel.PairStep, error) {
 	steps := make([]kernel.PairStep, 0, len(preds))
 	for _, p := range preds {
 		l, r, err := e.resolvePair(p.Left, p.Right, left, right)
@@ -111,6 +109,18 @@ func (e *Env) compilePairProgram(left, right *frel.Schema, preds []fsql.Predicat
 			return nil, err
 		}
 		steps = append(steps, s)
+	}
+	return steps, nil
+}
+
+// compilePairProgram compiles the residual join conjuncts of a merge step
+// into a pair program for the kernel merge-join. Evaluation order and
+// short-circuiting mirror andJoinPreds, so degree-evaluation counts are
+// identical.
+func (e *Env) compilePairProgram(left, right *frel.Schema, preds []fsql.Predicate) (*kernel.PairProgram, error) {
+	steps, err := e.pairSteps(left, right, preds)
+	if err != nil {
+		return nil, err
 	}
 	return kernel.CompilePair(steps)
 }

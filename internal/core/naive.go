@@ -129,7 +129,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 		}
 		out = grouped
 	} else {
-		out.DedupMax()
+		dedupByKey(out)
 	}
 	pruned, err := finalizeAnswer(out, plan.ShapeOf(q))
 	if err != nil {
@@ -139,6 +139,29 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 		e.notePruned(pruned)
 	}
 	return out, nil
+}
+
+// dedupByKey is the naive evaluator's own max-degree duplicate elimination
+// (Section 2.2), by canonical key string. It is deliberately not the
+// engine's frel.RowSet: the differential suites compare the unnested
+// engine against this evaluator, and the two should not share their
+// implementation of value identity.
+func dedupByKey(rel *frel.Relation) {
+	seen := make(map[string]int, len(rel.Tuples))
+	out := rel.Tuples[:0]
+	for _, t := range rel.Tuples {
+		k := t.Key()
+		if i, ok := seen[k]; ok {
+			if t.D > out[i].D {
+				out[i].D = t.D
+			}
+			continue
+		}
+		seen[k] = len(out)
+		out = append(out, t)
+	}
+	rel.Tuples = out
+	rel.Bump()
 }
 
 // finalizeAnswer applies the answer-shaping clauses captured by the

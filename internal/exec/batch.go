@@ -40,6 +40,23 @@ type KeyedBatchIterator interface {
 	Keys() []frel.SupportKey
 }
 
+// sizedBatchIterator is a BatchIterator that knows how many tuples it has
+// yet to serve (negative: unknown), so a consumer that materializes it can
+// allocate once. Wrappers that pass batches through forward it.
+type sizedBatchIterator interface {
+	BatchIterator
+	Remaining() int
+}
+
+// batchesRemaining returns the number of tuples it has yet to serve, or a
+// negative number when it does not know.
+func batchesRemaining(it BatchIterator) int {
+	if s, ok := it.(sizedBatchIterator); ok {
+		return s.Remaining()
+	}
+	return -1
+}
+
 // BatchSource is a Source that can be opened in batch mode.
 type BatchSource interface {
 	Source
@@ -52,6 +69,11 @@ func OpenBatches(src Source) (BatchIterator, error) {
 	if bs, ok := src.(BatchSource); ok {
 		return bs.OpenBatch()
 	}
+	return adaptTuples(src)
+}
+
+// adaptTuples opens src tuple-at-a-time behind the re-batching shim.
+func adaptTuples(src Source) (BatchIterator, error) {
 	it, err := src.Open()
 	if err != nil {
 		return nil, err
@@ -104,6 +126,9 @@ func CollectBatched(src Source) (*frel.Relation, error) {
 	}
 	defer it.Close()
 	out := frel.NewRelation(src.Schema())
+	if n := batchesRemaining(it); n > 0 {
+		out.Tuples = make([]frel.Tuple, 0, n)
+	}
 	for {
 		b, ok := it.NextBatch()
 		if !ok {
@@ -112,32 +137,6 @@ func CollectBatched(src Source) (*frel.Relation, error) {
 		out.Append(b...)
 	}
 	return out, it.Err()
-}
-
-// SpillBatched drains a source into a new temporary heap file owned by
-// the caller, through the batch interface.
-func SpillBatched(mgr *storage.Manager, src Source) (*storage.HeapFile, error) {
-	it, err := OpenBatches(src)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	h, err := mgr.CreateTemp(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			break
-		}
-		for _, t := range b {
-			if err := h.Append(t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, it.Err()
 }
 
 // memBatchIterator serves consecutive subslices of a tuple slice, with an
@@ -170,6 +169,7 @@ func (it *memBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 }
 
 func (it *memBatchIterator) Keys() []frel.SupportKey { return it.lastKeys }
+func (it *memBatchIterator) Remaining() int          { return len(it.tuples) - it.pos }
 func (it *memBatchIterator) Err() error              { return nil }
 func (it *memBatchIterator) Close()                  {}
 
@@ -202,12 +202,17 @@ func (m *KeyedMemSource) OpenBatch() (BatchIterator, error) {
 // OpenBatch implements BatchSource: the scan decodes a page-sized batch at
 // a time into a reused buffer.
 func (h *HeapSource) OpenBatch() (BatchIterator, error) {
-	return &heapBatchIterator{sc: h.scan()}, nil
+	left := h.Heap.NumTuples()
+	if h.Limit >= 0 && h.Limit < left {
+		left = h.Limit
+	}
+	return &heapBatchIterator{sc: h.scan(), left: int(left)}, nil
 }
 
 type heapBatchIterator struct {
 	sc     *storage.Scanner
 	buf    []frel.Tuple
+	left   int // tuples the scan had yet to serve when it was opened, less those served
 	closed bool
 }
 
@@ -222,7 +227,17 @@ func (it *heapBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	if len(it.buf) == 0 {
 		return nil, false
 	}
+	it.left -= len(it.buf)
 	return it.buf, true
+}
+
+// Remaining is a sizing hint: a live scan also sees tuples appended after
+// it was opened, so the count can fall short (never below zero).
+func (it *heapBatchIterator) Remaining() int {
+	if it.left < 0 {
+		return 0
+	}
+	return it.left
 }
 
 func (it *heapBatchIterator) Err() error { return it.sc.Err() }
@@ -342,71 +357,32 @@ func (it *thresholdBatchIterator) Close()     { it.in.Close() }
 
 // OpenBatch implements BatchSource. The non-dedup projection writes the
 // projected values of each batch into one fresh arena (a single allocation
-// per batch instead of one per tuple); the dedup form materializes like
-// the tuple path and replays the distinct tuples.
+// per batch instead of one per tuple); the dedup form hashes the projected
+// columns of every input tuple in place, materializes the distinct rows,
+// and replays them.
 func (p *Project) OpenBatch() (BatchIterator, error) {
-	// Projection pushdown: a projection directly over a merge join
-	// materializes only the projected values in the join's emit arena,
-	// skipping the full concatenated row. The dedup form additionally
-	// deduplicates the join's already-projected rows in place of the
-	// per-tuple Project allocation. Wrapped joins (e.g. under an EXPLAIN
-	// ANALYZE stats shim) are left alone so per-node row counts stay
-	// observable.
-	projected := false
-	var in BatchIterator
-	var err error
-	switch src := p.Src.(type) {
-	case *MergeJoin:
-		if !p.Dedup {
-			return src.openBatchProjected(p.idx)
-		}
-	case *KernelMergeJoin:
-		in, err = src.openBatchProjected(p.idx)
-		if err != nil {
-			return nil, err
-		}
-		if !p.Dedup {
-			return in, nil
-		}
-		projected = true
-	}
-	if in == nil {
-		in, err = OpenBatches(p.Src)
-		if err != nil {
-			return nil, err
-		}
+	in, err := OpenBatches(p.Src)
+	if err != nil {
+		return nil, err
 	}
 	if !p.Dedup {
 		return &projectBatchIterator{in: in, idx: p.idx}, nil
 	}
 	defer in.Close()
-	rel := frel.NewRelation(p.schema)
-	seen := make(map[string]int)
+	set := frel.NewRowSet(len(p.idx))
 	for {
 		b, ok := in.NextBatch()
 		if !ok {
 			break
 		}
 		for _, t := range b {
-			pt := t
-			if !projected {
-				pt = t.Project(p.idx)
-			}
-			k := pt.Key()
-			if i, ok := seen[k]; ok {
-				if pt.D > rel.Tuples[i].D {
-					rel.Tuples[i].D = pt.D
-				}
-				continue
-			}
-			seen[k] = rel.Len()
-			rel.Append(pt)
+			set.Add(t.Values, p.setIdx, t.D)
 		}
 	}
 	if err := in.Err(); err != nil {
 		return nil, err
 	}
-	return &memBatchIterator{tuples: rel.Tuples}, nil
+	return &memBatchIterator{tuples: set.Tuples()}, nil
 }
 
 type projectBatchIterator struct {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 	"repro/internal/storage"
 )
 
@@ -157,57 +158,128 @@ func TestBatchMergeJoinExtraPredicate(t *testing.T) {
 	sameStats(t, "merge-join extra", sb, st)
 }
 
-// TestBatchMergeAntiMinMatchesTuple cross-checks the batched merge
-// anti-join.
-func TestBatchMergeAntiMinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	penalty := func(l, m frel.Tuple) float64 {
-		return 1 - fuzzy.Eq(l.Values[1].Num, m.Values[1].Num)
+// antiTerms builds the penalty of the anti-min parity test in both forms:
+// the compiled conjuncts (an equality and a complemented comparison, the
+// JALL shape) and the interpreted penalty 1 − min(µ(s), terms) over the
+// same conjuncts, charging DegreeEvals per conjunct call like the compiled
+// join-predicate closures do and stopping at the first zero.
+func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
+	t.Helper()
+	pp, err := kernel.CompilePair([]kernel.PairStep{
+		{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)},
+		{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
+			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < 10; trial++ {
-		r := randomRel("R", 60, 50, 5, rng)
-		s := randomRel("S", 60, 50, 5, rng)
-		build := func(c *Counters, st *OpStats) *MergeAntiMin {
-			am, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", penalty, c)
-			if err != nil {
-				t.Fatal(err)
+	terms := []JoinPred{
+		func(l, r frel.Tuple) float64 {
+			c.DegreeEvals.Add(1)
+			return frel.Degree(fuzzy.OpEq, l.Values[1], r.Values[1])
+		},
+		func(l, r frel.Tuple) float64 {
+			c.DegreeEvals.Add(1)
+			return 1 - frel.Degree(fuzzy.OpGt, l.Values[0], r.Values[0])
+		},
+	}
+	penalty := func(l, r frel.Tuple) float64 {
+		d := r.D
+		for _, term := range terms {
+			if g := term(l, r); g < d {
+				d = g
+				if d == 0 {
+					break
+				}
 			}
-			am.Stats = st
-			return am
 		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-anti-join", ""), NewOpStats("merge-anti-join", "")
-		sameSequence(t, "anti-min", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-		sameCounters(t, "anti-min", &cb, &ct)
-		sameStats(t, "anti-min", sb, st)
+		return 1 - d
+	}
+	return pp, penalty
+}
+
+// TestKernelAntiMinMatchesTuple cross-checks the kernel anti-min (the
+// batch form of MergeAntiMin with compiled terms) against the tuple
+// iterator at every worker count: same output sequence, same counters,
+// same stats. Without compiled terms the batch form is the tuple iterator
+// behind the adapter.
+func TestKernelAntiMinMatchesTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, workers := range []int{0, 1, 2, 4} {
+		for trial := 0; trial < 8; trial++ {
+			r := randomRel("R", 60+rng.Intn(200), 50, 5, rng)
+			s := randomRel("S", 60+rng.Intn(200), 50, 5, rng)
+			for i := range s.Tuples {
+				if rng.Intn(2) == 0 {
+					s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
+				}
+			}
+			build := func(c *Counters, st *OpStats, kernelForm bool) *MergeAntiMin {
+				pp, penalty := antiTerms(t, c)
+				am, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+					"R.X", "S.X", penalty, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				am.Stats = st
+				if kernelForm && workers > 0 {
+					am.Terms, am.Workers = pp, workers
+				}
+				return am
+			}
+			var cb, ct Counters
+			sb, st := NewOpStats("merge-anti-join", ""), NewOpStats("merge-anti-join", "")
+			sameSequence(t, "anti-min", batchDrain(t, build(&cb, sb, true)), tupleDrain(t, build(&ct, st, false)))
+			sameCounters(t, "anti-min", &cb, &ct)
+			sameStats(t, "anti-min", sb, st)
+			want := int64(0)
+			if workers > 0 {
+				want = int64(r.Len())
+			}
+			if kt := cb.KernelTuples.Load(); kt != want {
+				t.Errorf("anti-min workers=%d: KernelTuples %d, want %d", workers, kt, want)
+			}
+		}
 	}
 }
 
-// TestBatchGroupAggJoinMatchesTuple cross-checks the batched sorted
-// group-aggregate join for every aggregate and comparison operator.
-func TestBatchGroupAggJoinMatchesTuple(t *testing.T) {
+// TestKernelGroupAggMatchesTuple cross-checks the kernel group-aggregate
+// (the batch form of an equality-correlated GroupAggJoin with workers)
+// against the tuple iterator for every aggregate and worker count; other
+// correlation operators, and zero workers, are served by the tuple
+// iterator behind the adapter.
+func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
 	for trial := 0; trial < 6; trial++ {
-		r, s := randomCorrelated(rng, 30, 45)
+		r, s := randomCorrelated(rng, 30+rng.Intn(200), 45+rng.Intn(200))
 		for _, agg := range aggs {
 			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {
-				build := func(c *Counters, st *OpStats) *GroupAggJoin {
-					j, err := NewGroupAggJoin(
-						totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, c)
-					if err != nil {
-						t.Fatal(err)
+				for _, workers := range []int{0, 1, 2, 4} {
+					build := func(c *Counters, st *OpStats, workers int) *GroupAggJoin {
+						j, err := NewGroupAggJoin(
+							totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
+							"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.Stats, j.Workers = st, workers
+						return j
 					}
-					j.Stats = st
-					return j
+					var cb, ct Counters
+					sb, st := NewOpStats("group-agg-join", ""), NewOpStats("group-agg-join", "")
+					sameSequence(t, "group-agg", batchDrain(t, build(&cb, sb, workers)), tupleDrain(t, build(&ct, st, 0)))
+					sameCounters(t, "group-agg", &cb, &ct)
+					sameStats(t, "group-agg", sb, st)
+					want := int64(0)
+					if workers > 0 && op2 == fuzzy.OpEq {
+						want = int64(r.Len())
+					}
+					if kt := cb.KernelTuples.Load(); kt != want {
+						t.Errorf("group-agg op2=%v workers=%d: KernelTuples %d, want %d", op2, workers, kt, want)
+					}
 				}
-				var cb, ct Counters
-				sb, st := NewOpStats("group-agg-join", ""), NewOpStats("group-agg-join", "")
-				sameSequence(t, "group-agg", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-				sameCounters(t, "group-agg", &cb, &ct)
-				sameStats(t, "group-agg", sb, st)
 			}
 		}
 	}
@@ -321,10 +393,9 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	return proj
 }
 
-// TestBatchProjectedJoinMatchesTuple checks the projection-pushdown path:
-// a plain projection directly over a merge join fuses into the join's
-// emit, and its batched output must match the tuple engine's
-// join-then-project sequence exactly.
+// TestBatchProjectedJoinMatchesTuple checks a plain projection over the
+// batched merge join against the tuple engine's join-then-project
+// sequence.
 func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
@@ -457,18 +528,21 @@ func TestBatchAdapterShim(t *testing.T) {
 	sameSequence(t, "adapter shim", got, want)
 }
 
-// TestBatchHeapSourceAndSpill round-trips a relation through SpillBatched
-// and the batched heap scan: mem -> heap file -> batches must preserve
-// the tuple sequence.
-func TestBatchHeapSourceAndSpill(t *testing.T) {
+// TestBatchHeapSource round-trips a relation through a heap file and the
+// batched heap scan: mem -> heap file -> batches must preserve the tuple
+// sequence.
+func TestBatchHeapSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r := randomRel("R", 3000, 1000, 2, rng)
 	mgr := storage.NewManager(t.TempDir(), 8)
-	h, err := SpillBatched(mgr, NewMemSource(r))
+	h, err := mgr.CreateTemp(r.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Drop()
+	if err := h.AppendAll(r); err != nil {
+		t.Fatal(err)
+	}
 	got := batchDrain(t, NewHeapSource(h))
 	want := tupleDrain(t, NewMemSource(r))
 	sameSequence(t, "heap batches", got, want)

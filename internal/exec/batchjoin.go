@@ -165,15 +165,6 @@ func (w *batchWindow) close() { w.it.Close() }
 
 // OpenBatch implements BatchSource for the extended merge-join.
 func (j *MergeJoin) OpenBatch() (BatchIterator, error) {
-	return j.openBatchProjected(nil)
-}
-
-// openBatchProjected opens the batched join with an optional emit mask of
-// indices into the concatenated output schema (projection pushdown: only
-// the projected values are written to the output arena). A nil mask emits
-// the full concatenated row. Outputs and counters are identical either
-// way; only the materialized bytes differ.
-func (j *MergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, error) {
 	outerIt, err := OpenBatches(j.Outer)
 	if err != nil {
 		return nil, err
@@ -189,7 +180,6 @@ func (j *MergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, error) {
 		win:     newBatchWindow(innerIt, j.ii),
 		loc:     newBatchLocals(),
 		tolZero: j.Tol == (fuzzy.Trapezoid{}),
-		emitIdx: emitIdx,
 	}, nil
 }
 
@@ -219,10 +209,6 @@ type mergeJoinBatchIterator struct {
 	// trapezoid is the identity, and OpEq joins (the common case) have a
 	// zero tolerance.
 	tolZero bool
-
-	// emitIdx, when non-nil, is the pushed-down projection: indices into
-	// the concatenated (outer ++ inner) row to materialize per output.
-	emitIdx []int
 
 	out   []frel.Tuple
 	arena []frel.Value
@@ -339,27 +325,13 @@ func (it *mergeJoinBatchIterator) finish() ([]frel.Tuple, bool) {
 }
 
 func (it *mergeJoinBatchIterator) emit(s frel.Tuple, d float64) {
-	nOuter := len(it.cur.Values)
-	w := nOuter + len(s.Values)
-	if it.emitIdx != nil {
-		w = len(it.emitIdx)
-	}
+	w := len(it.cur.Values) + len(s.Values)
 	if it.arena == nil {
 		it.arena = make([]frel.Value, 0, BatchSize*w)
 	}
 	off := len(it.arena)
-	if it.emitIdx != nil {
-		for _, i := range it.emitIdx {
-			if i < nOuter {
-				it.arena = append(it.arena, it.cur.Values[i])
-			} else {
-				it.arena = append(it.arena, s.Values[i-nOuter])
-			}
-		}
-	} else {
-		it.arena = append(it.arena, it.cur.Values...)
-		it.arena = append(it.arena, s.Values...)
-	}
+	it.arena = append(it.arena, it.cur.Values...)
+	it.arena = append(it.arena, s.Values...)
 	it.out = append(it.out, frel.Tuple{Values: it.arena[off:len(it.arena):len(it.arena)], D: d})
 }
 
@@ -368,346 +340,6 @@ func (it *mergeJoinBatchIterator) Err() error { return it.err }
 func (it *mergeJoinBatchIterator) Close() {
 	it.win.close()
 	it.outer.Close()
-}
-
-// OpenBatch implements BatchSource for the group-minimum anti-join.
-func (j *MergeAntiMin) OpenBatch() (BatchIterator, error) {
-	outerIt, err := OpenBatches(j.Outer)
-	if err != nil {
-		return nil, err
-	}
-	innerIt, err := OpenBatches(j.Inner)
-	if err != nil {
-		outerIt.Close()
-		return nil, err
-	}
-	return &antiMinBatchIterator{
-		j:     j,
-		outer: outerIt,
-		win:   newBatchWindow(innerIt, j.ii),
-		loc:   newBatchLocals(),
-	}, nil
-}
-
-type antiMinBatchIterator struct {
-	j     *MergeAntiMin
-	outer BatchIterator
-	win   *batchWindow
-
-	obatch []frel.Tuple
-	okeys  []frel.SupportKey
-	opos   int
-
-	prevBegin float64
-	seenAny   bool
-
-	out []frel.Tuple
-	loc batchLocals
-
-	err  error
-	done bool
-}
-
-func (it *antiMinBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	if it.err != nil || it.done {
-		return nil, false
-	}
-	j := it.j
-	if it.out == nil {
-		it.out = make([]frel.Tuple, 0, BatchSize)
-	}
-	it.out = it.out[:0]
-	for len(it.out) < BatchSize {
-		for it.opos >= len(it.obatch) {
-			b, ok := it.outer.NextBatch()
-			if !ok {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
-				}
-				it.done = true
-				return it.finish()
-			}
-			it.obatch, it.okeys, it.opos = b, batchKeys(it.outer), 0
-		}
-		l := it.obatch[it.opos]
-		var lo, hi float64
-		if it.okeys != nil {
-			k := it.okeys[it.opos]
-			lo, hi = k.Lo, k.Hi
-		} else {
-			lo, hi = l.Values[j.oi].Num.Support()
-		}
-		it.opos++
-		if it.seenAny && lo < it.prevBegin {
-			it.err = fmt.Errorf("exec: merge anti-join outer input is not sorted by the Definition 3.1 order")
-			return it.finish()
-		}
-		it.prevBegin, it.seenAny = lo, true
-		it.win.advance(lo)
-		it.win.extend(hi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return it.finish()
-		}
-		d := l.D
-		var rng int64
-		active := it.win.active()
-		for i := range active {
-			e := &active[i]
-			it.loc.cmp++
-			if !(lo <= e.hi && e.lo <= hi) {
-				continue // Penalty would be 1
-			}
-			rng++
-			it.loc.stCmp++
-			it.loc.stDeg++
-			it.loc.deg++
-			if g := j.Penalty(l, e.t); g < d {
-				d = g
-				if d == 0 {
-					break
-				}
-			}
-		}
-		it.loc.observeRng(rng)
-		if d > 0 {
-			it.loc.tout++
-			l.D = d
-			it.out = append(it.out, l)
-		}
-	}
-	it.loc.flush(j.Counters, j.Stats)
-	return it.out, true
-}
-
-func (it *antiMinBatchIterator) finish() ([]frel.Tuple, bool) {
-	it.loc.flush(it.j.Counters, it.j.Stats)
-	if len(it.out) > 0 {
-		return it.out, true
-	}
-	return nil, false
-}
-
-func (it *antiMinBatchIterator) Err() error { return it.err }
-
-func (it *antiMinBatchIterator) Close() {
-	it.win.close()
-	it.outer.Close()
-}
-
-// OpenBatch implements BatchSource for the group-aggregate join.
-func (j *GroupAggJoin) OpenBatch() (BatchIterator, error) {
-	outerIt, err := OpenBatches(j.Outer)
-	if err != nil {
-		return nil, err
-	}
-	it := &groupAggBatchIterator{j: j, outer: outerIt, loc: newBatchLocals()}
-	if j.Op2 == fuzzy.OpEq {
-		innerIt, err := OpenBatches(j.Inner)
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.win = newBatchWindow(innerIt, j.vi)
-	} else {
-		rel, err := CollectBatched(j.Inner)
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.innerAll = rel.Tuples
-	}
-	return it, nil
-}
-
-type groupAggBatchIterator struct {
-	j     *GroupAggJoin
-	outer BatchIterator
-
-	win      *batchWindow
-	innerAll []frel.Tuple
-
-	obatch []frel.Tuple
-	opos   int
-
-	haveGroup bool
-	groupVal  frel.Value
-	aggVal    fuzzy.Trapezoid
-	aggOK     bool
-
-	prevBegin float64
-	seenAny   bool
-
-	out []frel.Tuple
-	loc batchLocals
-
-	err  error
-	done bool
-}
-
-// computeGroup builds T′(u) and its aggregate, mirroring
-// groupAggIterator.computeGroup with batch-local counters.
-func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
-	j := it.j
-	set := newMemberSet()
-	var rng int64
-	acc := func(s frel.Tuple) {
-		rng++
-		it.loc.stCmp++
-		it.loc.stDeg++
-		it.loc.deg++
-		sv := s.Values[j.vi]
-		d := frel.Degree(j.Op2, sv, u)
-		if s.D < d {
-			d = s.D
-		}
-		if d <= 0 {
-			return
-		}
-		set.add(s.Values[j.zi], d)
-	}
-	if it.win != nil {
-		uLo, uHi := u.Num.Support()
-		it.win.advance(uLo)
-		it.win.extend(uHi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return
-		}
-		active := it.win.active()
-		for i := range active {
-			e := &active[i]
-			it.loc.cmp++
-			if !(uLo <= e.hi && e.lo <= uHi) {
-				continue // dangling tuple in the range
-			}
-			acc(e.t)
-		}
-	} else {
-		for _, s := range it.innerAll {
-			it.loc.cmp++
-			acc(s)
-		}
-	}
-	it.loc.observeRng(rng)
-	if j.Agg == fuzzy.AggCount {
-		it.aggVal, it.aggOK = fuzzy.Crisp(float64(set.len())), true
-		return
-	}
-	it.aggVal, it.aggOK = fuzzy.Aggregate(j.Agg, set.members)
-}
-
-func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	if it.err != nil || it.done {
-		return nil, false
-	}
-	j := it.j
-	if it.out == nil {
-		it.out = make([]frel.Tuple, 0, BatchSize)
-	}
-	it.out = it.out[:0]
-	for len(it.out) < BatchSize {
-		for it.opos >= len(it.obatch) {
-			b, ok := it.outer.NextBatch()
-			if !ok {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
-				}
-				it.done = true
-				return it.finish()
-			}
-			it.obatch, it.opos = b, 0
-		}
-		r := it.obatch[it.opos]
-		it.opos++
-		u := r.Values[j.ui]
-		if it.win != nil {
-			lo, _ := u.Num.Support()
-			if it.seenAny && lo < it.prevBegin {
-				it.err = fmt.Errorf("exec: group-aggregate join outer input is not sorted by the Definition 3.1 order")
-				return it.finish()
-			}
-			it.prevBegin, it.seenAny = lo, true
-		}
-		if !it.haveGroup || !it.groupVal.Identical(u) {
-			it.computeGroup(u)
-			if it.err != nil {
-				return it.finish()
-			}
-			it.groupVal = u
-			it.haveGroup = true
-		}
-		if !it.aggOK {
-			continue // A′(u) is NULL and the aggregate is not COUNT
-		}
-		it.loc.stDeg++
-		it.loc.deg++
-		d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, it.aggVal)
-		if r.D < d {
-			d = r.D
-		}
-		if d > 0 {
-			it.loc.tout++
-			r.D = d
-			it.out = append(it.out, r)
-		}
-	}
-	it.loc.flush(j.Counters, j.Stats)
-	return it.out, true
-}
-
-func (it *groupAggBatchIterator) finish() ([]frel.Tuple, bool) {
-	it.loc.flush(it.j.Counters, it.j.Stats)
-	if len(it.out) > 0 {
-		return it.out, true
-	}
-	return nil, false
-}
-
-func (it *groupAggBatchIterator) Err() error { return it.err }
-
-func (it *groupAggBatchIterator) Close() {
-	if it.win != nil {
-		it.win.close()
-	}
-	it.outer.Close()
-}
-
-// collectSortedBatched drains src through the batch interface, verifying
-// the Definition 3.1 sort order and building the flat support-key column
-// the partitioner and the partition-local joins run on. Keys are copied
-// from the producer when it serves them and computed otherwise.
-func collectSortedBatched(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
-	it, err := OpenBatches(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer it.Close()
-	var tuples []frel.Tuple
-	var keys []frel.SupportKey
-	prevBegin := math.Inf(-1)
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			break
-		}
-		bk := batchKeys(it)
-		for i, t := range b {
-			var lo, hi float64
-			if bk != nil {
-				lo, hi = bk[i].Lo, bk[i].Hi
-			} else {
-				lo, hi = t.Values[idx].Num.Support()
-			}
-			if lo < prevBegin {
-				return nil, nil, fmt.Errorf("exec: merge-join %s input is not sorted by the Definition 3.1 order", side)
-			}
-			prevBegin = lo
-			tuples = append(tuples, t)
-			keys = append(keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
-		}
-	}
-	return tuples, keys, it.Err()
 }
 
 // atomicCutsKeyed is atomicCuts over precomputed support-key columns; the
@@ -757,11 +389,11 @@ func atomicCutsKeyed(outer, inner []frel.SupportKey, tol fuzzy.Trapezoid) []part
 // sub-joins over keyed partition slices, and the concatenated outputs are
 // replayed in partition order (identical to the serial sequence).
 func (j *ParallelMergeJoin) OpenBatch() (BatchIterator, error) {
-	outer, oKeys, err := collectSortedBatched(j.Outer, j.oi, "outer")
+	outer, oKeys, err := collectSortedBatched(j.Outer, j.oi, "merge-join outer")
 	if err != nil {
 		return nil, err
 	}
-	inner, iKeys, err := collectSortedBatched(j.Inner, j.ii, "inner")
+	inner, iKeys, err := collectSortedBatched(j.Inner, j.ii, "merge-join inner")
 	if err != nil {
 		return nil, err
 	}
@@ -828,6 +460,14 @@ func (it *partsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		it.i = 0
 	}
 	return nil, false
+}
+
+func (it *partsBatchIterator) Remaining() int {
+	n := -it.i
+	for _, part := range it.parts[it.p:] {
+		n += len(part)
+	}
+	return n
 }
 
 func (it *partsBatchIterator) Err() error { return nil }

@@ -77,6 +77,7 @@ func (it *cancelBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 }
 
 func (it *cancelBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in) }
+func (it *cancelBatchIterator) Remaining() int          { return batchesRemaining(it.in) }
 
 func (it *cancelBatchIterator) Err() error {
 	if it.err != nil {

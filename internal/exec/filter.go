@@ -98,6 +98,10 @@ type Project struct {
 
 	schema *frel.Schema
 	idx    []int
+	// setIdx is idx as the dedup set takes it: nil when the projection
+	// keeps every source column in place, so the set keeps the source rows
+	// by reference instead of copying them.
+	setIdx []int
 }
 
 // NewProject builds a projection onto the given attribute references.
@@ -106,7 +110,15 @@ func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx}, nil
+	p := &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx, setIdx: idx}
+	identity := len(idx) == len(src.Schema().Attrs)
+	for i, c := range idx {
+		identity = identity && c == i
+	}
+	if identity {
+		p.setIdx = nil
+	}
+	return p, nil
 }
 
 // Schema implements Source.
@@ -123,28 +135,18 @@ func (p *Project) Open() (Iterator, error) {
 	}
 	// Materialize with max-degree dedup, then emit.
 	defer it.Close()
-	rel := frel.NewRelation(p.schema)
-	seen := make(map[string]int)
+	set := frel.NewRowSet(len(p.idx))
 	for {
 		t, ok := it.Next()
 		if !ok {
 			break
 		}
-		pt := t.Project(p.idx)
-		k := pt.Key()
-		if i, ok := seen[k]; ok {
-			if pt.D > rel.Tuples[i].D {
-				rel.Tuples[i].D = pt.D
-			}
-			continue
-		}
-		seen[k] = rel.Len()
-		rel.Append(pt)
+		set.Add(t.Values, p.setIdx, t.D)
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
-	return &memIterator{tuples: rel.Tuples}, nil
+	return &memIterator{tuples: set.Tuples()}, nil
 }
 
 type projectIterator struct {

@@ -42,6 +42,11 @@ type GroupAggJoin struct {
 
 	Counters *Counters
 
+	// Workers, when positive, selects the morsel-scheduled kernel sweep as
+	// the batch form of an equality-correlated join (see OpenBatch); zero
+	// serves batch consumers from the tuple iterator.
+	Workers int
+
 	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
 	// measures (see MergeJoin.Stats for the counting conventions); the
 	// Rng observations are the per-group candidate scan lengths.
@@ -93,7 +98,7 @@ func (j *GroupAggJoin) Open() (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &groupAggIterator{j: j, outer: outerIt}
+	it := &groupAggIterator{j: j, outer: outerIt, set: newMemberSet()}
 	if j.Op2 == fuzzy.OpEq {
 		innerIt, err := j.Inner.Open()
 		if err != nil {
@@ -122,6 +127,7 @@ type groupAggIterator struct {
 
 	haveGroup bool
 	groupVal  frel.Value
+	set       *memberSet // T′(u) of the current group
 	aggVal    fuzzy.Trapezoid
 	aggOK     bool
 
@@ -133,29 +139,39 @@ type groupAggIterator struct {
 // memberSet accumulates a fuzzy value set deduplicated by value identity,
 // keeping the maximum degree per value (Section 4's temporary-relation
 // rule), in first-seen order. Insertion order matters: fuzzy aggregates
-// sum floating-point values in set order, so building the set by map
-// iteration would make repeated evaluations of the same query differ in
-// the last bits of the result.
+// sum floating-point values in set order, so building the set in any
+// other order would make repeated evaluations of the same query differ in
+// the last bits of the result. A memberSet is reusable: reset it between
+// groups and it allocates nothing in steady state.
 type memberSet struct {
-	idx     map[string]int
+	set     *frel.RowSet
 	members []fuzzy.Member
 }
 
-func newMemberSet() *memberSet { return &memberSet{idx: make(map[string]int)} }
+func newMemberSet() *memberSet { return &memberSet{set: frel.NewRowSet(1)} }
 
-func (ms *memberSet) add(v frel.Value, mu float64) {
-	k := v.Key()
-	if i, ok := ms.idx[k]; ok {
-		if mu > ms.members[i].Mu {
-			ms.members[i].Mu = mu
-		}
-		return
-	}
-	ms.idx[k] = len(ms.members)
-	ms.members = append(ms.members, fuzzy.Member{Value: v.Num, Mu: mu})
+func (ms *memberSet) reset() { ms.set.Reset() }
+
+// add enters the value a tuple carries in column col with degree mu.
+func (ms *memberSet) add(vals []frel.Value, col int, mu float64) {
+	ms.set.Add(vals[col:col+1], nil, mu)
 }
 
-func (ms *memberSet) len() int { return len(ms.members) }
+func (ms *memberSet) len() int { return ms.set.Len() }
+
+// aggregate applies agg to the set. COUNT of an empty set is 0: comparing
+// r.Y against Crisp(0) is exactly the ELSE arm of Query COUNT′'s
+// IF-THEN-ELSE. Any other aggregate of an empty set is NULL (ok false).
+func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
+	if agg == fuzzy.AggCount {
+		return fuzzy.Crisp(float64(ms.len())), true
+	}
+	ms.members = ms.members[:0]
+	for i := 0; i < ms.len(); i++ {
+		ms.members = append(ms.members, fuzzy.Member{Value: ms.set.Row(i)[0].Num, Mu: ms.set.Degree(i)})
+	}
+	return fuzzy.Aggregate(agg, ms.members)
+}
 
 // computeGroup builds T′(u) and its aggregate for the given outer value.
 func (it *groupAggIterator) computeGroup(u frel.Value) {
@@ -173,7 +189,8 @@ func (it *groupAggIterator) computeGroup(u frel.Value) {
 	} else {
 		candidates = it.innerAll
 	}
-	set := newMemberSet()
+	set := it.set
+	set.reset()
 	var rng int64
 	for _, s := range candidates {
 		j.Counters.Comparisons.Add(1)
@@ -194,18 +211,12 @@ func (it *groupAggIterator) computeGroup(u frel.Value) {
 		if d <= 0 {
 			continue
 		}
-		set.add(s.Values[j.zi], d)
+		set.add(s.Values, j.zi, d)
 	}
 	if j.Stats != nil {
 		j.Stats.ObserveRng(rng)
 	}
-	if j.Agg == fuzzy.AggCount {
-		// COUNT of an empty T′(u) is 0: comparing r.Y against Crisp(0) is
-		// exactly the ELSE arm of Query COUNT′'s IF-THEN-ELSE.
-		it.aggVal, it.aggOK = fuzzy.Crisp(float64(set.len())), true
-		return
-	}
-	it.aggVal, it.aggOK = fuzzy.Aggregate(j.Agg, set.members)
+	it.aggVal, it.aggOK = set.aggregate(j.Agg)
 }
 
 func (it *groupAggIterator) Next() (frel.Tuple, bool) {
@@ -264,6 +275,77 @@ func (it *groupAggIterator) Close() {
 		it.win.close()
 	}
 	it.outer.Close()
+}
+
+// OpenBatch implements BatchSource: the kernel group-aggregate, the
+// flat-column, morsel-scheduled form of the equality-correlated join (see
+// sweep.go). Tuples with identical U have identical supports, so no atomic
+// cut separates them and a group never spans two morsels. Each morsel
+// reuses one value set across its groups and writes the degree of every
+// outer tuple in place; degrees, member order and counters are those of
+// the tuple iterator. Other correlation operators have no merge range to
+// cut at, and are served from the tuple iterator.
+func (j *GroupAggJoin) OpenBatch() (BatchIterator, error) {
+	if j.Workers <= 0 || j.Op2 != fuzzy.OpEq {
+		return adaptTuples(j)
+	}
+	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
+	if err != nil {
+		return nil, err
+	}
+	degs := make([]float64, len(in.outer))
+	return in.run(j.Workers, func(p partRange) []frel.Tuple {
+		loc := newBatchLocals()
+		win := keyWindow{start: p.iLo, end: p.iLo}
+		set := newMemberSet()
+		var aggVal fuzzy.Trapezoid
+		var aggOK bool
+		for o := p.oLo; o < p.oHi; o++ {
+			r := in.outer[o]
+			u := r.Values[j.ui]
+			if o == p.oLo || !u.Identical(in.outer[o-1].Values[j.ui]) {
+				// A new group: build T′(u) from Rng(u) and aggregate it.
+				lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
+				win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
+				set.reset()
+				var rng int64
+				for k := win.start; k < win.end; k++ {
+					loc.cmp++
+					if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
+						continue // dangling tuple in the range
+					}
+					rng++
+					loc.stCmp++
+					loc.stDeg++
+					loc.deg++
+					s := in.inner[k].Values
+					d := fuzzy.Eq(s[j.vi].Num, u.Num)
+					if in.iKeys[k].D < d {
+						d = in.iKeys[k].D
+					}
+					if d > 0 {
+						set.add(s, j.zi, d)
+					}
+				}
+				loc.observeRng(rng)
+				aggVal, aggOK = set.aggregate(j.Agg)
+			}
+			if !aggOK {
+				continue // A′(u) is NULL and the aggregate is not COUNT
+			}
+			loc.stDeg++
+			loc.deg++
+			d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, aggVal)
+			if r.D < d {
+				d = r.D
+			}
+			degs[o] = d
+		}
+		out := emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
+		loc.tout += int64(len(out))
+		loc.flush(j.Counters, j.Stats)
+		return out
+	})
 }
 
 // AggItem is one aggregate column of a GroupAgg.
@@ -329,57 +411,44 @@ func (g *GroupAgg) Open() (Iterator, error) {
 	}
 	defer it.Close()
 
-	type group struct {
-		key     frel.Tuple
-		degree  float64
-		members []*memberSet // one value set per agg item
-	}
-	groups := make(map[string]*group)
-	var order []string
+	// Groups are the distinct grouping rows, at the maximum degree of
+	// their tuples (fuzzy OR), in first-seen order; sets[g] holds one
+	// value set per aggregate item of group g.
+	groups := frel.NewRowSet(len(g.groupIdx))
+	var sets [][]*memberSet
 	for {
 		t, ok := it.Next()
 		if !ok {
 			break
 		}
-		kt := t.Project(g.groupIdx)
-		k := kt.Key()
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{key: kt, members: make([]*memberSet, len(g.Items))}
-			for i := range grp.members {
-				grp.members[i] = newMemberSet()
+		gi, added := groups.Add(t.Values, g.groupIdx, t.D)
+		if added {
+			ms := make([]*memberSet, len(g.Items))
+			for i := range ms {
+				ms[i] = newMemberSet()
 			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		if t.D > grp.degree {
-			grp.degree = t.D
+			sets = append(sets, ms)
 		}
 		for i, zi := range g.itemIdx {
-			grp.members[i].add(t.Values[zi], t.D)
+			sets[gi][i].add(t.Values, zi, t.D)
 		}
 	}
 	if err := it.Err(); err != nil {
 		return nil, err
 	}
 
-	out := make([]frel.Tuple, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		vals := append([]frel.Value(nil), grp.key.Values...)
-		skip := false
+	out := make([]frel.Tuple, 0, groups.Len())
+group:
+	for gi := 0; gi < groups.Len(); gi++ {
+		vals := append([]frel.Value(nil), groups.Row(gi)...)
 		for i, item := range g.Items {
-			a, ok := fuzzy.Aggregate(item.Agg, grp.members[i].members)
+			a, ok := sets[gi][i].aggregate(item.Agg)
 			if !ok {
-				skip = true
-				break
+				continue group
 			}
 			vals = append(vals, frel.Num(a))
 		}
-		if skip {
-			continue
-		}
-		out = append(out, frel.Tuple{Values: vals, D: grp.degree})
+		out = append(out, frel.Tuple{Values: vals, D: groups.Degree(gi)})
 	}
 	return &memIterator{tuples: out}, nil
 }

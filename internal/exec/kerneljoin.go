@@ -1,13 +1,21 @@
 // The kernel merge-join: the compiled, morsel-scheduled form of the
-// extended merge-join. Both sorted inputs are materialized into flat tuple
-// and support-key columns, the atomic-cut partitioner splits them into
-// join-independent ranges exactly like ParallelMergeJoin, and the ranges
-// are coalesced into small morsels that a pool of workers pulls from a
-// shared queue. Each morsel runs a fused two-cursor loop directly over the
-// flat columns — no window staging, no per-pair virtual calls, counters in
-// locals — computing the identical degrees (same closed-form functions) in
-// the identical order, so concatenating the morsel outputs reproduces the
-// serial operator's answer tuple for tuple.
+// extended merge-join (see sweep.go for the shared flat-column sweep). Each
+// morsel runs a fused two-cursor loop directly over the flat columns — no
+// window staging, no per-pair virtual calls, counters in locals — computing
+// the identical degrees (same closed-form functions) in the identical
+// order, so concatenating the morsel outputs reproduces the serial
+// operator's answer tuple for tuple.
+//
+// The answer's reduction folds into the sweep. The paper's unnested
+// queries need one degree per outer tuple — projection with duplicate
+// elimination is a max reduction over the pairs — so when everything the
+// plan still reads of the join's rows comes from one input, the join keeps
+// best = max d per tuple of that input while it enumerates the pairs and
+// emits at most one row per such tuple, holding only the columns read.
+// min distributes over max exactly (both select one of their arguments),
+// so folding at any step of a chain leaves the answer's degrees
+// bit-identical, and the join's output is O(|input|) instead of
+// O(|input| · fanout).
 //
 // Morsels vs static partitions: balanceParts makes Workers*4 partitions
 // up front, so one straggler partition (a skew range with a huge Rng) can
@@ -32,6 +40,17 @@ import (
 // amortizes to one allocation per 4*BatchSize values.
 const kernelArenaChunk = 4 * BatchSize
 
+// Fold selects the input of a kernel merge-join whose tuples carry the
+// max-degree reduction of the pairs they take part in.
+type Fold int
+
+// The fold sides. FoldNone emits one row per joining pair.
+const (
+	FoldNone Fold = iota
+	FoldOuter
+	FoldInner
+)
+
 // KernelMergeJoin is the compiled extended merge-join on the fuzzy band
 // condition outer.OuterAttr ≈ inner.InnerAttr, with residual conjuncts
 // compiled into a kernel.PairProgram instead of interpreted closures.
@@ -53,6 +72,10 @@ type KernelMergeJoin struct {
 
 	schema *frel.Schema
 	oi, ii int
+
+	emit     []int // columns of the outer ++ inner row to materialize; nil: all
+	fold     Fold
+	foldEmit []int // emit as columns of the folded input's own rows
 }
 
 // NewKernelMergeJoin builds a compiled band merge-join with the given
@@ -78,6 +101,35 @@ func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fu
 		schema: outer.Schema().Join(inner.Schema()),
 		oi:     oi, ii: ii,
 	}, nil
+}
+
+// EmitColumns restricts the join's output to the given columns of the
+// concatenated outer ++ inner row, in the given order, and selects the
+// fold. A fold requires every emitted column to come from the folded
+// input: the join then emits one row per tuple of that input that joins
+// at all, in the input's order, at the maximum degree over its pairs.
+func (j *KernelMergeJoin) EmitColumns(emit []int, fold Fold) error {
+	full := j.Outer.Schema().Join(j.Inner.Schema())
+	nOuter := len(j.Outer.Schema().Attrs)
+	schema := &frel.Schema{}
+	for _, c := range emit {
+		if c < 0 || c >= len(full.Attrs) {
+			return fmt.Errorf("exec: merge-join emit column %d out of range", c)
+		}
+		if fold == FoldOuter && c >= nOuter || fold == FoldInner && c < nOuter {
+			return fmt.Errorf("exec: merge-join folds onto one input but emits %s of the other", full.Attrs[c].Name)
+		}
+		schema.Attrs = append(schema.Attrs, full.Attrs[c])
+	}
+	j.schema, j.fold = schema, fold
+	j.emit = append([]int{}, emit...)
+	j.foldEmit = append([]int{}, emit...)
+	if fold == FoldInner {
+		for i := range j.foldEmit {
+			j.foldEmit[i] -= nOuter
+		}
+	}
+	return nil
 }
 
 // Schema implements Source.
@@ -115,152 +167,133 @@ func (a *batchTupleAdapter) Next() (frel.Tuple, bool) {
 func (a *batchTupleAdapter) Err() error { return a.it.Err() }
 func (a *batchTupleAdapter) Close()     { a.it.Close() }
 
-// OpenBatch implements BatchSource.
-func (j *KernelMergeJoin) OpenBatch() (BatchIterator, error) {
-	return j.openBatchProjected(nil)
-}
-
-// morselGrain picks the morsel weight target: serial runs get one morsel
-// (no scheduling overhead), parallel runs get roughly 16 morsels per
-// worker with a floor that keeps per-morsel bookkeeping negligible.
-func morselGrain(total, workers int) int {
-	if workers <= 1 {
-		return total + 1
-	}
-	g := total / (workers * 16)
-	if g < 256 {
-		g = 256
-	}
-	return g
-}
-
-// openBatchProjected opens the join with an optional pushed-down emit mask
-// (indices into the concatenated outer ++ inner row); see
-// MergeJoin.openBatchProjected. The whole join runs eagerly: morsels are
-// pulled off the shared queue by the worker pool and their outputs are
+// OpenBatch implements BatchSource. The whole join runs eagerly: morsels
+// are pulled off the shared queue by the worker pool and their outputs are
 // replayed in morsel order, which is the serial emission order.
-func (j *KernelMergeJoin) openBatchProjected(emitIdx []int) (BatchIterator, error) {
-	outer, oKeys, err := collectSortedBatched(j.Outer, j.oi, "outer")
+func (j *KernelMergeJoin) OpenBatch() (BatchIterator, error) {
+	in, err := collectFlat("merge-join", j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Counters, j.Stats)
 	if err != nil {
 		return nil, err
 	}
-	inner, iKeys, err := collectSortedBatched(j.Inner, j.ii, "inner")
-	if err != nil {
-		return nil, err
+	// best[i] is the folded degree of tuple i of the folded input. Morsels
+	// own disjoint spans of it.
+	var best []float64
+	switch j.fold {
+	case FoldOuter:
+		best = make([]float64, len(in.outer))
+	case FoldInner:
+		best = make([]float64, len(in.inner))
 	}
-	ranges := atomicCutsKeyed(oKeys, iKeys, j.Tol)
-	grain := morselGrain(len(outer)+len(inner), j.Workers)
-	morsels := kernel.Coalesce(len(ranges), func(i int) int { return ranges[i].weight() }, grain)
-	j.Counters.Morsels.Add(int64(len(morsels)))
-	j.Counters.KernelTuples.Add(int64(len(outer)))
-	if st := j.Stats; st != nil {
-		st.Morsels.Add(int64(len(morsels)))
-		st.KernelTuples.Add(int64(len(outer)))
-	}
-	results := make([][]frel.Tuple, len(morsels))
+	return in.run(j.Workers, func(p partRange) []frel.Tuple { return j.sweep(in, p, best) })
+}
+
+// sweep joins one morsel.
+func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []frel.Tuple {
+	outer, inner, oKeys, iKeys := in.outer, in.inner, in.oKeys, in.iKeys
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
 	extra := j.Extra
 	if extra != nil && extra.Len() == 0 {
 		extra = nil
 	}
-	err = runParallel(j.Workers, len(morsels), func(m int) error {
-		// A morsel spans consecutive atomic ranges, so its outer and inner
-		// spans are contiguous and one two-cursor sweep covers them all:
-		// the window empties at every cut by construction.
-		oLo, oHi := ranges[morsels[m].Lo].oLo, ranges[morsels[m].Hi-1].oHi
-		iLo, iHi := ranges[morsels[m].Lo].iLo, ranges[morsels[m].Hi-1].iHi
-		loc := newBatchLocals()
-		var out []frel.Tuple
-		var arena []frel.Value
-		emitW := len(j.schema.Attrs)
-		if emitIdx != nil {
-			emitW = len(emitIdx)
-		}
-		nOuter := len(j.Outer.Schema().Attrs)
-		start, end := iLo, iLo
-		for o := oLo; o < oHi; o++ {
-			lo, hi := oKeys[o].Lo, oKeys[o].Hi
-			// Advance past buffered inner tuples whose widened supports end
-			// before this outer begins; admit those beginning at or before
-			// its end. Identical to batchWindow.advance/extend with the
-			// band shift applied on the outer side.
-			for start < end && iKeys[start].Hi+j.Tol.D < lo {
-				start++
+	nOuter := len(j.Outer.Schema().Attrs)
+	loc := newBatchLocals()
+	var out []frel.Tuple
+	var arena []frel.Value
+	emitW := len(j.schema.Attrs)
+	win := keyWindow{start: p.iLo, end: p.iLo}
+	for o := p.oLo; o < p.oHi; o++ {
+		lo, hi := oKeys[o].Lo, oKeys[o].Hi
+		win.slide(iKeys, p.iHi, lo, hi, j.Tol)
+		lX := outer[o].Values[j.oi].Num
+		oD := oKeys[o].D
+		var rng int64
+		var bestO float64
+		for k := win.start; k < win.end; k++ {
+			loc.cmp++
+			// Support pretest on the flat key column, bit-identical to
+			// lX.Intersects(Add(s, Tol)).
+			if !(lo <= iKeys[k].Hi+j.Tol.D && iKeys[k].Lo+j.Tol.A <= hi) {
+				continue // dangling tuple inside the range
 			}
-			for end < iHi && iKeys[end].Lo+j.Tol.A <= hi {
-				end++
+			rng++
+			loc.stCmp++
+			loc.stDeg++
+			loc.deg++
+			sX := inner[k].Values[j.ii].Num
+			if !tolZero {
+				sX = fuzzy.Add(sX, j.Tol)
 			}
-			lX := outer[o].Values[j.oi].Num
-			oD := oKeys[o].D
-			var rng int64
-			for k := start; k < end; k++ {
-				loc.cmp++
-				// Support pretest on the flat key column, bit-identical to
-				// lX.Intersects(Add(s, Tol)).
-				if !(lo <= iKeys[k].Hi+j.Tol.D && iKeys[k].Lo+j.Tol.A <= hi) {
-					continue // dangling tuple inside the range
-				}
-				rng++
-				loc.stCmp++
-				loc.stDeg++
+			d := fuzzy.Eq(lX, sX)
+			if oD < d {
+				d = oD
+			}
+			if iKeys[k].D < d {
+				d = iKeys[k].D
+			}
+			if d > 0 && extra != nil {
 				loc.deg++
-				sX := inner[k].Values[j.ii].Num
-				if !tolZero {
-					sX = fuzzy.Add(sX, j.Tol)
+				loc.stDeg++
+				g, ev := extra.EvalAnd(outer[o].Values, inner[k].Values)
+				loc.deg += ev
+				if g < d {
+					d = g
 				}
-				d := fuzzy.Eq(lX, sX)
-				if oD < d {
-					d = oD
-				}
-				if iKeys[k].D < d {
-					d = iKeys[k].D
-				}
-				if d > 0 && extra != nil {
-					loc.deg++
-					loc.stDeg++
-					g, ev := extra.EvalAnd(outer[o].Values, inner[k].Values)
-					loc.deg += ev
-					if g < d {
-						d = g
-					}
-				}
-				if d <= 0 {
-					continue
-				}
-				loc.tout++
-				if len(arena)+emitW > cap(arena) {
-					n := 2 * cap(arena)
-					if n > kernelArenaChunk {
-						n = kernelArenaChunk
-					}
-					if n < 16*emitW {
-						n = 16 * emitW
-					}
-					arena = make([]frel.Value, 0, n)
-				}
-				off := len(arena)
-				if emitIdx != nil {
-					for _, i := range emitIdx {
-						if i < nOuter {
-							arena = append(arena, outer[o].Values[i])
-						} else {
-							arena = append(arena, inner[k].Values[i-nOuter])
-						}
-					}
-				} else {
-					arena = append(arena, outer[o].Values...)
-					arena = append(arena, inner[k].Values...)
-				}
-				out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
 			}
-			loc.observeRng(rng)
+			if d <= 0 {
+				continue
+			}
+			switch j.fold {
+			case FoldOuter:
+				if d > bestO {
+					bestO = d
+				}
+				continue
+			case FoldInner:
+				if d > best[k] {
+					best[k] = d
+				}
+				continue
+			}
+			loc.tout++
+			if len(arena)+emitW > cap(arena) {
+				n := 2 * cap(arena)
+				if n > kernelArenaChunk {
+					n = kernelArenaChunk
+				}
+				if n < 16*emitW {
+					n = 16 * emitW
+				}
+				arena = make([]frel.Value, 0, n)
+			}
+			off := len(arena)
+			if j.emit != nil {
+				for _, i := range j.emit {
+					if i < nOuter {
+						arena = append(arena, outer[o].Values[i])
+					} else {
+						arena = append(arena, inner[k].Values[i-nOuter])
+					}
+				}
+			} else {
+				arena = append(arena, outer[o].Values...)
+				arena = append(arena, inner[k].Values...)
+			}
+			out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
 		}
-		loc.flush(j.Counters, j.Stats)
-		results[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if j.fold == FoldOuter {
+			best[o] = bestO
+		}
+		loc.observeRng(rng)
 	}
-	return &partsBatchIterator{parts: results}, nil
+	switch j.fold {
+	case FoldOuter:
+		out = emitCarried(outer[p.oLo:p.oHi], best[p.oLo:p.oHi], j.foldEmit)
+	case FoldInner:
+		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit)
+	}
+	if j.fold != FoldNone {
+		loc.tout += int64(len(out))
+	}
+	loc.flush(j.Counters, j.Stats)
+	return out
 }

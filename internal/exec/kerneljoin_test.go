@@ -135,40 +135,156 @@ func TestKernelMergeJoinTupleDrain(t *testing.T) {
 	sameCounters(t, "kernel join tuple drain", &cb, &ct)
 }
 
-// TestKernelMergeJoinProjected checks the projection-pushdown emit of the
-// kernel join, with and without duplicate elimination, against the
-// interpreted join-then-project pipeline.
-func TestKernelMergeJoinProjected(t *testing.T) {
+// TestKernelMergeJoinEmitAndFold checks the folded forms of the kernel
+// join against the reference pipeline — the interpreted join, projected
+// with max-degree duplicate elimination: an emit mask alone reproduces the
+// projected pair sequence, and a fold onto either input reproduces the
+// deduplicated answer exactly (same rows, bit-identical degrees), emits
+// at most one row per tuple of the folded input in that input's order,
+// and leaves the work counters of the sweep unchanged, at every worker
+// count. The projected columns hold few distinct values, so the answer
+// also needs the cross-tuple dedup above the join.
+func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, dedup := range []bool{false, true} {
+	for _, workers := range []int{1, 2, 4} {
 		for trial := 0; trial < 6; trial++ {
 			r := randomRel("R", 100+rng.Intn(100), 60, 5, rng)
 			s := randomRel("S", 100+rng.Intn(100), 60, 5, rng)
+			for _, rel := range []*frel.Relation{r, s} {
+				for i := range rel.Tuples {
+					rel.Tuples[i].Values[0] = frel.Crisp(float64(rng.Intn(12))) // ID: duplicate-heavy
+					if rng.Intn(2) == 0 {
+						rel.Tuples[i].D = 0.05 + 0.95*rng.Float64()
+					}
+				}
+			}
+			reference := func(refs []string, dedup bool) ([]frel.Tuple, *Counters) {
+				var c Counters
+				_, extra := pairExtras(t, &c)
+				mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, &c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				proj, err := NewProject(mj, refs, dedup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tupleDrain(t, proj), &c
+			}
+			kjoin := func(emit []int, fold Fold) ([]frel.Tuple, *Counters) {
+				var c Counters
+				pp, _ := pairExtras(t, &c)
+				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+					"R.X", "S.X", fuzzy.Crisp(0), pp, &c, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := kj.EmitColumns(emit, fold); err != nil {
+					t.Fatal(err)
+				}
+				return batchDrain(t, kj), &c
+			}
 
-			var ck Counters
-			kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, &ck, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kproj, err := NewProject(kj, []string{"R.ID", "S.ID"}, dedup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := batchDrain(t, kproj)
+			// Columns: R.ID 0, R.X 1, S.ID 2, S.X 3.
+			got, _ := kjoin([]int{2, 0}, FoldNone)
+			want, _ := reference([]string{"S.ID", "R.ID"}, false)
+			sameSequence(t, "emit mask", got, want)
 
-			mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", nil, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, fc := range []struct {
+				name   string
+				fold   Fold
+				emit   []int
+				refs   []string
+				folded *frel.Relation
+			}{
+				{"fold outer", FoldOuter, []int{0}, []string{"R.ID"}, r},
+				{"fold inner", FoldInner, []int{2}, []string{"S.ID"}, s},
+				{"fold outer, no columns", FoldOuter, []int{}, []string{}, r},
+			} {
+				rows, ck := kjoin(fc.emit, fc.fold)
+				if len(rows) > fc.folded.Len() {
+					t.Fatalf("%s: %d rows for %d tuples of the folded input", fc.name, len(rows), fc.folded.Len())
+				}
+				schema := &frel.Schema{}
+				for range fc.emit {
+					schema.Attrs = append(schema.Attrs, frel.Attribute{Name: "ID", Kind: frel.KindNumber})
+				}
+				folded := &frel.Relation{Schema: schema, Tuples: rows}
+				folded.DedupMax()
+				want, ci := reference(fc.refs, true)
+				if !folded.Equal(&frel.Relation{Schema: schema, Tuples: want}, 0) {
+					t.Fatalf("%s (workers %d): folded answer differs from the reference:\n%v\nwant\n%v", fc.name, workers, folded.Tuples, want)
+				}
+				if ck.Comparisons.Load() != ci.Comparisons.Load() || ck.DegreeEvals.Load() != ci.DegreeEvals.Load() {
+					t.Errorf("%s: sweep counters cmp %d deg %d, reference %d %d", fc.name,
+						ck.Comparisons.Load(), ck.DegreeEvals.Load(), ci.Comparisons.Load(), ci.DegreeEvals.Load())
+				}
+				if ck.TuplesOut.Load() != int64(len(rows)) {
+					t.Errorf("%s: TuplesOut %d for %d rows", fc.name, ck.TuplesOut.Load(), len(rows))
+				}
 			}
-			iproj, err := NewProject(mj, []string{"R.ID", "S.ID"}, dedup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := tupleDrain(t, iproj)
-			sameSequence(t, "kernel projected join", got, want)
 		}
+	}
+}
+
+// TestKernelMergeJoinFoldOrder: a fold emits in the order of the folded
+// input, whichever side it is and however many workers run, so answers
+// built from it are deterministic.
+func TestKernelMergeJoinFoldOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	r := randomRel("R", 400, 300, 4, rng)
+	s := randomRel("S", 400, 300, 4, rng)
+	for _, fc := range []struct {
+		fold Fold
+		emit []int
+	}{{FoldOuter, []int{0, 1}}, {FoldInner, []int{2, 3}}} {
+		var first []frel.Tuple
+		for _, workers := range []int{1, 2, 4, 8} {
+			kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+				"R.X", "S.X", fuzzy.Tri(-2, 0, 2), nil, nil, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kj.EmitColumns(fc.emit, fc.fold); err != nil {
+				t.Fatal(err)
+			}
+			rows := batchDrain(t, kj)
+			for i := 1; i < len(rows); i++ {
+				if frel.Compare(rows[i-1].Values[1], rows[i].Values[1]) > 0 {
+					t.Fatalf("fold %v workers %d: row %d out of the folded input's order", fc.fold, workers, i)
+				}
+			}
+			if first == nil {
+				first = rows
+			} else {
+				sameSequence(t, "fold order", rows, first)
+			}
+		}
+	}
+}
+
+// TestKernelMergeJoinEmitColumnsValidation: a fold may only emit columns
+// of the folded input, and emit columns must exist.
+func TestKernelMergeJoinEmitColumnsValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	r, s := randomRel("R", 5, 10, 2, rng), randomRel("S", 5, 10, 2, rng)
+	kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		emit []int
+		fold Fold
+	}{{[]int{2}, FoldOuter}, {[]int{0}, FoldInner}, {[]int{4}, FoldNone}, {[]int{-1}, FoldNone}} {
+		if err := kj.EmitColumns(bad.emit, bad.fold); err == nil {
+			t.Errorf("EmitColumns(%v, %v): want an error", bad.emit, bad.fold)
+		}
+	}
+	if err := kj.EmitColumns([]int{3, 0}, FoldNone); err != nil {
+		t.Fatal(err)
+	}
+	if got := kj.Schema().Attrs; len(got) != 2 || got[0].Name != "S.X" || got[1].Name != "R.ID" {
+		t.Errorf("emit schema = %v", got)
 	}
 }
 

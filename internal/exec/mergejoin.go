@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 )
 
 // The extended merge-join of Section 3: both inputs are sorted on the join
@@ -325,6 +326,15 @@ type MergeAntiMin struct {
 	Penalty              JoinPred
 	Counters             *Counters
 
+	// Terms, when non-nil, is the compiled form of Penalty: the conjuncts
+	// whose minimum, further capped by the inner tuple's degree, the
+	// penalty complements (Penalty = 1 − min(µ_S(s), Terms(r, s))). With
+	// it the batch form runs as the morsel-scheduled kernel sweep on
+	// Workers workers (see OpenBatch); without it, batch consumers are
+	// served from the tuple iterator.
+	Terms   *kernel.PairProgram
+	Workers int
+
 	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
 	// measures (see MergeJoin.Stats for the counting conventions).
 	Stats *OpStats
@@ -444,4 +454,57 @@ func (it *antiMinIterator) Err() error { return it.err }
 func (it *antiMinIterator) Close() {
 	it.win.close()
 	it.outer.Close()
+}
+
+// OpenBatch implements BatchSource: the kernel anti-min, the flat-column,
+// morsel-scheduled form of the operator (see sweep.go). Each morsel keeps
+// the running minimum of its outer tuples in place and emits every outer
+// tuple whose minimum stays positive, so the degrees, their evaluation
+// order and every counter are those of the tuple iterator. Without
+// compiled Terms the tuple iterator serves the batches.
+func (j *MergeAntiMin) OpenBatch() (BatchIterator, error) {
+	if j.Terms == nil {
+		return adaptTuples(j)
+	}
+	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
+	if err != nil {
+		return nil, err
+	}
+	degs := make([]float64, len(in.outer))
+	return in.run(j.Workers, func(p partRange) []frel.Tuple {
+		loc := newBatchLocals()
+		win := keyWindow{start: p.iLo, end: p.iLo}
+		for o := p.oLo; o < p.oHi; o++ {
+			lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
+			win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
+			d := in.oKeys[o].D
+			var rng int64
+			for k := win.start; k < win.end; k++ {
+				loc.cmp++
+				if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
+					continue // Penalty would be 1
+				}
+				rng++
+				loc.stCmp++
+				loc.stDeg++
+				g, ev := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
+				loc.deg += 1 + ev
+				if in.iKeys[k].D < g {
+					g = in.iKeys[k].D
+				}
+				if g = 1 - g; g < d {
+					d = g
+					if d == 0 {
+						break
+					}
+				}
+			}
+			loc.observeRng(rng)
+			degs[o] = d
+		}
+		out := emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
+		loc.tout += int64(len(out))
+		loc.flush(j.Counters, j.Stats)
+		return out
+	})
 }

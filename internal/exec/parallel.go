@@ -147,22 +147,34 @@ func runParallel(workers, n int, fn func(i int) error) error {
 		errOnce sync.Once
 		firstEr error
 	)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				errOnce.Do(func() { firstEr = err })
+				return
+			}
+			// A pool that keeps every P busy for a whole sweep makes the
+			// short statements of other sessions (an INSERT whose commit
+			// just returned from fsync) wait for the sweep; yielding
+			// between work items lets them run, and costs nothing when
+			// nothing else is runnable.
+			runtime.Gosched()
+		}
+	}
+	// The caller is one of the workers: it holds a P already, so only
+	// workers-1 goroutines have to be started and waited for.
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					return
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return firstEr
 }

@@ -194,27 +194,3 @@ func Collect(src Source) (*frel.Relation, error) {
 	}
 	return out, it.Err()
 }
-
-// Spill drains a source into a new temporary heap file owned by the
-// caller.
-func Spill(mgr *storage.Manager, src Source) (*storage.HeapFile, error) {
-	it, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	h, err := mgr.CreateTemp(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := h.Append(t); err != nil {
-			return nil, err
-		}
-	}
-	return h, it.Err()
-}

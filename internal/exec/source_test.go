@@ -188,25 +188,3 @@ func TestCountersAdd(t *testing.T) {
 		t.Errorf("Reset left counters nonzero")
 	}
 }
-
-func TestSpillRoundTrip(t *testing.T) {
-	m := storage.NewManager(t.TempDir(), 8)
-	rel := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "X", Kind: frel.KindNumber}))
-	for i := 0; i < 100; i++ {
-		rel.Append(frel.NewTuple(0.5, frel.Crisp(float64(i))))
-	}
-	h, err := Spill(m, NewMemSource(rel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := h.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(rel, 0) {
-		t.Errorf("spill round trip mismatch")
-	}
-	if err := h.Drop(); err != nil {
-		t.Errorf("Drop: %v", err)
-	}
-}

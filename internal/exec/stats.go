@@ -331,6 +331,7 @@ func (it *statedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 }
 
 func (it *statedBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in) }
+func (it *statedBatchIterator) Remaining() int          { return batchesRemaining(it.in) }
 func (it *statedBatchIterator) Err() error              { return it.in.Err() }
 func (it *statedBatchIterator) Close()                  { it.in.Close() }
 

@@ -1,0 +1,195 @@
+// The flat-column sweep the kernel operators share. The kernel merge-join,
+// the kernel anti-min and the kernel group-aggregate all run the same way:
+// both sorted inputs are materialized into flat tuple and support-key
+// columns, the atomic-cut partitioner splits them into join-independent
+// ranges, the ranges are coalesced into morsels, and a pool of workers
+// pulls morsels off a shared queue, each sweeping its morsel with a
+// two-cursor loop directly over the flat columns. A morsel owns disjoint
+// spans of both inputs, so whatever a sweep reduces per tuple of either
+// input (the maximum degree of a folded join, the minimum of an anti-join,
+// the aggregate comparison of a group) it writes without synchronization,
+// and concatenating the morsel outputs in morsel order is the serial
+// operator's output.
+package exec
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/frel"
+	"repro/internal/fuzzy"
+	"repro/internal/kernel"
+)
+
+// flatInputs is the materialized form of a kernel operator's two sorted
+// inputs, cut into morsels.
+type flatInputs struct {
+	outer, inner []frel.Tuple
+	oKeys, iKeys []frel.SupportKey
+	ranges       []partRange
+	morsels      []kernel.Morsel
+}
+
+// collectFlat drains both inputs of the operator named op (for the
+// sortedness error), cuts them into morsels for the given worker count,
+// and records the kernel observability counters.
+func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, c *Counters, st *OpStats) (*flatInputs, error) {
+	in := &flatInputs{}
+	var err error
+	if in.outer, in.oKeys, err = collectSortedBatched(outer, oi, op+" outer"); err != nil {
+		return nil, err
+	}
+	if in.inner, in.iKeys, err = collectSortedBatched(inner, ii, op+" inner"); err != nil {
+		return nil, err
+	}
+	if workers <= 1 {
+		// One worker sweeps everything as one morsel; nothing to cut.
+		in.ranges = []partRange{{0, len(in.outer), 0, len(in.inner)}}
+		in.morsels = []kernel.Morsel{{Lo: 0, Hi: 1}}
+	} else {
+		in.ranges = atomicCutsKeyed(in.oKeys, in.iKeys, tol)
+		grain := morselGrain(len(in.outer)+len(in.inner), workers)
+		in.morsels = kernel.Coalesce(len(in.ranges), func(i int) int { return in.ranges[i].weight() }, grain)
+	}
+	c.Morsels.Add(int64(len(in.morsels)))
+	c.KernelTuples.Add(int64(len(in.outer)))
+	if st != nil {
+		st.Morsels.Add(int64(len(in.morsels)))
+		st.KernelTuples.Add(int64(len(in.outer)))
+	}
+	return in, nil
+}
+
+// span returns the outer and inner spans of morsel m. A morsel is a run of
+// consecutive atomic ranges, so both spans are contiguous and one
+// two-cursor sweep covers them: the window empties at every cut.
+func (in *flatInputs) span(m int) partRange {
+	first, last := in.ranges[in.morsels[m].Lo], in.ranges[in.morsels[m].Hi-1]
+	return partRange{first.oLo, last.oHi, first.iLo, last.iHi}
+}
+
+// run sweeps every morsel on the worker pool and returns the morsel
+// outputs as one iterator, in morsel order.
+func (in *flatInputs) run(workers int, sweep func(p partRange) []frel.Tuple) (BatchIterator, error) {
+	results := make([][]frel.Tuple, len(in.morsels))
+	err := runParallel(workers, len(in.morsels), func(m int) error {
+		results[m] = sweep(in.span(m))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &partsBatchIterator{parts: results}, nil
+}
+
+// morselGrain picks the morsel weight target: serial runs get one morsel
+// (no scheduling overhead), parallel runs get roughly 16 morsels per
+// worker with a floor that keeps per-morsel bookkeeping negligible.
+func morselGrain(total, workers int) int {
+	if workers <= 1 {
+		return total + 1
+	}
+	g := total / (workers * 16)
+	if g < 256 {
+		g = 256
+	}
+	return g
+}
+
+// keyWindow is the Rng(r) cursor over a flat inner key column: [start, end)
+// are the inner tuples that may intersect the current outer tuple or a
+// later one.
+type keyWindow struct{ start, end int }
+
+// slide moves the window to an outer support [lo, hi]: past the inner
+// tuples whose supports, widened by the band tolerance, end before lo, and
+// over those (up to limit) that begin at or before hi. It is
+// batchWindow.advance/extend with the band shift applied on the inner
+// side; the zero tolerance adds nothing.
+func (w *keyWindow) slide(keys []frel.SupportKey, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
+	for w.start < w.end && keys[w.start].Hi+tol.D < lo {
+		w.start++
+	}
+	for w.end < limit && keys[w.end].Lo+tol.A <= hi {
+		w.end++
+	}
+}
+
+// emitCarried builds the output of a sweep that reduced one degree per
+// tuple of an input: one row, at that degree, for every tuple whose degree
+// is positive. With a nil emit mask a row is the tuple itself (its values
+// are shared, not copied); otherwise it holds the masked columns, written
+// into one arena. Both allocations are sized by the rows that survive.
+func emitCarried(tuples []frel.Tuple, degs []float64, emit []int) []frel.Tuple {
+	n := 0
+	for _, d := range degs {
+		if d > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]frel.Tuple, 0, n)
+	var arena []frel.Value
+	if emit != nil {
+		arena = make([]frel.Value, 0, n*len(emit))
+	}
+	for i, d := range degs {
+		if d <= 0 {
+			continue
+		}
+		vals := tuples[i].Values
+		if emit != nil {
+			off := len(arena)
+			for _, c := range emit {
+				arena = append(arena, vals[c])
+			}
+			vals = arena[off:len(arena):len(arena)]
+		}
+		out = append(out, frel.Tuple{Values: vals, D: d})
+	}
+	return out
+}
+
+// collectSortedBatched drains src through the batch interface, verifying
+// the Definition 3.1 sort order and building the flat support-key column
+// the partitioner and the sweeps run on. Keys are copied from the producer
+// when it serves them and computed otherwise; the columns are allocated
+// once when the producer knows how many tuples it holds.
+func collectSortedBatched(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
+	it, err := OpenBatches(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer it.Close()
+	var tuples []frel.Tuple
+	var keys []frel.SupportKey
+	if n := batchesRemaining(it); n > 0 {
+		tuples = make([]frel.Tuple, 0, n)
+		keys = make([]frel.SupportKey, 0, n)
+	}
+	prevBegin := math.Inf(-1)
+	for {
+		b, ok := it.NextBatch()
+		if !ok {
+			break
+		}
+		bk := batchKeys(it)
+		for i, t := range b {
+			var lo, hi float64
+			if bk != nil {
+				lo, hi = bk[i].Lo, bk[i].Hi
+			} else {
+				lo, hi = t.Values[idx].Num.Support()
+			}
+			if lo < prevBegin {
+				return nil, nil, fmt.Errorf("exec: %s input is not sorted by the Definition 3.1 order", side)
+			}
+			prevBegin = lo
+			tuples = append(tuples, t)
+			keys = append(keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
+		}
+	}
+	return tuples, keys, it.Err()
+}

@@ -95,20 +95,11 @@ func (r *Relation) SortBy(attr string) error {
 // pairs will be chosen for the answer"). Tuple order of first occurrence
 // is preserved.
 func (r *Relation) DedupMax() {
-	seen := make(map[string]int, len(r.Tuples))
-	out := r.Tuples[:0]
+	set := NewRowSet(len(r.Schema.Attrs))
 	for _, t := range r.Tuples {
-		k := t.Key()
-		if i, ok := seen[k]; ok {
-			if t.D > out[i].D {
-				out[i].D = t.D
-			}
-			continue
-		}
-		seen[k] = len(out)
-		out = append(out, t)
+		set.Add(t.Values, nil, t.D)
 	}
-	r.Tuples = out
+	r.Tuples = append(r.Tuples[:0], set.Tuples()...)
 	r.version++
 }
 

@@ -63,10 +63,12 @@ func Str(s string) Value {
 	return Value{Kind: KindString, Str: s}
 }
 
-// Identical reports whether v and w are the same value: same kind and,
-// corner-for-corner, the same possibility distribution (or the same
-// string). This is the identity used by duplicate elimination, not the
-// fuzzy possibility of equality.
+// Identical reports whether v and w are the same value: same kind and the
+// same string, or corner for corner the same bit patterns. This is the one
+// identity of the engine — duplicate elimination, grouping and aggregate
+// value sets all use it — and it is bitwise like Key, the identity of the
+// naive oracle: -0 and +0 are different values, and a NaN corner is
+// identical to the same NaN. It is not the fuzzy possibility of equality.
 func (v Value) Identical(w Value) bool {
 	if v.Kind != w.Kind {
 		return false
@@ -74,7 +76,10 @@ func (v Value) Identical(w Value) bool {
 	if v.Kind == KindString {
 		return v.Str == w.Str
 	}
-	return v.Num == w.Num
+	return math.Float64bits(v.Num.A) == math.Float64bits(w.Num.A) &&
+		math.Float64bits(v.Num.B) == math.Float64bits(w.Num.B) &&
+		math.Float64bits(v.Num.C) == math.Float64bits(w.Num.C) &&
+		math.Float64bits(v.Num.D) == math.Float64bits(w.Num.D)
 }
 
 // String renders the value.
@@ -136,7 +141,9 @@ func Degree(op fuzzy.Op, v, w Value) float64 {
 }
 
 // Key returns a canonical byte-string identity of the value; distinct
-// values have distinct keys. Used for duplicate elimination and grouping.
+// values have distinct keys, and two values have equal keys exactly when
+// they are Identical. The engine deduplicates with RowSet; Key remains as
+// the independent identity of the naive oracle, Relation.Equal and tests.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
 
 // CompareTotal orders values like Compare but breaks Definition 3.1 ties

@@ -1,6 +1,7 @@
 package frel
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,10 +35,18 @@ func TestValueIdentical(t *testing.T) {
 		{Crisp(1), Str("1"), false},
 		{Num(fuzzy.Tri(1, 2, 3)), Num(fuzzy.Tri(1, 2, 3)), true},
 		{Num(fuzzy.Tri(1, 2, 3)), Num(fuzzy.Tri(1, 2, 4)), false},
+		// Identity is bitwise, like Key: the two zeros differ, a NaN
+		// corner is itself.
+		{Crisp(0), Crisp(math.Copysign(0, -1)), false},
+		{Crisp(math.NaN()), Crisp(math.NaN()), true},
+		{Crisp(math.NaN()), Crisp(1), false},
 	}
 	for _, tc := range tests {
 		if got := tc.a.Identical(tc.b); got != tc.want {
 			t.Errorf("Identical(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+		if got := tc.a.Key() == tc.b.Key(); got != tc.want {
+			t.Errorf("Key(%v) == Key(%v) is %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
 }

@@ -462,6 +462,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 		cost += curRows * cDeg * float64(len(j.Const))
 	}
 	j.est = Est{Rows: curRows, Cost: cost}
+	j.assignEmits(schemas, p.Proj())
 }
 
 // joinOrder chooses a left-deep join order by dynamic programming over

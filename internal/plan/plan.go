@@ -210,6 +210,16 @@ type JoinStep struct {
 	Extras []int
 	// Fanout is the estimated per-tuple match count of this step.
 	Fanout float64
+	// Emit lists the (qualified) attributes of the step's output that a
+	// later step or the projection still reads; a merge step run by the
+	// kernel join materializes only these. Nil means the full
+	// concatenated row (nested-loop steps, and plans whose references the
+	// planner could not resolve). Fold, when not FoldNone, records that
+	// every emitted attribute comes from one input, so the step emits one
+	// row per tuple of that input at the maximum degree over its pairs
+	// (see assignEmits).
+	Emit []string
+	Fold Fold
 	// LeftIndexed/RightIndexed record that the cost model expects the
 	// corresponding merge input to be served from a persistent order index
 	// (its sort term was elided). Informational for EXPLAIN; execution

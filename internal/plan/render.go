@@ -48,6 +48,12 @@ func (p *Plan) Lines() []string {
 				if len(step.Extras) > 0 {
 					algo += fmt.Sprintf(" +%d extra", len(step.Extras))
 				}
+				if step.Emit != nil {
+					algo += " -> " + strings.Join(step.Emit, ", ")
+				}
+				if step.Fold != FoldNone {
+					algo += " fold(" + step.Fold.String() + ")"
+				}
 				lines = append(lines, pad+"  ["+algo+"]")
 				walk(j.Inputs[j.Order[k+1]], depth+1)
 			}

@@ -176,7 +176,34 @@ func (bp *BufferPool) pageBuf() []byte {
 		bp.free = bp.free[:n-1]
 		return b
 	}
+	if b, ok := closedPoolPages.Get().(*[PageSize]byte); ok {
+		return b[:]
+	}
 	return make([]byte, PageSize)
+}
+
+// closedPoolPages holds the page buffers of closed pools. A process that
+// opens and closes a database per statement otherwise allocates a pool's
+// worth of buffers (2 MB at the default size) at every open, which is
+// most of what such a statement allocates once its query is lean: enough
+// to start a garbage collection inside every short statement.
+var closedPoolPages sync.Pool
+
+// Close empties the pool, handing its page buffers to later pools of the
+// process. The pool and every frame it handed out are dead afterwards;
+// dirty frames are not written (FlushAll first to keep them).
+func (bp *BufferPool) Close() {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, f := range bp.frames {
+		closedPoolPages.Put((*[PageSize]byte)(f.Data))
+	}
+	for _, b := range bp.free {
+		closedPoolPages.Put((*[PageSize]byte)(b))
+	}
+	bp.frames = make(map[frameKey]*Frame)
+	bp.lru.Init()
+	bp.free = nil
 }
 
 func (bp *BufferPool) makeRoom() error {

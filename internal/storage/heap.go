@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -446,6 +447,7 @@ func (s *Scanner) Next() (t frel.Tuple, ok bool) {
 			copy(s.page, f.Data)
 			f.Latch.RUnlock()
 			s.h.pool.Unpin(f, false)
+			yieldPool()
 			s.inPage = true
 			s.remain = int(binary.LittleEndian.Uint16(s.page[0:2]))
 			s.off = pageHeader
@@ -469,6 +471,14 @@ func (s *Scanner) Next() (t frel.Tuple, ok bool) {
 		return tup, true
 	}
 }
+
+// yieldPool lets a goroutine waiting for the buffer pool in. A scan takes
+// the pool mutex twice per page in a tight loop, and sync.Mutex leaves a
+// contended lock with the goroutine that is running: without the yield a
+// writer whose INSERT needs three pages waits out whole stretches of
+// another session's scan (up to the mutex's 1 ms starvation threshold per
+// page it needs). Yielding costs nothing when nobody else is runnable.
+func yieldPool() { runtime.Gosched() }
 
 // NextRaw returns the next record's raw bytes without decoding them as a
 // tuple — the scan entry point for non-tuple files (order indexes). The
@@ -495,6 +505,7 @@ func (s *Scanner) NextRaw() ([]byte, bool) {
 			copy(s.page, f.Data)
 			f.Latch.RUnlock()
 			s.h.pool.Unpin(f, false)
+			yieldPool()
 			s.inPage = true
 			s.remain = int(binary.LittleEndian.Uint16(s.page[0:2]))
 			s.off = pageHeader
@@ -1043,6 +1054,7 @@ func (m *Manager) Close() error {
 			first = err
 		}
 	}
+	m.pool.Close()
 	return first
 }
 

@@ -424,3 +424,50 @@ func TestHeapVersionAndNextBatch(t *testing.T) {
 		t.Fatalf("batched scan saw %d tuples, want %d", i, n)
 	}
 }
+
+// TestBufferPoolCloseRecyclesBuffers: a closed pool hands its page buffers
+// to later pools, which must still see exactly what is on disk (a recycled
+// buffer is fully overwritten by the read, or zeroed for a new page).
+func TestBufferPoolCloseRecyclesBuffers(t *testing.T) {
+	p := newTestPager(t, nil)
+	first := NewBufferPool(4, nil)
+	for i := byte(0); i < 3; i++ {
+		f, err := first.NewPage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range f.Data {
+			f.Data[j] = 0xA0 + i
+		}
+		first.Unpin(f, true)
+	}
+	if err := first.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	if n := first.PinnedPages(); n != 0 {
+		t.Errorf("closed pool still pins %d pages", n)
+	}
+
+	second := NewBufferPool(4, nil)
+	for i := byte(0); i < 3; i++ {
+		f, err := second.Get(p, PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Data[0] != 0xA0+i || f.Data[PageSize-1] != 0xA0+i {
+			t.Errorf("page %d reads %x..%x after a pool was closed", i, f.Data[0], f.Data[PageSize-1])
+		}
+		second.Unpin(f, false)
+	}
+	f, err := second.NewPage(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range f.Data {
+		if b != 0 {
+			t.Fatalf("new page byte %d = %x, want zero", j, b)
+		}
+	}
+	second.Unpin(f, false)
+}

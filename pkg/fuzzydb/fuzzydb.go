@@ -36,8 +36,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -69,8 +71,10 @@ func WithBufferPoolPages(pages int) Option {
 }
 
 // WithParallelism sets the worker count for parallel query execution
-// (partitioned merge-joins and sort run generation). 0, the default, uses
-// all available CPUs; 1 forces serial execution.
+// (morsel-scheduled join sweeps and sort run generation). 0, the default,
+// uses all available CPUs; 1 forces serial execution. The count is the
+// database's budget, not each statement's: statements of several sessions
+// that run at the same time divide it, each getting at least one worker.
 func WithParallelism(workers int) Option {
 	return func(c *config) error {
 		if workers < 0 {
@@ -151,6 +155,37 @@ type DB struct {
 	dir     string
 	ownsDir bool
 	closed  bool
+
+	// parallelism is the database's worker budget (WithParallelism; 0 means
+	// GOMAXPROCS) and inFlight the number of statements, of all sessions,
+	// executing or waiting for a lock right now. A statement's sweeps get
+	// the budget divided by the statements in flight when it starts:
+	// workers speed a statement up only on CPUs nobody else is using, and
+	// a sweep that takes every CPU makes the short statements of other
+	// sessions — an INSERT between two fsyncs — wait for it.
+	parallelism int
+	inFlight    atomic.Int32
+}
+
+// enter counts one statement of s as in flight, gives it its share of the
+// worker budget, and returns the function that counts it out. The caller
+// holds s.mu, so a session's environment is its own to set; the base
+// session's is also read by every Session() fork, so the database's own
+// statements keep the configured count and only count as in flight.
+func (s *Session) enter() (leave func()) {
+	db := s.db
+	budget := db.parallelism
+	if budget == 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	share := budget / int(db.inFlight.Add(1))
+	if share < 1 {
+		share = 1
+	}
+	if s != db.base {
+		s.sess.Env.Parallelism = share
+	}
+	return func() { db.inFlight.Add(-1) }
 }
 
 // Open opens (or creates) the database stored in dir. An existing
@@ -187,7 +222,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	sess.Env.Parallelism = c.parallelism
 	sess.Env.DisableBatch = c.disableBatch
 	sess.Env.DisableKernels = c.disableKernels
-	db := &DB{dir: dir, ownsDir: ownsDir}
+	db := &DB{dir: dir, ownsDir: ownsDir, parallelism: c.parallelism}
 	db.base = &Session{db: db, sess: sess}
 	return db, nil
 }

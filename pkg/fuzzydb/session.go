@@ -101,6 +101,7 @@ func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relat
 		return nil, errClosed("session")
 	}
 	db := s.db
+	defer s.enter()()
 	class := lockClass(s.sess, st, s.sess.Catalog().Manager().WALEnabled())
 	if class == lockBarrier && s.sess.InTxn() {
 		// The engine rejects barrier statements inside a transaction;
@@ -363,6 +364,7 @@ func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
 	if s.db.closed {
 		return nil, errClosed("database")
 	}
+	defer s.enter()()
 	if st.cached != nil {
 		rel, err := s.sess.EvalPlan(ctx, st.cached)
 		if err != nil {

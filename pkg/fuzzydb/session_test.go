@@ -375,3 +375,45 @@ func TestRowsIterator(t *testing.T) {
 		t.Errorf("Scan after Close: %v", err)
 	}
 }
+
+// TestStatementsShareTheWorkerBudget: a statement's sweeps get the
+// database's worker budget divided by the statements in flight when it
+// starts, at least one; the base session keeps the configured count (its
+// environment is what Session() forks copy).
+func TestStatementsShareTheWorkerBudget(t *testing.T) {
+	db, err := Open("", WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var sessions []*Session
+	for i := 0; i < 5; i++ {
+		s, err := db.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		sessions = append(sessions, s)
+	}
+	var leave []func()
+	for i, want := range []int{4, 2, 1, 1, 1} {
+		leave = append(leave, sessions[i].enter())
+		if got := sessions[i].sess.Env.Parallelism; got != want {
+			t.Errorf("statement %d in flight runs on %d workers, want %d", i+1, got, want)
+		}
+	}
+	leave = append(leave, db.base.enter())
+	if got := db.base.sess.Env.Parallelism; got != 4 {
+		t.Errorf("base session runs on %d workers, want the configured 4", got)
+	}
+	for _, l := range leave {
+		l()
+	}
+	if n := db.inFlight.Load(); n != 0 {
+		t.Errorf("%d statements in flight after all left", n)
+	}
+	defer sessions[0].enter()()
+	if got := sessions[0].sess.Env.Parallelism; got != 4 {
+		t.Errorf("a statement alone runs on %d workers, want 4", got)
+	}
+}
