@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-check benchmark benchmark-compare crash fmt vet golden serve server-smoke
+.PHONY: all build test race bench benchmark benchmark-compare crash fmt vet golden serve server-smoke
 
 all: build test
 
@@ -13,19 +13,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark run; BenchmarkBatchVsTuple is the batched-vs-tuple
-# engine comparison the performance bars are measured on.
+# The testing.B benchmarks: the operator ablations and the paper's Section 9
+# experiments on the simulated-disk model.
 bench:
-	$(GO) test -run XXX -bench . -benchtime=10x ./internal/exec ./internal/bench
-
-# Regenerate the committed batch-vs-tuple baseline (BENCH_N.json).
-bench-compare:
-	$(GO) run ./cmd/fuzzybench -compare -scalediv 8
-
-# CI's bench-regression smoke: re-measure table1 against the committed
-# baseline and fail on a >25% cold-wall regression.
-bench-check:
-	$(GO) run ./cmd/benchcheck -baseline BENCH_9.json -experiments table1 -threshold 1.6
+	$(GO) test -run XXX -bench . -benchtime=10x . ./internal/exec ./internal/bench
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads at seed 1, end-to-end metrics, saved for benchmark-compare.

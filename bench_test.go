@@ -174,7 +174,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	r, s := ablationRelations(b, 2000, 5)
 	b.Run("with-cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mj, err := exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, nil)
+			mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, nil, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 			var c exec.Counters
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mj, err := exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, &c)
+				mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, &c, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -234,11 +234,10 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelism measures the partitioned parallel
-// merge-join against the serial operator on the Table 1 workload (equal
-// relations, C = 7, 128-byte tuples), at 2, 4, and 8 workers. The inputs
-// are pre-sorted so the comparison isolates the join itself; the parallel
-// operator returns the identical fuzzy relation (see
+// BenchmarkAblationParallelism measures the merge-join at 1, 2, 4 and 8
+// workers on the Table 1 workload (equal relations, C = 7, 128-byte
+// tuples). The inputs are pre-sorted so the comparison isolates the join
+// itself; every worker count returns the identical fuzzy relation (see
 // exec.TestParallelMergeJoinEquivalence).
 func BenchmarkAblationParallelism(b *testing.B) {
 	r, s := ablationRelations(b, 8000, 5)
@@ -257,15 +256,10 @@ func BenchmarkAblationParallelism(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		run(b, func() (exec.Source, error) {
-			return exec.NewMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", nil, nil)
-		})
-	})
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			run(b, func() (exec.Source, error) {
-				return exec.NewParallelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s),
+				return exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s),
 					"R.B", "S.B", fuzzy.Crisp(0), nil, nil, workers)
 			})
 		})

@@ -8,27 +8,16 @@
 //
 //	fuzzybench [-experiment table1|table2|table3|table4|fig3|all]
 //	           [-scalediv 32] [-iolatency 10ms] [-dir DIR] [-verify]
-//	           [-json] [-compare] [-tupleatatime] [-indexes]
+//	           [-json] [-indexes]
 //
 // With -json, instead of the experiment tables, both methods run once on
 // the standard workload pair with EXPLAIN ANALYZE collection and the
 // per-operator statistics are printed as a machine-readable JSON report
 // (schema in DESIGN.md).
 //
-// With -compare, the merge-join method runs on a representative workload
-// of each paper experiment under the three engine modes (batched with
-// fused kernels, batched interpreted, and tuple-at-a-time) at 1 and 4
-// workers, twice each so the warm run exercises the sort-order cache. The
-// comparison is printed as JSON on stdout (the committed BENCH_N.json
-// baselines) and as a human-readable grid on stderr.
-//
-// -tupleatatime disables batched execution for the experiment tables,
-// reproducing the pre-batching engine.
-//
 // -indexes pre-builds persistent order indexes on the join attributes of
-// the generated relations; combined with -compare the grid gains the
-// indexed-vs-sort cold-start ablation runs and each experiment records
-// its cold-wall speedup.
+// the generated relations, so the merge-join method's cold run is served
+// from the indexes instead of external-sorting.
 //
 // Absolute times are not comparable across three decades of hardware; the
 // point of the reproduction is the shape: who wins, by how much, and how
@@ -47,51 +36,28 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "experiment to run: table1, table2, table3, table4, fig3, or all")
-		scaleDiv     = flag.Int("scalediv", 32, "divide the paper's tuple counts and buffer size by this factor")
-		ioLatency    = flag.Duration("iolatency", 10*time.Millisecond, "simulated per-page-I/O latency of the response model")
-		dir          = flag.String("dir", "", "scratch directory (default: system temp)")
-		cpuFactor    = flag.Float64("cpufactor", 100, "scale measured compute time in the response model, representing the paper's ~100x slower 1995 CPU; set 1 for raw measurements")
-		verify       = flag.Bool("verify", false, "cross-check that both methods return identical answers")
-		seed         = flag.Int64("seed", 1, "workload random seed")
-		parallel     = flag.Int("parallel", 1, "merge-join worker count: 1 reproduces the paper's serial execution, 0 uses all CPUs")
-		jsonStats    = flag.Bool("json", false, "run both methods once with EXPLAIN ANALYZE collection and print the per-operator statistics as JSON")
-		compare      = flag.Bool("compare", false, "run the batch vs tuple-at-a-time engine comparison on each paper experiment's representative workload and print it as JSON")
-		tupleAtATime = flag.Bool("tupleatatime", false, "disable batched execution (run the tuple-at-a-time engine)")
-		kernels      = flag.Bool("kernels", true, "compile eligible predicates into fused degree kernels; -kernels=false is the interpreted-evaluator ablation")
-		indexes      = flag.Bool("indexes", false, "pre-build persistent order indexes on the join attributes; with -compare, adds the indexed-vs-sort cold-start ablation runs to the grid")
+		experiment = flag.String("experiment", "all", "experiment to run: table1, table2, table3, table4, fig3, or all")
+		scaleDiv   = flag.Int("scalediv", 32, "divide the paper's tuple counts and buffer size by this factor")
+		ioLatency  = flag.Duration("iolatency", 10*time.Millisecond, "simulated per-page-I/O latency of the response model")
+		dir        = flag.String("dir", "", "scratch directory (default: system temp)")
+		cpuFactor  = flag.Float64("cpufactor", 100, "scale measured compute time in the response model, representing the paper's ~100x slower 1995 CPU; set 1 for raw measurements")
+		verify     = flag.Bool("verify", false, "cross-check that both methods return identical answers")
+		seed       = flag.Int64("seed", 1, "workload random seed")
+		parallel   = flag.Int("parallel", 1, "merge-join worker count: 1 reproduces the paper's serial execution, 0 uses all CPUs")
+		jsonStats  = flag.Bool("json", false, "run both methods once with EXPLAIN ANALYZE collection and print the per-operator statistics as JSON")
+		indexes    = flag.Bool("indexes", false, "pre-build persistent order indexes on the join attributes, so the merge-join method's cold run skips the external sort")
 	)
 	flag.Parse()
 
 	cfg := bench.Config{
-		Dir:            *dir,
-		ScaleDiv:       *scaleDiv,
-		IOLatency:      *ioLatency,
-		CPUFactor:      *cpuFactor,
-		Parallelism:    *parallel,
-		DisableBatch:   *tupleAtATime,
-		DisableKernels: !*kernels,
-		Indexes:        *indexes,
-		Verify:         *verify,
-		Seed:           *seed,
-	}
-
-	if *compare {
-		rep, err := cfg.Report()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fuzzybench: compare: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzzybench: %v\n", err)
-			os.Exit(1)
-		}
-		// The human-readable grid goes to stderr so piping stdout still
-		// yields clean JSON; its legend prints once per experiment.
-		fmt.Fprint(os.Stderr, rep.RenderGrid())
-		return
+		Dir:         *dir,
+		ScaleDiv:    *scaleDiv,
+		IOLatency:   *ioLatency,
+		CPUFactor:   *cpuFactor,
+		Parallelism: *parallel,
+		Indexes:     *indexes,
+		Verify:      *verify,
+		Seed:        *seed,
 	}
 
 	if *jsonStats {

@@ -57,17 +57,10 @@ type Config struct {
 	// same work than this machine (default 1: raw measurements; the
 	// recorded experiments use 100, see EXPERIMENTS.md).
 	CPUFactor float64
-	// Parallelism is the worker count for the merge-join method's
-	// partitioned joins and sort run generation: 0 uses the engine default
+	// Parallelism is the worker count for the merge-join method's join
+	// sweeps and sort run generation: 0 uses the engine default
 	// (all CPUs), 1 forces fully serial execution (the paper's setting).
 	Parallelism int
-	// DisableBatch runs the engine tuple-at-a-time instead of the default
-	// batched execution (the before/after switch of the batch comparison).
-	DisableBatch bool
-	// DisableKernels keeps the batch engine on its interpreted closure
-	// evaluators instead of the default fused degree kernels (the kernels
-	// ablation switch; implied by DisableBatch).
-	DisableKernels bool
 	// Indexes builds persistent order indexes on the join attributes of
 	// both relations after loading them, so the merge-join method's cold
 	// run is served from the indexes instead of external-sorting (the
@@ -234,8 +227,6 @@ func (c Config) setupWorkload(nOuter, nInner int) (env *core.Env, mgr *storage.M
 	env.SortMemPages = c.bufferPages()
 	env.NLBlockBytes = (c.bufferPages() - 1) * storage.PageSize
 	env.Parallelism = c.Parallelism
-	env.DisableBatch = c.DisableBatch
-	env.DisableKernels = c.DisableKernels
 
 	if _, err := workload.Load(cat, workload.Params{
 		Name: "R", Tuples: nOuter, TupleBytes: c.TupleBytes,

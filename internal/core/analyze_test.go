@@ -159,58 +159,32 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 		rngN, rngMin, rngMax int64
 		rngSum               float64
 	}
-	// The stats contract holds across worker counts AND across the three
-	// engine modes — batch with compiled kernels (morsel-scheduled), batch
-	// interpreted, and tuple-at-a-time: all twelve runs must agree on the
-	// answer and on the comparisons, degree evaluations and Rng(r) scans.
-	// Rows out agree across worker counts within a mode; the kernel join
-	// folds the answer's max reduction into its sweep, so its mode reports
-	// fewer rows than the two reference modes, never more.
+	// The stats contract holds across worker counts: all four runs must
+	// agree on the answer, the rows out, and on the comparisons, degree
+	// evaluations and Rng(r) scans.
 	var runs []run
-	modes := []struct {
-		disableBatch, disableKernels bool
-	}{{false, false}, {false, true}, {true, true}}
-	for _, mode := range modes {
-		for _, workers := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("batch=%v kernels=%v workers=%d",
-				!mode.disableBatch, !mode.disableKernels && !mode.disableBatch, workers)
-			env := analyzeEnv(t, 600, workers)
-			env.DisableBatch = mode.disableBatch
-			env.DisableKernels = mode.disableKernels
-			rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			snap := es.Plan()
-			rows, cmp, deg := snap.Totals()
-			mj := snap.Find("merge-join")
-			if mj == nil {
-				t.Fatalf("%s: no merge-join node in:\n%s", label, snap.Render())
-			}
-			// Non-vacuity: the kernel legs must actually run compiled
-			// kernels, and the other legs must not.
-			kt := env.Counters.KernelTuples.Load()
-			if kernelsOn := !mode.disableBatch && !mode.disableKernels; kernelsOn && kt == 0 {
-				t.Fatalf("%s: compiled kernels did not fire", label)
-			} else if !kernelsOn && kt != 0 {
-				t.Fatalf("%s: compiled kernels fired (%d tuples) with kernels off", label, kt)
-			}
-			runs = append(runs, run{
-				label: label, rel: rel,
-				rows: rows, cmp: cmp, deg: deg,
-				rngN: mj.RngCount, rngMin: mj.RngMin, rngMax: mj.RngMax,
-				rngSum: mj.RngAvg * float64(mj.RngCount),
-			})
+	for _, workers := range []int{1, 2, 4, 8} {
+		label := fmt.Sprintf("workers=%d", workers)
+		env := analyzeEnv(t, 600, workers)
+		rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-	}
-	for i, r := range runs {
-		if mode := runs[i/4*4]; r.rows != mode.rows {
-			t.Errorf("%s: %d rows out, %s has %d", r.label, r.rows, mode.label, mode.rows)
+		snap := es.Plan()
+		rows, cmp, deg := snap.Totals()
+		mj := snap.Find("merge-join")
+		if mj == nil {
+			t.Fatalf("%s: no merge-join node in:\n%s", label, snap.Render())
 		}
-	}
-	if runs[4].rows != runs[8].rows {
-		t.Errorf("the reference modes disagree on rows out: %s %d, %s %d",
-			runs[4].label, runs[4].rows, runs[8].label, runs[8].rows)
+		if env.Counters.KernelTuples.Load() == 0 {
+			t.Fatalf("%s: compiled kernels did not fire", label)
+		}
+		runs = append(runs, run{
+			label: label, rel: rel,
+			rows: rows, cmp: cmp, deg: deg,
+			rngN: mj.RngCount, rngMin: mj.RngMin, rngMax: mj.RngMax,
+			rngSum: mj.RngAvg * float64(mj.RngCount),
+		})
 	}
 	base := runs[0]
 	for _, r := range runs[1:] {
@@ -222,8 +196,8 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 			t.Errorf("%s: work totals differ from %s: cmp %d/%d deg %d/%d",
 				r.label, base.label, r.cmp, base.cmp, r.deg, base.deg)
 		}
-		if r.rows < base.rows {
-			t.Errorf("%s: %d rows out, fewer than the folding kernel mode's %d", r.label, r.rows, base.rows)
+		if r.rows != base.rows {
+			t.Errorf("%s: %d rows out, %s has %d", r.label, r.rows, base.label, base.rows)
 		}
 		if r.rngN != base.rngN || r.rngMin != base.rngMin || r.rngMax != base.rngMax ||
 			math.Abs(r.rngSum-base.rngSum) > 1e-6 {

@@ -58,27 +58,15 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 			return nil, err
 		}
 		base := e.stated("scan", sc.Table.Binding(), s)
-		if n.Fused && e.kernelsOn() {
-			// Specialize the whole chain into one fused kernel loop. A
-			// bridge error (an operand form the kernel cannot express)
-			// falls through to the interpreted chain, which re-raises any
-			// genuine resolution error itself.
-			if prog, kerr := e.compileKernelProgram(base.Schema(), n.Preds); kerr == nil {
-				ff := exec.NewFusedFilter(base, prog, 0, &e.Counters)
-				node := e.newNode("kernel(fused)", n.Label)
-				ff.Stats = node
-				return e.attach(node, ff, base), nil
-			}
+		// The whole chain runs as one fused kernel loop.
+		prog, err := e.compileKernelProgram(base.Schema(), n.Preds)
+		if err != nil {
+			return nil, err
 		}
-		src := base
-		for _, pr := range n.Preds {
-			pred, err := e.compilePred(src.Schema(), pr)
-			if err != nil {
-				return nil, err
-			}
-			src = exec.NewFilter(src, pred)
-		}
-		return e.stated("filter", n.Label, src, base), nil
+		ff := exec.NewFusedFilter(base, prog, 0, &e.Counters)
+		node := e.newNode("kernel(fused)", n.Label)
+		ff.Stats = node
+		return e.attach(node, ff, base), nil
 	}
 	return nil, fmt.Errorf("core: cannot compile plan leaf %T", nd)
 }
@@ -109,17 +97,6 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		for _, pi := range step.Extras {
 			extraPreds = append(extraPreds, j.JoinPreds[pi].Pred)
 		}
-		compileExtras := func() (exec.JoinPred, error) {
-			var extras []exec.JoinPred
-			for _, pr := range extraPreds {
-				jp, err := e.compileJoinPred(cur.Schema(), next.Schema(), pr)
-				if err != nil {
-					return nil, err
-				}
-				extras = append(extras, jp)
-			}
-			return andJoinPreds(extras), nil
-		}
 
 		if step.Merge {
 			sortedCur, err := e.sortSource(cur, step.LeftAttr, false)
@@ -130,65 +107,47 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Compiled path: residual conjuncts become a pair program and
-			// the join runs as the morsel-scheduled kernel merge-join (one
-			// morsel when serial), emitting only what the plan still reads
-			// of its rows and folding the answer's max reduction into the
-			// sweep where the plan recorded one. A bridge error falls back
-			// to the interpreted operators below, which emit full rows.
-			if e.kernelsOn() && plan.KernelEligible(extraPreds) {
-				if pp, kerr := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds); kerr == nil {
-					kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
-					if err != nil {
+			// Residual conjuncts become a pair program and the join runs
+			// as the morsel-scheduled merge-join (one morsel when serial),
+			// emitting only what the plan still reads of its rows and
+			// folding the answer's max reduction into the sweep where the
+			// plan recorded one.
+			pp, err := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds)
+			if err != nil {
+				return nil, err
+			}
+			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
+			if err != nil {
+				return nil, err
+			}
+			label := step.LeftAttr + " = " + step.RightAttr
+			if step.Emit != nil {
+				emit := make([]int, len(step.Emit))
+				for i, ref := range step.Emit {
+					if emit[i], err = kj.Schema().Resolve(ref); err != nil {
 						return nil, err
 					}
-					label := step.LeftAttr + " = " + step.RightAttr
-					if step.Emit != nil {
-						emit := make([]int, len(step.Emit))
-						for i, ref := range step.Emit {
-							if emit[i], err = kj.Schema().Resolve(ref); err != nil {
-								return nil, err
-							}
-						}
-						if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
-							return nil, err
-						}
-						if step.Fold != plan.FoldNone {
-							label += " fold(" + step.Fold.String() + ")"
-						}
-					}
-					node := e.newNode("merge-join", label)
-					kj.Stats = node
-					cur = e.attach(node, kj, sortedCur, sortedNext)
-					continue
 				}
-			}
-			node := e.newNode("merge-join", step.LeftAttr+" = "+step.RightAttr)
-			extra, err := compileExtras()
-			if err != nil {
-				return nil, err
-			}
-			if w := e.workers(); w > 1 {
-				pj, err := exec.NewParallelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, extra, &e.Counters, w)
-				if err != nil {
+				if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
 					return nil, err
 				}
-				pj.Stats = node
-				cur = e.attach(node, pj, sortedCur, sortedNext)
-			} else {
-				mj, err := exec.NewBandMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, extra, &e.Counters)
-				if err != nil {
-					return nil, err
+				if step.Fold != plan.FoldNone {
+					label += " fold(" + step.Fold.String() + ")"
 				}
-				mj.Stats = node
-				cur = e.attach(node, mj, sortedCur, sortedNext)
 			}
+			node := e.newNode("merge-join", label)
+			kj.Stats = node
+			cur = e.attach(node, kj, sortedCur, sortedNext)
 		} else {
-			extra, err := compileExtras()
-			if err != nil {
-				return nil, err
+			var extras []exec.JoinPred
+			for _, pr := range extraPreds {
+				jp, err := e.compileJoinPred(cur.Schema(), next.Schema(), pr)
+				if err != nil {
+					return nil, err
+				}
+				extras = append(extras, jp)
 			}
-			on := extra
+			on := andJoinPreds(extras)
 			if on == nil {
 				on = func(l, r frel.Tuple) float64 { return 1 }
 			}
@@ -253,33 +212,20 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		preds = append(preds, a.Link)
 	}
 	negLast := a.HasLink && a.Mode == plan.AntiAll
-	terms := make([]exec.JoinPred, len(preds))
-	for i, pr := range preds {
-		jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr)
-		if err != nil {
-			return nil, err
-		}
-		if negLast && i == len(preds)-1 {
-			link := jp
-			jp = func(l, r frel.Tuple) float64 { return 1 - link(l, r) }
-		}
-		terms[i] = jp
-	}
-	penalty := func(l, r frel.Tuple) float64 {
-		d := r.D
-		for _, t := range terms {
-			if g := t(l, r); g < d {
-				d = g
-				if d == 0 {
-					break
-				}
-			}
-		}
-		return 1 - d
-	}
 
 	var result exec.Source
 	if a.RangeFound {
+		steps, err := e.pairSteps(outer.Schema(), inner.Schema(), preds)
+		if err != nil {
+			return nil, err
+		}
+		if negLast {
+			steps[len(steps)-1].Neg = true
+		}
+		terms, err := kernel.CompilePair(steps)
+		if err != nil {
+			return nil, err
+		}
 		sortedOuter, err := e.sortSource(outer, a.RangeOuter, false)
 		if err != nil {
 			return nil, err
@@ -288,30 +234,42 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, penalty, &e.Counters)
+		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, terms, &e.Counters)
 		if err != nil {
 			return nil, err
 		}
-		// Compiled path: the same conjuncts as a pair program make the
-		// batch form the kernel anti-min. A bridge error leaves the tuple
-		// operator, which the batch adapter serves.
-		if e.kernelsOn() && plan.KernelEligible(preds) {
-			if steps, kerr := e.pairSteps(outer.Schema(), inner.Schema(), preds); kerr == nil {
-				if negLast {
-					steps[len(steps)-1].Neg = true
-				}
-				if pp, kerr := kernel.CompilePair(steps); kerr == nil {
-					am.Terms, am.Workers = pp, e.workers()
-				}
-			}
-		}
+		am.Workers = e.workers()
 		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
 		am.Stats = node
 		result = e.attach(node, am, sortedOuter, sortedInner)
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
 		// anti-join by materializing the inner once.
-		innerRel, err := e.collect(inner)
+		terms := make([]exec.JoinPred, len(preds))
+		for i, pr := range preds {
+			jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr)
+			if err != nil {
+				return nil, err
+			}
+			if negLast && i == len(preds)-1 {
+				link := jp
+				jp = func(l, r frel.Tuple) float64 { return 1 - link(l, r) }
+			}
+			terms[i] = jp
+		}
+		penalty := func(l, r frel.Tuple) float64 {
+			d := r.D
+			for _, t := range terms {
+				if g := t(l, r); g < d {
+					d = g
+					if d == 0 {
+						break
+					}
+				}
+			}
+			return 1 - d
+		}
+		innerRel, err := exec.CollectBatched(inner)
 		if err != nil {
 			return nil, err
 		}
@@ -354,9 +312,7 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 	if err != nil {
 		return nil, err
 	}
-	if e.kernelsOn() {
-		ga.Workers = e.workers() // the batch form is the kernel group-aggregate
-	}
+	ga.Workers = e.workers()
 	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
 	ga.Stats = node
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
@@ -412,7 +368,7 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	if err != nil {
 		return nil, err
 	}
-	rel, err := e.collect(e.stated("project", "", proj, src))
+	rel, err := exec.CollectBatched(e.stated("project", "", proj, src))
 	if err != nil {
 		return nil, err
 	}

@@ -63,21 +63,10 @@ type Env struct {
 	// and keeps the syntactic relation order (ablation switch).
 	DisableJoinReorder bool
 
-	// Parallelism is the worker count for the partitioned merge-join and
-	// for sort run generation: 0 means exec.DefaultParallelism()
+	// Parallelism is the worker count for the join sweeps and for sort run
+	// generation: 0 means exec.DefaultParallelism()
 	// (GOMAXPROCS), 1 forces fully serial execution.
 	Parallelism int
-
-	// DisableBatch switches materialization points back to strict
-	// tuple-at-a-time iteration (ablation / comparison switch). The
-	// default (false) drives plans through the batched operators.
-	DisableBatch bool
-
-	// DisableKernels keeps compilation on the interpreted closure
-	// evaluators even where a fused degree kernel applies (ablation
-	// switch). Kernels require the batch engine, so DisableBatch
-	// implies them off.
-	DisableKernels bool
 
 	// Sort-order cache state; see sortcache.go for the keying and
 	// invalidation contract. All maps are lazily initialized.
@@ -204,13 +193,6 @@ func (e *Env) workers() int {
 	return e.Parallelism
 }
 
-// kernelsOn reports whether compilation may specialize eligible operators
-// into fused degree kernels. Kernels run inside the batch engine, so the
-// tuple-at-a-time ablation mode implies them off.
-func (e *Env) kernelsOn() bool {
-	return !e.DisableKernels && !e.DisableBatch
-}
-
 // term resolves a linguistic term: the session-local scope first, then
 // the shared catalog (or the in-memory dictionary without a catalog).
 func (e *Env) term(name string) (fuzzy.Trapezoid, bool) {
@@ -319,34 +301,8 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 	return nil, fmt.Errorf("core: unknown relation %q", name)
 }
 
-// collect materializes src into an in-memory relation, batched unless the
-// ablation switch forces tuple-at-a-time.
-func (e *Env) collect(src exec.Source) (*frel.Relation, error) {
-	if e.DisableBatch {
-		return exec.Collect(src)
-	}
-	return exec.CollectBatched(src)
-}
-
-// forEach drains src into fn, batched unless the ablation switch forces
-// tuple-at-a-time.
-func (e *Env) forEach(src exec.Source, fn func(frel.Tuple) error) error {
-	if e.DisableBatch {
-		it, err := src.Open()
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return it.Err()
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-	}
+// forEach drains src into fn.
+func forEach(src exec.Source, fn func(frel.Tuple) error) error {
 	it, err := exec.OpenBatches(src)
 	if err != nil {
 		return err
@@ -374,7 +330,7 @@ func (e *Env) forEach(src exec.Source, fn func(frel.Tuple) error) error {
 func (e *Env) gather(src exec.Source) (tuples []frel.Tuple, spilled *storage.HeapFile, err error) {
 	schema := src.Schema()
 	budget, bytes := e.SortMemPages*storage.PageSize, 0
-	err = e.forEach(src, func(t frel.Tuple) error {
+	err = forEach(src, func(t frel.Tuple) error {
 		if spilled != nil {
 			return spilled.Append(t)
 		}

@@ -66,48 +66,42 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name                         string
-			disableKernels, disableBatch bool
-		}{{"kernels", false, false}, {"interpreted", true, false}, {"tuple", true, true}} {
-			env := NewMemEnv()
-			env.DisableKernels, env.DisableBatch = mode.disableKernels, mode.disableBatch
-			env.RegisterRelation("R", r)
-			env.RegisterRelation("S", s)
-			if env.Explain(q).Strategy == StrategyNaive {
-				t.Fatalf("%s: not unnested", class)
+		env := NewMemEnv()
+		env.RegisterRelation("R", r)
+		env.RegisterRelation("S", s)
+		if env.Explain(q).Strategy == StrategyNaive {
+			t.Fatalf("%s: not unnested", class)
+		}
+		naive, err := env.EvalNaive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := env.EvalUnnested(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := 0.0
+		if class == "JA" {
+			tol = 1e-9 // AVG sums its members in another order
+		}
+		if !got.Equal(naive, tol) {
+			t.Errorf("%s: unnested differs from naive\nunnested:\n%v\nnaive:\n%v", class, got, naive)
+		}
+		// One row per identity: the zeros apart, the NaN once.
+		var zeros, negZeros, nans int
+		for _, tup := range got.Tuples {
+			switch k := tup.Values[0]; {
+			case k.Identical(frel.Crisp(0)):
+				zeros++
+			case k.Identical(frel.Crisp(negZero)):
+				negZeros++
+			case k.Identical(frel.Num(nan)):
+				nans++
 			}
-			naive, err := env.EvalNaive(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := env.EvalUnnested(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tol := 0.0
-			if class == "JA" {
-				tol = 1e-9 // AVG sums its members in another order
-			}
-			if !got.Equal(naive, tol) {
-				t.Errorf("%s, %s: unnested differs from naive\nunnested:\n%v\nnaive:\n%v", class, mode.name, got, naive)
-			}
-			// One row per identity: the zeros apart, the NaN once.
-			var zeros, negZeros, nans int
-			for _, tup := range got.Tuples {
-				switch k := tup.Values[0]; {
-				case k.Identical(frel.Crisp(0)):
-					zeros++
-				case k.Identical(frel.Crisp(negZero)):
-					negZeros++
-				case k.Identical(frel.Num(nan)):
-					nans++
-				}
-			}
-			if zeros != 1 || negZeros != 1 || nans != 1 {
-				t.Errorf("%s, %s: %d rows for +0, %d for -0, %d for NaN; want one each\n%v",
-					class, mode.name, zeros, negZeros, nans, got)
-			}
+		}
+		if zeros != 1 || negZeros != 1 || nans != 1 {
+			t.Errorf("%s: %d rows for +0, %d for -0, %d for NaN; want one each\n%v",
+				class, zeros, negZeros, nans, got)
 		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 
 // This file bridges the planner's predicate IR to the compiled degree
 // kernels of internal/kernel: it resolves operands exactly like the
-// interpreted compilers in operand.go (same schemas, same linguistic-term
+// closure compilers in operand.go (same schemas, same linguistic-term
 // settlement, same errors) and then emits the flat column/constant step
-// form the kernel compiler specializes. Any predicate the bridge cannot
-// express makes the caller fall back to the interpreted closures, so
-// kernels never change which queries are answerable — only how fast.
+// form the kernel compiler specializes. The merge operators and the
+// pushed-down filters have no other form, so a bridge error — an
+// unresolvable reference, an undefined linguistic term, an unbound '?' —
+// is the statement's error.
 
 // kernelStep converts one resolved single-schema predicate into a kernel
 // step.
@@ -50,10 +51,7 @@ func kernelOperand(info operandInfo) (kernel.Operand, error) {
 }
 
 // compileKernelProgram compiles a conjunction of single-relation
-// predicates over schema into a fused kernel program. It reports an error
-// for anything the kernel cannot express; the caller then stays on the
-// interpreted path (where unresolvable operands re-raise the same
-// resolution errors the interpreted compilers produce).
+// predicates over schema into a fused kernel program.
 func (e *Env) compileKernelProgram(schema *frel.Schema, preds []fsql.Predicate) (*kernel.Program, error) {
 	steps := make([]kernel.Step, 0, len(preds))
 	for _, p := range preds {
@@ -114,9 +112,9 @@ func (e *Env) pairSteps(left, right *frel.Schema, preds []fsql.Predicate) ([]ker
 }
 
 // compilePairProgram compiles the residual join conjuncts of a merge step
-// into a pair program for the kernel merge-join. Evaluation order and
-// short-circuiting mirror andJoinPreds, so degree-evaluation counts are
-// identical.
+// into a pair program for the merge-join. Evaluation order and
+// short-circuiting mirror andJoinPreds, so a merge step and a nested-loop
+// step charge the same degree evaluations per pair.
 func (e *Env) compilePairProgram(left, right *frel.Schema, preds []fsql.Predicate) (*kernel.PairProgram, error) {
 	steps, err := e.pairSteps(left, right, preds)
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/frel"
@@ -9,9 +11,8 @@ import (
 	"repro/internal/fuzzy"
 )
 
-// kernelTestEnv builds an in-memory environment with a relation whose
-// local predicates are kernel-eligible and a linguistic term for the
-// string-literal settlement path.
+// kernelTestEnv builds an in-memory environment with two relations and a
+// linguistic term for the string-literal settlement path.
 func kernelTestEnv(t *testing.T) *Env {
 	t.Helper()
 	env := NewMemEnv()
@@ -41,8 +42,8 @@ func kernelTestEnv(t *testing.T) *Env {
 	return env
 }
 
-// kernelQueries are queries whose leaves carry kernel-eligible local
-// predicates (comparison, NEAR, linguistic term).
+// kernelQueries are queries whose leaves carry local predicates
+// (comparison, NEAR, linguistic term).
 var kernelQueries = []string{
 	`SELECT R.K FROM R WHERE R.A > 12 AND R.B <= 7`,
 	`SELECT R.K FROM R WHERE R.A NEAR 18 WITHIN 6`,
@@ -51,46 +52,36 @@ var kernelQueries = []string{
 	`SELECT R.K FROM R WHERE R.B IN (SELECT S.K FROM S WHERE S.A = R.A)`,
 }
 
-// TestKernelCompilationMatchesInterpreted checks every kernel-eligible
-// query returns the same answer with kernels on and off, and that the
-// kernel legs actually ran compiled kernels.
+// TestKernelCompilationMatchesInterpreted checks every kernel query
+// returns the answer of the naive evaluator, whose predicates are
+// interpreted closures, at zero tolerance, and that compiled kernels ran.
 func TestKernelCompilationMatchesInterpreted(t *testing.T) {
 	for _, qs := range kernelQueries {
 		q, err := fsql.ParseQuery(qs)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		on := kernelTestEnv(t)
-		got, err := on.EvalUnnested(q)
+		env := kernelTestEnv(t)
+		got, err := env.EvalUnnested(q)
 		if err != nil {
-			t.Fatalf("%s: kernels on: %v", qs, err)
+			t.Fatalf("%s: %v", qs, err)
 		}
-		if on.Counters.KernelTuples.Load() == 0 {
+		if env.Counters.KernelTuples.Load() == 0 {
 			t.Errorf("%s: compiled kernels did not fire", qs)
 		}
-		off := kernelTestEnv(t)
-		off.DisableKernels = true
-		want, err := off.EvalUnnested(q)
+		want, err := kernelTestEnv(t).EvalNaive(q)
 		if err != nil {
-			t.Fatalf("%s: kernels off: %v", qs, err)
-		}
-		if off.Counters.KernelTuples.Load() != 0 {
-			t.Errorf("%s: kernels fired with DisableKernels set", qs)
+			t.Fatalf("%s: naive: %v", qs, err)
 		}
 		if !got.Equal(want, 0) {
 			t.Errorf("%s: answers differ at zero tolerance: %d vs %d tuples",
 				qs, got.Len(), want.Len())
 		}
-		if on.Counters.DegreeEvals.Load() != off.Counters.DegreeEvals.Load() {
-			t.Errorf("%s: DegreeEvals %d (kernels) vs %d (interpreted)",
-				qs, on.Counters.DegreeEvals.Load(), off.Counters.DegreeEvals.Load())
-		}
 	}
 }
 
 // TestKernelFusedNodeInAnalyze checks EXPLAIN ANALYZE reports the fused
-// filter chain as a kernel(fused) node with its tuple counter, and falls
-// back to a plain filter node when kernels are off.
+// filter chain as a kernel(fused) node with its tuple counter.
 func TestKernelFusedNodeInAnalyze(t *testing.T) {
 	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.A > 12 AND R.B <= 7`)
 	if err != nil {
@@ -110,50 +101,39 @@ func TestKernelFusedNodeInAnalyze(t *testing.T) {
 		t.Fatalf("kernel(fused) node reports no kernel tuples: %+v", kf)
 	}
 	if snap.Find("filter") != nil {
-		t.Fatalf("interpreted filter node alongside fused kernel in:\n%s", snap.Render())
-	}
-
-	off := kernelTestEnv(t)
-	off.DisableKernels = true
-	_, es, err = off.EvalUnnestedAnalyze(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap = es.Plan()
-	if snap.Find("kernel(fused)") != nil {
-		t.Fatalf("kernel(fused) node with kernels off in:\n%s", snap.Render())
-	}
-	if snap.Find("filter") == nil {
-		t.Fatalf("no filter node with kernels off in:\n%s", snap.Render())
+		t.Fatalf("filter node alongside fused kernel in:\n%s", snap.Render())
 	}
 }
 
-// TestKernelIneligiblePredicates checks queries with operand forms the
-// kernel cannot express (prepared-statement parameters) stay on the
-// interpreted path and still answer correctly.
-func TestKernelIneligibleFallback(t *testing.T) {
+// TestKernelBridgeErrors: the merge operators and the pushed-down filters
+// have no form but the compiled one, so a bridge error is the statement's
+// error, with its type: an undefined linguistic term is ErrUnknownTerm in
+// a pushed-down filter, in a merge-join conjunct and in an anti-join
+// conjunct, and an unbound '?' names itself.
+func TestKernelBridgeErrors(t *testing.T) {
 	env := kernelTestEnv(t)
-	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.A > 12`)
+	for _, qs := range []string{
+		`SELECT R.K FROM R WHERE R.A = "nosuchterm"`,
+		`SELECT R.K FROM R, S WHERE R.A = S.A AND R.B = "nosuchterm"`,
+		`SELECT R.K FROM R WHERE R.B IN (SELECT S.K FROM S WHERE S.A = R.A AND S.K = "nosuchterm")`,
+		`SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.K FROM S WHERE S.A = R.A AND S.K = "nosuchterm")`,
+	} {
+		q, err := fsql.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Explain(q).Strategy == StrategyNaive {
+			t.Fatalf("%s: not unnested", qs)
+		}
+		if _, err := env.EvalUnnested(q); !errors.Is(err, ErrUnknownTerm) {
+			t.Errorf("%s: error %v, want ErrUnknownTerm", qs, err)
+		}
+	}
+	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.A > ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the fallback arm by marking the filter fused but making term
-	// resolution fail inside the kernel bridge only is not possible from
-	// the outside; instead exercise the public contract: an unknown
-	// linguistic term errors identically on both paths.
-	bad, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.A = "nosuchterm"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.EvalUnnested(bad); err == nil {
-		t.Fatal("unknown term did not error with kernels on")
-	}
-	off := kernelTestEnv(t)
-	off.DisableKernels = true
-	if _, err := off.EvalUnnested(bad); err == nil {
-		t.Fatal("unknown term did not error with kernels off")
-	}
-	if _, err := env.EvalUnnested(q); err != nil {
-		t.Fatal(err)
+	if _, err := env.EvalUnnested(q); err == nil || !strings.Contains(err.Error(), "unbound parameter") {
+		t.Errorf("unbound parameter: error %v", err)
 	}
 }

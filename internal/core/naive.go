@@ -471,7 +471,7 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 			}
 		}
 	}
-	rel, err := e.collect(src)
+	rel, err := exec.CollectBatched(src)
 	if err != nil {
 		return nil, err
 	}

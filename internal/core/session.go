@@ -57,7 +57,6 @@ func (s *Session) Fork() *Session {
 	ns.Env.SortMemPages = s.Env.SortMemPages
 	ns.Env.NLBlockBytes = s.Env.NLBlockBytes
 	ns.Env.Parallelism = s.Env.Parallelism
-	ns.Env.DisableBatch = s.Env.DisableBatch
 	ns.Env.DisableJoinReorder = s.Env.DisableJoinReorder
 	ns.Env.EnableTermScope()
 	ns.forked = true

@@ -1,13 +1,20 @@
 package exec
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 )
+
+// eqTerms is the penalty conjunct of a NOT IN on one attribute:
+// d(outer[oi] = inner[ii]).
+func eqTerms(t testing.TB, oi, ii int) *kernel.PairProgram {
+	return pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.LeftColumn(oi), Right: kernel.RightColumn(ii)})
+}
 
 // bruteNotIn computes, for each outer tuple r, the JX degree
 // d'_r = min(µR(r), min over ALL s of (1 − min(µS(s), d(r.X = s.X)))),
@@ -42,10 +49,7 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 
 		ri, _ := r.Schema.Resolve("X")
 		si, _ := s.Schema.Resolve("X")
-		penalty := func(l, m frel.Tuple) float64 {
-			return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
-		}
-		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", penalty, nil)
+		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", eqTerms(t, ri, si), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +64,7 @@ func TestMergeAntiMinEmptyInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := randomRel("R", 10, 40, 2, rng)
 	s := frel.NewRelation(xSchema("S"))
-	penalty := func(l, m frel.Tuple) float64 { return 0 }
-	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", penalty, nil)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +90,7 @@ func TestMergeAntiMinDropsZeroDegree(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(9), frel.Crisp(5)))
 	ri, _ := r.Schema.Resolve("X")
 	si, _ := s.Schema.Resolve("X")
-	penalty := func(l, m frel.Tuple) float64 {
-		return 1 - fuzzy.Min(m.D, fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num))
-	}
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", penalty, nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", eqTerms(t, ri, si), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMergeAntiMinRejectsUnsorted(t *testing.T) {
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", func(l, m frel.Tuple) float64 { return 1 }, nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,13 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 		}
 	}
 
-	// Range on the equality attribute ID.
-	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", penalty, nil)
+	// Range on the equality attribute ID; the conjuncts are the penalty's.
+	terms := pairProgram(t,
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.LeftColumn(rid), Right: kernel.RightColumn(sid)},
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpLt, Neg: true,
+			Left: kernel.LeftColumn(rx), Right: kernel.RightColumn(sx)})
+	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", terms, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,5 +175,4 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("JALL-style anti-min mismatch: got %d, want %d", got.Len(), want.Len())
 	}
-	_ = math.Abs
 }

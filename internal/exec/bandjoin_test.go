@@ -37,10 +37,7 @@ func TestBandMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 40, 50, 3, rng)
 		for _, tol := range tols {
 			want := bruteBandJoin(r, s, tol)
-			mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil)
 			got := drain(t, mj)
 			if !got.Equal(want, 1e-12) {
 				t.Fatalf("trial %d tol %v: band join mismatch: got %d, want %d", trial, tol, got.Len(), want.Len())
@@ -60,10 +57,7 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 	// Band 5: each r matches exactly the s shifted by +4 (and the one 6
 	// below? i*10 vs (i-1)*10+4 = i*10-6: |diff| = 6 > 5, no).
 	band := fuzzy.Interval(-5, 5)
-	mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil)
 	got := drain(t, mj)
 	if got.Len() != 20 {
 		t.Fatalf("band join matched %d pairs, want 20", got.Len())
@@ -77,8 +71,8 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 
 func TestBandMergeJoinInvalidTolerance(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
-	if _, err := NewBandMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "X", "X",
-		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, nil); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "X", "X",
+		fuzzy.Trapezoid{A: 2, B: 1, C: 0, D: -1}, nil, nil, 1); err == nil {
 		t.Errorf("invalid tolerance: want error")
 	}
 }
@@ -90,10 +84,7 @@ func TestBandMergeJoinSinglePass(t *testing.T) {
 	r := randomRel("R", 200, 2000, 1, rng)
 	s := randomRel("S", 200, 2000, 1, rng)
 	inner := &countingSource{Source: sortedSource(t, s, "X")}
-	mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil)
 	drain(t, mj)
 	if inner.opens != 1 {
 		t.Errorf("inner opened %d times, want 1", inner.opens)

@@ -81,6 +81,39 @@ func adaptTuples(src Source) (BatchIterator, error) {
 	return &tupleBatchAdapter{it: it}, nil
 }
 
+// adaptBatches opens src in batch mode behind the tuple-at-a-time shim:
+// how an operator whose only form is batched serves Source.Open.
+func adaptBatches(src BatchSource) (Iterator, error) {
+	bit, err := src.OpenBatch()
+	if err != nil {
+		return nil, err
+	}
+	return &batchTupleAdapter{it: bit}, nil
+}
+
+// batchTupleAdapter serves a BatchIterator one tuple at a time.
+type batchTupleAdapter struct {
+	it  BatchIterator
+	buf []frel.Tuple
+	pos int
+}
+
+func (a *batchTupleAdapter) Next() (frel.Tuple, bool) {
+	for a.pos >= len(a.buf) {
+		b, ok := a.it.NextBatch()
+		if !ok {
+			return frel.Tuple{}, false
+		}
+		a.buf, a.pos = b, 0
+	}
+	t := a.buf[a.pos]
+	a.pos++
+	return t, true
+}
+
+func (a *batchTupleAdapter) Err() error { return a.it.Err() }
+func (a *batchTupleAdapter) Close()     { a.it.Close() }
+
 // batchKeys returns the support keys of it's last batch, or nil when the
 // iterator does not serve keys.
 func batchKeys(it BatchIterator) []frel.SupportKey {

@@ -55,16 +55,16 @@ func tupleDrain(t testing.TB, src Source) []frel.Tuple {
 	return out
 }
 
-// sameSequence requires the two drains to agree tuple for tuple, in
-// order, values and degrees both.
+// sameSequence requires the two tuple sequences to agree tuple for tuple,
+// in order, values and degrees both.
 func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: batch drain produced %d tuples, tuple drain %d", name, len(got), len(want))
+		t.Fatalf("%s: got %d tuples, want %d", name, len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Key() != want[i].Key() || got[i].D != want[i].D {
-			t.Fatalf("%s: tuple %d differs: batch %v (d=%g) vs tuple %v (d=%g)",
+			t.Fatalf("%s: tuple %d differs: got %v (d=%g), want %v (d=%g)",
 				name, i, got[i].Values, got[i].D, want[i].Values, want[i].D)
 		}
 	}
@@ -72,108 +72,68 @@ func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 
 // sameCounters requires the two executions to have recorded identical
 // work counters.
-func sameCounters(t *testing.T, name string, batch, tuple *Counters) {
+func sameCounters(t *testing.T, name string, got, want *Counters) {
 	t.Helper()
-	if b, w := batch.Comparisons.Load(), tuple.Comparisons.Load(); b != w {
-		t.Errorf("%s: Comparisons %d (batch) vs %d (tuple)", name, b, w)
+	if g, w := got.Comparisons.Load(), want.Comparisons.Load(); g != w {
+		t.Errorf("%s: Comparisons %d, want %d", name, g, w)
 	}
-	if b, w := batch.DegreeEvals.Load(), tuple.DegreeEvals.Load(); b != w {
-		t.Errorf("%s: DegreeEvals %d (batch) vs %d (tuple)", name, b, w)
+	sameWork(t, name, got, want)
+}
+
+// sameWork is sameCounters without Comparisons, the one counter an
+// all-pairs reference cannot predict: it counts the window tuples a sweep
+// examined, dangling ones included.
+func sameWork(t *testing.T, name string, got, want *Counters) {
+	t.Helper()
+	if g, w := got.DegreeEvals.Load(), want.DegreeEvals.Load(); g != w {
+		t.Errorf("%s: DegreeEvals %d, want %d", name, g, w)
 	}
-	if b, w := batch.TuplesOut.Load(), tuple.TuplesOut.Load(); b != w {
-		t.Errorf("%s: TuplesOut %d (batch) vs %d (tuple)", name, b, w)
+	if g, w := got.TuplesOut.Load(), want.TuplesOut.Load(); g != w {
+		t.Errorf("%s: TuplesOut %d, want %d", name, g, w)
+	}
+}
+
+// sweepCounters requires a sweep at some worker count to have recorded the
+// serial sweep's degree evaluations and output exactly. Window comparisons
+// may only shrink: a morsel boundary pre-drops dangling tuples that the
+// serial window examines when they enter it together with the next range's
+// first members.
+func sweepCounters(t *testing.T, name string, got, serial *Counters) {
+	t.Helper()
+	sameWork(t, name, got, serial)
+	if g, w := got.Comparisons.Load(), serial.Comparisons.Load(); g > w {
+		t.Errorf("%s: %d window comparisons, the serial sweep made only %d", name, g, w)
 	}
 }
 
 // sameStats requires identical OpStats contents (the EXPLAIN ANALYZE
-// contract: batching must not change any reported counter).
-func sameStats(t *testing.T, name string, batch, tuple *OpStats) {
+// contract: scheduling must not change any reported counter).
+func sameStats(t *testing.T, name string, got, want *OpStats) {
 	t.Helper()
-	b, w := batch.Snapshot(), tuple.Snapshot()
-	if b.Comparisons != w.Comparisons || b.DegreeEvals != w.DegreeEvals {
-		t.Errorf("%s: stats cmp/deg %d/%d (batch) vs %d/%d (tuple)",
-			name, b.Comparisons, b.DegreeEvals, w.Comparisons, w.DegreeEvals)
+	g, w := got.Snapshot(), want.Snapshot()
+	if g.Comparisons != w.Comparisons || g.DegreeEvals != w.DegreeEvals {
+		t.Errorf("%s: stats cmp/deg %d/%d, want %d/%d",
+			name, g.Comparisons, g.DegreeEvals, w.Comparisons, w.DegreeEvals)
 	}
-	if b.RngCount != w.RngCount || b.RngMin != w.RngMin || b.RngMax != w.RngMax ||
-		b.RngAvg != w.RngAvg {
-		t.Errorf("%s: stats Rng n=%d min=%d max=%d avg=%g (batch) vs n=%d min=%d max=%d avg=%g (tuple)",
-			name, b.RngCount, b.RngMin, b.RngMax, b.RngAvg, w.RngCount, w.RngMin, w.RngMax, w.RngAvg)
-	}
-}
-
-// TestBatchMergeJoinMatchesTuple cross-checks the batched merge-join
-// (crisp-equality and band forms) against the tuple-at-a-time operator on
-// random inputs: same output sequence, same counters, same stats.
-func TestBatchMergeJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
-	for trial := 0; trial < 15; trial++ {
-		r := randomRel("R", 50+rng.Intn(80), 60, 6, rng)
-		s := randomRel("S", 50+rng.Intn(80), 60, 6, rng)
-		tol := tols[trial%len(tols)]
-		build := func(c *Counters, st *OpStats) *MergeJoin {
-			mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", tol, nil, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mj.Stats = st
-			return mj
-		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-		got := batchDrain(t, build(&cb, sb))
-		want := tupleDrain(t, build(&ct, st))
-		sameSequence(t, "merge-join", got, want)
-		sameCounters(t, "merge-join", &cb, &ct)
-		sameStats(t, "merge-join", sb, st)
+	if g.RngCount != w.RngCount || g.RngMin != w.RngMin || g.RngMax != w.RngMax ||
+		g.RngAvg != w.RngAvg {
+		t.Errorf("%s: stats Rng n=%d min=%d max=%d avg=%g, want n=%d min=%d max=%d avg=%g",
+			name, g.RngCount, g.RngMin, g.RngMax, g.RngAvg, w.RngCount, w.RngMin, w.RngMax, w.RngAvg)
 	}
 }
 
-// TestBatchMergeJoinExtraPredicate covers the extra-conjunct arm (degree
-// evaluations for the extra predicate are charged identically).
-func TestBatchMergeJoinExtraPredicate(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	r := randomRel("R", 90, 40, 4, rng)
-	s := randomRel("S", 90, 40, 4, rng)
-	extra := func(l, m frel.Tuple) float64 {
-		if int(l.Values[0].Num.B)%2 == int(m.Values[0].Num.B)%2 {
-			return 0.7
-		}
-		return 0
-	}
-	build := func(c *Counters, st *OpStats) *MergeJoin {
-		mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-			"R.X", "S.X", extra, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mj.Stats = st
-		return mj
-	}
-	var cb, ct Counters
-	sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-	sameSequence(t, "merge-join extra", batchDrain(t, build(&cb, sb)), tupleDrain(t, build(&ct, st)))
-	sameCounters(t, "merge-join extra", &cb, &ct)
-	sameStats(t, "merge-join extra", sb, st)
-}
-
-// antiTerms builds the penalty of the anti-min parity test in both forms:
-// the compiled conjuncts (an equality and a complemented comparison, the
-// JALL shape) and the interpreted penalty 1 − min(µ(s), terms) over the
-// same conjuncts, charging DegreeEvals per conjunct call like the compiled
-// join-predicate closures do and stopping at the first zero.
+// antiTerms builds the penalty of the anti-min test in both forms: the
+// compiled conjuncts (an equality and a complemented comparison, the JALL
+// shape) and the closure 1 − min(µ(s), terms) over the same conjuncts,
+// charging DegreeEvals per conjunct call and stopping at the first zero
+// like the program does.
 func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 	t.Helper()
-	pp, err := kernel.CompilePair([]kernel.PairStep{
-		{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+	pp := pairProgram(t,
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
 			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)},
-		{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
+			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)})
 	terms := []JoinPred{
 		func(l, r frel.Tuple) float64 {
 			c.DegreeEvals.Add(1)
@@ -199,118 +159,126 @@ func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 	return pp, penalty
 }
 
-// TestKernelAntiMinMatchesTuple cross-checks the kernel anti-min (the
-// batch form of MergeAntiMin with compiled terms) against the tuple
-// iterator at every worker count: same output sequence, same counters,
-// same stats. Without compiled terms the batch form is the tuple iterator
-// behind the adapter.
+// bruteAntiMin is the all-pairs reference of MergeAntiMin over sorted
+// inputs: every outer tuple takes the minimum penalty over all inner
+// tuples whose X supports intersect its own, stopping at zero. It records
+// the work a sweep must report: one comparison and degree evaluation per
+// intersecting pair examined and the Rng(r) length of every outer tuple.
+func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, c *Counters, st *OpStats) []frel.Tuple {
+	var out []frel.Tuple
+	for _, l := range r.Tuples {
+		d := l.D
+		var rng int64
+		for _, m := range s.Tuples {
+			if !l.Values[1].Num.Intersects(m.Values[1].Num) {
+				continue
+			}
+			rng++
+			st.Comparisons.Add(1)
+			st.DegreeEvals.Add(1)
+			c.DegreeEvals.Add(1)
+			if g := penalty(l, m); g < d {
+				d = g
+				if d == 0 {
+					break
+				}
+			}
+		}
+		st.ObserveRng(rng)
+		if d > 0 {
+			l.D = d
+			out = append(out, l)
+			c.TuplesOut.Add(1)
+		}
+	}
+	return out
+}
+
+// TestKernelAntiMinMatchesTuple checks the merge anti-min against the
+// all-pairs reference at every worker count: same output sequence, same
+// degree evaluations, same stats, and no more window comparisons than the
+// serial sweep makes.
 func TestKernelAntiMinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, workers := range []int{0, 1, 2, 4} {
-		for trial := 0; trial < 8; trial++ {
-			r := randomRel("R", 60+rng.Intn(200), 50, 5, rng)
-			s := randomRel("S", 60+rng.Intn(200), 50, 5, rng)
-			for i := range s.Tuples {
-				if rng.Intn(2) == 0 {
-					s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
-				}
+	for trial := 0; trial < 8; trial++ {
+		r := sortedRel(t, randomRel("R", 60+rng.Intn(200), 50, 5, rng), "X")
+		s := sortedRel(t, randomRel("S", 60+rng.Intn(200), 50, 5, rng), "X")
+		for i := range s.Tuples {
+			if rng.Intn(2) == 0 {
+				s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
 			}
-			build := func(c *Counters, st *OpStats, kernelForm bool) *MergeAntiMin {
-				pp, penalty := antiTerms(t, c)
-				am, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", penalty, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				am.Stats = st
-				if kernelForm && workers > 0 {
-					am.Terms, am.Workers = pp, workers
-				}
-				return am
+		}
+		var cw Counters
+		sw := NewOpStats("merge-anti-join", "")
+		_, penalty := antiTerms(t, &cw)
+		want := bruteAntiMin(r, s, penalty, &cw, sw)
+		var serial Counters
+		for _, workers := range []int{0, 1, 2, 4} {
+			var cg Counters
+			sg := NewOpStats("merge-anti-join", "")
+			pp, _ := antiTerms(t, &cg)
+			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", pp, &cg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var cb, ct Counters
-			sb, st := NewOpStats("merge-anti-join", ""), NewOpStats("merge-anti-join", "")
-			sameSequence(t, "anti-min", batchDrain(t, build(&cb, sb, true)), tupleDrain(t, build(&ct, st, false)))
-			sameCounters(t, "anti-min", &cb, &ct)
-			sameStats(t, "anti-min", sb, st)
-			want := int64(0)
-			if workers > 0 {
-				want = int64(r.Len())
+			am.Stats, am.Workers = sg, workers
+			sameSequence(t, "anti-min", batchDrain(t, am), want)
+			sameWork(t, "anti-min", &cg, &cw)
+			sameStats(t, "anti-min", sg, sw)
+			if workers == 0 {
+				serial.Add(&cg)
 			}
-			if kt := cb.KernelTuples.Load(); kt != want {
-				t.Errorf("anti-min workers=%d: KernelTuples %d, want %d", workers, kt, want)
+			sweepCounters(t, "anti-min", &cg, &serial)
+			if kt := cg.KernelTuples.Load(); kt != int64(r.Len()) {
+				t.Errorf("anti-min workers=%d: KernelTuples %d, want %d", workers, kt, r.Len())
 			}
 		}
 	}
 }
 
-// TestKernelGroupAggMatchesTuple cross-checks the kernel group-aggregate
-// (the batch form of an equality-correlated GroupAggJoin with workers)
-// against the tuple iterator for every aggregate and worker count; other
-// correlation operators, and zero workers, are served by the tuple
-// iterator behind the adapter.
+// TestKernelGroupAggMatchesTuple checks the group-aggregate join against
+// the nested semantics (bruteJA) for every aggregate, for the equality
+// sweep at every worker count and for the nested loop of another
+// correlation operator: same output sequence, bit-identical degrees, and
+// the serial run's work counters at every worker count.
 func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
 	for trial := 0; trial < 6; trial++ {
 		r, s := randomCorrelated(rng, 30+rng.Intn(200), 45+rng.Intn(200))
+		r = totalSortedSource(t, r, "U").(*MemSource).Rel
+		s = sortedRel(t, s, "V")
 		for _, agg := range aggs {
 			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {
+				want := bruteJA(r, s, agg, fuzzy.OpGt, op2).Tuples
+				var c0 Counters
+				var s0 *OpStats
 				for _, workers := range []int{0, 1, 2, 4} {
-					build := func(c *Counters, st *OpStats, workers int) *GroupAggJoin {
-						j, err := NewGroupAggJoin(
-							totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-							"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j.Stats, j.Workers = st, workers
-						return j
+					var c Counters
+					st := NewOpStats("group-agg-join", "")
+					j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
+						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, &c)
+					if err != nil {
+						t.Fatal(err)
 					}
-					var cb, ct Counters
-					sb, st := NewOpStats("group-agg-join", ""), NewOpStats("group-agg-join", "")
-					sameSequence(t, "group-agg", batchDrain(t, build(&cb, sb, workers)), tupleDrain(t, build(&ct, st, 0)))
-					sameCounters(t, "group-agg", &cb, &ct)
-					sameStats(t, "group-agg", sb, st)
-					want := int64(0)
-					if workers > 0 && op2 == fuzzy.OpEq {
-						want = int64(r.Len())
+					j.Stats, j.Workers = st, workers
+					sameSequence(t, "group-agg", batchDrain(t, j), want)
+					if workers == 0 {
+						c0.Add(&c)
+						s0 = st
 					}
-					if kt := cb.KernelTuples.Load(); kt != want {
-						t.Errorf("group-agg op2=%v workers=%d: KernelTuples %d, want %d", op2, workers, kt, want)
+					sweepCounters(t, "group-agg", &c, &c0)
+					sameStats(t, "group-agg", st, s0)
+					wantKT := int64(0)
+					if op2 == fuzzy.OpEq {
+						wantKT = int64(r.Len())
+					}
+					if kt := c.KernelTuples.Load(); kt != wantKT {
+						t.Errorf("group-agg op2=%v workers=%d: KernelTuples %d, want %d", op2, workers, kt, wantKT)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestBatchParallelMergeJoinMatchesTuple cross-checks the batched
-// partitioned merge-join: the batch path partitions on the precomputed
-// key columns, the tuple path on Support() calls — cut points and
-// therefore results and stats must be identical.
-func TestBatchParallelMergeJoinMatchesTuple(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, workers := range []int{2, 4} {
-		r := randomRel("R", 300, 200, 4, rng)
-		s := randomRel("S", 300, 200, 4, rng)
-		build := func(c *Counters, st *OpStats) *ParallelMergeJoin {
-			pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, c, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj.Stats = st
-			return pj
-		}
-		var cb, ct Counters
-		sb, st := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
-		got := batchDrain(t, build(&cb, sb))
-		want := tupleDrain(t, build(&ct, st))
-		// Partitions may emit in any worker-completion order in the tuple
-		// path; both paths emit partitions in order, so sequences match.
-		sameSequence(t, "parallel merge-join", got, want)
-		sameStats(t, "parallel merge-join", sb, st)
 	}
 }
 
@@ -376,15 +344,12 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 }
 
 // joinPipeline builds the scan -> filter -> merge-join pipeline the
-// allocation tests and BenchmarkBatchVsTuple measure.
+// allocation test measures.
 func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	t.Helper()
 	pred := func(tp frel.Tuple) float64 { return 1 }
-	mj, err := NewMergeJoin(NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
-		"R.X", "S.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
+		"R.X", "S.X", fuzzy.Crisp(0), nil, nil)
 	// Project the answer attribute, the paper's answer-construction shape.
 	proj, err := NewProject(mj, []string{"R.ID"}, false)
 	if err != nil {
@@ -394,8 +359,8 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 }
 
 // TestBatchProjectedJoinMatchesTuple checks a plain projection over the
-// batched merge join against the tuple engine's join-then-project
-// sequence.
+// merge join drained through the batch protocol against the same pipeline
+// drained tuple at a time.
 func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
@@ -457,58 +422,6 @@ func TestBatchPipelineAllocs(t *testing.T) {
 		t.Errorf("batched pipeline allocates %.3f allocs/tuple (%.0f allocs for %d tuples), want <= 0.1",
 			perTuple, allocs, rows)
 	}
-}
-
-// BenchmarkBatchVsTuple measures the same merge-join pipeline under both
-// engines; the batch mode's acceptance bar is >= 1.5x throughput and
-// >= 5x fewer allocations per operation.
-func BenchmarkBatchVsTuple(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	r := sortedRel(b, randomRel("R", 20000, 15000, 2, rng), "X")
-	s := sortedRel(b, randomRel("S", 20000, 15000, 2, rng), "X")
-
-	b.Run("tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := joinPipeline(b, r, s).Open()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				_, ok := it.Next()
-				if !ok {
-					break
-				}
-				n++
-			}
-			it.Close()
-			if n == 0 {
-				b.Fatal("no output")
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := OpenBatches(joinPipeline(b, r, s))
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				bt, ok := it.NextBatch()
-				if !ok {
-					break
-				}
-				n += len(bt)
-			}
-			it.Close()
-			if n == 0 {
-				b.Fatal("no output")
-			}
-		}
-	})
 }
 
 // tupleOnlySource hides a source's OpenBatch so OpenBatches must fall

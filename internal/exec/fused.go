@@ -20,8 +20,8 @@ type FusedFilter struct {
 	Counters *Counters
 
 	// Stats, when non-nil, receives the kernel observability counters
-	// (KernelTuples). The node's DegreeEvals stays untouched, matching the
-	// interpreted filter node, so analyzed totals are kernel-invariant.
+	// (KernelTuples). The node's DegreeEvals stays untouched, like a Filter
+	// node's.
 	Stats *OpStats
 }
 
@@ -36,7 +36,7 @@ func NewFusedFilter(src Source, prog *kernel.Program, z float64, counters *Count
 // Schema implements Source.
 func (f *FusedFilter) Schema() *frel.Schema { return f.Src.Schema() }
 
-// Open implements Source with the tuple-at-a-time fallback loop.
+// Open implements Source with the tuple-at-a-time loop.
 func (f *FusedFilter) Open() (Iterator, error) {
 	it, err := f.Src.Open()
 	if err != nil {

@@ -23,10 +23,12 @@ import (
 // aggregate is COUNT (the left outer join IF-THEN-ELSE arm of Query
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
-// When Op2 is equality the inner is consumed in one merged pass using the
-// Rng(u) cursor; identical outer values must be adjacent, so sort the
-// outer input with extsort.ByAttrTotal. For other correlation operators
-// the inner is materialized once and scanned per distinct u.
+// When Op2 is equality both inputs are consumed in one merged pass using
+// the Rng(u) cursor (the flat-column sweep of OpenBatch); the inner input
+// must be sorted on V, and identical outer values must be adjacent, so
+// sort the outer input with extsort.ByAttrTotal. Other correlation
+// operators have no merge range: the inner is materialized once and
+// scanned per distinct u, a nested loop beside NLAntiMin and BlockNLJoin.
 type GroupAggJoin struct {
 	Outer, Inner Source
 
@@ -42,13 +44,12 @@ type GroupAggJoin struct {
 
 	Counters *Counters
 
-	// Workers, when positive, selects the morsel-scheduled kernel sweep as
-	// the batch form of an equality-correlated join (see OpenBatch); zero
-	// serves batch consumers from the tuple iterator.
+	// Workers is the worker count of the equality-correlated sweep; below
+	// 2 the sweep is serial.
 	Workers int
 
 	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see MergeJoin.Stats for the counting conventions); the
+	// measures (see KernelMergeJoin.Stats for the counting conventions); the
 	// Rng observations are the per-group candidate scan lengths.
 	Stats *OpStats
 
@@ -92,48 +93,36 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 // adjusted degrees.
 func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
-// Open implements Source.
+// Open implements Source: the equality-correlated join drains its batched
+// form, any other runs the nested loop.
 func (j *GroupAggJoin) Open() (Iterator, error) {
+	if j.Op2 == fuzzy.OpEq {
+		return adaptBatches(j)
+	}
 	outerIt, err := j.Outer.Open()
 	if err != nil {
 		return nil, err
 	}
-	it := &groupAggIterator{j: j, outer: outerIt, set: newMemberSet()}
-	if j.Op2 == fuzzy.OpEq {
-		innerIt, err := j.Inner.Open()
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.win = newWindow(innerIt, j.vi, j.Counters)
-	} else {
-		// Non-equality correlation: materialize the inner once.
-		rel, err := Collect(j.Inner)
-		if err != nil {
-			outerIt.Close()
-			return nil, err
-		}
-		it.innerAll = rel.Tuples
+	rel, err := Collect(j.Inner)
+	if err != nil {
+		outerIt.Close()
+		return nil, err
 	}
-	return it, nil
+	return &groupAggIterator{j: j, outer: outerIt, inner: rel.Tuples, set: newMemberSet()}, nil
 }
 
+// groupAggIterator is the nested-loop group-aggregate of a non-equality
+// correlation: every distinct outer value scans the whole inner relation.
 type groupAggIterator struct {
 	j     *GroupAggJoin
 	outer Iterator
-
-	win      *window      // Op2 == OpEq path
-	innerAll []frel.Tuple // other correlation operators
+	inner []frel.Tuple
 
 	haveGroup bool
 	groupVal  frel.Value
 	set       *memberSet // T′(u) of the current group
 	aggVal    fuzzy.Trapezoid
 	aggOK     bool
-
-	prevBegin float64
-	seenAny   bool
-	err       error
 }
 
 // memberSet accumulates a fuzzy value set deduplicated by value identity,
@@ -176,75 +165,38 @@ func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
 // computeGroup builds T′(u) and its aggregate for the given outer value.
 func (it *groupAggIterator) computeGroup(u frel.Value) {
 	j := it.j
-	var candidates []frel.Tuple
-	if it.win != nil {
-		lo, hi := u.Num.Support()
-		it.win.advance(lo)
-		it.win.extend(hi)
-		if it.win.err != nil {
-			it.err = it.win.err
-			return
-		}
-		candidates = it.win.active()
-	} else {
-		candidates = it.innerAll
-	}
 	set := it.set
 	set.reset()
-	var rng int64
-	for _, s := range candidates {
+	for _, s := range it.inner {
 		j.Counters.Comparisons.Add(1)
-		sv := s.Values[j.vi]
-		if it.win != nil && !u.Num.Intersects(sv.Num) {
-			continue // dangling tuple in the range
-		}
-		rng++
 		if j.Stats != nil {
 			j.Stats.Comparisons.Add(1)
 			j.Stats.DegreeEvals.Add(1)
 		}
 		j.Counters.DegreeEvals.Add(1)
-		d := frel.Degree(j.Op2, sv, u)
+		d := frel.Degree(j.Op2, s.Values[j.vi], u)
 		if s.D < d {
 			d = s.D
 		}
-		if d <= 0 {
-			continue
+		if d > 0 {
+			set.add(s.Values, j.zi, d)
 		}
-		set.add(s.Values, j.zi, d)
 	}
 	if j.Stats != nil {
-		j.Stats.ObserveRng(rng)
+		j.Stats.ObserveRng(int64(len(it.inner)))
 	}
 	it.aggVal, it.aggOK = set.aggregate(j.Agg)
 }
 
 func (it *groupAggIterator) Next() (frel.Tuple, bool) {
 	for {
-		if it.err != nil {
-			return frel.Tuple{}, false
-		}
 		r, ok := it.outer.Next()
 		if !ok {
-			if e := it.outer.Err(); e != nil {
-				it.err = e
-			}
 			return frel.Tuple{}, false
 		}
 		u := r.Values[it.j.ui]
-		if it.win != nil {
-			lo, _ := u.Num.Support()
-			if it.seenAny && lo < it.prevBegin {
-				it.err = fmt.Errorf("exec: group-aggregate join outer input is not sorted by the Definition 3.1 order")
-				return frel.Tuple{}, false
-			}
-			it.prevBegin, it.seenAny = lo, true
-		}
 		if !it.haveGroup || !it.groupVal.Identical(u) {
 			it.computeGroup(u)
-			if it.err != nil {
-				return frel.Tuple{}, false
-			}
 			it.groupVal = u
 			it.haveGroup = true
 		}
@@ -268,25 +220,18 @@ func (it *groupAggIterator) Next() (frel.Tuple, bool) {
 	}
 }
 
-func (it *groupAggIterator) Err() error { return it.err }
+func (it *groupAggIterator) Err() error { return it.outer.Err() }
+func (it *groupAggIterator) Close()     { it.outer.Close() }
 
-func (it *groupAggIterator) Close() {
-	if it.win != nil {
-		it.win.close()
-	}
-	it.outer.Close()
-}
-
-// OpenBatch implements BatchSource: the kernel group-aggregate, the
-// flat-column, morsel-scheduled form of the equality-correlated join (see
-// sweep.go). Tuples with identical U have identical supports, so no atomic
-// cut separates them and a group never spans two morsels. Each morsel
-// reuses one value set across its groups and writes the degree of every
-// outer tuple in place; degrees, member order and counters are those of
-// the tuple iterator. Other correlation operators have no merge range to
-// cut at, and are served from the tuple iterator.
+// OpenBatch implements BatchSource: the flat-column, morsel-scheduled
+// sweep of the equality-correlated join (see sweep.go). Tuples with
+// identical U have identical supports, so no atomic cut separates them and
+// a group never spans two morsels. Each morsel reuses one value set across
+// its groups and writes the degree of every outer tuple in place. Other
+// correlation operators have no merge range to cut at, and are served from
+// the nested loop.
 func (j *GroupAggJoin) OpenBatch() (BatchIterator, error) {
-	if j.Workers <= 0 || j.Op2 != fuzzy.OpEq {
+	if j.Op2 != fuzzy.OpEq {
 		return adaptTuples(j)
 	}
 	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)

@@ -7,7 +7,28 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 )
+
+// mergeJoin builds the serial merge-join of two sorted inputs.
+func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, c *Counters) *KernelMergeJoin {
+	t.Helper()
+	kj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, tol, extra, c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kj
+}
+
+// pairProgram compiles residual join conjuncts.
+func pairProgram(t testing.TB, steps ...kernel.PairStep) *kernel.PairProgram {
+	t.Helper()
+	pp, err := kernel.CompilePair(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
 
 func xSchema(name string) *frel.Schema {
 	return frel.NewSchema(name,
@@ -73,10 +94,7 @@ func TestMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 60, 50, 3, rng)
 		want := bruteJoin(r, s)
 
-		mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
 		got := drain(t, mj)
 		if !got.Equal(want, 1e-12) {
 			t.Fatalf("trial %d: merge-join mismatch: got %d tuples, want %d", trial, got.Len(), want.Len())
@@ -91,10 +109,7 @@ func TestMergeJoinWideIntervalsDanglingTuples(t *testing.T) {
 	r := randomRel("R", 30, 40, 20, rng)
 	s := randomRel("S", 30, 40, 20, rng)
 	want := bruteJoin(r, s)
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
 	got := drain(t, mj)
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("wide-interval merge-join mismatch")
@@ -129,13 +144,9 @@ func TestMergeJoinExtraPredicate(t *testing.T) {
 	// Join on X with the extra predicate R.ID = S.ID, as in Query J'.
 	ri, _ := r.Schema.Resolve("ID")
 	si, _ := s.Schema.Resolve("ID")
-	extra := func(l, m frel.Tuple) float64 {
-		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
-	}
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	extra := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)})
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), extra, nil)
 	got := drain(t, mj)
 	if got.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (extra predicate filters cross pairs)", got.Len())
@@ -150,18 +161,12 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(5)))
 	s.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(10)))
 
-	mj, err := NewMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
 	if _, err := Collect(mj); err == nil {
 		t.Errorf("unsorted outer: want error")
 	}
 
-	mj2, err := NewMergeJoin(NewMemSource(s), NewMemSource(r), "S.X", "R.X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj2 := mergeJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", fuzzy.Crisp(0), nil, nil)
 	if _, err := Collect(mj2); err == nil {
 		t.Errorf("unsorted inner: want error")
 	}
@@ -169,7 +174,7 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 
 func TestMergeJoinRejectsStringAttr(t *testing.T) {
 	r := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "NAME", Kind: frel.KindString}))
-	if _, err := NewMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", nil, nil); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, nil, 1); err == nil {
 		t.Errorf("string join attribute: want error")
 	}
 }
@@ -179,10 +184,7 @@ func TestMergeJoinCountsWork(t *testing.T) {
 	r := randomRel("R", 50, 40, 2, rng)
 	s := randomRel("S", 50, 40, 2, rng)
 	var c Counters
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, &c)
 	out := drain(t, mj)
 	if c.DegreeEvals.Load() <= 0 || c.Comparisons.Load() < c.DegreeEvals.Load() {
 		t.Errorf("counters: degreeEvals=%d comparisons=%d", c.DegreeEvals.Load(), c.Comparisons.Load())
@@ -200,10 +202,7 @@ func TestMergeJoinExaminesOnlyRange(t *testing.T) {
 	r := randomRel("R", n, 10000, 1, rng)
 	s := randomRel("S", n, 10000, 1, rng)
 	var c Counters
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, &c)
 	drain(t, mj)
 	if c.Comparisons.Load() > n*n/10 {
 		t.Errorf("comparisons = %d, want far fewer than %d", c.Comparisons.Load(), n*n)

@@ -1,10 +1,8 @@
-// The kernel merge-join: the compiled, morsel-scheduled form of the
-// extended merge-join (see sweep.go for the shared flat-column sweep). Each
-// morsel runs a fused two-cursor loop directly over the flat columns — no
-// window staging, no per-pair virtual calls, counters in locals — computing
-// the identical degrees (same closed-form functions) in the identical
-// order, so concatenating the morsel outputs reproduces the serial
-// operator's answer tuple for tuple.
+// The extended merge-join (Section 3; see mergejoin.go for the range scan
+// and sweep.go for the shared flat-column sweep). Each morsel runs a fused
+// two-cursor loop directly over the flat columns — no window staging, no
+// per-pair virtual calls, counters in locals — and concatenating the
+// morsel outputs in order is the serial join's answer tuple for tuple.
 //
 // The answer's reduction folds into the sweep. The paper's unnested
 // queries need one degree per outer tuple — projection with duplicate
@@ -17,12 +15,11 @@
 // bit-identical, and the join's output is O(|input|) instead of
 // O(|input| · fanout).
 //
-// Morsels vs static partitions: balanceParts makes Workers*4 partitions
-// up front, so one straggler partition (a skew range with a huge Rng) can
-// idle every other worker for its whole duration. Morsels are much
-// smaller, and a worker that finishes one immediately pulls the next, so
-// the tail of a skewed join shrinks from "largest partition" to "largest
-// single atomic range". Serial runs (Workers <= 1) use one morsel: the
+// Morsels: a skew range with a huge Rng would idle every other worker for
+// its whole duration if the inputs were cut into a few partitions up
+// front. Morsels are much smaller, and a worker that finishes one
+// immediately pulls the next, so the tail of a skewed join is the largest
+// single atomic range. Serial runs (Workers <= 1) use one morsel: the
 // scheduler adds nothing when there is nobody to share with.
 package exec
 
@@ -51,10 +48,14 @@ const (
 	FoldInner
 )
 
-// KernelMergeJoin is the compiled extended merge-join on the fuzzy band
-// condition outer.OuterAttr ≈ inner.InnerAttr, with residual conjuncts
-// compiled into a kernel.PairProgram instead of interpreted closures.
-// Inputs must be sorted by the Definition 3.1 order, like for MergeJoin.
+// KernelMergeJoin is the extended merge-join on the fuzzy band condition
+// outer.OuterAttr ≈ inner.InnerAttr (Section 3 relates the fuzzy equi-join
+// to band joins): tuples join to the degree their values are approximately
+// equal under Tol (see fuzzy.ApproxEq; Crisp(0) is exact fuzzy equality),
+// further capped by both tuple degrees and by the residual conjuncts
+// compiled into Extra (e.g. the second join predicate of an unnested type
+// J query). Both inputs must already be sorted on their join attribute by
+// the Definition 3.1 order (use extsort.ByAttr).
 type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
@@ -63,11 +64,12 @@ type KernelMergeJoin struct {
 	Tol                  fuzzy.Trapezoid
 	Workers              int
 
-	// Stats, when non-nil, receives the EXPLAIN ANALYZE measures under the
-	// same conventions as MergeJoin.Stats: Comparisons and DegreeEvals
-	// count support-intersecting pairs (morsel-invariant), Rng(r) lengths
-	// are observed per outer tuple, and the kernel counters
-	// (KernelTuples, Morsels) are display-only.
+	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
+	// measures. Counters.Comparisons counts every window tuple examined,
+	// dangling tuples included; Stats.Comparisons and Stats.DegreeEvals
+	// count only support-intersecting pairs, the Rng(r) scan length of
+	// each outer tuple is reported through Stats.ObserveRngBulk, and the
+	// kernel counters (KernelTuples, Morsels) are display-only.
 	Stats *OpStats
 
 	schema *frel.Schema
@@ -78,8 +80,8 @@ type KernelMergeJoin struct {
 	foldEmit []int // emit as columns of the folded input's own rows
 }
 
-// NewKernelMergeJoin builds a compiled band merge-join with the given
-// worker count (0 = GOMAXPROCS).
+// NewKernelMergeJoin builds a band merge-join with the given worker count
+// (0 = GOMAXPROCS).
 func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, counters *Counters, workers int) (*KernelMergeJoin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
@@ -136,36 +138,7 @@ func (j *KernelMergeJoin) EmitColumns(emit []int, fold Fold) error {
 func (j *KernelMergeJoin) Schema() *frel.Schema { return j.schema }
 
 // Open implements Source by draining the batched form.
-func (j *KernelMergeJoin) Open() (Iterator, error) {
-	bit, err := j.OpenBatch()
-	if err != nil {
-		return nil, err
-	}
-	return &batchTupleAdapter{it: bit}, nil
-}
-
-// batchTupleAdapter serves a BatchIterator one tuple at a time.
-type batchTupleAdapter struct {
-	it  BatchIterator
-	buf []frel.Tuple
-	pos int
-}
-
-func (a *batchTupleAdapter) Next() (frel.Tuple, bool) {
-	for a.pos >= len(a.buf) {
-		b, ok := a.it.NextBatch()
-		if !ok {
-			return frel.Tuple{}, false
-		}
-		a.buf, a.pos = b, 0
-	}
-	t := a.buf[a.pos]
-	a.pos++
-	return t, true
-}
-
-func (a *batchTupleAdapter) Err() error { return a.it.Err() }
-func (a *batchTupleAdapter) Close()     { a.it.Close() }
+func (j *KernelMergeJoin) Open() (Iterator, error) { return adaptBatches(j) }
 
 // OpenBatch implements BatchSource. The whole join runs eagerly: morsels
 // are pulled off the shared queue by the worker pool and their outputs are

@@ -9,23 +9,18 @@ import (
 	"repro/internal/kernel"
 )
 
-// pairExtras builds the residual-conjunct pair for the kernel-join parity
-// tests in both forms: a compiled PairProgram and the equivalent
-// interpreted JoinPred with the andJoinPreds evaluation order, charging
-// DegreeEvals per conjunct call exactly like the compiled join-predicate
-// closures do.
+// pairExtras builds the residual conjuncts of the merge-join tests in both
+// forms: a compiled PairProgram and the equivalent closure for the
+// all-pairs reference, evaluating in the same order, stopping at the first
+// zero and charging DegreeEvals per conjunct call like the program does.
 func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 	t.Helper()
 	konst := frel.Num(fuzzy.Tri(10, 30, 50))
-	pp, err := kernel.CompilePair([]kernel.PairStep{
-		{Kind: kernel.StepCompare, Op: fuzzy.OpLe,
+	pp := pairProgram(t,
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpLe,
 			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
-		{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
-			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(konst)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
+			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(konst)})
 	preds := []JoinPred{
 		func(l, r frel.Tuple) float64 {
 			c.DegreeEvals.Add(1)
@@ -51,61 +46,92 @@ func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 	return pp, interp
 }
 
-// TestKernelMergeJoinMatchesInterpreted cross-checks the morsel-scheduled
-// kernel merge-join against the interpreted band merge-join on random
-// inputs: identical output sequences, work counters and EXPLAIN ANALYZE
-// stats at every worker count, with and without residual conjuncts.
-// Morsels subdivide only at atomic-cut boundaries where the inner window
-// is empty, so every counter — including Comparisons — is scheduling-
-// invariant here.
+// bruteMergeJoin is the all-pairs reference of the band merge-join over
+// sorted inputs: every pair whose X supports intersect (the inner one
+// widened by tol) joins at min(µ(r), µ(s), d(r.X = s.X ⊕ tol), extra),
+// emitted outer-major, which over sorted inputs is the merge order. It
+// records the work a sweep must report: one comparison and degree
+// evaluation per intersecting pair, one more evaluation per pair that
+// reaches the extra conjuncts, and the Rng(r) length of every outer tuple.
+func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, c *Counters, st *OpStats) []frel.Tuple {
+	var out []frel.Tuple
+	for _, l := range r.Tuples {
+		lX := l.Values[1].Num
+		var rng int64
+		for _, m := range s.Tuples {
+			sX := fuzzy.Add(m.Values[1].Num, tol)
+			if !lX.Intersects(sX) {
+				continue
+			}
+			rng++
+			st.Comparisons.Add(1)
+			st.DegreeEvals.Add(1)
+			c.DegreeEvals.Add(1)
+			d := fuzzy.Min(l.D, m.D, fuzzy.Eq(lX, sX))
+			if d > 0 && extra != nil {
+				st.DegreeEvals.Add(1)
+				c.DegreeEvals.Add(1)
+				if g := extra(l, m); g < d {
+					d = g
+				}
+			}
+			if d > 0 {
+				c.TuplesOut.Add(1)
+				out = append(out, l.Concat(m, d))
+			}
+		}
+		st.ObserveRng(rng)
+	}
+	return out
+}
+
+// TestKernelMergeJoinMatchesInterpreted checks the morsel-scheduled
+// merge-join against the all-pairs reference with interpreted conjuncts on
+// random inputs: identical output sequences, degree evaluations and
+// EXPLAIN ANALYZE stats at every worker count, with and without residual
+// conjuncts and band tolerances, and no more window comparisons than the
+// serial sweep makes.
 func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
-	for _, workers := range []int{1, 2, 4} {
-		for _, withExtra := range []bool{false, true} {
-			for trial := 0; trial < 6; trial++ {
-				r := randomRel("R", 80+rng.Intn(120), 80, 6, rng)
-				s := randomRel("S", 80+rng.Intn(120), 80, 6, rng)
-				tol := tols[trial%len(tols)]
+	for _, withExtra := range []bool{false, true} {
+		for trial := 0; trial < 6; trial++ {
+			r := sortedRel(t, randomRel("R", 80+rng.Intn(120), 80, 6, rng), "X")
+			s := sortedRel(t, randomRel("S", 80+rng.Intn(120), 80, 6, rng), "X")
+			tol := tols[trial%len(tols)]
 
+			var cw Counters
+			sw := NewOpStats("merge-join", "")
+			var extra JoinPred
+			if withExtra {
+				_, extra = pairExtras(t, &cw)
+			}
+			want := bruteMergeJoin(r, s, tol, extra, &cw, sw)
+
+			var serial Counters
+			for _, workers := range []int{1, 2, 4, 8} {
 				var ck Counters
 				sk := NewOpStats("merge-join", "")
 				var pp *kernel.PairProgram
 				if withExtra {
 					pp, _ = pairExtras(t, &ck)
 				}
-				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
 					"R.X", "S.X", tol, pp, &ck, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				kj.Stats = sk
-				got := batchDrain(t, kj)
-
-				var ci Counters
-				si := NewOpStats("merge-join", "")
-				var extra JoinPred
-				if withExtra {
-					_, extra = pairExtras(t, &ci)
+				name := "merge-join"
+				sameSequence(t, name, batchDrain(t, kj), want)
+				sameWork(t, name, &ck, &cw)
+				sameStats(t, name, sk, sw)
+				if workers == 1 {
+					serial.Add(&ck)
 				}
-				mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, extra, &ci)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mj.Stats = si
-				want := batchDrain(t, mj)
-
-				name := "kernel merge-join"
-				sameSequence(t, name, got, want)
-				sameCounters(t, name, &ck, &ci)
-				sameStats(t, name, sk, si)
-				if workers > 1 && ck.Morsels.Load() <= 1 && len(got) > 0 {
-					// Small inputs may coalesce into few morsels, but the
-					// count must at least be recorded.
-					if ck.Morsels.Load() == 0 {
-						t.Errorf("%s: no morsels recorded", name)
-					}
+				sweepCounters(t, name, &ck, &serial)
+				if ck.Morsels.Load() == 0 {
+					t.Errorf("%s: no morsels recorded", name)
 				}
 				if ck.KernelTuples.Load() != int64(r.Len()) {
 					t.Errorf("%s: KernelTuples %d, want %d", name, ck.KernelTuples.Load(), r.Len())
@@ -135,9 +161,9 @@ func TestKernelMergeJoinTupleDrain(t *testing.T) {
 	sameCounters(t, "kernel join tuple drain", &cb, &ct)
 }
 
-// TestKernelMergeJoinEmitAndFold checks the folded forms of the kernel
-// join against the reference pipeline — the interpreted join, projected
-// with max-degree duplicate elimination: an emit mask alone reproduces the
+// TestKernelMergeJoinEmitAndFold checks the folded forms of the join
+// against the reference pipeline — the all-pairs join, projected with
+// max-degree duplicate elimination: an emit mask alone reproduces the
 // projected pair sequence, and a fold onto either input reproduces the
 // deduplicated answer exactly (same rows, bit-identical degrees), emits
 // at most one row per tuple of the folded input in that input's order,
@@ -148,8 +174,8 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, workers := range []int{1, 2, 4} {
 		for trial := 0; trial < 6; trial++ {
-			r := randomRel("R", 100+rng.Intn(100), 60, 5, rng)
-			s := randomRel("S", 100+rng.Intn(100), 60, 5, rng)
+			r := sortedRel(t, randomRel("R", 100+rng.Intn(100), 60, 5, rng), "X")
+			s := sortedRel(t, randomRel("S", 100+rng.Intn(100), 60, 5, rng), "X")
 			for _, rel := range []*frel.Relation{r, s} {
 				for i := range rel.Tuples {
 					rel.Tuples[i].Values[0] = frel.Crisp(float64(rng.Intn(12))) // ID: duplicate-heavy
@@ -158,23 +184,21 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 					}
 				}
 			}
-			reference := func(refs []string, dedup bool) ([]frel.Tuple, *Counters) {
+			reference := func(refs []string, dedup bool) []frel.Tuple {
 				var c Counters
 				_, extra := pairExtras(t, &c)
-				mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, &c)
+				pairs := &frel.Relation{Schema: r.Schema.Join(s.Schema),
+					Tuples: bruteMergeJoin(r, s, fuzzy.Crisp(0), extra, &c, NewOpStats("merge-join", ""))}
+				proj, err := NewProject(NewMemSource(pairs), refs, dedup)
 				if err != nil {
 					t.Fatal(err)
 				}
-				proj, err := NewProject(mj, refs, dedup)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tupleDrain(t, proj), &c
+				return tupleDrain(t, proj)
 			}
 			kjoin := func(emit []int, fold Fold) ([]frel.Tuple, *Counters) {
 				var c Counters
 				pp, _ := pairExtras(t, &c)
-				kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
+				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
 					"R.X", "S.X", fuzzy.Crisp(0), pp, &c, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -186,9 +210,8 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 			}
 
 			// Columns: R.ID 0, R.X 1, S.ID 2, S.X 3.
-			got, _ := kjoin([]int{2, 0}, FoldNone)
-			want, _ := reference([]string{"S.ID", "R.ID"}, false)
-			sameSequence(t, "emit mask", got, want)
+			got, cn := kjoin([]int{2, 0}, FoldNone)
+			sameSequence(t, "emit mask", got, reference([]string{"S.ID", "R.ID"}, false))
 
 			for _, fc := range []struct {
 				name   string
@@ -211,13 +234,13 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				}
 				folded := &frel.Relation{Schema: schema, Tuples: rows}
 				folded.DedupMax()
-				want, ci := reference(fc.refs, true)
+				want := reference(fc.refs, true)
 				if !folded.Equal(&frel.Relation{Schema: schema, Tuples: want}, 0) {
 					t.Fatalf("%s (workers %d): folded answer differs from the reference:\n%v\nwant\n%v", fc.name, workers, folded.Tuples, want)
 				}
-				if ck.Comparisons.Load() != ci.Comparisons.Load() || ck.DegreeEvals.Load() != ci.DegreeEvals.Load() {
-					t.Errorf("%s: sweep counters cmp %d deg %d, reference %d %d", fc.name,
-						ck.Comparisons.Load(), ck.DegreeEvals.Load(), ci.Comparisons.Load(), ci.DegreeEvals.Load())
+				if ck.Comparisons.Load() != cn.Comparisons.Load() || ck.DegreeEvals.Load() != cn.DegreeEvals.Load() {
+					t.Errorf("%s: sweep counters cmp %d deg %d, without a fold %d %d", fc.name,
+						ck.Comparisons.Load(), ck.DegreeEvals.Load(), cn.Comparisons.Load(), cn.DegreeEvals.Load())
 				}
 				if ck.TuplesOut.Load() != int64(len(rows)) {
 					t.Errorf("%s: TuplesOut %d for %d rows", fc.name, ck.TuplesOut.Load(), len(rows))
@@ -289,49 +312,37 @@ func TestKernelMergeJoinEmitColumnsValidation(t *testing.T) {
 }
 
 // TestKernelMergeJoinEmptySides covers empty inputs: the join must not
-// emit, and the per-outer empty Rng(r) observations must match the
-// interpreted operator's.
+// emit or evaluate anything, and must still observe one empty Rng(r) scan
+// per outer tuple.
 func TestKernelMergeJoinEmptySides(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := randomRel("R", 40, 30, 3, rng)
 	empty := frel.NewRelation(xSchema("S"))
 	for _, flip := range []bool{false, true} {
-		outer, inner := r, empty
+		outer, inner, outerAttr, innerAttr := r, empty, "R.X", "S.X"
 		if flip {
-			outer, inner = empty, r
+			outer, inner, outerAttr, innerAttr = empty, r, "S.X", "R.X"
 		}
-		var ck, ci Counters
-		sk, si := NewOpStats("merge-join", ""), NewOpStats("merge-join", "")
+		var ck Counters
+		sk := NewOpStats("merge-join", "")
 		kj, err := NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-			"R.X", "S.X", fuzzy.Crisp(0), nil, &ck, 2)
-		if flip {
-			kj, err = NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"S.X", "R.X", fuzzy.Crisp(0), nil, &ck, 2)
-		}
+			outerAttr, innerAttr, fuzzy.Crisp(0), nil, &ck, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kj.Stats = sk
-		got := batchDrain(t, kj)
-		if len(got) != 0 {
+		if got := batchDrain(t, kj); len(got) != 0 {
 			t.Fatalf("flip=%v: empty-side join emitted %d tuples", flip, len(got))
 		}
-
-		var mj *MergeJoin
-		if flip {
-			mj, err = NewBandMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"S.X", "R.X", fuzzy.Crisp(0), nil, &ci)
-		} else {
-			mj, err = NewBandMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-				"R.X", "S.X", fuzzy.Crisp(0), nil, &ci)
+		snap := sk.Snapshot()
+		if snap.RngCount != int64(outer.Len()) || snap.RngMax != 0 {
+			t.Errorf("flip=%v: %d Rng observations with max %d, want %d empty ones",
+				flip, snap.RngCount, snap.RngMax, outer.Len())
 		}
-		if err != nil {
-			t.Fatal(err)
+		if ck.Comparisons.Load() != 0 || ck.DegreeEvals.Load() != 0 || ck.TuplesOut.Load() != 0 {
+			t.Errorf("flip=%v: work on an empty side: cmp %d deg %d out %d", flip,
+				ck.Comparisons.Load(), ck.DegreeEvals.Load(), ck.TuplesOut.Load())
 		}
-		mj.Stats = si
-		batchDrain(t, mj)
-		sameStats(t, "empty-side kernel join", sk, si)
-		sameCounters(t, "empty-side kernel join", &ck, &ci)
 	}
 }
 

@@ -2,12 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 )
 
 // vagueRel mixes the narrow values of randomRel with a fraction of very
@@ -30,29 +30,11 @@ func vagueRel(name string, n int, span float64, vagueEvery int, rng *rand.Rand) 
 	return r
 }
 
-// identicalSequences requires the two relations to hold the same tuples in
-// the same order with degrees equal to within tol.
-func identicalSequences(t *testing.T, serial, parallel *frel.Relation, tol float64) {
-	t.Helper()
-	if serial.Len() != parallel.Len() {
-		t.Fatalf("serial emitted %d tuples, parallel %d", serial.Len(), parallel.Len())
-	}
-	for i := range serial.Tuples {
-		st, pt := serial.Tuples[i], parallel.Tuples[i]
-		if st.Key() != pt.Key() {
-			t.Fatalf("tuple %d: serial %v, parallel %v", i, st, pt)
-		}
-		if math.Abs(st.D-pt.D) > tol {
-			t.Fatalf("tuple %d: serial degree %g, parallel %g", i, st.D, pt.D)
-		}
-	}
-}
-
 // TestParallelMergeJoinEquivalence is the randomized property test: over
-// workloads with narrow, wide-interval, and dangling tuples, the parallel
-// partitioned merge-join must return the identical fuzzy relation — same
-// tuples, same emission order, degrees equal to 1e-9 — as the serial
-// operator, at every worker count, with identical work counters.
+// workloads with narrow, wide-interval, and dangling tuples, the
+// merge-join must return the all-pairs answer, and the identical sequence
+// — same tuples, same emission order, bit-identical degrees — with the
+// serial run's work counters at every worker count.
 func TestParallelMergeJoinEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -72,44 +54,37 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				r := vagueRel("R", tc.n, tc.span, tc.vagueEvery, rng)
 				s := vagueRel("S", tc.n+rng.Intn(100), tc.span, tc.vagueEvery, rng)
-				var sc Counters
-				mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", nil, &sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial := drain(t, mj)
-				for _, workers := range []int{1, 2, 3, 8} {
-					var pc Counters
-					pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-						"R.X", "S.X", fuzzy.Crisp(0), nil, &pc, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					identicalSequences(t, serial, drain(t, pj), 1e-9)
-					// Degree evaluations and output tuples must match the
-					// serial operator exactly. Pair examinations may only
-					// shrink: a partition boundary pre-drops dangling
-					// tuples the serial window examines when they arrive
-					// in the same extend batch as the range's real
-					// members.
-					if pc.DegreeEvals.Load() != sc.DegreeEvals.Load() ||
-						pc.TuplesOut.Load() != sc.TuplesOut.Load() {
-						t.Errorf("workers=%d: work diverges: serial evals/out %d/%d, parallel %d/%d",
-							workers,
-							sc.DegreeEvals.Load(), sc.TuplesOut.Load(),
-							pc.DegreeEvals.Load(), pc.TuplesOut.Load())
-					}
-					if pc.Comparisons.Load() > sc.Comparisons.Load() {
-						t.Errorf("workers=%d: parallel examined %d pairs, serial only %d",
-							workers, pc.Comparisons.Load(), sc.Comparisons.Load())
-					}
-					if pc.Comparisons.Load() < pc.DegreeEvals.Load() {
-						t.Errorf("workers=%d: comparisons %d below degree evals %d",
-							workers, pc.Comparisons.Load(), pc.DegreeEvals.Load())
-					}
-				}
+				workerCountEquivalence(t, r, s, fuzzy.Crisp(0), nil, nil)
 			})
 		}
+	}
+}
+
+// workerCountEquivalence joins r and s at 1, 2, 4 and 8 workers: the
+// serial run must equal the all-pairs reference, and every other run must
+// reproduce its sequence and its work (see sweepCounters).
+func workerCountEquivalence(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, extra *kernel.PairProgram, extraRef JoinPred) {
+	t.Helper()
+	r, s = sortedRel(t, r, "X"), sortedRel(t, s, "X")
+	want := bruteMergeJoin(r, s, tol, extraRef, &Counters{}, NewOpStats("merge-join", ""))
+	var serial []frel.Tuple
+	var sc Counters
+	for _, workers := range []int{1, 2, 4, 8} {
+		var pc Counters
+		kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", tol, extra, &pc, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := batchDrain(t, kj)
+		if workers == 1 {
+			sameSequence(t, "serial merge-join", got, want)
+			serial = got
+			sc.Add(&pc)
+			continue
+		}
+		name := fmt.Sprintf("workers=%d", workers)
+		sameSequence(t, name, got, serial)
+		sweepCounters(t, name, &pc, &sc)
 	}
 }
 
@@ -127,20 +102,7 @@ func TestParallelBandMergeJoinEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				r := vagueRel("R", 200, 800, 8, rng)
 				s := vagueRel("S", 230, 800, 8, rng)
-				mj, err := NewBandMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-					"R.X", "S.X", tol, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial := drain(t, mj)
-				for _, workers := range []int{2, 5} {
-					pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-						"R.X", "S.X", tol, nil, nil, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					identicalSequences(t, serial, drain(t, pj), 1e-9)
-				}
+				workerCountEquivalence(t, r, s, tol, nil, nil)
 			})
 		}
 	}
@@ -152,23 +114,9 @@ func TestParallelMergeJoinExtraPred(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := vagueRel("R", 150, 500, 6, rng)
 	s := vagueRel("S", 150, 500, 6, rng)
-	ri, _ := r.Schema.Resolve("ID")
-	si, _ := s.Schema.Resolve("ID")
-	extra := func(l, m frel.Tuple) float64 {
-		// An arbitrary deterministic degree depending on both sides.
-		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)/2 + 0.5
-	}
-	mj, err := NewMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", extra, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := drain(t, mj)
-	pj, err := NewParallelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-		"R.X", "S.X", fuzzy.Crisp(0), extra, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalSequences(t, serial, drain(t, pj), 1e-9)
+	var c Counters
+	extra, extraRef := pairExtras(t, &c)
+	workerCountEquivalence(t, r, s, fuzzy.Crisp(0), extra, extraRef)
 }
 
 // TestAtomicCutsIndependence verifies the partition invariant directly:
@@ -180,11 +128,10 @@ func TestAtomicCutsIndependence(t *testing.T) {
 		r := vagueRel("R", 120, 600, 7, rng)
 		s := vagueRel("S", 140, 600, 7, rng)
 		tol := fuzzy.Trap(-4, -1, 2, 6)
-		rs := sortedSource(t, r, "X").(*MemSource).Rel
-		ss := sortedSource(t, s, "X").(*MemSource).Rel
+		rs, ss := sortedRel(t, r, "X"), sortedRel(t, s, "X")
 		oi, _ := rs.Schema.Resolve("X")
 		ii, _ := ss.Schema.Resolve("X")
-		ranges := atomicCuts(rs.Tuples, ss.Tuples, oi, ii, tol)
+		ranges := atomicCutsKeyed(frel.SupportKeys(rs.Tuples, oi), frel.SupportKeys(ss.Tuples, ii), tol)
 		// Ranges must tile both inputs in order.
 		po, pi := 0, 0
 		for _, p := range ranges {
@@ -218,44 +165,15 @@ func TestAtomicCutsIndependence(t *testing.T) {
 	}
 }
 
-// TestBalanceParts checks coalescing respects bounds and order.
-func TestBalanceParts(t *testing.T) {
-	ranges := make([]partRange, 10)
-	o := 0
-	for i := range ranges {
-		w := 1 + i%3
-		ranges[i] = partRange{o, o + w, o, o + w}
-		o += w
-	}
-	for _, maxParts := range []int{1, 2, 3, 10, 50} {
-		got := balanceParts(ranges, maxParts)
-		want := maxParts
-		if want > len(ranges) {
-			want = len(ranges)
-		}
-		if len(got) > want {
-			t.Errorf("maxParts=%d: got %d parts", maxParts, len(got))
-		}
-		if got[0].oLo != 0 || got[len(got)-1].oHi != o {
-			t.Errorf("maxParts=%d: parts do not span input", maxParts)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].oLo != got[i-1].oHi {
-				t.Errorf("maxParts=%d: gap between parts %d and %d", maxParts, i-1, i)
-			}
-		}
-	}
-}
-
-// TestParallelMergeJoinUnsortedInput: the materializing open must reject
-// inputs that violate the Definition 3.1 order, like the serial operator.
+// TestParallelMergeJoinUnsortedInput: a parallel join must reject inputs
+// that violate the Definition 3.1 order, like a serial one.
 func TestParallelMergeJoinUnsortedInput(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
 	r.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(10)))
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	pj, err := NewParallelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
+	pj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
 		fuzzy.Crisp(0), nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -39,8 +39,8 @@ type Source interface {
 // experiments: fuzzy degree evaluations (the dominant cost the paper
 // attributes to "calls to the fuzzy library functions") and tuple
 // comparisons made by merges. The fields are atomic so one Counters may be
-// shared by the partition workers of a parallel merge-join; Counters must
-// not be copied after first use.
+// shared by the morsel workers of a sweep; Counters must not be copied
+// after first use.
 type Counters struct {
 	DegreeEvals atomic.Int64
 	Comparisons atomic.Int64
@@ -57,10 +57,10 @@ type Counters struct {
 	IndexHits atomic.Int64
 
 	// KernelTuples counts tuples whose degrees were computed by compiled
-	// kernels (the fused filter and kernel merge-join hot loops) instead of
-	// the interpreted evaluator; Morsels counts the work units the morsel
-	// scheduler dispatched. Both are observability-only ablation measures:
-	// they do not participate in any invariance oracle.
+	// kernels (the fused filter and the flat-column sweeps); Morsels counts
+	// the work units the morsel scheduler dispatched. Both are
+	// observability-only: they do not participate in any invariance
+	// oracle.
 	KernelTuples atomic.Int64
 	Morsels      atomic.Int64
 }

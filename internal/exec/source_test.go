@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 	"repro/internal/storage"
 )
 
@@ -67,10 +68,7 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 func TestMergeJoinOverHeapSources(t *testing.T) {
 	m, h := heapWith(t, 300)
 	_, h2 := heapWith(t, 300)
-	mj, err := NewMergeJoin(NewHeapSource(h), NewHeapSource(h2), "X", "X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil, nil)
 	// The heap was written in ID order, which is also non-decreasing in X
 	// begin? It is not (X = i%10); the join must detect the disorder.
 	if _, err := Collect(mj); err == nil {
@@ -95,10 +93,7 @@ func TestMergeJoinHeapSortedInputs(t *testing.T) {
 		return h
 	}
 	r, s := mk("r"), mk("s")
-	mj, err := NewMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil)
 	rel, err := Collect(mj)
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +124,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	r, s := mk("r"), mk("s")
 
-	mj, err := NewMergeJoin(NewHeapSource(r), NewHeapSource(s), "X", "X", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil)
 	it, err := mj.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +144,10 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	it2.Close()
 
+	// Complemented equality: the twin's penalty is 1, every outer survives.
 	am, err := NewMergeAntiMin(NewHeapSource(r), NewHeapSource(s), "X", "X",
-		func(l, m frel.Tuple) float64 { return 1 }, nil)
+		pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq, Neg: true,
+			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

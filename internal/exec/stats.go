@@ -6,18 +6,18 @@
 // Rng(r) scan lengths, sort runs, …) are written through an optional
 // *OpStats field on the operator; rows out and wall time are measured
 // from the outside by wrapping the operator in a Stated source, so a
-// node shared by several partition-local sub-operators (the parallel
-// merge-join case) never double-counts its output.
+// node shared by the morsel workers of one sweep never double-counts its
+// output.
 //
-// All counters are atomics: parallel partitions of one logical operator
+// All counters are atomics: the morsel workers of one logical operator
 // write to the same node concurrently. The counters an analyzed plan
 // reports are partition-invariant — Comparisons counts only pairs whose
-// supports intersect, a set no partition cut of ParallelMergeJoin can
-// split — so serial and parallel runs of the same query report identical
-// totals, which the property tests use as a correctness oracle. (The
-// global Counters.Comparisons kept by Env deliberately retains its
-// historical "window tuples examined" meaning and is NOT
-// partition-invariant; see the parallel package comment.)
+// supports intersect, a set no atomic cut can split — so serial and
+// parallel runs of the same query report identical totals, which the
+// property tests use as a correctness oracle. (The global
+// Counters.Comparisons kept by Env counts every window tuple a sweep
+// examines, dangling tuples included, and is NOT partition-invariant; see
+// parallel.go.)
 package exec
 
 import (

@@ -82,6 +82,42 @@ func (in *flatInputs) run(workers int, sweep func(p partRange) []frel.Tuple) (Ba
 	return &partsBatchIterator{parts: results}, nil
 }
 
+// partsBatchIterator replays per-morsel result slices in morsel order, a
+// BatchSize subslice at a time.
+type partsBatchIterator struct {
+	parts [][]frel.Tuple
+	p, i  int
+}
+
+func (it *partsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	for it.p < len(it.parts) {
+		part := it.parts[it.p]
+		if it.i < len(part) {
+			end := it.i + BatchSize
+			if end > len(part) {
+				end = len(part)
+			}
+			b := part[it.i:end]
+			it.i = end
+			return b, true
+		}
+		it.p++
+		it.i = 0
+	}
+	return nil, false
+}
+
+func (it *partsBatchIterator) Remaining() int {
+	n := -it.i
+	for _, part := range it.parts[it.p:] {
+		n += len(part)
+	}
+	return n
+}
+
+func (it *partsBatchIterator) Err() error { return nil }
+func (it *partsBatchIterator) Close()     {}
+
 // morselGrain picks the morsel weight target: serial runs get one morsel
 // (no scheduling overhead), parallel runs get roughly 16 morsels per
 // worker with a floor that keeps per-morsel bookkeeping negligible.
@@ -96,6 +132,52 @@ func morselGrain(total, workers int) int {
 	return g
 }
 
+// batchLocals accumulates the per-pair work counters of one morsel sweep so
+// the shared atomics are touched once per morsel. The cmp/deg/tout fields
+// mirror Counters, stCmp/stDeg and the rng fields mirror OpStats (see
+// KernelMergeJoin.Stats for the two counting conventions).
+type batchLocals struct {
+	cmp, deg, tout int64
+	stCmp, stDeg   int64
+	rngN, rngSum   int64
+	rngMin, rngMax int64
+}
+
+func newBatchLocals() batchLocals { return batchLocals{rngMin: math.MaxInt64} }
+
+func (l *batchLocals) observeRng(n int64) {
+	l.rngN++
+	l.rngSum += n
+	if n < l.rngMin {
+		l.rngMin = n
+	}
+	if n > l.rngMax {
+		l.rngMax = n
+	}
+}
+
+func (l *batchLocals) flush(c *Counters, st *OpStats) {
+	if l.cmp != 0 {
+		c.Comparisons.Add(l.cmp)
+	}
+	if l.deg != 0 {
+		c.DegreeEvals.Add(l.deg)
+	}
+	if l.tout != 0 {
+		c.TuplesOut.Add(l.tout)
+	}
+	if st != nil {
+		if l.stCmp != 0 {
+			st.Comparisons.Add(l.stCmp)
+		}
+		if l.stDeg != 0 {
+			st.DegreeEvals.Add(l.stDeg)
+		}
+		st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
+	}
+	*l = newBatchLocals()
+}
+
 // keyWindow is the Rng(r) cursor over a flat inner key column: [start, end)
 // are the inner tuples that may intersect the current outer tuple or a
 // later one.
@@ -103,9 +185,8 @@ type keyWindow struct{ start, end int }
 
 // slide moves the window to an outer support [lo, hi]: past the inner
 // tuples whose supports, widened by the band tolerance, end before lo, and
-// over those (up to limit) that begin at or before hi. It is
-// batchWindow.advance/extend with the band shift applied on the inner
-// side; the zero tolerance adds nothing.
+// over those (up to limit) that begin at or before hi. The zero tolerance
+// adds nothing.
 func (w *keyWindow) slide(keys []frel.SupportKey, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
 	for w.start < w.end && keys[w.start].Hi+tol.D < lo {
 		w.start++

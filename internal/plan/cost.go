@@ -276,8 +276,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 			sel *= filterSelectivity(pr, schemas[i], stats[i])
 		}
 		inRows[i] = rows[i] * sel
-		f := &Filter{Input: scans[i], Preds: local[i], Label: schemas[i].Name,
-			Fused: KernelEligible(local[i])}
+		f := &Filter{Input: scans[i], Preds: local[i], Label: schemas[i].Name}
 		f.est = Est{Rows: inRows[i], Cost: rows[i] + rows[i]*cDeg*float64(len(local[i]))}
 		j.Inputs[i] = f
 	}

@@ -156,36 +156,11 @@ type Filter struct {
 	Input Node
 	Preds []fsql.Predicate
 	Label string
-	// Fused records that every predicate is kernel-eligible (see
-	// KernelEligible), so compilation may specialize the chain into one
-	// fused degree kernel instead of a stack of interpreted closures.
-	Fused bool
 }
 
 func (f *Filter) Kind() string     { return "filter" }
 func (f *Filter) Children() []Node { return []Node{f.Input} }
 func (f *Filter) Est() *Est        { return &f.est }
-
-// KernelEligible reports whether a predicate list can be specialized into
-// a fused degree kernel: every predicate must be a simple comparison or
-// NEAR whose operands are attribute references or literals. Subquery
-// predicates and prepared-statement parameters (bound later than plan
-// time) stay on the interpreted path.
-func KernelEligible(preds []fsql.Predicate) bool {
-	for _, p := range preds {
-		if p.Kind != fsql.PredCompare && p.Kind != fsql.PredNear {
-			return false
-		}
-		for _, opd := range []fsql.Operand{p.Left, p.Right} {
-			switch opd.Kind {
-			case fsql.OpdRef, fsql.OpdNumber, fsql.OpdString:
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // JoinStep is one step of a left-deep join: the input joined at this
 // step and the algorithm decision the cost model made for it.

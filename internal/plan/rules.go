@@ -344,8 +344,7 @@ func makeLeaf(scan *Scan, preds []fsql.Predicate) Node {
 	if len(preds) == 0 {
 		return scan
 	}
-	return &Filter{Input: scan, Preds: preds, Label: scan.Table.Binding(),
-		Fused: KernelEligible(preds)}
+	return &Filter{Input: scan, Preds: preds, Label: scan.Table.Binding()}
 }
 
 // rewriteAnti handles type JX (NOT IN), type JALL (op ALL) and NOT

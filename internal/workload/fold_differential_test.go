@@ -103,9 +103,8 @@ func (c *foldCase) open(t *testing.T, indexed bool) *core.Session {
 // carried by the outer input in one and by the inner input in the other).
 // Every answer must equal the naive nested evaluation — the same rows,
 // bit-identical degrees; AVG, which sums the same members in another
-// order, within 1e-9 — and the tuple-at-a-time engine at zero tolerance,
-// and must come in the same row order whatever the worker count and
-// whether or not an index served the sort.
+// order, within 1e-9 — and must come in the same row order whatever the
+// worker count and whether or not an index served the sort.
 func TestDifferentialFold(t *testing.T) {
 	for _, class := range append(append([]string{}, Classes...), "K3") {
 		class := class
@@ -127,11 +126,6 @@ func TestDifferentialFold(t *testing.T) {
 					ref.RegisterRelation(rel.Schema.Name, rel)
 				}
 				naive, err := ref.EvalNaive(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.DisableBatch = true
-				tuple, err := ref.EvalUnnested(q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -161,10 +155,6 @@ func TestDifferentialFold(t *testing.T) {
 							if !got.Equal(naive, naiveTol) {
 								t.Fatalf("%s: differs from the naive evaluation\ngot (%d tuples):\n%v\nnaive (%d tuples):\n%v",
 									name, got.Len(), got, naive.Len(), naive)
-							}
-							if !got.Equal(tuple, 0) {
-								t.Fatalf("%s: differs from the tuple engine\ngot (%d tuples):\n%v\ntuple (%d tuples):\n%v",
-									name, got.Len(), got, tuple.Len(), tuple)
 							}
 							if first[reorder] == nil {
 								first[reorder] = got

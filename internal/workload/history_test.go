@@ -196,7 +196,11 @@ func TestConcurrentTransactionHistory(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					// A read-only transaction: every read inside it must
-					// return the identical BEGIN-time snapshot.
+					// return the identical BEGIN-time snapshot. Begin takes
+					// that snapshot, so the reads start, for the real-time
+					// check, before Begin: a commit acknowledged between
+					// Begin and the first query is rightly invisible.
+					began := time.Now()
 					if err := sess.Begin(ctx); err != nil {
 						t.Error(err)
 						return
@@ -208,6 +212,7 @@ func TestConcurrentTransactionHistory(t *testing.T) {
 							t.Error(err)
 							return
 						}
+						o.start = began
 						reads = append(reads, o)
 						time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 					}

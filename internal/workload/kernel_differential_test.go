@@ -11,11 +11,10 @@ import (
 	"repro/internal/fsql"
 )
 
-// kernelQueries mirrors classQueries with a kernel-eligible local
-// predicate added to the outer block (and, for the uncorrelated class N,
-// to the inner block too). The stock class templates carry no local
-// predicates at all, so against them the fused filter kernels would never
-// fire and a kernels-vs-interpreted differential would be vacuous.
+// kernelQueries mirrors classQueries with a local predicate added to the
+// outer block (and, for the uncorrelated class N, to the inner block too).
+// The stock class templates carry no local predicates at all, so against
+// them the fused filter kernels would never fire.
 // R.A = R.B compares two jittered triangular values generated around the
 // same centre, so the predicate yields genuinely partial degrees rather
 // than a crisp 0/1 cut.
@@ -34,13 +33,14 @@ var kernelQueries = map[string]string{
 // disjoint seed ranges on top of the default stratum 0.
 const kernelDiffSeeds = 50
 
-// TestDifferentialKernels is the kernel-differential property test: for
-// every nesting class and seed, the unnested evaluation must return
-// bit-identical tuples and degrees (zero tolerance) across three engines —
-// batched with fused degree kernels, batched interpreted, and strict
-// tuple-at-a-time. Each case asserts non-vacuity (the kernels leg actually
-// compiled fused kernels, the ablation legs compiled none) and that the
-// kernel query variants still classify to the class's expected rewrite.
+// TestDifferentialKernels is the engine = naive property test by seed
+// stratum: for every nesting class and seed, the unnested evaluation of
+// the kernel query variant must return the naive evaluator's rows with
+// bit-identical degrees (JA's AVG, which sums the same members in another
+// order, within 1e-9), and must return bit-identical tuples and degrees
+// (zero tolerance) at 1, 2, 4 and 8 workers. Each case asserts
+// non-vacuity (fused kernels actually ran) and that the kernel query
+// variants still classify to the class's expected rewrite.
 func TestDifferentialKernels(t *testing.T) {
 	seeds := int64(kernelDiffSeeds)
 	if testing.Short() {
@@ -73,46 +73,47 @@ func TestDifferentialKernels(t *testing.T) {
 					t.Fatalf("seed %d: parse %q: %v", seed, query, err)
 				}
 
-				eval := func(leg string, disableKernels, disableBatch bool) (*frel.Relation, int64) {
+				naive := core.NewMemEnv()
+				naive.RegisterRelation("R", c.R)
+				naive.RegisterRelation("S", c.S)
+				want, err := naive.EvalNaive(q)
+				if err != nil {
+					t.Fatalf("seed %d: naive: %v", seed, err)
+				}
+				tol := 0.0
+				if class == "JA" {
+					tol = 1e-9
+				}
+
+				var serial *frel.Relation
+				for _, workers := range []int{1, 2, 4, 8} {
 					env := core.NewMemEnv()
-					env.DisableKernels = disableKernels
-					env.DisableBatch = disableBatch
+					env.Parallelism = workers
 					env.RegisterRelation("R", c.R)
 					env.RegisterRelation("S", c.S)
 					if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
-						t.Fatalf("seed %d: %s: class %s classified as %v (%s), want %v",
-							seed, leg, class, plan.Strategy, plan.Note, expectedStrategy[class])
+						t.Fatalf("seed %d: class %s classified as %v (%s), want %v",
+							seed, class, plan.Strategy, plan.Note, expectedStrategy[class])
 					}
-					res, err := env.EvalUnnested(q)
+					got, err := env.EvalUnnested(q)
 					if err != nil {
-						t.Fatalf("seed %d: %s: %v", seed, leg, err)
+						t.Fatalf("seed %d: workers %d: %v", seed, workers, err)
 					}
-					return res, env.Counters.KernelTuples.Load()
-				}
-
-				kern, kt := eval("kernels", false, false)
-				if kt == 0 {
-					t.Fatalf("seed %d: class %s: kernels leg compiled no fused kernels (vacuous differential) on %s",
-						seed, class, query)
-				}
-				interp, it := eval("interpreted", true, false)
-				if it != 0 {
-					t.Fatalf("seed %d: interpreted leg processed %d kernel tuples, want 0", seed, it)
-				}
-				tuple, tt := eval("tuple", true, true)
-				if tt != 0 {
-					t.Fatalf("seed %d: tuple leg processed %d kernel tuples, want 0", seed, tt)
-				}
-
-				if !kern.Equal(interp, 0) {
-					t.Fatalf("seed %d: class %s kernels/interpreted mismatch on %s\nR: %d tuples, S: %d tuples\nkernels (%d tuples):\n%v\ninterpreted (%d tuples):\n%v",
-						seed, class, query, c.R.Len(), c.S.Len(),
-						kern.Len(), kern, interp.Len(), interp)
-				}
-				if !kern.Equal(tuple, 0) {
-					t.Fatalf("seed %d: class %s kernels/tuple mismatch on %s\nR: %d tuples, S: %d tuples\nkernels (%d tuples):\n%v\ntuple (%d tuples):\n%v",
-						seed, class, query, c.R.Len(), c.S.Len(),
-						kern.Len(), kern, tuple.Len(), tuple)
+					if env.Counters.KernelTuples.Load() == 0 {
+						t.Fatalf("seed %d: class %s: no fused kernels ran (vacuous differential) on %s",
+							seed, class, query)
+					}
+					if serial == nil {
+						serial = got
+						if !got.Equal(want, tol) {
+							t.Fatalf("seed %d: class %s engine/naive mismatch on %s\nR: %d tuples, S: %d tuples\nengine (%d tuples):\n%v\nnaive (%d tuples):\n%v",
+								seed, class, query, c.R.Len(), c.S.Len(),
+								got.Len(), got, want.Len(), want)
+						}
+					} else if !got.Equal(serial, 0) {
+						t.Fatalf("seed %d: class %s workers 1/%d mismatch on %s\nserial (%d tuples):\n%v\nworkers %d (%d tuples):\n%v",
+							seed, class, workers, query, serial.Len(), serial, workers, got.Len(), got)
+					}
 				}
 			}
 		})

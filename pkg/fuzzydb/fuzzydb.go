@@ -47,12 +47,10 @@ import (
 
 // config collects the Open options.
 type config struct {
-	bufferPages    int
-	parallelism    int
-	disableBatch   bool
-	disableKernels bool
-	noWAL          bool
-	groupCommit    time.Duration
+	bufferPages int
+	parallelism int
+	noWAL       bool
+	groupCommit time.Duration
 }
 
 // Option customizes Open.
@@ -81,29 +79,6 @@ func WithParallelism(workers int) Option {
 			return fmt.Errorf("fuzzydb: negative parallelism %d", workers)
 		}
 		c.parallelism = workers
-		return nil
-	}
-}
-
-// WithTupleAtATime disables the batched execution engine and runs queries
-// through strict tuple-at-a-time iterators. The two modes compute
-// identical answers; this switch exists for comparison and debugging (the
-// batched engine is faster and is the default).
-func WithTupleAtATime() Option {
-	return func(c *config) error {
-		c.disableBatch = true
-		return nil
-	}
-}
-
-// WithInterpretedKernels disables the fused kernel compiler and runs the
-// batched engine through its interpreted closure operators. The two modes
-// compute identical answers; this switch exists for comparison and
-// debugging (compiled kernels are faster and are the default). It is a
-// no-op under WithTupleAtATime, which bypasses the batch engine entirely.
-func WithInterpretedKernels() Option {
-	return func(c *config) error {
-		c.disableKernels = true
 		return nil
 	}
 }
@@ -220,8 +195,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	sess.Env.Parallelism = c.parallelism
-	sess.Env.DisableBatch = c.disableBatch
-	sess.Env.DisableKernels = c.disableKernels
 	db := &DB{dir: dir, ownsDir: ownsDir, parallelism: c.parallelism}
 	db.base = &Session{db: db, sess: sess}
 	return db, nil

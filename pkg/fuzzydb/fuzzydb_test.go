@@ -109,20 +109,6 @@ func TestOptions(t *testing.T) {
 		t.Error("WithParallelism(-1) should fail")
 	}
 
-	// The engine ablation switches compute the same answer.
-	for _, opt := range []Option{WithTupleAtATime(), WithInterpretedKernels()} {
-		db := openTemp(t, opt)
-		if err := db.Exec(`CREATE TABLE T (X NUMBER); INSERT INTO T VALUES (1);`); err != nil {
-			t.Fatal(err)
-		}
-		res, err := db.Query(`SELECT T.X FROM T;`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Len() != 1 {
-			t.Errorf("ablation engine: Len = %d", res.Len())
-		}
-	}
 }
 
 // TestPersistence: a database opened over a real directory survives

@@ -170,6 +170,51 @@ func TestPreparedParams(t *testing.T) {
 	}
 }
 
+// TestPreparedParamsReachKernels pins what a '?' costs: nothing. A
+// prepared statement binds its arguments before it plans, so parameters in
+// the outer and in the inner block still run as fused filters feeding the
+// merge-join sweep.
+func TestPreparedParamsReachKernels(t *testing.T) {
+	db := openTemp(t)
+	if err := db.Exec(`
+		CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
+		CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := db.Exec(fmt.Sprintf(`INSERT INTO R VALUES (%d, %d, %d); INSERT INTO S VALUES (%d, %d, %d)`,
+			i, i%5, i%7, i, i%5, i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openSession(t, db)
+	stmt, err := s.Prepare(`SELECT R.K FROM R WHERE R.A >= ? AND R.B IN (SELECT S.B FROM S WHERE S.A = R.A AND S.K <= ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	if stmt.NumParams() != 2 {
+		t.Fatalf("NumParams = %d", stmt.NumParams())
+	}
+	counters := &s.sess.Env.Counters
+	res, err := stmt.Query(context.Background(), 1, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() == 0 {
+		t.Fatal("no answers: the check below would be vacuous")
+	}
+	// Each fused filter counts its whole input, the sweep its outer input.
+	if kt := counters.KernelTuples.Load(); kt <= 2*n {
+		t.Errorf("KernelTuples = %d, want both fused filters (%d tuples) and the merge-join sweep", kt, 2*n)
+	}
+	if m := counters.Morsels.Load(); m == 0 {
+		t.Error("no morsel dispatched: the merge-join sweep did not run")
+	}
+}
+
 // TestConcurrentSessions runs many read-only sessions against a shared
 // database while a writer inserts, exercising the readers-writer locking
 // (meaningful under -race).
