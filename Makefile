@@ -37,10 +37,11 @@ benchmark-compare:
 crash:
 	$(GO) test -run TestCrashRecovery -count=1 -v ./internal/workload
 
-# Regenerate the golden EXPLAIN plans (internal/core/testdata/golden)
+# Regenerate the golden EXPLAIN plans and EXPLAIN ANALYZE work trees
+# (internal/core/testdata/golden: *.golden and *.work.golden)
 # after an intentional planner change; the diff is the review artifact.
 golden:
-	$(GO) test ./internal/core -run TestGoldenPlans -update-golden
+	$(GO) test ./internal/core -run 'TestGolden(Plans|Work)' -update-golden
 
 # Run the network server on the default port with a throwaway database.
 serve:

@@ -269,14 +269,10 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 			}
 			return 1 - d
 		}
-		innerRel, err := exec.CollectBatched(inner)
-		if err != nil {
-			return nil, err
-		}
 		node := e.newNode("nl-anti-join", "")
-		nas := exec.NewNLAntiMin(outer, innerRel.Tuples, penalty, &e.Counters)
+		nas := exec.NewNLAntiMin(outer, inner, penalty, &e.Counters)
 		nas.Stats = node
-		result = e.attach(node, nas, outer)
+		result = e.attach(node, nas, outer, inner)
 	}
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
@@ -368,7 +364,7 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	if err != nil {
 		return nil, err
 	}
-	rel, err := exec.CollectBatched(e.stated("project", "", proj, src))
+	rel, err := exec.Collect(e.stated("project", "", proj, src))
 	if err != nil {
 		return nil, err
 	}

@@ -303,7 +303,7 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 
 // forEach drains src into fn.
 func forEach(src exec.Source, fn func(frel.Tuple) error) error {
-	it, err := exec.OpenBatches(src)
+	it, err := src.Open()
 	if err != nil {
 		return err
 	}
@@ -384,38 +384,11 @@ func newShiftSource(src exec.Source, attr string, shift fuzzy.Trapezoid) (exec.S
 
 func (s *shiftSource) Schema() *frel.Schema { return s.src.Schema() }
 
-func (s *shiftSource) Open() (exec.Iterator, error) {
-	it, err := s.src.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &shiftIterator{in: it, idx: s.idx, shift: s.shift}, nil
-}
-
-type shiftIterator struct {
-	in    exec.Iterator
-	idx   int
-	shift fuzzy.Trapezoid
-}
-
-func (it *shiftIterator) Next() (frel.Tuple, bool) {
-	t, ok := it.in.Next()
-	if !ok {
-		return frel.Tuple{}, false
-	}
-	vals := append([]frel.Value{}, t.Values...)
-	vals[it.idx] = frel.Num(fuzzy.Add(vals[it.idx].Num, it.shift))
-	return frel.Tuple{Values: vals, D: t.D}, true
-}
-
-func (it *shiftIterator) Err() error { return it.in.Err() }
-func (it *shiftIterator) Close()     { it.in.Close() }
-
-// OpenBatch implements exec.BatchSource: the shifted values of each batch
-// are written into one fresh arena (a single allocation per batch instead
-// of one per tuple).
-func (s *shiftSource) OpenBatch() (exec.BatchIterator, error) {
-	in, err := exec.OpenBatches(s.src)
+// Open implements exec.Source: the shifted values of each batch are
+// written into one fresh arena (a single allocation per batch instead of
+// one per tuple).
+func (s *shiftSource) Open() (exec.BatchIterator, error) {
+	in, err := s.src.Open()
 	if err != nil {
 		return nil, err
 	}
@@ -449,19 +422,15 @@ func (it *shiftBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 func (it *shiftBatchIterator) Err() error { return it.in.Err() }
 func (it *shiftBatchIterator) Close()     { it.in.Close() }
 
-// renameSource rebinds a source's schema name (FROM alias).
+// renameSource rebinds a source's schema name (FROM alias). Renaming does
+// not touch tuples: the wrapped source's iterator, keys included, is
+// served as it is.
 type renameSource struct {
 	exec.Source
 	schema *frel.Schema
 }
 
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
-
-// OpenBatch implements exec.BatchSource by forwarding to the wrapped
-// source (renaming does not touch tuples, so keys pass through too).
-func (r *renameSource) OpenBatch() (exec.BatchIterator, error) {
-	return exec.OpenBatches(r.Source)
-}
 
 // external reports whether the environment has disk-backed storage for
 // spills and external sorts.

@@ -62,7 +62,7 @@ func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, 
 	if err != nil {
 		return nil, false, err
 	}
-	rel, err := exec.CollectBatched(exec.WithContext(e.ctx, exec.NewHeapSourceAt(base, horizon)))
+	rel, err := exec.Collect(exec.WithContext(e.ctx, exec.NewHeapSourceAt(base, horizon)))
 	if err != nil {
 		return nil, false, err
 	}

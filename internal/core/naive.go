@@ -240,25 +240,26 @@ func (e *Env) forEachCross(srcs []exec.Source, fn func(vals []frel.Value, d floa
 		}
 		defer it.Close()
 		for {
-			t, ok := it.Next()
+			b, ok := it.NextBatch()
 			if !ok {
-				break
+				return it.Err()
 			}
-			dd := d
-			if t.D < dd {
-				dd = t.D
-			}
-			if dd <= 0 {
-				continue
-			}
-			// Full slice expression: each extension owns fresh storage, so
-			// sibling iterations cannot clobber one another.
-			next := append(vals[:len(vals):len(vals)], t.Values...)
-			if err := rec(i+1, next, dd); err != nil {
-				return err
+			for _, t := range b {
+				dd := d
+				if t.D < dd {
+					dd = t.D
+				}
+				if dd <= 0 {
+					continue
+				}
+				// Full slice expression: each extension owns fresh storage,
+				// so sibling iterations cannot clobber one another.
+				next := append(vals[:len(vals):len(vals)], t.Values...)
+				if err := rec(i+1, next, dd); err != nil {
+					return err
+				}
 			}
 		}
-		return it.Err()
 	}
 	return rec(0, nil, 1)
 }
@@ -471,7 +472,7 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 			}
 		}
 	}
-	rel, err := exec.CollectBatched(src)
+	rel, err := exec.Collect(src)
 	if err != nil {
 		return nil, err
 	}

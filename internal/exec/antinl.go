@@ -6,15 +6,14 @@ import (
 
 // NLAntiMin is the nested-loop fallback of the group-minimum anti-join
 // (Queries JX′ and JALL′ when no merge range attribute is available, e.g.
-// string link attributes): the inner relation is materialized once, and
-// every outer tuple takes the minimum penalty over all inner tuples.
-// Still an unnested evaluation — the inner block is not re-evaluated per
-// outer tuple.
+// string link attributes): the inner relation is materialized once, when
+// the operator is opened, and every outer tuple takes the minimum penalty
+// over all inner tuples. Still an unnested evaluation — the inner block
+// is not re-evaluated per outer tuple.
 type NLAntiMin struct {
-	Outer    Source
-	Inner    []frel.Tuple
-	Penalty  JoinPred
-	Counters *Counters
+	Outer, Inner Source
+	Penalty      JoinPred
+	Counters     *Counters
 
 	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
 	// measures; every outer×inner pair counts as one comparison and one
@@ -22,8 +21,8 @@ type NLAntiMin struct {
 	Stats *OpStats
 }
 
-// NewNLAntiMin builds the operator over a materialized inner relation.
-func NewNLAntiMin(outer Source, inner []frel.Tuple, penalty JoinPred, counters *Counters) *NLAntiMin {
+// NewNLAntiMin builds the operator.
+func NewNLAntiMin(outer, inner Source, penalty JoinPred, counters *Counters) *NLAntiMin {
 	if counters == nil {
 		counters = &Counters{}
 	}
@@ -34,46 +33,57 @@ func NewNLAntiMin(outer Source, inner []frel.Tuple, penalty JoinPred, counters *
 func (j *NLAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 
 // Open implements Source.
-func (j *NLAntiMin) Open() (Iterator, error) {
-	it, err := j.Outer.Open()
+func (j *NLAntiMin) Open() (BatchIterator, error) {
+	inner, err := Collect(j.Inner)
 	if err != nil {
 		return nil, err
 	}
-	return &nlAntiIterator{j: j, outer: it}, nil
+	outer, err := j.Outer.Open()
+	if err != nil {
+		return nil, err
+	}
+	return &nlAntiBatchIterator{j: j, outer: outer, inner: inner.Tuples}, nil
 }
 
-type nlAntiIterator struct {
+type nlAntiBatchIterator struct {
 	j     *NLAntiMin
-	outer Iterator
+	outer BatchIterator
+	inner []frel.Tuple
+	out   []frel.Tuple
 }
 
-func (it *nlAntiIterator) Next() (frel.Tuple, bool) {
+func (it *nlAntiBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	j := it.j
 	for {
-		l, ok := it.outer.Next()
+		b, ok := it.outer.NextBatch()
 		if !ok {
-			return frel.Tuple{}, false
+			return nil, false
 		}
-		d := l.D
-		for _, r := range it.j.Inner {
-			it.j.Counters.DegreeEvals.Add(1)
-			if st := it.j.Stats; st != nil {
-				st.Comparisons.Add(1)
-				st.DegreeEvals.Add(1)
-			}
-			if g := it.j.Penalty(l, r); g < d {
-				d = g
-				if d == 0 {
-					break
+		it.out = it.out[:0]
+		var pairs int64
+		for _, l := range b {
+			d := l.D
+			for _, r := range it.inner {
+				pairs++
+				if g := j.Penalty(l, r); g < d {
+					d = g
+					if d == 0 {
+						break
+					}
 				}
 			}
+			if d > 0 {
+				l.D = d
+				it.out = append(it.out, l)
+			}
 		}
-		if d > 0 {
-			l.D = d
-			it.j.Counters.TuplesOut.Add(1)
-			return l, true
+		loc := batchLocals{deg: pairs, tout: int64(len(it.out)), stCmp: pairs, stDeg: pairs}
+		loc.flush(j.Counters, j.Stats)
+		if len(it.out) > 0 {
+			return it.out, true
 		}
 	}
 }
 
-func (it *nlAntiIterator) Err() error { return it.outer.Err() }
-func (it *nlAntiIterator) Close()     { it.outer.Close() }
+func (it *nlAntiBatchIterator) Err() error { return it.outer.Err() }
+func (it *nlAntiBatchIterator) Close()     { it.outer.Close() }

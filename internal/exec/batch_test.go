@@ -10,11 +10,11 @@ import (
 	"repro/internal/storage"
 )
 
-// batchDrain drains src through the batch interface, copying every batch
-// out (the reuse contract says batches die at the next NextBatch call).
+// batchDrain drains src, copying every batch out (the reuse contract says
+// batches die at the next NextBatch call).
 func batchDrain(t testing.TB, src Source) []frel.Tuple {
 	t.Helper()
-	it, err := OpenBatches(src)
+	it, err := src.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,28 +26,6 @@ func batchDrain(t testing.TB, src Source) []frel.Tuple {
 			break
 		}
 		out = append(out, b...)
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// tupleDrain drains src strictly tuple-at-a-time.
-func tupleDrain(t testing.TB, src Source) []frel.Tuple {
-	t.Helper()
-	it, err := src.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var out []frel.Tuple
-	for {
-		tup, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, tup)
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
@@ -70,19 +48,17 @@ func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 	}
 }
 
-// sameCounters requires the two executions to have recorded identical
-// work counters.
-func sameCounters(t *testing.T, name string, got, want *Counters) {
-	t.Helper()
-	if g, w := got.Comparisons.Load(), want.Comparisons.Load(); g != w {
-		t.Errorf("%s: Comparisons %d, want %d", name, g, w)
-	}
-	sameWork(t, name, got, want)
+// keepCounters copies the work counters of src into dst.
+func keepCounters(dst, src *Counters) {
+	dst.Comparisons.Store(src.Comparisons.Load())
+	dst.DegreeEvals.Store(src.DegreeEvals.Load())
+	dst.TuplesOut.Store(src.TuplesOut.Load())
 }
 
-// sameWork is sameCounters without Comparisons, the one counter an
-// all-pairs reference cannot predict: it counts the window tuples a sweep
-// examined, dangling ones included.
+// sameWork requires the two executions to have recorded identical work
+// counters, Comparisons aside: that one an all-pairs reference cannot
+// predict, it counts the window tuples a sweep examined, dangling ones
+// included.
 func sameWork(t *testing.T, name string, got, want *Counters) {
 	t.Helper()
 	if g, w := got.DegreeEvals.Load(), want.DegreeEvals.Load(); g != w {
@@ -226,7 +202,7 @@ func TestKernelAntiMinMatchesTuple(t *testing.T) {
 			sameWork(t, "anti-min", &cg, &cw)
 			sameStats(t, "anti-min", sg, sw)
 			if workers == 0 {
-				serial.Add(&cg)
+				keepCounters(&serial, &cg)
 			}
 			sweepCounters(t, "anti-min", &cg, &serial)
 			if kt := cg.KernelTuples.Load(); kt != int64(r.Len()) {
@@ -264,7 +240,7 @@ func TestKernelGroupAggMatchesTuple(t *testing.T) {
 					j.Stats, j.Workers = st, workers
 					sameSequence(t, "group-agg", batchDrain(t, j), want)
 					if workers == 0 {
-						c0.Add(&c)
+						keepCounters(&c0, &c)
 						s0 = st
 					}
 					sweepCounters(t, "group-agg", &c, &c0)
@@ -282,24 +258,48 @@ func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	}
 }
 
-// TestBatchScanFilterProjectMatchesTuple covers the scan, filter,
-// threshold and projection operators as one pipeline.
+// TestBatchScanFilterProjectMatchesTuple checks the scan, filter and
+// projection operators as one pipeline, over several batches, against a
+// loop that applies their definitions one tuple at a time: a selected
+// tuple's degree is min(D, pred), a zero degree drops it, and duplicate
+// elimination keeps the first row of each value at the maximum degree.
 func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRel("R", 2500, 100, 5, rng) // > 2 batches
-	for _, dedup := range []bool{false, true} {
-		build := func() Source {
-			f := NewFilter(NewMemSource(r), func(tp frel.Tuple) float64 {
-				return fuzzy.Degree(fuzzy.OpGt, tp.Values[1].Num, fuzzy.Crisp(30))
-			})
-			th := NewThreshold(f, 0.25)
-			p, err := NewProject(th, []string{"R.X"}, dedup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
+	for i := range r.Tuples {
+		if i%3 == 0 { // duplicates for the dedup form to merge
+			r.Tuples[i].Values[1] = frel.Crisp(float64(20 + i%40))
 		}
-		sameSequence(t, "scan-filter-project", batchDrain(t, build()), tupleDrain(t, build()))
+	}
+	pred := func(tp frel.Tuple) float64 {
+		return fuzzy.Degree(fuzzy.OpGt, tp.Values[1].Num, fuzzy.Crisp(30))
+	}
+	for _, dedup := range []bool{false, true} {
+		p, err := NewProject(NewFilter(NewMemSource(r), pred), []string{"R.X"}, dedup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []frel.Tuple
+		first := map[string]int{}
+		for _, tp := range r.Tuples {
+			d := fuzzy.Min(tp.D, pred(tp))
+			if d <= 0 {
+				continue
+			}
+			row := frel.Tuple{Values: tp.Values[1:2], D: d}
+			if i, ok := first[row.Key()]; ok && dedup {
+				if d > want[i].D {
+					want[i].D = d
+				}
+				continue
+			}
+			first[row.Key()] = len(want)
+			want = append(want, row)
+		}
+		if dedup && len(want) == len(r.Tuples) {
+			t.Fatal("no duplicates to eliminate")
+		}
+		sameSequence(t, "scan-filter-project", batchDrain(t, p), want)
 	}
 }
 
@@ -311,7 +311,7 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 	r := randomRel("R", 2600, 100, 5, rng)
 	xi, _ := r.Schema.Resolve("X")
 	keys := frel.SupportKeys(r.Tuples, xi)
-	it, err := NewKeyedMemSource(r, keys).OpenBatch()
+	it, err := NewKeyedMemSource(r, keys).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,16 +359,19 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 }
 
 // TestBatchProjectedJoinMatchesTuple checks a plain projection over the
-// merge join drained through the batch protocol against the same pipeline
-// drained tuple at a time.
+// merge join of filtered scans against the all-pairs reference join,
+// projected one pair at a time.
 func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		r := sortedRel(t, randomRel("R", 300+rng.Intn(200), 800, 4, rng), "X")
 		s := sortedRel(t, randomRel("S", 300+rng.Intn(200), 800, 4, rng), "X")
-		got := batchDrain(t, joinPipeline(t, r, s))
-		want := tupleDrain(t, joinPipeline(t, r, s))
-		sameSequence(t, "projected join", got, want)
+		var c Counters
+		var want []frel.Tuple
+		for _, pair := range bruteMergeJoin(r, s, fuzzy.Crisp(0), nil, &c, NewOpStats("merge-join", "")) {
+			want = append(want, frel.Tuple{Values: pair.Values[:1], D: pair.D})
+		}
+		sameSequence(t, "projected join", batchDrain(t, joinPipeline(t, r, s)), want)
 	}
 }
 
@@ -398,7 +401,7 @@ func TestBatchPipelineAllocs(t *testing.T) {
 
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
-		it, err := OpenBatches(joinPipeline(t, r, s))
+		it, err := joinPipeline(t, r, s).Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,23 +427,6 @@ func TestBatchPipelineAllocs(t *testing.T) {
 	}
 }
 
-// tupleOnlySource hides a source's OpenBatch so OpenBatches must fall
-// back to the re-batching adapter shim.
-type tupleOnlySource struct{ src Source }
-
-func (s tupleOnlySource) Schema() *frel.Schema    { return s.src.Schema() }
-func (s tupleOnlySource) Open() (Iterator, error) { return s.src.Open() }
-
-// TestBatchAdapterShim checks that a tuple-only source still serves
-// batches through the adapter, identically to its tuple scan.
-func TestBatchAdapterShim(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	r := randomRel("R", 2500, 1000, 2, rng)
-	got := batchDrain(t, tupleOnlySource{src: NewMemSource(r)})
-	want := tupleDrain(t, NewMemSource(r))
-	sameSequence(t, "adapter shim", got, want)
-}
-
 // TestBatchHeapSource round-trips a relation through a heap file and the
 // batched heap scan: mem -> heap file -> batches must preserve the tuple
 // sequence.
@@ -456,7 +442,5 @@ func TestBatchHeapSource(t *testing.T) {
 	if err := h.AppendAll(r); err != nil {
 		t.Fatal(err)
 	}
-	got := batchDrain(t, NewHeapSource(h))
-	want := tupleDrain(t, NewMemSource(r))
-	sameSequence(t, "heap batches", got, want)
+	sameSequence(t, "heap batches", batchDrain(t, NewHeapSource(h)), r.Tuples)
 }

@@ -6,18 +6,12 @@ import (
 	"repro/internal/frel"
 )
 
-// ctxCheckEvery is how many tuples a cancellable iterator passes through
-// between context checks. Checking per tuple would put a synchronized load
-// on the hot path; amortizing it keeps cancellation latency to a few
-// thousand tuples while costing effectively nothing.
-const ctxCheckEvery = 256
-
-// WithContext wraps src so that every iterator it opens periodically
-// observes ctx: once the context is cancelled, Next returns false and Err
-// reports the context's error. Long-running operators (nested-loop joins,
-// sorts, naive subquery evaluation) drive their inputs through these
-// leaf iterators, so cancelling the context aborts a whole evaluation.
-// A nil or never-cancellable context returns src unchanged.
+// WithContext wraps src so that every iterator it opens observes ctx
+// before each batch: once the context is cancelled, NextBatch returns
+// false and Err reports the context's error. Long-running operators
+// (nested-loop joins, sorts, naive subquery evaluation) drive their inputs
+// through these leaf iterators, so cancelling the context aborts a whole
+// evaluation. A nil or never-cancellable context returns src unchanged.
 func WithContext(ctx context.Context, src Source) Source {
 	if ctx == nil || ctx.Done() == nil {
 		return src
@@ -32,7 +26,9 @@ type cancelSource struct {
 
 func (s *cancelSource) Schema() *frel.Schema { return s.src.Schema() }
 
-func (s *cancelSource) Open() (Iterator, error) {
+// Open implements Source: the context is observed at open and once per
+// batch, which bounds cancellation latency to one batch of work.
+func (s *cancelSource) Open() (BatchIterator, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -40,37 +36,20 @@ func (s *cancelSource) Open() (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cancelIterator{in: it, ctx: s.ctx}, nil
-}
-
-// OpenBatch implements BatchSource: the context is observed once per
-// batch, which is coarser than ctxCheckEvery but still bounds
-// cancellation latency to one batch of work.
-func (s *cancelSource) OpenBatch() (BatchIterator, error) {
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	it, err := OpenBatches(s.src)
-	if err != nil {
-		return nil, err
-	}
 	return &cancelBatchIterator{in: it, ctx: s.ctx}, nil
 }
 
 type cancelBatchIterator struct {
-	in    BatchIterator
-	ctx   context.Context
-	err   error
-	found bool
+	in  BatchIterator
+	ctx context.Context
+	err error // the context's error, once observed
 }
 
 func (it *cancelBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	if it.found {
-		return nil, false
+	if it.err == nil {
+		it.err = it.ctx.Err()
 	}
-	if err := it.ctx.Err(); err != nil {
-		it.err = err
-		it.found = true
+	if it.err != nil {
 		return nil, false
 	}
 	return it.in.NextBatch()
@@ -87,35 +66,3 @@ func (it *cancelBatchIterator) Err() error {
 }
 
 func (it *cancelBatchIterator) Close() { it.in.Close() }
-
-type cancelIterator struct {
-	in    Iterator
-	ctx   context.Context
-	n     int
-	err   error
-	found bool // cancellation observed
-}
-
-func (it *cancelIterator) Next() (frel.Tuple, bool) {
-	if it.found {
-		return frel.Tuple{}, false
-	}
-	if it.n%ctxCheckEvery == 0 {
-		if err := it.ctx.Err(); err != nil {
-			it.err = err
-			it.found = true
-			return frel.Tuple{}, false
-		}
-	}
-	it.n++
-	return it.in.Next()
-}
-
-func (it *cancelIterator) Err() error {
-	if it.err != nil {
-		return it.err
-	}
-	return it.in.Err()
-}
-
-func (it *cancelIterator) Close() { it.in.Close() }

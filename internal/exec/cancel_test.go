@@ -44,18 +44,20 @@ func TestWithContextCancelMidScan(t *testing.T) {
 	}
 	defer it.Close()
 	read := 0
-	for i := 0; i < 10; i++ {
-		if _, ok := it.Next(); !ok {
+	for i := 0; i < 2; i++ {
+		b, ok := it.NextBatch()
+		if !ok {
 			t.Fatal("scan ended prematurely")
 		}
-		read++
+		read += len(b)
 	}
 	cancel()
 	for {
-		if _, ok := it.Next(); !ok {
+		b, ok := it.NextBatch()
+		if !ok {
 			break
 		}
-		read++
+		read += len(b)
 	}
 	if it.Err() != context.Canceled {
 		t.Errorf("Err = %v, want context.Canceled", it.Err())

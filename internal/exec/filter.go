@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/frel"
 )
 
@@ -13,31 +11,6 @@ type Pred func(frel.Tuple) float64
 // JoinPred evaluates the satisfaction degree of a condition across a pair
 // of tuples.
 type JoinPred func(left, right frel.Tuple) float64
-
-// TruePred is the always-satisfied predicate.
-func TruePred(frel.Tuple) float64 { return 1 }
-
-// And combines predicates with fuzzy AND (minimum), short-circuiting at 0.
-func And(ps ...Pred) Pred {
-	if len(ps) == 0 {
-		return TruePred
-	}
-	if len(ps) == 1 {
-		return ps[0]
-	}
-	return func(t frel.Tuple) float64 {
-		d := 1.0
-		for _, p := range ps {
-			if g := p(t); g < d {
-				d = g
-				if d == 0 {
-					return 0
-				}
-			}
-		}
-		return d
-	}
-}
 
 // Filter passes through tuples with degree min(t.D, pred(t)), dropping
 // those whose degree is 0 — a fuzzy selection.
@@ -52,40 +25,62 @@ func NewFilter(src Source, pred Pred) *Filter { return &Filter{Src: src, Pred: p
 // Schema implements Source.
 func (f *Filter) Schema() *frel.Schema { return f.Src.Schema() }
 
-// Open implements Source.
-func (f *Filter) Open() (Iterator, error) {
-	it, err := f.Src.Open()
+// Open implements Source: selection filters each input batch into a reused
+// output buffer.
+func (f *Filter) Open() (BatchIterator, error) {
+	in, err := f.Src.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &filterIterator{in: it, pred: f.Pred}, nil
+	return &filterBatchIterator{in: in, pred: f.Pred}, nil
 }
 
-type filterIterator struct {
-	in   Iterator
+type filterBatchIterator struct {
+	in   BatchIterator
 	pred Pred
+	out  []frel.Tuple
 }
 
-func (it *filterIterator) Next() (frel.Tuple, bool) {
+func (it *filterBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	for {
-		t, ok := it.in.Next()
+		b, ok := it.in.NextBatch()
 		if !ok {
-			return frel.Tuple{}, false
+			return nil, false
 		}
-		d := t.D
-		if g := it.pred(t); g < d {
-			d = g
+		// Pass-through fast path: while the predicate neither drops nor
+		// re-grades tuples, serve the producer's batch as-is (no copy).
+		// The predicate runs exactly once per tuple either way (predicates
+		// may carry counters).
+		copying := false
+		for i, t := range b {
+			d := t.D
+			if g := it.pred(t); g < d {
+				d = g
+			}
+			if !copying {
+				if d == t.D && d > 0 {
+					continue
+				}
+				copying = true
+				it.out = append(it.out[:0], b[:i]...)
+			}
+			if d <= 0 {
+				continue
+			}
+			t.D = d
+			it.out = append(it.out, t)
 		}
-		if d <= 0 {
-			continue
+		if !copying {
+			return b, true
 		}
-		t.D = d
-		return t, true
+		if len(it.out) > 0 {
+			return it.out, true
+		}
 	}
 }
 
-func (it *filterIterator) Err() error { return it.in.Err() }
-func (it *filterIterator) Close()     { it.in.Close() }
+func (it *filterBatchIterator) Err() error { return it.in.Err() }
+func (it *filterBatchIterator) Close()     { it.in.Close() }
 
 // Project projects tuples onto a subset of attributes and, when Dedup is
 // set, eliminates duplicates keeping the maximum membership degree (fuzzy
@@ -124,112 +119,58 @@ func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
 // Schema implements Source.
 func (p *Project) Schema() *frel.Schema { return p.schema }
 
-// Open implements Source.
-func (p *Project) Open() (Iterator, error) {
-	it, err := p.Src.Open()
+// Open implements Source. The non-dedup projection writes the projected
+// values of each batch into one fresh arena (a single allocation per batch
+// instead of one per tuple); the dedup form hashes the projected columns
+// of every input tuple in place, materializes the distinct rows, and
+// replays them.
+func (p *Project) Open() (BatchIterator, error) {
+	in, err := p.Src.Open()
 	if err != nil {
 		return nil, err
 	}
 	if !p.Dedup {
-		return &projectIterator{in: it, idx: p.idx}, nil
+		return &projectBatchIterator{in: in, idx: p.idx}, nil
 	}
-	// Materialize with max-degree dedup, then emit.
-	defer it.Close()
+	defer in.Close()
 	set := frel.NewRowSet(len(p.idx))
 	for {
-		t, ok := it.Next()
+		b, ok := in.NextBatch()
 		if !ok {
 			break
 		}
-		set.Add(t.Values, p.setIdx, t.D)
+		for _, t := range b {
+			set.Add(t.Values, p.setIdx, t.D)
+		}
 	}
-	if err := it.Err(); err != nil {
+	if err := in.Err(); err != nil {
 		return nil, err
 	}
-	return &memIterator{tuples: set.Tuples()}, nil
+	return &memBatchIterator{tuples: set.Tuples()}, nil
 }
 
-type projectIterator struct {
-	in  Iterator
+type projectBatchIterator struct {
+	in  BatchIterator
 	idx []int
+	out []frel.Tuple
 }
 
-func (it *projectIterator) Next() (frel.Tuple, bool) {
-	t, ok := it.in.Next()
+func (it *projectBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	b, ok := it.in.NextBatch()
 	if !ok {
-		return frel.Tuple{}, false
+		return nil, false
 	}
-	return t.Project(it.idx), true
-}
-
-func (it *projectIterator) Err() error { return it.in.Err() }
-func (it *projectIterator) Close()     { it.in.Close() }
-
-// Threshold drops tuples whose degree is below z (and always those with
-// degree 0) — the WITH D >= z clause.
-type Threshold struct {
-	Src Source
-	Z   float64
-}
-
-// NewThreshold builds a WITH-clause filter.
-func NewThreshold(src Source, z float64) *Threshold { return &Threshold{Src: src, Z: z} }
-
-// Schema implements Source.
-func (th *Threshold) Schema() *frel.Schema { return th.Src.Schema() }
-
-// Open implements Source.
-func (th *Threshold) Open() (Iterator, error) {
-	it, err := th.Src.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &thresholdIterator{in: it, z: th.Z}, nil
-}
-
-type thresholdIterator struct {
-	in Iterator
-	z  float64
-}
-
-func (it *thresholdIterator) Next() (frel.Tuple, bool) {
-	for {
-		t, ok := it.in.Next()
-		if !ok {
-			return frel.Tuple{}, false
+	it.out = it.out[:0]
+	arena := make([]frel.Value, 0, len(b)*len(it.idx))
+	for _, t := range b {
+		off := len(arena)
+		for _, i := range it.idx {
+			arena = append(arena, t.Values[i])
 		}
-		if t.D <= 0 || t.D < it.z {
-			continue
-		}
-		return t, true
+		it.out = append(it.out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: t.D})
 	}
+	return it.out, true
 }
 
-func (it *thresholdIterator) Err() error { return it.in.Err() }
-func (it *thresholdIterator) Close()     { it.in.Close() }
-
-// RefDegree builds a Pred computing d(attr op value) for a fixed
-// right-hand value.
-func RefDegree(schema *frel.Schema, ref string, op OpFunc) (Pred, error) {
-	i, err := schema.Resolve(ref)
-	if err != nil {
-		return nil, err
-	}
-	return func(t frel.Tuple) float64 { return op(t.Values[i]) }, nil
-}
-
-// OpFunc computes a degree from a single value; used to build predicates
-// against constants.
-type OpFunc func(frel.Value) float64
-
-// errSource is a Source that fails on Open; used by operators that detect
-// configuration errors lazily.
-type errSource struct{ err error }
-
-func (e errSource) Schema() *frel.Schema    { return &frel.Schema{} }
-func (e errSource) Open() (Iterator, error) { return nil, e.err }
-
-// Errf builds a Source that fails with a formatted error.
-func Errf(format string, args ...interface{}) Source {
-	return errSource{fmt.Errorf(format, args...)}
-}
+func (it *projectBatchIterator) Err() error { return it.in.Err() }
+func (it *projectBatchIterator) Close()     { it.in.Close() }

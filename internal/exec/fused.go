@@ -10,7 +10,7 @@ import (
 // loop over each batch, with no per-tuple closure dispatch and counters
 // flushed once per batch. Outputs and degree-evaluation counts are
 // identical to the equivalent chain of interpreted Filter operators
-// followed by a Threshold — the kernel calls the same closed-form degree
+// followed by a threshold — the kernel calls the same closed-form degree
 // functions, and it evaluates later predicates only on tuples earlier ones
 // kept, exactly like the chain does.
 type FusedFilter struct {
@@ -36,46 +36,9 @@ func NewFusedFilter(src Source, prog *kernel.Program, z float64, counters *Count
 // Schema implements Source.
 func (f *FusedFilter) Schema() *frel.Schema { return f.Src.Schema() }
 
-// Open implements Source with the tuple-at-a-time loop.
-func (f *FusedFilter) Open() (Iterator, error) {
-	it, err := f.Src.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &fusedIterator{f: f, in: it}, nil
-}
-
-type fusedIterator struct {
-	f  *FusedFilter
-	in Iterator
-}
-
-func (it *fusedIterator) Next() (frel.Tuple, bool) {
-	for {
-		t, ok := it.in.Next()
-		if !ok {
-			return frel.Tuple{}, false
-		}
-		d, evals := it.f.Prog.EvalTuple(t)
-		it.f.Counters.DegreeEvals.Add(evals)
-		it.f.Counters.KernelTuples.Add(1)
-		if st := it.f.Stats; st != nil {
-			st.KernelTuples.Add(1)
-		}
-		if d <= 0 || d < it.f.Z {
-			continue
-		}
-		t.D = d
-		return t, true
-	}
-}
-
-func (it *fusedIterator) Err() error { return it.in.Err() }
-func (it *fusedIterator) Close()     { it.in.Close() }
-
-// OpenBatch implements BatchSource: the fused hot path.
-func (f *FusedFilter) OpenBatch() (BatchIterator, error) {
-	in, err := OpenBatches(f.Src)
+// Open implements Source.
+func (f *FusedFilter) Open() (BatchIterator, error) {
+	in, err := f.Src.Open()
 	if err != nil {
 		return nil, err
 	}

@@ -25,57 +25,75 @@ func fusedProgram(t testing.TB) *kernel.Program {
 	return prog
 }
 
-// interpretedChain is the closure-evaluator equivalent of fusedProgram
-// over the same source, charging DegreeEvals exactly like the compiled
-// predicate closures do (once per predicate call).
-func interpretedChain(src Source, z float64, c *Counters) Source {
+// interpretedChain evaluates fusedProgram's chain over r one tuple at a
+// time from the chain's definition: each predicate caps the tuple's
+// degree and is charged one evaluation, a tuple that reaches zero meets no
+// later predicate, and the threshold keeps degrees of at least z.
+func interpretedChain(r *frel.Relation, z float64) (out []frel.Tuple, evals int64) {
 	konst1 := frel.Num(fuzzy.Tri(10, 20, 30))
 	konst2 := fuzzy.Crisp(30)
 	tol := fuzzy.Tri(-25, 0, 25)
-	p1 := func(t frel.Tuple) float64 {
-		c.DegreeEvals.Add(1)
-		return frel.Degree(fuzzy.OpGt, t.Values[1], konst1)
+	preds := []Pred{
+		func(t frel.Tuple) float64 { return frel.Degree(fuzzy.OpGt, t.Values[1], konst1) },
+		func(t frel.Tuple) float64 { return fuzzy.ApproxEq(t.Values[1].Num, konst2, tol) },
 	}
-	p2 := func(t frel.Tuple) float64 {
-		c.DegreeEvals.Add(1)
-		return fuzzy.ApproxEq(t.Values[1].Num, konst2, tol)
+	for _, t := range r.Tuples {
+		for _, p := range preds {
+			evals++
+			if t.D = fuzzy.Min(t.D, p(t)); t.D <= 0 {
+				break
+			}
+		}
+		if t.D > 0 && t.D >= z {
+			out = append(out, t)
+		}
 	}
-	return NewThreshold(NewFilter(NewFilter(src, p1), p2), z)
+	return out, evals
 }
 
 // TestFusedFilterMatchesInterpreted cross-checks the fused filter chain
-// against the equivalent stack of interpreted Filter operators followed
-// by a Threshold: identical output sequences (both drains) and identical
-// degree-evaluation counts — the kernel evaluates later predicates only
-// on tuples earlier ones kept, exactly like the chain.
+// against the per-tuple definition of the chain it compiles: identical
+// output sequences and identical degree-evaluation counts — the kernel
+// evaluates later predicates only on tuples earlier ones kept. A batch
+// the kernel neither drops from nor re-grades is the producer's batch
+// itself, not a copy.
 func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, z := range []float64{0, 0.35, 0.8} {
 		for trial := 0; trial < 8; trial++ {
 			r := randomRel("R", 200+rng.Intn(300), 60, 6, rng)
-
 			var ck Counters
-			ff := NewFusedFilter(NewMemSource(r), fusedProgram(t), z, &ck)
-			gotBatch := batchDrain(t, ff)
-			kernelEvals := ck.DegreeEvals.Load()
-			ck.Reset()
-			gotTuple := tupleDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, &ck))
-			if e := ck.DegreeEvals.Load(); e != kernelEvals {
-				t.Fatalf("z=%g: fused tuple drain made %d evals, batch drain %d", z, e, kernelEvals)
-			}
-
-			var ci Counters
-			want := batchDrain(t, interpretedChain(NewMemSource(r), z, &ci))
-			sameSequence(t, "fused batch", gotBatch, want)
-			sameSequence(t, "fused tuple", gotTuple, want)
-			if kernelEvals != ci.DegreeEvals.Load() {
-				t.Fatalf("z=%g: kernel made %d degree evals, interpreted chain %d",
-					z, kernelEvals, ci.DegreeEvals.Load())
+			got := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, &ck))
+			want, evals := interpretedChain(r, z)
+			sameSequence(t, "fused filter", got, want)
+			if ck.DegreeEvals.Load() != evals {
+				t.Fatalf("z=%g: kernel made %d degree evals, the chain's definition %d",
+					z, ck.DegreeEvals.Load(), evals)
 			}
 			if ck.KernelTuples.Load() != int64(r.Len()) {
 				t.Fatalf("z=%g: KernelTuples %d, want %d", z, ck.KernelTuples.Load(), r.Len())
 			}
 		}
+	}
+
+	certain := frel.NewRelation(xSchema("R"))
+	for i := 0; i < BatchSize+10; i++ {
+		certain.Append(frel.NewTuple(0.4, frel.Crisp(float64(i)), frel.Crisp(30)))
+	}
+	it, err := NewFusedFilter(NewMemSource(certain), fusedProgram(t), 0.4, nil).Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for at := 0; at < certain.Len(); {
+		b, ok := it.NextBatch()
+		if !ok {
+			t.Fatalf("pass-through ended after %d of %d tuples", at, certain.Len())
+		}
+		if &b[0] != &certain.Tuples[at] {
+			t.Fatalf("batch at %d was copied, want the source's own batch", at)
+		}
+		at += len(b)
 	}
 }
 
@@ -128,7 +146,7 @@ func TestKernelPipelineAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := OpenBatches(proj)
+		it, err := proj.Open()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
 // When Op2 is equality both inputs are consumed in one merged pass using
-// the Rng(u) cursor (the flat-column sweep of OpenBatch); the inner input
+// the Rng(u) cursor (the flat-column sweep of Open); the inner input
 // must be sorted on V, and identical outer values must be adjacent, so
 // sort the outer input with extsort.ByAttrTotal. Other correlation
 // operators have no merge range: the inner is materialized once and
@@ -93,146 +93,15 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 // adjusted degrees.
 func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
-// Open implements Source: the equality-correlated join drains its batched
-// form, any other runs the nested loop.
-func (j *GroupAggJoin) Open() (Iterator, error) {
-	if j.Op2 == fuzzy.OpEq {
-		return adaptBatches(j)
-	}
-	outerIt, err := j.Outer.Open()
-	if err != nil {
-		return nil, err
-	}
-	rel, err := Collect(j.Inner)
-	if err != nil {
-		outerIt.Close()
-		return nil, err
-	}
-	return &groupAggIterator{j: j, outer: outerIt, inner: rel.Tuples, set: newMemberSet()}, nil
-}
-
-// groupAggIterator is the nested-loop group-aggregate of a non-equality
-// correlation: every distinct outer value scans the whole inner relation.
-type groupAggIterator struct {
-	j     *GroupAggJoin
-	outer Iterator
-	inner []frel.Tuple
-
-	haveGroup bool
-	groupVal  frel.Value
-	set       *memberSet // T′(u) of the current group
-	aggVal    fuzzy.Trapezoid
-	aggOK     bool
-}
-
-// memberSet accumulates a fuzzy value set deduplicated by value identity,
-// keeping the maximum degree per value (Section 4's temporary-relation
-// rule), in first-seen order. Insertion order matters: fuzzy aggregates
-// sum floating-point values in set order, so building the set in any
-// other order would make repeated evaluations of the same query differ in
-// the last bits of the result. A memberSet is reusable: reset it between
-// groups and it allocates nothing in steady state.
-type memberSet struct {
-	set     *frel.RowSet
-	members []fuzzy.Member
-}
-
-func newMemberSet() *memberSet { return &memberSet{set: frel.NewRowSet(1)} }
-
-func (ms *memberSet) reset() { ms.set.Reset() }
-
-// add enters the value a tuple carries in column col with degree mu.
-func (ms *memberSet) add(vals []frel.Value, col int, mu float64) {
-	ms.set.Add(vals[col:col+1], nil, mu)
-}
-
-func (ms *memberSet) len() int { return ms.set.Len() }
-
-// aggregate applies agg to the set. COUNT of an empty set is 0: comparing
-// r.Y against Crisp(0) is exactly the ELSE arm of Query COUNT′'s
-// IF-THEN-ELSE. Any other aggregate of an empty set is NULL (ok false).
-func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
-	if agg == fuzzy.AggCount {
-		return fuzzy.Crisp(float64(ms.len())), true
-	}
-	ms.members = ms.members[:0]
-	for i := 0; i < ms.len(); i++ {
-		ms.members = append(ms.members, fuzzy.Member{Value: ms.set.Row(i)[0].Num, Mu: ms.set.Degree(i)})
-	}
-	return fuzzy.Aggregate(agg, ms.members)
-}
-
-// computeGroup builds T′(u) and its aggregate for the given outer value.
-func (it *groupAggIterator) computeGroup(u frel.Value) {
-	j := it.j
-	set := it.set
-	set.reset()
-	for _, s := range it.inner {
-		j.Counters.Comparisons.Add(1)
-		if j.Stats != nil {
-			j.Stats.Comparisons.Add(1)
-			j.Stats.DegreeEvals.Add(1)
-		}
-		j.Counters.DegreeEvals.Add(1)
-		d := frel.Degree(j.Op2, s.Values[j.vi], u)
-		if s.D < d {
-			d = s.D
-		}
-		if d > 0 {
-			set.add(s.Values, j.zi, d)
-		}
-	}
-	if j.Stats != nil {
-		j.Stats.ObserveRng(int64(len(it.inner)))
-	}
-	it.aggVal, it.aggOK = set.aggregate(j.Agg)
-}
-
-func (it *groupAggIterator) Next() (frel.Tuple, bool) {
-	for {
-		r, ok := it.outer.Next()
-		if !ok {
-			return frel.Tuple{}, false
-		}
-		u := r.Values[it.j.ui]
-		if !it.haveGroup || !it.groupVal.Identical(u) {
-			it.computeGroup(u)
-			it.groupVal = u
-			it.haveGroup = true
-		}
-		if !it.aggOK {
-			continue // A′(u) is NULL and the aggregate is not COUNT
-		}
-		if st := it.j.Stats; st != nil {
-			st.DegreeEvals.Add(1)
-		}
-		it.j.Counters.DegreeEvals.Add(1)
-		d := fuzzy.Degree(it.j.Op1, r.Values[it.j.yi].Num, it.aggVal)
-		if r.D < d {
-			d = r.D
-		}
-		if d > 0 {
-			out := r
-			out.D = d
-			it.j.Counters.TuplesOut.Add(1)
-			return out, true
-		}
-	}
-}
-
-func (it *groupAggIterator) Err() error { return it.outer.Err() }
-func (it *groupAggIterator) Close()     { it.outer.Close() }
-
-// OpenBatch implements BatchSource: the flat-column, morsel-scheduled
-// sweep of the equality-correlated join (see sweep.go). Tuples with
-// identical U have identical supports, so no atomic cut separates them and
-// a group never spans two morsels. Each morsel reuses one value set across
-// its groups and writes the degree of every outer tuple in place. Other
-// correlation operators have no merge range to cut at, and are served from
-// the nested loop.
-func (j *GroupAggJoin) OpenBatch() (BatchIterator, error) {
+// Open implements Source. The equality-correlated join is the flat-column,
+// morsel-scheduled sweep (see sweep.go). Tuples with identical U have
+// identical supports, so no atomic cut separates them and a group never
+// spans two morsels. Each morsel reuses one value set across its groups
+// and writes the degree of every outer tuple in place. Other correlation
+// operators have no merge range to cut at, and run the nested loop.
+func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	if j.Op2 != fuzzy.OpEq {
-		return adaptTuples(j)
+		return j.openNested()
 	}
 	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
 	if err != nil {
@@ -293,6 +162,137 @@ func (j *GroupAggJoin) OpenBatch() (BatchIterator, error) {
 	})
 }
 
+// openNested opens the nested loop of a non-equality correlation: the
+// inner relation is materialized once and every distinct outer value
+// scans all of it.
+func (j *GroupAggJoin) openNested() (BatchIterator, error) {
+	rel, err := Collect(j.Inner)
+	if err != nil {
+		return nil, err
+	}
+	outer, err := j.Outer.Open()
+	if err != nil {
+		return nil, err
+	}
+	return &groupAggBatchIterator{j: j, outer: outer, inner: rel.Tuples, set: newMemberSet()}, nil
+}
+
+// groupAggBatchIterator is the nested-loop group-aggregate of a
+// non-equality correlation. A group may span outer batches, so the
+// current group's value and aggregate live across NextBatch calls.
+type groupAggBatchIterator struct {
+	j     *GroupAggJoin
+	outer BatchIterator
+	inner []frel.Tuple
+	out   []frel.Tuple
+
+	haveGroup bool
+	groupVal  frel.Value
+	set       *memberSet // T′(u) of the current group
+	aggVal    fuzzy.Trapezoid
+	aggOK     bool
+}
+
+// memberSet accumulates a fuzzy value set deduplicated by value identity,
+// keeping the maximum degree per value (Section 4's temporary-relation
+// rule), in first-seen order. Insertion order matters: fuzzy aggregates
+// sum floating-point values in set order, so building the set in any
+// other order would make repeated evaluations of the same query differ in
+// the last bits of the result. A memberSet is reusable: reset it between
+// groups and it allocates nothing in steady state.
+type memberSet struct {
+	set     *frel.RowSet
+	members []fuzzy.Member
+}
+
+func newMemberSet() *memberSet { return &memberSet{set: frel.NewRowSet(1)} }
+
+func (ms *memberSet) reset() { ms.set.Reset() }
+
+// add enters the value a tuple carries in column col with degree mu.
+func (ms *memberSet) add(vals []frel.Value, col int, mu float64) {
+	ms.set.Add(vals[col:col+1], nil, mu)
+}
+
+func (ms *memberSet) len() int { return ms.set.Len() }
+
+// aggregate applies agg to the set. COUNT of an empty set is 0: comparing
+// r.Y against Crisp(0) is exactly the ELSE arm of Query COUNT′'s
+// IF-THEN-ELSE. Any other aggregate of an empty set is NULL (ok false).
+func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
+	if agg == fuzzy.AggCount {
+		return fuzzy.Crisp(float64(ms.len())), true
+	}
+	ms.members = ms.members[:0]
+	for i := 0; i < ms.len(); i++ {
+		ms.members = append(ms.members, fuzzy.Member{Value: ms.set.Row(i)[0].Num, Mu: ms.set.Degree(i)})
+	}
+	return fuzzy.Aggregate(agg, ms.members)
+}
+
+// computeGroup builds T′(u) and its aggregate for the given outer value.
+func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
+	j := it.j
+	set := it.set
+	set.reset()
+	for _, s := range it.inner {
+		d := frel.Degree(j.Op2, s.Values[j.vi], u)
+		if s.D < d {
+			d = s.D
+		}
+		if d > 0 {
+			set.add(s.Values, j.zi, d)
+		}
+	}
+	n := int64(len(it.inner))
+	loc := batchLocals{cmp: n, deg: n, stCmp: n, stDeg: n}
+	loc.flush(j.Counters, j.Stats)
+	if j.Stats != nil {
+		j.Stats.ObserveRng(n)
+	}
+	it.aggVal, it.aggOK = set.aggregate(j.Agg)
+}
+
+func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	j := it.j
+	for {
+		b, ok := it.outer.NextBatch()
+		if !ok {
+			return nil, false
+		}
+		it.out = it.out[:0]
+		var evals int64
+		for _, r := range b {
+			u := r.Values[j.ui]
+			if !it.haveGroup || !it.groupVal.Identical(u) {
+				it.computeGroup(u)
+				it.groupVal = u
+				it.haveGroup = true
+			}
+			if !it.aggOK {
+				continue // A′(u) is NULL and the aggregate is not COUNT
+			}
+			evals++
+			d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, it.aggVal)
+			if r.D < d {
+				d = r.D
+			}
+			if d > 0 {
+				r.D = d
+				it.out = append(it.out, r)
+			}
+		}
+		loc := batchLocals{deg: evals, tout: int64(len(it.out)), stDeg: evals}
+		loc.flush(j.Counters, j.Stats)
+		if len(it.out) > 0 {
+			return it.out, true
+		}
+	}
+}
+
+func (it *groupAggBatchIterator) Err() error { return it.outer.Err() }
+func (it *groupAggBatchIterator) Close()     { it.outer.Close() }
+
 // AggItem is one aggregate column of a GroupAgg.
 type AggItem struct {
 	Agg fuzzy.AggFunc
@@ -348,8 +348,9 @@ func NewGroupAgg(src Source, groupRefs []string, items []AggItem) (*GroupAgg, er
 // Schema implements Source.
 func (g *GroupAgg) Schema() *frel.Schema { return g.schema }
 
-// Open implements Source.
-func (g *GroupAgg) Open() (Iterator, error) {
+// Open implements Source: the groups are built from the whole input, then
+// replayed.
+func (g *GroupAgg) Open() (BatchIterator, error) {
 	it, err := g.Src.Open()
 	if err != nil {
 		return nil, err
@@ -362,20 +363,22 @@ func (g *GroupAgg) Open() (Iterator, error) {
 	groups := frel.NewRowSet(len(g.groupIdx))
 	var sets [][]*memberSet
 	for {
-		t, ok := it.Next()
+		b, ok := it.NextBatch()
 		if !ok {
 			break
 		}
-		gi, added := groups.Add(t.Values, g.groupIdx, t.D)
-		if added {
-			ms := make([]*memberSet, len(g.Items))
-			for i := range ms {
-				ms[i] = newMemberSet()
+		for _, t := range b {
+			gi, added := groups.Add(t.Values, g.groupIdx, t.D)
+			if added {
+				ms := make([]*memberSet, len(g.Items))
+				for i := range ms {
+					ms[i] = newMemberSet()
+				}
+				sets = append(sets, ms)
 			}
-			sets = append(sets, ms)
-		}
-		for i, zi := range g.itemIdx {
-			sets[gi][i].add(t.Values, zi, t.D)
+			for i, zi := range g.itemIdx {
+				sets[gi][i].add(t.Values, zi, t.D)
+			}
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -395,5 +398,5 @@ group:
 		}
 		out = append(out, frel.Tuple{Values: vals, D: groups.Degree(gi)})
 	}
-	return &memIterator{tuples: out}, nil
+	return &memBatchIterator{tuples: out}, nil
 }

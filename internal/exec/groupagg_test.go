@@ -179,18 +179,30 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 	}
 }
 
+// TestGroupAggJoinNonEqualityCorrelation runs the nested loop over an
+// outer of several batches whose groups span batch boundaries: the answer
+// is bruteJA's, and the inner is scanned once per distinct outer value,
+// not once per batch a group appears in.
 func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	r, s := randomCorrelated(rng, 15, 25)
+	r, s := randomCorrelated(rng, 2*BatchSize+500, 25)
+	r = totalSortedSource(t, r, "U").(*MemSource).Rel
 	want := bruteJA(r, s, fuzzy.AggMax, fuzzy.OpGt, fuzzy.OpLe)
-	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), NewMemSource(s),
-		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, nil)
+	var c Counters
+	j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
+		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, j)
-	if !got.Equal(want, 1e-12) {
-		t.Fatalf("non-equality correlation mismatch: got %d, want %d", got.Len(), want.Len())
+	sameSequence(t, "non-equality correlation", batchDrain(t, j), want.Tuples)
+	groups := 0
+	for i, tp := range r.Tuples {
+		if i == 0 || !tp.Values[0].Identical(r.Tuples[i-1].Values[0]) {
+			groups++
+		}
+	}
+	if got := c.Comparisons.Load(); got != int64(groups*s.Len()) {
+		t.Errorf("%d inner comparisons for %d groups over %d inner tuples", got, groups, s.Len())
 	}
 }
 

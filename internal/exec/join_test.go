@@ -8,6 +8,7 @@ import (
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 	"repro/internal/kernel"
+	"repro/internal/storage"
 )
 
 // mergeJoin builds the serial merge-join of two sorted inputs.
@@ -228,12 +229,76 @@ func TestBlockNLJoinBlockCount(t *testing.T) {
 	}
 }
 
+// TestBlockNLJoinSpansBatchesAndBlocks runs the nested-loop join over heap
+// scans, whose batch buffers are recycled, with an outer of several
+// batches cut into several blocks that end mid-batch, and checks the
+// emission order (inner-major within a block), the counters and the
+// per-block inner rescans against the all-pairs reference.
+func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	r := randomRel("R", 2*BatchSize+500, 100, 2, rng)
+	s := randomRel("S", BatchSize+100, 100, 2, rng)
+	on := func(l, m frel.Tuple) float64 { return fuzzy.Eq(l.Values[1].Num, m.Values[1].Num) }
+	const blockBytes = 50000
+
+	var want []frel.Tuple
+	blocks := 0
+	for lo := 0; lo < r.Len(); blocks++ {
+		hi := lo
+		for used := 0; hi < r.Len() && used < blockBytes; hi++ {
+			used += frel.EncodedSize(r.Schema, r.Tuples[hi])
+		}
+		if (hi-lo)%BatchSize == 0 {
+			t.Fatalf("block of %d tuples ends on a batch boundary", hi-lo)
+		}
+		for _, m := range s.Tuples {
+			for _, l := range r.Tuples[lo:hi] {
+				if d := fuzzy.Min(l.D, m.D, on(l, m)); d > 0 {
+					want = append(want, l.Concat(m, d))
+				}
+			}
+		}
+		lo = hi
+	}
+	if blocks < 3 || len(want) <= BatchSize {
+		t.Fatalf("%d blocks, %d pairs: the case is too small", blocks, len(want))
+	}
+
+	mgr := storage.NewManager(t.TempDir(), 8)
+	heap := func(rel *frel.Relation) Source {
+		h, err := mgr.CreateTemp(rel.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AppendAll(rel); err != nil {
+			t.Fatal(err)
+		}
+		return NewHeapSource(h)
+	}
+	var c Counters
+	inner := &countingSource{Source: heap(s)}
+	j := NewBlockNLJoin(heap(r), inner, on, blockBytes, &c)
+	j.Stats = NewOpStats("nl-join", "")
+	sameSequence(t, "nl-join", batchDrain(t, j), want)
+	pairs := int64(r.Len()) * int64(s.Len())
+	if c.DegreeEvals.Load() != pairs || c.TuplesOut.Load() != int64(len(want)) {
+		t.Errorf("counters: %d degree evals, %d out, want %d and %d",
+			c.DegreeEvals.Load(), c.TuplesOut.Load(), pairs, len(want))
+	}
+	if snap := j.Stats.Snapshot(); snap.Comparisons != pairs || snap.DegreeEvals != pairs {
+		t.Errorf("stats: cmp %d deg %d, want %d each", snap.Comparisons, snap.DegreeEvals, pairs)
+	}
+	if inner.opens != blocks {
+		t.Errorf("inner opened %d times for %d blocks", inner.opens, blocks)
+	}
+}
+
 type countingSource struct {
 	Source
 	opens int
 }
 
-func (c *countingSource) Open() (Iterator, error) {
+func (c *countingSource) Open() (BatchIterator, error) {
 	c.opens++
 	return c.Source.Open()
 }

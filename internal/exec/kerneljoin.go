@@ -137,13 +137,10 @@ func (j *KernelMergeJoin) EmitColumns(emit []int, fold Fold) error {
 // Schema implements Source.
 func (j *KernelMergeJoin) Schema() *frel.Schema { return j.schema }
 
-// Open implements Source by draining the batched form.
-func (j *KernelMergeJoin) Open() (Iterator, error) { return adaptBatches(j) }
-
-// OpenBatch implements BatchSource. The whole join runs eagerly: morsels
-// are pulled off the shared queue by the worker pool and their outputs are
-// replayed in morsel order, which is the serial emission order.
-func (j *KernelMergeJoin) OpenBatch() (BatchIterator, error) {
+// Open implements Source. The whole join runs eagerly: morsels are pulled
+// off the shared queue by the worker pool and their outputs are replayed
+// in morsel order, which is the serial emission order.
+func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 	in, err := collectFlat("merge-join", j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Counters, j.Stats)
 	if err != nil {
 		return nil, err

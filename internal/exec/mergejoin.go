@@ -88,14 +88,11 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *ke
 // Schema implements Source: the output carries the outer tuples.
 func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 
-// Open implements Source by draining the batched form.
-func (j *MergeAntiMin) Open() (Iterator, error) { return adaptBatches(j) }
-
-// OpenBatch implements BatchSource: the flat-column, morsel-scheduled
-// sweep (see sweep.go). Each morsel keeps the running minimum of its outer
+// Open implements Source: the flat-column, morsel-scheduled sweep (see
+// sweep.go). Each morsel keeps the running minimum of its outer
 // tuples in place and emits every outer tuple whose minimum stays
 // positive, in the outer input's order.
-func (j *MergeAntiMin) OpenBatch() (BatchIterator, error) {
+func (j *MergeAntiMin) Open() (BatchIterator, error) {
 	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
 	if err != nil {
 		return nil, err

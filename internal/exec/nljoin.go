@@ -53,95 +53,92 @@ func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, counters *
 func (j *BlockNLJoin) Schema() *frel.Schema { return j.schema }
 
 // Open implements Source.
-func (j *BlockNLJoin) Open() (Iterator, error) {
-	outerIt, err := j.Outer.Open()
+func (j *BlockNLJoin) Open() (BatchIterator, error) {
+	outer, err := j.Outer.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &nlIterator{join: j, outer: outerIt}, nil
+	return &nlBatchIterator{join: j, outer: outer}, nil
 }
 
-type nlIterator struct {
+// nlBatchIterator emits the join inner-major within an outer block: for
+// every inner tuple, in scan order, its pairs with the block's outer
+// tuples in block order. Its position (block, inner batch, the inner
+// tuple and the outer tuple reached) survives across NextBatch calls, so
+// output batches are cut at BatchSize wherever that falls.
+type nlBatchIterator struct {
 	join  *BlockNLJoin
-	outer Iterator
+	outer BatchIterator
 
-	block     []frel.Tuple
+	obuf      []frel.Tuple // the outer batch being cut into blocks
+	opos      int
 	outerDone bool
+	block     []frel.Tuple // copies: a block outlives the outer's batches
+	blockPos  int
 
-	inner    Iterator
-	innerCur frel.Tuple
-	innerOK  bool
-	blockPos int
+	inner BatchIterator // nil between blocks
+	ibuf  []frel.Tuple
+	ipos  int
 
+	out []frel.Tuple
 	err error
 }
 
 // fillBlock buffers the next block of outer tuples within the byte budget.
-func (it *nlIterator) fillBlock() bool {
+func (it *nlBatchIterator) fillBlock() bool {
 	it.block = it.block[:0]
-	if it.outerDone {
-		return false
-	}
 	schema := it.join.Outer.Schema()
 	used := 0
-	for used < it.join.BlockBytes {
-		t, ok := it.outer.Next()
-		if !ok {
-			it.outerDone = true
-			break
+	for used < it.join.BlockBytes && !it.outerDone {
+		if it.opos == len(it.obuf) {
+			b, ok := it.outer.NextBatch()
+			if !ok {
+				it.outerDone = true
+				break
+			}
+			it.obuf, it.opos = b, 0
 		}
+		t := it.obuf[it.opos]
+		it.opos++
 		it.block = append(it.block, t)
 		used += frel.EncodedSize(schema, t)
 	}
 	return len(it.block) > 0
 }
 
-func (it *nlIterator) Next() (frel.Tuple, bool) {
-	for {
-		if it.err != nil {
-			return frel.Tuple{}, false
-		}
+func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	j := it.join
+	it.out = it.out[:0]
+	var pairs int64
+	for it.err == nil && len(it.out) < BatchSize {
 		if it.inner == nil {
 			if !it.fillBlock() {
-				if e := it.outer.Err(); e != nil {
-					it.err = e
-				}
-				return frel.Tuple{}, false
+				it.err = it.outer.Err()
+				break
 			}
-			in, err := it.join.Inner.Open()
+			in, err := j.Inner.Open()
 			if err != nil {
 				it.err = err
-				return frel.Tuple{}, false
+				break
 			}
-			it.inner = in
-			it.innerOK = false
-			it.blockPos = 0
+			it.inner, it.ibuf, it.ipos, it.blockPos = in, nil, 0, 0
 		}
-		if !it.innerOK {
-			t, ok := it.inner.Next()
+		if it.ipos == len(it.ibuf) {
+			b, ok := it.inner.NextBatch()
 			if !ok {
-				if e := it.inner.Err(); e != nil {
-					it.err = e
-					return frel.Tuple{}, false
-				}
+				it.err = it.inner.Err()
 				it.inner.Close()
-				it.inner = nil
-				continue // next outer block
+				it.inner = nil // next outer block
+				continue
 			}
-			it.innerCur = t
-			it.innerOK = true
-			it.blockPos = 0
+			it.ibuf, it.ipos = b, 0
 		}
-		for it.blockPos < len(it.block) {
+		r := it.ibuf[it.ipos]
+		for it.blockPos < len(it.block) && len(it.out) < BatchSize {
 			l := it.block[it.blockPos]
-			r := it.innerCur
 			it.blockPos++
-			it.join.Counters.DegreeEvals.Add(1)
-			if st := it.join.Stats; st != nil {
-				st.Comparisons.Add(1)
-				st.DegreeEvals.Add(1)
-			}
-			d := it.join.On(l, r)
+			pairs++
+			d := j.On(l, r)
 			if l.D < d {
 				d = l.D
 			}
@@ -149,17 +146,22 @@ func (it *nlIterator) Next() (frel.Tuple, bool) {
 				d = r.D
 			}
 			if d > 0 {
-				it.join.Counters.TuplesOut.Add(1)
-				return l.Concat(r, d), true
+				it.out = append(it.out, l.Concat(r, d))
 			}
 		}
-		it.innerOK = false // advance to next inner tuple
+		if it.blockPos == len(it.block) {
+			it.ipos++ // advance to the next inner tuple
+			it.blockPos = 0
+		}
 	}
+	loc := batchLocals{deg: pairs, tout: int64(len(it.out)), stCmp: pairs, stDeg: pairs}
+	loc.flush(j.Counters, j.Stats)
+	return it.out, len(it.out) > 0
 }
 
-func (it *nlIterator) Err() error { return it.err }
+func (it *nlBatchIterator) Err() error { return it.err }
 
-func (it *nlIterator) Close() {
+func (it *nlBatchIterator) Close() {
 	if it.inner != nil {
 		it.inner.Close()
 		it.inner = nil

@@ -79,7 +79,7 @@ func workerCountEquivalence(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezo
 		if workers == 1 {
 			sameSequence(t, "serial merge-join", got, want)
 			serial = got
-			sc.Add(&pc)
+			keepCounters(&sc, &pc)
 			continue
 		}
 		name := fmt.Sprintf("workers=%d", workers)

@@ -1,15 +1,26 @@
 // Package exec implements the physical query operators of the fuzzy
-// database engine in the iterator (Volcano) style: scans, fuzzy selection,
+// database engine: scans, fuzzy selection (interpreted and fused),
 // projection with max-degree duplicate elimination, the naive block
 // nested-loop join, the paper's extended merge-join (Section 3), and the
 // specialized operators the unnesting rewrites of Sections 5-7 compile to
 // (merge anti-join with group-minimum degrees, sorted group-aggregate
 // join with the COUNT outer-join arm).
 //
-// Operators exchange frel.Tuple values whose D field carries the running
-// membership degree; every operator combines degrees with fuzzy AND (min)
-// and drops tuples whose degree reaches 0, per the execution semantics of
-// Section 2.2.
+// There is one operator protocol. Every operator is a Source: it has a
+// schema and opens into a BatchIterator, and an operator calls its inputs
+// through exactly that. Batches are slices of frel.Tuple values whose D
+// field carries the running membership degree; every operator combines
+// degrees with fuzzy AND (min) and drops tuples whose degree reaches 0,
+// per the execution semantics of Section 2.2.
+//
+// Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
+// valid until the next NextBatch (or Close) call on the same iterator —
+// producers may recycle the backing array. Consumers that retain tuples
+// across calls must copy the tuple structs out first. The Values slices
+// inside the tuples, however, are immutable and never recycled: operators
+// that build new tuples (joins, projections) write into fresh storage per
+// output batch, so a retained tuple's values stay valid forever. Batches
+// are read-only to consumers.
 package exec
 
 import (
@@ -19,10 +30,16 @@ import (
 	"repro/internal/storage"
 )
 
-// Iterator yields tuples one at a time. After Next returns ok == false the
-// caller must check Err. Close releases resources and is idempotent.
-type Iterator interface {
-	Next() (t frel.Tuple, ok bool)
+// BatchSize is the target number of tuples per batch. Producers may return
+// shorter (or, when replaying materialized results, longer) batches; only
+// empty means exhausted.
+const BatchSize = 1024
+
+// BatchIterator yields tuples a batch at a time. After NextBatch returns
+// ok == false the caller must check Err. Close releases resources and is
+// idempotent. See the package comment for the buffer-reuse contract.
+type BatchIterator interface {
+	NextBatch() ([]frel.Tuple, bool)
 	Err() error
 	Close()
 }
@@ -32,7 +49,64 @@ type Iterator interface {
 // source once per outer block).
 type Source interface {
 	Schema() *frel.Schema
-	Open() (Iterator, error)
+	Open() (BatchIterator, error)
+}
+
+// KeyedBatchIterator is a BatchIterator that can also serve the
+// precomputed support-interval keys of its last batch (aligned index for
+// index). Keys returns nil when no keys are available; like the batch, the
+// returned slice is only valid until the next NextBatch call.
+type KeyedBatchIterator interface {
+	BatchIterator
+	Keys() []frel.SupportKey
+}
+
+// batchKeys returns the support keys of it's last batch, or nil when the
+// iterator does not serve keys.
+func batchKeys(it BatchIterator) []frel.SupportKey {
+	if k, ok := it.(KeyedBatchIterator); ok {
+		return k.Keys()
+	}
+	return nil
+}
+
+// sizedBatchIterator is a BatchIterator that knows how many tuples it has
+// yet to serve (negative: unknown), so a consumer that materializes it can
+// allocate once. Wrappers that pass batches through forward it.
+type sizedBatchIterator interface {
+	BatchIterator
+	Remaining() int
+}
+
+// batchesRemaining returns the number of tuples it has yet to serve, or a
+// negative number when it does not know.
+func batchesRemaining(it BatchIterator) int {
+	if s, ok := it.(sizedBatchIterator); ok {
+		return s.Remaining()
+	}
+	return -1
+}
+
+// Collect drains a source into an in-memory relation, one bulk append per
+// batch.
+func Collect(src Source) (*frel.Relation, error) {
+	it, err := src.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	out := frel.NewRelation(src.Schema())
+	if n := batchesRemaining(it); n > 0 {
+		out.Tuples = make([]frel.Tuple, 0, n)
+	}
+	for {
+		b, ok := it.NextBatch()
+		if !ok {
+			break
+		}
+		out.Append(b...)
+	}
+	return out, it.Err()
 }
 
 // Counters accumulates the CPU-side work measures reported by the
@@ -65,18 +139,6 @@ type Counters struct {
 	Morsels      atomic.Int64
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other *Counters) {
-	c.DegreeEvals.Add(other.DegreeEvals.Load())
-	c.Comparisons.Add(other.Comparisons.Load())
-	c.TuplesOut.Add(other.TuplesOut.Load())
-	c.SortCacheHits.Add(other.SortCacheHits.Load())
-	c.SortCacheMisses.Add(other.SortCacheMisses.Load())
-	c.IndexHits.Add(other.IndexHits.Load())
-	c.KernelTuples.Add(other.KernelTuples.Load())
-	c.Morsels.Add(other.Morsels.Load())
-}
-
 // Reset zeroes all counters.
 func (c *Counters) Reset() {
 	c.DegreeEvals.Store(0)
@@ -101,26 +163,64 @@ func NewMemSource(r *frel.Relation) *MemSource { return &MemSource{Rel: r} }
 func (m *MemSource) Schema() *frel.Schema { return m.Rel.Schema }
 
 // Open implements Source.
-func (m *MemSource) Open() (Iterator, error) {
-	return &memIterator{tuples: m.Rel.Tuples}, nil
+func (m *MemSource) Open() (BatchIterator, error) {
+	return &memBatchIterator{tuples: m.Rel.Tuples}, nil
 }
 
-type memIterator struct {
+// memBatchIterator serves consecutive subslices of a tuple slice, with an
+// optional aligned support-key column. Served batches alias the backing
+// slice, which the iterator never recycles, so they outlive the
+// reuse-contract minimum.
+type memBatchIterator struct {
 	tuples []frel.Tuple
+	keys   []frel.SupportKey // optional, aligned with tuples
 	pos    int
+
+	lastKeys []frel.SupportKey
 }
 
-func (it *memIterator) Next() (frel.Tuple, bool) {
+func (it *memBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	if it.pos >= len(it.tuples) {
-		return frel.Tuple{}, false
+		it.lastKeys = nil
+		return nil, false
 	}
-	t := it.tuples[it.pos]
-	it.pos++
-	return t, true
+	end := it.pos + BatchSize
+	if end > len(it.tuples) {
+		end = len(it.tuples)
+	}
+	b := it.tuples[it.pos:end]
+	if it.keys != nil {
+		it.lastKeys = it.keys[it.pos:end]
+	}
+	it.pos = end
+	return b, true
 }
 
-func (it *memIterator) Err() error { return nil }
-func (it *memIterator) Close()     {}
+func (it *memBatchIterator) Keys() []frel.SupportKey { return it.lastKeys }
+func (it *memBatchIterator) Remaining() int          { return len(it.tuples) - it.pos }
+func (it *memBatchIterator) Err() error              { return nil }
+func (it *memBatchIterator) Close()                  {}
+
+// KeyedMemSource is a MemSource carrying the precomputed support-interval
+// keys of its tuples on one attribute (the sort attribute). The engine's
+// sort-order cache serves cached sorted relations through it, so the
+// merge-join window reads interval endpoints from the flat key column
+// instead of recomputing them per cursor step. SortKeys must be aligned
+// with Rel.Tuples; nil degrades to an ordinary MemSource.
+type KeyedMemSource struct {
+	MemSource
+	SortKeys []frel.SupportKey
+}
+
+// NewKeyedMemSource wraps a relation with its precomputed key column.
+func NewKeyedMemSource(r *frel.Relation, keys []frel.SupportKey) *KeyedMemSource {
+	return &KeyedMemSource{MemSource: MemSource{Rel: r}, SortKeys: keys}
+}
+
+// Open implements Source, serving keys alongside tuples.
+func (m *KeyedMemSource) Open() (BatchIterator, error) {
+	return &memBatchIterator{tuples: m.Rel.Tuples, keys: m.SortKeys}, nil
+}
 
 // HeapSource serves tuples from an on-disk heap file through its buffer
 // pool, so scans are charged page I/O. Limit, when non-negative, bounds
@@ -151,46 +251,52 @@ func (h *HeapSource) scan() *storage.Scanner {
 	return h.Heap.Scan()
 }
 
-// Open implements Source.
-func (h *HeapSource) Open() (Iterator, error) {
-	return &heapIterator{sc: h.scan()}, nil
+// Open implements Source: the scan decodes a page-sized batch at
+// a time into a reused buffer.
+func (h *HeapSource) Open() (BatchIterator, error) {
+	left := h.Heap.NumTuples()
+	if h.Limit >= 0 && h.Limit < left {
+		left = h.Limit
+	}
+	return &heapBatchIterator{sc: h.scan(), left: int(left)}, nil
 }
 
-type heapIterator struct {
+type heapBatchIterator struct {
 	sc     *storage.Scanner
+	buf    []frel.Tuple
+	left   int // tuples the scan had yet to serve when it was opened, less those served
 	closed bool
 }
 
-func (it *heapIterator) Next() (frel.Tuple, bool) {
+func (it *heapBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	if it.closed {
-		return frel.Tuple{}, false
+		return nil, false
 	}
-	return it.sc.Next()
+	if it.buf == nil {
+		it.buf = make([]frel.Tuple, 0, BatchSize)
+	}
+	it.buf = it.sc.NextBatch(it.buf)
+	if len(it.buf) == 0 {
+		return nil, false
+	}
+	it.left -= len(it.buf)
+	return it.buf, true
 }
 
-func (it *heapIterator) Err() error { return it.sc.Err() }
+// Remaining is a sizing hint: a live scan also sees tuples appended after
+// it was opened, so the count can fall short (never below zero).
+func (it *heapBatchIterator) Remaining() int {
+	if it.left < 0 {
+		return 0
+	}
+	return it.left
+}
 
-func (it *heapIterator) Close() {
+func (it *heapBatchIterator) Err() error { return it.sc.Err() }
+
+func (it *heapBatchIterator) Close() {
 	if !it.closed {
 		it.sc.Close()
 		it.closed = true
 	}
-}
-
-// Collect drains a source into an in-memory relation.
-func Collect(src Source) (*frel.Relation, error) {
-	it, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	out := frel.NewRelation(src.Schema())
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		out.Append(t)
-	}
-	return out, it.Err()
 }

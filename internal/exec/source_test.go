@@ -52,13 +52,13 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no first tuple")
+	if _, ok := it.NextBatch(); !ok {
+		t.Fatal("no first batch")
 	}
 	it.Close()
 	it.Close() // idempotent
-	if _, ok := it.Next(); ok {
-		t.Errorf("Next after Close should fail")
+	if _, ok := it.NextBatch(); ok {
+		t.Errorf("NextBatch after Close should fail")
 	}
 	if m.Pool().PinnedPages() != 0 {
 		t.Errorf("pinned pages leaked after early close")
@@ -129,8 +129,8 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no tuple")
+	if _, ok := it.NextBatch(); !ok {
+		t.Fatal("no batch")
 	}
 	it.Close()
 
@@ -139,8 +139,8 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it2.Next(); !ok {
-		t.Fatal("no tuple")
+	if _, ok := it2.NextBatch(); !ok {
+		t.Fatal("no batch")
 	}
 	it2.Close()
 
@@ -155,8 +155,8 @@ func TestEarlyCloseJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it3.Next(); !ok {
-		t.Fatal("no tuple")
+	if _, ok := it3.NextBatch(); !ok {
+		t.Fatal("no batch")
 	}
 	it3.Close()
 
@@ -165,18 +165,11 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 }
 
-func TestCountersAdd(t *testing.T) {
-	var a, b Counters
+func TestCountersReset(t *testing.T) {
+	var a Counters
 	a.DegreeEvals.Store(1)
 	a.Comparisons.Store(2)
 	a.TuplesOut.Store(3)
-	b.DegreeEvals.Store(10)
-	b.Comparisons.Store(20)
-	b.TuplesOut.Store(30)
-	a.Add(&b)
-	if a.DegreeEvals.Load() != 11 || a.Comparisons.Load() != 22 || a.TuplesOut.Load() != 33 {
-		t.Errorf("Add = %d/%d/%d", a.DegreeEvals.Load(), a.Comparisons.Load(), a.TuplesOut.Load())
-	}
 	a.Reset()
 	if a.DegreeEvals.Load() != 0 || a.Comparisons.Load() != 0 || a.TuplesOut.Load() != 0 {
 		t.Errorf("Reset left counters nonzero")

@@ -275,7 +275,7 @@ func (s *StatsSnapshot) render(b *strings.Builder, depth int) {
 }
 
 // Stated wraps a source, counting the tuples it produces and the wall
-// time spent inside it (Open plus every Next) into Node. A source opened
+// time spent inside it (Open plus every NextBatch) into Node. A source opened
 // several times (the inner of a block nested-loop join) accumulates
 // across opens.
 type Stated struct {
@@ -291,23 +291,12 @@ func NewStated(src Source, node *OpStats) *Stated {
 // Schema returns the wrapped source's schema.
 func (s *Stated) Schema() *frel.Schema { return s.Src.Schema() }
 
-// Open opens the wrapped source; the time it takes (a parallel join does
-// all of its work in Open) counts toward the node.
-func (s *Stated) Open() (Iterator, error) {
+// Open opens the wrapped source; the time it takes (a sweep does all of
+// its work in Open) counts toward the node, and rows and wall time are
+// accounted once per batch.
+func (s *Stated) Open() (BatchIterator, error) {
 	start := time.Now()
 	it, err := s.Src.Open()
-	s.Node.WallNanos.Add(time.Since(start).Nanoseconds())
-	if err != nil {
-		return nil, err
-	}
-	return &statedIterator{in: it, node: s.Node}, nil
-}
-
-// OpenBatch implements BatchSource: the wrapped source is opened in batch
-// mode and rows/wall time are accounted once per batch.
-func (s *Stated) OpenBatch() (BatchIterator, error) {
-	start := time.Now()
-	it, err := OpenBatches(s.Src)
 	s.Node.WallNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		return nil, err
@@ -334,25 +323,6 @@ func (it *statedBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in
 func (it *statedBatchIterator) Remaining() int          { return batchesRemaining(it.in) }
 func (it *statedBatchIterator) Err() error              { return it.in.Err() }
 func (it *statedBatchIterator) Close()                  { it.in.Close() }
-
-type statedIterator struct {
-	in   Iterator
-	node *OpStats
-}
-
-func (it *statedIterator) Next() (frel.Tuple, bool) {
-	start := time.Now()
-	t, ok := it.in.Next()
-	it.node.WallNanos.Add(time.Since(start).Nanoseconds())
-	if ok {
-		it.node.RowsOut.Add(1)
-	}
-	return t, ok
-}
-
-func (it *statedIterator) Err() error { return it.in.Err() }
-
-func (it *statedIterator) Close() { it.in.Close() }
 
 // Unwrap strips any Stated and context-cancellation wrappers, returning
 // the underlying source. Planner heuristics that sniff concrete source

@@ -36,10 +36,10 @@ type flatInputs struct {
 func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, c *Counters, st *OpStats) (*flatInputs, error) {
 	in := &flatInputs{}
 	var err error
-	if in.outer, in.oKeys, err = collectSortedBatched(outer, oi, op+" outer"); err != nil {
+	if in.outer, in.oKeys, err = collectSorted(outer, oi, op+" outer"); err != nil {
 		return nil, err
 	}
-	if in.inner, in.iKeys, err = collectSortedBatched(inner, ii, op+" inner"); err != nil {
+	if in.inner, in.iKeys, err = collectSorted(inner, ii, op+" inner"); err != nil {
 		return nil, err
 	}
 	if workers <= 1 {
@@ -132,8 +132,9 @@ func morselGrain(total, workers int) int {
 	return g
 }
 
-// batchLocals accumulates the per-pair work counters of one morsel sweep so
-// the shared atomics are touched once per morsel. The cmp/deg/tout fields
+// batchLocals accumulates the per-pair work counters of one morsel sweep
+// (or of one batch of a nested-loop operator) so the shared atomics are
+// touched once per morsel. The cmp/deg/tout fields
 // mirror Counters, stCmp/stDeg and the rng fields mirror OpStats (see
 // KernelMergeJoin.Stats for the two counting conventions).
 type batchLocals struct {
@@ -233,13 +234,13 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int) []frel.Tuple {
 	return out
 }
 
-// collectSortedBatched drains src through the batch interface, verifying
-// the Definition 3.1 sort order and building the flat support-key column
-// the partitioner and the sweeps run on. Keys are copied from the producer
-// when it serves them and computed otherwise; the columns are allocated
-// once when the producer knows how many tuples it holds.
-func collectSortedBatched(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
-	it, err := OpenBatches(src)
+// collectSorted drains src, verifying the Definition 3.1 sort order and
+// building the flat support-key column the partitioner and the sweeps run
+// on. Keys are copied from the producer when it serves them and computed
+// otherwise; the columns are allocated once when the producer knows how
+// many tuples it holds.
+func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
+	it, err := src.Open()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -183,21 +183,3 @@ func (p *Program) RunBatch(batch []frel.Tuple, degs []float64) int64 {
 	}
 	return evals
 }
-
-// EvalTuple is the tuple-at-a-time form of RunBatch for the fallback
-// iterator path: it returns the tuple's combined degree and the number of
-// evaluations, stopping after the step that drops the degree to zero.
-func (p *Program) EvalTuple(t frel.Tuple) (float64, int64) {
-	d := t.D
-	var evals int64
-	for _, step := range p.steps {
-		evals++
-		if g := step(t.Values); g < d {
-			d = g
-		}
-		if d <= 0 {
-			break
-		}
-	}
-	return d, evals
-}

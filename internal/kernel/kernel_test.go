@@ -24,6 +24,14 @@ var boundaryTraps = []fuzzy.Trapezoid{
 	fuzzy.Trap(10, 11, 12, 13),
 }
 
+// evalOne runs prog over a one-tuple batch — the loop production runs —
+// and returns the tuple's combined degree and the evaluation count.
+func evalOne(prog *Program, tup frel.Tuple) (float64, int64) {
+	degs := make([]float64, 1)
+	evals := prog.RunBatch([]frel.Tuple{tup}, degs)
+	return degs[0], evals
+}
+
 var allOps = []fuzzy.Op{fuzzy.OpEq, fuzzy.OpNe, fuzzy.OpLt, fuzzy.OpLe, fuzzy.OpGt, fuzzy.OpGe}
 
 // TestCompareBitIdentical asserts the compiled numeric fast path returns
@@ -38,7 +46,7 @@ func TestCompareBitIdentical(t *testing.T) {
 		for _, u := range boundaryTraps {
 			for _, v := range boundaryTraps {
 				tup := frel.NewTuple(1, frel.Num(u), frel.Num(v))
-				got, evals := prog.EvalTuple(tup)
+				got, evals := evalOne(prog, tup)
 				want := frel.Degree(op, frel.Num(u), frel.Num(v))
 				if want > 1 {
 					want = 1
@@ -71,7 +79,7 @@ func TestCompareStringsAndMixedKinds(t *testing.T) {
 		for _, a := range vals {
 			for _, b := range vals {
 				tup := frel.NewTuple(1, a, b)
-				got, _ := prog.EvalTuple(tup)
+				got, _ := evalOne(prog, tup)
 				want := frel.Degree(op, a, b)
 				if got != want {
 					t.Errorf("%v %v %v: compiled %v, interpreted %v", a, op, b, got, want)
@@ -91,7 +99,7 @@ func TestNearBitIdentical(t *testing.T) {
 	}
 	for _, u := range boundaryTraps {
 		tup := frel.NewTuple(1, frel.Num(u))
-		got, _ := prog.EvalTuple(tup)
+		got, _ := evalOne(prog, tup)
 		want := fuzzy.ApproxEq(u, fuzzy.Crisp(5), tol)
 		if want > tup.D {
 			want = tup.D
@@ -101,7 +109,7 @@ func TestNearBitIdentical(t *testing.T) {
 		}
 	}
 	// Kind guard: NEAR against a string is degree 0.
-	if d, _ := prog.EvalTuple(frel.NewTuple(1, frel.Str("x"))); d != 0 {
+	if d, _ := evalOne(prog, frel.NewTuple(1, frel.Str("x"))); d != 0 {
 		t.Errorf("NEAR on string = %v, want 0", d)
 	}
 }
@@ -117,7 +125,7 @@ func TestThresholdAtKnee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := prog.EvalTuple(frel.NewTuple(1, frel.Crisp(probe)))
+		got, _ := evalOne(prog, frel.NewTuple(1, frel.Crisp(probe)))
 		want := fuzzy.Eq(fuzzy.Crisp(probe), tr)
 		if got != want {
 			t.Errorf("crisp %g vs %v: compiled %v, interpreted %v", probe, tr, got, want)
@@ -177,15 +185,15 @@ func TestRunBatchFusionCounts(t *testing.T) {
 	if degs[0] != 1 || degs[1] != 0 || degs[2] != 0 {
 		t.Fatalf("degs = %v, want [1 0 0]", degs)
 	}
-	// The tuple-at-a-time form agrees and short-circuits after the zero.
+	// A batch of one agrees with its slot of the larger batch, and a tuple
+	// the first step zeroes never reaches the second.
 	for i, tup := range batch {
-		d, _ := prog.EvalTuple(tup)
-		if d != degs[i] {
-			t.Errorf("EvalTuple(%d) = %v, RunBatch %v", i, d, degs[i])
+		if d, _ := evalOne(prog, tup); d != degs[i] {
+			t.Errorf("one-tuple batch %d = %v, in the batch of three %v", i, d, degs[i])
 		}
 	}
-	if _, n := prog.EvalTuple(batch[1]); n != 1 {
-		t.Errorf("EvalTuple short-circuit: %d evals, want 1", n)
+	if _, n := evalOne(prog, batch[1]); n != 1 {
+		t.Errorf("short-circuit: %d evals, want 1", n)
 	}
 }
 
