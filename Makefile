@@ -13,10 +13,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The testing.B benchmarks: the operator ablations and the paper's Section 9
-# experiments on the simulated-disk model.
+# The testing.B benchmarks: the operator ablations, the external sort, and
+# the paper's Section 9 experiments on the simulated-disk model.
 bench:
-	$(GO) test -run XXX -bench . -benchtime=10x . ./internal/exec ./internal/bench
+	$(GO) test -run XXX -bench . -benchtime=10x . ./internal/exec ./internal/extsort ./internal/bench
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads at seed 1, end-to-end metrics, saved for benchmark-compare.

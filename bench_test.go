@@ -149,13 +149,21 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 		b.Fatal(err)
 	}
 	for _, rel := range []*frel.Relation{r, s} {
-		less, err := extsort.ByAttr(rel.Schema, "B")
-		if err != nil {
-			b.Fatal(err)
-		}
-		extsort.SortRelation(rel, less)
+		sortOn(b, rel, "B")
 	}
 	return r, s
+}
+
+// sortOn sorts rel in memory on the ≼ order of attr.
+func sortOn(b *testing.B, rel *frel.Relation, attr string) {
+	b.Helper()
+	order, err := extsort.OrderBy(rel.Schema, attr, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := extsort.SortRelation(rel, order); err != nil {
+		b.Fatal(err)
+	}
 }
 
 func drainJoin(b *testing.B, src exec.Source) int {
@@ -214,11 +222,7 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 						s.Tuples[i].Values[bi] = frel.Num(fuzzy.Tri(v.B-5000, v.B, v.B+5000))
 					}
 				}
-				less, err := extsort.ByAttr(s.Schema, "B")
-				if err != nil {
-					b.Fatal(err)
-				}
-				extsort.SortRelation(s, less)
+				sortOn(b, s, "B")
 			}
 			var c exec.Counters
 			b.ResetTimer()
@@ -288,13 +292,13 @@ func BenchmarkAblationParallelSort(b *testing.B) {
 				if err := h.AppendAll(rel); err != nil {
 					b.Fatal(err)
 				}
-				less, err := extsort.ByAttr(h.Schema, "B")
+				order, err := extsort.OrderBy(h.Schema, "B", false)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				sorter := extsort.NewSorter(mgr, 4).WithParallelism(workers)
-				if _, _, err := sorter.Sort(h, less); err != nil {
+				if _, _, err := sorter.Sort(h, order); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -417,12 +421,12 @@ func BenchmarkExternalSort(b *testing.B) {
 		if err := h.AppendAll(rel); err != nil {
 			b.Fatal(err)
 		}
-		less, err := extsort.ByAttr(h.Schema, "B")
+		order, err := extsort.OrderBy(h.Schema, "B", false)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := extsort.NewSorter(mgr, 8).Sort(h, less); err != nil {
+		if _, _, err := extsort.NewSorter(mgr, 8).Sort(h, order); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -120,10 +121,8 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 		entries = append(entries, e)
 	}
 	// Stable: Definition 3.1 ties stay in base-heap position order, the
-	// order a single-run stable sort of the relation would produce.
-	sort.SliceStable(entries, func(i, j int) bool {
-		return storage.CompareEntries(entries[i], entries[j]) < 0
-	})
+	// order the engine's external sort of the relation produces.
+	slices.SortStableFunc(entries, storage.CompareEntries)
 	ih, err := c.mgr.CreateHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
 	if err != nil {
 		return err

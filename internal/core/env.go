@@ -446,23 +446,14 @@ func (e *Env) external() bool { return e.cat != nil }
 // attribute is served from the index (see indexscan.go) without sorting at
 // all.
 func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
-	var less extsort.Less
-	var err error
-	if total {
-		less, err = extsort.ByAttrTotal(src.Schema(), attr)
-	} else {
-		less, err = extsort.ByAttr(src.Schema(), attr)
-	}
+	order, err := extsort.OrderBy(src.Schema(), attr, total)
 	if err != nil {
 		return nil, err
 	}
-	attrIdx, err := src.Schema().Resolve(attr)
-	if err != nil {
-		return nil, err
-	}
+	attrIdx := order.Attr
 	memSrc, memBase, heapBase := e.cacheableBase(src)
 	if memBase != nil {
-		return e.memSort(src, memSrc, memBase, attr, attrIdx, total, less)
+		return e.memSort(src, memSrc, memBase, attr, order)
 	}
 	if heapBase != nil {
 		key := sortKey{heap: heapBase, attr: attrIdx, total: total}
@@ -499,7 +490,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// directly, bounded by the scan's snapshot limit. This halves the
 		// write traffic of a cold sort.
 		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
-			return s.SortPrefix(heapBase, heapScanLimit(src), less)
+			return s.SortPrefix(heapBase, heapScanLimit(src), order)
 		})
 		if err != nil {
 			return nil, err
@@ -529,12 +520,13 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	}
 	if spilled != nil {
 		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
-			return s.Sort(spilled, less)
+			return s.Sort(spilled, order)
 		})
-		if err != nil {
-			return nil, err
+		if derr := spilled.Drop(); err == nil && derr != nil {
+			_ = sorted.Drop()
+			err = derr
 		}
-		if err := spilled.Drop(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		out := exec.Source(exec.NewHeapSource(sorted))
@@ -545,7 +537,10 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	}
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
-	cmp := extsort.SortRelation(rel, less)
+	cmp, err := extsort.SortRelation(rel, order)
+	if err != nil {
+		return nil, err
+	}
 	elapsed := time.Since(start)
 	e.Counters.Comparisons.Add(cmp)
 	e.Phases.SortWall += elapsed

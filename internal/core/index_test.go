@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/fuzzy"
 	"repro/internal/storage"
 )
 
@@ -287,6 +291,90 @@ func TestIndexDeleteRebuild(t *testing.T) {
 	}
 	if !naive.Equal(got, 0) {
 		t.Fatal("answer differs from naive after DELETE rebuild")
+	}
+}
+
+// TestIndexedJAMatchesExternalSortOnTies: JA (AVG) over tie-heavy R and S,
+// both larger than the sort memory, gives the same rows and bit-identical
+// degrees whether S's order on S.A comes from a multi-run external sort or
+// from an order index. The group-aggregate sums S.B over each group in
+// the sorted order, so the two orders must agree tuple for tuple within
+// ties: the index stores the stable order, and the external sort must be
+// stable across runs too.
+func TestIndexedJAMatchesExternalSortOnTies(t *testing.T) {
+	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// findSort returns the sort or index node of label, nil if none.
+	var findSort func(n *exec.StatsSnapshot, label string) *exec.StatsSnapshot
+	findSort = func(n *exec.StatsSnapshot, label string) *exec.StatsSnapshot {
+		if (n.Op == "sort" || n.Op == "index") && n.Label == label {
+			return n
+		}
+		for _, c := range n.Children {
+			if m := findSort(c, label); m != nil {
+				return m
+			}
+		}
+		return nil
+	}
+	var answers []*frel.Relation
+	for _, indexed := range []bool{false, true} {
+		mgr := storage.NewManager(t.TempDir(), 16)
+		cat := catalog.New(mgr)
+		rng := rand.New(rand.NewSource(31))
+		r := frel.NewRelation(frel.NewSchema("R",
+			frel.Attribute{Name: "K", Kind: frel.KindNumber},
+			frel.Attribute{Name: "A", Kind: frel.KindNumber},
+			frel.Attribute{Name: "B", Kind: frel.KindNumber}))
+		for i := 0; i < 600; i++ {
+			c := 40 + rng.Float64()*20
+			r.Append(frel.NewTuple(rng.Float64()*0.9+0.1, frel.Crisp(float64(i)), frel.Crisp(float64(rng.Intn(5))),
+				frel.Num(fuzzy.Trap(c-15, c-5, c+5, c+15))))
+		}
+		s := frel.NewRelation(frel.NewSchema("S",
+			frel.Attribute{Name: "A", Kind: frel.KindNumber},
+			frel.Attribute{Name: "B", Kind: frel.KindNumber}))
+		for i := 0; i < 2000; i++ {
+			s.Append(frel.NewTuple(rng.Float64()*0.9+0.1, frel.Crisp(float64(rng.Intn(5))), frel.Crisp(rng.Float64()*100)))
+		}
+		for _, rel := range []*frel.Relation{r, s} {
+			h, err := cat.CreateRelation(rel.Schema.Name, rel.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.AppendAll(rel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if indexed {
+			if _, err := cat.CreateIndex("s_a", "S", "A"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := NewEnv(cat)
+		e.SortMemPages = 2
+		got, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := findSort(es.Plan(), "S.A")
+		switch {
+		case node == nil:
+			t.Fatalf("indexed=%v: no order on S.A in:\n%s", indexed, es.Plan().Render())
+		case indexed && node.IndexHits == 0:
+			t.Fatalf("the index did not serve S.A:\n%s", es.Plan().Render())
+		case !indexed && node.SortRuns < 2:
+			t.Fatalf("S.A was sorted in %d runs, want several:\n%s", node.SortRuns, es.Plan().Render())
+		}
+		if got.Len() == 0 {
+			t.Fatal("empty answer")
+		}
+		answers = append(answers, got)
+	}
+	if !answers[0].Equal(answers[1], 0) {
+		t.Fatalf("JA answers differ between the external sort and the index:\nsorted:  %v\nindexed: %v", answers[0].Tuples, answers[1].Tuples)
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -79,17 +79,13 @@ func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, 
 		}
 	}
 	if !sorted {
-		sort.SliceStable(entries, func(i, j int) bool {
-			return storage.CompareEntries(entries[i], entries[j]) < 0
-		})
+		slices.SortStableFunc(entries, storage.CompareEntries)
 	}
 	if total {
 		// The tie-broken total order: stable over the (A, D, position)
 		// order, so remaining ties stay in base-heap position order —
 		// exactly the engine's stable total sort of the relation.
-		sort.SliceStable(entries, func(i, j int) bool {
-			return storage.CompareEntriesTotal(entries[i], entries[j]) < 0
-		})
+		slices.SortStableFunc(entries, storage.CompareEntriesTotal)
 	}
 	tuples := make([]frel.Tuple, len(entries))
 	for i, en := range entries {

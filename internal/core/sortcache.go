@@ -190,8 +190,8 @@ func (e *Env) storeHeapSort(k sortKey, ent *heapSortEntry) {
 // sort cache: a hit replays the cached permutation (with its key column)
 // without re-sorting; a miss sorts a shallow copy of the base's tuples,
 // computes the keys, and stores both.
-func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, attr string, attrIdx int, total bool, less extsort.Less) (exec.Source, error) {
-	key := sortKey{mem: base, attr: attrIdx, total: total}
+func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, attr string, order extsort.Order) (exec.Source, error) {
+	key := sortKey{mem: base, attr: order.Attr, total: order.Total}
 	if ent, ok := e.sortMem[key]; ok && ent.version == base.Version() {
 		e.Counters.SortCacheHits.Add(1)
 		rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
@@ -205,11 +205,14 @@ func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, 
 	tuples := append([]frel.Tuple(nil), ms.Rel.Tuples...)
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
-	cmp := extsort.SortRelation(rel, less)
+	cmp, err := extsort.SortRelation(rel, order)
+	if err != nil {
+		return nil, err
+	}
 	elapsed := time.Since(start)
 	e.Counters.Comparisons.Add(cmp)
 	e.Phases.SortWall += elapsed
-	keys := frel.SupportKeys(tuples, attrIdx)
+	keys := frel.SupportKeys(tuples, order.Attr)
 	e.storeMemSort(key, &memSortEntry{version: base.Version(), tuples: tuples, keys: keys})
 	e.Counters.SortCacheMisses.Add(1)
 	out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, keys))

@@ -26,7 +26,8 @@ import (
 // When Op2 is equality both inputs are consumed in one merged pass using
 // the Rng(u) cursor (the flat-column sweep of Open); the inner input
 // must be sorted on V, and identical outer values must be adjacent, so
-// sort the outer input with extsort.ByAttrTotal. Other correlation
+// sort the outer input in the total order (an extsort.Order with Total
+// set). Other correlation
 // operators have no merge range: the inner is materialized once and
 // scanned per distinct u, a nested loop beside NLAntiMin and BlockNLJoin.
 type GroupAggJoin struct {

@@ -95,11 +95,13 @@ func randomCorrelated(rng *rand.Rand, nOut, nIn int) (*frel.Relation, *frel.Rela
 func totalSortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	less, err := extsort.ByAttrTotal(c.Schema, attr)
+	order, err := extsort.OrderBy(c.Schema, attr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extsort.SortRelation(c, less)
+	if _, err := extsort.SortRelation(c, order); err != nil {
+		t.Fatal(err)
+	}
 	return NewMemSource(c)
 }
 

@@ -64,11 +64,13 @@ func randomRel(name string, n int, span, maxWidth float64, rng *rand.Rand) *frel
 func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	less, err := extsort.ByAttr(c.Schema, attr)
+	order, err := extsort.OrderBy(c.Schema, attr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extsort.SortRelation(c, less)
+	if _, err := extsort.SortRelation(c, order); err != nil {
+		t.Fatal(err)
+	}
 	return NewMemSource(c)
 }
 

@@ -55,7 +55,7 @@ const (
 // further capped by both tuple degrees and by the residual conjuncts
 // compiled into Extra (e.g. the second join predicate of an unnested type
 // J query). Both inputs must already be sorted on their join attribute by
-// the Definition 3.1 order (use extsort.ByAttr).
+// the Definition 3.1 order (an extsort.Order).
 type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string

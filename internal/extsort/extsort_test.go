@@ -13,6 +13,34 @@ func xSchema() *frel.Schema {
 	return frel.NewSchema("R", frel.Attribute{Name: "X", Kind: frel.KindNumber})
 }
 
+// byX is the ≼ order on the first attribute, X in every test schema here.
+var byX = Order{Attr: 0}
+
+// check returns the first position of h whose tuple sorts before its
+// predecessor's under o (-1 when h is sorted). It decodes whole tuples and
+// compares them with frel.Compare / CompareTotal, sharing nothing with the
+// sorter but the order's definition.
+func check(h *storage.HeapFile, o Order) (int64, error) {
+	rel, err := h.ReadAll()
+	if err != nil {
+		return 0, err
+	}
+	for i := 1; i < len(rel.Tuples); i++ {
+		if valueCompare(o)(rel.Tuples[i].Values[o.Attr], rel.Tuples[i-1].Values[o.Attr]) < 0 {
+			return int64(i), nil
+		}
+	}
+	return -1, nil
+}
+
+// valueCompare is o's comparison on decoded values.
+func valueCompare(o Order) func(v, w frel.Value) int {
+	if o.Total {
+		return frel.CompareTotal
+	}
+	return frel.Compare
+}
+
 func fillRandom(t *testing.T, h *storage.HeapFile, n int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -36,11 +64,7 @@ func TestSortSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	less, err := ByAttr(src.Schema, "X")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, st, err := NewSorter(m, 4).Sort(src, less)
+	out, st, err := NewSorter(m, 4).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +89,7 @@ func TestSortEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	less, _ := ByAttr(src.Schema, "X")
-	out, st, err := NewSorter(m, 4).Sort(src, less)
+	out, st, err := NewSorter(m, 4).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +106,8 @@ func TestSortExternalMultiRun(t *testing.T) {
 	}
 	const n = 5000
 	fillRandom(t, src, n, 42)
-	less, _ := ByAttr(src.Schema, "X")
 	// Tiny memory: forces many runs and at least one merge pass.
-	out, st, err := NewSorter(m, 2).Sort(src, less)
+	out, st, err := NewSorter(m, 2).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +120,7 @@ func TestSortExternalMultiRun(t *testing.T) {
 	if out.NumTuples() != n {
 		t.Errorf("output tuples = %d, want %d", out.NumTuples(), n)
 	}
-	if pos, err := Check(out, less); err != nil || pos != -1 {
+	if pos, err := check(out, byX); err != nil || pos != -1 {
 		t.Errorf("output not sorted at %d (err %v)", pos, err)
 	}
 }
@@ -110,16 +132,15 @@ func TestSortMultiPassMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillRandom(t, src, 8000, 7)
-	less, _ := ByAttr(src.Schema, "X")
 	sorter := NewSorter(m, 2) // fan-in 2: log2(runs) passes
-	out, st, err := sorter.Sort(src, less)
+	out, st, err := sorter.Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.MergePasses < 2 {
 		t.Errorf("merge passes = %d, want >= 2 with fan-in 2", st.MergePasses)
 	}
-	if pos, err := Check(out, less); err != nil || pos != -1 {
+	if pos, err := check(out, byX); err != nil || pos != -1 {
 		t.Errorf("not sorted at %d (err %v)", pos, err)
 	}
 }
@@ -143,8 +164,7 @@ func TestSortDefinition31Order(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	less, _ := ByAttr(src.Schema, "X")
-	out, _, err := NewSorter(m, 4).Sort(src, less)
+	out, _, err := NewSorter(m, 4).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +200,7 @@ func TestSortStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	less, _ := ByAttr(schema, "X")
-	out, _, err := NewSorter(m, 4).Sort(src, less)
+	out, _, err := NewSorter(m, 4).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +227,7 @@ func TestSortPreservesDegreesAndValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	less, _ := ByAttr(src.Schema, "X")
-	out, _, err := NewSorter(m, 2).Sort(src, less)
+	out, _, err := NewSorter(m, 2).Sort(src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +240,20 @@ func TestSortPreservesDegreesAndValues(t *testing.T) {
 	}
 }
 
-func TestByAttrUnknown(t *testing.T) {
-	if _, err := ByAttr(xSchema(), "NOPE"); err == nil {
-		t.Errorf("ByAttr(NOPE): want error")
+func TestOrderByUnknown(t *testing.T) {
+	if _, err := OrderBy(xSchema(), "NOPE", false); err == nil {
+		t.Errorf("OrderBy(NOPE): want error")
+	}
+	m := storage.NewManager(t.TempDir(), 16)
+	src, err := m.CreateHeap("src", xSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewSorter(m, 4).Sort(src, Order{Attr: 1}); err == nil {
+		t.Errorf("Sort on attribute 1 of a 1-attribute schema: want error")
+	}
+	if _, err := SortRelation(frel.NewRelation(xSchema()), Order{Attr: -1}); err == nil {
+		t.Errorf("SortRelation on attribute -1: want error")
 	}
 }
 
@@ -233,8 +262,10 @@ func TestSortRelationInMemory(t *testing.T) {
 	for _, v := range []float64{3, 1, 2} {
 		r.Append(frel.NewTuple(1, frel.Crisp(v)))
 	}
-	less, _ := ByAttr(r.Schema, "X")
-	comps := SortRelation(r, less)
+	comps, err := SortRelation(r, byX)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if comps <= 0 {
 		t.Errorf("comparisons = %d", comps)
 	}
@@ -256,8 +287,7 @@ func TestCheckDetectsDisorder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	less, _ := ByAttr(h.Schema, "X")
-	pos, err := Check(h, less)
+	pos, err := check(h, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +310,7 @@ func TestSortParallelRunGeneration(t *testing.T) {
 		return src
 	}
 	serialMgr := storage.NewManager(t.TempDir(), 16)
-	less, _ := ByAttr(xSchema(), "X")
-	serialOut, serialSt, err := NewSorter(serialMgr, 2).Sort(mkSrc(serialMgr), less)
+	serialOut, serialSt, err := NewSorter(serialMgr, 2).Sort(mkSrc(serialMgr), byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +320,7 @@ func TestSortParallelRunGeneration(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 64} {
 		m := storage.NewManager(t.TempDir(), 16)
-		out, st, err := NewSorter(m, 2).WithParallelism(workers).Sort(mkSrc(m), less)
+		out, st, err := NewSorter(m, 2).WithParallelism(workers).Sort(mkSrc(m), byX)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -1,0 +1,404 @@
+package extsort
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/frel"
+	"repro/internal/fuzzy"
+	"repro/internal/storage"
+)
+
+// propSchema puts a STRING attribute before the numeric key, so reading
+// the key of X steps over a variable-length value; ID numbers the input
+// position of every tuple.
+func propSchema() *frel.Schema {
+	return frel.NewSchema("P",
+		frel.Attribute{Name: "NAME", Kind: frel.KindString},
+		frel.Attribute{Name: "X", Kind: frel.KindNumber},
+		frel.Attribute{Name: "ID", Kind: frel.KindNumber},
+	)
+}
+
+// propRelation draws n tie-heavy tuples: X takes one of five ≼ keys (five
+// support intervals), with core corners that vary under the same key and
+// zero corners of either sign; NAME takes one of five strings, the empty
+// one included.
+func propRelation(n int, seed int64) *frel.Relation {
+	rng := rand.New(rand.NewSource(seed))
+	supports := [][2]float64{{0, 4}, {0, 6}, {1, 3}, {2, 5}, {2, 7}}
+	names := []string{"", "a", "ab", "b", "a longer name, so record sizes vary"}
+	zero := func() float64 { return math.Copysign(0, float64(rng.Intn(2)*2-1)) }
+	r := frel.NewRelation(propSchema())
+	for i := 0; i < n; i++ {
+		s := supports[rng.Intn(len(supports))]
+		x := fuzzy.Trapezoid{A: s[0], B: s[0] + float64(rng.Intn(2))*0.5, C: s[1] - float64(rng.Intn(2))*0.5, D: s[1]}
+		if x.A == 0 {
+			x.A = zero()
+		}
+		if x.B == 0 {
+			x.B = zero()
+		}
+		r.Append(frel.NewTuple(rng.Float64()*0.9+0.1, frel.Str(names[rng.Intn(len(names))]), frel.Num(x), frel.Crisp(float64(i))))
+	}
+	return r
+}
+
+// stableIDs sorts a copy of tuples with sort.SliceStable under o's value
+// comparison and returns the input positions (IDs) in sorted order and
+// the number of comparisons.
+func stableIDs(tuples []frel.Tuple, o Order) ([]float64, int64) {
+	cmp := valueCompare(o)
+	c := append([]frel.Tuple(nil), tuples...)
+	var n int64
+	sort.SliceStable(c, func(i, j int) bool {
+		n++
+		return cmp(c[i].Values[o.Attr], c[j].Values[o.Attr]) < 0
+	})
+	return ids(c), n
+}
+
+func ids(tuples []frel.Tuple) []float64 {
+	out := make([]float64, len(tuples))
+	for i, t := range tuples {
+		out[i] = t.Values[2].Num.A
+	}
+	return out
+}
+
+func sameIDs(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// batches cuts tuples where run generation cuts its input: as soon as the
+// encoded bytes of a batch reach the memory budget.
+func batches(schema *frel.Schema, tuples []frel.Tuple, memPages int) [][]frel.Tuple {
+	var out [][]frel.Tuple
+	start, bytes := 0, 0
+	for i, t := range tuples {
+		if bytes += frel.EncodedSize(schema, t); bytes >= memPages*storage.PageSize {
+			out = append(out, tuples[start:i+1])
+			start, bytes = i+1, 0
+		}
+	}
+	if start < len(tuples) {
+		out = append(out, tuples[start:])
+	}
+	return out
+}
+
+// TestSortIsTheStableSort is the sort's property test: for every order
+// (≼ and total on a numeric key behind a string attribute, a string key),
+// run count (1 to 7, with one to three merge passes), worker count and
+// snapshot bound, the external sort returns exactly sort.SliceStable's
+// permutation of the input, and run generation makes exactly its
+// comparisons on each run's batch. The in-memory SortRelation returns the
+// same permutation with sort.SliceStable's comparison count over the whole
+// input. The tuples are tie-heavy, so any instability shows.
+func TestSortIsTheStableSort(t *testing.T) {
+	const n = 2000
+	rel := propRelation(n, 27)
+	m := storage.NewManager(t.TempDir(), 16)
+	src, err := m.CreateHeap("src", rel.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.AppendAll(rel); err != nil {
+		t.Fatal(err)
+	}
+	orders := map[string]Order{
+		"X":       {Attr: 1},
+		"X total": {Attr: 1, Total: true},
+		"NAME":    {Attr: 0},
+	}
+	runsSeen := map[int]bool{}
+	for name, o := range orders {
+		mem := rel.Clone()
+		memCmp, err := SortRelation(mem, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantCmp := stableIDs(rel.Tuples, o)
+		if got := ids(mem.Tuples); !sameIDs(got, want) {
+			t.Errorf("%s: SortRelation's permutation differs from sort.SliceStable's", name)
+		}
+		if memCmp != wantCmp {
+			t.Errorf("%s: SortRelation made %d comparisons, sort.SliceStable %d", name, memCmp, wantCmp)
+		}
+		for _, memPages := range []int{3, 4, 8, 64} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, limit := range []int64{-1, n/2 + 7} {
+					label := fmt.Sprintf("%s memPages=%d workers=%d limit=%d", name, memPages, workers, limit)
+					input := rel.Tuples
+					if limit >= 0 {
+						input = input[:limit]
+					}
+					want, wantCmp := stableIDs(input, o)
+					sorter := NewSorter(m, memPages).WithParallelism(workers)
+
+					// Run generation alone: each run is its batch, stably
+					// sorted, with sort.SliceStable's comparisons.
+					var st Stats
+					cmp, err := o.comparator(rel.Schema)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs, err := sorter.makeRuns(src, limit, o.Attr, cmp, &st)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					bs := batches(rel.Schema, input, memPages)
+					if len(runs) != len(bs) {
+						t.Fatalf("%s: %d runs, want %d", label, len(runs), len(bs))
+					}
+					var batchCmp int64
+					for i, b := range bs {
+						wantRun, c := stableIDs(b, o)
+						batchCmp += c
+						got, err := runs[i].ReadAll()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameIDs(ids(got.Tuples), wantRun) {
+							t.Errorf("%s: run %d is not its batch's stable sort", label, i)
+						}
+					}
+					if st.Comparisons != batchCmp {
+						t.Errorf("%s: run generation made %d comparisons, sort.SliceStable %d", label, st.Comparisons, batchCmp)
+					}
+					if err := dropAll(runs); err != nil {
+						t.Fatal(err)
+					}
+
+					out, st, err := sorter.SortPrefix(src, limit, o)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					runsSeen[st.Runs] = true
+					got, err := out.ReadAll()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameIDs(ids(got.Tuples), want) {
+						t.Errorf("%s (%d runs, %d passes): permutation differs from sort.SliceStable's", label, st.Runs, st.MergePasses)
+					}
+					if st.Runs == 1 && st.Comparisons != wantCmp {
+						t.Errorf("%s: one run, %d comparisons, sort.SliceStable %d", label, st.Comparisons, wantCmp)
+					}
+					if err := out.Drop(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	if !runsSeen[1] || !runsSeen[7] {
+		t.Errorf("run counts covered %v, want 1 through 7", runsSeen)
+	}
+	if live := m.LiveTemps(); live != 0 {
+		t.Errorf("%d temporary files left behind", live)
+	}
+}
+
+// TestSortMalformedRecordIsAnError: a record too short for its sort key,
+// or with a corrupt string length before it, fails the sort with an error
+// (no panic) and leaves no temporary file behind, also when runs were
+// already written before the bad record was reached.
+func TestSortMalformedRecordIsAnError(t *testing.T) {
+	schema := propSchema()
+	good, err := frel.AppendTuple(nil, schema, frel.NewTuple(1, frel.Str("ab"), frel.Crisp(1), frel.Crisp(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		o    Order
+	}{
+		{"truncated numeric key", good[:20], Order{Attr: 1}},
+		{"truncated string key", good[:10], Order{Attr: 0}},
+		{"degree only", good[:6], Order{Attr: 0}},
+		{"corrupt string length", append(append([]byte(nil), good[:8]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), Order{Attr: 1}},
+	} {
+		m := storage.NewManager(t.TempDir(), 16)
+		src, err := m.CreateHeap("src", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AppendAll(propRelation(1000, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AppendRaw(tc.rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			if _, _, err := NewSorter(m, 2).WithParallelism(workers).Sort(src, tc.o); err == nil {
+				t.Errorf("%s, workers=%d: sort succeeded, want an error", tc.name, workers)
+			}
+			if live := m.LiveTemps(); live != 0 {
+				t.Errorf("%s, workers=%d: %d temporary files left behind", tc.name, workers, live)
+			}
+			if pins := m.Pool().PinnedPages(); pins != 0 {
+				t.Errorf("%s, workers=%d: %d pages left pinned", tc.name, workers, pins)
+			}
+		}
+	}
+}
+
+// TestSortDropsTemporariesOnFault injects a crash at every mutating I/O
+// operation of a multi-pass sort (page writes of run and merge files,
+// forced by a small buffer pool). Each time the sort must return the
+// injected fault and leave no temporary file it created undropped and no
+// page pinned. Dropping a temporary recycles it without I/O, so the
+// manager's bookkeeping, not the crashed disk, is what is checked.
+func TestSortDropsTemporariesOnFault(t *testing.T) {
+	rel := propRelation(1500, 5)
+	order := Order{Attr: 1, Total: true}
+	setup := func(target int64) (*storage.Manager, *storage.FaultFS, *storage.HeapFile) {
+		ffs := storage.NewFaultFS(storage.NewMemFS(), storage.FaultStop, target, 1)
+		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 8, FS: ffs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := m.CreateHeap("src", rel.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AppendAll(rel); err != nil {
+			t.Fatal(err)
+		}
+		return m, ffs, src
+	}
+	for _, workers := range []int{1, 2} {
+		m, ffs, src := setup(0)
+		before := ffs.Ops()
+		out, st, err := NewSorter(m, 3).WithParallelism(workers).Sort(src, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs < 4 || st.MergePasses < 2 {
+			t.Fatalf("runs %d, passes %d: want a multi-pass sort", st.Runs, st.MergePasses)
+		}
+		if m.LiveTemps() != 1 {
+			t.Fatalf("clean sort: %d live temporaries, want its output only", m.LiveTemps())
+		}
+		if err := out.Drop(); err != nil {
+			t.Fatal(err)
+		}
+		after := ffs.Ops()
+		if after == before {
+			t.Fatal("the sort performed no mutating I/O to inject faults into")
+		}
+		for target := before + 1; target <= after; target++ {
+			m, ffs, src := setup(target)
+			if ffs.Crashed() {
+				t.Fatalf("fault %d fired while loading the input", target)
+			}
+			_, _, err := NewSorter(m, 3).WithParallelism(workers).Sort(src, order)
+			if !errors.Is(err, storage.ErrInjectedFault) {
+				t.Errorf("workers=%d fault at op %d: err = %v, want the injected fault", workers, target, err)
+			}
+			if live := m.LiveTemps(); live != 0 {
+				t.Errorf("workers=%d fault at op %d: %d temporary files left behind", workers, target, live)
+			}
+			if pins := m.Pool().PinnedPages(); pins != 0 {
+				t.Errorf("workers=%d fault at op %d: %d pages left pinned", workers, target, pins)
+			}
+		}
+	}
+}
+
+// allocSource is the input of the allocation gate and the benchmark: n
+// tuples of two numeric attributes (72 bytes encoded), in a manager with
+// a 64-page pool.
+func allocSource(tb testing.TB, n int) (*storage.Manager, *storage.HeapFile) {
+	tb.Helper()
+	m := storage.NewManager(tb.TempDir(), 64)
+	schema := frel.NewSchema("A",
+		frel.Attribute{Name: "X", Kind: frel.KindNumber},
+		frel.Attribute{Name: "ID", Kind: frel.KindNumber},
+	)
+	src, err := m.CreateHeap("src", schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		c := rng.Float64() * 1000
+		if err := src.Append(frel.NewTuple(1, frel.Num(fuzzy.Tri(c-1, c, c+1)), frel.Crisp(float64(i)))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, src
+}
+
+// TestSortAllocs is the sort's allocation gate: an external sort of
+// 20 000 tuples in four runs and one merge pass allocates at most 0.05
+// times per tuple. Records are copied into reused arenas and merged from
+// the run scanners' page copies, so what allocates is per run and per
+// sort, never per tuple. Skipped under -race, which inflates allocation
+// counts.
+func TestSortAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 20000
+	m, src := allocSource(t, n)
+	sorter := NewSorter(m, 48)
+	var st Stats
+	run := func() {
+		out, s, err := sorter.Sort(src, byX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = s
+		if err := out.Drop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // leaves recycled temporaries behind, as a running database has
+	allocs := testing.AllocsPerRun(5, run)
+	if st.Runs < 3 || st.MergePasses != 1 {
+		t.Fatalf("runs %d, merge passes %d: want at least 3 runs and one merge pass", st.Runs, st.MergePasses)
+	}
+	if per := allocs / n; per > 0.05 {
+		t.Errorf("%.0f allocations for %d tuples (%.4f per tuple), want <= 0.05", allocs, n, per)
+	} else {
+		t.Logf("%.0f allocations, %.4f per tuple (%d runs, %d merge pass)", allocs, per, st.Runs, st.MergePasses)
+	}
+}
+
+// BenchmarkSortPrefix measures the external sort of 20 000 tuples in four
+// runs and one merge pass, at one and four run-generation workers.
+func BenchmarkSortPrefix(b *testing.B) {
+	const n = 20000
+	m, src := allocSource(b, n)
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sorter := NewSorter(m, 48).WithParallelism(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, _, err := sorter.SortPrefix(src, -1, byX)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := out.Drop(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
+		})
+	}
+}

@@ -105,8 +105,8 @@ func DecodeTuple(s *Schema, data []byte) (Tuple, int, error) {
 				return Tuple{}, 0, fmt.Errorf("frel: corrupt string length at offset %d", pos)
 			}
 			pos += used
-			if err := need(int(n)); err != nil {
-				return Tuple{}, 0, err
+			if n > uint64(len(data)-pos) {
+				return Tuple{}, 0, fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, pos, len(data)-pos)
 			}
 			t.Values[i] = Str(string(data[pos : pos+int(n)]))
 			pos += int(n)
@@ -119,4 +119,70 @@ func DecodeTuple(s *Schema, data []byte) (Tuple, int, error) {
 	}
 	pos += s.Pad
 	return t, pos, nil
+}
+
+// SortKey is the ≼ sort key of one attribute value (Definition 3.1): a
+// NUMBER value's trapezoid corners, compared A then D and, under the total
+// order, B then C (Compare, CompareTotal); a STRING value's bytes,
+// compared lexicographically.
+type SortKey struct {
+	A, D, B, C float64
+	Str        []byte
+}
+
+// DecodeSortKey reads the sort key of attribute attr from an encoded tuple
+// (under schema s) without decoding the tuple: it steps over the degree and
+// the attributes before attr and reads attr's corners, or its string bytes
+// (Str then aliases data). A record too short to hold the key, or with a
+// corrupt string length on the way to it, is an error.
+func DecodeSortKey(s *Schema, data []byte, attr int) (SortKey, error) {
+	if attr < 0 || attr >= len(s.Attrs) {
+		return SortKey{}, fmt.Errorf("frel: sort key on attribute %d of schema %q with %d attributes", attr, s.Name, len(s.Attrs))
+	}
+	pos := 8
+	for i := 0; ; i++ {
+		switch s.Attrs[i].Kind {
+		case KindNumber:
+			if len(data)-pos < 32 {
+				return SortKey{}, fmt.Errorf("frel: truncated tuple: need 32 bytes at offset %d, have %d", pos, max(len(data)-pos, 0))
+			}
+			if i == attr {
+				return SortKey{
+					A: math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])),
+					B: math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8:])),
+					C: math.Float64frombits(binary.LittleEndian.Uint64(data[pos+16:])),
+					D: math.Float64frombits(binary.LittleEndian.Uint64(data[pos+24:])),
+				}, nil
+			}
+			pos += 32
+		case KindString:
+			if pos > len(data) {
+				return SortKey{}, fmt.Errorf("frel: truncated tuple: need a string length at offset %d, have %d bytes", pos, len(data))
+			}
+			n, used := binary.Uvarint(data[pos:])
+			if used <= 0 {
+				return SortKey{}, fmt.Errorf("frel: corrupt string length at offset %d", pos)
+			}
+			pos += used
+			if n > uint64(len(data)-pos) {
+				return SortKey{}, fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, pos, len(data)-pos)
+			}
+			end := pos + int(n)
+			if i == attr {
+				return SortKey{Str: data[pos:end:end]}, nil
+			}
+			pos = end
+		default:
+			return SortKey{}, fmt.Errorf("frel: unknown attribute kind %v", s.Attrs[i].Kind)
+		}
+	}
+}
+
+// ValueSortKey is the sort key of a decoded value, the one DecodeSortKey
+// reads from the value's encoding.
+func ValueSortKey(v Value) SortKey {
+	if v.Kind == KindString {
+		return SortKey{Str: []byte(v.Str)}
+	}
+	return SortKey{A: v.Num.A, B: v.Num.B, C: v.Num.C, D: v.Num.D}
 }

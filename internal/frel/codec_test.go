@@ -147,3 +147,48 @@ func TestEncodedSizeMatches(t *testing.T) {
 		t.Errorf("EncodedSize = %d, want %d", got, len(buf))
 	}
 }
+
+// TestDecodeSortKey: the key read from a record is the key of the decoded
+// value, for every attribute of every kind, and every truncation of the
+// record that cuts into the key (or into a string length before it) is an
+// error, not a panic.
+func TestDecodeSortKey(t *testing.T) {
+	s := dating()
+	s.Pad = 3
+	in := NewTuple(0.5, Crisp(101), Str("Ann"), Num(fuzzy.Trap(math.Copysign(0, -1), 1, 2, 3)), Num(fuzzy.Tri(50, 60, 70)))
+	buf, err := AppendTuple(nil, s, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyEnd := 8
+	for i, v := range in.Values {
+		got, err := DecodeSortKey(s, buf, i)
+		if err != nil {
+			t.Fatalf("attribute %d: %v", i, err)
+		}
+		want := ValueSortKey(v)
+		if math.Float64bits(got.A) != math.Float64bits(want.A) || got.B != want.B || got.C != want.C || got.D != want.D || string(got.Str) != string(want.Str) {
+			t.Errorf("attribute %d: key %+v, want %+v", i, got, want)
+		}
+		if v.Kind == KindString {
+			keyEnd += 1 + len(v.Str)
+		} else {
+			keyEnd += 32
+		}
+		for cut := 0; cut < keyEnd; cut++ {
+			if _, err := DecodeSortKey(s, buf[:cut], i); err == nil {
+				t.Errorf("attribute %d, record cut to %d bytes: want an error", i, cut)
+			}
+		}
+	}
+	if _, err := DecodeSortKey(s, buf, len(s.Attrs)); err == nil {
+		t.Errorf("attribute out of range: want an error")
+	}
+	corrupt := append(append([]byte(nil), buf[:40]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+	if _, err := DecodeSortKey(s, corrupt, 2); err == nil {
+		t.Errorf("corrupt string length: want an error")
+	}
+	if _, _, err := DecodeTuple(s, append(append([]byte(nil), buf[:40]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)); err == nil {
+		t.Errorf("DecodeTuple of a string longer than the record: want an error")
+	}
+}

@@ -1,7 +1,7 @@
 package frel
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -82,8 +82,8 @@ func (r *Relation) SortBy(attr string) error {
 	if err != nil {
 		return err
 	}
-	sort.SliceStable(r.Tuples, func(a, b int) bool {
-		return Compare(r.Tuples[a].Values[i], r.Tuples[b].Values[i]) < 0
+	slices.SortStableFunc(r.Tuples, func(a, b Tuple) int {
+		return Compare(a.Values[i], b.Values[i])
 	})
 	r.version++
 	return nil

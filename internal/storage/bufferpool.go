@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 )
@@ -22,7 +21,8 @@ type frameKey struct {
 // scanning a relation the writer is appending to); Latch arbitrates access
 // to Data in that case. Heap scans hold it shared per record, appends hold
 // it exclusively per record, so a reader never waits longer than one tuple
-// copy.
+// copy. A PageWriter's page is the exception: it fills an unlogged heap no
+// one scans while it is written, so it takes no latch.
 type Frame struct {
 	pager   *Pager
 	ID      PageID
@@ -30,8 +30,11 @@ type Frame struct {
 	Latch   sync.RWMutex // guards Data when a frame is shared across goroutines
 	pins    int
 	dirty   bool
-	nosteal bool          // holds uncommitted data; must not be written out
-	elem    *list.Element // position in the LRU list when unpinned
+	nosteal bool // holds uncommitted data; must not be written out
+
+	// prev and next link the frame into the pool's LRU ring while it is
+	// unpinned; both are nil while it is pinned.
+	prev, next *Frame
 }
 
 // BufferPool caches up to capacity pages across any number of pagers, with
@@ -50,8 +53,11 @@ type BufferPool struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[frameKey]*Frame
-	lru      *list.List // of *Frame, least recently used in front
 	stats    *Stats
+
+	// lru is the sentinel of the ring of unpinned frames: lru.next is the
+	// least recently used one, lru.prev the most recently unpinned.
+	lru Frame
 
 	// release, when set, is called (with mu held) if every evictable frame
 	// is no-steal: it must make the covering WAL records durable, after
@@ -63,7 +69,9 @@ type BufferPool struct {
 	// capacity. Under pool pressure every admission evicts, so without
 	// recycling a scan-heavy query allocates one garbage page buffer per
 	// page fetch — the dominant allocation of cold sorts on small pools.
-	free [][]byte
+	// freeFrames does the same for the frames themselves.
+	free       [][]byte
+	freeFrames []*Frame
 }
 
 // NewBufferPool creates a pool with the given page capacity (minimum 1).
@@ -74,12 +82,13 @@ func NewBufferPool(capacity int, stats *Stats) *BufferPool {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		capacity: capacity,
 		frames:   make(map[frameKey]*Frame, capacity),
-		lru:      list.New(),
 		stats:    stats,
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Capacity returns the pool's page capacity.
@@ -162,7 +171,15 @@ func (bp *BufferPool) admit(p *Pager, id PageID) (*Frame, error) {
 	if err := bp.makeRoom(); err != nil {
 		return nil, err
 	}
-	f := &Frame{pager: p, ID: id, Data: bp.pageBuf(), pins: 1}
+	var f *Frame
+	if n := len(bp.freeFrames); n > 0 {
+		f = bp.freeFrames[n-1]
+		bp.freeFrames = bp.freeFrames[:n-1]
+	} else {
+		f = new(Frame)
+	}
+	f.pager, f.ID, f.Data, f.pins = p, id, bp.pageBuf(), 1
+	f.dirty, f.nosteal = false, false
 	bp.frames[frameKey{p, id}] = f
 	return f, nil
 }
@@ -202,22 +219,22 @@ func (bp *BufferPool) Close() {
 		closedPoolPages.Put((*[PageSize]byte)(b))
 	}
 	bp.frames = make(map[frameKey]*Frame)
-	bp.lru.Init()
-	bp.free = nil
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	bp.free, bp.freeFrames = nil, nil
 }
 
 func (bp *BufferPool) makeRoom() error {
 	released := false
 	for len(bp.frames) >= bp.capacity {
 		var victim *Frame
-		for e := bp.lru.Front(); e != nil; e = e.Next() {
-			if f := e.Value.(*Frame); !f.nosteal {
+		for f := bp.lru.next; f != &bp.lru; f = f.next {
+			if !f.nosteal {
 				victim = f
 				break
 			}
 		}
 		if victim == nil {
-			if bp.lru.Len() == 0 {
+			if bp.lru.next == &bp.lru {
 				return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", len(bp.frames))
 			}
 			// Every unpinned frame holds uncommitted data. Force the WAL
@@ -281,25 +298,30 @@ func (bp *BufferPool) evict(f *Frame) error {
 }
 
 func (bp *BufferPool) discard(f *Frame) {
-	if f.elem != nil {
-		bp.lru.Remove(f.elem)
-		f.elem = nil
-	}
+	bp.unlink(f)
 	delete(bp.frames, frameKey{f.pager, f.ID})
 	// Frames are only discarded unpinned (or by the admitting caller on a
-	// read error), and the pin contract forbids touching Data afterwards,
-	// so the buffer can be recycled for the next admission.
+	// read error), and the pin contract forbids touching the frame or its
+	// Data afterwards, so both can be recycled for the next admission.
 	if f.Data != nil && len(bp.free) < bp.capacity {
 		bp.free = append(bp.free, f.Data)
 	}
-	f.Data = nil
+	f.Data, f.pager = nil, nil
+	if len(bp.freeFrames) < bp.capacity {
+		bp.freeFrames = append(bp.freeFrames, f)
+	}
+}
+
+// unlink takes f out of the LRU ring, if it is in it.
+func (bp *BufferPool) unlink(f *Frame) {
+	if f.next != nil {
+		f.prev.next, f.next.prev = f.next, f.prev
+		f.prev, f.next = nil, nil
+	}
 }
 
 func (bp *BufferPool) pin(f *Frame) {
-	if f.elem != nil {
-		bp.lru.Remove(f.elem)
-		f.elem = nil
-	}
+	bp.unlink(f)
 	f.pins++
 }
 
@@ -316,7 +338,9 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = bp.lru.PushBack(f)
+		f.prev, f.next = bp.lru.prev, &bp.lru
+		bp.lru.prev.next = f
+		bp.lru.prev = f
 	}
 }
 

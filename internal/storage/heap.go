@@ -300,6 +300,71 @@ func (h *HeapFile) appendRecord(rec []byte, t *frel.Tuple) error {
 	return nil
 }
 
+// PageWriter appends records to an unlogged heap file a page at a time: it
+// keeps the file's last page pinned while it fills it and unpins it once,
+// when the next record does not fit or the writer is closed, where
+// AppendRaw pins and unpins the page for every record. The pages it writes
+// are the ones AppendRaw would: same layout, same page count. A writer
+// holds at most one pin, and the page it holds is private to it: Close the
+// writer before the file is scanned or dropped.
+type PageWriter struct {
+	h *HeapFile
+	f *Frame // the pinned last page; nil when none is pinned
+}
+
+// PageWriter returns a page writer appending to h, which must be unlogged
+// (a temporary heap, or one of a manager without a WAL): a logged append
+// must reach the log first, record by record.
+func (h *HeapFile) PageWriter() (*PageWriter, error) {
+	if h.logName != "" {
+		return nil, fmt.Errorf("storage: page writer on logged heap %q", h.logName)
+	}
+	return &PageWriter{h: h}, nil
+}
+
+// Append appends one serialized record.
+func (w *PageWriter) Append(rec []byte) error {
+	h := w.h
+	if len(rec) > MaxRecordSize {
+		return fmt.Errorf("storage: record of %d bytes exceeds max record size %d", len(rec), MaxRecordSize)
+	}
+	need := recHeader + len(rec)
+	if h.lastPage < 0 || h.lastUsed+need > PageSize {
+		w.Close()
+		f, err := h.pool.NewPage(h.pager)
+		if err != nil {
+			return err
+		}
+		w.f = f
+		h.lastPage = f.ID
+		h.lastUsed = pageHeader
+		h.numPages.Add(1)
+	} else if w.f == nil {
+		f, err := h.pool.Get(h.pager, h.lastPage)
+		if err != nil {
+			return err
+		}
+		w.f = f
+	}
+	page := w.f.Data
+	binary.LittleEndian.PutUint16(page[h.lastUsed:], uint16(len(rec)))
+	copy(page[h.lastUsed+recHeader:], rec)
+	binary.LittleEndian.PutUint16(page[0:2], binary.LittleEndian.Uint16(page[0:2])+1)
+	h.lastUsed += need
+	h.numTuples.Add(1)
+	h.version.Add(1)
+	return nil
+}
+
+// Close unpins the page the writer holds, if any. A closed writer may
+// append again; it pins the last page anew.
+func (w *PageWriter) Close() {
+	if w.f != nil {
+		w.h.pool.Unpin(w.f, true)
+		w.f = nil
+	}
+}
+
 // AppendAll appends every tuple of an in-memory relation, as one
 // transaction on a logged heap (one fsync for the whole batch).
 func (h *HeapFile) AppendAll(r *frel.Relation) error {
@@ -361,7 +426,13 @@ func (h *HeapFile) Drop() error {
 		if h.tempMgr.recycleTemp(h) {
 			return nil
 		}
-		return h.pager.Remove()
+		if err := h.pager.Remove(); err != nil {
+			return err
+		}
+		h.tempMgr.mu.Lock()
+		h.tempMgr.liveTemps--
+		h.tempMgr.mu.Unlock()
+		return nil
 	}
 	if err := h.pool.DropPager(h.pager); err != nil {
 		return err
@@ -595,9 +666,13 @@ type Manager struct {
 	stats *Stats
 	wal   *WAL
 
-	mu    sync.Mutex // guards seq, heaps, and tempFree
+	mu    sync.Mutex // guards seq, heaps, tempFree, and liveTemps
 	seq   int
 	heaps map[string]*HeapFile // logged heaps by log name
+
+	// liveTemps counts the temporary heaps CreateTemp handed out that have
+	// not been dropped (recycled or removed) since.
+	liveTemps int
 
 	// tempFree holds dropped temporary heaps ready for reuse. Their
 	// backing files stay on disk with stale contents and reset geometry,
@@ -1069,6 +1144,7 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 	if n := len(m.tempFree); n > 0 {
 		h := m.tempFree[n-1]
 		m.tempFree = m.tempFree[:n-1]
+		m.liveTemps++
 		m.mu.Unlock()
 		h.resetTemp(schema)
 		return h, nil
@@ -1081,7 +1157,19 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 		return nil, err
 	}
 	h.tempMgr = m
+	m.mu.Lock()
+	m.liveTemps++
+	m.mu.Unlock()
 	return h, nil
+}
+
+// LiveTemps returns the number of temporary heaps created by CreateTemp
+// and not dropped since: what an operation that cleans up after itself
+// leaves unchanged.
+func (m *Manager) LiveTemps() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.liveTemps
 }
 
 // recycleTemp offers a dropped temp back to the pool; false means the
@@ -1093,5 +1181,6 @@ func (m *Manager) recycleTemp(h *HeapFile) bool {
 		return false
 	}
 	m.tempFree = append(m.tempFree, h)
+	m.liveTemps--
 	return true
 }

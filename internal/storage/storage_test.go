@@ -471,3 +471,108 @@ func TestBufferPoolCloseRecyclesBuffers(t *testing.T) {
 	}
 	second.Unpin(f, false)
 }
+
+// TestPageWriterMatchesAppendRaw: a page writer lays out the same pages
+// as record-at-a-time appends (continuing a partly filled last page after
+// a Close), holds at most one pin while it writes, and none once closed.
+func TestPageWriterMatchesAppendRaw(t *testing.T) {
+	m := newManager(t, 8)
+	want, err := m.CreateTemp(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.CreateTemp(testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := got.PageWriter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		rec := []byte(strings.Repeat(string(rune('a'+i%26)), 1+(i*37)%300))
+		if err := want.AppendRaw(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if pins := m.Pool().PinnedPages(); pins != 1 {
+			t.Fatalf("record %d: %d pages pinned while writing, want 1", i, pins)
+		}
+		if i == 300 {
+			w.Close()
+		}
+	}
+	if err := w.Append(make([]byte, MaxRecordSize+1)); err == nil {
+		t.Error("oversized record: want an error")
+	}
+	w.Close()
+	if pins := m.Pool().PinnedPages(); pins != 0 {
+		t.Fatalf("%d pages pinned after Close", pins)
+	}
+	if got.NumPages() != want.NumPages() || got.NumTuples() != want.NumTuples() {
+		t.Fatalf("page writer: %d pages, %d records; appends: %d pages, %d records",
+			got.NumPages(), got.NumTuples(), want.NumPages(), want.NumTuples())
+	}
+	for pid := PageID(0); pid < PageID(want.NumPages()); pid++ {
+		a, err := m.Pool().Get(want.Pager(), pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.Pool().Get(got.Pager(), pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a.Data) != string(b.Data) {
+			t.Errorf("page %d differs", pid)
+		}
+		m.Pool().Unpin(a, false)
+		m.Pool().Unpin(b, false)
+	}
+}
+
+func TestPageWriterRejectsLoggedHeap(t *testing.T) {
+	m, err := NewManagerOptions("db", ManagerOptions{PoolPages: 8, FS: NewMemFS(), WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.CreateHeap("r", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.PageWriter(); err == nil {
+		t.Error("page writer on a logged heap: want an error")
+	}
+}
+
+// TestLiveTemps: the manager counts temporaries from CreateTemp until
+// they are dropped, whether the drop recycles the file or removes it.
+func TestLiveTemps(t *testing.T) {
+	m := newManager(t, 8)
+	var temps []*HeapFile
+	for i := 0; i < tempFreeMax+5; i++ {
+		h, err := m.CreateTemp(testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		temps = append(temps, h)
+	}
+	if n := m.LiveTemps(); n != len(temps) {
+		t.Fatalf("LiveTemps = %d, want %d", n, len(temps))
+	}
+	for _, h := range temps {
+		if err := h.Drop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.LiveTemps(); n != 0 {
+		t.Fatalf("LiveTemps = %d after dropping every temporary, want 0", n)
+	}
+	if _, err := m.CreateTemp(testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.LiveTemps(); n != 1 {
+		t.Fatalf("LiveTemps = %d after recycling one, want 1", n)
+	}
+}
