@@ -115,7 +115,11 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 	}
 	// Checkpoint first: afterwards the log holds no append records for the
 	// relation, so recovery will take whichever file the rename left behind
-	// as-is instead of replaying old appends onto the new contents.
+	// as-is instead of replaying old appends onto the new contents. The
+	// checkpoint records the relation with no summary, so that Open walks
+	// whichever file it finds instead of adopting the old file's geometry
+	// and statistics for the new one.
+	h.DropSummary()
 	if err := c.mgr.Checkpoint(); err != nil {
 		return err
 	}
@@ -129,6 +133,11 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 		}
 	}
 	if err := tmp.Flush(); err != nil {
+		return err
+	}
+	// A recycled temporary's file keeps the length of its previous use;
+	// the stale pages past the replacement must not become the relation's.
+	if err := tmp.Pager().Truncate(tmp.NumPages()); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
@@ -169,7 +178,9 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 	if err := c.rebuildIndexesOf(key); err != nil {
 		return err
 	}
-	// Record the new geometry as the checkpoint base.
+	// Record the new geometry as the checkpoint base. The new heap's
+	// statistics are built by a scan when first planned and recorded by a
+	// later checkpoint.
 	return c.mgr.Checkpoint()
 }
 

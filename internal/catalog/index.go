@@ -50,10 +50,10 @@ func (ix *Index) Pos() int { return ix.pos }
 func (ix *Index) Heap() *storage.HeapFile { return ix.heap }
 
 // indexHeapName returns the storage name of the index's entry file. The
-// "idx-" prefix cannot collide with relation heaps: relation storage names
-// are lower-cased SQL identifiers, which cannot contain '-'.
+// storage.IndexPrefix cannot collide with relation heaps: relation storage
+// names are lower-cased SQL identifiers, which cannot contain '-'.
 func indexHeapName(rel, attr string) string {
-	return "idx-" + strings.ToLower(rel) + "-" + strings.ToLower(attr)
+	return storage.IndexPrefix + strings.ToLower(rel) + "-" + strings.ToLower(attr)
 }
 
 // CreateIndex builds a persistent order index named name on relation rel's

@@ -223,7 +223,7 @@ func (c *Catalog) openIndexes(metas []indexMeta) error {
 		return err
 	}
 	for _, n := range names {
-		if strings.HasPrefix(n, "idx-") && strings.HasSuffix(n, ".heap") && !referenced[n] {
+		if strings.HasPrefix(n, storage.IndexPrefix) && strings.HasSuffix(n, ".heap") && !referenced[n] {
 			if err := c.mgr.FS().Remove(filepath.Join(c.mgr.Dir(), n)); err != nil {
 				return err
 			}

@@ -37,12 +37,15 @@ func (e *Env) BoundSchema(tr fsql.TableRef) (*frel.Schema, error) {
 }
 
 // RelStats resolves the planner statistics of a referenced relation;
-// in-memory relations maintain them incrementally, heap files build them
-// with one scan and maintain them on append (see frel.Relation.Stats and
-// storage.HeapFile.Stats). Heap statistics are returned as an independent
-// snapshot: the plan holds them across the statement while the single
-// writer may keep appending (estimates may include uncommitted rows,
-// which only affects costing, never answers).
+// in-memory relations build them lazily and maintain them incrementally;
+// a heap file has them from its creation or from its checkpoint entry
+// when reopened, maintains them on append, and builds them with one scan
+// only where neither supplied them (see frel.Relation.Stats and
+// storage.HeapFile.Stats), so planning a cold statement reads no
+// relation. Heap statistics are returned as an independent snapshot: the
+// plan holds them across the statement while the single writer may keep
+// appending (estimates may include uncommitted rows, which only affects
+// costing, never answers).
 func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
 	if r, ok := e.mem[relKey(tr.Name)]; ok {
 		return r.Stats(), nil

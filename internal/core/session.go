@@ -502,9 +502,10 @@ func (s *Session) delete(st *fsql.Delete) error {
 type SessionOptions struct {
 	// BufferPages is the buffer pool capacity in 8 KiB pages.
 	BufferPages int
-	// NoWAL disables the write-ahead log: no recovery on open and no
-	// durability guarantee beyond explicit flushes (the pre-WAL behavior,
-	// kept as an ablation switch).
+	// NoWAL disables the write-ahead log: no durability guarantee beyond
+	// explicit flushes (the pre-WAL behavior, kept as an ablation switch).
+	// A log an earlier logged session left is replayed and removed on
+	// open.
 	NoWAL bool
 	// GroupCommitWindow is how long a commit waits to share its fsync with
 	// concurrent commits; 0 syncs immediately.

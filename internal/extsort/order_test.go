@@ -1,10 +1,12 @@
 package extsort
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -252,6 +254,65 @@ func TestSortMalformedRecordIsAnError(t *testing.T) {
 			}
 			if pins := m.Pool().PinnedPages(); pins != 0 {
 				t.Errorf("%s, workers=%d: %d pages left pinned", tc.name, workers, pins)
+			}
+		}
+	}
+}
+
+// TestSortCorruptPageIsAnError: run generation over a heap whose first
+// page has a record count past its records, a record length past the
+// page, or a record length ending exactly at the page end fails the sort
+// with an error (no panic), leaving no temporary file or pin behind.
+func TestSortCorruptPageIsAnError(t *testing.T) {
+	for name, mutate := range map[string]func(page []byte){
+		"count":              func(p []byte) { binary.LittleEndian.PutUint16(p[0:2], 0xFFFF) },
+		"length":             func(p []byte) { binary.LittleEndian.PutUint16(p[2:], 0xFFFF) },
+		"length to page end": func(p []byte) { binary.LittleEndian.PutUint16(p[2:], storage.PageSize-4) },
+	} {
+		fs := storage.NewMemFS()
+		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := m.CreateHeap("src", propSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AppendAll(propRelation(1000, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.OpenFile("db/src.heap", os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, storage.PageSize)
+		if _, err := f.ReadAt(page, 0); err != nil {
+			t.Fatal(err)
+		}
+		mutate(page)
+		if _, err := f.WriteAt(page, 0); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src2, err := m2.OpenHeap("src", propSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			if _, _, err := NewSorter(m2, 2).WithParallelism(workers).Sort(src2, Order{Attr: 1}); err == nil {
+				t.Errorf("%s, workers=%d: sort succeeded, want an error", name, workers)
+			}
+			if live := m2.LiveTemps(); live != 0 {
+				t.Errorf("%s, workers=%d: %d temporary files left behind", name, workers, live)
+			}
+			if pins := m2.Pool().PinnedPages(); pins != 0 {
+				t.Errorf("%s, workers=%d: %d pages left pinned", name, workers, pins)
 			}
 		}
 	}

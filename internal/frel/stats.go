@@ -1,6 +1,8 @@
 package frel
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -9,10 +11,13 @@ import (
 // model feeds on (the paper's Sections 3 and 9 analyze costs in terms of
 // relation cardinalities, join selectivities and sort work): tuple
 // counts, per-attribute support-interval extents, a support-width
-// histogram, and a distinct-support estimate. The statistics are built
-// lazily from a full pass over the relation and then maintained
-// incrementally alongside the relation's version counter (see
-// Relation.Stats and storage.HeapFile.Stats).
+// histogram, and a distinct-support estimate. Statistics are a function
+// of the tuples in append order, so they can be maintained incrementally
+// alongside a relation's version counter and stored: an in-memory
+// Relation builds them lazily, a stored relation's heap file keeps them
+// from its creation on and records them, in the exact encoding of
+// AppendStats, in every checkpoint (see Relation.Stats and
+// storage.HeapFile.Stats).
 
 const (
 	// kmvK is the distinct-estimate sketch size: up to kmvK distinct
@@ -130,20 +135,126 @@ func (ts *TableStats) Span(i int) float64 {
 	return ts.Attrs[i].MaxHi - ts.Attrs[i].MinLo
 }
 
-// widthBucket maps a support width to its histogram bucket.
+// widthBucket maps a support width to its histogram bucket: 0 for a
+// width that is not positive, including NaN (the corners of a value at a
+// single infinity, or NaN corners), 1 + ⌊log2 w⌋ clamped to
+// [1, widthBuckets−1] otherwise, so +Inf lands in the open-ended last
+// bucket. Frexp's exponent is ⌊log2 w⌋ + 1 exactly; math.Log2 is
+// consulted only where it may round up to the next integer (a fraction
+// within 1e-4 of 1), so every finite width keeps the bucket the Log2
+// formula gives it.
 func widthBucket(w float64) int {
-	if w <= 0 {
+	if !(w > 0) {
 		return 0
 	}
-	b := 1 + int(math.Floor(math.Log2(w)))
-	if b < 1 {
-		b = 1
+	if math.IsInf(w, 1) {
+		return widthBuckets - 1
 	}
-	if b >= widthBuckets {
-		b = widthBuckets - 1
+	frac, b := math.Frexp(w)
+	if frac > 1-1e-4 {
+		b = 1 + int(math.Floor(math.Log2(w)))
 	}
-	return b
+	return min(max(b, 1), widthBuckets-1)
 }
+
+// AppendStats appends the binary encoding of ts to dst. The encoding is
+// exact: DecodeStats returns statistics that deep-equal ts (float fields
+// by bit pattern, the KMV sketch hash for hash), so two statistics are
+// equal exactly when their encodings are. Layout, integers as uvarints and
+// floats as little-endian IEEE bits:
+//
+//	Rows, attribute count, then per attribute:
+//	  Numeric, MinLo, MaxHi, WidthSum, the widthBuckets histogram counts,
+//	  the sketch length and its hashes (ascending, 8 bytes each)
+func AppendStats(dst []byte, ts *TableStats) []byte {
+	dst = binary.AppendUvarint(dst, uint64(ts.Rows))
+	dst = binary.AppendUvarint(dst, uint64(len(ts.Attrs)))
+	for i := range ts.Attrs {
+		a := &ts.Attrs[i]
+		dst = binary.AppendUvarint(dst, uint64(a.Numeric))
+		for _, f := range [3]float64{a.MinLo, a.MaxHi, a.WidthSum} {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+		}
+		for _, c := range a.WidthHist {
+			dst = binary.AppendUvarint(dst, uint64(c))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(a.sketch.h)))
+		for _, h := range a.sketch.h {
+			dst = binary.LittleEndian.AppendUint64(dst, h)
+		}
+	}
+	return dst
+}
+
+// DecodeStats decodes statistics encoded by AppendStats. Malformed input
+// (truncated, trailing bytes, an oversized or unsorted sketch) is an
+// error.
+func DecodeStats(data []byte) (*TableStats, error) {
+	d := statsDecoder{b: data}
+	ts := &TableStats{Rows: int64(d.uvarint())}
+	n := d.uvarint()
+	if n > uint64(len(data)) { // every attribute takes bytes
+		return nil, fmt.Errorf("frel: statistics of %d attributes in %d bytes", n, len(data))
+	}
+	ts.Attrs = make([]AttrStats, n)
+	for i := range ts.Attrs {
+		a := &ts.Attrs[i]
+		a.Numeric = int64(d.uvarint())
+		a.MinLo, a.MaxHi, a.WidthSum = d.float(), d.float(), d.float()
+		for j := range a.WidthHist {
+			a.WidthHist[j] = int64(d.uvarint())
+		}
+		k := d.uvarint()
+		if k > kmvK {
+			return nil, fmt.Errorf("frel: statistics sketch of %d hashes, at most %d", k, kmvK)
+		}
+		if k > 0 {
+			a.sketch.h = make([]uint64, k)
+		}
+		for j := range a.sketch.h {
+			a.sketch.h[j] = d.uint64()
+			if j > 0 && a.sketch.h[j] <= a.sketch.h[j-1] {
+				return nil, fmt.Errorf("frel: statistics sketch is not strictly ascending")
+			}
+		}
+	}
+	if d.bad || d.off != len(data) {
+		return nil, fmt.Errorf("frel: malformed statistics encoding of %d bytes", len(data))
+	}
+	return ts, nil
+}
+
+// statsDecoder reads AppendStats fields, latching any failure.
+type statsDecoder struct {
+	b   []byte
+	off int
+	bad bool
+}
+
+func (d *statsDecoder) uvarint() uint64 {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.bad = true
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *statsDecoder) uint64() uint64 {
+	if d.bad || len(d.b)-d.off < 8 {
+		d.bad = true
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return v
+}
+
+func (d *statsDecoder) float() float64 { return math.Float64frombits(d.uint64()) }
 
 // kmvSketch is a k-minimum-values distinct counter: it retains the kmvK
 // smallest distinct 64-bit hashes seen. With fewer than kmvK retained
@@ -154,6 +265,12 @@ type kmvSketch struct {
 }
 
 func (s *kmvSketch) add(h uint64) {
+	// A full sketch rejects most hashes of a large relation here, before
+	// the search: every relation heap observes each tuple it is loaded
+	// with.
+	if len(s.h) == kmvK && h >= s.h[kmvK-1] {
+		return
+	}
 	i := sort.Search(len(s.h), func(j int) bool { return s.h[j] >= h })
 	if i < len(s.h) && s.h[i] == h {
 		return
@@ -162,9 +279,6 @@ func (s *kmvSketch) add(h uint64) {
 		s.h = append(s.h, 0)
 		copy(s.h[i+1:], s.h[i:])
 		s.h[i] = h
-		return
-	}
-	if h >= s.h[kmvK-1] {
 		return
 	}
 	copy(s.h[i+1:], s.h[i:kmvK-1])

@@ -1,8 +1,11 @@
 package frel
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fuzzy"
@@ -103,10 +106,105 @@ func TestWidthBucket(t *testing.T) {
 	cases := []struct {
 		w    float64
 		want int
-	}{{0, 0}, {-1, 0}, {0.3, 1}, {1, 1}, {1.5, 1}, {2, 2}, {100, 7}, {1e9, widthBuckets - 1}}
+	}{
+		{0, 0}, {-1, 0}, {0.3, 1}, {1, 1}, {1.5, 1}, {2, 2}, {100, 7}, {1e9, widthBuckets - 1},
+		{math.Inf(1), widthBuckets - 1}, {math.Inf(-1), 0}, {math.NaN(), 0},
+	}
+	lo, hi := -1e308, 1e308
+	cases = append(cases, struct {
+		w    float64
+		want int
+	}{hi - lo, widthBuckets - 1}) // D − A overflowing from finite corners
 	for _, c := range cases {
 		if got := widthBucket(c.w); got != c.want {
 			t.Errorf("widthBucket(%v) = %d, want %d", c.w, got, c.want)
 		}
+	}
+}
+
+// log2Bucket is the Log2 formula widthBucket replaced, for finite
+// positive widths (where it is well defined).
+func log2Bucket(w float64) int {
+	return min(max(1+int(math.Floor(math.Log2(w))), 1), widthBuckets-1)
+}
+
+// TestWidthBucketMatchesLog2 pins that every finite positive width keeps
+// the bucket of the Log2 formula: every power of two in range and its
+// neighbours one ulp either side, subnormals, and a million random widths.
+func TestWidthBucketMatchesLog2(t *testing.T) {
+	check := func(w float64) {
+		t.Helper()
+		if !(w > 0) || math.IsInf(w, 0) {
+			return
+		}
+		if got, want := widthBucket(w), log2Bucket(w); got != want {
+			t.Fatalf("widthBucket(%v) = %d, Log2 formula gives %d", w, got, want)
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		check(p)
+		check(math.Nextafter(p, 0))
+		check(math.Nextafter(p, math.Inf(1)))
+	}
+	check(math.SmallestNonzeroFloat64)
+	check(math.MaxFloat64)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		check(math.Float64frombits(rng.Uint64() & (1<<52 - 1))) // subnormals
+	}
+	for i := 0; i < 1_000_000; i++ {
+		switch i % 3 {
+		case 0: // any bit pattern
+			check(math.Float64frombits(rng.Uint64() &^ (1 << 63)))
+		case 1: // the widths the histogram resolves
+			check(rng.Float64() * 256)
+		default: // just below a power of two, where Log2 may round up
+			check(math.Ldexp(1-rng.Float64()*1e-12, rng.Intn(20)-5))
+		}
+	}
+}
+
+// TestStatsEncodingRoundTrip checks that DecodeStats inverts AppendStats
+// exactly, sketch included, and rejects malformed input.
+func TestStatsEncodingRoundTrip(t *testing.T) {
+	r := NewRelation(statsSchema())
+	for i := 0; i < 500; i++ {
+		w := float64(i%9) * 0.75
+		r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: float64(i) - w, B: float64(i), C: float64(i), D: float64(i) + w}), Str(fmt.Sprint("s", i%70))))
+	}
+	r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: -1e308, B: 0, C: 0, D: 1e308}), Str("inf")))
+	for _, ts := range []*TableStats{NewTableStats(0), NewTableStats(2), r.Stats()} {
+		enc := AppendStats(nil, ts)
+		got, err := DecodeStats(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ts.Clone()
+		for i := range want.Attrs {
+			if len(want.Attrs[i].sketch.h) == 0 {
+				want.Attrs[i].sketch.h = nil
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, want)
+		}
+		if !bytes.Equal(AppendStats(nil, got), enc) {
+			t.Fatal("re-encoding differs")
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodeStats(enc[:cut]); err == nil {
+				t.Fatalf("truncated encoding (%d of %d bytes) decoded", cut, len(enc))
+			}
+		}
+		if _, err := DecodeStats(append(enc, 0)); err == nil {
+			t.Fatal("encoding with a trailing byte decoded")
+		}
+	}
+	// A sketch whose hashes are not ascending is malformed.
+	ts := NewTableStats(1)
+	ts.Attrs[0].sketch.h = []uint64{2, 1}
+	if _, err := DecodeStats(AppendStats(nil, ts)); err == nil {
+		t.Fatal("unsorted sketch decoded")
 	}
 }

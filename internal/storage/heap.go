@@ -71,18 +71,33 @@ type HeapFile struct {
 	// to detect staleness.
 	version atomic.Uint64
 
-	// stats caches the planner statistics for statsVersion; Stats builds
-	// them with one scan and Append then maintains them incrementally.
-	// statsMu makes the memoization safe for concurrent readers (the
-	// server plans read-only queries in parallel).
+	// stats holds the planner statistics for statsVersion. A relation
+	// heap has them from its creation, or from its checkpoint entry when
+	// reopened, and Append keeps them current; where neither supplied
+	// them (or a rollback discarded them) Stats builds them with one scan.
+	// statsMu makes them safe for concurrent readers (the server plans
+	// read-only queries in parallel) and orders them against Append.
 	statsMu      sync.Mutex
 	stats        *frel.TableStats
 	statsVersion uint64
+
+	// recorded is the statistics encoding the log's checkpoint holds for
+	// this heap, valid while the tuple count is recordedRows; nil when it
+	// holds none. Guarded by statsMu.
+	recorded     []byte
+	recordedRows int64
+
+	// noSummary makes checkpoints record the heap with no summary; see
+	// DropSummary.
+	noSummary bool
 }
 
-// Stats returns the planner statistics of the file, built by a full scan
-// on the first call (or after the cached statistics went stale) and then
-// maintained incrementally by Append.
+// Stats returns the planner statistics of the file: the ones it was
+// created or reopened with, kept current by Append, or, where there are
+// none, the ones one scan builds. There are none for a heap whose
+// checkpoint entry records none (a database from before entries carried
+// statistics, a file DELETE rewrote, a heap Open had to walk), after a
+// rollback, and under a manager without a log.
 func (h *HeapFile) Stats() (*frel.TableStats, error) {
 	h.statsMu.Lock()
 	defer h.statsMu.Unlock()
@@ -108,12 +123,16 @@ func (h *HeapFile) StatsSnapshot() (*frel.TableStats, error) {
 	return ts.Clone(), nil
 }
 
+// statsLocked returns current statistics, building them by a scan when
+// there are none: the one path for missing statistics. Append counts a
+// tuple and bumps the version under statsMu, so the scan sees exactly the
+// tuples of the version it records.
 func (h *HeapFile) statsLocked() (*frel.TableStats, error) {
 	if h.stats != nil && h.statsVersion == h.version.Load() {
 		return h.stats, nil
 	}
 	ts := frel.NewTableStats(len(h.Schema.Attrs))
-	sc := h.Scan()
+	sc := h.ScanAt(h.numTuples.Load())
 	defer sc.Close()
 	for {
 		t, ok := sc.Next()
@@ -145,45 +164,39 @@ func NewHeapFile(schema *frel.Schema, pager *Pager, pool *BufferPool) *HeapFile 
 	return &HeapFile{Schema: schema, pager: pager, pool: pool, lastPage: -1}
 }
 
-// RecoverHeapFile reconstructs a heap file over an existing pager (opened
-// with OpenPagerExisting): it walks the page headers to recover the tuple
-// count and the append cursor, so the file can be both scanned and
-// appended to.
-func RecoverHeapFile(schema *frel.Schema, pager *Pager, pool *BufferPool) (*HeapFile, error) {
+// adoptHeapState builds the heap of entry st over its file's pager: the
+// geometry, so the file can be both scanned and appended to, and, for a
+// relation heap, the statistics the entry yields.
+func adoptHeapState(schema *frel.Schema, pager *Pager, pool *BufferPool, st heapState) *HeapFile {
 	h := NewHeapFile(schema, pager, pool)
-	numPages := pager.NumPages()
-	h.numPages.Store(numPages)
-	if numPages == 0 {
-		return h, nil
+	h.numPages.Store(st.numPages)
+	h.numTuples.Store(st.numTuples)
+	// Everything on disk at open is committed work.
+	h.committed.Store(st.numTuples)
+	if st.numPages > 0 {
+		h.lastPage = PageID(st.numPages - 1)
+		h.lastUsed = st.lastUsed
 	}
-	var numTuples int64
-	for pid := int64(0); pid < numPages; pid++ {
-		f, err := pool.Get(pager, PageID(pid))
-		if err != nil {
-			return nil, err
+	if keepsStats(st.name) {
+		if h.stats = st.openStats(schema); h.stats != nil && len(st.tail) == 0 {
+			h.recorded, h.recordedRows = st.stats, st.numTuples
 		}
-		count := int(binary.LittleEndian.Uint16(f.Data[0:2]))
-		numTuples += int64(count)
-		if pid == numPages-1 {
-			// Recover the append cursor by walking the last page.
-			off := pageHeader
-			for i := 0; i < count; i++ {
-				recLen := int(binary.LittleEndian.Uint16(f.Data[off:]))
-				off += recHeader + recLen
-				if off > PageSize {
-					pool.Unpin(f, false)
-					return nil, fmt.Errorf("storage: corrupt heap page %d: record overruns the page", pid)
-				}
-			}
-			h.lastPage = PageID(pid)
-			h.lastUsed = off
-		}
-		pool.Unpin(f, false)
 	}
-	h.numTuples.Store(numTuples)
-	// Everything on disk after recovery is committed work.
-	h.committed.Store(numTuples)
-	return h, nil
+	return h
+}
+
+// DropSummary makes every later checkpoint record the heap with no
+// summary: neither its geometry nor its statistics may be adopted, so an
+// Open that finds the entry walks the file. A caller about to replace the
+// heap's file outside the log calls it before the checkpoint that
+// precedes the replacement (DELETE renames a rewritten file over the
+// heap): a crash after the replacement then cannot leave a trusted entry
+// describing the old file, which the size and last-page check at Open
+// does not always tell from the new one.
+func (h *HeapFile) DropSummary() {
+	h.statsMu.Lock()
+	h.noSummary = true
+	h.statsMu.Unlock()
 }
 
 // NumTuples returns the number of tuples appended so far.
@@ -214,7 +227,8 @@ func (h *HeapFile) Append(t frel.Tuple) error {
 // AppendRaw appends an already-serialized record. It is the append entry
 // point for files whose records are not tuples (order-index entries): the
 // bytes go through the same write-ahead-log, page-write, and commit path
-// as Append, but no tuple-level bookkeeping (planner statistics) runs.
+// as Append, but no tuple-level bookkeeping runs, so statistics the heap
+// had are stale afterwards.
 func (h *HeapFile) AppendRaw(rec []byte) error {
 	return h.appendRecord(rec, nil)
 }
@@ -279,17 +293,14 @@ func (h *HeapFile) appendRecord(rec []byte, t *frel.Tuple) error {
 	binary.LittleEndian.PutUint16(f.Data[0:2], count+1)
 	f.Latch.Unlock()
 	h.lastUsed += need
+	h.statsMu.Lock()
 	h.numTuples.Add(1)
-	if t != nil {
-		h.statsMu.Lock()
-		v := h.version.Load()
-		if h.stats != nil && h.statsVersion == v {
-			h.stats.Observe(*t)
-			h.statsVersion = v + 1
-		}
-		h.statsMu.Unlock()
+	if v := h.version.Load(); t != nil && h.stats != nil && h.statsVersion == v {
+		h.stats.Observe(*t)
+		h.statsVersion = v + 1
 	}
 	h.version.Add(1)
+	h.statsMu.Unlock()
 	if logged {
 		h.pool.MarkNoSteal(f)
 	}
@@ -495,52 +506,20 @@ func (h *HeapFile) ScanAt(limit int64) *Scanner {
 	return &Scanner{h: h, pages: h.numPages.Load(), limit: limit}
 }
 
-// Next returns the next tuple. ok is false when the scan is exhausted or
-// an error occurred; check Err afterwards.
+// Next returns the next tuple, decoded from the record NextRaw returns.
+// ok is false when the scan is exhausted or an error occurred; check Err
+// afterwards.
 func (s *Scanner) Next() (t frel.Tuple, ok bool) {
-	for {
-		if s.err != nil || s.limit == 0 {
-			return frel.Tuple{}, false
-		}
-		if !s.inPage {
-			if s.pageIdx >= s.pages {
-				return frel.Tuple{}, false
-			}
-			f, err := s.h.pool.Get(s.h.pager, PageID(s.pageIdx))
-			if err != nil {
-				s.err = err
-				return frel.Tuple{}, false
-			}
-			if s.page == nil {
-				s.page = make([]byte, PageSize)
-			}
-			f.Latch.RLock()
-			copy(s.page, f.Data)
-			f.Latch.RUnlock()
-			s.h.pool.Unpin(f, false)
-			yieldPool()
-			s.inPage = true
-			s.remain = int(binary.LittleEndian.Uint16(s.page[0:2]))
-			s.off = pageHeader
-		}
-		if s.remain == 0 {
-			s.inPage = false
-			s.pageIdx++
-			continue
-		}
-		recLen := int(binary.LittleEndian.Uint16(s.page[s.off:]))
-		tup, _, err := frel.DecodeTuple(s.h.Schema, s.page[s.off+recHeader:s.off+recHeader+recLen])
-		if err != nil {
-			s.err = err
-			return frel.Tuple{}, false
-		}
-		s.off += recHeader + recLen
-		s.remain--
-		if s.limit > 0 {
-			s.limit--
-		}
-		return tup, true
+	rec, ok := s.NextRaw()
+	if !ok {
+		return frel.Tuple{}, false
 	}
+	t, _, err := frel.DecodeTuple(s.h.Schema, rec)
+	if err != nil {
+		s.err = err
+		return frel.Tuple{}, false
+	}
+	return t, true
 }
 
 // yieldPool lets a goroutine waiting for the buffer pool in. A scan takes
@@ -552,9 +531,11 @@ func (s *Scanner) Next() (t frel.Tuple, ok bool) {
 func yieldPool() { runtime.Gosched() }
 
 // NextRaw returns the next record's raw bytes without decoding them as a
-// tuple — the scan entry point for non-tuple files (order indexes). The
-// returned slice aliases the scanner's private page copy and is valid only
-// until the next NextRaw/Next call.
+// tuple — the scan entry point for non-tuple files (order indexes) and
+// for the external sort. The returned slice aliases the scanner's private
+// page copy and is valid only until the next NextRaw/Next call. A record
+// count or length that points outside the page stops the scan with a
+// *CorruptPageError.
 func (s *Scanner) NextRaw() ([]byte, bool) {
 	for {
 		if s.err != nil || s.limit == 0 {
@@ -586,13 +567,13 @@ func (s *Scanner) NextRaw() ([]byte, bool) {
 			s.pageIdx++
 			continue
 		}
-		recLen := int(binary.LittleEndian.Uint16(s.page[s.off:]))
-		if s.off+recHeader+recLen > PageSize {
-			s.err = fmt.Errorf("storage: corrupt heap page %d: record overruns the page", s.pageIdx)
+		start, end, ok := recordAt(s.page, s.off)
+		if !ok {
+			s.err = &CorruptPageError{Path: s.h.pager.Path(), Page: PageID(s.pageIdx)}
 			return nil, false
 		}
-		rec := s.page[s.off+recHeader : s.off+recHeader+recLen]
-		s.off += recHeader + recLen
+		rec := s.page[start:end]
+		s.off = end
 		s.remain--
 		if s.limit > 0 {
 			s.limit--
@@ -666,9 +647,13 @@ type Manager struct {
 	stats *Stats
 	wal   *WAL
 
-	mu    sync.Mutex // guards seq, heaps, tempFree, and liveTemps
+	mu    sync.Mutex // guards seq, heaps, recovered, tempFree, and liveTemps
 	seq   int
 	heaps map[string]*HeapFile // logged heaps by log name
+
+	// recovered holds the post-recovery entry of every heap the log's
+	// open found, until OpenHeap adopts it or CreateHeap replaces the file.
+	recovered map[string]heapState
 
 	// liveTemps counts the temporary heaps CreateTemp handed out that have
 	// not been dropped (recycled or removed) since.
@@ -735,11 +720,12 @@ type ManagerOptions struct {
 }
 
 // NewManager creates a manager over dir with a buffer pool of the given
-// page capacity and no write-ahead log. dir must exist.
+// page capacity and no write-ahead log. dir must exist. It panics where
+// NewManagerOptions would fail: only on replaying a log a logged manager
+// left in dir.
 func NewManager(dir string, poolPages int) *Manager {
 	m, err := NewManagerOptions(dir, ManagerOptions{PoolPages: poolPages})
 	if err != nil {
-		// Unreachable: without WAL there is no fallible setup work.
 		panic(err)
 	}
 	return m
@@ -748,7 +734,9 @@ func NewManager(dir string, poolPages int) *Manager {
 // NewManagerOptions creates a manager over dir. With opts.WAL it first
 // recovers the directory from any existing log (redoing committed work,
 // discarding the rest) and starts a fresh log checkpointed at the
-// recovered state.
+// recovered state. Without it, a log an earlier logged manager left in dir
+// is replayed the same way and then removed: the unlogged manager changes
+// heap files without logging, and no checkpoint entry may outlive that.
 func NewManagerOptions(dir string, opts ManagerOptions) (*Manager, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -762,15 +750,29 @@ func NewManagerOptions(dir string, opts ManagerOptions) (*Manager, error) {
 		stats: stats,
 		heaps: make(map[string]*HeapFile),
 	}
-	if opts.WAL {
-		w, err := openWAL(fs, dir, opts.GroupCommitWindow)
-		if err != nil {
-			return nil, err
-		}
-		m.wal = w
-		m.pool.SetRelease(w.Sync)
+	if !opts.WAL {
+		return m, retireWAL(fs, dir)
 	}
+	w, entries, err := openWAL(fs, dir, opts.GroupCommitWindow)
+	if err != nil {
+		return nil, err
+	}
+	m.wal = w
+	m.recovered = entries
+	m.pool.SetRelease(w.Sync)
 	return m, nil
+}
+
+// retireWAL replays and removes the log in dir, if there is one.
+func retireWAL(fs FS, dir string) error {
+	rec, err := recoverWAL(fs, dir)
+	if err != nil || !rec.found {
+		return err
+	}
+	if err := fs.Remove(filepath.Join(dir, walFileName)); err != nil {
+		return fmt.Errorf("storage: remove log after replay: %w", err)
+	}
+	return fs.SyncDir(dir)
 }
 
 // Pool returns the shared buffer pool.
@@ -794,16 +796,33 @@ func (m *Manager) HeapPath(name string) string {
 	return filepath.Join(m.dir, name+".heap")
 }
 
+// Heap file name prefixes the storage layer tells apart: temporaries (sort
+// runs, spills) are never logged, and neither they nor order-index heaps,
+// whose records are not a relation's tuples, keep planner statistics.
+const (
+	tempPrefix = "tmp-"
+	// IndexPrefix starts the storage name of every order-index heap.
+	IndexPrefix = "idx-"
+)
+
+// keepsStats reports whether the heap of the given storage name keeps
+// planner statistics: relation heaps do.
+func keepsStats(name string) bool {
+	return !strings.HasPrefix(name, tempPrefix) && !strings.HasPrefix(name, IndexPrefix)
+}
+
 // register marks h as covered by the write-ahead log, unless logging is
-// off or the heap is temporary.
+// off or the heap is temporary. The file is now h's: any recovered entry
+// of the name is stale.
 func (m *Manager) register(name string, h *HeapFile) {
-	if m.wal == nil || strings.HasPrefix(name, "tmp-") {
+	if m.wal == nil || strings.HasPrefix(name, tempPrefix) {
 		return
 	}
 	h.mgr = m
 	h.logName = name
 	m.mu.Lock()
 	m.heaps[name] = h
+	delete(m.recovered, name)
 	m.mu.Unlock()
 }
 
@@ -814,29 +833,55 @@ func (m *Manager) unregister(name string) {
 }
 
 // CreateHeap creates an empty heap file named name.heap in the managed
-// directory.
+// directory, truncating a file left there. A relation heap starts with
+// (empty) planner statistics, which Append keeps current from the first
+// tuple on.
 func (m *Manager) CreateHeap(name string, schema *frel.Schema) (*HeapFile, error) {
+	m.mu.Lock()
+	_, stale := m.recovered[name]
+	m.mu.Unlock()
 	p, err := OpenPagerFS(m.fs, m.HeapPath(name), m.stats)
 	if err != nil {
 		return nil, err
 	}
 	h := NewHeapFile(schema, p, m.pool)
+	if keepsStats(name) {
+		h.stats = frel.NewTableStats(len(schema.Attrs))
+	}
 	m.register(name, h)
+	if stale {
+		// The log's checkpoint describes the file just truncated (one the
+		// open found but nobody reopened, such as the heap of a relation
+		// whose DROP crashed before removing it): record the empty heap
+		// before redo could rewind the new one to the old file's geometry.
+		if err := m.Checkpoint(); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
 }
 
 // OpenHeap reopens an existing heap file named name.heap in the managed
-// directory, recovering its tuple count and append cursor.
+// directory, recovering its tuple count and append cursor. A logged
+// manager adopts the entry its log's open established for the file (and,
+// for a relation heap, the statistics the entry yields). The file is
+// walked only where there is no entry: under a manager without a log, or
+// for a file put in place after the open, as DELETE's rename does.
 func (m *Manager) OpenHeap(name string, schema *frel.Schema) (*HeapFile, error) {
 	p, err := OpenPagerExistingFS(m.fs, m.HeapPath(name), m.stats)
 	if err != nil {
 		return nil, err
 	}
-	h, err := RecoverHeapFile(schema, p, m.pool)
-	if err != nil {
-		p.Close()
-		return nil, err
+	m.mu.Lock()
+	st, ok := m.recovered[name]
+	m.mu.Unlock()
+	if !ok {
+		if st, err = readHeapState(m.fs, m.dir, name); err != nil {
+			p.Close()
+			return nil, err
+		}
 	}
+	h := adoptHeapState(schema, p, m.pool, st)
 	m.register(name, h)
 	return h, nil
 }
@@ -1078,13 +1123,28 @@ func (m *Manager) Checkpoint() error {
 }
 
 // state captures the heap's current durable geometry for a checkpoint
-// record. The caller has flushed and synced the file.
+// record, with its summary: unless DropSummary was called, the geometry is
+// vouched for and the statistics recorded are, in this order of
+// preference, the in-memory ones when they are current, the ones recorded
+// before when the tuple count has not moved since, or none. The caller
+// has flushed and synced the file.
 func (h *HeapFile) state() (heapState, error) {
 	st := heapState{
 		name:      h.logName,
 		numPages:  h.numPages.Load(),
 		numTuples: h.numTuples.Load(),
 	}
+	h.statsMu.Lock()
+	switch {
+	case h.noSummary:
+		h.recorded = nil
+	case h.stats != nil && h.statsVersion == h.version.Load():
+		h.recorded, h.recordedRows = frel.AppendStats(nil, h.stats), h.stats.Rows
+	case h.recordedRows != st.numTuples:
+		h.recorded = nil
+	}
+	st.trusted, st.stats = !h.noSummary, h.recorded
+	h.statsMu.Unlock()
 	if st.numPages > 0 {
 		st.lastUsed = h.lastUsed
 		f, err := h.pool.Get(h.pager, h.lastPage)
@@ -1152,7 +1212,7 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 	m.seq++
 	seq := m.seq
 	m.mu.Unlock()
-	h, err := m.CreateHeap(fmt.Sprintf("tmp-%06d", seq), schema)
+	h, err := m.CreateHeap(fmt.Sprintf("%s%06d", tempPrefix, seq), schema)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/frel"
 )
 
 // Write-ahead log.
@@ -27,9 +30,14 @@ import (
 // The log always begins with a checkpoint record holding, per relation,
 // the durable heap geometry (page count, tuple count, append cursor) and a
 // full image of the last page — the only heap page that is ever rewritten
-// in place, so the image is what protects it from torn writes. Truncating
-// the log means writing a new single-checkpoint log to a temporary file
-// and renaming it over the old one.
+// in place, so the image is what protects it from torn writes. After the
+// entries comes one summary per entry, in the same order: a flags byte
+// saying whether the entry vouches for the file's geometry and whether
+// the heap's planner statistics (frel.AppendStats) follow, length-prefixed.
+// A record without the summary section (a log written before summaries
+// existed) vouches for nothing. Truncating the log means writing a new
+// single-checkpoint log to a temporary file and renaming it over the old
+// one.
 //
 // Recovery (see recoverWAL) parses the log until the first corrupt or
 // truncated record, then for every relation that has at least one append
@@ -42,6 +50,15 @@ import (
 // a crash mid-transaction) are discarded the same way: redo replays only
 // committed appends, so committed-prefix semantics hold for explicit
 // multi-statement transactions exactly as for autocommitted ones.
+//
+// Open then derives each heap's post-recovery entry without walking it
+// where it can: a replayed heap's geometry is what redo just wrote, and an
+// untouched heap whose entry vouches for its geometry is adopted, with its
+// statistics, once the file's size and last page match the entry (one page
+// read). Any other heap is walked page header by page header. A rewrite
+// that replaces a heap file outside the log must therefore make the
+// checkpoint before it record that heap with no summary
+// (HeapFile.DropSummary).
 const (
 	walFileName = "wal"
 	walTmpName  = "wal.tmp"
@@ -59,14 +76,33 @@ const (
 	recRollback   walRecType = 5
 )
 
-// heapState is the durable geometry of one heap file at checkpoint time.
+// heapState is the durable geometry of one heap file at checkpoint time,
+// with the summary the checkpoint records for it.
 type heapState struct {
 	name      string // log name = heap file base name (without ".heap")
 	numPages  int64
 	numTuples int64
 	lastUsed  int    // bytes used in the last page, including its header
 	lastPage  []byte // PageSize image of the last page; nil when numPages == 0
+
+	// trusted: the entry vouches for the file's geometry, so Open may
+	// adopt it instead of walking the file once size and last page match.
+	trusted bool
+	// stats is the frel.AppendStats encoding of the statistics of the
+	// heap's tuples, or nil when none are recorded. On an entry recovery
+	// replayed appends onto, it describes the tuples before tail.
+	stats []byte
+	// tail holds the records redo replayed after the checkpoint, in file
+	// order: OpenHeap observes them once the schema is known. In memory
+	// only.
+	tail [][]byte
 }
+
+// Summary flags of a checkpoint entry.
+const (
+	summaryTrusted byte = 1 << iota // the entry's geometry may be adopted
+	summaryStats                    // statistics follow
+)
 
 // WAL is an append-only checksummed log over one database directory. It is
 // safe for concurrent use; commits of concurrent transactions share fsyncs
@@ -90,32 +126,48 @@ type WAL struct {
 
 // openWAL recovers dir from any existing log, then starts a fresh log
 // whose checkpoint base is the post-recovery on-disk state of every
-// (non-temporary) heap file in dir.
-func openWAL(fs FS, dir string, window time.Duration) (*WAL, error) {
-	if err := recoverWAL(fs, dir); err != nil {
-		return nil, err
+// (non-temporary) heap file in dir. It returns those post-recovery
+// entries by heap name, for OpenHeap to adopt.
+func openWAL(fs FS, dir string, window time.Duration) (*WAL, map[string]heapState, error) {
+	rec, err := recoverWAL(fs, dir)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Temp heaps of a previous process are garbage after a crash (they are
 	// never logged and their owners are gone); clear them before they can
 	// be mistaken for data.
 	names, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("storage: wal: list %s: %w", dir, err)
+		return nil, nil, fmt.Errorf("storage: wal: list %s: %w", dir, err)
 	}
+	entries := make(map[string]heapState)
 	var states []heapState
 	for _, n := range names {
 		if !strings.HasSuffix(n, ".heap") {
 			continue
 		}
-		if strings.HasPrefix(n, "tmp-") {
+		if strings.HasPrefix(n, tempPrefix) {
 			if err := fs.Remove(filepath.Join(dir, n)); err != nil {
-				return nil, fmt.Errorf("storage: wal: clear stale temp %s: %w", n, err)
+				return nil, nil, fmt.Errorf("storage: wal: clear stale temp %s: %w", n, err)
 			}
 			continue
 		}
-		st, err := readHeapState(fs, dir, strings.TrimSuffix(n, ".heap"))
-		if err != nil {
-			return nil, err
+		name := strings.TrimSuffix(n, ".heap")
+		st, ok := rec.redone[name]
+		if !ok {
+			st, ok = rec.base[name]
+			ok = ok && st.trusted && intact(fs, dir, st)
+		}
+		if !ok {
+			if st, err = readHeapState(fs, dir, name); err != nil {
+				return nil, nil, err
+			}
+		}
+		entries[name] = st
+		if len(st.tail) > 0 {
+			// The statistics describe the heap without its replayed tail,
+			// which only OpenHeap can observe: the new log records none.
+			st.stats, st.tail = nil, nil
 		}
 		states = append(states, st)
 	}
@@ -123,9 +175,65 @@ func openWAL(fs FS, dir string, window time.Duration) (*WAL, error) {
 	w := &WAL{fs: fs, dir: dir, path: filepath.Join(dir, walFileName), window: window}
 	w.cond = sync.NewCond(&w.mu)
 	if err := w.rewrite(states); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return w, nil
+	return w, entries, nil
+}
+
+// intact reports whether the heap file still is what checkpoint entry st
+// describes: its size is the recorded page count and its last page the
+// recorded image. Heap files only grow at the end and rewrite only their
+// last page, so an append the log does not cover changes one or the
+// other; a file replaced outside the log may not, which is why such a
+// replacement drops the entry's summary first (HeapFile.DropSummary).
+func intact(fs FS, dir string, st heapState) bool {
+	f, err := fs.OpenFile(filepath.Join(dir, st.name+".heap"), os.O_RDONLY, 0)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if size, err := f.Size(); err != nil || size != st.numPages*PageSize {
+		return false
+	}
+	if st.numPages == 0 {
+		return true
+	}
+	page := make([]byte, PageSize)
+	if _, err := f.ReadAt(page, (st.numPages-1)*PageSize); err != nil {
+		return false
+	}
+	return bytes.Equal(page, st.lastPage)
+}
+
+// openStats returns the planner statistics entry st yields under schema:
+// the recorded statistics with the replayed tail observed on top (empty
+// statistics when every tuple of the heap is in the tail), or nil when
+// the entry records none or they do not describe exactly the heap's
+// tuples.
+func (st *heapState) openStats(schema *frel.Schema) *frel.TableStats {
+	var ts *frel.TableStats
+	switch {
+	case st.stats != nil:
+		var err error
+		if ts, err = frel.DecodeStats(st.stats); err != nil || len(ts.Attrs) != len(schema.Attrs) {
+			return nil
+		}
+	case st.numTuples == int64(len(st.tail)):
+		ts = frel.NewTableStats(len(schema.Attrs))
+	default:
+		return nil
+	}
+	for _, rec := range st.tail {
+		t, _, err := frel.DecodeTuple(schema, rec)
+		if err != nil {
+			return nil
+		}
+		ts.Observe(t)
+	}
+	if ts.Rows != st.numTuples {
+		return nil
+	}
+	return ts
 }
 
 // writeLocked appends one record. Callers hold w.mu.
@@ -246,6 +354,20 @@ func (w *WAL) rewrite(states []heapState) error {
 		p = binary.AppendUvarint(p, uint64(st.lastUsed))
 		if st.numPages > 0 {
 			p = append(p, st.lastPage...)
+		}
+	}
+	for _, st := range states {
+		var flags byte
+		if st.trusted {
+			flags |= summaryTrusted
+		}
+		if st.stats != nil {
+			flags |= summaryStats
+		}
+		p = append(p, flags)
+		if st.stats != nil {
+			p = binary.AppendUvarint(p, uint64(len(st.stats)))
+			p = append(p, st.stats...)
 		}
 	}
 	w.pbuf = p
@@ -394,35 +516,59 @@ func decodeBody(body []byte) (walRecord, bool) {
 			}
 			rec.states = append(rec.states, st)
 		}
+		if r.off < len(r.b) { // the summaries; absent from older logs
+			for i := range rec.states {
+				flags := r.take(1)
+				if r.bad {
+					break
+				}
+				st := &rec.states[i]
+				st.trusted = flags[0]&summaryTrusted != 0
+				if flags[0]&summaryStats != 0 {
+					// A copy: an adopted heap keeps it, and must not keep
+					// the whole log it was read from alive.
+					st.stats = bytes.Clone(r.take(r.uvarint()))
+				}
+			}
+		}
 	default:
 		return rec, false
 	}
 	return rec, !r.bad
 }
 
+// recovery is what recoverWAL found: the entries of the log's last
+// checkpoint and the post-redo entries of the heaps it replayed, by name.
+// Both are empty when there was no log.
+type recovery struct {
+	found  bool
+	base   map[string]heapState
+	redone map[string]heapState
+}
+
 // recoverWAL replays the directory's log, if any: relations touched by
 // append records after the last checkpoint are rewound to their checkpoint
 // geometry and the appends of committed transactions are replayed onto
 // them. Uncommitted work disappears; untouched relations are not opened.
-func recoverWAL(fs FS, dir string) error {
+func recoverWAL(fs FS, dir string) (recovery, error) {
 	path := filepath.Join(dir, walFileName)
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if os.IsNotExist(err) {
-		return nil // pre-WAL database or first open
+		return recovery{}, nil // pre-WAL database or first open
 	}
 	if err != nil {
-		return fmt.Errorf("storage: wal recover: %w", err)
+		return recovery{}, fmt.Errorf("storage: wal recover: %w", err)
 	}
 	size, err := f.Size()
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("storage: wal recover: %w", err)
+		return recovery{}, fmt.Errorf("storage: wal recover: %w", err)
 	}
 	data := make([]byte, size)
 	if size > 0 {
 		if n, err := f.ReadAt(data, 0); int64(n) < size {
 			f.Close()
-			return fmt.Errorf("storage: wal recover: short read: %w", err)
+			return recovery{}, fmt.Errorf("storage: wal recover: short read: %w", err)
 		}
 	}
 	f.Close()
@@ -461,12 +607,15 @@ func recoverWAL(fs FS, dir string) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	rec := recovery{found: true, base: base, redone: make(map[string]heapState, len(names))}
 	for _, name := range names {
-		if err := redoRelation(fs, dir, name, base[name], redo[name]); err != nil {
-			return err
+		st, err := redoRelation(fs, dir, name, base[name], redo[name])
+		if err != nil {
+			return recovery{}, err
 		}
+		rec.redone[name] = st
 	}
-	return nil
+	return rec, nil
 }
 
 // redoRelation rewinds one heap file to its checkpoint geometry st (the
@@ -474,12 +623,13 @@ func recoverWAL(fs FS, dir string) error {
 // recs — raw serialized tuples in commit order — with the same page-packing
 // rule HeapFile.Append uses, and truncates the file to the replayed length.
 // Everything the crash may have left beyond or torn inside the replayed
-// region is overwritten or cut off.
-func redoRelation(fs FS, dir, name string, st heapState, recs [][]byte) error {
+// region is overwritten or cut off. It returns the file's new entry: the
+// geometry it wrote, st's statistics and recs as the tail they lack.
+func redoRelation(fs FS, dir, name string, st heapState, recs [][]byte) (heapState, error) {
 	path := filepath.Join(dir, name+".heap")
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: redo %s: %w", name, err)
+		return heapState{}, fmt.Errorf("storage: redo %s: %w", name, err)
 	}
 	defer f.Close()
 	page := make([]byte, PageSize)
@@ -502,7 +652,7 @@ func redoRelation(fs FS, dir, name string, st heapState, recs [][]byte) error {
 		if numPages == 0 || lastUsed+need > PageSize {
 			if numPages > 0 {
 				if err := flushLast(); err != nil {
-					return err
+					return heapState{}, err
 				}
 			}
 			numPages++
@@ -520,20 +670,33 @@ func redoRelation(fs FS, dir, name string, st heapState, recs [][]byte) error {
 	}
 	if dirtyLast {
 		if err := flushLast(); err != nil {
-			return err
+			return heapState{}, err
 		}
 	}
 	if err := f.Truncate(numPages * PageSize); err != nil {
-		return fmt.Errorf("storage: redo %s: %w", name, err)
+		return heapState{}, fmt.Errorf("storage: redo %s: %w", name, err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: redo %s: %w", name, err)
+		return heapState{}, fmt.Errorf("storage: redo %s: %w", name, err)
 	}
-	return nil
+	out := heapState{
+		name:      name,
+		numPages:  numPages,
+		numTuples: st.numTuples + int64(len(recs)),
+		lastUsed:  lastUsed,
+		trusted:   true,
+		stats:     st.stats,
+		tail:      recs,
+	}
+	if numPages > 0 {
+		out.lastPage = page
+	}
+	return out, nil
 }
 
 // readHeapState derives a heap file's checkpoint geometry by walking its
-// page headers, without needing the relation's schema.
+// page headers, without needing the relation's schema: the one walk Open
+// makes, for a heap no checkpoint entry vouches for.
 func readHeapState(fs FS, dir, name string) (heapState, error) {
 	path := filepath.Join(dir, name+".heap")
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
@@ -548,28 +711,57 @@ func readHeapState(fs FS, dir, name string) (heapState, error) {
 	if size%PageSize != 0 {
 		return heapState{}, fmt.Errorf("storage: heap %s is %d bytes, not page aligned", name, size)
 	}
-	st := heapState{name: name, numPages: size / PageSize}
+	st := heapState{name: name, numPages: size / PageSize, trusted: true}
 	page := make([]byte, PageSize)
 	for pid := int64(0); pid < st.numPages; pid++ {
 		if _, err := f.ReadAt(page, pid*PageSize); err != nil {
 			return heapState{}, fmt.Errorf("storage: read heap state %s: %w", name, err)
 		}
-		count := int(binary.LittleEndian.Uint16(page[0:2]))
-		st.numTuples += int64(count)
+		st.numTuples += int64(binary.LittleEndian.Uint16(page[0:2]))
 		if pid == st.numPages-1 {
-			off := pageHeader
-			for i := 0; i < count; i++ {
-				if off+recHeader > PageSize {
-					return heapState{}, fmt.Errorf("storage: corrupt heap page in %s", name)
-				}
-				off += recHeader + int(binary.LittleEndian.Uint16(page[off:]))
-				if off > PageSize {
-					return heapState{}, fmt.Errorf("storage: corrupt heap page in %s", name)
-				}
+			if st.lastUsed, err = pageEnd(page, path, PageID(pid)); err != nil {
+				return heapState{}, err
 			}
-			st.lastUsed = off
 			st.lastPage = append([]byte(nil), page...)
 		}
 	}
 	return st, nil
+}
+
+// CorruptPageError reports a heap page whose record count or record
+// lengths point outside the page. Scans and opens stop with it instead of
+// reading past the page.
+type CorruptPageError struct {
+	Path string // the heap file
+	Page PageID
+}
+
+func (e *CorruptPageError) Error() string {
+	return fmt.Sprintf("storage: corrupt heap page %d of %s: a record overruns the page", e.Page, e.Path)
+}
+
+// recordAt returns the bounds of the record whose length field starts at
+// off in page, or false when the field or the record does not fit in the
+// page.
+func recordAt(page []byte, off int) (start, end int, ok bool) {
+	if off+recHeader > len(page) {
+		return 0, 0, false
+	}
+	start = off + recHeader
+	end = start + int(binary.LittleEndian.Uint16(page[off:]))
+	return start, end, end <= len(page)
+}
+
+// pageEnd walks the records of a heap page and returns the offset just
+// past the last one: the append cursor, when it is the file's last page.
+func pageEnd(page []byte, path string, pid PageID) (int, error) {
+	off := pageHeader
+	for i := binary.LittleEndian.Uint16(page[0:2]); i > 0; i-- {
+		_, end, ok := recordAt(page, off)
+		if !ok {
+			return 0, &CorruptPageError{Path: path, Page: pid}
+		}
+		off = end
+	}
+	return off, nil
 }

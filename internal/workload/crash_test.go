@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -79,6 +81,7 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			got := snapshotDB(t, sess)
 			verifyIndexes(t, sess, fmt.Sprintf("%v@%d", mode, n))
+			verifyStats(t, sess, fmt.Sprintf("%v@%d", mode, n))
 			matched := -1
 			for j := acked; j <= len(steps); j++ {
 				if got.equal(snaps[j]) {
@@ -117,7 +120,10 @@ func sqlStep(src string) crashStep {
 // DELETE (the rename-swap path), a DROP/recreate, and persistent-index
 // lifecycle (CREATE INDEX build, maintained inserts, the DELETE rebuild,
 // DROP INDEX) — split across a session restart so recovery itself is also
-// run under fault injection.
+// run under fault injection. One DELETE removes the small first tuple of
+// a relation packed [small, big, big] [big]: the rewritten file keeps the
+// page count and the last page byte for byte, so only the summary the
+// checkpoint before its rename drops tells Open to walk it.
 func crashSteps(t *testing.T) []crashStep {
 	t.Helper()
 	schema, err := Schema("W", 128)
@@ -131,6 +137,7 @@ func crashSteps(t *testing.T) []crashStep {
 	if err != nil {
 		t.Fatal(err)
 	}
+	big := strings.Repeat("b", storage.PageSize*2/5) // a page holds two, and a small tuple beside them
 	return []crashStep{
 		sqlStep(`CREATE TABLE A (K NUMBER, NAME STRING)`),
 		sqlStep(`INSERT INTO A VALUES (1, 'a') DEGREE 0.5`),
@@ -155,6 +162,13 @@ func crashSteps(t *testing.T) []crashStep {
 		sqlStep(`INSERT INTO A VALUES (3, 'c') DEGREE 0.75`),
 
 		{name: "restart", reopen: true, run: func(*core.Session) error { return nil }},
+		sqlStep(`CREATE TABLE P (K NUMBER, S STRING)`),
+		sqlStep(`INSERT INTO P VALUES (0, 'x') DEGREE 0.5`),
+		sqlStep(`INSERT INTO P VALUES (1, '` + big + `')`),
+		sqlStep(`INSERT INTO P VALUES (2, '` + big + `') DEGREE 0.25`),
+		sqlStep(`INSERT INTO P VALUES (3, '` + big + `')`),
+		sqlStep(`CHECKPOINT`),
+		sqlStep(`DELETE FROM P WHERE P.K = 0`),
 		sqlStep(`DELETE FROM B WHERE B.K = 1`),
 		sqlStep(`INSERT INTO B VALUES (3, 30)`),
 		// Index lifecycle under fault injection: the CREATE INDEX build,
@@ -294,6 +308,38 @@ func verifyIndexes(t *testing.T, s *core.Session, label string) {
 				t.Errorf("%s: index %s entry %d = %+v, rebuild has %+v", label, name, i, got[i], want[i])
 				break
 			}
+		}
+	}
+}
+
+// verifyStats checks every relation's planner statistics against the ones
+// a fresh scan of its heap builds: equal encodings, so every field bit for
+// bit and every KMV hash. Statistics adopted from a checkpoint entry that
+// describes another file, or observed over a tail redo did not replay,
+// differ.
+func verifyStats(t *testing.T, s *core.Session, label string) {
+	t.Helper()
+	cat := s.Catalog()
+	for _, name := range cat.Relations() {
+		h, err := cat.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Stats()
+		if err != nil {
+			t.Errorf("%s: %s statistics: %v", label, name, err)
+			continue
+		}
+		rel, err := h.ReadAll()
+		if err != nil {
+			t.Errorf("%s: %s: read: %v", label, name, err)
+			continue
+		}
+		want := frel.NewTableStats(len(h.Schema.Attrs))
+		want.ObserveAll(rel.Tuples)
+		if h.NumTuples() != int64(rel.Len()) || !bytes.Equal(frel.AppendStats(nil, got), frel.AppendStats(nil, want)) {
+			t.Errorf("%s: %s: %d tuples counted, %d read, statistics of %d rows, a scan's of %d",
+				label, name, h.NumTuples(), rel.Len(), got.Rows, want.Rows)
 		}
 	}
 }

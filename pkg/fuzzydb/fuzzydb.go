@@ -86,7 +86,9 @@ func WithParallelism(workers int) Option {
 // WithNoWAL disables the write-ahead log. Without it the database offers
 // no crash safety — mutations reach the heap files only on explicit
 // flushes — matching the pre-WAL engine. It exists as an ablation switch
-// for measuring logging overhead; durable is the default.
+// for measuring logging overhead; durable is the default. Opening a
+// directory a logged database left a log in replays that log and removes
+// it first.
 func WithNoWAL() Option {
 	return func(c *config) error {
 		c.noWAL = true
