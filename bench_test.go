@@ -182,7 +182,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	r, s := ablationRelations(b, 2000, 5)
 	b.Run("with-cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, nil, 1)
+			mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, exec.NewOpStats("merge-join", ""), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 			return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 		}
 		for i := 0; i < b.N; i++ {
-			nl := exec.NewBlockNLJoin(exec.NewMemSource(r), exec.NewMemSource(s), on, 1<<20, nil)
+			nl := exec.NewBlockNLJoin(exec.NewMemSource(r), exec.NewMemSource(s), on, 1<<20, exec.NewOpStats("nl-join", ""))
 			drainJoin(b, nl)
 		}
 	})
@@ -206,7 +206,8 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 // excessively vague values (temporal-database-sized intervals) keep
 // dangling tuples inside Rng(r) and erode the merge-join's advantage. A
 // growing fraction of the inner relation gets supports spanning many join
-// groups; the pair-examination metric shows the range bloat.
+// groups; the pair-examination metric (support-intersecting pairs) shows
+// the range bloat.
 func BenchmarkAblationIntervalWidth(b *testing.B) {
 	for _, vaguePct := range []int{0, 5, 20, 50} {
 		b.Run(fmt.Sprintf("vague=%d%%", vaguePct), func(b *testing.B) {
@@ -224,16 +225,16 @@ func BenchmarkAblationIntervalWidth(b *testing.B) {
 				}
 				sortOn(b, s, "B")
 			}
-			var c exec.Counters
+			st := exec.NewOpStats("merge-join", "")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, &c, 1)
+				mj, err := exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s), "R.B", "S.B", fuzzy.Crisp(0), nil, st, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
 				drainJoin(b, mj)
 			}
-			b.ReportMetric(float64(c.Comparisons.Load())/float64(b.N), "pairExams/op")
+			b.ReportMetric(float64(st.Comparisons.Load())/float64(b.N), "pairExams/op")
 		})
 	}
 }
@@ -264,7 +265,7 @@ func BenchmarkAblationParallelism(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			run(b, func() (exec.Source, error) {
 				return exec.NewKernelMergeJoin(exec.NewMemSource(r), exec.NewMemSource(s),
-					"R.B", "S.B", fuzzy.Crisp(0), nil, nil, workers)
+					"R.B", "S.B", fuzzy.Crisp(0), nil, exec.NewOpStats("merge-join", ""), workers)
 			})
 		})
 	}

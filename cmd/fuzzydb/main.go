@@ -198,8 +198,9 @@ func (a *app) meta(cmd string) bool {
 	case cmd == "\\stats":
 		stats := a.sess.Catalog().Manager().Stats()
 		fmt.Fprintf(a.out, "physical I/O: %s\n", stats)
-		fmt.Fprintf(a.out, "work: degree evals=%d comparisons=%d tuples out=%d\n",
-			a.sess.Env.Counters.DegreeEvals.Load(), a.sess.Env.Counters.Comparisons.Load(), a.sess.Env.Counters.TuplesOut.Load())
+		w := a.sess.Env.Work
+		fmt.Fprintf(a.out, "work: degree evals=%d comparisons=%d sort cache hits=%d misses=%d index hits=%d\n",
+			w.DegreeEvals.Load(), w.Comparisons.Load(), w.CacheHits.Load(), w.CacheMisses.Load(), w.IndexHits.Load())
 	case cmd == "\\terms":
 		for _, name := range a.sess.Catalog().Terms() {
 			t, _ := a.sess.Catalog().Term(name)

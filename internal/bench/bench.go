@@ -122,7 +122,6 @@ type Measurement struct {
 	Wall        time.Duration // measured compute time
 	IOs         int64         // physical page I/Os
 	DegreeEvals int64
-	Comparisons int64
 	SortWall    time.Duration // merge-join only: time spent sorting
 	SortIOs     int64
 	IOLatency   time.Duration
@@ -285,8 +284,7 @@ func (c Config) measure(method Method, nOuter, nInner int) (Measurement, *frel.R
 	meas := Measurement{
 		Wall:        wall,
 		IOs:         mgr.Stats().IO(),
-		DegreeEvals: env.Counters.DegreeEvals.Load(),
-		Comparisons: env.Counters.Comparisons.Load(),
+		DegreeEvals: env.Work.DegreeEvals.Load(),
 		SortWall:    env.Phases.SortWall,
 		SortIOs:     env.Phases.SortIOs,
 		IOLatency:   c.IOLatency,

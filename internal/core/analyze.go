@@ -70,11 +70,12 @@ func (e *Env) withAnalyze(es *ExecStats) func() {
 	return func() { e.analyze = prev }
 }
 
-// newNode creates a stats node when an EXPLAIN ANALYZE collection is
-// active, nil otherwise (operators treat a nil node as "don't measure").
+// newNode returns the stats node an operator counts into: a fresh node of
+// the tree when an EXPLAIN ANALYZE collection is active, the environment's
+// running total otherwise.
 func (e *Env) newNode(op, label string) *exec.OpStats {
 	if e.analyze == nil {
-		return nil
+		return e.Work
 	}
 	return exec.NewOpStats(op, label)
 }
@@ -82,12 +83,17 @@ func (e *Env) newNode(op, label string) *exec.OpStats {
 // attach wires node into the stats tree: the nodes of already-wrapped
 // inputs become its children, node becomes the current root candidate
 // (the outermost operator wrapped last wins), and src is wrapped so its
-// rows out and wall time are measured. Identity when node is nil.
+// rows out and wall time are measured. Identity outside EXPLAIN ANALYZE.
+// An input shifted for a NEAR correlation is seen through: the shift has
+// no node of its own.
 func (e *Env) attach(node *exec.OpStats, src exec.Source, inputs ...exec.Source) exec.Source {
-	if node == nil {
+	if e.analyze == nil {
 		return src
 	}
 	for _, in := range inputs {
+		if sh, ok := in.(*shiftSource); ok {
+			in = sh.src
+		}
 		if st, ok := in.(*exec.Stated); ok {
 			node.AddChild(st.Node)
 		}
@@ -111,15 +117,14 @@ func (e *Env) notePruned(n int) {
 	}
 }
 
-// runAnalyzed executes run with stats collection active, filling es.
+// runAnalyzed executes run with stats collection active, filling es, and
+// adds the statement's tree to the environment's running total.
 func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
 	defer e.withAnalyze(es)()
 	var reads0, hits0 int64
 	if e.cat != nil {
 		reads0, _, hits0, _ = e.cat.Manager().Stats().Snapshot()
 	}
-	cmp0 := e.Counters.Comparisons.Load()
-	deg0 := e.Counters.DegreeEvals.Load()
 	start := time.Now()
 	rel, err := run()
 	es.Wall = time.Since(start)
@@ -127,17 +132,7 @@ func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*f
 		return nil, err
 	}
 	es.Answer = rel.Len()
-	if es.Root == nil {
-		// The naive evaluator has no per-operator pipeline to hook; its
-		// work is reported as one node from the global counter deltas.
-		root := exec.NewOpStats(StrategyNaive.String(), "")
-		root.RowsOut.Store(int64(rel.Len()))
-		root.Comparisons.Store(e.Counters.Comparisons.Load() - cmp0)
-		root.DegreeEvals.Store(e.Counters.DegreeEvals.Load() - deg0)
-		root.Pruned.Store(es.Pruned)
-		root.WallNanos.Store(es.Wall.Nanoseconds())
-		es.Root = root
-	}
+	e.Work.AddTree(es.Root)
 	if e.cat != nil {
 		reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
 		es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/fuzzy"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -90,8 +92,7 @@ func TestExplainAnalyzeCollectsStats(t *testing.T) {
 }
 
 // TestAnalyzeNaiveRootSynthesis checks that the naive evaluator (which
-// has no operator pipeline) still reports a stats root built from the
-// global counter deltas.
+// has no operator pipeline) still reports its work as one root node.
 func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 	env := analyzeEnv(t, 100, 1)
 	q, err := fsql.ParseQuery(analyzeQuery)
@@ -106,14 +107,14 @@ func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 		t.Fatalf("strategy = %v, want %v", es.Strategy, StrategyNaive)
 	}
 	if es.Root == nil {
-		t.Fatal("no synthesized root")
+		t.Fatal("no naive root")
 	}
 	snap := es.Plan()
 	if snap.RowsOut != int64(rel.Len()) {
 		t.Fatalf("RowsOut = %d, want %d", snap.RowsOut, rel.Len())
 	}
 	if snap.DegreeEvals == 0 {
-		t.Fatal("synthesized root has no degree evaluations")
+		t.Fatal("naive root has no degree evaluations")
 	}
 }
 
@@ -176,7 +177,7 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 		if mj == nil {
 			t.Fatalf("%s: no merge-join node in:\n%s", label, snap.Render())
 		}
-		if env.Counters.KernelTuples.Load() == 0 {
+		if env.Work.KernelTuples.Load() == 0 {
 			t.Fatalf("%s: compiled kernels did not fire", label)
 		}
 		runs = append(runs, run{
@@ -205,4 +206,98 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 				r.label, base.label, r.rngN, base.rngN, r.rngMin, base.rngMin, r.rngMax, base.rngMax, r.rngSum, base.rngSum)
 		}
 	}
+}
+
+// danglingEnv builds an in-memory environment whose join attribute A holds
+// narrow triangles at even centres, 1 000 outer and 1 000 inner tuples one
+// to a centre, and between every two centres one inner tuple that joins
+// nothing. Whether a sweep's window slides over such a dangling tuple
+// depends on where the morsels are cut.
+func danglingEnv(workers int) *Env {
+	schema := func(name string) *frel.Schema {
+		return frel.NewSchema(name,
+			frel.Attribute{Name: "K", Kind: frel.KindNumber},
+			frel.Attribute{Name: "A", Kind: frel.KindNumber},
+			frel.Attribute{Name: "B", Kind: frel.KindNumber})
+	}
+	tri := func(c, w float64) frel.Value { return frel.Num(fuzzy.Tri(c-w, c, c+w)) }
+	r, s := frel.NewRelation(schema("R")), frel.NewRelation(schema("S"))
+	for k := 0; k < 1000; k++ {
+		c := float64(2 * k)
+		r.Append(frel.NewTuple(1, frel.Crisp(float64(k)), tri(c, 0.5), frel.Crisp(float64(k%3))))
+		s.Append(frel.NewTuple(1, frel.Crisp(float64(k)), tri(c, 0.5), frel.Crisp(float64(k%2))))
+		s.Append(frel.NewTuple(1, frel.Crisp(float64(k)), tri(c+1, 0.25), frel.Crisp(0)))
+	}
+	env := NewMemEnv()
+	env.RegisterRelation("R", r)
+	env.RegisterRelation("S", s)
+	env.Parallelism = workers
+	return env
+}
+
+// TestWorkTotalsInvariant: the environment's running total follows one
+// counting rule, the tree's. For the type N, J, JX and JA queries over data
+// whose sweeps slide over dangling tuples, each run twice (the repeat hits
+// the sort cache), Env.Work's comparisons, degree evaluations, kernel
+// tuples and sort-cache hits are the same at 1, 2, 4 and 8 workers, and
+// equal the totals of the same statements' EXPLAIN ANALYZE trees.
+func TestWorkTotalsInvariant(t *testing.T) {
+	var hits int64
+	for _, qs := range []string{
+		`SELECT R.K FROM R WHERE R.A IN (SELECT S.A FROM S)`,
+		`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A)`,
+		`SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A)`,
+		`SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A)`,
+	} {
+		q, err := fsql.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var serial [4]int64
+		for _, workers := range []int{1, 2, 4, 8} {
+			plain, analyzed := danglingEnv(workers), danglingEnv(workers)
+			var tree [4]int64
+			for run := 0; run < 2; run++ {
+				if _, err := plain.EvalUnnested(q); err != nil {
+					t.Fatalf("%s: %v", qs, err)
+				}
+				_, es, err := analyzed.EvalUnnestedAnalyze(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s: %v", qs, err)
+				}
+				snap := es.Plan()
+				_, cmp, deg := snap.Totals()
+				tree[0] += cmp
+				tree[1] += deg
+				tree[2] += sumTree(snap, func(n *exec.StatsSnapshot) int64 { return n.KernelTuples })
+				tree[3] += sumTree(snap, func(n *exec.StatsSnapshot) int64 { return n.CacheHits })
+			}
+			w := plain.Work
+			got := [4]int64{w.Comparisons.Load(), w.DegreeEvals.Load(), w.KernelTuples.Load(), w.CacheHits.Load()}
+			if got[0] == 0 || got[1] == 0 || got[2] == 0 {
+				t.Fatalf("%s workers=%d: no work counted: %v", qs, workers, got)
+			}
+			if workers == 1 {
+				serial = got
+			} else if got != serial {
+				t.Errorf("%s: cmp/deg/kernel/cache %v at %d workers, %v serially", qs, got, workers, serial)
+			}
+			if got != tree {
+				t.Errorf("%s workers=%d: Env.Work %v, EXPLAIN ANALYZE trees %v", qs, workers, got, tree)
+			}
+			hits += got[3]
+		}
+	}
+	if hits == 0 {
+		t.Error("no statement hit the sort cache: the cache-hit comparison is vacuous")
+	}
+}
+
+// sumTree sums one counter over a snapshot tree.
+func sumTree(n *exec.StatsSnapshot, field func(*exec.StatsSnapshot) int64) int64 {
+	v := field(n)
+	for _, c := range n.Children {
+		v += sumTree(c, field)
+	}
+	return v
 }

@@ -63,10 +63,8 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		ff := exec.NewFusedFilter(base, prog, 0, &e.Counters)
 		node := e.newNode("kernel(fused)", n.Label)
-		ff.Stats = node
-		return e.attach(node, ff, base), nil
+		return e.attach(node, exec.NewFusedFilter(base, prog, 0, node), base), nil
 	}
 	return nil, fmt.Errorf("core: cannot compile plan leaf %T", nd)
 }
@@ -116,11 +114,15 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, &e.Counters, e.workers())
+			label := step.LeftAttr + " = " + step.RightAttr
+			if step.Emit != nil && step.Fold != plan.FoldNone {
+				label += " fold(" + step.Fold.String() + ")"
+			}
+			node := e.newNode("merge-join", label)
+			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, node, e.workers())
 			if err != nil {
 				return nil, err
 			}
-			label := step.LeftAttr + " = " + step.RightAttr
 			if step.Emit != nil {
 				emit := make([]int, len(step.Emit))
 				for i, ref := range step.Emit {
@@ -131,12 +133,7 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 				if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
 					return nil, err
 				}
-				if step.Fold != plan.FoldNone {
-					label += " fold(" + step.Fold.String() + ")"
-				}
 			}
-			node := e.newNode("merge-join", label)
-			kj.Stats = node
 			cur = e.attach(node, kj, sortedCur, sortedNext)
 		} else {
 			var extras []exec.JoinPred
@@ -152,22 +149,21 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 				on = func(l, r frel.Tuple) float64 { return 1 }
 			}
 			node := e.newNode("nl-join", "")
-			nl := exec.NewBlockNLJoin(cur, next, on, e.NLBlockBytes, &e.Counters)
-			nl.Stats = node
-			cur = e.attach(node, nl, cur, next)
+			cur = e.attach(node, exec.NewBlockNLJoin(cur, next, on, e.NLBlockBytes, node), cur, next)
 		}
 	}
 
-	var out exec.Source = cur
-	for _, pr := range j.Const {
-		pred, err := e.compilePred(cur.Schema(), pr)
-		if err != nil {
-			return nil, err
+	out := cur
+	if len(j.Const) > 0 {
+		node := e.newNode("filter", "constant predicates")
+		for _, pr := range j.Const {
+			pred, err := e.compilePred(cur.Schema(), pr)
+			if err != nil {
+				return nil, err
+			}
+			out = exec.NewFilter(out, pred, node)
 		}
-		out = exec.NewFilter(out, pred)
-	}
-	if out != cur {
-		out = e.stated("filter", "constant predicates", out, cur)
+		out = e.attach(node, out, cur)
 	}
 
 	// Final projection / grouping.
@@ -234,13 +230,12 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, terms, &e.Counters)
+		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
+		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, terms, node)
 		if err != nil {
 			return nil, err
 		}
 		am.Workers = e.workers()
-		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
-		am.Stats = node
 		result = e.attach(node, am, sortedOuter, sortedInner)
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
@@ -270,9 +265,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 			return 1 - d
 		}
 		node := e.newNode("nl-anti-join", "")
-		nas := exec.NewNLAntiMin(outer, inner, penalty, &e.Counters)
-		nas.Stats = node
-		result = e.attach(node, nas, outer, inner)
+		result = e.attach(node, exec.NewNLAntiMin(outer, inner, penalty, node), outer, inner)
 	}
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
@@ -304,21 +297,22 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 			return nil, err
 		}
 	}
-	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, &e.Counters)
+	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
+	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, node)
 	if err != nil {
 		return nil, err
 	}
 	ga.Workers = e.workers()
-	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
-	ga.Stats = node
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
 }
 
 // execUncorrPlan folds an uncorrelated aggregate subquery: the subquery
 // is evaluated once, aggregated to a constant, and applied as a filter
-// over the outer block (Section 6 notes no unnesting is needed).
+// over the outer block (Section 6 notes no unnesting is needed). The
+// filter's node counts the subquery's evaluation too.
 func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, error) {
-	set, err := e.constantSubquerySet(u.Sub)
+	node := e.newNode("filter", "uncorrelated subquery")
+	set, err := e.constantSubquerySet(u.Sub, node)
 	if err != nil {
 		return nil, err
 	}
@@ -334,26 +328,16 @@ func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	var result exec.Source
-	if !ok {
-		result = exec.NewFilter(outer, func(frel.Tuple) float64 { return 0 })
-	} else {
+	pred := func(frel.Tuple) float64 { return 0 } // a NULL aggregate satisfies nothing
+	if ok {
 		yi, err := outer.Schema().Resolve(u.YRef)
 		if err != nil {
 			return nil, err
 		}
 		op := u.CmpOp
-		counters := &e.Counters
-		node := e.newNode("filter", "uncorrelated subquery")
-		result = exec.NewFilter(outer, func(t frel.Tuple) float64 {
-			counters.DegreeEvals.Add(1)
-			if node != nil {
-				node.DegreeEvals.Add(1)
-			}
-			return frel.Degree(op, t.Values[yi], frel.Num(a))
-		})
-		result = e.attach(node, result, outer)
+		pred = func(t frel.Tuple) float64 { return frel.Degree(op, t.Values[yi], frel.Num(a)) }
 	}
+	result := e.attach(node, exec.NewFilter(outer, pred, node), outer)
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
 
@@ -376,10 +360,10 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	return rel, nil
 }
 
-// constantSubquerySet evaluates an uncorrelated subquery once and returns
-// its answer as a fuzzy value set.
-func (e *Env) constantSubquerySet(sub *fsql.Select) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, nil)
+// constantSubquerySet evaluates an uncorrelated subquery once, counting
+// into node, and returns its answer as a fuzzy value set.
+func (e *Env) constantSubquerySet(sub *fsql.Select, node *exec.OpStats) ([]setMember, error) {
+	rel, err := e.evalBlock(sub, nil, node)
 	if err != nil {
 		return nil, err
 	}

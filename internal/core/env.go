@@ -33,13 +33,13 @@ import (
 	"repro/internal/storage"
 )
 
-// Env is the evaluation environment: relation and term resolution plus the
-// resource knobs (sort memory, nested-loop block size) and work counters.
 // ErrUnknownTerm reports a linguistic term that resolves in neither the
 // session's term scope nor the shared catalog. The public API maps it to
 // a typed error code.
 var ErrUnknownTerm = errors.New("unknown linguistic term")
 
+// Env is the evaluation environment: relation and term resolution plus the
+// resource knobs (sort memory, nested-loop block size) and work counters.
 type Env struct {
 	cat      *catalog.Catalog
 	mem      map[string]*frel.Relation
@@ -91,8 +91,13 @@ type Env struct {
 	// an *Analyze evaluation call).
 	analyze *ExecStats
 
-	// Counters accumulates operator work across evaluations.
-	Counters exec.Counters
+	// Work is the running total of the work every operator the environment
+	// ran counted (comparisons, degree evaluations, sort-cache and index
+	// traffic, kernel tuples, …). Outside EXPLAIN ANALYZE operators count
+	// into it directly; an analyzed statement's tree is added to it when
+	// the statement ends. Its rows-out, pool and wall-time fields carry no
+	// total and are not to be read.
+	Work *exec.OpStats
 	// Phases attributes evaluation work to phases; the experiments use it
 	// for the paper's Table 3 time breakdown.
 	Phases PhaseStats
@@ -106,14 +111,14 @@ type PhaseStats struct {
 
 // ResetStats clears the accumulated counters and phase statistics.
 func (e *Env) ResetStats() {
-	e.Counters.Reset()
+	e.Work = exec.NewOpStats("total", "")
 	e.Phases = PhaseStats{}
 }
 
 // NewEnv builds an environment over a catalog (with on-disk relations and
 // its linguistic terms).
 func NewEnv(cat *catalog.Catalog) *Env {
-	e := &Env{cat: cat, mem: make(map[string]*frel.Relation)}
+	e := &Env{cat: cat, mem: make(map[string]*frel.Relation), Work: exec.NewOpStats("total", "")}
 	e.SortMemPages = 256
 	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
 	return e
@@ -122,7 +127,7 @@ func NewEnv(cat *catalog.Catalog) *Env {
 // NewMemEnv builds a purely in-memory environment; relations are
 // registered with RegisterRelation and terms with DefineTerm.
 func NewMemEnv() *Env {
-	e := &Env{mem: make(map[string]*frel.Relation)}
+	e := &Env{mem: make(map[string]*frel.Relation), Work: exec.NewOpStats("total", "")}
 	e.SortMemPages = 256
 	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
 	return e
@@ -461,24 +466,11 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// side of the cache; repeat sorts of the unmodified heap replay
 		// it without touching the index again.
 		if ent, ok := e.sortMem[key]; ok && ent.version == e.heapVersion(heapBase) {
-			e.Counters.SortCacheHits.Add(1)
 			rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-			out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
-			if node := e.newNode("sort", attr); node != nil {
-				node.CacheHits.Store(1)
-				out = e.attach(node, out, src)
-			}
-			return out, nil
+			return e.cacheHit(attr, exec.NewKeyedMemSource(rel, ent.keys), src), nil
 		}
 		if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
-			e.Counters.SortCacheHits.Add(1)
-			var out exec.Source = &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}
-			out = exec.WithContext(e.ctx, out)
-			if node := e.newNode("sort", attr); node != nil {
-				node.CacheHits.Store(1)
-				out = e.attach(node, out, src)
-			}
-			return out, nil
+			return e.cacheHit(attr, &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}, src), nil
 		}
 		if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil {
 			return nil, err
@@ -499,15 +491,11 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// scan's sorted copy must only serve readers of that snapshot
 		// state, never the live (possibly further-appended) heap.
 		e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
-		e.Counters.SortCacheMisses.Add(1)
 		// The directly sorted heap carries the base schema; restore the
 		// source's (possibly aliased) schema, as the cache-hit path does.
-		out := exec.Source(&renameSource{Source: exec.NewHeapSource(sorted), schema: src.Schema()})
-		if node := e.externalSortNode(attr, st, elapsed); node != nil {
-			node.CacheMisses.Store(1)
-			out = e.attach(node, out, src)
-		}
-		return out, nil
+		node := e.externalSortNode(attr, st, elapsed)
+		node.CacheMisses.Add(1)
+		return e.attach(node, &renameSource{Source: exec.NewHeapSource(sorted), schema: src.Schema()}, src), nil
 	}
 
 	// Not a base relation: the size of the input decides. One that fits
@@ -529,11 +517,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		if err != nil {
 			return nil, err
 		}
-		out := exec.Source(exec.NewHeapSource(sorted))
-		if node := e.externalSortNode(attr, st, elapsed); node != nil {
-			out = e.attach(node, out, src)
-		}
-		return out, nil
+		return e.attach(e.externalSortNode(attr, st, elapsed), exec.NewHeapSource(sorted), src), nil
 	}
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
@@ -542,19 +526,22 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	e.Counters.Comparisons.Add(cmp)
 	e.Phases.SortWall += elapsed
-	out := exec.Source(exec.NewKeyedMemSource(rel, frel.SupportKeys(tuples, attrIdx)))
-	if node := e.newNode("sort", attr); node != nil {
-		node.Comparisons.Store(cmp)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-		out = e.attach(node, out, src)
-	}
-	return out, nil
+	node := e.newNode("sort", attr)
+	node.Comparisons.Add(cmp)
+	node.WallNanos.Add(elapsed.Nanoseconds())
+	return e.attach(node, exec.NewKeyedMemSource(rel, frel.SupportKeys(tuples, attrIdx)), src), nil
 }
 
-// sortHeapFile runs one external sort, accounting its wall time, page I/O
-// and comparisons to the environment.
+// cacheHit serves a sort of src on attr from the cached order out.
+func (e *Env) cacheHit(attr string, out, src exec.Source) exec.Source {
+	node := e.newNode("sort", attr)
+	node.CacheHits.Add(1)
+	return e.attach(node, exec.WithContext(e.ctx, out), src)
+}
+
+// sortHeapFile runs one external sort, accounting its wall time and page
+// I/O to the environment's phases.
 func (e *Env) sortHeapFile(sort func(*extsort.Sorter) (*storage.HeapFile, extsort.Stats, error)) (*storage.HeapFile, extsort.Stats, time.Duration, error) {
 	mgr := e.cat.Manager()
 	sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
@@ -567,20 +554,17 @@ func (e *Env) sortHeapFile(sort func(*extsort.Sorter) (*storage.HeapFile, extsor
 	elapsed := time.Since(start)
 	e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
 	e.Phases.SortWall += elapsed
-	e.Counters.Comparisons.Add(st.Comparisons)
 	return sorted, st, elapsed, nil
 }
 
-// externalSortNode creates the stats node of an external sort (nil when no
-// EXPLAIN ANALYZE collection is active).
+// externalSortNode returns the stats node of an external sort, its work
+// counted.
 func (e *Env) externalSortNode(attr string, st extsort.Stats, elapsed time.Duration) *exec.OpStats {
 	node := e.newNode("sort", attr)
-	if node != nil {
-		node.SortRuns.Store(int64(st.Runs))
-		node.MergePasses.Store(int64(st.MergePasses))
-		node.SpillBytes.Store(st.SpillBytes)
-		node.Comparisons.Store(st.Comparisons)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-	}
+	node.SortRuns.Add(int64(st.Runs))
+	node.MergePasses.Add(int64(st.MergePasses))
+	node.SpillBytes.Add(st.SpillBytes)
+	node.Comparisons.Add(st.Comparisons)
+	node.WallNanos.Add(elapsed.Nanoseconds())
 	return node
 }

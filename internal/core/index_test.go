@@ -93,10 +93,10 @@ func TestIndexServesColdQuery(t *testing.T) {
 	if n := plan.Find("index"); n == nil || n.IndexHits == 0 {
 		t.Fatalf("no index operator in the plan:\n%s", plan.Render())
 	}
-	if misses := sess.Env.Counters.SortCacheMisses.Load(); misses != 0 {
+	if misses := sess.Env.Work.CacheMisses.Load(); misses != 0 {
 		t.Fatalf("sort_cache_misses = %d, want 0", misses)
 	}
-	if hits := sess.Env.Counters.IndexHits.Load(); hits < 2 {
+	if hits := sess.Env.Work.IndexHits.Load(); hits < 2 {
 		t.Fatalf("index hits = %d, want both merge inputs served", hits)
 	}
 
@@ -113,7 +113,7 @@ func TestIndexServesColdQuery(t *testing.T) {
 	if _, _, err := sess.EvalAnalyze(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Counters.SortCacheHits.Load(); hits < 2 {
+	if hits := sess.Env.Work.CacheHits.Load(); hits < 2 {
 		t.Fatalf("warm repeat cache hits = %d, want >= 2", hits)
 	}
 }
@@ -157,7 +157,7 @@ func TestIndexMaintainedByInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Counters.IndexHits.Load(); hits < 1 {
+	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
 		t.Fatalf("index hits = %d after maintained inserts, want >= 1", hits)
 	}
 	naive, err := sess.EvalNaive(context.Background(), q)
@@ -230,10 +230,10 @@ func TestIndexStaleFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Counters.IndexHits.Load(); hits != 0 {
+	if hits := sess.Env.Work.IndexHits.Load(); hits != 0 {
 		t.Fatalf("stale index served a query (hits = %d)", hits)
 	}
-	if misses := sess.Env.Counters.SortCacheMisses.Load(); misses == 0 {
+	if misses := sess.Env.Work.CacheMisses.Load(); misses == 0 {
 		t.Fatal("stale index should fall back to sorting")
 	}
 	naive, err := sess.EvalNaive(context.Background(), q)
@@ -255,7 +255,7 @@ func TestIndexStaleFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Counters.IndexHits.Load(); hits < 1 {
+	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
 		t.Fatal("rebuilt index does not serve after reopen")
 	}
 	if !got.Equal(got2, 0) {
@@ -282,7 +282,7 @@ func TestIndexDeleteRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Counters.IndexHits.Load(); hits < 1 {
+	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
 		t.Fatal("rebuilt index does not serve after DELETE")
 	}
 	naive, err := sess.EvalNaive(context.Background(), q)

@@ -98,12 +98,8 @@ func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, 
 	keys := frel.SupportKeys(tuples, attrIdx)
 	key := sortKey{heap: base, attr: attrIdx, total: total}
 	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base), tuples: tuples, keys: keys})
-	e.Counters.IndexHits.Add(1)
 	srel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
-	out := exec.Source(exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)))
-	if node := e.newNode("index", attr); node != nil {
-		node.IndexHits.Store(1)
-		out = e.attach(node, out, src)
-	}
-	return out, true, nil
+	node := e.newNode("index", attr)
+	node.IndexHits.Add(1)
+	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)), src), true, nil
 }

@@ -66,7 +66,7 @@ func TestKernelCompilationMatchesInterpreted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		if env.Counters.KernelTuples.Load() == 0 {
+		if env.Work.KernelTuples.Load() == 0 {
 			t.Errorf("%s: compiled kernels did not fire", qs)
 		}
 		want, err := kernelTestEnv(t).EvalNaive(q)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -17,9 +18,22 @@ import (
 // of every subquery predicate is re-evaluated — re-scanning its relations —
 // once for every tuple of the enclosing block. This is the nested-loop
 // baseline of the experiments and the semantic reference the unnesting
-// rewrites are tested against.
+// rewrites are tested against. It counts its degree evaluations into one
+// node, which is the whole tree under EXPLAIN ANALYZE.
 func (e *Env) EvalNaive(q *fsql.Select) (*frel.Relation, error) {
-	return e.evalBlock(q, nil)
+	node := e.newNode(StrategyNaive.String(), "")
+	if e.analyze == nil {
+		return e.evalBlock(q, nil, node)
+	}
+	e.analyze.Root = node
+	start := time.Now()
+	rel, err := e.evalBlock(q, nil, node)
+	if err != nil {
+		return nil, err
+	}
+	node.RowsOut.Add(int64(rel.Len()))
+	node.WallNanos.Add(time.Since(start).Nanoseconds())
+	return rel, nil
 }
 
 // outerCtx carries the enclosing blocks' (qualified) attributes and the
@@ -33,7 +47,9 @@ type outerCtx struct {
 // tuple (own FROM attributes followed by the enclosing bindings).
 type blockPred func(frel.Tuple) (float64, error)
 
-func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error) {
+// evalBlock evaluates one query block, counting its degree evaluations
+// into node.
+func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*frel.Relation, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("core: query block has no FROM clause")
 	}
@@ -61,7 +77,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx) (*frel.Relation, error)
 
 	preds := make([]blockPred, 0, len(q.Where))
 	for _, p := range q.Where {
-		bp, err := e.compileBlockPred(fullSchema, p)
+		bp, err := e.compileBlockPred(fullSchema, p, node)
 		if err != nil {
 			return nil, err
 		}
@@ -265,15 +281,19 @@ func (e *Env) forEachCross(srcs []exec.Source, fn func(vals []frel.Value, d floa
 }
 
 // compileBlockPred compiles one WHERE conjunct, including subquery
-// predicates, against the full evaluation schema.
-func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (blockPred, error) {
+// predicates, against the full evaluation schema; its degree evaluations
+// are counted into node.
+func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate, node *exec.OpStats) (blockPred, error) {
 	switch p.Kind {
 	case fsql.PredCompare, fsql.PredNear:
 		pred, err := e.compilePred(fullSchema, p)
 		if err != nil {
 			return nil, err
 		}
-		return func(t frel.Tuple) (float64, error) { return pred(t), nil }, nil
+		return func(t frel.Tuple) (float64, error) {
+			node.DegreeEvals.Add(1)
+			return pred(t), nil
+		}, nil
 
 	case fsql.PredIn, fsql.PredNotIn, fsql.PredQuant:
 		if err := checkSetSubquery(p.Sub); err != nil {
@@ -288,11 +308,11 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		op := p.Op
 		quant := p.Quant
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t)
+			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
-			e.Counters.DegreeEvals.Add(int64(len(set)))
+			node.DegreeEvals.Add(int64(len(set)))
 			v := leftGet(t)
 			switch kind {
 			case fsql.PredIn:
@@ -314,7 +334,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		sub := p.Sub
 		neg := p.Kind == fsql.PredNotExists
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t)
+			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
@@ -347,7 +367,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 		stripped.Items = []fsql.SelectItem{{Ref: p.Sub.Items[0].Ref}}
 		op := p.Op
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(&stripped, fullSchema, t)
+			set, err := e.evalSubquerySet(&stripped, fullSchema, t, node)
 			if err != nil {
 				return 0, err
 			}
@@ -362,7 +382,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate) (block
 			if !ok {
 				return 0, nil // NULL aggregate satisfies nothing
 			}
-			e.Counters.DegreeEvals.Add(1)
+			node.DegreeEvals.Add(1)
 			return frel.Degree(op, leftGet(t), frel.Num(a)), nil
 		}, nil
 
@@ -408,8 +428,8 @@ func checkScalarSubquery(sub *fsql.Select) error {
 
 // evalSubquerySet evaluates the subquery with the current outer binding
 // and returns its answer as a fuzzy set of values.
-func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full frel.Tuple) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, &outerCtx{schema: fullSchema, tuple: full})
+func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full frel.Tuple, node *exec.OpStats) ([]setMember, error) {
+	rel, err := e.evalBlock(sub, &outerCtx{schema: fullSchema, tuple: full}, node)
 	if err != nil {
 		return nil, err
 	}
@@ -448,13 +468,11 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 	if err != nil {
 		return nil, err
 	}
-	var src exec.Source = ga
-	for _, h := range having {
-		pred, err := e.compilePred(ga.Schema(), h)
-		if err != nil {
+	preds := make([]exec.Pred, len(having))
+	for i, h := range having {
+		if preds[i], err = e.compilePred(ga.Schema(), h); err != nil {
 			return nil, err
 		}
-		src = exec.NewFilter(src, pred)
 	}
 	// Reorder output columns to SELECT order.
 	idx := make([]int, len(items))
@@ -472,7 +490,7 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 			}
 		}
 	}
-	rel, err := exec.Collect(src)
+	rel, err := exec.Collect(ga)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +499,17 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 		outSchema.Attrs = append(outSchema.Attrs, rel.Schema.Attrs[j])
 	}
 	out := frel.NewRelation(outSchema)
+rows:
 	for _, t := range rel.Tuples {
+		// HAVING: each condition grades the group, dropping it at 0.
+		for _, p := range preds {
+			if g := p(t); g < t.D {
+				t.D = g
+			}
+			if t.D <= 0 {
+				continue rows
+			}
+		}
 		out.Append(t.Project(idx))
 	}
 	out.DedupMax()

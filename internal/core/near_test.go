@@ -140,7 +140,7 @@ func TestSampledSelectivityImprovesOrder(t *testing.T) {
 		if _, err := e.EvalUnnested(q); err != nil {
 			t.Fatal(err)
 		}
-		return e.Counters.DegreeEvals.Load()
+		return e.Work.DegreeEvals.Load()
 	}
 	dp := run(false)
 	syntactic := run(true)

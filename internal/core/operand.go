@@ -126,11 +126,7 @@ func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate) (exec.Pred, err
 	if err != nil {
 		return nil, err
 	}
-	counters := &e.Counters
-	return func(t frel.Tuple) float64 {
-		counters.DegreeEvals.Add(1)
-		return deg(l.get(t), r.get(t))
-	}, nil
+	return func(t frel.Tuple) float64 { return deg(l.get(t), r.get(t)) }, nil
 }
 
 // pairDegreeFunc returns the value-level degree function of a comparison
@@ -165,7 +161,6 @@ func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.
 	if err != nil {
 		return nil, err
 	}
-	counters := &e.Counters
 	pick := func(info operandInfo, lt, rt frel.Tuple) frel.Value {
 		switch info.side {
 		case 0:
@@ -177,7 +172,6 @@ func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.
 		}
 	}
 	return func(lt, rt frel.Tuple) float64 {
-		counters.DegreeEvals.Add(1)
 		return deg(pick(l, lt, rt), pick(r, lt, rt))
 	}, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -507,9 +506,6 @@ type SessionOptions struct {
 	// A log an earlier logged session left is replayed and removed on
 	// open.
 	NoWAL bool
-	// GroupCommitWindow is how long a commit waits to share its fsync with
-	// concurrent commits; 0 syncs immediately.
-	GroupCommitWindow time.Duration
 	// FS overrides the file system (fault-injection tests).
 	FS storage.FS
 }
@@ -526,10 +522,9 @@ func OpenSession(dir string, bufferPages int) (*Session, error) {
 // OpenSessionOptions is OpenSession with explicit options.
 func OpenSessionOptions(dir string, opts SessionOptions) (*Session, error) {
 	mgr, err := storage.NewManagerOptions(dir, storage.ManagerOptions{
-		PoolPages:         opts.BufferPages,
-		FS:                opts.FS,
-		WAL:               !opts.NoWAL,
-		GroupCommitWindow: opts.GroupCommitWindow,
+		PoolPages: opts.BufferPages,
+		FS:        opts.FS,
+		WAL:       !opts.NoWAL,
 	})
 	if err != nil {
 		return nil, err

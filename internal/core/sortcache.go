@@ -193,14 +193,8 @@ func (e *Env) storeHeapSort(k sortKey, ent *heapSortEntry) {
 func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, attr string, order extsort.Order) (exec.Source, error) {
 	key := sortKey{mem: base, attr: order.Attr, total: order.Total}
 	if ent, ok := e.sortMem[key]; ok && ent.version == base.Version() {
-		e.Counters.SortCacheHits.Add(1)
 		rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-		out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, ent.keys))
-		if node := e.newNode("sort", attr); node != nil {
-			node.CacheHits.Store(1)
-			out = e.attach(node, out, src)
-		}
-		return out, nil
+		return e.cacheHit(attr, exec.NewKeyedMemSource(rel, ent.keys), src), nil
 	}
 	tuples := append([]frel.Tuple(nil), ms.Rel.Tuples...)
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
@@ -210,17 +204,12 @@ func (e *Env) memSort(src exec.Source, ms *exec.MemSource, base *frel.Relation, 
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	e.Counters.Comparisons.Add(cmp)
 	e.Phases.SortWall += elapsed
 	keys := frel.SupportKeys(tuples, order.Attr)
 	e.storeMemSort(key, &memSortEntry{version: base.Version(), tuples: tuples, keys: keys})
-	e.Counters.SortCacheMisses.Add(1)
-	out := exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, keys))
-	if node := e.newNode("sort", attr); node != nil {
-		node.Comparisons.Store(cmp)
-		node.WallNanos.Store(elapsed.Nanoseconds())
-		node.CacheMisses.Store(1)
-		out = e.attach(node, out, src)
-	}
-	return out, nil
+	node := e.newNode("sort", attr)
+	node.Comparisons.Add(cmp)
+	node.WallNanos.Add(elapsed.Nanoseconds())
+	node.CacheMisses.Add(1)
+	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(rel, keys)), src), nil
 }

@@ -53,10 +53,10 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := env.Counters.SortCacheHits.Load(); hits != 0 {
+	if hits := env.Work.CacheHits.Load(); hits != 0 {
 		t.Fatalf("first run reported %d cache hits, want 0", hits)
 	}
-	misses := env.Counters.SortCacheMisses.Load()
+	misses := env.Work.CacheMisses.Load()
 	if misses == 0 {
 		t.Fatal("first run stored no sort orders")
 	}
@@ -68,10 +68,10 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 	if !first.Equal(second, 1e-9) {
 		t.Fatalf("cached evaluation changed the answer:\nfirst:\n%v\nsecond:\n%v", first, second)
 	}
-	if got := env.Counters.SortCacheMisses.Load(); got != misses {
+	if got := env.Work.CacheMisses.Load(); got != misses {
 		t.Fatalf("second run missed the cache: misses %d -> %d", misses, got)
 	}
-	if hits := env.Counters.SortCacheHits.Load(); hits != misses {
+	if hits := env.Work.CacheHits.Load(); hits != misses {
 		t.Fatalf("second run hits = %d, want one per first-run miss (%d)", hits, misses)
 	}
 	// The second run's sort nodes must show a hit and no sorting work.
@@ -110,11 +110,11 @@ func TestSortCacheAppendInvalidates(t *testing.T) {
 	if _, err := env.EvalUnnested(q); err != nil {
 		t.Fatal(err)
 	}
-	hits := env.Counters.SortCacheHits.Load()
+	hits := env.Work.CacheHits.Load()
 	if hits == 0 {
 		t.Fatal("repeat query did not hit the cache")
 	}
-	misses := env.Counters.SortCacheMisses.Load()
+	misses := env.Work.CacheMisses.Load()
 
 	// Mutate S: every S.B joins after this append.
 	s.Append(frel.NewTuple(1, frel.Crisp(999), frel.Crisp(5), frel.Crisp(5)))
@@ -122,7 +122,7 @@ func TestSortCacheAppendInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Counters.SortCacheMisses.Load() == misses {
+	if env.Work.CacheMisses.Load() == misses {
 		t.Fatal("append did not invalidate the cached order for S")
 	}
 	if want := freshAnswer(t, q, r, s); !got.Equal(want, 1e-9) {
@@ -150,14 +150,14 @@ func TestSortCacheThresholdInvalidates(t *testing.T) {
 	if _, err := env.EvalUnnested(q); err != nil {
 		t.Fatal(err)
 	}
-	misses := env.Counters.SortCacheMisses.Load()
+	misses := env.Work.CacheMisses.Load()
 
 	s.Threshold(0.5) // drops the D = 0.3 half
 	got, err := env.EvalUnnested(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Counters.SortCacheMisses.Load() == misses {
+	if env.Work.CacheMisses.Load() == misses {
 		t.Fatal("Threshold did not invalidate the cached order for S")
 	}
 	if want := freshAnswer(t, q, r, s); !got.Equal(want, 1e-9) {
@@ -186,7 +186,7 @@ func TestSortCacheAliasSelfJoin(t *testing.T) {
 	if first.Len() != r.Len() {
 		t.Fatalf("self-join answer has %d tuples, want %d", first.Len(), r.Len())
 	}
-	misses := env.Counters.SortCacheMisses.Load()
+	misses := env.Work.CacheMisses.Load()
 	second, err := env.EvalUnnested(q)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +194,10 @@ func TestSortCacheAliasSelfJoin(t *testing.T) {
 	if !first.Equal(second, 1e-9) {
 		t.Fatal("aliased repeat run changed the answer")
 	}
-	if env.Counters.SortCacheHits.Load() == 0 {
+	if env.Work.CacheHits.Load() == 0 {
 		t.Fatal("aliased repeat run did not hit the cache")
 	}
-	if got := env.Counters.SortCacheMisses.Load(); got != misses {
+	if got := env.Work.CacheMisses.Load(); got != misses {
 		t.Fatalf("aliased repeat run missed the cache: misses %d -> %d", misses, got)
 	}
 
@@ -206,7 +206,7 @@ func TestSortCacheAliasSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Counters.SortCacheMisses.Load() == misses {
+	if env.Work.CacheMisses.Load() == misses {
 		t.Fatal("append did not invalidate the aliased orders")
 	}
 	if got.Len() != r.Len() {
@@ -246,7 +246,7 @@ func TestSortCacheSessionInsertAndDelete(t *testing.T) {
 		t.Fatalf("seed answer = %v", got.Tuples)
 	}
 	query()
-	if sess.Env.Counters.SortCacheHits.Load() == 0 {
+	if sess.Env.Work.CacheHits.Load() == 0 {
 		t.Fatal("repeat query did not hit the cache")
 	}
 
@@ -292,7 +292,7 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := reopened.Env.Counters.SortCacheHits.Load(); hits != 0 {
+	if hits := reopened.Env.Work.CacheHits.Load(); hits != 0 {
 		t.Fatalf("reopened session starts with %d cache hits", hits)
 	}
 	answers, err := reopened.ExecScript(analyzeQuery)
@@ -302,7 +302,7 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	if answers[0].Len() != 1 {
 		t.Fatalf("reloaded answer = %v", answers[0].Tuples)
 	}
-	if reopened.Env.Counters.SortCacheMisses.Load() == 0 {
+	if reopened.Env.Work.CacheMisses.Load() == 0 {
 		t.Fatal("reloaded query should rebuild (miss) its sort orders")
 	}
 }

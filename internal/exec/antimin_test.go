@@ -49,7 +49,7 @@ func TestMergeAntiMinMatchesBruteForce(t *testing.T) {
 
 		ri, _ := r.Schema.Resolve("X")
 		si, _ := s.Schema.Resolve("X")
-		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", eqTerms(t, ri, si), nil)
+		op, err := NewMergeAntiMin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", eqTerms(t, ri, si), NewOpStats("merge-anti-join", ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestMergeAntiMinEmptyInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := randomRel("R", 10, 40, 2, rng)
 	s := frel.NewRelation(xSchema("S"))
-	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", nil, nil)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "X"), NewMemSource(s), "R.X", "S.X", nil, NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMergeAntiMinDropsZeroDegree(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(9), frel.Crisp(5)))
 	ri, _ := r.Schema.Resolve("X")
 	si, _ := s.Schema.Resolve("X")
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", eqTerms(t, ri, si), nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", eqTerms(t, ri, si), NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMergeAntiMinRejectsUnsorted(t *testing.T) {
 	r.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(5)))
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
-	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, nil)
+	op, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", nil, NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 			Left: kernel.LeftColumn(rid), Right: kernel.RightColumn(sid)},
 		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpLt, Neg: true,
 			Left: kernel.LeftColumn(rx), Right: kernel.RightColumn(sx)})
-	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", terms, nil)
+	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", terms, NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}

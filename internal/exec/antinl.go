@@ -13,20 +13,15 @@ import (
 type NLAntiMin struct {
 	Outer, Inner Source
 	Penalty      JoinPred
-	Counters     *Counters
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures; every outer×inner pair counts as one comparison and one
-	// degree evaluation.
+	// Stats receives the operator's work: every outer×inner pair counts as
+	// one comparison and one degree evaluation.
 	Stats *OpStats
 }
 
-// NewNLAntiMin builds the operator.
-func NewNLAntiMin(outer, inner Source, penalty JoinPred, counters *Counters) *NLAntiMin {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	return &NLAntiMin{Outer: outer, Inner: inner, Penalty: penalty, Counters: counters}
+// NewNLAntiMin builds the operator counting into st.
+func NewNLAntiMin(outer, inner Source, penalty JoinPred, st *OpStats) *NLAntiMin {
+	return &NLAntiMin{Outer: outer, Inner: inner, Penalty: penalty, Stats: st}
 }
 
 // Schema implements Source; the output carries the outer schema.
@@ -77,8 +72,8 @@ func (it *nlAntiBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 				it.out = append(it.out, l)
 			}
 		}
-		loc := batchLocals{deg: pairs, tout: int64(len(it.out)), stCmp: pairs, stDeg: pairs}
-		loc.flush(j.Counters, j.Stats)
+		j.Stats.Comparisons.Add(pairs)
+		j.Stats.DegreeEvals.Add(pairs)
 		if len(it.out) > 0 {
 			return it.out, true
 		}

@@ -37,7 +37,7 @@ func TestBandMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 40, 50, 3, rng)
 		for _, tol := range tols {
 			want := bruteBandJoin(r, s, tol)
-			mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil, nil)
+			mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", tol, nil)
 			got := drain(t, mj)
 			if !got.Equal(want, 1e-12) {
 				t.Fatalf("trial %d tol %v: band join mismatch: got %d, want %d", trial, tol, got.Len(), want.Len())
@@ -57,7 +57,7 @@ func TestBandMergeJoinCrispBand(t *testing.T) {
 	// Band 5: each r matches exactly the s shifted by +4 (and the one 6
 	// below? i*10 vs (i-1)*10+4 = i*10-6: |diff| = 6 > 5, no).
 	band := fuzzy.Interval(-5, 5)
-	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil, nil)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", band, nil)
 	got := drain(t, mj)
 	if got.Len() != 20 {
 		t.Fatalf("band join matched %d pairs, want 20", got.Len())
@@ -84,7 +84,7 @@ func TestBandMergeJoinSinglePass(t *testing.T) {
 	r := randomRel("R", 200, 2000, 1, rng)
 	s := randomRel("S", 200, 2000, 1, rng)
 	inner := &countingSource{Source: sortedSource(t, s, "X")}
-	mj := mergeJoin(t, sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil, nil)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), inner, "R.X", "S.X", fuzzy.Tolerance(0, 50), nil)
 	drain(t, mj)
 	if inner.opens != 1 {
 		t.Errorf("inner opened %d times, want 1", inner.opens)

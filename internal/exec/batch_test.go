@@ -48,52 +48,19 @@ func sameSequence(t *testing.T, name string, got, want []frel.Tuple) {
 	}
 }
 
-// keepCounters copies the work counters of src into dst.
-func keepCounters(dst, src *Counters) {
-	dst.Comparisons.Store(src.Comparisons.Load())
-	dst.DegreeEvals.Store(src.DegreeEvals.Load())
-	dst.TuplesOut.Store(src.TuplesOut.Load())
-}
-
-// sameWork requires the two executions to have recorded identical work
-// counters, Comparisons aside: that one an all-pairs reference cannot
-// predict, it counts the window tuples a sweep examined, dangling ones
-// included.
-func sameWork(t *testing.T, name string, got, want *Counters) {
-	t.Helper()
-	if g, w := got.DegreeEvals.Load(), want.DegreeEvals.Load(); g != w {
-		t.Errorf("%s: DegreeEvals %d, want %d", name, g, w)
-	}
-	if g, w := got.TuplesOut.Load(), want.TuplesOut.Load(); g != w {
-		t.Errorf("%s: TuplesOut %d, want %d", name, g, w)
-	}
-}
-
-// sweepCounters requires a sweep at some worker count to have recorded the
-// serial sweep's degree evaluations and output exactly. Window comparisons
-// may only shrink: a morsel boundary pre-drops dangling tuples that the
-// serial window examines when they enter it together with the next range's
-// first members.
-func sweepCounters(t *testing.T, name string, got, serial *Counters) {
-	t.Helper()
-	sameWork(t, name, got, serial)
-	if g, w := got.Comparisons.Load(), serial.Comparisons.Load(); g > w {
-		t.Errorf("%s: %d window comparisons, the serial sweep made only %d", name, g, w)
-	}
-}
-
-// sameStats requires identical OpStats contents (the EXPLAIN ANALYZE
-// contract: scheduling must not change any reported counter).
-func sameStats(t *testing.T, name string, got, want *OpStats) {
+// sameWork requires identical work counters on the two nodes: scheduling
+// must not change any of them, and a sweep counts exactly what the
+// all-pairs reference counts.
+func sameWork(t *testing.T, name string, got, want *OpStats) {
 	t.Helper()
 	g, w := got.Snapshot(), want.Snapshot()
 	if g.Comparisons != w.Comparisons || g.DegreeEvals != w.DegreeEvals {
-		t.Errorf("%s: stats cmp/deg %d/%d, want %d/%d",
+		t.Errorf("%s: cmp/deg %d/%d, want %d/%d",
 			name, g.Comparisons, g.DegreeEvals, w.Comparisons, w.DegreeEvals)
 	}
 	if g.RngCount != w.RngCount || g.RngMin != w.RngMin || g.RngMax != w.RngMax ||
 		g.RngAvg != w.RngAvg {
-		t.Errorf("%s: stats Rng n=%d min=%d max=%d avg=%g, want n=%d min=%d max=%d avg=%g",
+		t.Errorf("%s: Rng n=%d min=%d max=%d avg=%g, want n=%d min=%d max=%d avg=%g",
 			name, g.RngCount, g.RngMin, g.RngMax, g.RngAvg, w.RngCount, w.RngMin, w.RngMax, w.RngAvg)
 	}
 }
@@ -101,9 +68,8 @@ func sameStats(t *testing.T, name string, got, want *OpStats) {
 // antiTerms builds the penalty of the anti-min test in both forms: the
 // compiled conjuncts (an equality and a complemented comparison, the JALL
 // shape) and the closure 1 − min(µ(s), terms) over the same conjuncts,
-// charging DegreeEvals per conjunct call and stopping at the first zero
-// like the program does.
-func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
+// stopping at the first zero like the program does.
+func antiTerms(t testing.TB) (*kernel.PairProgram, JoinPred) {
 	t.Helper()
 	pp := pairProgram(t,
 		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
@@ -112,11 +78,9 @@ func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)})
 	terms := []JoinPred{
 		func(l, r frel.Tuple) float64 {
-			c.DegreeEvals.Add(1)
 			return frel.Degree(fuzzy.OpEq, l.Values[1], r.Values[1])
 		},
 		func(l, r frel.Tuple) float64 {
-			c.DegreeEvals.Add(1)
 			return 1 - frel.Degree(fuzzy.OpGt, l.Values[0], r.Values[0])
 		},
 	}
@@ -140,7 +104,7 @@ func antiTerms(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 // tuples whose X supports intersect its own, stopping at zero. It records
 // the work a sweep must report: one comparison and degree evaluation per
 // intersecting pair examined and the Rng(r) length of every outer tuple.
-func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, c *Counters, st *OpStats) []frel.Tuple {
+func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	for _, l := range r.Tuples {
 		d := l.D
@@ -152,7 +116,6 @@ func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, c *Counters, st *OpStat
 			rng++
 			st.Comparisons.Add(1)
 			st.DegreeEvals.Add(1)
-			c.DegreeEvals.Add(1)
 			if g := penalty(l, m); g < d {
 				d = g
 				if d == 0 {
@@ -164,16 +127,14 @@ func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, c *Counters, st *OpStat
 		if d > 0 {
 			l.D = d
 			out = append(out, l)
-			c.TuplesOut.Add(1)
 		}
 	}
 	return out
 }
 
 // TestKernelAntiMinMatchesTuple checks the merge anti-min against the
-// all-pairs reference at every worker count: same output sequence, same
-// degree evaluations, same stats, and no more window comparisons than the
-// serial sweep makes.
+// all-pairs reference at every worker count: same output sequence and the
+// same work.
 func TestKernelAntiMinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 8; trial++ {
@@ -184,28 +145,19 @@ func TestKernelAntiMinMatchesTuple(t *testing.T) {
 				s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
 			}
 		}
-		var cw Counters
 		sw := NewOpStats("merge-anti-join", "")
-		_, penalty := antiTerms(t, &cw)
-		want := bruteAntiMin(r, s, penalty, &cw, sw)
-		var serial Counters
+		pp, penalty := antiTerms(t)
+		want := bruteAntiMin(r, s, penalty, sw)
 		for _, workers := range []int{0, 1, 2, 4} {
-			var cg Counters
 			sg := NewOpStats("merge-anti-join", "")
-			pp, _ := antiTerms(t, &cg)
-			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", pp, &cg)
+			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", pp, sg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			am.Stats, am.Workers = sg, workers
+			am.Workers = workers
 			sameSequence(t, "anti-min", batchDrain(t, am), want)
-			sameWork(t, "anti-min", &cg, &cw)
-			sameStats(t, "anti-min", sg, sw)
-			if workers == 0 {
-				keepCounters(&serial, &cg)
-			}
-			sweepCounters(t, "anti-min", &cg, &serial)
-			if kt := cg.KernelTuples.Load(); kt != int64(r.Len()) {
+			sameWork(t, "anti-min", sg, sw)
+			if kt := sg.KernelTuples.Load(); kt != int64(r.Len()) {
 				t.Errorf("anti-min workers=%d: KernelTuples %d, want %d", workers, kt, r.Len())
 			}
 		}
@@ -216,7 +168,7 @@ func TestKernelAntiMinMatchesTuple(t *testing.T) {
 // the nested semantics (bruteJA) for every aggregate, for the equality
 // sweep at every worker count and for the nested loop of another
 // correlation operator: same output sequence, bit-identical degrees, and
-// the serial run's work counters at every worker count.
+// the serial run's work at every worker count.
 func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
@@ -227,29 +179,25 @@ func TestKernelGroupAggMatchesTuple(t *testing.T) {
 		for _, agg := range aggs {
 			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {
 				want := bruteJA(r, s, agg, fuzzy.OpGt, op2).Tuples
-				var c0 Counters
 				var s0 *OpStats
 				for _, workers := range []int{0, 1, 2, 4} {
-					var c Counters
 					st := NewOpStats("group-agg-join", "")
 					j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
-						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, &c)
+						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, st)
 					if err != nil {
 						t.Fatal(err)
 					}
-					j.Stats, j.Workers = st, workers
+					j.Workers = workers
 					sameSequence(t, "group-agg", batchDrain(t, j), want)
 					if workers == 0 {
-						keepCounters(&c0, &c)
 						s0 = st
 					}
-					sweepCounters(t, "group-agg", &c, &c0)
-					sameStats(t, "group-agg", st, s0)
+					sameWork(t, "group-agg", st, s0)
 					wantKT := int64(0)
 					if op2 == fuzzy.OpEq {
 						wantKT = int64(r.Len())
 					}
-					if kt := c.KernelTuples.Load(); kt != wantKT {
+					if kt := st.KernelTuples.Load(); kt != wantKT {
 						t.Errorf("group-agg op2=%v workers=%d: KernelTuples %d, want %d", op2, workers, kt, wantKT)
 					}
 				}
@@ -275,7 +223,7 @@ func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 		return fuzzy.Degree(fuzzy.OpGt, tp.Values[1].Num, fuzzy.Crisp(30))
 	}
 	for _, dedup := range []bool{false, true} {
-		p, err := NewProject(NewFilter(NewMemSource(r), pred), []string{"R.X"}, dedup)
+		p, err := NewProject(NewFilter(NewMemSource(r), pred, NewOpStats("filter", "")), []string{"R.X"}, dedup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,8 +296,9 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	t.Helper()
 	pred := func(tp frel.Tuple) float64 { return 1 }
-	mj := mergeJoin(t, NewFilter(NewMemSource(r), pred), NewFilter(NewMemSource(s), pred),
-		"R.X", "S.X", fuzzy.Crisp(0), nil, nil)
+	st := NewOpStats("filter", "")
+	mj := mergeJoin(t, NewFilter(NewMemSource(r), pred, st), NewFilter(NewMemSource(s), pred, st),
+		"R.X", "S.X", fuzzy.Crisp(0), nil)
 	// Project the answer attribute, the paper's answer-construction shape.
 	proj, err := NewProject(mj, []string{"R.ID"}, false)
 	if err != nil {
@@ -366,9 +315,8 @@ func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		r := sortedRel(t, randomRel("R", 300+rng.Intn(200), 800, 4, rng), "X")
 		s := sortedRel(t, randomRel("S", 300+rng.Intn(200), 800, 4, rng), "X")
-		var c Counters
 		var want []frel.Tuple
-		for _, pair := range bruteMergeJoin(r, s, fuzzy.Crisp(0), nil, &c, NewOpStats("merge-join", "")) {
+		for _, pair := range bruteMergeJoin(r, s, fuzzy.Crisp(0), nil, NewOpStats("merge-join", "")) {
 			want = append(want, frel.Tuple{Values: pair.Values[:1], D: pair.D})
 		}
 		sameSequence(t, "projected join", batchDrain(t, joinPipeline(t, r, s)), want)

@@ -17,10 +17,16 @@ type JoinPred func(left, right frel.Tuple) float64
 type Filter struct {
 	Src  Source
 	Pred Pred
+
+	// Stats receives the filter's work: one degree evaluation per call of
+	// Pred.
+	Stats *OpStats
 }
 
-// NewFilter builds a fuzzy selection.
-func NewFilter(src Source, pred Pred) *Filter { return &Filter{Src: src, Pred: pred} }
+// NewFilter builds a fuzzy selection counting into st.
+func NewFilter(src Source, pred Pred, st *OpStats) *Filter {
+	return &Filter{Src: src, Pred: pred, Stats: st}
+}
 
 // Schema implements Source.
 func (f *Filter) Schema() *frel.Schema { return f.Src.Schema() }
@@ -32,12 +38,13 @@ func (f *Filter) Open() (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &filterBatchIterator{in: in, pred: f.Pred}, nil
+	return &filterBatchIterator{in: in, pred: f.Pred, st: f.Stats}, nil
 }
 
 type filterBatchIterator struct {
 	in   BatchIterator
 	pred Pred
+	st   *OpStats
 	out  []frel.Tuple
 }
 
@@ -49,8 +56,8 @@ func (it *filterBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		}
 		// Pass-through fast path: while the predicate neither drops nor
 		// re-grades tuples, serve the producer's batch as-is (no copy).
-		// The predicate runs exactly once per tuple either way (predicates
-		// may carry counters).
+		// The predicate runs exactly once per tuple either way.
+		it.st.DegreeEvals.Add(int64(len(b)))
 		copying := false
 		for i, t := range b {
 			d := t.D

@@ -33,10 +33,14 @@ func TestFilterCombinesDegrees(t *testing.T) {
 	)
 	mediumYoung := fuzzy.Trap(20, 25, 30, 35)
 	pred := func(t frel.Tuple) float64 { return fuzzy.Eq(t.Values[0].Num, mediumYoung) }
-	out := drain(t, NewFilter(NewMemSource(rel), pred))
+	st := NewOpStats("filter", "")
+	out := drain(t, NewFilter(NewMemSource(rel), pred, st))
 	// (0.9, 24): min(0.9, 0.8) = 0.8; (0.5, 27): min(0.5, 1) = 0.5; 99 dropped.
 	if out.Len() != 2 {
 		t.Fatalf("len = %d: %v", out.Len(), out.Tuples)
+	}
+	if deg := st.DegreeEvals.Load(); deg != 3 {
+		t.Errorf("DegreeEvals = %d, want one per input tuple (3)", deg)
 	}
 	if out.Tuples[0].D != 0.8 {
 		t.Errorf("tuple 0 degree = %g, want 0.8", out.Tuples[0].D)

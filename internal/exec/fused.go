@@ -8,29 +8,23 @@ import (
 // FusedFilter is the compiled form of a filter chain (optionally ending in
 // a WITH D >= z threshold): the whole chain runs as one kernel.Program
 // loop over each batch, with no per-tuple closure dispatch and counters
-// flushed once per batch. Outputs and degree-evaluation counts are
-// identical to the equivalent chain of interpreted Filter operators
-// followed by a threshold — the kernel calls the same closed-form degree
-// functions, and it evaluates later predicates only on tuples earlier ones
-// kept, exactly like the chain does.
+// flushed once per batch. Outputs are identical to the equivalent chain of
+// interpreted Filter operators followed by a threshold — the kernel calls
+// the same closed-form degree functions, and it evaluates later predicates
+// only on tuples earlier ones kept, exactly like the chain does.
 type FusedFilter struct {
-	Src      Source
-	Prog     *kernel.Program
-	Z        float64 // WITH D >= Z threshold; 0 keeps every positive degree
-	Counters *Counters
+	Src  Source
+	Prog *kernel.Program
+	Z    float64 // WITH D >= Z threshold; 0 keeps every positive degree
 
-	// Stats, when non-nil, receives the kernel observability counters
-	// (KernelTuples). The node's DegreeEvals stays untouched, like a Filter
-	// node's.
+	// Stats receives the filter's work: the degree evaluations the kernel
+	// performs and the tuples it evaluates (KernelTuples).
 	Stats *OpStats
 }
 
-// NewFusedFilter builds a compiled filter chain over src.
-func NewFusedFilter(src Source, prog *kernel.Program, z float64, counters *Counters) *FusedFilter {
-	if counters == nil {
-		counters = &Counters{}
-	}
-	return &FusedFilter{Src: src, Prog: prog, Z: z, Counters: counters}
+// NewFusedFilter builds a compiled filter chain over src counting into st.
+func NewFusedFilter(src Source, prog *kernel.Program, z float64, st *OpStats) *FusedFilter {
+	return &FusedFilter{Src: src, Prog: prog, Z: z, Stats: st}
 }
 
 // Schema implements Source.
@@ -63,14 +57,8 @@ func (it *fusedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			it.degs = make([]float64, len(b))
 		}
 		degs := it.degs[:len(b)]
-		evals := f.Prog.RunBatch(b, degs)
-		if evals != 0 {
-			f.Counters.DegreeEvals.Add(evals)
-		}
-		f.Counters.KernelTuples.Add(int64(len(b)))
-		if st := f.Stats; st != nil {
-			st.KernelTuples.Add(int64(len(b)))
-		}
+		f.Stats.DegreeEvals.Add(f.Prog.RunBatch(b, degs))
+		f.Stats.KernelTuples.Add(int64(len(b)))
 		// Pass-through fast path: a batch the kernel neither drops from
 		// nor re-grades is served as-is (no copy).
 		copying := false

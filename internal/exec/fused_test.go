@@ -62,8 +62,8 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	for _, z := range []float64{0, 0.35, 0.8} {
 		for trial := 0; trial < 8; trial++ {
 			r := randomRel("R", 200+rng.Intn(300), 60, 6, rng)
-			var ck Counters
-			got := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, &ck))
+			ck := NewOpStats("kernel(fused)", "R")
+			got := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, ck))
 			want, evals := interpretedChain(r, z)
 			sameSequence(t, "fused filter", got, want)
 			if ck.DegreeEvals.Load() != evals {
@@ -80,7 +80,7 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	for i := 0; i < BatchSize+10; i++ {
 		certain.Append(frel.NewTuple(0.4, frel.Crisp(float64(i)), frel.Crisp(30)))
 	}
-	it, err := NewFusedFilter(NewMemSource(certain), fusedProgram(t), 0.4, nil).Open()
+	it, err := NewFusedFilter(NewMemSource(certain), fusedProgram(t), 0.4, NewOpStats("kernel(fused)", "R")).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +97,19 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestFusedFilterStats checks that a stats node attached to the fused
-// filter receives the kernel observability counter.
+// TestFusedFilterStats checks that the fused filter's node receives the
+// kernel observability counter and the degree evaluations it performs.
 func TestFusedFilterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRel("R", 120, 60, 6, rng)
-	var c Counters
-	ff := NewFusedFilter(NewMemSource(r), fusedProgram(t), 0, &c)
 	st := NewOpStats("kernel(fused)", "R")
-	ff.Stats = st
-	batchDrain(t, ff)
+	batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), 0, st))
 	snap := st.Snapshot()
 	if snap.KernelTuples != int64(r.Len()) {
 		t.Fatalf("stats KernelTuples = %d, want %d", snap.KernelTuples, r.Len())
 	}
-	if snap.DegreeEvals != 0 {
-		t.Fatalf("stats DegreeEvals = %d, want 0 (filter nodes do not report degree evals)", snap.DegreeEvals)
+	if _, evals := interpretedChain(r, 0); snap.DegreeEvals != evals {
+		t.Fatalf("stats DegreeEvals = %d, want the chain's %d", snap.DegreeEvals, evals)
 	}
 }
 
@@ -137,11 +134,11 @@ func TestKernelPipelineAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Counters
+	st := NewOpStats("kernel(fused)", "R")
 
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
-		ff := NewFusedFilter(NewMemSource(r), prog, 0.01, &c)
+		ff := NewFusedFilter(NewMemSource(r), prog, 0.01, st)
 		proj, err := NewProject(ff, []string{"R.ID"}, false)
 		if err != nil {
 			t.Fatal(err)

@@ -43,22 +43,22 @@ type GroupAggJoin struct {
 	OuterYAttr string // R.Y, compared against the aggregate
 	Op1        fuzzy.Op
 
-	Counters *Counters
-
 	// Workers is the worker count of the equality-correlated sweep; below
 	// 2 the sweep is serial.
 	Workers int
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see KernelMergeJoin.Stats for the counting conventions); the
-	// Rng observations are the per-group candidate scan lengths.
+	// Stats receives the operator's work: one comparison and one degree
+	// evaluation per (group, inner tuple) pair examined, one degree
+	// evaluation per outer tuple compared with its group's aggregate, and
+	// each group's candidate scan length as its Rng observation.
 	Stats *OpStats
 
 	ui, vi, zi, yi int
 }
 
-// NewGroupAggJoin validates attribute references and kinds.
-func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, counters *Counters) (*GroupAggJoin, error) {
+// NewGroupAggJoin validates attribute references and kinds and builds the
+// operator counting into st.
+func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, innerZ string, agg fuzzy.AggFunc, outerY string, op1 fuzzy.Op, st *OpStats) (*GroupAggJoin, error) {
 	ui, vi, err := checkJoinAttrs(outer, inner, outerU, innerV)
 	if err != nil {
 		return nil, err
@@ -77,16 +77,13 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 	if outer.Schema().Attrs[yi].Kind != frel.KindNumber {
 		return nil, fmt.Errorf("exec: compared attribute %s must be numeric", outerY)
 	}
-	if counters == nil {
-		counters = &Counters{}
-	}
 	return &GroupAggJoin{
 		Outer: outer, Inner: inner,
 		OuterUAttr: outerU, InnerVAttr: innerV, Op2: op2,
 		InnerZAttr: innerZ, Agg: agg,
 		OuterYAttr: outerY, Op1: op1,
-		Counters: counters,
-		ui:       ui, vi: vi, zi: zi, yi: yi,
+		Stats: st,
+		ui:    ui, vi: vi, zi: zi, yi: yi,
 	}, nil
 }
 
@@ -104,7 +101,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	if j.Op2 != fuzzy.OpEq {
 		return j.openNested()
 	}
-	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
+	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -125,13 +122,10 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 				set.reset()
 				var rng int64
 				for k := win.start; k < win.end; k++ {
-					loc.cmp++
 					if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
 						continue // dangling tuple in the range
 					}
 					rng++
-					loc.stCmp++
-					loc.stDeg++
 					loc.deg++
 					s := in.inner[k].Values
 					d := fuzzy.Eq(s[j.vi].Num, u.Num)
@@ -148,7 +142,6 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			if !aggOK {
 				continue // A′(u) is NULL and the aggregate is not COUNT
 			}
-			loc.stDeg++
 			loc.deg++
 			d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, aggVal)
 			if r.D < d {
@@ -156,10 +149,8 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			}
 			degs[o] = d
 		}
-		out := emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
-		loc.tout += int64(len(out))
-		loc.flush(j.Counters, j.Stats)
-		return out
+		loc.flush(j.Stats)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
 	})
 }
 
@@ -246,11 +237,9 @@ func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
 		}
 	}
 	n := int64(len(it.inner))
-	loc := batchLocals{cmp: n, deg: n, stCmp: n, stDeg: n}
-	loc.flush(j.Counters, j.Stats)
-	if j.Stats != nil {
-		j.Stats.ObserveRng(n)
-	}
+	j.Stats.Comparisons.Add(n)
+	j.Stats.DegreeEvals.Add(n)
+	j.Stats.ObserveRng(n)
 	it.aggVal, it.aggOK = set.aggregate(j.Agg)
 }
 
@@ -283,8 +272,7 @@ func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 				it.out = append(it.out, r)
 			}
 		}
-		loc := batchLocals{deg: evals, tout: int64(len(it.out)), stDeg: evals}
-		loc.flush(j.Counters, j.Stats)
+		j.Stats.DegreeEvals.Add(evals)
 		if len(it.out) > 0 {
 			return it.out, true
 		}

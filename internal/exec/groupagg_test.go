@@ -116,7 +116,7 @@ func TestGroupAggJoinMatchesBruteForceAllAggs(t *testing.T) {
 				want := bruteJA(r, s, agg, op1, fuzzy.OpEq)
 				j, err := NewGroupAggJoin(
 					totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-					"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, nil)
+					"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, NewOpStats("group-agg-join", ""))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 
 	// R.Y = COUNT(...): 0 = 0 holds with degree 1.
 	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 
 	// Non-COUNT aggregate: NULL, the tuple is dropped.
 	j2, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(9)))
 
 	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, nil)
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,9 @@ func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	r, s := randomCorrelated(rng, 2*BatchSize+500, 25)
 	r = totalSortedSource(t, r, "U").(*MemSource).Rel
 	want := bruteJA(r, s, fuzzy.AggMax, fuzzy.OpGt, fuzzy.OpLe)
-	var c Counters
+	st := NewOpStats("group-agg-join", "")
 	j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
-		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, &c)
+		"R.U", "S.V", fuzzy.OpLe, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpGt, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 			groups++
 		}
 	}
-	if got := c.Comparisons.Load(); got != int64(groups*s.Len()) {
+	if got := st.Comparisons.Load(); got != int64(groups*s.Len()) {
 		t.Errorf("%d inner comparisons for %d groups over %d inner tuples", got, groups, s.Len())
 	}
 }
@@ -216,11 +216,11 @@ func TestGroupAggJoinValidation(t *testing.T) {
 	))
 	// SUM over a string attribute is rejected; COUNT is fine.
 	if _, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(strS),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggSum, "R.Y", fuzzy.OpGt, nil); err == nil {
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggSum, "R.Y", fuzzy.OpGt, NewOpStats("group-agg-join", "")); err == nil {
 		t.Errorf("SUM over strings: want error")
 	}
 	if _, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(strS),
-		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, nil); err != nil {
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGt, NewOpStats("group-agg-join", "")); err != nil {
 		t.Errorf("COUNT over strings: %v", err)
 	}
 }

@@ -11,10 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
-// mergeJoin builds the serial merge-join of two sorted inputs.
-func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, c *Counters) *KernelMergeJoin {
+// mergeJoin builds the serial merge-join of two sorted inputs, counting
+// into a node of its own.
+func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram) *KernelMergeJoin {
 	t.Helper()
-	kj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, tol, extra, c, 1)
+	kj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, tol, extra, NewOpStats("merge-join", ""), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestMergeJoinMatchesBruteForce(t *testing.T) {
 		s := randomRel("S", 60, 50, 3, rng)
 		want := bruteJoin(r, s)
 
-		mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
+		mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil)
 		got := drain(t, mj)
 		if !got.Equal(want, 1e-12) {
 			t.Fatalf("trial %d: merge-join mismatch: got %d tuples, want %d", trial, got.Len(), want.Len())
@@ -112,7 +113,7 @@ func TestMergeJoinWideIntervalsDanglingTuples(t *testing.T) {
 	r := randomRel("R", 30, 40, 20, rng)
 	s := randomRel("S", 30, 40, 20, rng)
 	want := bruteJoin(r, s)
-	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil)
 	got := drain(t, mj)
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("wide-interval merge-join mismatch")
@@ -130,7 +131,7 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
 	}
 	// Small block size to force several inner rescans.
-	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, nil)
+	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, NewOpStats("nl-join", ""))
 	got := drain(t, j)
 	if !got.Equal(want, 1e-12) {
 		t.Fatalf("nested-loop mismatch: got %d, want %d", got.Len(), want.Len())
@@ -149,7 +150,7 @@ func TestMergeJoinExtraPredicate(t *testing.T) {
 	si, _ := s.Schema.Resolve("ID")
 	extra := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
 		Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)})
-	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), extra, nil)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), extra)
 	got := drain(t, mj)
 	if got.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (extra predicate filters cross pairs)", got.Len())
@@ -164,12 +165,12 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(5)))
 	s.Append(frel.NewTuple(1, frel.Crisp(2), frel.Crisp(10)))
 
-	mj := mergeJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0), nil, nil)
+	mj := mergeJoin(t, NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0), nil)
 	if _, err := Collect(mj); err == nil {
 		t.Errorf("unsorted outer: want error")
 	}
 
-	mj2 := mergeJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", fuzzy.Crisp(0), nil, nil)
+	mj2 := mergeJoin(t, NewMemSource(s), NewMemSource(r), "S.X", "R.X", fuzzy.Crisp(0), nil)
 	if _, err := Collect(mj2); err == nil {
 		t.Errorf("unsorted inner: want error")
 	}
@@ -177,7 +178,7 @@ func TestMergeJoinRejectsUnsortedInputs(t *testing.T) {
 
 func TestMergeJoinRejectsStringAttr(t *testing.T) {
 	r := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "NAME", Kind: frel.KindString}))
-	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, nil, 1); err == nil {
+	if _, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(r.Clone()), "NAME", "NAME", fuzzy.Crisp(0), nil, NewOpStats("merge-join", ""), 1); err == nil {
 		t.Errorf("string join attribute: want error")
 	}
 }
@@ -186,14 +187,17 @@ func TestMergeJoinCountsWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRel("R", 50, 40, 2, rng)
 	s := randomRel("S", 50, 40, 2, rng)
-	var c Counters
-	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, &c)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil)
 	out := drain(t, mj)
-	if c.DegreeEvals.Load() <= 0 || c.Comparisons.Load() < c.DegreeEvals.Load() {
-		t.Errorf("counters: degreeEvals=%d comparisons=%d", c.DegreeEvals.Load(), c.Comparisons.Load())
+	// Without residual conjuncts every pair compared is one degree
+	// evaluation, every output row a pair compared, and the pairs compared
+	// the Rng(r) lengths summed.
+	snap := mj.Stats.Snapshot()
+	if snap.DegreeEvals <= 0 || snap.Comparisons != snap.DegreeEvals || snap.Comparisons < int64(out.Len()) {
+		t.Errorf("work: degreeEvals=%d comparisons=%d for %d rows", snap.DegreeEvals, snap.Comparisons, out.Len())
 	}
-	if c.TuplesOut.Load() != int64(out.Len()) {
-		t.Errorf("TuplesOut = %d, want %d", c.TuplesOut.Load(), out.Len())
+	if sum := mj.Stats.RngSum.Load(); sum != snap.Comparisons {
+		t.Errorf("Rng lengths sum to %d, comparisons %d", sum, snap.Comparisons)
 	}
 }
 
@@ -204,11 +208,10 @@ func TestMergeJoinExaminesOnlyRange(t *testing.T) {
 	const n = 400
 	r := randomRel("R", n, 10000, 1, rng)
 	s := randomRel("S", n, 10000, 1, rng)
-	var c Counters
-	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, &c)
+	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil)
 	drain(t, mj)
-	if c.Comparisons.Load() > n*n/10 {
-		t.Errorf("comparisons = %d, want far fewer than %d", c.Comparisons.Load(), n*n)
+	if cmp := mj.Stats.Comparisons.Load(); cmp > n*n/10 {
+		t.Errorf("comparisons = %d, want far fewer than %d", cmp, n*n)
 	}
 }
 
@@ -221,7 +224,7 @@ func TestBlockNLJoinBlockCount(t *testing.T) {
 	)
 	s := relXY("S", frel.NewTuple(1, frel.Crisp(1), frel.Str("x")))
 	inner := &countingSource{Source: NewMemSource(s)}
-	j := NewBlockNLJoin(NewMemSource(r), inner, func(l, m frel.Tuple) float64 { return 1 }, 80, nil)
+	j := NewBlockNLJoin(NewMemSource(r), inner, func(l, m frel.Tuple) float64 { return 1 }, 80, NewOpStats("nl-join", ""))
 	out := drain(t, j)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
@@ -234,7 +237,7 @@ func TestBlockNLJoinBlockCount(t *testing.T) {
 // TestBlockNLJoinSpansBatchesAndBlocks runs the nested-loop join over heap
 // scans, whose batch buffers are recycled, with an outer of several
 // batches cut into several blocks that end mid-batch, and checks the
-// emission order (inner-major within a block), the counters and the
+// emission order (inner-major within a block), the work and the
 // per-block inner rescans against the all-pairs reference.
 func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -277,16 +280,10 @@ func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
 		}
 		return NewHeapSource(h)
 	}
-	var c Counters
 	inner := &countingSource{Source: heap(s)}
-	j := NewBlockNLJoin(heap(r), inner, on, blockBytes, &c)
-	j.Stats = NewOpStats("nl-join", "")
+	j := NewBlockNLJoin(heap(r), inner, on, blockBytes, NewOpStats("nl-join", ""))
 	sameSequence(t, "nl-join", batchDrain(t, j), want)
 	pairs := int64(r.Len()) * int64(s.Len())
-	if c.DegreeEvals.Load() != pairs || c.TuplesOut.Load() != int64(len(want)) {
-		t.Errorf("counters: %d degree evals, %d out, want %d and %d",
-			c.DegreeEvals.Load(), c.TuplesOut.Load(), pairs, len(want))
-	}
 	if snap := j.Stats.Snapshot(); snap.Comparisons != pairs || snap.DegreeEvals != pairs {
 		t.Errorf("stats: cmp %d deg %d, want %d each", snap.Comparisons, snap.DegreeEvals, pairs)
 	}

@@ -60,16 +60,14 @@ type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
 	Extra                *kernel.PairProgram // nil or empty: no residual conjuncts
-	Counters             *Counters
 	Tol                  fuzzy.Trapezoid
 	Workers              int
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures. Counters.Comparisons counts every window tuple examined,
-	// dangling tuples included; Stats.Comparisons and Stats.DegreeEvals
-	// count only support-intersecting pairs, the Rng(r) scan length of
-	// each outer tuple is reported through Stats.ObserveRngBulk, and the
-	// kernel counters (KernelTuples, Morsels) are display-only.
+	// Stats receives the join's work: Comparisons counts the
+	// support-intersecting pairs (dangling window tuples are not
+	// compared), each Rng(r) scan length is observed, and DegreeEvals
+	// counts one evaluation per pair for the band equality plus one per
+	// call of Extra.
 	Stats *OpStats
 
 	schema *frel.Schema
@@ -80,9 +78,9 @@ type KernelMergeJoin struct {
 	foldEmit []int // emit as columns of the folded input's own rows
 }
 
-// NewKernelMergeJoin builds a band merge-join with the given worker count
-// (0 = GOMAXPROCS).
-func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, counters *Counters, workers int) (*KernelMergeJoin, error) {
+// NewKernelMergeJoin builds a band merge-join counting into st, with the
+// given worker count (0 = GOMAXPROCS).
+func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, st *OpStats, workers int) (*KernelMergeJoin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
@@ -90,16 +88,13 @@ func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fu
 	if !tol.Valid() {
 		return nil, fmt.Errorf("exec: invalid band tolerance %v", tol)
 	}
-	if counters == nil {
-		counters = &Counters{}
-	}
 	if workers <= 0 {
 		workers = DefaultParallelism()
 	}
 	return &KernelMergeJoin{
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
-		Extra: extra, Counters: counters, Tol: tol, Workers: workers,
+		Extra: extra, Tol: tol, Workers: workers, Stats: st,
 		schema: outer.Schema().Join(inner.Schema()),
 		oi:     oi, ii: ii,
 	}, nil
@@ -141,7 +136,7 @@ func (j *KernelMergeJoin) Schema() *frel.Schema { return j.schema }
 // off the shared queue by the worker pool and their outputs are replayed
 // in morsel order, which is the serial emission order.
 func (j *KernelMergeJoin) Open() (BatchIterator, error) {
-	in, err := collectFlat("merge-join", j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Counters, j.Stats)
+	in, err := collectFlat("merge-join", j.Outer, j.Inner, j.oi, j.ii, j.Tol, j.Workers, j.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -179,15 +174,12 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 		var rng int64
 		var bestO float64
 		for k := win.start; k < win.end; k++ {
-			loc.cmp++
 			// Support pretest on the flat key column, bit-identical to
 			// lX.Intersects(Add(s, Tol)).
 			if !(lo <= iKeys[k].Hi+j.Tol.D && iKeys[k].Lo+j.Tol.A <= hi) {
 				continue // dangling tuple inside the range
 			}
 			rng++
-			loc.stCmp++
-			loc.stDeg++
 			loc.deg++
 			sX := inner[k].Values[j.ii].Num
 			if !tolZero {
@@ -202,10 +194,7 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 			}
 			if d > 0 && extra != nil {
 				loc.deg++
-				loc.stDeg++
-				g, ev := extra.EvalAnd(outer[o].Values, inner[k].Values)
-				loc.deg += ev
-				if g < d {
+				if g, _ := extra.EvalAnd(outer[o].Values, inner[k].Values); g < d {
 					d = g
 				}
 			}
@@ -224,7 +213,6 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 				}
 				continue
 			}
-			loc.tout++
 			if len(arena)+emitW > cap(arena) {
 				n := 2 * cap(arena)
 				if n > kernelArenaChunk {
@@ -261,9 +249,6 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 	case FoldInner:
 		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit)
 	}
-	if j.fold != FoldNone {
-		loc.tout += int64(len(out))
-	}
-	loc.flush(j.Counters, j.Stats)
+	loc.flush(j.Stats)
 	return out
 }

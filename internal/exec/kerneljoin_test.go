@@ -11,9 +11,9 @@ import (
 
 // pairExtras builds the residual conjuncts of the merge-join tests in both
 // forms: a compiled PairProgram and the equivalent closure for the
-// all-pairs reference, evaluating in the same order, stopping at the first
-// zero and charging DegreeEvals per conjunct call like the program does.
-func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
+// all-pairs reference, evaluating in the same order and stopping at the
+// first zero like the program does.
+func pairExtras(t testing.TB) (*kernel.PairProgram, JoinPred) {
 	t.Helper()
 	konst := frel.Num(fuzzy.Tri(10, 30, 50))
 	pp := pairProgram(t,
@@ -23,11 +23,9 @@ func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(konst)})
 	preds := []JoinPred{
 		func(l, r frel.Tuple) float64 {
-			c.DegreeEvals.Add(1)
 			return frel.Degree(fuzzy.OpLe, l.Values[0], r.Values[0])
 		},
 		func(l, r frel.Tuple) float64 {
-			c.DegreeEvals.Add(1)
 			return frel.Degree(fuzzy.OpGt, l.Values[1], konst)
 		},
 	}
@@ -53,7 +51,7 @@ func pairExtras(t testing.TB, c *Counters) (*kernel.PairProgram, JoinPred) {
 // records the work a sweep must report: one comparison and degree
 // evaluation per intersecting pair, one more evaluation per pair that
 // reaches the extra conjuncts, and the Rng(r) length of every outer tuple.
-func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, c *Counters, st *OpStats) []frel.Tuple {
+func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	for _, l := range r.Tuples {
 		lX := l.Values[1].Num
@@ -66,17 +64,14 @@ func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, c 
 			rng++
 			st.Comparisons.Add(1)
 			st.DegreeEvals.Add(1)
-			c.DegreeEvals.Add(1)
 			d := fuzzy.Min(l.D, m.D, fuzzy.Eq(lX, sX))
 			if d > 0 && extra != nil {
 				st.DegreeEvals.Add(1)
-				c.DegreeEvals.Add(1)
 				if g := extra(l, m); g < d {
 					d = g
 				}
 			}
 			if d > 0 {
-				c.TuplesOut.Add(1)
 				out = append(out, l.Concat(m, d))
 			}
 		}
@@ -87,10 +82,8 @@ func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, c 
 
 // TestKernelMergeJoinMatchesInterpreted checks the morsel-scheduled
 // merge-join against the all-pairs reference with interpreted conjuncts on
-// random inputs: identical output sequences, degree evaluations and
-// EXPLAIN ANALYZE stats at every worker count, with and without residual
-// conjuncts and band tolerances, and no more window comparisons than the
-// serial sweep makes.
+// random inputs: identical output sequences and work at every worker
+// count, with and without residual conjuncts and band tolerances.
 func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tols := []fuzzy.Trapezoid{fuzzy.Crisp(0), fuzzy.Tri(-3, 0, 3), fuzzy.Trap(-5, -2, 2, 5)}
@@ -100,41 +93,29 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 			s := sortedRel(t, randomRel("S", 80+rng.Intn(120), 80, 6, rng), "X")
 			tol := tols[trial%len(tols)]
 
-			var cw Counters
 			sw := NewOpStats("merge-join", "")
+			var pp *kernel.PairProgram
 			var extra JoinPred
 			if withExtra {
-				_, extra = pairExtras(t, &cw)
+				pp, extra = pairExtras(t)
 			}
-			want := bruteMergeJoin(r, s, tol, extra, &cw, sw)
+			want := bruteMergeJoin(r, s, tol, extra, sw)
 
-			var serial Counters
 			for _, workers := range []int{1, 2, 4, 8} {
-				var ck Counters
 				sk := NewOpStats("merge-join", "")
-				var pp *kernel.PairProgram
-				if withExtra {
-					pp, _ = pairExtras(t, &ck)
-				}
 				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
-					"R.X", "S.X", tol, pp, &ck, workers)
+					"R.X", "S.X", tol, pp, sk, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				kj.Stats = sk
 				name := "merge-join"
 				sameSequence(t, name, batchDrain(t, kj), want)
-				sameWork(t, name, &ck, &cw)
-				sameStats(t, name, sk, sw)
-				if workers == 1 {
-					keepCounters(&serial, &ck)
-				}
-				sweepCounters(t, name, &ck, &serial)
-				if ck.Morsels.Load() == 0 {
+				sameWork(t, name, sk, sw)
+				if sk.Morsels.Load() == 0 {
 					t.Errorf("%s: no morsels recorded", name)
 				}
-				if ck.KernelTuples.Load() != int64(r.Len()) {
-					t.Errorf("%s: KernelTuples %d, want %d", name, ck.KernelTuples.Load(), r.Len())
+				if sk.KernelTuples.Load() != int64(r.Len()) {
+					t.Errorf("%s: KernelTuples %d, want %d", name, sk.KernelTuples.Load(), r.Len())
 				}
 			}
 		}
@@ -147,7 +128,7 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 // projected pair sequence, and a fold onto either input reproduces the
 // deduplicated answer exactly (same rows, bit-identical degrees), emits
 // at most one row per tuple of the folded input in that input's order,
-// and leaves the work counters of the sweep unchanged, at every worker
+// and leaves the work of the sweep unchanged, at every worker
 // count. The projected columns hold few distinct values, so the answer
 // also needs the cross-tuple dedup above the join.
 func TestKernelMergeJoinEmitAndFold(t *testing.T) {
@@ -165,28 +146,27 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				}
 			}
 			reference := func(refs []string, dedup bool) []frel.Tuple {
-				var c Counters
-				_, extra := pairExtras(t, &c)
+				_, extra := pairExtras(t)
 				pairs := &frel.Relation{Schema: r.Schema.Join(s.Schema),
-					Tuples: bruteMergeJoin(r, s, fuzzy.Crisp(0), extra, &c, NewOpStats("merge-join", ""))}
+					Tuples: bruteMergeJoin(r, s, fuzzy.Crisp(0), extra, NewOpStats("merge-join", ""))}
 				proj, err := NewProject(NewMemSource(pairs), refs, dedup)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return batchDrain(t, proj)
 			}
-			kjoin := func(emit []int, fold Fold) ([]frel.Tuple, *Counters) {
-				var c Counters
-				pp, _ := pairExtras(t, &c)
+			kjoin := func(emit []int, fold Fold) ([]frel.Tuple, *OpStats) {
+				st := NewOpStats("merge-join", "")
+				pp, _ := pairExtras(t)
 				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
-					"R.X", "S.X", fuzzy.Crisp(0), pp, &c, workers)
+					"R.X", "S.X", fuzzy.Crisp(0), pp, st, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := kj.EmitColumns(emit, fold); err != nil {
 					t.Fatal(err)
 				}
-				return batchDrain(t, kj), &c
+				return batchDrain(t, kj), st
 			}
 
 			// Columns: R.ID 0, R.X 1, S.ID 2, S.X 3.
@@ -218,13 +198,7 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				if !folded.Equal(&frel.Relation{Schema: schema, Tuples: want}, 0) {
 					t.Fatalf("%s (workers %d): folded answer differs from the reference:\n%v\nwant\n%v", fc.name, workers, folded.Tuples, want)
 				}
-				if ck.Comparisons.Load() != cn.Comparisons.Load() || ck.DegreeEvals.Load() != cn.DegreeEvals.Load() {
-					t.Errorf("%s: sweep counters cmp %d deg %d, without a fold %d %d", fc.name,
-						ck.Comparisons.Load(), ck.DegreeEvals.Load(), cn.Comparisons.Load(), cn.DegreeEvals.Load())
-				}
-				if ck.TuplesOut.Load() != int64(len(rows)) {
-					t.Errorf("%s: TuplesOut %d for %d rows", fc.name, ck.TuplesOut.Load(), len(rows))
-				}
+				sameWork(t, fc.name, ck, cn)
 			}
 		}
 	}
@@ -244,7 +218,7 @@ func TestKernelMergeJoinFoldOrder(t *testing.T) {
 		var first []frel.Tuple
 		for _, workers := range []int{1, 2, 4, 8} {
 			kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"),
-				"R.X", "S.X", fuzzy.Tri(-2, 0, 2), nil, nil, workers)
+				"R.X", "S.X", fuzzy.Tri(-2, 0, 2), nil, NewOpStats("merge-join", ""), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +245,7 @@ func TestKernelMergeJoinFoldOrder(t *testing.T) {
 func TestKernelMergeJoinEmitColumnsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r, s := randomRel("R", 5, 10, 2, rng), randomRel("S", 5, 10, 2, rng)
-	kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, nil, 1)
+	kj, err := NewKernelMergeJoin(sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), nil, NewOpStats("merge-join", ""), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +277,12 @@ func TestKernelMergeJoinEmptySides(t *testing.T) {
 		if flip {
 			outer, inner, outerAttr, innerAttr = empty, r, "S.X", "R.X"
 		}
-		var ck Counters
 		sk := NewOpStats("merge-join", "")
 		kj, err := NewKernelMergeJoin(sortedSource(t, outer, "X"), sortedSource(t, inner, "X"),
-			outerAttr, innerAttr, fuzzy.Crisp(0), nil, &ck, 2)
+			outerAttr, innerAttr, fuzzy.Crisp(0), nil, sk, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kj.Stats = sk
 		if got := batchDrain(t, kj); len(got) != 0 {
 			t.Fatalf("flip=%v: empty-side join emitted %d tuples", flip, len(got))
 		}
@@ -319,9 +291,8 @@ func TestKernelMergeJoinEmptySides(t *testing.T) {
 			t.Errorf("flip=%v: %d Rng observations with max %d, want %d empty ones",
 				flip, snap.RngCount, snap.RngMax, outer.Len())
 		}
-		if ck.Comparisons.Load() != 0 || ck.DegreeEvals.Load() != 0 || ck.TuplesOut.Load() != 0 {
-			t.Errorf("flip=%v: work on an empty side: cmp %d deg %d out %d", flip,
-				ck.Comparisons.Load(), ck.DegreeEvals.Load(), ck.TuplesOut.Load())
+		if snap.Comparisons != 0 || snap.DegreeEvals != 0 {
+			t.Errorf("flip=%v: work on an empty side: cmp %d deg %d", flip, snap.Comparisons, snap.DegreeEvals)
 		}
 	}
 }

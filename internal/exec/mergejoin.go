@@ -52,21 +52,21 @@ type MergeAntiMin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
 	Terms                *kernel.PairProgram
-	Counters             *Counters
 
 	// Workers is the sweep's worker count; below 2 the sweep is serial.
 	Workers int
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures (see KernelMergeJoin.Stats for the counting conventions).
+	// Stats receives the operator's work: the support-intersecting pairs
+	// as Comparisons, one degree evaluation (of Terms) per pair, and each
+	// Rng(r) scan length.
 	Stats *OpStats
 
 	oi, ii int
 }
 
-// NewMergeAntiMin builds the operator; inputs must be sorted like for
-// KernelMergeJoin. A nil terms is the empty conjunction.
-func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *kernel.PairProgram, counters *Counters) (*MergeAntiMin, error) {
+// NewMergeAntiMin builds the operator counting into st; inputs must be
+// sorted like for KernelMergeJoin. A nil terms is the empty conjunction.
+func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *kernel.PairProgram, st *OpStats) (*MergeAntiMin, error) {
 	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
@@ -74,13 +74,10 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *ke
 	if terms == nil {
 		terms = &kernel.PairProgram{}
 	}
-	if counters == nil {
-		counters = &Counters{}
-	}
 	return &MergeAntiMin{
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
-		Terms: terms, Counters: counters,
+		Terms: terms, Stats: st,
 		oi: oi, ii: ii,
 	}, nil
 }
@@ -93,7 +90,7 @@ func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 // tuples in place and emits every outer tuple whose minimum stays
 // positive, in the outer input's order.
 func (j *MergeAntiMin) Open() (BatchIterator, error) {
-	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Counters, j.Stats)
+	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -107,15 +104,12 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			d := in.oKeys[o].D
 			var rng int64
 			for k := win.start; k < win.end; k++ {
-				loc.cmp++
 				if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
 					continue // the penalty would be 1
 				}
 				rng++
-				loc.stCmp++
-				loc.stDeg++
-				g, ev := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
-				loc.deg += 1 + ev
+				loc.deg++
+				g, _ := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
 				if in.iKeys[k].D < g {
 					g = in.iKeys[k].D
 				}
@@ -129,9 +123,7 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			loc.observeRng(rng)
 			degs[o] = d
 		}
-		out := emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
-		loc.tout += int64(len(out))
-		loc.flush(j.Counters, j.Stats)
-		return out
+		loc.flush(j.Stats)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
 	})
 }

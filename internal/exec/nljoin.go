@@ -20,31 +20,26 @@ type BlockNLJoin struct {
 	Outer, Inner Source
 	On           JoinPred
 	BlockBytes   int // outer block budget; default one page
-	Counters     *Counters
 
-	// Stats, when non-nil, receives the per-operator EXPLAIN ANALYZE
-	// measures; every outer×inner pair counts as one comparison and one
-	// degree evaluation.
+	// Stats receives the join's work: every outer×inner pair counts as one
+	// comparison and one degree evaluation.
 	Stats *OpStats
 
 	schema *frel.Schema
 }
 
-// NewBlockNLJoin builds a block nested-loop join with the given outer
-// block budget in bytes (values < 1 default to one page).
-func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, counters *Counters) *BlockNLJoin {
+// NewBlockNLJoin builds a block nested-loop join counting into st, with
+// the given outer block budget in bytes (values < 1 default to one page).
+func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, st *OpStats) *BlockNLJoin {
 	if blockBytes < 1 {
 		blockBytes = storage.PageSize
-	}
-	if counters == nil {
-		counters = &Counters{}
 	}
 	return &BlockNLJoin{
 		Outer:      outer,
 		Inner:      inner,
 		On:         on,
 		BlockBytes: blockBytes,
-		Counters:   counters,
+		Stats:      st,
 		schema:     outer.Schema().Join(inner.Schema()),
 	}
 }
@@ -154,8 +149,8 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			it.blockPos = 0
 		}
 	}
-	loc := batchLocals{deg: pairs, tout: int64(len(it.out)), stCmp: pairs, stDeg: pairs}
-	loc.flush(j.Counters, j.Stats)
+	j.Stats.Comparisons.Add(pairs)
+	j.Stats.DegreeEvals.Add(pairs)
 	return it.out, len(it.out) > 0
 }
 

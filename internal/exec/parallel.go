@@ -20,13 +20,8 @@ import (
 // anything still intersects it. No intersecting pair straddles a cut, so
 // concatenating the outputs of sweeps over consecutive ranges, in order,
 // reproduces the serial output sequence tuple for tuple: degrees,
-// duplicate multiplicity and even the emission order are preserved. The
-// only observable difference is that Counters.Comparisons may come out
-// slightly lower: a sweep started at a cut pre-drops dangling tuples that
-// the serial window examines when they enter it in the same slide as the
-// next range's first members. The EXPLAIN ANALYZE counters (OpStats) do
-// not share this caveat — they count only support-intersecting pairs — so
-// analyzed totals are identical at any worker count.
+// duplicate multiplicity and even the emission order are preserved, and
+// so is the work counted (only support-intersecting pairs are).
 
 // DefaultParallelism is the worker count used when a caller passes 0.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }

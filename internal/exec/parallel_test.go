@@ -34,7 +34,7 @@ func vagueRel(name string, n int, span float64, vagueEvery int, rng *rand.Rand) 
 // workloads with narrow, wide-interval, and dangling tuples, the
 // merge-join must return the all-pairs answer, and the identical sequence
 // — same tuples, same emission order, bit-identical degrees — with the
-// serial run's work counters at every worker count.
+// reference's work at every worker count.
 func TestParallelMergeJoinEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -60,31 +60,22 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 	}
 }
 
-// workerCountEquivalence joins r and s at 1, 2, 4 and 8 workers: the
-// serial run must equal the all-pairs reference, and every other run must
-// reproduce its sequence and its work (see sweepCounters).
+// workerCountEquivalence joins r and s at 1, 2, 4 and 8 workers: every run
+// must reproduce the all-pairs reference's sequence and its work exactly.
 func workerCountEquivalence(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, extra *kernel.PairProgram, extraRef JoinPred) {
 	t.Helper()
 	r, s = sortedRel(t, r, "X"), sortedRel(t, s, "X")
-	want := bruteMergeJoin(r, s, tol, extraRef, &Counters{}, NewOpStats("merge-join", ""))
-	var serial []frel.Tuple
-	var sc Counters
+	ref := NewOpStats("merge-join", "")
+	want := bruteMergeJoin(r, s, tol, extraRef, ref)
 	for _, workers := range []int{1, 2, 4, 8} {
-		var pc Counters
-		kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", tol, extra, &pc, workers)
+		st := NewOpStats("merge-join", "")
+		kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", tol, extra, st, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := batchDrain(t, kj)
-		if workers == 1 {
-			sameSequence(t, "serial merge-join", got, want)
-			serial = got
-			keepCounters(&sc, &pc)
-			continue
-		}
 		name := fmt.Sprintf("workers=%d", workers)
-		sameSequence(t, name, got, serial)
-		sweepCounters(t, name, &pc, &sc)
+		sameSequence(t, name, batchDrain(t, kj), want)
+		sameWork(t, name, st, ref)
 	}
 }
 
@@ -114,8 +105,7 @@ func TestParallelMergeJoinExtraPred(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := vagueRel("R", 150, 500, 6, rng)
 	s := vagueRel("S", 150, 500, 6, rng)
-	var c Counters
-	extra, extraRef := pairExtras(t, &c)
+	extra, extraRef := pairExtras(t)
 	workerCountEquivalence(t, r, s, fuzzy.Crisp(0), extra, extraRef)
 }
 
@@ -174,7 +164,7 @@ func TestParallelMergeJoinUnsortedInput(t *testing.T) {
 	s := frel.NewRelation(xSchema("S"))
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(7)))
 	pj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X",
-		fuzzy.Crisp(0), nil, nil, 4)
+		fuzzy.Crisp(0), nil, NewOpStats("merge-join", ""), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

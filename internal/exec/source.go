@@ -24,8 +24,6 @@
 package exec
 
 import (
-	"sync/atomic"
-
 	"repro/internal/frel"
 	"repro/internal/storage"
 )
@@ -107,48 +105,6 @@ func Collect(src Source) (*frel.Relation, error) {
 		out.Append(b...)
 	}
 	return out, it.Err()
-}
-
-// Counters accumulates the CPU-side work measures reported by the
-// experiments: fuzzy degree evaluations (the dominant cost the paper
-// attributes to "calls to the fuzzy library functions") and tuple
-// comparisons made by merges. The fields are atomic so one Counters may be
-// shared by the morsel workers of a sweep; Counters must not be copied
-// after first use.
-type Counters struct {
-	DegreeEvals atomic.Int64
-	Comparisons atomic.Int64
-	TuplesOut   atomic.Int64
-
-	// Sort-order cache traffic: a hit means a query reused a previously
-	// built sorted permutation (no re-sort), a miss means the order was
-	// built and stored.
-	SortCacheHits   atomic.Int64
-	SortCacheMisses atomic.Int64
-
-	// IndexHits counts sorted inputs served from a persistent order index
-	// (no sort at all, neither cached nor fresh).
-	IndexHits atomic.Int64
-
-	// KernelTuples counts tuples whose degrees were computed by compiled
-	// kernels (the fused filter and the flat-column sweeps); Morsels counts
-	// the work units the morsel scheduler dispatched. Both are
-	// observability-only: they do not participate in any invariance
-	// oracle.
-	KernelTuples atomic.Int64
-	Morsels      atomic.Int64
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.DegreeEvals.Store(0)
-	c.Comparisons.Store(0)
-	c.TuplesOut.Store(0)
-	c.SortCacheHits.Store(0)
-	c.SortCacheMisses.Store(0)
-	c.IndexHits.Store(0)
-	c.KernelTuples.Store(0)
-	c.Morsels.Store(0)
 }
 
 // MemSource serves tuples from an in-memory relation.

@@ -68,7 +68,7 @@ func TestHeapSourceEarlyClose(t *testing.T) {
 func TestMergeJoinOverHeapSources(t *testing.T) {
 	m, h := heapWith(t, 300)
 	_, h2 := heapWith(t, 300)
-	mj := mergeJoin(t, NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil, nil)
+	mj := mergeJoin(t, NewHeapSource(h), NewHeapSource(h2), "X", "X", fuzzy.Crisp(0), nil)
 	// The heap was written in ID order, which is also non-decreasing in X
 	// begin? It is not (X = i%10); the join must detect the disorder.
 	if _, err := Collect(mj); err == nil {
@@ -93,7 +93,7 @@ func TestMergeJoinHeapSortedInputs(t *testing.T) {
 		return h
 	}
 	r, s := mk("r"), mk("s")
-	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil)
+	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil)
 	rel, err := Collect(mj)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	r, s := mk("r"), mk("s")
 
-	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil, nil)
+	mj := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "X", "X", fuzzy.Crisp(0), nil)
 	it, err := mj.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	it.Close()
 
-	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), func(l, m frel.Tuple) float64 { return 1 }, 0, nil)
+	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), func(l, m frel.Tuple) float64 { return 1 }, 0, NewOpStats("nl-join", ""))
 	it2, err := nl.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	// Complemented equality: the twin's penalty is 1, every outer survives.
 	am, err := NewMergeAntiMin(NewHeapSource(r), NewHeapSource(s), "X", "X",
 		pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq, Neg: true,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)}), nil)
+			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)}), NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +162,5 @@ func TestEarlyCloseJoins(t *testing.T) {
 
 	if m.Pool().PinnedPages() != 0 {
 		t.Errorf("pinned pages leaked after early closes")
-	}
-}
-
-func TestCountersReset(t *testing.T) {
-	var a Counters
-	a.DegreeEvals.Store(1)
-	a.Comparisons.Store(2)
-	a.TuplesOut.Store(3)
-	a.Reset()
-	if a.DegreeEvals.Load() != 0 || a.Comparisons.Load() != 0 || a.TuplesOut.Load() != 0 {
-		t.Errorf("Reset left counters nonzero")
 	}
 }

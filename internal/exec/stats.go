@@ -1,23 +1,20 @@
-// Per-operator runtime statistics for EXPLAIN ANALYZE.
+// Per-operator work counters.
 //
-// Every operator that participates in an analyzed query gets an OpStats
-// node; the nodes form a tree mirroring the operator tree. Counters that
-// an operator maintains internally (comparisons, degree evaluations,
-// Rng(r) scan lengths, sort runs, …) are written through an optional
-// *OpStats field on the operator; rows out and wall time are measured
-// from the outside by wrapping the operator in a Stated source, so a
-// node shared by the morsel workers of one sweep never double-counts its
-// output.
+// OpStats is the one structure operators count into. Every operator takes
+// a non-nil *OpStats and adds the work it does itself (comparisons, degree
+// evaluations, Rng(r) scan lengths, sort runs, …) to it; rows out and wall
+// time are measured from the outside by wrapping the operator in a Stated
+// source, so a node shared by the morsel workers of one sweep never
+// double-counts its output. Under EXPLAIN ANALYZE every operator gets its
+// own node and the nodes form a tree mirroring the operator tree; otherwise
+// the engine hands every operator one running-total node.
 //
 // All counters are atomics: the morsel workers of one logical operator
-// write to the same node concurrently. The counters an analyzed plan
-// reports are partition-invariant — Comparisons counts only pairs whose
+// write to the same node concurrently. The work counters other than
+// Morsels are partition-invariant — Comparisons counts only pairs whose
 // supports intersect, a set no atomic cut can split — so serial and
-// parallel runs of the same query report identical totals, which the
-// property tests use as a correctness oracle. (The global
-// Counters.Comparisons kept by Env counts every window tuple a sweep
-// examines, dangling tuples included, and is NOT partition-invariant; see
-// parallel.go.)
+// parallel runs of the same query count identical work, which the property
+// tests use as a correctness oracle.
 package exec
 
 import (
@@ -60,9 +57,9 @@ type OpStats struct {
 	PoolHits   atomic.Int64 // buffer-pool page hits
 	PoolMisses atomic.Int64 // buffer-pool page misses (physical reads)
 
-	// Compiled-kernel observability (display-only, never part of the
-	// Totals() invariance oracle): tuples evaluated by fused kernels and
-	// morsels dispatched by the pull-queue join scheduler.
+	// Compiled-kernel observability: tuples evaluated by fused kernels and
+	// morsels dispatched by the pull-queue join scheduler (the one counter
+	// that depends on the worker count).
 	KernelTuples atomic.Int64
 	Morsels      atomic.Int64
 
@@ -81,31 +78,13 @@ func NewOpStats(op, label string) *OpStats {
 
 // AddChild links an input operator's node under this one.
 func (s *OpStats) AddChild(c *OpStats) {
-	if c == nil {
-		return
-	}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 }
 
 // ObserveRng records the Rng(r) scan length of one outer tuple.
-func (s *OpStats) ObserveRng(n int64) {
-	s.RngCount.Add(1)
-	s.RngSum.Add(n)
-	for {
-		cur := s.rngMin.Load()
-		if n >= cur || s.rngMin.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	for {
-		cur := s.rngMax.Load()
-		if n <= cur || s.rngMax.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-}
+func (s *OpStats) ObserveRng(n int64) { s.ObserveRngBulk(1, n, n, n) }
 
 // ObserveRngBulk records count Rng(r) observations at once: their sum and
 // the min/max among them. It is equivalent to count individual ObserveRng
@@ -128,6 +107,29 @@ func (s *OpStats) ObserveRngBulk(count, sum, min, max int64) {
 		if max <= cur || s.rngMax.CompareAndSwap(cur, max) {
 			break
 		}
+	}
+}
+
+// AddTree adds the work counters of the tree rooted at t into s: what the
+// operators count themselves. Rows out, pool traffic and wall time, which
+// only the Stated wrapper and an analyzed statement measure, are left out.
+func (s *OpStats) AddTree(t *OpStats) {
+	s.Comparisons.Add(t.Comparisons.Load())
+	s.DegreeEvals.Add(t.DegreeEvals.Load())
+	s.ObserveRngBulk(t.RngCount.Load(), t.RngSum.Load(), t.rngMin.Load(), t.rngMax.Load())
+	s.SortRuns.Add(t.SortRuns.Load())
+	s.MergePasses.Add(t.MergePasses.Load())
+	s.SpillBytes.Add(t.SpillBytes.Load())
+	s.CacheHits.Add(t.CacheHits.Load())
+	s.CacheMisses.Add(t.CacheMisses.Load())
+	s.IndexHits.Add(t.IndexHits.Load())
+	s.KernelTuples.Add(t.KernelTuples.Load())
+	s.Morsels.Add(t.Morsels.Load())
+	t.mu.Lock()
+	children := append([]*OpStats(nil), t.children...)
+	t.mu.Unlock()
+	for _, c := range children {
+		s.AddTree(c)
 	}
 }
 
@@ -193,8 +195,8 @@ func (s *OpStats) Snapshot() *StatsSnapshot {
 	return snap
 }
 
-// Totals sums the work counters over the whole tree; the property tests
-// use them as parallelism-invariance oracles.
+// Totals sums rows, comparisons and degree evaluations over the whole
+// tree; the property tests use them as parallelism-invariance oracles.
 func (s *StatsSnapshot) Totals() (rows, comparisons, degreeEvals int64) {
 	rows = s.RowsOut
 	comparisons = s.Comparisons

@@ -26,7 +26,6 @@ func TestSnapshotTree(t *testing.T) {
 	root := NewOpStats("project", "")
 	child := NewOpStats("scan", "R")
 	root.AddChild(child)
-	root.AddChild(nil) // ignored
 	root.RowsOut.Add(2)
 	root.Comparisons.Add(5)
 	child.RowsOut.Add(10)
@@ -36,6 +35,17 @@ func TestSnapshotTree(t *testing.T) {
 	rows, cmp, deg := snap.Totals()
 	if rows != 12 || cmp != 5 || deg != 4 {
 		t.Fatalf("Totals = (%d, %d, %d), want (12, 5, 4)", rows, cmp, deg)
+	}
+	// AddTree sums the work counters, Rng observations included, and
+	// leaves rows out to the wrapper that measures them.
+	child.ObserveRng(3)
+	root.ObserveRng(1)
+	total := NewOpStats("total", "")
+	total.AddTree(root)
+	total.AddTree(child)
+	if ts := total.Snapshot(); ts.Comparisons != 5 || ts.DegreeEvals != 8 || ts.RowsOut != 0 ||
+		ts.RngCount != 3 || ts.RngMin != 1 || ts.RngMax != 3 {
+		t.Fatalf("AddTree total = %+v", ts)
 	}
 	if got := snap.Find("scan"); got == nil || got.Label != "R" {
 		t.Fatalf("Find(scan) = %+v", got)

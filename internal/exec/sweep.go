@@ -32,8 +32,8 @@ type flatInputs struct {
 
 // collectFlat drains both inputs of the operator named op (for the
 // sortedness error), cuts them into morsels for the given worker count,
-// and records the kernel observability counters.
-func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, c *Counters, st *OpStats) (*flatInputs, error) {
+// and records the kernel observability counters into st.
+func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, st *OpStats) (*flatInputs, error) {
 	in := &flatInputs{}
 	var err error
 	if in.outer, in.oKeys, err = collectSorted(outer, oi, op+" outer"); err != nil {
@@ -51,12 +51,8 @@ func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid
 		grain := morselGrain(len(in.outer)+len(in.inner), workers)
 		in.morsels = kernel.Coalesce(len(in.ranges), func(i int) int { return in.ranges[i].weight() }, grain)
 	}
-	c.Morsels.Add(int64(len(in.morsels)))
-	c.KernelTuples.Add(int64(len(in.outer)))
-	if st != nil {
-		st.Morsels.Add(int64(len(in.morsels)))
-		st.KernelTuples.Add(int64(len(in.outer)))
-	}
+	st.Morsels.Add(int64(len(in.morsels)))
+	st.KernelTuples.Add(int64(len(in.outer)))
 	return in, nil
 }
 
@@ -132,21 +128,20 @@ func morselGrain(total, workers int) int {
 	return g
 }
 
-// batchLocals accumulates the per-pair work counters of one morsel sweep
-// (or of one batch of a nested-loop operator) so the shared atomics are
-// touched once per morsel. The cmp/deg/tout fields
-// mirror Counters, stCmp/stDeg and the rng fields mirror OpStats (see
-// KernelMergeJoin.Stats for the two counting conventions).
+// batchLocals accumulates the work counters of one morsel sweep so the
+// shared atomics are touched once per morsel.
 type batchLocals struct {
-	cmp, deg, tout int64
-	stCmp, stDeg   int64
+	cmp, deg       int64
 	rngN, rngSum   int64
 	rngMin, rngMax int64
 }
 
 func newBatchLocals() batchLocals { return batchLocals{rngMin: math.MaxInt64} }
 
+// observeRng records the Rng(r) scan length of one outer tuple: the n
+// support-intersecting pairs it was compared with.
 func (l *batchLocals) observeRng(n int64) {
+	l.cmp += n
 	l.rngN++
 	l.rngSum += n
 	if n < l.rngMin {
@@ -157,26 +152,10 @@ func (l *batchLocals) observeRng(n int64) {
 	}
 }
 
-func (l *batchLocals) flush(c *Counters, st *OpStats) {
-	if l.cmp != 0 {
-		c.Comparisons.Add(l.cmp)
-	}
-	if l.deg != 0 {
-		c.DegreeEvals.Add(l.deg)
-	}
-	if l.tout != 0 {
-		c.TuplesOut.Add(l.tout)
-	}
-	if st != nil {
-		if l.stCmp != 0 {
-			st.Comparisons.Add(l.stCmp)
-		}
-		if l.stDeg != 0 {
-			st.DegreeEvals.Add(l.stDeg)
-		}
-		st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
-	}
-	*l = newBatchLocals()
+func (l *batchLocals) flush(st *OpStats) {
+	st.Comparisons.Add(l.cmp)
+	st.DegreeEvals.Add(l.deg)
+	st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
 }
 
 // keyWindow is the Rng(r) cursor over a flat inner key column: [start, end)

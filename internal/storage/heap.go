@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/frel"
 )
@@ -714,9 +713,6 @@ type ManagerOptions struct {
 	// WAL enables write-ahead logging: recovery on open, logged appends,
 	// and durable commits.
 	WAL bool
-	// GroupCommitWindow is how long a commit waits for other transactions
-	// to share its fsync; 0 syncs immediately.
-	GroupCommitWindow time.Duration
 }
 
 // NewManager creates a manager over dir with a buffer pool of the given
@@ -753,7 +749,7 @@ func NewManagerOptions(dir string, opts ManagerOptions) (*Manager, error) {
 	if !opts.WAL {
 		return m, retireWAL(fs, dir)
 	}
-	w, entries, err := openWAL(fs, dir, opts.GroupCommitWindow)
+	w, entries, err := openWAL(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -987,8 +983,8 @@ func (tx *Tx) touch(h *HeapFile) error {
 }
 
 // Commit makes the transaction's appends durable: it logs the commit
-// record, fsyncs the log (sharing the fsync with concurrent commits inside
-// the group-commit window), releases the no-steal pins, and publishes the
+// record, fsyncs the log (sharing the fsync with any commit already
+// waiting on one), releases the no-steal pins, and publishes the
 // new committed counts so subsequent snapshots see the whole transaction.
 func (tx *Tx) Commit() error {
 	if tx.m == nil || tx.done {

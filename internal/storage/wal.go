@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/frel"
 )
@@ -108,10 +107,9 @@ const (
 // safe for concurrent use; commits of concurrent transactions share fsyncs
 // through a leader/follower group-commit protocol.
 type WAL struct {
-	fs     FS
-	dir    string
-	path   string
-	window time.Duration // group-commit window (0 = sync immediately)
+	fs   FS
+	dir  string
+	path string
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -128,7 +126,7 @@ type WAL struct {
 // whose checkpoint base is the post-recovery on-disk state of every
 // (non-temporary) heap file in dir. It returns those post-recovery
 // entries by heap name, for OpenHeap to adopt.
-func openWAL(fs FS, dir string, window time.Duration) (*WAL, map[string]heapState, error) {
+func openWAL(fs FS, dir string) (*WAL, map[string]heapState, error) {
 	rec, err := recoverWAL(fs, dir)
 	if err != nil {
 		return nil, nil, err
@@ -172,7 +170,7 @@ func openWAL(fs FS, dir string, window time.Duration) (*WAL, map[string]heapStat
 		states = append(states, st)
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
-	w := &WAL{fs: fs, dir: dir, path: filepath.Join(dir, walFileName), window: window}
+	w := &WAL{fs: fs, dir: dir, path: filepath.Join(dir, walFileName)}
 	w.cond = sync.NewCond(&w.mu)
 	if err := w.rewrite(states); err != nil {
 		return nil, nil, err
@@ -301,8 +299,8 @@ func (w *WAL) Commit(txid uint64) error {
 }
 
 // Sync makes every record appended so far durable. Concurrent callers
-// group-commit: one leader waits out the commit window and issues a single
-// fsync covering everything appended by then; the others wait for it.
+// group-commit: one leader issues a single fsync covering everything
+// appended by then; the others wait for it.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -313,13 +311,7 @@ func (w *WAL) Sync() error {
 			continue
 		}
 		w.syncing = true
-		f := w.f
-		w.mu.Unlock()
-		if w.window > 0 {
-			time.Sleep(w.window)
-		}
-		w.mu.Lock()
-		high := w.off
+		f, high := w.f, w.off
 		w.mu.Unlock()
 		err := f.Sync()
 		w.mu.Lock()

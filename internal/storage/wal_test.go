@@ -325,7 +325,7 @@ func TestWALNoStealEvictionUnderPressure(t *testing.T) {
 
 func TestWALGroupCommitConcurrent(t *testing.T) {
 	fs := NewMemFS()
-	w, _, err := openWAL(fs, "db", 200_000) // 200µs window
+	w, _, err := openWAL(fs, "db")
 	if err != nil {
 		t.Fatal(err)
 	}

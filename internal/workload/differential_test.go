@@ -74,7 +74,7 @@ func TestDifferentialUnnesting(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: unnested, warm sort cache: %v", seed, err)
 				}
-				if env.Counters.SortCacheHits.Load() == 0 {
+				if env.Work.CacheHits.Load() == 0 {
 					t.Fatalf("seed %d: class %s: the second evaluation hit no cached order", seed, class)
 				}
 				if !unnested.Equal(warm, 0) {

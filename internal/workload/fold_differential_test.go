@@ -166,10 +166,10 @@ func TestDifferentialFold(t *testing.T) {
 								}
 							}
 							if workers > 1 {
-								morsels += sess.Env.Counters.Morsels.Load()
+								morsels += sess.Env.Work.Morsels.Load()
 							}
-							kernelTuples += sess.Env.Counters.KernelTuples.Load()
-							indexHits += sess.Env.Counters.IndexHits.Load()
+							kernelTuples += sess.Env.Work.KernelTuples.Load()
+							indexHits += sess.Env.Work.IndexHits.Load()
 							if p, err := sess.Env.PlanQuery(q); err != nil {
 								t.Fatal(err)
 							} else if j, ok := p.Proj().Input.(*plan.Join); ok {

@@ -60,7 +60,7 @@ func evalDiskCase(t *testing.T, c *DiffCase, indexed bool) (*frel.Relation, int6
 	if err != nil {
 		t.Fatalf("eval %q: %v", c.Query, err)
 	}
-	return got, sess.Env.Counters.IndexHits.Load()
+	return got, sess.Env.Work.IndexHits.Load()
 }
 
 // TestDifferentialIndexes is the index-equivalence leg of the harness:

@@ -99,7 +99,7 @@ func TestDifferentialKernels(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: workers %d: %v", seed, workers, err)
 					}
-					if env.Counters.KernelTuples.Load() == 0 {
+					if env.Work.KernelTuples.Load() == 0 {
 						t.Fatalf("seed %d: class %s: no fused kernels ran (vacuous differential) on %s",
 							seed, class, query)
 					}

@@ -40,7 +40,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
@@ -50,7 +49,6 @@ type config struct {
 	bufferPages int
 	parallelism int
 	noWAL       bool
-	groupCommit time.Duration
 }
 
 // Option customizes Open.
@@ -92,20 +90,6 @@ func WithParallelism(workers int) Option {
 func WithNoWAL() Option {
 	return func(c *config) error {
 		c.noWAL = true
-		return nil
-	}
-}
-
-// WithGroupCommitWindow sets how long a commit waits for concurrent
-// commits to share its fsync. 0 (the default) syncs immediately; a small
-// window (hundreds of microseconds) trades commit latency for fewer
-// fsyncs under concurrent writers.
-func WithGroupCommitWindow(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("fuzzydb: negative group-commit window %v", d)
-		}
-		c.groupCommit = d
 		return nil
 	}
 }
@@ -186,9 +170,8 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		dir, ownsDir = d, true
 	}
 	sess, err := core.OpenSessionOptions(dir, core.SessionOptions{
-		BufferPages:       c.bufferPages,
-		NoWAL:             c.noWAL,
-		GroupCommitWindow: c.groupCommit,
+		BufferPages: c.bufferPages,
+		NoWAL:       c.noWAL,
 	})
 	if err != nil {
 		if ownsDir {
@@ -200,16 +183,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	db := &DB{dir: dir, ownsDir: ownsDir, parallelism: c.parallelism}
 	db.base = &Session{db: db, sess: sess}
 	return db, nil
-}
-
-// SortCacheStats reports the sort-order cache traffic accumulated over the
-// database's lifetime: hits are sorts served from a cached permutation
-// (no re-sort), misses are orders that had to be built. INSERTs and other
-// mutations invalidate the affected entries, so a repeated query on
-// unchanged data hits.
-func (db *DB) SortCacheStats() (hits, misses int64) {
-	return db.base.sess.Env.Counters.SortCacheHits.Load(),
-		db.base.sess.Env.Counters.SortCacheMisses.Load()
 }
 
 // Dir returns the database directory.

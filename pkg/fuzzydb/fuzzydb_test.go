@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 const datingData = `
@@ -233,8 +232,7 @@ func TestCheckpointAndReopen(t *testing.T) {
 	}
 }
 
-// TestNoWAL: the ablation switch still yields a working database, and the
-// group-commit option validates its argument.
+// TestNoWAL: the ablation switch still yields a working database.
 func TestNoWAL(t *testing.T) {
 	db := openTemp(t, WithNoWAL())
 	if err := db.Exec(`CREATE TABLE T (X NUMBER); INSERT INTO T VALUES (4);`); err != nil {
@@ -249,13 +247,6 @@ func TestNoWAL(t *testing.T) {
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Errorf("Checkpoint without WAL should be a no-op, got %v", err)
-	}
-	if _, err := Open("", WithGroupCommitWindow(-time.Millisecond)); err == nil {
-		t.Error("negative group-commit window should fail")
-	}
-	db2 := openTemp(t, WithGroupCommitWindow(100*time.Microsecond))
-	if err := db2.Exec(`CREATE TABLE G (X NUMBER); INSERT INTO G VALUES (9);`); err != nil {
-		t.Fatal(err)
 	}
 }
 

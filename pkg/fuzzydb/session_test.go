@@ -198,7 +198,7 @@ func TestPreparedParamsReachKernels(t *testing.T) {
 	if stmt.NumParams() != 2 {
 		t.Fatalf("NumParams = %d", stmt.NumParams())
 	}
-	counters := &s.sess.Env.Counters
+	work := s.sess.Env.Work
 	res, err := stmt.Query(context.Background(), 1, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +207,10 @@ func TestPreparedParamsReachKernels(t *testing.T) {
 		t.Fatal("no answers: the check below would be vacuous")
 	}
 	// Each fused filter counts its whole input, the sweep its outer input.
-	if kt := counters.KernelTuples.Load(); kt <= 2*n {
+	if kt := work.KernelTuples.Load(); kt <= 2*n {
 		t.Errorf("KernelTuples = %d, want both fused filters (%d tuples) and the merge-join sweep", kt, 2*n)
 	}
-	if m := counters.Morsels.Load(); m == 0 {
+	if m := work.Morsels.Load(); m == 0 {
 		t.Error("no morsel dispatched: the merge-join sweep did not run")
 	}
 }
