@@ -18,6 +18,7 @@ import (
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -192,8 +193,10 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	b.Run("no-cursor-sorted-nl", func(b *testing.B) {
 		ri, _ := r.Schema.Resolve("B")
 		si, _ := s.Schema.Resolve("B")
-		on := func(l, m frel.Tuple) float64 {
-			return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
+		on, err := kernel.CompilePair([]kernel.PairStep{{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)}})
+		if err != nil {
+			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
 			nl := exec.NewBlockNLJoin(exec.NewMemSource(r), exec.NewMemSource(s), on, 1<<20, exec.NewOpStats("nl-join", ""))

@@ -64,7 +64,7 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 			return nil, err
 		}
 		node := e.newNode("kernel(fused)", n.Label)
-		return e.attach(node, exec.NewFusedFilter(base, prog, 0, node), base), nil
+		return e.attach(node, exec.NewFusedFilter(base, prog, node), base), nil
 	}
 	return nil, fmt.Errorf("core: cannot compile plan leaf %T", nd)
 }
@@ -93,7 +93,13 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		next := filtered[step.Next]
 		extraPreds := make([]fsql.Predicate, 0, len(step.Extras))
 		for _, pi := range step.Extras {
-			extraPreds = append(extraPreds, j.JoinPreds[pi].Pred)
+			extraPreds = append(extraPreds, j.PairPreds[pi].Pred)
+		}
+		// The step's conjuncts beyond the merge condition: the merge-join's
+		// residual, or the nested-loop join's whole condition.
+		pp, err := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds)
+		if err != nil {
+			return nil, err
 		}
 
 		if step.Merge {
@@ -105,15 +111,10 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Residual conjuncts become a pair program and the join runs
-			// as the morsel-scheduled merge-join (one morsel when serial),
-			// emitting only what the plan still reads of its rows and
-			// folding the answer's max reduction into the sweep where the
-			// plan recorded one.
-			pp, err := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds)
-			if err != nil {
-				return nil, err
-			}
+			// The join runs as the morsel-scheduled merge-join (one morsel
+			// when serial), emitting only what the plan still reads of its
+			// rows and folding the answer's max reduction into the sweep
+			// where the plan recorded one.
 			label := step.LeftAttr + " = " + step.RightAttr
 			if step.Emit != nil && step.Fold != plan.FoldNone {
 				label += " fold(" + step.Fold.String() + ")"
@@ -136,34 +137,19 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			}
 			cur = e.attach(node, kj, sortedCur, sortedNext)
 		} else {
-			var extras []exec.JoinPred
-			for _, pr := range extraPreds {
-				jp, err := e.compileJoinPred(cur.Schema(), next.Schema(), pr)
-				if err != nil {
-					return nil, err
-				}
-				extras = append(extras, jp)
-			}
-			on := andJoinPreds(extras)
-			if on == nil {
-				on = func(l, r frel.Tuple) float64 { return 1 }
-			}
 			node := e.newNode("nl-join", "")
-			cur = e.attach(node, exec.NewBlockNLJoin(cur, next, on, e.NLBlockBytes, node), cur, next)
+			cur = e.attach(node, exec.NewBlockNLJoin(cur, next, pp, e.NLBlockBytes, node), cur, next)
 		}
 	}
 
 	out := cur
 	if len(j.Const) > 0 {
-		node := e.newNode("filter", "constant predicates")
-		for _, pr := range j.Const {
-			pred, err := e.compilePred(cur.Schema(), pr)
-			if err != nil {
-				return nil, err
-			}
-			out = exec.NewFilter(out, pred, node)
+		prog, err := e.compileKernelProgram(cur.Schema(), j.Const)
+		if err != nil {
+			return nil, err
 		}
-		out = e.attach(node, out, cur)
+		node := e.newNode("filter", "constant predicates")
+		out = e.attach(node, exec.NewFusedFilter(cur, prog, node), cur)
 	}
 
 	// Final projection / grouping.
@@ -207,21 +193,20 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	if a.HasLink {
 		preds = append(preds, a.Link)
 	}
-	negLast := a.HasLink && a.Mode == plan.AntiAll
+	steps, err := e.pairSteps(outer.Schema(), inner.Schema(), preds)
+	if err != nil {
+		return nil, err
+	}
+	if a.HasLink && a.Mode == plan.AntiAll {
+		steps[len(steps)-1].Neg = true
+	}
+	terms, err := kernel.CompilePair(steps)
+	if err != nil {
+		return nil, err
+	}
 
 	var result exec.Source
 	if a.RangeFound {
-		steps, err := e.pairSteps(outer.Schema(), inner.Schema(), preds)
-		if err != nil {
-			return nil, err
-		}
-		if negLast {
-			steps[len(steps)-1].Neg = true
-		}
-		terms, err := kernel.CompilePair(steps)
-		if err != nil {
-			return nil, err
-		}
 		sortedOuter, err := e.sortSource(outer, a.RangeOuter, false)
 		if err != nil {
 			return nil, err
@@ -240,32 +225,8 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
 		// anti-join by materializing the inner once.
-		terms := make([]exec.JoinPred, len(preds))
-		for i, pr := range preds {
-			jp, err := e.compileJoinPred(outer.Schema(), inner.Schema(), pr)
-			if err != nil {
-				return nil, err
-			}
-			if negLast && i == len(preds)-1 {
-				link := jp
-				jp = func(l, r frel.Tuple) float64 { return 1 - link(l, r) }
-			}
-			terms[i] = jp
-		}
-		penalty := func(l, r frel.Tuple) float64 {
-			d := r.D
-			for _, t := range terms {
-				if g := t(l, r); g < d {
-					d = g
-					if d == 0 {
-						break
-					}
-				}
-			}
-			return 1 - d
-		}
 		node := e.newNode("nl-anti-join", "")
-		result = e.attach(node, exec.NewNLAntiMin(outer, inner, penalty, node), outer, inner)
+		result = e.attach(node, exec.NewNLAntiMin(outer, inner, terms, node), outer, inner)
 	}
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
@@ -328,16 +289,22 @@ func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	pred := func(frel.Tuple) float64 { return 0 } // a NULL aggregate satisfies nothing
+	// A NULL aggregate satisfies nothing: its step compares a number with a
+	// string, which has degree 0.
+	step := kernel.Step{Kind: kernel.StepCompare, Op: u.CmpOp,
+		Left: kernel.Constant(frel.Crisp(0)), Right: kernel.Constant(frel.Str(""))}
 	if ok {
 		yi, err := outer.Schema().Resolve(u.YRef)
 		if err != nil {
 			return nil, err
 		}
-		op := u.CmpOp
-		pred = func(t frel.Tuple) float64 { return frel.Degree(op, t.Values[yi], frel.Num(a)) }
+		step.Left, step.Right = kernel.Column(yi), kernel.Constant(frel.Num(a))
 	}
-	result := e.attach(node, exec.NewFilter(outer, pred, node), outer)
+	prog, err := kernel.Compile([]kernel.Step{step})
+	if err != nil {
+		return nil, err
+	}
+	result := e.attach(node, exec.NewFusedFilter(outer, prog, node), outer)
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
 
@@ -395,26 +362,4 @@ func hasAggItems(items []fsql.SelectItem) bool {
 		}
 	}
 	return false
-}
-
-func andJoinPreds(ps []exec.JoinPred) exec.JoinPred {
-	switch len(ps) {
-	case 0:
-		return nil
-	case 1:
-		return ps[0]
-	default:
-		return func(l, r frel.Tuple) float64 {
-			d := 1.0
-			for _, p := range ps {
-				if g := p(l, r); g < d {
-					d = g
-					if d == 0 {
-						return 0
-					}
-				}
-			}
-			return d
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,12 @@ import (
 // values and a NaN-cornered value is one, wherever identity decides
 // something — the projected column (duplicate elimination), the grouping
 // attribute (group boundaries) and the aggregated attribute (the value set
-// of AVG).
+// of AVG). The same data runs one query through every operator whose
+// condition is a compiled kernel program beside the merge sweeps — the
+// nested-loop join and anti-join (string links have no merge order), the
+// constant-predicate filter, the uncorrelated-aggregate filter (and its
+// NULL aggregate) and HAVING — at 1 and 4 workers, answers equal to the
+// naive evaluator's at bit-identical degrees.
 func TestValueIdentityMatchesNaive(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan := fuzzy.Trapezoid{A: math.NaN(), B: math.NaN(), C: math.NaN(), D: math.NaN()}
@@ -23,9 +29,11 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		return frel.NewSchema(name,
 			frel.Attribute{Name: "K", Kind: frel.KindNumber},
 			frel.Attribute{Name: "A", Kind: frel.KindNumber},
-			frel.Attribute{Name: "B", Kind: frel.KindNumber})
+			frel.Attribute{Name: "B", Kind: frel.KindNumber},
+			frel.Attribute{Name: "NAME", Kind: frel.KindString})
 	}
 	about := func(c float64) frel.Value { return frel.Num(fuzzy.Tri(c-2, c, c+2)) }
+	names := []string{"ann", "bob", "cal", "dee", "eve"}
 
 	r := frel.NewRelation(schema("R"))
 	ks := []frel.Value{frel.Crisp(0), frel.Crisp(negZero), frel.Num(nan), frel.Crisp(1)}
@@ -38,7 +46,7 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		if i%3 == 2 {
 			a = about(100)
 		}
-		r.Append(frel.NewTuple(degs[i%len(degs)], ks[i%len(ks)], a, about(float64(i%5))))
+		r.Append(frel.NewTuple(degs[i%len(degs)], ks[i%len(ks)], a, about(float64(i%5)), frel.Str(names[i%3])))
 	}
 	s := frel.NewRelation(schema("S"))
 	for i := 0; i < 12; i++ {
@@ -53,55 +61,79 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		if i >= 8 {
 			a = about(100)
 		}
-		s.Append(frel.NewTuple(degs[(i+3)%len(degs)], frel.Crisp(float64(i)), a, b))
+		// NAME: two of R's names, one it does not have.
+		s.Append(frel.NewTuple(degs[(i+3)%len(degs)], frel.Crisp(float64(i)), a, b, frel.Str(names[1+i%3])))
 	}
 
-	queries := map[string]string{
-		"N":  `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`,
-		"JX": `SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A)`,
-		"JA": `SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A)`,
+	cases := []struct {
+		class, query string
+		node         string // an operator the engine must run; "" checks none
+		identity     bool   // answer on R.K: one row each for +0, -0 and NaN
+	}{
+		{"N", `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`, "merge-join", true},
+		{"JX", `SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A)`, "merge-anti-join", true},
+		{"JA", `SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A)`, "group-agg-join", true},
+		{"nl-join", `SELECT R.K, R.NAME FROM R, S WHERE R.NAME = S.NAME AND R.B >= S.B`, "nl-join", false},
+		{"nl-anti NOT IN", `SELECT R.K, R.NAME FROM R WHERE R.NAME NOT IN (SELECT S.NAME FROM S WHERE S.B <= 2)`, "nl-anti-join", false},
+		{"nl-anti ALL", `SELECT R.K, R.NAME FROM R WHERE R.B > ALL (SELECT S.B FROM S WHERE S.NAME = R.NAME)`, "nl-anti-join", false},
+		{"constant", `SELECT R.K, R.NAME FROM R, S WHERE R.A = S.A AND 5 >= TRI(3, 6, 9)`, "filter", false},
+		{"uncorrelated", `SELECT R.K, R.NAME FROM R WHERE R.B <= (SELECT MAX(S.B) FROM S WHERE S.A = 0)`, "filter", false},
+		{"uncorrelated NULL", `SELECT R.K, R.NAME FROM R WHERE R.B <= (SELECT MAX(S.B) FROM S WHERE S.A >= 1000)`, "filter", false},
+		{"having", `SELECT R.NAME, COUNT(R.K) FROM R, S WHERE R.A = S.A GROUPBY R.NAME HAVING R.NAME <> 'bob'`, "", false},
 	}
-	for class, text := range queries {
-		q, err := fsql.ParseQuery(text)
+	for _, c := range cases {
+		q, err := fsql.ParseQuery(c.query)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.class, err)
 		}
-		env := NewMemEnv()
-		env.RegisterRelation("R", r)
-		env.RegisterRelation("S", s)
-		if env.Explain(q).Strategy == StrategyNaive {
-			t.Fatalf("%s: not unnested", class)
-		}
-		naive, err := env.EvalNaive(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := env.EvalUnnested(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tol := 0.0
-		if class == "JA" {
-			tol = 1e-9 // AVG sums its members in another order
-		}
-		if !got.Equal(naive, tol) {
-			t.Errorf("%s: unnested differs from naive\nunnested:\n%v\nnaive:\n%v", class, got, naive)
-		}
-		// One row per identity: the zeros apart, the NaN once.
-		var zeros, negZeros, nans int
-		for _, tup := range got.Tuples {
-			switch k := tup.Values[0]; {
-			case k.Identical(frel.Crisp(0)):
-				zeros++
-			case k.Identical(frel.Crisp(negZero)):
-				negZeros++
-			case k.Identical(frel.Num(nan)):
-				nans++
+		for _, workers := range []int{1, 4} {
+			env := NewMemEnv()
+			env.Parallelism = workers
+			env.RegisterRelation("R", r)
+			env.RegisterRelation("S", s)
+			if env.Explain(q).Strategy == StrategyNaive {
+				t.Fatalf("%s: not unnested", c.class)
 			}
-		}
-		if zeros != 1 || negZeros != 1 || nans != 1 {
-			t.Errorf("%s: %d rows for +0, %d for -0, %d for NaN; want one each\n%v",
-				class, zeros, negZeros, nans, got)
+			naive, err := env.EvalNaive(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %v", c.class, err)
+			}
+			if snap := es.Plan(); c.node != "" && snap.Find(c.node) == nil {
+				t.Fatalf("%s: no %s node in:\n%s", c.class, c.node, snap.Render())
+			}
+			tol := 0.0
+			if c.class == "JA" {
+				tol = 1e-9 // AVG sums its members in another order
+			}
+			if !got.Equal(naive, tol) {
+				t.Errorf("%s, workers %d: unnested differs from naive\nunnested:\n%v\nnaive:\n%v", c.class, workers, got, naive)
+			}
+			if (got.Len() == 0) != (c.class == "uncorrelated NULL") {
+				t.Errorf("%s, workers %d: %d rows", c.class, workers, got.Len())
+			}
+			if !c.identity {
+				continue
+			}
+			// One row per identity: the zeros apart, the NaN once.
+			var zeros, negZeros, nans int
+			for _, tup := range got.Tuples {
+				switch k := tup.Values[0]; {
+				case k.Identical(frel.Crisp(0)):
+					zeros++
+				case k.Identical(frel.Crisp(negZero)):
+					negZeros++
+				case k.Identical(frel.Num(nan)):
+					nans++
+				}
+			}
+			if zeros != 1 || negZeros != 1 || nans != 1 {
+				t.Errorf("%s: %d rows for +0, %d for -0, %d for NaN; want one each\n%v",
+					c.class, zeros, negZeros, nans, got)
+			}
 		}
 	}
 }

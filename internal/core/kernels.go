@@ -9,13 +9,12 @@ import (
 )
 
 // This file bridges the planner's predicate IR to the compiled degree
-// kernels of internal/kernel: it resolves operands exactly like the
-// closure compilers in operand.go (same schemas, same linguistic-term
-// settlement, same errors) and then emits the flat column/constant step
-// form the kernel compiler specializes. The merge operators and the
-// pushed-down filters have no other form, so a bridge error — an
-// unresolvable reference, an undefined linguistic term, an unbound '?' —
-// is the statement's error.
+// kernels of internal/kernel, the engine's one predicate evaluator: it
+// resolves operands (operand.go) and emits the flat column/constant step
+// form the kernel compiler specializes. Every condition an engine operator
+// evaluates comes through here, so a bridge error — an unresolvable
+// reference, an undefined linguistic term, an unbound '?' — is the
+// statement's error.
 
 // kernelStep converts one resolved single-schema predicate into a kernel
 // step.
@@ -81,9 +80,9 @@ func kernelPairOperand(info operandInfo) (kernel.PairOperand, error) {
 	}
 }
 
-// pairSteps resolves two-input conjuncts into kernel pair steps. Operand
-// resolution (left input first, then right, literals settled against the
-// opposite kind) mirrors compileJoinPred.
+// pairSteps resolves two-input conjuncts into kernel pair steps: each
+// operand resolves in the left input first, then the right, or is a
+// literal settled against the opposite operand's kind.
 func (e *Env) pairSteps(left, right *frel.Schema, preds []fsql.Predicate) ([]kernel.PairStep, error) {
 	steps := make([]kernel.PairStep, 0, len(preds))
 	for _, p := range preds {
@@ -111,10 +110,7 @@ func (e *Env) pairSteps(left, right *frel.Schema, preds []fsql.Predicate) ([]ker
 	return steps, nil
 }
 
-// compilePairProgram compiles the residual join conjuncts of a merge step
-// into a pair program for the merge-join. Evaluation order and
-// short-circuiting mirror andJoinPreds, so a merge step and a nested-loop
-// step charge the same degree evaluations per pair.
+// compilePairProgram compiles two-input conjuncts into a pair program.
 func (e *Env) compilePairProgram(left, right *frel.Schema, preds []fsql.Predicate) (*kernel.PairProgram, error) {
 	steps, err := e.pairSteps(left, right, preds)
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/fuzzy"
 )
 
 func mustParse(t *testing.T, src string) *fsql.Select {
@@ -98,6 +100,43 @@ func TestFlatGroupByEquivalence(t *testing.T) {
 			GROUPBY R.TAG
 			HAVING R.TAG <> 't0'`,
 			StrategyFlat)
+	}
+}
+
+// TestHavingGradesGroups: HAVING caps each group's degree by the degree of
+// its condition and drops the groups it takes to 0. The expectation is the
+// same query without HAVING, graded here from the condition's definition:
+// the engine and the naive evaluator share groupProject, so their
+// agreement alone cannot show it.
+func TestHavingGradesGroups(t *testing.T) {
+	e := envRS(rand.New(rand.NewSource(49)), 30, 30, 0)
+	run := func(src string) *frel.Relation {
+		t.Helper()
+		rel, err := e.EvalUnnested(mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	const groups = `SELECT R.U, COUNT(S.Z) FROM R, S WHERE R.Y = S.Z GROUPBY R.U`
+	all := run(groups)
+	got := run(groups + ` HAVING R.U <= TRI(5, 10, 15)`)
+	want := frel.NewRelation(all.Schema)
+	partial := 0
+	for _, tup := range all.Tuples {
+		g := fuzzy.Le(tup.Values[0].Num, fuzzy.Tri(5, 10, 15))
+		if g > 0 && g < 1 {
+			partial++
+		}
+		if tup.D = fuzzy.Min(tup.D, g); tup.D > 0 {
+			want.Append(tup)
+		}
+	}
+	if partial == 0 || want.Len() == all.Len() {
+		t.Fatalf("%d groups, %d graded partially, %d kept: the case proves nothing", all.Len(), partial, want.Len())
+	}
+	if !got.Equal(want, 0) {
+		t.Fatalf("HAVING:\n%v\nwant\n%v", got, want)
 	}
 }
 

@@ -468,11 +468,12 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 	if err != nil {
 		return nil, err
 	}
-	preds := make([]exec.Pred, len(having))
-	for i, h := range having {
-		if preds[i], err = e.compilePred(ga.Schema(), h); err != nil {
-			return nil, err
-		}
+	// HAVING grades each group by a compiled conjunction (empty without
+	// HAVING) and drops it at 0. It counts no work: no operator node stands
+	// for it.
+	prog, err := e.compileKernelProgram(ga.Schema(), having)
+	if err != nil {
+		return nil, err
 	}
 	// Reorder output columns to SELECT order.
 	idx := make([]int, len(items))
@@ -498,17 +499,12 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 	for _, j := range idx {
 		outSchema.Attrs = append(outSchema.Attrs, rel.Schema.Attrs[j])
 	}
+	degs := make([]float64, rel.Len())
+	prog.RunBatch(rel.Tuples, degs)
 	out := frel.NewRelation(outSchema)
-rows:
-	for _, t := range rel.Tuples {
-		// HAVING: each condition grades the group, dropping it at 0.
-		for _, p := range preds {
-			if g := p(t); g < t.D {
-				t.D = g
-			}
-			if t.D <= 0 {
-				continue rows
-			}
+	for i, t := range rel.Tuples {
+		if t.D = degs[i]; t.D <= 0 {
+			continue
 		}
 		out.Append(t.Project(idx))
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
@@ -116,8 +115,10 @@ func (e *Env) resolvePair(left, right fsql.Operand, schemas ...*frel.Schema) (l,
 }
 
 // compilePred compiles a PredCompare or PredNear whose operands are both
-// resolvable in one schema into an exec.Pred.
-func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate) (exec.Pred, error) {
+// resolvable in one schema into a closure over whole tuples. It is the
+// naive evaluator's (compileBlockPred), which keeps its own predicate
+// evaluation apart from the engine's compiled kernels on purpose.
+func (e *Env) compilePred(schema *frel.Schema, p fsql.Predicate) (func(frel.Tuple) float64, error) {
 	deg, err := e.pairDegreeFunc(p)
 	if err != nil {
 		return nil, err
@@ -147,33 +148,6 @@ func (e *Env) pairDegreeFunc(p fsql.Predicate) (func(a, b frel.Value) float64, e
 	default:
 		return nil, fmt.Errorf("core: expected a comparison or NEAR predicate, got %v", p)
 	}
-}
-
-// compileJoinPred compiles a PredCompare or PredNear across two inputs
-// into an exec.JoinPred. Each operand may resolve in either input (the
-// left input is tried first) or be a literal.
-func (e *Env) compileJoinPred(left, right *frel.Schema, p fsql.Predicate) (exec.JoinPred, error) {
-	deg, err := e.pairDegreeFunc(p)
-	if err != nil {
-		return nil, err
-	}
-	l, r, err := e.resolvePair(p.Left, p.Right, left, right)
-	if err != nil {
-		return nil, err
-	}
-	pick := func(info operandInfo, lt, rt frel.Tuple) frel.Value {
-		switch info.side {
-		case 0:
-			return info.get(lt)
-		case 1:
-			return info.get(rt)
-		default:
-			return info.get(frel.Tuple{})
-		}
-	}
-	return func(lt, rt frel.Tuple) float64 {
-		return deg(pick(l, lt, rt), pick(r, lt, rt))
-	}, nil
 }
 
 // valueDegree computes d(v op z) between generic values.

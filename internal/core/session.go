@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/plan"
@@ -467,30 +466,26 @@ func (s *Session) delete(st *fsql.Delete) error {
 	if err != nil {
 		return err
 	}
-	var preds []exec.Pred
-	for _, p := range st.Where {
-		pred, err := s.Env.compilePred(h.Schema, p)
-		if err != nil {
-			return err
-		}
-		preds = append(preds, pred)
+	prog, err := s.Env.compileKernelProgram(h.Schema, st.Where)
+	if err != nil {
+		return err
 	}
 	rel, err := h.ReadAll()
 	if err != nil {
 		return err
 	}
+	// Delete when the condition degree reaches the threshold. The tuple's
+	// own membership degree is not part of the condition, so the program
+	// runs over the tuples at degree 1 (its result is min(D, condition)).
+	batch := make([]frel.Tuple, rel.Len())
+	for i, t := range rel.Tuples {
+		batch[i] = frel.Tuple{Values: t.Values, D: 1}
+	}
+	degs := make([]float64, len(batch))
+	prog.RunBatch(batch, degs)
 	var kept []frel.Tuple
-	for _, t := range rel.Tuples {
-		d := 1.0
-		for _, p := range preds {
-			if g := p(t); g < d {
-				d = g
-			}
-		}
-		// Delete when the condition degree reaches the threshold; the
-		// tuple's own membership degree is not part of the condition.
-		remove := d > 0 && d >= st.Threshold
-		if !remove {
+	for i, t := range rel.Tuples {
+		if d := degs[i]; !(d > 0 && d >= st.Threshold) {
 			kept = append(kept, t)
 		}
 	}

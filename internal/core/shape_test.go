@@ -160,10 +160,13 @@ func TestDeleteWithThreshold(t *testing.T) {
 		CREATE TABLE W (ID NUMBER, AGE NUMBER);
 		INSERT INTO W VALUES (1, 24);
 		INSERT INTO W VALUES (2, 'about 35');
+		INSERT INTO W VALUES (3, 24) DEGREE 0.3;
 	`); err != nil {
 		t.Fatal(err)
 	}
 	// Only degree >= 0.7 deletions: 24 (0.8) goes, about 35 (0.5) stays.
+	// The condition's degree is the tuple's own business: the row of
+	// degree 0.3 whose AGE matches to 0.8 goes too.
 	if _, err := sess.ExecScript(`DELETE FROM W WHERE W.AGE = 'medium young' WITH D >= 0.7`); err != nil {
 		t.Fatal(err)
 	}

@@ -2,26 +2,30 @@ package exec
 
 import (
 	"repro/internal/frel"
+	"repro/internal/kernel"
 )
 
 // NLAntiMin is the nested-loop fallback of the group-minimum anti-join
 // (Queries JX′ and JALL′ when no merge range attribute is available, e.g.
 // string link attributes): the inner relation is materialized once, when
-// the operator is opened, and every outer tuple takes the minimum penalty
-// over all inner tuples. Still an unnested evaluation — the inner block
-// is not re-evaluated per outer tuple.
+// the operator is opened, and every outer tuple r takes
+//
+//	d′_r = min( r.D, min over all s of 1 − min(µ_S(s), Terms(r, s)) ),
+//
+// MergeAntiMin's degree without the Rng(r) restriction. Still an unnested
+// evaluation — the inner block is not re-evaluated per outer tuple.
 type NLAntiMin struct {
 	Outer, Inner Source
-	Penalty      JoinPred
+	Terms        *kernel.PairProgram
 
 	// Stats receives the operator's work: every outer×inner pair counts as
-	// one comparison and one degree evaluation.
+	// one comparison and one degree evaluation (of Terms).
 	Stats *OpStats
 }
 
 // NewNLAntiMin builds the operator counting into st.
-func NewNLAntiMin(outer, inner Source, penalty JoinPred, st *OpStats) *NLAntiMin {
-	return &NLAntiMin{Outer: outer, Inner: inner, Penalty: penalty, Stats: st}
+func NewNLAntiMin(outer, inner Source, terms *kernel.PairProgram, st *OpStats) *NLAntiMin {
+	return &NLAntiMin{Outer: outer, Inner: inner, Terms: terms, Stats: st}
 }
 
 // Schema implements Source; the output carries the outer schema.
@@ -60,7 +64,11 @@ func (it *nlAntiBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			d := l.D
 			for _, r := range it.inner {
 				pairs++
-				if g := j.Penalty(l, r); g < d {
+				g := j.Terms.EvalAnd(l.Values, r.Values)
+				if r.D < g {
+					g = r.D
+				}
+				if g = 1 - g; g < d {
 					d = g
 					if d == 0 {
 						break

@@ -65,18 +65,26 @@ func sameWork(t *testing.T, name string, got, want *OpStats) {
 	}
 }
 
+// refPred and refJoinPred are the tests' reference conditions: the degree
+// of a condition on one tuple or on a pair, written out from its
+// definition instead of compiled into a kernel program.
+type (
+	refPred     func(frel.Tuple) float64
+	refJoinPred func(l, r frel.Tuple) float64
+)
+
 // antiTerms builds the penalty of the anti-min test in both forms: the
 // compiled conjuncts (an equality and a complemented comparison, the JALL
 // shape) and the closure 1 − min(µ(s), terms) over the same conjuncts,
 // stopping at the first zero like the program does.
-func antiTerms(t testing.TB) (*kernel.PairProgram, JoinPred) {
+func antiTerms(t testing.TB) (*kernel.PairProgram, refJoinPred) {
 	t.Helper()
 	pp := pairProgram(t,
 		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
 			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)},
 		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
 			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)})
-	terms := []JoinPred{
+	terms := []refJoinPred{
 		func(l, r frel.Tuple) float64 {
 			return frel.Degree(fuzzy.OpEq, l.Values[1], r.Values[1])
 		},
@@ -104,7 +112,7 @@ func antiTerms(t testing.TB) (*kernel.PairProgram, JoinPred) {
 // tuples whose X supports intersect its own, stopping at zero. It records
 // the work a sweep must report: one comparison and degree evaluation per
 // intersecting pair examined and the Rng(r) length of every outer tuple.
-func bruteAntiMin(r, s *frel.Relation, penalty JoinPred, st *OpStats) []frel.Tuple {
+func bruteAntiMin(r, s *frel.Relation, penalty refJoinPred, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	for _, l := range r.Tuples {
 		d := l.D
@@ -222,8 +230,10 @@ func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 	pred := func(tp frel.Tuple) float64 {
 		return fuzzy.Degree(fuzzy.OpGt, tp.Values[1].Num, fuzzy.Crisp(30))
 	}
+	prog := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
+		Left: kernel.Column(1), Right: kernel.Constant(frel.Crisp(30))})
 	for _, dedup := range []bool{false, true} {
-		p, err := NewProject(NewFilter(NewMemSource(r), pred, NewOpStats("filter", "")), []string{"R.X"}, dedup)
+		p, err := NewProject(NewFusedFilter(NewMemSource(r), prog, NewOpStats("filter", "")), []string{"R.X"}, dedup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,9 +305,12 @@ func TestBatchKeyedSourceServesKeys(t *testing.T) {
 // allocation test measures.
 func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	t.Helper()
-	pred := func(tp frel.Tuple) float64 { return 1 }
+	// ID >= 0 holds to degree 1 for every tuple: the filter evaluates each
+	// one and drops none.
+	prog := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGe,
+		Left: kernel.Column(0), Right: kernel.Constant(frel.Crisp(0))})
 	st := NewOpStats("filter", "")
-	mj := mergeJoin(t, NewFilter(NewMemSource(r), pred, st), NewFilter(NewMemSource(s), pred, st),
+	mj := mergeJoin(t, NewFusedFilter(NewMemSource(r), prog, st), NewFusedFilter(NewMemSource(s), prog, st),
 		"R.X", "S.X", fuzzy.Crisp(0), nil)
 	// Project the answer attribute, the paper's answer-construction shape.
 	proj, err := NewProject(mj, []string{"R.ID"}, false)

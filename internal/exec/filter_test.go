@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
+	"repro/internal/kernel"
 )
 
 func relXY(name string, tuples ...frel.Tuple) *frel.Relation {
@@ -31,10 +32,11 @@ func TestFilterCombinesDegrees(t *testing.T) {
 		frel.NewTuple(0.5, frel.Crisp(27), frel.Str("b")),
 		frel.NewTuple(1.0, frel.Crisp(99), frel.Str("c")),
 	)
-	mediumYoung := fuzzy.Trap(20, 25, 30, 35)
-	pred := func(t frel.Tuple) float64 { return fuzzy.Eq(t.Values[0].Num, mediumYoung) }
+	mediumYoung := frel.Num(fuzzy.Trap(20, 25, 30, 35))
+	prog := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.Column(0), Right: kernel.Constant(mediumYoung)})
 	st := NewOpStats("filter", "")
-	out := drain(t, NewFilter(NewMemSource(rel), pred, st))
+	out := drain(t, NewFusedFilter(NewMemSource(rel), prog, st))
 	// (0.9, 24): min(0.9, 0.8) = 0.8; (0.5, 27): min(0.5, 1) = 0.5; 99 dropped.
 	if out.Len() != 2 {
 		t.Fatalf("len = %d: %v", out.Len(), out.Tuples)

@@ -5,26 +5,25 @@ import (
 	"repro/internal/kernel"
 )
 
-// FusedFilter is the compiled form of a filter chain (optionally ending in
-// a WITH D >= z threshold): the whole chain runs as one kernel.Program
-// loop over each batch, with no per-tuple closure dispatch and counters
-// flushed once per batch. Outputs are identical to the equivalent chain of
-// interpreted Filter operators followed by a threshold — the kernel calls
-// the same closed-form degree functions, and it evaluates later predicates
-// only on tuples earlier ones kept, exactly like the chain does.
+// FusedFilter is a fuzzy selection: it passes through the tuples of its
+// source with degree min(t.D, d₁, d₂, ...) over the conjuncts compiled into
+// Prog, dropping those whose degree is 0. The whole conjunction runs as one
+// kernel.Program loop over each batch, with no per-tuple closure dispatch
+// and counters flushed once per batch; a later conjunct is evaluated only
+// on the tuples the earlier ones kept. The answer's WITH D >= z threshold
+// is not a filter: it is applied to the answer (core's finalizeAnswer).
 type FusedFilter struct {
 	Src  Source
 	Prog *kernel.Program
-	Z    float64 // WITH D >= Z threshold; 0 keeps every positive degree
 
 	// Stats receives the filter's work: the degree evaluations the kernel
 	// performs and the tuples it evaluates (KernelTuples).
 	Stats *OpStats
 }
 
-// NewFusedFilter builds a compiled filter chain over src counting into st.
-func NewFusedFilter(src Source, prog *kernel.Program, z float64, st *OpStats) *FusedFilter {
-	return &FusedFilter{Src: src, Prog: prog, Z: z, Stats: st}
+// NewFusedFilter builds a compiled filter over src counting into st.
+func NewFusedFilter(src Source, prog *kernel.Program, st *OpStats) *FusedFilter {
+	return &FusedFilter{Src: src, Prog: prog, Stats: st}
 }
 
 // Schema implements Source.
@@ -65,13 +64,13 @@ func (it *fusedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		for i, t := range b {
 			d := degs[i]
 			if !copying {
-				if d == t.D && d > 0 && d >= f.Z {
+				if d == t.D && d > 0 {
 					continue
 				}
 				copying = true
 				it.out = append(it.out[:0], b[:i]...)
 			}
-			if d <= 0 || d < f.Z {
+			if d <= 0 {
 				continue
 			}
 			t.D = d

@@ -27,13 +27,13 @@ func fusedProgram(t testing.TB) *kernel.Program {
 
 // interpretedChain evaluates fusedProgram's chain over r one tuple at a
 // time from the chain's definition: each predicate caps the tuple's
-// degree and is charged one evaluation, a tuple that reaches zero meets no
-// later predicate, and the threshold keeps degrees of at least z.
-func interpretedChain(r *frel.Relation, z float64) (out []frel.Tuple, evals int64) {
+// degree and is charged one evaluation, and a tuple that reaches zero is
+// dropped and meets no later predicate.
+func interpretedChain(r *frel.Relation) (out []frel.Tuple, evals int64) {
 	konst1 := frel.Num(fuzzy.Tri(10, 20, 30))
 	konst2 := fuzzy.Crisp(30)
 	tol := fuzzy.Tri(-25, 0, 25)
-	preds := []Pred{
+	preds := []refPred{
 		func(t frel.Tuple) float64 { return frel.Degree(fuzzy.OpGt, t.Values[1], konst1) },
 		func(t frel.Tuple) float64 { return fuzzy.ApproxEq(t.Values[1].Num, konst2, tol) },
 	}
@@ -44,7 +44,7 @@ func interpretedChain(r *frel.Relation, z float64) (out []frel.Tuple, evals int6
 				break
 			}
 		}
-		if t.D > 0 && t.D >= z {
+		if t.D > 0 {
 			out = append(out, t)
 		}
 	}
@@ -59,20 +59,17 @@ func interpretedChain(r *frel.Relation, z float64) (out []frel.Tuple, evals int6
 // itself, not a copy.
 func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, z := range []float64{0, 0.35, 0.8} {
-		for trial := 0; trial < 8; trial++ {
-			r := randomRel("R", 200+rng.Intn(300), 60, 6, rng)
-			ck := NewOpStats("kernel(fused)", "R")
-			got := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), z, ck))
-			want, evals := interpretedChain(r, z)
-			sameSequence(t, "fused filter", got, want)
-			if ck.DegreeEvals.Load() != evals {
-				t.Fatalf("z=%g: kernel made %d degree evals, the chain's definition %d",
-					z, ck.DegreeEvals.Load(), evals)
-			}
-			if ck.KernelTuples.Load() != int64(r.Len()) {
-				t.Fatalf("z=%g: KernelTuples %d, want %d", z, ck.KernelTuples.Load(), r.Len())
-			}
+	for trial := 0; trial < 8; trial++ {
+		r := randomRel("R", 200+rng.Intn(300), 60, 6, rng)
+		ck := NewOpStats("kernel(fused)", "R")
+		got := batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), ck))
+		want, evals := interpretedChain(r)
+		sameSequence(t, "fused filter", got, want)
+		if ck.DegreeEvals.Load() != evals {
+			t.Fatalf("kernel made %d degree evals, the chain's definition %d", ck.DegreeEvals.Load(), evals)
+		}
+		if ck.KernelTuples.Load() != int64(r.Len()) {
+			t.Fatalf("KernelTuples %d, want %d", ck.KernelTuples.Load(), r.Len())
 		}
 	}
 
@@ -80,7 +77,7 @@ func TestFusedFilterMatchesInterpreted(t *testing.T) {
 	for i := 0; i < BatchSize+10; i++ {
 		certain.Append(frel.NewTuple(0.4, frel.Crisp(float64(i)), frel.Crisp(30)))
 	}
-	it, err := NewFusedFilter(NewMemSource(certain), fusedProgram(t), 0.4, NewOpStats("kernel(fused)", "R")).Open()
+	it, err := NewFusedFilter(NewMemSource(certain), fusedProgram(t), NewOpStats("kernel(fused)", "R")).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +100,19 @@ func TestFusedFilterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRel("R", 120, 60, 6, rng)
 	st := NewOpStats("kernel(fused)", "R")
-	batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), 0, st))
+	batchDrain(t, NewFusedFilter(NewMemSource(r), fusedProgram(t), st))
 	snap := st.Snapshot()
 	if snap.KernelTuples != int64(r.Len()) {
 		t.Fatalf("stats KernelTuples = %d, want %d", snap.KernelTuples, r.Len())
 	}
-	if _, evals := interpretedChain(r, 0); snap.DegreeEvals != evals {
+	if _, evals := interpretedChain(r); snap.DegreeEvals != evals {
 		t.Fatalf("stats DegreeEvals = %d, want the chain's %d", snap.DegreeEvals, evals)
 	}
 }
 
 // TestKernelPipelineAllocs is the allocation gate of the compiled path:
-// the fused scan -> filter -> threshold -> project chain must run at
-// arena-level allocation cost, at most 0.01 allocations per tuple.
+// the fused scan -> filter -> project chain must run at arena-level
+// allocation cost, at most 0.01 allocations per tuple.
 // Skipped under -race, which inflates allocation counts.
 func TestKernelPipelineAllocs(t *testing.T) {
 	if raceEnabled {
@@ -138,7 +135,7 @@ func TestKernelPipelineAllocs(t *testing.T) {
 
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
-		ff := NewFusedFilter(NewMemSource(r), prog, 0.01, st)
+		ff := NewFusedFilter(NewMemSource(r), prog, st)
 		proj, err := NewProject(ff, []string{"R.ID"}, false)
 		if err != nil {
 			t.Fatal(err)

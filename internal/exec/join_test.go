@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/extsort"
@@ -22,7 +23,17 @@ func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, t
 	return kj
 }
 
-// pairProgram compiles residual join conjuncts.
+// program compiles a conjunction over one input.
+func program(t testing.TB, steps ...kernel.Step) *kernel.Program {
+	t.Helper()
+	prog, err := kernel.Compile(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// pairProgram compiles join conjuncts.
 func pairProgram(t testing.TB, steps ...kernel.PairStep) *kernel.PairProgram {
 	t.Helper()
 	pp, err := kernel.CompilePair(steps)
@@ -127,9 +138,8 @@ func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
 	want := bruteJoin(r, s)
 	ri, _ := r.Schema.Resolve("X")
 	si, _ := s.Schema.Resolve("X")
-	on := func(l, m frel.Tuple) float64 {
-		return fuzzy.Eq(l.Values[ri].Num, m.Values[si].Num)
-	}
+	on := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)})
 	// Small block size to force several inner rescans.
 	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, NewOpStats("nl-join", ""))
 	got := drain(t, j)
@@ -224,7 +234,7 @@ func TestBlockNLJoinBlockCount(t *testing.T) {
 	)
 	s := relXY("S", frel.NewTuple(1, frel.Crisp(1), frel.Str("x")))
 	inner := &countingSource{Source: NewMemSource(s)}
-	j := NewBlockNLJoin(NewMemSource(r), inner, func(l, m frel.Tuple) float64 { return 1 }, 80, NewOpStats("nl-join", ""))
+	j := NewBlockNLJoin(NewMemSource(r), inner, pairProgram(t), 80, NewOpStats("nl-join", ""))
 	out := drain(t, j)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
@@ -244,6 +254,8 @@ func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
 	r := randomRel("R", 2*BatchSize+500, 100, 2, rng)
 	s := randomRel("S", BatchSize+100, 100, 2, rng)
 	on := func(l, m frel.Tuple) float64 { return fuzzy.Eq(l.Values[1].Num, m.Values[1].Num) }
+	onProg := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)})
 	const blockBytes = 50000
 
 	var want []frel.Tuple
@@ -281,7 +293,7 @@ func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
 		return NewHeapSource(h)
 	}
 	inner := &countingSource{Source: heap(s)}
-	j := NewBlockNLJoin(heap(r), inner, on, blockBytes, NewOpStats("nl-join", ""))
+	j := NewBlockNLJoin(heap(r), inner, onProg, blockBytes, NewOpStats("nl-join", ""))
 	sameSequence(t, "nl-join", batchDrain(t, j), want)
 	pairs := int64(r.Len()) * int64(s.Len())
 	if snap := j.Stats.Snapshot(); snap.Comparisons != pairs || snap.DegreeEvals != pairs {
@@ -300,4 +312,89 @@ type countingSource struct {
 func (c *countingSource) Open() (BatchIterator, error) {
 	c.opens++
 	return c.Source.Open()
+}
+
+// sameMultiset requires the two tuple sequences to hold the same rows at
+// the same degrees, in any order.
+func sameMultiset(t *testing.T, name string, got, want []frel.Tuple) {
+	t.Helper()
+	sorted := func(ts []frel.Tuple) []frel.Tuple {
+		c := append([]frel.Tuple(nil), ts...)
+		sort.Slice(c, func(i, j int) bool {
+			if ki, kj := c[i].Key(), c[j].Key(); ki != kj {
+				return ki < kj
+			}
+			return c[i].D < c[j].D
+		})
+		return c
+	}
+	sameSequence(t, name, sorted(got), sorted(want))
+}
+
+// TestNestedLoopMatchesMerge runs each nested-loop operator and its merge
+// counterpart on the same compiled program: the merge side examines only
+// Rng(r), the nested loop every pair, and the pairs the merge skips must
+// be exactly those whose degree is 0 (Sections 3 and 5). Both relations
+// carry some wide supports, so Rng(r) holds dangling inner tuples the
+// merge skips. The anti-joins must give the same sequence, the joins the
+// same rows, both at bit-identical degrees.
+func TestNestedLoopMatchesMerge(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := sortedRel(t, vagueRel("R", 150+rng.Intn(100), 600, 7, rng), "X")
+		s := sortedRel(t, vagueRel("S", 150+rng.Intn(100), 600, 5, rng), "X")
+		for i := range s.Tuples {
+			s.Tuples[i].Values[0] = frel.Crisp(float64(rng.Intn(300))) // ID: the residual's operand
+			if rng.Intn(2) == 0 {
+				s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
+			}
+		}
+
+		// Anti-join: NOT IN on X with the JALL-style complemented link.
+		terms, _ := antiTerms(t)
+		nlAnti := batchDrain(t, NewNLAntiMin(NewMemSource(r), NewMemSource(s), terms, NewOpStats("nl-anti-join", "")))
+		inD := make(map[string]float64, r.Len())
+		for _, tup := range r.Tuples {
+			inD[tup.Key()] = tup.D
+		}
+		regraded := r.Len() - len(nlAnti)
+		for _, tup := range nlAnti {
+			if tup.D != inD[tup.Key()] {
+				regraded++
+			}
+		}
+		if regraded == 0 {
+			t.Fatalf("seed %d: no inner tuple lowered an outer degree: the case proves nothing", seed)
+		}
+		for _, workers := range []int{1, 4} {
+			st := NewOpStats("merge-anti-join", "")
+			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", terms, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			am.Workers = workers
+			sameSequence(t, "anti-join", batchDrain(t, am), nlAnti)
+			if pairs := int64(r.Len() * s.Len()); st.Comparisons.Load() >= pairs {
+				t.Fatalf("seed %d: the merge anti-join compared all %d pairs", seed, pairs)
+			}
+		}
+
+		// Join: the nested loop's condition is the merge equality followed
+		// by the merge-join's residual.
+		eq := kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)}
+		on := pairProgram(t, append([]kernel.PairStep{eq}, extraSteps()...)...)
+		nlJoin := batchDrain(t, NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 4096, NewOpStats("nl-join", "")))
+		if len(nlJoin) == 0 {
+			t.Fatalf("seed %d: the nested-loop join is empty", seed)
+		}
+		for _, workers := range []int{1, 4} {
+			kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0),
+				pairProgram(t, extraSteps()...), NewOpStats("merge-join", ""), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMultiset(t, "join", batchDrain(t, kj), nlJoin)
+		}
+	}
 }

@@ -194,7 +194,7 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 			}
 			if d > 0 && extra != nil {
 				loc.deg++
-				if g, _ := extra.EvalAnd(outer[o].Values, inner[k].Values); g < d {
+				if g := extra.EvalAnd(outer[o].Values, inner[k].Values); g < d {
 					d = g
 				}
 			}

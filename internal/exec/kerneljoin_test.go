@@ -13,15 +13,11 @@ import (
 // forms: a compiled PairProgram and the equivalent closure for the
 // all-pairs reference, evaluating in the same order and stopping at the
 // first zero like the program does.
-func pairExtras(t testing.TB) (*kernel.PairProgram, JoinPred) {
+func pairExtras(t testing.TB) (*kernel.PairProgram, refJoinPred) {
 	t.Helper()
 	konst := frel.Num(fuzzy.Tri(10, 30, 50))
-	pp := pairProgram(t,
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpLe,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
-			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(konst)})
-	preds := []JoinPred{
+	pp := pairProgram(t, extraSteps()...)
+	preds := []refJoinPred{
 		func(l, r frel.Tuple) float64 {
 			return frel.Degree(fuzzy.OpLe, l.Values[0], r.Values[0])
 		},
@@ -44,6 +40,16 @@ func pairExtras(t testing.TB) (*kernel.PairProgram, JoinPred) {
 	return pp, interp
 }
 
+// extraSteps are pairExtras' conjuncts: R.ID <= S.ID and R.X > about 30.
+func extraSteps() []kernel.PairStep {
+	return []kernel.PairStep{
+		{Kind: kernel.StepCompare, Op: fuzzy.OpLe,
+			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
+		{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
+			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(frel.Num(fuzzy.Tri(10, 30, 50)))},
+	}
+}
+
 // bruteMergeJoin is the all-pairs reference of the band merge-join over
 // sorted inputs: every pair whose X supports intersect (the inner one
 // widened by tol) joins at min(µ(r), µ(s), d(r.X = s.X ⊕ tol), extra),
@@ -51,7 +57,7 @@ func pairExtras(t testing.TB) (*kernel.PairProgram, JoinPred) {
 // records the work a sweep must report: one comparison and degree
 // evaluation per intersecting pair, one more evaluation per pair that
 // reaches the extra conjuncts, and the Rng(r) length of every outer tuple.
-func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra JoinPred, st *OpStats) []frel.Tuple {
+func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPred, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	for _, l := range r.Tuples {
 		lX := l.Values[1].Num
@@ -95,7 +101,7 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 
 			sw := NewOpStats("merge-join", "")
 			var pp *kernel.PairProgram
-			var extra JoinPred
+			var extra refJoinPred
 			if withExtra {
 				pp, extra = pairExtras(t)
 			}

@@ -109,7 +109,7 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 				}
 				rng++
 				loc.deg++
-				g, _ := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
+				g := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
 				if in.iKeys[k].D < g {
 					g = in.iKeys[k].D
 				}

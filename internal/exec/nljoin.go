@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/frel"
+	"repro/internal/kernel"
 	"repro/internal/storage"
 )
 
@@ -15,14 +16,15 @@ import (
 // b_R + ceil(b_R / (M-1)) × b_S.
 //
 // The emitted tuple is outer ++ inner with degree
-// min(outer.D, inner.D, On(outer, inner)).
+// min(outer.D, inner.D, On(outer, inner)), On being the join's conjuncts
+// compiled into the pair program form the merge-join's residual takes.
 type BlockNLJoin struct {
 	Outer, Inner Source
-	On           JoinPred
-	BlockBytes   int // outer block budget; default one page
+	On           *kernel.PairProgram // empty: every pair joins
+	BlockBytes   int                 // outer block budget; default one page
 
 	// Stats receives the join's work: every outer×inner pair counts as one
-	// comparison and one degree evaluation.
+	// comparison and one degree evaluation (one call of On).
 	Stats *OpStats
 
 	schema *frel.Schema
@@ -30,7 +32,7 @@ type BlockNLJoin struct {
 
 // NewBlockNLJoin builds a block nested-loop join counting into st, with
 // the given outer block budget in bytes (values < 1 default to one page).
-func NewBlockNLJoin(outer, inner Source, on JoinPred, blockBytes int, st *OpStats) *BlockNLJoin {
+func NewBlockNLJoin(outer, inner Source, on *kernel.PairProgram, blockBytes int, st *OpStats) *BlockNLJoin {
 	if blockBytes < 1 {
 		blockBytes = storage.PageSize
 	}
@@ -133,7 +135,7 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			l := it.block[it.blockPos]
 			it.blockPos++
 			pairs++
-			d := j.On(l, r)
+			d := j.On.EvalAnd(l.Values, r.Values)
 			if l.D < d {
 				d = l.D
 			}

@@ -62,7 +62,7 @@ func TestParallelMergeJoinEquivalence(t *testing.T) {
 
 // workerCountEquivalence joins r and s at 1, 2, 4 and 8 workers: every run
 // must reproduce the all-pairs reference's sequence and its work exactly.
-func workerCountEquivalence(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, extra *kernel.PairProgram, extraRef JoinPred) {
+func workerCountEquivalence(t *testing.T, r, s *frel.Relation, tol fuzzy.Trapezoid, extra *kernel.PairProgram, extraRef refJoinPred) {
 	t.Helper()
 	r, s = sortedRel(t, r, "X"), sortedRel(t, s, "X")
 	ref := NewOpStats("merge-join", "")

@@ -1,10 +1,12 @@
 // Package exec implements the physical query operators of the fuzzy
-// database engine: scans, fuzzy selection (interpreted and fused),
-// projection with max-degree duplicate elimination, the naive block
-// nested-loop join, the paper's extended merge-join (Section 3), and the
-// specialized operators the unnesting rewrites of Sections 5-7 compile to
-// (merge anti-join with group-minimum degrees, sorted group-aggregate
-// join with the COUNT outer-join arm).
+// database engine: scans, fuzzy selection, projection with max-degree
+// duplicate elimination, the naive block nested-loop join, the paper's
+// extended merge-join (Section 3), and the specialized operators the
+// unnesting rewrites of Sections 5-7 compile to (merge anti-join with
+// group-minimum degrees and its nested-loop fallback, sorted
+// group-aggregate join with the COUNT outer-join arm). Every condition an
+// operator evaluates is a compiled internal/kernel program: a Program over
+// one input, a PairProgram over a pair.
 //
 // There is one operator protocol. Every operator is a Source: it has a
 // schema and opens into a BatchIterator, and an operator calls its inputs

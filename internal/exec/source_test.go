@@ -134,7 +134,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	it.Close()
 
-	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), func(l, m frel.Tuple) float64 { return 1 }, 0, NewOpStats("nl-join", ""))
+	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), pairProgram(t), 0, NewOpStats("nl-join", ""))
 	it2, err := nl.Open()
 	if err != nil {
 		t.Fatal(err)

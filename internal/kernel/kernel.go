@@ -1,18 +1,21 @@
-// Package kernel is the compile-to-closures stage between the planner and
-// the batch executor. It specializes a physical plan's predicate and
-// trapezoid-degree evaluation into fused, capture-free closures: each
-// compiled step captures only the values fixed at compile time (the degree
-// function chosen for its operator, resolved column indexes, constant
-// operands), so the hot loop runs with no per-tuple interface dispatch and
-// no per-tuple allocation. A Program fuses a whole filter→threshold chain
-// into a single loop over the batch; a PairProgram (pair.go) does the same
-// for the residual conjuncts of a join; Coalesce (morsel.go) packs atomic
-// join ranges into morsels for the pull-queue scheduler.
+// Package kernel is the engine's one predicate evaluator, the
+// compile-to-closures stage between the planner and the batch executor. It
+// specializes a physical plan's predicate and trapezoid-degree evaluation
+// into fused, capture-free closures: each compiled step captures only the
+// values fixed at compile time (the degree function chosen for its
+// operator, resolved column indexes, constant operands), so the hot loop
+// runs with no per-tuple interface dispatch and no per-tuple allocation. A
+// Program fuses a conjunction over one input into a single loop over the
+// batch (filters, HAVING, DELETE); a PairProgram (pair.go) evaluates the
+// conjuncts of a join or anti-join over a pair of rows, for the merge
+// operators and their nested-loop fallbacks alike; Coalesce (morsel.go)
+// packs atomic join ranges into morsels for the pull-queue scheduler.
 //
-// Every step calls the same closed-form degree functions as the
-// interpreted evaluator (fuzzy.Eq, fuzzy.Le, frel.Degree, ...), so compiled
-// degrees are bit-identical to interpreted ones by construction — the
-// kernel-differential CI matrix holds both paths to zero tolerance.
+// Every step calls the closed-form degree functions of Section 2.2
+// (fuzzy.Eq, fuzzy.Le, frel.Degree, ...), the ones the naive evaluator
+// (core/naive.go) reaches through its own closures, so engine degrees are
+// bit-identical to the oracle's by construction — the engine = naive
+// differential suites hold them to zero tolerance.
 package kernel
 
 import (
@@ -66,8 +69,8 @@ type Program struct {
 func (p *Program) Len() int { return len(p.steps) }
 
 // degreeFunc maps an operator to its closed-form trapezoid degree
-// function — the identical function the interpreted path dispatches to
-// through frel.Degree's switch, bound once at compile time instead.
+// function — the identical function frel.Degree's switch dispatches to
+// (the naive evaluator's path), bound once at compile time instead.
 func degreeFunc(op fuzzy.Op) (func(u, v fuzzy.Trapezoid) float64, error) {
 	switch op {
 	case fuzzy.OpEq:
@@ -150,8 +153,7 @@ func Compile(steps []Step) (*Program, error) {
 // combined degree min(D, d₁, d₂, ...) into degs[i], and returns the number
 // of degree evaluations performed. The first step is evaluated on every
 // tuple; later steps only on tuples still above zero — exactly the tuples
-// an interpreted filter chain would hand to its next operator, so the
-// evaluation count matches the interpreted path's DegreeEvals.
+// a chain of one-predicate filters would hand to its next filter.
 func (p *Program) RunBatch(batch []frel.Tuple, degs []float64) int64 {
 	if len(p.steps) == 0 {
 		for i := range batch {

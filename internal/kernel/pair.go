@@ -125,15 +125,12 @@ func CompilePair(steps []PairStep) (*PairProgram, error) {
 }
 
 // EvalAnd returns the min-combined conjunction degree over a pair of value
-// rows and the number of conjuncts evaluated. Like the interpreted
-// conjunction it short-circuits after (not before) the conjunct that drops
-// the degree to zero, so the evaluation count matches the interpreted
-// path's DegreeEvals exactly.
-func (p *PairProgram) EvalAnd(l, r []frel.Value) (float64, int64) {
+// rows: 1 for the empty conjunction, and 0 as soon as a conjunct drops it
+// there (later conjuncts cannot raise a minimum). Operators charge one
+// degree evaluation per call, whatever the number of conjuncts.
+func (p *PairProgram) EvalAnd(l, r []frel.Value) float64 {
 	d := 1.0
-	var evals int64
 	for _, step := range p.steps {
-		evals++
 		if g := step(l, r); g < d {
 			d = g
 			if d <= 0 {
@@ -141,5 +138,5 @@ func (p *PairProgram) EvalAnd(l, r []frel.Value) (float64, int64) {
 			}
 		}
 	}
-	return d, evals
+	return d
 }

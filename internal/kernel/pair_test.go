@@ -17,10 +17,10 @@ func TestPairBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, evals := prog.EvalAnd(l, r)
+		got := prog.EvalAnd(l, r)
 		want := frel.Degree(op, l[0], r[0])
-		if got != want || evals != 1 {
-			t.Errorf("%v: compiled (%v, %d evals), interpreted %v", op, got, evals, want)
+		if got != want {
+			t.Errorf("%v: compiled %v, interpreted %v", op, got, want)
 		}
 	}
 	// String columns ride the fallback path.
@@ -28,7 +28,7 @@ func TestPairBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := sp.EvalAnd(l, r); got != 1 {
+	if got := sp.EvalAnd(l, r); got != 1 {
 		t.Errorf("ann <> bob: %v, want 1", got)
 	}
 	// Constants and the right-side NEAR form.
@@ -36,7 +36,7 @@ func TestPairBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := np.EvalAnd(l, r)
+	got := np.EvalAnd(l, r)
 	if want := fuzzy.ApproxEq(fuzzy.Crisp(4), fuzzy.Crisp(4), fuzzy.Tolerance(1, 2)); got != want {
 		t.Errorf("NEAR const: %v, want %v", got, want)
 	}
@@ -51,7 +51,7 @@ func TestPairNeg(t *testing.T) {
 	}
 	l := []frel.Value{frel.Crisp(7)}
 	r := []frel.Value{frel.Crisp(3)}
-	if got, _ := prog.EvalAnd(l, r); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
+	if got := prog.EvalAnd(l, r); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
 		t.Errorf("Neg: %v", got)
 	}
 	// NEAR with Neg, string guard included.
@@ -59,19 +59,20 @@ func TestPairNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := np.EvalAnd([]frel.Value{frel.Str("x")}, r); got != 1 {
+	if got := np.EvalAnd([]frel.Value{frel.Str("x")}, r); got != 1 {
 		t.Errorf("Neg NEAR on string: %v, want 1", got)
 	}
 }
 
-// TestEvalAndShortCircuit asserts the conjunction evaluates each conjunct
-// once, min-combines, and stops after — not before — the conjunct that
-// reaches zero, matching the interpreted conjunction's DegreeEvals.
+// TestEvalAndShortCircuit asserts the conjunction min-combines its
+// conjuncts, is 1 when empty, and stops after — not before — the conjunct
+// that reaches zero: the last conjunct here reads a column the rows do not
+// have, so evaluating it would panic.
 func TestEvalAndShortCircuit(t *testing.T) {
 	steps := []PairStep{
+		{Kind: StepCompare, Op: fuzzy.OpLe, Left: LeftColumn(0), Right: PairConstant(frel.Num(fuzzy.Tri(0, 10, 20)))},
 		{Kind: StepCompare, Op: fuzzy.OpEq, Left: LeftColumn(0), Right: RightColumn(0)}, // 0 for disjoint
-		{Kind: StepCompare, Op: fuzzy.OpEq, Left: LeftColumn(0), Right: LeftColumn(0)},  // would be 1
-		{Kind: StepCompare, Op: fuzzy.OpEq, Left: LeftColumn(0), Right: LeftColumn(0)},
+		{Kind: StepCompare, Op: fuzzy.OpEq, Left: LeftColumn(0), Right: LeftColumn(9)},
 	}
 	prog, err := CompilePair(steps)
 	if err != nil {
@@ -80,16 +81,24 @@ func TestEvalAndShortCircuit(t *testing.T) {
 	if prog.Len() != 3 {
 		t.Fatalf("Len = %d", prog.Len())
 	}
-	l := []frel.Value{frel.Crisp(0)}
-	r := []frel.Value{frel.Crisp(100)}
-	d, evals := prog.EvalAnd(l, r)
-	if d != 0 || evals != 1 {
-		t.Fatalf("short-circuit: d=%v evals=%d, want 0 after 1", d, evals)
+	l := []frel.Value{frel.Crisp(15)}
+	if d := prog.EvalAnd(l, []frel.Value{frel.Crisp(100)}); d != 0 {
+		t.Fatalf("short-circuit: d=%v, want 0", d)
 	}
-	// All conjuncts positive: every one evaluated, min combined.
-	d, evals = prog.EvalAnd(l, []frel.Value{frel.Crisp(0)})
-	if d != 1 || evals != 3 {
-		t.Fatalf("full conjunction: d=%v evals=%d, want 1 after 3", d, evals)
+	// All conjuncts positive: the minimum of every one.
+	two, err := CompilePair(steps[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, want := two.EvalAnd(l, l), fuzzy.Le(fuzzy.Crisp(15), fuzzy.Tri(0, 10, 20)); d != want || d <= 0 || d >= 1 {
+		t.Fatalf("full conjunction: d=%v, want %v", d, want)
+	}
+	empty, err := CompilePair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := empty.EvalAnd(l, l); d != 1 {
+		t.Fatalf("empty conjunction: d=%v, want 1", d)
 	}
 }
 

@@ -219,7 +219,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 	}
 
 	// Partition predicates by the set of relations they reference.
-	j.JoinPreds, j.Const = nil, nil
+	j.PairPreds, j.Const = nil, nil
 	local := make([][]fsql.Predicate, n)
 	for _, pr := range j.Preds {
 		if pr.Kind != fsql.PredCompare && pr.Kind != fsql.PredNear {
@@ -257,7 +257,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 		case 1:
 			local[rels[0]] = append(local[rels[0]], pr)
 		case 2:
-			j.JoinPreds = append(j.JoinPreds, HomedPred{pr, rels})
+			j.PairPreds = append(j.PairPreds, HomedPred{pr, rels})
 		default:
 			j.Err = fmt.Errorf("core: predicate %v references more than two relations", pr)
 			return
@@ -291,8 +291,8 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 		edges[i] = make([]bool, n)
 		fanout[i] = make([]float64, n)
 	}
-	pf := make([]float64, len(j.JoinPreds))
-	for pi, h := range j.JoinPreds {
+	pf := make([]float64, len(j.PairPreds))
+	for pi, h := range j.PairPreds {
 		pf[pi] = math.Inf(1)
 		eqish := h.Pred.Kind == fsql.PredCompare && h.Pred.Op == fuzzy.OpEq || h.Pred.Kind == fsql.PredNear
 		if !eqish {
@@ -327,14 +327,14 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 	// index can serve it directly.
 	curLeaf := j.Inputs[order[0]]
 	joined := map[int]bool{order[0]: true}
-	used := make([]bool, len(j.JoinPreds))
+	used := make([]bool, len(j.PairPreds))
 	j.Steps = nil
 	for _, next := range order[1:] {
 		nextSchema := schemas[next]
 		// Predicates now evaluable: both endpoints in joined ∪ {next},
 		// with at least one endpoint being next.
 		var applicable []int
-		for pi, h := range j.JoinPreds {
+		for pi, h := range j.PairPreds {
 			if used[pi] {
 				continue
 			}
@@ -360,7 +360,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 		best := math.Inf(1)
 		for pass := 0; pass < 2; pass++ {
 			for _, pi := range applicable {
-				pr := j.JoinPreds[pi].Pred
+				pr := j.PairPreds[pi].Pred
 				isEq := pr.Kind == fsql.PredCompare && pr.Op == fuzzy.OpEq
 				isNear := pr.Kind == fsql.PredNear
 				if pass == 0 && !isEq || pass == 1 && !isNear {

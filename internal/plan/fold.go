@@ -84,7 +84,7 @@ func (j *Join) assignEmits(schemas []*frel.Schema, proj *Project) {
 			return
 		}
 		for _, pi := range step.Extras {
-			pr := j.JoinPreds[pi].Pred
+			pr := j.PairPreds[pi].Pred
 			for _, opd := range []fsql.Operand{pr.Left, pr.Right} {
 				if opd.Kind == fsql.OpdRef && !use(opd.Ref, k) {
 					return

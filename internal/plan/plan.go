@@ -177,10 +177,10 @@ type JoinStep struct {
 	// written with the sides reversed).
 	LeftAttr, RightAttr string
 	Tol                 fuzzy.Trapezoid
-	// MergePred indexes JoinPreds for the predicate the merge consumes
+	// MergePred indexes PairPreds for the predicate the merge consumes
 	// (-1 when Merge is false).
 	MergePred int
-	// Extras indexes JoinPreds for the predicates applied as extra
+	// Extras indexes PairPreds for the predicates applied as extra
 	// conjuncts during this step.
 	Extras []int
 	// Fanout is the estimated per-tuple match count of this step.
@@ -213,14 +213,14 @@ type HomedPred struct {
 // paper produces (Query N′, J′, Q′_K). Build creates it with Scan inputs
 // and the block's comparison predicates; Estimate homes the predicates,
 // pushes single-relation ones down as Filter inputs, and fills Order,
-// Steps, JoinPreds and Const.
+// Steps, PairPreds and Const.
 type Join struct {
 	est    Est
 	Inputs []Node
 	Preds  []fsql.Predicate
 
 	// Filled by Estimate:
-	JoinPreds []HomedPred      // two-relation predicates, step-assigned
+	PairPreds []HomedPred      // two-relation predicates, step-assigned
 	Const     []fsql.Predicate // predicates referencing no relation
 	Order     []int            // left-deep join order over Inputs
 	Steps     []JoinStep       // one per Order[1:]

@@ -150,8 +150,8 @@ func TestRuleUnnestInTypeN(t *testing.T) {
 	if len(j.Inputs) != 2 {
 		t.Fatalf("join has %d inputs, want 2", len(j.Inputs))
 	}
-	if len(j.JoinPreds) != 1 {
-		t.Fatalf("join preds = %v, want the linking equality", j.JoinPreds)
+	if len(j.PairPreds) != 1 {
+		t.Fatalf("join preds = %v, want the linking equality", j.PairPreds)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestRuleUnnestInTypeJ(t *testing.T) {
 	wantRules(t, p, RuleUnnestIn)
 	j := p.Proj().Input.(*Join)
 	// Linking equality R.B = S.B plus the correlation S.A = R.A.
-	if len(j.JoinPreds) != 2 {
-		t.Fatalf("join preds = %v, want linking + correlation", j.JoinPreds)
+	if len(j.PairPreds) != 2 {
+		t.Fatalf("join preds = %v, want linking + correlation", j.PairPreds)
 	}
 }
 
@@ -179,13 +179,13 @@ func TestRuleUnnestAny(t *testing.T) {
 	// The linking predicate carries the quantifier's comparison operator.
 	j := p.Proj().Input.(*Join)
 	found := false
-	for _, h := range j.JoinPreds {
+	for _, h := range j.PairPreds {
 		if h.Pred.Op == fuzzy.OpGt {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no > linking predicate in %v", j.JoinPreds)
+		t.Errorf("no > linking predicate in %v", j.PairPreds)
 	}
 }
 
@@ -198,8 +198,8 @@ func TestRuleUnnestExists(t *testing.T) {
 	wantRules(t, p, RuleUnnestExists)
 	// EXISTS adds no linking predicate: the correlation alone joins.
 	j := p.Proj().Input.(*Join)
-	if len(j.JoinPreds) != 1 {
-		t.Fatalf("join preds = %v, want the correlation only", j.JoinPreds)
+	if len(j.PairPreds) != 1 {
+		t.Fatalf("join preds = %v, want the correlation only", j.PairPreds)
 	}
 }
 
