@@ -342,9 +342,11 @@ func BenchmarkAblationChainOrder(b *testing.B) {
 			// order starts from the tiny R3 and keeps intermediates small.
 			env := core.NewMemEnv()
 			env.DisableJoinReorder = !dp
-			env.RegisterRelation("R1", mk("R1", 3000, 1))
-			env.RegisterRelation("R2", mk("R2", 3000, 2))
-			env.RegisterRelation("R3", mk("R3", 60, 3))
+			for _, r := range []*frel.Relation{mk("R1", 3000, 1), mk("R2", 3000, 2), mk("R3", 60, 3)} {
+				if err := env.LoadRelation(r.Schema.Name, r); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.EvalUnnested(q); err != nil {

@@ -121,10 +121,7 @@ func (e *Env) notePruned(n int) {
 // adds the statement's tree to the environment's running total.
 func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
 	defer e.withAnalyze(es)()
-	var reads0, hits0 int64
-	if e.cat != nil {
-		reads0, _, hits0, _ = e.cat.Manager().Stats().Snapshot()
-	}
+	reads0, _, hits0, _ := e.cat.Manager().Stats().Snapshot()
 	start := time.Now()
 	rel, err := run()
 	es.Wall = time.Since(start)
@@ -133,12 +130,10 @@ func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*f
 	}
 	es.Answer = rel.Len()
 	e.Work.AddTree(es.Root)
-	if e.cat != nil {
-		reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
-		es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
-		es.Root.PoolHits.Store(es.PoolHits)
-		es.Root.PoolMisses.Store(es.PoolMisses)
-	}
+	reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
+	es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
+	es.Root.PoolHits.Store(es.PoolHits)
+	es.Root.PoolMisses.Store(es.PoolMisses)
 	return rel, nil
 }
 

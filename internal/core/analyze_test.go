@@ -120,14 +120,13 @@ func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 
 // TestAnalyzePrunedCount checks WITH D >= thresholding is accounted.
 func TestAnalyzePrunedCount(t *testing.T) {
-	env := NewMemEnv()
 	r := frel.NewRelation(frel.NewSchema("R",
 		frel.Attribute{Name: "K", Kind: frel.KindNumber},
 		frel.Attribute{Name: "B", Kind: frel.KindNumber}))
 	r.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(10)))
 	r.Append(frel.NewTuple(0.4, frel.Crisp(2), frel.Crisp(20)))
 	r.Append(frel.NewTuple(0.2, frel.Crisp(3), frel.Crisp(30)))
-	env.RegisterRelation("R", r)
+	env := memEnv(r)
 	q, err := fsql.ParseQuery(`SELECT R.K FROM R WHERE R.B >= 0 WITH D >= 0.3`)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +207,7 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 	}
 }
 
-// danglingEnv builds an in-memory environment whose join attribute A holds
+// danglingEnv builds an environment whose join attribute A holds
 // narrow triangles at even centres, 1 000 outer and 1 000 inner tuples one
 // to a centre, and between every two centres one inner tuple that joins
 // nothing. Whether a sweep's window slides over such a dangling tuple
@@ -228,9 +227,7 @@ func danglingEnv(workers int) *Env {
 		s.Append(frel.NewTuple(1, frel.Crisp(float64(k)), tri(c, 0.5), frel.Crisp(float64(k%2))))
 		s.Append(frel.NewTuple(1, frel.Crisp(float64(k)), tri(c+1, 0.25), frel.Crisp(0)))
 	}
-	env := NewMemEnv()
-	env.RegisterRelation("R", r)
-	env.RegisterRelation("S", s)
+	env := memEnv(r, s)
 	env.Parallelism = workers
 	return env
 }

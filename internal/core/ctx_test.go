@@ -12,10 +12,9 @@ import (
 // TestEvalContextCancelled: a cancelled context refuses evaluation up
 // front, for both evaluators and for Session.ExecContext.
 func TestEvalContextCancelled(t *testing.T) {
-	e := NewMemEnv()
 	r := frel.NewRelation(frel.NewSchema("R", frel.Attribute{Name: "X", Kind: frel.KindNumber}))
 	r.Append(frel.NewTuple(1, frel.Crisp(1)))
-	e.RegisterRelation("R", r)
+	e := memEnv(r)
 	q, err := fsql.ParseQuery("SELECT R.X FROM R")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,6 @@ func TestEvalContextCancelled(t *testing.T) {
 // context error through the leaf scans (exercised with a nested query the
 // naive evaluator re-scans per outer tuple).
 func TestEvalContextMidQueryCancel(t *testing.T) {
-	e := NewMemEnv()
 	mk := func(name string, n int) *frel.Relation {
 		r := frel.NewRelation(frel.NewSchema(name, frel.Attribute{Name: "X", Kind: frel.KindNumber}))
 		for i := 0; i < n; i++ {
@@ -53,8 +51,7 @@ func TestEvalContextMidQueryCancel(t *testing.T) {
 		}
 		return r
 	}
-	e.RegisterRelation("R", mk("R", 2000))
-	e.RegisterRelation("S", mk("S", 2000))
+	e := memEnv(mk("R", 2000), mk("S", 2000))
 	q, err := fsql.ParseQuery("SELECT R.X FROM R WHERE R.X IN (SELECT S.X FROM S)")
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,7 @@ var ErrUnknownTerm = errors.New("unknown linguistic term")
 // Env is the evaluation environment: relation and term resolution plus the
 // resource knobs (sort memory, nested-loop block size) and work counters.
 type Env struct {
-	cat      *catalog.Catalog
-	mem      map[string]*frel.Relation
-	memTerms map[string]fuzzy.Trapezoid
+	cat *catalog.Catalog
 
 	// scopeTerms, when non-nil, is the session-local linguistic-term
 	// scope: a per-connection vocabulary layered over the shared catalog,
@@ -70,11 +68,8 @@ type Env struct {
 
 	// Sort-order cache state; see sortcache.go for the keying and
 	// invalidation contract. All maps are lazily initialized.
-	sortMem   map[sortKey]*memSortEntry
-	sortHeap  map[sortKey]*heapSortEntry
-	memBase   map[*frel.Relation]*frel.Relation
-	aliasMemo map[string]*aliasEntry
-	heapSeen  map[*storage.HeapFile]bool
+	sortMem  map[sortKey]*memSortEntry
+	sortHeap map[sortKey]*heapSortEntry
 
 	// ctx, when non-nil, is observed by the leaf scans of every evaluation
 	// (set for the duration of a *Context evaluation call).
@@ -118,41 +113,37 @@ func (e *Env) ResetStats() {
 // NewEnv builds an environment over a catalog (with on-disk relations and
 // its linguistic terms).
 func NewEnv(cat *catalog.Catalog) *Env {
-	e := &Env{cat: cat, mem: make(map[string]*frel.Relation), Work: exec.NewOpStats("total", "")}
+	e := &Env{cat: cat, Work: exec.NewOpStats("total", "")}
 	e.SortMemPages = 256
 	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
 	return e
 }
 
-// NewMemEnv builds a purely in-memory environment; relations are
-// registered with RegisterRelation and terms with DefineTerm.
+// NewMemEnv builds an environment over an empty catalog whose heap files
+// live in memory (storage.MemFS, a 256-page buffer pool, no write-ahead
+// log). Relations are loaded with LoadRelation and terms defined with
+// DefineTerm; queries then run exactly as over a database directory.
 func NewMemEnv() *Env {
-	e := &Env{mem: make(map[string]*frel.Relation), Work: exec.NewOpStats("total", "")}
-	e.SortMemPages = 256
-	e.NLBlockBytes = (e.SortMemPages - 1) * storage.PageSize
-	return e
+	m, err := storage.NewManagerOptions("mem", storage.ManagerOptions{PoolPages: 256, FS: storage.NewMemFS()})
+	if err != nil {
+		panic(err) // an empty file system holds no log to replay
+	}
+	return NewEnv(catalog.New(m))
 }
 
-// RegisterRelation makes an in-memory relation visible to queries under
-// the given name (shadowing any catalog relation of that name).
-func (e *Env) RegisterRelation(name string, r *frel.Relation) {
-	e.mem[relKey(name)] = r
+// LoadRelation creates a catalog relation named name with r's schema and
+// appends r's tuples to it.
+func (e *Env) LoadRelation(name string, r *frel.Relation) error {
+	h, err := e.cat.CreateRelation(name, r.Schema)
+	if err != nil {
+		return err
+	}
+	return h.AppendAll(r)
 }
 
-// DefineTerm adds a linguistic term. With a catalog, the term is stored
-// there; otherwise in the environment.
+// DefineTerm adds a linguistic term to the catalog.
 func (e *Env) DefineTerm(name string, t fuzzy.Trapezoid) error {
-	if e.cat != nil {
-		return e.cat.DefineTerm(name, t)
-	}
-	if e.memTerms == nil {
-		e.memTerms = make(map[string]fuzzy.Trapezoid)
-	}
-	if !t.Valid() {
-		return fmt.Errorf("core: term %q has invalid distribution %v", name, t)
-	}
-	e.memTerms[termKey(name)] = t
-	return nil
+	return e.cat.DefineTerm(name, t)
 }
 
 func relKey(name string) string {
@@ -199,20 +190,12 @@ func (e *Env) workers() int {
 }
 
 // term resolves a linguistic term: the session-local scope first, then
-// the shared catalog (or the in-memory dictionary without a catalog).
+// the shared catalog.
 func (e *Env) term(name string) (fuzzy.Trapezoid, bool) {
-	if e.scopeTerms != nil {
-		if t, ok := e.scopeTerms[termKey(name)]; ok {
-			return t, true
-		}
+	if t, ok := e.scopeTerms[termKey(name)]; ok {
+		return t, true
 	}
-	if e.cat != nil {
-		if t, ok := e.cat.Term(name); ok {
-			return t, true
-		}
-	}
-	t, ok := e.memTerms[termKey(name)]
-	return t, ok
+	return e.cat.Term(name)
 }
 
 // EnableTermScope gives the environment a session-local term scope;
@@ -260,50 +243,34 @@ func (e *Env) ReleaseSortCache() {
 	}
 	e.sortHeap = nil
 	e.sortMem = nil
-	e.memBase = nil
-	e.aliasMemo = nil
-	e.heapSeen = nil
 }
 
-// source resolves a FROM-clause relation reference to an exec.Source
-// whose schema carries the binding name (FROM alias). The resolved base
-// relation is registered with the sort-order cache bookkeeping so later
-// sorts of the scan can be served from cache.
+// source resolves a FROM-clause relation reference to a scan of its
+// catalog heap whose schema carries the binding name (FROM alias). Sorts
+// of the scan are served through the sort-order cache (see sortcache.go).
 func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 	name, alias := tr.Name, tr.Binding()
-	if r, ok := e.mem[relKey(name)]; ok {
-		use := r
-		if alias != "" && relKey(alias) != r.Schema.Name {
-			use = e.aliasRel(relKey(name), relKey(alias), r)
-		}
-		e.noteMemBase(use, r)
-		return exec.WithContext(e.ctx, exec.NewMemSource(use)), nil
+	h, err := e.cat.Relation(name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(name)
-		if err != nil {
-			return nil, err
+	var src exec.Source
+	if e.snap != nil && !e.snap.Live(h) {
+		sn, ok := e.snap.Lookup(h)
+		if !ok {
+			// The name resolves to a heap created (or swapped in by a
+			// DELETE rewrite) after the snapshot was taken: the
+			// transaction cannot see a consistent state of it.
+			return nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
 		}
-		e.noteHeap(h)
-		var src exec.Source
-		if e.snap != nil && !e.snap.Live(h) {
-			sn, ok := e.snap.Lookup(h)
-			if !ok {
-				// The name resolves to a heap created (or swapped in by a
-				// DELETE rewrite) after the snapshot was taken: the
-				// transaction cannot see a consistent state of it.
-				return nil, fmt.Errorf("core: %w: relation %q changed after the transaction began", ErrTxnConflict, name)
-			}
-			src = exec.NewHeapSourceAt(h, sn.Tuples)
-		} else {
-			src = exec.NewHeapSource(h)
-		}
-		if alias != "" && relKey(alias) != h.Schema.Name {
-			src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
-		}
-		return exec.WithContext(e.ctx, src), nil
+		src = exec.NewHeapSourceAt(h, sn.Tuples)
+	} else {
+		src = exec.NewHeapSource(h)
 	}
-	return nil, fmt.Errorf("core: unknown relation %q", name)
+	if alias != "" && relKey(alias) != h.Schema.Name {
+		src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
+	}
+	return exec.WithContext(e.ctx, src), nil
 }
 
 // forEach drains src into fn.
@@ -330,8 +297,7 @@ func forEach(src exec.Source, fn func(frel.Tuple) error) error {
 // a join's intermediate result). While its encoded size stays within the
 // sort memory the tuples are kept; the moment it exceeds it, they move to
 // a temporary heap file that takes the rest as well. Exactly one of the
-// returns is set. Without storage there is nowhere to spill to and
-// everything is kept.
+// returns is set.
 func (e *Env) gather(src exec.Source) (tuples []frel.Tuple, spilled *storage.HeapFile, err error) {
 	schema := src.Schema()
 	budget, bytes := e.SortMemPages*storage.PageSize, 0
@@ -340,9 +306,6 @@ func (e *Env) gather(src exec.Source) (tuples []frel.Tuple, spilled *storage.Hea
 			return spilled.Append(t)
 		}
 		tuples = append(tuples, t)
-		if !e.external() {
-			return nil
-		}
 		if bytes += frel.EncodedSize(schema, t); bytes < budget {
 			return nil
 		}
@@ -437,30 +400,23 @@ type renameSource struct {
 
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
-// external reports whether the environment has disk-backed storage for
-// spills and external sorts.
-func (e *Env) external() bool { return e.cat != nil }
-
-// sortSource returns src sorted on attr: externally (through temp heap
-// files, charging I/O) when a storage manager is available, in memory
-// otherwise. total selects the CompareTotal tie-broken order needed by the
-// group-aggregate join. Plain scans of base relations go through the
-// sort-order cache (see sortcache.go): a repeat sort of an unmodified
-// relation is served from the cached permutation without re-sorting, and a
-// cold sort of a relation carrying a persistent order index on the
-// attribute is served from the index (see indexscan.go) without sorting at
-// all.
+// sortSource returns src sorted on attr. total selects the CompareTotal
+// tie-broken order needed by the group-aggregate join. Plain scans of base
+// relations go through the sort-order cache (see sortcache.go): a repeat
+// sort of an unmodified relation is served from the cached sorted copy
+// without re-sorting, a cold sort of a relation carrying a persistent
+// order index on the attribute is served from the index (see indexscan.go)
+// without sorting at all, and any other cold sort is an external sort of
+// the heap. Any other input is sorted in memory when it fits the sort
+// memory and externally otherwise.
 func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
 	order, err := extsort.OrderBy(src.Schema(), attr, total)
 	if err != nil {
 		return nil, err
 	}
 	attrIdx := order.Attr
-	memSrc, memBase, heapBase := e.cacheableBase(src)
-	if memBase != nil {
-		return e.memSort(src, memSrc, memBase, attr, order)
-	}
-	if heapBase != nil {
+	if base := baseScan(src); base != nil {
+		heapBase := base.Heap
 		key := sortKey{heap: heapBase, attr: attrIdx, total: total}
 		// An order loaded from a persistent index lives in the memory
 		// side of the cache; repeat sorts of the unmodified heap replay
@@ -482,7 +438,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// directly, bounded by the scan's snapshot limit. This halves the
 		// write traffic of a cold sort.
 		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
-			return s.SortPrefix(heapBase, heapScanLimit(src), order)
+			return s.SortPrefix(heapBase, base.Limit, order)
 		})
 		if err != nil {
 			return nil, err
@@ -493,7 +449,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
 		// The directly sorted heap carries the base schema; restore the
 		// source's (possibly aliased) schema, as the cache-hit path does.
-		node := e.externalSortNode(attr, st, elapsed)
+		node := e.extsortNode(attr, st, elapsed)
 		node.CacheMisses.Add(1)
 		return e.attach(node, &renameSource{Source: exec.NewHeapSource(sorted), schema: src.Schema()}, src), nil
 	}
@@ -517,7 +473,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		if err != nil {
 			return nil, err
 		}
-		return e.attach(e.externalSortNode(attr, st, elapsed), exec.NewHeapSource(sorted), src), nil
+		return e.attach(e.extsortNode(attr, st, elapsed), exec.NewHeapSource(sorted), src), nil
 	}
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
@@ -557,9 +513,9 @@ func (e *Env) sortHeapFile(sort func(*extsort.Sorter) (*storage.HeapFile, extsor
 	return sorted, st, elapsed, nil
 }
 
-// externalSortNode returns the stats node of an external sort, its work
+// extsortNode returns the stats node of an external sort, its work
 // counted.
-func (e *Env) externalSortNode(attr string, st extsort.Stats, elapsed time.Duration) *exec.OpStats {
+func (e *Env) extsortNode(attr string, st extsort.Stats, elapsed time.Duration) *exec.OpStats {
 	node := e.newNode("sort", attr)
 	node.SortRuns.Add(int64(st.Runs))
 	node.MergePasses.Add(int64(st.MergePasses))

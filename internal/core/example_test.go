@@ -54,7 +54,9 @@ func ExampleEnv_Explain() {
 		for _, a := range attrs {
 			as = append(as, frel.Attribute{Name: a, Kind: frel.KindNumber})
 		}
-		env.RegisterRelation(name, frel.NewRelation(frel.NewSchema(name, as...)))
+		if err := env.LoadRelation(name, frel.NewRelation(frel.NewSchema(name, as...))); err != nil {
+			log.Fatal(err)
+		}
 	}
 	mk("R", "X", "Y", "U")
 	mk("S", "Z", "V")

@@ -87,10 +87,8 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 			t.Fatalf("%s: %v", c.class, err)
 		}
 		for _, workers := range []int{1, 4} {
-			env := NewMemEnv()
+			env := memEnv(r, s)
 			env.Parallelism = workers
-			env.RegisterRelation("R", r)
-			env.RegisterRelation("S", s)
 			if env.Explain(q).Strategy == StrategyNaive {
 				t.Fatalf("%s: not unnested", c.class)
 			}

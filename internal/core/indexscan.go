@@ -47,9 +47,6 @@ func (e *Env) heapCount(h *storage.HeapFile) int64 {
 // the global (support-begin, support-end, position) order because the
 // tail's positions all exceed the run's.
 func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, attrIdx int, total bool) (exec.Source, bool, error) {
-	if e.cat == nil {
-		return nil, false, nil
-	}
 	ix := e.cat.IndexForHeap(base, attrIdx)
 	if ix == nil {
 		return nil, false, nil

@@ -11,11 +11,10 @@ import (
 	"repro/internal/fuzzy"
 )
 
-// kernelTestEnv builds an in-memory environment with two relations and a
+// kernelTestEnv builds an environment with two relations and a
 // linguistic term for the string-literal settlement path.
 func kernelTestEnv(t *testing.T) *Env {
 	t.Helper()
-	env := NewMemEnv()
 	r := frel.NewRelation(frel.NewSchema("R",
 		frel.Attribute{Name: "K", Kind: frel.KindNumber},
 		frel.Attribute{Name: "A", Kind: frel.KindNumber},
@@ -26,7 +25,6 @@ func kernelTestEnv(t *testing.T) *Env {
 			frel.Num(fuzzy.Tri(float64(i%37)-2, float64(i%37), float64(i%37)+2)),
 			frel.Crisp(float64(i%11))))
 	}
-	env.RegisterRelation("R", r)
 	s := frel.NewRelation(frel.NewSchema("S",
 		frel.Attribute{Name: "K", Kind: frel.KindNumber},
 		frel.Attribute{Name: "A", Kind: frel.KindNumber}))
@@ -35,7 +33,7 @@ func kernelTestEnv(t *testing.T) *Env {
 			frel.Crisp(float64(i)),
 			frel.Num(fuzzy.Tri(float64(i%41)-3, float64(i%41), float64(i%41)+3))))
 	}
-	env.RegisterRelation("S", s)
+	env := memEnv(r, s)
 	if err := env.DefineTerm("medium", fuzzy.Trap(10, 15, 22, 27)); err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,9 @@ func TestDeepChainFourLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 5; trial++ {
 		e := envRS(rng, 10, 12, 10)
-		e.RegisterRelation("Q", randRelation("Q", 8, rng, "M", "N"))
+		if err := e.LoadRelation("Q", randRelation("Q", 8, rng, "M", "N")); err != nil {
+			t.Fatal(err)
+		}
 		checkEquivalence(t, e, `
 			SELECT R.TAG FROM R
 			WHERE R.Y IN

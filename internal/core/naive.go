@@ -177,7 +177,6 @@ func dedupByKey(rel *frel.Relation) {
 		out = append(out, t)
 	}
 	rel.Tuples = out
-	rel.Bump()
 }
 
 // finalizeAnswer applies the answer-shaping clauses captured by the

@@ -13,12 +13,6 @@ import (
 // datingEnv builds the Example 4.1 database: relations F and M of the
 // dating service with the paper's linguistic terms.
 func datingEnv() *Env {
-	e := NewMemEnv()
-	for name, t := range catalog.PaperTerms() {
-		if err := e.DefineTerm(name, t); err != nil {
-			panic(err)
-		}
-	}
 	terms := catalog.PaperTerms()
 	schema := func(name string) *frel.Schema {
 		return frel.NewSchema(name,
@@ -42,8 +36,12 @@ func datingEnv() *Env {
 		frel.NewTuple(1, frel.Crisp(203), frel.Str("Bill"), frel.Num(terms["middle age"]), frel.Num(terms["high"])),
 		frel.NewTuple(1, frel.Crisp(204), frel.Str("Carl"), frel.Num(terms["about 29"]), frel.Num(terms["medium low"])),
 	)
-	e.RegisterRelation("F", f)
-	e.RegisterRelation("M", m)
+	e := memEnv(f, m)
+	for name, t := range terms {
+		if err := e.DefineTerm(name, t); err != nil {
+			panic(err)
+		}
+	}
 	return e
 }
 

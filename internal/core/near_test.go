@@ -71,9 +71,7 @@ func TestNearInAntiJoin(t *testing.T) {
 
 // TestNearCrispBandSemantics: exact band-join behavior on crisp data.
 func TestNearCrispBandSemantics(t *testing.T) {
-	e := NewMemEnv()
-	e.RegisterRelation("R", relOf("R", []float64{10, 20, 30}))
-	e.RegisterRelation("S", relOf("S", []float64{12, 26, 300}))
+	e := memEnv(relOf("R", []float64{10, 20, 30}), relOf("S", []float64{12, 26, 300}))
 	q := mustParse(t, `SELECT R.Y, S.Z FROM R, S WHERE R.Y NEAR S.Z WITHIN 5`)
 	rel, err := e.EvalUnnested(q)
 	if err != nil {
@@ -131,11 +129,8 @@ func TestSampledSelectivityImprovesOrder(t *testing.T) {
 
 	query := `SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B`
 	run := func(disable bool) int64 {
-		e := NewMemEnv()
+		e := memEnv(rRel, sRel, tRel)
 		e.DisableJoinReorder = disable
-		e.RegisterRelation("R", rRel)
-		e.RegisterRelation("S", sRel)
-		e.RegisterRelation("T", tRel)
 		q := mustParse(t, query)
 		if _, err := e.EvalUnnested(q); err != nil {
 			t.Fatal(err)

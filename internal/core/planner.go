@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/plan"
@@ -16,48 +14,30 @@ import (
 // with the binding (alias) applied as the schema name, mirroring
 // source()'s schema derivation.
 func (e *Env) BoundSchema(tr fsql.TableRef) (*frel.Schema, error) {
-	name, alias := tr.Name, tr.Binding()
-	if r, ok := e.mem[relKey(name)]; ok {
-		if alias != "" && relKey(alias) != r.Schema.Name {
-			return r.Schema.WithName(relKey(alias)), nil
-		}
-		return r.Schema, nil
+	h, err := e.cat.Relation(tr.Name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(name)
-		if err != nil {
-			return nil, err
-		}
-		if alias != "" && relKey(alias) != h.Schema.Name {
-			return h.Schema.WithName(relKey(alias)), nil
-		}
-		return h.Schema, nil
+	if alias := tr.Binding(); alias != "" && relKey(alias) != h.Schema.Name {
+		return h.Schema.WithName(relKey(alias)), nil
 	}
-	return nil, fmt.Errorf("core: unknown relation %q", name)
+	return h.Schema, nil
 }
 
-// RelStats resolves the planner statistics of a referenced relation;
-// in-memory relations build them lazily and maintain them incrementally;
-// a heap file has them from its creation or from its checkpoint entry
-// when reopened, maintains them on append, and builds them with one scan
-// only where neither supplied them (see frel.Relation.Stats and
-// storage.HeapFile.Stats), so planning a cold statement reads no
-// relation. Heap statistics are returned as an independent snapshot: the
-// plan holds them across the statement while the single writer may keep
-// appending (estimates may include uncommitted rows, which only affects
-// costing, never answers).
+// RelStats resolves the planner statistics of a referenced relation: its
+// heap file has them from its creation or from its checkpoint entry when
+// reopened, maintains them on append, and builds them with one scan only
+// where neither supplied them (see storage.HeapFile.Stats), so planning a
+// cold statement reads no relation. They are returned as an independent
+// snapshot: the plan holds them across the statement while the single
+// writer may keep appending (estimates may include uncommitted rows,
+// which only affects costing, never answers).
 func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
-	if r, ok := e.mem[relKey(tr.Name)]; ok {
-		return r.Stats(), nil
+	h, err := e.cat.Relation(tr.Name)
+	if err != nil {
+		return nil, err
 	}
-	if e.cat != nil {
-		h, err := e.cat.Relation(tr.Name)
-		if err != nil {
-			return nil, err
-		}
-		return h.StatsSnapshot()
-	}
-	return nil, fmt.Errorf("core: unknown relation %q", tr.Name)
+	return h.StatsSnapshot()
 }
 
 // HasOrderIndex implements plan.OrderIndexes: it reports whether the
@@ -66,13 +46,6 @@ func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
 // execution path will serve from the index. Freshness uses live counts —
 // an index bypassed by a bulk load does not count.
 func (e *Env) HasOrderIndex(tr fsql.TableRef, attr string) bool {
-	if e.cat == nil {
-		return false
-	}
-	if _, ok := e.mem[relKey(tr.Name)]; ok {
-		// A registered in-memory relation shadows the catalog one.
-		return false
-	}
 	sch, err := e.BoundSchema(tr)
 	if err != nil {
 		return false

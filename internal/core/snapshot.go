@@ -32,14 +32,11 @@ type Snapshot struct {
 	live  map[*storage.HeapFile]bool
 }
 
-// takeSnapshot captures a fresh committed cut, or nil when the
-// environment has no write-ahead-logged storage (in-memory environments
-// and NoWAL ablation runs read live, as before — their writes are
-// serialized against readers by the caller).
+// takeSnapshot captures a fresh committed cut, or nil when the storage
+// manager keeps no write-ahead log (NewMemEnv environments and NoWAL
+// sessions read live; their writes are serialized against readers by the
+// caller).
 func (e *Env) takeSnapshot() *Snapshot {
-	if e.cat == nil {
-		return nil
-	}
 	m := e.cat.Manager().Snapshot()
 	if m == nil {
 		return nil

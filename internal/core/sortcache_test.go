@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 )
@@ -26,14 +28,11 @@ func cacheRel(name string, n int, seed int64) *frel.Relation {
 	return r
 }
 
-// freshAnswer evaluates q on a brand-new environment over clones of the
-// given relations — the ground truth a cached evaluation must match.
+// freshAnswer evaluates q on a brand-new environment over the given
+// relations — the ground truth a cached evaluation must match.
 func freshAnswer(t *testing.T, q *fsql.Select, r, s *frel.Relation) *frel.Relation {
 	t.Helper()
-	env := NewMemEnv()
-	env.RegisterRelation("R", r.Clone())
-	env.RegisterRelation("S", s.Clone())
-	rel, err := env.EvalUnnested(q)
+	rel, err := memEnv(r, s).EvalUnnested(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,83 +91,83 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 	}
 }
 
-// TestSortCacheAppendInvalidates checks the version-counter contract for
-// in-memory relations: INSERT-style appends between queries invalidate
-// the cached order and the re-run sees the new tuples.
+// appendHeap appends t to the catalog heap of the named relation, as an
+// INSERT does.
+func appendHeap(t *testing.T, env *Env, name string, tu frel.Tuple) {
+	t.Helper()
+	h, err := env.cat.Relation(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Append(tu); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sortCacheCounts runs q under EXPLAIN ANALYZE and returns its sort nodes'
+// cache hits and misses per relation binding (the label's prefix before
+// the dot).
+func sortCacheCounts(t *testing.T, env *Env, q *fsql.Select) (*frel.Relation, map[string][2]int64) {
+	t.Helper()
+	rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string][2]int64{}
+	var walk func(n *exec.StatsSnapshot)
+	walk = func(n *exec.StatsSnapshot) {
+		if n.Op == "sort" {
+			binding, _, _ := strings.Cut(n.Label, ".")
+			c := counts[binding]
+			counts[binding] = [2]int64{c[0] + n.CacheHits, c[1] + n.CacheMisses}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(es.Plan())
+	return rel, counts
+}
+
+// TestSortCacheAppendInvalidates checks the version-counter contract: an
+// append to one relation's heap between queries makes every order of that
+// relation miss, while the other relation's orders still hit, and the
+// re-run sees the new tuples.
 func TestSortCacheAppendInvalidates(t *testing.T) {
 	q, err := fsql.ParseQuery(analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, s := cacheRel("R", 60, 1), cacheRel("S", 60, 2)
-	env := NewMemEnv()
-	env.RegisterRelation("R", r)
-	env.RegisterRelation("S", s)
-	if _, err := env.EvalUnnested(q); err != nil {
-		t.Fatal(err)
+	env := memEnv(r, s)
+	_, cold := sortCacheCounts(t, env, q)
+	if cold["R"][1] == 0 || cold["S"][1] == 0 {
+		t.Fatalf("first run built no orders of R and S: %v", cold)
 	}
-	if _, err := env.EvalUnnested(q); err != nil {
-		t.Fatal(err)
+	if _, warm := sortCacheCounts(t, env, q); warm["R"][1] != 0 || warm["S"][1] != 0 {
+		t.Fatalf("repeat run missed the cache: %v", warm)
 	}
-	hits := env.Work.CacheHits.Load()
-	if hits == 0 {
-		t.Fatal("repeat query did not hit the cache")
-	}
-	misses := env.Work.CacheMisses.Load()
 
-	// Mutate S: every S.B joins after this append.
-	s.Append(frel.NewTuple(1, frel.Crisp(999), frel.Crisp(5), frel.Crisp(5)))
-	got, err := env.EvalUnnested(q)
-	if err != nil {
-		t.Fatal(err)
+	// Append to S: every S.B joins after this append.
+	extra := frel.NewTuple(1, frel.Crisp(999), frel.Crisp(5), frel.Crisp(5))
+	appendHeap(t, env, "S", extra)
+	s.Append(extra)
+	got, after := sortCacheCounts(t, env, q)
+	if after["S"] != cold["S"] {
+		t.Fatalf("after the append S's orders hit/missed %v, want %v as on the first run", after["S"], cold["S"])
 	}
-	if env.Work.CacheMisses.Load() == misses {
-		t.Fatal("append did not invalidate the cached order for S")
+	if after["R"][1] != 0 {
+		t.Fatalf("append to S invalidated an order of R: %v", after)
 	}
 	if want := freshAnswer(t, q, r, s); !got.Equal(want, 1e-9) {
 		t.Fatalf("stale answer after append:\ngot:\n%v\nwant:\n%v", got, want)
 	}
 }
 
-// TestSortCacheThresholdInvalidates checks that in-place Threshold
-// pruning bumps the version and refreshes the cached order.
-func TestSortCacheThresholdInvalidates(t *testing.T) {
-	q, err := fsql.ParseQuery(analyzeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, s := cacheRel("R", 60, 3), cacheRel("S", 60, 4)
-	for i := range s.Tuples {
-		if i%2 == 1 {
-			s.Tuples[i].D = 0.3
-		}
-	}
-	s.Bump()
-	env := NewMemEnv()
-	env.RegisterRelation("R", r)
-	env.RegisterRelation("S", s)
-	if _, err := env.EvalUnnested(q); err != nil {
-		t.Fatal(err)
-	}
-	misses := env.Work.CacheMisses.Load()
-
-	s.Threshold(0.5) // drops the D = 0.3 half
-	got, err := env.EvalUnnested(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Work.CacheMisses.Load() == misses {
-		t.Fatal("Threshold did not invalidate the cached order for S")
-	}
-	if want := freshAnswer(t, q, r, s); !got.Equal(want, 1e-9) {
-		t.Fatalf("stale answer after Threshold:\ngot:\n%v\nwant:\n%v", got, want)
-	}
-}
-
-// TestSortCacheAliasSelfJoin exercises the alias-wrapper memo: a self-join
-// through a FROM alias must reuse one stable wrapper per (name, alias)
-// pair so its sorted orders cache across runs, and an append to the base
-// relation must refresh the wrapper and defeat the cache.
+// TestSortCacheAliasSelfJoin: a self-join through a FROM alias sorts one
+// heap under two bindings, and both share the heap's cache entries, so
+// the repeat run sorts nothing; after an append to the heap every order
+// under either binding is rebuilt, exactly as on the first run.
 func TestSortCacheAliasSelfJoin(t *testing.T) {
 	const aliasQuery = `SELECT R.K FROM R WHERE R.B IN (SELECT T.B FROM R T WHERE T.A = R.A)`
 	q, err := fsql.ParseQuery(aliasQuery)
@@ -176,41 +175,30 @@ func TestSortCacheAliasSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := cacheRel("R", 60, 7)
-	env := NewMemEnv()
-	env.RegisterRelation("R", r)
-	first, err := env.EvalUnnested(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := memEnv(r)
+	first, cold := sortCacheCounts(t, env, q)
 	// Every tuple satisfies the self-membership, so the answer is R itself.
 	if first.Len() != r.Len() {
 		t.Fatalf("self-join answer has %d tuples, want %d", first.Len(), r.Len())
 	}
-	misses := env.Work.CacheMisses.Load()
-	second, err := env.EvalUnnested(q)
-	if err != nil {
-		t.Fatal(err)
+	if cold["R"][1]+cold["T"][1] == 0 {
+		t.Fatalf("first run built no orders: %v", cold)
 	}
+	second, warm := sortCacheCounts(t, env, q)
 	if !first.Equal(second, 1e-9) {
 		t.Fatal("aliased repeat run changed the answer")
 	}
-	if env.Work.CacheHits.Load() == 0 {
-		t.Fatal("aliased repeat run did not hit the cache")
-	}
-	if got := env.Work.CacheMisses.Load(); got != misses {
-		t.Fatalf("aliased repeat run missed the cache: misses %d -> %d", misses, got)
+	if warm["R"][1] != 0 || warm["T"][1] != 0 || warm["R"][0]+warm["T"][0] == 0 {
+		t.Fatalf("aliased repeat run did not hit the cache: %v", warm)
 	}
 
-	r.Append(frel.NewTuple(1, frel.Crisp(999), frel.Crisp(3), frel.Crisp(3)))
-	got, err := env.EvalUnnested(q)
-	if err != nil {
-		t.Fatal(err)
+	appendHeap(t, env, "R", frel.NewTuple(1, frel.Crisp(999), frel.Crisp(3), frel.Crisp(3)))
+	got, after := sortCacheCounts(t, env, q)
+	if after["R"] != cold["R"] || after["T"] != cold["T"] {
+		t.Fatalf("after the append the aliased orders hit/missed %v, want %v as on the first run", after, cold)
 	}
-	if env.Work.CacheMisses.Load() == misses {
-		t.Fatal("append did not invalidate the aliased orders")
-	}
-	if got.Len() != r.Len() {
-		t.Fatalf("answer after append has %d tuples, want %d", got.Len(), r.Len())
+	if got.Len() != r.Len()+1 {
+		t.Fatalf("answer after append has %d tuples, want %d", got.Len(), r.Len()+1)
 	}
 }
 

@@ -38,14 +38,25 @@ func randRelation(name string, n int, rng *rand.Rand, attrs ...string) *frel.Rel
 	return r
 }
 
+// memEnv returns a NewMemEnv environment holding rels, each loaded under
+// its schema name.
+func memEnv(rels ...*frel.Relation) *Env {
+	e := NewMemEnv()
+	for _, r := range rels {
+		if err := e.LoadRelation(r.Schema.Name, r); err != nil {
+			panic(err)
+		}
+	}
+	return e
+}
+
 // envRS builds an environment with random relations R(U, Y, TAG),
 // S(V, Z, TAG) and T(W, P, TAG).
 func envRS(rng *rand.Rand, nR, nS, nT int) *Env {
-	e := NewMemEnv()
-	e.RegisterRelation("R", randRelation("R", nR, rng, "U", "Y"))
-	e.RegisterRelation("S", randRelation("S", nS, rng, "V", "Z"))
-	e.RegisterRelation("T", randRelation("T", nT, rng, "W", "P"))
-	return e
+	return memEnv(
+		randRelation("R", nR, rng, "U", "Y"),
+		randRelation("S", nS, rng, "V", "Z"),
+		randRelation("T", nT, rng, "W", "P"))
 }
 
 // checkEquivalence evaluates the query with both evaluators and requires
@@ -310,7 +321,7 @@ func TestExample41Unnested(t *testing.T) {
 // naive evaluator but still produce answers.
 func TestNaiveFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	e := envRS(rng, 10, 12, 0)
+	e := envRS(rng, 10, 12, 8)
 	cases := []string{
 		// Two subquery predicates where one is not chain-compatible.
 		`SELECT R.TAG FROM R
@@ -319,7 +330,6 @@ func TestNaiveFallbacks(t *testing.T) {
 		`SELECT R.TAG FROM R
 		 WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V < ALL (SELECT T.P FROM T))`,
 	}
-	e.RegisterRelation("T", randRelation("T", 8, rng, "W", "P"))
 	for _, src := range cases {
 		q, err := fsql.ParseQuery(src)
 		if err != nil {
@@ -346,8 +356,7 @@ func TestNaiveFallbacks(t *testing.T) {
 // TestAliasReuseFallsBack: chain flattening requires distinct bindings.
 func TestAliasReuseFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	e := NewMemEnv()
-	e.RegisterRelation("R", randRelation("R", 8, rng, "U", "Y"))
+	e := memEnv(randRelation("R", 8, rng, "U", "Y"))
 	q, err := fsql.ParseQuery(`
 		SELECT A.TAG FROM R A
 		WHERE A.Y IN (SELECT A.U FROM R A WHERE A.Y > 4)`)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/frel"
@@ -404,4 +405,77 @@ func TestBatchHeapSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSequence(t, "heap batches", batchDrain(t, NewHeapSource(h)), r.Tuples)
+}
+
+// TestHeapScanAllocs is the allocation gate of the heap scan every base
+// relation is read through: draining a HeapSource of at least 10 pages,
+// live or bounded to a snapshot prefix, costs at most 0.01 allocations a
+// tuple (one value arena a batch, not one value slice a tuple), and the
+// arena of a scan shorter than a batch is sized to the scan (an 8-tuple
+// scan allocates nowhere near a full batch's values). Skipped under
+// -race, which inflates allocation counts.
+func TestHeapScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	mgr, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 64, FS: storage.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(name string, n int) *storage.HeapFile {
+		r := randomRel(name, n, 1000, 2, rand.New(rand.NewSource(int64(n))))
+		h, err := mgr.CreateHeap(name, r.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AppendAll(r); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h := load("r", 3000)
+	if h.NumPages() < 10 {
+		t.Fatalf("heap of %d pages, want at least 10", h.NumPages())
+	}
+	drain := func(src Source) int {
+		it, err := src.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		n := 0
+		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
+			n += len(b)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	for _, src := range []*HeapSource{NewHeapSource(h), NewHeapSourceAt(h, 2500)} {
+		var rows int
+		allocs := testing.AllocsPerRun(5, func() { rows = drain(src) })
+		if per := allocs / float64(rows); per > 0.01 {
+			t.Errorf("limit %d: %.0f allocations for %d tuples (%.4f per tuple), want <= 0.01", src.Limit, allocs, rows, per)
+		} else {
+			t.Logf("limit %d: %.0f allocations for %d tuples (%.4f per tuple)", src.Limit, allocs, rows, per)
+		}
+	}
+
+	// A full batch of values is 1024 tuples × 2 values × 56 bytes, about
+	// 115 KB; the scan's fixed buffers (page copy, batch slice) are about
+	// 9 KB.
+	small := NewHeapSource(load("small", 8))
+	drain(small)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if rows := drain(small); rows != 8 {
+		t.Fatalf("small scan returned %d tuples, want 8", rows)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 32<<10 {
+		t.Errorf("an 8-tuple scan allocated %d bytes, want its arena sized to 8 tuples (under 32 KB in all)", bytes)
+	} else {
+		t.Logf("an 8-tuple scan allocated %d bytes", bytes)
+	}
 }

@@ -231,7 +231,7 @@ func (it *heapBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		return nil, false
 	}
 	if it.buf == nil {
-		it.buf = make([]frel.Tuple, 0, BatchSize)
+		it.buf = make([]frel.Tuple, 0, min(BatchSize, max(it.left, 1)))
 	}
 	it.buf = it.sc.NextBatch(it.buf)
 	if len(it.buf) == 0 {

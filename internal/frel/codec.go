@@ -72,6 +72,13 @@ func uvarintLen(x uint64) int {
 // DecodeTuple decodes one tuple (under schema s) from the front of data,
 // returning the tuple and the number of bytes consumed.
 func DecodeTuple(s *Schema, data []byte) (Tuple, int, error) {
+	return DecodeTupleInto(s, data, make([]Value, len(s.Attrs)))
+}
+
+// DecodeTupleInto is DecodeTuple writing the values into vals, which must
+// hold len(s.Attrs) elements and becomes the tuple's Values: a caller
+// decoding many tuples carves them all out of one arena.
+func DecodeTupleInto(s *Schema, data []byte, vals []Value) (Tuple, int, error) {
 	pos := 0
 	need := func(n int) error {
 		if len(data)-pos < n {
@@ -82,10 +89,7 @@ func DecodeTuple(s *Schema, data []byte) (Tuple, int, error) {
 	if err := need(8); err != nil {
 		return Tuple{}, 0, err
 	}
-	t := Tuple{
-		D:      math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])),
-		Values: make([]Value, len(s.Attrs)),
-	}
+	t := Tuple{D: math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])), Values: vals}
 	pos += 8
 	for i, a := range s.Attrs {
 		switch a.Kind {

@@ -5,60 +5,23 @@ import (
 	"strings"
 )
 
-// Relation is an in-memory fuzzy relation: a schema plus a multiset of
-// fuzzy tuples. The storage engine provides the on-disk counterpart; the
-// nested-query semantics, temporary relations, and tests use this type.
+// Relation is a fuzzy relation held in memory: a schema plus a multiset of
+// fuzzy tuples. Stored relations are heap files (storage.HeapFile); a
+// Relation is what is loaded into one, an intermediate or answer of the
+// engine, or the naive evaluator's working set.
 type Relation struct {
 	Schema *Schema
 	Tuples []Tuple
-
-	// version counts mutations made through the Relation methods (Append,
-	// SortBy, DedupMax, Threshold). Caches keyed by a relation pointer
-	// (the engine's sort-order cache) compare versions to detect staleness;
-	// callers that mutate Tuples directly must call Bump themselves.
-	version uint64
-
-	// stats caches the planner statistics for statsVersion; Stats rebuilds
-	// them lazily when stale, and Append/Threshold keep fresh statistics
-	// up to date incrementally.
-	stats        *TableStats
-	statsVersion uint64
 }
-
-// Version returns the relation's mutation counter.
-func (r *Relation) Version() uint64 { return r.version }
-
-// Bump records an out-of-band mutation of Tuples, invalidating any cache
-// entries keyed on this relation.
-func (r *Relation) Bump() { r.version++ }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(s *Schema) *Relation {
 	return &Relation{Schema: s}
 }
 
-// Append adds tuples to the relation. Fresh planner statistics are
-// maintained incrementally; stale ones are left for Stats to rebuild.
+// Append adds tuples to the relation.
 func (r *Relation) Append(ts ...Tuple) {
-	fresh := r.stats != nil && r.statsVersion == r.version
 	r.Tuples = append(r.Tuples, ts...)
-	r.version++
-	if fresh {
-		r.stats.ObserveAll(ts)
-		r.statsVersion = r.version
-	}
-}
-
-// Stats returns the planner statistics of the relation, rebuilding them
-// from the current tuples when the relation changed since the last call
-// through a path that does not maintain them incrementally.
-func (r *Relation) Stats() *TableStats {
-	if r.stats == nil || r.statsVersion != r.version {
-		ts := NewTableStats(len(r.Schema.Attrs))
-		ts.ObserveAll(r.Tuples)
-		r.stats, r.statsVersion = ts, r.version
-	}
-	return r.stats
 }
 
 // Len returns the number of tuples.
@@ -85,7 +48,6 @@ func (r *Relation) SortBy(attr string) error {
 	slices.SortStableFunc(r.Tuples, func(a, b Tuple) int {
 		return Compare(a.Values[i], b.Values[i])
 	})
-	r.version++
 	return nil
 }
 
@@ -100,7 +62,6 @@ func (r *Relation) DedupMax() {
 		set.Add(t.Values, nil, t.D)
 	}
 	r.Tuples = append(r.Tuples[:0], set.Tuples()...)
-	r.version++
 }
 
 // Threshold removes tuples whose membership degree is below z, the effect
@@ -108,7 +69,6 @@ func (r *Relation) DedupMax() {
 // relation, so Threshold(0) (the implicit clause of every query) removes
 // exactly those.
 func (r *Relation) Threshold(z float64) {
-	fresh := r.stats != nil && r.statsVersion == r.version
 	out := r.Tuples[:0]
 	for _, t := range r.Tuples {
 		if t.D > 0 && t.D >= z {
@@ -116,14 +76,6 @@ func (r *Relation) Threshold(z float64) {
 		}
 	}
 	r.Tuples = out
-	r.version++
-	if fresh {
-		// Rebuild from the survivors in place of waiting for a lazy
-		// rebuild: thresholding is a mutation this path fully observes.
-		ts := NewTableStats(len(r.Schema.Attrs))
-		ts.ObserveAll(r.Tuples)
-		r.stats, r.statsVersion = ts, r.version
-	}
 }
 
 // Equal reports whether two relations contain the same fuzzy set of

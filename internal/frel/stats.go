@@ -13,11 +13,9 @@ import (
 // counts, per-attribute support-interval extents, a support-width
 // histogram, and a distinct-support estimate. Statistics are a function
 // of the tuples in append order, so they can be maintained incrementally
-// alongside a relation's version counter and stored: an in-memory
-// Relation builds them lazily, a stored relation's heap file keeps them
-// from its creation on and records them, in the exact encoding of
-// AppendStats, in every checkpoint (see Relation.Stats and
-// storage.HeapFile.Stats).
+// and stored: a relation's heap file keeps them from its creation on and
+// records them, in the exact encoding of AppendStats, in every checkpoint
+// (see storage.HeapFile.Stats).
 
 const (
 	// kmvK is the distinct-estimate sketch size: up to kmvK distinct

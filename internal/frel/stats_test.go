@@ -20,11 +20,10 @@ func statsSchema() *Schema {
 // TestTableStatsObserve checks extents, widths, the crisp bucket and the
 // exact distinct count on a small relation.
 func TestTableStatsObserve(t *testing.T) {
-	r := NewRelation(statsSchema())
-	r.Append(NewTuple(1, Crisp(10), Str("x")))
-	r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: 0, B: 1, C: 3, D: 4}), Str("y")))
-	r.Append(NewTuple(1, Crisp(10), Str("x")))
-	ts := r.Stats()
+	ts := statsOf(
+		NewTuple(1, Crisp(10), Str("x")),
+		NewTuple(1, Num(fuzzy.Trapezoid{A: 0, B: 1, C: 3, D: 4}), Str("y")),
+		NewTuple(1, Crisp(10), Str("x")))
 	if ts.Rows != 3 {
 		t.Fatalf("Rows = %d, want 3", ts.Rows)
 	}
@@ -76,29 +75,35 @@ func TestKMVEstimate(t *testing.T) {
 	}
 }
 
-// TestStatsIncremental checks that Append and Threshold keep fresh
-// statistics current without a rebuild, matching a from-scratch build.
+// statsOf builds the statistics of a statsSchema relation holding tuples.
+func statsOf(tuples ...Tuple) *TableStats {
+	ts := NewTableStats(len(statsSchema().Attrs))
+	ts.ObserveAll(tuples)
+	return ts
+}
+
+// TestStatsIncremental checks that statistics maintained tuple by tuple,
+// as a heap file keeps them across appends, equal one build over the same
+// tuples, and that a clone taken midway stays independent.
 func TestStatsIncremental(t *testing.T) {
-	r := NewRelation(statsSchema())
-	r.Append(NewTuple(1, Crisp(1), Str("a")))
-	ts := r.Stats()
-	r.Append(NewTuple(0.4, Crisp(2), Str("b")), NewTuple(0.2, Crisp(3), Str("c")))
-	if got := r.Stats(); got != ts {
-		t.Fatal("Append rebuilt statistics instead of maintaining them")
+	tuples := []Tuple{
+		NewTuple(1, Crisp(1), Str("a")),
+		NewTuple(0.4, Crisp(2), Str("b")),
+		NewTuple(0.2, Num(fuzzy.Trapezoid{A: 1, B: 2, C: 3, D: 5}), Str("a")),
 	}
-	if ts.Rows != 3 || ts.Distinct(0) != 3 {
-		t.Fatalf("incremental stats: rows=%d distinct=%v", ts.Rows, ts.Distinct(0))
+	ts := statsOf(tuples[0])
+	early := ts.Clone()
+	for _, tu := range tuples[1:] {
+		ts.Observe(tu)
 	}
-	r.Threshold(0.3)
-	ts2 := r.Stats()
-	if ts2.Rows != 2 || ts2.Distinct(0) != 2 {
-		t.Fatalf("post-threshold stats: rows=%d distinct=%v", ts2.Rows, ts2.Distinct(0))
+	if !bytes.Equal(AppendStats(nil, ts), AppendStats(nil, statsOf(tuples...))) {
+		t.Fatalf("incremental stats differ from a rebuild: %+v", ts)
 	}
-	// An out-of-band mutation (Bump) must force a lazy rebuild.
-	r.Tuples = r.Tuples[:1]
-	r.Bump()
-	if got := r.Stats(); got.Rows != 1 {
-		t.Fatalf("stale stats survived Bump: rows=%d", got.Rows)
+	if ts.Rows != 3 || ts.Distinct(0) != 3 || ts.Distinct(1) != 2 {
+		t.Fatalf("incremental stats: rows=%d distinct=%v/%v", ts.Rows, ts.Distinct(0), ts.Distinct(1))
+	}
+	if early.Rows != 1 || early.Distinct(0) != 1 {
+		t.Fatalf("clone followed later observations: rows=%d distinct=%v", early.Rows, early.Distinct(0))
 	}
 }
 
@@ -168,13 +173,12 @@ func TestWidthBucketMatchesLog2(t *testing.T) {
 // TestStatsEncodingRoundTrip checks that DecodeStats inverts AppendStats
 // exactly, sketch included, and rejects malformed input.
 func TestStatsEncodingRoundTrip(t *testing.T) {
-	r := NewRelation(statsSchema())
+	full := statsOf(NewTuple(1, Num(fuzzy.Trapezoid{A: -1e308, B: 0, C: 0, D: 1e308}), Str("inf")))
 	for i := 0; i < 500; i++ {
 		w := float64(i%9) * 0.75
-		r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: float64(i) - w, B: float64(i), C: float64(i), D: float64(i) + w}), Str(fmt.Sprint("s", i%70))))
+		full.Observe(NewTuple(1, Num(fuzzy.Trapezoid{A: float64(i) - w, B: float64(i), C: float64(i), D: float64(i) + w}), Str(fmt.Sprint("s", i%70))))
 	}
-	r.Append(NewTuple(1, Num(fuzzy.Trapezoid{A: -1e308, B: 0, C: 0, D: 1e308}), Str("inf")))
-	for _, ts := range []*TableStats{NewTableStats(0), NewTableStats(2), r.Stats()} {
+	for _, ts := range []*TableStats{NewTableStats(0), NewTableStats(2), full} {
 		enc := AppendStats(nil, ts)
 		got, err := DecodeStats(enc)
 		if err != nil {

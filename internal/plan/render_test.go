@@ -253,7 +253,7 @@ func strCatalog() *testCatalog {
 		w.Append(frel.NewTuple(1, frel.Str(fmt.Sprintf("g%d", i)), frel.Crisp(float64(i))))
 	}
 	c := rstCatalog()
-	c.rels["W"] = w
+	c.add(w)
 	return c
 }
 

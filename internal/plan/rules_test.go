@@ -10,42 +10,51 @@ import (
 	"repro/internal/fuzzy"
 )
 
-// testCatalog implements Catalog over in-memory relations, the same way
-// core.Env does but without the evaluation machinery, so every rewrite
-// rule and cost path is testable in isolation.
+// testCatalog implements Catalog over fixed schemas and statistics, the
+// same way core.Env does over catalog heaps but without the evaluation
+// machinery, so every rewrite rule and cost path is testable in isolation.
 type testCatalog struct {
-	rels    map[string]*frel.Relation
+	schemas map[string]*frel.Schema
+	stats   map[string]*frel.TableStats
 	noStats bool
 }
 
 func newTestCatalog(rels ...*frel.Relation) *testCatalog {
-	c := &testCatalog{rels: map[string]*frel.Relation{}}
+	c := &testCatalog{schemas: map[string]*frel.Schema{}, stats: map[string]*frel.TableStats{}}
 	for _, r := range rels {
-		c.rels[r.Schema.Name] = r
+		c.add(r)
 	}
 	return c
 }
 
+// add registers r under its schema name with the statistics a heap file
+// loaded with its tuples keeps.
+func (c *testCatalog) add(r *frel.Relation) {
+	ts := frel.NewTableStats(len(r.Schema.Attrs))
+	ts.ObserveAll(r.Tuples)
+	c.schemas[r.Schema.Name], c.stats[r.Schema.Name] = r.Schema, ts
+}
+
 func (c *testCatalog) BoundSchema(tr fsql.TableRef) (*frel.Schema, error) {
-	r, ok := c.rels[strings.ToUpper(tr.Name)]
+	s, ok := c.schemas[strings.ToUpper(tr.Name)]
 	if !ok {
 		return nil, fmt.Errorf("plan test: unknown relation %q", tr.Name)
 	}
-	if b := strings.ToUpper(tr.Binding()); b != "" && b != r.Schema.Name {
-		return r.Schema.WithName(b), nil
+	if b := strings.ToUpper(tr.Binding()); b != "" && b != s.Name {
+		return s.WithName(b), nil
 	}
-	return r.Schema, nil
+	return s, nil
 }
 
 func (c *testCatalog) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
 	if c.noStats {
 		return nil, fmt.Errorf("plan test: statistics unavailable")
 	}
-	r, ok := c.rels[strings.ToUpper(tr.Name)]
+	ts, ok := c.stats[strings.ToUpper(tr.Name)]
 	if !ok {
 		return nil, fmt.Errorf("plan test: unknown relation %q", tr.Name)
 	}
-	return r.Stats(), nil
+	return ts, nil
 }
 
 // numRel builds a relation of crisp numeric columns; column j of row i

@@ -198,6 +198,10 @@ func (h *HeapFile) DropSummary() {
 	h.statsMu.Unlock()
 }
 
+// Temp reports whether h is a temporary from CreateTemp (a sort run, a
+// sorted copy, a spill) rather than a relation or index heap.
+func (h *HeapFile) Temp() bool { return h.tempMgr != nil }
+
 // NumTuples returns the number of tuples appended so far.
 func (h *HeapFile) NumTuples() int64 { return h.numTuples.Load() }
 
@@ -483,6 +487,7 @@ type Scanner struct {
 	h       *HeapFile
 	pages   int64 // page count captured at creation
 	limit   int64 // tuples still to return; -1 = unbounded
+	read    int64 // records returned so far
 	pageIdx int64
 	page    []byte // copy of the current page; nil before the first page
 	inPage  bool   // a page copy is loaded and not yet exhausted
@@ -574,6 +579,7 @@ func (s *Scanner) NextRaw() ([]byte, bool) {
 		rec := s.page[start:end]
 		s.off = end
 		s.remain--
+		s.read++
 		if s.limit > 0 {
 			s.limit--
 		}
@@ -585,17 +591,42 @@ func (s *Scanner) NextRaw() ([]byte, bool) {
 // and returns the filled slice. An empty result means the scan is
 // exhausted or an error occurred; check Err afterwards. The returned
 // slice aliases dst's backing array, so callers that retain tuples across
-// calls must copy them out first.
+// calls must copy them out first. The tuples' values are decoded into one
+// fresh arena per batch, sized to the tuples the batch can still take and
+// the scan can still return: one allocation a batch, and values that are
+// never recycled.
 func (s *Scanner) NextBatch(dst []frel.Tuple) []frel.Tuple {
 	dst = dst[:0]
+	n := len(s.h.Schema.Attrs)
+	var arena []frel.Value
 	for len(dst) < cap(dst) {
-		t, ok := s.Next()
+		rec, ok := s.NextRaw()
 		if !ok {
 			break
 		}
+		if len(arena) < n {
+			arena = make([]frel.Value, n*s.room(cap(dst)-len(dst)))
+		}
+		t, _, err := frel.DecodeTupleInto(s.h.Schema, rec, arena[:n:n])
+		if err != nil {
+			s.err = err
+			break
+		}
+		arena = arena[n:]
 		dst = append(dst, t)
 	}
 	return dst
+}
+
+// room returns how many of the next want tuples, counting the one NextRaw
+// just returned, the scan can still return: its limit bounds a snapshot
+// scan, the heap's tuple count a live one.
+func (s *Scanner) room(want int) int {
+	left := s.limit + 1
+	if s.limit < 0 {
+		left = s.h.numTuples.Load() - s.read + 1
+	}
+	return int(max(min(int64(want), left), 1))
 }
 
 // Close releases the scanner's resources. The scanner pins each page only

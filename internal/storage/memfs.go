@@ -132,9 +132,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(d)) {
-		grown := make([]byte, end)
-		copy(grown, d)
-		d = grown
+		// Amortized growth: a file written page by page is not copied
+		// whole on every append.
+		d = append(d, make([]byte, end-int64(len(d)))...)
 	}
 	copy(d[off:end], p)
 	f.fs.files[f.path] = d

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fsql"
 )
 
 // TestFoldedQueryAllocs is the end-to-end allocation gate of the folded
-// sweeps: a whole statement — plan, cached sort orders, kernel sweep with
-// the answer's reduction folded in, duplicate elimination, threshold —
-// over 10 000 outer tuples must stay at arena level, at most 0.05
+// sweeps: a whole statement over catalog heaps — plan, heap scans of the
+// cached sorted copies, kernel sweep with the answer's reduction folded
+// in, duplicate elimination, threshold — over 10 000 outer tuples must
+// stay at arena level, at most 0.05
 // allocations per outer tuple, for the join (N), anti-join (JX) and
 // group-aggregate (JA) classes. A per-pair or per-tuple allocation
 // anywhere on the path (a key string, a projected row, a map per group)
@@ -32,9 +32,7 @@ func TestFoldedQueryAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := core.NewMemEnv()
-	env.RegisterRelation("R", r)
-	env.RegisterRelation("S", s)
+	env := memEnv(t, r, s)
 	outer := float64(r.Len())
 	for _, class := range []string{"N", "JX", "JA"} {
 		q, err := fsql.ParseQuery(fmt.Sprintf(classQueries[class], " WITH D >= 0.5"))

@@ -4,8 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frel"
 	"repro/internal/fsql"
 )
+
+// memEnv returns a core.NewMemEnv environment holding rels, each loaded
+// into a catalog heap under its schema name.
+func memEnv(t testing.TB, rels ...*frel.Relation) *core.Env {
+	t.Helper()
+	env := core.NewMemEnv()
+	for _, r := range rels {
+		if err := env.LoadRelation(r.Schema.Name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return env
+}
 
 // expectedStrategy is the rewrite each class must classify to; a naive
 // fallback would make the differential comparison vacuous.
@@ -44,9 +58,7 @@ func TestDifferentialUnnesting(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: parse %q: %v", seed, c.Query, err)
 				}
-				env := core.NewMemEnv()
-				env.RegisterRelation("R", c.R)
-				env.RegisterRelation("S", c.S)
+				env := memEnv(t, c.R, c.S)
 
 				if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
 					t.Fatalf("seed %d: class %s classified as %v (%s), want %v",

@@ -121,11 +121,7 @@ func TestDifferentialFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := core.NewMemEnv()
-				for _, rel := range []*frel.Relation{c.r, c.s, c.t} {
-					ref.RegisterRelation(rel.Schema.Name, rel)
-				}
-				naive, err := ref.EvalNaive(q)
+				naive, err := memEnv(t, c.r, c.s, c.t).EvalNaive(q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 )
@@ -73,10 +72,7 @@ func TestDifferentialKernels(t *testing.T) {
 					t.Fatalf("seed %d: parse %q: %v", seed, query, err)
 				}
 
-				naive := core.NewMemEnv()
-				naive.RegisterRelation("R", c.R)
-				naive.RegisterRelation("S", c.S)
-				want, err := naive.EvalNaive(q)
+				want, err := memEnv(t, c.R, c.S).EvalNaive(q)
 				if err != nil {
 					t.Fatalf("seed %d: naive: %v", seed, err)
 				}
@@ -87,10 +83,8 @@ func TestDifferentialKernels(t *testing.T) {
 
 				var serial *frel.Relation
 				for _, workers := range []int{1, 2, 4, 8} {
-					env := core.NewMemEnv()
+					env := memEnv(t, c.R, c.S)
 					env.Parallelism = workers
-					env.RegisterRelation("R", c.R)
-					env.RegisterRelation("S", c.S)
 					if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
 						t.Fatalf("seed %d: class %s classified as %v (%s), want %v",
 							seed, class, plan.Strategy, plan.Note, expectedStrategy[class])

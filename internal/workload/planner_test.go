@@ -64,10 +64,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 				"T": plannerRel(t, rng, "T"),
 			}
 			newEnv := func(disableReorder bool) *core.Env {
-				env := core.NewMemEnv()
-				for name, r := range rels {
-					env.RegisterRelation(name, r)
-				}
+				env := memEnv(t, rels["R"], rels["S"], rels["T"])
 				env.DisableJoinReorder = disableReorder
 				return env
 			}
