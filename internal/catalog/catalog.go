@@ -92,6 +92,15 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
 	schema := h.Schema
+	// The swap renumbers the tuples, so the relation's order indexes go
+	// first: a crash from here on leaves them without an entry file, which
+	// Open rebuilds, never listing tids of the old contents.
+	ixs := c.indexesOf(key)
+	for _, ix := range ixs {
+		if err := ix.dropFile(); err != nil {
+			return err
+		}
+	}
 	// Checkpoint first: afterwards the log holds no append records for the
 	// relation, so recovery will take whichever file the rename left behind
 	// as-is instead of replaying old appends onto the new contents. The
@@ -152,10 +161,10 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 	c.mu.Lock()
 	c.relations[key] = nh
 	c.mu.Unlock()
-	// The swap invalidated any order indexes on the relation (their tids
-	// point into the old file); rebuild them from the new contents.
-	if err := c.rebuildIndexesOf(key); err != nil {
-		return err
+	for _, ix := range ixs {
+		if err := c.buildIndex(ix, nh); err != nil {
+			return err
+		}
 	}
 	// Record the new geometry as the checkpoint base. The new heap's
 	// statistics are built by a scan when first planned and recorded by a

@@ -10,11 +10,17 @@ import (
 	"repro/internal/storage"
 )
 
-// Persistent order indexes. An index is a secondary file of
-// storage.IndexEntry records on one numeric attribute of one relation,
-// kept in the stable Definition 3.1 order (support begin, support end,
-// base-heap position). The engine serves the extended merge-join's sort
-// order from it instead of external-sorting the relation.
+// Persistent order indexes. An index is a secondary file of base-heap
+// positions (tids) on one numeric attribute of one relation, listed in the
+// stable Definition 3.1 order (support begin, support end, tid). The
+// engine serves the extended merge-join's sort order from it instead of
+// external-sorting the relation.
+//
+// An index is written once and never maintained: its n entries order the
+// relation's first n tuples, the ones it held when the index was built.
+// Tuples appended later, by INSERT or a bulk load, are the index's tail,
+// which the reader appends in tid order and re-sorts with the prefix (see
+// the core index scan). Only a rewrite that moves tuples invalidates it.
 //
 // Lifecycle and crash ordering:
 //
@@ -24,13 +30,12 @@ import (
 //     index; Open removes orphans.
 //   - DropIndex saves the catalog without the index before deleting the
 //     file, mirroring DropRelation.
-//   - Ordinary inserts append one entry per index in the same storage
-//     transaction as the base-tuple append (see the core session), so the
-//     committed counts of base and index move together and recovery keeps
-//     them consistent.
-//   - Bulk paths that bypass maintenance (workload loaders, DELETE's
-//     contents swap) leave the counts unequal; the engine then falls back
-//     to sorting and Open rebuilds the index from scratch.
+//   - DELETE's contents swap renumbers the tuples, so it deletes the
+//     relation's entry files before the swap and builds them again after
+//     it; Open rebuilds an index whose file is missing (a crash in between)
+//     or longer than its relation.
+//   - The reader checks each entry file against the tuples it serves and
+//     sorts instead when the file is not their stable order.
 
 // Index is a persistent secondary index on the Definition 3.1 order of one
 // numeric attribute.
@@ -48,6 +53,17 @@ func (ix *Index) Pos() int { return ix.pos }
 
 // Heap returns the index's entry file.
 func (ix *Index) Heap() *storage.HeapFile { return ix.heap }
+
+// dropFile deletes the index's entry file, if it has one. An index left
+// without a file serves nothing until a build writes one; Open rebuilds it.
+func (ix *Index) dropFile() error {
+	ih := ix.heap
+	ix.heap = nil
+	if ih == nil {
+		return nil
+	}
+	return ih.Drop()
+}
 
 // indexHeapName returns the storage name of the index's entry file. The
 // storage.IndexPrefix cannot collide with relation heaps: relation storage
@@ -104,29 +120,28 @@ func (c *Catalog) CreateIndex(name, rel, attr string) (*Index, error) {
 }
 
 // buildIndex (re)creates ix's entry file from relation heap h's current
-// contents: one scan, one stable sort, one transaction of entry appends.
-// A build that fails rolls its transaction back and deletes the file.
+// contents: one scan, one stable sort of the tids, one transaction of
+// entry appends. A build that fails rolls its transaction back and deletes
+// the file.
 func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 	rel, err := h.ReadAll()
 	if err != nil {
 		return err
 	}
-	entries := make([]storage.IndexEntry, 0, len(rel.Tuples))
-	for i, t := range rel.Tuples {
-		e, ok := storage.IndexEntryFor(t, ix.pos, uint64(i))
-		if !ok {
-			return fmt.Errorf("catalog: index %q: tuple %d has no numeric value on %q", ix.Name, i, ix.Attr)
-		}
-		entries = append(entries, e)
+	tids := make([]uint64, len(rel.Tuples))
+	for i := range tids {
+		tids[i] = uint64(i)
 	}
-	// Stable: Definition 3.1 ties stay in base-heap position order, the
-	// order the engine's external sort of the relation produces.
-	slices.SortStableFunc(entries, storage.CompareEntries)
+	// Stable: Definition 3.1 ties stay in tid order, the order the engine's
+	// external sort of the relation produces.
+	slices.SortStableFunc(tids, func(a, b uint64) int {
+		return frel.Compare(rel.Tuples[a].Values[ix.pos], rel.Tuples[b].Values[ix.pos])
+	})
 	ih, err := c.mgr.CreateHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
 	if err != nil {
 		return err
 	}
-	if err := appendEntries(c.mgr, ih, entries); err != nil {
+	if err := appendEntries(c.mgr, ih, tids); err != nil {
 		ih.Drop()
 		return err
 	}
@@ -134,15 +149,17 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 	return nil
 }
 
-// appendEntries appends the entries to ih as one transaction and flushes
-// the file.
-func appendEntries(mgr *storage.Manager, ih *storage.HeapFile, entries []storage.IndexEntry) error {
+// appendEntries appends the tids to ih as one transaction and flushes the
+// file.
+func appendEntries(mgr *storage.Manager, ih *storage.HeapFile, tids []uint64) error {
 	tx, err := mgr.Begin()
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if err := ih.AppendIndexEntry(e); err != nil {
+	var rec []byte
+	for _, tid := range tids {
+		rec = storage.AppendIndexEntry(rec[:0], tid)
+		if err := ih.AppendRaw(rec); err != nil {
 			return tx.Abort(err)
 		}
 	}
@@ -168,7 +185,7 @@ func (c *Catalog) DropIndex(name string) error {
 	if err := c.Save(); err != nil {
 		return err
 	}
-	return ix.heap.Drop()
+	return ix.dropFile()
 }
 
 // LookupIndex looks up an index by name.
@@ -192,30 +209,17 @@ func (c *Catalog) Indexes() []string {
 }
 
 // IndexForHeap returns the index on attribute position pos of the relation
-// currently backed by heap h, or nil.
+// currently backed by heap h, or nil. An index whose rebuild failed has no
+// entry file and is not returned.
 func (c *Catalog) IndexForHeap(h *storage.HeapFile, pos int) *Index {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, ix := range c.indexes {
-		if ix.pos == pos && c.relations[ix.Rel] == h {
+		if ix.pos == pos && ix.heap != nil && c.relations[ix.Rel] == h {
 			return ix
 		}
 	}
 	return nil
-}
-
-// IndexesForHeap returns every index of the relation currently backed by
-// heap h, the set an insert must maintain.
-func (c *Catalog) IndexesForHeap(h *storage.HeapFile) []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*Index
-	for _, ix := range c.indexes {
-		if c.relations[ix.Rel] == h {
-			out = append(out, ix)
-		}
-	}
-	return out
 }
 
 // dropIndexesOf removes (and deletes the files of) every index on relation
@@ -231,32 +235,22 @@ func (c *Catalog) dropIndexesOf(key string) error {
 	}
 	c.mu.Unlock()
 	for _, ix := range victims {
-		if err := ix.heap.Drop(); err != nil {
+		if err := ix.dropFile(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// rebuildIndexesOf rebuilds every index on relation key from its current
-// heap, after a bulk rewrite (DELETE's contents swap) invalidated them.
-func (c *Catalog) rebuildIndexesOf(key string) error {
+// indexesOf returns every index on relation key.
+func (c *Catalog) indexesOf(key string) []*Index {
 	c.mu.RLock()
-	h := c.relations[key]
-	var victims []*Index
+	defer c.mu.RUnlock()
+	var out []*Index
 	for _, ix := range c.indexes {
 		if ix.Rel == key {
-			victims = append(victims, ix)
+			out = append(out, ix)
 		}
 	}
-	c.mu.RUnlock()
-	for _, ix := range victims {
-		if err := ix.heap.Drop(); err != nil {
-			return err
-		}
-		if err := c.buildIndex(ix, h); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }

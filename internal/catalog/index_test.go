@@ -44,16 +44,18 @@ func TestCreateIndexBuildsSortedEntries(t *testing.T) {
 	if ix.Pos() != 0 || ix.Rel != "R" {
 		t.Errorf("index = %+v", ix)
 	}
-	entries, err := storage.ReadIndexEntries(ix.Heap(), -1)
+	tids, err := storage.ReadIndexEntries(ix.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(entries)) != h.NumTuples() {
-		t.Fatalf("index has %d entries, relation %d tuples", len(entries), h.NumTuples())
+	// The relation holds descending values, so its sorted order is the
+	// tids backwards.
+	if int64(len(tids)) != h.NumTuples() {
+		t.Fatalf("index has %d entries, relation %d tuples", len(tids), h.NumTuples())
 	}
-	for i := 1; i < len(entries); i++ {
-		if storage.CompareEntries(entries[i-1], entries[i]) > 0 {
-			t.Fatalf("entries %d and %d out of order", i-1, i)
+	for i, tid := range tids {
+		if want := uint64(len(tids) - 1 - i); tid != want {
+			t.Fatalf("entry %d = tid %d, want %d", i, tid, want)
 		}
 	}
 	if got := c.IndexForHeap(h, 0); got != ix {
@@ -137,12 +139,12 @@ func TestReplaceRelationContentsRebuildsIndex(t *testing.T) {
 	if err := c.ReplaceRelationContents("R", rel.Tuples[:4]); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := storage.ReadIndexEntries(ix.Heap(), -1)
+	tids, err := storage.ReadIndexEntries(ix.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 4 {
-		t.Fatalf("rebuilt index has %d entries, want 4", len(entries))
+	if len(tids) != 4 {
+		t.Fatalf("rebuilt index has %d entries, want 4", len(tids))
 	}
 	nh, err := c.Relation("R")
 	if err != nil {
@@ -186,15 +188,19 @@ func TestIndexPersistence(t *testing.T) {
 	if !ok {
 		t.Fatal("index not restored")
 	}
-	entries, err := storage.ReadIndexEntries(ix.Heap(), -1)
+	tids, err := storage.ReadIndexEntries(ix.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 20 {
-		t.Fatalf("restored index has %d entries, want 20", len(entries))
+	if len(tids) != 20 {
+		t.Fatalf("restored index has %d entries, want 20", len(tids))
 	}
 }
 
+// TestOpenRebuildsStaleIndexAndRemovesOrphans: Open keeps an index its
+// relation outgrew (the later tuples are its tail), rebuilds one longer
+// than its relation (left by a crash between DELETE's contents swap and
+// its rebuild), and deletes index files the catalog does not reference.
 func TestOpenRebuildsStaleIndexAndRemovesOrphans(t *testing.T) {
 	fs := storage.NewMemFS()
 	mgr, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 32, FS: fs})
@@ -202,12 +208,19 @@ func TestOpenRebuildsStaleIndexAndRemovesOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(mgr)
-	h := indexTestRelation(t, c, "R", 10)
+	r := indexTestRelation(t, c, "R", 10)
 	if _, err := c.CreateIndex("r_x", "R", "X"); err != nil {
 		t.Fatal(err)
 	}
-	// Bulk-append behind the index's back: the counts now disagree.
-	if err := h.Append(frel.Tuple{Values: []frel.Value{frel.Crisp(0), frel.Str("t")}, D: 1}); err != nil {
+	if err := r.Append(frel.Tuple{Values: []frel.Value{frel.Crisp(0), frel.Str("t")}, D: 1}); err != nil {
+		t.Fatal(err)
+	}
+	indexTestRelation(t, c, "Q", 5)
+	stale, err := c.CreateIndex("q_x", "Q", "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Heap().AppendRaw(storage.AppendIndexEntry(nil, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Save(); err != nil {
@@ -218,7 +231,7 @@ func TestOpenRebuildsStaleIndexAndRemovesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := orphan.AppendIndexEntry(storage.IndexEntry{Tid: 1}); err != nil {
+	if err := orphan.AppendRaw(storage.AppendIndexEntry(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := orphan.Flush(); err != nil {
@@ -236,16 +249,18 @@ func TestOpenRebuildsStaleIndexAndRemovesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, ok := c2.LookupIndex("r_x")
-	if !ok {
-		t.Fatal("index not restored")
-	}
-	entries, err := storage.ReadIndexEntries(ix.Heap(), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 11 {
-		t.Fatalf("rebuilt index has %d entries, want 11", len(entries))
+	for name, want := range map[string]int{"r_x": 10, "q_x": 5} {
+		ix, ok := c2.LookupIndex(name)
+		if !ok {
+			t.Fatalf("index %s not restored", name)
+		}
+		tids, err := storage.ReadIndexEntries(ix.Heap())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tids) != want {
+			t.Errorf("index %s has %d entries after Open, want %d", name, len(tids), want)
+		}
 	}
 	names, err := fs.ReadDir("db")
 	if err != nil {

@@ -88,8 +88,10 @@ func (c *Catalog) Save() error {
 	sort.Strings(ixNames)
 	for _, n := range ixNames {
 		ix := ixs[n]
-		if err := ix.heap.Flush(); err != nil {
-			return err
+		if ix.heap != nil {
+			if err := ix.heap.Flush(); err != nil {
+				return err
+			}
 		}
 		cf.Indexes = append(cf.Indexes, indexMeta{Name: ix.Name, Rel: ix.Rel, Attr: ix.Attr})
 	}
@@ -176,11 +178,12 @@ func Open(mgr *storage.Manager) (c *Catalog, fresh bool, err error) {
 }
 
 // openIndexes restores the saved order indexes. Each entry file is
-// reopened and validated against its base relation: the entry count must
-// match the base tuple count (bulk loaders that bypass maintenance leave
-// them unequal), otherwise — or when the file is missing — the index is
-// rebuilt from scratch. idx-*.heap files not referenced by the catalog
-// (orphans of a crash between index build and catalog save) are deleted.
+// reopened and kept when it covers a prefix of its base relation (a
+// relation that grew since the build only lengthens the index's tail);
+// an entry file that is missing (DELETE deletes it before its contents
+// swap and writes it again after) or longer than its relation is rebuilt
+// from scratch. idx-*.heap files not referenced by the catalog (orphans of a
+// crash between index build and catalog save) are deleted.
 // Any disk mutation is sealed with a checkpoint so the write-ahead log
 // never references a removed or superseded file.
 func (c *Catalog) openIndexes(metas []indexMeta) error {
@@ -201,7 +204,7 @@ func (c *Catalog) openIndexes(metas []indexMeta) error {
 		ix := &Index{Name: m.Name, Rel: relKey(m.Rel), Attr: h.Schema.Attrs[pos].Name, pos: pos}
 		referenced[indexHeapName(ix.Rel, ix.Attr)+".heap"] = true
 		ih, err := c.mgr.OpenHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
-		if err == nil && ih.NumTuples() == h.NumTuples() {
+		if err == nil && ih.NumTuples() <= h.NumTuples() {
 			ix.heap = ih
 		} else {
 			if err == nil {

@@ -426,7 +426,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
 			return e.cacheHit(attr, &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}, src), nil
 		}
-		if out, ok, err := e.indexSorted(src, heapBase, attr, attrIdx, total); err != nil {
+		if out, ok, err := e.indexSorted(src, base, attr, order); err != nil {
 			return nil, err
 		} else if ok {
 			return out, nil

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
@@ -118,10 +120,11 @@ func TestIndexServesColdQuery(t *testing.T) {
 	}
 }
 
-// TestIndexMaintainedByInserts: entries appended by autocommit inserts and
-// by explicit transactions keep the index serving, with answers identical
-// to the naive evaluation.
-func TestIndexMaintainedByInserts(t *testing.T) {
+// TestIndexServesInsertedTail: an index is written once; tuples inserted
+// afterwards, by autocommit statements and by an explicit transaction,
+// add no entries but form the tail the index scan re-sorts, so the index
+// keeps serving with answers identical to the naive evaluation.
+func TestIndexServesInsertedTail(t *testing.T) {
 	fs := storage.NewMemFS()
 	sess := openIndexSession(t, fs)
 	defer sess.Close()
@@ -129,15 +132,42 @@ func TestIndexMaintainedByInserts(t *testing.T) {
 	if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err != nil {
 		t.Fatal(err)
 	}
+	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
+	check := func(label string) {
+		t.Helper()
+		sess.Env.ResetStats()
+		sess.Env.ReleaseSortCache() // load R's order from the index anew
+		got, err := sess.EvalSelect(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
+			t.Fatalf("%s: index hits = %d, want >= 1", label, hits)
+		}
+		naive, err := sess.EvalNaive(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !naive.Equal(got, 0) {
+			t.Fatalf("%s: answers differ:\nindexed: %v\nnaive:   %v", label, got.Tuples, naive.Tuples)
+		}
+	}
+	if _, err := sess.ExecScript(`INSERT INTO R VALUES (100, 1, TRAP(0, 1, 2, 3))`); err != nil {
+		t.Fatal(err)
+	}
+	check("after an autocommit insert")
 	if _, err := sess.ExecScript(`
-		INSERT INTO R VALUES (100, 1, TRAP(0, 1, 2, 3));
 		BEGIN;
 		INSERT INTO R VALUES (101, 2, 5);
 		INSERT INTO R VALUES (102, 3, TRAP(2, 3, 4, 5)) DEGREE 0.5;
-		COMMIT;
 	`); err != nil {
 		t.Fatal(err)
 	}
+	check("inside the transaction")
+	if _, err := sess.ExecScript(`COMMIT`); err != nil {
+		t.Fatal(err)
+	}
+	check("after the commit")
 
 	h, err := sess.Catalog().Relation("R")
 	if err != nil {
@@ -147,25 +177,8 @@ func TestIndexMaintainedByInserts(t *testing.T) {
 	if !ok {
 		t.Fatal("index lost")
 	}
-	if ih, hh := ix.Heap().NumTuples(), h.NumTuples(); ih != hh {
-		t.Fatalf("index has %d entries, heap %d tuples", ih, hh)
-	}
-
-	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
-	sess.Env.ResetStats()
-	got, err := sess.EvalSelect(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
-		t.Fatalf("index hits = %d after maintained inserts, want >= 1", hits)
-	}
-	naive, err := sess.EvalNaive(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !naive.Equal(got, 0) {
-		t.Fatalf("answers differ after maintained inserts")
+	if ih, hh := ix.Heap().NumTuples(), h.NumTuples(); ih != 25 || hh != 28 {
+		t.Fatalf("index has %d entries, heap %d tuples; want 25 and 28", ih, hh)
 	}
 }
 
@@ -202,10 +215,10 @@ func TestIndexDDLBarrier(t *testing.T) {
 	}
 }
 
-// TestIndexStaleFallsBack: a bulk append behind the index's back leaves
-// the counts unequal; queries fall back to sorting (still correct), and a
-// reopen rebuilds the index so it serves again.
-func TestIndexStaleFallsBack(t *testing.T) {
+// TestIndexServesBulkLoadedTail: a bulk append after the build is one
+// more tail. The index serves it (no external sort), and a reopen keeps
+// the index as written instead of rebuilding it.
+func TestIndexServesBulkLoadedTail(t *testing.T) {
 	fs := storage.NewMemFS()
 	sess := openIndexSession(t, fs)
 	loadIndexWorkload(t, sess)
@@ -216,7 +229,6 @@ func TestIndexStaleFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bulk load bypassing index maintenance.
 	extra := frel.NewRelation(h.Schema)
 	extra.Append(frel.NewTuple(1, frel.Crisp(300), frel.Crisp(1), frel.Crisp(2)))
 	extra.Append(frel.NewTuple(1, frel.Crisp(301), frel.Crisp(2), frel.Crisp(3)))
@@ -225,41 +237,181 @@ func TestIndexStaleFallsBack(t *testing.T) {
 	}
 
 	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
-	sess.Env.ResetStats()
-	got, err := sess.EvalSelect(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	eval := func(label string) *frel.Relation {
+		t.Helper()
+		sess.Env.ResetStats()
+		got, stats, err := sess.EvalAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := stats.Plan().Find("index"); n == nil || n.Label != "R.B" {
+			t.Fatalf("%s: R.B not served by its index:\n%s", label, stats.Plan().Render())
+		}
+		return got
 	}
-	if hits := sess.Env.Work.IndexHits.Load(); hits != 0 {
-		t.Fatalf("stale index served a query (hits = %d)", hits)
-	}
-	if misses := sess.Env.Work.CacheMisses.Load(); misses == 0 {
-		t.Fatal("stale index should fall back to sorting")
-	}
+	got := eval("bulk tail")
 	naive, err := sess.EvalNaive(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !naive.Equal(got, 0) {
-		t.Fatal("fallback answer differs from naive")
+		t.Fatal("answer with a bulk-loaded tail differs from naive")
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen rebuilds the stale index from scratch; it serves again.
 	sess = openIndexSession(t, fs)
 	defer sess.Close()
-	sess.Env.ResetStats()
-	got2, err := sess.EvalSelect(context.Background(), q)
+	ix, ok := sess.Catalog().LookupIndex("r_b")
+	if !ok {
+		t.Fatal("index lost across reopen")
+	}
+	if n := ix.Heap().NumTuples(); n != 25 {
+		t.Fatalf("reopened index has %d entries, want the 25 it was written with", n)
+	}
+	if !got.Equal(eval("after reopen"), 0) {
+		t.Fatal("answers differ across reopen")
+	}
+}
+
+// TestIndexCorruptEntriesFallBack: an entry file that is not the stable
+// order of a tid prefix is refused, neither indexed past the relation's end
+// nor served out of order: the query sorts instead and answers correctly.
+// R has 25 tuples when r_b is built; each case appends one entry to the
+// file and, in the last two, one tuple with the smallest B to R, so the
+// file is exactly as long as the relation. Repeating the last entry keeps
+// the file in order; appending tid 25 keeps it a permutation.
+func TestIndexCorruptEntriesFallBack(t *testing.T) {
+	const repeatLast = ^uint64(0)
+	for _, tc := range []struct {
+		name   string
+		tid    uint64
+		insert bool
+	}{
+		{"repeated tid, longer than the relation", repeatLast, false},
+		{"repeated tid", repeatLast, true},
+		{"permutation out of order", 25, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := openIndexSession(t, storage.NewMemFS())
+			defer sess.Close()
+			loadIndexWorkload(t, sess)
+			if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err != nil {
+				t.Fatal(err)
+			}
+			ix, _ := sess.Catalog().LookupIndex("r_b")
+			tid := tc.tid
+			if tid == repeatLast {
+				tids, err := storage.ReadIndexEntries(ix.Heap())
+				if err != nil {
+					t.Fatal(err)
+				}
+				tid = tids[len(tids)-1]
+			}
+			if err := ix.Heap().AppendRaw(storage.AppendIndexEntry(nil, tid)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.insert {
+				if _, err := sess.ExecScript(`INSERT INTO R VALUES (99, 0, -1)`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
+			sess.Env.ResetStats()
+			got, err := sess.EvalSelect(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits := sess.Env.Work.IndexHits.Load(); hits != 0 {
+				t.Fatalf("a corrupt index served %d sorts", hits)
+			}
+			naive, err := sess.EvalNaive(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !naive.Equal(got, 0) {
+				t.Fatal("answer differs from naive with a corrupt index")
+			}
+		})
+	}
+}
+
+// TestIndexOrderIsTheStableSort: the order an index scan serves is, tuple
+// for tuple, the engine's stable sort of the visible relation, in both
+// orders and at both visibility horizons: live, with a tail of tuples
+// appended after the build, and at a snapshot taken before the build, which
+// sees only part of the index's prefix. Supports repeat, so ties are
+// common.
+func TestIndexOrderIsTheStableSort(t *testing.T) {
+	e := NewMemEnv()
+	schema := frel.NewSchema("R",
+		frel.Attribute{Name: "K", Kind: frel.KindNumber},
+		frel.Attribute{Name: "B", Kind: frel.KindNumber})
+	h, err := e.cat.CreateRelation("R", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
-		t.Fatal("rebuilt index does not serve after reopen")
+	rng := rand.New(rand.NewSource(7))
+	appendN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			a := float64(rng.Intn(6))
+			b := a + float64(rng.Intn(2))
+			k := float64(h.NumTuples())
+			if err := h.Append(frel.NewTuple(1, frel.Crisp(k), frel.Num(fuzzy.Trap(a, b, b+1, a+3)))); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if !got.Equal(got2, 0) {
-		t.Fatal("answers differ across reopen")
+	appendN(300)
+	early := e.takeSnapshot()
+	appendN(100)
+	if _, err := e.cat.CreateIndex("r_b", "R", "B"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(50)
+	all, err := h.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name    string
+		snap    *Snapshot
+		visible int
+	}{{"live", nil, 450}, {"snapshot before the build", early, 300}} {
+		for _, total := range []bool{false, true} {
+			want := &frel.Relation{Schema: schema, Tuples: slices.Clone(all.Tuples[:leg.visible])}
+			if _, err := extsort.SortRelation(want, extsort.Order{Attr: 1, Total: total}); err != nil {
+				t.Fatal(err)
+			}
+			restore := e.setSnapshot(leg.snap)
+			e.sortMem = nil
+			src, err := e.source(fsql.TableRef{Name: "R"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted, err := e.sortSource(src, "B", total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Collect(sorted)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := e.sortMem[sortKey{heap: h, attr: 1, total: total}]; !ok {
+				t.Fatalf("%s total=%v: the order was not served by the index", leg.name, total)
+			}
+			if len(got.Tuples) != len(want.Tuples) {
+				t.Fatalf("%s total=%v: %d tuples, want %d", leg.name, total, len(got.Tuples), len(want.Tuples))
+			}
+			for i := range got.Tuples {
+				if g, w := got.Tuples[i].Values[0].Num.A, want.Tuples[i].Values[0].Num.A; g != w {
+					t.Fatalf("%s total=%v: position %d holds K=%v, the stable sort has K=%v", leg.name, total, i, g, w)
+				}
+			}
+		}
 	}
 }
 

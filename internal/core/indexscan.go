@@ -1,101 +1,95 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/exec"
+	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/storage"
 )
 
 // Serving sorted scans from persistent order indexes. When a relation
-// carries an index on the requested attribute (see catalog.CreateIndex)
-// and the index covers exactly the tuples the current evaluation may see,
-// the sort order is read from the index instead of being built: one
-// bounded scan of the base heap, one bounded scan of the entry file, and
-// a permutation — no external sort, no run generation, no merge passes.
-// The loaded order is stored in the in-memory side of the sort cache, so
-// repeat queries replay it as ordinary cache hits.
+// carries an index on the requested attribute (see catalog.CreateIndex),
+// the sort order is read from the index instead of being built by the
+// external sorter: one bounded scan of the base heap, one scan of the
+// entry file, a permutation, and an in-memory re-sort only where tuples
+// were appended after the index was written. The loaded order is stored
+// in the in-memory side of the sort cache, so repeat queries replay it as
+// ordinary cache hits.
 
-// heapCount returns the number of tuples of h visible to the current
-// evaluation: the snapshot's committed count under snapshot visibility,
-// the live count otherwise. -1 means h is not visible at all (created
-// after the snapshot was taken).
-func (e *Env) heapCount(h *storage.HeapFile) int64 {
-	if e.snap != nil && !e.snap.Live(h) {
-		if sn, ok := e.snap.Lookup(h); ok {
-			return sn.Tuples
-		}
-		return -1
-	}
-	return h.NumTuples()
-}
-
-// indexSorted tries to serve src — a plain scan of base heap — sorted on
-// attr from a persistent order index. ok is false when no index applies:
-// no index on the attribute, or the index does not cover the evaluation's
-// visibility horizon (a bulk load bypassed maintenance, or the index was
-// created after this transaction's snapshot). The caller then falls back
-// to sorting.
+// indexSorted tries to serve base — a plain scan of a catalog heap, src
+// being base under its context and alias wrappers — sorted by order from
+// a persistent order index. ok is false when no index applies; the caller
+// then falls back to sorting.
 //
-// Consistency: base-tuple and index-entry appends commit in one storage
-// transaction, so the committed counts of both files move together; equal
-// counts at the same snapshot cut therefore mean the first n entries are
-// exactly the permutation of the first n base tuples. Maintenance appends
-// entries in base-heap position order, so the entry file is a sorted run
-// followed by an unsorted tail of later inserts; a stable re-sort restores
-// the global (support-begin, support-end, position) order because the
-// tail's positions all exceed the run's.
-func (e *Env) indexSorted(src exec.Source, base *storage.HeapFile, attr string, attrIdx int, total bool) (exec.Source, bool, error) {
-	ix := e.cat.IndexForHeap(base, attrIdx)
+// The index holds the tids 0..n-1 in the stable (support begin, support
+// end, tid) order. Of those, the reader keeps the tids below its
+// visibility horizon (all of them, unless its snapshot predates the
+// build), appends the tail of later tuples in tid order, and stably
+// re-sorts when there is a tail or the tie-broken total order is asked
+// for. Every tail tid exceeds every prefix tid, so equal keys meet in tid
+// order and the stable re-sort yields exactly the engine's stable sort of
+// the relation. The reader checks the index against the tuples it serves,
+// so an index that is not that order is never served.
+func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, order extsort.Order) (exec.Source, bool, error) {
+	ix := e.cat.IndexForHeap(base.Heap, order.Attr)
 	if ix == nil {
 		return nil, false, nil
 	}
-	horizon := e.heapCount(base)
-	if horizon < 0 || e.heapCount(ix.Heap()) != horizon {
-		return nil, false, nil
+	horizon := base.Limit
+	if horizon < 0 {
+		horizon = base.Heap.NumTuples()
 	}
-	entries, err := storage.ReadIndexEntries(ix.Heap(), horizon)
+	tids, err := storage.ReadIndexEntries(ix.Heap())
 	if err != nil {
 		return nil, false, err
 	}
-	rel, err := exec.Collect(exec.WithContext(e.ctx, exec.NewHeapSourceAt(base, horizon)))
+	rel, err := exec.Collect(exec.WithContext(e.ctx, exec.NewHeapSourceAt(base.Heap, horizon)))
 	if err != nil {
 		return nil, false, err
 	}
-	if int64(len(entries)) != horizon || int64(len(rel.Tuples)) != horizon {
-		// A concurrent writer moved the files between the count check and
-		// the reads; serve this query from the sort path instead.
+	if int64(len(rel.Tuples)) != horizon {
+		// A concurrent writer moved the heap between the count and the
+		// read; serve this query from the sort path instead.
 		return nil, false, nil
 	}
-	sorted := true
-	for i := 1; i < len(entries); i++ {
-		if storage.CompareEntries(entries[i-1], entries[i]) > 0 {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		slices.SortStableFunc(entries, storage.CompareEntries)
-	}
-	if total {
-		// The tie-broken total order: stable over the (A, D, position)
-		// order, so remaining ties stay in base-heap position order —
-		// exactly the engine's stable total sort of the relation.
-		slices.SortStableFunc(entries, storage.CompareEntriesTotal)
-	}
-	tuples := make([]frel.Tuple, len(entries))
-	for i, en := range entries {
-		if en.Tid >= uint64(len(rel.Tuples)) {
-			// Corrupt or foreign entry file: refuse to serve from it.
+	// The entry file must be a permutation of the tids 0..n-1, and the
+	// tuples it lists below the horizon must come in the stable order of
+	// their values: a corrupt or foreign file, or one listing tids of
+	// contents the relation no longer has, is refused and the query sorts.
+	n := uint64(len(tids))
+	seen := make([]bool, n)
+	tuples := make([]frel.Tuple, 0, horizon)
+	var last uint64
+	for _, tid := range tids {
+		if tid >= n || seen[tid] {
 			return nil, false, nil
 		}
-		tuples[i] = rel.Tuples[en.Tid]
+		seen[tid] = true
+		if tid >= uint64(horizon) {
+			continue
+		}
+		t := rel.Tuples[tid]
+		if k := len(tuples); k > 0 {
+			if c := frel.Compare(tuples[k-1].Values[order.Attr], t.Values[order.Attr]); c > 0 || c == 0 && last > tid {
+				return nil, false, nil
+			}
+		}
+		tuples = append(tuples, t)
+		last = tid
 	}
-	keys := frel.SupportKeys(tuples, attrIdx)
-	key := sortKey{heap: base, attr: attrIdx, total: total}
-	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base), tuples: tuples, keys: keys})
+	// A permutation of 0..n-1 keeps exactly the tids below min(n, horizon):
+	// the prefix. The tuples after it are the tail.
+	prefix := len(tuples)
+	tuples = append(tuples, rel.Tuples[prefix:]...)
 	srel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
+	if prefix < len(tuples) || order.Total {
+		if _, err := extsort.SortRelation(srel, order); err != nil {
+			return nil, false, err
+		}
+	}
+	keys := frel.SupportKeys(tuples, order.Attr)
+	key := sortKey{heap: base.Heap, attr: order.Attr, total: order.Total}
+	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base.Heap), tuples: tuples, keys: keys})
 	node := e.newNode("index", attr)
 	node.IndexHits.Add(1)
 	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)), src), true, nil

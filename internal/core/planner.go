@@ -41,10 +41,9 @@ func (e *Env) RelStats(tr fsql.TableRef) (*frel.TableStats, error) {
 }
 
 // HasOrderIndex implements plan.OrderIndexes: it reports whether the
-// referenced relation carries a fresh persistent order index on attr, so
-// the cost model can drop the sort term of a merge-join input the
-// execution path will serve from the index. Freshness uses live counts —
-// an index bypassed by a bulk load does not count.
+// referenced relation carries a persistent order index on attr, so the
+// cost model can drop the sort term of a merge-join input the execution
+// path will serve from the index.
 func (e *Env) HasOrderIndex(tr fsql.TableRef, attr string) bool {
 	sch, err := e.BoundSchema(tr)
 	if err != nil {
@@ -58,8 +57,7 @@ func (e *Env) HasOrderIndex(tr fsql.TableRef, attr string) bool {
 	if err != nil {
 		return false
 	}
-	ix := e.cat.IndexForHeap(h, pos)
-	return ix != nil && ix.Heap().NumTuples() == h.NumTuples()
+	return e.cat.IndexForHeap(h, pos) != nil
 }
 
 // PlanQuery runs the three-stage planner over q: Build the logical IR

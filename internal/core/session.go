@@ -349,43 +349,14 @@ func (s *Session) insert(st *fsql.Insert) error {
 		}
 	}
 	tuple := frel.NewTuple(st.Degree, vals...)
-	idxs := s.cat.IndexesForHeap(h)
 	if s.txn != nil {
-		return s.txnWrite(st.Table, h, tuple, idxs)
+		return s.txnWrite(st.Table, h, tuple)
 	}
-	// Base tuple and index entries commit as one transaction, so the
-	// committed counts of the base heap and every index move together (the
-	// consistency indexSorted relies on) and recovery never replays one
-	// without the others. The commit makes the append durable through the
-	// log; pages reach the heap file on eviction or at the next checkpoint.
-	tx, err := s.cat.Manager().Begin()
-	if err != nil {
-		return err
-	}
-	if err := appendWithIndexes(h, tuple, idxs); err != nil {
-		return tx.Abort(err)
-	}
-	return tx.Commit()
-}
-
-// appendWithIndexes appends a tuple to its relation heap and one entry per
-// persistent order index of the relation. Entries record the tuple's
-// base-heap position, captured before the append.
-func appendWithIndexes(h *storage.HeapFile, tuple frel.Tuple, idxs []*catalog.Index) error {
-	tid := uint64(h.NumTuples())
-	if err := h.Append(tuple); err != nil {
-		return err
-	}
-	for _, ix := range idxs {
-		entry, ok := storage.IndexEntryFor(tuple, ix.Pos(), tid)
-		if !ok {
-			return fmt.Errorf("core: INSERT: no numeric value for indexed attribute %s", ix.Attr)
-		}
-		if err := ix.Heap().AppendIndexEntry(entry); err != nil {
-			return err
-		}
-	}
-	return nil
+	// An append outside a transaction commits on its own: the commit makes
+	// it durable through the log; pages reach the heap file on eviction or
+	// at the next checkpoint. Order indexes are not touched: the tuple
+	// joins their tail (see catalog.CreateIndex).
+	return h.Append(tuple)
 }
 
 // txnWrite appends a tuple on behalf of the open transaction. The first
@@ -395,7 +366,7 @@ func appendWithIndexes(h *storage.HeapFile, tuple frel.Tuple, idxs []*catalog.In
 // transaction's BEGIN aborts it) and upgrades the relation to live
 // visibility, so later statements of the transaction read their own
 // writes.
-func (s *Session) txnWrite(name string, h *storage.HeapFile, tuple frel.Tuple, idxs []*catalog.Index) error {
+func (s *Session) txnWrite(name string, h *storage.HeapFile, tuple frel.Tuple) error {
 	t := s.txn
 	if !t.snap.Live(h) {
 		sn, ok := t.snap.Lookup(h)
@@ -411,17 +382,11 @@ func (s *Session) txnWrite(name string, h *storage.HeapFile, tuple frel.Tuple, i
 		}
 		t.stx = stx
 	}
-	// Appends ride the manager's open transaction (t.stx). Index entries
-	// go in the same transaction, and the index heaps are upgraded to live
-	// visibility alongside the base so the transaction's own sorted reads
-	// see a consistent pair.
-	if err := appendWithIndexes(h, tuple, idxs); err != nil {
+	// Appends ride the manager's open transaction (t.stx).
+	if err := h.Append(tuple); err != nil {
 		return s.abortTxn(err)
 	}
 	t.snap.SetLive(h)
-	for _, ix := range idxs {
-		t.snap.SetLive(ix.Heap())
-	}
 	return nil
 }
 

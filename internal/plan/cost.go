@@ -73,7 +73,7 @@ func (p *Plan) Estimate(opts Options) {
 }
 
 // hasOrderIndex reports whether nd is a plain base-relation scan whose
-// catalog maintains a fresh persistent order index on attr. Filtered
+// relation carries a persistent order index on attr. Filtered
 // inputs never qualify — a filtered stream's sorted order cannot be read
 // off the base relation's index — matching the execution path, which only
 // serves unfiltered scans from indexes.

@@ -36,12 +36,12 @@ type Catalog interface {
 }
 
 // OrderIndexes is optionally implemented by a Catalog whose storage
-// maintains persistent sort-order indexes (see internal/catalog). The cost
+// keeps persistent sort-order indexes (see internal/catalog). The cost
 // model uses it to drop the sort term of a merge-join input that execution
 // will serve from an index instead of sorting.
 type OrderIndexes interface {
-	// HasOrderIndex reports whether the referenced relation carries a
-	// fresh order index on the (possibly qualified) attribute.
+	// HasOrderIndex reports whether the referenced relation carries an
+	// order index on the (possibly qualified) attribute.
 	HasOrderIndex(tr fsql.TableRef, attr string) bool
 }
 

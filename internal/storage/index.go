@@ -3,136 +3,56 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/frel"
 )
 
 // Order-index page format. An order index is a heap file whose records are
-// not tuples but fixed-size IndexEntry values: the four trapezoid corners
-// of one tuple's indexed attribute plus the tuple's position (tid) in the
-// base heap. The file reuses the heap page layout (uint16 count, then
+// not tuples but base-heap positions (tids), one 8-byte little-endian tid
+// per record. The file reuses the heap page layout (uint16 count, then
 // length-prefixed records), so the content-agnostic WAL redo, checkpoint,
 // and crash-recovery machinery cover index files with no extra record
-// types: an index append is just a heap append of a 40-byte record.
+// types.
 //
-// Entries are stored in the stable Definition 3.1 order of the indexed
-// attribute — (A, D) ascending with ties in base-heap tid order — so a
-// reader obtains the extended merge-join's sort order by a sequential scan
-// plus a permutation of the base relation, with no sorting.
+// An index is written once, by CREATE INDEX, and never appended to
+// afterwards: its n records are the tids 0..n-1 of the base heap at build
+// time, listed in the stable Definition 3.1 order of the indexed attribute
+// — (A, D) ascending with ties in tid order. The base tuples appended
+// later (tids n and up) are the index's tail, which a reader appends in
+// tid order and re-sorts together with the prefix.
 
-// IndexEntrySize is the serialized size of one index entry.
-const IndexEntrySize = 40
+// IndexEntrySize is the serialized size of one index entry, a tid.
+const IndexEntrySize = 8
 
-// IndexEntry is one record of an order index: the corner representation of
-// the indexed attribute's possibility distribution and the base-heap
-// position of the tuple it came from.
-type IndexEntry struct {
-	A, B, C, D float64
-	Tid        uint64
-}
-
-// AppendIndexEntry serializes e onto dst.
-func AppendIndexEntry(dst []byte, e IndexEntry) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.A))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.B))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.C))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.D))
-	return binary.LittleEndian.AppendUint64(dst, e.Tid)
+// AppendIndexEntry serializes tid onto dst, the record HeapFile.AppendRaw
+// appends to an index file.
+func AppendIndexEntry(dst []byte, tid uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, tid)
 }
 
 // DecodeIndexEntry deserializes one index entry record.
-func DecodeIndexEntry(rec []byte) (IndexEntry, error) {
+func DecodeIndexEntry(rec []byte) (uint64, error) {
 	if len(rec) != IndexEntrySize {
-		return IndexEntry{}, fmt.Errorf("storage: index entry of %d bytes, want %d", len(rec), IndexEntrySize)
+		return 0, fmt.Errorf("storage: index entry of %d bytes, want %d", len(rec), IndexEntrySize)
 	}
-	return IndexEntry{
-		A:   math.Float64frombits(binary.LittleEndian.Uint64(rec[0:])),
-		B:   math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-		C:   math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-		D:   math.Float64frombits(binary.LittleEndian.Uint64(rec[24:])),
-		Tid: binary.LittleEndian.Uint64(rec[32:]),
-	}, nil
+	return binary.LittleEndian.Uint64(rec), nil
 }
 
-// IndexEntryFor builds the index entry of tuple t (at base-heap position
-// tid) on attribute attr. ok is false when the attribute is not a numeric
-// distribution (string attributes have no Definition 3.1 order).
-func IndexEntryFor(t frel.Tuple, attr int, tid uint64) (IndexEntry, bool) {
-	if attr < 0 || attr >= len(t.Values) || t.Values[attr].Kind != frel.KindNumber {
-		return IndexEntry{}, false
-	}
-	n := t.Values[attr].Num
-	return IndexEntry{A: n.A, B: n.B, C: n.C, D: n.D, Tid: tid}, true
-}
-
-// CompareEntries orders index entries by the Definition 3.1 interval order
-// of the indexed value: support begin, then support end. Ties are left to
-// the caller's stable sort, which preserves tid order.
-func CompareEntries(a, b IndexEntry) int {
-	switch {
-	case a.A < b.A:
-		return -1
-	case a.A > b.A:
-		return 1
-	case a.D < b.D:
-		return -1
-	case a.D > b.D:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// CompareEntriesTotal orders index entries like CompareEntries but breaks
-// Definition 3.1 ties by the full corner representation (B, then C),
-// mirroring frel.CompareTotal so identical values sort adjacently.
-func CompareEntriesTotal(a, b IndexEntry) int {
-	if c := CompareEntries(a, b); c != 0 {
-		return c
-	}
-	switch {
-	case a.B < b.B:
-		return -1
-	case a.B > b.B:
-		return 1
-	case a.C < b.C:
-		return -1
-	case a.C > b.C:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// AppendIndexEntry appends one index entry record to the file through the
-// regular logged append path.
-func (h *HeapFile) AppendIndexEntry(e IndexEntry) error {
-	h.buf = AppendIndexEntry(h.buf[:0], e)
-	return h.appendRecord(h.buf, nil)
-}
-
-// ReadIndexEntries materializes the first limit index entry records of the
-// file (limit < 0 reads to the end) — the bounded, snapshot-consistent
-// read used when serving an index under MVCC visibility.
-func ReadIndexEntries(h *HeapFile, limit int64) ([]IndexEntry, error) {
-	n := h.NumTuples()
-	if limit >= 0 && limit < n {
-		n = limit
-	}
-	out := make([]IndexEntry, 0, n)
-	sc := h.ScanAt(n)
+// ReadIndexEntries materializes every index entry record of the file.
+func ReadIndexEntries(h *HeapFile) ([]uint64, error) {
+	out := make([]uint64, 0, h.NumTuples())
+	sc := h.Scan()
 	defer sc.Close()
 	for {
 		rec, ok := sc.NextRaw()
 		if !ok {
 			break
 		}
-		e, err := DecodeIndexEntry(rec)
+		tid, err := DecodeIndexEntry(rec)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		out = append(out, tid)
 	}
 	return out, sc.Err()
 }

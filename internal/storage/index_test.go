@@ -1,15 +1,10 @@
 package storage
 
-import (
-	"testing"
-
-	"repro/internal/frel"
-	"repro/internal/fuzzy"
-)
+import "testing"
 
 func TestIndexEntryRoundTrip(t *testing.T) {
-	e := IndexEntry{A: -3.5, B: -1, C: 2, D: 7.25, Tid: 42}
-	rec := AppendIndexEntry(nil, e)
+	const tid = 1<<40 + 42
+	rec := AppendIndexEntry(nil, tid)
 	if len(rec) != IndexEntrySize {
 		t.Fatalf("encoded %d bytes, want %d", len(rec), IndexEntrySize)
 	}
@@ -17,46 +12,24 @@ func TestIndexEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != e {
-		t.Errorf("round trip: got %+v want %+v", got, e)
+	if got != tid {
+		t.Errorf("round trip: got %d want %d", got, tid)
 	}
-	if _, err := DecodeIndexEntry(rec[:10]); err == nil {
+	if _, err := DecodeIndexEntry(rec[:5]); err == nil {
 		t.Errorf("short record: want error")
 	}
-}
-
-func TestIndexEntryFor(t *testing.T) {
-	tup := frel.Tuple{
-		Values: []frel.Value{frel.Num(fuzzy.Trap(1, 2, 3, 4)), frel.Str("x")},
-		D:      1,
-	}
-	e, ok := IndexEntryFor(tup, 0, 7)
-	if !ok {
-		t.Fatal("numeric attribute: want ok")
-	}
-	if e != (IndexEntry{A: 1, B: 2, C: 3, D: 4, Tid: 7}) {
-		t.Errorf("entry = %+v", e)
-	}
-	if _, ok := IndexEntryFor(tup, 1, 0); ok {
-		t.Errorf("string attribute: want !ok")
-	}
-	if _, ok := IndexEntryFor(tup, 5, 0); ok {
-		t.Errorf("out of range attribute: want !ok")
+	if _, err := DecodeIndexEntry(append(rec, 0)); err == nil {
+		t.Errorf("long record: want error")
 	}
 }
 
-func TestCompareEntries(t *testing.T) {
-	a := IndexEntry{A: 1, B: 1, C: 2, D: 4}
-	b := IndexEntry{A: 1, B: 2, C: 2, D: 4}
-	c := IndexEntry{A: 1, B: 1, C: 1, D: 5}
-	if CompareEntries(a, b) != 0 {
-		t.Errorf("Definition 3.1 order must ignore B and C")
-	}
-	if CompareEntriesTotal(a, b) >= 0 {
-		t.Errorf("total order must break ties by B")
-	}
-	if CompareEntries(a, c) >= 0 || CompareEntries(c, a) <= 0 {
-		t.Errorf("support end must order entries with equal begin")
+// appendIndexEntries appends one entry per tid through the logged path.
+func appendIndexEntries(t *testing.T, h *HeapFile, tids ...uint64) {
+	t.Helper()
+	for _, tid := range tids {
+		if err := h.AppendRaw(AppendIndexEntry(nil, tid)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -66,35 +39,28 @@ func TestIndexHeapAppendAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough entries to span multiple pages (40-byte records, 4 KiB pages).
-	const n = 500
-	for i := 0; i < n; i++ {
-		e := IndexEntry{A: float64(i), B: float64(i), C: float64(i), D: float64(i + 1), Tid: uint64(i)}
-		if err := h.AppendIndexEntry(e); err != nil {
-			t.Fatal(err)
-		}
+	// Enough entries to span multiple pages (10 bytes a record with its
+	// length prefix).
+	const n = 2000
+	tids := make([]uint64, n)
+	for i := range tids {
+		tids[i] = uint64(n - 1 - i)
 	}
+	appendIndexEntries(t, h, tids...)
 	if h.NumPages() < 2 {
 		t.Fatalf("want multiple pages, got %d", h.NumPages())
 	}
-	all, err := ReadIndexEntries(h, -1)
+	all, err := ReadIndexEntries(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != n {
 		t.Fatalf("read %d entries, want %d", len(all), n)
 	}
-	for i, e := range all {
-		if e.Tid != uint64(i) || e.A != float64(i) {
-			t.Fatalf("entry %d = %+v", i, e)
+	for i, tid := range all {
+		if tid != tids[i] {
+			t.Fatalf("entry %d = %d, want %d", i, tid, tids[i])
 		}
-	}
-	some, err := ReadIndexEntries(h, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(some) != 123 {
-		t.Errorf("bounded read returned %d entries, want 123", len(some))
 	}
 }
 
@@ -113,11 +79,7 @@ func TestIndexHeapSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := h.AppendIndexEntry(IndexEntry{A: float64(i), D: float64(i), Tid: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendIndexEntries(t, h, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +92,16 @@ func TestIndexHeapSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := ReadIndexEntries(h2, -1)
+	all, err := ReadIndexEntries(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 10 {
 		t.Fatalf("recovered %d entries, want 10", len(all))
 	}
-	for i, e := range all {
-		if e.Tid != uint64(i) {
-			t.Fatalf("entry %d = %+v", i, e)
+	for i, tid := range all {
+		if tid != uint64(i) {
+			t.Fatalf("entry %d = %d", i, tid)
 		}
 	}
 }

@@ -77,9 +77,7 @@ func TestCheckpointRecordsSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.AppendIndexEntry(IndexEntry{Tid: 1}); err != nil {
-		t.Fatal(err)
-	}
+	appendIndexEntries(t, ix, 1)
 	gone, err := m.CreateHeap("gone", testSchema())
 	if err != nil {
 		t.Fatal(err)
