@@ -23,7 +23,7 @@ type ExecStats struct {
 	Rules    []string      // planner rewrite rules applied, in order
 	Wall     time.Duration // total evaluation wall time
 	Answer   int           // answer cardinality (after thresholding)
-	Pruned   int64         // rows dropped by WITH D >= thresholding
+	Pruned   int64         // answer rows the WITH cut dropped at the end (not those a floored operator never produced)
 	PoolHits int64         // buffer-pool page hits during the evaluation
 	// PoolMisses counts buffer-pool misses (each one is a physical page
 	// read).

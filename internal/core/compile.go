@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -120,11 +121,12 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			if step.Emit != nil && step.Fold != plan.FoldNone {
 				label += " fold(" + step.Fold.String() + ")"
 			}
-			node := e.newNode("merge-join", label)
+			node := e.newNode("merge-join", label+plan.FloorLabel(step.Floor))
 			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, node, e.workers())
 			if err != nil {
 				return nil, err
 			}
+			kj.Floor = step.Floor.Floor()
 			if step.Emit != nil {
 				emit := make([]int, len(step.Emit))
 				for i, ref := range step.Emit {
@@ -141,8 +143,10 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 			// The outer block gets all but one page of the sort memory
 			// (Section 9), and at least one page.
 			block := max(e.SortMemPages-1, 1) * storage.PageSize
-			node := e.newNode("nl-join", "")
-			cur = e.attach(node, exec.NewBlockNLJoin(cur, next, pp, block, node), cur, next)
+			node := e.newNode("nl-join", strings.TrimPrefix(plan.FloorLabel(step.Floor), " "))
+			nl := exec.NewBlockNLJoin(cur, next, pp, block, node)
+			nl.Floor = step.Floor.Floor()
+			cur = e.attach(node, nl, cur, next)
 		}
 	}
 
@@ -219,18 +223,20 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		if err != nil {
 			return nil, err
 		}
-		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner)
+		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner+plan.FloorLabel(a.Floor))
 		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, terms, node)
 		if err != nil {
 			return nil, err
 		}
-		am.Workers = e.workers()
+		am.Workers, am.Floor = e.workers(), a.Floor.Floor()
 		result = e.attach(node, am, sortedOuter, sortedInner)
 	} else {
 		// No usable merge order (e.g. string attributes): unnested
 		// anti-join by materializing the inner once.
-		node := e.newNode("nl-anti-join", "")
-		result = e.attach(node, exec.NewNLAntiMin(outer, inner, terms, node), outer, inner)
+		node := e.newNode("nl-anti-join", strings.TrimPrefix(plan.FloorLabel(a.Floor), " "))
+		nl := exec.NewNLAntiMin(outer, inner, terms, node)
+		nl.Floor = a.Floor.Floor()
+		result = e.attach(node, nl, outer, inner)
 	}
 	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
 }
@@ -262,12 +268,12 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 			return nil, err
 		}
 	}
-	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s", g.Agg, g.ZRef, g.URef))
+	node := e.newNode("group-agg-join", fmt.Sprintf("%v(%s) by %s%s", g.Agg, g.ZRef, g.URef, plan.FloorLabel(g.Floor)))
 	ga, err := exec.NewGroupAggJoin(sortedOuter, inner, g.URef, g.VRef, g.Op2, g.ZRef, g.Agg, g.YRef, g.CmpOp, node)
 	if err != nil {
 		return nil, err
 	}
-	ga.Workers = e.workers()
+	ga.Workers, ga.Floor = e.workers(), g.Floor.Floor()
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
 }
 

@@ -18,8 +18,10 @@ var updateGolden = flag.Bool("update-golden", false,
 
 // goldenQueries holds one representative query per nesting class of the
 // paper's taxonomy, plus a flat three-way join exercising the cost-based
-// join ordering and a three-level chain exercising the K-level
-// flattening (Theorem 8.1).
+// join ordering, a three-level chain exercising the K-level flattening
+// (Theorem 8.1), and a thresholded JX query whose NEAR filters grade both
+// blocks, so the push-threshold rule has outer tuples to skip and Rng(r)
+// scans to stop.
 var goldenQueries = []struct {
 	name  string
 	query string
@@ -32,6 +34,7 @@ var goldenQueries = []struct {
 	{"jall", `SELECT R.K FROM R WHERE R.B > ALL (SELECT S.B FROM S WHERE S.A = R.A)`},
 	{"chain3", `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A AND S.B IN (SELECT T.B FROM T WHERE T.C = S.A))`},
 	{"flat-join", `SELECT R.K FROM R, T, S WHERE R.A = S.A AND T.B = S.B`},
+	{"jx-with", `SELECT R.K FROM R WHERE R.B NEAR 2 WITHIN TRAP(-4,0,0,4) AND R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A AND S.B NEAR 3 WITHIN TRAP(-4,0,0,4)) WITH D >= 0.5`},
 }
 
 // workQueries holds one query per operator the repository benchmark never

@@ -390,9 +390,10 @@ func (s *Session) txnWrite(name string, h *storage.HeapFile, tuple frel.Tuple) e
 	return nil
 }
 
-// delete removes the tuples of a relation whose condition is satisfied
-// to at least the statement's threshold degree (any positive degree by
-// default). The surviving tuples are rewritten in place.
+// delete removes the tuples of a relation whose condition degree passes
+// the statement's threshold: at least z for WITH D >= z, above z for
+// WITH D > z, any positive degree by default. The surviving tuples are
+// rewritten in place.
 func (s *Session) delete(st *fsql.Delete) error {
 	h, err := s.cat.Relation(st.Table)
 	if err != nil {
@@ -406,7 +407,7 @@ func (s *Session) delete(st *fsql.Delete) error {
 	if err != nil {
 		return err
 	}
-	// Delete when the condition degree reaches the threshold. The tuple's
+	// Delete when the condition degree passes the threshold. The tuple's
 	// own membership degree is not part of the condition, so the program
 	// runs over the tuples at degree 1 (its result is min(D, condition)).
 	batch := make([]frel.Tuple, rel.Len())
@@ -417,7 +418,7 @@ func (s *Session) delete(st *fsql.Delete) error {
 	prog.RunBatch(batch, degs)
 	var kept []frel.Tuple
 	for i, t := range rel.Tuples {
-		if d := degs[i]; !(d > 0 && d >= st.Threshold) {
+		if !st.Threshold.Admits(degs[i]) {
 			kept = append(kept, t)
 		}
 	}

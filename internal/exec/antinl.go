@@ -13,13 +13,20 @@ import (
 //	d′_r = min( r.D, min over all s of 1 − min(µ_S(s), Terms(r, s)) ),
 //
 // MergeAntiMin's degree without the Rng(r) restriction. Still an unnested
-// evaluation — the inner block is not re-evaluated per outer tuple.
+// evaluation — the inner block is not re-evaluated per outer tuple. Like
+// MergeAntiMin it drops an outer tuple whose own degree is below Floor
+// without a scan, and stops a scan once the running minimum is below
+// Floor (at 0 without one).
 type NLAntiMin struct {
 	Outer, Inner Source
 	Terms        *kernel.PairProgram
 
-	// Stats receives the operator's work: every outer×inner pair counts as
-	// one comparison and one degree evaluation (of Terms).
+	// Floor is the least output degree the plan still needs (0: every
+	// positive degree; see plan's push-threshold rule).
+	Floor float64
+
+	// Stats receives the operator's work: every outer×inner pair examined
+	// counts as one comparison and one degree evaluation (of Terms).
 	Stats *OpStats
 }
 
@@ -62,20 +69,23 @@ func (it *nlAntiBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		var pairs int64
 		for _, l := range b {
 			d := l.D
+			if d < j.Floor {
+				continue
+			}
 			for _, r := range it.inner {
 				pairs++
-				g := j.Terms.EvalAnd(l.Values, r.Values)
+				g := j.Terms.EvalAnd(l.Values, r.Values, 0)
 				if r.D < g {
 					g = r.D
 				}
 				if g = 1 - g; g < d {
 					d = g
-					if d == 0 {
+					if d == 0 || d < j.Floor {
 						break
 					}
 				}
 			}
-			if d > 0 {
+			if d > 0 && d >= j.Floor {
 				l.D = d
 				it.out = append(it.out, l)
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -109,14 +110,20 @@ func antiTerms(t testing.TB) (*kernel.PairProgram, refJoinPred) {
 }
 
 // bruteAntiMin is the all-pairs reference of MergeAntiMin over sorted
-// inputs: every outer tuple takes the minimum penalty over all inner
-// tuples whose X supports intersect its own, stopping at zero. It records
-// the work a sweep must report: one comparison and degree evaluation per
-// intersecting pair examined and the Rng(r) length of every outer tuple.
-func bruteAntiMin(r, s *frel.Relation, penalty refJoinPred, st *OpStats) []frel.Tuple {
+// inputs under a floor: every outer tuple takes the minimum penalty over
+// all inner tuples whose X supports intersect its own, stopping at zero
+// or below the floor, and is kept when that minimum is positive and at
+// least the floor. It records the work a sweep must report: one
+// comparison and degree evaluation per intersecting pair examined and the
+// Rng(r) length of every outer tuple, except that an outer tuple whose own
+// degree is below the floor is neither compared nor observed.
+func bruteAntiMin(r, s *frel.Relation, penalty refJoinPred, floor float64, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	for _, l := range r.Tuples {
 		d := l.D
+		if d < floor {
+			continue
+		}
 		var rng int64
 		for _, m := range s.Tuples {
 			if !l.Values[1].Num.Intersects(m.Values[1].Num) {
@@ -127,13 +134,13 @@ func bruteAntiMin(r, s *frel.Relation, penalty refJoinPred, st *OpStats) []frel.
 			st.DegreeEvals.Add(1)
 			if g := penalty(l, m); g < d {
 				d = g
-				if d == 0 {
+				if d == 0 || d < floor {
 					break
 				}
 			}
 		}
 		st.ObserveRng(rng)
-		if d > 0 {
+		if d > 0 && d >= floor {
 			l.D = d
 			out = append(out, l)
 		}
@@ -154,20 +161,25 @@ func TestKernelAntiMinMatchesTuple(t *testing.T) {
 				s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
 			}
 		}
-		sw := NewOpStats("merge-anti-join", "")
 		pp, penalty := antiTerms(t)
-		want := bruteAntiMin(r, s, penalty, sw)
-		for _, workers := range []int{0, 1, 2, 4} {
-			sg := NewOpStats("merge-anti-join", "")
-			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", pp, sg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			am.Workers = workers
-			sameSequence(t, "anti-min", batchDrain(t, am), want)
-			sameWork(t, "anti-min", sg, sw)
-			if kt := sg.KernelTuples.Load(); kt != int64(r.Len()) {
-				t.Errorf("anti-min workers=%d: KernelTuples %d, want %d", workers, kt, r.Len())
+		full := bruteAntiMin(r, s, penalty, 0, NewOpStats("merge-anti-join", ""))
+		for _, floor := range []float64{0, 0.5} {
+			sw := NewOpStats("merge-anti-join", "")
+			want := bruteAntiMin(r, s, penalty, floor, sw)
+			sameSequence(t, "reference", want, thresholded(full, floor))
+			for _, workers := range []int{0, 1, 2, 4, 8} {
+				sg := NewOpStats("merge-anti-join", "")
+				am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", pp, sg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				am.Workers, am.Floor = workers, floor
+				name := fmt.Sprintf("anti-min floor %g workers %d", floor, workers)
+				sameSequence(t, name, batchDrain(t, am), want)
+				sameWork(t, name, sg, sw)
+				if kt := sg.KernelTuples.Load(); kt != int64(r.Len()) {
+					t.Errorf("%s: KernelTuples %d, want %d", name, kt, r.Len())
+				}
 			}
 		}
 	}
@@ -177,7 +189,8 @@ func TestKernelAntiMinMatchesTuple(t *testing.T) {
 // the nested semantics (bruteJA) for every aggregate, for the equality
 // sweep at every worker count and for the nested loop of another
 // correlation operator: same output sequence, bit-identical degrees, and
-// the serial run's work at every worker count.
+// the work groupAggWork predicts, at every worker count. The floor leg
+// must return bruteJA's answer thresholded at the floor.
 func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
@@ -187,31 +200,74 @@ func TestKernelGroupAggMatchesTuple(t *testing.T) {
 		s = sortedRel(t, s, "V")
 		for _, agg := range aggs {
 			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {
-				want := bruteJA(r, s, agg, fuzzy.OpGt, op2).Tuples
-				var s0 *OpStats
-				for _, workers := range []int{0, 1, 2, 4} {
-					st := NewOpStats("group-agg-join", "")
-					j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
-						"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, st)
-					if err != nil {
-						t.Fatal(err)
-					}
-					j.Workers = workers
-					sameSequence(t, "group-agg", batchDrain(t, j), want)
-					if workers == 0 {
-						s0 = st
-					}
-					sameWork(t, "group-agg", st, s0)
-					wantKT := int64(0)
-					if op2 == fuzzy.OpEq {
-						wantKT = int64(r.Len())
-					}
-					if kt := st.KernelTuples.Load(); kt != wantKT {
-						t.Errorf("group-agg op2=%v workers=%d: KernelTuples %d, want %d", op2, workers, kt, wantKT)
+				full := bruteJA(r, s, agg, fuzzy.OpGt, op2).Tuples
+				for _, floor := range []float64{0, 0.5} {
+					want := thresholded(full, floor)
+					sw := NewOpStats("group-agg-join", "")
+					groupAggWork(r, s, agg, op2, floor, sw)
+					for _, workers := range []int{0, 1, 2, 4, 8} {
+						st := NewOpStats("group-agg-join", "")
+						j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
+							"R.U", "S.V", op2, "S.Z", agg, "R.Y", fuzzy.OpGt, st)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.Workers, j.Floor = workers, floor
+						name := fmt.Sprintf("group-agg %v op2 %v floor %g workers %d", agg, op2, floor, workers)
+						sameSequence(t, name, batchDrain(t, j), want)
+						sameWork(t, name, st, sw)
+						wantKT := int64(0)
+						if op2 == fuzzy.OpEq {
+							wantKT = int64(r.Len())
+						}
+						if kt := st.KernelTuples.Load(); kt != wantKT {
+							t.Errorf("%s: KernelTuples %d, want %d", name, kt, wantKT)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// groupAggWork predicts the work of GroupAggJoin over r (its groups are
+// the runs of identical U) and s under a floor: a group with a tuple the
+// floor keeps is built once — one comparison and degree evaluation per
+// inner tuple it examines (those whose V support meets U's for the
+// equality sweep, all of them for the nested loop), which is its Rng
+// observation — and every kept tuple of a group whose aggregate is not
+// NULL costs one more degree evaluation. A group the floor empties costs
+// nothing.
+func groupAggWork(r, s *frel.Relation, agg fuzzy.AggFunc, op2 fuzzy.Op, floor float64, st *OpStats) {
+	for lo := 0; lo < r.Len(); {
+		u := r.Tuples[lo].Values[0]
+		hi, kept := lo, int64(0)
+		for ; hi < r.Len() && r.Tuples[hi].Values[0].Identical(u); hi++ {
+			if r.Tuples[hi].D >= floor {
+				kept++
+			}
+		}
+		if kept > 0 {
+			var n int64
+			empty := true
+			for _, m := range s.Tuples {
+				v := m.Values[0].Num
+				if op2 == fuzzy.OpEq && !v.Intersects(u.Num) {
+					continue
+				}
+				n++
+				if min(m.D, fuzzy.Degree(op2, v, u.Num)) > 0 {
+					empty = false
+				}
+			}
+			st.Comparisons.Add(n)
+			st.DegreeEvals.Add(n)
+			st.ObserveRng(n)
+			if !empty || agg == fuzzy.AggCount {
+				st.DegreeEvals.Add(kept)
+			}
+		}
+		lo = hi
 	}
 }
 

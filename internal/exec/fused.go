@@ -10,8 +10,10 @@ import (
 // Prog, dropping those whose degree is 0. The whole conjunction runs as one
 // kernel.Program loop over each batch, with no per-tuple closure dispatch
 // and counters flushed once per batch; a later conjunct is evaluated only
-// on the tuples the earlier ones kept. The answer's WITH D >= z threshold
-// is not a filter: it is applied to the answer (core's finalizeAnswer).
+// on the tuples the earlier ones kept. The answer's WITH threshold is not
+// applied here: the plan's push-threshold rule hands it to the sweeps
+// above (join steps, anti-join, group-aggregate join) as their Floor, and
+// core's finalizeAnswer applies it to the answer.
 type FusedFilter struct {
 	Src  Source
 	Prog *kernel.Program

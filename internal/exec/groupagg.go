@@ -47,10 +47,17 @@ type GroupAggJoin struct {
 	// 2 the sweep is serial.
 	Workers int
 
+	// Floor is the least output degree the plan still needs (0: every
+	// positive degree; see plan's push-threshold rule). An outer tuple
+	// whose own degree is below it is dropped untouched, and a group
+	// whose every outer tuple is dropped so is never built. The inner
+	// side, the aggregate's member set, never sees the floor.
+	Floor float64
+
 	// Stats receives the operator's work: one comparison and one degree
 	// evaluation per (group, inner tuple) pair examined, one degree
 	// evaluation per outer tuple compared with its group's aggregate, and
-	// each group's candidate scan length as its Rng observation.
+	// each built group's candidate scan length as its Rng observation.
 	Stats *OpStats
 
 	ui, vi, zi, yi int
@@ -105,18 +112,27 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	f := j.Floor
 	degs := make([]float64, len(in.outer))
 	return in.run(j.Workers, func(p partRange) []frel.Tuple {
 		loc := newBatchLocals()
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		set := newMemberSet()
 		var aggVal fuzzy.Trapezoid
-		var aggOK bool
+		var aggOK, built bool
 		for o := p.oLo; o < p.oHi; o++ {
 			r := in.outer[o]
 			u := r.Values[j.ui]
 			if o == p.oLo || !u.Identical(in.outer[o-1].Values[j.ui]) {
-				// A new group: build T′(u) from Rng(u) and aggregate it.
+				built = false // a new group
+			}
+			if r.D < f {
+				continue
+			}
+			if !built {
+				// The group's first tuple the floor keeps: build T′(u)
+				// from Rng(u) and aggregate it.
+				built = true
 				lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
 				win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
 				set.reset()
@@ -150,7 +166,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			degs[o] = d
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f)
 	})
 }
 
@@ -180,6 +196,7 @@ type groupAggBatchIterator struct {
 
 	haveGroup bool
 	groupVal  frel.Value
+	built     bool       // T′(u) of the current group is built
 	set       *memberSet // T′(u) of the current group
 	aggVal    fuzzy.Trapezoid
 	aggOK     bool
@@ -255,9 +272,15 @@ func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		for _, r := range b {
 			u := r.Values[j.ui]
 			if !it.haveGroup || !it.groupVal.Identical(u) {
-				it.computeGroup(u)
 				it.groupVal = u
-				it.haveGroup = true
+				it.haveGroup, it.built = true, false
+			}
+			if r.D < j.Floor {
+				continue
+			}
+			if !it.built {
+				it.computeGroup(u)
+				it.built = true
 			}
 			if !it.aggOK {
 				continue // A′(u) is NULL and the aggregate is not COUNT
@@ -267,7 +290,7 @@ func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			if r.D < d {
 				d = r.D
 			}
-			if d > 0 {
+			if d > 0 && d >= j.Floor {
 				r.D = d
 				it.out = append(it.out, r)
 			}

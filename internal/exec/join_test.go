@@ -337,7 +337,8 @@ func sameMultiset(t *testing.T, name string, got, want []frel.Tuple) {
 // be exactly those whose degree is 0 (Sections 3 and 5). Both relations
 // carry some wide supports, so Rng(r) holds dangling inner tuples the
 // merge skips. The anti-joins must give the same sequence, the joins the
-// same rows, both at bit-identical degrees.
+// same rows, both at bit-identical degrees, with and without a floor, at
+// 1, 2, 4 and 8 workers.
 func TestNestedLoopMatchesMerge(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -351,7 +352,7 @@ func TestNestedLoopMatchesMerge(t *testing.T) {
 		}
 
 		// Anti-join: NOT IN on X with the JALL-style complemented link.
-		terms, _ := antiTerms(t)
+		terms, penalty := antiTerms(t)
 		nlAnti := batchDrain(t, NewNLAntiMin(NewMemSource(r), NewMemSource(s), terms, NewOpStats("nl-anti-join", "")))
 		inD := make(map[string]float64, r.Len())
 		for _, tup := range r.Tuples {
@@ -366,19 +367,6 @@ func TestNestedLoopMatchesMerge(t *testing.T) {
 		if regraded == 0 {
 			t.Fatalf("seed %d: no inner tuple lowered an outer degree: the case proves nothing", seed)
 		}
-		for _, workers := range []int{1, 4} {
-			st := NewOpStats("merge-anti-join", "")
-			am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", terms, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			am.Workers = workers
-			sameSequence(t, "anti-join", batchDrain(t, am), nlAnti)
-			if pairs := int64(r.Len() * s.Len()); st.Comparisons.Load() >= pairs {
-				t.Fatalf("seed %d: the merge anti-join compared all %d pairs", seed, pairs)
-			}
-		}
-
 		// Join: the nested loop's condition is the merge equality followed
 		// by the merge-join's residual.
 		eq := kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
@@ -388,13 +376,87 @@ func TestNestedLoopMatchesMerge(t *testing.T) {
 		if len(nlJoin) == 0 {
 			t.Fatalf("seed %d: the nested-loop join is empty", seed)
 		}
-		for _, workers := range []int{1, 4} {
-			kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0),
-				pairProgram(t, extraSteps()...), NewOpStats("merge-join", ""), workers)
-			if err != nil {
-				t.Fatal(err)
+
+		// The floor leg: with a floor, every operator returns its unfloored
+		// output thresholded at the floor, and counts what the floor
+		// leaves of its work.
+		_, extra := pairExtras(t)
+		for _, floor := range []float64{0, 0.5} {
+			nst := NewOpStats("nl-anti-join", "")
+			nla := NewNLAntiMin(NewMemSource(r), NewMemSource(s), terms, nst)
+			nla.Floor = floor
+			nlAntiF := batchDrain(t, nla)
+			sameSequence(t, "nl-anti-join floor", nlAntiF, thresholded(nlAnti, floor))
+			if want := nlAntiPairs(r, s, penalty, floor); nst.Comparisons.Load() != want || nst.DegreeEvals.Load() != want {
+				t.Errorf("seed %d floor %g: nl-anti-join cmp/deg %d/%d, want %d", seed, floor, nst.Comparisons.Load(), nst.DegreeEvals.Load(), want)
 			}
-			sameMultiset(t, "join", batchDrain(t, kj), nlJoin)
+			sw := NewOpStats("merge-anti-join", "")
+			bruteAntiMin(r, s, penalty, floor, sw)
+			for _, workers := range []int{1, 2, 4, 8} {
+				st := NewOpStats("merge-anti-join", "")
+				am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", terms, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				am.Workers, am.Floor = workers, floor
+				sameSequence(t, "anti-join", batchDrain(t, am), nlAntiF)
+				sameWork(t, "anti-join", st, sw)
+				if pairs := int64(r.Len() * s.Len()); st.Comparisons.Load() >= pairs {
+					t.Fatalf("seed %d: the merge anti-join compared all %d pairs", seed, pairs)
+				}
+			}
+
+			jst := NewOpStats("nl-join", "")
+			nlj := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 4096, jst)
+			nlj.Floor = floor
+			nlJoinF := batchDrain(t, nlj)
+			sameSequence(t, "nl-join floor", nlJoinF, thresholded(nlJoin, floor))
+			var evals int64
+			for _, l := range r.Tuples {
+				for _, m := range s.Tuples {
+					if min(l.D, m.D) >= floor {
+						evals++
+					}
+				}
+			}
+			if pairs := int64(r.Len() * s.Len()); jst.Comparisons.Load() != pairs || jst.DegreeEvals.Load() != evals {
+				t.Errorf("seed %d floor %g: nl-join cmp/deg %d/%d, want %d/%d", seed, floor, jst.Comparisons.Load(), jst.DegreeEvals.Load(), pairs, evals)
+			}
+			sw = NewOpStats("merge-join", "")
+			bruteMergeJoinAt(r, s, fuzzy.Crisp(0), extra, FoldNone, floor, sw)
+			for _, workers := range []int{1, 2, 4, 8} {
+				st := NewOpStats("merge-join", "")
+				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0),
+					pairProgram(t, extraSteps()...), st, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kj.Floor = floor
+				sameMultiset(t, "join", batchDrain(t, kj), nlJoinF)
+				sameWork(t, "join", st, sw)
+			}
 		}
 	}
+}
+
+// nlAntiPairs is the number of pairs NLAntiMin examines under a floor:
+// every inner tuple for each outer tuple the floor keeps, up to the first
+// that drops its running minimum to 0 or below the floor.
+func nlAntiPairs(r, s *frel.Relation, penalty refJoinPred, floor float64) int64 {
+	var n int64
+	for _, l := range r.Tuples {
+		if l.D < floor {
+			continue
+		}
+		d := l.D
+		for _, m := range s.Tuples {
+			n++
+			if g := penalty(l, m); g < d {
+				if d = g; d == 0 || d < floor {
+					break
+				}
+			}
+		}
+	}
+	return n
 }

@@ -13,7 +13,9 @@
 // min distributes over max exactly (both select one of their arguments),
 // so folding at any step of a chain leaves the answer's degrees
 // bit-identical, and the join's output is O(|input|) instead of
-// O(|input| · fanout).
+// O(|input| · fanout). For the same reason a folded pair whose degree
+// before the residual conjuncts is not above its tuple's best so far
+// skips them: min can only lower it, and max ignores a smaller argument.
 //
 // Morsels: a skew range with a huge Rng would idle every other worker for
 // its whole duration if the inputs were cut into a few partitions up
@@ -25,6 +27,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
@@ -63,11 +66,19 @@ type KernelMergeJoin struct {
 	Tol                  fuzzy.Trapezoid
 	Workers              int
 
+	// Floor is the least degree the plan still needs of a row (0: every
+	// positive degree; see plan's push-threshold rule). With a floor the
+	// sweep skips an outer tuple whose own degree is below it, skips a
+	// pair whose inner degree is below it before the band equality, and
+	// skips Extra on a pair already below it.
+	Floor float64
+
 	// Stats receives the join's work: Comparisons counts the
-	// support-intersecting pairs (dangling window tuples are not
-	// compared), each Rng(r) scan length is observed, and DegreeEvals
-	// counts one evaluation per pair for the band equality plus one per
-	// call of Extra.
+	// support-intersecting pairs of every outer tuple the floor does not
+	// skip (dangling window tuples are not compared), each such Rng(r)
+	// scan length is observed, and DegreeEvals counts one evaluation per
+	// pair for the band equality (none for a pair whose inner degree is
+	// below the floor) plus one per call of Extra.
 	Stats *OpStats
 
 	schema *frel.Schema
@@ -155,6 +166,7 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 // sweep joins one morsel.
 func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []frel.Tuple {
 	outer, inner, oKeys, iKeys := in.outer, in.inner, in.oKeys, in.iKeys
+	f := j.Floor
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
 	extra := j.Extra
 	if extra != nil && extra.Len() == 0 {
@@ -167,10 +179,13 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 	emitW := len(j.schema.Attrs)
 	win := keyWindow{start: p.iLo, end: p.iLo}
 	for o := p.oLo; o < p.oHi; o++ {
+		oD := oKeys[o].D
+		if oD < f {
+			continue // every pair of this tuple is below the floor
+		}
 		lo, hi := oKeys[o].Lo, oKeys[o].Hi
 		win.slide(iKeys, p.iHi, lo, hi, j.Tol)
 		lX := outer[o].Values[j.oi].Num
-		oD := oKeys[o].D
 		var rng int64
 		var bestO float64
 		for k := win.start; k < win.end; k++ {
@@ -180,6 +195,9 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 				continue // dangling tuple inside the range
 			}
 			rng++
+			if iKeys[k].D < f {
+				continue
+			}
 			loc.deg++
 			sX := inner[k].Values[j.ii].Num
 			if !tolZero {
@@ -192,13 +210,26 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 			if iKeys[k].D < d {
 				d = iKeys[k].D
 			}
-			if d > 0 && extra != nil {
+			if extra != nil {
+				// The residual can only lower d: it is skipped when d is
+				// already below the floor or, folding, not above the
+				// folded tuple's best (max would ignore the pair).
+				lim := f
+				switch j.fold {
+				case FoldOuter:
+					lim = max(lim, math.Nextafter(bestO, 2))
+				case FoldInner:
+					lim = max(lim, math.Nextafter(best[k], 2))
+				}
+				if d <= 0 || d < lim {
+					continue
+				}
 				loc.deg++
-				if g := extra.EvalAnd(outer[o].Values, inner[k].Values); g < d {
+				if g := extra.EvalAnd(outer[o].Values, inner[k].Values, lim); g < d {
 					d = g
 				}
 			}
-			if d <= 0 {
+			if d <= 0 || d < f {
 				continue
 			}
 			switch j.fold {
@@ -245,9 +276,9 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 	}
 	switch j.fold {
 	case FoldOuter:
-		out = emitCarried(outer[p.oLo:p.oHi], best[p.oLo:p.oHi], j.foldEmit)
+		out = emitCarried(outer[p.oLo:p.oHi], best[p.oLo:p.oHi], j.foldEmit, f)
 	case FoldInner:
-		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit)
+		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit, f)
 	}
 	loc.flush(j.Stats)
 	return out

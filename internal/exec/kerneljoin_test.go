@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -58,30 +59,64 @@ func extraSteps() []kernel.PairStep {
 // evaluation per intersecting pair, one more evaluation per pair that
 // reaches the extra conjuncts, and the Rng(r) length of every outer tuple.
 func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPred, st *OpStats) []frel.Tuple {
+	return bruteMergeJoinAt(r, s, tol, extra, FoldNone, 0, st)
+}
+
+// bruteMergeJoinAt is bruteMergeJoin under a fold side and a floor. Its
+// output is the unfloored join's pairs thresholded at the floor, every
+// degree computed in full; its work is what the floored sweep must count:
+// an outer tuple below the floor is neither compared nor observed, a pair
+// whose inner degree is below it is compared but not evaluated, and the
+// extra conjuncts are not evaluated on a pair already below the floor or,
+// folding, not above its folded tuple's best so far.
+func bruteMergeJoinAt(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPred, fold Fold, floor float64, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
+	bestS := make([]float64, s.Len())
 	for _, l := range r.Tuples {
+		if l.D < floor {
+			continue
+		}
 		lX := l.Values[1].Num
 		var rng int64
-		for _, m := range s.Tuples {
+		var bestO float64
+		for k, m := range s.Tuples {
 			sX := fuzzy.Add(m.Values[1].Num, tol)
 			if !lX.Intersects(sX) {
 				continue
 			}
 			rng++
 			st.Comparisons.Add(1)
+			if m.D < floor {
+				continue
+			}
 			st.DegreeEvals.Add(1)
 			d := fuzzy.Min(l.D, m.D, fuzzy.Eq(lX, sX))
 			if d > 0 && extra != nil {
-				st.DegreeEvals.Add(1)
+				best := map[Fold]float64{FoldOuter: bestO, FoldInner: bestS[k]}[fold]
+				if d >= floor && (fold == FoldNone || d > best) {
+					st.DegreeEvals.Add(1)
+				}
 				if g := extra(l, m); g < d {
 					d = g
 				}
 			}
-			if d > 0 {
+			if d > 0 && d >= floor {
 				out = append(out, l.Concat(m, d))
+				bestO, bestS[k] = max(bestO, d), max(bestS[k], d)
 			}
 		}
 		st.ObserveRng(rng)
+	}
+	return out
+}
+
+// thresholded returns the tuples of ts whose degree is at least floor.
+func thresholded(ts []frel.Tuple, floor float64) []frel.Tuple {
+	var out []frel.Tuple
+	for _, t := range ts {
+		if t.D >= floor {
+			out = append(out, t)
+		}
 	}
 	return out
 }
@@ -99,29 +134,36 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 			s := sortedRel(t, randomRel("S", 80+rng.Intn(120), 80, 6, rng), "X")
 			tol := tols[trial%len(tols)]
 
-			sw := NewOpStats("merge-join", "")
 			var pp *kernel.PairProgram
 			var extra refJoinPred
 			if withExtra {
 				pp, extra = pairExtras(t)
 			}
-			want := bruteMergeJoin(r, s, tol, extra, sw)
-
-			for _, workers := range []int{1, 2, 4, 8} {
-				sk := NewOpStats("merge-join", "")
-				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
-					"R.X", "S.X", tol, pp, sk, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := "merge-join"
-				sameSequence(t, name, batchDrain(t, kj), want)
-				sameWork(t, name, sk, sw)
-				if sk.Morsels.Load() == 0 {
-					t.Errorf("%s: no morsels recorded", name)
-				}
-				if sk.KernelTuples.Load() != int64(r.Len()) {
-					t.Errorf("%s: KernelTuples %d, want %d", name, sk.KernelTuples.Load(), r.Len())
+			full := bruteMergeJoin(r, s, tol, extra, NewOpStats("merge-join", ""))
+			// The floor leg: the floored sweep's output is the full join
+			// thresholded at the floor, and it does the work the reference
+			// predicts for the floor.
+			for _, floor := range []float64{0, 0.5} {
+				sw := NewOpStats("merge-join", "")
+				want := bruteMergeJoinAt(r, s, tol, extra, FoldNone, floor, sw)
+				sameSequence(t, "reference", want, thresholded(full, floor))
+				for _, workers := range []int{1, 2, 4, 8} {
+					sk := NewOpStats("merge-join", "")
+					kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
+						"R.X", "S.X", tol, pp, sk, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kj.Floor = floor
+					name := fmt.Sprintf("merge-join floor %g workers %d", floor, workers)
+					sameSequence(t, name, batchDrain(t, kj), want)
+					sameWork(t, name, sk, sw)
+					if sk.Morsels.Load() == 0 {
+						t.Errorf("%s: no morsels recorded", name)
+					}
+					if sk.KernelTuples.Load() != int64(r.Len()) {
+						t.Errorf("%s: KernelTuples %d, want %d", name, sk.KernelTuples.Load(), r.Len())
+					}
 				}
 			}
 		}
@@ -161,7 +203,7 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				}
 				return batchDrain(t, proj)
 			}
-			kjoin := func(emit []int, fold Fold) ([]frel.Tuple, *OpStats) {
+			kjoin := func(emit []int, fold Fold, floor float64) ([]frel.Tuple, *OpStats) {
 				st := NewOpStats("merge-join", "")
 				pp, _ := pairExtras(t)
 				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s),
@@ -169,15 +211,25 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				kj.Floor = floor
 				if err := kj.EmitColumns(emit, fold); err != nil {
 					t.Fatal(err)
 				}
 				return batchDrain(t, kj), st
 			}
+			// refWork is the work the reference predicts for a fold side
+			// and a floor.
+			refWork := func(fold Fold, floor float64) *OpStats {
+				_, extra := pairExtras(t)
+				st := NewOpStats("merge-join", "")
+				bruteMergeJoinAt(r, s, fuzzy.Crisp(0), extra, fold, floor, st)
+				return st
+			}
 
 			// Columns: R.ID 0, R.X 1, S.ID 2, S.X 3.
-			got, cn := kjoin([]int{2, 0}, FoldNone)
+			got, cn := kjoin([]int{2, 0}, FoldNone, 0)
 			sameSequence(t, "emit mask", got, reference([]string{"S.ID", "R.ID"}, false))
+			sameWork(t, "emit mask", cn, refWork(FoldNone, 0))
 
 			for _, fc := range []struct {
 				name   string
@@ -190,21 +242,29 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 				{"fold inner", FoldInner, []int{2}, []string{"S.ID"}, s},
 				{"fold outer, no columns", FoldOuter, []int{}, []string{}, r},
 			} {
-				rows, ck := kjoin(fc.emit, fc.fold)
-				if len(rows) > fc.folded.Len() {
-					t.Fatalf("%s: %d rows for %d tuples of the folded input", fc.name, len(rows), fc.folded.Len())
+				for _, floor := range []float64{0, 0.5} {
+					rows, ck := kjoin(fc.emit, fc.fold, floor)
+					if len(rows) > fc.folded.Len() {
+						t.Fatalf("%s: %d rows for %d tuples of the folded input", fc.name, len(rows), fc.folded.Len())
+					}
+					schema := &frel.Schema{}
+					for range fc.emit {
+						schema.Attrs = append(schema.Attrs, frel.Attribute{Name: "ID", Kind: frel.KindNumber})
+					}
+					folded := &frel.Relation{Schema: schema, Tuples: rows}
+					folded.DedupMax()
+					want := thresholded(reference(fc.refs, true), floor)
+					if !folded.Equal(&frel.Relation{Schema: schema, Tuples: want}, 0) {
+						t.Fatalf("%s (workers %d floor %g): folded answer differs from the reference:\n%v\nwant\n%v", fc.name, workers, floor, folded.Tuples, want)
+					}
+					// A fold skips the residual of a pair that cannot raise
+					// its tuple's best: less work than the pairs, exactly
+					// what the reference predicts.
+					sameWork(t, fc.name, ck, refWork(fc.fold, floor))
+					if floor == 0 && ck.DegreeEvals.Load() >= cn.DegreeEvals.Load() {
+						t.Errorf("%s: the fold evaluated %d degrees, the pairs %d", fc.name, ck.DegreeEvals.Load(), cn.DegreeEvals.Load())
+					}
 				}
-				schema := &frel.Schema{}
-				for range fc.emit {
-					schema.Attrs = append(schema.Attrs, frel.Attribute{Name: "ID", Kind: frel.KindNumber})
-				}
-				folded := &frel.Relation{Schema: schema, Tuples: rows}
-				folded.DedupMax()
-				want := reference(fc.refs, true)
-				if !folded.Equal(&frel.Relation{Schema: schema, Tuples: want}, 0) {
-					t.Fatalf("%s (workers %d): folded answer differs from the reference:\n%v\nwant\n%v", fc.name, workers, folded.Tuples, want)
-				}
-				sameWork(t, fc.name, ck, cn)
 			}
 		}
 	}

@@ -47,7 +47,12 @@ func checkJoinAttrs(outer, inner Source, outerAttr, innerAttr string) (oi, ii in
 // penalty of 1 by construction — their equi-join degree is 0 — so scanning
 // only Rng(r) with the merge cursor computes the same minimum the GROUPBY
 // R.K / MIN(D) query computes over all of S. Outer tuples whose final
-// degree is 0 are dropped.
+// degree is 0 or below Floor are dropped.
+//
+// A running minimum only falls, so the scan of Rng(r) stops as soon as it
+// is below Floor (at 0 without one): r is dropped whatever the rest of
+// Rng(r) holds. An outer tuple whose own degree is below Floor is
+// dropped without a scan.
 type MergeAntiMin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
@@ -56,9 +61,14 @@ type MergeAntiMin struct {
 	// Workers is the sweep's worker count; below 2 the sweep is serial.
 	Workers int
 
+	// Floor is the least output degree the plan still needs (0: every
+	// positive degree; see plan's push-threshold rule).
+	Floor float64
+
 	// Stats receives the operator's work: the support-intersecting pairs
-	// as Comparisons, one degree evaluation (of Terms) per pair, and each
-	// Rng(r) scan length.
+	// examined before the scan stops as Comparisons, one degree evaluation
+	// (of Terms) per such pair, and the Rng(r) scan length of every outer
+	// tuple the floor does not drop outright.
 	Stats *OpStats
 
 	oi, ii int
@@ -88,20 +98,24 @@ func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 // Open implements Source: the flat-column, morsel-scheduled sweep (see
 // sweep.go). Each morsel keeps the running minimum of its outer
 // tuples in place and emits every outer tuple whose minimum stays
-// positive, in the outer input's order.
+// positive and at least Floor, in the outer input's order.
 func (j *MergeAntiMin) Open() (BatchIterator, error) {
 	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Stats)
 	if err != nil {
 		return nil, err
 	}
+	f := j.Floor
 	degs := make([]float64, len(in.outer))
 	return in.run(j.Workers, func(p partRange) []frel.Tuple {
 		loc := newBatchLocals()
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		for o := p.oLo; o < p.oHi; o++ {
+			d := in.oKeys[o].D
+			if d < f {
+				continue
+			}
 			lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
 			win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
-			d := in.oKeys[o].D
 			var rng int64
 			for k := win.start; k < win.end; k++ {
 				if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
@@ -109,13 +123,13 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 				}
 				rng++
 				loc.deg++
-				g := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values)
+				g := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values, 0)
 				if in.iKeys[k].D < g {
 					g = in.iKeys[k].D
 				}
 				if g = 1 - g; g < d {
 					d = g
-					if d == 0 {
+					if d == 0 || d < f {
 						break
 					}
 				}
@@ -124,6 +138,6 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			degs[o] = d
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f)
 	})
 }

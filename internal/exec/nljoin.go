@@ -23,8 +23,13 @@ type BlockNLJoin struct {
 	On           *kernel.PairProgram // empty: every pair joins
 	BlockBytes   int                 // outer block budget; default one page
 
+	// Floor is the least degree the plan still needs of a row (0: every
+	// positive degree; see plan's push-threshold rule). A pair whose
+	// min(outer.D, inner.D) is already below it skips On.
+	Floor float64
+
 	// Stats receives the join's work: every outer×inner pair counts as one
-	// comparison and one degree evaluation (one call of On).
+	// comparison, and every call of On as one degree evaluation.
 	Stats *OpStats
 
 	schema *frel.Schema
@@ -106,7 +111,7 @@ func (it *nlBatchIterator) fillBlock() bool {
 func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	j := it.join
 	it.out = it.out[:0]
-	var pairs int64
+	var pairs, evals int64
 	for it.err == nil && len(it.out) < BatchSize {
 		if it.inner == nil {
 			if !it.fillBlock() {
@@ -135,14 +140,15 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 			l := it.block[it.blockPos]
 			it.blockPos++
 			pairs++
-			d := j.On.EvalAnd(l.Values, r.Values)
-			if l.D < d {
-				d = l.D
+			d := min(l.D, r.D)
+			if d < j.Floor {
+				continue
 			}
-			if r.D < d {
-				d = r.D
+			evals++
+			if g := j.On.EvalAnd(l.Values, r.Values, j.Floor); g < d {
+				d = g
 			}
-			if d > 0 {
+			if d > 0 && d >= j.Floor {
 				it.out = append(it.out, l.Concat(r, d))
 			}
 		}
@@ -152,7 +158,7 @@ func (it *nlBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 		}
 	}
 	j.Stats.Comparisons.Add(pairs)
-	j.Stats.DegreeEvals.Add(pairs)
+	j.Stats.DegreeEvals.Add(evals)
 	return it.out, len(it.out) > 0
 }
 

@@ -36,7 +36,7 @@ type OpStats struct {
 	RowsOut     atomic.Int64 // tuples produced (counted by the Stated wrapper)
 	Comparisons atomic.Int64 // support-intersecting pairs examined
 	DegreeEvals atomic.Int64 // membership degree evaluations
-	Pruned      atomic.Int64 // tuples dropped by a WITH D >= threshold
+	Pruned      atomic.Int64 // answer tuples the WITH cut dropped at the end
 
 	// Rng(r) scan lengths: for each outer tuple of a merge join, the
 	// number of inner tuples whose supports intersect it (the paper's

@@ -178,13 +178,14 @@ func (w *keyWindow) slide(keys []frel.SupportKey, limit int, lo, hi float64, tol
 
 // emitCarried builds the output of a sweep that reduced one degree per
 // tuple of an input: one row, at that degree, for every tuple whose degree
-// is positive. With a nil emit mask a row is the tuple itself (its values
-// are shared, not copied); otherwise it holds the masked columns, written
-// into one arena. Both allocations are sized by the rows that survive.
-func emitCarried(tuples []frel.Tuple, degs []float64, emit []int) []frel.Tuple {
+// is positive and at least floor. With a nil emit mask a row is the tuple
+// itself (its values are shared, not copied); otherwise it holds the
+// masked columns, written into one arena. Both allocations are sized by
+// the rows that survive.
+func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64) []frel.Tuple {
 	n := 0
 	for _, d := range degs {
-		if d > 0 {
+		if d > 0 && d >= floor {
 			n++
 		}
 	}
@@ -197,7 +198,7 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int) []frel.Tuple {
 		arena = make([]frel.Value, 0, n*len(emit))
 	}
 	for i, d := range degs {
-		if d <= 0 {
+		if d <= 0 || d < floor {
 			continue
 		}
 		vals := tuples[i].Values

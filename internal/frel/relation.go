@@ -1,7 +1,9 @@
 package frel
 
 import (
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -64,14 +66,47 @@ func (r *Relation) DedupMax() {
 	r.Tuples = append(r.Tuples[:0], set.Tuples()...)
 }
 
-// Threshold removes tuples whose membership degree is below z, the effect
-// of a WITH D >= z clause. Tuples with D <= 0 are never part of a fuzzy
-// relation, so Threshold(0) (the implicit clause of every query) removes
-// exactly those.
-func (r *Relation) Threshold(z float64) {
+// Cut is the threshold of a WITH clause: D >= Z, or D > Z when Strict.
+// The zero Cut is the implicit clause of every query, which keeps every
+// tuple of positive degree.
+type Cut struct {
+	Z      float64
+	Strict bool
+}
+
+// Floor returns the least degree the cut admits: Z, or for a strict cut
+// the next float64 above Z. A float64 d exceeds Z exactly when d >= the
+// next float64 above Z, so whoever compares degrees with Floor drops
+// exactly what the cut drops, whichever operator the clause was written
+// with.
+func (c Cut) Floor() float64 {
+	if c.Strict {
+		return math.Nextafter(c.Z, math.Inf(1))
+	}
+	return c.Z
+}
+
+// Admits reports whether a tuple of degree d survives the cut. A degree
+// of 0 or below never does.
+func (c Cut) Admits(d float64) bool { return d > 0 && d >= c.Floor() }
+
+// String renders the cut as a WITH clause writes it after D, with the
+// shortest decimal that parses back to Z: ">= 0.5" or "> 0.5".
+func (c Cut) String() string {
+	op := ">="
+	if c.Strict {
+		op = ">"
+	}
+	return op + " " + strconv.FormatFloat(c.Z, 'g', -1, 64)
+}
+
+// Threshold removes the tuples the cut does not admit, the effect of a
+// WITH clause. Tuples with D <= 0 are never part of a fuzzy relation, so
+// the zero Cut removes exactly those.
+func (r *Relation) Threshold(c Cut) {
 	out := r.Tuples[:0]
 	for _, t := range r.Tuples {
-		if t.D > 0 && t.D >= z {
+		if c.Admits(t.D) {
 			out = append(out, t)
 		}
 	}

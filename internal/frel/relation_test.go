@@ -1,6 +1,7 @@
 package frel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/fuzzy"
@@ -61,15 +62,56 @@ func TestThreshold(t *testing.T) {
 		NewTuple(0.3, Crisp(2)),
 		NewTuple(0.6, Crisp(3)),
 	)
-	r.Threshold(0.5)
+	r.Threshold(Cut{Z: 0.5})
 	if r.Len() != 1 || r.Tuples[0].Values[0].Num.A != 3 {
-		t.Errorf("Threshold(0.5) = %v", r.Tuples)
+		t.Errorf("Threshold(>= 0.5) = %v", r.Tuples)
 	}
 
 	r2 := xRel(NewTuple(0, Crisp(1)), NewTuple(0.001, Crisp(2)))
-	r2.Threshold(0)
+	r2.Threshold(Cut{})
 	if r2.Len() != 1 {
-		t.Errorf("Threshold(0) should drop D=0 tuples, got %v", r2.Tuples)
+		t.Errorf("Threshold(>= 0) should drop D=0 tuples, got %v", r2.Tuples)
+	}
+}
+
+// TestCutStrictness: a tuple at exactly z survives D >= z and not D > z,
+// and Floor turns either cut into one ">=" comparison that agrees with
+// Admits at z, just below it and just above it.
+func TestCutStrictness(t *testing.T) {
+	for _, z := range []float64{0.5, 0.1, 1} {
+		below, above := math.Nextafter(z, 0), math.Nextafter(z, 2)
+		for _, c := range []struct {
+			cut                 Cut
+			atZ, belowZ, aboveZ bool
+		}{
+			{Cut{Z: z}, true, false, true},
+			{Cut{Z: z, Strict: true}, false, false, true},
+		} {
+			for _, d := range []struct {
+				d    float64
+				want bool
+			}{{z, c.atZ}, {below, c.belowZ}, {above, c.aboveZ}} {
+				if got := c.cut.Admits(d.d); got != d.want {
+					t.Errorf("%v admits %v: %v, want %v", c.cut, d.d, got, d.want)
+				}
+				if got := d.d > 0 && d.d >= c.cut.Floor(); got != d.want {
+					t.Errorf("%v: %v >= Floor() %v is %v, want %v", c.cut, d.d, c.cut.Floor(), got, d.want)
+				}
+			}
+		}
+	}
+	r := xRel(NewTuple(0.5, Crisp(1)), NewTuple(0.7, Crisp(2)))
+	r.Threshold(Cut{Z: 0.5, Strict: true})
+	if r.Len() != 1 || r.Tuples[0].D != 0.7 {
+		t.Errorf("Threshold(> 0.5) = %v", r.Tuples)
+	}
+	if (Cut{}).Admits(0) || !(Cut{Strict: true}).Admits(math.SmallestNonzeroFloat64) {
+		t.Error("the trivial cuts must keep exactly the positive degrees")
+	}
+	z := 0.1
+	z += 0.2 // 0.30000000000000004: the rendering must not round it
+	if got := (Cut{Z: z, Strict: true}).String(); got != "> 0.30000000000000004" {
+		t.Errorf("String() = %q", got)
 	}
 }
 

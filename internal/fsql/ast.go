@@ -8,7 +8,7 @@
 //	FROM rel [alias], ...
 //	[WHERE p1 AND p2 AND ...]            conjunctive fuzzy predicates
 //	[GROUPBY attr, ...] [HAVING ...]     (also spelled GROUP BY)
-//	[WITH D >= z]                        answer-degree threshold
+//	[WITH D >= z | WITH D > z]           answer-degree threshold
 //
 // Predicates: X op Y; X [NOT] IN (subquery); X op ALL|ANY|SOME (subquery);
 // X op (SELECT AGG(Y) ...). Operands are attribute references, numbers,
@@ -43,7 +43,7 @@ type Select struct {
 	Where    []Predicate // conjunction
 	GroupBy  []string
 	Having   []Predicate // conjunction
-	With     float64     // answer threshold z of WITH D >= z; 0 if absent
+	With     frel.Cut    // answer threshold of WITH D >= z or D > z; zero if absent
 	HasWith  bool
 
 	// ORDER BY: either the membership degree "D" or an attribute
@@ -261,7 +261,7 @@ func (s *Select) String() string {
 		}
 	}
 	if s.HasWith {
-		fmt.Fprintf(&b, " WITH D >= %g", s.With)
+		b.WriteString(" WITH D " + s.With.String())
 	}
 	if s.OrderBy != "" {
 		b.WriteString(" ORDER BY " + s.OrderBy)
@@ -429,7 +429,7 @@ func (ins *Insert) String() string {
 type Delete struct {
 	Table     string
 	Where     []Predicate // conjunction; empty deletes everything
-	Threshold float64     // WITH D >= z on the deletion condition
+	Threshold frel.Cut    // WITH D >= z or D > z on the deletion condition
 }
 
 func (*Delete) stmt() {}
@@ -447,8 +447,8 @@ func (d *Delete) String() string {
 			b.WriteString(p.String())
 		}
 	}
-	if d.Threshold > 0 {
-		fmt.Fprintf(&b, " WITH D >= %g", d.Threshold)
+	if d.Threshold != (frel.Cut{}) {
+		b.WriteString(" WITH D " + d.Threshold.String())
 	}
 	return b.String()
 }

@@ -31,6 +31,7 @@ var fuzzSeeds = []string{
 	`SELECT R.X, COUNT(R.Y) FROM R GROUPBY R.X`,
 	`SELECT R.X FROM R GROUP BY R.X, R.Y HAVING R.X > 3`,
 	`SELECT R.X FROM R WITH D >= 0.5`,
+	`SELECT R.X FROM R WITH D > 0.5`,
 	`SELECT R.X FROM R WHERE R.Y > 1 WITH D >= 0.2 ORDER BY D DESC LIMIT 10`,
 	`SELECT R.X FROM R ORDER BY R.X ASC`,
 	`SELECT R.X FROM R LIMIT 0`,
@@ -41,6 +42,7 @@ var fuzzSeeds = []string{
 	`INSERT INTO M VALUES (201, 'Allen', 24, 'about 25K')`,
 	`INSERT INTO M VALUES (1, TRAP(1,2,3,4)) DEGREE 0.6`,
 	`DELETE FROM W WHERE W.AGE = 'medium young' WITH D >= 0.7`,
+	`DELETE FROM W WHERE W.AGE = 'medium young' WITH D > 0.7`,
 	`DELETE FROM W`,
 	`DEFINE TERM 'medium young' AS TRAP(20, 25, 30, 35)`,
 	`DEFINE TERM 'young' AS ABOUT(25, 10)`,

@@ -318,21 +318,11 @@ func (p *parser) parseSelect() (*Select, error) {
 		if err := p.expectKw("D"); err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tokOp || (p.tok.text != ">=" && p.tok.text != ">") {
-			return nil, fmt.Errorf("fsql: WITH clause expects D >= z, got %s", p.tok)
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		z, err := p.number()
+		cut, err := p.withThreshold()
 		if err != nil {
 			return nil, err
 		}
-		if z < 0 || z > 1 {
-			return nil, fmt.Errorf("fsql: WITH threshold %g out of [0, 1]", z)
-		}
-		sel.With = z
-		sel.HasWith = true
+		sel.With, sel.HasWith = cut, true
 	}
 	if ok, err := p.acceptKw("ORDER"); err != nil {
 		return nil, err
@@ -398,22 +388,32 @@ func (p *parser) parseDelete() (Statement, error) {
 		if err := p.expectKw("D"); err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tokOp || (p.tok.text != ">=" && p.tok.text != ">") {
-			return nil, fmt.Errorf("fsql: WITH clause expects D >= z, got %s", p.tok)
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		z, err := p.number()
+		cut, err := p.withThreshold()
 		if err != nil {
 			return nil, err
 		}
-		if z < 0 || z > 1 {
-			return nil, fmt.Errorf("fsql: WITH threshold %g out of [0, 1]", z)
-		}
-		del.Threshold = z
+		del.Threshold = cut
 	}
 	return del, nil
+}
+
+// withThreshold parses the rest of a WITH D clause: >= z, or > z (strict).
+func (p *parser) withThreshold() (frel.Cut, error) {
+	if p.tok.kind != tokOp || (p.tok.text != ">=" && p.tok.text != ">") {
+		return frel.Cut{}, fmt.Errorf("fsql: WITH clause expects D >= z or D > z, got %s", p.tok)
+	}
+	strict := p.tok.text == ">"
+	if err := p.advance(); err != nil {
+		return frel.Cut{}, err
+	}
+	z, err := p.number()
+	if err != nil {
+		return frel.Cut{}, err
+	}
+	if z < 0 || z > 1 {
+		return frel.Cut{}, fmt.Errorf("fsql: WITH threshold %g out of [0, 1]", z)
+	}
+	return frel.Cut{Z: z, Strict: strict}, nil
 }
 
 func (p *parser) parseOptGroupBy() ([]string, error) {

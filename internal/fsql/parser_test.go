@@ -174,11 +174,11 @@ func TestParseNotBacktrack(t *testing.T) {
 
 func TestParseWithClause(t *testing.T) {
 	q := mustQuery(t, `SELECT R.X FROM R WITH D >= 0.5`)
-	if !q.HasWith || q.With != 0.5 {
+	if !q.HasWith || q.With != (frel.Cut{Z: 0.5}) {
 		t.Errorf("with = %v %v", q.HasWith, q.With)
 	}
 	q = mustQuery(t, `SELECT R.X FROM R WITH D > 0`)
-	if !q.HasWith || q.With != 0 {
+	if !q.HasWith || q.With != (frel.Cut{Strict: true}) {
 		t.Errorf("with = %v %v", q.HasWith, q.With)
 	}
 	if _, err := ParseQuery(`SELECT R.X FROM R WITH D >= 1.5`); err == nil {
@@ -608,7 +608,7 @@ func TestParseDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	del := st.(*Delete)
-	if del.Table != "W" || len(del.Where) != 1 || del.Threshold != 0.7 {
+	if del.Table != "W" || len(del.Where) != 1 || del.Threshold != (frel.Cut{Z: 0.7}) {
 		t.Errorf("delete = %+v", del)
 	}
 	st, err = ParseStatement(`DELETE FROM W`)
@@ -616,7 +616,7 @@ func TestParseDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	del = st.(*Delete)
-	if del.Table != "W" || len(del.Where) != 0 || del.Threshold != 0 {
+	if del.Table != "W" || len(del.Where) != 0 || del.Threshold != (frel.Cut{}) {
 		t.Errorf("delete = %+v", del)
 	}
 	// Round trip.
@@ -626,6 +626,42 @@ func TestParseDelete(t *testing.T) {
 	}
 	if _, err := ParseStatement(`DELETE W`); err == nil {
 		t.Errorf("missing FROM: want error")
+	}
+}
+
+// TestWithStrictnessRoundTrip: WITH D > z stays strict through String and
+// a re-parse, for SELECT and DELETE, and the threshold renders with every
+// digit it needs to parse back to the same float64.
+func TestWithStrictnessRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		`SELECT R.X FROM R WITH D > 0.5`,
+		`SELECT R.X FROM R WITH D >= 0.5`,
+		`SELECT R.X FROM R WITH D > 0.30000000000000004`,
+		`DELETE FROM W WHERE W.A = 1 WITH D > 0.5`,
+		`DELETE FROM W WHERE W.A = 1 WITH D >= 0.5`,
+		`DELETE FROM W WITH D > 0`,
+	} {
+		st, err := ParseStatement(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := st.String(); got != src {
+			t.Errorf("String() = %q, want %q", got, src)
+		}
+		st2, err := ParseStatement(st.String())
+		if err != nil {
+			t.Fatalf("%s: re-parse: %v", src, err)
+		}
+		var a, b frel.Cut
+		switch x := st.(type) {
+		case *Select:
+			a, b = x.With, st2.(*Select).With
+		case *Delete:
+			a, b = x.Threshold, st2.(*Delete).Threshold
+		}
+		if a != b || a.Strict != strings.Contains(src, "D > ") {
+			t.Errorf("%s: cut %+v, re-parsed %+v", src, a, b)
+		}
 	}
 }
 

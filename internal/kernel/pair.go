@@ -125,15 +125,18 @@ func CompilePair(steps []PairStep) (*PairProgram, error) {
 }
 
 // EvalAnd returns the min-combined conjunction degree over a pair of value
-// rows: 1 for the empty conjunction, and 0 as soon as a conjunct drops it
-// there (later conjuncts cannot raise a minimum). Operators charge one
-// degree evaluation per call, whatever the number of conjuncts.
-func (p *PairProgram) EvalAnd(l, r []frel.Value) float64 {
+// rows, 1 for the empty conjunction. Later conjuncts cannot raise a
+// minimum, so it stops as soon as the running minimum is 0 or below
+// floor: a result at or above floor is the conjunction's exact degree, a
+// result below it only says the degree is below it too. Pass floor 0 for
+// the exact degree. Operators charge one degree evaluation per call,
+// whatever the number of conjuncts.
+func (p *PairProgram) EvalAnd(l, r []frel.Value, floor float64) float64 {
 	d := 1.0
 	for _, step := range p.steps {
 		if g := step(l, r); g < d {
 			d = g
-			if d <= 0 {
+			if d <= 0 || d < floor {
 				break
 			}
 		}

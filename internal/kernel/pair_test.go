@@ -17,7 +17,7 @@ func TestPairBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prog.EvalAnd(l, r)
+		got := prog.EvalAnd(l, r, 0)
 		want := frel.Degree(op, l[0], r[0])
 		if got != want {
 			t.Errorf("%v: compiled %v, interpreted %v", op, got, want)
@@ -28,7 +28,7 @@ func TestPairBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.EvalAnd(l, r); got != 1 {
+	if got := sp.EvalAnd(l, r, 0); got != 1 {
 		t.Errorf("ann <> bob: %v, want 1", got)
 	}
 	// Constants and the right-side NEAR form.
@@ -36,7 +36,7 @@ func TestPairBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := np.EvalAnd(l, r)
+	got := np.EvalAnd(l, r, 0)
 	if want := fuzzy.ApproxEq(fuzzy.Crisp(4), fuzzy.Crisp(4), fuzzy.Tolerance(1, 2)); got != want {
 		t.Errorf("NEAR const: %v, want %v", got, want)
 	}
@@ -51,7 +51,7 @@ func TestPairNeg(t *testing.T) {
 	}
 	l := []frel.Value{frel.Crisp(7)}
 	r := []frel.Value{frel.Crisp(3)}
-	if got := prog.EvalAnd(l, r); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
+	if got := prog.EvalAnd(l, r, 0); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
 		t.Errorf("Neg: %v", got)
 	}
 	// NEAR with Neg, string guard included.
@@ -59,7 +59,7 @@ func TestPairNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := np.EvalAnd([]frel.Value{frel.Str("x")}, r); got != 1 {
+	if got := np.EvalAnd([]frel.Value{frel.Str("x")}, r, 0); got != 1 {
 		t.Errorf("Neg NEAR on string: %v, want 1", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestEvalAndShortCircuit(t *testing.T) {
 		t.Fatalf("Len = %d", prog.Len())
 	}
 	l := []frel.Value{frel.Crisp(15)}
-	if d := prog.EvalAnd(l, []frel.Value{frel.Crisp(100)}); d != 0 {
+	if d := prog.EvalAnd(l, []frel.Value{frel.Crisp(100)}, 0); d != 0 {
 		t.Fatalf("short-circuit: d=%v, want 0", d)
 	}
 	// All conjuncts positive: the minimum of every one.
@@ -90,15 +90,28 @@ func TestEvalAndShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, want := two.EvalAnd(l, l), fuzzy.Le(fuzzy.Crisp(15), fuzzy.Tri(0, 10, 20)); d != want || d <= 0 || d >= 1 {
+	if d, want := two.EvalAnd(l, l, 0), fuzzy.Le(fuzzy.Crisp(15), fuzzy.Tri(0, 10, 20)); d != want || d <= 0 || d >= 1 {
 		t.Fatalf("full conjunction: d=%v, want %v", d, want)
 	}
 	empty, err := CompilePair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := empty.EvalAnd(l, l); d != 1 {
+	if d := empty.EvalAnd(l, l, 0); d != 1 {
 		t.Fatalf("empty conjunction: d=%v, want 1", d)
+	}
+	// A floor stops the conjunction once the running minimum (0.5 after the
+	// first conjunct) is below it, before the panicking third conjunct; a
+	// minimum exactly at the floor is not below it and goes on.
+	skip, err := CompilePair([]PairStep{steps[0], steps[2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := skip.EvalAnd(l, l, 0.6); d != 0.5 {
+		t.Fatalf("floor 0.6: d=%v, want the 0.5 it stopped at", d)
+	}
+	if d := two.EvalAnd(l, l, 0.5); d != 0.5 {
+		t.Fatalf("floor at the minimum: d=%v, want 0.5", d)
 	}
 }
 

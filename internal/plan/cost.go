@@ -70,6 +70,7 @@ func (p *Plan) Estimate(opts Options) {
 	in := proj.Input.Est()
 	proj.est = Est{Rows: in.Rows, Cost: in.Cost + in.Rows}
 	p.Root.est = Est{Rows: proj.est.Rows, Cost: proj.est.Cost + proj.est.Rows}
+	p.pushThreshold()
 }
 
 // hasOrderIndex reports whether nd is a plain base-relation scan whose

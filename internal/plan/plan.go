@@ -124,7 +124,7 @@ type Node interface {
 // threshold, ORDER BY, and LIMIT — represented once as part of the
 // Threshold node instead of being copied between query structs.
 type Shape struct {
-	With      float64
+	With      frel.Cut
 	OrderBy   string
 	OrderDesc bool
 	Limit     int
@@ -200,6 +200,10 @@ type JoinStep struct {
 	// (its sort term was elided). Informational for EXPLAIN; execution
 	// re-checks index freshness itself.
 	LeftIndexed, RightIndexed bool
+	// Floor is the answer threshold pushed into the step (the zero Cut:
+	// none): the step may drop every row the threshold would drop (see
+	// pushThreshold).
+	Floor frel.Cut
 }
 
 // HomedPred is a join predicate with the inputs it references.
@@ -310,6 +314,10 @@ type AntiJoin struct {
 	// false selects the nested-loop anti-join fallback.
 	RangeOuter, RangeInner string
 	RangeFound             bool
+	// Floor is the answer threshold pushed into the anti-join's output
+	// (see pushThreshold); its inner side, which enters as 1 − µS, never
+	// gets one.
+	Floor frel.Cut
 }
 
 func (a *AntiJoin) Kind() string     { return "anti-join" }
@@ -336,6 +344,9 @@ type GroupAgg struct {
 	// shifting the inner correlation attribute.
 	NearShift fuzzy.Trapezoid
 	IsNear    bool
+	// Floor is the answer threshold pushed into the outer side (see
+	// pushThreshold); the aggregate's member set never gets one.
+	Floor frel.Cut
 }
 
 func (g *GroupAgg) Kind() string     { return "group-agg-join" }

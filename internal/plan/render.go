@@ -54,6 +54,7 @@ func (p *Plan) Lines() []string {
 				if step.Fold != FoldNone {
 					algo += " fold(" + step.Fold.String() + ")"
 				}
+				algo += FloorLabel(step.Floor)
 				lines = append(lines, pad+"  ["+algo+"]")
 				walk(j.Inputs[j.Order[k+1]], depth+1)
 			}
@@ -93,9 +94,9 @@ func describe(nd Node) string {
 		if n.RangeFound {
 			alg = "merge " + n.RangeOuter + " = " + n.RangeInner
 		}
-		detail = fmt.Sprintf("[%s] %s", n.Mode, alg)
+		detail = fmt.Sprintf("[%s] %s%s", n.Mode, alg, FloorLabel(n.Floor))
 	case *GroupAgg:
-		detail = fmt.Sprintf("%v(%s) by %s", n.Agg, n.ZRef, n.URef)
+		detail = fmt.Sprintf("%v(%s) by %s%s", n.Agg, n.ZRef, n.URef, FloorLabel(n.Floor))
 	case *UncorrSub:
 		detail = fmt.Sprintf("%v folded vs %s", n.Agg, n.YRef)
 	case *Project:
@@ -104,8 +105,8 @@ func describe(nd Node) string {
 		}
 	case *Threshold:
 		var parts []string
-		if n.Shape.With > 0 {
-			parts = append(parts, fmt.Sprintf("with>=%v", n.Shape.With))
+		if c := n.Shape.With; c.Z > 0 || c.Strict {
+			parts = append(parts, "with"+strings.ReplaceAll(c.String(), " ", ""))
 		}
 		if n.Shape.OrderBy != "" {
 			dir := "asc"

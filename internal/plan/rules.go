@@ -21,6 +21,7 @@ const (
 	RuleUnnestNotExists  = "unnest-not-exists" // NOT EXISTS → anti-join without a link
 	RuleUnnestScalarAgg  = "unnest-scalar-agg" // Theorem 6.1: scalar aggregate → Query JA′/COUNT′
 	RuleFoldUncorrelated = "fold-uncorrelated" // Section 6: uncorrelated subquery → constant
+	RulePushThreshold    = "push-threshold"    // WITH D >= z → operators drop what the threshold drops
 )
 
 // Rewrite applies the unnesting rules to the plan and records the

@@ -389,7 +389,88 @@ func TestShapeOnThresholdNode(t *testing.T) {
 	p := planFor(t, rstCatalog(),
 		`SELECT R.K FROM R WITH D >= 0.5 ORDER BY D DESC LIMIT 3`, Options{})
 	s := p.Root.Shape
-	if s.With != 0.5 || s.OrderBy != "D" || !s.OrderDesc || !s.HasLimit || s.Limit != 3 {
+	if s.With != (frel.Cut{Z: 0.5}) || s.OrderBy != "D" || !s.OrderDesc || !s.HasLimit || s.Limit != 3 {
 		t.Errorf("shape = %+v", s)
 	}
+}
+
+// TestPushThreshold: the push-threshold rule floors every join step, the
+// anti-join and the group-aggregate join of a plain block under WITH, is
+// listed once among the rules and labelled in EXPLAIN, and keeps out of
+// blocks without a threshold, with grouping or aggregate items, and of
+// plans with no operator to floor.
+func TestPushThreshold(t *testing.T) {
+	cut := frel.Cut{Z: 0.5}
+	for _, tc := range []struct {
+		sql    string
+		floors bool
+	}{
+		{`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A) WITH D >= 0.5`, true},
+		{`SELECT R.K FROM R, T, S WHERE R.A = S.A AND T.B = S.B WITH D >= 0.5`, true},
+		{`SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A) WITH D >= 0.5`, true},
+		{`SELECT R.K FROM R WHERE R.B > ALL (SELECT S.B FROM S WHERE S.A = R.A) WITH D >= 0.5`, true},
+		{`SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S WHERE S.A = R.A) WITH D >= 0.5`, true},
+		{`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A)`, false},
+		{`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A) WITH D > 0`, false},
+		{`SELECT R.A, COUNT(R.K) FROM R, S WHERE R.A = S.A GROUPBY R.A WITH D >= 0.5`, false},
+		{`SELECT R.A FROM R, S WHERE R.A = S.A GROUPBY R.A HAVING R.A > 1 WITH D >= 0.5`, false},
+		{`SELECT MAX(R.K) FROM R, S WHERE R.A = S.A WITH D >= 0.5`, false},
+		{`SELECT R.K FROM R WHERE R.A = 3 WITH D >= 0.5`, false},
+		{`SELECT R.K FROM R WHERE R.B >= (SELECT AVG(S.B) FROM S) WITH D >= 0.5`, false},
+	} {
+		p := planFor(t, rstCatalog(), tc.sql, Options{})
+		var got []frel.Cut
+		switch body := p.Proj().Input.(type) {
+		case *Join:
+			for _, st := range body.Steps {
+				got = append(got, st.Floor)
+			}
+		case *AntiJoin:
+			got = append(got, body.Floor)
+		case *GroupAgg:
+			got = append(got, body.Floor)
+		}
+		listed := countRule(p, RulePushThreshold)
+		text := strings.Join(p.Lines(), "\n")
+		if !tc.floors {
+			for _, c := range got {
+				if c != (frel.Cut{}) {
+					t.Errorf("%s: floor %v pushed", tc.sql, c)
+				}
+			}
+			if listed != 0 || strings.Contains(text, "floor(") {
+				t.Errorf("%s: rule listed %d times, EXPLAIN:\n%s", tc.sql, listed, text)
+			}
+			continue
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s: no operator to floor", tc.sql)
+		}
+		for _, c := range got {
+			if c != cut {
+				t.Errorf("%s: floor %v, want %v", tc.sql, c, cut)
+			}
+		}
+		if listed != 1 || strings.Count(text, "floor(0.5)") != len(got) {
+			t.Errorf("%s: rule listed %d times, EXPLAIN:\n%s", tc.sql, listed, text)
+		}
+	}
+	p := planFor(t, rstCatalog(), `SELECT R.K FROM R WHERE R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A) WITH D > 0.5`, Options{})
+	if a := p.Proj().Input.(*AntiJoin); a.Floor != (frel.Cut{Z: 0.5, Strict: true}) {
+		t.Errorf("strict floor = %v", a.Floor)
+	}
+	if text := strings.Join(p.Lines(), "\n"); !strings.Contains(text, "floor(>0.5)") || !strings.Contains(text, "with>0.5") {
+		t.Errorf("strict cut EXPLAIN:\n%s", text)
+	}
+}
+
+// countRule counts the entries of rule in the plan's rule list.
+func countRule(p *Plan, rule string) int {
+	n := 0
+	for _, r := range p.Rules {
+		if r == rule {
+			n++
+		}
+	}
+	return n
 }

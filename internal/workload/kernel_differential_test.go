@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/frel"
@@ -45,14 +43,7 @@ func TestDifferentialKernels(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	stratum := int64(0)
-	if v := os.Getenv("KERNEL_SEED"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad KERNEL_SEED %q: %v", v, err)
-		}
-		stratum = n
-	}
+	stratum := seedStratum(t)
 	for _, class := range Classes {
 		class := class
 		t.Run(class, func(t *testing.T) {
