@@ -43,6 +43,9 @@ const analyzeQuery = `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.
 // sort nodes carrying run/spill statistics.
 func TestExplainAnalyzeCollectsStats(t *testing.T) {
 	env := analyzeEnv(t, 400, 1)
+	// 400 tuples of 128 bytes fit 8 pages of sort memory and would sort
+	// without writing anything; at 4 pages one run reaches disk.
+	env.SortMemPages = 4
 	q, err := fsql.ParseQuery(analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +236,8 @@ func danglingEnv(workers int) *Env {
 
 // TestWorkTotalsInvariant: the environment's running total follows one
 // counting rule, the tree's. For the type N, J, JX and JA queries over data
-// whose sweeps slide over dangling tuples, each run twice (the repeat hits
-// the sort cache), Env.Work's comparisons, degree evaluations, kernel
+// whose sweeps slide over dangling tuples, each run three times (the
+// second admits the orders into the sort cache, the third hits them), Env.Work's comparisons, degree evaluations, kernel
 // tuples and sort-cache hits are the same at 1, 2, 4 and 8 workers, and
 // equal the totals of the same statements' EXPLAIN ANALYZE trees.
 func TestWorkTotalsInvariant(t *testing.T) {
@@ -253,7 +256,7 @@ func TestWorkTotalsInvariant(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			plain, analyzed := danglingEnv(workers), danglingEnv(workers)
 			var tree [4]int64
-			for run := 0; run < 2; run++ {
+			for run := 0; run < 3; run++ {
 				if _, err := plain.EvalUnnested(q); err != nil {
 					t.Fatalf("%s: %v", qs, err)
 				}

@@ -23,6 +23,7 @@ import (
 
 // execPlan compiles and runs a planned query.
 func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
+	defer e.closeStreams(len(e.streams))
 	if p.Strategy == StrategyNaive {
 		return e.EvalNaive(p.Query)
 	}

@@ -191,6 +191,9 @@ func TestSortIntermediateBySize(t *testing.T) {
 		if inMemory := pages == 256; inMemory != (node.SortRuns == 0 && node.SpillBytes == 0) {
 			t.Errorf("sort memory %d pages: runs %d, spill %d B:\n%s", pages, node.SortRuns, node.SpillBytes, es.Plan().Render())
 		}
+		if live := e.cat.Manager().LiveTemps(); live != 0 {
+			t.Errorf("sort memory %d pages: %d temporaries live after the statement", pages, live)
+		}
 		answers = append(answers, rel)
 	}
 	if !answers[0].Equal(answers[1], 0) {

@@ -69,6 +69,11 @@ type Env struct {
 	// invalidation contract. All maps are lazily initialized.
 	sortMem  map[sortKey]*memSortEntry
 	sortHeap map[sortKey]*heapSortEntry
+	sortSeen map[sortKey]uint64 // heap version of an order's first, streamed sort
+
+	// streams are the streamed external sorts of the running evaluation,
+	// closed when it ends (see sortstream.go).
+	streams []*sortedStream
 
 	// ctx, when non-nil, is observed by the leaf scans of every evaluation
 	// (set for the duration of a *Context evaluation call).
@@ -241,6 +246,7 @@ func (e *Env) ReleaseSortCache() {
 	}
 	e.sortHeap = nil
 	e.sortMem = nil
+	e.sortSeen = nil
 }
 
 // source resolves a FROM-clause relation reference to a scan of its
@@ -405,8 +411,10 @@ func (r *renameSource) Schema() *frel.Schema { return r.schema }
 // without re-sorting, a cold sort of a relation carrying a persistent
 // order index on the attribute is served from the index (see indexscan.go)
 // without sorting at all, and any other cold sort is an external sort of
-// the heap. Any other input is sorted in memory when it fits the sort
-// memory and externally otherwise.
+// the heap whose final merge feeds the consumer, written to a cached copy
+// only when the order is requested a second time. Any other input is
+// sorted in memory when it fits the sort memory and externally, streamed
+// the same way, otherwise.
 func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
 	order, err := extsort.OrderBy(src.Schema(), attr, total)
 	if err != nil {
@@ -416,14 +424,15 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	if base := baseScan(src); base != nil {
 		heapBase := base.Heap
 		key := sortKey{heap: heapBase, attr: attrIdx, total: total}
+		version := e.heapVersion(heapBase)
 		// An order loaded from a persistent index lives in the memory
 		// side of the cache; repeat sorts of the unmodified heap replay
 		// it without touching the index again.
-		if ent, ok := e.sortMem[key]; ok && ent.version == e.heapVersion(heapBase) {
+		if ent, ok := e.sortMem[key]; ok && ent.version == version {
 			rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
 			return e.cacheHit(attr, exec.NewKeyedMemSource(rel, ent.keys), src), nil
 		}
-		if ent, ok := e.sortHeap[key]; ok && ent.version == e.heapVersion(heapBase) {
+		if ent, ok := e.sortHeap[key]; ok && ent.version == version {
 			return e.cacheHit(attr, &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}, src), nil
 		}
 		if out, ok, err := e.indexSorted(src, base, attr, order); err != nil {
@@ -433,10 +442,20 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		}
 		// A plain base-heap scan needs no pre-sort spill — the spill would
 		// be a verbatim copy of the heap — so the sorter reads the base
-		// directly, bounded by the scan's snapshot limit. This halves the
-		// write traffic of a cold sort.
-		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
-			return s.SortPrefix(heapBase, base.Limit, order)
+		// directly, bounded by the scan's snapshot limit.
+		if !e.admitHeapSort(key, version) {
+			out, node, err := e.streamSort(attr, src.Schema(), heapBase, base.Limit, order)
+			if err != nil {
+				return nil, err
+			}
+			node.CacheMisses.Add(1)
+			return e.attach(node, exec.WithContext(e.ctx, out), src), nil
+		}
+		var sorted *storage.HeapFile
+		var st extsort.Stats
+		elapsed, err := e.timeSort(func(s *extsort.Sorter) (err error) {
+			sorted, st, err = s.SortPrefix(heapBase, base.Limit, order)
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -444,7 +463,7 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// Keyed by the version the evaluation saw: a bounded snapshot
 		// scan's sorted copy must only serve readers of that snapshot
 		// state, never the live (possibly further-appended) heap.
-		e.storeHeapSort(key, &heapSortEntry{version: e.heapVersion(heapBase), sorted: sorted})
+		e.storeHeapSort(key, &heapSortEntry{version: version, sorted: sorted})
 		// The directly sorted heap carries the base schema; restore the
 		// source's (possibly aliased) schema, as the cache-hit path does.
 		node := e.extsortNode(attr, st, elapsed)
@@ -455,23 +474,21 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 	// Not a base relation: the size of the input decides. One that fits
 	// the sort memory is sorted where it is and served with its key
 	// column, like a cached order; a larger one goes through the external
-	// sorter.
+	// sorter, whose runs hold all of it once they are made.
 	tuples, spilled, err := e.gather(src)
 	if err != nil {
 		return nil, err
 	}
 	if spilled != nil {
-		sorted, st, elapsed, err := e.sortHeapFile(func(s *extsort.Sorter) (*storage.HeapFile, extsort.Stats, error) {
-			return s.Sort(spilled, order)
-		})
+		out, node, err := e.streamSort(attr, src.Schema(), spilled, -1, order)
 		if derr := spilled.Drop(); err == nil && derr != nil {
-			_ = sorted.Drop()
+			out.Close()
 			err = derr
 		}
 		if err != nil {
 			return nil, err
 		}
-		return e.attach(e.extsortNode(attr, st, elapsed), exec.NewHeapSource(sorted), src), nil
+		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 	}
 	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
 	start := time.Now()
@@ -494,21 +511,42 @@ func (e *Env) cacheHit(attr string, out, src exec.Source) exec.Source {
 	return e.attach(node, exec.WithContext(e.ctx, out), src)
 }
 
-// sortHeapFile runs one external sort, accounting its wall time and page
-// I/O to the environment's phases.
-func (e *Env) sortHeapFile(sort func(*extsort.Sorter) (*storage.HeapFile, extsort.Stats, error)) (*storage.HeapFile, extsort.Stats, time.Duration, error) {
+// timeSort runs one external sort (or its run generation and merge
+// passes, for a streamed sort), accounting its wall time and page I/O to
+// the environment's phases.
+func (e *Env) timeSort(sort func(*extsort.Sorter) error) (time.Duration, error) {
 	mgr := e.cat.Manager()
 	sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
 	start := time.Now()
 	iosBefore := mgr.Stats().IO()
-	sorted, st, err := sort(sorter)
-	if err != nil {
-		return nil, st, 0, err
+	if err := sort(sorter); err != nil {
+		return 0, err
 	}
 	elapsed := time.Since(start)
 	e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
 	e.Phases.SortWall += elapsed
-	return sorted, st, elapsed, nil
+	return elapsed, nil
+}
+
+// streamSort sorts the first limit tuples of h (limit < 0: all) up to the
+// final merge and returns that merge as a source of schema, with the sort
+// node its work is counted in. The source is closed, and its runs
+// dropped, when its consumer closes it or at the latest when the
+// evaluation ends.
+func (e *Env) streamSort(attr string, schema *frel.Schema, h *storage.HeapFile, limit int64, order extsort.Order) (*sortedStream, *exec.OpStats, error) {
+	var str *extsort.Stream
+	elapsed, err := e.timeSort(func(s *extsort.Sorter) (err error) {
+		str, err = s.Stream(h, limit, order)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	st := str.Stats()
+	node := e.extsortNode(attr, st, elapsed)
+	out := &sortedStream{e: e, schema: schema, attr: order.Attr, str: str, node: node, counted: st.Comparisons}
+	e.streams = append(e.streams, out)
+	return out, node, nil
 }
 
 // extsortNode returns the stats node of an external sort, its work

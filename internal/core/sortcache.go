@@ -28,11 +28,19 @@ import (
 //   - Only plain scans are cacheable: the source must unwrap to a scan of
 //     the catalog heap itself (no filters or joins in between), since a
 //     filtered stream's sorted order is not the base relation's.
+//   - An external sort is admitted on its second request. The first
+//     request for an order at a given heap version streams the sort's
+//     final merge into its consumer and caches nothing but the version
+//     (sortSeen); the second drains the merge into a sorted heap file and
+//     caches it; later requests hit. A statement that sorts a relation
+//     once, as every statement of a fresh session does, therefore writes
+//     its runs and nothing else. An order served by an index is cached on
+//     its first request, since loading it wrote nothing.
 //
 // Entry counts are bounded by wholesale eviction (sortCacheMaxEntries);
 // sorted heap files belonging to evicted entries are dropped best-effort.
 
-// sortCacheMaxEntries bounds each of the two entry maps; exceeding it
+// sortCacheMaxEntries bounds each of the entry maps; exceeding it
 // wipes the map (simple, and workloads touch few distinct orders).
 const sortCacheMaxEntries = 64
 
@@ -75,6 +83,20 @@ func baseScan(src exec.Source) *exec.HeapSource {
 		return hs
 	}
 	return nil
+}
+
+// admitHeapSort reports whether a cold external sort of the order k at
+// heap version v is to be cached: true when the order was requested at
+// that version before, false (noting the request) for the first.
+func (e *Env) admitHeapSort(k sortKey, v uint64) bool {
+	if seen, ok := e.sortSeen[k]; ok && seen == v {
+		return true
+	}
+	if e.sortSeen == nil || len(e.sortSeen) >= sortCacheMaxEntries {
+		e.sortSeen = make(map[sortKey]uint64)
+	}
+	e.sortSeen[k] = v
+	return false
 }
 
 func (e *Env) storeMemSort(k sortKey, ent *memSortEntry) {

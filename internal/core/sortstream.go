@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/exec"
+	"repro/internal/extsort"
+	"repro/internal/frel"
+)
+
+// sortedStream serves the final merge of an external sort
+// (extsort.Stream) as a keyed source: each batch is decoded from the
+// merged records into a fresh value arena, with the support-key column of
+// the sort attribute beside it, so the sweep's collectSorted takes it as
+// it takes a cached order. The merge runs as the consumer pulls, and its
+// wall time, page I/O and comparisons count toward the sort. A stream
+// can be read once: a second Open is an error, not an empty input.
+type sortedStream struct {
+	e       *Env
+	schema  *frel.Schema
+	attr    int
+	str     *extsort.Stream
+	node    *exec.OpStats
+	counted int64 // comparisons of str already added to node
+	opened  bool
+	closed  bool
+}
+
+func (s *sortedStream) Schema() *frel.Schema { return s.schema }
+
+// Open implements exec.Source.
+func (s *sortedStream) Open() (exec.BatchIterator, error) {
+	if s.opened || s.closed {
+		return nil, fmt.Errorf("core: the external sort of %s on %s was opened twice", s.schema.Name, s.schema.Attrs[s.attr].Name)
+	}
+	s.opened = true
+	return &sortedStreamIterator{s: s, keyed: s.schema.Attrs[s.attr].Kind == frel.KindNumber}, nil
+}
+
+// Close drops the stream's runs and counts the final merge's comparisons.
+// It is idempotent.
+func (s *sortedStream) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	_ = s.str.Close() // dropping a temporary recycles it; nothing to report
+	s.node.Comparisons.Add(s.str.Stats().Comparisons - s.counted)
+}
+
+// closeStreams closes the sorted streams opened since the first from of
+// e.streams, the ones an evaluation whose consumers stopped early (an
+// error, a cancellation) never closed.
+func (e *Env) closeStreams(from int) {
+	for _, s := range e.streams[from:] {
+		s.Close()
+	}
+	clear(e.streams[from:])
+	e.streams = e.streams[:from]
+}
+
+type sortedStreamIterator struct {
+	s      *sortedStream
+	keyed  bool // the sort attribute is numeric: serve its support keys
+	tuples []frel.Tuple
+	keys   []frel.SupportKey
+	err    error
+}
+
+// NextBatch decodes up to one batch of the merge.
+func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
+	s := it.s
+	n := int(min(int64(exec.BatchSize), s.str.Remaining()))
+	if s.closed || it.err != nil || n == 0 {
+		return nil, false
+	}
+	mgr := s.e.cat.Manager()
+	start, ios := time.Now(), mgr.Stats().IO()
+	defer func() {
+		s.e.Phases.SortWall += time.Since(start)
+		s.e.Phases.SortIOs += mgr.Stats().IO() - ios
+	}()
+	width := len(s.schema.Attrs)
+	arena := make([]frel.Value, n*width)
+	it.tuples, it.keys = it.tuples[:0], it.keys[:0]
+	for range n {
+		rec, ok := s.str.Next()
+		if !ok {
+			if it.err = s.str.Err(); it.err == nil {
+				it.err = fmt.Errorf("core: the external sort of %s ended %d records early", s.schema.Name, s.str.Remaining())
+			}
+			return nil, false
+		}
+		t, _, err := frel.DecodeTupleInto(s.schema, rec, arena[:width:width])
+		if err != nil {
+			it.err = err
+			return nil, false
+		}
+		arena = arena[width:]
+		it.tuples = append(it.tuples, t)
+		if it.keyed {
+			lo, hi := t.Values[s.attr].Num.Support()
+			it.keys = append(it.keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
+		}
+	}
+	return it.tuples, true
+}
+
+// Keys implements exec.KeyedBatchIterator: the support keys of the last
+// batch, nil when the sort attribute is not numeric.
+func (it *sortedStreamIterator) Keys() []frel.SupportKey {
+	if !it.keyed {
+		return nil
+	}
+	return it.keys
+}
+
+func (it *sortedStreamIterator) Remaining() int { return int(it.s.str.Remaining()) }
+func (it *sortedStreamIterator) Err() error     { return it.err }
+func (it *sortedStreamIterator) Close()         { it.s.Close() }

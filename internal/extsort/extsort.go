@@ -6,17 +6,22 @@
 // The extended merge-join sorts relations on the Definition 3.1 interval
 // order of the join attribute; as the paper notes (Section 3), comparing
 // two tuples may take two comparisons (begin points, then end points), and
-// the sort is otherwise a standard O(n log n) external sort. With a memory
-// budget comparable to the relation size the sort completes in one merge
-// pass (two I/O passes over the data), matching the paper's linear-I/O
-// assumption.
+// the sort is otherwise a standard O(n log n) external sort. Its last
+// merge pass is not written: Sorter.Stream hands the final merge to the
+// caller a record at a time, and the batch in memory when the input ends
+// takes part in it as the last run without ever reaching disk. An input
+// that fits the sort memory therefore writes nothing, and one of up to
+// about twice the sort memory writes its full runs once and reads them
+// once, the single merge pass of the paper's cost story (Section 9).
+// Sort and SortPrefix are that stream drained into a heap file.
 //
 // The sort moves records, not tuples. Run generation copies the input's
 // encoded records into one arena per run, reads each record's key
-// (frel.DecodeSortKey), stably sorts the key column and writes the records
-// verbatim in key order; the merge keeps one key per run in a binary heap
-// whose ties go to the earlier run. Both steps are stable, so the output
-// is the stable sort of the whole input, whatever the number of runs.
+// (frel.DecodeSortKey), sorts a permutation of the key column by (key,
+// position) and writes the records verbatim in that order; the merge
+// keeps one key per run in a binary heap whose ties go to the earlier
+// run. Both steps are stable, so the output is the stable sort of the
+// whole input, whatever the number of runs.
 package extsort
 
 import (
@@ -107,10 +112,10 @@ func compareStrings(a, b *frel.SortKey) int { return bytes.Compare(a.Str, b.Str)
 // Stats reports the work a sort performed.
 type Stats struct {
 	Tuples      int64 // tuples sorted
-	Runs        int   // initial sorted runs generated
-	MergePasses int   // k-way merge passes over the data
+	Runs        int   // initial sorted runs written to disk
+	MergePasses int   // k-way merge passes over the data, the final one included when it merges runs
 	Comparisons int64 // calls to the order's comparator
-	SpillBytes  int64 // tuple bytes written to temporary run files
+	SpillBytes  int64 // tuple bytes written to run files and merge passes before the final one
 }
 
 // Sorter sorts heap files with a fixed memory budget.
@@ -162,44 +167,136 @@ func (s *Sorter) Sort(src *storage.HeapFile, o Order) (*storage.HeapFile, Stats,
 // (limit < 0 sorts everything). It lets callers sort a base heap in
 // place of a spilled copy — the snapshot bound keeps a reader that
 // captured a committed tuple count from sorting rows appended since.
-// On error every temporary file the sort created is dropped.
+// It is Stream drained into a temporary heap file, which the returned
+// statistics do not count as spill. On error every temporary file the
+// sort created is dropped.
 func (s *Sorter) SortPrefix(src *storage.HeapFile, limit int64, o Order) (*storage.HeapFile, Stats, error) {
-	var st Stats
+	str, err := s.Stream(src, limit, o)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out, err := s.mgr.CreateTemp(src.Schema)
+	if err == nil {
+		_, err = str.m.drain(out)
+	}
+	if cerr := str.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if out != nil {
+			_ = out.Drop()
+		}
+		return nil, str.Stats(), err
+	}
+	return out, str.Stats(), nil
+}
+
+// Stream sorts the first limit tuples of src (limit < 0: all of them) up
+// to its final merge and returns that merge, which the caller pulls a
+// record at a time. The batch being filled when the input ends is sorted
+// and kept in memory as the last run, so an input that fits the sort
+// memory writes nothing; merge passes over the runs on disk run only
+// while the runs, that batch included, exceed the fan-in. The caller
+// must Close the stream, drained or not, to drop its runs. On error
+// every temporary file the sort created is dropped.
+func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, error) {
 	cmp, err := o.comparator(src.Schema)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
-	runs, err := s.makeRuns(src, limit, o.Attr, cmp, &st)
+	str := &Stream{}
+	runs, last, err := s.makeRuns(src, limit, o.Attr, cmp, &str.st)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
-	if len(runs) == 0 {
-		out, err := s.mgr.CreateTemp(src.Schema)
-		return out, st, err
+	// The batch in memory is the last run of the final merge.
+	memRuns := 0
+	if last != nil {
+		memRuns = 1
 	}
-
 	fanIn := max(s.memPages-1, 2)
-	for len(runs) > 1 {
-		st.MergePasses++
+	for len(runs)+memRuns > fanIn {
+		str.st.MergePasses++
 		var next []*storage.HeapFile
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := min(lo+fanIn, len(runs))
-			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, cmp, src.Schema, &st)
+			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, cmp, src.Schema, &str.st)
 			if err != nil {
 				_ = dropAll(runs[lo:])
 				_ = dropAll(next)
-				return nil, st, err
+				return nil, err
 			}
 			next = append(next, merged)
 			if err := dropAll(runs[lo:hi]); err != nil {
 				_ = dropAll(runs[hi:])
 				_ = dropAll(next)
-				return nil, st, err
+				return nil, err
 			}
 		}
 		runs = next
 	}
-	return runs[0], st, nil
+	if len(runs)+memRuns > 1 {
+		str.st.MergePasses++
+	}
+	if str.m, err = newMerger(runs, last, o.Attr, cmp, src.Schema); err != nil {
+		_ = dropAll(runs)
+		return nil, err
+	}
+	str.runs, str.left = runs, str.st.Tuples
+	return str, nil
+}
+
+// Stream is the final merge of a sort: the sorted records, served one at
+// a time by Next. Its runs live until Close.
+type Stream struct {
+	m    *merger // nil once closed
+	runs []*storage.HeapFile
+	st   Stats
+	left int64
+	err  error
+}
+
+// Next returns the next record in sort order. The record aliases the
+// stream's buffers and is valid only until the next Next or Close call.
+// At the end of the stream, or on an error, ok is false; check Err.
+func (s *Stream) Next() (rec []byte, ok bool) {
+	if s.err != nil || s.m == nil {
+		return nil, false
+	}
+	rec, ok, s.err = s.m.next()
+	if ok {
+		s.left--
+	}
+	return rec, ok
+}
+
+// Err returns the error that ended the stream, if any.
+func (s *Stream) Err() error { return s.err }
+
+// Remaining returns the number of records the stream has yet to serve.
+func (s *Stream) Remaining() int64 { return s.left }
+
+// Stats returns the sort's statistics so far: run generation, every merge
+// pass, and the comparisons of the final merge up to the last record
+// served. Runs and SpillBytes count what reached disk only.
+func (s *Stream) Stats() Stats {
+	st := s.st
+	if s.m != nil {
+		st.Comparisons += s.m.heap.comparisons
+	}
+	return st
+}
+
+// Close ends the stream and drops its runs. It is idempotent.
+func (s *Stream) Close() error {
+	if s.m == nil {
+		return nil
+	}
+	s.st.Comparisons += s.m.heap.comparisons
+	s.m = nil
+	err := dropAll(s.runs)
+	s.runs = nil
+	return err
 }
 
 // dropAll drops every file, returning the first error.
@@ -233,11 +330,13 @@ func (b *batch) record(i int32) []byte {
 }
 
 // makeRuns splits src into sorted runs that each fit in the memory budget.
+// Every full batch is written as a run; the batch being filled when the
+// input ends is sorted and returned instead, nil when the input is empty.
 // With parallelism, run sorting and writing overlap the input scan (and
 // each other) on a bounded worker pool; run order, contents, and the
 // comparison count stay identical to the serial execution because batches
-// are cut at the same points and sorted with the same stable sort.
-func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp compareFunc, st *Stats) ([]*storage.HeapFile, error) {
+// are cut at the same points and sorted with the same algorithm.
+func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp compareFunc, st *Stats) ([]*storage.HeapFile, *batch, error) {
 	budget := s.memPages * storage.PageSize
 	// A batch never holds more than the budget plus one record, nor more
 	// than the input: an arena of that size is filled without regrowing.
@@ -258,9 +357,6 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 	b := <-free
 
 	flush := func() error {
-		if len(b.ends) == 0 {
-			return nil
-		}
 		// The run file is created here, in scan order, so the run list is
 		// deterministic; only sorting and writing move to the worker.
 		run, err := s.mgr.CreateTemp(src.Schema)
@@ -295,20 +391,26 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 			err = sc.Err()
 			break
 		}
+		// A full batch is written once the next record shows it is not
+		// the last.
+		if len(b.arena) >= budget {
+			if err = flush(); err != nil {
+				break
+			}
+		}
 		st.Tuples++
 		if b.arena == nil {
 			b.arena = make([]byte, 0, arenaCap)
 		}
 		b.arena = append(b.arena, rec...)
 		b.ends = append(b.ends, len(b.arena))
-		if len(b.arena) >= budget {
-			if err = flush(); err != nil {
-				break
-			}
-		}
 	}
-	if err == nil {
-		err = flush()
+	var last *batch
+	if err == nil && len(b.ends) > 0 {
+		var n int64
+		n, err = b.sort(src.Schema, attr, cmp)
+		comparisons.Add(n)
+		last = b
 	}
 	wg.Wait()
 	st.Comparisons += comparisons.Load()
@@ -317,15 +419,16 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 	}
 	if err != nil {
 		_ = dropAll(runs)
-		return nil, err
+		return nil, nil, err
 	}
-	return runs, nil
+	return runs, last, nil
 }
 
-// writeRun stably sorts the batch's records on their keys of attribute
-// attr and writes them to run in that order, returning the number of
-// comparisons.
-func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int, cmp compareFunc) (int64, error) {
+// sort reads the key of attribute attr of every record of the batch and
+// orders perm by key, ties by position, returning the number of
+// comparisons. Position breaks every tie, so the permutation is the
+// stable sort's, whatever algorithm finds it.
+func (b *batch) sort(schema *frel.Schema, attr int, cmp compareFunc) (int64, error) {
 	b.keys = slices.Grow(b.keys[:0], len(b.ends))
 	b.perm = slices.Grow(b.perm[:0], len(b.ends))
 	for i := range b.ends {
@@ -336,15 +439,32 @@ func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int, c
 		b.keys = append(b.keys, key)
 		b.perm = append(b.perm, int32(i))
 	}
-	// Sorting positions instead of records moves 4 bytes a swap. The
-	// algorithm (insertion-sorted blocks, then symMerge) is the one the
-	// sort package's SliceStable runs, so the permutation and the
-	// comparison count are the ones it would give.
+	return sortPositions(b.perm, b.keys, cmp), nil
+}
+
+// sortPositions orders perm, positions into keys, by (key, position) and
+// returns the number of comparisons. Sorting positions instead of records
+// moves 4 bytes a swap, and with the position as the last key pdqsort
+// (slices.SortFunc) returns the stable permutation.
+func sortPositions(perm []int32, keys []frel.SortKey, cmp compareFunc) int64 {
 	var n int64
-	slices.SortStableFunc(b.perm, func(i, j int32) int {
+	slices.SortFunc(perm, func(i, j int32) int {
 		n++
-		return cmp(&b.keys[i], &b.keys[j])
+		if c := cmp(&keys[i], &keys[j]); c != 0 {
+			return c
+		}
+		return int(i - j)
 	})
+	return n
+}
+
+// writeRun sorts the batch's records on their keys of attribute attr and
+// writes them to run in that order, returning the number of comparisons.
+func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int, cmp compareFunc) (int64, error) {
+	n, err := b.sort(schema, attr, cmp)
+	if err != nil {
+		return n, err
+	}
 	w, err := run.PageWriter()
 	if err != nil {
 		return n, err
@@ -359,9 +479,9 @@ func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int, c
 }
 
 // head is a run's current record and its key in the merge heap. The
-// record's bytes alias the run scanner's copy of the current page, which
-// stays put until the scanner is advanced, and that happens only once the
-// record is written.
+// record's bytes alias the run scanner's copy of the current page (or the
+// in-memory run's arena), which stays put until the run is advanced, and
+// that happens only once the record is consumed.
 type head struct {
 	key frel.SortKey
 	rec []byte
@@ -402,70 +522,76 @@ func (h *mergeHeap) down(i int) {
 	}
 }
 
-// mergeRuns merges the given sorted runs into one new temporary heap
-// file, accounting the rewritten tuple bytes to st.SpillBytes. On error
-// the new file is dropped; the runs are the caller's.
-func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, cmp compareFunc, schema *frel.Schema, st *Stats) (*storage.HeapFile, error) {
-	out, err := s.mgr.CreateTemp(schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := merge(out, runs, attr, cmp, schema, st); err != nil {
-		_ = out.Drop()
-		return nil, err
-	}
-	return out, nil
+// merger is a k-way merge of sorted runs: the runs on disk, in input
+// order, then optionally the sorted batch still in memory, which comes
+// last in the input and so is the last run. It is the one merge loop of
+// the sort; a merge pass drains it into a file, a Stream hands its
+// records out.
+type merger struct {
+	schema   *frel.Schema
+	attr     int
+	scanners []*storage.Scanner // one per run on disk
+	mem      *batch             // the in-memory last run, or nil
+	memPos   int                // position in mem.perm of its next record
+	heap     mergeHeap
+	served   bool // the top head's record was handed out: advance its run first
 }
 
-// merge writes the merge of runs to out.
-func merge(out *storage.HeapFile, runs []*storage.HeapFile, attr int, cmp compareFunc, schema *frel.Schema, st *Stats) error {
-	w, err := out.PageWriter()
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	scanners := make([]*storage.Scanner, len(runs))
-	defer func() {
-		for _, sc := range scanners {
-			if sc != nil {
-				sc.Close()
-			}
-		}
-	}()
-	// next reads the next record of hd's run into hd; ok is false at the
-	// end of the run.
-	next := func(hd *head) (ok bool, err error) {
-		if hd.rec, ok = scanners[hd.run].NextRaw(); !ok {
-			return false, scanners[hd.run].Err()
-		}
-		hd.key, err = frel.DecodeSortKey(schema, hd.rec, attr)
-		return err == nil, err
-	}
-	h := &mergeHeap{heads: make([]head, 0, len(runs)), cmp: cmp}
-	defer func() { st.Comparisons += h.comparisons }()
+// newMerger opens the merge of runs followed by mem (nil: none).
+func newMerger(runs []*storage.HeapFile, mem *batch, attr int, cmp compareFunc, schema *frel.Schema) (*merger, error) {
+	m := &merger{schema: schema, attr: attr, mem: mem, scanners: make([]*storage.Scanner, len(runs))}
 	for i, run := range runs {
-		scanners[i] = run.Scan()
+		m.scanners[i] = run.Scan()
+	}
+	n := len(runs)
+	if mem != nil {
+		n++
+	}
+	m.heap = mergeHeap{heads: make([]head, 0, n), cmp: cmp}
+	for i := range n {
 		hd := head{run: i}
-		ok, err := next(&hd)
+		ok, err := m.read(&hd)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if ok {
-			h.heads = append(h.heads, hd)
+			m.heap.heads = append(m.heap.heads, hd)
 		}
 	}
-	for i := len(h.heads)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	for i := len(m.heap.heads)/2 - 1; i >= 0; i-- {
+		m.heap.down(i)
 	}
-	for len(h.heads) > 0 {
-		top := &h.heads[0]
-		if err := w.Append(top.rec); err != nil {
-			return err
+	return m, nil
+}
+
+// read reads the next record of hd's run into hd; ok is false at the end
+// of the run.
+func (m *merger) read(hd *head) (ok bool, err error) {
+	if hd.run == len(m.scanners) {
+		if m.memPos == len(m.mem.perm) {
+			return false, nil
 		}
-		st.SpillBytes += int64(len(top.rec))
-		ok, err := next(top)
+		i := m.mem.perm[m.memPos]
+		m.memPos++
+		hd.rec, hd.key = m.mem.record(i), m.mem.keys[i]
+		return true, nil
+	}
+	sc := m.scanners[hd.run]
+	if hd.rec, ok = sc.NextRaw(); !ok {
+		return false, sc.Err()
+	}
+	hd.key, err = frel.DecodeSortKey(m.schema, hd.rec, m.attr)
+	return err == nil, err
+}
+
+// next returns the merge's next record, valid until the next call.
+func (m *merger) next() ([]byte, bool, error) {
+	h := &m.heap
+	if m.served {
+		m.served = false
+		ok, err := m.read(&h.heads[0])
 		if err != nil {
-			return err
+			return nil, false, err
 		}
 		if !ok {
 			last := len(h.heads) - 1
@@ -474,12 +600,59 @@ func merge(out *storage.HeapFile, runs []*storage.HeapFile, attr int, cmp compar
 		}
 		h.down(0)
 	}
-	return nil
+	if len(h.heads) == 0 {
+		return nil, false, nil
+	}
+	m.served = true
+	return h.heads[0].rec, true, nil
 }
 
-// SortRelation sorts an in-memory relation by o, in place, with the key
-// and comparator of the external sort and the same stable algorithm, so
-// the order and the comparison count are the ones an external sort of the
+// drain writes the rest of the merge to out and returns the bytes
+// written.
+func (m *merger) drain(out *storage.HeapFile) (int64, error) {
+	w, err := out.PageWriter()
+	if err != nil {
+		return 0, err
+	}
+	defer w.Close()
+	var n int64
+	for {
+		rec, ok, err := m.next()
+		if err != nil || !ok {
+			return n, err
+		}
+		if err := w.Append(rec); err != nil {
+			return n, err
+		}
+		n += int64(len(rec))
+	}
+}
+
+// mergeRuns merges the given sorted runs into one new temporary heap
+// file, accounting the rewritten tuple bytes to st.SpillBytes. On error
+// the new file is dropped; the runs are the caller's.
+func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, cmp compareFunc, schema *frel.Schema, st *Stats) (*storage.HeapFile, error) {
+	out, err := s.mgr.CreateTemp(schema)
+	if err != nil {
+		return nil, err
+	}
+	m, err := newMerger(runs, nil, attr, cmp, schema)
+	var n int64
+	if err == nil {
+		n, err = m.drain(out)
+		st.Comparisons += m.heap.comparisons
+	}
+	st.SpillBytes += n
+	if err != nil {
+		_ = out.Drop()
+		return nil, err
+	}
+	return out, nil
+}
+
+// SortRelation sorts an in-memory relation by o, in place, with the key,
+// comparator and algorithm of the external sort's runs, so the order and
+// the comparison count are the ones a single-run external sort of the
 // relation's tuples would give. It returns the comparison count.
 func SortRelation(r *frel.Relation, o Order) (int64, error) {
 	cmp, err := o.comparator(r.Schema)
@@ -492,11 +665,7 @@ func SortRelation(r *frel.Relation, o Order) (int64, error) {
 		keys[i] = frel.ValueSortKey(t.Values[o.Attr])
 		perm[i] = int32(i)
 	}
-	var n int64
-	slices.SortStableFunc(perm, func(i, j int32) int {
-		n++
-		return cmp(&keys[i], &keys[j])
-	})
+	n := sortPositions(perm, keys, cmp)
 	sorted := make([]frel.Tuple, len(r.Tuples))
 	for i, p := range perm {
 		sorted[i] = r.Tuples[p]

@@ -70,7 +70,7 @@ func TestSortSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tuples != 5 || st.Runs != 1 || st.MergePasses != 0 {
+	if st.Tuples != 5 || st.Runs != 0 || st.MergePasses != 0 || st.SpillBytes != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	rel, err := out.ReadAll()

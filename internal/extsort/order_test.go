@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -51,17 +52,35 @@ func propRelation(n int, seed int64) *frel.Relation {
 }
 
 // stableIDs sorts a copy of tuples with sort.SliceStable under o's value
-// comparison and returns the input positions (IDs) in sorted order and
-// the number of comparisons.
-func stableIDs(tuples []frel.Tuple, o Order) ([]float64, int64) {
+// comparison and returns the input positions (IDs) in sorted order: the
+// oracle of every permutation check.
+func stableIDs(tuples []frel.Tuple, o Order) []float64 {
 	cmp := valueCompare(o)
 	c := append([]frel.Tuple(nil), tuples...)
-	var n int64
 	sort.SliceStable(c, func(i, j int) bool {
-		n++
 		return cmp(c[i].Values[o.Attr], c[j].Values[o.Attr]) < 0
 	})
-	return ids(c), n
+	return ids(c)
+}
+
+// positionSortCmp sorts the positions of tuples by (value under o,
+// position) with slices.SortFunc, the algorithm of the sorter's runs, and
+// returns the number of comparisons it makes.
+func positionSortCmp(tuples []frel.Tuple, o Order) int64 {
+	cmp := valueCompare(o)
+	perm := make([]int, len(tuples))
+	for i := range perm {
+		perm[i] = i
+	}
+	var n int64
+	slices.SortFunc(perm, func(i, j int) int {
+		n++
+		if c := cmp(tuples[i].Values[o.Attr], tuples[j].Values[o.Attr]); c != 0 {
+			return c
+		}
+		return i - j
+	})
+	return n
 }
 
 func ids(tuples []frel.Tuple) []float64 {
@@ -101,13 +120,38 @@ func batches(schema *frel.Schema, tuples []frel.Tuple, memPages int) [][]frel.Tu
 	return out
 }
 
+// streamIDs drains a stream and returns the IDs of its records in order.
+func streamIDs(t *testing.T, str *Stream, schema *frel.Schema) []float64 {
+	t.Helper()
+	var out []float64
+	for {
+		rec, ok := str.Next()
+		if !ok {
+			break
+		}
+		tu, _, err := frel.DecodeTuple(schema, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tu.Values[2].Num.A)
+	}
+	if err := str.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSortIsTheStableSort is the sort's property test: for every order
 // (≼ and total on a numeric key behind a string attribute, a string key),
-// run count (1 to 7, with one to three merge passes), worker count and
-// snapshot bound, the external sort returns exactly sort.SliceStable's
-// permutation of the input, and run generation makes exactly its
-// comparisons on each run's batch. The in-memory SortRelation returns the
-// same permutation with sort.SliceStable's comparison count over the whole
+// memory size (an input that fits, one run on disk plus the batch in
+// memory, a few runs plus the batch, more runs than the fan-in with one
+// to three merge passes), worker count and snapshot bound, the streamed
+// final merge and its drained form SortPrefix return exactly
+// sort.SliceStable's permutation of the input, run generation writes each
+// full batch as its stable sort and keeps the last one in memory, and
+// the comparisons are those of sorting each batch by (key, position) with
+// slices.SortFunc. The in-memory SortRelation returns the same
+// permutation with that algorithm's comparison count over the whole
 // input. The tuples are tie-heavy, so any instability shows.
 func TestSortIsTheStableSort(t *testing.T) {
 	const n = 2000
@@ -126,20 +170,21 @@ func TestSortIsTheStableSort(t *testing.T) {
 		"NAME":    {Attr: 0},
 	}
 	runsSeen := map[int]bool{}
+	overFanIn := false
 	for name, o := range orders {
 		mem := rel.Clone()
 		memCmp, err := SortRelation(mem, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantCmp := stableIDs(rel.Tuples, o)
+		want := stableIDs(rel.Tuples, o)
 		if got := ids(mem.Tuples); !sameIDs(got, want) {
 			t.Errorf("%s: SortRelation's permutation differs from sort.SliceStable's", name)
 		}
-		if memCmp != wantCmp {
-			t.Errorf("%s: SortRelation made %d comparisons, sort.SliceStable %d", name, memCmp, wantCmp)
+		if wantCmp := positionSortCmp(rel.Tuples, o); memCmp != wantCmp {
+			t.Errorf("%s: SortRelation made %d comparisons, the (key, position) sort %d", name, memCmp, wantCmp)
 		}
-		for _, memPages := range []int{3, 4, 8, 64} {
+		for _, memPages := range []int{3, 4, 8, 16, 64} {
 			for _, workers := range []int{1, 2, 4} {
 				for _, limit := range []int64{-1, n/2 + 7} {
 					label := fmt.Sprintf("%s memPages=%d workers=%d limit=%d", name, memPages, workers, limit)
@@ -147,57 +192,91 @@ func TestSortIsTheStableSort(t *testing.T) {
 					if limit >= 0 {
 						input = input[:limit]
 					}
-					want, wantCmp := stableIDs(input, o)
+					want := stableIDs(input, o)
 					sorter := NewSorter(m, memPages).WithParallelism(workers)
 
-					// Run generation alone: each run is its batch, stably
-					// sorted, with sort.SliceStable's comparisons.
+					// Run generation alone: each full batch is written as
+					// its stable sort, the last stays in memory sorted.
 					var st Stats
 					cmp, err := o.comparator(rel.Schema)
 					if err != nil {
 						t.Fatal(err)
 					}
-					runs, err := sorter.makeRuns(src, limit, o.Attr, cmp, &st)
+					runs, last, err := sorter.makeRuns(src, limit, o.Attr, cmp, &st)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					bs := batches(rel.Schema, input, memPages)
-					if len(runs) != len(bs) {
-						t.Fatalf("%s: %d runs, want %d", label, len(runs), len(bs))
+					if len(runs) != len(bs)-1 || st.Runs != len(runs) || len(last.ends) != len(bs[len(bs)-1]) {
+						t.Fatalf("%s: %d runs and a last batch of %d, want %d and %d", label, len(runs), len(last.ends), len(bs)-1, len(bs[len(bs)-1]))
 					}
 					var batchCmp int64
 					for i, b := range bs {
-						wantRun, c := stableIDs(b, o)
-						batchCmp += c
-						got, err := runs[i].ReadAll()
-						if err != nil {
-							t.Fatal(err)
+						batchCmp += positionSortCmp(b, o)
+						var got []float64
+						if i < len(runs) {
+							r, err := runs[i].ReadAll()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got = ids(r.Tuples)
+						} else {
+							for _, p := range last.perm {
+								tu, _, err := frel.DecodeTuple(rel.Schema, last.record(p))
+								if err != nil {
+									t.Fatal(err)
+								}
+								got = append(got, tu.Values[2].Num.A)
+							}
 						}
-						if !sameIDs(ids(got.Tuples), wantRun) {
-							t.Errorf("%s: run %d is not its batch's stable sort", label, i)
+						if !sameIDs(got, stableIDs(b, o)) {
+							t.Errorf("%s: batch %d of %d is not sorted stably", label, i, len(bs))
 						}
 					}
 					if st.Comparisons != batchCmp {
-						t.Errorf("%s: run generation made %d comparisons, sort.SliceStable %d", label, st.Comparisons, batchCmp)
+						t.Errorf("%s: run generation made %d comparisons, the (key, position) sort %d", label, st.Comparisons, batchCmp)
 					}
 					if err := dropAll(runs); err != nil {
 						t.Fatal(err)
 					}
 
-					out, st, err := sorter.SortPrefix(src, limit, o)
+					str, err := sorter.Stream(src, limit, o)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
+					if str.Remaining() != int64(len(input)) {
+						t.Errorf("%s: stream remaining %d, want %d", label, str.Remaining(), len(input))
+					}
+					got := streamIDs(t, str, rel.Schema)
+					st = str.Stats()
+					if err := str.Close(); err != nil {
+						t.Fatal(err)
+					}
 					runsSeen[st.Runs] = true
-					got, err := out.ReadAll()
+					overFanIn = overFanIn || st.Runs+1 > memPages-1
+					if !sameIDs(got, want) {
+						t.Errorf("%s (%d runs, %d passes): streamed permutation differs from sort.SliceStable's", label, st.Runs, st.MergePasses)
+					}
+					if str.Remaining() != 0 {
+						t.Errorf("%s: drained stream has %d remaining", label, str.Remaining())
+					}
+					if st.Runs == 0 && (st.SpillBytes != 0 || st.MergePasses != 0 || st.Comparisons != positionSortCmp(input, o)) {
+						t.Errorf("%s: an input that fits the memory: %+v", label, st)
+					}
+
+					out, dst, err := sorter.SortPrefix(src, limit, o)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if dst != st {
+						t.Errorf("%s: SortPrefix stats %+v, stream %+v", label, dst, st)
+					}
+					drained, err := out.ReadAll()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameIDs(ids(got.Tuples), want) {
-						t.Errorf("%s (%d runs, %d passes): permutation differs from sort.SliceStable's", label, st.Runs, st.MergePasses)
-					}
-					if st.Runs == 1 && st.Comparisons != wantCmp {
-						t.Errorf("%s: one run, %d comparisons, sort.SliceStable %d", label, st.Comparisons, wantCmp)
+					if !sameIDs(ids(drained.Tuples), want) {
+						t.Errorf("%s: SortPrefix's permutation differs from sort.SliceStable's", label)
 					}
 					if err := out.Drop(); err != nil {
 						t.Fatal(err)
@@ -206,8 +285,8 @@ func TestSortIsTheStableSort(t *testing.T) {
 			}
 		}
 	}
-	if !runsSeen[1] || !runsSeen[7] {
-		t.Errorf("run counts covered %v, want 1 through 7", runsSeen)
+	if !runsSeen[0] || !runsSeen[1] || !overFanIn {
+		t.Errorf("run counts covered %v (more than the fan-in: %v), want 0, 1 and more than the fan-in", runsSeen, overFanIn)
 	}
 	if live := m.LiveTemps(); live != 0 {
 		t.Errorf("%d temporary files left behind", live)
@@ -325,10 +404,14 @@ func TestSortCorruptPageIsAnError(t *testing.T) {
 
 // TestSortDropsTemporariesOnFault injects a crash at every mutating I/O
 // operation of a multi-pass sort (page writes of run and merge files,
-// forced by a small buffer pool). Each time the sort must return the
-// injected fault and leave no temporary file it created undropped and no
-// page pinned. Dropping a temporary recycles it without I/O, so the
-// manager's bookkeeping, not the crashed disk, is what is checked.
+// forced by a small buffer pool), once with the final merge drained into
+// a file (Sort) and once with it pulled record by record (Stream), where
+// the faults that fire while the stream is read hit its run reads. Each
+// time the sort must return the injected fault and, once the stream is
+// closed, leave no temporary file it created undropped and no page
+// pinned. A stream closed before it is drained drops its runs as well.
+// Dropping a temporary recycles it without I/O, so the manager's
+// bookkeeping, not the crashed disk, is what is checked.
 func TestSortDropsTemporariesOnFault(t *testing.T) {
 	rel := propRelation(1500, 5)
 	order := Order{Attr: 1, Total: true}
@@ -347,40 +430,100 @@ func TestSortDropsTemporariesOnFault(t *testing.T) {
 		}
 		return m, ffs, src
 	}
+	// stream pulls every record of a streamed sort, returning the error
+	// that ended it and the number of records read.
+	stream := func(s *Sorter, src *storage.HeapFile) (int, error) {
+		str, err := s.Stream(src, -1, order)
+		if err != nil {
+			return 0, err
+		}
+		n := 0
+		for _, ok := str.Next(); ok; _, ok = str.Next() {
+			n++
+		}
+		err = str.Err()
+		if cerr := str.Close(); err == nil {
+			err = cerr
+		}
+		return n, err
+	}
+	sorts := map[string]func(*Sorter, *storage.HeapFile) error{
+		"sort": func(s *Sorter, src *storage.HeapFile) error {
+			out, _, err := s.Sort(src, order)
+			if err == nil {
+				err = out.Drop()
+			}
+			return err
+		},
+		"stream": func(s *Sorter, src *storage.HeapFile) error {
+			_, err := stream(s, src)
+			return err
+		},
+	}
 	for _, workers := range []int{1, 2} {
 		m, ffs, src := setup(0)
 		before := ffs.Ops()
-		out, st, err := NewSorter(m, 3).WithParallelism(workers).Sort(src, order)
+		str, err := NewSorter(m, 3).WithParallelism(workers).Stream(src, -1, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Runs < 4 || st.MergePasses < 2 {
+		if st := str.Stats(); st.Runs < 4 || st.MergePasses < 2 {
 			t.Fatalf("runs %d, passes %d: want a multi-pass sort", st.Runs, st.MergePasses)
 		}
-		if m.LiveTemps() != 1 {
-			t.Fatalf("clean sort: %d live temporaries, want its output only", m.LiveTemps())
+		opened := ffs.Ops()
+		for i := 0; i < 10; i++ {
+			if _, ok := str.Next(); !ok {
+				t.Fatalf("stream ended after %d records: %v", i, str.Err())
+			}
 		}
-		if err := out.Drop(); err != nil {
+		if err := str.Close(); err != nil {
 			t.Fatal(err)
 		}
-		after := ffs.Ops()
-		if after == before {
+		if live, pins := m.LiveTemps(), m.Pool().PinnedPages(); live != 0 || pins != 0 {
+			t.Errorf("workers=%d: a stream closed before it was drained left %d temporaries and %d pins", workers, live, pins)
+		}
+		if _, ok := str.Next(); ok {
+			t.Errorf("workers=%d: a closed stream served a record", workers)
+		}
+		if opened == before {
 			t.Fatal("the sort performed no mutating I/O to inject faults into")
 		}
-		for target := before + 1; target <= after; target++ {
-			m, ffs, src := setup(target)
-			if ffs.Crashed() {
-				t.Fatalf("fault %d fired while loading the input", target)
+		m, ffs, src = setup(0)
+		if str, err = NewSorter(m, 3).WithParallelism(workers).Stream(src, -1, order); err != nil {
+			t.Fatal(err)
+		}
+		opened = ffs.Ops()
+		if got := len(streamIDs(t, str, rel.Schema)); got != len(rel.Tuples) {
+			t.Fatalf("clean stream: %d records, want %d", got, len(rel.Tuples))
+		}
+		if ffs.Ops() == opened {
+			t.Fatal("reading the stream performed no mutating I/O to inject faults into")
+		}
+		if err := str.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, sort := range sorts {
+			m, ffs, src := setup(0)
+			before := ffs.Ops()
+			if err := sort(NewSorter(m, 3).WithParallelism(workers), src); err != nil {
+				t.Fatal(err)
 			}
-			_, _, err := NewSorter(m, 3).WithParallelism(workers).Sort(src, order)
-			if !errors.Is(err, storage.ErrInjectedFault) {
-				t.Errorf("workers=%d fault at op %d: err = %v, want the injected fault", workers, target, err)
-			}
-			if live := m.LiveTemps(); live != 0 {
-				t.Errorf("workers=%d fault at op %d: %d temporary files left behind", workers, target, live)
-			}
-			if pins := m.Pool().PinnedPages(); pins != 0 {
-				t.Errorf("workers=%d fault at op %d: %d pages left pinned", workers, target, pins)
+			after := ffs.Ops()
+			for target := before + 1; target <= after; target++ {
+				m, ffs, src := setup(target)
+				if ffs.Crashed() {
+					t.Fatalf("fault %d fired while loading the input", target)
+				}
+				err := sort(NewSorter(m, 3).WithParallelism(workers), src)
+				if !errors.Is(err, storage.ErrInjectedFault) {
+					t.Errorf("%s, workers=%d, fault at op %d: err = %v, want the injected fault", name, workers, target, err)
+				}
+				if live := m.LiveTemps(); live != 0 {
+					t.Errorf("%s, workers=%d, fault at op %d: %d temporary files left behind", name, workers, target, live)
+				}
+				if pins := m.Pool().PinnedPages(); pins != 0 {
+					t.Errorf("%s, workers=%d, fault at op %d: %d pages left pinned", name, workers, target, pins)
+				}
 			}
 		}
 	}
@@ -413,11 +556,12 @@ func allocSource(tb testing.TB, n int) (*storage.Manager, *storage.HeapFile) {
 }
 
 // TestSortAllocs is the sort's allocation gate: an external sort of
-// 20 000 tuples in four runs and one merge pass allocates at most 0.05
-// times per tuple. Records are copied into reused arenas and merged from
-// the run scanners' page copies, so what allocates is per run and per
-// sort, never per tuple. Skipped under -race, which inflates allocation
-// counts.
+// 20 000 tuples in three runs on disk, the batch in memory and one merge
+// pass allocates at most 0.05 times per tuple, whether the final merge is
+// drained into a file (Sort) or pulled record by record (Stream). Records
+// are copied into reused arenas and merged from the run scanners' page
+// copies, so what allocates is per run and per sort, never per tuple.
+// Skipped under -race, which inflates allocation counts.
 func TestSortAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -425,31 +569,53 @@ func TestSortAllocs(t *testing.T) {
 	const n = 20000
 	m, src := allocSource(t, n)
 	sorter := NewSorter(m, 48)
-	var st Stats
-	run := func() {
-		out, s, err := sorter.Sort(src, byX)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = s
-		if err := out.Drop(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // leaves recycled temporaries behind, as a running database has
-	allocs := testing.AllocsPerRun(5, run)
-	if st.Runs < 3 || st.MergePasses != 1 {
-		t.Fatalf("runs %d, merge passes %d: want at least 3 runs and one merge pass", st.Runs, st.MergePasses)
-	}
-	if per := allocs / n; per > 0.05 {
-		t.Errorf("%.0f allocations for %d tuples (%.4f per tuple), want <= 0.05", allocs, n, per)
-	} else {
-		t.Logf("%.0f allocations, %.4f per tuple (%d runs, %d merge pass)", allocs, per, st.Runs, st.MergePasses)
+	for name, sort := range map[string]func() (Stats, error){
+		"sort": func() (Stats, error) {
+			out, st, err := sorter.Sort(src, byX)
+			if err == nil {
+				err = out.Drop()
+			}
+			return st, err
+		},
+		"stream": func() (Stats, error) {
+			str, err := sorter.Stream(src, -1, byX)
+			if err != nil {
+				return Stats{}, err
+			}
+			for _, ok := str.Next(); ok; _, ok = str.Next() {
+			}
+			if err := str.Err(); err != nil {
+				return Stats{}, err
+			}
+			return str.Stats(), str.Close()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var st Stats
+			run := func() {
+				s, err := sort()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st = s
+			}
+			run() // leaves recycled temporaries behind, as a running database has
+			allocs := testing.AllocsPerRun(5, run)
+			if st.Runs < 3 || st.MergePasses != 1 {
+				t.Fatalf("runs %d, merge passes %d: want at least 3 runs and one merge pass", st.Runs, st.MergePasses)
+			}
+			if per := allocs / n; per > 0.05 {
+				t.Errorf("%.0f allocations for %d tuples (%.4f per tuple), want <= 0.05", allocs, n, per)
+			} else {
+				t.Logf("%.0f allocations, %.4f per tuple (%d runs, %d merge pass)", allocs, per, st.Runs, st.MergePasses)
+			}
+		})
 	}
 }
 
-// BenchmarkSortPrefix measures the external sort of 20 000 tuples in four
-// runs and one merge pass, at one and four run-generation workers.
+// BenchmarkSortPrefix measures the external sort of 20 000 tuples in three
+// runs on disk, the batch in memory and one merge pass drained into a
+// file, at one and four run-generation workers.
 func BenchmarkSortPrefix(b *testing.B) {
 	const n = 20000
 	m, src := allocSource(b, n)

@@ -25,6 +25,7 @@ package fuzzy
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Trapezoid is a possibility distribution with a trapezoidal membership
@@ -175,11 +176,20 @@ func (t Trapezoid) Equal(u Trapezoid) bool {
 
 // String renders the distribution compactly: crisp values as the number,
 // others as TRAP(a,b,c,d).
+// Corners are written as fmt's %g writes them, without fmt.
 func (t Trapezoid) String() string {
 	if t.IsCrisp() {
-		return fmt.Sprintf("%g", t.A)
+		return string(strconv.AppendFloat(make([]byte, 0, 24), t.A, 'g', -1, 64))
 	}
-	return fmt.Sprintf("TRAP(%g,%g,%g,%g)", t.A, t.B, t.C, t.D)
+	b := make([]byte, 0, 64)
+	b = append(b, "TRAP("...)
+	for i, c := range [4]float64{t.A, t.B, t.C, t.D} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, c, 'g', -1, 64)
+	}
+	return string(append(b, ')'))
 }
 
 // Compare orders t against u by the linear order ≼ of Definition 3.1:

@@ -1,7 +1,9 @@
 package fuzzy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -298,5 +300,47 @@ func TestValid(t *testing.T) {
 		if tr.Valid() {
 			t.Errorf("%+v.Valid() = true, want false", tr)
 		}
+	}
+}
+
+// TestStringMatchesPercentG pins String to the fmt %g rendering it
+// replaced, corner for corner: signed zeros, infinities, NaN, the smallest
+// subnormal, the largest float, both sides of %g's switch to exponent
+// form, crisp and TRAP values, and random bit patterns.
+func TestStringMatchesPercentG(t *testing.T) {
+	want := func(x Trapezoid) string {
+		if x.IsCrisp() {
+			return fmt.Sprintf("%g", x.A)
+		}
+		return fmt.Sprintf("TRAP(%g,%g,%g,%g)", x.A, x.B, x.C, x.D)
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		1e20, 1e21, -1e20, -1e21, 123456789012345678901, 1e-4, 1e-5, 0.1, 1, -1.5, 100, 1e6, 1e7,
+	}
+	check := func(x Trapezoid) {
+		t.Helper()
+		if got, w := x.String(), want(x); got != w {
+			t.Errorf("String(%#v) = %q, %%g gives %q", x, got, w)
+		}
+	}
+	for _, a := range specials {
+		check(Crisp(a))
+		for _, b := range specials {
+			check(Trapezoid{A: a, B: b, C: a, D: b})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		c := [4]float64{}
+		for j := range c {
+			c[j] = math.Float64frombits(rng.Uint64())
+		}
+		check(Trapezoid{A: c[0], B: c[1], C: c[2], D: c[3]})
+		check(Crisp(c[0]))
+		v := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20)) // ordinary magnitudes as well
+		check(Trapezoid{A: v, B: v + 1, C: v + 2.5, D: v * 3})
+		check(Crisp(v))
 	}
 }

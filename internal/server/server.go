@@ -397,7 +397,9 @@ func (c *conn) sendRows(rows *fuzzydb.Rows, fetchSize uint32) error {
 	c.nextID++
 	id := c.nextID
 	cur := &cursor{rows: rows}
-	if err := c.send(&wire.RowHeader{Cursor: id, Columns: rows.Columns()}); err != nil {
+	// The header goes out with the first batch: a small answer is one
+	// write.
+	if err := wire.Write(c.w, &wire.RowHeader{Cursor: id, Columns: rows.Columns()}); err != nil {
 		rows.Close()
 		return err
 	}
@@ -416,7 +418,7 @@ func (c *conn) sendRows(rows *fuzzydb.Rows, fetchSize uint32) error {
 // counts rows against its quota to know the server stopped.
 func (c *conn) sendBatches(id uint32, cur *cursor, max int) error {
 	ncols := len(cur.rows.Columns())
-	batch := make([]wire.Row, 0, c.srv.cfg.BatchRows)
+	var batch []wire.Row // grown by append: a small answer allocates what it holds
 	sent := 0
 	for {
 		// Fill one batch.

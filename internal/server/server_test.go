@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,13 @@ import (
 // the database) when the test ends.
 func startServer(t *testing.T, cfg server.Config) (addr string, srv *server.Server) {
 	t.Helper()
+	return startServerWith(t, cfg, nil)
+}
+
+// startServerWith is startServer with the listener passed through wrap
+// (nil: served as it is).
+func startServerWith(t *testing.T, cfg server.Config, wrap func(net.Listener) net.Listener) (addr string, srv *server.Server) {
+	t.Helper()
 	db, err := fuzzydb.Open("")
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -36,6 +44,9 @@ func startServer(t *testing.T, cfg server.Config) (addr string, srv *server.Serv
 	if err != nil {
 		db.Close()
 		t.Fatalf("listen: %v", err)
+	}
+	if wrap != nil {
+		lis = wrap(lis)
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
@@ -113,6 +124,92 @@ func TestLoopbackExecQuery(t *testing.T) {
 	// Checkpoint over the wire.
 	if err := conn.Checkpoint(ctx); err != nil {
 		t.Errorf("Checkpoint: %v", err)
+	}
+}
+
+// writeCountingListener counts the Write calls of every connection it
+// accepts.
+type writeCountingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (l writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return writeCountingConn{Conn: c, writes: l.writes}, nil
+}
+
+func (c writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestSmallAnswerIsOneWrite: a query whose answer fits one batch leaves
+// the server in a single Write (row header and rows together), plain and
+// prepared; a cursor with a fetch quota still suspends after exactly its
+// quota and serves the rest on Fetch.
+func TestSmallAnswerIsOneWrite(t *testing.T) {
+	var writes atomic.Int64
+	addr, _ := startServerWith(t, server.Config{}, func(l net.Listener) net.Listener {
+		return writeCountingListener{Listener: l, writes: &writes}
+	})
+	conn := dial(t, addr)
+	ctx := context.Background()
+	if err := conn.Exec(ctx, datingSchema); err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	const q = `SELECT F.NAME FROM F WHERE F.ID > 102`
+	drain := func(rows *client.Rows, err error) []string {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		defer rows.Close()
+		var names []string
+		for rows.Next() {
+			names = append(names, rowValues(t, rows)[0])
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("rows: %v", err)
+		}
+		return names
+	}
+	want := []string{"Betty", "Cathy"}
+	before := writes.Load()
+	if got := drain(conn.Query(ctx, q)); !equalStrings(got, want) {
+		t.Fatalf("answer = %v, want %v", got, want)
+	}
+	if n := writes.Load() - before; n != 1 {
+		t.Errorf("a 2-row answer took %d writes, want 1", n)
+	}
+	stmt, err := conn.Prepare(ctx, q)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	before = writes.Load()
+	if got := drain(stmt.Query(ctx)); !equalStrings(got, want) {
+		t.Fatalf("prepared answer = %v, want %v", got, want)
+	}
+	if n := writes.Load() - before; n != 1 {
+		t.Errorf("a 2-row prepared answer took %d writes, want 1", n)
+	}
+	// A fetch quota of one row: the header goes out with the first row and
+	// the cursor suspends; each Fetch then serves one more frame: the
+	// second row (the quota reached again), then the end of the stream.
+	before = writes.Load()
+	if got := drain(conn.QueryFetch(ctx, q, 1)); !equalStrings(got, want) {
+		t.Fatalf("cursor answer = %v, want %v", got, want)
+	}
+	if n := writes.Load() - before; n != 3 {
+		t.Errorf("a 2-row answer fetched a row at a time took %d writes, want 3", n)
 	}
 }
 

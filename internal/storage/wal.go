@@ -172,7 +172,16 @@ func openWAL(fs FS, dir string) (*WAL, map[string]heapState, error) {
 	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
 	w := &WAL{fs: fs, dir: dir, path: filepath.Join(dir, walFileName)}
 	w.cond = sync.NewCond(&w.mu)
-	if err := w.rewrite(states); err != nil {
+	// A log that already is exactly the new checkpoint (a clean Close, or
+	// an Open that wrote nothing since) was installed by a synced rename:
+	// keep it rather than write, sync and rename the same bytes again.
+	body := w.checkpointLog(states)
+	if bytes.Equal(body, rec.log) {
+		err = w.reopen(int64(len(body)))
+	} else {
+		err = w.install(body)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	return w, entries, nil
@@ -336,6 +345,12 @@ func (w *WAL) rewrite(states []heapState) error {
 	for w.syncing {
 		w.cond.Wait()
 	}
+	return w.install(w.checkpointLog(states))
+}
+
+// checkpointLog returns the bytes of a log holding one checkpoint record
+// carrying states. Its caller holds w.mu or owns w alone.
+func (w *WAL) checkpointLog(states []heapState) []byte {
 	p := w.pbuf[:0]
 	p = binary.AppendUvarint(p, uint64(len(states)))
 	for _, st := range states {
@@ -369,7 +384,12 @@ func (w *WAL) rewrite(states []heapState) error {
 	body = append(body, p...)
 	binary.LittleEndian.PutUint32(body[0:4], crc32.ChecksumIEEE(body[walHeaderSize:]))
 	binary.LittleEndian.PutUint32(body[4:8], uint32(len(body)-walHeaderSize))
+	return body
+}
 
+// install makes body the log: written to a temporary file, synced, and
+// renamed over the old log. Its caller holds w.mu or owns w alone.
+func (w *WAL) install(body []byte) error {
 	tmp := filepath.Join(w.dir, walTmpName)
 	f, err := w.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -392,6 +412,12 @@ func (w *WAL) rewrite(states []heapState) error {
 	if err := w.fs.SyncDir(w.dir); err != nil {
 		return fmt.Errorf("storage: wal checkpoint: %w", err)
 	}
+	return w.reopen(int64(len(body)))
+}
+
+// reopen opens the log file for appending after its first size bytes,
+// all of them durable.
+func (w *WAL) reopen(size int64) error {
 	nf, err := w.fs.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: wal reopen: %w", err)
@@ -400,8 +426,8 @@ func (w *WAL) rewrite(states []heapState) error {
 		w.f.Close()
 	}
 	w.f = nf
-	w.off = int64(len(body))
-	w.synced = w.off
+	w.off = size
+	w.synced = size
 	return nil
 }
 
@@ -536,6 +562,7 @@ type recovery struct {
 	found  bool
 	base   map[string]heapState
 	redone map[string]heapState
+	log    []byte // the log's bytes as found
 }
 
 // recoverWAL replays the directory's log, if any: relations touched by
@@ -599,7 +626,7 @@ func recoverWAL(fs FS, dir string) (recovery, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	rec := recovery{found: true, base: base, redone: make(map[string]heapState, len(names))}
+	rec := recovery{found: true, base: base, redone: make(map[string]heapState, len(names)), log: data}
 	for _, name := range names {
 		st, err := redoRelation(fs, dir, name, base[name], redo[name])
 		if err != nil {

@@ -208,6 +208,96 @@ func TestWALCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
+// syncCountingFS counts the file syncs, directory syncs and renames done
+// through it.
+type syncCountingFS struct {
+	FS
+	syncs, dirSyncs, renames int
+}
+
+type syncCountingFile struct {
+	File
+	fs *syncCountingFS
+}
+
+func (c *syncCountingFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountingFile{File: f, fs: c}, nil
+}
+
+func (c *syncCountingFS) SyncDir(dir string) error {
+	c.dirSyncs++
+	return c.FS.SyncDir(dir)
+}
+
+func (c *syncCountingFS) Rename(oldpath, newpath string) error {
+	c.renames++
+	return c.FS.Rename(oldpath, newpath)
+}
+
+func (f syncCountingFile) Sync() error {
+	f.fs.syncs++
+	return f.File.Sync()
+}
+
+// TestWALReopenCleanWritesNothing: opening a database whose log already
+// is the checkpoint Open would write (checkpointed, or opened and closed
+// without a write since) keeps that log: no sync, directory sync or
+// rename. A log with appends after its checkpoint is still rewritten, and
+// either way the relation reopens whole.
+func TestWALReopenCleanWritesNothing(t *testing.T) {
+	fs := &syncCountingFS{FS: NewMemFS()}
+	m := newWALManager(t, fs, 8)
+	h, err := m.CreateHeap("r", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := h.Append(walTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(label string, wantRewrite bool, n int) {
+		t.Helper()
+		fs.syncs, fs.dirSyncs, fs.renames = 0, 0, 0
+		m := newWALManager(t, fs, 8)
+		h, err := m.OpenHeap("r", testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewrote := fs.syncs+fs.dirSyncs+fs.renames > 0; rewrote != wantRewrite {
+			t.Errorf("%s: %d syncs, %d directory syncs, %d renames; want a rewrite: %v", label, fs.syncs, fs.dirSyncs, fs.renames, wantRewrite)
+		}
+		got, err := h.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(walPrefix(n), 0) {
+			t.Errorf("%s: reopened relation differs", label)
+		}
+		if n == 10 {
+			if err := h.Append(walTuple(10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopen("checkpointed", false, 10)
+	reopen("after a committed append", true, 11)
+	reopen("after the rewrite", false, 11)
+}
+
 func TestWALCheckpointRejectsOpenTransaction(t *testing.T) {
 	m := newWALManager(t, NewMemFS(), 8)
 	if _, err := m.Begin(); err != nil {
