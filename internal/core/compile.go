@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -10,16 +9,15 @@ import (
 	"repro/internal/fuzzy"
 	"repro/internal/kernel"
 	"repro/internal/plan"
-	"repro/internal/storage"
 )
 
 // This file is the physical compilation stage of the planner: it turns a
 // planned query (internal/plan) into the existing exec operators and runs
-// it. The plan records every decision — join order, merge vs nested-loop
-// steps, predicate assignments — so compilation replays them without
+// it. The plan records every decision — join order, each step's window,
+// predicate assignments — so compilation replays them without
 // re-deciding; only physical concerns (sources, linguistic terms, the
-// sort-order cache, parallelism, EXPLAIN ANALYZE instrumentation) live
-// here.
+// sort-order cache, parallelism, cancellation, EXPLAIN ANALYZE
+// instrumentation) live here.
 
 // execPlan compiles and runs a planned query.
 func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
@@ -74,9 +72,9 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 
 // execJoinPlan runs a flat join plan (strategies flat and chain-join):
 // the leaves are compiled with their pushed-down filters, the recorded
-// left-deep steps replayed — extended merge-join or block nested-loop as
-// the cost model chose — and the answer projected with max-degree
-// duplicate elimination and thresholded.
+// left-deep steps replayed as merge sweeps over the window the plan
+// recorded, and the answer projected with max-degree duplicate
+// elimination and thresholded.
 func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 	if j.Err != nil {
 		return nil, j.Err
@@ -98,57 +96,49 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		for _, pi := range step.Extras {
 			extraPreds = append(extraPreds, j.PairPreds[pi].Pred)
 		}
-		// The step's conjuncts beyond the merge condition: the merge-join's
-		// residual, or the nested-loop join's whole condition.
+		// The step's conjuncts beyond its range predicate: all of them in
+		// a whole window.
 		pp, err := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds)
 		if err != nil {
 			return nil, err
 		}
-
-		if step.Merge {
-			sortedCur, err := e.sortSource(cur, step.LeftAttr, false)
-			if err != nil {
+		// A range window sweeps both inputs sorted on the range
+		// attributes; the whole window takes them as they come.
+		label := "all"
+		if step.MergePred >= 0 {
+			if cur, err = e.sortSource(cur, step.LeftAttr, false); err != nil {
 				return nil, err
 			}
-			sortedNext, err := e.sortSource(next, step.RightAttr, false)
-			if err != nil {
+			if next, err = e.sortSource(next, step.RightAttr, false); err != nil {
 				return nil, err
 			}
-			// The join runs as the morsel-scheduled merge-join (one morsel
-			// when serial), emitting only what the plan still reads of its
-			// rows and folding the answer's max reduction into the sweep
-			// where the plan recorded one.
-			label := step.LeftAttr + " = " + step.RightAttr
-			if step.Emit != nil && step.Fold != plan.FoldNone {
-				label += " fold(" + step.Fold.String() + ")"
-			}
-			node := e.newNode("merge-join", label+plan.FloorLabel(step.Floor))
-			kj, err := exec.NewKernelMergeJoin(sortedCur, sortedNext, step.LeftAttr, step.RightAttr, step.Tol, pp, node, e.workers())
-			if err != nil {
-				return nil, err
-			}
-			kj.Floor = step.Floor.Floor()
-			if step.Emit != nil {
-				emit := make([]int, len(step.Emit))
-				for i, ref := range step.Emit {
-					if emit[i], err = kj.Schema().Resolve(ref); err != nil {
-						return nil, err
-					}
-				}
-				if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
+			label = step.LeftAttr + " = " + step.RightAttr
+		}
+		// The join runs as the morsel-scheduled merge-join (one morsel
+		// when serial or over the whole window), emitting only what the
+		// plan still reads of its rows and folding the answer's max
+		// reduction into the sweep where the plan recorded one.
+		if step.Emit != nil && step.Fold != plan.FoldNone {
+			label += " fold(" + step.Fold.String() + ")"
+		}
+		node := e.newNode("merge-join", label+plan.FloorLabel(step.Floor))
+		kj, err := exec.NewKernelMergeJoin(cur, next, step.LeftAttr, step.RightAttr, step.Tol, pp, node, e.workers())
+		if err != nil {
+			return nil, err
+		}
+		kj.Floor, kj.Ctx = step.Floor.Floor(), e.ctx
+		if step.Emit != nil {
+			emit := make([]int, len(step.Emit))
+			for i, ref := range step.Emit {
+				if emit[i], err = kj.Schema().Resolve(ref); err != nil {
 					return nil, err
 				}
 			}
-			cur = e.attach(node, kj, sortedCur, sortedNext)
-		} else {
-			// The outer block gets all but one page of the sort memory
-			// (Section 9), and at least one page.
-			block := max(e.SortMemPages-1, 1) * storage.PageSize
-			node := e.newNode("nl-join", strings.TrimPrefix(plan.FloorLabel(step.Floor), " "))
-			nl := exec.NewBlockNLJoin(cur, next, pp, block, node)
-			nl.Floor = step.Floor.Floor()
-			cur = e.attach(node, nl, cur, next)
+			if err := kj.EmitColumns(emit, kernelFold(step.Fold)); err != nil {
+				return nil, err
+			}
 		}
+		cur = e.attach(node, kj, cur, next)
 	}
 
 	out := cur
@@ -214,32 +204,25 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		return nil, err
 	}
 
-	var result exec.Source
-	if a.RangeFound {
-		sortedOuter, err := e.sortSource(outer, a.RangeOuter, false)
-		if err != nil {
+	// Without a range attribute (e.g. a string correlation) the anti-join
+	// sweeps the whole inner, in the order the inputs come.
+	label := "all"
+	if a.RangeOuter != "" {
+		if outer, err = e.sortSource(outer, a.RangeOuter, false); err != nil {
 			return nil, err
 		}
-		sortedInner, err := e.sortSource(inner, a.RangeInner, false)
-		if err != nil {
+		if inner, err = e.sortSource(inner, a.RangeInner, false); err != nil {
 			return nil, err
 		}
-		node := e.newNode("merge-anti-join", a.RangeOuter+" = "+a.RangeInner+plan.FloorLabel(a.Floor))
-		am, err := exec.NewMergeAntiMin(sortedOuter, sortedInner, a.RangeOuter, a.RangeInner, terms, node)
-		if err != nil {
-			return nil, err
-		}
-		am.Workers, am.Floor = e.workers(), a.Floor.Floor()
-		result = e.attach(node, am, sortedOuter, sortedInner)
-	} else {
-		// No usable merge order (e.g. string attributes): unnested
-		// anti-join by materializing the inner once.
-		node := e.newNode("nl-anti-join", strings.TrimPrefix(plan.FloorLabel(a.Floor), " "))
-		nl := exec.NewNLAntiMin(outer, inner, terms, node)
-		nl.Floor = a.Floor.Floor()
-		result = e.attach(node, nl, outer, inner)
+		label = a.RangeOuter + " = " + a.RangeInner
 	}
-	return e.finishProject(result, p.Proj().Items, p.Root.Shape)
+	node := e.newNode("merge-anti-join", label+plan.FloorLabel(a.Floor))
+	am, err := exec.NewMergeAntiMin(outer, inner, a.RangeOuter, a.RangeInner, terms, node)
+	if err != nil {
+		return nil, err
+	}
+	am.Workers, am.Floor, am.Ctx = e.workers(), a.Floor.Floor(), e.ctx
+	return e.finishProject(e.attach(node, am, outer, inner), p.Proj().Items, p.Root.Shape)
 }
 
 // execGroupAggPlan runs the pipelined group-aggregate join of Queries JA′
@@ -274,7 +257,7 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 	if err != nil {
 		return nil, err
 	}
-	ga.Workers, ga.Floor = e.workers(), g.Floor.Floor()
+	ga.Workers, ga.Floor, ga.Ctx = e.workers(), g.Floor.Floor(), e.ctx
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
 }
 

@@ -10,9 +10,8 @@
 //   - Env.EvalUnnested classifies the query (type N, J, JX, JA, JALL, or a
 //     K-level chain), rewrites it to the equivalent flat form of the
 //     corresponding theorem, and evaluates the flat form with the extended
-//     merge-join (falling back to nested-loop joins where the merge order
-//     does not apply, and to the naive evaluator for shapes outside the
-//     paper's classes).
+//     merge-join (over the whole inner where no range order applies, and
+//     with the naive evaluator for shapes outside the paper's classes).
 //
 // The equivalence theorems 4.1-8.1 are validated by randomized tests that
 // compare the two evaluators tuple-for-tuple and degree-for-degree.
@@ -39,8 +38,7 @@ import (
 var ErrUnknownTerm = errors.New("unknown linguistic term")
 
 // Env is the evaluation environment: relation and term resolution plus the
-// resource knobs (sort memory, which also sizes the nested-loop join's
-// block) and work counters.
+// resource knobs (sort memory, parallelism) and work counters.
 type Env struct {
 	cat *catalog.Catalog
 
@@ -52,8 +50,8 @@ type Env struct {
 	scopeTerms map[string]fuzzy.Trapezoid
 
 	// SortMemPages is the memory budget, in pages, for external sorts
-	// (default 256 pages = the paper's 2 MB); the nested-loop join's outer
-	// block gets all but one of these pages, per Section 9.
+	// (default 256 pages = the paper's 2 MB). The sweeps are not bounded
+	// by it: every window holds both of its inputs in memory.
 	SortMemPages int
 
 	// DisableJoinReorder turns off the dynamic-programming join ordering
@@ -75,8 +73,9 @@ type Env struct {
 	// closed when it ends (see sortstream.go).
 	streams []*sortedStream
 
-	// ctx, when non-nil, is observed by the leaf scans of every evaluation
-	// (set for the duration of a *Context evaluation call).
+	// ctx, when non-nil, is observed by the leaf scans and the running
+	// sweeps of every evaluation (set for the duration of a *Context
+	// evaluation call).
 	ctx context.Context
 
 	// snap, when non-nil, is the snapshot the current evaluation reads

@@ -37,18 +37,19 @@ var goldenQueries = []struct {
 	{"jx-with", `SELECT R.K FROM R WHERE R.B NEAR 2 WITHIN TRAP(-4,0,0,4) AND R.B NOT IN (SELECT S.B FROM S WHERE S.A = R.A AND S.B NEAR 3 WITHIN TRAP(-4,0,0,4)) WITH D >= 0.5`},
 }
 
-// workQueries holds one query per operator the repository benchmark never
-// runs: the nested-loop anti-join and join (string link attributes have no
-// merge order), the nested-loop arm of the group-aggregate join, the
-// shifted inner of a NEAR correlation, and a top-level GROUPBY / HAVING.
-// They run on workSession's relations, which carry a STRING column.
+// workQueries holds one query per operator shape the repository benchmark
+// never runs: the whole-inner window of the anti-join and of the join
+// (string link attributes have no range order), the whole-inner window of
+// the group-aggregate join (a <= correlation), the shifted inner of a NEAR
+// correlation, and a top-level GROUPBY / HAVING. They run on
+// workSession's relations, which carry a STRING column.
 var workQueries = []struct {
 	name  string
 	query string
 }{
-	{"nl-anti", `SELECT R.K FROM R WHERE R.NAME NOT IN (SELECT S.NAME FROM S WHERE S.A >= 5)`},
-	{"nl-agg", `SELECT R.K FROM R WHERE R.A >= (SELECT AVG(S.A) FROM S WHERE S.A <= R.A)`},
-	{"nl-join", `SELECT R.K FROM R, S WHERE R.NAME = S.NAME`},
+	{"string-anti", `SELECT R.K FROM R WHERE R.NAME NOT IN (SELECT S.NAME FROM S WHERE S.A >= 5)`},
+	{"le-agg", `SELECT R.K FROM R WHERE R.A >= (SELECT AVG(S.A) FROM S WHERE S.A <= R.A)`},
+	{"string-join", `SELECT R.K FROM R, S WHERE R.NAME = S.NAME`},
 	{"near-ja", `SELECT R.K FROM R WHERE R.A >= (SELECT AVG(S.B) FROM S WHERE S.A NEAR R.A WITHIN 1)`},
 	{"groupby", `SELECT R.NAME, COUNT(R.K) FROM R, S WHERE R.A = S.A GROUPBY R.NAME HAVING R.NAME <> 'n0'`},
 }

@@ -141,7 +141,7 @@ func TestHavingGradesGroups(t *testing.T) {
 }
 
 // TestFlatCrossProduct: a flat query with no join predicate runs as a
-// cross product through the nested-loop operator.
+// cross product, the merge sweep over the whole-inner window.
 func TestFlatCrossProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 5; trial++ {

@@ -369,8 +369,8 @@ func TestAliasReuseFallsBack(t *testing.T) {
 	}
 }
 
-// TestStringLinkFallsBackToNLAnti: NOT IN over string attributes cannot
-// use the merge order but is still unnested via the materialized anti-join.
+// TestStringLinkNotIn: NOT IN over string attributes is unnested to the
+// anti-join, whose range comes from the numeric correlation.
 func TestStringLinkNotIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 10; trial++ {

@@ -9,9 +9,11 @@ import (
 // WithContext wraps src so that every iterator it opens observes ctx
 // before each batch: once the context is cancelled, NextBatch returns
 // false and Err reports the context's error. Long-running operators
-// (nested-loop joins, sorts, naive subquery evaluation) drive their inputs
-// through these leaf iterators, so cancelling the context aborts a whole
-// evaluation. A nil or never-cancellable context returns src unchanged.
+// (sorts, naive subquery evaluation) drive their inputs through these leaf
+// iterators, so cancelling the context aborts a whole evaluation; the
+// sweeps poll the context themselves once they hold their inputs (see
+// batchLocals.poll). A nil or never-cancellable context returns src
+// unchanged.
 func WithContext(ctx context.Context, src Source) Source {
 	if ctx == nil || ctx.Done() == nil {
 		return src

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/frel"
@@ -23,13 +24,12 @@ import (
 // aggregate is COUNT (the left outer join IF-THEN-ELSE arm of Query
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
-// When Op2 is equality both inputs are consumed in one merged pass using
-// the Rng(u) cursor (the flat-column sweep of Open); the inner input
-// must be sorted on V, and identical outer values must be adjacent, so
-// sort the outer input in the total order (an extsort.Order with Total
-// set). Other correlation
-// operators have no merge range: the inner is materialized once and
-// scanned per distinct u, a nested loop beside NLAntiMin and BlockNLJoin.
+// Both inputs are consumed in one flat-column sweep (sweep.go). Identical
+// outer values must be adjacent, so sort the outer input in the total
+// order (an extsort.Order with Total set). When Op2 is equality the sweep
+// builds T′(u) from the Rng(u) window, and the inner input must be sorted
+// on V; any other correlation operator sweeps the whole-inner window, in
+// whatever order the inner arrives.
 type GroupAggJoin struct {
 	Outer, Inner Source
 
@@ -43,9 +43,13 @@ type GroupAggJoin struct {
 	OuterYAttr string // R.Y, compared against the aggregate
 	Op1        fuzzy.Op
 
-	// Workers is the worker count of the equality-correlated sweep; below
-	// 2 the sweep is serial.
+	// Workers is the worker count of the sweep; below 2 the sweep is
+	// serial.
 	Workers int
+
+	// Ctx is the statement's context, polled by the running sweep (nil:
+	// never cancelled).
+	Ctx context.Context
 
 	// Floor is the least output degree the plan still needs (0: every
 	// positive degree; see plan's push-threshold rule). An outer tuple
@@ -98,24 +102,24 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 // adjusted degrees.
 func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
-// Open implements Source. The equality-correlated join is the flat-column,
-// morsel-scheduled sweep (see sweep.go). Tuples with identical U have
-// identical supports, so no atomic cut separates them and a group never
-// spans two morsels. Each morsel reuses one value set across its groups
-// and writes the degree of every outer tuple in place. Other correlation
-// operators have no merge range to cut at, and run the nested loop.
+// Open implements Source: the flat-column, morsel-scheduled sweep (see
+// sweep.go). Tuples with identical U have identical supports, so no atomic
+// cut separates them and a group never spans two morsels (a whole window
+// is one morsel anyway). Each morsel reuses one value set across its
+// groups and writes the degree of every outer tuple in place.
 func (j *GroupAggJoin) Open() (BatchIterator, error) {
+	ui, vi := j.ui, j.vi
 	if j.Op2 != fuzzy.OpEq {
-		return j.openNested()
+		ui, vi = -1, -1 // the whole-inner window
 	}
-	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, j.ui, j.vi, fuzzy.Trapezoid{}, j.Workers, j.Stats)
+	in, err := collectFlat("group-aggregate join", j.Outer, j.Inner, ui, vi, fuzzy.Trapezoid{}, j.Workers, j.Stats)
 	if err != nil {
 		return nil, err
 	}
 	f := j.Floor
 	degs := make([]float64, len(in.outer))
-	return in.run(j.Workers, func(p partRange) []frel.Tuple {
-		loc := newBatchLocals()
+	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
+		loc := newBatchLocals(j.Ctx)
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		set := newMemberSet()
 		var aggVal fuzzy.Trapezoid
@@ -144,7 +148,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 					rng++
 					loc.deg++
 					s := in.inner[k].Values
-					d := fuzzy.Eq(s[j.vi].Num, u.Num)
+					d := fuzzy.Degree(j.Op2, s[j.vi].Num, u.Num)
 					if in.iKeys[k].D < d {
 						d = in.iKeys[k].D
 					}
@@ -153,6 +157,9 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 					}
 				}
 				loc.observeRng(rng)
+				if err := loc.poll(); err != nil {
+					return nil, err
+				}
 				aggVal, aggOK = set.aggregate(j.Agg)
 			}
 			if !aggOK {
@@ -166,40 +173,8 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			degs[o] = d
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f), nil
 	})
-}
-
-// openNested opens the nested loop of a non-equality correlation: the
-// inner relation is materialized once and every distinct outer value
-// scans all of it.
-func (j *GroupAggJoin) openNested() (BatchIterator, error) {
-	rel, err := Collect(j.Inner)
-	if err != nil {
-		return nil, err
-	}
-	outer, err := j.Outer.Open()
-	if err != nil {
-		return nil, err
-	}
-	return &groupAggBatchIterator{j: j, outer: outer, inner: rel.Tuples, set: newMemberSet()}, nil
-}
-
-// groupAggBatchIterator is the nested-loop group-aggregate of a
-// non-equality correlation. A group may span outer batches, so the
-// current group's value and aggregate live across NextBatch calls.
-type groupAggBatchIterator struct {
-	j     *GroupAggJoin
-	outer BatchIterator
-	inner []frel.Tuple
-	out   []frel.Tuple
-
-	haveGroup bool
-	groupVal  frel.Value
-	built     bool       // T′(u) of the current group is built
-	set       *memberSet // T′(u) of the current group
-	aggVal    fuzzy.Trapezoid
-	aggOK     bool
 }
 
 // memberSet accumulates a fuzzy value set deduplicated by value identity,
@@ -238,72 +213,6 @@ func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
 	}
 	return fuzzy.Aggregate(agg, ms.members)
 }
-
-// computeGroup builds T′(u) and its aggregate for the given outer value.
-func (it *groupAggBatchIterator) computeGroup(u frel.Value) {
-	j := it.j
-	set := it.set
-	set.reset()
-	for _, s := range it.inner {
-		d := frel.Degree(j.Op2, s.Values[j.vi], u)
-		if s.D < d {
-			d = s.D
-		}
-		if d > 0 {
-			set.add(s.Values, j.zi, d)
-		}
-	}
-	n := int64(len(it.inner))
-	j.Stats.Comparisons.Add(n)
-	j.Stats.DegreeEvals.Add(n)
-	j.Stats.ObserveRng(n)
-	it.aggVal, it.aggOK = set.aggregate(j.Agg)
-}
-
-func (it *groupAggBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	j := it.j
-	for {
-		b, ok := it.outer.NextBatch()
-		if !ok {
-			return nil, false
-		}
-		it.out = it.out[:0]
-		var evals int64
-		for _, r := range b {
-			u := r.Values[j.ui]
-			if !it.haveGroup || !it.groupVal.Identical(u) {
-				it.groupVal = u
-				it.haveGroup, it.built = true, false
-			}
-			if r.D < j.Floor {
-				continue
-			}
-			if !it.built {
-				it.computeGroup(u)
-				it.built = true
-			}
-			if !it.aggOK {
-				continue // A′(u) is NULL and the aggregate is not COUNT
-			}
-			evals++
-			d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, it.aggVal)
-			if r.D < d {
-				d = r.D
-			}
-			if d > 0 && d >= j.Floor {
-				r.D = d
-				it.out = append(it.out, r)
-			}
-		}
-		j.Stats.DegreeEvals.Add(evals)
-		if len(it.out) > 0 {
-			return it.out, true
-		}
-	}
-}
-
-func (it *groupAggBatchIterator) Err() error { return it.outer.Err() }
-func (it *groupAggBatchIterator) Close()     { it.outer.Close() }
 
 // AggItem is one aggregate column of a GroupAgg.
 type AggItem struct {

@@ -181,10 +181,10 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 	}
 }
 
-// TestGroupAggJoinNonEqualityCorrelation runs the nested loop over an
-// outer of several batches whose groups span batch boundaries: the answer
-// is bruteJA's, and the inner is scanned once per distinct outer value,
-// not once per batch a group appears in.
+// TestGroupAggJoinNonEqualityCorrelation sweeps the whole-inner window over
+// an outer of several batches whose groups span batch boundaries: the
+// answer is bruteJA's, and the inner is scanned once per distinct outer
+// value, not once per batch a group appears in.
 func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	r, s := randomCorrelated(rng, 2*BatchSize+500, 25)

@@ -2,14 +2,12 @@ package exec
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 	"repro/internal/kernel"
-	"repro/internal/storage"
 )
 
 // mergeJoin builds the serial merge-join of two sorted inputs, counting
@@ -131,23 +129,6 @@ func TestMergeJoinWideIntervalsDanglingTuples(t *testing.T) {
 	}
 }
 
-func TestBlockNLJoinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	r := randomRel("R", 35, 50, 3, rng)
-	s := randomRel("S", 45, 50, 3, rng)
-	want := bruteJoin(r, s)
-	ri, _ := r.Schema.Resolve("X")
-	si, _ := s.Schema.Resolve("X")
-	on := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-		Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)})
-	// Small block size to force several inner rescans.
-	j := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 512, NewOpStats("nl-join", ""))
-	got := drain(t, j)
-	if !got.Equal(want, 1e-12) {
-		t.Fatalf("nested-loop mismatch: got %d, want %d", got.Len(), want.Len())
-	}
-}
-
 func TestMergeJoinExtraPredicate(t *testing.T) {
 	r := frel.NewRelation(xSchema("R"))
 	s := frel.NewRelation(xSchema("S"))
@@ -225,85 +206,6 @@ func TestMergeJoinExaminesOnlyRange(t *testing.T) {
 	}
 }
 
-func TestBlockNLJoinBlockCount(t *testing.T) {
-	// The inner source must be re-opened once per outer block.
-	r := relXY("R",
-		frel.NewTuple(1, frel.Crisp(1), frel.Str("aaaaaaaaaaaaaaaaaaaaaaaaaaaaa")),
-		frel.NewTuple(1, frel.Crisp(2), frel.Str("bbbbbbbbbbbbbbbbbbbbbbbbbbbbb")),
-		frel.NewTuple(1, frel.Crisp(3), frel.Str("ccccccccccccccccccccccccccccc")),
-	)
-	s := relXY("S", frel.NewTuple(1, frel.Crisp(1), frel.Str("x")))
-	inner := &countingSource{Source: NewMemSource(s)}
-	j := NewBlockNLJoin(NewMemSource(r), inner, pairProgram(t), 80, NewOpStats("nl-join", ""))
-	out := drain(t, j)
-	if out.Len() != 3 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	if inner.opens < 2 {
-		t.Errorf("inner opened %d times, want one per block (>= 2)", inner.opens)
-	}
-}
-
-// TestBlockNLJoinSpansBatchesAndBlocks runs the nested-loop join over heap
-// scans, whose batch buffers are recycled, with an outer of several
-// batches cut into several blocks that end mid-batch, and checks the
-// emission order (inner-major within a block), the work and the
-// per-block inner rescans against the all-pairs reference.
-func TestBlockNLJoinSpansBatchesAndBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	r := randomRel("R", 2*BatchSize+500, 100, 2, rng)
-	s := randomRel("S", BatchSize+100, 100, 2, rng)
-	on := func(l, m frel.Tuple) float64 { return fuzzy.Eq(l.Values[1].Num, m.Values[1].Num) }
-	onProg := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-		Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)})
-	const blockBytes = 50000
-
-	var want []frel.Tuple
-	blocks := 0
-	for lo := 0; lo < r.Len(); blocks++ {
-		hi := lo
-		for used := 0; hi < r.Len() && used < blockBytes; hi++ {
-			used += frel.EncodedSize(r.Schema, r.Tuples[hi])
-		}
-		if (hi-lo)%BatchSize == 0 {
-			t.Fatalf("block of %d tuples ends on a batch boundary", hi-lo)
-		}
-		for _, m := range s.Tuples {
-			for _, l := range r.Tuples[lo:hi] {
-				if d := fuzzy.Min(l.D, m.D, on(l, m)); d > 0 {
-					want = append(want, l.Concat(m, d))
-				}
-			}
-		}
-		lo = hi
-	}
-	if blocks < 3 || len(want) <= BatchSize {
-		t.Fatalf("%d blocks, %d pairs: the case is too small", blocks, len(want))
-	}
-
-	mgr := storage.NewManager(t.TempDir(), 8)
-	heap := func(rel *frel.Relation) Source {
-		h, err := mgr.CreateTemp(rel.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.AppendAll(rel); err != nil {
-			t.Fatal(err)
-		}
-		return NewHeapSource(h)
-	}
-	inner := &countingSource{Source: heap(s)}
-	j := NewBlockNLJoin(heap(r), inner, onProg, blockBytes, NewOpStats("nl-join", ""))
-	sameSequence(t, "nl-join", batchDrain(t, j), want)
-	pairs := int64(r.Len()) * int64(s.Len())
-	if snap := j.Stats.Snapshot(); snap.Comparisons != pairs || snap.DegreeEvals != pairs {
-		t.Errorf("stats: cmp %d deg %d, want %d each", snap.Comparisons, snap.DegreeEvals, pairs)
-	}
-	if inner.opens != blocks {
-		t.Errorf("inner opened %d times for %d blocks", inner.opens, blocks)
-	}
-}
-
 type countingSource struct {
 	Source
 	opens int
@@ -312,151 +214,4 @@ type countingSource struct {
 func (c *countingSource) Open() (BatchIterator, error) {
 	c.opens++
 	return c.Source.Open()
-}
-
-// sameMultiset requires the two tuple sequences to hold the same rows at
-// the same degrees, in any order.
-func sameMultiset(t *testing.T, name string, got, want []frel.Tuple) {
-	t.Helper()
-	sorted := func(ts []frel.Tuple) []frel.Tuple {
-		c := append([]frel.Tuple(nil), ts...)
-		sort.Slice(c, func(i, j int) bool {
-			if ki, kj := c[i].Key(), c[j].Key(); ki != kj {
-				return ki < kj
-			}
-			return c[i].D < c[j].D
-		})
-		return c
-	}
-	sameSequence(t, name, sorted(got), sorted(want))
-}
-
-// TestNestedLoopMatchesMerge runs each nested-loop operator and its merge
-// counterpart on the same compiled program: the merge side examines only
-// Rng(r), the nested loop every pair, and the pairs the merge skips must
-// be exactly those whose degree is 0 (Sections 3 and 5). Both relations
-// carry some wide supports, so Rng(r) holds dangling inner tuples the
-// merge skips. The anti-joins must give the same sequence, the joins the
-// same rows, both at bit-identical degrees, with and without a floor, at
-// 1, 2, 4 and 8 workers.
-func TestNestedLoopMatchesMerge(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		r := sortedRel(t, vagueRel("R", 150+rng.Intn(100), 600, 7, rng), "X")
-		s := sortedRel(t, vagueRel("S", 150+rng.Intn(100), 600, 5, rng), "X")
-		for i := range s.Tuples {
-			s.Tuples[i].Values[0] = frel.Crisp(float64(rng.Intn(300))) // ID: the residual's operand
-			if rng.Intn(2) == 0 {
-				s.Tuples[i].D = 0.05 + 0.95*rng.Float64()
-			}
-		}
-
-		// Anti-join: NOT IN on X with the JALL-style complemented link.
-		terms, penalty := antiTerms(t)
-		nlAnti := batchDrain(t, NewNLAntiMin(NewMemSource(r), NewMemSource(s), terms, NewOpStats("nl-anti-join", "")))
-		inD := make(map[string]float64, r.Len())
-		for _, tup := range r.Tuples {
-			inD[tup.Key()] = tup.D
-		}
-		regraded := r.Len() - len(nlAnti)
-		for _, tup := range nlAnti {
-			if tup.D != inD[tup.Key()] {
-				regraded++
-			}
-		}
-		if regraded == 0 {
-			t.Fatalf("seed %d: no inner tuple lowered an outer degree: the case proves nothing", seed)
-		}
-		// Join: the nested loop's condition is the merge equality followed
-		// by the merge-join's residual.
-		eq := kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)}
-		on := pairProgram(t, append([]kernel.PairStep{eq}, extraSteps()...)...)
-		nlJoin := batchDrain(t, NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 4096, NewOpStats("nl-join", "")))
-		if len(nlJoin) == 0 {
-			t.Fatalf("seed %d: the nested-loop join is empty", seed)
-		}
-
-		// The floor leg: with a floor, every operator returns its unfloored
-		// output thresholded at the floor, and counts what the floor
-		// leaves of its work.
-		_, extra := pairExtras(t)
-		for _, floor := range []float64{0, 0.5} {
-			nst := NewOpStats("nl-anti-join", "")
-			nla := NewNLAntiMin(NewMemSource(r), NewMemSource(s), terms, nst)
-			nla.Floor = floor
-			nlAntiF := batchDrain(t, nla)
-			sameSequence(t, "nl-anti-join floor", nlAntiF, thresholded(nlAnti, floor))
-			if want := nlAntiPairs(r, s, penalty, floor); nst.Comparisons.Load() != want || nst.DegreeEvals.Load() != want {
-				t.Errorf("seed %d floor %g: nl-anti-join cmp/deg %d/%d, want %d", seed, floor, nst.Comparisons.Load(), nst.DegreeEvals.Load(), want)
-			}
-			sw := NewOpStats("merge-anti-join", "")
-			bruteAntiMin(r, s, penalty, floor, sw)
-			for _, workers := range []int{1, 2, 4, 8} {
-				st := NewOpStats("merge-anti-join", "")
-				am, err := NewMergeAntiMin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", terms, st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				am.Workers, am.Floor = workers, floor
-				sameSequence(t, "anti-join", batchDrain(t, am), nlAntiF)
-				sameWork(t, "anti-join", st, sw)
-				if pairs := int64(r.Len() * s.Len()); st.Comparisons.Load() >= pairs {
-					t.Fatalf("seed %d: the merge anti-join compared all %d pairs", seed, pairs)
-				}
-			}
-
-			jst := NewOpStats("nl-join", "")
-			nlj := NewBlockNLJoin(NewMemSource(r), NewMemSource(s), on, 4096, jst)
-			nlj.Floor = floor
-			nlJoinF := batchDrain(t, nlj)
-			sameSequence(t, "nl-join floor", nlJoinF, thresholded(nlJoin, floor))
-			var evals int64
-			for _, l := range r.Tuples {
-				for _, m := range s.Tuples {
-					if min(l.D, m.D) >= floor {
-						evals++
-					}
-				}
-			}
-			if pairs := int64(r.Len() * s.Len()); jst.Comparisons.Load() != pairs || jst.DegreeEvals.Load() != evals {
-				t.Errorf("seed %d floor %g: nl-join cmp/deg %d/%d, want %d/%d", seed, floor, jst.Comparisons.Load(), jst.DegreeEvals.Load(), pairs, evals)
-			}
-			sw = NewOpStats("merge-join", "")
-			bruteMergeJoinAt(r, s, fuzzy.Crisp(0), extra, FoldNone, floor, sw)
-			for _, workers := range []int{1, 2, 4, 8} {
-				st := NewOpStats("merge-join", "")
-				kj, err := NewKernelMergeJoin(NewMemSource(r), NewMemSource(s), "R.X", "S.X", fuzzy.Crisp(0),
-					pairProgram(t, extraSteps()...), st, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kj.Floor = floor
-				sameMultiset(t, "join", batchDrain(t, kj), nlJoinF)
-				sameWork(t, "join", st, sw)
-			}
-		}
-	}
-}
-
-// nlAntiPairs is the number of pairs NLAntiMin examines under a floor:
-// every inner tuple for each outer tuple the floor keeps, up to the first
-// that drops its running minimum to 0 or below the floor.
-func nlAntiPairs(r, s *frel.Relation, penalty refJoinPred, floor float64) int64 {
-	var n int64
-	for _, l := range r.Tuples {
-		if l.D < floor {
-			continue
-		}
-		d := l.D
-		for _, m := range s.Tuples {
-			n++
-			if g := penalty(l, m); g < d {
-				if d = g; d == 0 || d < floor {
-					break
-				}
-			}
-		}
-	}
-	return n
 }

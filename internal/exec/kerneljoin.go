@@ -26,6 +26,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -58,13 +59,19 @@ const (
 // further capped by both tuple degrees and by the residual conjuncts
 // compiled into Extra (e.g. the second join predicate of an unnested type
 // J query). Both inputs must already be sorted on their join attribute by
-// the Definition 3.1 order (an extsort.Order).
+// the Definition 3.1 order (an extsort.Order). Without join attributes the
+// join sweeps the whole-inner window (sweep.go): every pair is a candidate
+// and Extra holds every conjunct.
 type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
 	Extra                *kernel.PairProgram // nil or empty: no residual conjuncts
 	Tol                  fuzzy.Trapezoid
 	Workers              int
+
+	// Ctx is the statement's context, polled by the running sweep (nil:
+	// never cancelled).
+	Ctx context.Context
 
 	// Floor is the least degree the plan still needs of a row (0: every
 	// positive degree; see plan's push-threshold rule). With a floor the
@@ -78,11 +85,11 @@ type KernelMergeJoin struct {
 	// skip (dangling window tuples are not compared), each such Rng(r)
 	// scan length is observed, and DegreeEvals counts one evaluation per
 	// pair for the band equality (none for a pair whose inner degree is
-	// below the floor) plus one per call of Extra.
+	// below the floor, none in a whole window) plus one per call of Extra.
 	Stats *OpStats
 
 	schema *frel.Schema
-	oi, ii int
+	oi, ii int // join attribute indexes; −1: the whole-inner window
 
 	emit     []int // columns of the outer ++ inner row to materialize; nil: all
 	fold     Fold
@@ -90,9 +97,10 @@ type KernelMergeJoin struct {
 }
 
 // NewKernelMergeJoin builds a band merge-join counting into st, with the
-// given worker count (0 = GOMAXPROCS).
+// given worker count (0 = GOMAXPROCS). Empty join attributes select the
+// whole-inner window.
 func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, st *OpStats, workers int) (*KernelMergeJoin, error) {
-	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
+	oi, ii, err := windowAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +160,9 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 		return nil, err
 	}
 	// best[i] is the folded degree of tuple i of the folded input. Morsels
-	// own disjoint spans of it.
+	// own disjoint spans of it. FoldInner is race-free only because of
+	// that: every outer tuple of a whole window sees every inner tuple, so
+	// a whole window is never cut into morsels.
 	var best []float64
 	switch j.fold {
 	case FoldOuter:
@@ -160,20 +170,21 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 	case FoldInner:
 		best = make([]float64, len(in.inner))
 	}
-	return in.run(j.Workers, func(p partRange) []frel.Tuple { return j.sweep(in, p, best) })
+	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) { return j.sweep(in, p, best) })
 }
 
 // sweep joins one morsel.
-func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []frel.Tuple {
+func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]frel.Tuple, error) {
 	outer, inner, oKeys, iKeys := in.outer, in.inner, in.oKeys, in.iKeys
 	f := j.Floor
+	ranged := j.oi >= 0
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
 	extra := j.Extra
 	if extra != nil && extra.Len() == 0 {
 		extra = nil
 	}
 	nOuter := len(j.Outer.Schema().Attrs)
-	loc := newBatchLocals()
+	loc := newBatchLocals(j.Ctx)
 	var out []frel.Tuple
 	var arena []frel.Value
 	emitW := len(j.schema.Attrs)
@@ -185,7 +196,10 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 		}
 		lo, hi := oKeys[o].Lo, oKeys[o].Hi
 		win.slide(iKeys, p.iHi, lo, hi, j.Tol)
-		lX := outer[o].Values[j.oi].Num
+		var lX fuzzy.Trapezoid
+		if ranged {
+			lX = outer[o].Values[j.oi].Num
+		}
 		var rng int64
 		var bestO float64
 		for k := win.start; k < win.end; k++ {
@@ -198,14 +212,17 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 			if iKeys[k].D < f {
 				continue
 			}
-			loc.deg++
-			sX := inner[k].Values[j.ii].Num
-			if !tolZero {
-				sX = fuzzy.Add(sX, j.Tol)
-			}
-			d := fuzzy.Eq(lX, sX)
-			if oD < d {
-				d = oD
+			d := oD
+			if ranged {
+				loc.deg++
+				sX := inner[k].Values[j.ii].Num
+				if !tolZero {
+					sX = fuzzy.Add(sX, j.Tol)
+				}
+				d = fuzzy.Eq(lX, sX)
+				if oD < d {
+					d = oD
+				}
 			}
 			if iKeys[k].D < d {
 				d = iKeys[k].D
@@ -273,6 +290,9 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 			best[o] = bestO
 		}
 		loc.observeRng(rng)
+		if err := loc.poll(); err != nil {
+			return nil, err
+		}
 	}
 	switch j.fold {
 	case FoldOuter:
@@ -281,5 +301,5 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) []f
 		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit, f)
 	}
 	loc.flush(j.Stats)
-	return out
+	return out, nil
 }

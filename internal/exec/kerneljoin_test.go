@@ -70,6 +70,13 @@ func bruteMergeJoin(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPred,
 // extra conjuncts are not evaluated on a pair already below the floor or,
 // folding, not above its folded tuple's best so far.
 func bruteMergeJoinAt(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPred, fold Fold, floor float64, st *OpStats) []frel.Tuple {
+	return bruteJoinAt(r, s, &tol, extra, fold, floor, st)
+}
+
+// bruteJoinAt is bruteMergeJoinAt for either window: a nil tol is the
+// whole-inner window, where every pair is compared, no band equality is
+// evaluated and extra is the whole join condition.
+func bruteJoinAt(r, s *frel.Relation, tol *fuzzy.Trapezoid, extra refJoinPred, fold Fold, floor float64, st *OpStats) []frel.Tuple {
 	var out []frel.Tuple
 	bestS := make([]float64, s.Len())
 	for _, l := range r.Tuples {
@@ -80,17 +87,22 @@ func bruteMergeJoinAt(r, s *frel.Relation, tol fuzzy.Trapezoid, extra refJoinPre
 		var rng int64
 		var bestO float64
 		for k, m := range s.Tuples {
-			sX := fuzzy.Add(m.Values[1].Num, tol)
-			if !lX.Intersects(sX) {
-				continue
+			var sX fuzzy.Trapezoid
+			if tol != nil {
+				if sX = fuzzy.Add(m.Values[1].Num, *tol); !lX.Intersects(sX) {
+					continue
+				}
 			}
 			rng++
 			st.Comparisons.Add(1)
 			if m.D < floor {
 				continue
 			}
-			st.DegreeEvals.Add(1)
-			d := fuzzy.Min(l.D, m.D, fuzzy.Eq(lX, sX))
+			d := min(l.D, m.D)
+			if tol != nil {
+				st.DegreeEvals.Add(1)
+				d = fuzzy.Min(l.D, m.D, fuzzy.Eq(lX, sX))
+			}
 			if d > 0 && extra != nil {
 				best := map[Fold]float64{FoldOuter: bestO, FoldInner: bestS[k]}[fold]
 				if d >= floor && (fold == FoldNone || d > best) {

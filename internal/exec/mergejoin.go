@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/frel"
@@ -17,7 +18,19 @@ import (
 // support begins after r's ends, so the inner relation is read exactly
 // once. The cursor pair is keyWindow (sweep.go); the merge-join
 // (kerneljoin.go), the merge anti-join below and the group-aggregate join
-// (groupagg.go) all sweep with it over flat columns.
+// (groupagg.go) all sweep with it over flat columns. Without a range
+// attribute each of them sweeps the whole-inner window instead, which is
+// the nested loop over the materialized inputs.
+
+// windowAttrs resolves the range attributes of a join or anti-join: two
+// empty attributes are the whole-inner window (both indexes −1), anything
+// else goes through checkJoinAttrs.
+func windowAttrs(outer, inner Source, outerAttr, innerAttr string) (oi, ii int, err error) {
+	if outerAttr == "" && innerAttr == "" {
+		return -1, -1, nil
+	}
+	return checkJoinAttrs(outer, inner, outerAttr, innerAttr)
+}
 
 // checkJoinAttrs validates that both join attributes resolve to numeric
 // attributes and returns their indexes.
@@ -46,8 +59,9 @@ func checkJoinAttrs(outer, inner Source, outerAttr, innerAttr string) (oi, ii in
 // equality on the merge attributes. Inner tuples outside Rng(r) have a
 // penalty of 1 by construction — their equi-join degree is 0 — so scanning
 // only Rng(r) with the merge cursor computes the same minimum the GROUPBY
-// R.K / MIN(D) query computes over all of S. Outer tuples whose final
-// degree is 0 or below Floor are dropped.
+// R.K / MIN(D) query computes over all of S. Without merge attributes
+// (e.g. a string correlation) Rng(r) is the whole inner. Outer tuples
+// whose final degree is 0 or below Floor are dropped.
 //
 // A running minimum only falls, so the scan of Rng(r) stops as soon as it
 // is below Floor (at 0 without one): r is dropped whatever the rest of
@@ -65,6 +79,10 @@ type MergeAntiMin struct {
 	// positive degree; see plan's push-threshold rule).
 	Floor float64
 
+	// Ctx is the statement's context, polled by the running sweep (nil:
+	// never cancelled).
+	Ctx context.Context
+
 	// Stats receives the operator's work: the support-intersecting pairs
 	// examined before the scan stops as Comparisons, one degree evaluation
 	// (of Terms) per such pair, and the Rng(r) scan length of every outer
@@ -75,9 +93,10 @@ type MergeAntiMin struct {
 }
 
 // NewMergeAntiMin builds the operator counting into st; inputs must be
-// sorted like for KernelMergeJoin. A nil terms is the empty conjunction.
+// sorted like for KernelMergeJoin, and empty merge attributes select the
+// whole-inner window. A nil terms is the empty conjunction.
 func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *kernel.PairProgram, st *OpStats) (*MergeAntiMin, error) {
-	oi, ii, err := checkJoinAttrs(outer, inner, outerAttr, innerAttr)
+	oi, ii, err := windowAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
 	}
@@ -106,8 +125,8 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 	}
 	f := j.Floor
 	degs := make([]float64, len(in.outer))
-	return in.run(j.Workers, func(p partRange) []frel.Tuple {
-		loc := newBatchLocals()
+	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
+		loc := newBatchLocals(j.Ctx)
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		for o := p.oLo; o < p.oHi; o++ {
 			d := in.oKeys[o].D
@@ -136,8 +155,11 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			}
 			loc.observeRng(rng)
 			degs[o] = d
+			if err := loc.poll(); err != nil {
+				return nil, err
+			}
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f)
+		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f), nil
 	})
 }

@@ -86,7 +86,7 @@ func atomicCutsKeyed(outer, inner []frel.SupportKey, tol fuzzy.Trapezoid) []part
 }
 
 // runParallel executes fn(0..n-1) on at most workers goroutines and
-// returns the first error.
+// returns the first error; once a call has failed no further call starts.
 func runParallel(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -104,15 +104,17 @@ func runParallel(workers, n int, fn func(i int) error) error {
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		firstEr error
+		failed  atomic.Bool
 	)
 	work := func() {
-		for {
+		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
 			if err := fn(i); err != nil {
 				errOnce.Do(func() { firstEr = err })
+				failed.Store(true)
 				return
 			}
 			// A pool that keeps every P busy for a whole sweep makes the

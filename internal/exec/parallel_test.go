@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
@@ -170,5 +173,26 @@ func TestParallelMergeJoinUnsortedInput(t *testing.T) {
 	}
 	if _, err := pj.Open(); err == nil {
 		t.Fatal("unsorted outer input: want error")
+	}
+}
+
+// TestRunParallelStopsAfterError: once a call fails, the pool hands out no
+// further work; only calls already running finish.
+func TestRunParallelStopsAfterError(t *testing.T) {
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	err := runParallel(4, 1000, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want the failing call's", err)
+	}
+	if n := calls.Load(); n > 8 {
+		t.Errorf("%d calls after the first failed, want at most one more per worker", n)
 	}
 }

@@ -1,10 +1,11 @@
 // Package exec implements the physical query operators of the fuzzy
 // database engine: scans, fuzzy selection, projection with max-degree
-// duplicate elimination, the naive block nested-loop join, the paper's
-// extended merge-join (Section 3), and the specialized operators the
-// unnesting rewrites of Sections 5-7 compile to (merge anti-join with
-// group-minimum degrees and its nested-loop fallback, sorted
-// group-aggregate join with the COUNT outer-join arm). Every condition an
+// duplicate elimination, the paper's extended merge-join (Section 3), and
+// the specialized operators the unnesting rewrites of Sections 5-7 compile
+// to (merge anti-join with group-minimum degrees, sorted group-aggregate
+// join with the COUNT outer-join arm). The three join operators are one
+// flat-column sweep over a window: the support range Rng(r) of a numeric
+// equality, or the whole inner for every other correlation. Every condition an
 // operator evaluates is a compiled internal/kernel program: a Program over
 // one input, a PairProgram over a pair.
 //
@@ -45,8 +46,7 @@ type BatchIterator interface {
 }
 
 // Source is an openable stream of tuples with a known schema. A Source may
-// be opened multiple times (the nested-loop join re-opens its inner
-// source once per outer block).
+// be opened multiple times.
 type Source interface {
 	Schema() *frel.Schema
 	Open() (BatchIterator, error)

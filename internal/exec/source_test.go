@@ -134,8 +134,9 @@ func TestEarlyCloseJoins(t *testing.T) {
 	}
 	it.Close()
 
-	nl := NewBlockNLJoin(NewHeapSource(r), NewHeapSource(s), pairProgram(t), 0, NewOpStats("nl-join", ""))
-	it2, err := nl.Open()
+	// The whole-inner window: the cross product.
+	whole := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "", "", fuzzy.Crisp(0), pairProgram(t))
+	it2, err := whole.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

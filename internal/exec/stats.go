@@ -278,8 +278,7 @@ func (s *StatsSnapshot) render(b *strings.Builder, depth int) {
 
 // Stated wraps a source, counting the tuples it produces and the wall
 // time spent inside it (Open plus every NextBatch) into Node. A source opened
-// several times (the inner of a block nested-loop join) accumulates
-// across opens.
+// several times accumulates across opens.
 type Stated struct {
 	Src  Source
 	Node *OpStats

@@ -10,9 +10,19 @@
 // the aggregate comparison of a group) it writes without synchronization,
 // and concatenating the morsel outputs in morsel order is the serial
 // operator's output.
+//
+// Two windows. A numeric equality or NEAR correlation sweeps the support
+// window Rng(r) of each outer tuple. Every other correlation (strings,
+// <, <=, >, >=, <>, none at all) sweeps the whole-inner window: both
+// inputs are collected with range index −1, which gives every tuple the
+// key [−Inf, +Inf]. The window cursor and the support pretest then admit
+// every inner tuple for every outer one, and the partitioner finds no
+// cut, so a whole window is one morsel and its sweep is serial. Both
+// windows hold both inputs in memory.
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -32,7 +42,8 @@ type flatInputs struct {
 
 // collectFlat drains both inputs of the operator named op (for the
 // sortedness error), cuts them into morsels for the given worker count,
-// and records the kernel observability counters into st.
+// and records the kernel observability counters into st. Range indexes
+// of −1 select the whole-inner window.
 func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, st *OpStats) (*flatInputs, error) {
 	in := &flatInputs{}
 	var err error
@@ -65,12 +76,13 @@ func (in *flatInputs) span(m int) partRange {
 }
 
 // run sweeps every morsel on the worker pool and returns the morsel
-// outputs as one iterator, in morsel order.
-func (in *flatInputs) run(workers int, sweep func(p partRange) []frel.Tuple) (BatchIterator, error) {
+// outputs as one iterator, in morsel order. The first error a sweep
+// returns (a cancelled context) stops the pool and is returned.
+func (in *flatInputs) run(workers int, sweep func(p partRange) ([]frel.Tuple, error)) (BatchIterator, error) {
 	results := make([][]frel.Tuple, len(in.morsels))
-	err := runParallel(workers, len(in.morsels), func(m int) error {
-		results[m] = sweep(in.span(m))
-		return nil
+	err := runParallel(workers, len(in.morsels), func(m int) (err error) {
+		results[m], err = sweep(in.span(m))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -128,15 +140,36 @@ func morselGrain(total, workers int) int {
 	return g
 }
 
+// pollEvery is the number of comparisons a morsel sweep makes between two
+// looks at its statement's context.
+const pollEvery = 1 << 16
+
 // batchLocals accumulates the work counters of one morsel sweep so the
-// shared atomics are touched once per morsel.
+// shared atomics are touched once per morsel, and polls the statement's
+// context as the comparisons advance.
 type batchLocals struct {
 	cmp, deg       int64
 	rngN, rngSum   int64
 	rngMin, rngMax int64
+
+	ctx      context.Context // nil: never cancelled
+	nextPoll int64           // cmp at which the context is next polled
 }
 
-func newBatchLocals() batchLocals { return batchLocals{rngMin: math.MaxInt64} }
+func newBatchLocals(ctx context.Context) batchLocals {
+	return batchLocals{rngMin: math.MaxInt64, ctx: ctx, nextPoll: pollEvery}
+}
+
+// poll returns the context's error once the sweep's comparisons have
+// advanced by pollEvery since the last poll; sweeps call it once per
+// outer tuple.
+func (l *batchLocals) poll() error {
+	if l.cmp < l.nextPoll || l.ctx == nil {
+		return nil
+	}
+	l.nextPoll = l.cmp + pollEvery
+	return l.ctx.Err()
+}
 
 // observeRng records the Rng(r) scan length of one outer tuple: the n
 // support-intersecting pairs it was compared with.
@@ -218,7 +251,8 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64)
 // building the flat support-key column the partitioner and the sweeps run
 // on. Keys are copied from the producer when it serves them and computed
 // otherwise; the columns are allocated once when the producer knows how
-// many tuples it holds.
+// many tuples it holds. Range index −1 is the whole-inner window: every
+// key is [−Inf, +Inf] and no order is checked.
 func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
 	it, err := src.Open()
 	if err != nil {
@@ -240,9 +274,12 @@ func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.Suppo
 		bk := batchKeys(it)
 		for i, t := range b {
 			var lo, hi float64
-			if bk != nil {
+			switch {
+			case idx < 0:
+				lo, hi = math.Inf(-1), math.Inf(1)
+			case bk != nil:
 				lo, hi = bk[i].Lo, bk[i].Hi
-			} else {
+			default:
 				lo, hi = t.Values[idx].Num.Support()
 			}
 			if lo < prevBegin {

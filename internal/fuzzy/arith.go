@@ -1,7 +1,5 @@
 package fuzzy
 
-import "math"
-
 // Fuzzy arithmetic (Section 6 of the paper). With trapezoidal membership
 // functions, a fuzzy value induces two intervals: the 0-cut [A, D] of all
 // values with membership greater than 0 and the 1-cut [B, C] of all values
@@ -23,32 +21,6 @@ func Sub(t, u Trapezoid) Trapezoid {
 // Neg returns the fuzzy negation −t.
 func Neg(t Trapezoid) Trapezoid {
 	return Trapezoid{-t.D, -t.C, -t.B, -t.A}
-}
-
-// Mul returns the fuzzy product t × u, computed by interval multiplication
-// of the 0-cuts and 1-cuts. (For trapezoids this is the standard linear
-// approximation of the extension-principle product.)
-func Mul(t, u Trapezoid) Trapezoid {
-	a, d := intervalMul(t.A, t.D, u.A, u.D)
-	b, c := intervalMul(t.B, t.C, u.B, u.C)
-	// Guard against float rounding breaking the nesting of the cuts.
-	if b < a {
-		b = a
-	}
-	if c > d {
-		c = d
-	}
-	if c < b {
-		c = b
-	}
-	return Trapezoid{a, b, c, d}
-}
-
-func intervalMul(lo1, hi1, lo2, hi2 float64) (lo, hi float64) {
-	p1, p2, p3, p4 := lo1*lo2, lo1*hi2, hi1*lo2, hi1*hi2
-	lo = math.Min(math.Min(p1, p2), math.Min(p3, p4))
-	hi = math.Max(math.Max(p1, p2), math.Max(p3, p4))
-	return lo, hi
 }
 
 // Scale returns the fuzzy value t scaled by the crisp factor k. AVG is

@@ -45,24 +45,6 @@ func TestNeg(t *testing.T) {
 	}
 }
 
-func TestMul(t *testing.T) {
-	tests := []struct {
-		name string
-		x, y Trapezoid
-		want Trapezoid
-	}{
-		{"positive", Trap(1, 2, 3, 4), Trap(2, 3, 4, 5), Trapezoid{2, 6, 12, 20}},
-		{"crisp", Crisp(3), Crisp(4), Crisp(12)},
-		{"negative spans", Trap(-2, -1, 1, 2), Trap(3, 4, 5, 6), Trapezoid{-12, -5, 5, 12}},
-	}
-	for _, tc := range tests {
-		got := Mul(tc.x, tc.y)
-		if got != tc.want {
-			t.Errorf("%s: Mul = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestScale(t *testing.T) {
 	x := Trap(2, 4, 6, 8)
 	if got := Scale(x, 0.5); got != (Trapezoid{1, 2, 3, 4}) {
@@ -92,18 +74,6 @@ func TestQuickSubAddInverseOnCrisp(t *testing.T) {
 	f := func(a, b float64) bool {
 		x, y := Crisp(float64(int(a)%1000)), Crisp(float64(int(b)%1000))
 		return Add(Sub(x, y), y) == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickMulValidAndCommutative(t *testing.T) {
-	f := func(vals [8]float64) bool {
-		x := randomTrap(vals[0], vals[1], vals[2], vals[3])
-		y := randomTrap(vals[4], vals[5], vals[6], vals[7])
-		p := Mul(x, y)
-		return p.Valid() && p == Mul(y, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -246,9 +246,6 @@ func Max(ds ...float64) float64 {
 	return m
 }
 
-// Not returns the fuzzy negation 1 − d.
-func Not(d float64) float64 { return 1 - d }
-
 // Member is one element of a fuzzy set of values: a possibility
 // distribution together with the element's membership degree in the set.
 // Temporary relations produced by inner query blocks are fuzzy sets of
@@ -256,57 +253,4 @@ func Not(d float64) float64 { return 1 - d }
 type Member struct {
 	Value Trapezoid
 	Mu    float64
-}
-
-// In returns the satisfaction degree d(v in T) =
-// max_{z ∈ T} min(µ_T(z), d(v = z)), the possibility for v to equal any
-// value in the fuzzy set T; 0 for empty T (Section 4).
-func In(v Trapezoid, set []Member) float64 {
-	d := 0.0
-	for _, m := range set {
-		if g := Min(m.Mu, Eq(v, m.Value)); g > d {
-			d = g
-		}
-		if d == 1 {
-			break
-		}
-	}
-	return d
-}
-
-// NotIn returns the satisfaction degree d(v not in T) = 1 − d(v in T)
-// (Section 5).
-func NotIn(v Trapezoid, set []Member) float64 {
-	return 1 - In(v, set)
-}
-
-// All returns the quantified satisfaction degree d(v op ALL F) =
-// 1 − max_{z ∈ F} min(µ_F(z), 1 − d(v op z)); 1 for empty F (Section 7).
-func All(op Op, v Trapezoid, set []Member) float64 {
-	worst := 0.0
-	for _, m := range set {
-		if g := Min(m.Mu, 1-Degree(op, v, m.Value)); g > worst {
-			worst = g
-		}
-		if worst == 1 {
-			break
-		}
-	}
-	return 1 - worst
-}
-
-// Any returns the quantified satisfaction degree d(v op ANY F) =
-// max_{z ∈ F} min(µ_F(z), d(v op z)); 0 for empty F. SOME is a synonym of
-// ANY in Fuzzy SQL.
-func Any(op Op, v Trapezoid, set []Member) float64 {
-	d := 0.0
-	for _, m := range set {
-		if g := Min(m.Mu, Degree(op, v, m.Value)); g > d {
-			d = g
-		}
-		if d == 1 {
-			break
-		}
-	}
-	return d
 }

@@ -40,35 +40,3 @@ func Tolerance(core, support float64) Trapezoid {
 func ApproxEq(u, v Trapezoid, tol Trapezoid) float64 {
 	return Eq(u, Add(v, tol))
 }
-
-// SimilarityFunc is a user-defined similarity relation µ_θ(x, y).
-type SimilarityFunc func(x, y float64) float64
-
-// DegreeSimilarity computes d(U θ V) for an arbitrary similarity relation
-// by numeric sup-min search over the two supports (closed forms exist only
-// for special θ such as ApproxEq). steps controls the grid resolution per
-// axis; the result is a lower bound converging from below.
-func DegreeSimilarity(u, v Trapezoid, sim SimilarityFunc, steps int) float64 {
-	if steps < 2 {
-		steps = 2
-	}
-	uLo, uHi := u.Support()
-	vLo, vHi := v.Support()
-	du := (uHi - uLo) / float64(steps)
-	dv := (vHi - vLo) / float64(steps)
-	best := 0.0
-	for i := 0; i <= steps; i++ {
-		x := uLo + float64(i)*du
-		mu := u.Mu(x)
-		if mu <= best {
-			continue
-		}
-		for j := 0; j <= steps; j++ {
-			y := vLo + float64(j)*dv
-			if g := Min(mu, v.Mu(y), sim(x, y)); g > best {
-				best = g
-			}
-		}
-	}
-	return best
-}

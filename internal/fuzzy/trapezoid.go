@@ -138,18 +138,6 @@ func (t Trapezoid) Core() (lo, hi float64) {
 	return t.B, t.C
 }
 
-// AlphaCut returns the interval of values whose membership is at least
-// alpha, for alpha in (0, 1]. For alpha <= 0 it returns the support.
-func (t Trapezoid) AlphaCut(alpha float64) (lo, hi float64) {
-	if alpha <= 0 {
-		return t.A, t.D
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return t.A + alpha*(t.B-t.A), t.D - alpha*(t.D-t.C)
-}
-
 // Centroid returns the center of the 1-cut, the defuzzification used by the
 // MIN and MAX aggregate functions of Fuzzy SQL (Section 6 of the paper).
 func (t Trapezoid) Centroid() float64 {

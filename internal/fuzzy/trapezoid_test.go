@@ -95,26 +95,6 @@ func TestMuMediumYoung(t *testing.T) {
 	}
 }
 
-func TestAlphaCut(t *testing.T) {
-	tr := Trap(20, 25, 30, 35)
-	tests := []struct {
-		alpha  float64
-		lo, hi float64
-	}{
-		{0, 20, 35},
-		{-1, 20, 35},
-		{0.5, 22.5, 32.5},
-		{1, 25, 30},
-		{2, 25, 30}, // clamped
-	}
-	for _, tc := range tests {
-		lo, hi := tr.AlphaCut(tc.alpha)
-		if !almostEq(lo, tc.lo) || !almostEq(hi, tc.hi) {
-			t.Errorf("AlphaCut(%g) = [%g, %g], want [%g, %g]", tc.alpha, lo, hi, tc.lo, tc.hi)
-		}
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	if got := Trap(20, 25, 30, 35).Centroid(); !almostEq(got, 27.5) {
 		t.Errorf("Centroid = %g, want 27.5", got)
@@ -227,23 +207,6 @@ func TestQuickMuRange(t *testing.T) {
 		tr := randomTrap(a, b, c, d)
 		m := tr.Mu(math.Mod(x, 200))
 		return m >= 0 && m <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickAlphaCutNesting(t *testing.T) {
-	f := func(a, b, c, d float64, a1, a2 uint8) bool {
-		tr := randomTrap(a, b, c, d)
-		x, y := float64(a1%101)/100, float64(a2%101)/100
-		if x > y {
-			x, y = y, x
-		}
-		lo1, hi1 := tr.AlphaCut(x)
-		lo2, hi2 := tr.AlphaCut(y)
-		// Higher alpha yields a nested (smaller) cut.
-		return lo1 <= lo2+1e-9 && hi2 <= hi1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

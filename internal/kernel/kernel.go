@@ -8,7 +8,7 @@
 // Program fuses a conjunction over one input into a single loop over the
 // batch (filters, HAVING, DELETE); a PairProgram (pair.go) evaluates the
 // conjuncts of a join or anti-join over a pair of rows, for the merge
-// operators and their nested-loop fallbacks alike; Coalesce (morsel.go)
+// operators over either window; Coalesce (morsel.go)
 // packs atomic join ranges into morsels for the pull-queue scheduler.
 //
 // Every step calls the closed-form degree functions of Section 2.2

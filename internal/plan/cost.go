@@ -14,8 +14,8 @@ import (
 // their ratios matter.
 const (
 	// cDeg is the cost of one degree (membership) evaluation relative to
-	// touching a tuple; nested-loop joins and naive nested evaluation pay
-	// it per tuple pair.
+	// touching a tuple; whole-window sweeps and naive nested evaluation
+	// pay it per tuple pair.
 	cDeg = 4.0
 
 	// cSortAmort scales the n·log2(n) sort term: the engine's cached sort
@@ -199,8 +199,8 @@ func edgeFanout(h HomedPred, schemas []*frel.Schema, stats []*frel.TableStats, r
 // estimateJoin plans the flat join: predicates are homed on their
 // relations and pushed down, the join order is chosen by dynamic
 // programming over the join graph (Section 8 suggests exactly this for
-// Q′_K), and each step picks extended merge-join or block nested-loop by
-// comparing their estimated costs.
+// Q′_K), and each step sweeps the support range of its best numeric
+// equality or NEAR predicate, or the whole inner when it has none.
 func (p *Plan) estimateJoin(j *Join, opts Options) {
 	n := len(j.Inputs)
 	if n == 0 {
@@ -353,7 +353,7 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 			}
 		}
 
-		// Merge candidate: the lowest-fanout numeric equality predicate
+		// Range candidate: the lowest-fanout numeric equality predicate
 		// orientable between the accumulated side and next (NEAR runs as a
 		// band merge-join and is considered after equalities, like the
 		// executor's historical preference).
@@ -415,10 +415,9 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 			outRows = curRows * inRows[next]
 		}
 
-		// Merge-join pays amortized sorts plus a linear merge; block
-		// nested-loop pays a degree evaluation per tuple pair. A merge
-		// input served from a persistent order index pays no sort at all.
-		nlCost := curRows*inRows[next]*cDeg + outRows
+		// A range window pays amortized sorts plus a linear sweep (an
+		// input served from a persistent order index pays no sort at
+		// all); the whole window pays a degree evaluation per tuple pair.
 		if step.MergePred >= 0 {
 			lSort := cSortAmort * curRows * log2n(curRows)
 			if curLeaf != nil && p.hasOrderIndex(curLeaf, step.LeftAttr) {
@@ -430,22 +429,13 @@ func (p *Plan) estimateJoin(j *Join, opts Options) {
 				step.RightIndexed = true
 				rSort = 0
 			}
-			mergeCost := lSort + rSort + curRows + inRows[next] + outRows
-			if mergeCost <= nlCost {
-				step.Merge = true
-				used[step.MergePred] = true
-				cost += mergeCost
-			} else {
-				step.MergePred = -1
-				step.LeftAttr, step.RightAttr, step.Tol = "", "", fuzzy.Trapezoid{}
-				step.LeftIndexed, step.RightIndexed = false, false
-				cost += nlCost
-			}
+			used[step.MergePred] = true
+			cost += lSort + rSort + curRows + inRows[next] + outRows
 		} else {
-			cost += nlCost
+			cost += curRows*inRows[next]*cDeg + outRows
 		}
 		for _, pi := range applicable {
-			if step.Merge && pi == step.MergePred {
+			if pi == step.MergePred {
 				continue
 			}
 			step.Extras = append(step.Extras, pi)
@@ -609,14 +599,14 @@ func (p *Plan) leafEst(nd Node) float64 {
 }
 
 // estimateAnti sizes the group-minimum anti-join: with a range attribute
-// it is a pair of amortized sorts plus a linear merge; without one it
-// degrades to a nested loop. The output carries every outer tuple (inner
-// matches only lower degrees).
+// it is a pair of amortized sorts plus a linear sweep; the whole window
+// pays a degree evaluation per tuple pair. The output carries every outer
+// tuple (inner matches only lower degrees).
 func (p *Plan) estimateAnti(a *AntiJoin) {
 	l := p.leafEst(a.Outer)
 	r := p.leafEst(a.Inner)
 	cost := a.Outer.Est().Cost + a.Inner.Est().Cost
-	if a.RangeFound {
+	if a.RangeOuter != "" {
 		lSort := cSortAmort * l * log2n(l)
 		if p.hasOrderIndex(a.Outer, a.RangeOuter) {
 			lSort = 0

@@ -46,8 +46,8 @@ func TestMergeJoinChosenForEquality(t *testing.T) {
 		t.Fatalf("steps = %v", j.Steps)
 	}
 	st := j.Steps[0]
-	if !st.Merge {
-		t.Fatal("equality join step did not choose the merge-join")
+	if st.MergePred < 0 {
+		t.Fatal("equality join step did not take its range window")
 	}
 	if st.LeftAttr == "" || st.RightAttr == "" {
 		t.Errorf("merge attrs = %q/%q", st.LeftAttr, st.RightAttr)
@@ -57,15 +57,30 @@ func TestMergeJoinChosenForEquality(t *testing.T) {
 	}
 }
 
+// TestNestedLoopForNonEquality: a non-equality predicate has no range, so
+// its step sweeps the whole inner with the predicate as an extra conjunct.
 func TestNestedLoopForNonEquality(t *testing.T) {
 	p := planFor(t, rstCatalog(), `SELECT R.K FROM R, S WHERE R.A < S.A`, Options{})
 	j := p.Proj().Input.(*Join)
 	st := j.Steps[0]
-	if st.Merge || st.MergePred >= 0 {
-		t.Fatalf("non-equality predicate chose merge: %+v", st)
+	if st.MergePred >= 0 || st.LeftAttr != "" || st.RightAttr != "" {
+		t.Fatalf("non-equality predicate took a range window: %+v", st)
 	}
 	if len(st.Extras) != 1 {
 		t.Errorf("extras = %v, want the < predicate", st.Extras)
+	}
+	renderedContains(t, p, "[merge-join all")
+
+	// A numeric equality always takes its range, even where the whole
+	// window is estimated cheaper: one outer row against 10 000 inner
+	// rows, where the sorts cost more than 10 000 degree evaluations.
+	p = planFor(t, newTestCatalog(
+		numRel("R", 1, []string{"K", "A"}, []int{1, 1}),
+		numRel("S", 10000, []string{"A"}, []int{100}),
+	), `SELECT R.K FROM R, S WHERE R.A = S.A`, Options{DisableJoinReorder: true})
+	st = p.Proj().Input.(*Join).Steps[0]
+	if st.MergePred < 0 || st.LeftAttr != "R.A" || st.RightAttr != "S.A" {
+		t.Fatalf("1 x 10 000 numeric equality: step %+v, want the range R.A = S.A", st)
 	}
 }
 

@@ -29,7 +29,7 @@ func (f Fold) String() string {
 	}
 }
 
-// assignEmits decides what each merge step of the join under proj has to
+// assignEmits decides what each step of the join under proj has to
 // materialize. Every answer of the engine is a fuzzy set: the projection
 // (or the grouping) keeps one row per distinct value combination at the
 // maximum degree. A step's output row therefore only matters through the
@@ -80,7 +80,7 @@ func (j *Join) assignEmits(schemas []*frel.Schema, proj *Project) {
 		}
 	}
 	for k, step := range j.Steps {
-		if step.Merge && !use(step.LeftAttr, k) {
+		if step.MergePred >= 0 && !use(step.LeftAttr, k) {
 			return
 		}
 		for _, pi := range step.Extras {
@@ -94,9 +94,6 @@ func (j *Join) assignEmits(schemas []*frel.Schema, proj *Project) {
 	}
 	for k := range j.Steps {
 		step := &j.Steps[k]
-		if !step.Merge {
-			continue
-		}
 		step.Emit = []string{}
 		outer, inner := false, false
 		for c, a := range full.Attrs {

@@ -66,11 +66,12 @@ func TestAssignEmitsChainSteps(t *testing.T) {
 	}
 }
 
-// Nested-loop steps emit full rows; a projection the planner cannot
-// resolve leaves every step alone, for the executor to report.
+// A whole-window step folds like a range step; a projection the planner
+// cannot resolve leaves every step alone, for the executor to report.
 func TestAssignEmitsLeavesAlone(t *testing.T) {
-	if st := steps(t, `SELECT R.K FROM R, S WHERE R.A < S.A`); st[0].Emit != nil || st[0].Fold != FoldNone {
-		t.Errorf("nested-loop step: emit %v fold %v", st[0].Emit, st[0].Fold)
+	st := steps(t, `SELECT R.K FROM R, S WHERE R.A < S.A`)
+	if got := strings.Join(st[0].Emit, ", "); got != "R.K" || st[0].Fold != FoldOuter {
+		t.Errorf("whole-window step: emit %q fold %v", got, st[0].Fold)
 	}
 	for _, sql := range []string{
 		`SELECT R.NOPE FROM R, S WHERE R.A = S.A`,

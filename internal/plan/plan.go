@@ -13,8 +13,8 @@
 // The physical compilation of a plan into exec operators stays in
 // internal/core, which owns sources, linguistic terms and the sort-order
 // cache; the plan records every decision compilation needs (join order,
-// merge vs nested-loop steps, predicate assignments) so the compiler
-// replays them without re-deciding.
+// each step's window, predicate assignments) so the compiler replays them
+// without re-deciding.
 package plan
 
 import (
@@ -163,13 +163,10 @@ func (f *Filter) Children() []Node { return []Node{f.Input} }
 func (f *Filter) Est() *Est        { return &f.est }
 
 // JoinStep is one step of a left-deep join: the input joined at this
-// step and the algorithm decision the cost model made for it.
+// step and the window the merge sweep scans for it.
 type JoinStep struct {
 	// Next indexes the Join input joined at this step.
 	Next int
-	// Merge selects the extended merge-join; false means block
-	// nested-loop.
-	Merge bool
 	// LeftAttr/RightAttr are the merge attributes (LeftAttr resolves in
 	// the accumulated left side, RightAttr in the next input), and Tol is
 	// the band tolerance (zero for plain equality; NEAR predicates run as
@@ -177,8 +174,10 @@ type JoinStep struct {
 	// written with the sides reversed).
 	LeftAttr, RightAttr string
 	Tol                 fuzzy.Trapezoid
-	// MergePred indexes PairPreds for the predicate the merge consumes
-	// (-1 when Merge is false).
+	// MergePred indexes PairPreds for the predicate the merge consumes:
+	// the step sweeps that predicate's support range. -1 means the step
+	// has no range and sweeps the whole inner, with every predicate as an
+	// extra conjunct.
 	MergePred int
 	// Extras indexes PairPreds for the predicates applied as extra
 	// conjuncts during this step.
@@ -188,8 +187,8 @@ type JoinStep struct {
 	// Emit lists the (qualified) attributes of the step's output that a
 	// later step or the projection still reads; a merge step run by the
 	// kernel join materializes only these. Nil means the full
-	// concatenated row (nested-loop steps, and plans whose references the
-	// planner could not resolve). Fold, when not FoldNone, records that
+	// concatenated row (plans whose references the planner could not
+	// resolve). Fold, when not FoldNone, records that
 	// every emitted attribute comes from one input, so the step emits one
 	// row per tuple of that input at the maximum degree over its pairs
 	// (see assignEmits).
@@ -310,10 +309,10 @@ type AntiJoin struct {
 	HasLink bool
 	// Corr are the correlation predicates referencing both blocks.
 	Corr []fsql.Predicate
-	// RangeOuter/RangeInner are the merge range attributes; RangeFound
-	// false selects the nested-loop anti-join fallback.
+	// RangeOuter/RangeInner are the merge range attributes; empty when
+	// no numeric equality links the blocks, and the anti-join sweeps the
+	// whole inner.
 	RangeOuter, RangeInner string
-	RangeFound             bool
 	// Floor is the answer threshold pushed into the anti-join's output
 	// (see pushThreshold); its inner side, which enters as 1 − µS, never
 	// gets one.

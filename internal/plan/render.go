@@ -30,8 +30,8 @@ func (p *Plan) Lines() []string {
 			// its algorithm decision.
 			walk(j.Inputs[j.Order[0]], depth+1)
 			for k, step := range j.Steps {
-				algo := "nl-join"
-				if step.Merge {
+				algo := "merge-join all"
+				if step.MergePred >= 0 {
 					algo = "merge-join " + step.LeftAttr + " = " + step.RightAttr
 					switch {
 					case step.LeftIndexed && step.RightIndexed:
@@ -90,8 +90,8 @@ func describe(nd Node) string {
 	case *AllQuantifier:
 		detail = "all"
 	case *AntiJoin:
-		alg := "nested-loop"
-		if n.RangeFound {
+		alg := "merge all"
+		if n.RangeOuter != "" {
 			alg = "merge " + n.RangeOuter + " = " + n.RangeInner
 		}
 		detail = fmt.Sprintf("[%s] %s%s", n.Mode, alg, FloorLabel(n.Floor))

@@ -160,7 +160,7 @@ func TestRenderAntiJoinMerge(t *testing.T) {
 
 // TestRenderNotExistsNestedLoop: a NOT EXISTS whose only correlation is a
 // non-equality comparison gets no merge range attribute, so the anti-join
-// renders (and is costed) as a nested loop.
+// renders (and is costed) as a sweep of the whole inner.
 func TestRenderNotExistsNestedLoop(t *testing.T) {
 	p := planFor(t, rstCatalog(), `SELECT R.K FROM R WHERE NOT EXISTS (SELECT S.A FROM S WHERE S.B <= R.B)`, Options{})
 	if p.Strategy != StrategyAntiJoin {
@@ -171,10 +171,10 @@ func TestRenderNotExistsNestedLoop(t *testing.T) {
 	if !ok {
 		t.Fatalf("body = %T", p.Proj().Input)
 	}
-	if aj.RangeFound || aj.HasLink {
-		t.Errorf("NOT EXISTS anti-join: RangeFound=%v HasLink=%v, want false/false", aj.RangeFound, aj.HasLink)
+	if aj.RangeOuter != "" || aj.RangeInner != "" || aj.HasLink {
+		t.Errorf("NOT EXISTS anti-join: range %q/%q HasLink=%v, want none", aj.RangeOuter, aj.RangeInner, aj.HasLink)
 	}
-	renderedContains(t, p, "anti-join [not-exists] nested-loop")
+	renderedContains(t, p, "anti-join [not-exists] merge all")
 }
 
 func TestRenderGroupAggAndUncorr(t *testing.T) {

@@ -389,14 +389,13 @@ func (p *Plan) rewriteAnti(join *Join, sub fsql.Predicate, body Node, mode AntiM
 	// For JX the linking equality itself qualifies; for JALL and NOT
 	// EXISTS only an equality correlation does.
 	var rangeOuter, rangeInner string
-	var rangeFound bool
 	candidates := corr
 	if mode == AntiNotIn {
 		candidates = append([]fsql.Predicate{link}, corr...)
 	}
 	for _, pr := range candidates {
 		if oRef, iRef, ok := eqAttrPair(outerSchema, innerSchema, pr); ok {
-			rangeOuter, rangeInner, rangeFound = oRef, iRef, true
+			rangeOuter, rangeInner = oRef, iRef
 			break
 		}
 	}
@@ -429,7 +428,7 @@ func (p *Plan) rewriteAnti(join *Join, sub fsql.Predicate, body Node, mode AntiM
 	p.Proj().Input = &AntiJoin{
 		Outer: makeLeaf(outerScan, join.Preds), Inner: makeLeaf(innerScan, p2),
 		Mode: mode, Link: link, HasLink: hasLink, Corr: corr,
-		RangeOuter: rangeOuter, RangeInner: rangeInner, RangeFound: rangeFound,
+		RangeOuter: rangeOuter, RangeInner: rangeInner,
 	}
 	p.Rules = append(p.Rules, rule)
 	p.Strategy, p.Note = strategy, note

@@ -223,7 +223,7 @@ func TestRuleUnnestNotIn(t *testing.T) {
 	if a.Mode != AntiNotIn || !a.HasLink {
 		t.Errorf("mode = %v hasLink = %v", a.Mode, a.HasLink)
 	}
-	if !a.RangeFound {
+	if a.RangeOuter == "" {
 		t.Error("linking equality should provide the merge range")
 	}
 	if len(a.Corr) != 1 {
@@ -246,8 +246,8 @@ func TestRuleUnnestAll(t *testing.T) {
 		t.Errorf("link op = %v, want >", a.Link.Op)
 	}
 	// The equality correlation, not the > link, is the merge range.
-	if !a.RangeFound || a.RangeOuter != "R.A" || a.RangeInner != "S.A" {
-		t.Errorf("range = %q/%q found=%v", a.RangeOuter, a.RangeInner, a.RangeFound)
+	if a.RangeOuter != "R.A" || a.RangeInner != "S.A" {
+		t.Errorf("range = %q/%q", a.RangeOuter, a.RangeInner)
 	}
 }
 

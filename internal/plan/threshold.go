@@ -11,7 +11,7 @@ import (
 // through min, the projection's max and the threshold itself, so that
 // they may drop early every row the threshold would drop at the end:
 //
-//	join step (merge or nested loop)  min of the pair, max over pairs
+//	join step (either window)         min of the pair, max over pairs
 //	anti-join, output side            min(r.D, 1 − …): r's own degree
 //	group-aggregate join, outer side  min(r.D, d(r.Y op A′(u)))
 //
