@@ -158,7 +158,7 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 // sortOn sorts rel in memory on the ≼ order of attr.
 func sortOn(b *testing.B, rel *frel.Relation, attr string) {
 	b.Helper()
-	order, err := extsort.OrderBy(rel.Schema, attr, false)
+	order, err := extsort.OrderBy(rel.Schema, attr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -300,15 +300,12 @@ func BenchmarkAblationParallelSort(b *testing.B) {
 				if err := h.AppendAll(rel); err != nil {
 					b.Fatal(err)
 				}
-				order, err := extsort.OrderBy(h.Schema, "B", false)
+				order, err := extsort.OrderBy(h.Schema, "B")
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				sorter := extsort.NewSorter(mgr, 4).WithParallelism(workers)
-				if _, _, err := sorter.Sort(h, order); err != nil {
-					b.Fatal(err)
-				}
+				drainSort(b, extsort.NewSorter(mgr, 4).WithParallelism(workers), h, order)
 			}
 		})
 	}
@@ -431,13 +428,27 @@ func BenchmarkExternalSort(b *testing.B) {
 		if err := h.AppendAll(rel); err != nil {
 			b.Fatal(err)
 		}
-		order, err := extsort.OrderBy(h.Schema, "B", false)
+		order, err := extsort.OrderBy(h.Schema, "B")
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := extsort.NewSorter(mgr, 8).Sort(h, order); err != nil {
-			b.Fatal(err)
-		}
+		drainSort(b, extsort.NewSorter(mgr, 8), h, order)
+	}
+}
+
+// drainSort sorts h by order and pulls the sort's final merge to its end.
+func drainSort(b *testing.B, s *extsort.Sorter, h *storage.HeapFile, order extsort.Order) {
+	str, err := s.Stream(h, -1, order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ok := str.Next(); ok; _, ok = str.Next() {
+	}
+	if err := str.Err(); err != nil {
+		b.Fatal(err)
+	}
+	if err := str.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -123,8 +123,8 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 	if err := tmp.Flush(); err != nil {
 		return err
 	}
-	// A recycled temporary's file keeps the length of its previous use;
-	// the stale pages past the replacement must not become the relation's.
+	// The file becomes the relation's as it is: cut it to the
+	// replacement's own pages before the rename.
 	if err := tmp.Pager().Truncate(tmp.NumPages()); err != nil {
 		return err
 	}

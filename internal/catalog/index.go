@@ -132,8 +132,8 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 	for i := range tids {
 		tids[i] = uint64(i)
 	}
-	// Stable: Definition 3.1 ties stay in tid order, the order the engine's
-	// external sort of the relation produces.
+	// Stable: ties, identical values, stay in tid order, the order the
+	// engine's external sort of the relation produces.
 	slices.SortStableFunc(tids, func(a, b uint64) int {
 		return frel.Compare(rel.Tuples[a].Values[ix.pos], rel.Tuples[b].Values[ix.pos])
 	})

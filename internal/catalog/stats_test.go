@@ -157,8 +157,8 @@ func TestStatsExactAcrossReopen(t *testing.T) {
 	}
 	reopenAdopting("rollback, checkpoint")
 
-	// DELETE renames a temporary over the relation; a recycled temporary
-	// keeps its file's old length, which must not come along.
+	// DELETE renames a temporary over the relation, here after a larger
+	// temporary was dropped: only the replacement's pages come along.
 	spill, err := c.Manager().CreateTemp(statsSchema())
 	if err != nil {
 		t.Fatal(err)

@@ -106,10 +106,10 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		// attributes; the whole window takes them as they come.
 		label := "all"
 		if step.MergePred >= 0 {
-			if cur, err = e.sortSource(cur, step.LeftAttr, false); err != nil {
+			if cur, err = e.sortSource(cur, step.LeftAttr); err != nil {
 				return nil, err
 			}
-			if next, err = e.sortSource(next, step.RightAttr, false); err != nil {
+			if next, err = e.sortSource(next, step.RightAttr); err != nil {
 				return nil, err
 			}
 			label = step.LeftAttr + " = " + step.RightAttr
@@ -208,10 +208,10 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	// sweeps the whole inner, in the order the inputs come.
 	label := "all"
 	if a.RangeOuter != "" {
-		if outer, err = e.sortSource(outer, a.RangeOuter, false); err != nil {
+		if outer, err = e.sortSource(outer, a.RangeOuter); err != nil {
 			return nil, err
 		}
-		if inner, err = e.sortSource(inner, a.RangeInner, false); err != nil {
+		if inner, err = e.sortSource(inner, a.RangeInner); err != nil {
 			return nil, err
 		}
 		label = a.RangeOuter + " = " + a.RangeInner
@@ -242,12 +242,12 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 			return nil, err
 		}
 	}
-	sortedOuter, err := e.sortSource(outer, g.URef, true)
+	sortedOuter, err := e.sortSource(outer, g.URef)
 	if err != nil {
 		return nil, err
 	}
 	if g.Op2 == fuzzy.OpEq {
-		inner, err = e.sortSource(inner, g.VRef, false)
+		inner, err = e.sortSource(inner, g.VRef)
 		if err != nil {
 			return nil, err
 		}

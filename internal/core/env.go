@@ -225,16 +225,6 @@ func (e *Env) DefineScopedTerm(name string, t fuzzy.Trapezoid) error {
 	return nil
 }
 
-// ScopedTerms returns the names of the terms defined in the session-local
-// scope (unsorted; nil without a scope).
-func (e *Env) ScopedTerms() []string {
-	names := make([]string, 0, len(e.scopeTerms))
-	for n := range e.scopeTerms {
-		names = append(names, n)
-	}
-	return names
-}
-
 // ReleaseSortCache drops the environment's cached sort orders, deleting
 // the sorted temporary heap files held by the external side of the cache.
 // Sessions forked off a long-running database call it on close so
@@ -403,27 +393,25 @@ type renameSource struct {
 
 func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
-// sortSource returns src sorted on attr. total selects the CompareTotal
-// tie-broken order needed by the group-aggregate join. Plain scans of base
-// relations go through the sort-order cache (see sortcache.go): a repeat
-// sort of an unmodified relation is served from the cached sorted copy
-// without re-sorting, a cold sort of a relation carrying a persistent
-// order index on the attribute is served from the index (see indexscan.go)
-// without sorting at all, and any other cold sort is an external sort of
-// the heap whose final merge feeds the consumer, written to a cached copy
-// only when the order is requested a second time. Any other input is
+// sortSource returns src sorted on attr. Plain scans of base relations go
+// through the sort-order cache (see sortcache.go): a repeat sort of an
+// unmodified relation is served from the cached sorted copy without
+// re-sorting, a cold sort of a relation carrying a persistent order index
+// on the attribute is served from the index (see indexscan.go) without
+// sorting at all, and any other cold sort is an external sort of the heap
+// whose final merge feeds the consumer, copied into the cache as it is
+// pulled when the order is requested a second time. Any other input is
 // sorted in memory when it fits the sort memory and externally, streamed
 // the same way, otherwise.
-func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source, error) {
-	order, err := extsort.OrderBy(src.Schema(), attr, total)
+func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
+	order, err := extsort.OrderBy(src.Schema(), attr)
 	if err != nil {
 		return nil, err
 	}
 	attrIdx := order.Attr
 	if base := baseScan(src); base != nil {
-		heapBase := base.Heap
-		key := sortKey{heap: heapBase, attr: attrIdx, total: total}
-		version := e.heapVersion(heapBase)
+		key := sortKey{heap: base.Heap, attr: attrIdx}
+		version := e.heapVersion(base.Heap)
 		// An order loaded from a persistent index lives in the memory
 		// side of the cache; repeat sorts of the unmodified heap replay
 		// it without touching the index again.
@@ -442,32 +430,22 @@ func (e *Env) sortSource(src exec.Source, attr string, total bool) (exec.Source,
 		// A plain base-heap scan needs no pre-sort spill — the spill would
 		// be a verbatim copy of the heap — so the sorter reads the base
 		// directly, bounded by the scan's snapshot limit.
-		if !e.admitHeapSort(key, version) {
-			out, node, err := e.streamSort(attr, src.Schema(), heapBase, base.Limit, order)
-			if err != nil {
-				return nil, err
-			}
-			node.CacheMisses.Add(1)
-			return e.attach(node, exec.WithContext(e.ctx, out), src), nil
-		}
-		var sorted *storage.HeapFile
-		var st extsort.Stats
-		elapsed, err := e.timeSort(func(s *extsort.Sorter) (err error) {
-			sorted, st, err = s.SortPrefix(heapBase, base.Limit, order)
-			return err
-		})
+		admit := e.admitHeapSort(key, version)
+		out, node, err := e.streamSort(attr, src.Schema(), base.Heap, base.Limit, order)
 		if err != nil {
 			return nil, err
 		}
+		node.CacheMisses.Add(1)
 		// Keyed by the version the evaluation saw: a bounded snapshot
 		// scan's sorted copy must only serve readers of that snapshot
 		// state, never the live (possibly further-appended) heap.
-		e.storeHeapSort(key, &heapSortEntry{version: version, sorted: sorted})
-		// The directly sorted heap carries the base schema; restore the
-		// source's (possibly aliased) schema, as the cache-hit path does.
-		node := e.extsortNode(attr, st, elapsed)
-		node.CacheMisses.Add(1)
-		return e.attach(node, &renameSource{Source: exec.NewHeapSource(sorted), schema: src.Schema()}, src), nil
+		if admit {
+			if err := out.copyTo(key, version); err != nil {
+				out.Close()
+				return nil, err
+			}
+		}
+		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 	}
 
 	// Not a base relation: the size of the input decides. One that fits
@@ -510,52 +488,31 @@ func (e *Env) cacheHit(attr string, out, src exec.Source) exec.Source {
 	return e.attach(node, exec.WithContext(e.ctx, out), src)
 }
 
-// timeSort runs one external sort (or its run generation and merge
-// passes, for a streamed sort), accounting its wall time and page I/O to
-// the environment's phases.
-func (e *Env) timeSort(sort func(*extsort.Sorter) error) (time.Duration, error) {
-	mgr := e.cat.Manager()
-	sorter := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers())
-	start := time.Now()
-	iosBefore := mgr.Stats().IO()
-	if err := sort(sorter); err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start)
-	e.Phases.SortIOs += mgr.Stats().IO() - iosBefore
-	e.Phases.SortWall += elapsed
-	return elapsed, nil
-}
-
 // streamSort sorts the first limit tuples of h (limit < 0: all) up to the
 // final merge and returns that merge as a source of schema, with the sort
-// node its work is counted in. The source is closed, and its runs
+// node its work is counted in. Run generation and the merge passes before
+// the final one run here, and their wall time and page I/O count toward
+// the environment's sort phase. The source is closed, and its runs
 // dropped, when its consumer closes it or at the latest when the
 // evaluation ends.
 func (e *Env) streamSort(attr string, schema *frel.Schema, h *storage.HeapFile, limit int64, order extsort.Order) (*sortedStream, *exec.OpStats, error) {
-	var str *extsort.Stream
-	elapsed, err := e.timeSort(func(s *extsort.Sorter) (err error) {
-		str, err = s.Stream(h, limit, order)
-		return err
-	})
+	mgr := e.cat.Manager()
+	start, ios := time.Now(), mgr.Stats().IO()
+	str, err := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).Stream(h, limit, order)
 	if err != nil {
 		return nil, nil, err
 	}
+	elapsed := time.Since(start)
+	e.Phases.SortIOs += mgr.Stats().IO() - ios
+	e.Phases.SortWall += elapsed
 	st := str.Stats()
-	node := e.extsortNode(attr, st, elapsed)
-	out := &sortedStream{e: e, schema: schema, attr: order.Attr, str: str, node: node, counted: st.Comparisons}
-	e.streams = append(e.streams, out)
-	return out, node, nil
-}
-
-// extsortNode returns the stats node of an external sort, its work
-// counted.
-func (e *Env) extsortNode(attr string, st extsort.Stats, elapsed time.Duration) *exec.OpStats {
 	node := e.newNode("sort", attr)
 	node.SortRuns.Add(int64(st.Runs))
 	node.MergePasses.Add(int64(st.MergePasses))
 	node.SpillBytes.Add(st.SpillBytes)
 	node.Comparisons.Add(st.Comparisons)
 	node.WallNanos.Add(elapsed.Nanoseconds())
-	return node
+	out := &sortedStream{e: e, schema: schema, attr: order.Attr, str: str, node: node, counted: st.Comparisons}
+	e.streams = append(e.streams, out)
+	return out, node, nil
 }

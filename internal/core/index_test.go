@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -338,8 +340,8 @@ func TestIndexCorruptEntriesFallBack(t *testing.T) {
 }
 
 // TestIndexOrderIsTheStableSort: the order an index scan serves is, tuple
-// for tuple, the engine's stable sort of the visible relation, in both
-// orders and at both visibility horizons: live, with a tail of tuples
+// for tuple, the engine's stable sort of the visible relation, at both
+// visibility horizons: live, with a tail of tuples
 // appended after the build, and at a snapshot taken before the build, which
 // sees only part of the index's prefix. Supports repeat, so ties are
 // common.
@@ -380,36 +382,132 @@ func TestIndexOrderIsTheStableSort(t *testing.T) {
 		snap    *Snapshot
 		visible int
 	}{{"live", nil, 450}, {"snapshot before the build", early, 300}} {
-		for _, total := range []bool{false, true} {
-			want := &frel.Relation{Schema: schema, Tuples: slices.Clone(all.Tuples[:leg.visible])}
-			if _, err := extsort.SortRelation(want, extsort.Order{Attr: 1, Total: total}); err != nil {
+		want := &frel.Relation{Schema: schema, Tuples: slices.Clone(all.Tuples[:leg.visible])}
+		if _, err := extsort.SortRelation(want, extsort.Order{Attr: 1}); err != nil {
+			t.Fatal(err)
+		}
+		restore := e.setSnapshot(leg.snap)
+		e.sortMem = nil
+		src, err := e.source(fsql.TableRef{Name: "R"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := e.sortSource(src, "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Collect(sorted)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := e.sortMem[sortKey{heap: h, attr: 1}]; !ok {
+			t.Fatalf("%s: the order was not served by the index", leg.name)
+		}
+		if len(got.Tuples) != len(want.Tuples) {
+			t.Fatalf("%s: %d tuples, want %d", leg.name, len(got.Tuples), len(want.Tuples))
+		}
+		for i := range got.Tuples {
+			if g, w := got.Tuples[i].Values[0].Num.A, want.Tuples[i].Values[0].Num.A; g != w {
+				t.Fatalf("%s: position %d holds K=%v, the stable sort has K=%v", leg.name, i, g, w)
+			}
+		}
+	}
+}
+
+// TestIndexInOlderOrderFallsBack: an order-index file written under the
+// order older versions used — Definition 3.1 alone, ties in tid order —
+// lists tuples the current order separates (equal supports with different
+// cores, −0 and +0) out of order. The index check refuses it, the
+// statements sort instead and answer as the naive evaluation does, with
+// no error. The same file written in the current order is served.
+func TestIndexInOlderOrderFallsBack(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	bs := []fuzzy.Trapezoid{
+		fuzzy.Trap(0, 2, 3, 4), fuzzy.Trap(0, 1, 3, 4), fuzzy.Crisp(negZero), fuzzy.Crisp(0),
+		fuzzy.Crisp(negZero), fuzzy.Trap(0, 2, 3, 4), fuzzy.Crisp(0), fuzzy.Trap(0, 1, 2, 4),
+	}
+	r := frel.NewRelation(frel.NewSchema("R",
+		frel.Attribute{Name: "K", Kind: frel.KindNumber},
+		frel.Attribute{Name: "A", Kind: frel.KindNumber},
+		frel.Attribute{Name: "B", Kind: frel.KindNumber}))
+	for i, b := range bs {
+		r.Append(frel.NewTuple(1-float64(i)/20, frel.Crisp(float64(i)), frel.Crisp(float64(i%3)), frel.Num(b)))
+	}
+	s := frel.NewRelation(frel.NewSchema("S",
+		frel.Attribute{Name: "A", Kind: frel.KindNumber},
+		frel.Attribute{Name: "B", Kind: frel.KindNumber}))
+	for i, b := range []float64{0, 1, 2, 3, negZero} {
+		s.Append(frel.NewTuple(0.9, frel.Crisp(float64(i)), frel.Crisp(b)))
+	}
+	tids := make([]uint64, len(bs))
+	for i := range tids {
+		tids[i] = uint64(i)
+	}
+	older := slices.Clone(tids)
+	slices.SortStableFunc(older, func(i, j uint64) int {
+		x, y := bs[i], bs[j]
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.D, y.D))
+	})
+	current := slices.Clone(tids)
+	slices.SortStableFunc(current, func(i, j uint64) int {
+		return frel.Compare(r.Tuples[i].Values[2], r.Tuples[j].Values[2])
+	})
+	if slices.Equal(older, current) {
+		t.Fatal("the two orders agree on the test data")
+	}
+	queries := []string{
+		`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`,
+		`SELECT R.K FROM R WHERE R.A >= (SELECT AVG(S.A) FROM S WHERE S.B = R.B)`,
+	}
+	for _, tc := range []struct {
+		name   string
+		tids   []uint64
+		served bool
+	}{{"older order", older, false}, {"current order", current, true}} {
+		mgr := storage.NewManager(t.TempDir(), 16)
+		cat := catalog.New(mgr)
+		hr, err := cat.CreateRelation("R", r.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Built over the empty relation, the index holds no entry; the
+		// file is then written entry by entry, as an older build left it.
+		ix, err := cat.CreateIndex("r_b", "R", "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hr.AppendAll(r); err != nil {
+			t.Fatal(err)
+		}
+		for _, tid := range tc.tids {
+			if err := ix.Heap().AppendRaw(storage.AppendIndexEntry(nil, tid)); err != nil {
 				t.Fatal(err)
 			}
-			restore := e.setSnapshot(leg.snap)
-			e.sortMem = nil
-			src, err := e.source(fsql.TableRef{Name: "R"})
+		}
+		hs, err := cat.CreateRelation("S", s.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hs.AppendAll(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range queries {
+			q := mustSelect(t, src)
+			e := NewEnv(cat)
+			got, err := e.EvalUnnestedContext(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, src, err)
+			}
+			if hits := e.Work.IndexHits.Load(); (hits > 0) != tc.served {
+				t.Errorf("%s: %s: the index served %d sorts", tc.name, src, hits)
+			}
+			naive, err := e.EvalNaive(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sorted, err := e.sortSource(src, "B", total)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := exec.Collect(sorted)
-			restore()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := e.sortMem[sortKey{heap: h, attr: 1, total: total}]; !ok {
-				t.Fatalf("%s total=%v: the order was not served by the index", leg.name, total)
-			}
-			if len(got.Tuples) != len(want.Tuples) {
-				t.Fatalf("%s total=%v: %d tuples, want %d", leg.name, total, len(got.Tuples), len(want.Tuples))
-			}
-			for i := range got.Tuples {
-				if g, w := got.Tuples[i].Values[0].Num.A, want.Tuples[i].Values[0].Num.A; g != w {
-					t.Fatalf("%s total=%v: position %d holds K=%v, the stable sort has K=%v", leg.name, total, i, g, w)
-				}
+			if got.Len() == 0 || !naive.Equal(got, 0) {
+				t.Errorf("%s: %s: got %v, naive %v", tc.name, src, got.Tuples, naive.Tuples)
 			}
 		}
 	}

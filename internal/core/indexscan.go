@@ -21,15 +21,15 @@ import (
 // a persistent order index. ok is false when no index applies; the caller
 // then falls back to sorting.
 //
-// The index holds the tids 0..n-1 in the stable (support begin, support
-// end, tid) order. Of those, the reader keeps the tids below its
-// visibility horizon (all of them, unless its snapshot predates the
-// build), appends the tail of later tuples in tid order, and stably
-// re-sorts when there is a tail or the tie-broken total order is asked
-// for. Every tail tid exceeds every prefix tid, so equal keys meet in tid
+// The index holds the tids 0..n-1 in the stable (frel.Compare, tid)
+// order. Of those, the reader keeps the tids below its visibility horizon
+// (all of them, unless its snapshot predates the build), appends the tail
+// of later tuples in tid order, and stably re-sorts when there is a tail.
+// Every tail tid exceeds every prefix tid, so equal keys meet in tid
 // order and the stable re-sort yields exactly the engine's stable sort of
 // the relation. The reader checks the index against the tuples it serves,
-// so an index that is not that order is never served.
+// so an index that is not that order — a corrupt file, or one written
+// under an older order — is never served.
 func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, order extsort.Order) (exec.Source, bool, error) {
 	ix := e.cat.IndexForHeap(base.Heap, order.Attr)
 	if ix == nil {
@@ -82,13 +82,13 @@ func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, o
 	prefix := len(tuples)
 	tuples = append(tuples, rel.Tuples[prefix:]...)
 	srel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
-	if prefix < len(tuples) || order.Total {
+	if prefix < len(tuples) {
 		if _, err := extsort.SortRelation(srel, order); err != nil {
 			return nil, false, err
 		}
 	}
 	keys := frel.SupportKeys(tuples, order.Attr)
-	key := sortKey{heap: base.Heap, attr: order.Attr, total: order.Total}
+	key := sortKey{heap: base.Heap, attr: order.Attr}
 	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base.Heap), tuples: tuples, keys: keys})
 	node := e.newNode("index", attr)
 	node.IndexHits.Add(1)

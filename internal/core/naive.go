@@ -181,7 +181,7 @@ func dedupByKey(rel *frel.Relation) {
 
 // finalizeAnswer applies the answer-shaping clauses captured by the
 // plan.Shape IR node: the WITH threshold, ORDER BY (by degree or by an
-// attribute under the Definition 3.1 order, with a deterministic
+// attribute under the engine's order frel.Compare, with a deterministic
 // tie-break on the tuple values), and LIMIT. It returns the number of
 // tuples the threshold dropped.
 func finalizeAnswer(rel *frel.Relation, q plan.Shape) (int, error) {
@@ -206,7 +206,7 @@ func finalizeAnswer(rel *frel.Relation, q plan.Shape) (int, error) {
 				return pruned, err
 			}
 			sortTuples(rel, func(a, b frel.Tuple) int {
-				return frel.CompareTotal(a.Values[i], b.Values[i])
+				return frel.Compare(a.Values[i], b.Values[i])
 			}, q.OrderDesc)
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/frel"
 )
 
 // TestOrderByDegree: ORDER BY D sorts the answer by membership degree.
@@ -47,7 +49,7 @@ func TestOrderByAttribute(t *testing.T) {
 	}
 	ai, _ := rel.Schema.Resolve("AGE")
 	for i := 1; i < rel.Len(); i++ {
-		if rel.Tuples[i-1].Values[ai].Num.Compare(rel.Tuples[i].Values[ai].Num) > 0 {
+		if frel.Compare(rel.Tuples[i-1].Values[ai], rel.Tuples[i].Values[ai]) > 0 {
 			t.Fatalf("not in Definition 3.1 order: %v", rel.Tuples)
 		}
 	}

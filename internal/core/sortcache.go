@@ -7,18 +7,18 @@ import (
 )
 
 // The sort-order cache. Every merge-join (and group-aggregate join) input
-// must be sorted by the Definition 3.1 interval order, and the paper's
+// must be sorted by the engine's order (frel.Compare), and the paper's
 // workloads sort the same base relations on the same attributes query
 // after query. The environment therefore caches, per (base relation,
-// attribute, order), the sorted copy of the relation, and reuses it as
-// long as the base relation has not been mutated.
+// attribute), the sorted copy of the relation, and reuses it as long as
+// the base relation has not been mutated.
 //
 // Keying and invalidation contract:
 //
 //   - A cache entry is keyed by the identity (pointer) of the base
 //     relation's catalog *storage.HeapFile plus the resolved attribute
-//     index and the total-order flag. Alias bindings resolve to the same
-//     heap, so FROM R and FROM R X share entries.
+//     index. Alias bindings resolve to the same heap, so FROM R and
+//     FROM R X share entries.
 //   - Each entry records the heap's version counter at build time (the
 //     snapshot's, under snapshot reads). Every append and rollback bumps
 //     the counter, so a lookup whose stored version disagrees with the one
@@ -31,8 +31,10 @@ import (
 //   - An external sort is admitted on its second request. The first
 //     request for an order at a given heap version streams the sort's
 //     final merge into its consumer and caches nothing but the version
-//     (sortSeen); the second drains the merge into a sorted heap file and
-//     caches it; later requests hit. A statement that sorts a relation
+//     (sortSeen); the second streams it the same way and copies each
+//     record its consumer pulls into a sorted heap file, cached once the
+//     consumer has drained the merge without error (dropped otherwise);
+//     later requests hit. A statement that sorts a relation
 //     once, as every statement of a fresh session does, therefore writes
 //     its runs and nothing else. An order served by an index is cached on
 //     its first request, since loading it wrote nothing.
@@ -44,13 +46,11 @@ import (
 // wipes the map (simple, and workloads touch few distinct orders).
 const sortCacheMaxEntries = 64
 
-// sortKey identifies one cached sort order: the base relation's heap, the
-// resolved attribute index, and whether the tie-broken total order was
-// requested.
+// sortKey identifies one cached sort order: the base relation's heap and
+// the resolved attribute index.
 type sortKey struct {
-	heap  *storage.HeapFile
-	attr  int
-	total bool
+	heap *storage.HeapFile
+	attr int
 }
 
 // memSortEntry is a cached in-memory sort, an order loaded from a

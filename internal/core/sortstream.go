@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/extsort"
 	"repro/internal/frel"
+	"repro/internal/storage"
 )
 
 // sortedStream serves the final merge of an external sort
@@ -16,6 +17,11 @@ import (
 // it takes a cached order. The merge runs as the consumer pulls, and its
 // wall time, page I/O and comparisons count toward the sort. A stream
 // can be read once: a second Open is an error, not an empty input.
+//
+// The stream of an order the sort cache admits also writes each record it
+// serves to the order's cached sorted copy (copyTo). The copy enters the
+// cache when the stream closes drained whole and without error; otherwise
+// it is dropped.
 type sortedStream struct {
 	e       *Env
 	schema  *frel.Schema
@@ -25,6 +31,12 @@ type sortedStream struct {
 	counted int64 // comparisons of str already added to node
 	opened  bool
 	closed  bool
+	failed  bool // serving a batch failed
+
+	// The cached copy being written, its writer and its cache key.
+	copy *heapSortEntry
+	w    *storage.PageWriter
+	key  sortKey
 }
 
 func (s *sortedStream) Schema() *frel.Schema { return s.schema }
@@ -38,14 +50,38 @@ func (s *sortedStream) Open() (exec.BatchIterator, error) {
 	return &sortedStreamIterator{s: s, keyed: s.schema.Attrs[s.attr].Kind == frel.KindNumber}, nil
 }
 
-// Close drops the stream's runs and counts the final merge's comparisons.
-// It is idempotent.
+// copyTo makes the stream write the records it serves to a new sorted
+// copy, cached under key at heap version version once complete.
+func (s *sortedStream) copyTo(key sortKey, version uint64) error {
+	h, err := s.e.cat.Manager().CreateTemp(key.heap.Schema)
+	if err != nil {
+		return err
+	}
+	if s.w, err = h.PageWriter(); err != nil {
+		_ = h.Drop()
+		return err
+	}
+	s.copy, s.key = &heapSortEntry{version: version, sorted: h}, key
+	return nil
+}
+
+// Close drops the stream's runs, counts the final merge's comparisons and
+// caches or drops the sorted copy being written. It is idempotent.
 func (s *sortedStream) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	_ = s.str.Close() // dropping a temporary recycles it; nothing to report
+	if s.copy != nil {
+		s.w.Close()
+		if !s.failed && s.str.Remaining() == 0 && s.str.Err() == nil {
+			s.e.storeHeapSort(s.key, s.copy)
+		} else {
+			_ = s.copy.sorted.Drop() // best-effort cleanup of a partial copy
+		}
+		s.copy, s.w = nil, nil
+	}
+	_ = s.str.Close() // the runs are temporaries; nothing to report
 	s.node.Comparisons.Add(s.str.Stats().Comparisons - s.counted)
 }
 
@@ -90,11 +126,15 @@ func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
 			if it.err = s.str.Err(); it.err == nil {
 				it.err = fmt.Errorf("core: the external sort of %s ended %d records early", s.schema.Name, s.str.Remaining())
 			}
+			s.failed = true
 			return nil, false
 		}
 		t, _, err := frel.DecodeTupleInto(s.schema, rec, arena[:width:width])
+		if err == nil && s.w != nil {
+			err = s.w.Append(rec)
+		}
 		if err != nil {
-			it.err = err
+			it.err, s.failed = err, true
 			return nil, false
 		}
 		arena = arena[width:]

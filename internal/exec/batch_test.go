@@ -197,7 +197,7 @@ func TestKernelGroupAggMatchesTuple(t *testing.T) {
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
 	for trial := 0; trial < 6; trial++ {
 		r, s := randomCorrelated(rng, 30+rng.Intn(200), 45+rng.Intn(200))
-		r = totalSortedSource(t, r, "U").(*MemSource).Rel
+		r = sortedSource(t, r, "U").(*MemSource).Rel
 		s = sortedRel(t, s, "V")
 		for _, agg := range aggs {
 			for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpGt} {

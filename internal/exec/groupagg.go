@@ -25,8 +25,9 @@ import (
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
 // Both inputs are consumed in one flat-column sweep (sweep.go). Identical
-// outer values must be adjacent, so sort the outer input in the total
-// order (an extsort.Order with Total set). When Op2 is equality the sweep
+// outer values must be adjacent, as they are in the engine's order
+// (frel.Compare), by which the outer input is sorted on U. When Op2 is
+// equality the sweep
 // builds T′(u) from the Rng(u) window, and the inner input must be sorted
 // on V; any other correlation operator sweeps the whole-inner window, in
 // whatever order the inner arrives.

@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 )
@@ -92,19 +92,6 @@ func randomCorrelated(rng *rand.Rand, nOut, nIn int) (*frel.Relation, *frel.Rela
 	return r, s
 }
 
-func totalSortedSource(t *testing.T, r *frel.Relation, attr string) Source {
-	t.Helper()
-	c := r.Clone()
-	order, err := extsort.OrderBy(c.Schema, attr, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := extsort.SortRelation(c, order); err != nil {
-		t.Fatal(err)
-	}
-	return NewMemSource(c)
-}
-
 func TestGroupAggJoinMatchesBruteForceAllAggs(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	aggs := []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggSum, fuzzy.AggAvg, fuzzy.AggMin, fuzzy.AggMax}
@@ -115,7 +102,7 @@ func TestGroupAggJoinMatchesBruteForceAllAggs(t *testing.T) {
 			for _, op1 := range ops {
 				want := bruteJA(r, s, agg, op1, fuzzy.OpEq)
 				j, err := NewGroupAggJoin(
-					totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
+					sortedSource(t, r, "U"), sortedSource(t, s, "V"),
 					"R.U", "S.V", fuzzy.OpEq, "S.Z", agg, "R.Y", op1, NewOpStats("group-agg-join", ""))
 				if err != nil {
 					t.Fatal(err)
@@ -138,7 +125,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(5)))
 
 	// R.Y = COUNT(...): 0 = 0 holds with degree 1.
-	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
+	j, err := NewGroupAggJoin(sortedSource(t, r, "U"), sortedSource(t, s, "V"),
 		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +136,7 @@ func TestGroupAggJoinCountEmptyGroup(t *testing.T) {
 	}
 
 	// Non-COUNT aggregate: NULL, the tuple is dropped.
-	j2, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
+	j2, err := NewGroupAggJoin(sortedSource(t, r, "U"), sortedSource(t, s, "V"),
 		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +157,7 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 	s.Append(frel.NewTuple(0.5, frel.Crisp(1), frel.Crisp(7))) // duplicate Z value
 	s.Append(frel.NewTuple(1, frel.Crisp(1), frel.Crisp(9)))
 
-	j, err := NewGroupAggJoin(totalSortedSource(t, r, "U"), sortedSource(t, s, "V"),
+	j, err := NewGroupAggJoin(sortedSource(t, r, "U"), sortedSource(t, s, "V"),
 		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpEq, NewOpStats("group-agg-join", ""))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +175,7 @@ func TestGroupAggJoinCountDistinctValues(t *testing.T) {
 func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	r, s := randomCorrelated(rng, 2*BatchSize+500, 25)
-	r = totalSortedSource(t, r, "U").(*MemSource).Rel
+	r = sortedSource(t, r, "U").(*MemSource).Rel
 	want := bruteJA(r, s, fuzzy.AggMax, fuzzy.OpGt, fuzzy.OpLe)
 	st := NewOpStats("group-agg-join", "")
 	j, err := NewGroupAggJoin(NewMemSource(r), NewMemSource(s),
@@ -205,6 +192,39 @@ func TestGroupAggJoinNonEqualityCorrelation(t *testing.T) {
 	}
 	if got := st.Comparisons.Load(); got != int64(groups*s.Len()) {
 		t.Errorf("%d inner comparisons for %d groups over %d inner tuples", got, groups, s.Len())
+	}
+}
+
+// TestGroupAggJoinSignedZeroGroups: outer values −0, +0, −0 are two
+// distinct values. Sorted by the engine's order the two −0 tuples are
+// adjacent, so the sweep builds two groups, one Rng(u) each, and the
+// answer is bruteJA's.
+func TestGroupAggJoinSignedZeroGroups(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	r := frel.NewRelation(outerSchema())
+	r.Append(
+		frel.NewTuple(0.9, frel.Crisp(negZero), frel.Crisp(1)),
+		frel.NewTuple(0.8, frel.Crisp(0), frel.Crisp(7)),
+		frel.NewTuple(0.7, frel.Crisp(negZero), frel.Crisp(3)),
+	)
+	s := frel.NewRelation(innerSchema())
+	s.Append(
+		frel.NewTuple(1, frel.Crisp(0), frel.Crisp(2)),
+		frel.NewTuple(0.6, frel.Num(fuzzy.Tri(-1, 0, 1)), frel.Crisp(5)),
+		frel.NewTuple(0.5, frel.Crisp(4), frel.Crisp(9)),
+	)
+	st := NewOpStats("group-agg-join", "")
+	j, err := NewGroupAggJoin(sortedSource(t, r, "U"), sortedSource(t, s, "V"),
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggMax, "R.Y", fuzzy.OpLe, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, j)
+	if want := bruteJA(r, s, fuzzy.AggMax, fuzzy.OpLe, fuzzy.OpEq); !got.Equal(want, 1e-12) {
+		t.Errorf("got %v, want %v", got.Tuples, want.Tuples)
+	}
+	if n := st.RngCount.Load(); n != 2 {
+		t.Errorf("RngCount = %d, want 2: one per distinct outer value", n)
 	}
 }
 

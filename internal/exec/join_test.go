@@ -74,7 +74,7 @@ func randomRel(name string, n int, span, maxWidth float64, rng *rand.Rand) *frel
 func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	order, err := extsort.OrderBy(c.Schema, attr, false)
+	order, err := extsort.OrderBy(c.Schema, attr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func TestWindowsMatchReference(t *testing.T) {
 		// The group-aggregate: numeric equality sweeps the range window,
 		// every other correlation operator the whole inner.
 		gr, gs := randomCorrelated(rng, 60+rng.Intn(60), 60+rng.Intn(60))
-		gr = totalSortedSource(t, gr, "U").(*MemSource).Rel
+		gr = sortedSource(t, gr, "U").(*MemSource).Rel
 		gs = sortedRel(t, gs, "V")
 		for _, op2 := range []fuzzy.Op{fuzzy.OpEq, fuzzy.OpLt, fuzzy.OpLe, fuzzy.OpGt, fuzzy.OpGe, fuzzy.OpNe} {
 			for _, agg := range []fuzzy.AggFunc{fuzzy.AggCount, fuzzy.AggAvg} {

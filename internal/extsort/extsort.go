@@ -3,17 +3,18 @@
 // external sort used in the paper's experiments (Section 9): run generation
 // within a caller-specified amount of memory followed by k-way merging.
 //
-// The extended merge-join sorts relations on the Definition 3.1 interval
-// order of the join attribute; as the paper notes (Section 3), comparing
-// two tuples may take two comparisons (begin points, then end points), and
-// the sort is otherwise a standard O(n log n) external sort. Its last
-// merge pass is not written: Sorter.Stream hands the final merge to the
-// caller a record at a time, and the batch in memory when the input ends
-// takes part in it as the last run without ever reaching disk. An input
-// that fits the sort memory therefore writes nothing, and one of up to
-// about twice the sort memory writes its full runs once and reads them
-// once, the single merge pass of the paper's cost story (Section 9).
-// Sort and SortPrefix are that stream drained into a heap file.
+// The extended merge-join sorts relations on the engine's one order,
+// frel.Compare on the join attribute: the Definition 3.1 interval order,
+// whose ties break so that identical values end up adjacent. As the paper
+// notes (Section 3), comparing two tuples may take two comparisons (begin
+// points, then end points), and the sort is otherwise a standard
+// O(n log n) external sort. Its last merge pass is not written:
+// Sorter.Stream hands the final merge to the caller a record at a time,
+// and the batch in memory when the input ends takes part in it as the
+// last run without ever reaching disk. An input that fits the sort memory
+// therefore writes nothing, and one of up to about twice the sort memory
+// writes its full runs once and reads them once, the single merge pass of
+// the paper's cost story (Section 9).
 //
 // The sort moves records, not tuples. Run generation copies the input's
 // encoded records into one arena per run, reads each record's key
@@ -25,7 +26,6 @@
 package extsort
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -35,79 +35,27 @@ import (
 	"repro/internal/storage"
 )
 
-// Order is a sort order of the engine: the Definition 3.1 interval order
-// ≼ of attribute Attr (strings lexicographically). Total breaks ≼ ties by
-// the full corner representation, as frel.CompareTotal does, so tuples
-// with identical values end up adjacent: the order the group-aggregate
-// join requires.
+// Order is the engine's sort order, frel.Compare, on attribute Attr.
 type Order struct {
-	Attr  int
-	Total bool
+	Attr int
 }
 
 // OrderBy returns the order on the named attribute of schema.
-func OrderBy(schema *frel.Schema, attr string, total bool) (Order, error) {
+func OrderBy(schema *frel.Schema, attr string) (Order, error) {
 	i, err := schema.Resolve(attr)
 	if err != nil {
 		return Order{}, err
 	}
-	return Order{Attr: i, Total: total}, nil
+	return Order{Attr: i}, nil
 }
 
-// compareFunc orders two sort keys: it returns what frel.Compare (under a
-// total order, frel.CompareTotal) returns for the values they were read
-// from.
-type compareFunc func(a, b *frel.SortKey) int
-
-// comparator returns o's comparator over keys of schema's attribute.
-func (o Order) comparator(schema *frel.Schema) (compareFunc, error) {
+// check reports an order on an attribute schema does not have.
+func (o Order) check(schema *frel.Schema) error {
 	if o.Attr < 0 || o.Attr >= len(schema.Attrs) {
-		return nil, fmt.Errorf("extsort: order on attribute %d of schema %q with %d attributes", o.Attr, schema.Name, len(schema.Attrs))
+		return fmt.Errorf("extsort: order on attribute %d of schema %q with %d attributes", o.Attr, schema.Name, len(schema.Attrs))
 	}
-	switch {
-	case schema.Attrs[o.Attr].Kind == frel.KindString:
-		return compareStrings, nil
-	case o.Total:
-		return compareTotal, nil
-	default:
-		return compareSupports, nil
-	}
+	return nil
 }
-
-func compareSupports(a, b *frel.SortKey) int {
-	switch {
-	case a.A < b.A:
-		return -1
-	case a.A > b.A:
-		return 1
-	case a.D < b.D:
-		return -1
-	case a.D > b.D:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareTotal(a, b *frel.SortKey) int {
-	if c := compareSupports(a, b); c != 0 {
-		return c
-	}
-	switch {
-	case a.B < b.B:
-		return -1
-	case a.B > b.B:
-		return 1
-	case a.C < b.C:
-		return -1
-	case a.C > b.C:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compareStrings(a, b *frel.SortKey) int { return bytes.Compare(a.Str, b.Str) }
 
 // Stats reports the work a sort performed.
 type Stats struct {
@@ -157,40 +105,6 @@ func (s *Sorter) WithParallelism(workers int) *Sorter {
 	return s
 }
 
-// Sort sorts src by o into a fresh temporary heap file. src is not
-// modified. The returned file is owned by the caller (Drop when done).
-func (s *Sorter) Sort(src *storage.HeapFile, o Order) (*storage.HeapFile, Stats, error) {
-	return s.SortPrefix(src, -1, o)
-}
-
-// SortPrefix is Sort restricted to the first limit tuples of src
-// (limit < 0 sorts everything). It lets callers sort a base heap in
-// place of a spilled copy — the snapshot bound keeps a reader that
-// captured a committed tuple count from sorting rows appended since.
-// It is Stream drained into a temporary heap file, which the returned
-// statistics do not count as spill. On error every temporary file the
-// sort created is dropped.
-func (s *Sorter) SortPrefix(src *storage.HeapFile, limit int64, o Order) (*storage.HeapFile, Stats, error) {
-	str, err := s.Stream(src, limit, o)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out, err := s.mgr.CreateTemp(src.Schema)
-	if err == nil {
-		_, err = str.m.drain(out)
-	}
-	if cerr := str.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if out != nil {
-			_ = out.Drop()
-		}
-		return nil, str.Stats(), err
-	}
-	return out, str.Stats(), nil
-}
-
 // Stream sorts the first limit tuples of src (limit < 0: all of them) up
 // to its final merge and returns that merge, which the caller pulls a
 // record at a time. The batch being filled when the input ends is sorted
@@ -200,12 +114,11 @@ func (s *Sorter) SortPrefix(src *storage.HeapFile, limit int64, o Order) (*stora
 // must Close the stream, drained or not, to drop its runs. On error
 // every temporary file the sort created is dropped.
 func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, error) {
-	cmp, err := o.comparator(src.Schema)
-	if err != nil {
+	if err := o.check(src.Schema); err != nil {
 		return nil, err
 	}
 	str := &Stream{}
-	runs, last, err := s.makeRuns(src, limit, o.Attr, cmp, &str.st)
+	runs, last, err := s.makeRuns(src, limit, o.Attr, &str.st)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +133,7 @@ func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, e
 		var next []*storage.HeapFile
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := min(lo+fanIn, len(runs))
-			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, cmp, src.Schema, &str.st)
+			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, src.Schema, &str.st)
 			if err != nil {
 				_ = dropAll(runs[lo:])
 				_ = dropAll(next)
@@ -238,7 +151,7 @@ func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, e
 	if len(runs)+memRuns > 1 {
 		str.st.MergePasses++
 	}
-	if str.m, err = newMerger(runs, last, o.Attr, cmp, src.Schema); err != nil {
+	if str.m, err = newMerger(runs, last, o.Attr, src.Schema); err != nil {
 		_ = dropAll(runs)
 		return nil, err
 	}
@@ -336,7 +249,7 @@ func (b *batch) record(i int32) []byte {
 // each other) on a bounded worker pool; run order, contents, and the
 // comparison count stay identical to the serial execution because batches
 // are cut at the same points and sorted with the same algorithm.
-func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp compareFunc, st *Stats) ([]*storage.HeapFile, *batch, error) {
+func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stats) ([]*storage.HeapFile, *batch, error) {
 	budget := s.memPages * storage.PageSize
 	// A batch never holds more than the budget plus one record, nor more
 	// than the input: an arena of that size is filled without regrowing.
@@ -370,7 +283,7 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := full.writeRun(run, src.Schema, attr, cmp)
+			n, err := full.writeRun(run, src.Schema, attr)
 			comparisons.Add(n)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
@@ -408,7 +321,7 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 	var last *batch
 	if err == nil && len(b.ends) > 0 {
 		var n int64
-		n, err = b.sort(src.Schema, attr, cmp)
+		n, err = b.sort(src.Schema, attr)
 		comparisons.Add(n)
 		last = b
 	}
@@ -428,7 +341,7 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, cmp comp
 // orders perm by key, ties by position, returning the number of
 // comparisons. Position breaks every tie, so the permutation is the
 // stable sort's, whatever algorithm finds it.
-func (b *batch) sort(schema *frel.Schema, attr int, cmp compareFunc) (int64, error) {
+func (b *batch) sort(schema *frel.Schema, attr int) (int64, error) {
 	b.keys = slices.Grow(b.keys[:0], len(b.ends))
 	b.perm = slices.Grow(b.perm[:0], len(b.ends))
 	for i := range b.ends {
@@ -439,18 +352,18 @@ func (b *batch) sort(schema *frel.Schema, attr int, cmp compareFunc) (int64, err
 		b.keys = append(b.keys, key)
 		b.perm = append(b.perm, int32(i))
 	}
-	return sortPositions(b.perm, b.keys, cmp), nil
+	return sortPositions(b.perm, b.keys), nil
 }
 
 // sortPositions orders perm, positions into keys, by (key, position) and
 // returns the number of comparisons. Sorting positions instead of records
 // moves 4 bytes a swap, and with the position as the last key pdqsort
 // (slices.SortFunc) returns the stable permutation.
-func sortPositions(perm []int32, keys []frel.SortKey, cmp compareFunc) int64 {
+func sortPositions(perm []int32, keys []frel.SortKey) int64 {
 	var n int64
 	slices.SortFunc(perm, func(i, j int32) int {
 		n++
-		if c := cmp(&keys[i], &keys[j]); c != 0 {
+		if c := frel.CompareKeys(&keys[i], &keys[j]); c != 0 {
 			return c
 		}
 		return int(i - j)
@@ -460,8 +373,8 @@ func sortPositions(perm []int32, keys []frel.SortKey, cmp compareFunc) int64 {
 
 // writeRun sorts the batch's records on their keys of attribute attr and
 // writes them to run in that order, returning the number of comparisons.
-func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int, cmp compareFunc) (int64, error) {
-	n, err := b.sort(schema, attr, cmp)
+func (b *batch) writeRun(run *storage.HeapFile, schema *frel.Schema, attr int) (int64, error) {
+	n, err := b.sort(schema, attr)
 	if err != nil {
 		return n, err
 	}
@@ -493,13 +406,12 @@ type head struct {
 // order: the merge is stable.
 type mergeHeap struct {
 	heads       []head
-	cmp         compareFunc
 	comparisons int64
 }
 
 func (h *mergeHeap) less(i, j int) bool {
 	h.comparisons++
-	c := h.cmp(&h.heads[i].key, &h.heads[j].key)
+	c := frel.CompareKeys(&h.heads[i].key, &h.heads[j].key)
 	return c < 0 || c == 0 && h.heads[i].run < h.heads[j].run
 }
 
@@ -538,7 +450,7 @@ type merger struct {
 }
 
 // newMerger opens the merge of runs followed by mem (nil: none).
-func newMerger(runs []*storage.HeapFile, mem *batch, attr int, cmp compareFunc, schema *frel.Schema) (*merger, error) {
+func newMerger(runs []*storage.HeapFile, mem *batch, attr int, schema *frel.Schema) (*merger, error) {
 	m := &merger{schema: schema, attr: attr, mem: mem, scanners: make([]*storage.Scanner, len(runs))}
 	for i, run := range runs {
 		m.scanners[i] = run.Scan()
@@ -547,7 +459,7 @@ func newMerger(runs []*storage.HeapFile, mem *batch, attr int, cmp compareFunc, 
 	if mem != nil {
 		n++
 	}
-	m.heap = mergeHeap{heads: make([]head, 0, n), cmp: cmp}
+	m.heap = mergeHeap{heads: make([]head, 0, n)}
 	for i := range n {
 		hd := head{run: i}
 		ok, err := m.read(&hd)
@@ -631,12 +543,12 @@ func (m *merger) drain(out *storage.HeapFile) (int64, error) {
 // mergeRuns merges the given sorted runs into one new temporary heap
 // file, accounting the rewritten tuple bytes to st.SpillBytes. On error
 // the new file is dropped; the runs are the caller's.
-func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, cmp compareFunc, schema *frel.Schema, st *Stats) (*storage.HeapFile, error) {
+func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, schema *frel.Schema, st *Stats) (*storage.HeapFile, error) {
 	out, err := s.mgr.CreateTemp(schema)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMerger(runs, nil, attr, cmp, schema)
+	m, err := newMerger(runs, nil, attr, schema)
 	var n int64
 	if err == nil {
 		n, err = m.drain(out)
@@ -655,8 +567,7 @@ func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, cmp compareFunc, 
 // the comparison count are the ones a single-run external sort of the
 // relation's tuples would give. It returns the comparison count.
 func SortRelation(r *frel.Relation, o Order) (int64, error) {
-	cmp, err := o.comparator(r.Schema)
-	if err != nil {
+	if err := o.check(r.Schema); err != nil {
 		return 0, err
 	}
 	keys := make([]frel.SortKey, len(r.Tuples))
@@ -665,7 +576,7 @@ func SortRelation(r *frel.Relation, o Order) (int64, error) {
 		keys[i] = frel.ValueSortKey(t.Values[o.Attr])
 		perm[i] = int32(i)
 	}
-	n := sortPositions(perm, keys, cmp)
+	n := sortPositions(perm, keys)
 	sorted := make([]frel.Tuple, len(r.Tuples))
 	for i, p := range perm {
 		sorted[i] = r.Tuples[p]

@@ -1,6 +1,8 @@
 package extsort
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -18,27 +20,52 @@ var byX = Order{Attr: 0}
 
 // check returns the first position of h whose tuple sorts before its
 // predecessor's under o (-1 when h is sorted). It decodes whole tuples and
-// compares them with frel.Compare / CompareTotal, sharing nothing with the
-// sorter but the order's definition.
+// compares them with frel.Compare, sharing nothing with the sorter but the
+// order's definition.
 func check(h *storage.HeapFile, o Order) (int64, error) {
 	rel, err := h.ReadAll()
 	if err != nil {
 		return 0, err
 	}
 	for i := 1; i < len(rel.Tuples); i++ {
-		if valueCompare(o)(rel.Tuples[i].Values[o.Attr], rel.Tuples[i-1].Values[o.Attr]) < 0 {
+		if frel.Compare(rel.Tuples[i].Values[o.Attr], rel.Tuples[i-1].Values[o.Attr]) < 0 {
 			return int64(i), nil
 		}
 	}
 	return -1, nil
 }
 
-// valueCompare is o's comparison on decoded values.
-func valueCompare(o Order) func(v, w frel.Value) int {
-	if o.Total {
-		return frel.CompareTotal
+// sortToHeap drains a streamed sort of src by o into a fresh temporary
+// heap file through a page writer, the way a cached sorted copy is
+// written. On error the file is dropped.
+func sortToHeap(s *Sorter, src *storage.HeapFile, o Order) (*storage.HeapFile, Stats, error) {
+	str, err := s.Stream(src, -1, o)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	return frel.Compare
+	defer str.Close()
+	out, err := s.mgr.CreateTemp(src.Schema)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	w, err := out.PageWriter()
+	if err == nil {
+		for rec, ok := str.Next(); ok && err == nil; rec, ok = str.Next() {
+			err = w.Append(rec)
+		}
+		w.Close()
+	}
+	if err == nil {
+		err = str.Err()
+	}
+	if cerr := str.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = out.Drop()
+		return nil, str.Stats(), err
+	}
+	return out, str.Stats(), nil
 }
 
 func fillRandom(t *testing.T, h *storage.HeapFile, n int, seed int64) {
@@ -66,7 +93,7 @@ func TestSortSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, st, err := NewSorter(m, 4).Sort(src, byX)
+	out, st, err := sortToHeap(NewSorter(m, 4), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +118,7 @@ func TestSortEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := NewSorter(m, 4).Sort(src, byX)
+	out, st, err := sortToHeap(NewSorter(m, 4), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +136,7 @@ func TestSortExternalMultiRun(t *testing.T) {
 	const n = 5000
 	fillRandom(t, src, n, 42)
 	// Tiny memory: forces many runs and at least one merge pass.
-	out, st, err := NewSorter(m, 2).Sort(src, byX)
+	out, st, err := sortToHeap(NewSorter(m, 2), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +162,7 @@ func TestSortMultiPassMerge(t *testing.T) {
 	}
 	fillRandom(t, src, 8000, 7)
 	sorter := NewSorter(m, 2) // fan-in 2: log2(runs) passes
-	out, st, err := sorter.Sort(src, byX)
+	out, st, err := sortToHeap(sorter, src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +193,7 @@ func TestSortDefinition31Order(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, _, err := NewSorter(m, 4).Sort(src, byX)
+	out, _, err := sortToHeap(NewSorter(m, 4), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +229,7 @@ func TestSortStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, _, err := NewSorter(m, 4).Sort(src, byX)
+	out, _, err := sortToHeap(NewSorter(m, 4), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +255,7 @@ func TestSortPreservesDegreesAndValues(t *testing.T) {
 	if err := src.AppendAll(want); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := NewSorter(m, 2).Sort(src, byX)
+	out, _, err := sortToHeap(NewSorter(m, 2), src, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +269,7 @@ func TestSortPreservesDegreesAndValues(t *testing.T) {
 }
 
 func TestOrderByUnknown(t *testing.T) {
-	if _, err := OrderBy(xSchema(), "NOPE", false); err == nil {
+	if _, err := OrderBy(xSchema(), "NOPE"); err == nil {
 		t.Errorf("OrderBy(NOPE): want error")
 	}
 	m := storage.NewManager(t.TempDir(), 16)
@@ -250,7 +277,7 @@ func TestOrderByUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewSorter(m, 4).Sort(src, Order{Attr: 1}); err == nil {
+	if _, _, err := sortToHeap(NewSorter(m, 4), src, Order{Attr: 1}); err == nil {
 		t.Errorf("Sort on attribute 1 of a 1-attribute schema: want error")
 	}
 	if _, err := SortRelation(frel.NewRelation(xSchema()), Order{Attr: -1}); err == nil {
@@ -311,7 +338,7 @@ func TestSortParallelRunGeneration(t *testing.T) {
 		return src
 	}
 	serialMgr := storage.NewManager(t.TempDir(), 16)
-	serialOut, serialSt, err := NewSorter(serialMgr, 2).Sort(mkSrc(serialMgr), byX)
+	serialOut, serialSt, err := sortToHeap(NewSorter(serialMgr, 2), mkSrc(serialMgr), byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +348,7 @@ func TestSortParallelRunGeneration(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 64} {
 		m := storage.NewManager(t.TempDir(), 16)
-		out, st, err := NewSorter(m, 2).WithParallelism(workers).Sort(mkSrc(m), byX)
+		out, st, err := sortToHeap(NewSorter(m, 2).WithParallelism(workers), mkSrc(m), byX)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -352,5 +379,86 @@ func TestWithParallelismClamps(t *testing.T) {
 	}
 	if s.WithParallelism(2); s.workers != 2 {
 		t.Errorf("workers(2) = %d, want 2", s.workers)
+	}
+}
+
+// TestSortKeepsIdenticalValuesAdjacent: values whose corners are equal as
+// numbers but not bit for bit — crisp −0 and +0, Tri(−0,1,2) and
+// Tri(+0,1,2) — are different values, and a sort leaves the identical ones
+// adjacent, −0 first: SortRelation, and the streamed external sort at one
+// and two workers, in memory and over several runs.
+func TestSortKeepsIdenticalValuesAdjacent(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for name, vals := range map[string][]frel.Value{
+		"crisp": {frel.Crisp(negZero), frel.Crisp(0), frel.Crisp(negZero)},
+		"tri":   {frel.Num(fuzzy.Tri(negZero, 1, 2)), frel.Num(fuzzy.Tri(0, 1, 2)), frel.Num(fuzzy.Tri(negZero, 1, 2))},
+	} {
+		// groups checks that sorted holds n copies of vals[0], then the
+		// rest, copies of vals[1].
+		groups := func(label string, sorted []frel.Tuple, n int) {
+			t.Helper()
+			for i, tu := range sorted {
+				want := vals[1]
+				if i < n {
+					want = vals[0]
+				}
+				if !tu.Values[0].Identical(want) {
+					t.Fatalf("%s %s: position %d of %d holds %v, want %v", name, label, i, len(sorted), tu.Values[0], want)
+				}
+			}
+		}
+		rel := frel.NewRelation(xSchema())
+		for _, v := range vals {
+			rel.Append(frel.NewTuple(1, v))
+		}
+		if _, err := SortRelation(rel, byX); err != nil {
+			t.Fatal(err)
+		}
+		groups("SortRelation", rel.Tuples, 2)
+
+		for _, copies := range []int{1, 600} {
+			for _, workers := range []int{1, 2} {
+				m := storage.NewManager(t.TempDir(), 16)
+				src, err := m.CreateHeap("src", xSchema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := frel.NewRelation(xSchema())
+				for range copies {
+					for _, v := range vals {
+						in.Append(frel.NewTuple(1, v))
+					}
+				}
+				if err := src.AppendAll(in); err != nil {
+					t.Fatal(err)
+				}
+				str, err := NewSorter(m, 2).WithParallelism(workers).Stream(src, -1, byX)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("Stream of %d copies (%d runs), workers=%d", copies, str.Stats().Runs, workers)
+				if copies > 1 && str.Stats().Runs == 0 {
+					t.Fatalf("%s %s: want runs on disk", name, label)
+				}
+				var sorted []frel.Tuple
+				for rec, ok := str.Next(); ok; rec, ok = str.Next() {
+					tu, _, err := frel.DecodeTuple(xSchema(), rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sorted = append(sorted, tu)
+				}
+				if err := str.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if err := str.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if len(sorted) != 3*copies {
+					t.Fatalf("%s %s: %d records, want %d", name, label, len(sorted), 3*copies)
+				}
+				groups(label, sorted, 2*copies)
+			}
+		}
 	}
 }

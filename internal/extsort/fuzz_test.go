@@ -1,0 +1,129 @@
+package extsort
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/frel"
+	"repro/internal/fuzzy"
+	"repro/internal/storage"
+)
+
+// fuzzNumbers are the values FuzzSortOrder draws X from: both zeros,
+// crisp values, and supports shared by values with different cores, so
+// that every tie-break of the order is exercised.
+var fuzzNumbers = func() []fuzzy.Trapezoid {
+	nz := math.Copysign(0, -1)
+	return []fuzzy.Trapezoid{
+		fuzzy.Crisp(nz), fuzzy.Crisp(0), fuzzy.Crisp(1), fuzzy.Crisp(2),
+		{A: nz, B: 1, C: 1, D: 2}, {A: 0, B: 1, C: 1, D: 2},
+		{A: 0, B: 1, C: 3, D: 4}, {A: 0, B: 2, C: 3, D: 4}, {A: 0, B: 1, C: 2, D: 4},
+		{A: nz, B: nz, C: 0, D: 4}, {A: 0, B: 0, C: nz, D: 4},
+		fuzzy.Interval(1, 2), {A: 1, B: 1.5, C: 1.5, D: 2},
+	}
+}()
+
+// fuzzStrings are the values FuzzSortOrder draws NAME from.
+var fuzzStrings = []string{"", "a", "ab", "b", "\x00", "a\x00", "B"}
+
+// FuzzSortOrder: every way the engine sorts a relation gives one
+// permutation — the streamed external sort at one and two run-generation
+// workers, the in-memory SortRelation, and, on X, CREATE INDEX's stable
+// sort of the tids — and it is the stable sort of the input by
+// frel.Compare. The first bytes choose the sort attribute (NAME or X), a
+// sort memory of 2 to 8 pages and how often the tuples repeat; every
+// further pair of bytes is one tuple.
+func FuzzSortOrder(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 1, 1, 0, 2, 0, 4, 0, 5, 0})
+	f.Add([]byte{1, 0, 15, 6, 0, 7, 1, 8, 2, 9, 3, 10, 4, 0, 5})
+	f.Add([]byte{0, 3, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6})
+	f.Add([]byte{3, 6, 3, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0})
+	// Enough tuples for several runs and a merge pass before the last.
+	long := []byte{1, 0, 15}
+	for i := range 100 {
+		long = append(long, byte(i*7), byte(i*3))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		attr, memPages, reps := int(data[0]%2), 2+int(data[1]%7), 1+int(data[2]%16)
+		schema := frel.NewSchema("R",
+			frel.Attribute{Name: "NAME", Kind: frel.KindString},
+			frel.Attribute{Name: "X", Kind: frel.KindNumber},
+			frel.Attribute{Name: "ID", Kind: frel.KindNumber},
+		)
+		rel := frel.NewRelation(schema)
+		for range reps {
+			for i := 3; i+1 < len(data); i += 2 {
+				x := fuzzNumbers[int(data[i])%len(fuzzNumbers)]
+				s := fuzzStrings[int(data[i+1])%len(fuzzStrings)]
+				rel.Append(frel.NewTuple(1, frel.Str(s), frel.Num(x), frel.Crisp(float64(rel.Len()))))
+			}
+		}
+		order := Order{Attr: attr}
+
+		c := rel.Clone()
+		slices.SortStableFunc(c.Tuples, func(a, b frel.Tuple) int {
+			return frel.Compare(a.Values[attr], b.Values[attr])
+		})
+		want := ids(c.Tuples)
+
+		c = rel.Clone()
+		if _, err := SortRelation(c, order); err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(ids(c.Tuples), want) {
+			t.Fatalf("SortRelation: %v, want %v", ids(c.Tuples), want)
+		}
+
+		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: storage.NewMemFS()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		cat := catalog.New(m)
+		src, err := cat.CreateRelation("R", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AppendAll(rel); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			str, err := NewSorter(m, memPages).WithParallelism(workers).Stream(src, -1, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := streamIDs(t, str, schema)
+			if err := str.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(got, want) {
+				t.Fatalf("Stream, %d pages, workers=%d: %v, want %v", memPages, workers, got, want)
+			}
+		}
+
+		if schema.Attrs[attr].Kind != frel.KindNumber {
+			return // order indexes are on numeric attributes only
+		}
+		ix, err := cat.CreateIndex("r_i", "R", schema.Attrs[attr].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids, err := storage.ReadIndexEntries(ix.Heap())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, len(tids))
+		for i, tid := range tids {
+			got[i] = float64(tid)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("CREATE INDEX: %v, want %v", got, want)
+		}
+	})
+}

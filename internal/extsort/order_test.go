@@ -51,14 +51,13 @@ func propRelation(n int, seed int64) *frel.Relation {
 	return r
 }
 
-// stableIDs sorts a copy of tuples with sort.SliceStable under o's value
-// comparison and returns the input positions (IDs) in sorted order: the
+// stableIDs sorts a copy of tuples with sort.SliceStable under
+// frel.Compare on o's attribute and returns the input positions (IDs) in sorted order: the
 // oracle of every permutation check.
 func stableIDs(tuples []frel.Tuple, o Order) []float64 {
-	cmp := valueCompare(o)
 	c := append([]frel.Tuple(nil), tuples...)
 	sort.SliceStable(c, func(i, j int) bool {
-		return cmp(c[i].Values[o.Attr], c[j].Values[o.Attr]) < 0
+		return frel.Compare(c[i].Values[o.Attr], c[j].Values[o.Attr]) < 0
 	})
 	return ids(c)
 }
@@ -67,7 +66,6 @@ func stableIDs(tuples []frel.Tuple, o Order) []float64 {
 // position) with slices.SortFunc, the algorithm of the sorter's runs, and
 // returns the number of comparisons it makes.
 func positionSortCmp(tuples []frel.Tuple, o Order) int64 {
-	cmp := valueCompare(o)
 	perm := make([]int, len(tuples))
 	for i := range perm {
 		perm[i] = i
@@ -75,7 +73,7 @@ func positionSortCmp(tuples []frel.Tuple, o Order) int64 {
 	var n int64
 	slices.SortFunc(perm, func(i, j int) int {
 		n++
-		if c := cmp(tuples[i].Values[o.Attr], tuples[j].Values[o.Attr]); c != 0 {
+		if c := frel.Compare(tuples[i].Values[o.Attr], tuples[j].Values[o.Attr]); c != 0 {
 			return c
 		}
 		return i - j
@@ -142,12 +140,11 @@ func streamIDs(t *testing.T, str *Stream, schema *frel.Schema) []float64 {
 }
 
 // TestSortIsTheStableSort is the sort's property test: for every order
-// (≼ and total on a numeric key behind a string attribute, a string key),
+// (a numeric key behind a string attribute, a string key),
 // memory size (an input that fits, one run on disk plus the batch in
 // memory, a few runs plus the batch, more runs than the fan-in with one
 // to three merge passes), worker count and snapshot bound, the streamed
-// final merge and its drained form SortPrefix return exactly
-// sort.SliceStable's permutation of the input, run generation writes each
+// final merge returns exactly sort.SliceStable's permutation of the input, run generation writes each
 // full batch as its stable sort and keeps the last one in memory, and
 // the comparisons are those of sorting each batch by (key, position) with
 // slices.SortFunc. The in-memory SortRelation returns the same
@@ -165,9 +162,8 @@ func TestSortIsTheStableSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	orders := map[string]Order{
-		"X":       {Attr: 1},
-		"X total": {Attr: 1, Total: true},
-		"NAME":    {Attr: 0},
+		"X":    {Attr: 1},
+		"NAME": {Attr: 0},
 	}
 	runsSeen := map[int]bool{}
 	overFanIn := false
@@ -198,11 +194,7 @@ func TestSortIsTheStableSort(t *testing.T) {
 					// Run generation alone: each full batch is written as
 					// its stable sort, the last stays in memory sorted.
 					var st Stats
-					cmp, err := o.comparator(rel.Schema)
-					if err != nil {
-						t.Fatal(err)
-					}
-					runs, last, err := sorter.makeRuns(src, limit, o.Attr, cmp, &st)
+					runs, last, err := sorter.makeRuns(src, limit, o.Attr, &st)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -264,23 +256,6 @@ func TestSortIsTheStableSort(t *testing.T) {
 						t.Errorf("%s: an input that fits the memory: %+v", label, st)
 					}
 
-					out, dst, err := sorter.SortPrefix(src, limit, o)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if dst != st {
-						t.Errorf("%s: SortPrefix stats %+v, stream %+v", label, dst, st)
-					}
-					drained, err := out.ReadAll()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameIDs(ids(drained.Tuples), want) {
-						t.Errorf("%s: SortPrefix's permutation differs from sort.SliceStable's", label)
-					}
-					if err := out.Drop(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 		}
@@ -325,7 +300,7 @@ func TestSortMalformedRecordIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			if _, _, err := NewSorter(m, 2).WithParallelism(workers).Sort(src, tc.o); err == nil {
+			if _, _, err := sortToHeap(NewSorter(m, 2).WithParallelism(workers), src, tc.o); err == nil {
 				t.Errorf("%s, workers=%d: sort succeeded, want an error", tc.name, workers)
 			}
 			if live := m.LiveTemps(); live != 0 {
@@ -389,7 +364,7 @@ func TestSortCorruptPageIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			if _, _, err := NewSorter(m2, 2).WithParallelism(workers).Sort(src2, Order{Attr: 1}); err == nil {
+			if _, _, err := sortToHeap(NewSorter(m2, 2).WithParallelism(workers), src2, Order{Attr: 1}); err == nil {
 				t.Errorf("%s, workers=%d: sort succeeded, want an error", name, workers)
 			}
 			if live := m2.LiveTemps(); live != 0 {
@@ -405,16 +380,15 @@ func TestSortCorruptPageIsAnError(t *testing.T) {
 // TestSortDropsTemporariesOnFault injects a crash at every mutating I/O
 // operation of a multi-pass sort (page writes of run and merge files,
 // forced by a small buffer pool), once with the final merge drained into
-// a file (Sort) and once with it pulled record by record (Stream), where
+// a file and once with it pulled record by record, where
 // the faults that fire while the stream is read hit its run reads. Each
 // time the sort must return the injected fault and, once the stream is
 // closed, leave no temporary file it created undropped and no page
 // pinned. A stream closed before it is drained drops its runs as well.
-// Dropping a temporary recycles it without I/O, so the manager's
-// bookkeeping, not the crashed disk, is what is checked.
+// The manager's bookkeeping, not the crashed disk, is what is checked.
 func TestSortDropsTemporariesOnFault(t *testing.T) {
 	rel := propRelation(1500, 5)
-	order := Order{Attr: 1, Total: true}
+	order := Order{Attr: 1}
 	setup := func(target int64) (*storage.Manager, *storage.FaultFS, *storage.HeapFile) {
 		ffs := storage.NewFaultFS(storage.NewMemFS(), storage.FaultStop, target, 1)
 		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 8, FS: ffs})
@@ -449,7 +423,7 @@ func TestSortDropsTemporariesOnFault(t *testing.T) {
 	}
 	sorts := map[string]func(*Sorter, *storage.HeapFile) error{
 		"sort": func(s *Sorter, src *storage.HeapFile) error {
-			out, _, err := s.Sort(src, order)
+			out, _, err := sortToHeap(s, src, order)
 			if err == nil {
 				err = out.Drop()
 			}
@@ -558,7 +532,7 @@ func allocSource(tb testing.TB, n int) (*storage.Manager, *storage.HeapFile) {
 // TestSortAllocs is the sort's allocation gate: an external sort of
 // 20 000 tuples in three runs on disk, the batch in memory and one merge
 // pass allocates at most 0.05 times per tuple, whether the final merge is
-// drained into a file (Sort) or pulled record by record (Stream). Records
+// drained into a file or pulled record by record. Records
 // are copied into reused arenas and merged from the run scanners' page
 // copies, so what allocates is per run and per sort, never per tuple.
 // Skipped under -race, which inflates allocation counts.
@@ -571,7 +545,7 @@ func TestSortAllocs(t *testing.T) {
 	sorter := NewSorter(m, 48)
 	for name, sort := range map[string]func() (Stats, error){
 		"sort": func() (Stats, error) {
-			out, st, err := sorter.Sort(src, byX)
+			out, st, err := sortToHeap(sorter, src, byX)
 			if err == nil {
 				err = out.Drop()
 			}
@@ -599,7 +573,7 @@ func TestSortAllocs(t *testing.T) {
 				}
 				st = s
 			}
-			run() // leaves recycled temporaries behind, as a running database has
+			run()
 			allocs := testing.AllocsPerRun(5, run)
 			if st.Runs < 3 || st.MergePasses != 1 {
 				t.Fatalf("runs %d, merge passes %d: want at least 3 runs and one merge pass", st.Runs, st.MergePasses)
@@ -613,10 +587,10 @@ func TestSortAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSortPrefix measures the external sort of 20 000 tuples in three
+// BenchmarkSortToHeap measures the external sort of 20 000 tuples in three
 // runs on disk, the batch in memory and one merge pass drained into a
 // file, at one and four run-generation workers.
-func BenchmarkSortPrefix(b *testing.B) {
+func BenchmarkSortToHeap(b *testing.B) {
 	const n = 20000
 	m, src := allocSource(b, n)
 	for _, workers := range []int{1, 4} {
@@ -624,7 +598,7 @@ func BenchmarkSortPrefix(b *testing.B) {
 			sorter := NewSorter(m, 48).WithParallelism(workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, _, err := sorter.SortPrefix(src, -1, byX)
+				out, _, err := sortToHeap(sorter, src, byX)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -125,10 +125,9 @@ func DecodeTupleInto(s *Schema, data []byte, vals []Value) (Tuple, int, error) {
 	return t, pos, nil
 }
 
-// SortKey is the ≼ sort key of one attribute value (Definition 3.1): a
-// NUMBER value's trapezoid corners, compared A then D and, under the total
-// order, B then C (Compare, CompareTotal); a STRING value's bytes,
-// compared lexicographically.
+// SortKey is the sort key of one attribute value, ordered by CompareKeys
+// as Compare orders the value: a NUMBER value's trapezoid corners, a
+// STRING value's bytes.
 type SortKey struct {
 	A, D, B, C float64
 	Str        []byte

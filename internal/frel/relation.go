@@ -39,9 +39,8 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// SortBy sorts the tuples in place by the named attribute under the
-// Definition 3.1 interval order (strings lexicographically), the order
-// required by the extended merge-join.
+// SortBy sorts the tuples in place by the named attribute under Compare,
+// the order required by the extended merge-join.
 func (r *Relation) SortBy(attr string) error {
 	i, err := r.Schema.Resolve(attr)
 	if err != nil {

@@ -47,9 +47,6 @@ func (s *Schema) WithName(alias string) *Schema {
 	return c
 }
 
-// NumAttrs returns the number of attributes.
-func (s *Schema) NumAttrs() int { return len(s.Attrs) }
-
 // splitQualified splits "F.AGE" into ("F", "AGE"); an unqualified name
 // yields an empty qualifier.
 func splitQualified(name string) (qual, attr string) {

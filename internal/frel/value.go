@@ -9,10 +9,13 @@
 package frel
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/fuzzy"
 )
@@ -146,34 +149,17 @@ func Degree(op fuzzy.Op, v, w Value) float64 {
 // the independent identity of the naive oracle, Relation.Equal and tests.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
 
-// CompareTotal orders values like Compare but breaks Definition 3.1 ties
-// by the full corner representation, so that identical values are always
-// adjacent after sorting. Any sequence sorted by CompareTotal is also
-// sorted by Compare, so merge-join range cursors remain correct.
-func CompareTotal(v, w Value) int {
-	if c := Compare(v, w); c != 0 {
-		return c
-	}
-	if v.Kind != KindNumber || w.Kind != KindNumber {
-		return 0
-	}
-	switch {
-	case v.Num.B < w.Num.B:
-		return -1
-	case v.Num.B > w.Num.B:
-		return 1
-	case v.Num.C < w.Num.C:
-		return -1
-	case v.Num.C > w.Num.C:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Compare orders two values for sorting: numbers by the Definition 3.1
-// interval order, strings lexicographically; numbers sort before strings
-// (mixed kinds only arise in ill-typed plans).
+// Compare is the engine's one sort order: the order of every sorted
+// input of a merge join, anti-join or group-aggregate, of the external
+// sort and of order indexes. Numbers sort before strings (mixed kinds only
+// arise in ill-typed plans). Numbers compare by the Definition 3.1
+// interval order ≼ — support begin A, then support end D — and then by the
+// core, B then C, numerically; the ties that remain, corners numerically
+// equal but not bit for bit (−0 and +0), break by the corners' bit
+// patterns in the same sequence. So Compare(v, w) is 0 exactly when v and
+// w are Identical, identical values are adjacent in any sorted sequence,
+// and a sequence sorted by Compare is sorted by ≼. Strings compare
+// bytewise.
 func Compare(v, w Value) int {
 	if v.Kind != w.Kind {
 		if v.Kind == KindNumber {
@@ -182,14 +168,45 @@ func Compare(v, w Value) int {
 		return 1
 	}
 	if v.Kind == KindString {
-		switch {
-		case v.Str < w.Str:
-			return -1
-		case v.Str > w.Str:
-			return 1
-		default:
-			return 0
+		return strings.Compare(v.Str, w.Str)
+	}
+	a, b := ValueSortKey(v), ValueSortKey(w)
+	return CompareKeys(&a, &b)
+}
+
+// CompareKeys is Compare on the sort keys of two values of one attribute
+// (DecodeSortKey, ValueSortKey), the comparator of the external sort. A
+// string's key has zero corners and a number's key no bytes, so the one
+// sequence of tests orders both kinds.
+func CompareKeys(a, b *SortKey) int {
+	switch {
+	case a.A < b.A:
+		return -1
+	case a.A > b.A:
+		return 1
+	case a.D < b.D:
+		return -1
+	case a.D > b.D:
+		return 1
+	case a.B < b.B:
+		return -1
+	case a.B > b.B:
+		return 1
+	case a.C < b.C:
+		return -1
+	case a.C > b.C:
+		return 1
+	}
+	for _, c := range [4]int{compareBits(a.A, b.A), compareBits(a.D, b.D), compareBits(a.B, b.B), compareBits(a.C, b.C)} {
+		if c != 0 {
+			return c
 		}
 	}
-	return v.Num.Compare(w.Num)
+	return bytes.Compare(a.Str, b.Str)
+}
+
+// compareBits orders two floats by their bit patterns read as signed
+// integers: −0 before +0.
+func compareBits(x, y float64) int {
+	return cmp.Compare(int64(math.Float64bits(x)), int64(math.Float64bits(y)))
 }

@@ -1,7 +1,9 @@
 package frel
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,10 +101,7 @@ func TestValueDegreeMixedKindsZero(t *testing.T) {
 }
 
 func TestValueCompare(t *testing.T) {
-	tests := []struct {
-		a, b Value
-		want int
-	}{
+	checkCompare(t, []compareCase{
 		{Crisp(1), Crisp(2), -1},
 		{Crisp(2), Crisp(1), 1},
 		{Str("a"), Str("b"), -1},
@@ -111,26 +110,137 @@ func TestValueCompare(t *testing.T) {
 		{Crisp(1), Str("a"), -1},
 		{Str("a"), Crisp(1), 1},
 		{Num(fuzzy.Interval(1, 5)), Num(fuzzy.Interval(1, 6)), -1},
-	}
+	})
+}
+
+// TestCompare checks the order of fuzzy numbers: ≼ on the support first,
+// then the core, then the bit patterns of the corners.
+func TestCompare(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	checkCompare(t, []compareCase{
+		{Crisp(1), Crisp(2), -1},
+		{Crisp(2), Crisp(1), 1},
+		{Crisp(1), Crisp(1), 0},
+		// ≼ first: support begin, then support end.
+		{Num(fuzzy.Interval(1, 5)), Num(fuzzy.Interval(1, 6)), -1},
+		{Num(fuzzy.Interval(1, 6)), Num(fuzzy.Interval(1, 5)), 1},
+		{Num(fuzzy.Trap(0, 9, 9, 9)), Num(fuzzy.Trap(1, 1, 1, 2)), -1},
+		// Equal supports: the core, B then C.
+		{Num(fuzzy.Trap(1, 2, 3, 4)), Num(fuzzy.Trap(1, 3, 3, 4)), -1},
+		{Num(fuzzy.Trap(1, 2, 3, 4)), Num(fuzzy.Trap(1, 2, 2, 4)), 1},
+		// Numerically equal corners: the bit patterns, −0 before +0.
+		{Crisp(negZero), Crisp(0), -1},
+		{Crisp(0), Crisp(negZero), 1},
+		{Crisp(negZero), Crisp(negZero), 0},
+		{Num(fuzzy.Tri(negZero, 1, 2)), Num(fuzzy.Tri(0, 1, 2)), -1},
+	})
+}
+
+type compareCase struct {
+	a, b Value
+	want int
+}
+
+// checkCompare checks each case against Compare and, for values of one
+// kind, against CompareKeys on their sort keys.
+func checkCompare(t *testing.T, tests []compareCase) {
+	t.Helper()
 	for _, tc := range tests {
 		if got := Compare(tc.a, tc.b); got != tc.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
+		ka, kb := ValueSortKey(tc.a), ValueSortKey(tc.b)
+		if tc.a.Kind == tc.b.Kind {
+			if got := CompareKeys(&ka, &kb); got != tc.want {
+				t.Errorf("CompareKeys(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+			}
+		}
 	}
 }
 
-func TestQuickCompareAntisymmetric(t *testing.T) {
-	f := func(a, b float64, s1, s2 string, pick uint8) bool {
-		var v, w Value
-		switch pick % 3 {
-		case 0:
-			v, w = Crisp(float64(int(a)%100)), Crisp(float64(int(b)%100))
-		case 1:
-			v, w = Str(s1), Str(s2)
-		default:
-			v, w = Crisp(float64(int(a)%100)), Str(s2)
+// TestCompareDefinition31 checks the ordering example of the paper
+// (Example 3.1): [20,28] ≺ [20,35] ≺ [30,35], and for S-values
+// [20,25] ≺ [30,40] ≺ [32,34].
+func TestCompareDefinition31(t *testing.T) {
+	for _, vs := range [][3]Value{
+		{Num(fuzzy.Interval(20, 28)), Num(fuzzy.Interval(20, 35)), Num(fuzzy.Interval(30, 35))},
+		{Num(fuzzy.Interval(20, 25)), Num(fuzzy.Interval(30, 40)), Num(fuzzy.Interval(32, 34))},
+	} {
+		if !(Compare(vs[0], vs[1]) < 0 && Compare(vs[1], vs[2]) < 0) {
+			t.Errorf("want %v < %v < %v under Definition 3.1", vs[0], vs[1], vs[2])
 		}
-		return Compare(v, w) == -Compare(w, v)
+	}
+}
+
+// Fuzzy values sort by the Definition 3.1 interval order: first by the
+// begin of the support, then by its end (Example 3.1 of the paper).
+func ExampleCompare() {
+	r1 := Num(fuzzy.Interval(30, 35))
+	r2 := Num(fuzzy.Interval(20, 28))
+	r3 := Num(fuzzy.Interval(20, 35))
+	fmt.Println(Compare(r2, r3), Compare(r3, r1))
+	// Output:
+	// -1 -1
+}
+
+// quickValue derives a value from arbitrary inputs, drawing corners from a
+// small set with both zeros so that ties on ≼ and on every corner are
+// common.
+func quickValue(corners [4]uint8, s string, pick uint8) Value {
+	if pick%4 == 0 {
+		return Str(s)
+	}
+	pool := [...]float64{math.Copysign(0, -1), 0, 1, 2, 3}
+	var xs [4]float64
+	for i, c := range corners {
+		xs[i] = pool[int(c)%len(pool)]
+	}
+	slices.Sort(xs[:])
+	return Num(fuzzy.Trapezoid{A: xs[0], B: xs[1], C: xs[2], D: xs[3]})
+}
+
+// TestQuickCompareAntisymmetric: Compare is antisymmetric and agrees with
+// CompareKeys on the values' sort keys.
+func TestQuickCompareAntisymmetric(t *testing.T) {
+	f := func(c1, c2 [4]uint8, s1, s2 string, p1, p2 uint8) bool {
+		v, w := quickValue(c1, s1, p1), quickValue(c2, s2, p2)
+		c := Compare(v, w)
+		if c != -Compare(w, v) {
+			return false
+		}
+		if v.Kind != w.Kind {
+			return true
+		}
+		kv, kw := ValueSortKey(v), ValueSortKey(w)
+		return CompareKeys(&kv, &kw) == c
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickCompareTotalOrder: Compare ties exactly the identical values, so
+// no two distinct values are left unordered.
+func TestQuickCompareTotalOrder(t *testing.T) {
+	f := func(c1, c2 [4]uint8, s1, s2 string, p1, p2 uint8) bool {
+		v, w := quickValue(c1, s1, p1), quickValue(c2, s2, p2)
+		return (Compare(v, w) == 0) == v.Identical(w) && Compare(v, v) == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickCompareTransitive: any three values sorted pairwise by Compare
+// are in order, so Compare is a total order.
+func TestQuickCompareTransitive(t *testing.T) {
+	f := func(cs [3][4]uint8, ss [3]string, ps [3]uint8) bool {
+		vs := make([]Value, 3)
+		for i := range vs {
+			vs[i] = quickValue(cs[i], ss[i], ps[i])
+		}
+		slices.SortFunc(vs, Compare)
+		return Compare(vs[0], vs[1]) <= 0 && Compare(vs[1], vs[2]) <= 0 && Compare(vs[0], vs[2]) <= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

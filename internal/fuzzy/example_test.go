@@ -30,17 +30,6 @@ func ExampleTrapezoid_Mu() {
 	// 0
 }
 
-// Fuzzy values sort by the Definition 3.1 interval order: first by the
-// begin of the support, then by its end (Example 3.1 of the paper).
-func ExampleTrapezoid_Compare() {
-	r1 := fuzzy.Interval(30, 35)
-	r2 := fuzzy.Interval(20, 28)
-	r3 := fuzzy.Interval(20, 35)
-	fmt.Println(r2.Less(r3), r3.Less(r1))
-	// Output:
-	// true true
-}
-
 func ExampleAggregate() {
 	set := []fuzzy.Member{
 		{Value: fuzzy.Tri(30, 40, 50), Mu: 0.4}, // about 40K

@@ -180,29 +180,6 @@ func (t Trapezoid) String() string {
 	return string(append(b, ')'))
 }
 
-// Compare orders t against u by the linear order ≼ of Definition 3.1:
-// first by the begin of the support interval, then by its end. It returns
-// -1, 0, or +1. The extended merge-join sorts both relations by this order.
-func (t Trapezoid) Compare(u Trapezoid) int {
-	switch {
-	case t.A < u.A:
-		return -1
-	case t.A > u.A:
-		return 1
-	case t.D < u.D:
-		return -1
-	case t.D > u.D:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Less reports t ≺ u under the Definition 3.1 order.
-func (t Trapezoid) Less(u Trapezoid) bool {
-	return t.Compare(u) < 0
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

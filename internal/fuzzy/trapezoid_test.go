@@ -137,43 +137,6 @@ func TestIntersects(t *testing.T) {
 	}
 }
 
-// TestCompareDefinition31 checks the ordering example of the paper
-// (Example 3.1): [20,28] ≺ [20,35] ≺ [30,35], and for S-values
-// [20,25] ≺ [30,40] ≺ [32,34].
-func TestCompareDefinition31(t *testing.T) {
-	r1 := Interval(30, 35)
-	r2 := Interval(20, 28)
-	r3 := Interval(20, 35)
-	if !(r2.Less(r3) && r3.Less(r1)) {
-		t.Errorf("want r2 < r3 < r1 under Definition 3.1")
-	}
-	s1 := Interval(32, 34)
-	s2 := Interval(20, 25)
-	s3 := Interval(30, 40)
-	if !(s2.Less(s3) && s3.Less(s1)) {
-		t.Errorf("want s2 < s3 < s1 under Definition 3.1")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	tests := []struct {
-		a, b Trapezoid
-		want int
-	}{
-		{Crisp(1), Crisp(2), -1},
-		{Crisp(2), Crisp(1), 1},
-		{Crisp(1), Crisp(1), 0},
-		{Interval(1, 5), Interval(1, 6), -1}, // same begin, shorter end first
-		{Interval(1, 6), Interval(1, 5), 1},
-		{Trap(1, 2, 3, 4), Trap(1, 3, 3, 4), 0}, // order looks at support only
-	}
-	for _, tc := range tests {
-		if got := tc.a.Compare(tc.b); got != tc.want {
-			t.Errorf("Compare(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := Crisp(28).String(); got != "28" {
 		t.Errorf("String = %q, want \"28\"", got)
@@ -207,39 +170,6 @@ func TestQuickMuRange(t *testing.T) {
 		tr := randomTrap(a, b, c, d)
 		m := tr.Mu(math.Mod(x, 200))
 		return m >= 0 && m <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCompareTotalOrder(t *testing.T) {
-	f := func(a1, b1, c1, d1, a2, b2, c2, d2 float64) bool {
-		u := randomTrap(a1, b1, c1, d1)
-		v := randomTrap(a2, b2, c2, d2)
-		// Antisymmetry of Compare.
-		return u.Compare(v) == -v.Compare(u)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCompareTransitive(t *testing.T) {
-	f := func(vals [12]float64) bool {
-		u := randomTrap(vals[0], vals[1], vals[2], vals[3])
-		v := randomTrap(vals[4], vals[5], vals[6], vals[7])
-		w := randomTrap(vals[8], vals[9], vals[10], vals[11])
-		trs := []Trapezoid{u, v, w}
-		// Sort the three by Compare and verify pairwise order.
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < 3; j++ {
-				if trs[j].Compare(trs[i]) < 0 {
-					trs[i], trs[j] = trs[j], trs[i]
-				}
-			}
-		}
-		return trs[0].Compare(trs[1]) <= 0 && trs[1].Compare(trs[2]) <= 0 && trs[0].Compare(trs[2]) <= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

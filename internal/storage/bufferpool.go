@@ -98,17 +98,6 @@ func (bp *BufferPool) Capacity() int {
 	return bp.capacity
 }
 
-// SetCapacity changes the pool's page capacity; shrinking takes effect as
-// frames are unpinned and evicted on subsequent fetches.
-func (bp *BufferPool) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.capacity = capacity
-}
-
 // Stats returns the pool's shared I/O statistics.
 func (bp *BufferPool) Stats() *Stats { return bp.stats }
 

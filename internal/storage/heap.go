@@ -422,10 +422,9 @@ func (h *HeapFile) Sync() error { return h.pager.Sync() }
 
 // Drop deletes the file. A logged heap is first unregistered and
 // checkpointed away, so that after the file is gone no log record or
-// checkpoint base references it. A manager-created temp is offered back
-// to the manager's recycle pool instead of unlinked; either way its
-// dirty frames are discarded without write-back — flushing pages of a
-// dead file would be wasted I/O.
+// checkpoint base references it. A manager-created temp's dirty frames
+// are discarded without write-back — flushing pages of a dead file would
+// be wasted I/O.
 func (h *HeapFile) Drop() error {
 	if h.logName != "" {
 		h.mgr.unregister(h.logName)
@@ -435,43 +434,18 @@ func (h *HeapFile) Drop() error {
 		}
 	}
 	if h.tempMgr != nil {
-		if err := h.pool.DiscardPager(h.pager); err != nil {
-			return err
-		}
-		if h.tempMgr.recycleTemp(h) {
-			return nil
-		}
-		if err := h.pager.Remove(); err != nil {
-			return err
-		}
 		h.tempMgr.mu.Lock()
 		h.tempMgr.liveTemps--
 		h.tempMgr.mu.Unlock()
-		return nil
+		if err := h.pool.DiscardPager(h.pager); err != nil {
+			return err
+		}
+		return h.pager.Remove()
 	}
 	if err := h.pool.DropPager(h.pager); err != nil {
 		return err
 	}
 	return h.pager.Remove()
-}
-
-// resetTemp readies a recycled temp heap for reuse under a new schema:
-// geometry and append cursor reset, stale pool frames already discarded
-// by Drop. The backing file keeps its length — reused pages are always
-// rewritten through the pool before any read can reach them.
-func (h *HeapFile) resetTemp(schema *frel.Schema) {
-	h.Schema = schema
-	h.numPages.Store(0)
-	h.numTuples.Store(0)
-	h.committed.Store(0)
-	h.committedVer.Store(0)
-	h.lastPage = -1
-	h.lastUsed = 0
-	h.version.Add(1)
-	h.statsMu.Lock()
-	h.stats = nil
-	h.statsMu.Unlock()
-	h.pager.Reset()
 }
 
 // Scanner iterates the tuples of a heap file in storage order through the
@@ -646,13 +620,6 @@ func (h *HeapFile) ReadAll() (*frel.Relation, error) {
 	return h.readScanner(h.Scan())
 }
 
-// ReadCommitted materializes the committed prefix of the heap file — the
-// state a fresh snapshot would see, excluding any open transaction's
-// appends.
-func (h *HeapFile) ReadCommitted() (*frel.Relation, error) {
-	return h.readScanner(h.ScanAt(h.committed.Load()))
-}
-
 func (h *HeapFile) readScanner(sc *Scanner) (*frel.Relation, error) {
 	r := frel.NewRelation(h.Schema)
 	defer sc.Close()
@@ -677,7 +644,7 @@ type Manager struct {
 	stats *Stats
 	wal   *WAL
 
-	mu    sync.Mutex // guards seq, heaps, recovered, tempFree, and liveTemps
+	mu    sync.Mutex // guards seq, heaps, recovered and liveTemps
 	seq   int
 	heaps map[string]*HeapFile // logged heaps by log name
 
@@ -686,15 +653,8 @@ type Manager struct {
 	recovered map[string]heapState
 
 	// liveTemps counts the temporary heaps CreateTemp handed out that have
-	// not been dropped (recycled or removed) since.
+	// not been dropped since.
 	liveTemps int
-
-	// tempFree holds dropped temporary heaps ready for reuse. Their
-	// backing files stay on disk with stale contents and reset geometry,
-	// so a recycling CreateTemp skips the create-file syscall and the Drop
-	// that fed the pool skipped the unlink — per cold external sort that
-	// removes dozens of file-system operations for the run files alone.
-	tempFree []*HeapFile
 
 	tx *Tx // the open transaction, if any (writers are serialized above)
 
@@ -1126,16 +1086,7 @@ func (m *Manager) Close() error {
 	for _, h := range m.heaps {
 		heaps = append(heaps, h)
 	}
-	temps := m.tempFree
-	m.tempFree = nil
 	m.mu.Unlock()
-	// Pooled temps hold open file handles; remove them for real now. Their
-	// pool frames were discarded when they entered the pool.
-	for _, h := range temps {
-		if err := h.pager.Remove(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, h := range heaps {
 		if err := h.pager.Close(); err != nil && first == nil {
 			first = err
@@ -1148,22 +1099,10 @@ func (m *Manager) Close() error {
 	return first
 }
 
-// tempFreeMax bounds the temp recycle pool; excess drops unlink normally.
-const tempFreeMax = 32
-
 // CreateTemp returns a temporary heap file (for sort runs and
-// materialized intermediates), recycling a previously dropped one when
-// available. Callers should Drop it when done.
+// materialized intermediates). Callers should Drop it when done.
 func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 	m.mu.Lock()
-	if n := len(m.tempFree); n > 0 {
-		h := m.tempFree[n-1]
-		m.tempFree = m.tempFree[:n-1]
-		m.liveTemps++
-		m.mu.Unlock()
-		h.resetTemp(schema)
-		return h, nil
-	}
 	m.seq++
 	seq := m.seq
 	m.mu.Unlock()
@@ -1179,23 +1118,10 @@ func (m *Manager) CreateTemp(schema *frel.Schema) (*HeapFile, error) {
 }
 
 // LiveTemps returns the number of temporary heaps created by CreateTemp
-// and not dropped since: what an operation that cleans up after itself
-// leaves unchanged.
+// and not dropped since, whether or not the drop managed to remove the
+// file: what an operation that cleans up after itself leaves unchanged.
 func (m *Manager) LiveTemps() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.liveTemps
-}
-
-// recycleTemp offers a dropped temp back to the pool; false means the
-// pool is full and the caller should remove the file.
-func (m *Manager) recycleTemp(h *HeapFile) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.tempFree) >= tempFreeMax {
-		return false
-	}
-	m.tempFree = append(m.tempFree, h)
-	m.liveTemps--
-	return true
 }

@@ -66,17 +66,12 @@ type Pager struct {
 	stats *Stats
 }
 
-// OpenPager creates (or truncates) the file at path on the real file
-// system and returns an empty pager over it. stats may be shared across
-// pagers; it must not be nil.
-func OpenPager(path string, stats *Stats) (*Pager, error) {
-	return OpenPagerFS(OsFS{}, path, stats)
-}
-
-// OpenPagerFS is OpenPager over an explicit file system.
+// OpenPagerFS creates (or truncates) the file at path on fs and returns an
+// empty pager over it. stats may be shared across pagers; it must not be
+// nil.
 func OpenPagerFS(fs FS, path string, stats *Stats) (*Pager, error) {
 	if stats == nil {
-		return nil, fmt.Errorf("storage: OpenPager requires non-nil stats")
+		return nil, fmt.Errorf("storage: OpenPagerFS requires non-nil stats")
 	}
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -85,17 +80,12 @@ func OpenPagerFS(fs FS, path string, stats *Stats) (*Pager, error) {
 	return &Pager{path: path, fs: fs, f: f, stats: stats}, nil
 }
 
-// OpenPagerExisting opens the file at path on the real file system without
-// truncating it, recovering the page count from the file size. The file
-// must exist and be page-aligned.
-func OpenPagerExisting(path string, stats *Stats) (*Pager, error) {
-	return OpenPagerExistingFS(OsFS{}, path, stats)
-}
-
-// OpenPagerExistingFS is OpenPagerExisting over an explicit file system.
+// OpenPagerExistingFS opens the file at path on fs without truncating it,
+// recovering the page count from the file size. The file must exist and
+// be page-aligned.
 func OpenPagerExistingFS(fs FS, path string, stats *Stats) (*Pager, error) {
 	if stats == nil {
-		return nil, fmt.Errorf("storage: OpenPagerExisting requires non-nil stats")
+		return nil, fmt.Errorf("storage: OpenPagerExistingFS requires non-nil stats")
 	}
 	f, err := fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -126,12 +116,6 @@ func (p *Pager) Path() string { return p.path }
 func (p *Pager) Allocate() PageID {
 	return PageID(p.pages.Add(1) - 1)
 }
-
-// Reset forgets every allocated page without touching the file, for
-// temp-file recycling: the next writer overwrites from page 0, and the
-// stale bytes beyond the new high-water mark are unreachable because
-// every read is bounded by the page count.
-func (p *Pager) Reset() { p.pages.Store(0) }
 
 // Truncate cuts the file back to numPages pages, discarding everything
 // beyond. Used by transaction rollback to drop pages appended by the

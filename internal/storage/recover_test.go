@@ -13,7 +13,7 @@ func TestOpenPagerExisting(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.pg")
 	stats := &Stats{}
-	p, err := OpenPager(path, stats)
+	p, err := OpenPagerFS(OsFS{}, path, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestOpenPagerExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPagerExisting(path, stats)
+	p2, err := OpenPagerExistingFS(OsFS{}, path, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestOpenPagerExisting(t *testing.T) {
 
 func TestOpenPagerExistingErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := OpenPagerExisting(filepath.Join(dir, "absent.pg"), &Stats{}); err == nil {
+	if _, err := OpenPagerExistingFS(OsFS{}, filepath.Join(dir, "absent.pg"), &Stats{}); err == nil {
 		t.Errorf("missing file: want error")
 	}
 	// Misaligned file.
@@ -56,10 +56,10 @@ func TestOpenPagerExistingErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("short"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPagerExisting(bad, &Stats{}); err == nil {
+	if _, err := OpenPagerExistingFS(OsFS{}, bad, &Stats{}); err == nil {
 		t.Errorf("misaligned file: want error")
 	}
-	if _, err := OpenPagerExisting(filepath.Join(dir, "x.pg"), nil); err == nil {
+	if _, err := OpenPagerExistingFS(OsFS{}, filepath.Join(dir, "x.pg"), nil); err == nil {
 		t.Errorf("nil stats: want error")
 	}
 }

@@ -30,7 +30,7 @@ func newTestPager(t *testing.T, stats *Stats) *Pager {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	p, err := OpenPager(filepath.Join(t.TempDir(), "x.pg"), stats)
+	p, err := OpenPagerFS(OsFS{}, filepath.Join(t.TempDir(), "x.pg"), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestHeapDrop(t *testing.T) {
 	if err := h.Drop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPager(path, m.Stats()); err != nil {
+	if _, err := OpenPagerFS(OsFS{}, path, m.Stats()); err != nil {
 		// Re-creating over the removed path must succeed (file is gone).
 		t.Errorf("path not reusable after Drop: %v", err)
 	}
@@ -370,14 +370,12 @@ func TestStatsIOAndReset(t *testing.T) {
 	}
 }
 
-func TestBufferPoolSetCapacity(t *testing.T) {
-	bp := NewBufferPool(10, nil)
-	if bp.Capacity() != 10 {
+func TestBufferPoolCapacity(t *testing.T) {
+	if bp := NewBufferPool(10, nil); bp.Capacity() != 10 {
 		t.Errorf("Capacity = %d", bp.Capacity())
 	}
-	bp.SetCapacity(0)
-	if bp.Capacity() != 1 {
-		t.Errorf("Capacity after SetCapacity(0) = %d, want clamp to 1", bp.Capacity())
+	if bp := NewBufferPool(0, nil); bp.Capacity() != 1 {
+		t.Errorf("Capacity of NewBufferPool(0) = %d, want clamp to 1", bp.Capacity())
 	}
 }
 
@@ -547,11 +545,11 @@ func TestPageWriterRejectsLoggedHeap(t *testing.T) {
 }
 
 // TestLiveTemps: the manager counts temporaries from CreateTemp until
-// they are dropped, whether the drop recycles the file or removes it.
+// they are dropped.
 func TestLiveTemps(t *testing.T) {
 	m := newManager(t, 8)
 	var temps []*HeapFile
-	for i := 0; i < tempFreeMax+5; i++ {
+	for i := 0; i < 5; i++ {
 		h, err := m.CreateTemp(testSchema())
 		if err != nil {
 			t.Fatal(err)
@@ -573,7 +571,7 @@ func TestLiveTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := m.LiveTemps(); n != 1 {
-		t.Fatalf("LiveTemps = %d after recycling one, want 1", n)
+		t.Fatalf("LiveTemps = %d after creating one more, want 1", n)
 	}
 }
 

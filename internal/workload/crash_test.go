@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/storage"
 )
@@ -254,7 +255,7 @@ func snapshotDB(t *testing.T, s *core.Session) dbState {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := h.ReadCommitted()
+		rel, err := exec.Collect(exec.NewHeapSourceAt(h, h.CommittedTuples()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func verifyIndexes(t *testing.T, s *core.Session, label string) {
 			t.Errorf("%s: index %s: base relation: %v", label, name, err)
 			continue
 		}
-		rel, err := h.ReadCommitted()
+		rel, err := h.ReadAll()
 		if err != nil {
 			t.Errorf("%s: index %s: read base: %v", label, name, err)
 			continue
