@@ -439,7 +439,9 @@ func BenchmarkExternalSort(b *testing.B) {
 
 // drainSort sorts h by order and pulls the sort's final merge to its end.
 func drainSort(b *testing.B, s *extsort.Sorter, h *storage.HeapFile, order extsort.Order) {
-	str, err := s.Stream(h, -1, order)
+	sc := h.Scan()
+	defer sc.Close()
+	str, err := s.Stream(h.Schema, sc, h.Bytes(), order)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
@@ -18,7 +22,17 @@ import (
 // scans, spills and external sorts through the whole unnesting stack.
 func diskEnv(t *testing.T, rng *rand.Rand, nR, nS int) *Env {
 	t.Helper()
-	mgr := storage.NewManager(t.TempDir(), 16)
+	return diskEnvFS(t, nil, rng, nR, nS)
+}
+
+// diskEnvFS is diskEnv over the file system fs (nil: the operating
+// system's).
+func diskEnvFS(t *testing.T, fs storage.FS, rng *rand.Rand, nR, nS int) *Env {
+	t.Helper()
+	mgr, err := storage.NewManagerOptions(t.TempDir(), storage.ManagerOptions{PoolPages: 16, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cat := catalog.New(mgr)
 	e := NewEnv(cat)
 	e.SortMemPages = 2 // force multi-run external sorts
@@ -151,27 +165,31 @@ func TestDiskInsertThroughCatalogRoundTrip(t *testing.T) {
 	}
 }
 
+// filteredSortQuery sorts a filtered scan of R, an input that is not a
+// base relation.
+const filteredSortQuery = `SELECT R.TAG FROM R WHERE R.U >= 0 AND R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`
+
+// sortedFilter finds the sort node over the filtered scan of R.
+func sortedFilter(n *exec.StatsSnapshot) *exec.StatsSnapshot {
+	if n.Op == "sort" && len(n.Children) == 1 && n.Children[0].Op != "scan" {
+		return n
+	}
+	for _, c := range n.Children {
+		if m := sortedFilter(c); m != nil {
+			return m
+		}
+	}
+	return nil
+}
+
 // TestSortIntermediateBySize: a sort input that is not a base relation (a
 // filtered scan here) is sorted in memory when it fits the sort memory and
-// through the external sorter when it does not. The input's size decides,
-// and the answer does not depend on which it was.
+// writes runs when it does not. The input's size decides, and the answer
+// does not depend on which it was.
 func TestSortIntermediateBySize(t *testing.T) {
-	q, err := fsql.ParseQuery(`SELECT R.TAG FROM R WHERE R.U >= 0 AND R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`)
+	q, err := fsql.ParseQuery(filteredSortQuery)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// sortedFilter finds the sort node over the filtered scan of R.
-	var sortedFilter func(n *exec.StatsSnapshot) *exec.StatsSnapshot
-	sortedFilter = func(n *exec.StatsSnapshot) *exec.StatsSnapshot {
-		if n.Op == "sort" && len(n.Children) == 1 && n.Children[0].Op != "scan" {
-			return n
-		}
-		for _, c := range n.Children {
-			if m := sortedFilter(c); m != nil {
-				return m
-			}
-		}
-		return nil
 	}
 	var answers []*frel.Relation
 	for _, pages := range []int{256, 2} {
@@ -198,5 +216,79 @@ func TestSortIntermediateBySize(t *testing.T) {
 	}
 	if !answers[0].Equal(answers[1], 0) {
 		t.Errorf("in-memory and external sorts of the intermediate give different answers")
+	}
+}
+
+// tempCountFS counts the temporary heap files created through it.
+type tempCountFS struct {
+	storage.FS
+	created atomic.Int64
+}
+
+func (c *tempCountFS) OpenFile(path string, flag int, perm os.FileMode) (storage.File, error) {
+	if flag&os.O_CREATE != 0 && strings.HasPrefix(filepath.Base(path), "tmp-") {
+		c.created.Add(1)
+	}
+	return c.FS.OpenFile(path, flag, perm)
+}
+
+// TestSortIntermediateWritesOnlyItsRuns: a sort input that is not a base
+// relation and exceeds the sort memory (a filtered scan of R here) is read
+// straight into the external sort. The statement's only temporary files
+// are the sorts' runs: the input is never first copied into a file of its
+// own. Every page the statement writes is a sort's, and the sort phase
+// counts it, also when run generation's workers write runs while the
+// input is still being pulled.
+func TestSortIntermediateWritesOnlyItsRuns(t *testing.T) {
+	q, err := fsql.ParseQuery(filteredSortQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		fs := &tempCountFS{FS: storage.OsFS{}}
+		e := diskEnvFS(t, fs, rand.New(rand.NewSource(11)), 5000, 200)
+		e.SortMemPages, e.Parallelism = 8, workers
+		// Start from a clean pool: no page loading left dirty is written
+		// during the statement.
+		if err := e.cat.Manager().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.cat.Relation("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := e.cat.Manager().Stats()
+		ios := stats.IO()
+		_, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only the filtered scan's reads of R are not the sorts' I/O.
+		if ios, inputPages := stats.IO()-ios, int64(r.NumPages()); e.Phases.SortIOs < ios-inputPages {
+			t.Errorf("workers=%d: the sort phase counted %d page I/Os, the statement did %d beside reading R's %d pages", workers, e.Phases.SortIOs, ios-inputPages, inputPages)
+		}
+		if node := sortedFilter(es.Plan()); node == nil || node.SortRuns == 0 {
+			t.Fatalf("workers=%d: no sort over the filtered input wrote runs:\n%s", workers, es.Plan().Render())
+		}
+		var runs int64
+		var walk func(n *exec.StatsSnapshot)
+		walk = func(n *exec.StatsSnapshot) {
+			if n.Op == "sort" {
+				if n.MergePasses > 1 {
+					t.Fatalf("workers=%d: a sort merged its runs into files before the final merge:\n%s", workers, es.Plan().Render())
+				}
+				runs += n.SortRuns
+			}
+			for _, c := range n.Children {
+				walk(c)
+			}
+		}
+		walk(es.Plan())
+		if got := fs.created.Load(); got != runs {
+			t.Errorf("workers=%d: the statement created %d temporary files, its sorts wrote %d runs", workers, got, runs)
+		}
+		if live := e.cat.Manager().LiveTemps(); live != 0 {
+			t.Errorf("workers=%d: %d temporaries live after the statement", workers, live)
+		}
 	}
 }

@@ -63,11 +63,12 @@ type Env struct {
 	// (GOMAXPROCS), 1 forces fully serial execution.
 	Parallelism int
 
-	// Sort-order cache state; see sortcache.go for the keying and
-	// invalidation contract. All maps are lazily initialized.
-	sortMem  map[sortKey]*memSortEntry
-	sortHeap map[sortKey]*heapSortEntry
-	sortSeen map[sortKey]uint64 // heap version of an order's first, streamed sort
+	// sortCache is the sort-order cache, lazily initialized; see
+	// sortcache.go for the keying and invalidation contract.
+	sortCache map[sortKey]*sortEntry
+	// retired are the sorted copies that left the cache (nil entries
+	// included), dropped when the running evaluation ends.
+	retired []*storage.HeapFile
 
 	// streams are the streamed external sorts of the running evaluation,
 	// closed when it ends (see sortstream.go).
@@ -225,17 +226,12 @@ func (e *Env) DefineScopedTerm(name string, t fuzzy.Trapezoid) error {
 	return nil
 }
 
-// ReleaseSortCache drops the environment's cached sort orders, deleting
-// the sorted temporary heap files held by the external side of the cache.
-// Sessions forked off a long-running database call it on close so
+// ReleaseSortCache empties the sort-order cache and drops its sorted
+// copies. Sessions forked off a long-running database call it on close so
 // per-connection caches do not accumulate temporary files.
 func (e *Env) ReleaseSortCache() {
-	for _, ent := range e.sortHeap {
-		_ = ent.sorted.Drop() // best-effort cleanup
-	}
-	e.sortHeap = nil
-	e.sortMem = nil
-	e.sortSeen = nil
+	e.retireAll()
+	e.closeStreams(0)
 }
 
 // source resolves a FROM-clause relation reference to a scan of its
@@ -264,64 +260,6 @@ func (e *Env) source(tr fsql.TableRef) (exec.Source, error) {
 		src = &renameSource{Source: src, schema: h.Schema.WithName(relKey(alias))}
 	}
 	return exec.WithContext(e.ctx, src), nil
-}
-
-// forEach drains src into fn.
-func forEach(src exec.Source, fn func(frel.Tuple) error) error {
-	it, err := src.Open()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			return it.Err()
-		}
-		for _, t := range b {
-			if err := fn(t); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// gather drains a sort input that is not a base relation (a filtered scan,
-// a join's intermediate result). While its encoded size stays within the
-// sort memory the tuples are kept; the moment it exceeds it, they move to
-// a temporary heap file that takes the rest as well. Exactly one of the
-// returns is set.
-func (e *Env) gather(src exec.Source) (tuples []frel.Tuple, spilled *storage.HeapFile, err error) {
-	schema := src.Schema()
-	budget, bytes := e.SortMemPages*storage.PageSize, 0
-	err = forEach(src, func(t frel.Tuple) error {
-		if spilled != nil {
-			return spilled.Append(t)
-		}
-		tuples = append(tuples, t)
-		if bytes += frel.EncodedSize(schema, t); bytes < budget {
-			return nil
-		}
-		h, err := e.cat.Manager().CreateTemp(schema)
-		if err != nil {
-			return err
-		}
-		spilled = h
-		for _, u := range tuples {
-			if err := spilled.Append(u); err != nil {
-				return err
-			}
-		}
-		tuples = nil
-		return nil
-	})
-	if err != nil {
-		if spilled != nil {
-			_ = spilled.Drop() // best-effort cleanup; the drain's error is the one to report
-		}
-		return nil, nil, err
-	}
-	return tuples, spilled, nil
 }
 
 // shiftSource adds a constant distribution to one numeric attribute of
@@ -395,115 +333,91 @@ func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
 // sortSource returns src sorted on attr. Plain scans of base relations go
 // through the sort-order cache (see sortcache.go): a repeat sort of an
-// unmodified relation is served from the cached sorted copy without
-// re-sorting, a cold sort of a relation carrying a persistent order index
-// on the attribute is served from the index (see indexscan.go) without
-// sorting at all, and any other cold sort is an external sort of the heap
-// whose final merge feeds the consumer, copied into the cache as it is
-// pulled when the order is requested a second time. Any other input is
-// sorted in memory when it fits the sort memory and externally, streamed
-// the same way, otherwise.
+// unmodified relation is served from the cached order without re-sorting,
+// a cold sort of a relation carrying a persistent order index on the
+// attribute is served from the index (see indexscan.go) without sorting at
+// all, and any other cold sort is an external sort of the heap whose final
+// merge feeds the consumer, copied into the cache as it is pulled when the
+// order is requested a second time. Any other input (a filtered scan, a
+// join's intermediate result) is encoded a tuple at a time into the same
+// external sort, whose final merge feeds the consumer the same way: it
+// writes runs only for what the sort memory cannot hold.
 func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
 	order, err := extsort.OrderBy(src.Schema(), attr)
 	if err != nil {
 		return nil, err
 	}
-	attrIdx := order.Attr
-	if base := baseScan(src); base != nil {
-		key := sortKey{heap: base.Heap, attr: attrIdx}
-		version := e.heapVersion(base.Heap)
-		// An order loaded from a persistent index lives in the memory
-		// side of the cache; repeat sorts of the unmodified heap replay
-		// it without touching the index again.
-		if ent, ok := e.sortMem[key]; ok && ent.version == version {
-			rel := &frel.Relation{Schema: src.Schema(), Tuples: ent.tuples}
-			return e.cacheHit(attr, exec.NewKeyedMemSource(rel, ent.keys), src), nil
-		}
-		if ent, ok := e.sortHeap[key]; ok && ent.version == version {
-			return e.cacheHit(attr, &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: src.Schema()}, src), nil
-		}
-		if out, ok, err := e.indexSorted(src, base, attr, order); err != nil {
-			return nil, err
-		} else if ok {
-			return out, nil
-		}
-		// A plain base-heap scan needs no pre-sort spill — the spill would
-		// be a verbatim copy of the heap — so the sorter reads the base
-		// directly, bounded by the scan's snapshot limit.
-		admit := e.admitHeapSort(key, version)
-		out, node, err := e.streamSort(attr, src.Schema(), base.Heap, base.Limit, order)
+	base := baseScan(src)
+	if base == nil {
+		it, err := src.Open()
 		if err != nil {
 			return nil, err
 		}
-		node.CacheMisses.Add(1)
-		// Keyed by the version the evaluation saw: a bounded snapshot
-		// scan's sorted copy must only serve readers of that snapshot
-		// state, never the live (possibly further-appended) heap.
-		if admit {
-			if err := out.copyTo(key, version); err != nil {
-				out.Close()
-				return nil, err
-			}
+		defer it.Close()
+		in := &tupleRecords{it: it, schema: src.Schema(), stats: e.cat.Manager().Stats()}
+		out, node, err := e.streamSort(attr, src.Schema(), in, -1, order)
+		if err != nil {
+			return nil, err
 		}
 		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 	}
-
-	// Not a base relation: the size of the input decides. One that fits
-	// the sort memory is sorted where it is and served with its key
-	// column, like a cached order; a larger one goes through the external
-	// sorter, whose runs hold all of it once they are made.
-	tuples, spilled, err := e.gather(src)
+	key := sortKey{heap: base.Heap, attr: order.Attr}
+	version := e.heapVersion(base.Heap)
+	ent := e.entry(key)
+	if out := ent.source(version, src.Schema()); out != nil {
+		node := e.newNode("sort", attr)
+		node.CacheHits.Add(1)
+		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
+	}
+	if out, ok, err := e.indexSorted(src, base, attr, order); err != nil {
+		return nil, err
+	} else if ok {
+		return out, nil
+	}
+	// The sorter reads the base heap directly, bounded by the scan's
+	// snapshot limit. The order is admitted if last streamed at this version.
+	admit := ent.seen && ent.streamed == version
+	ent.streamed, ent.seen = version, true
+	sc := base.Heap.ScanAt(base.Limit)
+	defer sc.Close()
+	out, node, err := e.streamSort(attr, src.Schema(), sc, base.Heap.Bytes(), order)
 	if err != nil {
 		return nil, err
 	}
-	if spilled != nil {
-		out, node, err := e.streamSort(attr, src.Schema(), spilled, -1, order)
-		if derr := spilled.Drop(); err == nil && derr != nil {
+	node.CacheMisses.Add(1)
+	// Keyed by the version the evaluation saw: a bounded snapshot scan's
+	// sorted copy must only serve readers of that snapshot state, never
+	// the live (possibly further-appended) heap.
+	if admit {
+		if err := out.copyTo(key, version); err != nil {
 			out.Close()
-			err = derr
-		}
-		if err != nil {
 			return nil, err
 		}
-		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 	}
-	rel := &frel.Relation{Schema: src.Schema(), Tuples: tuples}
-	start := time.Now()
-	cmp, err := extsort.SortRelation(rel, order)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	e.Phases.SortWall += elapsed
-	node := e.newNode("sort", attr)
-	node.Comparisons.Add(cmp)
-	node.WallNanos.Add(elapsed.Nanoseconds())
-	return e.attach(node, exec.NewKeyedMemSource(rel, frel.SupportKeys(tuples, attrIdx)), src), nil
+	return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 }
 
-// cacheHit serves a sort of src on attr from the cached order out.
-func (e *Env) cacheHit(attr string, out, src exec.Source) exec.Source {
-	node := e.newNode("sort", attr)
-	node.CacheHits.Add(1)
-	return e.attach(node, exec.WithContext(e.ctx, out), src)
-}
-
-// streamSort sorts the first limit tuples of h (limit < 0: all) up to the
-// final merge and returns that merge as a source of schema, with the sort
-// node its work is counted in. Run generation and the merge passes before
-// the final one run here, and their wall time and page I/O count toward
-// the environment's sort phase. The source is closed, and its runs
-// dropped, when its consumer closes it or at the latest when the
-// evaluation ends.
-func (e *Env) streamSort(attr string, schema *frel.Schema, h *storage.HeapFile, limit int64, order extsort.Order) (*sortedStream, *exec.OpStats, error) {
+// streamSort sorts the records of in, tuples of schema, up to the final
+// merge (size bounds the input's bytes when not negative) and returns that
+// merge as a source of schema, with the sort node its work is counted in.
+// Run generation and the merge passes before the final one run here, and
+// their wall time and page I/O, less the time and page reads pulling a
+// tupleRecords input took, count toward the environment's sort phase. The
+// source is closed, and its runs dropped, when its consumer closes it or
+// at the latest when the evaluation ends.
+func (e *Env) streamSort(attr string, schema *frel.Schema, in extsort.Records, size int64, order extsort.Order) (*sortedStream, *exec.OpStats, error) {
 	mgr := e.cat.Manager()
 	start, ios := time.Now(), mgr.Stats().IO()
-	str, err := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).Stream(h, limit, order)
+	str, err := extsort.NewSorter(mgr, e.SortMemPages).WithParallelism(e.workers()).Stream(schema, in, size, order)
 	if err != nil {
 		return nil, nil, err
 	}
-	elapsed := time.Since(start)
-	e.Phases.SortIOs += mgr.Stats().IO() - ios
+	elapsed, sortIOs := time.Since(start), mgr.Stats().IO()-ios
+	if t, ok := in.(*tupleRecords); ok {
+		// The input's operators count their own work.
+		elapsed, sortIOs = elapsed-t.wall, sortIOs-t.reads
+	}
+	e.Phases.SortIOs += sortIOs
 	e.Phases.SortWall += elapsed
 	st := str.Stats()
 	node := e.newNode("sort", attr)

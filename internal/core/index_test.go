@@ -387,7 +387,7 @@ func TestIndexOrderIsTheStableSort(t *testing.T) {
 			t.Fatal(err)
 		}
 		restore := e.setSnapshot(leg.snap)
-		e.sortMem = nil
+		e.ReleaseSortCache()
 		src, err := e.source(fsql.TableRef{Name: "R"})
 		if err != nil {
 			t.Fatal(err)
@@ -401,7 +401,7 @@ func TestIndexOrderIsTheStableSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := e.sortMem[sortKey{heap: h, attr: 1}]; !ok {
+		if ent := e.sortCache[sortKey{heap: h, attr: 1}]; ent == nil || ent.tuples == nil {
 			t.Fatalf("%s: the order was not served by the index", leg.name)
 		}
 		if len(got.Tuples) != len(want.Tuples) {

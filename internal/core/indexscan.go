@@ -13,7 +13,7 @@ import (
 // external sorter: one bounded scan of the base heap, one scan of the
 // entry file, a permutation, and an in-memory re-sort only where tuples
 // were appended after the index was written. The loaded order is stored
-// in the in-memory side of the sort cache, so repeat queries replay it as
+// in the sort cache, held in memory, so repeat queries replay it as
 // ordinary cache hits.
 
 // indexSorted tries to serve base — a plain scan of a catalog heap, src
@@ -89,7 +89,7 @@ func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, o
 	}
 	keys := frel.SupportKeys(tuples, order.Attr)
 	key := sortKey{heap: base.Heap, attr: order.Attr}
-	e.storeMemSort(key, &memSortEntry{version: e.heapVersion(base.Heap), tuples: tuples, keys: keys})
+	e.storeSort(key, sortEntry{version: e.heapVersion(base.Heap), tuples: tuples, keys: keys})
 	node := e.newNode("index", attr)
 	node.IndexHits.Add(1)
 	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)), src), true, nil

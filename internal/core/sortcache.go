@@ -10,8 +10,8 @@ import (
 // must be sorted by the engine's order (frel.Compare), and the paper's
 // workloads sort the same base relations on the same attributes query
 // after query. The environment therefore caches, per (base relation,
-// attribute), the sorted copy of the relation, and reuses it as long as
-// the base relation has not been mutated.
+// attribute), the relation's sorted order, and reuses it as long as the
+// base relation has not been mutated.
 //
 // Keying and invalidation contract:
 //
@@ -31,19 +31,22 @@ import (
 //   - An external sort is admitted on its second request. The first
 //     request for an order at a given heap version streams the sort's
 //     final merge into its consumer and caches nothing but the version
-//     (sortSeen); the second streams it the same way and copies each
-//     record its consumer pulls into a sorted heap file, cached once the
-//     consumer has drained the merge without error (dropped otherwise);
-//     later requests hit. A statement that sorts a relation
+//     (sortEntry.streamed); the second streams it the same way and copies
+//     each record its consumer pulls into a sorted heap file, cached once
+//     the consumer has drained the merge without error (dropped
+//     otherwise); later requests hit. A statement that sorts a relation
 //     once, as every statement of a fresh session does, therefore writes
 //     its runs and nothing else. An order served by an index is cached on
 //     its first request, since loading it wrote nothing.
+//   - An entry holds one order: storing an order replaces the one before,
+//     retiring its sorted copy. A stale order stays until then.
 //
-// Entry counts are bounded by wholesale eviction (sortCacheMaxEntries);
-// sorted heap files belonging to evicted entries are dropped best-effort.
+// The entry count is bounded by wholesale eviction (sortCacheMaxEntries).
+// A sorted copy leaving the cache is retired, and dropped (best-effort)
+// once the running evaluation ends, never earlier: a sort the evaluation
+// was already served from the cache may be a pending scan of it.
 
-// sortCacheMaxEntries bounds each of the entry maps; exceeding it
-// wipes the map (simple, and workloads touch few distinct orders).
+// sortCacheMaxEntries bounds the cache (workloads touch few distinct orders).
 const sortCacheMaxEntries = 64
 
 // sortKey identifies one cached sort order: the base relation's heap and
@@ -53,20 +56,20 @@ type sortKey struct {
 	attr int
 }
 
-// memSortEntry is a cached in-memory sort, an order loaded from a
-// persistent index: the sorted tuple slice and its precomputed
-// support-interval key column.
-type memSortEntry struct {
-	version uint64
-	tuples  []frel.Tuple
-	keys    []frel.SupportKey
-}
+// sortEntry is the cache's state of one order: the order itself, once one
+// is cached, and the heap version its last uncached request streamed.
+type sortEntry struct {
+	version uint64 // heap version the cached order was built at
+	// The cached order: one loaded from a persistent index, held in memory
+	// with its support-key column (tuples non-nil), or the sorted copy an
+	// admitted external sort wrote (sorted non-nil).
+	tuples []frel.Tuple
+	keys   []frel.SupportKey
+	sorted *storage.HeapFile
 
-// heapSortEntry is a cached external sort: the sorted temporary heap file,
-// kept (not dropped) while fresh.
-type heapSortEntry struct {
-	version uint64
-	sorted  *storage.HeapFile
+	// The heap version of the last request streamed uncached, if seen.
+	streamed uint64
+	seen     bool
 }
 
 // baseScan returns the plain scan of a base relation that src resolves
@@ -85,38 +88,51 @@ func baseScan(src exec.Source) *exec.HeapSource {
 	return nil
 }
 
-// admitHeapSort reports whether a cold external sort of the order k at
-// heap version v is to be cached: true when the order was requested at
-// that version before, false (noting the request) for the first.
-func (e *Env) admitHeapSort(k sortKey, v uint64) bool {
-	if seen, ok := e.sortSeen[k]; ok && seen == v {
-		return true
+// source returns the order the entry caches, as a source of schema, or nil
+// when it caches no order of heap version v.
+func (ent *sortEntry) source(v uint64, schema *frel.Schema) exec.Source {
+	switch {
+	case ent.version != v:
+		return nil
+	case ent.tuples != nil:
+		return exec.NewKeyedMemSource(&frel.Relation{Schema: schema, Tuples: ent.tuples}, ent.keys)
+	case ent.sorted != nil:
+		return &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: schema}
 	}
-	if e.sortSeen == nil || len(e.sortSeen) >= sortCacheMaxEntries {
-		e.sortSeen = make(map[sortKey]uint64)
-	}
-	e.sortSeen[k] = v
-	return false
+	return nil
 }
 
-func (e *Env) storeMemSort(k sortKey, ent *memSortEntry) {
-	if e.sortMem == nil || len(e.sortMem) >= sortCacheMaxEntries {
-		e.sortMem = make(map[sortKey]*memSortEntry)
+// entry returns the cache entry of order k, creating it; a new entry that
+// finds the cache full empties it first.
+func (e *Env) entry(k sortKey) *sortEntry {
+	if ent, ok := e.sortCache[k]; ok {
+		return ent
 	}
-	e.sortMem[k] = ent
+	if len(e.sortCache) >= sortCacheMaxEntries {
+		e.retireAll()
+	}
+	if e.sortCache == nil {
+		e.sortCache = make(map[sortKey]*sortEntry)
+	}
+	ent := &sortEntry{}
+	e.sortCache[k] = ent
+	return ent
 }
 
-func (e *Env) storeHeapSort(k sortKey, ent *heapSortEntry) {
-	if e.sortHeap == nil {
-		e.sortHeap = make(map[sortKey]*heapSortEntry)
+// storeSort makes order, its version with its tuples and keys or its
+// sorted copy, the cached order k, retiring the sorted copy it replaces.
+func (e *Env) storeSort(k sortKey, order sortEntry) {
+	ent := e.entry(k)
+	e.retired = append(e.retired, ent.sorted)
+	order.streamed, order.seen = ent.streamed, ent.seen
+	*ent = order
+}
+
+// retireAll empties the cache, retiring its sorted copies: closeStreams
+// drops them when the running evaluation ends.
+func (e *Env) retireAll() {
+	for _, ent := range e.sortCache {
+		e.retired = append(e.retired, ent.sorted)
 	}
-	if old, ok := e.sortHeap[k]; ok {
-		_ = old.sorted.Drop() // stale sorted copy, best-effort cleanup
-	} else if len(e.sortHeap) >= sortCacheMaxEntries {
-		for _, o := range e.sortHeap {
-			_ = o.sorted.Drop()
-		}
-		e.sortHeap = make(map[sortKey]*heapSortEntry)
-	}
-	e.sortHeap[k] = ent
+	e.sortCache = nil
 }

@@ -148,7 +148,7 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 				t.Errorf("%s: %s's orders hit/missed %v, want %v", name, rel, counts[rel], w)
 			}
 		}
-		if got := len(env.sortHeap); got != cached {
+		if got := sortedCopies(env); got != cached {
 			t.Errorf("%s: %d sorted copies cached, want %d", name, got, cached)
 		}
 		if live := mgr.LiveTemps(); live != cached {
@@ -174,13 +174,24 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, ent := range env.sortHeap {
-		if k.heap == sHeap && ent.version == sHeap.Version() {
+	for k, ent := range env.sortCache {
+		if k.heap == sHeap && ent.sorted != nil && ent.version == sHeap.Version() {
 			t.Errorf("the first request after the append replaced S's cached copy")
 		}
 	}
 	step("second after the append", map[string][2]int64{"R": hit, "S": miss}, 2)
 	step("third after the append", map[string][2]int64{"R": hit, "S": hit}, 2)
+}
+
+// sortedCopies returns the number of sorted copies the sort cache holds.
+func sortedCopies(e *Env) int {
+	n := 0
+	for _, ent := range e.sortCache {
+		if ent.sorted != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // appendHeap appends t to the catalog heap of the named relation, as an
@@ -389,5 +400,72 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	}
 	if reopened.Env.Work.CacheMisses.Load() == 0 {
 		t.Fatal("reloaded query should rebuild (miss) its sort orders")
+	}
+}
+
+// TestSortCacheEvictionKeepsServedCopies fills the cache and then runs a
+// statement whose one sort is served by a cached sorted copy while the
+// other misses a new order (its relation was rewritten by a DELETE), so
+// that order's entry empties the full cache. The copy the statement was
+// already served must stay readable until it ends: the answer equals the
+// naive one, and afterwards no temporary outlives the cache. Each relation
+// is the rewritten one in turn, so whichever the plan sorts first, one
+// round serves a copy before the eviction.
+func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
+	q, err := fsql.ParseQuery(analyzeQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rewritten := range []string{"R", "S"} {
+		t.Run(rewritten, func(t *testing.T) {
+			sess, err := OpenSession(t.TempDir(), 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := sess.ExecScript(`
+				CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
+				CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);
+				INSERT INTO R VALUES (1, 1, 10);
+				INSERT INTO R VALUES (2, 2, 20);
+				INSERT INTO R VALUES (9, 3, 30);
+				INSERT INTO S VALUES (1, 1, 10);
+				INSERT INTO S VALUES (2, 2, 20);
+				INSERT INTO S VALUES (9, 3, 25);
+			`); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 { // the second run admits both orders
+				if _, err := sess.ExecScript(analyzeQuery); err != nil {
+					t.Fatal(err)
+				}
+			}
+			env := sess.Env
+			if got := sortedCopies(env); got != 2 {
+				t.Fatalf("%d sorted copies cached after two runs, want 2", got)
+			}
+			for i := 0; len(env.sortCache) < sortCacheMaxEntries; i++ {
+				env.entry(sortKey{attr: i}) // orders of other relations, seen once
+			}
+			if _, err := sess.ExecScript(`DELETE FROM ` + rewritten + ` WHERE ` + rewritten + `.K = 9`); err != nil {
+				t.Fatal(err)
+			}
+			// A DELETE's rewritten heap counts as a live temporary too.
+			others := sess.cat.Manager().LiveTemps() - sortedCopies(env)
+			want, err := sess.EvalNaive(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers, err := sess.ExecScript(analyzeQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !answers[0].Equal(want, 1e-9) {
+				t.Fatalf("answer after the eviction:\n%v\nwant:\n%v", answers[0], want)
+			}
+			if live, cached := sess.cat.Manager().LiveTemps()-others, sortedCopies(env); live != cached {
+				t.Fatalf("%d sort temporaries live after the statement, want the %d cached copies", live, cached)
+			}
+		})
 	}
 }

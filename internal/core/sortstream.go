@@ -33,10 +33,12 @@ type sortedStream struct {
 	closed  bool
 	failed  bool // serving a batch failed
 
-	// The cached copy being written, its writer and its cache key.
-	copy *heapSortEntry
-	w    *storage.PageWriter
-	key  sortKey
+	// The cached copy being written, its writer, its cache key and the
+	// heap version it is the order of.
+	copy    *storage.HeapFile
+	w       *storage.PageWriter
+	key     sortKey
+	version uint64
 }
 
 func (s *sortedStream) Schema() *frel.Schema { return s.schema }
@@ -61,7 +63,7 @@ func (s *sortedStream) copyTo(key sortKey, version uint64) error {
 		_ = h.Drop()
 		return err
 	}
-	s.copy, s.key = &heapSortEntry{version: version, sorted: h}, key
+	s.copy, s.key, s.version = h, key, version
 	return nil
 }
 
@@ -75,9 +77,9 @@ func (s *sortedStream) Close() {
 	if s.copy != nil {
 		s.w.Close()
 		if !s.failed && s.str.Remaining() == 0 && s.str.Err() == nil {
-			s.e.storeHeapSort(s.key, s.copy)
+			s.e.storeSort(s.key, sortEntry{version: s.version, sorted: s.copy})
 		} else {
-			_ = s.copy.sorted.Drop() // best-effort cleanup of a partial copy
+			_ = s.copy.Drop() // best-effort cleanup of a partial copy
 		}
 		s.copy, s.w = nil, nil
 	}
@@ -87,13 +89,22 @@ func (s *sortedStream) Close() {
 
 // closeStreams closes the sorted streams opened since the first from of
 // e.streams, the ones an evaluation whose consumers stopped early (an
-// error, a cancellation) never closed.
+// error, a cancellation) never closed. The outermost evaluation (from 0)
+// also drops the sorted copies the cache retired while it ran.
 func (e *Env) closeStreams(from int) {
 	for _, s := range e.streams[from:] {
 		s.Close()
 	}
 	clear(e.streams[from:])
 	e.streams = e.streams[:from]
+	if from == 0 {
+		for _, h := range e.retired {
+			if h != nil {
+				_ = h.Drop() // best-effort cleanup
+			}
+		}
+		e.retired = nil
+	}
 }
 
 type sortedStreamIterator struct {
@@ -159,3 +170,49 @@ func (it *sortedStreamIterator) Keys() []frel.SupportKey {
 func (it *sortedStreamIterator) Remaining() int { return int(it.s.str.Remaining()) }
 func (it *sortedStreamIterator) Err() error     { return it.err }
 func (it *sortedStreamIterator) Close()         { it.s.Close() }
+
+// tupleRecords is the input of an external sort of a source that is not a
+// base relation: it encodes each tuple the source serves into one reused
+// buffer, which run generation copies into its arena. The wall time and
+// page reads of pulling the source are its operators' work, kept apart
+// from the sort's. Page writes meanwhile are the sort's (its workers' runs,
+// or run pages a read evicts): the source only reads, a sweep draining
+// its own inputs when it opens.
+type tupleRecords struct {
+	it     exec.BatchIterator
+	schema *frel.Schema
+	stats  *storage.Stats
+	batch  []frel.Tuple
+	buf    []byte
+	err    error
+	wall   time.Duration
+	reads  int64
+}
+
+// NextRaw implements extsort.Records.
+func (r *tupleRecords) NextRaw() ([]byte, bool) {
+	for len(r.batch) == 0 {
+		if r.err != nil {
+			return nil, false
+		}
+		start, reads := time.Now(), r.stats.Reads.Load()
+		b, ok := r.it.NextBatch()
+		r.wall += time.Since(start)
+		r.reads += r.stats.Reads.Load() - reads
+		if !ok {
+			r.err = r.it.Err()
+			return nil, false
+		}
+		r.batch = b
+	}
+	var err error
+	if r.buf, err = frel.AppendTuple(r.buf[:0], r.schema, r.batch[0]); err != nil {
+		r.err = err
+		return nil, false
+	}
+	r.batch = r.batch[1:]
+	return r.buf, true
+}
+
+// Err implements extsort.Records.
+func (r *tupleRecords) Err() error { return r.err }

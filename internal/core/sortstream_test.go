@@ -8,9 +8,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/extsort"
+	"repro/internal/frel"
 	"repro/internal/fsql"
+	"repro/internal/fuzzy"
+	"repro/internal/storage"
 )
 
 // TestSortedStreamOpensOnceAndDropsItsRuns: a cold external sort of a
@@ -126,11 +130,13 @@ func TestSortCacheCopyIsTheSortedStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ent, ok := e.sortHeap[sortKey{heap: h, attr: 0}]
-	if !ok {
+	ent := e.sortCache[sortKey{heap: h, attr: 0}]
+	if ent == nil || ent.sorted == nil {
 		t.Fatal("the second request cached no sorted copy")
 	}
-	str, err := extsort.NewSorter(e.cat.Manager(), e.SortMemPages).Stream(h, -1, extsort.Order{Attr: 0})
+	hsc := h.Scan()
+	defer hsc.Close()
+	str, err := extsort.NewSorter(e.cat.Manager(), e.SortMemPages).Stream(h.Schema, hsc, h.Bytes(), extsort.Order{Attr: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +207,151 @@ func TestSortCacheCancelledCopyCachesNothing(t *testing.T) {
 	}
 	it.Close()
 	restore()
-	if len(e.sortHeap) != 0 {
-		t.Errorf("a cancelled request cached %d sorted copies", len(e.sortHeap))
+	if n := sortedCopies(e); n != 0 {
+		t.Errorf("a cancelled request cached %d sorted copies", n)
 	}
 	if live := mgr.LiveTemps(); live != before {
 		t.Errorf("%d temporaries live, %d before the request", live, before)
+	}
+}
+
+// failingSource serves the batches of a relation until after of them have
+// been served, then calls fail: its error, when not nil, ends the input.
+type failingSource struct {
+	rel   *frel.Relation
+	after int
+	fail  func() error
+}
+
+func (s *failingSource) Schema() *frel.Schema { return s.rel.Schema }
+
+func (s *failingSource) Open() (exec.BatchIterator, error) {
+	it, err := exec.NewMemSource(s.rel).Open()
+	return &failingIterator{BatchIterator: it, s: s}, err
+}
+
+type failingIterator struct {
+	exec.BatchIterator
+	s      *failingSource
+	served int
+	err    error
+}
+
+func (it *failingIterator) NextBatch() ([]frel.Tuple, bool) {
+	if it.err != nil {
+		return nil, false
+	}
+	if it.served == it.s.after {
+		if it.err = it.s.fail(); it.err != nil {
+			return nil, false
+		}
+	}
+	it.served++
+	return it.BatchIterator.NextBatch()
+}
+
+func (it *failingIterator) Err() error { return cmp.Or(it.err, it.BatchIterator.Err()) }
+
+// TestSortIntermediateFailureDropsItsRuns: when the input of a sort that
+// is not a base relation fails after the sort has written runs, whether
+// with an error of its own or because the statement's context was
+// cancelled, the sort returns that error, drops every run it wrote and
+// caches nothing, at one and two run-generation workers.
+func TestSortIntermediateFailureDropsItsRuns(t *testing.T) {
+	errInput := errors.New("the input failed")
+	rel := randRelation("R", 6*exec.BatchSize, rand.New(rand.NewSource(3)), "X")
+	for _, workers := range []int{1, 2} {
+		for _, cancelled := range []bool{false, true} {
+			fs := &tempCountFS{FS: storage.NewMemFS()}
+			mgr, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEnv(catalog.New(mgr))
+			e.SortMemPages, e.Parallelism = 2, workers
+			ctx, cancel := context.WithCancel(context.Background())
+			src, want := exec.Source(&failingSource{rel: rel, after: 3, fail: func() error { return errInput }}), errInput
+			if cancelled {
+				// The input's leaf observes the statement's context, as a
+				// scan of a base relation does.
+				src, want = exec.WithContext(ctx, &failingSource{rel: rel, after: 3, fail: func() error { cancel(); return nil }}), context.Canceled
+			}
+			restore := e.withContext(ctx)
+			before := mgr.LiveTemps()
+			_, err = e.sortSource(src, "X")
+			restore()
+			cancel()
+			if !errors.Is(err, want) {
+				t.Errorf("workers=%d cancelled=%v: err = %v, want %v", workers, cancelled, err, want)
+			}
+			if fs.created.Load() == 0 {
+				t.Errorf("workers=%d cancelled=%v: the sort wrote no run before the input failed", workers, cancelled)
+			}
+			if live := mgr.LiveTemps(); live != before {
+				t.Errorf("workers=%d cancelled=%v: %d temporaries live, %d before the sort", workers, cancelled, live, before)
+			}
+			if len(e.sortCache) != 0 || len(e.streams) != 0 {
+				t.Errorf("workers=%d cancelled=%v: %d cache entries and %d open streams after the failure", workers, cancelled, len(e.sortCache), len(e.streams))
+			}
+		}
+	}
+}
+
+// TestSortIntermediateAllocs is the allocation gate of sorting an input
+// that is not a base relation: sorting and draining 20 000 numeric tuples
+// within the sort memory allocates at most 0.05 times per tuple. Each
+// tuple is encoded into one reused buffer, and the sorted records are
+// decoded into one value arena per batch. Skipped under -race, which
+// inflates allocation counts.
+func TestSortIntermediateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 20000
+	schema := frel.NewSchema("A",
+		frel.Attribute{Name: "X", Kind: frel.KindNumber},
+		frel.Attribute{Name: "ID", Kind: frel.KindNumber},
+	)
+	rng := rand.New(rand.NewSource(1))
+	rel := frel.NewRelation(schema)
+	for i := 0; i < n; i++ {
+		c := rng.Float64() * 1000
+		rel.Append(frel.NewTuple(1, frel.Num(fuzzy.Tri(c-1, c, c+1)), frel.Crisp(float64(i))))
+	}
+	e := NewMemEnv()
+	e.SortMemPages, e.Parallelism = 512, 1
+	src := exec.NewMemSource(rel)
+	run := func() {
+		sorted, err := e.sortSource(src, "X")
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, rows := 0, 0
+		it, err := sorted.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
+			rows += len(b)
+			batches++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		it.Close()
+		e.closeStreams(0)
+		if rows != n || batches == 0 {
+			t.Fatalf("%d rows in %d batches, want %d", rows, batches, n)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(5, run)
+	if runs := e.Work.SortRuns.Load(); runs != 0 {
+		t.Fatalf("the sort wrote %d runs, want none", runs)
+	}
+	if per := allocs / n; per > 0.05 {
+		t.Errorf("%.0f allocations for %d tuples (%.4f per tuple), want <= 0.05", allocs, n, per)
+	} else {
+		t.Logf("%.0f allocations, %.4f per tuple", allocs, per)
 	}
 }

@@ -1,7 +1,8 @@
-// Package extsort implements a memory-bounded external merge sort over
-// heap files of fuzzy tuples. It plays the role of the commercial Opt-Tech
-// external sort used in the paper's experiments (Section 9): run generation
-// within a caller-specified amount of memory followed by k-way merging.
+// Package extsort implements a memory-bounded external merge sort of
+// encoded fuzzy tuples, read from a heap scan or any other record source
+// (Records). It plays the role of the commercial Opt-Tech external sort
+// used in the paper's experiments (Section 9): run generation within a
+// caller-specified amount of memory followed by k-way merging.
 //
 // The extended merge-join sorts relations on the engine's one order,
 // frel.Compare on the join attribute: the Definition 3.1 interval order,
@@ -66,7 +67,7 @@ type Stats struct {
 	SpillBytes  int64 // tuple bytes written to run files and merge passes before the final one
 }
 
-// Sorter sorts heap files with a fixed memory budget.
+// Sorter sorts records with a fixed memory budget.
 type Sorter struct {
 	mgr      *storage.Manager
 	memPages int
@@ -105,20 +106,31 @@ func (s *Sorter) WithParallelism(workers int) *Sorter {
 	return s
 }
 
-// Stream sorts the first limit tuples of src (limit < 0: all of them) up
-// to its final merge and returns that merge, which the caller pulls a
-// record at a time. The batch being filled when the input ends is sorted
-// and kept in memory as the last run, so an input that fits the sort
-// memory writes nothing; merge passes over the runs on disk run only
-// while the runs, that batch included, exceed the fan-in. The caller
-// must Close the stream, drained or not, to drop its runs. On error
-// every temporary file the sort created is dropped.
-func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, error) {
-	if err := o.check(src.Schema); err != nil {
+// Records is the input of a sort: encoded tuples (frel's record codec).
+// NextRaw returns the next record, valid until the following call, and ok
+// false at the end of the input or on an error, which Err then reports. A
+// heap scan (*storage.Scanner) is one.
+type Records interface {
+	NextRaw() (rec []byte, ok bool)
+	Err() error
+}
+
+// Stream sorts the records of src, tuples of schema, up to the final merge
+// and returns that merge, which the caller pulls a record at a time. It
+// reads src to its end before it returns. size, when not negative, bounds
+// the input's bytes (a heap scan passes its heap's Bytes) and so the run
+// arena a small input allocates. The batch being filled when the input
+// ends is sorted and kept in memory as the last run, so an input that fits
+// the sort memory writes nothing; merge passes over the runs on disk run
+// only while the runs, that batch included, exceed the fan-in. The caller
+// must Close the stream, drained or not, to drop its runs. On error every
+// temporary file the sort created is dropped.
+func (s *Sorter) Stream(schema *frel.Schema, src Records, size int64, o Order) (*Stream, error) {
+	if err := o.check(schema); err != nil {
 		return nil, err
 	}
 	str := &Stream{}
-	runs, last, err := s.makeRuns(src, limit, o.Attr, &str.st)
+	runs, last, err := s.makeRuns(schema, src, size, o.Attr, &str.st)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +145,7 @@ func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, e
 		var next []*storage.HeapFile
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := min(lo+fanIn, len(runs))
-			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, src.Schema, &str.st)
+			merged, err := s.mergeRuns(runs[lo:hi], o.Attr, schema, &str.st)
 			if err != nil {
 				_ = dropAll(runs[lo:])
 				_ = dropAll(next)
@@ -151,7 +163,7 @@ func (s *Sorter) Stream(src *storage.HeapFile, limit int64, o Order) (*Stream, e
 	if len(runs)+memRuns > 1 {
 		str.st.MergePasses++
 	}
-	if str.m, err = newMerger(runs, last, o.Attr, src.Schema); err != nil {
+	if str.m, err = newMerger(runs, last, o.Attr, schema); err != nil {
 		_ = dropAll(runs)
 		return nil, err
 	}
@@ -249,11 +261,12 @@ func (b *batch) record(i int32) []byte {
 // each other) on a bounded worker pool; run order, contents, and the
 // comparison count stay identical to the serial execution because batches
 // are cut at the same points and sorted with the same algorithm.
-func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stats) ([]*storage.HeapFile, *batch, error) {
+func (s *Sorter) makeRuns(schema *frel.Schema, src Records, size int64, attr int, st *Stats) ([]*storage.HeapFile, *batch, error) {
 	budget := s.memPages * storage.PageSize
 	// A batch never holds more than the budget plus one record, nor more
 	// than the input: an arena of that size is filled without regrowing.
-	arenaCap := int(min(int64(budget+storage.MaxRecordSize), src.Bytes()))
+	// The arena of an input of unknown size (-1) grows as the input comes.
+	arenaCap := int(min(int64(budget+storage.MaxRecordSize), max(size, 0)))
 	var (
 		runs        []*storage.HeapFile
 		comparisons atomic.Int64
@@ -270,9 +283,9 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stat
 	b := <-free
 
 	flush := func() error {
-		// The run file is created here, in scan order, so the run list is
+		// The run file is created here, in input order, so the run list is
 		// deterministic; only sorting and writing move to the worker.
-		run, err := s.mgr.CreateTemp(src.Schema)
+		run, err := s.mgr.CreateTemp(schema)
 		if err != nil {
 			return err
 		}
@@ -283,7 +296,7 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := full.writeRun(run, src.Schema, attr)
+			n, err := full.writeRun(run, schema, attr)
 			comparisons.Add(n)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
@@ -295,13 +308,11 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stat
 		return nil
 	}
 
-	sc := src.ScanAt(limit)
-	defer sc.Close()
 	var err error
 	for {
-		rec, ok := sc.NextRaw()
+		rec, ok := src.NextRaw()
 		if !ok {
-			err = sc.Err()
+			err = src.Err()
 			break
 		}
 		// A full batch is written once the next record shows it is not
@@ -321,7 +332,7 @@ func (s *Sorter) makeRuns(src *storage.HeapFile, limit int64, attr int, st *Stat
 	var last *batch
 	if err == nil && len(b.ends) > 0 {
 		var n int64
-		n, err = b.sort(src.Schema, attr)
+		n, err = b.sort(schema, attr)
 		comparisons.Add(n)
 		last = b
 	}

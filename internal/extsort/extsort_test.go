@@ -35,11 +35,20 @@ func check(h *storage.HeapFile, o Order) (int64, error) {
 	return -1, nil
 }
 
+// streamHeap sorts the first limit tuples of h (limit < 0: all of them)
+// by o, reading them through a heap scan as the engine sorts a base
+// relation.
+func streamHeap(s *Sorter, h *storage.HeapFile, limit int64, o Order) (*Stream, error) {
+	sc := h.ScanAt(limit)
+	defer sc.Close()
+	return s.Stream(h.Schema, sc, h.Bytes(), o)
+}
+
 // sortToHeap drains a streamed sort of src by o into a fresh temporary
 // heap file through a page writer, the way a cached sorted copy is
 // written. On error the file is dropped.
 func sortToHeap(s *Sorter, src *storage.HeapFile, o Order) (*storage.HeapFile, Stats, error) {
-	str, err := s.Stream(src, -1, o)
+	str, err := streamHeap(s, src, -1, o)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -432,7 +441,7 @@ func TestSortKeepsIdenticalValuesAdjacent(t *testing.T) {
 				if err := src.AppendAll(in); err != nil {
 					t.Fatal(err)
 				}
-				str, err := NewSorter(m, 2).WithParallelism(workers).Stream(src, -1, byX)
+				str, err := streamHeap(NewSorter(m, 2).WithParallelism(workers), src, -1, byX)
 				if err != nil {
 					t.Fatal(err)
 				}

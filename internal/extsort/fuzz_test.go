@@ -28,11 +28,33 @@ var fuzzNumbers = func() []fuzzy.Trapezoid {
 // fuzzStrings are the values FuzzSortOrder draws NAME from.
 var fuzzStrings = []string{"", "a", "ab", "b", "\x00", "a\x00", "B"}
 
+// encodedRecords is a record source that is not a heap: it encodes each
+// tuple into one reused buffer as it is read, the way the engine feeds a
+// sort input that is not a base relation.
+type encodedRecords struct {
+	schema *frel.Schema
+	tuples []frel.Tuple
+	buf    []byte
+	err    error
+}
+
+func (r *encodedRecords) NextRaw() ([]byte, bool) {
+	if r.err != nil || len(r.tuples) == 0 {
+		return nil, false
+	}
+	r.buf, r.err = frel.AppendTuple(r.buf[:0], r.schema, r.tuples[0])
+	r.tuples = r.tuples[1:]
+	return r.buf, r.err == nil
+}
+
+func (r *encodedRecords) Err() error { return r.err }
+
 // FuzzSortOrder: every way the engine sorts a relation gives one
-// permutation — the streamed external sort at one and two run-generation
-// workers, the in-memory SortRelation, and, on X, CREATE INDEX's stable
-// sort of the tids — and it is the stable sort of the input by
-// frel.Compare. The first bytes choose the sort attribute (NAME or X), a
+// permutation — the streamed external sort of a heap and of the same
+// tuples from a record source that is not a heap, each at one and two
+// run-generation workers, the in-memory SortRelation, and, on X, CREATE
+// INDEX's stable sort of the tids — and it is the stable sort of the
+// input by frel.Compare. The first bytes choose the sort attribute (NAME or X), a
 // sort memory of 2 to 8 pages and how often the tuples repeat; every
 // further pair of bytes is one tuple.
 func FuzzSortOrder(f *testing.F) {
@@ -94,17 +116,39 @@ func FuzzSortOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
-			str, err := NewSorter(m, memPages).WithParallelism(workers).Stream(src, -1, order)
+			sorter := NewSorter(m, memPages).WithParallelism(workers)
+			str, err := streamHeap(sorter, src, -1, order)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := streamIDs(t, str, schema)
+			heapSt := str.Stats()
 			if err := str.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if !sameIDs(got, want) {
 				t.Fatalf("Stream, %d pages, workers=%d: %v, want %v", memPages, workers, got, want)
 			}
+
+			// The same tuples from a record source that is not a heap: the
+			// same permutation, runs and comparisons.
+			if str, err = sorter.Stream(schema, &encodedRecords{schema: schema, tuples: rel.Tuples}, -1, order); err != nil {
+				t.Fatal(err)
+			}
+			got = streamIDs(t, str, schema)
+			recSt := str.Stats()
+			if err := str.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(got, want) {
+				t.Fatalf("Stream of records, %d pages, workers=%d: %v, want %v", memPages, workers, got, want)
+			}
+			if recSt != heapSt {
+				t.Fatalf("Stream of records, %d pages, workers=%d: stats %+v, the heap input's %+v", memPages, workers, recSt, heapSt)
+			}
+		}
+		if live := m.LiveTemps(); live != 0 {
+			t.Fatalf("%d temporary files left behind", live)
 		}
 
 		if schema.Attrs[attr].Kind != frel.KindNumber {

@@ -194,7 +194,7 @@ func TestSortIsTheStableSort(t *testing.T) {
 					// Run generation alone: each full batch is written as
 					// its stable sort, the last stays in memory sorted.
 					var st Stats
-					runs, last, err := sorter.makeRuns(src, limit, o.Attr, &st)
+					runs, last, err := sorter.makeRuns(rel.Schema, src.ScanAt(limit), src.Bytes(), o.Attr, &st)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -232,7 +232,7 @@ func TestSortIsTheStableSort(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					str, err := sorter.Stream(src, limit, o)
+					str, err := streamHeap(sorter, src, limit, o)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -407,7 +407,7 @@ func TestSortDropsTemporariesOnFault(t *testing.T) {
 	// stream pulls every record of a streamed sort, returning the error
 	// that ended it and the number of records read.
 	stream := func(s *Sorter, src *storage.HeapFile) (int, error) {
-		str, err := s.Stream(src, -1, order)
+		str, err := streamHeap(s, src, -1, order)
 		if err != nil {
 			return 0, err
 		}
@@ -437,7 +437,7 @@ func TestSortDropsTemporariesOnFault(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		m, ffs, src := setup(0)
 		before := ffs.Ops()
-		str, err := NewSorter(m, 3).WithParallelism(workers).Stream(src, -1, order)
+		str, err := streamHeap(NewSorter(m, 3).WithParallelism(workers), src, -1, order)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestSortDropsTemporariesOnFault(t *testing.T) {
 			t.Fatal("the sort performed no mutating I/O to inject faults into")
 		}
 		m, ffs, src = setup(0)
-		if str, err = NewSorter(m, 3).WithParallelism(workers).Stream(src, -1, order); err != nil {
+		if str, err = streamHeap(NewSorter(m, 3).WithParallelism(workers), src, -1, order); err != nil {
 			t.Fatal(err)
 		}
 		opened = ffs.Ops()
@@ -552,7 +552,7 @@ func TestSortAllocs(t *testing.T) {
 			return st, err
 		},
 		"stream": func() (Stats, error) {
-			str, err := sorter.Stream(src, -1, byX)
+			str, err := streamHeap(sorter, src, -1, byX)
 			if err != nil {
 				return Stats{}, err
 			}

@@ -41,9 +41,9 @@ type HeapFile struct {
 	mgr     *Manager
 	logName string
 
-	// tempMgr is set on manager-created temporary heaps: Drop offers the
-	// file back to that manager's recycle pool instead of unlinking it,
-	// so the next CreateTemp skips the create-file syscall.
+	// tempMgr is set on manager-created temporary heaps: Drop discards
+	// their dirty frames without write-back, removes the file and takes
+	// it off that manager's live-temporary count.
 	tempMgr *Manager
 
 	// Geometry counters are atomic: the single writer mutates them while
