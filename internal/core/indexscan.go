@@ -11,10 +11,11 @@ import (
 // carries an index on the requested attribute (see catalog.CreateIndex),
 // the sort order is read from the index instead of being built by the
 // external sorter: one bounded scan of the base heap, one scan of the
-// entry file, a permutation, and an in-memory re-sort only where tuples
-// were appended after the index was written. The loaded order is stored
-// in the sort cache, held in memory, so repeat queries replay it as
-// ordinary cache hits.
+// entry file, a permutation, and an in-memory stable re-sort when tuples
+// were appended after the index was written. The loaded order is a tuple
+// slice held in the sort cache and served as an exec.MemSource, so repeat
+// queries replay it as ordinary cache hits; the sweep reading it builds
+// its support keys itself, as for any other sorted input.
 
 // indexSorted tries to serve base — a plain scan of a catalog heap, src
 // being base under its context and alias wrappers — sorted by order from
@@ -87,10 +88,9 @@ func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, o
 			return nil, false, err
 		}
 	}
-	keys := frel.SupportKeys(tuples, order.Attr)
 	key := sortKey{heap: base.Heap, attr: order.Attr}
-	e.storeSort(key, sortEntry{version: e.heapVersion(base.Heap), tuples: tuples, keys: keys})
+	e.storeSort(key, sortEntry{version: e.heapVersion(base.Heap), tuples: tuples})
 	node := e.newNode("index", attr)
 	node.IndexHits.Add(1)
-	return e.attach(node, exec.WithContext(e.ctx, exec.NewKeyedMemSource(srel, keys)), src), true, nil
+	return e.attach(node, exec.WithContext(e.ctx, exec.NewMemSource(srel)), src), true, nil
 }

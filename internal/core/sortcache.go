@@ -61,10 +61,9 @@ type sortKey struct {
 type sortEntry struct {
 	version uint64 // heap version the cached order was built at
 	// The cached order: one loaded from a persistent index, held in memory
-	// with its support-key column (tuples non-nil), or the sorted copy an
-	// admitted external sort wrote (sorted non-nil).
+	// (tuples non-nil), or the sorted copy an admitted external sort wrote
+	// (sorted non-nil).
 	tuples []frel.Tuple
-	keys   []frel.SupportKey
 	sorted *storage.HeapFile
 
 	// The heap version of the last request streamed uncached, if seen.
@@ -95,7 +94,7 @@ func (ent *sortEntry) source(v uint64, schema *frel.Schema) exec.Source {
 	case ent.version != v:
 		return nil
 	case ent.tuples != nil:
-		return exec.NewKeyedMemSource(&frel.Relation{Schema: schema, Tuples: ent.tuples}, ent.keys)
+		return exec.NewMemSource(&frel.Relation{Schema: schema, Tuples: ent.tuples})
 	case ent.sorted != nil:
 		return &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: schema}
 	}
@@ -119,8 +118,8 @@ func (e *Env) entry(k sortKey) *sortEntry {
 	return ent
 }
 
-// storeSort makes order, its version with its tuples and keys or its
-// sorted copy, the cached order k, retiring the sorted copy it replaces.
+// storeSort makes order, its version with its tuples or its sorted copy,
+// the cached order k, retiring the sorted copy it replaces.
 func (e *Env) storeSort(k sortKey, order sortEntry) {
 	ent := e.entry(k)
 	e.retired = append(e.retired, ent.sorted)

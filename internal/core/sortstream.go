@@ -11,10 +11,9 @@ import (
 )
 
 // sortedStream serves the final merge of an external sort
-// (extsort.Stream) as a keyed source: each batch is decoded from the
-// merged records into a fresh value arena, with the support-key column of
-// the sort attribute beside it, so the sweep's collectSorted takes it as
-// it takes a cached order. The merge runs as the consumer pulls, and its
+// (extsort.Stream) as a source: each batch is decoded from the merged
+// records into a fresh value arena, so the sweep's collectSorted takes it
+// as it takes a cached order. The merge runs as the consumer pulls, and its
 // wall time, page I/O and comparisons count toward the sort. A stream
 // can be read once: a second Open is an error, not an empty input.
 //
@@ -49,7 +48,7 @@ func (s *sortedStream) Open() (exec.BatchIterator, error) {
 		return nil, fmt.Errorf("core: the external sort of %s on %s was opened twice", s.schema.Name, s.schema.Attrs[s.attr].Name)
 	}
 	s.opened = true
-	return &sortedStreamIterator{s: s, keyed: s.schema.Attrs[s.attr].Kind == frel.KindNumber}, nil
+	return &sortedStreamIterator{s: s}, nil
 }
 
 // copyTo makes the stream write the records it serves to a new sorted
@@ -109,9 +108,7 @@ func (e *Env) closeStreams(from int) {
 
 type sortedStreamIterator struct {
 	s      *sortedStream
-	keyed  bool // the sort attribute is numeric: serve its support keys
 	tuples []frel.Tuple
-	keys   []frel.SupportKey
 	err    error
 }
 
@@ -130,7 +127,7 @@ func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
 	}()
 	width := len(s.schema.Attrs)
 	arena := make([]frel.Value, n*width)
-	it.tuples, it.keys = it.tuples[:0], it.keys[:0]
+	it.tuples = it.tuples[:0]
 	for range n {
 		rec, ok := s.str.Next()
 		if !ok {
@@ -150,21 +147,8 @@ func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
 		}
 		arena = arena[width:]
 		it.tuples = append(it.tuples, t)
-		if it.keyed {
-			lo, hi := t.Values[s.attr].Num.Support()
-			it.keys = append(it.keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
-		}
 	}
 	return it.tuples, true
-}
-
-// Keys implements exec.KeyedBatchIterator: the support keys of the last
-// batch, nil when the sort attribute is not numeric.
-func (it *sortedStreamIterator) Keys() []frel.SupportKey {
-	if !it.keyed {
-		return nil
-	}
-	return it.keys
 }
 
 func (it *sortedStreamIterator) Remaining() int { return int(it.s.str.Remaining()) }

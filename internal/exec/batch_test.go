@@ -315,46 +315,6 @@ func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 	}
 }
 
-// TestBatchKeyedSourceServesKeys checks that a KeyedMemSource serves its
-// key column batch-aligned, and that the keys match the tuples' actual
-// supports.
-func TestBatchKeyedSourceServesKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	r := randomRel("R", 2600, 100, 5, rng)
-	xi, _ := r.Schema.Resolve("X")
-	keys := frel.SupportKeys(r.Tuples, xi)
-	it, err := NewKeyedMemSource(r, keys).Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	kit, ok := it.(KeyedBatchIterator)
-	if !ok {
-		t.Fatal("keyed source iterator does not serve keys")
-	}
-	seen := 0
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			break
-		}
-		k := kit.Keys()
-		if len(k) != len(b) {
-			t.Fatalf("batch of %d tuples came with %d keys", len(b), len(k))
-		}
-		for i, tup := range b {
-			lo, hi := tup.Values[xi].Num.Support()
-			if k[i].Lo != lo || k[i].Hi != hi || k[i].D != tup.D {
-				t.Fatalf("key %d = %+v, want lo=%g hi=%g d=%g", seen+i, k[i], lo, hi, tup.D)
-			}
-		}
-		seen += len(b)
-	}
-	if seen != r.Len() {
-		t.Fatalf("served %d tuples, want %d", seen, r.Len())
-	}
-}
-
 // joinPipeline builds the scan -> filter -> merge-join pipeline the
 // allocation test measures.
 func joinPipeline(t testing.TB, r, s *frel.Relation) Source {

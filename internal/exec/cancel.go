@@ -57,8 +57,7 @@ func (it *cancelBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return it.in.NextBatch()
 }
 
-func (it *cancelBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in) }
-func (it *cancelBatchIterator) Remaining() int          { return batchesRemaining(it.in) }
+func (it *cancelBatchIterator) Remaining() int { return batchesRemaining(it.in) }
 
 func (it *cancelBatchIterator) Err() error {
 	if it.err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/frel"
 	"repro/internal/fuzzy"
 )
 
@@ -42,7 +41,7 @@ func (p partRange) weight() int { return (p.oHi - p.oLo) + (p.iHi - p.iLo) }
 // after it begins. The inner intervals are widened by the band tolerance
 // (an inner value s joins outer r when support(s ⊕ tol) intersects
 // support(r)), so no band-join pair crosses a cut either.
-func atomicCutsKeyed(outer, inner []frel.SupportKey, tol fuzzy.Trapezoid) []partRange {
+func atomicCutsKeyed(outer, inner []SupportKey, tol fuzzy.Trapezoid) []partRange {
 	var cuts [][2]int
 	maxHi := math.Inf(-1)
 	o, i := 0, 0

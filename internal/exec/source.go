@@ -14,7 +14,10 @@
 // through exactly that. Batches are slices of frel.Tuple values whose D
 // field carries the running membership degree; every operator combines
 // degrees with fuzzy AND (min) and drops tuples whose degree reaches 0,
-// per the execution semantics of Section 2.2.
+// per the execution semantics of Section 2.2. The one optional extension
+// is a sizing hint, Remaining, which wrappers forward so a consumer that
+// materializes its input can allocate once. Nothing else travels beside
+// the batches: the sweeps build the support keys they read (sweep.go).
 //
 // Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
 // valid until the next NextBatch (or Close) call on the same iterator —
@@ -50,24 +53,6 @@ type BatchIterator interface {
 type Source interface {
 	Schema() *frel.Schema
 	Open() (BatchIterator, error)
-}
-
-// KeyedBatchIterator is a BatchIterator that can also serve the
-// precomputed support-interval keys of its last batch (aligned index for
-// index). Keys returns nil when no keys are available; like the batch, the
-// returned slice is only valid until the next NextBatch call.
-type KeyedBatchIterator interface {
-	BatchIterator
-	Keys() []frel.SupportKey
-}
-
-// batchKeys returns the support keys of it's last batch, or nil when the
-// iterator does not serve keys.
-func batchKeys(it BatchIterator) []frel.SupportKey {
-	if k, ok := it.(KeyedBatchIterator); ok {
-		return k.Keys()
-	}
-	return nil
 }
 
 // sizedBatchIterator is a BatchIterator that knows how many tuples it has
@@ -125,60 +110,27 @@ func (m *MemSource) Open() (BatchIterator, error) {
 	return &memBatchIterator{tuples: m.Rel.Tuples}, nil
 }
 
-// memBatchIterator serves consecutive subslices of a tuple slice, with an
-// optional aligned support-key column. Served batches alias the backing
-// slice, which the iterator never recycles, so they outlive the
-// reuse-contract minimum.
+// memBatchIterator serves consecutive subslices of a tuple slice. Served
+// batches alias the backing slice, which the iterator never recycles, so
+// they outlive the reuse-contract minimum.
 type memBatchIterator struct {
 	tuples []frel.Tuple
-	keys   []frel.SupportKey // optional, aligned with tuples
 	pos    int
-
-	lastKeys []frel.SupportKey
 }
 
 func (it *memBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	if it.pos >= len(it.tuples) {
-		it.lastKeys = nil
 		return nil, false
 	}
-	end := it.pos + BatchSize
-	if end > len(it.tuples) {
-		end = len(it.tuples)
-	}
+	end := min(it.pos+BatchSize, len(it.tuples))
 	b := it.tuples[it.pos:end]
-	if it.keys != nil {
-		it.lastKeys = it.keys[it.pos:end]
-	}
 	it.pos = end
 	return b, true
 }
 
-func (it *memBatchIterator) Keys() []frel.SupportKey { return it.lastKeys }
-func (it *memBatchIterator) Remaining() int          { return len(it.tuples) - it.pos }
-func (it *memBatchIterator) Err() error              { return nil }
-func (it *memBatchIterator) Close()                  {}
-
-// KeyedMemSource is a MemSource carrying the precomputed support-interval
-// keys of its tuples on one attribute (the sort attribute). The engine's
-// sort-order cache serves cached sorted relations through it, so the
-// merge-join window reads interval endpoints from the flat key column
-// instead of recomputing them per cursor step. SortKeys must be aligned
-// with Rel.Tuples; nil degrades to an ordinary MemSource.
-type KeyedMemSource struct {
-	MemSource
-	SortKeys []frel.SupportKey
-}
-
-// NewKeyedMemSource wraps a relation with its precomputed key column.
-func NewKeyedMemSource(r *frel.Relation, keys []frel.SupportKey) *KeyedMemSource {
-	return &KeyedMemSource{MemSource: MemSource{Rel: r}, SortKeys: keys}
-}
-
-// Open implements Source, serving keys alongside tuples.
-func (m *KeyedMemSource) Open() (BatchIterator, error) {
-	return &memBatchIterator{tuples: m.Rel.Tuples, keys: m.SortKeys}, nil
-}
+func (it *memBatchIterator) Remaining() int { return len(it.tuples) - it.pos }
+func (it *memBatchIterator) Err() error     { return nil }
+func (it *memBatchIterator) Close()         {}
 
 // HeapSource serves tuples from an on-disk heap file through its buffer
 // pool, so scans are charged page I/O. Limit, when non-negative, bounds

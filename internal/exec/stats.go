@@ -320,15 +320,14 @@ func (it *statedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return b, ok
 }
 
-func (it *statedBatchIterator) Keys() []frel.SupportKey { return batchKeys(it.in) }
-func (it *statedBatchIterator) Remaining() int          { return batchesRemaining(it.in) }
-func (it *statedBatchIterator) Err() error              { return it.in.Err() }
-func (it *statedBatchIterator) Close()                  { it.in.Close() }
+func (it *statedBatchIterator) Remaining() int { return batchesRemaining(it.in) }
+func (it *statedBatchIterator) Err() error     { return it.in.Err() }
+func (it *statedBatchIterator) Close()         { it.in.Close() }
 
 // Unwrap strips any Stated and context-cancellation wrappers, returning
-// the underlying source. Planner heuristics that sniff concrete source
-// types (sampling, size estimates, the sort-order cache) use it so
-// analyzed, cancellable, and plain runs pick identical plans.
+// the underlying source. The sort-order cache uses it to recognize a plain
+// scan of a base relation, so analyzed, cancellable and plain runs hit
+// the same cached orders.
 func Unwrap(src Source) Source {
 	for {
 		switch s := src.(type) {

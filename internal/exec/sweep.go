@@ -31,11 +31,21 @@ import (
 	"repro/internal/kernel"
 )
 
+// SupportKey is the sweep key of one tuple on its range attribute: the
+// support endpoints b(v), e(v) of Definition 3.1 and the tuple's
+// membership degree. collectSorted builds one flat key column per input,
+// so the window cursor, the support pretest and the partitioner read
+// interval endpoints from a contiguous array instead of from the
+// trapezoids.
+type SupportKey struct {
+	Lo, Hi, D float64
+}
+
 // flatInputs is the materialized form of a kernel operator's two sorted
 // inputs, cut into morsels.
 type flatInputs struct {
 	outer, inner []frel.Tuple
-	oKeys, iKeys []frel.SupportKey
+	oKeys, iKeys []SupportKey
 	ranges       []partRange
 	morsels      []kernel.Morsel
 }
@@ -200,7 +210,7 @@ type keyWindow struct{ start, end int }
 // tuples whose supports, widened by the band tolerance, end before lo, and
 // over those (up to limit) that begin at or before hi. The zero tolerance
 // adds nothing.
-func (w *keyWindow) slide(keys []frel.SupportKey, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
+func (w *keyWindow) slide(keys []SupportKey, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
 	for w.start < w.end && keys[w.start].Hi+tol.D < lo {
 		w.start++
 	}
@@ -249,21 +259,21 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64)
 
 // collectSorted drains src, verifying the Definition 3.1 sort order and
 // building the flat support-key column the partitioner and the sweeps run
-// on. Keys are copied from the producer when it serves them and computed
-// otherwise; the columns are allocated once when the producer knows how
-// many tuples it holds. Range index −1 is the whole-inner window: every
-// key is [−Inf, +Inf] and no order is checked.
-func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.SupportKey, error) {
+// on, one key per tuple from its value on attribute idx. The columns are
+// allocated once when the producer knows how many tuples it holds. Range
+// index −1 is the whole-inner window: every key is [−Inf, +Inf] and no
+// order is checked.
+func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []SupportKey, error) {
 	it, err := src.Open()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer it.Close()
 	var tuples []frel.Tuple
-	var keys []frel.SupportKey
+	var keys []SupportKey
 	if n := batchesRemaining(it); n > 0 {
 		tuples = make([]frel.Tuple, 0, n)
-		keys = make([]frel.SupportKey, 0, n)
+		keys = make([]SupportKey, 0, n)
 	}
 	prevBegin := math.Inf(-1)
 	for {
@@ -271,15 +281,9 @@ func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.Suppo
 		if !ok {
 			break
 		}
-		bk := batchKeys(it)
-		for i, t := range b {
-			var lo, hi float64
-			switch {
-			case idx < 0:
-				lo, hi = math.Inf(-1), math.Inf(1)
-			case bk != nil:
-				lo, hi = bk[i].Lo, bk[i].Hi
-			default:
+		for _, t := range b {
+			lo, hi := math.Inf(-1), math.Inf(1)
+			if idx >= 0 {
 				lo, hi = t.Values[idx].Num.Support()
 			}
 			if lo < prevBegin {
@@ -287,7 +291,7 @@ func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []frel.Suppo
 			}
 			prevBegin = lo
 			tuples = append(tuples, t)
-			keys = append(keys, frel.SupportKey{Lo: lo, Hi: hi, D: t.D})
+			keys = append(keys, SupportKey{Lo: lo, Hi: hi, D: t.D})
 		}
 	}
 	return tuples, keys, it.Err()

@@ -67,8 +67,7 @@ func TestCompareBitIdentical(t *testing.T) {
 }
 
 // TestCompareStringsAndMixedKinds covers the fallback path: crisp string
-// comparison, and the degree-0 rule for kind mismatches — the value shape
-// for which frel.SupportKeys returns a NULL (nil) key column.
+// comparison, and the degree-0 rule for kind mismatches.
 func TestCompareStringsAndMixedKinds(t *testing.T) {
 	vals := []frel.Value{frel.Str("ann"), frel.Str("bob"), frel.Str("ann"), frel.Crisp(3)}
 	for _, op := range allOps {

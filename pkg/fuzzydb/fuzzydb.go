@@ -246,6 +246,7 @@ func (db *DB) QueryNaive(sql string) (*Result, error) {
 	s := db.base
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.enter()()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {

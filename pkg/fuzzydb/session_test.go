@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openSession(t *testing.T, db *DB) *Session {
@@ -460,5 +461,44 @@ func TestStatementsShareTheWorkerBudget(t *testing.T) {
 	defer sessions[0].enter()()
 	if got := sessions[0].sess.Env.Parallelism; got != 4 {
 		t.Errorf("a statement alone runs on %d workers, want 4", got)
+	}
+}
+
+// TestEveryStatementCountsInFlight: the database's own QueryNaive and
+// ExplainAnalyzeContext count as in flight while they wait for the
+// database lock, like every other statement, so other sessions' sweeps
+// share the worker budget with them.
+func TestEveryStatementCountsInFlight(t *testing.T) {
+	db := openTemp(t)
+	if err := db.Exec(`CREATE TABLE R (K NUMBER); INSERT INTO R VALUES (1);`); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT R.K FROM R`
+	calls := map[string]func() error{
+		"QueryNaive": func() error { _, err := db.QueryNaive(q); return err },
+		"ExplainAnalyzeContext": func() error {
+			_, _, err := db.ExplainAnalyzeContext(context.Background(), q)
+			return err
+		},
+	}
+	for name, call := range calls {
+		db.mu.Lock()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		deadline := time.Now().Add(5 * time.Second)
+		for db.inFlight.Load() != 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		n := db.inFlight.Load()
+		db.mu.Unlock()
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n != 1 {
+			t.Errorf("%s waiting for the database lock: %d statements in flight, want 1", name, n)
+		}
+		if n := db.inFlight.Load(); n != 0 {
+			t.Errorf("%s: %d statements in flight after it returned", name, n)
+		}
 	}
 }

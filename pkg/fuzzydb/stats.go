@@ -73,6 +73,7 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*Result, *
 	s := db.base
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.enter()()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
