@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench benchmark benchmark-compare crash fmt vet golden serve server-smoke
+.PHONY: all build test race bench benchmark benchmark-compare crash fmt vet golden serve server-smoke size
 
 all: build test
 
@@ -64,3 +64,10 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside benchmark/ (ROADMAP's "Current size"): per
+# package directory, then the total.
+size:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | \
+	  awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sum[d] += $$1; all += $$1 } \
+	    END { for (d in sum) printf "%7d %s\n", sum[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'

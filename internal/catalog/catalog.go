@@ -7,6 +7,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -78,11 +79,13 @@ func (c *Catalog) Relation(name string) (*storage.HeapFile, error) {
 	return h, nil
 }
 
-// ReplaceRelationContents rewrites a relation's heap file to contain
-// exactly the given tuples (used by DELETE). The schema is unchanged.
-// The swap is crash-safe: the replacement is built in an unlogged
-// temporary heap and renamed over the original, so a crash leaves either
-// the old contents or the new ones, never a mixture.
+// ReplaceRelationContents rewrites a relation to contain exactly the
+// given tuples (used by DELETE). The schema is unchanged. The tuples go
+// into a fresh heap under the relation's next storage name (r, r.1, r.2,
+// ...) as one logged transaction, and the catalog save that names the new
+// heap is the commit point: a crash before it reopens the old contents,
+// one after it the new ones, and Open removes whichever heap file the
+// catalog no longer names.
 func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) error {
 	key := relKey(name)
 	c.mu.RLock()
@@ -91,8 +94,7 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 	if !ok {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
-	schema := h.Schema
-	// The swap renumbers the tuples, so the relation's order indexes go
+	// The rewrite renumbers the tuples, so the relation's order indexes go
 	// first: a crash from here on leaves them without an entry file, which
 	// Open rebuilds, never listing tids of the old contents.
 	ixs := c.indexesOf(key)
@@ -101,81 +103,44 @@ func (c *Catalog) ReplaceRelationContents(name string, tuples []frel.Tuple) erro
 			return err
 		}
 	}
-	// Checkpoint first: afterwards the log holds no append records for the
-	// relation, so recovery will take whichever file the rename left behind
-	// as-is instead of replaying old appends onto the new contents. The
-	// checkpoint records the relation with no summary, so that Open walks
-	// whichever file it finds instead of adopting the old file's geometry
-	// and statistics for the new one.
-	h.DropSummary()
-	if err := c.mgr.Checkpoint(); err != nil {
-		return err
-	}
-	tmp, err := c.mgr.CreateTemp(schema)
+	nh, err := c.mgr.CreateHeap(nextFileName(key, h.Name()), h.Schema)
 	if err != nil {
 		return err
 	}
-	for _, t := range tuples {
-		if err := tmp.Append(t); err != nil {
-			return err
-		}
-	}
-	if err := tmp.Flush(); err != nil {
-		return err
-	}
-	// The file becomes the relation's as it is: cut it to the
-	// replacement's own pages before the rename.
-	if err := tmp.Pager().Truncate(tmp.NumPages()); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	// Both files' pool frames are clean now (checkpoint / explicit flush);
-	// forget them and swap the files on disk.
-	if err := c.mgr.Pool().DropPager(h.Pager()); err != nil {
-		return err
-	}
-	if err := h.Pager().Close(); err != nil {
-		return err
-	}
-	if err := c.mgr.Pool().DropPager(tmp.Pager()); err != nil {
-		return err
-	}
-	tmpPath := tmp.Pager().Path()
-	if err := tmp.Pager().Close(); err != nil {
-		return err
-	}
-	fs := c.mgr.FS()
-	base := strings.ToLower(key)
-	if err := fs.Rename(tmpPath, c.mgr.HeapPath(base)); err != nil {
-		return err
-	}
-	if err := fs.SyncDir(c.mgr.Dir()); err != nil {
-		return err
-	}
-	nh, err := c.mgr.OpenHeap(base, schema)
-	if err != nil {
+	if err := nh.AppendAll(&frel.Relation{Schema: h.Schema, Tuples: tuples}); err != nil {
+		nh.Drop()
 		return err
 	}
 	c.mu.Lock()
 	c.relations[key] = nh
 	c.mu.Unlock()
+	if err := c.Save(); err != nil {
+		return err
+	}
+	if err := h.Drop(); err != nil {
+		return err
+	}
 	for _, ix := range ixs {
 		if err := c.buildIndex(ix, nh); err != nil {
 			return err
 		}
 	}
-	// Record the new geometry as the checkpoint base. The new heap's
-	// statistics are built by a scan when first planned and recorded by a
-	// later checkpoint.
-	return c.mgr.Checkpoint()
+	return nil
+}
+
+// nextFileName returns the storage name after cur for the relation of
+// catalog key key: the lower-cased name, then name.1, name.2, ... A '.'
+// cannot occur in an SQL identifier, so no other relation's name collides.
+func nextFileName(key, cur string) string {
+	base := strings.ToLower(key)
+	n, _ := strconv.Atoi(strings.TrimPrefix(cur, base+".")) // 0 for base itself
+	return base + "." + strconv.Itoa(n+1)
 }
 
 // DropRelation removes a relation and deletes its heap file. The catalog
 // is saved without the relation before the file disappears, so a crash
-// between the two leaves at worst an orphaned heap file, never a catalog
-// entry pointing at nothing.
+// between the two never leaves a catalog entry pointing at nothing; Open
+// removes the heap file the catalog no longer names.
 func (c *Catalog) DropRelation(name string) error {
 	key := relKey(name)
 	c.mu.Lock()

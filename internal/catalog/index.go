@@ -30,10 +30,10 @@ import (
 //     index; Open removes orphans.
 //   - DropIndex saves the catalog without the index before deleting the
 //     file, mirroring DropRelation.
-//   - DELETE's contents swap renumbers the tuples, so it deletes the
-//     relation's entry files before the swap and builds them again after
-//     it; Open rebuilds an index whose file is missing (a crash in between)
-//     or longer than its relation.
+//   - DELETE's rewrite renumbers the tuples, so it deletes the relation's
+//     entry files before the rewrite and builds them again after it; Open
+//     rebuilds an index whose file is missing (a crash in between) or
+//     longer than its relation.
 //   - The reader checks each entry file against the tuples it serves and
 //     sorts instead when the file is not their stable order.
 
@@ -67,7 +67,8 @@ func (ix *Index) dropFile() error {
 
 // indexHeapName returns the storage name of the index's entry file. The
 // storage.IndexPrefix cannot collide with relation heaps: relation storage
-// names are lower-cased SQL identifiers, which cannot contain '-'.
+// names are lower-cased SQL identifiers, perhaps with a rewrite number
+// after a '.', which cannot contain '-'.
 func indexHeapName(rel, attr string) string {
 	return storage.IndexPrefix + strings.ToLower(rel) + "-" + strings.ToLower(attr)
 }

@@ -31,8 +31,12 @@ type indexMeta struct {
 	Attr string `json:"attr"`
 }
 
+// relationMeta is one relation's entry. File is its storage name where
+// that is not the lower-cased name: each DELETE writes the relation under
+// the next one.
 type relationMeta struct {
 	Name  string     `json:"name"`
+	File  string     `json:"file,omitempty"`
 	Pad   int        `json:"pad,omitempty"`
 	Attrs []attrMeta `json:"attrs"`
 }
@@ -70,6 +74,9 @@ func (c *Catalog) Save() error {
 			return err
 		}
 		meta := relationMeta{Name: name, Pad: h.Schema.Pad}
+		if f := h.Name(); f != strings.ToLower(name) {
+			meta.File = f
+		}
 		for _, a := range h.Schema.Attrs {
 			meta.Attrs = append(meta.Attrs, attrMeta{Name: a.Name, Kind: a.Kind.String()})
 		}
@@ -131,19 +138,22 @@ func (c *Catalog) Save() error {
 
 // Open restores the catalog saved in the manager's directory. If no
 // catalog file exists, it returns a fresh empty catalog and fresh = true.
+// Either way every heap file the catalog does not name (the orphan of a
+// crash between a heap's creation and the catalog save that names it, or
+// between a save and the removal of a heap it no longer names) is removed.
 func Open(mgr *storage.Manager) (c *Catalog, fresh bool, err error) {
+	c = New(mgr)
 	data, err := readFileFS(mgr.FS(), filepath.Join(mgr.Dir(), fileName))
-	if os.IsNotExist(err) {
-		return New(mgr), true, nil
-	}
-	if err != nil {
+	switch {
+	case os.IsNotExist(err):
+		return c, true, c.sweep(false)
+	case err != nil:
 		return nil, false, fmt.Errorf("catalog: read: %w", err)
 	}
 	var cf catalogFile
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, false, fmt.Errorf("catalog: parse %s: %w", fileName, err)
 	}
-	c = New(mgr)
 	for name, corners := range cf.Terms {
 		t, err := fuzzy.NewTrap(corners[0], corners[1], corners[2], corners[3])
 		if err != nil {
@@ -165,69 +175,86 @@ func Open(mgr *storage.Manager) (c *Catalog, fresh bool, err error) {
 			}
 			schema.Attrs = append(schema.Attrs, frel.Attribute{Name: a.Name, Kind: kind})
 		}
-		h, err := mgr.OpenHeap(strings.ToLower(relKey(meta.Name)), schema)
+		file := meta.File
+		if file == "" {
+			file = strings.ToLower(relKey(meta.Name))
+		}
+		h, err := mgr.OpenHeap(file, schema)
 		if err != nil {
 			return nil, false, fmt.Errorf("catalog: reopen relation %q: %w", meta.Name, err)
 		}
 		c.relations[relKey(meta.Name)] = h
 	}
-	if err := c.openIndexes(cf.Indexes); err != nil {
+	rebuilt, err := c.openIndexes(cf.Indexes)
+	if err != nil {
 		return nil, false, err
 	}
-	return c, false, nil
+	return c, false, c.sweep(rebuilt)
 }
 
-// openIndexes restores the saved order indexes. Each entry file is
-// reopened and kept when it covers a prefix of its base relation (a
-// relation that grew since the build only lengthens the index's tail);
-// an entry file that is missing (DELETE deletes it before its contents
-// swap and writes it again after) or longer than its relation is rebuilt
-// from scratch. idx-*.heap files not referenced by the catalog (orphans of a
-// crash between index build and catalog save) are deleted.
-// Any disk mutation is sealed with a checkpoint so the write-ahead log
-// never references a removed or superseded file.
-func (c *Catalog) openIndexes(metas []indexMeta) error {
-	referenced := make(map[string]bool, len(metas))
-	mutated := false
+// openIndexes restores the saved order indexes and reports whether it
+// rebuilt any. Each entry file is reopened and kept when it covers a
+// prefix of its base relation (a relation that grew since the build only
+// lengthens the index's tail); an entry file that is missing (DELETE
+// deletes it before its rewrite and writes it again after) or longer than
+// its relation is rebuilt from scratch.
+func (c *Catalog) openIndexes(metas []indexMeta) (rebuilt bool, err error) {
 	for _, m := range metas {
 		key := relKey(m.Name)
 		c.mu.RLock()
 		h := c.relations[relKey(m.Rel)]
 		c.mu.RUnlock()
 		if h == nil {
-			return fmt.Errorf("catalog: index %q references unknown relation %q", m.Name, m.Rel)
+			return false, fmt.Errorf("catalog: index %q references unknown relation %q", m.Name, m.Rel)
 		}
 		pos, err := h.Schema.Resolve(m.Attr)
 		if err != nil {
-			return fmt.Errorf("catalog: index %q: %w", m.Name, err)
+			return false, fmt.Errorf("catalog: index %q: %w", m.Name, err)
 		}
 		ix := &Index{Name: m.Name, Rel: relKey(m.Rel), Attr: h.Schema.Attrs[pos].Name, pos: pos}
-		referenced[indexHeapName(ix.Rel, ix.Attr)+".heap"] = true
 		ih, err := c.mgr.OpenHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
 		if err == nil && ih.NumTuples() <= h.NumTuples() {
 			ix.heap = ih
 		} else {
 			if err == nil {
 				if derr := ih.Drop(); derr != nil {
-					return derr
+					return false, derr
 				}
 			}
 			if err := c.buildIndex(ix, h); err != nil {
-				return err
+				return false, err
 			}
-			mutated = true
+			rebuilt = true
 		}
 		c.mu.Lock()
 		c.indexes[key] = ix
 		c.mu.Unlock()
 	}
-	names, err := c.mgr.FS().ReadDir(c.mgr.Dir())
+	return rebuilt, nil
+}
+
+// sweep removes every heap file in the directory that is neither a
+// relation's nor an index's, then, when it removed one or mutated is set
+// (the caller rewrote a file), checkpoints, so the write-ahead log never
+// references a removed or superseded file.
+func (c *Catalog) sweep(mutated bool) error {
+	named := make(map[string]bool, len(c.relations)+len(c.indexes))
+	for _, h := range c.relations {
+		named[h.Name()+".heap"] = true
+	}
+	for _, ix := range c.indexes {
+		if ix.heap != nil {
+			named[ix.heap.Name()+".heap"] = true
+		}
+	}
+	fs, dir := c.mgr.FS(), c.mgr.Dir()
+	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return err
 	}
 	for _, n := range names {
-		if strings.HasPrefix(n, storage.IndexPrefix) && strings.HasSuffix(n, ".heap") && !referenced[n] {
-			if err := c.mgr.FS().Remove(filepath.Join(c.mgr.Dir(), n)); err != nil {
+		if strings.HasSuffix(n, ".heap") && !named[n] {
+			if err := fs.Remove(filepath.Join(dir, n)); err != nil {
 				return err
 			}
 			mutated = true

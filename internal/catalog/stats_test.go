@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,8 +158,8 @@ func TestStatsExactAcrossReopen(t *testing.T) {
 	}
 	reopenAdopting("rollback, checkpoint")
 
-	// DELETE renames a temporary over the relation, here after a larger
-	// temporary was dropped: only the replacement's pages come along.
+	// DELETE writes the survivors into a fresh heap, here after a larger
+	// temporary was dropped: the new heap holds only its own pages.
 	spill, err := c.Manager().CreateTemp(statsSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -223,13 +224,13 @@ func paddedTuple(k int) frel.Tuple {
 }
 
 // TestDeleteCrashAfterRename: a DELETE that removes the small first tuple
-// of [small, big, big] [big] leaves page 0 = [big, big] and the last page
-// and page count byte for byte as they were. A crash anywhere in the
-// DELETE — in particular after the rename and before the final
-// checkpoint — must reopen to the old or the new contents with matching
-// tuple count and exact statistics: the checkpoint before the rename
-// recorded the relation with no summary, so Open walks the new file
-// instead of adopting the old file's entry.
+// of [small, big, big] [big] writes a fresh heap whose page 0 is
+// [big, big] and whose last page and page count are byte for byte the
+// old file's. A crash anywhere in the DELETE — in particular after the
+// catalog save that commits it and before the old heap is dropped — must
+// reopen to the old or the new contents with matching tuple count and
+// exact statistics, from the heap the catalog names, and leave no other
+// heap file behind.
 func TestDeleteCrashAfterRename(t *testing.T) {
 	all := []frel.Tuple{paddedTuple(0), paddedTuple(1), paddedTuple(2), paddedTuple(3)}
 	setup := func() *storage.MemFS {
@@ -305,11 +306,14 @@ func TestDeleteCrashAfterRename(t *testing.T) {
 			t.Fatalf("crash at op %d: %d tuples read, %d counted; want %d", n, got.Len(), h.NumTuples(), len(want))
 		}
 		requireExactStats(t, c, fmt.Sprintf("crash at op %d", n))
+		if got := heapFiles(t, mem); !slices.Equal(got, []string{h.Name() + ".heap"}) {
+			t.Fatalf("crash at op %d: heap files %v, catalog names %s", n, got, h.Name())
+		}
 		if err := c.Manager().Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !sawNew {
-		t.Fatal("no crash point fell between the rename and the final checkpoint")
+		t.Fatal("no crash point fell after the catalog save that commits the rewrite")
 	}
 }

@@ -1,6 +1,9 @@
 package catalog
 
 import (
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/frel"
@@ -26,9 +29,27 @@ func catTuple(i int) frel.Tuple {
 	return frel.NewTuple(0.25+float64(i%4)/8, frel.Crisp(float64(i)))
 }
 
-// TestWALReplaceRelationContents: the DELETE rewrite path (checkpoint,
-// temp heap, rename swap, checkpoint) keeps both the survivors and the
-// other relations across a reopen, including after an unclean close.
+// heapFiles returns the sorted heap file names in fs's directory "db".
+func heapFiles(t *testing.T, fs storage.FS) []string {
+	t.Helper()
+	names, err := fs.ReadDir("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".heap") {
+			out = append(out, n)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestWALReplaceRelationContents: the DELETE rewrite path (a fresh logged
+// heap under the relation's next storage name, swapped in by a catalog
+// save, the old heap dropped) keeps the survivors across a reopen, after
+// an unclean close and after a clean one, and leaves no file behind.
 func TestWALReplaceRelationContents(t *testing.T) {
 	fs := storage.NewMemFS()
 	c := newWALCatalog(t, fs)
@@ -53,6 +74,7 @@ func TestWALReplaceRelationContents(t *testing.T) {
 	for i := 0; i < 8; i += 2 {
 		kept = append(kept, catTuple(i))
 	}
+	old := h.Name()
 	if err := c.ReplaceRelationContents("R", kept); err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +84,12 @@ func TestWALReplaceRelationContents(t *testing.T) {
 	}
 	if h2.NumTuples() != 4 {
 		t.Errorf("after replace: %d tuples", h2.NumTuples())
+	}
+	if old != "r" || h2.Name() != "r.1" {
+		t.Errorf("storage name %q -> %q, want r -> r.1", old, h2.Name())
+	}
+	if got := heapFiles(t, fs); !slices.Equal(got, []string{"r.1.heap"}) {
+		t.Errorf("heap files after replace: %v, want [r.1.heap]", got)
 	}
 	// More appends after the swap land in the swapped-in heap's log.
 	if err := h2.Append(catTuple(8)); err != nil {
@@ -85,6 +113,34 @@ func TestWALReplaceRelationContents(t *testing.T) {
 	want.Append(catTuple(8))
 	if !got.Equal(want, 0) {
 		t.Errorf("reopened relation differs: %d tuples, want %d", got.Len(), want.Len())
+	}
+
+	// A clean close: Open finds exactly the files the catalog names and
+	// removes none.
+	if err := c2.Manager().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Manager().Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := heapFiles(t, fs)
+	c3 := newWALCatalog(t, fs)
+	if after := heapFiles(t, fs); !slices.Equal(after, before) || !slices.Equal(after, []string{"r.1.heap"}) {
+		t.Errorf("heap files %v before the reopen, %v after, want [r.1.heap] both", before, after)
+	}
+	h4, err := c3.Relation("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h4.Name() != "r.1" || h4.NumTuples() != int64(want.Len()) {
+		t.Errorf("clean reopen: %s with %d tuples, want r.1 with %d", h4.Name(), h4.NumTuples(), want.Len())
+	}
+	// The next rewrite takes the next name.
+	if err := c3.ReplaceRelationContents("R", kept[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := heapFiles(t, fs); !slices.Equal(got, []string{"r.2.heap"}) {
+		t.Errorf("heap files after a second replace: %v, want [r.2.heap]", got)
 	}
 }
 

@@ -322,8 +322,7 @@ func (it *shiftBatchIterator) Err() error { return it.in.Err() }
 func (it *shiftBatchIterator) Close()     { it.in.Close() }
 
 // renameSource rebinds a source's schema name (FROM alias). Renaming does
-// not touch tuples: the wrapped source's iterator, keys included, is
-// served as it is.
+// not touch tuples: the wrapped source's iterator is served as it is.
 type renameSource struct {
 	exec.Source
 	schema *frel.Schema

@@ -393,7 +393,7 @@ func (s *Session) txnWrite(name string, h *storage.HeapFile, tuple frel.Tuple) e
 // delete removes the tuples of a relation whose condition degree passes
 // the statement's threshold: at least z for WITH D >= z, above z for
 // WITH D > z, any positive degree by default. The surviving tuples are
-// rewritten in place.
+// written, logged, into a fresh heap that the catalog swaps in.
 func (s *Session) delete(st *fsql.Delete) error {
 	h, err := s.cat.Relation(st.Table)
 	if err != nil {

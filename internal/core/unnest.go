@@ -72,11 +72,10 @@ func (e *Env) EvalUnnestedContext(ctx context.Context, q *fsql.Select) (*frel.Re
 
 // EvalPlanContext executes a previously planned query: prepared
 // statements parse and plan once, then re-execute the recorded plan many
-// times. The plan replays its decisions (join order, merge vs nested
-// loop, predicate placement); sources and linguistic terms re-resolve
-// against the current catalog and term scope on every execution, so a
-// cached plan stays correct across inserts (its cost choices may merely
-// grow stale).
+// times. The plan replays its decisions (join order, predicate
+// placement); sources and linguistic terms re-resolve against the current
+// catalog and term scope on every execution, so a cached plan stays
+// correct across inserts (its join order may merely grow stale).
 func (e *Env) EvalPlanContext(ctx context.Context, p *plan.Plan) (*frel.Relation, error) {
 	defer e.withContext(ctx)()
 	if err := ctx.Err(); err != nil {

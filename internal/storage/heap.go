@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -84,18 +85,13 @@ type HeapFile struct {
 	// holds none. Guarded by statsMu.
 	recorded     []byte
 	recordedRows int64
-
-	// noSummary makes checkpoints record the heap with no summary; see
-	// DropSummary.
-	noSummary bool
 }
 
 // Stats returns the planner statistics of the file: the ones it was
 // created or reopened with, kept current by Append, or, where there are
 // none, the ones one scan builds. There are none for a heap whose
 // checkpoint entry records none (a database from before entries carried
-// statistics, a file DELETE rewrote, a heap Open had to walk) and after a
-// rollback.
+// statistics, a heap Open had to walk) and after a rollback.
 func (h *HeapFile) Stats() (*frel.TableStats, error) {
 	h.statsMu.Lock()
 	defer h.statsMu.Unlock()
@@ -183,20 +179,6 @@ func adoptHeapState(schema *frel.Schema, pager *Pager, pool *BufferPool, st heap
 	return h
 }
 
-// DropSummary makes every later checkpoint record the heap with no
-// summary: neither its geometry nor its statistics may be adopted, so an
-// Open that finds the entry walks the file. A caller about to replace the
-// heap's file outside the log calls it before the checkpoint that
-// precedes the replacement (DELETE renames a rewritten file over the
-// heap): a crash after the replacement then cannot leave a trusted entry
-// describing the old file, which the size and last-page check at Open
-// does not always tell from the new one.
-func (h *HeapFile) DropSummary() {
-	h.statsMu.Lock()
-	h.noSummary = true
-	h.statsMu.Unlock()
-}
-
 // Temp reports whether h is a temporary from CreateTemp (a sort run, a
 // sorted copy, a spill) rather than a relation or index heap.
 func (h *HeapFile) Temp() bool { return h.tempMgr != nil }
@@ -210,8 +192,9 @@ func (h *HeapFile) NumPages() int64 { return h.numPages.Load() }
 // Bytes returns the total size of the file in bytes.
 func (h *HeapFile) Bytes() int64 { return h.numPages.Load() * PageSize }
 
-// Pager returns the backing pager.
-func (h *HeapFile) Pager() *Pager { return h.pager }
+// Name returns the storage name of a relation or index heap (its file is
+// Name()+".heap"), or "" for a temporary or dropped heap.
+func (h *HeapFile) Name() string { return h.logName }
 
 // Append serializes t and appends it to the file. On a logged heap the
 // tuple bytes go to the write-ahead log first (inside the open transaction,
@@ -750,9 +733,9 @@ func (m *Manager) Dir() string { return m.dir }
 // FS returns the file system the manager performs I/O through.
 func (m *Manager) FS() FS { return m.fs }
 
-// HeapPath returns the path of the heap file that backs (or would back)
-// the relation with the given storage name.
-func (m *Manager) HeapPath(name string) string {
+// heapPath returns the path of the heap file that backs (or would back)
+// the heap with the given storage name.
+func (m *Manager) heapPath(name string) string {
 	return filepath.Join(m.dir, name+".heap")
 }
 
@@ -800,7 +783,7 @@ func (m *Manager) CreateHeap(name string, schema *frel.Schema) (*HeapFile, error
 	m.mu.Lock()
 	_, stale := m.recovered[name]
 	m.mu.Unlock()
-	p, err := OpenPagerFS(m.fs, m.HeapPath(name), m.stats)
+	p, err := OpenPagerFS(m.fs, m.heapPath(name), m.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -823,23 +806,19 @@ func (m *Manager) CreateHeap(name string, schema *frel.Schema) (*HeapFile, error
 
 // OpenHeap reopens an existing heap file named name.heap in the managed
 // directory, recovering its tuple count and append cursor. The manager
-// adopts the entry its log's open established for the file (and,
-// for a relation heap, the statistics the entry yields). The file is
-// walked only where there is no entry: for a file put in place after the
-// open, as DELETE's rename does.
+// adopts the entry its log's open established for the file (and, for a
+// relation heap, the statistics the entry yields); a file the open did
+// not find, or one reopened already, is not there to open.
 func (m *Manager) OpenHeap(name string, schema *frel.Schema) (*HeapFile, error) {
-	p, err := OpenPagerExistingFS(m.fs, m.HeapPath(name), m.stats)
-	if err != nil {
-		return nil, err
-	}
 	m.mu.Lock()
 	st, ok := m.recovered[name]
 	m.mu.Unlock()
 	if !ok {
-		if st, err = readHeapState(m.fs, m.dir, name); err != nil {
-			p.Close()
-			return nil, err
-		}
+		return nil, fmt.Errorf("storage: open heap %s: %w", name, os.ErrNotExist)
+	}
+	p, err := OpenPagerExistingFS(m.fs, m.heapPath(name), m.stats)
+	if err != nil {
+		return nil, err
 	}
 	h := adoptHeapState(schema, p, m.pool, st)
 	m.register(name, h)
@@ -1040,11 +1019,10 @@ func (m *Manager) Checkpoint() error {
 }
 
 // state captures the heap's current durable geometry for a checkpoint
-// record, with its summary: unless DropSummary was called, the geometry is
-// vouched for and the statistics recorded are, in this order of
-// preference, the in-memory ones when they are current, the ones recorded
-// before when the tuple count has not moved since, or none. The caller
-// has flushed and synced the file.
+// record, with the statistics to record: in this order of preference, the
+// in-memory ones when they are current, the ones recorded before when the
+// tuple count has not moved since, or none. The caller has flushed and
+// synced the file.
 func (h *HeapFile) state() (heapState, error) {
 	st := heapState{
 		name:      h.logName,
@@ -1053,14 +1031,12 @@ func (h *HeapFile) state() (heapState, error) {
 	}
 	h.statsMu.Lock()
 	switch {
-	case h.noSummary:
-		h.recorded = nil
 	case h.stats != nil && h.statsVersion == h.version.Load():
 		h.recorded, h.recordedRows = frel.AppendStats(nil, h.stats), h.stats.Rows
 	case h.recordedRows != st.numTuples:
 		h.recorded = nil
 	}
-	st.trusted, st.stats = !h.noSummary, h.recorded
+	st.stats = h.recorded
 	h.statsMu.Unlock()
 	if st.numPages > 0 {
 		st.lastUsed = h.lastUsed

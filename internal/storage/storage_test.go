@@ -329,7 +329,7 @@ func TestHeapDrop(t *testing.T) {
 	if err := h.Append(frel.NewTuple(1, frel.Crisp(1), frel.Str("x"))); err != nil {
 		t.Fatal(err)
 	}
-	path := h.Pager().Path()
+	path := h.pager.Path()
 	if err := h.Drop(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +349,8 @@ func TestCreateTempUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Pager().Path() == b.Pager().Path() {
-		t.Errorf("temp files share a path: %s", a.Pager().Path())
+	if a.pager.Path() == b.pager.Path() {
+		t.Errorf("temp files share a path: %s", a.pager.Path())
 	}
 }
 
@@ -514,11 +514,11 @@ func TestPageWriterMatchesAppendRaw(t *testing.T) {
 			got.NumPages(), got.NumTuples(), want.NumPages(), want.NumTuples())
 	}
 	for pid := PageID(0); pid < PageID(want.NumPages()); pid++ {
-		a, err := m.Pool().Get(want.Pager(), pid)
+		a, err := m.Pool().Get(want.pager, pid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := m.Pool().Get(got.Pager(), pid)
+		b, err := m.Pool().Get(got.pager, pid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +593,7 @@ func TestFailedNewPageAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := m.Pool().NewPage(other.Pager())
+	f, err := m.Pool().NewPage(other.pager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestFailedNewPageAllocatesNothing(t *testing.T) {
 		t.Fatal("append with every frame pinned succeeded")
 	}
 	m.Pool().Unpin(f, false)
-	if n := h.Pager().NumPages(); n != 0 {
+	if n := h.pager.NumPages(); n != 0 {
 		t.Fatalf("failed NewPage left the pager at %d pages, want 0", n)
 	}
 	if err := h.Append(walTuple(0)); err != nil {

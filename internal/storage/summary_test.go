@@ -61,8 +61,7 @@ func overwriteHeapPage(t *testing.T, fs FS, name string, pid int64, mutate func(
 
 // TestCheckpointRecordsSummaries: a relation heap has statistics from its
 // creation and the checkpoint records them, exact; an index heap's entry
-// vouches for its geometry only; a heap given up by DropSummary is
-// recorded with no summary.
+// vouches for its geometry only.
 func TestCheckpointRecordsSummaries(t *testing.T) {
 	fs := NewMemFS()
 	m := newWALManager(t, fs, 8)
@@ -78,17 +77,12 @@ func TestCheckpointRecordsSummaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendIndexEntries(t, ix, 1)
-	gone, err := m.CreateHeap("gone", testSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone.DropSummary()
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	recs := readWAL(t, fs)
-	if len(recs) != 1 || len(recs[0].states) != 3 {
-		t.Fatalf("log = %+v, want one checkpoint of three heaps", recs)
+	if len(recs) != 1 || len(recs[0].states) != 2 {
+		t.Fatalf("log = %+v, want one checkpoint of two heaps", recs)
 	}
 	byName := map[string]heapState{}
 	for _, st := range recs[0].states {
@@ -103,9 +97,6 @@ func TestCheckpointRecordsSummaries(t *testing.T) {
 	}
 	if st := byName[IndexPrefix+"r-x"]; !st.trusted || st.stats != nil {
 		t.Fatalf("index entry: trusted=%v stats=%d bytes, want geometry only", st.trusted, len(st.stats))
-	}
-	if st := byName["gone"]; st.trusted || st.stats != nil {
-		t.Fatalf("dropped summary: trusted=%v stats=%d bytes, want neither", st.trusted, len(st.stats))
 	}
 }
 

@@ -338,7 +338,7 @@ func TestFailedAutocommitAppendRollsBack(t *testing.T) {
 	}
 	var pinned []*Frame
 	for _, hf := range []*HeapFile{h, s} {
-		f, err := m.Pool().Get(hf.Pager(), 0)
+		f, err := m.Pool().Get(hf.pager, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

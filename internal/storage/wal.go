@@ -43,21 +43,20 @@ import (
 // record after the last checkpoint — committed or not — rewinds the heap
 // file to the checkpoint geometry, restores the last-page image, and
 // replays the appends of committed transactions in log order. Relations
-// without append records are left exactly as found on disk, which is what
-// makes rename-based rewrites (DELETE) atomic under the same log.
-// Transactions that logged a rollback record (or no commit record at all —
-// a crash mid-transaction) are discarded the same way: redo replays only
-// committed appends, so committed-prefix semantics hold for explicit
-// multi-statement transactions exactly as for autocommitted ones.
+// without append records are left exactly as found on disk. Transactions
+// that logged a rollback record (or no commit record at all — a crash
+// mid-transaction) are discarded the same way: redo replays only committed
+// appends, so committed-prefix semantics hold for explicit multi-statement
+// transactions exactly as for autocommitted ones.
 //
 // Open then derives each heap's post-recovery entry without walking it
 // where it can: a replayed heap's geometry is what redo just wrote, and an
 // untouched heap whose entry vouches for its geometry is adopted, with its
 // statistics, once the file's size and last page match the entry (one page
-// read). Any other heap is walked page header by page header. A rewrite
-// that replaces a heap file outside the log must therefore make the
-// checkpoint before it record that heap with no summary
-// (HeapFile.DropSummary).
+// read). Any other heap is walked page header by page header. Every
+// checkpoint vouches for all its entries: heap files change only through
+// the log, and a rewrite (DELETE) writes a fresh heap under a new storage
+// name instead of replacing a file.
 const (
 	walFileName = "wal"
 	walTmpName  = "wal.tmp"
@@ -86,6 +85,8 @@ type heapState struct {
 
 	// trusted: the entry vouches for the file's geometry, so Open may
 	// adopt it instead of walking the file once size and last page match.
+	// Read from a decoded checkpoint only: every checkpoint written sets
+	// it, and only a log from before summaries existed lacks it.
 	trusted bool
 	// stats is the frel.AppendStats encoding of the statistics of the
 	// heap's tuples, or nil when none are recorded. On an entry recovery
@@ -191,8 +192,7 @@ func openWAL(fs FS, dir string) (*WAL, map[string]heapState, error) {
 // describes: its size is the recorded page count and its last page the
 // recorded image. Heap files only grow at the end and rewrite only their
 // last page, so an append the log does not cover changes one or the
-// other; a file replaced outside the log may not, which is why such a
-// replacement drops the entry's summary first (HeapFile.DropSummary).
+// other.
 func intact(fs FS, dir string, st heapState) bool {
 	f, err := fs.OpenFile(filepath.Join(dir, st.name+".heap"), os.O_RDONLY, 0)
 	if err != nil {
@@ -364,10 +364,7 @@ func (w *WAL) checkpointLog(states []heapState) []byte {
 		}
 	}
 	for _, st := range states {
-		var flags byte
-		if st.trusted {
-			flags |= summaryTrusted
-		}
+		flags := summaryTrusted
 		if st.stats != nil {
 			flags |= summaryStats
 		}
@@ -703,7 +700,6 @@ func redoRelation(fs FS, dir, name string, st heapState, recs [][]byte) (heapSta
 		numPages:  numPages,
 		numTuples: st.numTuples + int64(len(recs)),
 		lastUsed:  lastUsed,
-		trusted:   true,
 		stats:     st.stats,
 		tail:      recs,
 	}
@@ -730,7 +726,7 @@ func readHeapState(fs FS, dir, name string) (heapState, error) {
 	if size%PageSize != 0 {
 		return heapState{}, fmt.Errorf("storage: heap %s is %d bytes, not page aligned", name, size)
 	}
-	st := heapState{name: name, numPages: size / PageSize, trusted: true}
+	st := heapState{name: name, numPages: size / PageSize}
 	page := make([]byte, PageSize)
 	for pid := int64(0); pid < st.numPages; pid++ {
 		if _, err := f.ReadAt(page, pid*PageSize); err != nil {

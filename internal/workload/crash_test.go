@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,6 +84,7 @@ func TestCrashRecovery(t *testing.T) {
 			got := snapshotDB(t, sess)
 			verifyIndexes(t, sess, fmt.Sprintf("%v@%d", mode, n))
 			verifyStats(t, sess, fmt.Sprintf("%v@%d", mode, n))
+			verifyFiles(t, sess, mem, fmt.Sprintf("%v@%d", mode, n))
 			matched := -1
 			for j := acked; j <= len(steps); j++ {
 				if got.equal(snaps[j]) {
@@ -117,14 +119,15 @@ func sqlStep(src string) crashStep {
 }
 
 // crashSteps builds the workload: DDL, single inserts with varied degrees,
-// a generated batch append (one transaction), checkpoints, a predicate
-// DELETE (the rename-swap path), a DROP/recreate, and persistent-index
-// lifecycle (CREATE INDEX build, inserts into an index's tail, the DELETE
-// rebuild, DROP INDEX) — split across a session restart so recovery itself is also
-// run under fault injection. One DELETE removes the small first tuple of
-// a relation packed [small, big, big] [big]: the rewritten file keeps the
-// page count and the last page byte for byte, so only the summary the
-// checkpoint before its rename drops tells Open to walk it.
+// a generated batch append (one transaction), checkpoints, predicate
+// DELETEs (a fresh logged heap the catalog swaps in), a DROP/recreate, and
+// persistent-index lifecycle (CREATE INDEX build, inserts into an index's
+// tail, the DELETE rebuild, DROP INDEX) — split across a session restart
+// so recovery itself is also run under fault injection. One DELETE
+// removes the small first tuple of a relation packed [small, big, big]
+// [big]: the fresh heap has the old file's page count and last page byte
+// for byte, so verifyStats checks that Open adopts the checkpoint entry of
+// the heap the catalog names, with its statistics, and not the old one's.
 func crashSteps(t *testing.T) []crashStep {
 	t.Helper()
 	schema, err := Schema("W", 128)
@@ -310,6 +313,43 @@ func verifyIndexes(t *testing.T, s *core.Session, label string) {
 				break
 			}
 		}
+	}
+}
+
+// verifyFiles checks that the directory holds exactly the heap files of
+// the recovered catalog: one per relation and one per index with an entry
+// file. A heap that a crash left without a catalog entry naming it (a
+// CREATE TABLE before its save, a DROP or DELETE after it) is gone.
+func verifyFiles(t *testing.T, s *core.Session, fs storage.FS, label string) {
+	t.Helper()
+	cat := s.Catalog()
+	var want []string
+	for _, name := range cat.Relations() {
+		h, err := cat.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, h.Name()+".heap")
+	}
+	for _, name := range cat.Indexes() {
+		if ix, ok := cat.LookupIndex(name); ok && ix.Heap() != nil {
+			want = append(want, ix.Heap().Name()+".heap")
+		}
+	}
+	names, err := fs.ReadDir("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".heap") {
+			got = append(got, n)
+		}
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: heap files %v, catalog names %v", label, got, want)
 	}
 }
 
