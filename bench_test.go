@@ -7,6 +7,7 @@ package repro
 // per experiment so `go test -bench=.` tracks regressions.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,6 +23,15 @@ import (
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
+
+// evalQ plans q and runs it on the engine with a background context.
+func evalQ(env *core.Env, q *fsql.Select) (*frel.Relation, error) {
+	p, err := env.PlanQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return env.Eval(context.Background(), p, nil)
+}
 
 // benchConfig is the shared scaled-down configuration.
 func benchConfig(b *testing.B) bench.Config {
@@ -350,7 +360,7 @@ func BenchmarkAblationChainOrder(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := env.EvalUnnested(q); err != nil {
+				if _, err := evalQ(env, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -386,7 +396,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 					b.Fatal(err)
 				}
 				mgr.Stats().Reset()
-				if _, err := env.EvalUnnested(q); err != nil {
+				if _, err := evalQ(env, q); err != nil {
 					b.Fatal(err)
 				}
 				lastIOs = mgr.Stats().IO()

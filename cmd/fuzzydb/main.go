@@ -226,8 +226,7 @@ func (a *app) meta(cmd string) bool {
 			fmt.Fprintln(a.out, "error:", err)
 			break
 		}
-		plan := a.sess.Env.Explain(q)
-		fmt.Fprintf(a.out, "strategy: %s (%s)\n", plan.Strategy, plan.Note)
+		fmt.Fprintln(a.out, "strategy:", core.PlanSummary(a.sess.Env.PlanQuery(q)))
 	default:
 		fmt.Fprintln(a.out, "meta commands: \\d  \\terms  \\stats  \\explain SELECT ...;  \\export REL FILE  \\import REL FILE  \\q")
 	}

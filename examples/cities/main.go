@@ -9,10 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
-	"repro/internal/core"
-	"repro/internal/fsql"
+	"repro/pkg/fuzzydb"
 )
 
 const script = `
@@ -52,43 +50,37 @@ const countVariant = `
 	       WHERE S.POPULATION = R.POPULATION)`
 
 func main() {
-	dir, err := os.MkdirTemp("", "cities-*")
+	db, err := fuzzydb.Open("")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	sess, err := core.OpenSession(dir, 256)
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer db.Close()
 
-	if _, err := sess.ExecScript(script); err != nil {
+	if err := db.Exec(script); err != nil {
 		log.Fatal(err)
 	}
 
 	run := func(title, src string) {
-		q, err := fsql.ParseQuery(src)
+		strategy, err := db.Explain(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan := sess.Env.Explain(q)
-		fmt.Printf("%s\n  strategy: %s (%s)\n", title, plan.Strategy, plan.Note)
-		rel, err := sess.Env.EvalUnnested(q)
+		fmt.Printf("%s\n  strategy: %s\n", title, strategy)
+		res, err := db.Query(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, t := range rel.Tuples {
-			fmt.Printf("  %-8s D = %.4g\n", t.Values[0].Str, t.D)
+		for i := 0; i < res.Len(); i++ {
+			fmt.Printf("  %-8s D = %.4g\n", res.Row(i)[0], res.Degree(i))
 		}
-		naive, err := sess.Env.EvalNaive(q)
+		naive, err := db.QueryNaive(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if naive.Equal(rel, 1e-9) {
-			fmt.Println("  ✓ equivalent to the naive nested evaluation (Theorem 6.1)")
-		} else {
-			fmt.Println("  ✗ MISMATCH")
+		if !naive.Equal(res, 1e-9) {
+			log.Fatal("MISMATCH against the naive nested evaluation")
 		}
+		fmt.Println("  ✓ equivalent to the naive nested evaluation (Theorem 6.1)")
 		fmt.Println()
 	}
 

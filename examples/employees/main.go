@@ -7,10 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
-	"repro/internal/core"
-	"repro/internal/fsql"
+	"repro/pkg/fuzzydb"
 )
 
 const script = `
@@ -36,44 +34,38 @@ const query4 = `
 	       WHERE S.AGE = R.AGE)`
 
 func main() {
-	dir, err := os.MkdirTemp("", "employees-*")
+	db, err := fuzzydb.Open("")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	sess, err := core.OpenSession(dir, 256)
+	defer db.Close()
+
+	if err := db.Exec(script); err != nil {
+		log.Fatal(err)
+	}
+
+	strategy, err := db.Explain(query4)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("Query 4 strategy: %s\n\n", strategy)
 
-	if _, err := sess.ExecScript(script); err != nil {
-		log.Fatal(err)
-	}
-
-	q, err := fsql.ParseQuery(query4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan := sess.Env.Explain(q)
-	fmt.Printf("Query 4 strategy: %s (%s)\n\n", plan.Strategy, plan.Note)
-
-	rel, err := sess.Env.EvalUnnested(q)
+	res, err := db.Query(query4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Sales employees not earning any Research income at their age:")
-	for _, t := range rel.Tuples {
-		fmt.Printf("  %-5s  D = %.4g\n", t.Values[0].Str, t.D)
+	for i := 0; i < res.Len(); i++ {
+		fmt.Printf("  %-5s  D = %.4g\n", res.Row(i)[0], res.Degree(i))
 	}
 
 	// Sanity: the unnested evaluation matches the nested semantics.
-	naive, err := sess.Env.EvalNaive(q)
+	naive, err := db.QueryNaive(query4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if naive.Equal(rel, 1e-9) {
-		fmt.Println("\n✓ equivalent to the naive nested evaluation (Theorem 5.1)")
-	} else {
-		fmt.Println("\n✗ MISMATCH against the naive nested evaluation")
+	if !naive.Equal(res, 1e-9) {
+		log.Fatal("MISMATCH against the naive nested evaluation")
 	}
+	fmt.Println("\n✓ equivalent to the naive nested evaluation (Theorem 5.1)")
 }

@@ -8,10 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
-	"repro/internal/core"
-	"repro/internal/fsql"
+	"repro/pkg/fuzzydb"
 )
 
 const script = `
@@ -49,43 +47,38 @@ const chainQuery = `
 	              WHERE S.RATING >= 8))`
 
 func main() {
-	dir, err := os.MkdirTemp("", "supplychain-*")
+	db, err := fuzzydb.Open("")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	sess, err := core.OpenSession(dir, 256)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sess.ExecScript(script); err != nil {
+	defer db.Close()
+
+	if err := db.Exec(script); err != nil {
 		log.Fatal(err)
 	}
 
-	q, err := fsql.ParseQuery(chainQuery)
+	strategy, err := db.Explain(chainQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan := sess.Env.Explain(q)
-	fmt.Printf("3-level chain query strategy: %s (%s)\n\n", plan.Strategy, plan.Note)
+	fmt.Printf("3-level chain query strategy: %s\n\n", strategy)
 
-	rel, err := sess.Env.EvalUnnested(q)
+	res, err := db.Query(chainQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("projects whose budget possibly equals a well-supplied part's cost,")
 	fmt.Println("with a similar lead time:")
-	for _, t := range rel.Tuples {
-		fmt.Printf("  %-9s D = %.4g\n", t.Values[0].Str, t.D)
+	for i := 0; i < res.Len(); i++ {
+		fmt.Printf("  %-9s D = %.4g\n", res.Row(i)[0], res.Degree(i))
 	}
 
-	naive, err := sess.Env.EvalNaive(q)
+	naive, err := db.QueryNaive(chainQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if naive.Equal(rel, 1e-9) {
-		fmt.Println("\n✓ equivalent to the naive nested evaluation (Theorem 8.1)")
-	} else {
-		fmt.Println("\n✗ MISMATCH")
+	if !naive.Equal(res, 1e-9) {
+		log.Fatal("MISMATCH against the naive nested evaluation")
 	}
+	fmt.Println("\n✓ equivalent to the naive nested evaluation (Theorem 8.1)")
 }

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/frel"
 )
 
 // MethodStats is the machine-readable EXPLAIN ANALYZE result of one
@@ -51,44 +47,20 @@ type AnalyzeReport struct {
 // per-operator statistics collection and returns the combined report.
 func (c Config) AnalyzePair(nOuter, nInner int) (*AnalyzeReport, error) {
 	cfg := c.withDefaults()
-	rep := &AnalyzeReport{
+	_, stats, err := cfg.pair(nOuter, nInner)
+	if err != nil {
+		return nil, err
+	}
+	return &AnalyzeReport{
 		Query:       TypeJQuery,
 		Outer:       nOuter,
 		Inner:       nInner,
 		ScaleDiv:    cfg.ScaleDiv,
 		Parallelism: cfg.Parallelism,
 		Seed:        cfg.Seed,
-		Methods:     make(map[string]*MethodStats),
-	}
-	var answers [2]*frel.Relation
-	for i, m := range []Method{NestedLoop, MergeJoin} {
-		es, rel, err := cfg.analyze(m, nOuter, nInner)
-		if err != nil {
-			return nil, err
-		}
-		rep.Methods[m.String()] = methodStats(es)
-		answers[i] = rel
-	}
-	if cfg.Verify && !answers[0].Equal(answers[1], 1e-9) {
-		return nil, fmt.Errorf("bench: methods disagree (%d vs %d tuples)", answers[0].Len(), answers[1].Len())
-	}
-	return rep, nil
-}
-
-func (c Config) analyze(method Method, nOuter, nInner int) (*core.ExecStats, *frel.Relation, error) {
-	env, mgr, q, cleanup, err := c.setupWorkload(nOuter, nInner)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer cleanup()
-
-	env.ResetStats()
-	mgr.Stats().Reset()
-	ctx := context.Background()
-	if method == NestedLoop {
-		rel, es, err := env.EvalNaiveAnalyze(ctx, q)
-		return es, rel, err
-	}
-	rel, es, err := env.EvalUnnestedAnalyze(ctx, q)
-	return es, rel, err
+		Methods: map[string]*MethodStats{
+			NestedLoop.String(): methodStats(stats[0]),
+			MergeJoin.String():  methodStats(stats[1]),
+		},
+	}, nil
 }

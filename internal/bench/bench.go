@@ -17,12 +17,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/storage"
@@ -189,25 +191,29 @@ func (m Method) String() string {
 // MeasurePair runs both methods on a freshly generated R (nOuter tuples) /
 // S (nInner tuples) pair and returns the two measurements.
 func (c Config) MeasurePair(nOuter, nInner int) (nested, merged Measurement, err error) {
-	cfg := c.withDefaults()
-	nested, ansN, err := cfg.measure(NestedLoop, nOuter, nInner)
-	if err != nil {
-		return nested, merged, err
+	meas, _, err := c.withDefaults().pair(nOuter, nInner)
+	return meas[0], meas[1], err
+}
+
+// pair measures the nested-loop and then the merge-join method, each on a
+// freshly generated R/S pair, and checks that their answers agree when
+// the configuration asks for it.
+func (c Config) pair(nOuter, nInner int) (meas [2]Measurement, stats [2]*core.ExecStats, err error) {
+	var answers [2]*frel.Relation
+	for i, m := range []Method{NestedLoop, MergeJoin} {
+		if meas[i], stats[i], answers[i], err = c.measure(m, nOuter, nInner); err != nil {
+			return meas, stats, err
+		}
 	}
-	merged, ansM, err := cfg.measure(MergeJoin, nOuter, nInner)
-	if err != nil {
-		return nested, merged, err
+	if c.Verify && !answers[0].Equal(answers[1], 1e-9) {
+		return meas, stats, fmt.Errorf("bench: methods disagree (%d vs %d tuples)", answers[0].Len(), answers[1].Len())
 	}
-	if cfg.Verify && !ansN.Equal(ansM, 1e-9) {
-		return nested, merged, fmt.Errorf("bench: methods disagree (%d vs %d tuples)", ansN.Len(), ansM.Len())
-	}
-	return nested, merged, nil
+	return meas, stats, nil
 }
 
 // MeasureOne runs a single method.
 func (c Config) MeasureOne(m Method, nOuter, nInner int) (Measurement, error) {
-	cfg := c.withDefaults()
-	meas, _, err := cfg.measure(m, nOuter, nInner)
+	meas, _, _, err := c.withDefaults().measure(m, nOuter, nInner)
 	return meas, err
 }
 
@@ -260,35 +266,56 @@ func (c Config) setupWorkload(nOuter, nInner int) (env *core.Env, mgr *storage.M
 	return env, mgr, q, cleanup, nil
 }
 
-func (c Config) measure(method Method, nOuter, nInner int) (Measurement, *frel.Relation, error) {
+// measure runs one method on a freshly generated R/S pair with EXPLAIN
+// ANALYZE statistics collection, and derives the measurement from the
+// statistics tree: the sort share from its sort nodes, the I/O count from
+// the storage counters (the tree has no count of page writes outside
+// sorts).
+func (c Config) measure(method Method, nOuter, nInner int) (Measurement, *core.ExecStats, *frel.Relation, error) {
 	env, mgr, q, cleanup, err := c.setupWorkload(nOuter, nInner)
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, nil, nil, err
 	}
 	defer cleanup()
 
-	env.ResetStats()
 	mgr.Stats().Reset()
-	start := time.Now()
+	ctx := context.Background()
+	es := &core.ExecStats{}
 	var rel *frel.Relation
 	if method == NestedLoop {
-		rel, err = env.EvalNaive(q)
+		rel, err = env.EvalNaive(ctx, q, es)
 	} else {
-		rel, err = env.EvalUnnested(q)
+		p, perr := env.PlanQuery(q)
+		if perr != nil {
+			return Measurement{}, nil, nil, perr
+		}
+		rel, err = env.Eval(ctx, p, es)
 	}
-	wall := time.Since(start)
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, nil, nil, err
 	}
 	meas := Measurement{
-		Wall:        wall,
-		IOs:         mgr.Stats().IO(),
-		DegreeEvals: env.Work.DegreeEvals.Load(),
-		SortWall:    env.Phases.SortWall,
-		SortIOs:     env.Phases.SortIOs,
-		IOLatency:   c.IOLatency,
-		CPUFactor:   c.CPUFactor,
-		Answer:      rel.Len(),
+		Wall:      es.Wall,
+		IOs:       mgr.Stats().IO(),
+		IOLatency: c.IOLatency,
+		CPUFactor: c.CPUFactor,
+		Answer:    es.Answer,
 	}
-	return meas, rel, nil
+	snap := es.Plan()
+	_, _, meas.DegreeEvals = snap.Totals()
+	sortNodes(snap, func(n *exec.StatsSnapshot) {
+		meas.SortWall += time.Duration(n.WallNanos)
+		meas.SortIOs += n.PageIOs
+	})
+	return meas, es, rel, nil
+}
+
+// sortNodes calls fn for every sort node of the tree rooted at n.
+func sortNodes(n *exec.StatsSnapshot, fn func(*exec.StatsSnapshot)) {
+	if n.Op == "sort" {
+		fn(n)
+	}
+	for _, c := range n.Children {
+		sortNodes(c, fn)
+	}
 }

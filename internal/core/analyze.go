@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/frel"
-	"repro/internal/fsql"
 )
 
 // ExecStats is the result of an EXPLAIN ANALYZE evaluation: the chosen
@@ -29,6 +28,10 @@ type ExecStats struct {
 	// read).
 	PoolMisses int64
 	Root       *exec.OpStats // root of the operator tree (never nil on success)
+
+	// nodes are all the nodes the run created, attached to the tree or
+	// not (a failed run may never attach the ones it counted into).
+	nodes []*exec.OpStats
 }
 
 // Plan snapshots the operator tree into plain serializable values.
@@ -57,19 +60,6 @@ func (s *ExecStats) Lines() []string {
 	return lines
 }
 
-// Render returns the Lines joined with newlines.
-func (s *ExecStats) Render() string {
-	return strings.Join(s.Lines(), "\n") + "\n"
-}
-
-// withAnalyze installs es as the active stats collection and returns the
-// restore function for the caller to defer.
-func (e *Env) withAnalyze(es *ExecStats) func() {
-	prev := e.analyze
-	e.analyze = es
-	return func() { e.analyze = prev }
-}
-
 // newNode returns the stats node an operator counts into: a fresh node of
 // the tree when an EXPLAIN ANALYZE collection is active, the environment's
 // running total otherwise.
@@ -77,7 +67,9 @@ func (e *Env) newNode(op, label string) *exec.OpStats {
 	if e.analyze == nil {
 		return e.Work
 	}
-	return exec.NewOpStats(op, label)
+	node := exec.NewOpStats(op, label)
+	e.analyze.nodes = append(e.analyze.nodes, node)
+	return node
 }
 
 // attach wires node into the stats tree: the nodes of already-wrapped
@@ -117,57 +109,37 @@ func (e *Env) notePruned(n int) {
 	}
 }
 
-// runAnalyzed executes run with stats collection active, filling es, and
-// adds the statement's tree to the environment's running total.
-func (e *Env) runAnalyzed(es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
-	defer e.withAnalyze(es)()
-	reads0, _, hits0, _ := e.cat.Manager().Stats().Snapshot()
+// evaluate runs one evaluation of Eval or EvalNaive under ctx. A non-nil
+// es is the active stats collection while run runs: it receives the
+// run's wall time, answer size and buffer-pool traffic, and the work of
+// its nodes is added to the environment's running total, also when the
+// run fails (a plain run counts there as it goes).
+func (e *Env) evaluate(ctx context.Context, es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	prevCtx, prevES := e.ctx, e.analyze
+	e.ctx, e.analyze = ctx, es
+	defer func() { e.ctx, e.analyze = prevCtx, prevES }()
+	if es == nil {
+		return run()
+	}
+	stats := e.cat.Manager().Stats()
+	reads0, _, hits0, _ := stats.Snapshot()
 	start := time.Now()
 	rel, err := run()
 	es.Wall = time.Since(start)
+	for _, n := range es.nodes {
+		e.Work.Add(n)
+	}
+	es.nodes = nil
 	if err != nil {
 		return nil, err
 	}
 	es.Answer = rel.Len()
-	e.Work.AddTree(es.Root)
-	reads1, _, hits1, _ := e.cat.Manager().Stats().Snapshot()
+	reads1, _, hits1, _ := stats.Snapshot()
 	es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
 	es.Root.PoolHits.Store(es.PoolHits)
 	es.Root.PoolMisses.Store(es.PoolMisses)
 	return rel, nil
-}
-
-// EvalUnnestedAnalyze is EvalUnnestedContext with per-operator statistics
-// collection: it evaluates the query via the unnesting rewrites and
-// returns the answer together with the populated stats tree.
-func (e *Env) EvalUnnestedAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
-	defer e.withContext(ctx)()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	p, err := e.PlanQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	es := &ExecStats{Strategy: p.Strategy, Note: p.Note, Rules: p.Rules}
-	rel, err := e.runAnalyzed(es, func() (*frel.Relation, error) { return e.execPlan(p) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, es, nil
-}
-
-// EvalNaiveAnalyze is EvalNaiveContext with statistics collection; the
-// naive evaluator reports its work as a single root node.
-func (e *Env) EvalNaiveAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
-	defer e.withContext(ctx)()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	es := &ExecStats{Strategy: StrategyNaive, Note: "nested-loop evaluation of the nested form"}
-	rel, err := e.runAnalyzed(es, func() (*frel.Relation, error) { return e.EvalNaive(q) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, es, nil
 }

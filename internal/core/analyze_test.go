@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -50,7 +51,8 @@ func TestExplainAnalyzeCollectsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es := &ExecStats{}
+	rel, err := evalQ(env, q, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,8 @@ func TestAnalyzeNaiveRootSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, es, err := env.EvalNaiveAnalyze(context.Background(), q)
+	es := &ExecStats{}
+	rel, err := env.EvalNaive(context.Background(), q, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,8 @@ func TestAnalyzePrunedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es := &ExecStats{}
+	rel, err := evalQ(env, q, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,8 @@ func TestAnalyzeParallelInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		label := fmt.Sprintf("workers=%d", workers)
 		env := analyzeEnv(t, 600, workers)
-		rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+		es := &ExecStats{}
+		rel, err := evalQ(env, q, es)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -257,10 +262,11 @@ func TestWorkTotalsInvariant(t *testing.T) {
 			plain, analyzed := danglingEnv(workers), danglingEnv(workers)
 			var tree [4]int64
 			for run := 0; run < 3; run++ {
-				if _, err := plain.EvalUnnested(q); err != nil {
+				if _, err := evalQ(plain, q, nil); err != nil {
 					t.Fatalf("%s: %v", qs, err)
 				}
-				_, es, err := analyzed.EvalUnnestedAnalyze(context.Background(), q)
+				es := &ExecStats{}
+				_, err := evalQ(analyzed, q, es)
 				if err != nil {
 					t.Fatalf("%s: %v", qs, err)
 				}
@@ -289,6 +295,41 @@ func TestWorkTotalsInvariant(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("no statement hit the sort cache: the cache-hit comparison is vacuous")
+	}
+}
+
+// TestFailedStatementWork: a statement that fails partway adds the work
+// it did to Env.Work whether it ran plain or analyzed. The aggregate
+// subquery's filter evaluates degrees before AVG finds a string.
+func TestFailedStatementWork(t *testing.T) {
+	q := mustParse(t, `SELECT R.K FROM R WHERE R.A >= (SELECT AVG(S.N) FROM S WHERE S.A = 'about 35')`)
+	var deltas [2][3]int64
+	for i, es := range []*ExecStats{nil, {}} {
+		sess, err := OpenSession(t.TempDir(), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if _, err := execScript(sess, `
+			CREATE TABLE R (K NUMBER, A NUMBER);
+			CREATE TABLE S (A NUMBER, N STRING);
+			INSERT INTO R VALUES (1, 30);
+			INSERT INTO S VALUES ('about 35', 'x');
+			INSERT INTO S VALUES (40, 'y');`); err != nil {
+			t.Fatal(err)
+		}
+		w := sess.Env.Work
+		before := [3]int64{w.DegreeEvals.Load(), w.Comparisons.Load(), w.KernelTuples.Load()}
+		if _, err := evalQ(sess.Env, q, es); err == nil || !strings.Contains(err.Error(), "non-numeric") {
+			t.Fatalf("es=%v: err = %v, want AVG over non-numeric values", es, err)
+		}
+		deltas[i] = [3]int64{w.DegreeEvals.Load() - before[0], w.Comparisons.Load() - before[1], w.KernelTuples.Load() - before[2]}
+	}
+	if deltas[0][0] == 0 {
+		t.Fatal("the failed statement evaluated no degrees: the comparison is vacuous")
+	}
+	if deltas[0] != deltas[1] {
+		t.Errorf("Env.Work grew by deg/cmp/kernel %v plain, %v analyzed", deltas[0], deltas[1])
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
 	defer e.closeStreams(len(e.streams))
 	if p.Strategy == StrategyNaive {
-		return e.EvalNaive(p.Query)
+		return e.naive(p.Query)
 	}
 	switch body := p.Proj().Input.(type) {
 	case *plan.Join:
@@ -35,7 +35,7 @@ func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
 	case *plan.UncorrSub:
 		return e.execUncorrPlan(p, body)
 	default:
-		return e.EvalNaive(p.Query)
+		return e.naive(p.Query)
 	}
 }
 

@@ -21,11 +21,17 @@ func TestEvalContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.EvalUnnestedContext(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalUnnestedContext: err = %v, want context.Canceled", err)
+	p, err := e.PlanQuery(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.EvalNaiveContext(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvalNaiveContext: err = %v, want context.Canceled", err)
+	for _, es := range []*ExecStats{nil, {}} {
+		if _, err := e.Eval(ctx, p, es); !errors.Is(err, context.Canceled) {
+			t.Errorf("Eval(es=%v): err = %v, want context.Canceled", es, err)
+		}
+		if _, err := e.EvalNaive(ctx, q, es); !errors.Is(err, context.Canceled) {
+			t.Errorf("EvalNaive(es=%v): err = %v, want context.Canceled", es, err)
+		}
 	}
 
 	sess, err := OpenSession(t.TempDir(), 32)
@@ -34,9 +40,6 @@ func TestEvalContextCancelled(t *testing.T) {
 	}
 	if _, err := sess.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("ExecContext: err = %v, want context.Canceled", err)
-	}
-	if _, err := sess.ExecScriptContext(ctx, "SELECT R.X FROM R;"); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecScriptContext: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -65,7 +68,7 @@ func TestEvalContextMidQueryCancel(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, evalErr := e.EvalNaiveContext(ctx, q)
+	_, evalErr := e.EvalNaive(ctx, q, nil)
 	<-done
 	if evalErr != nil && !errors.Is(evalErr, context.Canceled) {
 		t.Errorf("mid-query cancel: err = %v, want nil or context.Canceled", evalErr)

@@ -76,14 +76,14 @@ func TestDiskEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan := e.Explain(q); plan.Strategy != tc.want {
-				t.Errorf("strategy = %v (%s), want %v", plan.Strategy, plan.Note, tc.want)
+			if p, err := e.PlanQuery(q); err != nil || p.Strategy != tc.want {
+				t.Errorf("strategy = %s, want %v", PlanSummary(p, err), tc.want)
 			}
-			naive, err := e.EvalNaive(q)
+			naive, err := e.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatalf("naive: %v", err)
 			}
-			unnested, err := e.EvalUnnested(q)
+			unnested, err := evalQ(e, q, nil)
 			if err != nil {
 				t.Fatalf("unnested: %v", err)
 			}
@@ -114,13 +114,13 @@ func TestDiskIOAdvantage(t *testing.T) {
 	stats := e.cat.Manager().Stats()
 
 	stats.Reset()
-	if _, err := e.EvalNaive(q); err != nil {
+	if _, err := e.EvalNaive(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
 	naiveReads, _, _, _ := stats.Snapshot()
 
 	stats.Reset()
-	if _, err := e.EvalUnnested(q); err != nil {
+	if _, err := evalQ(e, q, nil); err != nil {
 		t.Fatal(err)
 	}
 	unnestedIO := stats.IO()
@@ -154,7 +154,7 @@ func TestDiskInsertThroughCatalogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := e.EvalUnnested(q)
+	rel, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,8 @@ func TestSortIntermediateBySize(t *testing.T) {
 	for _, pages := range []int{256, 2} {
 		e := diskEnv(t, rand.New(rand.NewSource(11)), 500, 200)
 		e.SortMemPages = pages
-		rel, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
+		es := &ExecStats{}
+		rel, err := evalQ(e, q, es)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,8 +237,8 @@ func (c *tempCountFS) OpenFile(path string, flag int, perm os.FileMode) (storage
 // relation and exceeds the sort memory (a filtered scan of R here) is read
 // straight into the external sort. The statement's only temporary files
 // are the sorts' runs: the input is never first copied into a file of its
-// own. Every page the statement writes is a sort's, and the sort phase
-// counts it, also when run generation's workers write runs while the
+// own. Every page the statement writes is a sort's, and the sort nodes
+// count it, also when run generation's workers write runs while the
 // input is still being pulled.
 func TestSortIntermediateWritesOnlyItsRuns(t *testing.T) {
 	q, err := fsql.ParseQuery(filteredSortQuery)
@@ -259,13 +260,19 @@ func TestSortIntermediateWritesOnlyItsRuns(t *testing.T) {
 		}
 		stats := e.cat.Manager().Stats()
 		ios := stats.IO()
-		_, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
-		if err != nil {
+		es := &ExecStats{}
+		if _, err := evalQ(e, q, es); err != nil {
 			t.Fatal(err)
 		}
 		// Only the filtered scan's reads of R are not the sorts' I/O.
-		if ios, inputPages := stats.IO()-ios, int64(r.NumPages()); e.Phases.SortIOs < ios-inputPages {
-			t.Errorf("workers=%d: the sort phase counted %d page I/Os, the statement did %d beside reading R's %d pages", workers, e.Phases.SortIOs, ios-inputPages, inputPages)
+		sortIOs := sumTree(es.Plan(), func(n *exec.StatsSnapshot) int64 {
+			if n.Op == "sort" {
+				return n.PageIOs
+			}
+			return 0
+		})
+		if ios, inputPages := stats.IO()-ios, int64(r.NumPages()); sortIOs < ios-inputPages {
+			t.Errorf("workers=%d: the sort nodes counted %d page I/Os, the statement did %d beside reading R's %d pages", workers, sortIOs, ios-inputPages, inputPages)
 		}
 		if node := sortedFilter(es.Plan()); node == nil || node.SortRuns == 0 {
 			t.Fatalf("workers=%d: no sort over the filtered input wrote runs:\n%s", workers, es.Plan().Render())

@@ -7,11 +7,16 @@
 //
 //   - Env.EvalNaive executes a query exactly by its nested semantics: the
 //     inner block is re-evaluated for every tuple of the outer block.
-//   - Env.EvalUnnested classifies the query (type N, J, JX, JA, JALL, or a
-//     K-level chain), rewrites it to the equivalent flat form of the
-//     corresponding theorem, and evaluates the flat form with the extended
-//     merge-join (over the whole inner where no range order applies, and
-//     with the naive evaluator for shapes outside the paper's classes).
+//   - Env.PlanQuery classifies the query (type N, J, JX, JA, JALL, or a
+//     K-level chain) and rewrites it to the equivalent flat form of the
+//     corresponding theorem; Env.Eval evaluates that plan with the
+//     extended merge-join (over the whole inner where no range order
+//     applies, and with the naive evaluator for shapes outside the
+//     paper's classes).
+//
+// Both take an optional *ExecStats: given one, the evaluation records its
+// per-operator EXPLAIN ANALYZE tree there, the one account of where a
+// statement's time and work went.
 //
 // The equivalence theorems 4.1-8.1 are validated by randomized tests that
 // compare the two evaluators tuple-for-tuple and degree-for-degree.
@@ -75,8 +80,8 @@ type Env struct {
 	streams []*sortedStream
 
 	// ctx, when non-nil, is observed by the leaf scans and the running
-	// sweeps of every evaluation (set for the duration of a *Context
-	// evaluation call).
+	// sweeps of every evaluation (set for the duration of an Eval or
+	// EvalNaive call).
 	ctx context.Context
 
 	// snap, when non-nil, is the snapshot the current evaluation reads
@@ -87,31 +92,16 @@ type Env struct {
 
 	// analyze, when non-nil, is the EXPLAIN ANALYZE collection the run
 	// path attaches per-operator stats nodes to (set for the duration of
-	// an *Analyze evaluation call).
+	// an Eval or EvalNaive call given one).
 	analyze *ExecStats
 
 	// Work is the running total of the work every operator the environment
 	// ran counted (comparisons, degree evaluations, sort-cache and index
 	// traffic, kernel tuples, …). Outside EXPLAIN ANALYZE operators count
-	// into it directly; an analyzed statement's tree is added to it when
-	// the statement ends. Its rows-out, pool and wall-time fields carry no
-	// total and are not to be read.
+	// into it directly; the nodes of an analyzed statement are added to it
+	// when the statement ends, also when it failed. Its rows-out, pool,
+	// page-I/O and wall-time fields carry no total and are not to be read.
 	Work *exec.OpStats
-	// Phases attributes evaluation work to phases; the experiments use it
-	// for the paper's Table 3 time breakdown.
-	Phases PhaseStats
-}
-
-// PhaseStats attributes evaluation work to phases.
-type PhaseStats struct {
-	SortWall time.Duration // wall time spent sorting (run generation + merging)
-	SortIOs  int64         // physical page I/Os performed by sorts
-}
-
-// ResetStats clears the accumulated counters and phase statistics.
-func (e *Env) ResetStats() {
-	e.Work = exec.NewOpStats("total", "")
-	e.Phases = PhaseStats{}
 }
 
 // NewEnv builds an environment over a catalog (with on-disk relations and
@@ -171,14 +161,6 @@ func termKey(name string) string {
 		out[i] = c
 	}
 	return string(out)
-}
-
-// withContext installs ctx as the evaluation context and returns the
-// restore function for the caller to defer.
-func (e *Env) withContext(ctx context.Context) func() {
-	prev := e.ctx
-	e.ctx = ctx
-	return func() { e.ctx = prev }
 }
 
 // workers resolves the Parallelism knob to an effective worker count.
@@ -401,9 +383,9 @@ func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
 // merge as a source of schema, with the sort node its work is counted in.
 // Run generation and the merge passes before the final one run here, and
 // their wall time and page I/O, less the time and page reads pulling a
-// tupleRecords input took, count toward the environment's sort phase. The
-// source is closed, and its runs dropped, when its consumer closes it or
-// at the latest when the evaluation ends.
+// tupleRecords input took, count toward the sort node. The source is
+// closed, and its runs dropped, when its consumer closes it or at the
+// latest when the evaluation ends.
 func (e *Env) streamSort(attr string, schema *frel.Schema, in extsort.Records, size int64, order extsort.Order) (*sortedStream, *exec.OpStats, error) {
 	mgr := e.cat.Manager()
 	start, ios := time.Now(), mgr.Stats().IO()
@@ -416,8 +398,6 @@ func (e *Env) streamSort(attr string, schema *frel.Schema, in extsort.Records, s
 		// The input's operators count their own work.
 		elapsed, sortIOs = elapsed-t.wall, sortIOs-t.reads
 	}
-	e.Phases.SortIOs += sortIOs
-	e.Phases.SortWall += elapsed
 	st := str.Stats()
 	node := e.newNode("sort", attr)
 	node.SortRuns.Add(int64(st.Runs))
@@ -425,6 +405,7 @@ func (e *Env) streamSort(attr string, schema *frel.Schema, in extsort.Records, s
 	node.SpillBytes.Add(st.SpillBytes)
 	node.Comparisons.Add(st.Comparisons)
 	node.WallNanos.Add(elapsed.Nanoseconds())
+	node.PageIOs.Add(sortIOs)
 	out := &sortedStream{e: e, schema: schema, attr: order.Attr, str: str, node: node, counted: st.Comparisons}
 	e.streams = append(e.streams, out)
 	return out, node, nil

@@ -23,7 +23,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	answers, err := sess.ExecScript(`
+	stmts, err := fsql.ParseScript(`
 		CREATE TABLE F (NAME STRING, AGE NUMBER, INCOME NUMBER);
 		CREATE TABLE M (NAME STRING, AGE NUMBER, INCOME NUMBER);
 		INSERT INTO F VALUES ('Ann',   'medium young', 'medium high');
@@ -38,7 +38,13 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range answers[0].Tuples {
+	var answer *frel.Relation
+	for _, st := range stmts {
+		if answer, err = sess.Exec(st); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for _, t := range answer.Tuples {
 		fmt.Printf("%s %.1f\n", t.Values[0].Str, t.D)
 	}
 	// Output:
@@ -46,8 +52,8 @@ func Example() {
 	// Betty 0.7
 }
 
-// Explain reports which of the paper's rewrites a nested query takes.
-func ExampleEnv_Explain() {
+// PlanQuery reports which of the paper's rewrites a nested query takes.
+func ExampleEnv_PlanQuery() {
 	env := core.NewMemEnv()
 	mk := func(name string, attrs ...string) {
 		var as []frel.Attribute
@@ -66,8 +72,11 @@ func ExampleEnv_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan := env.Explain(q)
-	fmt.Println(plan.Strategy)
+	p, err := env.PlanQuery(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(p.Strategy)
 	// Output:
 	// jx-anti-join
 }

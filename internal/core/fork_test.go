@@ -26,7 +26,7 @@ func TestForkTermScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	if _, err := base.ExecScript(`
+	if _, err := execScript(base, `
 		CREATE TABLE F (NAME STRING, AGE NUMBER);
 		INSERT INTO F VALUES ('Ann', 25);
 		INSERT INTO F VALUES ('Old Joe', 70);
@@ -40,12 +40,12 @@ func TestForkTermScope(t *testing.T) {
 	defer f2.Close()
 
 	// f1 redefines "young" privately to cover age 70.
-	if _, err := f1.ExecScript(`DEFINE TERM 'young' AS TRAP(0, 0, 80, 90)`); err != nil {
+	if _, err := execScript(f1, `DEFINE TERM 'young' AS TRAP(0, 0, 80, 90)`); err != nil {
 		t.Fatal(err)
 	}
 	q := `SELECT F.NAME FROM F WHERE F.AGE = 'young'`
 	count := func(s *Session) int {
-		rels, err := s.ExecScript(q)
+		rels, err := execScript(s, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,16 +63,16 @@ func TestForkTermScope(t *testing.T) {
 	}
 
 	// A term unknown everywhere reports ErrUnknownTerm.
-	if _, err := f2.ExecScript(`SELECT F.NAME FROM F WHERE F.AGE = 'no such term'`); err == nil {
+	if _, err := execScript(f2, `SELECT F.NAME FROM F WHERE F.AGE = 'no such term'`); err == nil {
 		t.Error("want unknown-term error")
 	}
 
 	// A shared term defined through the base session is visible to forks
 	// unless shadowed.
-	if _, err := base.ExecScript(`DEFINE TERM 'ancient' AS TRAP(60, 65, 120, 120)`); err != nil {
+	if _, err := execScript(base, `DEFINE TERM 'ancient' AS TRAP(60, 65, 120, 120)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.ExecScript(`SELECT F.NAME FROM F WHERE F.AGE = 'ancient'`); err != nil {
+	if _, err := execScript(f2, `SELECT F.NAME FROM F WHERE F.AGE = 'ancient'`); err != nil {
 		t.Errorf("fork cannot see shared term: %v", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestEvalPlanReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE R (K NUMBER, B NUMBER);
 		CREATE TABLE S (B NUMBER);
 		INSERT INTO R VALUES (1, 10);
@@ -99,17 +99,17 @@ func TestEvalPlanReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	rel, err := sess.Env.EvalPlanContext(ctx, p)
+	rel, err := sess.Env.Eval(ctx, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != 1 {
 		t.Fatalf("first execution: %d answers, want 1", rel.Len())
 	}
-	if _, err := sess.ExecScript(`INSERT INTO R VALUES (2, 10)`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO R VALUES (2, 10)`); err != nil {
 		t.Fatal(err)
 	}
-	rel, err = sess.Env.EvalPlanContext(ctx, p)
+	rel, err = sess.Env.Eval(ctx, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -161,19 +162,22 @@ func TestFuzzEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %q: %v", src, err)
 		}
-		plan := e.Explain(q)
-		counts[plan.Strategy]++
-		naive, err := e.EvalNaive(q)
+		strategy := StrategyNaive
+		if p, err := e.PlanQuery(q); err == nil {
+			strategy = p.Strategy
+		}
+		counts[strategy]++
+		naive, err := e.EvalNaive(context.Background(), q, nil)
 		if err != nil {
 			t.Fatalf("naive(%q): %v", src, err)
 		}
-		unnested, err := e.EvalUnnested(q)
+		unnested, err := evalQ(e, q, nil)
 		if err != nil {
 			t.Fatalf("unnested(%q): %v", src, err)
 		}
 		if !naive.Equal(unnested, 1e-9) {
 			t.Fatalf("equivalence violated (strategy %v) for\n%s\nnaive: %v\nunnested: %v",
-				plan.Strategy, src, naive.Tuples, unnested.Tuples)
+				strategy, src, naive.Tuples, unnested.Tuples)
 		}
 	}
 	// The generator must actually exercise the rewrites, not just the

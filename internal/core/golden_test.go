@@ -102,7 +102,7 @@ func scriptSession(t *testing.T, script string) *Session {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sess.Close() })
-	if _, err := sess.ExecScript(script); err != nil {
+	if _, err := execScript(sess, script); err != nil {
 		t.Fatal(err)
 	}
 	return sess

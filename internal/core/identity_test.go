@@ -93,14 +93,15 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			env := memEnv(r, s)
 			env.Parallelism = workers
-			if env.Explain(q).Strategy == StrategyNaive {
+			if p, err := env.PlanQuery(q); err != nil || p.Strategy == StrategyNaive {
 				t.Fatalf("%s: not unnested", c.class)
 			}
-			naive, err := env.EvalNaive(q)
+			naive, err := env.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+			es := &ExecStats{}
+			got, err := evalQ(env, q, es)
 			if err != nil {
 				t.Fatalf("%s: %v", c.class, err)
 			}

@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -45,7 +49,7 @@ func loadIndexWorkload(t *testing.T, sess *Session) {
 		stmts = append(stmts,
 			fmt.Sprintf(`INSERT INTO S VALUES (%d, %d)`, i%5, i%7+1))
 	}
-	if _, err := sess.ExecScript(strings.Join(stmts, ";\n")); err != nil {
+	if _, err := execScript(sess, strings.Join(stmts, ";\n")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,7 +72,7 @@ func TestIndexServesColdQuery(t *testing.T) {
 	fs := storage.NewMemFS()
 	sess := openIndexSession(t, fs)
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE INDEX r_b ON R (B);
 		CREATE INDEX s_b ON S (B);
 	`); err != nil {
@@ -82,7 +86,7 @@ func TestIndexServesColdQuery(t *testing.T) {
 	sess = openIndexSession(t, fs)
 	defer sess.Close()
 	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
-	sess.Env.ResetStats()
+	sess.Env.Work = exec.NewOpStats("total", "")
 	got, stats, err := sess.EvalAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +108,7 @@ func TestIndexServesColdQuery(t *testing.T) {
 		t.Fatalf("index hits = %d, want both merge inputs served", hits)
 	}
 
-	naive, err := sess.EvalNaive(context.Background(), q)
+	naive, err := sess.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +117,85 @@ func TestIndexServesColdQuery(t *testing.T) {
 	}
 
 	// Warm repeat: the loaded order replays from the sort cache.
-	sess.Env.ResetStats()
+	sess.Env.Work = exec.NewOpStats("total", "")
 	if _, _, err := sess.EvalAnalyze(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if hits := sess.Env.Work.CacheHits.Load(); hits < 2 {
 		t.Fatalf("warm repeat cache hits = %d, want >= 2", hits)
+	}
+}
+
+// slowReadFS sleeps readDelay before every ReadAt of the files named in
+// slow, and counts those reads.
+type slowReadFS struct {
+	storage.FS
+	slow  map[string]bool
+	reads atomic.Int64
+}
+
+const readDelay = time.Millisecond
+
+func (f *slowReadFS) OpenFile(path string, flag int, perm os.FileMode) (storage.File, error) {
+	file, err := f.FS.OpenFile(path, flag, perm)
+	if err != nil || !f.slow[filepath.Base(path)] {
+		return file, err
+	}
+	return &slowFile{File: file, fs: f}, nil
+}
+
+type slowFile struct {
+	storage.File
+	fs *slowReadFS
+}
+
+func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.reads.Add(1)
+	time.Sleep(readDelay)
+	return f.File.ReadAt(p, off)
+}
+
+// TestIndexNodeTimesItsLoad: the index node's time covers loading the
+// order (reading the heap and the entry file, checking and re-sorting),
+// which happens before its consumer pulls a row, and its page I/O counts
+// those reads. The files of the indexed relation are read slowly on a
+// cold reopen, so the load's share of the node's time is unmistakable.
+func TestIndexNodeTimesItsLoad(t *testing.T) {
+	mem := storage.NewMemFS()
+	sess := openIndexSession(t, mem)
+	loadIndexWorkload(t, sess)
+	if _, err := execScript(sess, `CREATE INDEX r_b ON R (B); CHECKPOINT;`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := &slowReadFS{FS: mem, slow: map[string]bool{"r.heap": true, "idx-r-b.heap": true}}
+	sess = openIndexSession(t, fs)
+	defer sess.Close()
+	p, err := sess.Env.PlanQuery(mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.reads.Store(0)
+	es := &ExecStats{}
+	if _, err := sess.Eval(context.Background(), p, es); err != nil {
+		t.Fatal(err)
+	}
+	n := es.Plan().Find("index")
+	if n == nil {
+		t.Fatalf("R.B not served by its index:\n%s", es.Plan().Render())
+	}
+	reads := fs.reads.Load()
+	if reads == 0 {
+		t.Fatal("the index load read neither file: the timing check is vacuous")
+	}
+	if min := time.Duration(reads) * readDelay; time.Duration(n.WallNanos) < min {
+		t.Errorf("index node time %v, its load did %d reads of %v each", time.Duration(n.WallNanos), reads, readDelay)
+	}
+	if n.PageIOs < reads {
+		t.Errorf("index node counted %d page I/Os, its load read %d pages", n.PageIOs, reads)
 	}
 }
 
@@ -131,22 +208,22 @@ func TestIndexServesInsertedTail(t *testing.T) {
 	sess := openIndexSession(t, fs)
 	defer sess.Close()
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err != nil {
+	if _, err := execScript(sess, `CREATE INDEX r_b ON R (B)`); err != nil {
 		t.Fatal(err)
 	}
 	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
 	check := func(label string) {
 		t.Helper()
-		sess.Env.ResetStats()
+		sess.Env.Work = exec.NewOpStats("total", "")
 		sess.Env.ReleaseSortCache() // load R's order from the index anew
-		got, err := sess.EvalSelect(context.Background(), q)
+		got, err := sess.ExecContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
 			t.Fatalf("%s: index hits = %d, want >= 1", label, hits)
 		}
-		naive, err := sess.EvalNaive(context.Background(), q)
+		naive, err := sess.EvalNaive(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +231,11 @@ func TestIndexServesInsertedTail(t *testing.T) {
 			t.Fatalf("%s: answers differ:\nindexed: %v\nnaive:   %v", label, got.Tuples, naive.Tuples)
 		}
 	}
-	if _, err := sess.ExecScript(`INSERT INTO R VALUES (100, 1, TRAP(0, 1, 2, 3))`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO R VALUES (100, 1, TRAP(0, 1, 2, 3))`); err != nil {
 		t.Fatal(err)
 	}
 	check("after an autocommit insert")
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		BEGIN;
 		INSERT INTO R VALUES (101, 2, 5);
 		INSERT INTO R VALUES (102, 3, TRAP(2, 3, 4, 5)) DEGREE 0.5;
@@ -166,7 +243,7 @@ func TestIndexServesInsertedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("inside the transaction")
-	if _, err := sess.ExecScript(`COMMIT`); err != nil {
+	if _, err := execScript(sess, `COMMIT`); err != nil {
 		t.Fatal(err)
 	}
 	check("after the commit")
@@ -192,27 +269,27 @@ func TestIndexDDLBarrier(t *testing.T) {
 	sess := openIndexSession(t, fs)
 	defer sess.Close()
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`CREATE INDEX s_b ON S (B)`); err != nil {
+	if _, err := execScript(sess, `CREATE INDEX s_b ON S (B)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`BEGIN`); err != nil {
+	if _, err := execScript(sess, `BEGIN`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err == nil ||
+	if _, err := execScript(sess, `CREATE INDEX r_b ON R (B)`); err == nil ||
 		!strings.Contains(err.Error(), "cannot run inside a transaction") {
 		t.Fatalf("CREATE INDEX inside txn: err = %v", err)
 	}
-	if _, err := sess.ExecScript(`DROP INDEX s_b`); err == nil ||
+	if _, err := execScript(sess, `DROP INDEX s_b`); err == nil ||
 		!strings.Contains(err.Error(), "cannot run inside a transaction") {
 		t.Fatalf("DROP INDEX inside txn: err = %v", err)
 	}
 	if !sess.InTxn() {
 		t.Fatal("rejected index DDL aborted the transaction")
 	}
-	if _, err := sess.ExecScript(`INSERT INTO R VALUES (200, 0, 1); COMMIT`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO R VALUES (200, 0, 1); COMMIT`); err != nil {
 		t.Fatalf("transaction unusable after rejected DDL: %v", err)
 	}
-	if _, err := sess.ExecScript(`DROP INDEX s_b`); err != nil {
+	if _, err := execScript(sess, `DROP INDEX s_b`); err != nil {
 		t.Fatalf("DROP INDEX at barrier: %v", err)
 	}
 }
@@ -224,7 +301,7 @@ func TestIndexServesBulkLoadedTail(t *testing.T) {
 	fs := storage.NewMemFS()
 	sess := openIndexSession(t, fs)
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err != nil {
+	if _, err := execScript(sess, `CREATE INDEX r_b ON R (B)`); err != nil {
 		t.Fatal(err)
 	}
 	h, err := sess.Catalog().Relation("R")
@@ -241,7 +318,7 @@ func TestIndexServesBulkLoadedTail(t *testing.T) {
 	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
 	eval := func(label string) *frel.Relation {
 		t.Helper()
-		sess.Env.ResetStats()
+		sess.Env.Work = exec.NewOpStats("total", "")
 		got, stats, err := sess.EvalAnalyze(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +329,7 @@ func TestIndexServesBulkLoadedTail(t *testing.T) {
 		return got
 	}
 	got := eval("bulk tail")
-	naive, err := sess.EvalNaive(context.Background(), q)
+	naive, err := sess.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +376,7 @@ func TestIndexCorruptEntriesFallBack(t *testing.T) {
 			sess := openIndexSession(t, storage.NewMemFS())
 			defer sess.Close()
 			loadIndexWorkload(t, sess)
-			if _, err := sess.ExecScript(`CREATE INDEX r_b ON R (B)`); err != nil {
+			if _, err := execScript(sess, `CREATE INDEX r_b ON R (B)`); err != nil {
 				t.Fatal(err)
 			}
 			ix, _ := sess.Catalog().LookupIndex("r_b")
@@ -315,20 +392,20 @@ func TestIndexCorruptEntriesFallBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.insert {
-				if _, err := sess.ExecScript(`INSERT INTO R VALUES (99, 0, -1)`); err != nil {
+				if _, err := execScript(sess, `INSERT INTO R VALUES (99, 0, -1)`); err != nil {
 					t.Fatal(err)
 				}
 			}
 			q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
-			sess.Env.ResetStats()
-			got, err := sess.EvalSelect(context.Background(), q)
+			sess.Env.Work = exec.NewOpStats("total", "")
+			got, err := sess.ExecContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hits := sess.Env.Work.IndexHits.Load(); hits != 0 {
 				t.Fatalf("a corrupt index served %d sorts", hits)
 			}
-			naive, err := sess.EvalNaive(context.Background(), q)
+			naive, err := sess.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -495,14 +572,14 @@ func TestIndexInOlderOrderFallsBack(t *testing.T) {
 		for _, src := range queries {
 			q := mustSelect(t, src)
 			e := NewEnv(cat)
-			got, err := e.EvalUnnestedContext(context.Background(), q)
+			got, err := evalQ(e, q, nil)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", tc.name, src, err)
 			}
 			if hits := e.Work.IndexHits.Load(); (hits > 0) != tc.served {
 				t.Errorf("%s: %s: the index served %d sorts", tc.name, src, hits)
 			}
-			naive, err := e.EvalNaive(q)
+			naive, err := e.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,22 +597,22 @@ func TestIndexDeleteRebuild(t *testing.T) {
 	sess := openIndexSession(t, fs)
 	defer sess.Close()
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE INDEX r_b ON R (B);
 		DELETE FROM R WHERE R.K >= 20;
 	`); err != nil {
 		t.Fatal(err)
 	}
 	q := mustSelect(t, `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S)`)
-	sess.Env.ResetStats()
-	got, err := sess.EvalSelect(context.Background(), q)
+	sess.Env.Work = exec.NewOpStats("total", "")
+	got, err := sess.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := sess.Env.Work.IndexHits.Load(); hits < 1 {
 		t.Fatal("rebuilt index does not serve after DELETE")
 	}
-	naive, err := sess.EvalNaive(context.Background(), q)
+	naive, err := sess.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +682,8 @@ func TestIndexedJAMatchesExternalSortOnTies(t *testing.T) {
 		}
 		e := NewEnv(cat)
 		e.SortMemPages = 2
-		got, es, err := e.EvalUnnestedAnalyze(context.Background(), q)
+		es := &ExecStats{}
+		got, err := evalQ(e, q, es)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -635,7 +713,7 @@ func TestExplainShowsIndexedMerge(t *testing.T) {
 	sess := openIndexSession(t, fs)
 	defer sess.Close()
 	loadIndexWorkload(t, sess)
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE INDEX r_b ON R (B);
 		CREATE INDEX s_b ON S (B);
 	`); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/exec"
 	"repro/internal/extsort"
 	"repro/internal/frel"
@@ -36,6 +38,8 @@ func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, o
 	if ix == nil {
 		return nil, false, nil
 	}
+	stats := e.cat.Manager().Stats()
+	start, ios := time.Now(), stats.IO()
 	horizon := base.Limit
 	if horizon < 0 {
 		horizon = base.Heap.NumTuples()
@@ -92,5 +96,7 @@ func (e *Env) indexSorted(src exec.Source, base *exec.HeapSource, attr string, o
 	e.storeSort(key, sortEntry{version: e.heapVersion(base.Heap), tuples: tuples})
 	node := e.newNode("index", attr)
 	node.IndexHits.Add(1)
+	node.WallNanos.Add(time.Since(start).Nanoseconds())
+	node.PageIOs.Add(stats.IO() - ios)
 	return e.attach(node, exec.WithContext(e.ctx, exec.NewMemSource(srel)), src), true, nil
 }

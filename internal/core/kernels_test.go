@@ -60,14 +60,14 @@ func TestKernelCompilationMatchesInterpreted(t *testing.T) {
 			t.Fatalf("%s: %v", qs, err)
 		}
 		env := kernelTestEnv(t)
-		got, err := env.EvalUnnested(q)
+		got, err := evalQ(env, q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
 		if env.Work.KernelTuples.Load() == 0 {
 			t.Errorf("%s: compiled kernels did not fire", qs)
 		}
-		want, err := kernelTestEnv(t).EvalNaive(q)
+		want, err := kernelTestEnv(t).EvalNaive(context.Background(), q, nil)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", qs, err)
 		}
@@ -86,8 +86,8 @@ func TestKernelFusedNodeInAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := kernelTestEnv(t)
-	_, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
-	if err != nil {
+	es := &ExecStats{}
+	if _, err := evalQ(env, q, es); err != nil {
 		t.Fatal(err)
 	}
 	snap := es.Plan()
@@ -120,10 +120,10 @@ func TestKernelBridgeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if env.Explain(q).Strategy == StrategyNaive {
+		if p, err := env.PlanQuery(q); err != nil || p.Strategy == StrategyNaive {
 			t.Fatalf("%s: not unnested", qs)
 		}
-		if _, err := env.EvalUnnested(q); !errors.Is(err, ErrUnknownTerm) {
+		if _, err := evalQ(env, q, nil); !errors.Is(err, ErrUnknownTerm) {
 			t.Errorf("%s: error %v, want ErrUnknownTerm", qs, err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestKernelBridgeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.EvalUnnested(q); err == nil || !strings.Contains(err.Error(), "unbound parameter") {
+	if _, err := evalQ(env, q, nil); err == nil || !strings.Contains(err.Error(), "unbound parameter") {
 		t.Errorf("unbound parameter: error %v", err)
 	}
 }

@@ -112,7 +112,7 @@ func TestHavingGradesGroups(t *testing.T) {
 	e := envRS(rand.New(rand.NewSource(49)), 30, 30, 0)
 	run := func(src string) *frel.Relation {
 		t.Helper()
-		rel, err := e.EvalUnnested(mustParse(t, src))
+		rel, err := evalQ(e, mustParse(t, src), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestEmptyOuterRelation(t *testing.T) {
 		`SELECT R.TAG FROM R WHERE R.Y < ALL (SELECT S.Z FROM S WHERE S.V = R.U)`,
 	} {
 		q := mustParse(t, src)
-		rel, err := e.EvalUnnested(q)
+		rel, err := evalQ(e, q, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}

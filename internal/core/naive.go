@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,9 +19,19 @@ import (
 // of every subquery predicate is re-evaluated — re-scanning its relations —
 // once for every tuple of the enclosing block. This is the nested-loop
 // baseline of the experiments and the semantic reference the unnesting
-// rewrites are tested against. It counts its degree evaluations into one
-// node, which is the whole tree under EXPLAIN ANALYZE.
-func (e *Env) EvalNaive(q *fsql.Select) (*frel.Relation, error) {
+// rewrites are tested against. ctx and es act as for Eval; the
+// evaluation counts its degree evaluations into one node, which is the
+// whole tree of a non-nil es.
+func (e *Env) EvalNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*frel.Relation, error) {
+	if es != nil {
+		es.Strategy, es.Note = StrategyNaive, "nested-loop evaluation of the nested form"
+	}
+	return e.evaluate(ctx, es, func() (*frel.Relation, error) { return e.naive(q) })
+}
+
+// naive is EvalNaive inside a running evaluation (the engine's fallback
+// for shapes outside the paper's classes).
+func (e *Env) naive(q *fsql.Select) (*frel.Relation, error) {
 	node := e.newNode(StrategyNaive.String(), "")
 	if e.analyze == nil {
 		return e.evalBlock(q, nil, node)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestNaiveExample41(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestNaiveExample41InnerBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestNaiveQuery1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestNaiveWithThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestNaiveErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := e.EvalNaive(q); err == nil {
+		if _, err := e.EvalNaive(context.Background(), q, nil); err == nil {
 			t.Errorf("EvalNaive(%q): want error", src)
 		}
 	}
@@ -206,7 +207,7 @@ func TestNaiveGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestNaiveStringIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalNaive(q)
+	got, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestNearInAntiJoin(t *testing.T) {
 func TestNearCrispBandSemantics(t *testing.T) {
 	e := memEnv(relOf("R", []float64{10, 20, 30}), relOf("S", []float64{12, 26, 300}))
 	q := mustParse(t, `SELECT R.Y, S.Z FROM R, S WHERE R.Y NEAR S.Z WITHIN 5`)
-	rel, err := e.EvalUnnested(q)
+	rel, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSampledSelectivityImprovesOrder(t *testing.T) {
 		e := memEnv(rRel, sRel, tRel)
 		e.DisableJoinReorder = disable
 		q := mustParse(t, query)
-		if _, err := e.EvalUnnested(q); err != nil {
+		if _, err := evalQ(e, q, nil); err != nil {
 			t.Fatal(err)
 		}
 		return e.Work.DegreeEvals.Load()

@@ -79,7 +79,11 @@ func (s *Session) ExecContext(ctx context.Context, stmt fsql.Statement) (*frel.R
 	}
 	switch st := stmt.(type) {
 	case *fsql.Select:
-		return s.EvalSelect(ctx, st)
+		p, err := s.Env.PlanQuery(st)
+		if err != nil {
+			return nil, err
+		}
+		return s.Eval(ctx, p, nil)
 
 	case *fsql.Explain:
 		if st.Analyze {
@@ -90,11 +94,11 @@ func (s *Session) ExecContext(ctx context.Context, stmt fsql.Statement) (*frel.R
 			return planRelation(stats.Lines()), nil
 		}
 		p, err := s.Env.PlanQuery(st.Query)
-		if err != nil {
-			return planRelation([]string{fmt.Sprintf("strategy: %s (cannot plan: %s)", StrategyNaive, err)}), nil
+		lines := []string{"strategy: " + PlanSummary(p, err)}
+		if err == nil {
+			lines = append(lines, p.Lines()...)
 		}
-		lines := []string{fmt.Sprintf("strategy: %s (%s)", p.Strategy, p.Note)}
-		return planRelation(append(lines, p.Lines()...)), nil
+		return planRelation(lines), nil
 
 	case *fsql.Begin:
 		return nil, s.beginTxn()
@@ -250,34 +254,35 @@ func (s *Session) readSnapshot() *Snapshot {
 	return s.Env.takeSnapshot()
 }
 
-// EvalSelect evaluates q under the session's read snapshot (see
-// readSnapshot): the scan of every heap relation is bounded to one
-// consistent committed cut, so the query never blocks behind a concurrent
-// writer and never observes a torn or rolled-back transaction.
-func (s *Session) EvalSelect(ctx context.Context, q *fsql.Select) (*frel.Relation, error) {
+// Eval runs a planned query (see Env.Eval) under the session's read
+// snapshot (see readSnapshot): the scan of every heap relation is bounded
+// to one consistent committed cut, so the query never blocks behind a
+// concurrent writer and never observes a torn or rolled-back transaction.
+func (s *Session) Eval(ctx context.Context, p *plan.Plan, es *ExecStats) (*frel.Relation, error) {
 	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.EvalUnnestedContext(ctx, q)
+	return s.Env.Eval(ctx, p, es)
 }
 
-// EvalAnalyze is EvalSelect returning the executor's plan statistics
-// (EXPLAIN ANALYZE).
+// EvalNaive evaluates q by its nested semantics (see Env.EvalNaive) under
+// the session's read snapshot.
+func (s *Session) EvalNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*frel.Relation, error) {
+	defer s.Env.setSnapshot(s.readSnapshot())()
+	return s.Env.EvalNaive(ctx, q, es)
+}
+
+// EvalAnalyze plans q and runs it under the session's read snapshot,
+// returning the answer with the run's EXPLAIN ANALYZE statistics.
 func (s *Session) EvalAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
-	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.EvalUnnestedAnalyze(ctx, q)
-}
-
-// EvalPlan executes a previously built plan under the session's read
-// snapshot (prepared-statement path).
-func (s *Session) EvalPlan(ctx context.Context, p *plan.Plan) (*frel.Relation, error) {
-	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.EvalPlanContext(ctx, p)
-}
-
-// EvalNaive evaluates q with the naive nested-loop strategy under the
-// session's read snapshot (the ablation baseline).
-func (s *Session) EvalNaive(ctx context.Context, q *fsql.Select) (*frel.Relation, error) {
-	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.EvalNaiveContext(ctx, q)
+	p, err := s.Env.PlanQuery(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	es := &ExecStats{}
+	rel, err := s.Eval(ctx, p, es)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, es, nil
 }
 
 // planRelation packs text lines into a single-column crisp relation, the
@@ -288,32 +293,6 @@ func planRelation(lines []string) *frel.Relation {
 		rel.Append(frel.NewTuple(1, frel.Str(ln)))
 	}
 	return rel
-}
-
-// ExecScript parses and executes a semicolon-separated script, returning
-// the answer of each SELECT in order.
-func (s *Session) ExecScript(src string) ([]*frel.Relation, error) {
-	return s.ExecScriptContext(context.Background(), src)
-}
-
-// ExecScriptContext is ExecScript observing ctx between and during
-// statements.
-func (s *Session) ExecScriptContext(ctx context.Context, src string) ([]*frel.Relation, error) {
-	stmts, err := fsql.ParseScript(src)
-	if err != nil {
-		return nil, err
-	}
-	var answers []*frel.Relation
-	for _, st := range stmts {
-		rel, err := s.ExecContext(ctx, st)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", st, err)
-		}
-		if rel != nil {
-			answers = append(answers, rel)
-		}
-	}
-	return answers, nil
 }
 
 func (s *Session) insert(st *fsql.Insert) error {

@@ -13,7 +13,7 @@ func TestSessionScriptEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := sess.ExecScript(`
+	answers, err := execScript(sess, `
 		CREATE TABLE W (ID NUMBER, NAME STRING, AGE NUMBER);
 		INSERT INTO W VALUES (1, 'Ann', 24);
 		INSERT INTO W VALUES (2, 'Bea', 'about 35');
@@ -43,14 +43,14 @@ func TestSessionDefineTermOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		DEFINE TERM 'nearly fifty' AS TRI(45, 50, 55);
 		CREATE TABLE W (AGE NUMBER);
 		INSERT INTO W VALUES ('nearly fifty');
 	`); err != nil {
 		t.Fatal(err)
 	}
-	answers, err := sess.ExecScript(`SELECT W.AGE FROM W WHERE W.AGE = 50`)
+	answers, err := execScript(sess, `SELECT W.AGE FROM W WHERE W.AGE = 50`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestSessionDropTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`CREATE TABLE W (X NUMBER); DROP TABLE W;`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE W (X NUMBER); DROP TABLE W;`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`SELECT W.X FROM W`); err == nil {
+	if _, err := execScript(sess, `SELECT W.X FROM W`); err == nil {
 		t.Errorf("query after drop: want error")
 	}
 	// Name reusable after drop.
-	if _, err := sess.ExecScript(`CREATE TABLE W (X NUMBER)`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE W (X NUMBER)`); err != nil {
 		t.Errorf("recreate: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestSessionInsertErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`CREATE TABLE W (X NUMBER, NAME STRING)`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE W (X NUMBER, NAME STRING)`); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -94,7 +94,7 @@ func TestSessionInsertErrors(t *testing.T) {
 		{`INSERT INTO NOPE VALUES (1)`, "unknown relation"},
 	}
 	for _, tc := range cases {
-		_, err := sess.ExecScript(tc.src)
+		_, err := execScript(sess, tc.src)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%q: err = %v, want fragment %q", tc.src, err, tc.frag)
 		}
@@ -129,7 +129,7 @@ func TestSessionPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess1.ExecScript(`
+	if _, err := execScript(sess1, `
 		DEFINE TERM 'fortyish' AS TRI(35, 40, 45);
 		CREATE TABLE W (ID NUMBER, AGE NUMBER);
 		INSERT INTO W VALUES (1, 'fortyish');
@@ -143,7 +143,7 @@ func TestSessionPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The custom term and the data both survived.
-	answers, err := sess2.ExecScript(`SELECT W.ID FROM W WHERE W.AGE = 'fortyish'`)
+	answers, err := execScript(sess2, `SELECT W.ID FROM W WHERE W.AGE = 'fortyish'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,10 @@ func TestSessionPersistenceAcrossReopen(t *testing.T) {
 		t.Errorf("answer after reopen = %v", answers[0].Tuples)
 	}
 	// New inserts extend the reopened relation.
-	if _, err := sess2.ExecScript(`INSERT INTO W VALUES (3, 39)`); err != nil {
+	if _, err := execScript(sess2, `INSERT INTO W VALUES (3, 39)`); err != nil {
 		t.Fatal(err)
 	}
-	answers, err = sess2.ExecScript(`SELECT W.ID FROM W WHERE W.AGE = 'fortyish'`)
+	answers, err = execScript(sess2, `SELECT W.ID FROM W WHERE W.AGE = 'fortyish'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +168,15 @@ func TestSessionExplainThroughEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`CREATE TABLE R (U NUMBER, Y NUMBER); CREATE TABLE S (V NUMBER, Z NUMBER);`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE R (U NUMBER, Y NUMBER); CREATE TABLE S (V NUMBER, Z NUMBER);`); err != nil {
 		t.Fatal(err)
 	}
 	q, err := fsql.ParseQuery(`SELECT R.Y FROM R WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := sess.Env.Explain(q); plan.Strategy != StrategyChain {
-		t.Errorf("strategy = %v", plan.Strategy)
+	if p, err := sess.Env.PlanQuery(q); err != nil || p.Strategy != StrategyChain {
+		t.Errorf("strategy = %s", PlanSummary(p, err))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestSessionExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
 		CREATE TABLE S (A NUMBER, B NUMBER);
 		INSERT INTO R VALUES (1, 1, 10);

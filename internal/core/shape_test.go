@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestOrderByDegree(t *testing.T) {
 		SELECT F.NAME FROM F
 		WHERE F.AGE = 'middle age'
 		ORDER BY D DESC`)
-	rel, err := e.EvalUnnested(q)
+	rel, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestOrderByDegree(t *testing.T) {
 		SELECT F.NAME FROM F
 		WHERE F.AGE = 'middle age'
 		ORDER BY D`)
-	rel2, err := e.EvalUnnested(q2)
+	rel2, err := evalQ(e, q2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestOrderByDegree(t *testing.T) {
 func TestOrderByAttribute(t *testing.T) {
 	e := datingEnv()
 	q := mustParse(t, `SELECT M.ID, M.AGE FROM M ORDER BY M.AGE`)
-	rel, err := e.EvalUnnested(q)
+	rel, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestLimitDeterministicEquivalence(t *testing.T) {
 func TestLimitTruncates(t *testing.T) {
 	e := datingEnv()
 	q := mustParse(t, `SELECT F.ID FROM F LIMIT 2`)
-	rel, err := e.EvalUnnested(q)
+	rel, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestLimitTruncates(t *testing.T) {
 		t.Errorf("LIMIT 2 returned %d tuples", rel.Len())
 	}
 	q0 := mustParse(t, `SELECT F.ID FROM F LIMIT 0`)
-	rel0, err := e.EvalUnnested(q0)
+	rel0, err := evalQ(e, q0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +93,10 @@ func TestLimitTruncates(t *testing.T) {
 func TestOrderByUnknownAttr(t *testing.T) {
 	e := datingEnv()
 	q := mustParse(t, `SELECT F.ID FROM F ORDER BY F.NOPE`)
-	if _, err := e.EvalUnnested(q); err == nil {
+	if _, err := evalQ(e, q, nil); err == nil {
 		t.Errorf("ORDER BY unknown attribute: want error")
 	}
-	if _, err := e.EvalNaive(q); err == nil {
+	if _, err := e.EvalNaive(context.Background(), q, nil); err == nil {
 		t.Errorf("naive ORDER BY unknown attribute: want error")
 	}
 }
@@ -108,15 +109,15 @@ func TestInnerLimitFallsBackToNaive(t *testing.T) {
 	q := mustParse(t, `
 		SELECT R.TAG FROM R
 		WHERE R.Y IN (SELECT S.Z FROM S WHERE S.V = R.U ORDER BY D DESC LIMIT 2)`)
-	if plan := e.Explain(q); plan.Strategy != StrategyNaive {
-		t.Errorf("strategy = %v, want naive fallback", plan.Strategy)
+	if p, err := e.PlanQuery(q); err == nil && p.Strategy != StrategyNaive {
+		t.Errorf("strategy = %v, want naive fallback", p.Strategy)
 	}
 	// Both evaluators still agree (the fallback is the naive evaluation).
-	naive, err := e.EvalNaive(q)
+	naive, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	un, err := e.EvalUnnested(q)
+	un, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestDeleteStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE W (ID NUMBER, AGE NUMBER);
 		INSERT INTO W VALUES (1, 24);
 		INSERT INTO W VALUES (2, 'about 35');
@@ -140,10 +141,10 @@ func TestDeleteStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete anyone possibly medium young (24 at 0.8, about 35 at 0.5).
-	if _, err := sess.ExecScript(`DELETE FROM W WHERE W.AGE = 'medium young'`); err != nil {
+	if _, err := execScript(sess, `DELETE FROM W WHERE W.AGE = 'medium young'`); err != nil {
 		t.Fatal(err)
 	}
-	answers, err := sess.ExecScript(`SELECT W.ID FROM W`)
+	answers, err := execScript(sess, `SELECT W.ID FROM W`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestDeleteWithThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE W (ID NUMBER, AGE NUMBER);
 		INSERT INTO W VALUES (1, 24);
 		INSERT INTO W VALUES (2, 'about 35');
@@ -169,10 +170,10 @@ func TestDeleteWithThreshold(t *testing.T) {
 	// Only degree >= 0.7 deletions: 24 (0.8) goes, about 35 (0.5) stays.
 	// The condition's degree is the tuple's own business: the row of
 	// degree 0.3 whose AGE matches to 0.8 goes too.
-	if _, err := sess.ExecScript(`DELETE FROM W WHERE W.AGE = 'medium young' WITH D >= 0.7`); err != nil {
+	if _, err := execScript(sess, `DELETE FROM W WHERE W.AGE = 'medium young' WITH D >= 0.7`); err != nil {
 		t.Fatal(err)
 	}
-	answers, err := sess.ExecScript(`SELECT W.ID FROM W`)
+	answers, err := execScript(sess, `SELECT W.ID FROM W`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestDeleteAllAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE W (ID NUMBER);
 		INSERT INTO W VALUES (1);
 		INSERT INTO W VALUES (2);
@@ -202,7 +203,7 @@ func TestDeleteAllAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := sess2.ExecScript(`SELECT W.ID FROM W`)
+	answers, err := execScript(sess2, `SELECT W.ID FROM W`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestDeleteUnknownRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`DELETE FROM NOPE`); err == nil {
+	if _, err := execScript(sess, `DELETE FROM NOPE`); err == nil {
 		t.Errorf("want error")
 	}
 }

@@ -32,7 +32,7 @@ func cacheRel(name string, n int, seed int64) *frel.Relation {
 // relations — the ground truth a cached evaluation must match.
 func freshAnswer(t *testing.T, q *fsql.Select, r, s *frel.Relation) *frel.Relation {
 	t.Helper()
-	rel, err := memEnv(r, s).EvalUnnested(q)
+	rel, err := evalQ(memEnv(r, s), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,8 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, es1, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es1 := &ExecStats{}
+	first, err := evalQ(env, q, es1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +61,15 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 	if misses == 0 {
 		t.Fatal("first run sorted no base relation")
 	}
-	if _, _, err := env.EvalUnnestedAnalyze(context.Background(), q); err != nil {
+	if _, err := evalQ(env, q, &ExecStats{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.Work.CacheMisses.Load(); got != 2*misses {
 		t.Fatalf("second run admitted %d orders, want the %d the first run sorted", got-misses, misses)
 	}
 
-	third, es3, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es3 := &ExecStats{}
+	third, err := evalQ(env, q, es3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 	env := analyzeEnv(t, 400, 1)
 	env.SortMemPages = 4 // R and S each write a run before their last batch
 	mgr := env.cat.Manager()
-	want, err := env.EvalNaive(q)
+	want, err := env.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,8 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 	// of sorted copies cached and the temporaries left live.
 	step := func(name string, wantCounts map[string][2]int64, cached int) map[string]int64 {
 		t.Helper()
-		rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+		es := &ExecStats{}
+		rel, err := evalQ(env, q, es)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 	}
 
 	appendHeap(t, env, "S", frel.NewTuple(1, frel.Crisp(999), frel.Crisp(5), frel.Crisp(5)))
-	if want, err = env.EvalNaive(q); err != nil {
+	if want, err = env.EvalNaive(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
 	step("after the append", map[string][2]int64{"R": hit, "S": miss}, 2)
@@ -212,7 +215,8 @@ func appendHeap(t *testing.T, env *Env, name string, tu frel.Tuple) {
 // the dot).
 func sortCacheCounts(t *testing.T, env *Env, q *fsql.Select) (*frel.Relation, map[string][2]int64) {
 	t.Helper()
-	rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es := &ExecStats{}
+	rel, err := evalQ(env, q, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +322,7 @@ func TestSortCacheSessionInsertAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
 		CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);
 		INSERT INTO R VALUES (1, 1, 10);
@@ -331,7 +335,7 @@ func TestSortCacheSessionInsertAndDelete(t *testing.T) {
 	}
 	query := func() *frel.Relation {
 		t.Helper()
-		answers, err := sess.ExecScript(analyzeQuery)
+		answers, err := execScript(sess, analyzeQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +351,7 @@ func TestSortCacheSessionInsertAndDelete(t *testing.T) {
 	}
 
 	// INSERT a matching S row: R.K = 2 now joins.
-	if _, err := sess.ExecScript(`INSERT INTO S VALUES (9, 2, 20)`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO S VALUES (9, 2, 20)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := query(); got.Len() != 2 {
@@ -355,7 +359,7 @@ func TestSortCacheSessionInsertAndDelete(t *testing.T) {
 	}
 
 	// DELETE it again: the catalog swaps in a rewritten heap file.
-	if _, err := sess.ExecScript(`DELETE FROM S WHERE S.K = 9`); err != nil {
+	if _, err := execScript(sess, `DELETE FROM S WHERE S.K = 9`); err != nil {
 		t.Fatal(err)
 	}
 	if got := query(); got.Len() != 1 {
@@ -372,7 +376,7 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
 		CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);
 		INSERT INTO R VALUES (1, 1, 10);
@@ -380,7 +384,7 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if answers, err := sess.ExecScript(analyzeQuery); err != nil || answers[0].Len() != 1 {
+	if answers, err := execScript(sess, analyzeQuery); err != nil || answers[0].Len() != 1 {
 		t.Fatalf("answers=%v err=%v", answers, err)
 	}
 
@@ -391,7 +395,7 @@ func TestSortCacheCatalogReload(t *testing.T) {
 	if hits := reopened.Env.Work.CacheHits.Load(); hits != 0 {
 		t.Fatalf("reopened session starts with %d cache hits", hits)
 	}
-	answers, err := reopened.ExecScript(analyzeQuery)
+	answers, err := execScript(reopened, analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +427,7 @@ func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			if _, err := sess.ExecScript(`
+			if _, err := execScript(sess, `
 				CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER);
 				CREATE TABLE S (K NUMBER, A NUMBER, B NUMBER);
 				INSERT INTO R VALUES (1, 1, 10);
@@ -436,7 +440,7 @@ func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for range 2 { // the second run admits both orders
-				if _, err := sess.ExecScript(analyzeQuery); err != nil {
+				if _, err := execScript(sess, analyzeQuery); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -447,16 +451,16 @@ func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
 			for i := 0; len(env.sortCache) < sortCacheMaxEntries; i++ {
 				env.entry(sortKey{attr: i}) // orders of other relations, seen once
 			}
-			if _, err := sess.ExecScript(`DELETE FROM ` + rewritten + ` WHERE ` + rewritten + `.K = 9`); err != nil {
+			if _, err := execScript(sess, `DELETE FROM `+rewritten+` WHERE `+rewritten+`.K = 9`); err != nil {
 				t.Fatal(err)
 			}
 			// A DELETE's rewritten heap counts as a live temporary too.
 			others := sess.cat.Manager().LiveTemps() - sortedCopies(env)
-			want, err := sess.EvalNaive(context.Background(), q)
+			want, err := sess.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			answers, err := sess.ExecScript(analyzeQuery)
+			answers, err := execScript(sess, analyzeQuery)
 			if err != nil {
 				t.Fatal(err)
 			}

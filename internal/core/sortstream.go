@@ -14,8 +14,9 @@ import (
 // (extsort.Stream) as a source: each batch is decoded from the merged
 // records into a fresh value arena, so the sweep's collectSorted takes it
 // as it takes a cached order. The merge runs as the consumer pulls, and its
-// wall time, page I/O and comparisons count toward the sort. A stream
-// can be read once: a second Open is an error, not an empty input.
+// page I/O and comparisons count toward the sort node (its wall time does
+// through the node's Stated wrapper). A stream can be read once: a second
+// Open is an error, not an empty input.
 //
 // The stream of an order the sort cache admits also writes each record it
 // serves to the order's cached sorted copy (copyTo). The copy enters the
@@ -112,19 +113,22 @@ type sortedStreamIterator struct {
 	err    error
 }
 
-// NextBatch decodes up to one batch of the merge.
+// NextBatch decodes up to one batch of the merge, counting the page I/O
+// of the pull (reading runs, writing the cached copy) toward the sort.
 func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
+	stats := it.s.e.cat.Manager().Stats()
+	ios := stats.IO()
+	b, ok := it.decode()
+	it.s.node.PageIOs.Add(stats.IO() - ios)
+	return b, ok
+}
+
+func (it *sortedStreamIterator) decode() ([]frel.Tuple, bool) {
 	s := it.s
 	n := int(min(int64(exec.BatchSize), s.str.Remaining()))
 	if s.closed || it.err != nil || n == 0 {
 		return nil, false
 	}
-	mgr := s.e.cat.Manager()
-	start, ios := time.Now(), mgr.Stats().IO()
-	defer func() {
-		s.e.Phases.SortWall += time.Since(start)
-		s.e.Phases.SortIOs += mgr.Stats().IO() - ios
-	}()
 	width := len(s.schema.Attrs)
 	arena := make([]frel.Value, n*width)
 	it.tuples = it.tuples[:0]

@@ -182,7 +182,7 @@ func TestSortCacheCancelledCopyCachesNothing(t *testing.T) {
 	before := mgr.LiveTemps()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	restore := e.withContext(ctx)
+	e.ctx = ctx
 	it, err := sortR().Open()
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestSortCacheCancelledCopyCachesNothing(t *testing.T) {
 		t.Fatalf("the stream went on after the cancellation: %v", it.Err())
 	}
 	it.Close()
-	restore()
+	e.ctx = nil
 	if n := sortedCopies(e); n != 0 {
 		t.Errorf("a cancelled request cached %d sorted copies", n)
 	}
@@ -265,10 +265,10 @@ func TestSortIntermediateFailureDropsItsRuns(t *testing.T) {
 				// scan of a base relation does.
 				src, want = exec.WithContext(ctx, &failingSource{rel: rel, after: 3, fail: func() error { cancel(); return nil }}), context.Canceled
 			}
-			restore := e.withContext(ctx)
+			e.ctx = ctx
 			before := mgr.LiveTemps()
 			_, err = e.sortSource(src, "X")
-			restore()
+			e.ctx = nil
 			cancel()
 			if !errors.Is(err, want) {
 				t.Errorf("workers=%d cancelled=%v: err = %v, want %v", workers, cancelled, err, want)

@@ -64,7 +64,8 @@ func sameAnswer(t *testing.T, name string, rel *frel.Relation, want map[string]f
 // of the tree as "op [label]".
 func analyzedLabels(t *testing.T, env *Env, q *fsql.Select) (*frel.Relation, []string) {
 	t.Helper()
-	rel, es, err := env.EvalUnnestedAnalyze(context.Background(), q)
+	es := &ExecStats{}
+	rel, err := evalQ(env, q, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestFloorStaysOut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := env.EvalNaive(q)
+			naive, err := env.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,11 +207,11 @@ func TestStrictThreshold(t *testing.T) {
 				t.Fatal(err)
 			}
 			env := memEnv(r, s)
-			naive, err := env.EvalNaive(q)
+			naive, err := env.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			engine, err := env.EvalUnnested(q)
+			engine, err := evalQ(env, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,14 +229,14 @@ func TestStrictThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.ExecScript(`
+		if _, err := execScript(sess, `
 			CREATE TABLE W (ID NUMBER, AGE NUMBER);
 			INSERT INTO W VALUES (1, 24);
 			INSERT INTO W VALUES (2, 'about 35');
-			DELETE FROM W WHERE W.AGE = 'medium young'` + tc.with); err != nil {
+			DELETE FROM W WHERE W.AGE = 'medium young'`+tc.with); err != nil {
 			t.Fatal(err)
 		}
-		answers, err := sess.ExecScript(`SELECT W.ID FROM W`)
+		answers, err := execScript(sess, `SELECT W.ID FROM W`)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func openTxnSession(t *testing.T) *Session {
 
 func countT(t *testing.T, s *Session) int {
 	t.Helper()
-	answers, err := s.ExecScript(`SELECT T.ID FROM T`)
+	answers, err := execScript(s, `SELECT T.ID FROM T`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,33 +34,33 @@ func countT(t *testing.T, s *Session) int {
 // rejection, and the control-statement error cases.
 func TestSessionTransactionLifecycle(t *testing.T) {
 	sess := openTxnSession(t)
-	if _, err := sess.ExecScript(`CREATE TABLE T (ID NUMBER); INSERT INTO T VALUES (1) DEGREE 0.5`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE T (ID NUMBER); INSERT INTO T VALUES (1) DEGREE 0.5`); err != nil {
 		t.Fatal(err)
 	}
 
 	// Control statements outside a transaction fail.
-	if _, err := sess.ExecScript(`COMMIT`); err == nil {
+	if _, err := execScript(sess, `COMMIT`); err == nil {
 		t.Error("COMMIT outside a transaction succeeded")
 	}
-	if _, err := sess.ExecScript(`ROLLBACK`); err == nil {
+	if _, err := execScript(sess, `ROLLBACK`); err == nil {
 		t.Error("ROLLBACK outside a transaction succeeded")
 	}
 
 	if sess.InTxn() {
 		t.Fatal("InTxn before BEGIN")
 	}
-	if _, err := sess.ExecScript(`BEGIN`); err != nil {
+	if _, err := execScript(sess, `BEGIN`); err != nil {
 		t.Fatal(err)
 	}
 	if !sess.InTxn() {
 		t.Fatal("InTxn false after BEGIN")
 	}
-	if _, err := sess.ExecScript(`BEGIN`); err == nil {
+	if _, err := execScript(sess, `BEGIN`); err == nil {
 		t.Error("nested BEGIN succeeded")
 	}
 
 	// Writes are visible to the transaction, not to a forked reader.
-	if _, err := sess.ExecScript(`INSERT INTO T VALUES (2)`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO T VALUES (2)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := countT(t, sess); got != 2 {
@@ -78,7 +78,7 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 		`DELETE FROM T WHERE T.ID = 1`,
 		`CHECKPOINT`,
 	} {
-		_, err := sess.ExecScript(barrier)
+		_, err := execScript(sess, barrier)
 		if err == nil || !strings.Contains(err.Error(), "inside a transaction") {
 			t.Errorf("barrier %q inside a transaction: err = %v", barrier, err)
 		}
@@ -87,7 +87,7 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 		t.Fatal("barrier rejection closed the transaction")
 	}
 
-	if _, err := sess.ExecScript(`ROLLBACK`); err != nil {
+	if _, err := execScript(sess, `ROLLBACK`); err != nil {
 		t.Fatal(err)
 	}
 	if sess.InTxn() {
@@ -98,7 +98,7 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 	}
 
 	// Commit publishes to other sessions.
-	if _, err := sess.ExecScript(`BEGIN; INSERT INTO T VALUES (3); COMMIT`); err != nil {
+	if _, err := execScript(sess, `BEGIN; INSERT INTO T VALUES (3); COMMIT`); err != nil {
 		t.Fatal(err)
 	}
 	if got := countT(t, reader); got != 2 {
@@ -107,7 +107,7 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 
 	// A read-only transaction commits without ever opening a storage
 	// transaction.
-	if _, err := sess.ExecScript(`BEGIN; SELECT T.ID FROM T; COMMIT`); err != nil {
+	if _, err := execScript(sess, `BEGIN; SELECT T.ID FROM T; COMMIT`); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,20 +117,20 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 // relation must fail its write with ErrTxnConflict and be rolled back.
 func TestSessionTransactionConflict(t *testing.T) {
 	sess := openTxnSession(t)
-	if _, err := sess.ExecScript(`CREATE TABLE T (ID NUMBER)`); err != nil {
+	if _, err := execScript(sess, `CREATE TABLE T (ID NUMBER)`); err != nil {
 		t.Fatal(err)
 	}
 	loser := sess.Fork()
 	if !loser.Forked() {
 		t.Fatal("fork not marked as forked")
 	}
-	if _, err := loser.ExecScript(`BEGIN`); err != nil {
+	if _, err := execScript(loser, `BEGIN`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ExecScript(`INSERT INTO T VALUES (1)`); err != nil {
+	if _, err := execScript(sess, `INSERT INTO T VALUES (1)`); err != nil {
 		t.Fatal(err)
 	}
-	_, err := loser.ExecScript(`INSERT INTO T VALUES (2)`)
+	_, err := execScript(loser, `INSERT INTO T VALUES (2)`)
 	if !errors.Is(err, ErrTxnConflict) {
 		t.Fatalf("conflicting write error = %v, want ErrTxnConflict", err)
 	}
@@ -138,7 +138,7 @@ func TestSessionTransactionConflict(t *testing.T) {
 		t.Error("conflict left the transaction open")
 	}
 	// The loser session survives and can retry.
-	if _, err := loser.ExecScript(`BEGIN; INSERT INTO T VALUES (2); COMMIT`); err != nil {
+	if _, err := execScript(loser, `BEGIN; INSERT INTO T VALUES (2); COMMIT`); err != nil {
 		t.Fatalf("retry after conflict: %v", err)
 	}
 	if got := countT(t, sess); got != 2 {
@@ -147,11 +147,12 @@ func TestSessionTransactionConflict(t *testing.T) {
 }
 
 // TestSessionEvalWrappers pins the snapshot-installing eval wrappers:
-// EvalPlan and EvalNaive agree with EvalSelect on the same query, inside
-// and outside a transaction.
+// Session.Eval collecting EXPLAIN ANALYZE statistics and Session.EvalNaive
+// agree with the SELECT statement on the same query, inside and outside a
+// transaction.
 func TestSessionEvalWrappers(t *testing.T) {
 	sess := openTxnSession(t)
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE T (ID NUMBER);
 		INSERT INTO T VALUES (1) DEGREE 0.5;
 		INSERT INTO T VALUES (2)`); err != nil {
@@ -165,7 +166,7 @@ func TestSessionEvalWrappers(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		want, err := sess.EvalSelect(ctx, q)
+		want, err := sess.ExecContext(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,28 +174,28 @@ func TestSessionEvalWrappers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := sess.EvalPlan(ctx, p)
+		analyzed, err := sess.Eval(ctx, p, &ExecStats{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.Equal(planned, 0) {
-			t.Errorf("%s: EvalPlan diverges from EvalSelect", when)
+		if !want.Equal(analyzed, 0) {
+			t.Errorf("%s: Eval diverges from the SELECT statement", when)
 		}
-		naive, err := sess.EvalNaive(ctx, q)
+		naive, err := sess.EvalNaive(ctx, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !want.Equal(naive, 0) {
-			t.Errorf("%s: EvalNaive diverges from EvalSelect", when)
+			t.Errorf("%s: EvalNaive diverges from the SELECT statement", when)
 		}
 	}
 
 	check("auto-commit")
-	if _, err := sess.ExecScript(`BEGIN; INSERT INTO T VALUES (3)`); err != nil {
+	if _, err := execScript(sess, `BEGIN; INSERT INTO T VALUES (3)`); err != nil {
 		t.Fatal(err)
 	}
 	check("inside a transaction")
-	if _, err := sess.ExecScript(`ROLLBACK`); err != nil {
+	if _, err := execScript(sess, `ROLLBACK`); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/frel"
-	"repro/internal/fsql"
 	"repro/internal/plan"
 )
 
@@ -18,7 +18,7 @@ import (
 // re-exported from internal/plan.
 type Strategy = plan.Strategy
 
-// Strategy constants, re-exported for callers of Explain.
+// Strategy constants, re-exported for callers of PlanQuery.
 const (
 	StrategyFlat         = plan.StrategyFlat
 	StrategyChain        = plan.StrategyChain
@@ -29,66 +29,35 @@ const (
 	StrategyNaive        = plan.StrategyNaive
 )
 
-// Plan is the one-line EXPLAIN summary of a planning decision. The full
-// logical plan (rules, estimates, operator tree) is available from
-// Env.PlanQuery.
-type Plan struct {
-	Strategy Strategy
-	Note     string
-}
-
-// Explain reports which strategy the planner would use for q, without
-// evaluating it.
-func (e *Env) Explain(q *fsql.Select) Plan {
-	p, err := e.PlanQuery(q)
-	if err != nil {
-		return Plan{StrategyNaive, "cannot plan: " + err.Error()}
-	}
-	return Plan{p.Strategy, p.Note}
-}
-
-// EvalUnnested evaluates the query via the paper's unnesting rewrites
-// (Sections 4-8), falling back to the naive nested evaluation for shapes
-// outside the supported classes. The answer is always equivalent to
-// EvalNaive's (Theorems 4.1-8.1).
-func (e *Env) EvalUnnested(q *fsql.Select) (*frel.Relation, error) {
-	p, err := e.PlanQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.execPlan(p)
-}
-
-// EvalUnnestedContext is EvalUnnested observing ctx: the evaluation's leaf
-// scans periodically check for cancellation, so a cancelled context aborts
-// long joins and sorts with the context's error.
-func (e *Env) EvalUnnestedContext(ctx context.Context, q *fsql.Select) (*frel.Relation, error) {
-	defer e.withContext(ctx)()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.EvalUnnested(q)
-}
-
-// EvalPlanContext executes a previously planned query: prepared
-// statements parse and plan once, then re-execute the recorded plan many
-// times. The plan replays its decisions (join order, predicate
-// placement); sources and linguistic terms re-resolve against the current
-// catalog and term scope on every execution, so a cached plan stays
+// Eval runs a planned query on the engine: the flat form the unnesting
+// rewrites (Sections 4-8) produced, through the extended merge join, or
+// the naive evaluation for shapes outside the paper's classes. The answer
+// is always equivalent to EvalNaive's (Theorems 4.1-8.1). p comes from
+// PlanQuery or from a prepared statement, which plans once and runs many
+// times: the plan replays its decisions (join order, predicate
+// placement), while sources and linguistic terms re-resolve against the
+// current catalog and term scope on every run, so a cached plan stays
 // correct across inserts (its join order may merely grow stale).
-func (e *Env) EvalPlanContext(ctx context.Context, p *plan.Plan) (*frel.Relation, error) {
-	defer e.withContext(ctx)()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+//
+// The run observes ctx: its leaf scans and sweeps check for
+// cancellation, so a cancelled context aborts long joins and sorts with
+// the context's error. With a nil es the operators count their work into
+// Env.Work; a non-nil es is filled with the plan's strategy and the run's
+// EXPLAIN ANALYZE tree (see ExecStats), whose work joins Env.Work when
+// the run ends.
+func (e *Env) Eval(ctx context.Context, p *plan.Plan, es *ExecStats) (*frel.Relation, error) {
+	if es != nil {
+		es.Strategy, es.Note, es.Rules = p.Strategy, p.Note, p.Rules
 	}
-	return e.execPlan(p)
+	return e.evaluate(ctx, es, func() (*frel.Relation, error) { return e.execPlan(p) })
 }
 
-// EvalNaiveContext is EvalNaive observing ctx like EvalUnnestedContext.
-func (e *Env) EvalNaiveContext(ctx context.Context, q *fsql.Select) (*frel.Relation, error) {
-	defer e.withContext(ctx)()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// PlanSummary renders the outcome of PlanQuery as EXPLAIN's strategy
+// line does: the strategy and its note, or for a query the planner
+// refused, the naive evaluation and the reason.
+func PlanSummary(p *plan.Plan, err error) string {
+	if err != nil {
+		return fmt.Sprintf("%s (cannot plan: %s)", StrategyNaive, err)
 	}
-	return e.EvalNaive(q)
+	return fmt.Sprintf("%s (%s)", p.Strategy, p.Note)
 }

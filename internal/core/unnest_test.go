@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -50,6 +51,36 @@ func memEnv(rels ...*frel.Relation) *Env {
 	return e
 }
 
+// evalQ plans q and runs it on the engine (Env.Eval) with a background
+// context; a non-nil es collects the run's EXPLAIN ANALYZE tree.
+func evalQ(e *Env, q *fsql.Select, es *ExecStats) (*frel.Relation, error) {
+	p, err := e.PlanQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(context.Background(), p, es)
+}
+
+// execScript parses a semicolon-separated script and executes its
+// statements in order, returning the answer of each query and EXPLAIN.
+func execScript(s *Session, src string) ([]*frel.Relation, error) {
+	stmts, err := fsql.ParseScript(src)
+	if err != nil {
+		return nil, err
+	}
+	var answers []*frel.Relation
+	for _, st := range stmts {
+		rel, err := s.Exec(st)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st, err)
+		}
+		if rel != nil {
+			answers = append(answers, rel)
+		}
+	}
+	return answers, nil
+}
+
 // envRS builds an environment with random relations R(U, Y, TAG),
 // S(V, Z, TAG) and T(W, P, TAG).
 func envRS(rng *rand.Rand, nR, nS, nT int) *Env {
@@ -67,16 +98,16 @@ func checkEquivalence(t *testing.T, e *Env, src string, wantStrategy Strategy) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	if plan := e.Explain(q); plan.Strategy != wantStrategy {
-		t.Errorf("strategy for %q = %v (%s), want %v", src, plan.Strategy, plan.Note, wantStrategy)
+	if p, err := e.PlanQuery(q); err != nil || p.Strategy != wantStrategy {
+		t.Errorf("strategy for %q = %s, want %v", src, PlanSummary(p, err), wantStrategy)
 	}
-	naive, err := e.EvalNaive(q)
+	naive, err := e.EvalNaive(context.Background(), q, nil)
 	if err != nil {
 		t.Fatalf("EvalNaive(%q): %v", src, err)
 	}
-	unnested, err := e.EvalUnnested(q)
+	unnested, err := evalQ(e, q, nil)
 	if err != nil {
-		t.Fatalf("EvalUnnested(%q): %v", src, err)
+		t.Fatalf("Eval(%q): %v", src, err)
 	}
 	if !naive.Equal(unnested, 1e-9) {
 		t.Fatalf("equivalence violated for %q:\nnaive (%d tuples): %v\nunnested (%d tuples): %v",
@@ -307,10 +338,10 @@ func TestExample41Unnested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := e.Explain(q); plan.Strategy != StrategyChain {
-		t.Errorf("strategy = %v (%s)", plan.Strategy, plan.Note)
+	if p, err := e.PlanQuery(q); err != nil || p.Strategy != StrategyChain {
+		t.Errorf("strategy = %s", PlanSummary(p, err))
 	}
-	got, err := e.EvalUnnested(q)
+	got, err := evalQ(e, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,15 +366,14 @@ func TestNaiveFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		plan := e.Explain(q)
-		if plan.Strategy != StrategyNaive {
-			t.Errorf("strategy for %q = %v, want naive fallback", src, plan.Strategy)
+		if p, err := e.PlanQuery(q); err == nil && p.Strategy != StrategyNaive {
+			t.Errorf("strategy for %q = %v, want naive fallback", src, p.Strategy)
 		}
-		naive, err := e.EvalNaive(q)
+		naive, err := e.EvalNaive(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unnested, err := e.EvalUnnested(q)
+		unnested, err := evalQ(e, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,9 +393,8 @@ func TestAliasReuseFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := e.Explain(q)
-	if plan.Strategy != StrategyNaive {
-		t.Errorf("strategy = %v, want naive (alias reuse)", plan.Strategy)
+	if p, err := e.PlanQuery(q); err == nil && p.Strategy != StrategyNaive {
+		t.Errorf("strategy = %v, want naive (alias reuse)", p.Strategy)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestSessionDurability(t *testing.T) {
 	}
 
 	sess := open()
-	if _, err := sess.ExecScript(`
+	if _, err := execScript(sess, `
 		CREATE TABLE W (ID NUMBER, NAME STRING);
 		INSERT INTO W VALUES (1, 'a') DEGREE 0.5;
 		INSERT INTO W VALUES (2, 'b');
@@ -44,7 +44,7 @@ func TestSessionDurability(t *testing.T) {
 	if names := sess2.Catalog().Relations(); len(names) != 1 || names[0] != "W" {
 		t.Fatalf("relations after reopen: %v", names)
 	}
-	answers, err := sess2.ExecScript(`SELECT W.NAME FROM W`)
+	answers, err := execScript(sess2, `SELECT W.NAME FROM W`)
 	if err != nil {
 		t.Fatal(err)
 	}

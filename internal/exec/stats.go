@@ -1,13 +1,17 @@
 // Per-operator work counters.
 //
-// OpStats is the one structure operators count into. Every operator takes
-// a non-nil *OpStats and adds the work it does itself (comparisons, degree
-// evaluations, Rng(r) scan lengths, sort runs, …) to it; rows out and wall
-// time are measured from the outside by wrapping the operator in a Stated
-// source, so a node shared by the morsel workers of one sweep never
-// double-counts its output. Under EXPLAIN ANALYZE every operator gets its
-// own node and the nodes form a tree mirroring the operator tree; otherwise
-// the engine hands every operator one running-total node.
+// OpStats is the one structure operators count into, and the EXPLAIN
+// ANALYZE tree built of it is the one account of where a statement's time
+// went. Every operator takes a non-nil *OpStats and adds the work it does
+// itself (comparisons, degree evaluations, Rng(r) scan lengths, sort runs,
+// …) to it; rows out and wall time are measured from the outside by
+// wrapping the operator in a Stated source, so a node shared by the morsel
+// workers of one sweep never double-counts its output. A sort or index
+// load also adds the wall time and page I/O of the work it does before
+// its consumer pulls (run generation, reading an index). Under EXPLAIN
+// ANALYZE every operator gets its own node and the nodes form a tree
+// mirroring the operator tree; otherwise the engine hands every operator
+// one running-total node.
 //
 // All counters are atomics: the morsel workers of one logical operator
 // write to the same node concurrently. The work counters other than
@@ -56,6 +60,9 @@ type OpStats struct {
 
 	PoolHits   atomic.Int64 // buffer-pool page hits
 	PoolMisses atomic.Int64 // buffer-pool page misses (physical reads)
+	// PageIOs counts the physical page reads and writes of a sort (run
+	// generation and merging) or of an index load.
+	PageIOs atomic.Int64
 
 	// Compiled-kernel observability: tuples evaluated by fused kernels and
 	// morsels dispatched by the pull-queue join scheduler (the one counter
@@ -110,10 +117,10 @@ func (s *OpStats) ObserveRngBulk(count, sum, min, max int64) {
 	}
 }
 
-// AddTree adds the work counters of the tree rooted at t into s: what the
-// operators count themselves. Rows out, pool traffic and wall time, which
-// only the Stated wrapper and an analyzed statement measure, are left out.
-func (s *OpStats) AddTree(t *OpStats) {
+// Add adds the work counters of t into s: what the operator counted
+// itself. Rows out, pool traffic, page I/O and wall time, measures of one
+// statement's run, are left out, and so are t's children.
+func (s *OpStats) Add(t *OpStats) {
 	s.Comparisons.Add(t.Comparisons.Load())
 	s.DegreeEvals.Add(t.DegreeEvals.Load())
 	s.ObserveRngBulk(t.RngCount.Load(), t.RngSum.Load(), t.rngMin.Load(), t.rngMax.Load())
@@ -125,12 +132,6 @@ func (s *OpStats) AddTree(t *OpStats) {
 	s.IndexHits.Add(t.IndexHits.Load())
 	s.KernelTuples.Add(t.KernelTuples.Load())
 	s.Morsels.Add(t.Morsels.Load())
-	t.mu.Lock()
-	children := append([]*OpStats(nil), t.children...)
-	t.mu.Unlock()
-	for _, c := range children {
-		s.AddTree(c)
-	}
 }
 
 // StatsSnapshot is a plain, JSON-serializable copy of a statistics tree.
@@ -153,6 +154,7 @@ type StatsSnapshot struct {
 	IndexHits    int64            `json:"index_hits,omitempty"`
 	PoolHits     int64            `json:"pool_hits,omitempty"`
 	PoolMisses   int64            `json:"pool_misses,omitempty"`
+	PageIOs      int64            `json:"page_ios,omitempty"`
 	KernelTuples int64            `json:"kernel_tuples,omitempty"`
 	Morsels      int64            `json:"morsels,omitempty"`
 	WallNanos    int64            `json:"wall_ns"`
@@ -176,6 +178,7 @@ func (s *OpStats) Snapshot() *StatsSnapshot {
 		IndexHits:    s.IndexHits.Load(),
 		PoolHits:     s.PoolHits.Load(),
 		PoolMisses:   s.PoolMisses.Load(),
+		PageIOs:      s.PageIOs.Load(),
 		KernelTuples: s.KernelTuples.Load(),
 		Morsels:      s.Morsels.Load(),
 		WallNanos:    s.WallNanos.Load(),

@@ -36,16 +36,17 @@ func TestSnapshotTree(t *testing.T) {
 	if rows != 12 || cmp != 5 || deg != 4 {
 		t.Fatalf("Totals = (%d, %d, %d), want (12, 5, 4)", rows, cmp, deg)
 	}
-	// AddTree sums the work counters, Rng observations included, and
-	// leaves rows out to the wrapper that measures them.
+	// Add sums one node's work counters, Rng observations included, and
+	// leaves rows out to the wrapper that measures them and the children
+	// to their own Add.
 	child.ObserveRng(3)
 	root.ObserveRng(1)
 	total := NewOpStats("total", "")
-	total.AddTree(root)
-	total.AddTree(child)
-	if ts := total.Snapshot(); ts.Comparisons != 5 || ts.DegreeEvals != 8 || ts.RowsOut != 0 ||
-		ts.RngCount != 3 || ts.RngMin != 1 || ts.RngMax != 3 {
-		t.Fatalf("AddTree total = %+v", ts)
+	total.Add(root)
+	total.Add(child)
+	if ts := total.Snapshot(); ts.Comparisons != 5 || ts.DegreeEvals != 4 || ts.RowsOut != 0 ||
+		ts.RngCount != 2 || ts.RngMin != 1 || ts.RngMax != 3 {
+		t.Fatalf("Add total = %+v", ts)
 	}
 	if got := snap.Find("scan"); got == nil || got.Label != "R" {
 		t.Fatalf("Find(scan) = %+v", got)

@@ -49,7 +49,7 @@ func TestFoldedQueryAllocs(t *testing.T) {
 				if release {
 					env.ReleaseSortCache()
 				}
-				rel, err := env.EvalUnnested(q)
+				rel, err := evalQ(env, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestFoldedQueryAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sess.ExecScript(`
+		if _, err := execScript(sess, `
 			CREATE INDEX r_a ON R (A);
 			CREATE INDEX r_b ON R (B);
 			CREATE INDEX s_a ON S (A);

@@ -113,7 +113,7 @@ type crashStep struct {
 // sqlStep wraps one Fuzzy SQL statement as a workload step.
 func sqlStep(src string) crashStep {
 	return crashStep{name: src, run: func(s *core.Session) error {
-		_, err := s.ExecScript(src)
+		_, err := execScript(s, src)
 		return err
 	}}
 }

@@ -1,12 +1,43 @@
 package workload
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 )
+
+// evalQ plans q and runs it on the engine with a background context.
+func evalQ(env *core.Env, q *fsql.Select) (*frel.Relation, error) {
+	p, err := env.PlanQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return env.Eval(context.Background(), p, nil)
+}
+
+// execScript parses a semicolon-separated script and executes its
+// statements in order, returning the answer of each query and EXPLAIN.
+func execScript(s *core.Session, src string) ([]*frel.Relation, error) {
+	stmts, err := fsql.ParseScript(src)
+	if err != nil {
+		return nil, err
+	}
+	var answers []*frel.Relation
+	for _, st := range stmts {
+		rel, err := s.Exec(st)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st, err)
+		}
+		if rel != nil {
+			answers = append(answers, rel)
+		}
+	}
+	return answers, nil
+}
 
 // memEnv returns a core.NewMemEnv environment holding rels, each loaded
 // into a catalog heap under its schema name.
@@ -60,16 +91,16 @@ func TestDifferentialUnnesting(t *testing.T) {
 				}
 				env := memEnv(t, c.R, c.S)
 
-				if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
-					t.Fatalf("seed %d: class %s classified as %v (%s), want %v",
-						seed, class, plan.Strategy, plan.Note, expectedStrategy[class])
+				if p, err := env.PlanQuery(q); err != nil || p.Strategy != expectedStrategy[class] {
+					t.Fatalf("seed %d: class %s classified as %s, want %v",
+						seed, class, core.PlanSummary(p, err), expectedStrategy[class])
 				}
 
-				naive, err := env.EvalNaive(q)
+				naive, err := env.EvalNaive(context.Background(), q, nil)
 				if err != nil {
 					t.Fatalf("seed %d: naive: %v", seed, err)
 				}
-				unnested, err := env.EvalUnnested(q)
+				unnested, err := evalQ(env, q)
 				if err != nil {
 					t.Fatalf("seed %d: unnested: %v", seed, err)
 				}
@@ -85,7 +116,7 @@ func TestDifferentialUnnesting(t *testing.T) {
 				// must return the identical answer.
 				for _, leg := range []string{"admitting", "warm"} {
 					hits := env.Work.CacheHits.Load()
-					warm, err := env.EvalUnnested(q)
+					warm, err := evalQ(env, q)
 					if err != nil {
 						t.Fatalf("seed %d: unnested, %s sort cache: %v", seed, leg, err)
 					}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/plan"
@@ -85,7 +86,7 @@ func (c *foldCase) open(t *testing.T, indexed bool) *core.Session {
 		t.Fatal(err)
 	}
 	if indexed {
-		if _, err := sess.ExecScript(`
+		if _, err := execScript(sess, `
 			CREATE INDEX r_a ON R (A); CREATE INDEX r_b ON R (B);
 			CREATE INDEX s_a ON S (A); CREATE INDEX s_b ON S (B);
 			CREATE INDEX t_a ON T (A); CREATE INDEX t_b ON T (B);`); err != nil {
@@ -121,7 +122,7 @@ func TestDifferentialFold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				naive, err := memEnv(t, c.r, c.s, c.t).EvalNaive(q)
+				naive, err := memEnv(t, c.r, c.s, c.t).EvalNaive(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,8 +143,8 @@ func TestDifferentialFold(t *testing.T) {
 							// Drop the cached orders: every run sorts, or reads
 							// its index, afresh.
 							sess.Env.ReleaseSortCache()
-							sess.Env.ResetStats()
-							got, err := sess.EvalSelect(context.Background(), q)
+							sess.Env.Work = exec.NewOpStats("total", "")
+							got, err := sess.ExecContext(context.Background(), q)
 							name := fmt.Sprintf("seed %d workers %d indexed %v reorder %v: %s", seed, workers, indexed, reorder, c.query)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)

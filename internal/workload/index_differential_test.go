@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/storage"
@@ -42,7 +43,7 @@ func evalDiskCase(t *testing.T, c *DiffCase, indexed bool) (*frel.Relation, int6
 	if indexed {
 		// Index every attribute the class queries order by: the linking
 		// attribute B and the correlation attribute A of both relations.
-		if _, err := sess.ExecScript(`
+		if _, err := execScript(sess, `
 			CREATE INDEX r_a ON R (A);
 			CREATE INDEX r_b ON R (B);
 			CREATE INDEX s_a ON S (A);
@@ -55,8 +56,8 @@ func evalDiskCase(t *testing.T, c *DiffCase, indexed bool) (*frel.Relation, int6
 	if err != nil {
 		t.Fatalf("parse %q: %v", c.Query, err)
 	}
-	sess.Env.ResetStats()
-	got, err := sess.EvalSelect(context.Background(), q)
+	sess.Env.Work = exec.NewOpStats("total", "")
+	got, err := sess.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("eval %q: %v", c.Query, err)
 	}

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 )
@@ -63,7 +65,7 @@ func TestDifferentialKernels(t *testing.T) {
 					t.Fatalf("seed %d: parse %q: %v", seed, query, err)
 				}
 
-				want, err := memEnv(t, c.R, c.S).EvalNaive(q)
+				want, err := memEnv(t, c.R, c.S).EvalNaive(context.Background(), q, nil)
 				if err != nil {
 					t.Fatalf("seed %d: naive: %v", seed, err)
 				}
@@ -76,11 +78,11 @@ func TestDifferentialKernels(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					env := memEnv(t, c.R, c.S)
 					env.Parallelism = workers
-					if plan := env.Explain(q); plan.Strategy != expectedStrategy[class] {
-						t.Fatalf("seed %d: class %s classified as %v (%s), want %v",
-							seed, class, plan.Strategy, plan.Note, expectedStrategy[class])
+					if p, err := env.PlanQuery(q); err != nil || p.Strategy != expectedStrategy[class] {
+						t.Fatalf("seed %d: class %s classified as %s, want %v",
+							seed, class, core.PlanSummary(p, err), expectedStrategy[class])
 					}
-					got, err := env.EvalUnnested(q)
+					got, err := evalQ(env, q)
 					if err != nil {
 						t.Fatalf("seed %d: workers %d: %v", seed, workers, err)
 					}

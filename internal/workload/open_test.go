@@ -80,7 +80,7 @@ func TestOpenReadsNoRelation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sess.ExecScript(`CREATE INDEX s_a ON S (A); DELETE FROM S WHERE S.K = 3; CHECKPOINT;`); err != nil {
+	if _, err := execScript(sess, `CREATE INDEX s_a ON S (A); DELETE FROM S WHERE S.K = 3; CHECKPOINT;`); err != nil {
 		t.Fatal(err)
 	}
 	r, err := sess.Catalog().Relation("R")
@@ -103,7 +103,7 @@ func TestOpenReadsNoRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	out, err := sess.ExecScript(`EXPLAIN ` + strings.TrimSuffix(classQueries["J"], "%s") + ` WITH D >= 0.5`)
+	out, err := execScript(sess, `EXPLAIN `+strings.TrimSuffix(classQueries["J"], "%s")+` WITH D >= 0.5`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -76,11 +77,11 @@ func TestJoinOrderInvariance(t *testing.T) {
 				ordersDiffer++
 			}
 
-			chosen, err := costEnv.EvalUnnested(q)
+			chosen, err := evalQ(costEnv, q)
 			if err != nil {
 				t.Fatalf("seed %d: cost-ordered eval of %q: %v", seed, src, err)
 			}
-			syntactic, err := synEnv.EvalUnnested(q)
+			syntactic, err := evalQ(synEnv, q)
 			if err != nil {
 				t.Fatalf("seed %d: syntactic-order eval of %q: %v", seed, src, err)
 			}
@@ -88,7 +89,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 				t.Fatalf("seed %d: join order changed the answer of %q\ncost-chosen (%d tuples):\n%v\nsyntactic (%d tuples):\n%v",
 					seed, src, chosen.Len(), chosen, syntactic.Len(), syntactic)
 			}
-			naive, err := newEnv(false).EvalNaive(q)
+			naive, err := newEnv(false).EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatalf("seed %d: naive eval of %q: %v", seed, src, err)
 			}

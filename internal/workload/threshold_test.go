@@ -87,7 +87,7 @@ func TestThresholdOnlyRemovesRows(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						rel, err := env.EvalUnnested(q)
+						rel, err := evalQ(env, q)
 						if err != nil {
 							t.Fatalf("seed %d workers %d: %s: %v", seed, workers, query, err)
 						}

@@ -57,7 +57,7 @@ func TestDifferentialTransactionalLeg(t *testing.T) {
 				for _, w := range writes {
 					mustScript(t, sess, w)
 				}
-				if _, err := sess.ExecScript(c.Query); err != nil {
+				if _, err := execScript(sess, c.Query); err != nil {
 					t.Fatalf("seed %d: query over own writes: %v", seed, err)
 				}
 				mustScript(t, sess, `ROLLBACK`)
@@ -135,14 +135,14 @@ func extraInsert(rel *frel.Relation, i int) string {
 
 func mustScript(t *testing.T, s *core.Session, src string) {
 	t.Helper()
-	if _, err := s.ExecScript(src); err != nil {
+	if _, err := execScript(s, src); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func runQuery(t *testing.T, s *core.Session, q string) *frel.Relation {
 	t.Helper()
-	answers, err := s.ExecScript(q)
+	answers, err := execScript(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/frel"
 )
 
 // config collects the Open options.
@@ -113,12 +114,12 @@ type DB struct {
 	inFlight    atomic.Int32
 }
 
-// enter counts one statement of s as in flight, gives it its share of the
-// worker budget, and returns the function that counts it out. The caller
+// enter counts one statement of s as in flight (the prologue's done
+// counts it out) and gives it its share of the worker budget. The caller
 // holds s.mu, so a session's environment is its own to set; the base
 // session's is also read by every Session() fork, so the database's own
 // statements keep the configured count and only count as in flight.
-func (s *Session) enter() (leave func()) {
+func (s *Session) enter() {
 	db := s.db
 	budget := db.parallelism
 	if budget == 0 {
@@ -131,7 +132,6 @@ func (s *Session) enter() (leave func()) {
 	if s != db.base {
 		s.sess.Env.Parallelism = share
 	}
-	return func() { db.inFlight.Add(-1) }
 }
 
 // Open opens (or creates) the database stored in dir. An existing
@@ -244,23 +244,18 @@ func (db *DB) QueryNaive(sql string) (*Result, error) {
 		return nil, err
 	}
 	s := db.base
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.enter()()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, errClosed("database")
-	}
-	rel, err := s.sess.EvalNaive(context.Background(), q)
+	rel, err := s.read(func() (*frel.Relation, error) {
+		return s.sess.EvalNaive(context.Background(), q, nil)
+	})
 	if err != nil {
-		return nil, wrapErr(CodeExec, err)
+		return nil, err
 	}
 	return newResult(rel), nil
 }
 
 // Explain reports the unnesting strategy Query would use for the SELECT,
-// e.g. "merge-join chain (type N query, Theorem 4.1)".
+// e.g. "merge-join chain (type N query, Theorem 4.1)", or why it could
+// not be planned.
 func (db *DB) Explain(sql string) (string, error) {
 	q, err := parseQuery(sql)
 	if err != nil {
@@ -271,11 +266,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	if db.closed {
 		return "", errClosed("database")
 	}
-	plan := db.base.sess.Env.Explain(q)
-	if plan.Note == "" {
-		return fmt.Sprint(plan.Strategy), nil
-	}
-	return fmt.Sprintf("%s (%s)", plan.Strategy, plan.Note), nil
+	return core.PlanSummary(db.base.sess.Env.PlanQuery(q)), nil
 }
 
 // PlanInfo is the logical plan the three-stage planner (AST → plan IR →

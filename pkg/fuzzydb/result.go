@@ -60,20 +60,21 @@ func (r *Result) Degree(i int) float64 { return r.degrees[i] }
 // unless the result came from ExplainAnalyze.
 func (r *Result) Stats() *QueryStats { return r.stats }
 
-// Equal reports whether two results hold the same rows in the same order
-// with degrees equal to within tol.
+// Equal reports whether two results hold the same rows with degrees equal
+// to within tol, regardless of row order: the query equivalence of the
+// paper's theorems, so an answer can be checked against QueryNaive's.
 func (r *Result) Equal(other *Result, tol float64) bool {
 	if other == nil || len(r.rows) != len(other.rows) || len(r.columns) != len(other.columns) {
 		return false
 	}
-	for i := range r.rows {
-		if math.Abs(r.degrees[i]-other.degrees[i]) > tol {
+	degrees := make(map[string]float64, len(r.rows))
+	for i, row := range r.rows {
+		degrees[strings.Join(row, "\x00")] = r.degrees[i]
+	}
+	for i, row := range other.rows {
+		d, ok := degrees[strings.Join(row, "\x00")]
+		if !ok || math.Abs(d-other.degrees[i]) > tol {
 			return false
-		}
-		for j := range r.rows[i] {
-			if r.rows[i][j] != other.rows[i][j] {
-				return false
-			}
 		}
 	}
 	return true

@@ -94,11 +94,6 @@ func (s *Session) run(ctx context.Context, st fsql.Statement) (*frel.Relation, e
 // snapshot readers — including other sessions' read-only transactions —
 // proceed throughout.
 func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relation, error) {
-	if s.closed {
-		return nil, errClosed("session")
-	}
-	db := s.db
-	defer s.enter()()
 	class := lockClass(s.sess, st)
 	if class == lockBarrier && s.sess.InTxn() {
 		// The engine rejects barrier statements inside a transaction;
@@ -106,26 +101,12 @@ func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relat
 		// surface that error without self-deadlocking on wmu.
 		class = lockRead
 	}
-
-	// Lock order: wmu before mu, always.
-	acquiredW := false
-	switch class {
-	case lockBarrier:
-		db.wmu.Lock()
-		acquiredW = true
-		db.mu.Lock()
-		defer db.mu.Unlock()
-	case lockWrite:
-		if !s.holdsW {
-			db.wmu.Lock()
-			acquiredW = true
-		}
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-	default:
-		db.mu.RLock()
-		defer db.mu.RUnlock()
+	done, acquiredW, err := s.prologue(class)
+	if done == nil {
+		return nil, err
 	}
+	defer done()
+	db := s.db
 	defer func() {
 		// Keep wmu across statements of a live open transaction;
 		// otherwise release whatever this session holds. Covers the
@@ -140,10 +121,61 @@ func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relat
 			db.wmu.Unlock()
 		}
 	}()
-	if db.closed {
-		return nil, errClosed("database")
+	if err != nil {
+		return nil, err
 	}
 	rel, err := s.sess.ExecContext(ctx, st)
+	if err != nil {
+		return nil, wrapErr(CodeExec, err)
+	}
+	return rel, nil
+}
+
+// prologue takes what a statement of class needs, in the one order every
+// statement follows; the caller holds s.mu. It refuses a closed session,
+// counts the statement in flight, takes the writer mutex for a write or
+// barrier (unless the session's open transaction holds it already), then
+// the database lock, and refuses a closed database. Lock order: wmu
+// before mu, always. done releases the database lock and counts the
+// statement out; it is nil when nothing was taken. acquiredW reports a
+// writer mutex taken here, which the caller releases.
+func (s *Session) prologue(class int) (done func(), acquiredW bool, err error) {
+	if s.closed {
+		return nil, false, errClosed("session")
+	}
+	db := s.db
+	s.enter()
+	if class != lockRead && !s.holdsW {
+		db.wmu.Lock()
+		acquiredW = true
+	}
+	if class == lockBarrier {
+		db.mu.Lock()
+		done = func() { db.mu.Unlock(); db.inFlight.Add(-1) }
+	} else {
+		db.mu.RLock()
+		done = func() { db.mu.RUnlock(); db.inFlight.Add(-1) }
+	}
+	if db.closed {
+		return done, acquiredW, errClosed("database")
+	}
+	return done, acquiredW, nil
+}
+
+// read runs eval as a read-only statement of s, under s.mu and the read
+// prologue, and wraps its error as an execution error.
+func (s *Session) read(eval func() (*frel.Relation, error)) (*frel.Relation, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done, _, err := s.prologue(lockRead)
+	if done == nil {
+		return nil, err
+	}
+	defer done()
+	if err != nil {
+		return nil, err
+	}
+	rel, err := eval()
 	if err != nil {
 		return nil, wrapErr(CodeExec, err)
 	}
@@ -288,21 +320,13 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 	if sel, ok := st.(*fsql.Select); ok {
 		stmt.sel = sel
 		if stmt.nparams == 0 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed {
-				return nil, errClosed("session")
-			}
-			s.db.mu.RLock()
-			defer s.db.mu.RUnlock()
-			if s.db.closed {
-				return nil, errClosed("database")
-			}
-			p, err := s.sess.Env.PlanQuery(sel)
-			if err != nil {
+			if _, err := s.read(func() (*frel.Relation, error) {
+				p, err := s.sess.Env.PlanQuery(sel)
+				stmt.cached = p
 				return nil, wrapErr(CodePlan, err)
+			}); err != nil {
+				return nil, err
 			}
-			stmt.cached = p
 		}
 	}
 	return stmt, nil
@@ -348,36 +372,22 @@ func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
 		return nil, &Error{Code: CodeExec, Msg: fmt.Sprintf("statement takes %d parameters, got %d arguments", st.nparams, len(ops))}
 	}
 	s := st.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errClosed("session")
-	}
-	if st.closed {
-		return nil, errClosed("statement")
-	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	if s.db.closed {
-		return nil, errClosed("database")
-	}
-	defer s.enter()()
-	if st.cached != nil {
-		rel, err := s.sess.EvalPlan(ctx, st.cached)
-		if err != nil {
-			return nil, wrapErr(CodeExec, err)
+	return s.read(func() (*frel.Relation, error) {
+		if st.closed {
+			return nil, errClosed("statement")
 		}
-		return rel, nil
-	}
-	q, err := fsql.BindQuery(st.sel, ops)
-	if err != nil {
-		return nil, wrapErr(CodeExec, err)
-	}
-	rel, err := s.sess.EvalSelect(ctx, q)
-	if err != nil {
-		return nil, wrapErr(CodeExec, err)
-	}
-	return rel, nil
+		p := st.cached
+		if p == nil {
+			q, err := fsql.BindQuery(st.sel, ops)
+			if err != nil {
+				return nil, err
+			}
+			if p, err = s.sess.Env.PlanQuery(q); err != nil {
+				return nil, err
+			}
+		}
+		return s.sess.Eval(ctx, p, nil)
+	})
 }
 
 // Exec executes a prepared non-query statement (INSERT, DELETE, DDL) with

@@ -441,45 +441,62 @@ func TestStatementsShareTheWorkerBudget(t *testing.T) {
 		defer s.Close()
 		sessions = append(sessions, s)
 	}
-	var leave []func()
 	for i, want := range []int{4, 2, 1, 1, 1} {
-		leave = append(leave, sessions[i].enter())
+		sessions[i].enter()
 		if got := sessions[i].sess.Env.Parallelism; got != want {
 			t.Errorf("statement %d in flight runs on %d workers, want %d", i+1, got, want)
 		}
 	}
-	leave = append(leave, db.base.enter())
+	db.base.enter()
 	if got := db.base.sess.Env.Parallelism; got != 4 {
 		t.Errorf("base session runs on %d workers, want the configured 4", got)
 	}
-	for _, l := range leave {
-		l()
-	}
+	db.inFlight.Add(-6) // all six statements leave
 	if n := db.inFlight.Load(); n != 0 {
 		t.Errorf("%d statements in flight after all left", n)
 	}
-	defer sessions[0].enter()()
+	sessions[0].enter()
+	defer db.inFlight.Add(-1)
 	if got := sessions[0].sess.Env.Parallelism; got != 4 {
 		t.Errorf("a statement alone runs on %d workers, want 4", got)
 	}
 }
 
 // TestEveryStatementCountsInFlight: the database's own QueryNaive and
-// ExplainAnalyzeContext count as in flight while they wait for the
-// database lock, like every other statement, so other sessions' sweeps
-// share the worker budget with them.
+// ExplainAnalyzeContext, a session's queries and its prepared queries
+// count as in flight while they wait for the database lock, like every
+// other statement, so other sessions' sweeps share the worker budget with
+// them.
 func TestEveryStatementCountsInFlight(t *testing.T) {
 	db := openTemp(t)
 	if err := db.Exec(`CREATE TABLE R (K NUMBER); INSERT INTO R VALUES (1);`); err != nil {
 		t.Fatal(err)
 	}
 	const q = `SELECT R.K FROM R`
+	sess, err := db.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	planned, err := sess.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := sess.Prepare(`SELECT R.K FROM R WHERE R.K = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	calls := map[string]func() error{
 		"QueryNaive": func() error { _, err := db.QueryNaive(q); return err },
 		"ExplainAnalyzeContext": func() error {
-			_, _, err := db.ExplainAnalyzeContext(context.Background(), q)
+			_, _, err := db.ExplainAnalyzeContext(ctx, q)
 			return err
 		},
+		"Session.Query":     func() error { _, err := sess.Query(q); return err },
+		"Session.QueryRows": func() error { _, err := sess.QueryRows(ctx, q); return err },
+		"Stmt.Query":        func() error { _, err := planned.Query(ctx); return err },
+		"Stmt.QueryRows":    func() error { _, err := bound.QueryRows(ctx, 1); return err },
 	}
 	for name, call := range calls {
 		db.mu.Lock()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/frel"
 )
 
 // PlanStats is one node of the per-operator statistics tree an EXPLAIN
@@ -71,17 +72,13 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*Result, *
 		return nil, nil, err
 	}
 	s := db.base
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.enter()()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, nil, errClosed("database")
-	}
-	rel, es, err := s.sess.EvalAnalyze(ctx, q)
+	var es *core.ExecStats
+	rel, err := s.read(func() (rel *frel.Relation, err error) {
+		rel, es, err = s.sess.EvalAnalyze(ctx, q)
+		return rel, err
+	})
 	if err != nil {
-		return nil, nil, wrapErr(CodeExec, err)
+		return nil, nil, err
 	}
 	res := newResult(rel)
 	res.stats = convertStats(es)
