@@ -204,8 +204,8 @@ func BenchmarkAblationRangeCursor(b *testing.B) {
 	b.Run("no-cursor-whole-window", func(b *testing.B) {
 		ri, _ := r.Schema.Resolve("B")
 		si, _ := s.Schema.Resolve("B")
-		on, err := kernel.CompilePair([]kernel.PairStep{{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-			Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)}})
+		on, err := kernel.Compile([]kernel.Step{{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.Column(ri), Right: kernel.RightColumn(si)}})
 		if err != nil {
 			b.Fatal(err)
 		}

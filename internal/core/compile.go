@@ -60,7 +60,7 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 		}
 		base := e.stated("scan", sc.Table.Binding(), s)
 		// The whole chain runs as one fused kernel loop.
-		prog, err := e.compileKernelProgram(base.Schema(), n.Preds)
+		prog, err := e.compileKernel(n.Preds, base.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 		}
 		// The step's conjuncts beyond its range predicate: all of them in
 		// a whole window.
-		pp, err := e.compilePairProgram(cur.Schema(), next.Schema(), extraPreds)
+		pp, err := e.compileKernel(extraPreds, cur.Schema(), next.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 
 	out := cur
 	if len(j.Const) > 0 {
-		prog, err := e.compileKernelProgram(cur.Schema(), j.Const)
+		prog, err := e.compileKernel(j.Const, cur.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -192,14 +192,14 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 	if a.HasLink {
 		preds = append(preds, a.Link)
 	}
-	steps, err := e.pairSteps(outer.Schema(), inner.Schema(), preds)
+	steps, err := e.kernelSteps(preds, outer.Schema(), inner.Schema())
 	if err != nil {
 		return nil, err
 	}
 	if a.HasLink && a.Mode == plan.AntiAll {
 		steps[len(steps)-1].Neg = true
 	}
-	terms, err := kernel.CompilePair(steps)
+	terms, err := kernel.Compile(steps)
 	if err != nil {
 		return nil, err
 	}

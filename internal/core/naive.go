@@ -481,7 +481,7 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 	// HAVING grades each group by a compiled conjunction (empty without
 	// HAVING) and drops it at 0. It counts no work: no operator node stands
 	// for it.
-	prog, err := e.compileKernelProgram(ga.Schema(), having)
+	prog, err := e.compileKernel(having, ga.Schema())
 	if err != nil {
 		return nil, err
 	}

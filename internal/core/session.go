@@ -378,7 +378,7 @@ func (s *Session) delete(st *fsql.Delete) error {
 	if err != nil {
 		return err
 	}
-	prog, err := s.Env.compileKernelProgram(h.Schema, st.Where)
+	prog, err := s.Env.compileKernel(st.Where, h.Schema)
 	if err != nil {
 		return err
 	}

@@ -11,9 +11,9 @@ import (
 
 // eqTerms is the penalty conjunct of a NOT IN on one attribute:
 // d(outer[oi] = inner[ii]).
-func eqTerms(t testing.TB, oi, ii int) *kernel.PairProgram {
-	return pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-		Left: kernel.LeftColumn(oi), Right: kernel.RightColumn(ii)})
+func eqTerms(t testing.TB, oi, ii int) *kernel.Program {
+	return program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.Column(oi), Right: kernel.RightColumn(ii)})
 }
 
 // bruteNotIn computes, for each outer tuple r, the JX degree
@@ -162,11 +162,11 @@ func TestMergeAntiMinQuantifiedAllStyle(t *testing.T) {
 	}
 
 	// Range on the equality attribute ID; the conjuncts are the penalty's.
-	terms := pairProgram(t,
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-			Left: kernel.LeftColumn(rid), Right: kernel.RightColumn(sid)},
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpLt, Neg: true,
-			Left: kernel.LeftColumn(rx), Right: kernel.RightColumn(sx)})
+	terms := program(t,
+		kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.Column(rid), Right: kernel.RightColumn(sid)},
+		kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpLt, Neg: true,
+			Left: kernel.Column(rx), Right: kernel.RightColumn(sx)})
 	op, err := NewMergeAntiMin(sortedSource(t, r, "ID"), sortedSource(t, s, "ID"), "R.ID", "S.ID", terms, NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)

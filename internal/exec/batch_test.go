@@ -79,13 +79,13 @@ type (
 // compiled conjuncts (an equality and a complemented comparison, the JALL
 // shape) and the closure 1 − min(µ(s), terms) over the same conjuncts,
 // stopping at the first zero like the program does.
-func antiTerms(t testing.TB) (*kernel.PairProgram, refJoinPred) {
+func antiTerms(t testing.TB) (*kernel.Program, refJoinPred) {
 	t.Helper()
-	pp := pairProgram(t,
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-			Left: kernel.LeftColumn(1), Right: kernel.RightColumn(1)},
-		kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)})
+	pp := program(t,
+		kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+			Left: kernel.Column(1), Right: kernel.RightColumn(1)},
+		kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true,
+			Left: kernel.Column(0), Right: kernel.RightColumn(0)})
 	terms := []refJoinPred{
 		func(l, r frel.Tuple) float64 {
 			return frel.Degree(fuzzy.OpEq, l.Values[1], r.Values[1])

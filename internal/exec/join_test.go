@@ -12,7 +12,7 @@ import (
 
 // mergeJoin builds the serial merge-join of two sorted inputs, counting
 // into a node of its own.
-func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram) *KernelMergeJoin {
+func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.Program) *KernelMergeJoin {
 	t.Helper()
 	kj, err := NewKernelMergeJoin(outer, inner, outerAttr, innerAttr, tol, extra, NewOpStats("merge-join", ""), 1)
 	if err != nil {
@@ -21,7 +21,7 @@ func mergeJoin(t testing.TB, outer, inner Source, outerAttr, innerAttr string, t
 	return kj
 }
 
-// program compiles a conjunction over one input.
+// program compiles a conjunction.
 func program(t testing.TB, steps ...kernel.Step) *kernel.Program {
 	t.Helper()
 	prog, err := kernel.Compile(steps)
@@ -29,16 +29,6 @@ func program(t testing.TB, steps ...kernel.Step) *kernel.Program {
 		t.Fatal(err)
 	}
 	return prog
-}
-
-// pairProgram compiles join conjuncts.
-func pairProgram(t testing.TB, steps ...kernel.PairStep) *kernel.PairProgram {
-	t.Helper()
-	pp, err := kernel.CompilePair(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pp
 }
 
 func xSchema(name string) *frel.Schema {
@@ -139,8 +129,8 @@ func TestMergeJoinExtraPredicate(t *testing.T) {
 	// Join on X with the extra predicate R.ID = S.ID, as in Query J'.
 	ri, _ := r.Schema.Resolve("ID")
 	si, _ := s.Schema.Resolve("ID")
-	extra := pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
-		Left: kernel.LeftColumn(ri), Right: kernel.RightColumn(si)})
+	extra := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq,
+		Left: kernel.Column(ri), Right: kernel.RightColumn(si)})
 	mj := mergeJoin(t, sortedSource(t, r, "X"), sortedSource(t, s, "X"), "R.X", "S.X", fuzzy.Crisp(0), extra)
 	got := drain(t, mj)
 	if got.Len() != 2 {

@@ -65,7 +65,7 @@ const (
 type KernelMergeJoin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
-	Extra                *kernel.PairProgram // nil or empty: no residual conjuncts
+	Extra                *kernel.Program // nil or empty: no residual conjuncts
 	Tol                  fuzzy.Trapezoid
 	Workers              int
 
@@ -99,7 +99,7 @@ type KernelMergeJoin struct {
 // NewKernelMergeJoin builds a band merge-join counting into st, with the
 // given worker count (0 = GOMAXPROCS). Empty join attributes select the
 // whole-inner window.
-func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.PairProgram, st *OpStats, workers int) (*KernelMergeJoin, error) {
+func NewKernelMergeJoin(outer, inner Source, outerAttr, innerAttr string, tol fuzzy.Trapezoid, extra *kernel.Program, st *OpStats, workers int) (*KernelMergeJoin, error) {
 	oi, ii, err := windowAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err

@@ -11,13 +11,13 @@ import (
 )
 
 // pairExtras builds the residual conjuncts of the merge-join tests in both
-// forms: a compiled PairProgram and the equivalent closure for the
+// forms: a compiled Program and the equivalent closure for the
 // all-pairs reference, evaluating in the same order and stopping at the
 // first zero like the program does.
-func pairExtras(t testing.TB) (*kernel.PairProgram, refJoinPred) {
+func pairExtras(t testing.TB) (*kernel.Program, refJoinPred) {
 	t.Helper()
 	konst := frel.Num(fuzzy.Tri(10, 30, 50))
-	pp := pairProgram(t, extraSteps()...)
+	pp := program(t, extraSteps()...)
 	preds := []refJoinPred{
 		func(l, r frel.Tuple) float64 {
 			return frel.Degree(fuzzy.OpLe, l.Values[0], r.Values[0])
@@ -42,12 +42,12 @@ func pairExtras(t testing.TB) (*kernel.PairProgram, refJoinPred) {
 }
 
 // extraSteps are pairExtras' conjuncts: R.ID <= S.ID and R.X > about 30.
-func extraSteps() []kernel.PairStep {
-	return []kernel.PairStep{
+func extraSteps() []kernel.Step {
+	return []kernel.Step{
 		{Kind: kernel.StepCompare, Op: fuzzy.OpLe,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
+			Left: kernel.Column(0), Right: kernel.RightColumn(0)},
 		{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
-			Left: kernel.LeftColumn(1), Right: kernel.PairConstant(frel.Num(fuzzy.Tri(10, 30, 50)))},
+			Left: kernel.Column(1), Right: kernel.Constant(frel.Num(fuzzy.Tri(10, 30, 50)))},
 	}
 }
 
@@ -146,7 +146,7 @@ func TestKernelMergeJoinMatchesInterpreted(t *testing.T) {
 			s := sortedRel(t, randomRel("S", 80+rng.Intn(120), 80, 6, rng), "X")
 			tol := tols[trial%len(tols)]
 
-			var pp *kernel.PairProgram
+			var pp *kernel.Program
 			var extra refJoinPred
 			if withExtra {
 				pp, extra = pairExtras(t)

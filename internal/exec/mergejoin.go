@@ -70,7 +70,7 @@ func checkJoinAttrs(outer, inner Source, outerAttr, innerAttr string) (oi, ii in
 type MergeAntiMin struct {
 	Outer, Inner         Source
 	OuterAttr, InnerAttr string
-	Terms                *kernel.PairProgram
+	Terms                *kernel.Program
 
 	// Workers is the sweep's worker count; below 2 the sweep is serial.
 	Workers int
@@ -95,13 +95,13 @@ type MergeAntiMin struct {
 // NewMergeAntiMin builds the operator counting into st; inputs must be
 // sorted like for KernelMergeJoin, and empty merge attributes select the
 // whole-inner window. A nil terms is the empty conjunction.
-func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *kernel.PairProgram, st *OpStats) (*MergeAntiMin, error) {
+func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *kernel.Program, st *OpStats) (*MergeAntiMin, error) {
 	oi, ii, err := windowAttrs(outer, inner, outerAttr, innerAttr)
 	if err != nil {
 		return nil, err
 	}
 	if terms == nil {
-		terms = &kernel.PairProgram{}
+		terms = &kernel.Program{}
 	}
 	return &MergeAntiMin{
 		Outer: outer, Inner: inner,

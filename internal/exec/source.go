@@ -6,8 +6,8 @@
 // join with the COUNT outer-join arm). The three join operators are one
 // flat-column sweep over a window: the support range Rng(r) of a numeric
 // equality, or the whole inner for every other correlation. Every condition an
-// operator evaluates is a compiled internal/kernel program: a Program over
-// one input, a PairProgram over a pair.
+// operator evaluates is a compiled internal/kernel Program: a filter runs it
+// over a batch of tuples (RunBatch), a join over a pair of rows (EvalAnd).
 //
 // There is one operator protocol. Every operator is a Source: it has a
 // schema and opens into a BatchIterator, and an operator calls its inputs

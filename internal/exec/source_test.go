@@ -135,7 +135,7 @@ func TestEarlyCloseJoins(t *testing.T) {
 	it.Close()
 
 	// The whole-inner window: the cross product.
-	whole := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "", "", fuzzy.Crisp(0), pairProgram(t))
+	whole := mergeJoin(t, NewHeapSource(r), NewHeapSource(s), "", "", fuzzy.Crisp(0), program(t))
 	it2, err := whole.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +147,8 @@ func TestEarlyCloseJoins(t *testing.T) {
 
 	// Complemented equality: the twin's penalty is 1, every outer survives.
 	am, err := NewMergeAntiMin(NewHeapSource(r), NewHeapSource(s), "X", "X",
-		pairProgram(t, kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpEq, Neg: true,
-			Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)}), NewOpStats("merge-anti-join", ""))
+		program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpEq, Neg: true,
+			Left: kernel.Column(0), Right: kernel.RightColumn(0)}), NewOpStats("merge-anti-join", ""))
 	if err != nil {
 		t.Fatal(err)
 	}

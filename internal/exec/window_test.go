@@ -14,14 +14,14 @@ import (
 // conjunct is one join conjunct in both forms: compiled, and its degree
 // written out from the definition.
 type conjunct struct {
-	step kernel.PairStep
+	step kernel.Step
 	ref  refJoinPred
 }
 
 // cmpConjunct compares column col of both sides with op.
 func cmpConjunct(op fuzzy.Op, col int) conjunct {
 	return conjunct{
-		step: kernel.PairStep{Kind: kernel.StepCompare, Op: op, Left: kernel.LeftColumn(col), Right: kernel.RightColumn(col)},
+		step: kernel.Step{Kind: kernel.StepCompare, Op: op, Left: kernel.Column(col), Right: kernel.RightColumn(col)},
 		ref:  func(l, r frel.Tuple) float64 { return frel.Degree(op, l.Values[col], r.Values[col]) },
 	}
 }
@@ -29,9 +29,9 @@ func cmpConjunct(op fuzzy.Op, col int) conjunct {
 // conjunction compiles cs and returns the program with its reference: the
 // minimum over the conjuncts in order, stopping at the first zero like the
 // program does.
-func conjunction(t testing.TB, cs ...conjunct) (*kernel.PairProgram, refJoinPred) {
+func conjunction(t testing.TB, cs ...conjunct) (*kernel.Program, refJoinPred) {
 	t.Helper()
-	steps := make([]kernel.PairStep, len(cs))
+	steps := make([]kernel.Step, len(cs))
 	for i, c := range cs {
 		steps[i] = c.step
 	}
@@ -46,7 +46,7 @@ func conjunction(t testing.TB, cs ...conjunct) (*kernel.PairProgram, refJoinPred
 		}
 		return d
 	}
-	return pairProgram(t, steps...), ref
+	return program(t, steps...), ref
 }
 
 // namedRel is vagueRel, sorted on X, with a duplicate-heavy ID and a
@@ -102,7 +102,7 @@ func windowClasses() []windowClass {
 // window is one morsel at 8 workers.
 func TestWindowsMatchReference(t *testing.T) {
 	link := conjunct{ // the JALL link R.ID > ALL S.ID, complemented
-		step: kernel.PairStep{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true, Left: kernel.LeftColumn(0), Right: kernel.RightColumn(0)},
+		step: kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGt, Neg: true, Left: kernel.Column(0), Right: kernel.RightColumn(0)},
 		ref:  func(l, r frel.Tuple) float64 { return 1 - frel.Degree(fuzzy.OpGt, l.Values[0], r.Values[0]) },
 	}
 	extra := []conjunct{cmpConjunct(fuzzy.OpLe, 0)} // the residual R.ID <= S.ID

@@ -371,3 +371,38 @@ func TestQueryContextDeadline(t *testing.T) {
 		t.Fatalf("deadline took %s to fire", elapsed)
 	}
 }
+
+// TestQueryExplainOverWire: a client sees a plan through Query, the PLAN
+// rows the embedded API returns for the same statement.
+func TestQueryExplainOverWire(t *testing.T) {
+	addr := startServer(t)
+	conn := dial(t, addr)
+	ctx := context.Background()
+	if err := conn.Exec(ctx, `CREATE TABLE R (K NUMBER, A NUMBER);
+		CREATE TABLE S (A NUMBER);
+		INSERT INTO R VALUES (1, 1);
+		INSERT INTO S VALUES (1);`); err != nil {
+		t.Fatalf("Exec: %v", err)
+	}
+	const sel = `SELECT R.K FROM R WHERE R.A IN (SELECT S.A FROM S)`
+	for _, stmt := range []string{"EXPLAIN " + sel, "EXPLAIN ANALYZE " + sel} {
+		rows, err := conn.Query(ctx, stmt)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", stmt, err)
+		}
+		if cols := rows.Columns(); len(cols) != 1 || cols[0] != "PLAN" {
+			t.Fatalf("%s: columns = %v, want [PLAN]", stmt, cols)
+		}
+		vals, _, err := rows.All()
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		var plan strings.Builder
+		for _, v := range vals {
+			plan.WriteString(v[0] + "\n")
+		}
+		if !strings.HasPrefix(plan.String(), "strategy: chain-join") || !strings.Contains(plan.String(), "merge-join") {
+			t.Errorf("%s: want the chain-join plan, got\n%s", stmt, plan.String())
+		}
+	}
+}

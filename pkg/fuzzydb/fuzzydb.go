@@ -218,7 +218,8 @@ func (db *DB) ExecContext(ctx context.Context, sql string) error {
 }
 
 // Query evaluates one SELECT (through the unnesting rewrites) and returns
-// its answer.
+// its answer. An EXPLAIN [ANALYZE] SELECT answers with its PLAN rows, the
+// lines the shell prints.
 func (db *DB) Query(sql string) (*Result, error) {
 	return db.QueryContext(context.Background(), sql)
 }
@@ -228,8 +229,9 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
 	return db.base.QueryContext(ctx, sql)
 }
 
-// QueryRows evaluates one SELECT and returns a streaming cursor over its
-// answer (see Rows; Query returns the same answer materialized).
+// QueryRows evaluates one SELECT (or EXPLAIN, as for Query) and returns a
+// streaming cursor over its answer (see Rows; Query returns the same
+// answer materialized).
 func (db *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	return db.base.QueryRows(ctx, sql)
 }

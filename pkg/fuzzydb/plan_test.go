@@ -1,6 +1,7 @@
 package fuzzydb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,96 @@ func TestPlanParseError(t *testing.T) {
 	db := planDB(t)
 	if _, err := db.Plan(`SELECT FROM WHERE`); err == nil {
 		t.Fatal("Plan of malformed SQL succeeded")
+	}
+}
+
+// resultLines returns a one-column result's rows.
+func resultLines(t *testing.T, res *Result) []string {
+	t.Helper()
+	if cols := res.Columns(); len(cols) != 1 || cols[0] != "PLAN" {
+		t.Fatalf("columns = %v, want [PLAN]", cols)
+	}
+	lines := make([]string, res.Len())
+	for i := range lines {
+		lines[i] = res.Row(i)[0]
+	}
+	return lines
+}
+
+// TestQueryExplain: every Query entry point answers EXPLAIN [ANALYZE]
+// with the PLAN rows the shell prints, the strategy line and the plan
+// tree; the SELECT-only entry points still refuse it, and Query refuses a
+// statement that is not a read.
+func TestQueryExplain(t *testing.T) {
+	db := planDB(t)
+	ctx := context.Background()
+	const sel = `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A)`
+	summary, err := db.Explain(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := db.Plan(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"strategy: " + summary}, strings.Split(info.Tree, "\n")...)
+	sess, err := db.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	queries := map[string]func(string) (*Result, error){
+		"DB.Query":             db.Query,
+		"DB.QueryContext":      func(q string) (*Result, error) { return db.QueryContext(ctx, q) },
+		"Session.Query":        sess.Query,
+		"Session.QueryContext": func(q string) (*Result, error) { return sess.QueryContext(ctx, q) },
+	}
+	for name, query := range queries {
+		res, err := query("EXPLAIN " + sel + ";")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := resultLines(t, res); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: EXPLAIN rows\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		res, err = query("EXPLAIN ANALYZE " + sel)
+		if err != nil {
+			t.Fatalf("%s ANALYZE: %v", name, err)
+		}
+		if got := strings.Join(resultLines(t, res), "\n"); !strings.Contains(got, "merge-join") || !strings.Contains(got, "rows=") {
+			t.Errorf("%s: EXPLAIN ANALYZE rows lack the operator tree:\n%s", name, got)
+		}
+	}
+	for name, queryRows := range map[string]func(context.Context, string) (*Rows, error){
+		"DB.QueryRows": db.QueryRows, "Session.QueryRows": sess.QueryRows,
+	} {
+		rows, err := queryRows(ctx, "EXPLAIN "+sel)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for rows.Next() {
+			var line string
+			if err := rows.Scan(&line); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, line)
+		}
+		rows.Close()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: EXPLAIN rows\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if _, err := db.QueryNaive("EXPLAIN " + sel); !isCode(err, CodeParse) {
+		t.Errorf("QueryNaive(EXPLAIN): %v, want a parse error", err)
+	}
+	if _, _, err := db.ExplainAnalyze("EXPLAIN " + sel); !isCode(err, CodeParse) {
+		t.Errorf("ExplainAnalyze(EXPLAIN): %v, want a parse error", err)
+	}
+	if _, err := db.Query(`INSERT INTO S VALUES (3, 30)`); !isCode(err, CodeParse) {
+		t.Errorf("Query(INSERT): %v, want a parse error", err)
+	}
+	if res, err := db.Query(`SELECT S.A FROM S`); err != nil || res.Len() != 2 {
+		t.Errorf("after a refused INSERT, S has %v rows (err %v), want 2", res, err)
 	}
 }

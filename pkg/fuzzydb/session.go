@@ -234,9 +234,10 @@ func (s *Session) ExecContext(ctx context.Context, sql string) error {
 func (s *Session) Exec(sql string) error { return s.ExecContext(context.Background(), sql) }
 
 // QueryContext evaluates one SELECT (through the unnesting rewrites) and
-// returns its materialized answer.
+// returns its materialized answer. An EXPLAIN [ANALYZE] SELECT answers
+// with its PLAN rows, the lines the shell prints.
 func (s *Session) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	q, err := parseQuery(sql)
+	q, err := parseRead(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -252,10 +253,10 @@ func (s *Session) Query(sql string) (*Result, error) {
 	return s.QueryContext(context.Background(), sql)
 }
 
-// QueryRows evaluates one SELECT and returns a streaming cursor over its
-// answer.
+// QueryRows evaluates one SELECT (or EXPLAIN, as for QueryContext) and
+// returns a streaming cursor over its answer.
 func (s *Session) QueryRows(ctx context.Context, sql string) (*Rows, error) {
-	q, err := parseQuery(sql)
+	q, err := parseRead(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -449,6 +450,20 @@ func bindArgs(args []any) ([]fsql.Operand, error) {
 		}
 	}
 	return ops, nil
+}
+
+// parseRead parses one statement Query answers: a SELECT, or an EXPLAIN
+// [ANALYZE] SELECT whose answer is its plan.
+func parseRead(sql string) (fsql.Statement, error) {
+	st, err := fsql.ParseStatement(sql)
+	if err != nil {
+		return nil, wrapErr(CodeParse, err)
+	}
+	switch st.(type) {
+	case *fsql.Select, *fsql.Explain:
+		return st, nil
+	}
+	return nil, &Error{Code: CodeParse, Msg: fmt.Sprintf("fsql: expected SELECT or EXPLAIN, got %q", strings.Fields(sql)[0])}
 }
 
 // parseQuery parses one SELECT, tolerating a trailing ';'.
