@@ -208,14 +208,26 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile([]Step{{Kind: StepNear, Tol: bad}}); err == nil {
 		t.Error("invalid NEAR tolerance accepted")
 	}
-	if _, err := Compile([]Step{{Kind: StepCompare, Op: fuzzy.OpEq, Left: Operand{Side: 7}, Right: RightColumn(0)}}); err == nil {
+}
+
+// TestCompilePairErrors exercises the same rejections for steps over a
+// pair of rows, through the CompilePair name benchmark/trace.go uses.
+func TestCompilePairErrors(t *testing.T) {
+	if _, err := CompilePair([]PairStep{{Kind: StepCompare, Op: fuzzy.Op(99), Left: LeftColumn(0), Right: RightColumn(0)}}); err == nil {
+		t.Error("unknown operator accepted")
+	}
+	if _, err := CompilePair([]PairStep{{Kind: StepKind(99), Left: LeftColumn(0), Right: RightColumn(0)}}); err == nil {
+		t.Error("unknown step kind accepted")
+	}
+	if _, err := CompilePair([]PairStep{{Kind: StepCompare, Op: fuzzy.OpEq, Left: Operand{Side: 7}, Right: RightColumn(0)}}); err == nil {
 		t.Error("unknown left side accepted")
 	}
-	if _, err := Compile([]Step{{Kind: StepCompare, Op: fuzzy.OpEq, Left: Column(0), Right: Operand{Side: 7}}}); err == nil {
+	if _, err := CompilePair([]PairStep{{Kind: StepCompare, Op: fuzzy.OpEq, Left: LeftColumn(0), Right: Operand{Side: 7}}}); err == nil {
 		t.Error("unknown right side accepted")
 	}
-	if _, err := Compile([]Step{{Kind: StepNear, Tol: bad, Left: Column(0), Right: RightColumn(0)}}); err == nil {
-		t.Error("invalid NEAR tolerance accepted over a pair")
+	bad := fuzzy.Trapezoid{A: 3, B: 2, C: 1, D: 0}
+	if _, err := CompilePair([]PairStep{{Kind: StepNear, Tol: bad, Left: LeftColumn(0), Right: RightColumn(0)}}); err == nil {
+		t.Error("invalid NEAR tolerance accepted")
 	}
 }
 
