@@ -12,14 +12,15 @@ import (
 
 // sortedStream serves the final merge of an external sort
 // (extsort.Stream) as a source: each batch is decoded from the merged
-// records into a fresh value arena, so the sweep's collectSorted takes it
-// as it takes a cached order. The merge runs as the consumer pulls, and its
-// page I/O and comparisons count toward the sort node (its wall time does
-// through the node's Stated wrapper). A stream can be read once: a second
-// Open is an error, not an empty input.
+// records into a fresh value arena, so the sweep's collectSorted keeps its
+// tuples without copying their values. The merge runs as the consumer
+// pulls, and its page I/O and comparisons count toward the sort node (its
+// wall time does through the node's Stated wrapper). A stream can be read
+// once: a second Open is an error, not an empty input.
 //
-// The stream of an order the sort cache admits also writes each record it
-// serves to the order's cached sorted copy (copyTo). The copy enters the
+// The stream of an order the sort cache admits as a sorted copy (one whose
+// decoded form would pass the cache budget) also writes each record it
+// serves to that copy (copyTo). The copy enters the
 // cache when the stream closes drained whole and without error; otherwise
 // it is dropped.
 type sortedStream struct {

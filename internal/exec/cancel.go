@@ -57,6 +57,18 @@ func (it *cancelBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return it.in.NextBatch()
 }
 
+// Rest implements restBatchIterator: once the context is cancelled it
+// serves nothing, and Err reports the context's error.
+func (it *cancelBatchIterator) Rest() ([]frel.Tuple, bool) {
+	if it.err == nil {
+		it.err = it.ctx.Err()
+	}
+	if it.err != nil {
+		return nil, true
+	}
+	return rest(it.in)
+}
+
 func (it *cancelBatchIterator) Remaining() int { return batchesRemaining(it.in) }
 
 func (it *cancelBatchIterator) Err() error {

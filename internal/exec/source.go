@@ -14,10 +14,12 @@
 // through exactly that. Batches are slices of frel.Tuple values whose D
 // field carries the running membership degree; every operator combines
 // degrees with fuzzy AND (min) and drops tuples whose degree reaches 0,
-// per the execution semantics of Section 2.2. The one optional extension
-// is a sizing hint, Remaining, which wrappers forward so a consumer that
-// materializes its input can allocate once. Nothing else travels beside
-// the batches: the sweeps build the support keys they read (sweep.go).
+// per the execution semantics of Section 2.2. Two optional extensions
+// travel beside the batches, and wrappers forward both so a consumer that
+// materializes its input can allocate once or not at all: a sizing hint,
+// Remaining, and Rest, with which an in-memory input (a cached sort
+// order) hands over its one tuple slice. Nothing else does: the sweeps
+// build the support keys they read (sweep.go).
 //
 // Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
 // valid until the next NextBatch (or Close) call on the same iterator —
@@ -70,6 +72,27 @@ func batchesRemaining(it BatchIterator) int {
 		return s.Remaining()
 	}
 	return -1
+}
+
+// restBatchIterator is a BatchIterator over tuples it already holds in
+// one slice that it never recycles. Rest serves everything it has yet to
+// serve at once, as a slice the caller may keep, and leaves the iterator
+// exhausted (check Err: a wrapper that observes a cancelled context
+// serves nothing). ok is false, and nothing is served, when the iterator
+// under a wrapper has no such slice. Wrappers that pass batches through
+// forward it, so a consumer that materializes an in-memory input takes
+// it without copying.
+type restBatchIterator interface {
+	BatchIterator
+	Rest() (tuples []frel.Tuple, ok bool)
+}
+
+// rest serves the rest of it as one slice when it holds one.
+func rest(it BatchIterator) ([]frel.Tuple, bool) {
+	if r, ok := it.(restBatchIterator); ok {
+		return r.Rest()
+	}
+	return nil, false
 }
 
 // Collect drains a source into an in-memory relation, one bulk append per
@@ -125,6 +148,13 @@ func (it *memBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	end := min(it.pos+BatchSize, len(it.tuples))
 	b := it.tuples[it.pos:end]
 	it.pos = end
+	return b, true
+}
+
+// Rest implements restBatchIterator.
+func (it *memBatchIterator) Rest() ([]frel.Tuple, bool) {
+	b := it.tuples[it.pos:]
+	it.pos = len(it.tuples)
 	return b, true
 }
 

@@ -323,6 +323,15 @@ func (it *statedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return b, ok
 }
 
+// Rest implements restBatchIterator, counting what it serves as a batch.
+func (it *statedBatchIterator) Rest() ([]frel.Tuple, bool) {
+	start := time.Now()
+	b, ok := rest(it.in)
+	it.node.WallNanos.Add(time.Since(start).Nanoseconds())
+	it.node.RowsOut.Add(int64(len(b)))
+	return b, ok
+}
+
 func (it *statedBatchIterator) Remaining() int { return batchesRemaining(it.in) }
 func (it *statedBatchIterator) Err() error     { return it.in.Err() }
 func (it *statedBatchIterator) Close()         { it.in.Close() }

@@ -259,40 +259,41 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64)
 
 // collectSorted drains src, verifying the Definition 3.1 sort order and
 // building the flat support-key column the partitioner and the sweeps run
-// on, one key per tuple from its value on attribute idx. The columns are
-// allocated once when the producer knows how many tuples it holds. Range
-// index −1 is the whole-inner window: every key is [−Inf, +Inf] and no
-// order is checked.
+// on, one key per tuple from its value on attribute idx. An in-memory
+// input (a cached order) is taken as its slice, without a copy; any other
+// is appended batch by batch into a column allocated once when the
+// producer knows how many tuples it holds. Range index −1 is the
+// whole-inner window: every key is [−Inf, +Inf] and no order is checked.
 func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []SupportKey, error) {
 	it, err := src.Open()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer it.Close()
-	var tuples []frel.Tuple
-	var keys []SupportKey
-	if n := batchesRemaining(it); n > 0 {
-		tuples = make([]frel.Tuple, 0, n)
-		keys = make([]SupportKey, 0, n)
+	tuples, whole := rest(it)
+	if !whole {
+		if n := batchesRemaining(it); n > 0 {
+			tuples = make([]frel.Tuple, 0, n)
+		}
+		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
+			tuples = append(tuples, b...)
+		}
 	}
+	if err := it.Err(); err != nil {
+		return nil, nil, err
+	}
+	keys := make([]SupportKey, len(tuples))
 	prevBegin := math.Inf(-1)
-	for {
-		b, ok := it.NextBatch()
-		if !ok {
-			break
+	for i, t := range tuples {
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if idx >= 0 {
+			lo, hi = t.Values[idx].Num.Support()
 		}
-		for _, t := range b {
-			lo, hi := math.Inf(-1), math.Inf(1)
-			if idx >= 0 {
-				lo, hi = t.Values[idx].Num.Support()
-			}
-			if lo < prevBegin {
-				return nil, nil, fmt.Errorf("exec: %s input is not sorted by the Definition 3.1 order", side)
-			}
-			prevBegin = lo
-			tuples = append(tuples, t)
-			keys = append(keys, SupportKey{Lo: lo, Hi: hi, D: t.D})
+		if lo < prevBegin {
+			return nil, nil, fmt.Errorf("exec: %s input is not sorted by the Definition 3.1 order", side)
 		}
+		prevBegin = lo
+		keys[i] = SupportKey{Lo: lo, Hi: hi, D: t.D}
 	}
-	return tuples, keys, it.Err()
+	return tuples, keys, nil
 }

@@ -578,20 +578,36 @@ func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, schema *frel.Sche
 // the comparison count are the ones a single-run external sort of the
 // relation's tuples would give. It returns the comparison count.
 func SortRelation(r *frel.Relation, o Order) (int64, error) {
-	if err := o.check(r.Schema); err != nil {
-		return 0, err
-	}
-	keys := make([]frel.SortKey, len(r.Tuples))
 	perm := make([]int32, len(r.Tuples))
-	for i, t := range r.Tuples {
-		keys[i] = frel.ValueSortKey(t.Values[o.Attr])
+	for i := range perm {
 		perm[i] = int32(i)
 	}
-	n := sortPositions(perm, keys)
+	n, err := SortTids(r.Schema, r.Tuples, perm, o)
+	if err != nil {
+		return 0, err
+	}
 	sorted := make([]frel.Tuple, len(r.Tuples))
 	for i, p := range perm {
 		sorted[i] = r.Tuples[p]
 	}
 	copy(r.Tuples, sorted)
 	return n, nil
+}
+
+// SortTids orders tids, positions into tuples (tuples of schema), by o:
+// by their values' frel.Compare order, equal values by position. The key,
+// comparator and algorithm are those of the external sort's runs, so
+// sorting every position yields the relation's stable sort with the
+// comparison count of a single-run external sort. The tuples are not
+// moved; tids may list any subset of the positions, in any order. It
+// returns the comparison count.
+func SortTids(schema *frel.Schema, tuples []frel.Tuple, tids []int32, o Order) (int64, error) {
+	if err := o.check(schema); err != nil {
+		return 0, err
+	}
+	keys := make([]frel.SortKey, len(tuples))
+	for i, t := range tuples {
+		keys[i] = frel.ValueSortKey(t.Values[o.Attr])
+	}
+	return sortPositions(tids, keys), nil
 }

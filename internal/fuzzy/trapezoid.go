@@ -166,10 +166,15 @@ func (t Trapezoid) Equal(u Trapezoid) bool {
 // others as TRAP(a,b,c,d).
 // Corners are written as fmt's %g writes them, without fmt.
 func (t Trapezoid) String() string {
+	return string(t.AppendTo(make([]byte, 0, 64)))
+}
+
+// AppendTo appends the distribution's text, as String renders it, to b
+// and returns the extended buffer.
+func (t Trapezoid) AppendTo(b []byte) []byte {
 	if t.IsCrisp() {
-		return string(strconv.AppendFloat(make([]byte, 0, 24), t.A, 'g', -1, 64))
+		return strconv.AppendFloat(b, t.A, 'g', -1, 64)
 	}
-	b := make([]byte, 0, 64)
 	b = append(b, "TRAP("...)
 	for i, c := range [4]float64{t.A, t.B, t.C, t.D} {
 		if i > 0 {
@@ -177,7 +182,7 @@ func (t Trapezoid) String() string {
 		}
 		b = strconv.AppendFloat(b, c, 'g', -1, 64)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 func clamp01(x float64) float64 {

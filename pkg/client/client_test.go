@@ -385,8 +385,36 @@ func TestQueryExplainOverWire(t *testing.T) {
 		t.Fatalf("Exec: %v", err)
 	}
 	const sel = `SELECT R.K FROM R WHERE R.A IN (SELECT S.A FROM S)`
-	for _, stmt := range []string{"EXPLAIN " + sel, "EXPLAIN ANALYZE " + sel} {
-		rows, err := conn.Query(ctx, stmt)
+	// query sends stmt as a plain query, or prepared and bound with args.
+	query := func(stmt string, prepared bool, args ...any) (*client.Rows, error) {
+		if !prepared {
+			return conn.Query(ctx, stmt)
+		}
+		ps, err := conn.Prepare(ctx, stmt)
+		if err != nil {
+			return nil, err
+		}
+		if !ps.IsQuery() {
+			t.Errorf("prepared %s: IsQuery false", stmt)
+		}
+		return ps.Query(ctx, args...)
+	}
+	for _, leg := range []struct {
+		stmt     string
+		prepared bool
+		args     []any
+	}{
+		{"EXPLAIN " + sel, false, nil},
+		{"EXPLAIN ANALYZE " + sel, false, nil},
+		{"EXPLAIN " + sel, true, nil},
+		{"EXPLAIN ANALYZE " + sel, true, nil},
+		{"EXPLAIN ANALYZE " + sel + " AND R.K = ?", true, []any{1}},
+	} {
+		stmt := leg.stmt
+		if leg.prepared {
+			stmt = "prepared " + stmt
+		}
+		rows, err := query(leg.stmt, leg.prepared, leg.args...)
 		if err != nil {
 			t.Fatalf("Query(%s): %v", stmt, err)
 		}

@@ -82,10 +82,12 @@ func resultLines(t *testing.T, res *Result) []string {
 	return lines
 }
 
-// TestQueryExplain: every Query entry point answers EXPLAIN [ANALYZE]
-// with the PLAN rows the shell prints, the strategy line and the plan
-// tree; the SELECT-only entry points still refuse it, and Query refuses a
-// statement that is not a read.
+// TestQueryExplain: every Query entry point, prepared statements
+// included, answers EXPLAIN [ANALYZE] with the PLAN rows the shell
+// prints, the strategy line and the plan tree; a prepared EXPLAIN is a
+// query and binds its parameters; the SELECT-only entry points still
+// refuse it, Query refuses a statement that is not a read, and a prepared
+// one names its kind in SQL terms.
 func TestQueryExplain(t *testing.T) {
 	db := planDB(t)
 	ctx := context.Background()
@@ -104,11 +106,30 @@ func TestQueryExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	// prepared runs q as a prepared statement of sess, checking that it
+	// reports itself a query.
+	prepared := func(q string) (*Stmt, error) {
+		st, err := sess.Prepare(q)
+		if err != nil {
+			return nil, err
+		}
+		if !st.IsQuery() {
+			t.Errorf("prepared %q: IsQuery false", q)
+		}
+		return st, nil
+	}
 	queries := map[string]func(string) (*Result, error){
 		"DB.Query":             db.Query,
 		"DB.QueryContext":      func(q string) (*Result, error) { return db.QueryContext(ctx, q) },
 		"Session.Query":        sess.Query,
 		"Session.QueryContext": func(q string) (*Result, error) { return sess.QueryContext(ctx, q) },
+		"Stmt.Query": func(q string) (*Result, error) {
+			st, err := prepared(q)
+			if err != nil {
+				return nil, err
+			}
+			return st.Query(ctx)
+		},
 	}
 	for name, query := range queries {
 		res, err := query("EXPLAIN " + sel + ";")
@@ -128,6 +149,13 @@ func TestQueryExplain(t *testing.T) {
 	}
 	for name, queryRows := range map[string]func(context.Context, string) (*Rows, error){
 		"DB.QueryRows": db.QueryRows, "Session.QueryRows": sess.QueryRows,
+		"Stmt.QueryRows": func(ctx context.Context, q string) (*Rows, error) {
+			st, err := prepared(q)
+			if err != nil {
+				return nil, err
+			}
+			return st.QueryRows(ctx)
+		},
 	} {
 		rows, err := queryRows(ctx, "EXPLAIN "+sel)
 		if err != nil {
@@ -145,6 +173,32 @@ func TestQueryExplain(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s: EXPLAIN rows\n%s\nwant\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+	}
+	// A parameter of a prepared EXPLAIN ANALYZE binds as a SELECT's does.
+	st, err := prepared("EXPLAIN ANALYZE " + sel + " AND R.K = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Query(ctx, 1)
+	if err != nil {
+		t.Fatalf("prepared EXPLAIN ANALYZE with a parameter: %v", err)
+	}
+	if got := strings.Join(resultLines(t, res), "\n"); !strings.Contains(got, "rows=") {
+		t.Errorf("prepared EXPLAIN ANALYZE rows lack the operator tree:\n%s", got)
+	}
+	if _, err := st.Query(ctx); !isCode(err, CodeExec) || !strings.Contains(err.Error(), "prepared EXPLAIN ANALYZE takes 1 parameters, got 0") {
+		t.Errorf("prepared EXPLAIN ANALYZE without its argument: %v", err)
+	}
+	// A prepared statement that is not a query names its kind in SQL terms.
+	ins, err := sess.Prepare(`INSERT INTO S VALUES (3, 30)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.IsQuery() {
+		t.Error("prepared INSERT: IsQuery true")
+	}
+	if _, err := ins.Query(ctx); !isCode(err, CodeExec) || !strings.Contains(err.Error(), "prepared INSERT is not a query") || strings.Contains(err.Error(), "fsql.") {
+		t.Errorf("Stmt.Query(INSERT): %v, want an error naming INSERT", err)
 	}
 	if _, err := db.QueryNaive("EXPLAIN " + sel); !isCode(err, CodeParse) {
 		t.Errorf("QueryNaive(EXPLAIN): %v, want a parse error", err)

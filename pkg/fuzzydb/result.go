@@ -18,26 +18,48 @@ type Result struct {
 	stats   *QueryStats
 }
 
+// newResult renders rel. Every cell of every row is one string of one
+// cell slice, and the numbers are rendered into one byte arena that
+// becomes one string the cells slice: the answer costs a fixed number of
+// allocations, not one per cell and row.
 func newResult(rel *frel.Relation) *Result {
+	width, n := len(rel.Schema.Attrs), rel.Len()
 	r := &Result{
-		columns: make([]string, len(rel.Schema.Attrs)),
-		rows:    make([][]string, 0, rel.Len()),
-		degrees: make([]float64, 0, rel.Len()),
+		columns: make([]string, width),
+		rows:    make([][]string, n),
+		degrees: make([]float64, n),
 	}
 	for i, a := range rel.Schema.Attrs {
 		r.columns[i] = a.Name
 	}
-	for _, t := range rel.Tuples {
-		row := make([]string, len(t.Values))
-		for i, v := range t.Values {
-			if v.Kind == frel.KindString {
-				row[i] = v.Str
-			} else {
-				row[i] = v.Num.String()
+	cells := make([]string, n*width)
+	ends := make([]int, n*width) // the arena offset each cell's number ends at
+	var arena []byte
+	for i, t := range rel.Tuples {
+		for j, v := range t.Values {
+			if v.Kind != frel.KindString {
+				if arena == nil {
+					arena = make([]byte, 0, 16*len(cells))
+				}
+				arena = v.Num.AppendTo(arena)
 			}
+			ends[i*width+j] = len(arena)
 		}
-		r.rows = append(r.rows, row)
-		r.degrees = append(r.degrees, t.D)
+		r.degrees[i] = t.D
+	}
+	text, start := string(arena), 0
+	for i, t := range rel.Tuples {
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		for j, v := range t.Values {
+			end := ends[i*width+j]
+			if v.Kind == frel.KindString {
+				row[j] = v.Str
+			} else {
+				row[j] = text[start:end]
+			}
+			start = end
+		}
+		r.rows[i] = row
 	}
 	return r
 }

@@ -336,14 +336,20 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // Text returns the statement's Fuzzy SQL source.
 func (st *Stmt) Text() string { return st.text }
 
-// IsQuery reports whether executing the statement returns rows.
-func (st *Stmt) IsQuery() bool { return st.sel != nil }
+// IsQuery reports whether executing the statement returns rows: a SELECT
+// returns its answer, an EXPLAIN [ANALYZE] SELECT its PLAN rows.
+func (st *Stmt) IsQuery() bool {
+	_, explain := st.st.(*fsql.Explain)
+	return st.sel != nil || explain
+}
 
 // NumParams returns the number of '?' parameters the statement takes.
 func (st *Stmt) NumParams() int { return st.nparams }
 
 // Query executes a prepared SELECT with the given arguments (one per '?',
-// numbers or strings) and returns its materialized answer.
+// numbers or strings) and returns its materialized answer. A prepared
+// EXPLAIN [ANALYZE] SELECT answers with its PLAN rows, as
+// Session.Query does.
 func (st *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
 	rel, err := st.query(ctx, args)
 	if err != nil {
@@ -362,15 +368,15 @@ func (st *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 }
 
 func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
-	if st.sel == nil {
-		return nil, &Error{Code: CodeExec, Msg: fmt.Sprintf("prepared statement is not a query (%T)", st.st)}
+	if !st.IsQuery() {
+		return nil, st.errorf(CodeExec, "is not a query")
 	}
-	ops, err := bindArgs(args)
+	if st.sel == nil {
+		return st.run(ctx, args) // EXPLAIN [ANALYZE]: its PLAN rows
+	}
+	ops, err := st.bind(args)
 	if err != nil {
 		return nil, err
-	}
-	if len(ops) != st.nparams {
-		return nil, &Error{Code: CodeExec, Msg: fmt.Sprintf("statement takes %d parameters, got %d arguments", st.nparams, len(ops))}
 	}
 	s := st.s
 	return s.read(func() (*frel.Relation, error) {
@@ -391,32 +397,66 @@ func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
 	})
 }
 
-// Exec executes a prepared non-query statement (INSERT, DELETE, DDL) with
-// the given arguments. Executing a prepared SELECT this way evaluates it
-// and discards the answer.
-func (st *Stmt) Exec(ctx context.Context, args ...any) error {
+// bind converts the arguments of one execution, which must be one per
+// '?' of the statement.
+func (st *Stmt) bind(args []any) ([]fsql.Operand, error) {
 	ops, err := bindArgs(args)
 	if err != nil {
-		return err
+		return nil, st.errorf(CodeExec, "%v", err)
+	}
+	if len(ops) != st.nparams {
+		return nil, st.errorf(CodeExec, "takes %d parameters, got %d arguments", st.nparams, len(ops))
+	}
+	return ops, nil
+}
+
+// errorf returns an error whose message names the prepared statement's
+// kind in SQL terms: "prepared INSERT takes 3 parameters, ...".
+func (st *Stmt) errorf(code ErrorCode, format string, args ...any) error {
+	return &Error{Code: code, Msg: "prepared " + statementKind(st.st) + " " + fmt.Sprintf(format, args...)}
+}
+
+// statementKind names the kind of a statement as SQL spells it: the
+// leading keywords of its rendering ("INSERT", "CREATE TABLE", "EXPLAIN
+// ANALYZE").
+func statementKind(st fsql.Statement) string {
+	words := strings.Fields(st.String())
+	n := 1
+	switch {
+	case words[0] == "CREATE" || words[0] == "DROP" || words[0] == "DEFINE",
+		words[0] == "EXPLAIN" && words[1] == "ANALYZE":
+		n = 2
+	}
+	return strings.Join(words[:n], " ")
+}
+
+// Exec executes a prepared non-query statement (INSERT, DELETE, DDL) with
+// the given arguments. Executing a prepared query this way evaluates it
+// and discards the answer.
+func (st *Stmt) Exec(ctx context.Context, args ...any) error {
+	_, err := st.run(ctx, args)
+	return err
+}
+
+// run binds args into the statement and runs it on the statement path.
+func (st *Stmt) run(ctx context.Context, args []any) (*frel.Relation, error) {
+	ops, err := st.bind(args)
+	if err != nil {
+		return nil, err
+	}
+	bound := st.st
+	if st.nparams > 0 {
+		if bound, err = fsql.BindStatement(st.st, ops); err != nil {
+			return nil, st.errorf(CodeExec, "%v", err)
+		}
 	}
 	s := st.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st.closed {
-		return errClosed("statement")
+		return nil, errClosed("statement")
 	}
-	bound := st.st
-	if st.nparams > 0 {
-		b, err := fsql.BindStatement(st.st, ops)
-		if err != nil {
-			return wrapErr(CodeExec, err)
-		}
-		bound = b
-	} else if len(ops) != 0 {
-		return &Error{Code: CodeExec, Msg: fmt.Sprintf("statement takes no parameters, got %d arguments", len(ops))}
-	}
-	_, err = s.runLocked(ctx, bound)
-	return err
+	return s.runLocked(ctx, bound)
 }
 
 // Close releases the prepared statement. It is idempotent.
@@ -446,7 +486,7 @@ func bindArgs(args []any) ([]fsql.Operand, error) {
 		case string:
 			ops[i] = fsql.StrOperand(v)
 		default:
-			return nil, &Error{Code: CodeExec, Msg: fmt.Sprintf("argument %d: unsupported type %T (want a number or string)", i, a)}
+			return nil, fmt.Errorf("argument %d: unsupported type %T (want a number or string)", i, a)
 		}
 	}
 	return ops, nil
