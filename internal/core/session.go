@@ -48,13 +48,16 @@ func (s *Session) Catalog() *catalog.Catalog { return s.cat }
 // shared catalog. Forked sessions are how the server gives each
 // connection an isolated session: read-only statements of different forks
 // may run concurrently, and DEFINE TERM through a fork stays private to
-// it. Closing a fork releases its cached sort temporaries but leaves the
-// shared storage open.
+// it. A fork's sort-order cache counts against its parent's cache budget,
+// so the budget bounds the database's cached orders, not each
+// connection's. Closing a fork releases its cached orders, their budget
+// share and sort temporaries, but leaves the shared storage open.
 func (s *Session) Fork() *Session {
 	ns := NewSession(s.cat)
 	ns.Env.SortMemPages = s.Env.SortMemPages
 	ns.Env.Parallelism = s.Env.Parallelism
 	ns.Env.DisableJoinReorder = s.Env.DisableJoinReorder
+	ns.Env.budget = s.Env.budget
 	ns.Env.EnableTermScope()
 	ns.forked = true
 	return ns

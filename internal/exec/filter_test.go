@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/frel"
@@ -71,6 +72,47 @@ func TestProjectDedupMax(t *testing.T) {
 	}
 	if out.Schema.Attrs[0].Name != "R.NAME" {
 		t.Errorf("schema = %v", out.Schema)
+	}
+}
+
+// TestProjectDedupLowCardinalityAllocs: a duplicate-eliminating
+// projection sizes its set from its input's size only up to a cap, so
+// projecting a column of 8 distinct values out of 200 000 tuples
+// allocates a bounded set, not one row per input tuple (about 10 MB).
+func TestProjectDedupLowCardinalityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	rel := relXY("R")
+	for i := range 200000 {
+		rel.Append(frel.NewTuple(1, frel.Crisp(float64(i%8)), frel.Str("")))
+	}
+	p, err := NewProject(NewMemSource(rel), []string{"X"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	it, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for {
+		b, ok := it.NextBatch()
+		if !ok {
+			break
+		}
+		rows += len(b)
+	}
+	it.Close()
+	runtime.ReadMemStats(&after)
+	if rows != 8 {
+		t.Fatalf("%d distinct rows, want 8", rows)
+	}
+	const maxBytes = 3 << 20
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > maxBytes {
+		t.Errorf("projecting 8 distinct values of 200 000 tuples allocated %d bytes, want <= %d", bytes, maxBytes)
 	}
 }
 
