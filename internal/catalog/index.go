@@ -2,25 +2,29 @@ package catalog
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strings"
 
+	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/storage"
 )
 
 // Persistent order indexes. An index is a secondary file of base-heap
 // positions (tids) on one numeric attribute of one relation, listed in the
-// stable Definition 3.1 order (support begin, support end, tid). The
-// engine serves the extended merge-join's sort order from it instead of
-// external-sorting the relation.
+// engine's one stable order (frel.Compare, then tid), sorted by the same
+// extsort.SortTids the reader runs. The engine serves the extended
+// merge-join's sort order from it instead of external-sorting the
+// relation: the reader starts its in-memory sort from the file's order,
+// which the sort then confirms in about one comparison per tuple.
 //
 // An index is written once and never maintained: its n entries order the
 // relation's first n tuples, the ones it held when the index was built.
 // Tuples appended later, by INSERT or a bulk load, are the index's tail,
-// which the reader appends in tid order and re-sorts with the prefix (see
-// the core index scan). Only a rewrite that moves tuples invalidates it.
+// which the reader appends in tid order before it sorts (see the core
+// sort cache's decodedSort). Only a rewrite that moves tuples invalidates
+// it.
 //
 // Lifecycle and crash ordering:
 //
@@ -34,8 +38,10 @@ import (
 //     entry files before the rewrite and builds them again after it; Open
 //     rebuilds an index whose file is missing (a crash in between) or
 //     longer than its relation.
-//   - The reader checks each entry file against the tuples it serves and
-//     sorts instead when the file is not their stable order.
+//   - The reader does not trust an entry file: it sorts whatever tids the
+//     file lists, so a file listing the wrong ones costs comparisons but
+//     never changes an answer, fails a statement or sends it to the
+//     external sort.
 
 // Index is a persistent secondary index on the Definition 3.1 order of one
 // numeric attribute.
@@ -129,15 +135,18 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 	if err != nil {
 		return err
 	}
-	tids := make([]uint64, len(rel.Tuples))
-	for i := range tids {
-		tids[i] = uint64(i)
+	if len(rel.Tuples) > math.MaxInt32 {
+		return fmt.Errorf("catalog: index %q: %d tuples are more than an index holds", ix.Name, len(rel.Tuples))
 	}
-	// Stable: ties, identical values, stay in tid order, the order the
-	// engine's external sort of the relation produces.
-	slices.SortStableFunc(tids, func(a, b uint64) int {
-		return frel.Compare(rel.Tuples[a].Values[ix.pos], rel.Tuples[b].Values[ix.pos])
-	})
+	tids := make([]int32, len(rel.Tuples))
+	for i := range tids {
+		tids[i] = int32(i)
+	}
+	// The engine's one stable sort, so the file is exactly the order a
+	// reader's sort confirms.
+	if _, err := extsort.SortTids(h.Schema, rel.Tuples, tids, extsort.Order{Attr: ix.pos}); err != nil {
+		return err
+	}
 	ih, err := c.mgr.CreateHeap(indexHeapName(ix.Rel, ix.Attr), storage.IndexSchema())
 	if err != nil {
 		return err
@@ -152,14 +161,14 @@ func (c *Catalog) buildIndex(ix *Index, h *storage.HeapFile) error {
 
 // appendEntries appends the tids to ih as one transaction and flushes the
 // file.
-func appendEntries(mgr *storage.Manager, ih *storage.HeapFile, tids []uint64) error {
+func appendEntries(mgr *storage.Manager, ih *storage.HeapFile, tids []int32) error {
 	tx, err := mgr.Begin()
 	if err != nil {
 		return err
 	}
 	var rec []byte
 	for _, tid := range tids {
-		rec = storage.AppendIndexEntry(rec[:0], tid)
+		rec = storage.AppendIndexEntry(rec[:0], uint64(tid))
 		if err := ih.AppendRaw(rec); err != nil {
 			return tx.Abort(err)
 		}

@@ -42,20 +42,28 @@ func (s *ExecStats) Plan() *exec.StatsSnapshot {
 	return s.Root.Snapshot()
 }
 
-// Lines renders the stats as text lines: a strategy header, a summary
-// line, and one indented line per operator.
+// Lines renders the stats as text lines (StatsLines).
 func (s *ExecStats) Lines() []string {
+	return StatsLines(s.Strategy.String(), s.Note, s.Rules, s.Wall, s.Answer, s.Pruned, s.PoolHits, s.PoolMisses, s.Plan())
+}
+
+// StatsLines renders the stats of an EXPLAIN ANALYZE run as text lines: a
+// strategy header, the planner rules applied when there are any, a
+// summary line, and one indented line per operator of plan. It is the one
+// rendering of those stats, as ExecStats and as the public API's
+// QueryStats.
+func StatsLines(strategy, note string, rules []string, wall time.Duration, answer int, pruned, poolHits, poolMisses int64, plan *exec.StatsSnapshot) []string {
 	lines := []string{
-		fmt.Sprintf("strategy: %s (%s)", s.Strategy, s.Note),
+		fmt.Sprintf("strategy: %s (%s)", strategy, note),
 	}
-	if len(s.Rules) > 0 {
-		lines = append(lines, "rules: "+strings.Join(s.Rules, ", "))
+	if len(rules) > 0 {
+		lines = append(lines, "rules: "+strings.Join(rules, ", "))
 	}
 	lines = append(lines,
 		fmt.Sprintf("wall: %s  answer: %d tuples  pruned by WITH: %d  pool: %d hits / %d misses",
-			s.Wall.Round(time.Microsecond), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses))
-	if snap := s.Plan(); snap != nil {
-		lines = append(lines, strings.Split(strings.TrimRight(snap.Render(), "\n"), "\n")...)
+			wall.Round(time.Microsecond), answer, pruned, poolHits, poolMisses))
+	if plan != nil {
+		lines = append(lines, strings.Split(strings.TrimRight(plan.Render(), "\n"), "\n")...)
 	}
 	return lines
 }

@@ -325,11 +325,12 @@ func (r *renameSource) Schema() *frel.Schema { return r.schema }
 // through the sort-order cache (see sortcache.go): a repeat sort of an
 // unmodified relation is served from the cached order without re-sorting
 // or reading a page, a cold sort of a relation carrying a persistent order
-// index on the attribute is served from the index (see indexscan.go)
-// without sorting at all, and any other cold sort is an external sort of
-// the heap whose final merge feeds the consumer. The second request for an
-// order at a heap version is admitted: it sorts a tid permutation over the
-// heap's decoded copy in memory and caches it, or, when the decoded form
+// index on the attribute is sorted in memory over the heap's decoded copy,
+// starting from the index's order (decodedSort), and any other cold sort
+// is an external sort of the heap whose final merge feeds the consumer.
+// The second request for an order at a heap version is admitted: it sorts
+// a tid permutation over the heap's decoded copy in memory and caches it
+// (decodedSort again, starting from tid order), or, when the decoded form
 // would pass the cache budget, copies the external sort's final merge into
 // a cached sorted heap file as it is pulled. Any other input (a filtered
 // scan, a join's intermediate result) is encoded a tuple at a time into
@@ -362,17 +363,17 @@ func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
 		node.CacheHits.Add(1)
 		return e.attach(node, exec.WithContext(e.ctx, out), src), nil
 	}
-	if out, ok, err := e.indexSorted(src, base, attr, order); err != nil {
-		return nil, err
-	} else if ok {
-		return out, nil
+	if ix := e.cat.IndexForHeap(base.Heap, order.Attr); ix != nil {
+		if out, ok, err := e.decodedSort(src, base, key, version, attr, ix.Heap()); err != nil || ok {
+			return out, err
+		}
 	}
 	// The order is admitted if last streamed at this version: sorted in
 	// memory over the heap's decoded copy when that fits the cache budget.
 	admit := ent.seen && ent.streamed == version
 	ent.streamed, ent.seen = version, true
 	if admit {
-		if out, ok, err := e.decodedSort(src, base, key, version, attr); err != nil || ok {
+		if out, ok, err := e.decodedSort(src, base, key, version, attr, nil); err != nil || ok {
 			return out, err
 		}
 	}

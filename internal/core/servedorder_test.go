@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -61,13 +63,15 @@ func orderRows(rng *rand.Rand, schema *frel.Schema, first, n int) *frel.Relation
 // TestServedOrdersAreTheStableSort is the property of every order the
 // sort cache serves, however it serves it: random interleavings of
 // appends, rolled-back transactions (read inside, before the rollback),
-// snapshot readers, order requests on two attributes, and index builds
-// and drops, at a sort memory of 2 pages whose 128 KB cache budget the
+// snapshot readers, order requests on two attributes, index builds and
+// drops, and indexes over entry files the engine did not write
+// (entryFile), at a sort memory of 2 pages whose 128 KB cache budget the
 // relation outgrows. Every served order, streamed, admitted into a
 // permutation or a sorted copy, hit, or loaded from an index, must equal
 // exactly the stable (frel.Compare, tid) sort of the tuples its reader
-// sees. The run must cross every path: permutations, sorted copies and
-// index loads.
+// sees, and an index whatever its file lists must serve it. The run must
+// cross every path: permutations, sorted copies, index loads and loads
+// over written entry files.
 func TestServedOrdersAreTheStableSort(t *testing.T) {
 	for seed := range int64(4) {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -96,7 +100,7 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 			}
 			appendRows(200)
 
-			var perms, copies int
+			var perms, copies, files int
 			check := func(step int, snap *Snapshot, attr string) {
 				t.Helper()
 				restore := e.setSnapshot(snap)
@@ -185,6 +189,40 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 						t.Fatal(err)
 					}
 					indexed[attr] = !indexed[attr]
+				case op == 7:
+					// An entry file the engine did not write: R is rebuilt
+					// with the same tuples under an index created while it
+					// was empty, whose file is then written entry by entry.
+					// The index must still serve the stable sort.
+					rows, err := h.ReadAll()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := "r_" + strings.ToLower(attr)
+					if _, err := execScript(sess, fmt.Sprintf(`DROP TABLE R; CREATE TABLE R (K NUMBER, A NUMBER, B NUMBER); CREATE INDEX %s ON R (%s)`, name, attr)); err != nil {
+						t.Fatal(err)
+					}
+					if h, err = e.cat.Relation("R"); err != nil {
+						t.Fatal(err)
+					}
+					ix, _ := e.cat.LookupIndex(name)
+					ai, _ := h.Schema.Resolve(attr)
+					for _, tid := range entryFile(rng, rows, ai) {
+						if err := ix.Heap().AppendRaw(storage.AppendIndexEntry(nil, tid)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := h.AppendAll(rows); err != nil {
+						t.Fatal(err)
+					}
+					indexed = map[string]bool{attr: true}
+					snaps = nil // of the dropped relation
+					loads := e.Work.IndexHits.Load()
+					check(step, nil, attr)
+					if e.Work.IndexHits.Load() != loads+1 {
+						t.Fatalf("step %d: the order on %s was not served by its index over a written entry file", step, attr)
+					}
+					files++
 				default:
 					var snap *Snapshot
 					if len(snaps) > 0 && rng.Intn(2) == 0 {
@@ -193,11 +231,59 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 					check(step, snap, attr)
 				}
 			}
-			if perms == 0 || copies == 0 || e.Work.IndexHits.Load() == 0 {
-				t.Errorf("the run served %d permutations, %d sorted copies and %d index loads; want each path crossed", perms, copies, e.Work.IndexHits.Load())
+			if perms == 0 || copies == 0 || e.Work.IndexHits.Load() == 0 || files == 0 {
+				t.Errorf("the run served %d permutations, %d sorted copies and %d index loads, %d of them over written entry files; want each path crossed", perms, copies, e.Work.IndexHits.Load(), files)
 			}
 		})
 	}
+}
+
+// entryFile returns the entries of an order-index file on attribute ai of
+// rows that the engine did not write: a random permutation of the tids,
+// tids drawn with repeats, the stable order with tids past the relation
+// mixed in, a random file shorter than the relation, the stable order
+// followed by repeated entries, or the order older versions wrote
+// (Definition 3.1's supports alone, ties in tid order).
+func entryFile(rng *rand.Rand, rows *frel.Relation, ai int) []uint64 {
+	n := len(rows.Tuples)
+	var perm, stable []uint64
+	for i, p := range rng.Perm(n) {
+		perm, stable = append(perm, uint64(p)), append(stable, uint64(i))
+	}
+	slices.SortStableFunc(stable, func(i, j uint64) int {
+		return frel.Compare(rows.Tuples[i].Values[ai], rows.Tuples[j].Values[ai])
+	})
+	switch rng.Intn(6) {
+	case 0:
+		return perm
+	case 1:
+		for i := range perm {
+			perm[i] = uint64(rng.Intn(n))
+		}
+		return perm
+	case 2:
+		for range 1 + rng.Intn(20) {
+			past := uint64(n + rng.Intn(n))
+			if rng.Intn(4) == 0 {
+				past = ^uint64(0)
+			}
+			stable = slices.Insert(stable, rng.Intn(len(stable)+1), past)
+		}
+		return stable
+	case 3:
+		return perm[:rng.Intn(n)]
+	case 4:
+		return append(stable, perm[:1+rng.Intn(n)]...)
+	}
+	older := make([]uint64, n)
+	for i := range older {
+		older[i] = uint64(i)
+	}
+	slices.SortStableFunc(older, func(i, j uint64) int {
+		x, y := rows.Tuples[i].Values[ai].Num, rows.Tuples[j].Values[ai].Num
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.D, y.D))
+	})
+	return older
 }
 
 // benchmarkClasses are the seven statement classes of the repository

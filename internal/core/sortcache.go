@@ -66,10 +66,13 @@ import (
 //     sorts a relation once, as every statement of a fresh session does,
 //     therefore writes its runs and nothing else.
 //   - An order served by an index is cached on its first request, since
-//     loading it wrote nothing: its permutation is the index's entry file
-//     plus the re-sorted tail (see indexscan.go), over the same shared
-//     decoded copy. Over the budget it is served uncached; the index is
-//     its persistent form.
+//     loading it wrote nothing: its permutation is sorted over the same
+//     shared decoded copy as an admitted order's, by the same builder
+//     (decodedSort), starting from the index's entries instead of tid
+//     order. The sort, not the file, decides the order: the tids an
+//     entry file lists can cost or save comparisons, but never change an
+//     answer, fail a statement or send it to the external sort. Over the
+//     budget it is served uncached; the index is its persistent form.
 //   - An entry holds one order: storing an order replaces the one before,
 //     retiring its sorted copy. A stale sorted copy stays until then. A
 //     stale permutation is dropped as soon as its heap is decoded, or an
@@ -142,15 +145,6 @@ func baseScan(src exec.Source) *exec.HeapSource {
 		return hs
 	}
 	return nil
-}
-
-// visible returns the number of tuples a base scan reads: its snapshot
-// bound, or the heap's tuple count for a live scan.
-func visible(base *exec.HeapSource) int64 {
-	if base.Limit >= 0 {
-		return base.Limit
-	}
-	return base.Heap.NumTuples()
 }
 
 // source returns the order the entry caches, as a source of schema, or nil
@@ -359,34 +353,78 @@ func (e *Env) decodeHeap(h *storage.HeapFile, v uint64, n int64) (*heapCopy, err
 	return &heapCopy{version: v, tuples: tuples, bytes: decodedSize(h, n)}, nil
 }
 
-// decodedSort serves the admitted order key of base, at heap version v,
-// from the heap's decoded copy: it sorts a tid permutation over the copy
-// in memory, caches it, and returns the order. ok is false when the
-// decoded form would pass the cache budget, or the heap no longer holds
-// the tuples the scan sees; the caller then sorts externally.
-func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v uint64, attr string) (exec.Source, bool, error) {
+// decodedSort is the one builder of in-memory orders. It serves order key
+// of base, at heap version v, as a tid permutation over the heap's decoded
+// copy, sorted with the external sort's key and comparator
+// (extsort.SortTids): from any starting permutation that yields the stable
+// (frel.Compare, tid) order, and it confirms one already in that order in
+// about n comparisons. An admitted sort (index nil) starts from tid order,
+// and is refused when its decoded form would pass the cache budget. A load
+// from an order index (index its entry file) starts from the entries below
+// the scan's horizon, each once, then every other visible tid in tid
+// order; over the budget it is served uncached. ok is false, for the
+// caller to sort externally, when the heap no longer holds the tuples the
+// scan sees or holds more than a tid permutation indexes.
+func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v uint64, attr string, index *storage.HeapFile) (exec.Source, bool, error) {
+	n := base.Limit // the tuples the scan reads: its snapshot bound, or all
+	if n < 0 {
+		n = base.Heap.NumTuples()
+	}
+	if n > math.MaxInt32 {
+		return nil, false, nil
+	}
 	stats := e.cat.Manager().Stats()
 	start, ios := time.Now(), stats.IO()
-	n := visible(base)
+	var entries []uint64
+	if index != nil {
+		var err error
+		if entries, err = storage.ReadIndexEntries(index); err != nil {
+			return nil, false, err
+		}
+	}
 	defer e.recount()
-	hc, fits, err := e.decoded(key, v, n, false)
-	if !fits || hc == nil {
+	hc, fits, err := e.decoded(key, v, n, index != nil)
+	if hc == nil || !fits && index == nil {
 		return nil, false, err
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
+	perm := startingPerm(entries, n)
 	cmps, err := extsort.SortTids(key.heap.Schema, hc.tuples, perm, extsort.Order{Attr: key.attr})
 	if err != nil {
 		return nil, false, err
 	}
-	e.storeSort(key, sortEntry{version: v, base: hc, perm: perm})
-	node := e.newNode("sort", attr)
-	node.CacheMisses.Add(1)
-	node.Comparisons.Add(cmps)
+	if fits {
+		e.storeSort(key, sortEntry{version: v, base: hc, perm: perm})
+	}
+	var node *exec.OpStats
+	if index != nil {
+		node = e.newNode("index", attr)
+		node.IndexHits.Add(1)
+	} else {
+		node = e.newNode("sort", attr)
+		node.CacheMisses.Add(1)
+		node.Comparisons.Add(cmps)
+	}
 	node.WallNanos.Add(time.Since(start).Nanoseconds())
 	node.PageIOs.Add(stats.IO() - ios)
 	out := &permSource{schema: src.Schema(), tuples: hc.tuples, perm: perm}
 	return e.attach(node, exec.WithContext(e.ctx, out), src), true, nil
+}
+
+// startingPerm returns the permutation of the tids 0..n-1 an in-memory sort
+// starts from: the entries below n, each at its first listing, then every
+// other tid in tid order.
+func startingPerm(entries []uint64, n int64) []int32 {
+	perm, listed := make([]int32, 0, n), make([]bool, n)
+	for _, tid := range entries {
+		if tid < uint64(n) && !listed[tid] {
+			listed[tid] = true
+			perm = append(perm, int32(tid))
+		}
+	}
+	for tid := range int32(n) {
+		if !listed[tid] {
+			perm = append(perm, tid)
+		}
+	}
+	return perm
 }

@@ -1,4 +1,4 @@
-package extsort
+package extsort_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 	"repro/internal/storage"
@@ -86,20 +87,20 @@ func FuzzSortOrder(f *testing.F) {
 				rel.Append(frel.NewTuple(1, frel.Str(s), frel.Num(x), frel.Crisp(float64(rel.Len()))))
 			}
 		}
-		order := Order{Attr: attr}
+		order := extsort.Order{Attr: attr}
 
 		c := rel.Clone()
 		slices.SortStableFunc(c.Tuples, func(a, b frel.Tuple) int {
 			return frel.Compare(a.Values[attr], b.Values[attr])
 		})
-		want := ids(c.Tuples)
+		want := extsort.IDs(c.Tuples)
 
 		c = rel.Clone()
-		if _, err := SortRelation(c, order); err != nil {
+		if _, err := extsort.SortRelation(c, order); err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(ids(c.Tuples), want) {
-			t.Fatalf("SortRelation: %v, want %v", ids(c.Tuples), want)
+		if !extsort.SameIDs(extsort.IDs(c.Tuples), want) {
+			t.Fatalf("SortRelation: %v, want %v", extsort.IDs(c.Tuples), want)
 		}
 
 		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: storage.NewMemFS()})
@@ -116,17 +117,17 @@ func FuzzSortOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
-			sorter := NewSorter(m, memPages).WithParallelism(workers)
-			str, err := streamHeap(sorter, src, -1, order)
+			sorter := extsort.NewSorter(m, memPages).WithParallelism(workers)
+			str, err := extsort.StreamHeap(sorter, src, -1, order)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := streamIDs(t, str, schema)
+			got := extsort.StreamIDs(t, str, schema)
 			heapSt := str.Stats()
 			if err := str.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if !sameIDs(got, want) {
+			if !extsort.SameIDs(got, want) {
 				t.Fatalf("Stream, %d pages, workers=%d: %v, want %v", memPages, workers, got, want)
 			}
 
@@ -135,12 +136,12 @@ func FuzzSortOrder(f *testing.F) {
 			if str, err = sorter.Stream(schema, &encodedRecords{schema: schema, tuples: rel.Tuples}, -1, order); err != nil {
 				t.Fatal(err)
 			}
-			got = streamIDs(t, str, schema)
+			got = extsort.StreamIDs(t, str, schema)
 			recSt := str.Stats()
 			if err := str.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if !sameIDs(got, want) {
+			if !extsort.SameIDs(got, want) {
 				t.Fatalf("Stream of records, %d pages, workers=%d: %v, want %v", memPages, workers, got, want)
 			}
 			if recSt != heapSt {
@@ -166,7 +167,7 @@ func FuzzSortOrder(f *testing.F) {
 		for i, tid := range tids {
 			got[i] = float64(tid)
 		}
-		if !sameIDs(got, want) {
+		if !extsort.SameIDs(got, want) {
 			t.Fatalf("CREATE INDEX: %v, want %v", got, want)
 		}
 	})

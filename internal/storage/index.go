@@ -16,10 +16,11 @@ import (
 //
 // An index is written once, by CREATE INDEX, and never appended to
 // afterwards: its n records are the tids 0..n-1 of the base heap at build
-// time, listed in the stable Definition 3.1 order of the indexed attribute
-// — (A, D) ascending with ties in tid order. The base tuples appended
-// later (tids n and up) are the index's tail, which a reader appends in
-// tid order and re-sorts together with the prefix.
+// time, listed in the engine's stable order of the indexed attribute
+// (frel.Compare, ties in tid order). The base tuples appended later (tids
+// n and up) are the index's tail. A reader takes the file's order only as
+// the start of its own sort, followed by the tail in tid order, so what
+// the records say never decides the order it serves.
 
 // IndexEntrySize is the serialized size of one index entry, a tid.
 const IndexEntrySize = 8

@@ -25,7 +25,7 @@ import (
 // copies the cache keeps for orders whose decoded form passes its budget
 // (2 pages of sort memory here). "indexed" loads every order
 // from an order index on R.A, R.B, S.A and S.B, with a tail of tuples
-// appended after the indexes were built, so each load also re-sorts; the
+// appended after the indexes were built, so each load sorts the tail in; the
 // cache is emptied before every run. Skipped under -race, which inflates
 // allocation counts.
 func TestFoldedQueryAllocs(t *testing.T) {

@@ -2,7 +2,6 @@ package fuzzydb
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -20,35 +19,31 @@ type PlanStats = exec.StatsSnapshot
 
 // QueryStats is the machine-readable summary of an EXPLAIN ANALYZE run.
 type QueryStats struct {
-	Strategy   string     `json:"strategy"`       // unnesting strategy chosen
-	Note       string     `json:"note,omitempty"` // strategy detail (theorem applied)
-	WallNanos  int64      `json:"wall_ns"`        // total evaluation wall time
-	Answer     int        `json:"answer_rows"`    // answer cardinality
-	Pruned     int64      `json:"pruned_by_with"` // rows dropped by WITH D >=
-	PoolHits   int64      `json:"pool_hits"`      // buffer-pool page hits
-	PoolMisses int64      `json:"pool_misses"`    // buffer-pool misses (physical reads)
-	Plan       *PlanStats `json:"plan"`           // per-operator tree
+	Strategy   string     `json:"strategy"`        // unnesting strategy chosen
+	Note       string     `json:"note,omitempty"`  // strategy detail (theorem applied)
+	Rules      []string   `json:"rules,omitempty"` // planner rewrite rules applied, in order
+	WallNanos  int64      `json:"wall_ns"`         // total evaluation wall time
+	Answer     int        `json:"answer_rows"`     // answer cardinality
+	Pruned     int64      `json:"pruned_by_with"`  // rows dropped by WITH D >=
+	PoolHits   int64      `json:"pool_hits"`       // buffer-pool page hits
+	PoolMisses int64      `json:"pool_misses"`     // buffer-pool misses (physical reads)
+	Plan       *PlanStats `json:"plan"`            // per-operator tree
 }
 
 // Wall returns the total evaluation wall time.
 func (s *QueryStats) Wall() time.Duration { return time.Duration(s.WallNanos) }
 
-// String renders the stats as the shell's EXPLAIN ANALYZE output.
+// String renders the stats as the shell's EXPLAIN ANALYZE output: the
+// lines of the PLAN rows Query("EXPLAIN ANALYZE ...") returns.
 func (s *QueryStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "strategy: %s (%s)\n", s.Strategy, s.Note)
-	fmt.Fprintf(&b, "wall: %s  answer: %d tuples  pruned by WITH: %d  pool: %d hits / %d misses\n",
-		s.Wall().Round(time.Microsecond), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses)
-	if s.Plan != nil {
-		b.WriteString(s.Plan.Render())
-	}
-	return b.String()
+	return strings.Join(core.StatsLines(s.Strategy, s.Note, s.Rules, s.Wall(), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses, s.Plan), "\n") + "\n"
 }
 
 func convertStats(es *core.ExecStats) *QueryStats {
 	return &QueryStats{
 		Strategy:   es.Strategy.String(),
 		Note:       es.Note,
+		Rules:      es.Rules,
 		WallNanos:  es.Wall.Nanoseconds(),
 		Answer:     es.Answer,
 		Pruned:     es.Pruned,

@@ -84,3 +84,46 @@ func TestExplainAnalyzeParseError(t *testing.T) {
 		t.Fatal("no error for malformed query")
 	}
 }
+
+// TestStatsStringMatchesPlanRows: QueryStats.String() renders the same
+// text as the PLAN rows of Query("EXPLAIN ANALYZE ..."), rules line
+// included: the same header lines and as many lines. Times differ between
+// the two runs, so only the strategy and rules lines are compared whole.
+func TestStatsStringMatchesPlanRows(t *testing.T) {
+	db := planDB(t)
+	sql := `SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A)`
+	_, stats, err := db.ExplainAnalyze(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Rules) != 1 || stats.Rules[0] != "unnest-in" {
+		t.Errorf("Rules = %v, want [unnest-in]", stats.Rules)
+	}
+	b, err := json.Marshal(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"rules":["unnest-in"]`) {
+		t.Errorf("JSON lacks the rules: %s", b)
+	}
+	res, err := db.Query("EXPLAIN ANALYZE " + sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := stats.String()
+	if !strings.HasSuffix(text, "\n") {
+		t.Errorf("String() does not end its last line:\n%s", text)
+	}
+	got := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if len(got) != res.Len() {
+		t.Fatalf("String() has %d lines, the PLAN rows %d:\n%s\n%s", len(got), res.Len(), text, res)
+	}
+	for i := range 2 {
+		if want := res.Row(i)[0]; got[i] != want {
+			t.Errorf("String() line %d = %q, PLAN row %q", i, got[i], want)
+		}
+	}
+	if !strings.HasPrefix(got[1], "rules: ") {
+		t.Errorf("String() line 1 = %q, want the rules line", got[1])
+	}
+}
