@@ -2,45 +2,18 @@ package bench
 
 import (
 	"repro/internal/core"
-	"repro/internal/exec"
 )
-
-// MethodStats is the machine-readable EXPLAIN ANALYZE result of one
-// method's run — the JSON shape fuzzybench -json emits (see DESIGN.md).
-type MethodStats struct {
-	Strategy   string              `json:"strategy"`
-	Note       string              `json:"note,omitempty"`
-	WallNanos  int64               `json:"wall_ns"`
-	Answer     int                 `json:"answer_rows"`
-	Pruned     int64               `json:"pruned_by_with"`
-	PoolHits   int64               `json:"pool_hits"`
-	PoolMisses int64               `json:"pool_misses"`
-	Plan       *exec.StatsSnapshot `json:"plan"`
-}
-
-func methodStats(es *core.ExecStats) *MethodStats {
-	return &MethodStats{
-		Strategy:   es.Strategy.String(),
-		Note:       es.Note,
-		WallNanos:  es.Wall.Nanoseconds(),
-		Answer:     es.Answer,
-		Pruned:     es.Pruned,
-		PoolHits:   es.PoolHits,
-		PoolMisses: es.PoolMisses,
-		Plan:       es.Plan(),
-	}
-}
 
 // AnalyzeReport is the EXPLAIN ANALYZE comparison of both methods on one
 // generated workload pair.
 type AnalyzeReport struct {
-	Query       string                  `json:"query"`
-	Outer       int                     `json:"outer_tuples"`
-	Inner       int                     `json:"inner_tuples"`
-	ScaleDiv    int                     `json:"scalediv"`
-	Parallelism int                     `json:"parallelism"`
-	Seed        int64                   `json:"seed"`
-	Methods     map[string]*MethodStats `json:"methods"`
+	Query       string                      `json:"query"`
+	Outer       int                         `json:"outer_tuples"`
+	Inner       int                         `json:"inner_tuples"`
+	ScaleDiv    int                         `json:"scalediv"`
+	Parallelism int                         `json:"parallelism"`
+	Seed        int64                       `json:"seed"`
+	Methods     map[string]*core.QueryStats `json:"methods"`
 }
 
 // AnalyzePair runs both methods on a freshly generated R/S pair with
@@ -58,9 +31,9 @@ func (c Config) AnalyzePair(nOuter, nInner int) (*AnalyzeReport, error) {
 		ScaleDiv:    cfg.ScaleDiv,
 		Parallelism: cfg.Parallelism,
 		Seed:        cfg.Seed,
-		Methods: map[string]*MethodStats{
-			NestedLoop.String(): methodStats(stats[0]),
-			MergeJoin.String():  methodStats(stats[1]),
+		Methods: map[string]*core.QueryStats{
+			NestedLoop.String(): stats[0].Summary(),
+			MergeJoin.String():  stats[1].Summary(),
 		},
 	}, nil
 }

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -9,7 +12,8 @@ import (
 // extended merge-join touches, per outer tuple, only the inner tuples
 // whose supports intersect — so the Rng(r) scan lengths reported by
 // EXPLAIN ANALYZE must be strictly smaller than the inner relation's
-// cardinality, while the naive nested-loop method rescans all of it.
+// cardinality, while the naive nested-loop method rescans all of it. The
+// merge-join method's report names the rewrite rule it applied.
 func TestAnalyzePairRngBound(t *testing.T) {
 	const nOuter, nInner = 250, 250
 	cfg := Config{ScaleDiv: 32, Verify: true, Seed: 1}
@@ -21,6 +25,14 @@ func TestAnalyzePairRngBound(t *testing.T) {
 	merged := rep.Methods[MergeJoin.String()]
 	if merged == nil || merged.Plan == nil {
 		t.Fatalf("no merge-join method stats in report: %+v", rep.Methods)
+	}
+	// The report carries the planner's rules, in JSON too (fuzzybench
+	// -json prints it).
+	if !slices.Contains(merged.Rules, "unnest-in") {
+		t.Errorf("merge-join method rules %v, want unnest-in among them", merged.Rules)
+	}
+	if b, err := json.Marshal(merged); err != nil || !strings.Contains(string(b), `"rules":[`) || !strings.Contains(string(b), `"unnest-in"`) {
+		t.Errorf("merge-join method JSON has no rules naming unnest-in (err %v)", err)
 	}
 	mj := merged.Plan.Find("merge-join")
 	if mj == nil {

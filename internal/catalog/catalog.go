@@ -79,6 +79,14 @@ func (c *Catalog) Relation(name string) (*storage.HeapFile, error) {
 	return h, nil
 }
 
+// Holds reports whether h is the heap of one of the catalog's relations:
+// false once a DELETE rewrite has replaced it or DROP TABLE dropped it.
+func (c *Catalog) Holds(h *storage.HeapFile) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.relations[relKey(h.Schema.Name)] == h
+}
+
 // ReplaceRelationContents rewrites a relation to contain exactly the
 // given tuples (used by DELETE). The schema is unchanged. The tuples go
 // into a fresh heap under the relation's next storage name (r, r.1, r.2,

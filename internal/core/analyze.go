@@ -34,6 +34,44 @@ type ExecStats struct {
 	nodes []*exec.OpStats
 }
 
+// QueryStats is the machine-readable summary of an EXPLAIN ANALYZE run:
+// the one JSON shape of the public API's stats and of fuzzybench -json.
+type QueryStats struct {
+	Strategy   string              `json:"strategy"`        // unnesting strategy chosen
+	Note       string              `json:"note,omitempty"`  // strategy detail (theorem applied)
+	Rules      []string            `json:"rules,omitempty"` // planner rewrite rules applied, in order
+	WallNanos  int64               `json:"wall_ns"`         // total evaluation wall time
+	Answer     int                 `json:"answer_rows"`     // answer cardinality
+	Pruned     int64               `json:"pruned_by_with"`  // rows dropped by WITH D >=
+	PoolHits   int64               `json:"pool_hits"`       // buffer-pool page hits
+	PoolMisses int64               `json:"pool_misses"`     // buffer-pool misses (physical reads)
+	Plan       *exec.StatsSnapshot `json:"plan"`            // per-operator tree
+}
+
+// Summary returns the stats as a QueryStats.
+func (s *ExecStats) Summary() *QueryStats {
+	return &QueryStats{
+		Strategy:   s.Strategy.String(),
+		Note:       s.Note,
+		Rules:      s.Rules,
+		WallNanos:  s.Wall.Nanoseconds(),
+		Answer:     s.Answer,
+		Pruned:     s.Pruned,
+		PoolHits:   s.PoolHits,
+		PoolMisses: s.PoolMisses,
+		Plan:       s.Plan(),
+	}
+}
+
+// Wall returns the total evaluation wall time.
+func (s *QueryStats) Wall() time.Duration { return time.Duration(s.WallNanos) }
+
+// String renders the stats as the shell's EXPLAIN ANALYZE output: the
+// lines of the PLAN rows an EXPLAIN ANALYZE statement returns.
+func (s *QueryStats) String() string {
+	return strings.Join(StatsLines(s.Strategy, s.Note, s.Rules, s.Wall(), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses, s.Plan), "\n") + "\n"
+}
+
 // Plan snapshots the operator tree into plain serializable values.
 func (s *ExecStats) Plan() *exec.StatsSnapshot {
 	if s.Root == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/frel"
@@ -222,6 +223,11 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 		return nil, err
 	}
 	am.Workers, am.Floor, am.Ctx = e.workers(), a.Floor.Floor(), e.ctx
+	if emit := outerEmit(outer.Schema(), p.Proj().Items); emit != nil {
+		if err := am.EmitColumns(emit); err != nil {
+			return nil, err
+		}
+	}
 	return e.finishProject(e.attach(node, am, outer, inner), p.Proj().Items, p.Root.Shape)
 }
 
@@ -258,6 +264,11 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 		return nil, err
 	}
 	ga.Workers, ga.Floor, ga.Ctx = e.workers(), g.Floor.Floor(), e.ctx
+	if emit := outerEmit(sortedOuter.Schema(), p.Proj().Items); emit != nil {
+		if err := ga.EmitColumns(emit); err != nil {
+			return nil, err
+		}
+	}
 	return e.finishProject(e.attach(node, ga, sortedOuter, inner), p.Proj().Items, p.Root.Shape)
 }
 
@@ -335,6 +346,27 @@ func (e *Env) constantSubquerySet(sub *fsql.Select, node *exec.OpStats) ([]setMe
 		}
 	}
 	return set, nil
+}
+
+// outerEmit returns the columns of the outer schema the answer's items
+// read, each once, in the order they are first read: the columns an
+// anti-join or group-aggregate join builds its rows of. It returns nil,
+// every column, when an item is an aggregate or resolves elsewhere.
+func outerEmit(schema *frel.Schema, items []fsql.SelectItem) []int {
+	if hasAggItems(items) {
+		return nil
+	}
+	var emit []int
+	for _, it := range items {
+		c, err := schema.Resolve(it.Ref)
+		if err != nil {
+			return nil
+		}
+		if !slices.Contains(emit, c) {
+			emit = append(emit, c)
+		}
+	}
+	return emit
 }
 
 // kernelFold maps the plan's fold decision to the kernel join's.

@@ -56,11 +56,12 @@ type Env struct {
 
 	// SortMemPages is the memory budget, in pages, for external sorts
 	// (default 256 pages = the paper's 2 MB). It also sizes the sort-order
-	// cache: an order is cached in memory only while the decoded tuples
-	// and tid permutations the caches of the database's sessions hold
-	// together stay within 8 × SortMemPages pages (16 MiB at the default;
-	// see sortcache.go). The sweeps are not bounded by it: every window
-	// holds both of its inputs in memory.
+	// cache: an order is cached in memory, as columns in sort order (104
+	// bytes per tuple of three numeric attributes), only while the columns
+	// the caches of the database's sessions hold together stay within 8 ×
+	// SortMemPages pages (16 MiB at the default; see sortcache.go). The
+	// sweeps are not bounded by it: every window holds both of its inputs
+	// in memory.
 	SortMemPages int
 
 	// DisableJoinReorder turns off the dynamic-programming join ordering
@@ -323,16 +324,16 @@ func (r *renameSource) Schema() *frel.Schema { return r.schema }
 
 // sortSource returns src sorted on attr. Plain scans of base relations go
 // through the sort-order cache (see sortcache.go): a repeat sort of an
-// unmodified relation is served from the cached order without re-sorting
-// or reading a page, a cold sort of a relation carrying a persistent order
-// index on the attribute is sorted in memory over the heap's decoded copy,
-// starting from the index's order (decodedSort), and any other cold sort
-// is an external sort of the heap whose final merge feeds the consumer.
-// The second request for an order at a heap version is admitted: it sorts
-// a tid permutation over the heap's decoded copy in memory and caches it
-// (decodedSort again, starting from tid order), or, when the decoded form
-// would pass the cache budget, copies the external sort's final merge into
-// a cached sorted heap file as it is pulled. Any other input (a filtered
+// unmodified relation is served from the cached order's columns without
+// re-sorting or reading a page, a cold sort of a relation carrying a
+// persistent order index on the attribute is sorted in memory over the
+// heap's decoded columns, starting from the index's order (decodedSort),
+// and any other cold sort is an external sort of the heap whose final
+// merge feeds the consumer. The second request for an order at a heap
+// version is admitted: it builds the order's columns in memory and caches
+// them (decodedSort again, starting from tid order), or, when they would
+// pass the cache budget, copies the external sort's final merge into a
+// cached sorted heap file as it is pulled. Any other input (a filtered
 // scan, a join's intermediate result) is encoded a tuple at a time into
 // the same external sort, whose final merge feeds the consumer the same
 // way: it writes runs only for what the sort memory cannot hold.
@@ -357,6 +358,7 @@ func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
 	}
 	key := sortKey{heap: base.Heap, attr: order.Attr}
 	version := e.heapVersion(base.Heap)
+	e.dropStale(base.Heap, version)
 	ent := e.entry(key)
 	if out := ent.source(version, src.Schema()); out != nil {
 		node := e.newNode("sort", attr)
@@ -368,8 +370,8 @@ func (e *Env) sortSource(src exec.Source, attr string) (exec.Source, error) {
 			return out, err
 		}
 	}
-	// The order is admitted if last streamed at this version: sorted in
-	// memory over the heap's decoded copy when that fits the cache budget.
+	// The order is admitted if last streamed at this version: built in
+	// memory as columns when they fit the cache budget.
 	admit := ent.seen && ent.streamed == version
 	ent.streamed, ent.seen = version, true
 	if admit {

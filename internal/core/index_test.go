@@ -524,7 +524,7 @@ func TestIndexOrderIsTheStableSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ent := e.sortCache[sortKey{heap: h, attr: 1}]; ent == nil || ent.perm == nil {
+		if ent := e.sortCache[sortKey{heap: h, attr: 1}]; ent == nil || ent.order == nil {
 			t.Fatalf("%s: the order was not served by the index", leg.name)
 		}
 		if len(got.Tuples) != len(want.Tuples) {

@@ -66,11 +66,11 @@ func orderRows(rng *rand.Rand, schema *frel.Schema, first, n int) *frel.Relation
 // snapshot readers, order requests on two attributes, index builds and
 // drops, and indexes over entry files the engine did not write
 // (entryFile), at a sort memory of 2 pages whose 128 KB cache budget the
-// relation outgrows. Every served order, streamed, admitted into a
-// permutation or a sorted copy, hit, or loaded from an index, must equal
+// relation's two orders outgrow. Every served order, streamed, admitted into cached
+// columns or a sorted copy, hit, or loaded from an index, must equal
 // exactly the stable (frel.Compare, tid) sort of the tuples its reader
 // sees, and an index whatever its file lists must serve it. The run must
-// cross every path: permutations, sorted copies, index loads and loads
+// cross every path: cached columns, sorted copies, index loads and loads
 // over written entry files.
 func TestServedOrdersAreTheStableSort(t *testing.T) {
 	for seed := range int64(4) {
@@ -98,7 +98,7 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 				}
 				added += n
 			}
-			appendRows(200)
+			appendRows(700)
 
 			var perms, copies, files int
 			check := func(step int, snap *Snapshot, attr string) {
@@ -140,7 +140,7 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 					}
 				}
 				if ent := e.sortCache[sortKey{heap: h, attr: ai}]; ent != nil {
-					if ent.perm != nil {
+					if ent.order != nil {
 						perms++
 					}
 					if ent.sorted != nil {
@@ -232,7 +232,7 @@ func TestServedOrdersAreTheStableSort(t *testing.T) {
 				}
 			}
 			if perms == 0 || copies == 0 || e.Work.IndexHits.Load() == 0 || files == 0 {
-				t.Errorf("the run served %d permutations, %d sorted copies and %d index loads, %d of them over written entry files; want each path crossed", perms, copies, e.Work.IndexHits.Load(), files)
+				t.Errorf("the run served %d cached columns, %d sorted copies and %d index loads, %d of them over written entry files; want each path crossed", perms, copies, e.Work.IndexHits.Load(), files)
 			}
 		})
 	}
@@ -298,13 +298,13 @@ var benchmarkClasses = []string{
 	`SELECT R.K FROM R WHERE R.B IN (SELECT S.B FROM S WHERE S.A = R.A AND S.B IN (SELECT T.B FROM T WHERE T.A = S.A))`,
 }
 
-// TestCachedTuplesAreNeverWritten: the decoded tuples the sort cache holds
-// are shared by every order over them and every statement they serve, so
-// no operator may write them. The seven benchmark classes run twice on one
-// session, with two sweep workers, once their orders are cached; the
-// cached tuples must then be bit for bit what they were before, still the
-// ones every order permutes, and the answers unchanged. Run it under
-// -race too: the workers read the shared tuples concurrently.
+// TestCachedTuplesAreNeverWritten: the columns the sort cache holds are
+// shared by every statement they serve, so no operator may write them.
+// The seven benchmark classes run twice on one session, with two sweep
+// workers, once their orders are cached; every cached order must then
+// still be the columns it was, bit for bit what they were before, and the
+// answers unchanged. Run it under -race too: the workers read the shared
+// columns concurrently.
 func TestCachedTuplesAreNeverWritten(t *testing.T) {
 	sess, err := OpenSessionOptions("db", SessionOptions{BufferPages: 64, FS: storage.NewMemFS()})
 	if err != nil {
@@ -336,34 +336,31 @@ func TestCachedTuplesAreNeverWritten(t *testing.T) {
 	}
 	run()          // streams every sort
 	first := run() // admits the orders of R, S and T
-	held := map[*heapCopy][]frel.Tuple{}
-	for _, ent := range sess.Env.sortCache {
-		if ent.perm != nil && held[ent.base] == nil {
-			c := make([]frel.Tuple, len(ent.base.tuples))
-			for i, tu := range ent.base.tuples {
-				c[i] = frel.Tuple{Values: append([]frel.Value(nil), tu.Values...), D: tu.D}
+	type held struct{ cols, was *frel.Columns }
+	orders := map[*sortEntry]held{}
+	relations := map[*storage.HeapFile]bool{}
+	for k, ent := range sess.Env.sortCache {
+		if ent.order != nil {
+			cols := ent.order.Cols()
+			perm := make([]int32, cols.Len())
+			for i := range perm {
+				perm[i] = int32(i)
 			}
-			held[ent.base] = c
+			orders[ent] = held{cols, cols.Gather(perm)}
+			relations[k.heap] = true
 		}
 	}
-	if len(held) != 3 {
-		t.Fatalf("the cache holds %d decoded relations, want R, S and T", len(held))
+	if len(relations) != 3 {
+		t.Fatalf("the cache holds orders of %d relations, want R, S and T", len(relations))
 	}
 	run()
 	last := run()
-	for hc, want := range held {
-		if len(hc.tuples) != len(want) {
-			t.Fatalf("a cached relation went from %d to %d tuples", len(want), len(hc.tuples))
+	for ent, h := range orders {
+		if ent.order == nil || ent.order.Cols() != h.cols {
+			t.Fatalf("an order was rebuilt instead of hitting")
 		}
-		for i := range want {
-			if !identicalTuples(hc.tuples[i], want[i]) {
-				t.Fatalf("cached tuple %d was written: %v, was %v", i, hc.tuples[i], want[i])
-			}
-		}
-	}
-	for _, ent := range sess.Env.sortCache {
-		if ent.perm != nil && held[ent.base] == nil {
-			t.Errorf("an order was rebuilt over a new decoded copy instead of hitting")
+		if !identicalColumns(h.cols, h.was) {
+			t.Fatalf("cached columns were written")
 		}
 	}
 	for i := range first {
@@ -371,4 +368,20 @@ func TestCachedTuplesAreNeverWritten(t *testing.T) {
 			t.Errorf("%s: the answer changed between warm runs", benchmarkClasses[i])
 		}
 	}
+}
+
+// identicalColumns reports whether two columns hold the same tuples bit
+// for bit.
+func identicalColumns(a, b *frel.Columns) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Len() {
+		ta := frel.Tuple{Values: a.AppendValues(nil, i, nil), D: a.D[i]}
+		tb := frel.Tuple{Values: b.AppendValues(nil, i, nil), D: b.D[i]}
+		if !identicalTuples(ta, tb) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/exec"
 	"repro/internal/extsort"
@@ -20,22 +18,26 @@ import (
 // attribute), the relation's sorted order, and reuses it as long as the
 // base relation has not been mutated.
 //
-// The cached form. A heap at a version is decoded at most once: one tuple
-// slice in tid order over one value arena (heapCopy), bounded by the
-// snapshot limit of the reader that decoded it. Every cached order of
-// that heap at that version is a tid permutation ([]int32) over the one
-// copy, so the orders of R on A and on B share R's decoded tuples. A hit
-// gathers the permutation into a fresh tuple slice (permSource), which the
-// sweep takes as it is (exec's collectSorted takes an in-memory input
-// without a copy); it reads no page and decodes nothing. The decoded
-// copies and permutations the caches of one database's sessions hold
+// The cached form is what the sweeps read: the order's tuples as columns
+// (frel.Columns), all in sort order: the degrees as one []float64, each
+// numeric attribute as one []fuzzy.Trapezoid, each string attribute as one
+// []string. A relation of three numeric attributes costs 104 bytes per
+// tuple per order, and holds no pointer the garbage collector scans. An
+// order is built once, when it is admitted or loaded from an index: the
+// heap is decoded into columns in tid order, a tid permutation is sorted
+// over them with the external sort's key and comparator
+// (extsort.SortColumnTids), and the columns are gathered by it. Its
+// Definition 3.1 order is checked then, once (exec.NewSortedColumns). A
+// hit hands the columns to the sweep as they are (exec's collectSorted
+// takes them without a copy); it reads no page, decodes nothing and
+// gathers nothing. The columns the caches of one database's sessions hold
 // together stay within a byte budget of cacheBudgetFactor × SortMemPages
 // pages (cacheBudget): every session forked from the database charges its
 // cache to the one budget and gives its share back as its orders are
-// replaced or dropped, and when it closes. An admitted order whose decoded
-// form would pass the budget is cached as the sorted heap file its
-// external sort's final merge wrote (sortEntry.sorted), read back through
-// the buffer pool on every hit.
+// replaced or dropped, and when it closes. An admitted order whose columns
+// would pass the budget is cached as the sorted heap file its external
+// sort's final merge wrote (sortEntry.sorted), read back through the
+// buffer pool, and decoded straight into columns, on every hit.
 //
 // Keying and invalidation contract:
 //
@@ -44,59 +46,57 @@ import (
 //     index. Alias bindings resolve to the same heap, so FROM R and
 //     FROM R X share entries.
 //   - Each entry records the heap's version counter at build time (the
-//     snapshot's, under snapshot reads), and a decoded copy the version it
-//     holds. Every append and rollback bumps the counter, so a lookup
-//     whose stored version disagrees with the one the evaluation sees is a
-//     miss and the entry is rebuilt. DELETE and catalog reloads create a
-//     new heap-file pointer, which simply never matches again.
+//     snapshot's, under snapshot reads). Every append and rollback bumps
+//     the counter, so a lookup whose stored version disagrees with the one
+//     the evaluation sees is a miss and the entry is rebuilt. DELETE and
+//     catalog reloads create a new heap-file pointer, which simply never
+//     matches again.
 //   - Only plain scans are cacheable: the source must unwrap to a scan of
 //     the catalog heap itself (no filters or joins in between), since a
 //     filtered stream's sorted order is not the base relation's.
 //   - A sort is admitted on its second request. The first request for an
 //     order at a given heap version streams the external sort's final
 //     merge into its consumer and caches nothing but the version
-//     (sortEntry.streamed). The second decodes the heap (or shares the
-//     copy another order of the heap at that version already decoded),
-//     sorts a tid permutation over it in memory with the external sort's
-//     key and comparator (extsort.SortTids), and caches it. Over the
-//     budget, the second request instead streams the external sort as the
-//     first did and copies each record its consumer pulls into a sorted
-//     heap file, cached once the consumer has drained the merge without
-//     error (dropped otherwise). Later requests hit. A statement that
-//     sorts a relation once, as every statement of a fresh session does,
-//     therefore writes its runs and nothing else.
+//     (sortEntry.streamed). The second builds the order's columns in
+//     memory and caches them. Over the budget, the second request instead
+//     streams the external sort as the first did and copies each record
+//     its consumer pulls into a sorted heap file, cached once the consumer
+//     has drained the merge without error (dropped otherwise). Later
+//     requests hit. A statement that sorts a relation once, as every
+//     statement of a fresh session does, therefore writes its runs and
+//     nothing else.
 //   - An order served by an index is cached on its first request, since
-//     loading it wrote nothing: its permutation is sorted over the same
-//     shared decoded copy as an admitted order's, by the same builder
-//     (decodedSort), starting from the index's entries instead of tid
-//     order. The sort, not the file, decides the order: the tids an
-//     entry file lists can cost or save comparisons, but never change an
-//     answer, fail a statement or send it to the external sort. Over the
-//     budget it is served uncached; the index is its persistent form.
+//     loading it wrote nothing: its columns are built by the same builder
+//     as an admitted order's (decodedSort), whose sort starts from the
+//     index's entries instead of tid order. The sort, not the file,
+//     decides the order: the tids an entry file lists can cost or save
+//     comparisons, but never change an answer, fail a statement or send it
+//     to the external sort. Over the budget it is served uncached; the
+//     index is its persistent form.
 //   - An entry holds one order: storing an order replaces the one before,
-//     retiring its sorted copy. A stale sorted copy stays until then. A
-//     stale permutation is dropped as soon as its heap is decoded, or an
-//     order of it admitted, at another version (dropStale), and the copy
-//     it permutes leaves the budget with it.
+//     retiring its sorted copy. A stale sorted copy stays until then.
+//     Cached columns leave the cache, and the budget, at the session's
+//     next lookup once they can never be served again (dropStale): the
+//     columns of a heap at another version than the lookup's, and every
+//     order of a heap a DELETE rewrote or DROP TABLE dropped.
 //
 // The entry count is bounded by wholesale eviction (sortCacheMaxEntries).
 // A sorted copy leaving the cache is retired, and dropped (best-effort)
 // once the running evaluation ends, never earlier: a sort the evaluation
-// was already served from the cache may be a pending scan of it. A decoded
-// copy leaving the cache is garbage once the evaluations it served end.
-// Cached tuples are shared by every order over them and every statement
-// they serve, so nothing may write them (the exec buffer contract: batches
-// are read-only to consumers).
+// was already served from the cache may be a pending scan of it. Columns
+// leaving the cache are garbage once the evaluations they served end.
+// Cached columns are shared by every statement they serve, so nothing may
+// write them (the exec buffer contract: batches are read-only to
+// consumers).
 
 // sortCacheMaxEntries bounds the cache (workloads touch few distinct orders).
 const sortCacheMaxEntries = 64
 
 // cacheBudgetFactor sizes the cache's byte budget in units of the sort
-// memory: the decoded copies and tid permutations the caches of one
-// database hold stay within cacheBudgetFactor × SortMemPages pages,
-// 16 MiB at the default. It is the smallest power of two whose budget
-// holds the benchmark's relations; a full budget costs about its own
-// size in resident memory (DESIGN.md §9).
+// memory: the columns the caches of one database hold stay within
+// cacheBudgetFactor × SortMemPages pages, 16 MiB at the default. It is the
+// smallest power of two whose budget holds the benchmark's orders; a full
+// budget costs about its own size in resident memory (DESIGN.md §9).
 const cacheBudgetFactor = 8
 
 // sortKey identifies one cached sort order: the base relation's heap and
@@ -106,24 +106,15 @@ type sortKey struct {
 	attr int
 }
 
-// heapCopy is one decoded copy of a base relation: the first len(tuples)
-// tuples of its heap in tid order, as heap version version holds them.
-type heapCopy struct {
-	version uint64
-	tuples  []frel.Tuple
-	bytes   int64 // the copy's share of the cache budget (decodedSize)
-}
-
 // sortEntry is the cache's state of one order: the order itself, once one
 // is cached, and the heap version its last uncached request streamed.
 type sortEntry struct {
 	version uint64 // heap version the cached order was built at
-	// The cached order: a tid permutation over a decoded copy of the heap
-	// (perm non-nil, base the copy), or the sorted copy an admitted
-	// external sort wrote when the decoded form would pass the budget
-	// (sorted non-nil).
-	base   *heapCopy
-	perm   []int32
+	// The cached order: its columns, in sort order (order non-nil, bytes
+	// their size), or the sorted copy an admitted external sort wrote when
+	// the columns would pass the budget (sorted non-nil).
+	order  *exec.ColumnsSource
+	bytes  int64
 	sorted *storage.HeapFile
 
 	// The heap version of the last request streamed uncached, if seen.
@@ -153,32 +144,12 @@ func (ent *sortEntry) source(v uint64, schema *frel.Schema) exec.Source {
 	switch {
 	case ent.version != v:
 		return nil
-	case ent.perm != nil:
-		return &permSource{schema: schema, tuples: ent.base.tuples, perm: ent.perm}
+	case ent.order != nil:
+		return ent.order.WithSchema(schema)
 	case ent.sorted != nil:
 		return &renameSource{Source: exec.NewHeapSource(ent.sorted), schema: schema}
 	}
 	return nil
-}
-
-// permSource serves an order held as a tid permutation over decoded
-// tuples: each Open gathers them into one fresh slice, served as an
-// in-memory source that the sweep takes without copying.
-type permSource struct {
-	schema *frel.Schema
-	tuples []frel.Tuple
-	perm   []int32
-}
-
-func (p *permSource) Schema() *frel.Schema { return p.schema }
-
-// Open implements exec.Source.
-func (p *permSource) Open() (exec.BatchIterator, error) {
-	out := make([]frel.Tuple, len(p.perm))
-	for i, tid := range p.perm {
-		out[i] = p.tuples[tid]
-	}
-	return exec.NewMemSource(&frel.Relation{Schema: p.schema, Tuples: out}).Open()
 }
 
 // entry returns the cache entry of order k, creating it; a new entry that
@@ -198,8 +169,8 @@ func (e *Env) entry(k sortKey) *sortEntry {
 	return ent
 }
 
-// storeSort makes order, its version with its permutation or its sorted
-// copy, the cached order k, retiring the sorted copy it replaces.
+// storeSort makes order, its version with its columns or its sorted copy,
+// the cached order k, retiring the sorted copy it replaces.
 func (e *Env) storeSort(k sortKey, order sortEntry) {
 	ent := e.entry(k)
 	e.retired = append(e.retired, ent.sorted)
@@ -218,11 +189,36 @@ func (e *Env) retireAll() {
 	e.recount()
 }
 
-// decodedSize bounds the memory n decoded tuples of h take: their tuple
-// headers and value arena, plus, when the schema holds strings, the heap's
+// dropStale drops the orders that can never be served again, before a
+// lookup of heap h at version v: every order of a heap the catalog no
+// longer holds (a DELETE rewrote it, DROP TABLE dropped it), its sorted
+// copy retired, and the columns of h's orders at other versions. An
+// environment reads a heap's versions in increasing order (a snapshot is
+// never older than the reads before it). The dropped columns leave the
+// budget with them.
+func (e *Env) dropStale(h *storage.HeapFile, v uint64) {
+	dropped := false
+	for k, ent := range e.sortCache {
+		switch {
+		case k.heap != h && !e.cat.Holds(k.heap):
+			e.retired = append(e.retired, ent.sorted)
+			delete(e.sortCache, k)
+			dropped = true
+		case k.heap == h && ent.order != nil && ent.version != v:
+			ent.order, ent.bytes = nil, 0
+			dropped = true
+		}
+	}
+	if dropped {
+		e.recount()
+	}
+}
+
+// columnsSize bounds the memory n tuples of h take as columns: exact for
+// numeric attributes, plus, when the schema holds strings, the heap's
 // bytes as a bound on their payload.
-func decodedSize(h *storage.HeapFile, n int64) int64 {
-	size := n * int64(unsafe.Sizeof(frel.Tuple{})+uintptr(len(h.Schema.Attrs))*unsafe.Sizeof(frel.Value{}))
+func columnsSize(h *storage.HeapFile, n int64) int64 {
+	size := frel.ColumnBytes(h.Schema, n)
 	for _, a := range h.Schema.Attrs {
 		if a.Kind == frel.KindString {
 			return size + h.Bytes()
@@ -231,13 +227,10 @@ func decodedSize(h *storage.HeapFile, n int64) int64 {
 	return size
 }
 
-// permBytes is the size of a tid permutation of n tuples.
-func permBytes(n int64) int64 { return n * int64(unsafe.Sizeof(int32(0))) }
-
-// cacheBudget is the account of one database's cached decoded copies and
-// tid permutations. Every session forked from a database shares its base
-// session's, so cacheBudgetFactor × SortMemPages pages bound what all its
-// connections' caches hold together, not what each one holds.
+// cacheBudget is the account of one database's cached columns. Every
+// session forked from a database shares its base session's, so
+// cacheBudgetFactor × SortMemPages pages bound what all its connections'
+// caches hold together, not what each one holds.
 type cacheBudget struct {
 	mu   sync.Mutex
 	held int64 // the sum of the sharing environments' shares
@@ -266,75 +259,26 @@ func (e *Env) recount() {
 	e.budget.charge(e, e.cachedBytes(sortKey{}), math.MaxInt64)
 }
 
-// cachedBytes returns what e's cache holds, leaving out order skip: every
-// permutation, and every decoded copy once however many orders share it.
+// cachedBytes returns the bytes of the columns e's cache holds, leaving
+// out order skip.
 func (e *Env) cachedBytes(skip sortKey) int64 {
 	var held int64
-	var counted []*heapCopy
 	for k, ent := range e.sortCache {
-		if ent.perm == nil || k == skip {
-			continue
-		}
-		held += permBytes(int64(len(ent.perm)))
-		if !slices.Contains(counted, ent.base) {
-			counted = append(counted, ent.base)
-			held += ent.base.bytes
+		if k != skip {
+			held += ent.bytes
 		}
 	}
 	return held
 }
 
-// dropStale drops the permutations of h's cached orders at heap versions
-// other than v. An environment reads a heap's versions in increasing order
-// (a snapshot is never older than the reads before it), so they can never
-// be served again, and the copies they permute leave the budget with them.
-func (e *Env) dropStale(h *storage.HeapFile, v uint64) {
-	for k, ent := range e.sortCache {
-		if k.heap == h && ent.perm != nil && ent.version != v {
-			ent.base, ent.perm = nil, nil
-		}
-	}
-}
-
-// decoded returns the decoded copy of key's heap at version v holding its
-// first n tuples (the one the heap's cached orders at v share, or a new
-// decoding) and whether an order over it fits the cache budget. It drops
-// the heap's orders at other versions first. The order fits when the
-// environment's cache, with the order replacing order key, the copy
-// counted once however many orders share it, stays within its database's
-// budget beside the other sessions' caches; the environment's share is
-// then charged for it, and the caller recounts the share once it has
-// stored the order or failed to. A new copy is decoded only when it fits
-// or force is set. hc is nil when none is, or when the heap holds fewer
-// than n tuples.
-func (e *Env) decoded(key sortKey, v uint64, n int64, force bool) (hc *heapCopy, fits bool, err error) {
-	e.dropStale(key.heap, v)
-	for k, ent := range e.sortCache {
-		if ent.perm != nil && k != key && k.heap == key.heap && ent.base.version == v && int64(len(ent.base.tuples)) == n {
-			hc = ent.base
-		}
-	}
-	held := e.cachedBytes(key) + permBytes(n)
-	if hc == nil {
-		held += decodedSize(key.heap, n)
-	}
-	fits = e.budget.charge(e, held, e.cacheLimit())
-	if hc == nil && (fits || force) {
-		hc, err = e.decodeHeap(key.heap, v, n)
-	}
-	return hc, fits, err
-}
-
-// decodeHeap decodes the first n tuples of h, at heap version v, into one
-// tuple slice over one value arena. It returns nil, and no error, when the
-// heap holds fewer (a concurrent writer moved it under a live read).
-func (e *Env) decodeHeap(h *storage.HeapFile, v uint64, n int64) (*heapCopy, error) {
+// decodeHeap decodes the first n tuples of h into columns, in tid order.
+// It returns nil, and no error, when the heap holds fewer (a concurrent
+// writer moved it under a live read).
+func (e *Env) decodeHeap(h *storage.HeapFile, n int64) (*frel.Columns, error) {
 	sc := h.ScanAt(n)
 	defer sc.Close()
-	width := len(h.Schema.Attrs)
-	tuples := make([]frel.Tuple, n)
-	arena := make([]frel.Value, int(n)*width)
-	for i := range tuples {
+	cols := frel.NewColumns(h.Schema, int(n))
+	for i := range n {
 		if i%exec.BatchSize == 0 && e.ctx != nil {
 			if err := e.ctx.Err(); err != nil {
 				return nil, err
@@ -344,27 +288,27 @@ func (e *Env) decodeHeap(h *storage.HeapFile, v uint64, n int64) (*heapCopy, err
 		if !ok {
 			return nil, sc.Err()
 		}
-		t, _, err := frel.DecodeTupleInto(h.Schema, rec, arena[i*width:(i+1)*width:(i+1)*width])
-		if err != nil {
+		if err := cols.AppendRecord(h.Schema, rec); err != nil {
 			return nil, err
 		}
-		tuples[i] = t
 	}
-	return &heapCopy{version: v, tuples: tuples, bytes: decodedSize(h, n)}, nil
+	return cols, nil
 }
 
 // decodedSort is the one builder of in-memory orders. It serves order key
-// of base, at heap version v, as a tid permutation over the heap's decoded
-// copy, sorted with the external sort's key and comparator
-// (extsort.SortTids): from any starting permutation that yields the stable
-// (frel.Compare, tid) order, and it confirms one already in that order in
-// about n comparisons. An admitted sort (index nil) starts from tid order,
-// and is refused when its decoded form would pass the cache budget. A load
-// from an order index (index its entry file) starts from the entries below
-// the scan's horizon, each once, then every other visible tid in tid
-// order; over the budget it is served uncached. ok is false, for the
-// caller to sort externally, when the heap no longer holds the tuples the
-// scan sees or holds more than a tid permutation indexes.
+// of base, at heap version v, as columns in sort order: the heap decoded
+// in tid order, a tid permutation sorted over it with the external sort's
+// key and comparator (extsort.SortColumnTids), which from any starting
+// permutation yields the stable (frel.Compare, tid) order and confirms
+// one already in that order in about n comparisons, and the columns
+// gathered by it. An admitted sort (index nil) starts from tid order, and
+// is refused when its columns would pass the cache budget beside the
+// environment's other orders and the other sessions' caches. A load from
+// an order index (index its entry file) starts from the entries below the
+// scan's horizon, each once, then every other visible tid in tid order;
+// over the budget it is served uncached. ok is false, for the caller to
+// sort externally, when the heap no longer holds the tuples the scan sees
+// or holds more than a tid permutation indexes.
 func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v uint64, attr string, index *storage.HeapFile) (exec.Source, bool, error) {
 	n := base.Limit // the tuples the scan reads: its snapshot bound, or all
 	if n < 0 {
@@ -383,17 +327,26 @@ func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v
 		}
 	}
 	defer e.recount()
-	hc, fits, err := e.decoded(key, v, n, index != nil)
-	if hc == nil || !fits && index == nil {
+	fits := e.budget.charge(e, e.cachedBytes(key)+columnsSize(key.heap, n), e.cacheLimit())
+	if !fits && index == nil {
+		return nil, false, nil
+	}
+	inTids, err := e.decodeHeap(key.heap, n)
+	if inTids == nil {
 		return nil, false, err
 	}
 	perm := startingPerm(entries, n)
-	cmps, err := extsort.SortTids(key.heap.Schema, hc.tuples, perm, extsort.Order{Attr: key.attr})
+	cmps, err := extsort.SortColumnTids(key.heap.Schema, inTids, perm, extsort.Order{Attr: key.attr})
+	if err != nil {
+		return nil, false, err
+	}
+	cols := inTids.Gather(perm)
+	order, err := exec.NewSortedColumns(key.heap.Schema, cols, key.attr)
 	if err != nil {
 		return nil, false, err
 	}
 	if fits {
-		e.storeSort(key, sortEntry{version: v, base: hc, perm: perm})
+		e.storeSort(key, sortEntry{version: v, order: order, bytes: cols.Bytes()})
 	}
 	var node *exec.OpStats
 	if index != nil {
@@ -406,8 +359,7 @@ func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v
 	}
 	node.WallNanos.Add(time.Since(start).Nanoseconds())
 	node.PageIOs.Add(stats.IO() - ios)
-	out := &permSource{schema: src.Schema(), tuples: hc.tuples, perm: perm}
-	return e.attach(node, exec.WithContext(e.ctx, out), src), true, nil
+	return e.attach(node, exec.WithContext(e.ctx, order.WithSchema(src.Schema())), src), true, nil
 }
 
 // startingPerm returns the permutation of the tids 0..n-1 an in-memory sort

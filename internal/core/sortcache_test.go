@@ -102,7 +102,7 @@ func TestSortCacheRepeatedQueryHits(t *testing.T) {
 }
 
 // TestSortCacheAdmitsOnSecondRequest is the admission contract of orders
-// whose decoded form passes the cache budget: the first request for an
+// whose columns pass the cache budget: the first request for an
 // order at a heap version streams the sort's final merge and writes no
 // sorted copy (every temporary is gone once the statement ends), the
 // second writes the copy and caches it, the third is a hit that compares
@@ -114,9 +114,10 @@ func TestSortCacheAdmitsOnSecondRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 700 decoded tuples of R or S take 140 KB, past the 128 KB budget of
-	// 2 pages of sort memory, and each writes runs before its last batch.
-	env := analyzeEnv(t, 700, 1)
+	// 1 400 tuples of R or S take 146 KB as columns, past the 128 KB budget
+	// of 2 pages of sort memory, and each writes runs before its last
+	// batch.
+	env := analyzeEnv(t, 1400, 1)
 	env.SortMemPages = 2
 	mgr := env.cat.Manager()
 	want, err := env.EvalNaive(context.Background(), q, nil)
@@ -461,12 +462,12 @@ func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
 			`); err != nil {
 				t.Fatal(err)
 			}
-			// Both relations' decoded forms pass the cache budget of 2
-			// pages of sort memory (128 KB), so their orders are cached as
-			// sorted copies.
+			// Each of both relations' orders passes the cache budget of 2
+			// pages of sort memory (128 KB) as columns, so their orders are
+			// cached as sorted copies.
 			sess.Env.SortMemPages = 2
-			padHeap(t, sess.Env, "R", 700)
-			padHeap(t, sess.Env, "S", 700)
+			padHeap(t, sess.Env, "R", 1300)
+			padHeap(t, sess.Env, "S", 1300)
 			for range 2 { // the second run admits both orders
 				if _, err := execScript(sess, analyzeQuery); err != nil {
 					t.Fatal(err)
@@ -476,14 +477,23 @@ func TestSortCacheEvictionKeepsServedCopies(t *testing.T) {
 			if got := sortedCopies(env); got != 2 {
 				t.Fatalf("%d sorted copies cached after two runs, want 2", got)
 			}
-			for i := 0; len(env.sortCache) < sortCacheMaxEntries; i++ {
-				env.entry(sortKey{attr: i}) // orders of other relations, seen once
-			}
 			if _, err := execScript(sess, `DELETE FROM `+rewritten+` WHERE `+rewritten+`.K = 9`); err != nil {
 				t.Fatal(err)
 			}
 			// A DELETE's rewritten heap counts as a live temporary too.
 			others := sess.cat.Manager().LiveTemps() - sortedCopies(env)
+			// The next lookup drops the rewritten heap's order; drop it
+			// now, so that the entries filled in below keep the cache full
+			// for the statement.
+			kept := map[string]string{"R": "S", "S": "R"}[rewritten]
+			h, err := sess.cat.Relation(kept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.dropStale(h, h.Version())
+			for i := 0; len(env.sortCache) < sortCacheMaxEntries; i++ {
+				env.entry(sortKey{heap: h, attr: 100 + i}) // orders seen once
+			}
 			want, err := sess.EvalNaive(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -540,9 +550,8 @@ func serveOrder(e *Env, attr string) (*sortEntry, error) {
 }
 
 // budgetSession opens a database holding one relation R(K, A, B) whose
-// decoded copy takes about two thirds of the cache budget of 2 pages of
-// sort memory: one copy and the permutations of both its orders fit, two
-// copies do not.
+// columns take about two fifths of the cache budget of 2 pages of sort
+// memory: two of its orders fit, three do not.
 func budgetSession(t *testing.T) *Session {
 	t.Helper()
 	sess, err := OpenSessionOptions("db", SessionOptions{BufferPages: 32, FS: storage.NewMemFS()})
@@ -558,8 +567,7 @@ func budgetSession(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perTuple := decodedSize(h, 1) + permBytes(1)
-	n := int(2 * sess.Env.cacheLimit() / 3 / perTuple)
+	n := int(2 * sess.Env.cacheLimit() / 5 / columnsSize(h, 1))
 	if err := h.AppendAll(cacheRel("R", n, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -567,23 +575,23 @@ func budgetSession(t *testing.T) *Session {
 }
 
 // TestSortCacheBudgetIsPerDatabase: the sessions forked from a database
-// share one cache budget. A second connection whose decoded copy would
-// pass it beside the first's caches the sorted copy instead; once the
+// share one cache budget. A second connection whose columns would pass it
+// beside the first's two orders caches the sorted copy instead; once the
 // first closes, its share is given back and the second's orders are
-// permutations; when every session has closed, the budget holds nothing.
+// columns; when every session has closed, the budget holds nothing.
 func TestSortCacheBudgetIsPerDatabase(t *testing.T) {
 	base := budgetSession(t)
 	a, b := base.Fork(), base.Fork()
 	for _, attr := range []string{"A", "A", "B", "B"} {
 		requestOrder(t, a.Env, attr)
 	}
-	if ent := requestOrder(t, a.Env, "B"); ent.perm == nil {
-		t.Fatal("the first connection's orders are not permutations")
+	if ent := requestOrder(t, a.Env, "B"); ent.order == nil {
+		t.Fatal("the first connection's orders are not columns")
 	}
 	held := a.Env.held
 	requestOrder(t, b.Env, "A")
-	if ent := requestOrder(t, b.Env, "A"); ent.perm != nil || ent.sorted == nil {
-		t.Fatalf("the second connection cached a permutation past the database's budget (perm %v, sorted copy %v)", ent.perm != nil, ent.sorted != nil)
+	if ent := requestOrder(t, b.Env, "A"); ent.order != nil || ent.sorted == nil {
+		t.Fatalf("the second connection cached columns past the database's budget (columns %v, sorted copy %v)", ent.order != nil, ent.sorted != nil)
 	}
 	if b.Env.held != 0 || base.Env.budget.held != held {
 		t.Fatalf("budget holds %d bytes, the second connection's share %d; want %d and 0", base.Env.budget.held, b.Env.held, held)
@@ -595,8 +603,8 @@ func TestSortCacheBudgetIsPerDatabase(t *testing.T) {
 		t.Fatalf("a closed connection left %d bytes in the budget", base.Env.budget.held)
 	}
 	requestOrder(t, b.Env, "B")
-	if ent := requestOrder(t, b.Env, "B"); ent.perm == nil {
-		t.Fatal("the second connection's order is no permutation once the first closed")
+	if ent := requestOrder(t, b.Env, "B"); ent.order == nil {
+		t.Fatal("the second connection's order is not columns once the first closed")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -609,8 +617,9 @@ func TestSortCacheBudgetIsPerDatabase(t *testing.T) {
 // TestSortCacheBudgetConcurrentSessions: sessions admitting orders at
 // once charge the one budget under its lock. Eight connections each admit
 // both orders of R concurrently; the budget then holds exactly the sum of
-// their shares, within its limit, with one connection's copy (two do not
-// fit), and nothing once they have closed. Run it under -race too.
+// their shares, within its limit, two orders over one or two connections
+// (three do not fit), and nothing once they have closed. Run it under
+// -race too.
 func TestSortCacheBudgetConcurrentSessions(t *testing.T) {
 	base := budgetSession(t)
 	forks := make([]*Session, 8)
@@ -635,15 +644,17 @@ func TestSortCacheBudgetConcurrentSessions(t *testing.T) {
 		}
 	}
 	var sum int64
-	holders := 0
+	orders := 0
 	for _, f := range forks {
 		sum += f.Env.held
-		if f.Env.held > 0 {
-			holders++
+		for _, ent := range f.Env.sortCache {
+			if ent.order != nil {
+				orders++
+			}
 		}
 	}
-	if held := base.Env.budget.held; held != sum || held > base.Env.cacheLimit() || holders != 1 {
-		t.Fatalf("budget holds %d bytes, the connections' shares sum to %d over %d holders; want equal, within %d, one holder", held, sum, holders, base.Env.cacheLimit())
+	if held := base.Env.budget.held; held != sum || held > base.Env.cacheLimit() || orders != 2 {
+		t.Fatalf("budget holds %d bytes, the connections' shares sum to %d over %d cached orders; want equal, within %d, two orders", held, sum, orders, base.Env.cacheLimit())
 	}
 	for _, f := range forks {
 		if err := f.Close(); err != nil {
@@ -656,10 +667,10 @@ func TestSortCacheBudgetConcurrentSessions(t *testing.T) {
 }
 
 // TestSortCacheAppendReadmitsPermutations: after an append, the orders of
-// a relation at the old version can never be served again, so decoding
-// the new version drops them and the copy they permute. Both orders of a
-// relation whose copy takes two thirds of the budget are permutations
-// again at the new version, over one new copy.
+// a relation at the old version can never be served again, so the next
+// lookup at the new version drops their columns. Both orders of a
+// relation whose columns take two fifths of the budget each are columns
+// again at the new version, and the cache holds just those two.
 func TestSortCacheAppendReadmitsPermutations(t *testing.T) {
 	e := budgetSession(t).Env
 	for _, attr := range []string{"A", "A", "B", "B"} {
@@ -671,19 +682,128 @@ func TestSortCacheAppendReadmitsPermutations(t *testing.T) {
 		ents = append(ents, requestOrder(t, e, attr))
 	}
 	for i, attr := range []string{"A", "B"} {
-		ent := ents[2*i+1]
-		if ent.perm == nil {
-			t.Fatalf("order on %s after the append is no permutation (sorted copy %v)", attr, ent.sorted != nil)
-		}
-		if ent.base != ents[1].base {
-			t.Fatalf("the orders after the append permute different copies")
+		if ent := ents[2*i+1]; ent.order == nil {
+			t.Fatalf("order on %s after the append is not columns (sorted copy %v)", attr, ent.sorted != nil)
 		}
 	}
 	h, err := e.cat.Relation("R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := h.NumTuples(); e.held != decodedSize(h, n)+2*permBytes(n) {
-		t.Fatalf("the cache holds %d bytes after the append; want one copy and two permutations, %d", e.held, decodedSize(h, n)+2*permBytes(n))
+	if n := h.NumTuples(); e.held != 2*columnsSize(h, n) {
+		t.Fatalf("the cache holds %d bytes after the append; want two orders' columns, %d", e.held, 2*columnsSize(h, n))
+	}
+}
+
+// warmSession opens an in-memory database holding R and S of n tuples
+// each, the relations of analyzeQuery.
+func warmSession(t *testing.T, n int) *Session {
+	t.Helper()
+	sess, err := OpenSessionOptions("db", SessionOptions{BufferPages: 64, FS: storage.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	for i, name := range []string{"R", "S"} {
+		if err := sess.Env.LoadRelation(name, cacheRel(name, n, int64(1+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess
+}
+
+// TestSortCacheDropsOrdersOfReplacedHeaps: the orders of a heap a DELETE
+// rewrote or DROP TABLE dropped can never be served again, so they leave
+// the cache, and its share of the budget, at the session's next lookup.
+// The J statement warms R's and S's orders; after a DELETE on R and after
+// DROP TABLE R, the next statement leaves the cache holding orders of the
+// catalog's heaps only, and the session's share of the budget no larger
+// than before.
+func TestSortCacheDropsOrdersOfReplacedHeaps(t *testing.T) {
+	sess := warmSession(t, 2000)
+	e := sess.Env
+	warm := func(q string) {
+		t.Helper()
+		for range 3 {
+			if _, err := execScript(sess, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := func(when string) {
+		t.Helper()
+		for k := range e.sortCache {
+			if cur, err := e.cat.Relation(k.heap.Schema.Name); err != nil || cur != k.heap {
+				t.Errorf("%s: the cache still holds an order of a heap %s no longer has", when, k.heap.Schema.Name)
+			}
+		}
+	}
+	warm(analyzeQuery)
+	held := e.held
+	if held == 0 {
+		t.Fatal("the warm statement cached no order")
+	}
+	if _, err := execScript(sess, `DELETE FROM R WHERE R.K >= 1990`); err != nil {
+		t.Fatal(err)
+	}
+	warm(analyzeQuery)
+	live("after the DELETE")
+	if e.held > held {
+		t.Errorf("after the DELETE the cache holds %d bytes, %d before it", e.held, held)
+	}
+	if _, err := execScript(sess, `DROP TABLE R`); err != nil {
+		t.Fatal(err)
+	}
+	warm(`SELECT S.K FROM S WHERE S.B IN (SELECT X.B FROM S X WHERE X.A = S.A)`)
+	live("after the DROP TABLE")
+	if e.held > held {
+		t.Errorf("after the DROP TABLE the cache holds %d bytes, %d before it", e.held, held)
+	}
+}
+
+// TestExplainAnalyzeCountsCacheHits: a sort served by the cache is still a
+// node of the EXPLAIN ANALYZE tree. On a warm statement every sort node
+// reports a hit, no miss and, as rows, the cardinality of the order it
+// handed over; the index node of an order loaded from an index does the
+// same with its load.
+func TestExplainAnalyzeCountsCacheHits(t *testing.T) {
+	const n = 2000
+	sess := warmSession(t, n)
+	if _, err := execScript(sess, `CREATE INDEX s_a ON S (A); CREATE INDEX s_b ON S (B)`); err != nil {
+		t.Fatal(err)
+	}
+	q := mustSelect(t, analyzeQuery)
+	nodes := func(op string) []*exec.StatsSnapshot {
+		t.Helper()
+		_, es, err := sess.EvalAnalyze(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var found []*exec.StatsSnapshot
+		var walk func(p *exec.StatsSnapshot)
+		walk = func(p *exec.StatsSnapshot) {
+			if p.Op == op {
+				found = append(found, p)
+			}
+			for _, c := range p.Children {
+				walk(c)
+			}
+		}
+		walk(es.Plan())
+		if len(found) == 0 {
+			t.Fatalf("no %s node in\n%s", op, es.Plan().Render())
+		}
+		return found
+	}
+	for _, p := range nodes("index") {
+		if p.IndexHits != 1 || p.RowsOut != n {
+			t.Errorf("index node %s: index hits %d, rows %d; want 1 and the order's %d", p.Label, p.IndexHits, p.RowsOut, n)
+		}
+	}
+	nodes("sort") // admits R's order
+	for _, p := range nodes("sort") {
+		if p.CacheHits != 1 || p.CacheMisses != 0 || p.RowsOut != n {
+			t.Errorf("warm sort node %s: cache(hit=%d miss=%d) rows=%d; want cache(hit=1 miss=0) rows=%d", p.Label, p.CacheHits, p.CacheMisses, p.RowsOut, n)
+		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // sortedStream serves the final merge of an external sort
-// (extsort.Stream) as a source: each batch is decoded from the merged
-// records into a fresh value arena, so the sweep's collectSorted keeps its
-// tuples without copying their values. The merge runs as the consumer
+// (extsort.Stream) as a source: a sweep takes the rest of the merge
+// decoded straight from the merged records into columns (Columns); any
+// other consumer reads batches decoded into a fresh value arena each. The merge runs as the consumer
 // pulls, and its page I/O and comparisons count toward the sort node (its
 // wall time does through the node's Stated wrapper). A stream can be read
 // once: a second Open is an error, not an empty input.
@@ -154,6 +154,45 @@ func (it *sortedStreamIterator) decode() ([]frel.Tuple, bool) {
 		it.tuples = append(it.tuples, t)
 	}
 	return it.tuples, true
+}
+
+// Columns implements exec's columns hand-off: the rest of the merge,
+// decoded straight from its records into columns (and each record written
+// to the cached copy being made), counting the pull's page I/O toward the
+// sort. The statement's context is polled once a batch. A failure leaves
+// the columns partial and is reported by Err.
+func (it *sortedStreamIterator) Columns() (*frel.Columns, int, bool) {
+	s := it.s
+	if s.closed || it.err != nil {
+		return nil, -1, false
+	}
+	stats := s.e.cat.Manager().Stats()
+	ios := stats.IO()
+	defer func() { s.node.PageIOs.Add(stats.IO() - ios) }()
+	cols := frel.NewColumns(s.schema, int(s.str.Remaining()))
+	for i := 0; s.str.Remaining() > 0; i++ {
+		if i%exec.BatchSize == 0 && s.e.ctx != nil {
+			if it.err = s.e.ctx.Err(); it.err != nil {
+				break
+			}
+		}
+		rec, ok := s.str.Next()
+		if !ok {
+			it.err = s.str.Err()
+			break
+		}
+		if it.err = cols.AppendRecord(s.schema, rec); it.err == nil && s.w != nil {
+			it.err = s.w.Append(rec)
+		}
+		if it.err != nil {
+			break
+		}
+	}
+	if it.err == nil && s.str.Remaining() > 0 {
+		it.err = fmt.Errorf("core: the external sort of %s ended %d records early", s.schema.Name, s.str.Remaining())
+	}
+	s.failed = it.err != nil
+	return cols, -1, true
 }
 
 func (it *sortedStreamIterator) Remaining() int { return int(it.s.str.Remaining()) }

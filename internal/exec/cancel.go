@@ -57,16 +57,16 @@ func (it *cancelBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return it.in.NextBatch()
 }
 
-// Rest implements restBatchIterator: once the context is cancelled it
-// serves nothing, and Err reports the context's error.
-func (it *cancelBatchIterator) Rest() ([]frel.Tuple, bool) {
+// Columns implements columnsBatchIterator: once the context is cancelled
+// it serves nothing, and Err reports the context's error.
+func (it *cancelBatchIterator) Columns() (*frel.Columns, int, bool) {
 	if it.err == nil {
 		it.err = it.ctx.Err()
 	}
 	if it.err != nil {
-		return nil, true
+		return nil, -1, false
 	}
-	return rest(it.in)
+	return columnsOf(it.in)
 }
 
 func (it *cancelBatchIterator) Remaining() int { return batchesRemaining(it.in) }

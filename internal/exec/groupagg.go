@@ -66,6 +66,7 @@ type GroupAggJoin struct {
 	Stats *OpStats
 
 	ui, vi, zi, yi int
+	outerRows      // the output: the outer tuples with adjusted degrees, or the columns EmitColumns selected
 }
 
 // NewGroupAggJoin validates attribute references and kinds and builds the
@@ -95,13 +96,9 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 		InnerZAttr: innerZ, Agg: agg,
 		OuterYAttr: outerY, Op1: op1,
 		Stats: st,
-		ui:    ui, vi: vi, zi: zi, yi: yi,
+		ui:    ui, vi: vi, zi: zi, yi: yi, outerRows: newOuterRows(outer.Schema()),
 	}, nil
 }
-
-// Schema implements Source: the output carries the outer tuples with
-// adjusted degrees.
-func (j *GroupAggJoin) Schema() *frel.Schema { return j.Outer.Schema() }
 
 // Open implements Source: the flat-column, morsel-scheduled sweep (see
 // sweep.go). Tuples with identical U have identical supports, so no atomic
@@ -118,7 +115,9 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 		return nil, err
 	}
 	f := j.Floor
-	degs := make([]float64, len(in.outer))
+	oD, us, ys := in.outer.D, in.outer.Num[j.ui], in.outer.Num[j.yi]
+	iD, vs := in.inner.D, in.inner.Num[j.vi]
+	degs := make([]float64, in.outer.Len())
 	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
 		loc := newBatchLocals(j.Ctx)
 		win := keyWindow{start: p.iLo, end: p.iLo}
@@ -126,35 +125,33 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 		var aggVal fuzzy.Trapezoid
 		var aggOK, built bool
 		for o := p.oLo; o < p.oHi; o++ {
-			r := in.outer[o]
-			u := r.Values[j.ui]
-			if o == p.oLo || !u.Identical(in.outer[o-1].Values[j.ui]) {
+			u := us[o]
+			if o == p.oLo || !frel.Num(u).Identical(frel.Num(us[o-1])) {
 				built = false // a new group
 			}
-			if r.D < f {
+			if oD[o] < f {
 				continue
 			}
 			if !built {
 				// The group's first tuple the floor keeps: build T′(u)
 				// from Rng(u) and aggregate it.
 				built = true
-				lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
-				win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
+				lo, hi := in.oRng[o].Support()
+				win.slide(in.iRng, p.iHi, lo, hi, fuzzy.Trapezoid{})
 				set.reset()
 				var rng int64
 				for k := win.start; k < win.end; k++ {
-					if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
+					if !(lo <= in.iRng[k].D && in.iRng[k].A <= hi) {
 						continue // dangling tuple in the range
 					}
 					rng++
 					loc.deg++
-					s := in.inner[k].Values
-					d := fuzzy.Degree(j.Op2, s[j.vi].Num, u.Num)
-					if in.iKeys[k].D < d {
-						d = in.iKeys[k].D
+					d := fuzzy.Degree(j.Op2, vs[k], u)
+					if iD[k] < d {
+						d = iD[k]
 					}
 					if d > 0 {
-						set.add(s, j.zi, d)
+						set.add(in.inner.Value(k, j.zi), d)
 					}
 				}
 				loc.observeRng(rng)
@@ -167,14 +164,14 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 				continue // A′(u) is NULL and the aggregate is not COUNT
 			}
 			loc.deg++
-			d := fuzzy.Degree(j.Op1, r.Values[j.yi].Num, aggVal)
-			if r.D < d {
-				d = r.D
+			d := fuzzy.Degree(j.Op1, ys[o], aggVal)
+			if oD[o] < d {
+				d = oD[o]
 			}
 			degs[o] = d
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f), nil
+		return emitCarried(in.outer, p.oLo, degs[p.oLo:p.oHi], j.emit, f), nil
 	})
 }
 
@@ -188,15 +185,20 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 type memberSet struct {
 	set     *frel.RowSet
 	members []fuzzy.Member
+	one     [1]frel.Value // the value being added, copied into the set's arena
 }
 
 func newMemberSet() *memberSet { return &memberSet{set: frel.NewRowSet(1)} }
 
 func (ms *memberSet) reset() { ms.set.Reset() }
 
-// add enters the value a tuple carries in column col with degree mu.
-func (ms *memberSet) add(vals []frel.Value, col int, mu float64) {
-	ms.set.Add(vals[col:col+1], nil, mu)
+// firstColumn selects the one value of memberSet.one.
+var firstColumn = []int{0}
+
+// add enters value v with degree mu.
+func (ms *memberSet) add(v frel.Value, mu float64) {
+	ms.one[0] = v
+	ms.set.Add(ms.one[:], firstColumn, mu)
 }
 
 func (ms *memberSet) len() int { return ms.set.Len() }
@@ -299,7 +301,7 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 				sets = append(sets, ms)
 			}
 			for i, zi := range g.itemIdx {
-				sets[gi][i].add(t.Values, zi, t.D)
+				sets[gi][i].add(t.Values[zi], t.D)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // The extended merge-join (Section 3; see mergejoin.go for the range scan
 // and sweep.go for the shared flat-column sweep). Each morsel runs a fused
-// two-cursor loop directly over the flat columns — no window staging, no
-// per-pair virtual calls, counters in locals — and concatenating the
+// two-cursor loop directly over both inputs' columns — no window staging,
+// no per-pair virtual calls, counters in locals — and concatenating the
 // morsel outputs in order is the serial join's answer tuple for tuple.
 //
 // The answer's reduction folds into the sweep. The paper's unnested
@@ -159,6 +159,12 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	var extra *kernel.Bound
+	if j.Extra != nil && j.Extra.Len() > 0 {
+		if extra, err = j.Extra.Bind(in.outer, in.inner); err != nil {
+			return nil, err
+		}
+	}
 	// best[i] is the folded degree of tuple i of the folded input. Morsels
 	// own disjoint spans of it. FoldInner is race-free only because of
 	// that: every outer tuple of a whole window sees every inner tuple, so
@@ -166,56 +172,50 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 	var best []float64
 	switch j.fold {
 	case FoldOuter:
-		best = make([]float64, len(in.outer))
+		best = make([]float64, in.outer.Len())
 	case FoldInner:
-		best = make([]float64, len(in.inner))
+		best = make([]float64, in.inner.Len())
 	}
-	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) { return j.sweep(in, p, best) })
+	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) { return j.sweep(in, extra, p, best) })
 }
 
 // sweep joins one morsel.
-func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]frel.Tuple, error) {
-	outer, inner, oKeys, iKeys := in.outer, in.inner, in.oKeys, in.iKeys
+func (j *KernelMergeJoin) sweep(in *flatInputs, extra *kernel.Bound, p partRange, best []float64) ([]frel.Tuple, error) {
+	outer, inner, oRng, iRng := in.outer, in.inner, in.oRng, in.iRng
 	f := j.Floor
 	ranged := j.oi >= 0
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
-	extra := j.Extra
-	if extra != nil && extra.Len() == 0 {
-		extra = nil
-	}
-	nOuter := len(j.Outer.Schema().Attrs)
+	nOuter := len(outer.Num)
 	loc := newBatchLocals(j.Ctx)
 	var out []frel.Tuple
 	var arena []frel.Value
 	emitW := len(j.schema.Attrs)
 	win := keyWindow{start: p.iLo, end: p.iLo}
 	for o := p.oLo; o < p.oHi; o++ {
-		oD := oKeys[o].D
+		oD := outer.D[o]
 		if oD < f {
 			continue // every pair of this tuple is below the floor
 		}
-		lo, hi := oKeys[o].Lo, oKeys[o].Hi
-		win.slide(iKeys, p.iHi, lo, hi, j.Tol)
-		var lX fuzzy.Trapezoid
-		if ranged {
-			lX = outer[o].Values[j.oi].Num
-		}
+		lX := oRng[o]
+		lo, hi := lX.Support()
+		win.slide(iRng, p.iHi, lo, hi, j.Tol)
 		var rng int64
 		var bestO float64
 		for k := win.start; k < win.end; k++ {
-			// Support pretest on the flat key column, bit-identical to
+			// Support pretest on the range column, bit-identical to
 			// lX.Intersects(Add(s, Tol)).
-			if !(lo <= iKeys[k].Hi+j.Tol.D && iKeys[k].Lo+j.Tol.A <= hi) {
+			if !(lo <= iRng[k].D+j.Tol.D && iRng[k].A+j.Tol.A <= hi) {
 				continue // dangling tuple inside the range
 			}
 			rng++
-			if iKeys[k].D < f {
+			iD := inner.D[k]
+			if iD < f {
 				continue
 			}
 			d := oD
 			if ranged {
 				loc.deg++
-				sX := inner[k].Values[j.ii].Num
+				sX := iRng[k]
 				if !tolZero {
 					sX = fuzzy.Add(sX, j.Tol)
 				}
@@ -224,8 +224,8 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]
 					d = oD
 				}
 			}
-			if iKeys[k].D < d {
-				d = iKeys[k].D
+			if iD < d {
+				d = iD
 			}
 			if extra != nil {
 				// The residual can only lower d: it is skipped when d is
@@ -242,7 +242,7 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]
 					continue
 				}
 				loc.deg++
-				if g := extra.EvalAnd(outer[o].Values, inner[k].Values, lim); g < d {
+				if g := extra.EvalAnd(o, k, lim); g < d {
 					d = g
 				}
 			}
@@ -275,14 +275,14 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]
 			if j.emit != nil {
 				for _, i := range j.emit {
 					if i < nOuter {
-						arena = append(arena, outer[o].Values[i])
+						arena = append(arena, outer.Value(o, i))
 					} else {
-						arena = append(arena, inner[k].Values[i-nOuter])
+						arena = append(arena, inner.Value(k, i-nOuter))
 					}
 				}
 			} else {
-				arena = append(arena, outer[o].Values...)
-				arena = append(arena, inner[k].Values...)
+				arena = outer.AppendValues(arena, o, nil)
+				arena = inner.AppendValues(arena, k, nil)
 			}
 			out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
 		}
@@ -296,9 +296,9 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, p partRange, best []float64) ([]
 	}
 	switch j.fold {
 	case FoldOuter:
-		out = emitCarried(outer[p.oLo:p.oHi], best[p.oLo:p.oHi], j.foldEmit, f)
+		out = emitCarried(outer, p.oLo, best[p.oLo:p.oHi], j.foldEmit, f)
 	case FoldInner:
-		out = emitCarried(inner[p.iLo:p.iHi], best[p.iLo:p.iHi], j.foldEmit, f)
+		out = emitCarried(inner, p.iLo, best[p.iLo:p.iHi], j.foldEmit, f)
 	}
 	loc.flush(j.Stats)
 	return out, nil

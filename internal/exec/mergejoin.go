@@ -89,7 +89,8 @@ type MergeAntiMin struct {
 	// tuple the floor does not drop outright.
 	Stats *OpStats
 
-	oi, ii int
+	oi, ii    int
+	outerRows // the output: the outer tuples, or the columns EmitColumns selected
 }
 
 // NewMergeAntiMin builds the operator counting into st; inputs must be
@@ -107,12 +108,9 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *ke
 		Outer: outer, Inner: inner,
 		OuterAttr: outerAttr, InnerAttr: innerAttr,
 		Terms: terms, Stats: st,
-		oi: oi, ii: ii,
+		oi: oi, ii: ii, outerRows: newOuterRows(outer.Schema()),
 	}, nil
 }
-
-// Schema implements Source: the output carries the outer tuples.
-func (j *MergeAntiMin) Schema() *frel.Schema { return j.Outer.Schema() }
 
 // Open implements Source: the flat-column, morsel-scheduled sweep (see
 // sweep.go). Each morsel keeps the running minimum of its outer
@@ -123,28 +121,32 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	terms, err := j.Terms.Bind(in.outer, in.inner)
+	if err != nil {
+		return nil, err
+	}
 	f := j.Floor
-	degs := make([]float64, len(in.outer))
+	degs := make([]float64, in.outer.Len())
 	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
 		loc := newBatchLocals(j.Ctx)
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		for o := p.oLo; o < p.oHi; o++ {
-			d := in.oKeys[o].D
+			d := in.outer.D[o]
 			if d < f {
 				continue
 			}
-			lo, hi := in.oKeys[o].Lo, in.oKeys[o].Hi
-			win.slide(in.iKeys, p.iHi, lo, hi, fuzzy.Trapezoid{})
+			lo, hi := in.oRng[o].Support()
+			win.slide(in.iRng, p.iHi, lo, hi, fuzzy.Trapezoid{})
 			var rng int64
 			for k := win.start; k < win.end; k++ {
-				if !(lo <= in.iKeys[k].Hi && in.iKeys[k].Lo <= hi) {
+				if !(lo <= in.iRng[k].D && in.iRng[k].A <= hi) {
 					continue // the penalty would be 1
 				}
 				rng++
 				loc.deg++
-				g := j.Terms.EvalAnd(in.outer[o].Values, in.inner[k].Values, 0)
-				if in.iKeys[k].D < g {
-					g = in.iKeys[k].D
+				g := terms.EvalAnd(o, k, 0)
+				if iD := in.inner.D[k]; iD < g {
+					g = iD
 				}
 				if g = 1 - g; g < d {
 					d = g
@@ -160,6 +162,6 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 			}
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer[p.oLo:p.oHi], degs[p.oLo:p.oHi], nil, f), nil
+		return emitCarried(in.outer, p.oLo, degs[p.oLo:p.oHi], j.emit, f), nil
 	})
 }

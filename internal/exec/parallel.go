@@ -34,14 +34,14 @@ type partRange struct {
 // weight is the partition's work proxy for balancing.
 func (p partRange) weight() int { return (p.oHi - p.oLo) + (p.iHi - p.iLo) }
 
-// atomicCutsKeyed scans the support-key columns of both begin-sorted inputs
+// atomicCuts scans the range columns of both begin-sorted inputs
 // and returns the ranges between the cut points (o, i) at which
 // outer[:o] ∪ inner[:i] is join-independent from the rest: every support
 // interval consumed before the cut ends strictly before every interval
 // after it begins. The inner intervals are widened by the band tolerance
 // (an inner value s joins outer r when support(s ⊕ tol) intersects
 // support(r)), so no band-join pair crosses a cut either.
-func atomicCutsKeyed(outer, inner []SupportKey, tol fuzzy.Trapezoid) []partRange {
+func atomicCuts(outer, inner []fuzzy.Trapezoid, tol fuzzy.Trapezoid) []partRange {
 	var cuts [][2]int
 	maxHi := math.Inf(-1)
 	o, i := 0, 0
@@ -50,15 +50,15 @@ func atomicCutsKeyed(outer, inner []SupportKey, tol fuzzy.Trapezoid) []partRange
 		takeOuter := false
 		if o < len(outer) {
 			if i < len(inner) {
-				takeOuter = outer[o].Lo <= inner[i].Lo+tol.A
+				takeOuter = outer[o].A <= inner[i].A+tol.A
 			} else {
 				takeOuter = true
 			}
 		}
 		if takeOuter {
-			lo, hi = outer[o].Lo, outer[o].Hi
+			lo, hi = outer[o].A, outer[o].D
 		} else {
-			lo, hi = inner[i].Lo+tol.A, inner[i].Hi+tol.D
+			lo, hi = inner[i].A+tol.A, inner[i].D+tol.D
 		}
 		// Everything consumed so far ends before this interval begins:
 		// the ranges on either side cannot produce a joining pair.

@@ -124,15 +124,15 @@ func TestAtomicCutsIndependence(t *testing.T) {
 		rs, ss := sortedRel(t, r, "X"), sortedRel(t, s, "X")
 		oi, _ := rs.Schema.Resolve("X")
 		ii, _ := ss.Schema.Resolve("X")
-		_, oKeys, err := collectSorted(NewMemSource(rs), oi, "outer")
+		_, oRng, err := collectSorted(NewMemSource(rs), oi, "outer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, iKeys, err := collectSorted(NewMemSource(ss), ii, "inner")
+		_, iRng, err := collectSorted(NewMemSource(ss), ii, "inner")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges := atomicCutsKeyed(oKeys, iKeys, tol)
+		ranges := atomicCuts(oRng, iRng, tol)
 		// Ranges must tile both inputs in order.
 		po, pi := 0, 0
 		for _, p := range ranges {

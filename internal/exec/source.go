@@ -7,7 +7,8 @@
 // flat-column sweep over a window: the support range Rng(r) of a numeric
 // equality, or the whole inner for every other correlation. Every condition an
 // operator evaluates is a compiled internal/kernel Program: a filter runs it
-// over a batch of tuples (RunBatch), a join over a pair of rows (EvalAnd).
+// over a batch of tuples (RunBatch), a join over a pair of tuples of its
+// inputs held as columns (Bind, EvalAnd).
 //
 // There is one operator protocol. Every operator is a Source: it has a
 // schema and opens into a BatchIterator, and an operator calls its inputs
@@ -17,9 +18,10 @@
 // per the execution semantics of Section 2.2. Two optional extensions
 // travel beside the batches, and wrappers forward both so a consumer that
 // materializes its input can allocate once or not at all: a sizing hint,
-// Remaining, and Rest, with which an in-memory input (a cached sort
-// order) hands over its one tuple slice. Nothing else does: the sweeps
-// build the support keys they read (sweep.go).
+// Remaining, and Columns, with which an input serves its rest as columns
+// (frel.Columns): a cached sort order hands over the columns it holds, an
+// external sort's final merge and a heap scan decode straight into them.
+// The sweeps read nothing else (sweep.go).
 //
 // Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
 // valid until the next NextBatch (or Close) call on the same iterator —
@@ -74,25 +76,27 @@ func batchesRemaining(it BatchIterator) int {
 	return -1
 }
 
-// restBatchIterator is a BatchIterator over tuples it already holds in
-// one slice that it never recycles. Rest serves everything it has yet to
-// serve at once, as a slice the caller may keep, and leaves the iterator
-// exhausted (check Err: a wrapper that observes a cancelled context
-// serves nothing). ok is false, and nothing is served, when the iterator
-// under a wrapper has no such slice. Wrappers that pass batches through
-// forward it, so a consumer that materializes an in-memory input takes
-// it without copying.
-type restBatchIterator interface {
+// columnsBatchIterator is a BatchIterator that can serve everything it
+// has yet to serve as columns, in one call that leaves it exhausted: the
+// columns it holds (a cached order, served without a copy) or its rest
+// decoded straight into new ones. The columns are the caller's to keep,
+// and nobody writes them. sortedOn is the attribute they were checked to
+// be sorted on by the Definition 3.1 order when they were built (−1:
+// none). ok is false, and nothing is served, when the iterator (under a
+// wrapper) has no such form or its context is cancelled; the caller then
+// reads its batches (and sees the cancellation in Err). Wrappers that pass
+// batches through forward it.
+type columnsBatchIterator interface {
 	BatchIterator
-	Rest() (tuples []frel.Tuple, ok bool)
+	Columns() (cols *frel.Columns, sortedOn int, ok bool)
 }
 
-// rest serves the rest of it as one slice when it holds one.
-func rest(it BatchIterator) ([]frel.Tuple, bool) {
-	if r, ok := it.(restBatchIterator); ok {
-		return r.Rest()
+// columnsOf serves the rest of it as columns when it can.
+func columnsOf(it BatchIterator) (*frel.Columns, int, bool) {
+	if c, ok := it.(columnsBatchIterator); ok {
+		return c.Columns()
 	}
-	return nil, false
+	return nil, -1, false
 }
 
 // Collect drains a source into an in-memory relation, one bulk append per
@@ -151,16 +155,84 @@ func (it *memBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return b, true
 }
 
-// Rest implements restBatchIterator.
-func (it *memBatchIterator) Rest() ([]frel.Tuple, bool) {
-	b := it.tuples[it.pos:]
-	it.pos = len(it.tuples)
-	return b, true
-}
-
 func (it *memBatchIterator) Remaining() int { return len(it.tuples) - it.pos }
 func (it *memBatchIterator) Err() error     { return nil }
 func (it *memBatchIterator) Close()         {}
+
+// ColumnsSource serves tuples held as columns, sorted on one attribute: a
+// sort order the cache holds, handed to a sweep whole and without a copy
+// (Columns), or served as rows to any other consumer, a batch at a time
+// built into one arena.
+type ColumnsSource struct {
+	schema   *frel.Schema
+	cols     *frel.Columns
+	sortedOn int
+}
+
+// NewSortedColumns serves columns sorted on numeric attribute attr,
+// checking the Definition 3.1 order once, here: the sweeps they are
+// handed to do not check it again.
+func NewSortedColumns(schema *frel.Schema, cols *frel.Columns, attr int) (*ColumnsSource, error) {
+	if err := checkSorted(cols.Num[attr], "cached "+schema.Attrs[attr].Name); err != nil {
+		return nil, err
+	}
+	return &ColumnsSource{schema: schema, cols: cols, sortedOn: attr}, nil
+}
+
+// WithSchema returns the source of the same columns under another schema
+// (a FROM alias), keeping the order they were checked in.
+func (c *ColumnsSource) WithSchema(schema *frel.Schema) *ColumnsSource {
+	return &ColumnsSource{schema: schema, cols: c.cols, sortedOn: c.sortedOn}
+}
+
+// Cols returns the columns the source serves.
+func (c *ColumnsSource) Cols() *frel.Columns { return c.cols }
+
+// Schema implements Source.
+func (c *ColumnsSource) Schema() *frel.Schema { return c.schema }
+
+// Open implements Source.
+func (c *ColumnsSource) Open() (BatchIterator, error) {
+	return &colsBatchIterator{src: c}, nil
+}
+
+type colsBatchIterator struct {
+	src *ColumnsSource
+	pos int
+	out []frel.Tuple
+}
+
+// NextBatch builds the next batch's rows from the columns.
+func (it *colsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
+	cols := it.src.cols
+	end := min(it.pos+BatchSize, cols.Len())
+	if it.pos >= end {
+		return nil, false
+	}
+	arena := make([]frel.Value, 0, (end-it.pos)*len(cols.Num))
+	it.out = it.out[:0]
+	for i := it.pos; i < end; i++ {
+		off := len(arena)
+		arena = cols.AppendValues(arena, i, nil)
+		it.out = append(it.out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: cols.D[i]})
+	}
+	it.pos = end
+	return it.out, true
+}
+
+// Columns implements columnsBatchIterator: the columns themselves, when
+// no batch was read yet.
+func (it *colsBatchIterator) Columns() (*frel.Columns, int, bool) {
+	if it.pos > 0 {
+		return nil, -1, false
+	}
+	it.pos = it.src.cols.Len()
+	return it.src.cols, it.src.sortedOn, true
+}
+
+func (it *colsBatchIterator) Remaining() int { return it.src.cols.Len() - it.pos }
+func (it *colsBatchIterator) Err() error     { return nil }
+func (it *colsBatchIterator) Close()         {}
 
 // HeapSource serves tuples from an on-disk heap file through its buffer
 // pool, so scans are charged page I/O. Limit, when non-negative, bounds
@@ -198,14 +270,16 @@ func (h *HeapSource) Open() (BatchIterator, error) {
 	if h.Limit >= 0 && h.Limit < left {
 		left = h.Limit
 	}
-	return &heapBatchIterator{sc: h.scan(), left: int(left)}, nil
+	return &heapBatchIterator{sc: h.scan(), schema: h.Heap.Schema, left: int(left)}, nil
 }
 
 type heapBatchIterator struct {
 	sc     *storage.Scanner
+	schema *frel.Schema
 	buf    []frel.Tuple
 	left   int // tuples the scan had yet to serve when it was opened, less those served
 	closed bool
+	err    error // a record Columns could not decode
 }
 
 func (it *heapBatchIterator) NextBatch() ([]frel.Tuple, bool) {
@@ -232,7 +306,32 @@ func (it *heapBatchIterator) Remaining() int {
 	return it.left
 }
 
-func (it *heapBatchIterator) Err() error { return it.sc.Err() }
+// Columns implements columnsBatchIterator: the rest of the scan, decoded
+// straight from its records into columns.
+func (it *heapBatchIterator) Columns() (*frel.Columns, int, bool) {
+	if it.closed {
+		return nil, -1, false
+	}
+	cols := frel.NewColumns(it.schema, it.Remaining())
+	for {
+		rec, ok := it.sc.NextRaw()
+		if !ok {
+			break
+		}
+		if it.err = cols.AppendRecord(it.schema, rec); it.err != nil {
+			break
+		}
+	}
+	it.left = 0
+	return cols, -1, true
+}
+
+func (it *heapBatchIterator) Err() error {
+	if it.err != nil {
+		return it.err
+	}
+	return it.sc.Err()
+}
 
 func (it *heapBatchIterator) Close() {
 	if !it.closed {

@@ -323,13 +323,16 @@ func (it *statedBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	return b, ok
 }
 
-// Rest implements restBatchIterator, counting what it serves as a batch.
-func (it *statedBatchIterator) Rest() ([]frel.Tuple, bool) {
+// Columns implements columnsBatchIterator, counting what it serves as
+// rows out.
+func (it *statedBatchIterator) Columns() (*frel.Columns, int, bool) {
 	start := time.Now()
-	b, ok := rest(it.in)
+	cols, sortedOn, ok := columnsOf(it.in)
 	it.node.WallNanos.Add(time.Since(start).Nanoseconds())
-	it.node.RowsOut.Add(int64(len(b)))
-	return b, ok
+	if ok {
+		it.node.RowsOut.Add(int64(cols.Len()))
+	}
+	return cols, sortedOn, ok
 }
 
 func (it *statedBatchIterator) Remaining() int { return batchesRemaining(it.in) }

@@ -1,10 +1,10 @@
 // The flat-column sweep the kernel operators share. The kernel merge-join,
 // the kernel anti-min and the kernel group-aggregate all run the same way:
-// both sorted inputs are materialized into flat tuple and support-key
-// columns, the atomic-cut partitioner splits them into join-independent
-// ranges, the ranges are coalesced into morsels, and a pool of workers
-// pulls morsels off a shared queue, each sweeping its morsel with a
-// two-cursor loop directly over the flat columns. A morsel owns disjoint
+// both sorted inputs are held as columns (frel.Columns: the degrees and
+// one array per attribute, in sort order), the atomic-cut partitioner
+// splits them into join-independent ranges, the ranges are coalesced into
+// morsels, and a pool of workers pulls morsels off a shared queue, each
+// sweeping its morsel with a two-cursor loop directly over the columns. A morsel owns disjoint
 // spans of both inputs, so whatever a sweep reduces per tuple of either
 // input (the maximum degree of a folded join, the minimum of an anti-join,
 // the aggregate comparison of a group) it writes without synchronization,
@@ -15,7 +15,7 @@
 // window Rng(r) of each outer tuple. Every other correlation (strings,
 // <, <=, >, >=, <>, none at all) sweeps the whole-inner window: both
 // inputs are collected with range index −1, which gives every tuple the
-// key [−Inf, +Inf]. The window cursor and the support pretest then admit
+// range [−Inf, +Inf]. The window cursor and the support pretest then admit
 // every inner tuple for every outer one, and the partitioner finds no
 // cut, so a whole window is one morsel and its sweep is serial. Both
 // windows hold both inputs in memory.
@@ -31,21 +31,15 @@ import (
 	"repro/internal/kernel"
 )
 
-// SupportKey is the sweep key of one tuple on its range attribute: the
-// support endpoints b(v), e(v) of Definition 3.1 and the tuple's
-// membership degree. collectSorted builds one flat key column per input,
-// so the window cursor, the support pretest and the partitioner read
-// interval endpoints from a contiguous array instead of from the
-// trapezoids.
-type SupportKey struct {
-	Lo, Hi, D float64
-}
-
 // flatInputs is the materialized form of a kernel operator's two sorted
-// inputs, cut into morsels.
+// inputs, cut into morsels: each input as columns (frel.Columns), and
+// beside it its range column, the trapezoids of its range attribute. The
+// window cursor, the support pretest and the partitioner read the
+// supports [A, D] of the range columns in place; in a whole-inner window
+// every range is [−Inf, +Inf].
 type flatInputs struct {
-	outer, inner []frel.Tuple
-	oKeys, iKeys []SupportKey
+	outer, inner *frel.Columns
+	oRng, iRng   []fuzzy.Trapezoid
 	ranges       []partRange
 	morsels      []kernel.Morsel
 }
@@ -57,23 +51,24 @@ type flatInputs struct {
 func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid, workers int, st *OpStats) (*flatInputs, error) {
 	in := &flatInputs{}
 	var err error
-	if in.outer, in.oKeys, err = collectSorted(outer, oi, op+" outer"); err != nil {
+	if in.outer, in.oRng, err = collectSorted(outer, oi, op+" outer"); err != nil {
 		return nil, err
 	}
-	if in.inner, in.iKeys, err = collectSorted(inner, ii, op+" inner"); err != nil {
+	if in.inner, in.iRng, err = collectSorted(inner, ii, op+" inner"); err != nil {
 		return nil, err
 	}
+	no, ni := in.outer.Len(), in.inner.Len()
 	if workers <= 1 {
 		// One worker sweeps everything as one morsel; nothing to cut.
-		in.ranges = []partRange{{0, len(in.outer), 0, len(in.inner)}}
+		in.ranges = []partRange{{0, no, 0, ni}}
 		in.morsels = []kernel.Morsel{{Lo: 0, Hi: 1}}
 	} else {
-		in.ranges = atomicCutsKeyed(in.oKeys, in.iKeys, tol)
-		grain := morselGrain(len(in.outer)+len(in.inner), workers)
+		in.ranges = atomicCuts(in.oRng, in.iRng, tol)
+		grain := morselGrain(no+ni, workers)
 		in.morsels = kernel.Coalesce(len(in.ranges), func(i int) int { return in.ranges[i].weight() }, grain)
 	}
 	st.Morsels.Add(int64(len(in.morsels)))
-	st.KernelTuples.Add(int64(len(in.outer)))
+	st.KernelTuples.Add(int64(no))
 	return in, nil
 }
 
@@ -201,7 +196,7 @@ func (l *batchLocals) flush(st *OpStats) {
 	st.ObserveRngBulk(l.rngN, l.rngSum, l.rngMin, l.rngMax)
 }
 
-// keyWindow is the Rng(r) cursor over a flat inner key column: [start, end)
+// keyWindow is the Rng(r) cursor over the inner range column: [start, end)
 // are the inner tuples that may intersect the current outer tuple or a
 // later one.
 type keyWindow struct{ start, end int }
@@ -210,22 +205,22 @@ type keyWindow struct{ start, end int }
 // tuples whose supports, widened by the band tolerance, end before lo, and
 // over those (up to limit) that begin at or before hi. The zero tolerance
 // adds nothing.
-func (w *keyWindow) slide(keys []SupportKey, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
-	for w.start < w.end && keys[w.start].Hi+tol.D < lo {
+func (w *keyWindow) slide(rng []fuzzy.Trapezoid, limit int, lo, hi float64, tol fuzzy.Trapezoid) {
+	for w.start < w.end && rng[w.start].D+tol.D < lo {
 		w.start++
 	}
-	for w.end < limit && keys[w.end].Lo+tol.A <= hi {
+	for w.end < limit && rng[w.end].A+tol.A <= hi {
 		w.end++
 	}
 }
 
 // emitCarried builds the output of a sweep that reduced one degree per
-// tuple of an input: one row, at that degree, for every tuple whose degree
-// is positive and at least floor. With a nil emit mask a row is the tuple
-// itself (its values are shared, not copied); otherwise it holds the
-// masked columns, written into one arena. Both allocations are sized by
-// the rows that survive.
-func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64) []frel.Tuple {
+// tuple of an input: one row, at that degree, for every tuple lo+i of cols
+// whose degree degs[i] is positive and at least floor. A row holds the
+// columns emit lists (every column when emit is nil), built from the
+// columns into one arena. Both allocations are sized by the rows that
+// survive.
+func emitCarried(cols *frel.Columns, lo int, degs []float64, emit []int, floor float64) []frel.Tuple {
 	n := 0
 	for _, d := range degs {
 		if d > 0 && d >= floor {
@@ -235,65 +230,106 @@ func emitCarried(tuples []frel.Tuple, degs []float64, emit []int, floor float64)
 	if n == 0 {
 		return nil
 	}
-	out := make([]frel.Tuple, 0, n)
-	var arena []frel.Value
-	if emit != nil {
-		arena = make([]frel.Value, 0, n*len(emit))
+	width := len(emit)
+	if emit == nil {
+		width = len(cols.Num)
 	}
+	out := make([]frel.Tuple, 0, n)
+	arena := make([]frel.Value, 0, n*width)
 	for i, d := range degs {
 		if d <= 0 || d < floor {
 			continue
 		}
-		vals := tuples[i].Values
-		if emit != nil {
-			off := len(arena)
-			for _, c := range emit {
-				arena = append(arena, vals[c])
-			}
-			vals = arena[off:len(arena):len(arena)]
-		}
-		out = append(out, frel.Tuple{Values: vals, D: d})
+		off := len(arena)
+		arena = cols.AppendValues(arena, lo+i, emit)
+		out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
 	}
 	return out
 }
 
-// collectSorted drains src, verifying the Definition 3.1 sort order and
-// building the flat support-key column the partitioner and the sweeps run
-// on, one key per tuple from its value on attribute idx. An in-memory
-// input (a cached order) is taken as its slice, without a copy; any other
-// is appended batch by batch into a column allocated once when the
-// producer knows how many tuples it holds. Range index −1 is the
-// whole-inner window: every key is [−Inf, +Inf] and no order is checked.
-func collectSorted(src Source, idx int, side string) ([]frel.Tuple, []SupportKey, error) {
+// outerRows is the output shape of a sweep that emits its outer tuples
+// (the anti-join, the group-aggregate join): every column of them, or the
+// columns EmitColumns selected.
+type outerRows struct {
+	outer, schema *frel.Schema
+	emit          []int // nil: every column
+}
+
+func newOuterRows(outer *frel.Schema) outerRows { return outerRows{outer: outer, schema: outer} }
+
+// Schema implements Source.
+func (r *outerRows) Schema() *frel.Schema { return r.schema }
+
+// EmitColumns restricts the output to the given columns of the outer
+// tuples, in the given order: the sweep then builds only the values its
+// consumer reads.
+func (r *outerRows) EmitColumns(emit []int) error {
+	schema := &frel.Schema{Name: r.outer.Name}
+	for _, c := range emit {
+		if c < 0 || c >= len(r.outer.Attrs) {
+			return fmt.Errorf("exec: emit column %d out of range", c)
+		}
+		schema.Attrs = append(schema.Attrs, r.outer.Attrs[c])
+	}
+	r.schema, r.emit = schema, append([]int{}, emit...)
+	return nil
+}
+
+// wholeRange is the range of every tuple of a whole-inner window.
+var wholeRange = fuzzy.Trapezoid{A: math.Inf(-1), B: math.Inf(-1), C: math.Inf(1), D: math.Inf(1)}
+
+// collectSorted drains src into columns, verifying the Definition 3.1
+// sort order on attribute idx, and returns them with the range column the
+// sweeps read. An input that holds or decodes its rest as columns (a
+// cached order, an external sort's final merge, a heap scan) serves them
+// whole, a cached order without a copy; any other is appended batch by
+// batch into columns allocated once when the producer knows how many
+// tuples it holds. Columns checked to be sorted on idx when they were
+// built are not checked again. Range index −1 is the whole-inner window:
+// every range is [−Inf, +Inf] and no order is checked.
+func collectSorted(src Source, idx int, side string) (*frel.Columns, []fuzzy.Trapezoid, error) {
 	it, err := src.Open()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer it.Close()
-	tuples, whole := rest(it)
+	cols, sortedOn, whole := columnsOf(it)
 	if !whole {
-		if n := batchesRemaining(it); n > 0 {
-			tuples = make([]frel.Tuple, 0, n)
-		}
+		cols = frel.NewColumns(src.Schema(), max(batchesRemaining(it), 0))
 		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
-			tuples = append(tuples, b...)
+			for _, t := range b {
+				cols.AppendTuple(t)
+			}
 		}
 	}
 	if err := it.Err(); err != nil {
 		return nil, nil, err
 	}
-	keys := make([]SupportKey, len(tuples))
-	prevBegin := math.Inf(-1)
-	for i, t := range tuples {
-		lo, hi := math.Inf(-1), math.Inf(1)
-		if idx >= 0 {
-			lo, hi = t.Values[idx].Num.Support()
+	if idx < 0 {
+		rng := make([]fuzzy.Trapezoid, cols.Len())
+		for i := range rng {
+			rng[i] = wholeRange
 		}
-		if lo < prevBegin {
-			return nil, nil, fmt.Errorf("exec: %s input is not sorted by the Definition 3.1 order", side)
-		}
-		prevBegin = lo
-		keys[i] = SupportKey{Lo: lo, Hi: hi, D: t.D}
+		return cols, rng, nil
 	}
-	return tuples, keys, nil
+	rng := cols.Num[idx]
+	if sortedOn != idx {
+		if err := checkSorted(rng, side); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cols, rng, nil
+}
+
+// checkSorted returns an error naming side unless the supports of rng
+// begin in non-decreasing order, the Definition 3.1 order's first key.
+func checkSorted(rng []fuzzy.Trapezoid, side string) error {
+	prev := math.Inf(-1)
+	for _, t := range rng {
+		if t.A < prev {
+			return fmt.Errorf("exec: %s input is not sorted by the Definition 3.1 order", side)
+		}
+		prev = t.A
+	}
+	return nil
 }

@@ -12,12 +12,14 @@ import (
 	"repro/internal/storage"
 )
 
-// TestCollectFlatKeys: the sweep builds its support keys from the values
-// it collects. Whatever serves a sorted input (an in-memory relation or a
-// heap scan, bare or under the stats and cancellation wrappers), and at
-// any worker count, collectFlat holds the input's tuples in order and
-// beside each one the key (Support(), D) of its range attribute; with
-// range index −1 every key is [−Inf, +Inf].
+// TestCollectFlatKeys: the sweep reads its support keys from the columns
+// it collects. Whatever serves a sorted input (an in-memory relation, a
+// heap scan decoded straight into columns, or columns handed over whole,
+// bare or under the stats and cancellation wrappers), and at any worker
+// count, collectFlat holds the input's tuples in order as columns, and
+// beside them the range column whose supports the sweep reads: the range
+// attribute's column itself, or with range index −1 a column of ranges
+// [−Inf, +Inf].
 func TestCollectFlatKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := sortedRel(t, randomRel("R", 2600, 1000, 5, rng), "X")
@@ -42,25 +44,40 @@ func TestCollectFlatKeys(t *testing.T) {
 	bases := map[string]func(rel *frel.Relation, h *storage.HeapFile) Source{
 		"mem":  func(rel *frel.Relation, _ *storage.HeapFile) Source { return NewMemSource(rel) },
 		"heap": func(_ *frel.Relation, h *storage.HeapFile) Source { return NewHeapSource(h) },
+		"columns": func(rel *frel.Relation, _ *storage.HeapFile) Source {
+			cols := frel.NewColumns(rel.Schema, rel.Len())
+			for _, tu := range rel.Tuples {
+				cols.AppendTuple(tu)
+			}
+			src, err := NewSortedColumns(rel.Schema, cols, xi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		},
 	}
 	wraps := map[string]func(Source) Source{
 		"bare":    func(src Source) Source { return src },
 		"stated":  func(src Source) Source { return NewStated(src, NewOpStats("scan", "")) },
 		"context": func(src Source) Source { return WithContext(ctx, src) },
 	}
-	check := func(name string, got []frel.Tuple, keys []SupportKey, want []frel.Tuple, idx int) {
+	check := func(name string, got *frel.Columns, rng []fuzzy.Trapezoid, want []frel.Tuple, idx int) {
 		t.Helper()
-		sameSequence(t, name, got, want)
-		if len(keys) != len(got) {
-			t.Fatalf("%s: %d keys for %d tuples", name, len(keys), len(got))
+		rows := make([]frel.Tuple, got.Len())
+		for i := range rows {
+			rows[i] = frel.Tuple{Values: got.AppendValues(nil, i, nil), D: got.D[i]}
 		}
-		for i, tu := range got {
+		sameSequence(t, name, rows, want)
+		if len(rng) != len(rows) {
+			t.Fatalf("%s: %d ranges for %d tuples", name, len(rng), len(rows))
+		}
+		for i, tu := range rows {
 			lo, hi := math.Inf(-1), math.Inf(1)
 			if idx >= 0 {
 				lo, hi = tu.Values[idx].Num.Support()
 			}
-			if k := keys[i]; k.Lo != lo || k.Hi != hi || k.D != tu.D {
-				t.Fatalf("%s: key %d = %+v, want {%v %v %v}", name, i, k, lo, hi, tu.D)
+			if klo, khi := rng[i].Support(); klo != lo || khi != hi {
+				t.Fatalf("%s: range %d = [%v, %v], want [%v, %v]", name, i, klo, khi, lo, hi)
 			}
 		}
 	}
@@ -74,8 +91,8 @@ func TestCollectFlatKeys(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s at %d workers, index %d: %v", name, workers, idx, err)
 					}
-					check(name+" outer", in.outer, in.oKeys, r.Tuples, idx)
-					check(name+" inner", in.inner, in.iKeys, s.Tuples, idx)
+					check(name+" outer", in.outer, in.oRng, r.Tuples, idx)
+					check(name+" inner", in.inner, in.iRng, s.Tuples, idx)
 				}
 			}
 		}

@@ -611,3 +611,17 @@ func SortTids(schema *frel.Schema, tuples []frel.Tuple, tids []int32, o Order) (
 	}
 	return sortPositions(tids, keys), nil
 }
+
+// SortColumnTids is SortTids over tuples held as columns (cols, of
+// schema): the same key, comparator and algorithm, so the same order and
+// comparison count.
+func SortColumnTids(schema *frel.Schema, cols *frel.Columns, tids []int32, o Order) (int64, error) {
+	if err := o.check(schema); err != nil {
+		return 0, err
+	}
+	keys := make([]frel.SortKey, cols.Len())
+	for i := range keys {
+		keys[i] = frel.ValueSortKey(cols.Value(i, o.Attr))
+	}
+	return sortPositions(tids, keys), nil
+}

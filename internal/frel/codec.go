@@ -79,51 +79,89 @@ func DecodeTuple(s *Schema, data []byte) (Tuple, int, error) {
 // hold len(s.Attrs) elements and becomes the tuple's Values: a caller
 // decoding many tuples carves them all out of one arena.
 func DecodeTupleInto(s *Schema, data []byte, vals []Value) (Tuple, int, error) {
-	pos := 0
-	need := func(n int) error {
-		if len(data)-pos < n {
-			return fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, pos, len(data)-pos)
-		}
-		return nil
-	}
-	if err := need(8); err != nil {
+	r := recordReader{data: data}
+	d, err := r.float()
+	if err != nil {
 		return Tuple{}, 0, err
 	}
-	t := Tuple{D: math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])), Values: vals}
-	pos += 8
+	t := Tuple{D: d, Values: vals}
 	for i, a := range s.Attrs {
 		switch a.Kind {
 		case KindNumber:
-			if err := need(32); err != nil {
+			n, err := r.trapezoid()
+			if err != nil {
 				return Tuple{}, 0, err
 			}
-			var c [4]float64
-			for j := range c {
-				c[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-				pos += 8
-			}
-			t.Values[i] = Num(fuzzy.Trapezoid{A: c[0], B: c[1], C: c[2], D: c[3]})
+			t.Values[i] = Num(n)
 		case KindString:
-			n, used := binary.Uvarint(data[pos:])
-			if used <= 0 {
-				return Tuple{}, 0, fmt.Errorf("frel: corrupt string length at offset %d", pos)
+			str, err := r.str()
+			if err != nil {
+				return Tuple{}, 0, err
 			}
-			pos += used
-			if n > uint64(len(data)-pos) {
-				return Tuple{}, 0, fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, pos, len(data)-pos)
-			}
-			t.Values[i] = Str(string(data[pos : pos+int(n)]))
-			pos += int(n)
+			t.Values[i] = Str(str)
 		default:
-			return Tuple{}, 0, fmt.Errorf("frel: unknown attribute kind %v", a.Kind)
+			return Tuple{}, 0, errUnknownKind(a.Kind)
 		}
 	}
-	if err := need(s.Pad); err != nil {
+	if err := r.need(s.Pad); err != nil {
 		return Tuple{}, 0, err
 	}
-	pos += s.Pad
-	return t, pos, nil
+	return t, r.pos + s.Pad, nil
 }
+
+// recordReader reads the fields of one encoded tuple front to back: the
+// one parser of DecodeTupleInto and Columns.AppendRecord.
+type recordReader struct {
+	data []byte
+	pos  int
+}
+
+// need reports a truncated tuple when fewer than n bytes are left.
+func (r *recordReader) need(n int) error {
+	if len(r.data)-r.pos < n {
+		return fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, r.pos, len(r.data)-r.pos)
+	}
+	return nil
+}
+
+func (r *recordReader) float() (float64, error) {
+	if err := r.need(8); err != nil {
+		return 0, err
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
+	r.pos += 8
+	return f, nil
+}
+
+func (r *recordReader) trapezoid() (fuzzy.Trapezoid, error) {
+	if err := r.need(32); err != nil {
+		return fuzzy.Trapezoid{}, err
+	}
+	b := r.data[r.pos : r.pos+32]
+	r.pos += 32
+	return fuzzy.Trapezoid{
+		A: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		B: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		C: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		D: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+	}, nil
+}
+
+func (r *recordReader) str() (string, error) {
+	n, used := binary.Uvarint(r.data[r.pos:])
+	if used <= 0 {
+		return "", fmt.Errorf("frel: corrupt string length at offset %d", r.pos)
+	}
+	r.pos += used
+	if n > uint64(len(r.data)-r.pos) {
+		return "", fmt.Errorf("frel: truncated tuple: need %d bytes at offset %d, have %d", n, r.pos, len(r.data)-r.pos)
+	}
+	s := string(r.data[r.pos : r.pos+int(n)])
+	r.pos += int(n)
+	return s, nil
+}
+
+func errUnknownKind(k Kind) error { return fmt.Errorf("frel: unknown attribute kind %v", k) }
 
 // SortKey is the sort key of one attribute value, ordered by CompareKeys
 // as Compare orders the value: a NUMBER value's trapezoid corners, a

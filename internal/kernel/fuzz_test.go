@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -100,14 +101,38 @@ func oracleDegree(s Step, l, r []frel.Value) float64 {
 	return d
 }
 
+// rowColumns holds one row as columns, each of its value's kind.
+func rowColumns(vals []frel.Value) *frel.Columns {
+	s := &frel.Schema{}
+	for i, v := range vals {
+		s.Attrs = append(s.Attrs, frel.Attribute{Name: fmt.Sprint("C", i), Kind: v.Kind})
+	}
+	c := frel.NewColumns(s, 1)
+	c.AppendTuple(frel.Tuple{Values: vals, D: 1})
+	return c
+}
+
+// evalPair grades the pair of rows l, r through the program bound to them
+// as columns.
+func evalPair(t *testing.T, prog *Program, l, r []frel.Value, floor float64) float64 {
+	t.Helper()
+	b, err := prog.Bind(rowColumns(l), rowColumns(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.EvalAnd(0, 0, floor)
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // FuzzProgram: the bytes choose a left and a right row, a floor, and one
 // to four steps (compare operator or NEAR tolerance, Neg, and left,
 // right or constant operands). Every compiled step is bit for bit the
-// oracle's degree; EvalAnd is their min-conjunction, exact under any floor
-// it reaches; and a program over the left row alone grades a tuple of
-// degree 1 through RunBatch exactly as EvalAnd grades its row.
+// oracle's degree, in the row form RunBatch runs and bound to the rows
+// held as columns (Bind); the bound EvalAnd is their min-conjunction,
+// exact under any floor it reaches; and a program over the left row alone
+// grades a tuple of degree 1 through RunBatch exactly as the bound
+// EvalAnd grades its row.
 func FuzzProgram(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 0, 0, 0, 1, 0})
 	f.Add([]byte{3, 128, 5, 6, 11, 200, 12, 1, 2, 0, 0, 1, 0, 7, 1, 1, 0, 2, 0, 2, 1, 0, 3, 5, 6, 0, 2, 2, 0})
@@ -149,18 +174,32 @@ func FuzzProgram(f *testing.F) {
 				want = og
 			}
 		}
-		exact := prog.EvalAnd(l, r, 0)
+		lc, rc := rowColumns(l), rowColumns(r)
+		bound, err := prog.Bind(lc, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range steps {
+			if g, og := bound.steps[i](0, 0), oracleDegree(s, l, r); !sameBits(g, og) {
+				t.Fatalf("bound step %d %+v over %v, %v: %v, oracle %v", i, s, l, r, g, og)
+			}
+		}
+		exact := bound.EvalAnd(0, 0, 0)
 		if !sameBits(exact, want) {
 			t.Fatalf("EvalAnd = %v, min-conjunction of the oracle's degrees %v", exact, want)
 		}
-		if got := prog.EvalAnd(l, r, floor); exact >= floor && !sameBits(got, exact) {
+		if got := bound.EvalAnd(0, 0, floor); exact >= floor && !sameBits(got, exact) {
 			t.Fatalf("EvalAnd at floor %v = %v, exact degree %v", floor, got, exact)
 		}
 		if leftOnly {
 			degs := make([]float64, 1)
 			prog.RunBatch([]frel.Tuple{{Values: l, D: 1}}, degs)
-			if alone := prog.EvalAnd(l, nil, 0); !sameBits(degs[0], alone) {
-				t.Fatalf("RunBatch at D = 1: %v, EvalAnd over the row %v", degs[0], alone)
+			alone, err := prog.Bind(lc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := alone.EvalAnd(0, 0, 0); !sameBits(degs[0], d) {
+				t.Fatalf("RunBatch at D = 1: %v, EvalAnd over the row %v", degs[0], d)
 			}
 		}
 	})

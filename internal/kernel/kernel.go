@@ -10,8 +10,9 @@
 // column indexes, constant operands), so the hot loop runs with no
 // per-tuple interface dispatch and no per-tuple allocation. A Program has
 // two entry points: RunBatch grades a batch of tuples step by step, with
-// no right row (filters, HAVING, DELETE), and EvalAnd grades one pair of
-// rows (the merge operators over either window). Coalesce (morsel.go)
+// no right row (filters, HAVING, DELETE), and a Program bound to the
+// columns of two inputs (Bind) grades one pair of their tuples with
+// EvalAnd (the merge operators over either window). Coalesce (morsel.go)
 // packs atomic join ranges into morsels for the pull-queue scheduler.
 //
 // Every step calls the closed-form degree functions of Section 2.2
@@ -68,13 +69,15 @@ type Step struct {
 	Left, Right Operand
 }
 
-// stepFn evaluates one compiled step against a left and a right value row.
+// stepFn evaluates one compiled step against a left and a right value row:
+// the row form RunBatch runs, with no right row.
 type stepFn func(l, r []frel.Value) float64
 
 // Program is a compiled conjunction: the fused form of a sequence of
-// predicates combined by min.
+// predicates combined by min. It keeps its steps for Bind.
 type Program struct {
 	steps []stepFn
+	src   []Step
 }
 
 // Len returns the number of compiled steps.
@@ -170,7 +173,7 @@ func compileStep(s Step) (stepFn, error) {
 
 // Compile specializes the steps of a conjunction into a fused Program.
 func Compile(steps []Step) (*Program, error) {
-	p := &Program{steps: make([]stepFn, 0, len(steps))}
+	p := &Program{steps: make([]stepFn, 0, len(steps)), src: append([]Step(nil), steps...)}
 	for _, s := range steps {
 		fn, err := compileStep(s)
 		if err != nil {
@@ -219,17 +222,48 @@ func (p *Program) RunBatch(batch []frel.Tuple, degs []float64) int64 {
 	return evals
 }
 
-// EvalAnd returns the min-combined conjunction degree over a pair of value
-// rows, 1 for the empty conjunction. Later conjuncts cannot raise a
-// minimum, so it stops as soon as the running minimum is 0 or below
-// floor: a result at or above floor is the conjunction's exact degree, a
-// result below it only says the degree is below it too. Pass floor 0 for
-// the exact degree. Operators charge one degree evaluation per call,
-// whatever the number of conjuncts.
-func (p *Program) EvalAnd(l, r []frel.Value, floor float64) float64 {
+// Bound is a Program bound to the columns of two inputs, the pair entry of
+// the merge operators: EvalAnd grades tuple o of the left columns with
+// tuple k of the right ones, reading their values in place. A step over
+// two numeric operands calls its degree function on the trapezoids
+// directly; any other runs the value rule of the row entry (frel.Degree),
+// so both entries are bit-identical. Binding allocates a closure per step,
+// once per sweep; evaluating allocates nothing.
+type Bound struct {
+	steps []pairFn
+}
+
+// pairFn evaluates one bound step for tuple o of the left columns and
+// tuple k of the right ones.
+type pairFn func(o, k int) float64
+
+// Bind binds the program to a left and a right input held as columns. A
+// column an operand reads must be one the columns hold (right may be nil
+// when no step reads the right row).
+func (p *Program) Bind(left, right *frel.Columns) (*Bound, error) {
+	b := &Bound{steps: make([]pairFn, 0, len(p.src))}
+	for _, s := range p.src {
+		fn, err := bindStep(s, left, right)
+		if err != nil {
+			return nil, err
+		}
+		b.steps = append(b.steps, fn)
+	}
+	return b, nil
+}
+
+// EvalAnd returns the min-combined conjunction degree over tuple o of the
+// left columns and tuple k of the right ones, 1 for the empty
+// conjunction. Later conjuncts cannot raise a minimum, so it stops as
+// soon as the running minimum is 0 or below floor: a result at or above
+// floor is the conjunction's exact degree, a result below it only says
+// the degree is below it too. Pass floor 0 for the exact degree.
+// Operators charge one degree evaluation per call, whatever the number of
+// conjuncts.
+func (b *Bound) EvalAnd(o, k int, floor float64) float64 {
 	d := 1.0
-	for _, step := range p.steps {
-		if g := step(l, r); g < d {
+	for _, step := range b.steps {
+		if g := step(o, k); g < d {
 			d = g
 			if d <= 0 || d < floor {
 				break
@@ -237,6 +271,111 @@ func (p *Program) EvalAnd(l, r []frel.Value, floor float64) float64 {
 		}
 	}
 	return d
+}
+
+// colOperand is an operand bound to a column of the left (side 0) or the
+// right (side 1) columns, or a constant (side −1).
+type colOperand struct {
+	side int
+	num  []fuzzy.Trapezoid // the numeric column; nil for a string one
+	str  []string
+	c    frel.Value
+}
+
+func bindOperand(op Operand, left, right *frel.Columns) (colOperand, error) {
+	x := colOperand{side: op.Side}
+	var cols *frel.Columns
+	switch op.Side {
+	case 0:
+		cols = left
+	case 1:
+		cols = right
+	case -1:
+		x.c = op.Const
+		return x, nil
+	default:
+		return x, fmt.Errorf("kernel: unknown operand side %d", op.Side)
+	}
+	if cols == nil || op.Col < 0 || op.Col >= len(cols.Num) {
+		return x, fmt.Errorf("kernel: operand reads column %d of side %d, which the bound columns do not hold", op.Col, op.Side)
+	}
+	x.num, x.str = cols.Num[op.Col], cols.Str[op.Col]
+	return x, nil
+}
+
+func (x *colOperand) numeric() bool {
+	if x.side < 0 {
+		return x.c.Kind == frel.KindNumber
+	}
+	return x.num != nil
+}
+
+// trap returns a numeric operand's trapezoid for the pair (o, k).
+func (x *colOperand) trap(o, k int) fuzzy.Trapezoid {
+	switch x.side {
+	case 0:
+		return x.num[o]
+	case 1:
+		return x.num[k]
+	}
+	return x.c.Num
+}
+
+// value returns the operand's value for the pair (o, k).
+func (x *colOperand) value(o, k int) frel.Value {
+	i := o
+	switch x.side {
+	case -1:
+		return x.c
+	case 1:
+		i = k
+	}
+	if x.num != nil {
+		return frel.Num(x.num[i])
+	}
+	return frel.Str(x.str[i])
+}
+
+// bindStep specializes one step, validated by Compile, into its closure
+// over two columns.
+func bindStep(s Step, left, right *frel.Columns) (pairFn, error) {
+	a, err := bindOperand(s.Left, left, right)
+	if err != nil {
+		return nil, err
+	}
+	b, err := bindOperand(s.Right, left, right)
+	if err != nil {
+		return nil, err
+	}
+	numeric := a.numeric() && b.numeric()
+	var eval pairFn
+	switch s.Kind {
+	case StepCompare:
+		deg, err := degreeFunc(s.Op)
+		if err != nil {
+			return nil, err
+		}
+		if numeric {
+			eval = func(o, k int) float64 { return deg(a.trap(o, k), b.trap(o, k)) }
+		} else {
+			op := s.Op
+			eval = func(o, k int) float64 { return frel.Degree(op, a.value(o, k), b.value(o, k)) }
+		}
+	case StepNear:
+		tol := s.Tol
+		if numeric {
+			eval = func(o, k int) float64 { return fuzzy.ApproxEq(a.trap(o, k), b.trap(o, k), tol) }
+		} else {
+			eval = func(int, int) float64 { return 0 }
+		}
+	default:
+		return nil, fmt.Errorf("kernel: unknown step kind %d", s.Kind)
+	}
+	if s.Neg {
+		inner := eval
+		eval = func(o, k int) float64 { return 1 - inner(o, k) }
+	}
+	return eval, nil
 }
 
 // The three names below serve benchmark/trace.go, which times compiling

@@ -241,7 +241,7 @@ func TestEvalAndBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prog.EvalAnd(l, r, 0)
+		got := evalPair(t, prog, l, r, 0)
 		want := frel.Degree(op, l[0], r[0])
 		if got != want {
 			t.Errorf("%v: compiled %v, interpreted %v", op, got, want)
@@ -252,7 +252,7 @@ func TestEvalAndBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.EvalAnd(l, r, 0); got != 1 {
+	if got := evalPair(t, sp, l, r, 0); got != 1 {
 		t.Errorf("ann <> bob: %v, want 1", got)
 	}
 	// Constants and the right-side NEAR form.
@@ -260,7 +260,7 @@ func TestEvalAndBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := np.EvalAnd(l, r, 0)
+	got := evalPair(t, np, l, r, 0)
 	if want := fuzzy.ApproxEq(fuzzy.Crisp(4), fuzzy.Crisp(4), fuzzy.Tolerance(1, 2)); got != want {
 		t.Errorf("NEAR const: %v, want %v", got, want)
 	}
@@ -275,7 +275,7 @@ func TestNeg(t *testing.T) {
 	}
 	l := []frel.Value{frel.Crisp(7)}
 	r := []frel.Value{frel.Crisp(3)}
-	if got := prog.EvalAnd(l, r, 0); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
+	if got := evalPair(t, prog, l, r, 0); got != 1-fuzzy.Gt(fuzzy.Crisp(7), fuzzy.Crisp(3)) {
 		t.Errorf("Neg: %v", got)
 	}
 	// NEAR with Neg, string guard included.
@@ -283,15 +283,15 @@ func TestNeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := np.EvalAnd([]frel.Value{frel.Str("x")}, r, 0); got != 1 {
+	if got := evalPair(t, np, []frel.Value{frel.Str("x")}, r, 0); got != 1 {
 		t.Errorf("Neg NEAR on string: %v, want 1", got)
 	}
 }
 
 // TestEvalAndShortCircuit asserts the conjunction min-combines its
 // conjuncts, is 1 when empty, and stops after — not before — the conjunct
-// that reaches zero: the last conjunct here reads a column the rows do not
-// have, so evaluating it would panic.
+// that reaches zero: the last conjunct here reads column 9 of the left
+// columns, which holds no tuple, so evaluating it would panic.
 func TestEvalAndShortCircuit(t *testing.T) {
 	steps := []Step{
 		{Kind: StepCompare, Op: fuzzy.OpLe, Left: Column(0), Right: Constant(frel.Num(fuzzy.Tri(0, 10, 20)))},
@@ -306,7 +306,20 @@ func TestEvalAndShortCircuit(t *testing.T) {
 		t.Fatalf("Len = %d", prog.Len())
 	}
 	l := []frel.Value{frel.Crisp(15)}
-	if d := prog.EvalAnd(l, []frel.Value{frel.Crisp(100)}, 0); d != 0 {
+	// evalShort grades the pair with l widened to ten columns, the tenth
+	// empty.
+	evalShort := func(prog *Program, r []frel.Value, floor float64) float64 {
+		t.Helper()
+		wide := append(append([]frel.Value{}, l...), make([]frel.Value, 9)...)
+		lc := rowColumns(wide)
+		lc.Num[9] = lc.Num[9][:0]
+		b, err := prog.Bind(lc, rowColumns(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.EvalAnd(0, 0, floor)
+	}
+	if d := evalShort(prog, []frel.Value{frel.Crisp(100)}, 0); d != 0 {
 		t.Fatalf("short-circuit: d=%v, want 0", d)
 	}
 	// All conjuncts positive: the minimum of every one.
@@ -314,14 +327,14 @@ func TestEvalAndShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, want := two.EvalAnd(l, l, 0), fuzzy.Le(fuzzy.Crisp(15), fuzzy.Tri(0, 10, 20)); d != want || d <= 0 || d >= 1 {
+	if d, want := evalPair(t, two, l, l, 0), fuzzy.Le(fuzzy.Crisp(15), fuzzy.Tri(0, 10, 20)); d != want || d <= 0 || d >= 1 {
 		t.Fatalf("full conjunction: d=%v, want %v", d, want)
 	}
 	empty, err := Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := empty.EvalAnd(l, l, 0); d != 1 {
+	if d := evalPair(t, empty, l, l, 0); d != 1 {
 		t.Fatalf("empty conjunction: d=%v, want 1", d)
 	}
 	// A floor stops the conjunction once the running minimum (0.5 after the
@@ -331,10 +344,10 @@ func TestEvalAndShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := skip.EvalAnd(l, l, 0.6); d != 0.5 {
+	if d := evalShort(skip, l, 0.6); d != 0.5 {
 		t.Fatalf("floor 0.6: d=%v, want the 0.5 it stopped at", d)
 	}
-	if d := two.EvalAnd(l, l, 0.5); d != 0.5 {
+	if d := evalPair(t, two, l, l, 0.5); d != 0.5 {
 		t.Fatalf("floor at the minimum: d=%v, want 0.5", d)
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -20,10 +22,10 @@ import (
 // per-tuple allocation anywhere on the path (a key string, a projected
 // row, a map per group) costs at least one per tuple and trips it.
 //
-// Three legs serve the sorted inputs. "cached" reads the sort cache's tid
-// permutations over the decoded relations. "copied" reads the sorted heap
-// copies the cache keeps for orders whose decoded form passes its budget
-// (2 pages of sort memory here). "indexed" loads every order
+// Three legs serve the sorted inputs. "cached" reads the sort cache's
+// orders, held as columns in sort order. "copied" reads the sorted heap
+// copies the cache keeps for orders whose columns pass its budget (2
+// pages of sort memory here), decoded straight into columns. "indexed" loads every order
 // from an order index on R.A, R.B, S.A and S.B, with a tail of tuples
 // appended after the indexes were built, so each load sorts the tail in; the
 // cache is emptied before every run. Skipped under -race, which inflates
@@ -133,9 +135,9 @@ func TestFoldedQueryAllocs(t *testing.T) {
 // TestWarmReadAllocs is the allocation gate of a warm read through the
 // public API: once its orders are cached, a type-J statement over catalog
 // heaps, rendered into a Result, allocates a bounded number of times
-// whatever the size of its answer. The cached orders are tid permutations
-// over decoded heaps, so a hit reads no page and decodes nothing; the
-// sweep takes the gathered order without copying it, the projection's
+// whatever the size of its answer. The cached orders are columns in sort
+// order, so a hit reads no page and decodes nothing; the sweep takes the
+// columns without copying them, the projection's
 // set is sized once, and the Result is one string arena. A per-tuple or
 // per-row allocation anywhere costs thousands at these sizes and trips
 // it. Warm EXPLAIN ANALYZE of the same statement shows every sort a cache
@@ -219,6 +221,63 @@ func TestWarmReadAllocs(t *testing.T) {
 			walk(st.Plan)
 			if sorts == 0 {
 				t.Errorf("warm EXPLAIN ANALYZE has no sort node:\n%s", st)
+			}
+		})
+	}
+}
+
+// TestWarmCacheIsPointerFree is the gate of the sort cache's form: the
+// cached orders of all-numeric relations are columns of floats and
+// trapezoids, which the garbage collector does not scan. A warm type-J
+// statement caches the orders of R and S at n = 2 000 and n = 8 000; the
+// scannable heap (/gc/scan/heap:bytes, after a collection) with the cache
+// warm may exceed the one after ReleaseSortCache, the environment kept
+// alive, by at most 16 KiB at either size, whatever n: the cache's slice
+// headers and map, under 1 KiB here, not its tuples. Orders held as
+// decoded frel.Values (about 200 scannable bytes per tuple) pass it at n
+// = 2 000 already.
+func TestWarmCacheIsPointerFree(t *testing.T) {
+	const maxScan = 16 << 10
+	q, err := fsql.ParseQuery(fmt.Sprintf(classQueries["J"], " WITH D >= 0.5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scannable := func() int64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindUint64 {
+			t.Skip("the runtime does not report /gc/scan/heap:bytes")
+		}
+		return int64(sample[0].Value.Uint64())
+	}
+	for _, n := range []int{2000, 8000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var rels []*frel.Relation
+			for i, name := range []string{"R", "S"} {
+				rel, err := Generate(Params{Name: name, Tuples: n, TupleBytes: baseTupleBytes, Fanout: 7, Width: 5, Jitter: 0.5, Seed: int64(1 + i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rels = append(rels, rel)
+			}
+			env := memEnv(t, rels...)
+			for range 3 { // streams, admits, hits
+				if _, err := evalQ(env, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if env.Work.CacheHits.Load() == 0 {
+				t.Fatal("the warm statement hit no cached order")
+			}
+			warm := scannable()
+			env.ReleaseSortCache()
+			released := scannable()
+			runtime.KeepAlive(env) // the rest of the environment is live in both readings
+			if d := warm - released; d > maxScan {
+				t.Errorf("the warm cache adds %d scannable bytes (%.1f per tuple of R and S), want <= %d", d, float64(d)/float64(2*n), maxScan)
+			} else {
+				t.Logf("the warm cache adds %d scannable bytes", d)
 			}
 		})
 	}

@@ -2,8 +2,6 @@ package fuzzydb
 
 import (
 	"context"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -17,41 +15,12 @@ import (
 // serializes to stable JSON (see DESIGN.md for the schema).
 type PlanStats = exec.StatsSnapshot
 
-// QueryStats is the machine-readable summary of an EXPLAIN ANALYZE run.
-type QueryStats struct {
-	Strategy   string     `json:"strategy"`        // unnesting strategy chosen
-	Note       string     `json:"note,omitempty"`  // strategy detail (theorem applied)
-	Rules      []string   `json:"rules,omitempty"` // planner rewrite rules applied, in order
-	WallNanos  int64      `json:"wall_ns"`         // total evaluation wall time
-	Answer     int        `json:"answer_rows"`     // answer cardinality
-	Pruned     int64      `json:"pruned_by_with"`  // rows dropped by WITH D >=
-	PoolHits   int64      `json:"pool_hits"`       // buffer-pool page hits
-	PoolMisses int64      `json:"pool_misses"`     // buffer-pool misses (physical reads)
-	Plan       *PlanStats `json:"plan"`            // per-operator tree
-}
-
-// Wall returns the total evaluation wall time.
-func (s *QueryStats) Wall() time.Duration { return time.Duration(s.WallNanos) }
-
-// String renders the stats as the shell's EXPLAIN ANALYZE output: the
-// lines of the PLAN rows Query("EXPLAIN ANALYZE ...") returns.
-func (s *QueryStats) String() string {
-	return strings.Join(core.StatsLines(s.Strategy, s.Note, s.Rules, s.Wall(), s.Answer, s.Pruned, s.PoolHits, s.PoolMisses, s.Plan), "\n") + "\n"
-}
-
-func convertStats(es *core.ExecStats) *QueryStats {
-	return &QueryStats{
-		Strategy:   es.Strategy.String(),
-		Note:       es.Note,
-		Rules:      es.Rules,
-		WallNanos:  es.Wall.Nanoseconds(),
-		Answer:     es.Answer,
-		Pruned:     es.Pruned,
-		PoolHits:   es.PoolHits,
-		PoolMisses: es.PoolMisses,
-		Plan:       es.Plan(),
-	}
-}
+// QueryStats is the machine-readable summary of an EXPLAIN ANALYZE run:
+// the strategy chosen and its note, the planner rewrite rules applied,
+// the wall time (Wall), the answer's size and the rows WITH pruned, the
+// buffer-pool traffic, and the per-operator tree (Plan). String renders
+// it as the shell's EXPLAIN ANALYZE output.
+type QueryStats = core.QueryStats
 
 // ExplainAnalyze evaluates one SELECT (through the unnesting rewrites)
 // and returns its answer together with the per-operator runtime
@@ -76,6 +45,6 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*Result, *
 		return nil, nil, err
 	}
 	res := newResult(rel)
-	res.stats = convertStats(es)
+	res.stats = es.Summary()
 	return res, res.stats, nil
 }
