@@ -278,18 +278,14 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 // filter's node counts the subquery's evaluation too.
 func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, error) {
 	node := e.newNode("filter", "uncorrelated subquery")
-	set, err := e.constantSubquerySet(u.Sub, node)
+	set, err := e.evalSubquerySet(u.Sub, nil, node)
 	if err != nil {
 		return nil, err
 	}
-	members := make([]fuzzy.Member, 0, len(set))
-	for _, m := range set {
-		if m.val.Kind != frel.KindNumber && u.Agg != fuzzy.AggCount {
-			return nil, fmt.Errorf("core: aggregate %v over non-numeric values", u.Agg)
-		}
-		members = append(members, fuzzy.Member{Value: m.val.Num, Mu: m.mu})
+	a, ok, err := aggregateSet(u.Agg, set)
+	if err != nil {
+		return nil, err
 	}
-	a, ok := fuzzy.Aggregate(u.Agg, members)
 	outer, err := e.compileLeaf(u.Outer)
 	if err != nil {
 		return nil, err
@@ -330,22 +326,6 @@ func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan
 	}
 	e.notePruned(pruned)
 	return rel, nil
-}
-
-// constantSubquerySet evaluates an uncorrelated subquery once, counting
-// into node, and returns its answer as a fuzzy value set.
-func (e *Env) constantSubquerySet(sub *fsql.Select, node *exec.OpStats) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, nil, node)
-	if err != nil {
-		return nil, err
-	}
-	set := make([]setMember, 0, rel.Len())
-	for _, t := range rel.Tuples {
-		if t.D > 0 {
-			set = append(set, setMember{val: t.Values[0], mu: t.D})
-		}
-	}
-	return set, nil
 }
 
 // outerEmit returns the columns of the outer schema the answer's items

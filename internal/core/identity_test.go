@@ -140,3 +140,49 @@ func TestValueIdentityMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByMinMaxSignedZeroMatchesNaive: a crisp -0 and a crisp +0 tie
+// on the defuzzification MIN and MAX select by, so only the sign decides
+// between them (-0 below +0). The engine meets R's members in R.A order
+// through the merge join, the naive evaluator in heap order, which here
+// puts +0 first; both must print -0 as the MIN and +0 as the MAX.
+func TestGroupByMinMaxSignedZeroMatchesNaive(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	r := frel.NewRelation(frel.NewSchema("R",
+		frel.Attribute{Name: "G", Kind: frel.KindString},
+		frel.Attribute{Name: "A", Kind: frel.KindNumber},
+		frel.Attribute{Name: "B", Kind: frel.KindNumber}))
+	r.Append(frel.NewTuple(1, frel.Str("g"), frel.Crisp(5), frel.Crisp(0)))
+	r.Append(frel.NewTuple(0.8, frel.Str("g"), frel.Crisp(1), frel.Crisp(negZero)))
+	r.Append(frel.NewTuple(0.6, frel.Str("g"), frel.Crisp(3), frel.Crisp(0)))
+	s := frel.NewRelation(frel.NewSchema("S", frel.Attribute{Name: "A", Kind: frel.KindNumber}))
+	for _, a := range []float64{5, 3, 1} {
+		s.Append(frel.NewTuple(1, frel.Crisp(a)))
+	}
+	q, err := fsql.ParseQuery(`SELECT R.G, MIN(R.B), MAX(R.B) FROM R, S WHERE R.A = S.A GROUPBY R.G`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := memEnv(r, s)
+	naive, err := env.EvalNaive(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := &ExecStats{}
+	got, err := evalQ(env, q, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es.Plan().Find("merge-join") == nil {
+		t.Fatalf("no merge-join node in:\n%s", es.Plan().Render())
+	}
+	if !got.Equal(naive, 0) {
+		t.Fatalf("engine differs from naive\nengine:\n%v\nnaive:\n%v", got, naive)
+	}
+	if got.Len() != 1 {
+		t.Fatalf("%d groups, want 1:\n%v", got.Len(), got)
+	}
+	if mn, mx := got.Tuples[0].Values[1], got.Tuples[0].Values[2]; !mn.Identical(frel.Crisp(negZero)) || !mx.Identical(frel.Crisp(0)) {
+		t.Errorf("MIN %v, MAX %v; want -0 and +0", mn, mx)
+	}
+}

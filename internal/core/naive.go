@@ -10,7 +10,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/frel"
 	"repro/internal/fsql"
-	"repro/internal/fuzzy"
 	"repro/internal/plan"
 )
 
@@ -318,7 +317,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate, node *
 		op := p.Op
 		quant := p.Quant
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
+			set, err := e.evalSubquerySet(sub, &outerCtx{schema: fullSchema, tuple: t}, node)
 			if err != nil {
 				return 0, err
 			}
@@ -344,7 +343,7 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate, node *
 		sub := p.Sub
 		neg := p.Kind == fsql.PredNotExists
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(sub, fullSchema, t, node)
+			set, err := e.evalSubquerySet(sub, &outerCtx{schema: fullSchema, tuple: t}, node)
 			if err != nil {
 				return 0, err
 			}
@@ -377,18 +376,14 @@ func (e *Env) compileBlockPred(fullSchema *frel.Schema, p fsql.Predicate, node *
 		stripped.Items = []fsql.SelectItem{{Ref: p.Sub.Items[0].Ref}}
 		op := p.Op
 		return func(t frel.Tuple) (float64, error) {
-			set, err := e.evalSubquerySet(&stripped, fullSchema, t, node)
+			set, err := e.evalSubquerySet(&stripped, &outerCtx{schema: fullSchema, tuple: t}, node)
 			if err != nil {
 				return 0, err
 			}
-			members := make([]fuzzy.Member, 0, len(set))
-			for _, m := range set {
-				if m.val.Kind != frel.KindNumber && agg != fuzzy.AggCount {
-					return 0, fmt.Errorf("core: aggregate %v over non-numeric values", agg)
-				}
-				members = append(members, fuzzy.Member{Value: m.val.Num, Mu: m.mu})
+			a, ok, err := aggregateSet(agg, set)
+			if err != nil {
+				return 0, err
 			}
-			a, ok := fuzzy.Aggregate(agg, members)
 			if !ok {
 				return 0, nil // NULL aggregate satisfies nothing
 			}
@@ -436,19 +431,19 @@ func checkScalarSubquery(sub *fsql.Select) error {
 	return nil
 }
 
-// evalSubquerySet evaluates the subquery with the current outer binding
-// and returns its answer as a fuzzy set of values.
-func (e *Env) evalSubquerySet(sub *fsql.Select, fullSchema *frel.Schema, full frel.Tuple, node *exec.OpStats) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, &outerCtx{schema: fullSchema, tuple: full}, node)
+// evalSubquerySet evaluates the subquery with the outer binding (nil for
+// an uncorrelated subquery), counting into node, and returns its answer as
+// a fuzzy set of values.
+func (e *Env) evalSubquerySet(sub *fsql.Select, outer *outerCtx, node *exec.OpStats) ([]setMember, error) {
+	rel, err := e.evalBlock(sub, outer, node)
 	if err != nil {
 		return nil, err
 	}
 	set := make([]setMember, 0, rel.Len())
 	for _, t := range rel.Tuples {
-		if t.D <= 0 {
-			continue
+		if t.D > 0 {
+			set = append(set, setMember{val: t.Values[0], mu: t.D})
 		}
-		set = append(set, setMember{val: t.Values[0], mu: t.D})
 	}
 	return set, nil
 }

@@ -150,11 +150,6 @@ func (e *Env) pairDegreeFunc(p fsql.Predicate) (func(a, b frel.Value) float64, e
 	}
 }
 
-// valueDegree computes d(v op z) between generic values.
-func valueDegree(op fuzzy.Op, v, z frel.Value) float64 {
-	return frel.Degree(op, v, z)
-}
-
 // setMember is one element of a fuzzy set of generic values (the
 // temporary relation T(r) of the execution semantics).
 type setMember struct {
@@ -162,11 +157,25 @@ type setMember struct {
 	mu  float64
 }
 
+// aggregateSet applies agg to a fuzzy value set (Section 6); every
+// aggregate but COUNT needs numeric members.
+func aggregateSet(agg fuzzy.AggFunc, set []setMember) (a fuzzy.Trapezoid, ok bool, err error) {
+	vals := make([]fuzzy.Trapezoid, 0, len(set))
+	for _, m := range set {
+		if m.val.Kind != frel.KindNumber && agg != fuzzy.AggCount {
+			return a, false, fmt.Errorf("core: aggregate %v over non-numeric values", agg)
+		}
+		vals = append(vals, m.val.Num)
+	}
+	a, ok = fuzzy.Aggregate(agg, vals)
+	return a, ok, nil
+}
+
 // inDegree computes d(v in T) over generic values (Section 4).
 func inDegree(v frel.Value, set []setMember) float64 {
 	d := 0.0
 	for _, m := range set {
-		if g := fuzzy.Min(m.mu, valueDegree(fuzzy.OpEq, v, m.val)); g > d {
+		if g := fuzzy.Min(m.mu, frel.Degree(fuzzy.OpEq, v, m.val)); g > d {
 			d = g
 			if d == 1 {
 				break
@@ -180,7 +189,7 @@ func inDegree(v frel.Value, set []setMember) float64 {
 func allDegree(op fuzzy.Op, v frel.Value, set []setMember) float64 {
 	worst := 0.0
 	for _, m := range set {
-		if g := fuzzy.Min(m.mu, 1-valueDegree(op, v, m.val)); g > worst {
+		if g := fuzzy.Min(m.mu, 1-frel.Degree(op, v, m.val)); g > worst {
 			worst = g
 			if worst == 1 {
 				break
@@ -194,7 +203,7 @@ func allDegree(op fuzzy.Op, v frel.Value, set []setMember) float64 {
 func anyDegree(op fuzzy.Op, v frel.Value, set []setMember) float64 {
 	d := 0.0
 	for _, m := range set {
-		if g := fuzzy.Min(m.mu, valueDegree(op, v, m.val)); g > d {
+		if g := fuzzy.Min(m.mu, frel.Degree(op, v, m.val)); g > d {
 			d = g
 			if d == 1 {
 				break

@@ -24,7 +24,10 @@ import (
 // aggregate is COUNT (the left outer join IF-THEN-ELSE arm of Query
 // COUNT′), and not at all otherwise (A′(u) is NULL).
 //
-// Both inputs are consumed in one flat-column sweep (sweep.go). Identical
+// Both inputs are consumed in one flat-column sweep (sweep.go), which
+// enters the aggregated column's values into an frel.ValueSet straight
+// from the inner columns, in inner order. That order is kept: AVG and SUM
+// add in set order, so it fixes the last bits of the result. Identical
 // outer values must be adjacent, as they are in the engine's order
 // (frel.Compare), by which the outer input is sorted on U. When Op2 is
 // equality the sweep
@@ -117,11 +120,12 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	f := j.Floor
 	oD, us, ys := in.outer.D, in.outer.Num[j.ui], in.outer.Num[j.yi]
 	iD, vs := in.inner.D, in.inner.Num[j.vi]
+	zs, zstrs := in.inner.Num[j.zi], in.inner.Str[j.zi] // zs is nil for a string column
 	degs := make([]float64, in.outer.Len())
 	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
 		loc := newBatchLocals(j.Ctx)
 		win := keyWindow{start: p.iLo, end: p.iLo}
-		set := newMemberSet()
+		set := frel.NewValueSet()
 		var aggVal fuzzy.Trapezoid
 		var aggOK, built bool
 		for o := p.oLo; o < p.oHi; o++ {
@@ -138,7 +142,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 				built = true
 				lo, hi := in.oRng[o].Support()
 				win.slide(in.iRng, p.iHi, lo, hi, fuzzy.Trapezoid{})
-				set.reset()
+				set.Reset()
 				var rng int64
 				for k := win.start; k < win.end; k++ {
 					if !(lo <= in.iRng[k].D && in.iRng[k].A <= hi) {
@@ -150,15 +154,17 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 					if iD[k] < d {
 						d = iD[k]
 					}
-					if d > 0 {
-						set.add(in.inner.Value(k, j.zi), d)
+					if d > 0 && zs != nil {
+						set.AddNum(zs[k])
+					} else if d > 0 {
+						set.AddStr(zstrs[k])
 					}
 				}
 				loc.observeRng(rng)
 				if err := loc.poll(); err != nil {
 					return nil, err
 				}
-				aggVal, aggOK = set.aggregate(j.Agg)
+				aggVal, aggOK = set.Aggregate(j.Agg)
 			}
 			if !aggOK {
 				continue // A′(u) is NULL and the aggregate is not COUNT
@@ -173,48 +179,6 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 		loc.flush(j.Stats)
 		return emitCarried(in.outer, p.oLo, degs[p.oLo:p.oHi], j.emit, f), nil
 	})
-}
-
-// memberSet accumulates a fuzzy value set deduplicated by value identity,
-// keeping the maximum degree per value (Section 4's temporary-relation
-// rule), in first-seen order. Insertion order matters: fuzzy aggregates
-// sum floating-point values in set order, so building the set in any
-// other order would make repeated evaluations of the same query differ in
-// the last bits of the result. A memberSet is reusable: reset it between
-// groups and it allocates nothing in steady state.
-type memberSet struct {
-	set     *frel.RowSet
-	members []fuzzy.Member
-	one     [1]frel.Value // the value being added, copied into the set's arena
-}
-
-func newMemberSet() *memberSet { return &memberSet{set: frel.NewRowSet(1)} }
-
-func (ms *memberSet) reset() { ms.set.Reset() }
-
-// firstColumn selects the one value of memberSet.one.
-var firstColumn = []int{0}
-
-// add enters value v with degree mu.
-func (ms *memberSet) add(v frel.Value, mu float64) {
-	ms.one[0] = v
-	ms.set.Add(ms.one[:], firstColumn, mu)
-}
-
-func (ms *memberSet) len() int { return ms.set.Len() }
-
-// aggregate applies agg to the set. COUNT of an empty set is 0: comparing
-// r.Y against Crisp(0) is exactly the ELSE arm of Query COUNT′'s
-// IF-THEN-ELSE. Any other aggregate of an empty set is NULL (ok false).
-func (ms *memberSet) aggregate(agg fuzzy.AggFunc) (fuzzy.Trapezoid, bool) {
-	if agg == fuzzy.AggCount {
-		return fuzzy.Crisp(float64(ms.len())), true
-	}
-	ms.members = ms.members[:0]
-	for i := 0; i < ms.len(); i++ {
-		ms.members = append(ms.members, fuzzy.Member{Value: ms.set.Row(i)[0].Num, Mu: ms.set.Degree(i)})
-	}
-	return fuzzy.Aggregate(agg, ms.members)
 }
 
 // AggItem is one aggregate column of a GroupAgg.
@@ -283,9 +247,9 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 
 	// Groups are the distinct grouping rows, at the maximum degree of
 	// their tuples (fuzzy OR), in first-seen order; sets[g] holds one
-	// value set per aggregate item of group g.
+	// value set per aggregate item of group g, in input order.
 	groups := frel.NewRowSet(len(g.groupIdx))
-	var sets [][]*memberSet
+	var sets [][]*frel.ValueSet
 	for {
 		b, ok := it.NextBatch()
 		if !ok {
@@ -294,14 +258,14 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 		for _, t := range b {
 			gi, added := groups.Add(t.Values, g.groupIdx, t.D)
 			if added {
-				ms := make([]*memberSet, len(g.Items))
+				ms := make([]*frel.ValueSet, len(g.Items))
 				for i := range ms {
-					ms[i] = newMemberSet()
+					ms[i] = frel.NewValueSet()
 				}
 				sets = append(sets, ms)
 			}
 			for i, zi := range g.itemIdx {
-				sets[gi][i].add(t.Values[zi], t.D)
+				sets[gi][i].Add(t.Values[zi])
 			}
 		}
 	}
@@ -314,7 +278,7 @@ group:
 	for gi := 0; gi < groups.Len(); gi++ {
 		vals := append([]frel.Value(nil), groups.Row(gi)...)
 		for i, item := range g.Items {
-			a, ok := sets[gi][i].aggregate(item.Agg)
+			a, ok := sets[gi][i].Aggregate(item.Agg)
 			if !ok {
 				continue group
 			}

@@ -33,26 +33,14 @@ func bruteJA(r, s *frel.Relation, agg fuzzy.AggFunc, op1, op2 fuzzy.Op) *frel.Re
 	vi, _ := s.Schema.Resolve("V")
 	zi, _ := s.Schema.Resolve("Z")
 	for _, l := range r.Tuples {
-		byKey := make(map[string]*fuzzy.Member)
-		order := []string{}
+		seen := make(map[string]bool)
+		var members []fuzzy.Trapezoid
 		for _, m := range s.Tuples {
 			d := fuzzy.Min(m.D, fuzzy.Degree(op2, m.Values[vi].Num, l.Values[ui].Num))
-			if d <= 0 {
-				continue
+			if k := m.Values[zi].Key(); d > 0 && !seen[k] {
+				seen[k] = true
+				members = append(members, m.Values[zi].Num)
 			}
-			k := m.Values[zi].Key()
-			if e, ok := byKey[k]; ok {
-				if d > e.Mu {
-					e.Mu = d
-				}
-			} else {
-				byKey[k] = &fuzzy.Member{Value: m.Values[zi].Num, Mu: d}
-				order = append(order, k)
-			}
-		}
-		var members []fuzzy.Member
-		for _, k := range order {
-			members = append(members, *byKey[k])
 		}
 		a, ok := fuzzy.Aggregate(agg, members)
 		if !ok {

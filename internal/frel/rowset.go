@@ -9,7 +9,7 @@ import (
 // insertion-ordered, open-addressing hash set of fixed-width value rows
 // under value identity (Value.Identical), keeping per row the maximum
 // membership degree it was added with — the fuzzy OR of Section 2.2 that
-// projection, temporary relations and aggregate value sets all apply.
+// projection, temporary relations and GROUPBY groups all apply.
 //
 // The table holds row numbers and a probe hashes and compares values in
 // place: no key string is built. A row added whole is kept by reference

@@ -64,6 +64,19 @@ func splitQualified(name string) (qual, attr string) {
 // part of exactly one attribute. Ambiguous and unknown references yield an
 // error.
 func (s *Schema) Resolve(name string) (int, error) {
+	i := s.resolve(name)
+	if i == -2 {
+		return 0, fmt.Errorf("frel: ambiguous attribute reference %q in relation %q", name, s.Name)
+	}
+	if i < 0 {
+		return 0, fmt.Errorf("frel: unknown attribute %q in relation %q", name, s.Name)
+	}
+	return i, nil
+}
+
+// resolve is Resolve without formatting an error: the attribute's index,
+// -1 for an unknown reference, -2 for an ambiguous one.
+func (s *Schema) resolve(name string) int {
 	qual, attr := splitQualified(name)
 	found := -1
 	for i, a := range s.Attrs {
@@ -84,26 +97,20 @@ func (s *Schema) Resolve(name string) (int, error) {
 			continue
 		}
 		if found >= 0 && !s.Attrs[found].Identical(a) {
-			return 0, fmt.Errorf("frel: ambiguous attribute reference %q in relation %q", name, s.Name)
+			return -2
 		}
 		if found < 0 {
 			found = i
 		}
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("frel: unknown attribute %q in relation %q", name, s.Name)
-	}
-	return found, nil
+	return found
 }
 
 // Identical reports whether two attributes have the same name and kind.
 func (a Attribute) Identical(b Attribute) bool { return a == b }
 
 // Has reports whether the reference resolves in this schema.
-func (s *Schema) Has(name string) bool {
-	_, err := s.Resolve(name)
-	return err == nil
-}
+func (s *Schema) Has(name string) bool { return s.resolve(name) >= 0 }
 
 // Qualified returns the attribute's fully qualified name in this schema.
 func (s *Schema) Qualified(i int) string {

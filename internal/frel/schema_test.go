@@ -57,6 +57,48 @@ func TestResolveOnJoinedSchema(t *testing.T) {
 	}
 }
 
+// TestResolveAndHas: unknown, ambiguous, qualified and unqualified
+// references resolve to the same index or error message as they always
+// have, Has agrees with Resolve, and a miss of Has allocates nothing.
+func TestResolveAndHas(t *testing.T) {
+	f := dating()
+	j := f.Join(dating().WithName("M"))
+	cases := []struct {
+		s       *Schema
+		ref     string
+		want    int
+		wantErr string
+	}{
+		{f, "AGE", 2, ""},
+		{f, "age", 2, ""},
+		{f, "F.AGE", 2, ""},
+		{f, "f.Income", 3, ""},
+		{f, "HEIGHT", 0, `frel: unknown attribute "HEIGHT" in relation "F"`},
+		{f, "M.AGE", 0, `frel: unknown attribute "M.AGE" in relation "F"`},
+		{j, "F.AGE", 2, ""},
+		{j, "M.AGE", 6, ""},
+		{j, "m.name", 5, ""},
+		{j, "AGE", 0, `frel: ambiguous attribute reference "AGE" in relation ""`},
+		{j, "X.AGE", 0, `frel: unknown attribute "X.AGE" in relation ""`},
+		{NewSchema("T", Attribute{"X", KindNumber}, Attribute{"X", KindNumber}), "X", 0, ""},
+	}
+	for _, c := range cases {
+		i, err := c.s.Resolve(c.ref)
+		switch {
+		case c.wantErr == "" && (err != nil || i != c.want):
+			t.Errorf("Resolve(%q) = %d, %v; want %d", c.ref, i, err, c.want)
+		case c.wantErr != "" && (err == nil || err.Error() != c.wantErr):
+			t.Errorf("Resolve(%q) = %d, %v; want error %q", c.ref, i, err, c.wantErr)
+		}
+		if has := c.s.Has(c.ref); has != (c.wantErr == "") {
+			t.Errorf("Has(%q) = %v, want %v", c.ref, has, c.wantErr == "")
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { j.Has("AGE"); f.Has("HEIGHT") }); n != 0 {
+		t.Errorf("a miss of Has allocated %.0f times, want 0", n)
+	}
+}
+
 func TestResolveDuplicateIdenticalAttrsNotAmbiguous(t *testing.T) {
 	// A projection can mention the same attribute twice; identical
 	// duplicates resolve to the first occurrence rather than erroring.

@@ -79,10 +79,7 @@ func (v Value) Identical(w Value) bool {
 	if v.Kind == KindString {
 		return v.Str == w.Str
 	}
-	return math.Float64bits(v.Num.A) == math.Float64bits(w.Num.A) &&
-		math.Float64bits(v.Num.B) == math.Float64bits(w.Num.B) &&
-		math.Float64bits(v.Num.C) == math.Float64bits(w.Num.C) &&
-		math.Float64bits(v.Num.D) == math.Float64bits(w.Num.D)
+	return sameBits(v.Num, w.Num)
 }
 
 // String renders the value.

@@ -1,6 +1,9 @@
 package fuzzy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AggFunc identifies one of the Fuzzy SQL aggregate functions (Section 6).
 type AggFunc int
@@ -71,9 +74,10 @@ func ParseAggFunc(s string) (AggFunc, error) {
 //   - for an empty set, SUM, AVG, MIN and MAX produce NULL, reported by
 //     ok == false.
 //
-// The accompanying result degree D(A(r)) is 1 in Fuzzy SQL; callers that
-// want average-membership variants can compute them from the set.
-func Aggregate(f AggFunc, set []Member) (result Trapezoid, ok bool) {
+// The set holds each member's value once; the result degree D(A(r)) is 1
+// in Fuzzy SQL, so no member degree is read. SUM and AVG add left to
+// right: the same members in the same order give the same bits.
+func Aggregate(f AggFunc, set []Trapezoid) (result Trapezoid, ok bool) {
 	if f == AggCount {
 		return Crisp(float64(len(set))), true
 	}
@@ -82,27 +86,27 @@ func Aggregate(f AggFunc, set []Member) (result Trapezoid, ok bool) {
 	}
 	switch f {
 	case AggSum, AggAvg:
-		sum := set[0].Value
-		for _, m := range set[1:] {
-			sum = Add(sum, m.Value)
+		sum := set[0]
+		for _, v := range set[1:] {
+			sum = Add(sum, v)
 		}
 		if f == AggSum {
 			return sum, true
 		}
 		return Scale(sum, 1/float64(len(set))), true
 	case AggMin:
-		best := set[0].Value
-		for _, m := range set[1:] {
-			if defuzzLess(m.Value, best) {
-				best = m.Value
+		best := set[0]
+		for _, v := range set[1:] {
+			if defuzzLess(v, best) {
+				best = v
 			}
 		}
 		return best, true
 	case AggMax:
-		best := set[0].Value
-		for _, m := range set[1:] {
-			if defuzzLess(best, m.Value) {
-				best = m.Value
+		best := set[0]
+		for _, v := range set[1:] {
+			if defuzzLess(best, v) {
+				best = v
 			}
 		}
 		return best, true
@@ -113,7 +117,8 @@ func Aggregate(f AggFunc, set []Member) (result Trapezoid, ok bool) {
 
 // defuzzLess is the total order MIN and MAX select by: the center of the
 // 1-cut (the paper's defuzzification), with corner-wise tie-breaking so
-// the selected value does not depend on input order.
+// the selected value does not depend on input order. Corners that compare
+// equal differ at most in the sign of a zero, and -0 sorts below +0.
 func defuzzLess(a, b Trapezoid) bool {
 	switch {
 	case a.Centroid() != b.Centroid():
@@ -124,7 +129,13 @@ func defuzzLess(a, b Trapezoid) bool {
 		return a.B < b.B
 	case a.C != b.C:
 		return a.C < b.C
-	default:
+	case a.D != b.D:
 		return a.D < b.D
 	}
+	for _, c := range [4][2]float64{{a.A, b.A}, {a.B, b.B}, {a.C, b.C}, {a.D, b.D}} {
+		if sa := math.Signbit(c[0]); sa != math.Signbit(c[1]) {
+			return sa
+		}
+	}
+	return false
 }

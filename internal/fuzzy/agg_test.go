@@ -1,17 +1,12 @@
 package fuzzy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-func members(vs ...Trapezoid) []Member {
-	out := make([]Member, len(vs))
-	for i, v := range vs {
-		out[i] = Member{v, 1}
-	}
-	return out
-}
+func members(vs ...Trapezoid) []Trapezoid { return vs }
 
 func TestAggregateCount(t *testing.T) {
 	got, ok := Aggregate(AggCount, members(Crisp(1), Crisp(2), Tri(0, 1, 2)))
@@ -97,6 +92,30 @@ func TestAggregateMinMaxTieDeterministic(t *testing.T) {
 	}
 }
 
+// TestAggregateMinMaxSignedZero: a crisp -0 and a crisp +0 tie on the
+// centroid and on every corner; MIN returns -0 and MAX +0 in either input
+// order.
+func TestAggregateMinMaxSignedZero(t *testing.T) {
+	neg, pos := Crisp(math.Copysign(0, -1)), Crisp(0)
+	for _, set := range [][]Trapezoid{{neg, pos}, {pos, neg}, {Crisp(5), pos, neg}} {
+		if mn, _ := Aggregate(AggMin, set); mn.A != 0 || !math.Signbit(mn.A) || !math.Signbit(mn.D) {
+			t.Errorf("MIN%v = %v, want -0", set, mn)
+		}
+	}
+	for _, set := range [][]Trapezoid{{neg, pos}, {pos, neg}, {Crisp(-5), neg, pos}} {
+		if mx, _ := Aggregate(AggMax, set); mx.A != 0 || math.Signbit(mx.A) || math.Signbit(mx.D) {
+			t.Errorf("MAX%v = %v, want +0", set, mx)
+		}
+	}
+	// Only the sign of a corner that ties numerically decides.
+	a, b := Trap(math.Copysign(0, -1), 1, 2, 3), Trap(0, 1, 2, 3)
+	for _, set := range [][]Trapezoid{{a, b}, {b, a}} {
+		if mn, _ := Aggregate(AggMin, set); mn != a || !math.Signbit(mn.A) {
+			t.Errorf("MIN%v = %v, want the one with corner -0", set, mn)
+		}
+	}
+}
+
 func TestAggFuncString(t *testing.T) {
 	tests := []struct {
 		f    AggFunc
@@ -143,7 +162,7 @@ func TestQuickSumCentroid(t *testing.T) {
 		}
 		want := 0.0
 		for _, m := range set {
-			want += m.Value.Centroid()
+			want += m.Centroid()
 		}
 		return almostEq(sum.Centroid(), want)
 	}

@@ -245,12 +245,3 @@ func Max(ds ...float64) float64 {
 	}
 	return m
 }
-
-// Member is one element of a fuzzy set of values: a possibility
-// distribution together with the element's membership degree in the set.
-// Temporary relations produced by inner query blocks are fuzzy sets of
-// values of this kind (Section 4).
-type Member struct {
-	Value Trapezoid
-	Mu    float64
-}

@@ -31,9 +31,9 @@ func ExampleTrapezoid_Mu() {
 }
 
 func ExampleAggregate() {
-	set := []fuzzy.Member{
-		{Value: fuzzy.Tri(30, 40, 50), Mu: 0.4}, // about 40K
-		{Value: fuzzy.Trap(64, 74, 120, 120), Mu: 1},
+	set := []fuzzy.Trapezoid{
+		fuzzy.Tri(30, 40, 50), // about 40K
+		fuzzy.Trap(64, 74, 120, 120),
 	}
 	max, _ := fuzzy.Aggregate(fuzzy.AggMax, set)
 	count, _ := fuzzy.Aggregate(fuzzy.AggCount, set)

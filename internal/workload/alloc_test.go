@@ -133,22 +133,23 @@ func TestFoldedQueryAllocs(t *testing.T) {
 }
 
 // TestWarmReadAllocs is the allocation gate of a warm read through the
-// public API: once its orders are cached, a type-J statement over catalog
-// heaps, rendered into a Result, allocates a bounded number of times
-// whatever the size of its answer. The cached orders are columns in sort
-// order, so a hit reads no page and decodes nothing; the sweep takes the
-// columns without copying them, the projection's
-// set is sized once, and the Result is one string arena. A per-tuple or
-// per-row allocation anywhere costs thousands at these sizes and trips
-// it. Warm EXPLAIN ANALYZE of the same statement shows every sort a cache
-// hit that read no page, and no pool miss in the whole statement. Skipped
-// under -race, which inflates allocation counts.
+// public API: once its orders are cached, a type-J, JA or JA-COUNT
+// statement over catalog heaps, rendered into a Result, allocates a
+// bounded number of times whatever the size of its answer. The cached
+// orders are columns in sort order, so a hit reads no page and decodes
+// nothing; the sweep takes the columns without copying them, the
+// group-aggregate sweep enters the aggregated column into one reused
+// value set per morsel, the projection's set is sized once, and the
+// Result is one string arena. A per-tuple or per-row allocation anywhere
+// costs thousands at these sizes and trips it. Warm EXPLAIN ANALYZE of
+// the same statement shows every sort a cache hit that read no page, and
+// no pool miss in the whole statement. Skipped under -race, which
+// inflates allocation counts.
 func TestWarmReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const maxAllocs = 1000
-	sql := fmt.Sprintf(classQueries["J"], " WITH D >= 0.5")
 	for _, n := range []int{2000, 8000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -178,51 +179,63 @@ func TestWarmReadAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			rows := 0
-			query := func() {
-				res, err := db.Query(sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows = res.Len()
-			}
-			query() // streams the sorts
-			query() // admits the orders into the cache
-			allocs := testing.AllocsPerRun(3, query)
-			if rows < n/4 {
-				t.Fatalf("%d answer rows, want at least %d", rows, n/4)
-			}
-			if allocs > maxAllocs {
-				t.Errorf("a warm read of %d rows allocated %.0f times, want <= %d", rows, allocs, maxAllocs)
-			} else {
-				t.Logf("%.0f allocations for %d answer rows", allocs, rows)
-			}
-
-			_, st, err := db.ExplainAnalyze(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.PoolMisses != 0 {
-				t.Errorf("warm EXPLAIN ANALYZE: %d pool misses, want 0:\n%s", st.PoolMisses, st)
-			}
-			sorts := 0
-			var walk func(p *fuzzydb.PlanStats)
-			walk = func(p *fuzzydb.PlanStats) {
-				if p.Op == "sort" {
-					sorts++
-					if p.CacheHits != 1 || p.PageIOs != 0 {
-						t.Errorf("warm sort %s: cache hits %d, page I/O %d, want a hit that read no page", p.Label, p.CacheHits, p.PageIOs)
-					}
-				}
-				for _, c := range p.Children {
-					walk(c)
-				}
-			}
-			walk(st.Plan)
-			if sorts == 0 {
-				t.Errorf("warm EXPLAIN ANALYZE has no sort node:\n%s", st)
+			for _, class := range []string{"J", "JA", "JA-COUNT"} {
+				t.Run(class, func(t *testing.T) {
+					warmReadAllocs(t, db, fmt.Sprintf(classQueries[class], " WITH D >= 0.5"), n/4, maxAllocs)
+				})
 			}
 		})
+	}
+}
+
+// warmReadAllocs runs sql twice to cache its orders, then requires at
+// least minRows answer rows from at most maxAllocs allocations per run,
+// and a warm EXPLAIN ANALYZE whose sorts are all cache hits that read no
+// page, with no pool miss.
+func warmReadAllocs(t *testing.T, db *fuzzydb.DB, sql string, minRows, maxAllocs int) {
+	rows := 0
+	query := func() {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = res.Len()
+	}
+	query() // streams the sorts
+	query() // admits the orders into the cache
+	allocs := testing.AllocsPerRun(3, query)
+	if rows < minRows {
+		t.Fatalf("%d answer rows, want at least %d", rows, minRows)
+	}
+	if allocs > float64(maxAllocs) {
+		t.Errorf("a warm read of %d rows allocated %.0f times, want <= %d", rows, allocs, maxAllocs)
+	} else {
+		t.Logf("%.0f allocations for %d answer rows", allocs, rows)
+	}
+
+	_, st, err := db.ExplainAnalyze(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PoolMisses != 0 {
+		t.Errorf("warm EXPLAIN ANALYZE: %d pool misses, want 0:\n%s", st.PoolMisses, st)
+	}
+	sorts := 0
+	var walk func(p *fuzzydb.PlanStats)
+	walk = func(p *fuzzydb.PlanStats) {
+		if p.Op == "sort" {
+			sorts++
+			if p.CacheHits != 1 || p.PageIOs != 0 {
+				t.Errorf("warm sort %s: cache hits %d, page I/O %d, want a hit that read no page", p.Label, p.CacheHits, p.PageIOs)
+			}
+		}
+		for _, c := range p.Children {
+			walk(c)
+		}
+	}
+	walk(st.Plan)
+	if sorts == 0 {
+		t.Errorf("warm EXPLAIN ANALYZE has no sort node:\n%s", st)
 	}
 }
 
