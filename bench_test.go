@@ -168,11 +168,7 @@ func ablationRelations(b *testing.B, n int, width float64) (outer, inner *frel.R
 // sortOn sorts rel in memory on the ≼ order of attr.
 func sortOn(b *testing.B, rel *frel.Relation, attr string) {
 	b.Helper()
-	order, err := extsort.OrderBy(rel.Schema, attr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := extsort.SortRelation(rel, order); err != nil {
+	if err := rel.SortBy(attr); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
-	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
@@ -371,9 +370,7 @@ func indexServesStableSort(t *testing.T, e *Env, rel, attr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := extsort.SortRelation(want, extsort.Order{Attr: ai}); err != nil {
-		t.Fatal(err)
-	}
+	sortStable(want, ai)
 	e.ReleaseSortCache()
 	loads := e.Work.IndexHits.Load()
 	src, err := e.source(fsql.TableRef{Name: rel})
@@ -506,9 +503,7 @@ func TestIndexOrderIsTheStableSort(t *testing.T) {
 		visible int
 	}{{"live", nil, 450}, {"snapshot before the build", early, 300}} {
 		want := &frel.Relation{Schema: schema, Tuples: slices.Clone(all.Tuples[:leg.visible])}
-		if _, err := extsort.SortRelation(want, extsort.Order{Attr: 1}); err != nil {
-			t.Fatal(err)
-		}
+		sortStable(want, 1)
 		restore := e.setSnapshot(leg.snap)
 		e.ReleaseSortCache()
 		src, err := e.source(fsql.TableRef{Name: "R"})

@@ -169,7 +169,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*f
 
 // dedupByKey is the naive evaluator's own max-degree duplicate elimination
 // (Section 2.2), by canonical key string. It is deliberately not the
-// engine's frel.RowSet: the differential suites compare the unnested
+// engine's frel.ColumnSet: the differential suites compare the unnested
 // engine against this evaluator, and the two should not share their
 // implementation of value identity.
 func dedupByKey(rel *frel.Relation) {

@@ -346,7 +346,7 @@ func TestCachedTuplesAreNeverWritten(t *testing.T) {
 			for i := range perm {
 				perm[i] = int32(i)
 			}
-			orders[ent] = held{cols, cols.Gather(perm)}
+			orders[ent] = held{cols, cols.Gather(perm, nil)}
 			relations[k.heap] = true
 		}
 	}
@@ -377,8 +377,8 @@ func identicalColumns(a, b *frel.Columns) bool {
 		return false
 	}
 	for i := range a.Len() {
-		ta := frel.Tuple{Values: a.AppendValues(nil, i, nil), D: a.D[i]}
-		tb := frel.Tuple{Values: b.AppendValues(nil, i, nil), D: b.D[i]}
+		ta := frel.Tuple{Values: a.AppendValues(nil, i), D: a.D[i]}
+		tb := frel.Tuple{Values: b.AppendValues(nil, i), D: b.D[i]}
 		if !identicalTuples(ta, tb) {
 			return false
 		}

@@ -340,7 +340,7 @@ func (e *Env) decodedSort(src exec.Source, base *exec.HeapSource, key sortKey, v
 	if err != nil {
 		return nil, false, err
 	}
-	cols := inTids.Gather(perm)
+	cols := inTids.Gather(perm, nil)
 	order, err := exec.NewSortedColumns(key.heap.Schema, cols, key.attr)
 	if err != nil {
 		return nil, false, err

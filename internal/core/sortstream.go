@@ -11,12 +11,12 @@ import (
 )
 
 // sortedStream serves the final merge of an external sort
-// (extsort.Stream) as a source: a sweep takes the rest of the merge
-// decoded straight from the merged records into columns (Columns); any
-// other consumer reads batches decoded into a fresh value arena each. The merge runs as the consumer
-// pulls, and its page I/O and comparisons count toward the sort node (its
-// wall time does through the node's Stated wrapper). A stream can be read
-// once: a second Open is an error, not an empty input.
+// (extsort.Stream) as a source: its consumer, a sweep, takes the rest of
+// the merge decoded straight from the merged records into columns
+// (Columns). The merge runs as the consumer pulls, and its page I/O and
+// comparisons count toward the sort node (its wall time does through the
+// node's Stated wrapper). A stream can be read once: a second Open is an
+// error, not an empty input.
 //
 // The stream of an order the sort cache admits as a sorted copy (one whose
 // decoded form would pass the cache budget) also writes each record it
@@ -32,7 +32,7 @@ type sortedStream struct {
 	counted int64 // comparisons of str already added to node
 	opened  bool
 	closed  bool
-	failed  bool // serving a batch failed
+	failed  bool // serving the merge failed
 
 	// The cached copy being written, its writer, its cache key and the
 	// heap version it is the order of.
@@ -109,51 +109,17 @@ func (e *Env) closeStreams(from int) {
 }
 
 type sortedStreamIterator struct {
-	s      *sortedStream
-	tuples []frel.Tuple
-	err    error
+	s   *sortedStream
+	err error
 }
 
-// NextBatch decodes up to one batch of the merge, counting the page I/O
-// of the pull (reading runs, writing the cached copy) toward the sort.
+// NextBatch implements exec.BatchIterator: a sorted stream is served as
+// columns only (Columns), which every consumer of a sort takes.
 func (it *sortedStreamIterator) NextBatch() ([]frel.Tuple, bool) {
-	stats := it.s.e.cat.Manager().Stats()
-	ios := stats.IO()
-	b, ok := it.decode()
-	it.s.node.PageIOs.Add(stats.IO() - ios)
-	return b, ok
-}
-
-func (it *sortedStreamIterator) decode() ([]frel.Tuple, bool) {
-	s := it.s
-	n := int(min(int64(exec.BatchSize), s.str.Remaining()))
-	if s.closed || it.err != nil || n == 0 {
-		return nil, false
+	if it.err == nil {
+		it.err = fmt.Errorf("core: the external sort of %s is served as columns only", it.s.schema.Name)
 	}
-	width := len(s.schema.Attrs)
-	arena := make([]frel.Value, n*width)
-	it.tuples = it.tuples[:0]
-	for range n {
-		rec, ok := s.str.Next()
-		if !ok {
-			if it.err = s.str.Err(); it.err == nil {
-				it.err = fmt.Errorf("core: the external sort of %s ended %d records early", s.schema.Name, s.str.Remaining())
-			}
-			s.failed = true
-			return nil, false
-		}
-		t, _, err := frel.DecodeTupleInto(s.schema, rec, arena[:width:width])
-		if err == nil && s.w != nil {
-			err = s.w.Append(rec)
-		}
-		if err != nil {
-			it.err, s.failed = err, true
-			return nil, false
-		}
-		arena = arena[width:]
-		it.tuples = append(it.tuples, t)
-	}
-	return it.tuples, true
+	return nil, false
 }
 
 // Columns implements exec's columns hand-off: the rest of the merge,

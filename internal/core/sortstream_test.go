@@ -5,7 +5,9 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -34,9 +36,7 @@ func TestSortedStreamOpensOnceAndDropsItsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := extsort.SortRelation(want, extsort.Order{Attr: 0}); err != nil {
-		t.Fatal(err)
-	}
+	sortStable(want, 0)
 	sortR := func() exec.Source {
 		t.Helper()
 		src, err := e.source(fsql.TableRef{Name: "R"})
@@ -61,24 +61,20 @@ func TestSortedStreamOpensOnceAndDropsItsRuns(t *testing.T) {
 	if n := it.(interface{ Remaining() int }).Remaining(); n != len(want.Tuples) {
 		t.Errorf("Remaining = %d, want %d", n, len(want.Tuples))
 	}
-	pos := 0
-	for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
-		for _, tu := range b {
-			w := want.Tuples[pos]
-			for j := range w.Values {
-				if !tu.Values[j].Identical(w.Values[j]) || tu.D != w.D {
-					t.Fatalf("position %d holds %v, the stable sort %v", pos, tu, w)
-				}
-			}
-			pos++
-		}
-	}
-	if err := it.Err(); err != nil {
+	cols, err := takeColumns(it)
+	if err != nil {
 		t.Fatal(err)
 	}
 	it.Close()
-	if pos != len(want.Tuples) {
-		t.Errorf("the stream served %d tuples, want %d", pos, len(want.Tuples))
+	if cols.Len() != len(want.Tuples) {
+		t.Errorf("the stream served %d tuples, want %d", cols.Len(), len(want.Tuples))
+	}
+	for pos, w := range want.Tuples[:min(cols.Len(), len(want.Tuples))] {
+		for j := range w.Values {
+			if !cols.Value(pos, j).Identical(w.Values[j]) || cols.D[pos] != w.D {
+				t.Fatalf("position %d holds %v, the stable sort %v", pos, cols.Value(pos, j), w)
+			}
+		}
 	}
 	if live := mgr.LiveTemps(); live != 0 {
 		t.Errorf("%d temporaries live after the stream was drained and closed", live)
@@ -183,16 +179,15 @@ func TestSortCacheCancelledCopyCachesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e.ctx = ctx
-	it, err := sortR().Open()
+	// The stream itself, under the wrapper that observes the context at
+	// open: its pull polls the context as it decodes.
+	it, err := exec.Unwrap(sortR()).Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.NextBatch(); !ok {
-		t.Fatalf("no first batch: %v", it.Err())
-	}
 	cancel()
-	if _, ok := it.NextBatch(); ok || !errors.Is(it.Err(), context.Canceled) {
-		t.Fatalf("the stream went on after the cancellation: %v", it.Err())
+	if _, err := takeColumns(it); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the stream went on after the cancellation: %v", err)
 	}
 	it.Close()
 	e.ctx = nil
@@ -290,7 +285,7 @@ func TestSortIntermediateFailureDropsItsRuns(t *testing.T) {
 // that is not a base relation: sorting and draining 20 000 numeric tuples
 // within the sort memory allocates at most 0.05 times per tuple. Each
 // tuple is encoded into one reused buffer, and the sorted records are
-// decoded into one value arena per batch. Skipped under -race, which
+// decoded straight into columns. Skipped under -race, which
 // inflates allocation counts.
 func TestSortIntermediateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -315,22 +310,18 @@ func TestSortIntermediateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches, rows := 0, 0
 		it, err := sorted.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
-			rows += len(b)
-			batches++
-		}
-		if err := it.Err(); err != nil {
+		cols, err := takeColumns(it)
+		if err != nil {
 			t.Fatal(err)
 		}
 		it.Close()
 		e.closeStreams(0)
-		if rows != n || batches == 0 {
-			t.Fatalf("%d rows in %d batches, want %d", rows, batches, n)
+		if cols.Len() != n {
+			t.Fatalf("%d rows, want %d", cols.Len(), n)
 		}
 	}
 	run()
@@ -343,4 +334,26 @@ func TestSortIntermediateAllocs(t *testing.T) {
 	} else {
 		t.Logf("%.0f allocations, %.4f per tuple", allocs, per)
 	}
+}
+
+// takeColumns takes the rest of it as columns, the way a sweep takes a
+// sorted input, and returns them with the iterator's error.
+func takeColumns(it exec.BatchIterator) (*frel.Columns, error) {
+	c, ok := it.(interface {
+		Columns() (*frel.Columns, int, bool)
+	})
+	if !ok {
+		return nil, fmt.Errorf("%T serves no columns", it)
+	}
+	cols, _, ok := c.Columns()
+	if !ok {
+		return nil, cmp.Or(it.Err(), fmt.Errorf("%T served no columns", it))
+	}
+	return cols, it.Err()
+}
+
+// sortStable sorts rel in place on attribute attr by the engine's order,
+// the reference sort of these tests: a stable sort by frel.Compare.
+func sortStable(rel *frel.Relation, attr int) {
+	slices.SortStableFunc(rel.Tuples, func(a, b frel.Tuple) int { return frel.Compare(a.Values[attr], b.Values[attr]) })
 }

@@ -107,7 +107,7 @@ func NewGroupAggJoin(outer, inner Source, outerU, innerV string, op2 fuzzy.Op, i
 // sweep.go). Tuples with identical U have identical supports, so no atomic
 // cut separates them and a group never spans two morsels (a whole window
 // is one morsel anyway). Each morsel reuses one value set across its
-// groups and writes the degree of every outer tuple in place.
+// groups and selects its outer tuples at their degrees.
 func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	ui, vi := j.ui, j.vi
 	if j.Op2 != fuzzy.OpEq {
@@ -121,16 +121,16 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 	oD, us, ys := in.outer.D, in.outer.Num[j.ui], in.outer.Num[j.yi]
 	iD, vs := in.inner.D, in.inner.Num[j.vi]
 	zs, zstrs := in.inner.Num[j.zi], in.inner.Str[j.zi] // zs is nil for a string column
-	degs := make([]float64, in.outer.Len())
-	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
+	return in.run(j.Workers, emitColumns(in.outer, j.emit), func(p partRange) (selection, error) {
 		loc := newBatchLocals(j.Ctx)
+		sel := newSelection(p.oHi - p.oLo)
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		set := frel.NewValueSet()
 		var aggVal fuzzy.Trapezoid
 		var aggOK, built bool
 		for o := p.oLo; o < p.oHi; o++ {
 			u := us[o]
-			if o == p.oLo || !frel.Num(u).Identical(frel.Num(us[o-1])) {
+			if o == p.oLo || !frel.SameBits(u, us[o-1]) {
 				built = false // a new group
 			}
 			if oD[o] < f {
@@ -162,7 +162,7 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 				}
 				loc.observeRng(rng)
 				if err := loc.poll(); err != nil {
-					return nil, err
+					return selection{}, err
 				}
 				aggVal, aggOK = set.Aggregate(j.Agg)
 			}
@@ -174,10 +174,10 @@ func (j *GroupAggJoin) Open() (BatchIterator, error) {
 			if oD[o] < d {
 				d = oD[o]
 			}
-			degs[o] = d
+			sel.keep(o, d, f)
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer, p.oLo, degs[p.oLo:p.oHi], j.emit, f), nil
+		return sel, nil
 	})
 }
 

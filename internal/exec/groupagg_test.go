@@ -216,6 +216,36 @@ func TestGroupAggJoinSignedZeroGroups(t *testing.T) {
 	}
 }
 
+// TestGroupAggJoinGroupsByBits: a group is a run of outer values
+// identical bit for bit (frel.Value.Identical), not equal as floats: −0
+// and +0 open separate groups, and so do two NaN payloads, while a NaN
+// repeated with its payload stays one group. Six outer tuples over four
+// distinct values build four groups (equality as floats would build five), one Rng(u) each. (A NaN support
+// meets no window, so only the grouping is checked here.)
+func TestGroupAggJoinGroupsByBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	r := frel.NewRelation(outerSchema())
+	for i, u := range []float64{negZero, nan2, 0, nan1, nan1, nan1} {
+		r.Append(frel.NewTuple(0.9, frel.Crisp(u), frel.Crisp(float64(i))))
+	}
+	s := frel.NewRelation(innerSchema())
+	s.Append(
+		frel.NewTuple(1, frel.Crisp(0), frel.Crisp(2)),
+		frel.NewTuple(0.6, frel.Num(fuzzy.Tri(-1, 0, 1)), frel.Crisp(5)),
+	)
+	st := NewOpStats("group-agg-join", "")
+	j, err := NewGroupAggJoin(sortedSource(t, r, "U"), sortedSource(t, s, "V"),
+		"R.U", "S.V", fuzzy.OpEq, "S.Z", fuzzy.AggCount, "R.Y", fuzzy.OpGe, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, j)
+	if n := st.RngCount.Load(); n != 4 {
+		t.Errorf("RngCount = %d, want 4: one per value identical bit for bit", n)
+	}
+}
+
 func TestGroupAggJoinValidation(t *testing.T) {
 	r := frel.NewRelation(outerSchema())
 	strS := frel.NewRelation(frel.NewSchema("S",

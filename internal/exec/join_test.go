@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/extsort"
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
 	"repro/internal/kernel"
@@ -61,14 +60,12 @@ func randomRel(name string, n int, span, maxWidth float64, rng *rand.Rand) *frel
 	return r
 }
 
+// sortedSource serves a copy of r sorted on attr by the engine's order,
+// the reference sort of these tests: a stable sort by frel.Compare.
 func sortedSource(t *testing.T, r *frel.Relation, attr string) Source {
 	t.Helper()
 	c := r.Clone()
-	order, err := extsort.OrderBy(c.Schema, attr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := extsort.SortRelation(c, order); err != nil {
+	if err := c.SortBy(attr); err != nil {
 		t.Fatal(err)
 	}
 	return NewMemSource(c)

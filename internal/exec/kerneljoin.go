@@ -35,12 +35,6 @@ import (
 	"repro/internal/kernel"
 )
 
-// kernelArenaChunk caps the value-arena growth unit of morsel emitters.
-// Chunks start small and double up to this cap, so a low-fanout join
-// allocates near its actual output size while a high-fanout join still
-// amortizes to one allocation per 4*BatchSize values.
-const kernelArenaChunk = 4 * BatchSize
-
 // Fold selects the input of a kernel merge-join whose tuples carry the
 // max-degree reduction of the pairs they take part in.
 type Fold int
@@ -165,31 +159,57 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 			return nil, err
 		}
 	}
-	// best[i] is the folded degree of tuple i of the folded input. Morsels
+	// best[k] is the folded degree of tuple k of the inner input. Morsels
 	// own disjoint spans of it. FoldInner is race-free only because of
 	// that: every outer tuple of a whole window sees every inner tuple, so
 	// a whole window is never cut into morsels.
 	var best []float64
+	var emit []emitted
 	switch j.fold {
 	case FoldOuter:
-		best = make([]float64, in.outer.Len())
+		emit = emitColumns(in.outer, j.foldEmit)
 	case FoldInner:
 		best = make([]float64, in.inner.Len())
+		emit = emitColumns(in.inner, j.foldEmit)
+	default:
+		emit = j.pairColumns(in)
 	}
-	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) { return j.sweep(in, extra, p, best) })
+	return in.run(j.Workers, emit, func(p partRange) (selection, error) { return j.sweep(in, extra, p, best) })
+}
+
+// pairColumns lists the output columns of an unfolded join: the columns
+// EmitColumns selected of the outer ++ inner row, or all of them.
+func (j *KernelMergeJoin) pairColumns(in *flatInputs) []emitted {
+	nOuter := len(in.outer.Num)
+	if j.emit == nil {
+		emit := emitColumns(in.outer, nil)
+		for c := range in.inner.Num {
+			emit = append(emit, emitted{src: in.inner, col: c, second: true})
+		}
+		return emit
+	}
+	emit := make([]emitted, len(j.emit))
+	for i, c := range j.emit {
+		if c < nOuter {
+			emit[i] = emitted{src: in.outer, col: c}
+		} else {
+			emit[i] = emitted{src: in.inner, col: c - nOuter, second: true}
+		}
+	}
+	return emit
 }
 
 // sweep joins one morsel.
-func (j *KernelMergeJoin) sweep(in *flatInputs, extra *kernel.Bound, p partRange, best []float64) ([]frel.Tuple, error) {
+func (j *KernelMergeJoin) sweep(in *flatInputs, extra *kernel.Bound, p partRange, best []float64) (selection, error) {
 	outer, inner, oRng, iRng := in.outer, in.inner, in.oRng, in.iRng
 	f := j.Floor
 	ranged := j.oi >= 0
 	tolZero := j.Tol == (fuzzy.Trapezoid{})
-	nOuter := len(outer.Num)
 	loc := newBatchLocals(j.Ctx)
-	var out []frel.Tuple
-	var arena []frel.Value
-	emitW := len(j.schema.Attrs)
+	var sel selection
+	if j.fold == FoldOuter {
+		sel = newSelection(p.oHi - p.oLo)
+	}
 	win := keyWindow{start: p.iLo, end: p.iLo}
 	for o := p.oLo; o < p.oHi; o++ {
 		oD := outer.D[o]
@@ -261,45 +281,30 @@ func (j *KernelMergeJoin) sweep(in *flatInputs, extra *kernel.Bound, p partRange
 				}
 				continue
 			}
-			if len(arena)+emitW > cap(arena) {
-				n := 2 * cap(arena)
-				if n > kernelArenaChunk {
-					n = kernelArenaChunk
-				}
-				if n < 16*emitW {
-					n = 16 * emitW
-				}
-				arena = make([]frel.Value, 0, n)
-			}
-			off := len(arena)
-			if j.emit != nil {
-				for _, i := range j.emit {
-					if i < nOuter {
-						arena = append(arena, outer.Value(o, i))
-					} else {
-						arena = append(arena, inner.Value(k, i-nOuter))
-					}
-				}
-			} else {
-				arena = outer.AppendValues(arena, o, nil)
-				arena = inner.AppendValues(arena, k, nil)
-			}
-			out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
+			sel.pos = append(sel.pos, int32(o))
+			sel.pos2 = append(sel.pos2, int32(k))
+			sel.d = append(sel.d, d)
 		}
 		if j.fold == FoldOuter {
-			best[o] = bestO
+			sel.keep(o, bestO, f)
 		}
 		loc.observeRng(rng)
 		if err := loc.poll(); err != nil {
-			return nil, err
+			return selection{}, err
 		}
 	}
-	switch j.fold {
-	case FoldOuter:
-		out = emitCarried(outer, p.oLo, best[p.oLo:p.oHi], j.foldEmit, f)
-	case FoldInner:
-		out = emitCarried(inner, p.iLo, best[p.iLo:p.iHi], j.foldEmit, f)
+	if j.fold == FoldInner {
+		n := 0
+		for _, d := range best[p.iLo:p.iHi] {
+			if d > 0 && d >= f {
+				n++
+			}
+		}
+		sel = newSelection(n)
+		for k := p.iLo; k < p.iHi; k++ {
+			sel.keep(k, best[k], f)
+		}
 	}
 	loc.flush(j.Stats)
-	return out, nil
+	return sel, nil
 }

@@ -113,9 +113,9 @@ func NewMergeAntiMin(outer, inner Source, outerAttr, innerAttr string, terms *ke
 }
 
 // Open implements Source: the flat-column, morsel-scheduled sweep (see
-// sweep.go). Each morsel keeps the running minimum of its outer
-// tuples in place and emits every outer tuple whose minimum stays
-// positive and at least Floor, in the outer input's order.
+// sweep.go). Each morsel keeps the running minimum of each of its outer
+// tuples and selects every one whose minimum stays positive and at least
+// Floor, in the outer input's order.
 func (j *MergeAntiMin) Open() (BatchIterator, error) {
 	in, err := collectFlat("merge anti-join", j.Outer, j.Inner, j.oi, j.ii, fuzzy.Trapezoid{}, j.Workers, j.Stats)
 	if err != nil {
@@ -126,9 +126,9 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 		return nil, err
 	}
 	f := j.Floor
-	degs := make([]float64, in.outer.Len())
-	return in.run(j.Workers, func(p partRange) ([]frel.Tuple, error) {
+	return in.run(j.Workers, emitColumns(in.outer, j.emit), func(p partRange) (selection, error) {
 		loc := newBatchLocals(j.Ctx)
+		sel := newSelection(p.oHi - p.oLo)
 		win := keyWindow{start: p.iLo, end: p.iLo}
 		for o := p.oLo; o < p.oHi; o++ {
 			d := in.outer.D[o]
@@ -156,12 +156,12 @@ func (j *MergeAntiMin) Open() (BatchIterator, error) {
 				}
 			}
 			loc.observeRng(rng)
-			degs[o] = d
+			sel.keep(o, d, f)
 			if err := loc.poll(); err != nil {
-				return nil, err
+				return selection{}, err
 			}
 		}
 		loc.flush(j.Stats)
-		return emitCarried(in.outer, p.oLo, degs[p.oLo:p.oHi], j.emit, f), nil
+		return sel, nil
 	})
 }

@@ -7,7 +7,7 @@ import (
 // Project projects tuples onto a subset of attributes and, when Dedup is
 // set, eliminates duplicates keeping the maximum membership degree (fuzzy
 // OR), the paper's answer-construction rule. Deduplication materializes
-// the distinct tuples before emitting them.
+// the distinct tuples, as columns, before serving them.
 type Project struct {
 	Src   Source
 	Refs  []string
@@ -15,10 +15,6 @@ type Project struct {
 
 	schema *frel.Schema
 	idx    []int
-	// setIdx is idx as the dedup set takes it: nil when the projection
-	// keeps every source column in place, so the set keeps the source rows
-	// by reference instead of copying them.
-	setIdx []int
 }
 
 // NewProject builds a projection onto the given attribute references.
@@ -27,15 +23,7 @@ func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx, setIdx: idx}
-	identity := len(idx) == len(src.Schema().Attrs)
-	for i, c := range idx {
-		identity = identity && c == i
-	}
-	if identity {
-		p.setIdx = nil
-	}
-	return p, nil
+	return &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx}, nil
 }
 
 // Schema implements Source.
@@ -43,11 +31,15 @@ func (p *Project) Schema() *frel.Schema { return p.schema }
 
 // Open implements Source. The non-dedup projection writes the projected
 // values of each batch into one fresh arena (a single allocation per batch
-// instead of one per tuple); the dedup form hashes the projected columns
-// of every input tuple in place, materializes the distinct rows into a
-// set presized to the input's size when the input knows it (at most
-// dedupPresizeMax rows: the input's size bounds the distinct rows, it does
-// not predict them), and replays them.
+// instead of one per tuple). The dedup form enters every input row into
+// one column set (frel.ColumnSet), sized once to the input's size when
+// the input knows it (at most dedupPresizeMax rows: the input's size
+// bounds the distinct rows, it does not predict them), and serves the
+// distinct rows as columns. An input that serves its rest as columns (a
+// sweep's output) is deduplicated over them in place, and when every row
+// is distinct and the projection keeps every column they are served
+// without a copy; any other input's rows are appended, a batch at a time,
+// into the set's own columns, which keep only the new ones.
 func (p *Project) Open() (BatchIterator, error) {
 	in, err := p.Src.Open()
 	if err != nil {
@@ -57,23 +49,25 @@ func (p *Project) Open() (BatchIterator, error) {
 		return &projectBatchIterator{in: in, idx: p.idx}, nil
 	}
 	defer in.Close()
-	set := frel.NewRowSet(len(p.idx))
-	if n := batchesRemaining(in); n > 0 {
-		set.Grow(min(n, dedupPresizeMax))
-	}
-	for {
-		b, ok := in.NextBatch()
-		if !ok {
-			break
+	var set *frel.ColumnSet
+	if cols, _, ok := columnsOf(in); ok {
+		set = frel.NewColumnSet(cols, p.idx, min(cols.Len(), dedupPresizeMax))
+		for i := range cols.Len() {
+			set.Add(i)
 		}
-		for _, t := range b {
-			set.Add(t.Values, p.setIdx, t.D)
+	} else {
+		n := min(max(batchesRemaining(in), 0), dedupPresizeMax)
+		set = frel.NewColumnSet(frel.NewColumns(p.schema, n), nil, n)
+		for b, ok := in.NextBatch(); ok; b, ok = in.NextBatch() {
+			for _, t := range b {
+				set.AddTuple(t, p.idx)
+			}
 		}
 	}
 	if err := in.Err(); err != nil {
 		return nil, err
 	}
-	return &memBatchIterator{tuples: set.Tuples()}, nil
+	return &colsBatchIterator{cols: set.Distinct(), sortedOn: -1}, nil
 }
 
 // dedupPresizeMax caps the rows a duplicate-eliminating projection

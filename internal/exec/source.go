@@ -21,7 +21,13 @@
 // Remaining, and Columns, with which an input serves its rest as columns
 // (frel.Columns): a cached sort order hands over the columns it holds, an
 // external sort's final merge and a heap scan decode straight into them.
-// The sweeps read nothing else (sweep.go).
+// The sweeps read nothing else (sweep.go), and they hand over columns
+// too: each morsel selects its survivors (positions and degrees), and the
+// columns the plan still reads are gathered once, in morsel order. The
+// duplicate-eliminating projection takes them in place (project.go), and
+// the answer's relation is built from its distinct rows in one pass
+// (Collect). A consumer that needs rows (a filter, a GROUPBY, the
+// external sort of an intermediate) reads the same output as batches.
 //
 // Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
 // valid until the next NextBatch (or Close) call on the same iterator —
@@ -99,7 +105,8 @@ func columnsOf(it BatchIterator) (*frel.Columns, int, bool) {
 	return nil, -1, false
 }
 
-// Collect drains a source into an in-memory relation, one bulk append per
+// Collect drains a source into an in-memory relation: built in one pass
+// from the columns the source serves (Columns), or one bulk append per
 // batch.
 func Collect(src Source) (*frel.Relation, error) {
 	it, err := src.Open()
@@ -107,6 +114,12 @@ func Collect(src Source) (*frel.Relation, error) {
 		return nil, err
 	}
 	defer it.Close()
+	if cols, _, ok := columnsOf(it); ok {
+		if err := it.Err(); err != nil {
+			return nil, err
+		}
+		return cols.Relation(src.Schema()), nil
+	}
 	out := frel.NewRelation(src.Schema())
 	if n := batchesRemaining(it); n > 0 {
 		out.Tuples = make([]frel.Tuple, 0, n)
@@ -161,8 +174,7 @@ func (it *memBatchIterator) Close()         {}
 
 // ColumnsSource serves tuples held as columns, sorted on one attribute: a
 // sort order the cache holds, handed to a sweep whole and without a copy
-// (Columns), or served as rows to any other consumer, a batch at a time
-// built into one arena.
+// (Columns), or served as rows to any other consumer.
 type ColumnsSource struct {
 	schema   *frel.Schema
 	cols     *frel.Columns
@@ -193,18 +205,23 @@ func (c *ColumnsSource) Schema() *frel.Schema { return c.schema }
 
 // Open implements Source.
 func (c *ColumnsSource) Open() (BatchIterator, error) {
-	return &colsBatchIterator{src: c}, nil
+	return &colsBatchIterator{cols: c.cols, sortedOn: c.sortedOn}, nil
 }
 
+// colsBatchIterator serves columns: whole to a consumer that takes them
+// (Columns), or as rows, a batch at a time built into one arena, to any
+// other (a filter, the external sort of an intermediate, a GROUPBY). It
+// serves a cached order and the output of every sweep and projection.
 type colsBatchIterator struct {
-	src *ColumnsSource
-	pos int
-	out []frel.Tuple
+	cols     *frel.Columns
+	sortedOn int // −1: none
+	pos      int
+	out      []frel.Tuple
 }
 
 // NextBatch builds the next batch's rows from the columns.
 func (it *colsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	cols := it.src.cols
+	cols := it.cols
 	end := min(it.pos+BatchSize, cols.Len())
 	if it.pos >= end {
 		return nil, false
@@ -213,7 +230,7 @@ func (it *colsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
 	it.out = it.out[:0]
 	for i := it.pos; i < end; i++ {
 		off := len(arena)
-		arena = cols.AppendValues(arena, i, nil)
+		arena = cols.AppendValues(arena, i)
 		it.out = append(it.out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: cols.D[i]})
 	}
 	it.pos = end
@@ -226,11 +243,11 @@ func (it *colsBatchIterator) Columns() (*frel.Columns, int, bool) {
 	if it.pos > 0 {
 		return nil, -1, false
 	}
-	it.pos = it.src.cols.Len()
-	return it.src.cols, it.src.sortedOn, true
+	it.pos = it.cols.Len()
+	return it.cols, it.sortedOn, true
 }
 
-func (it *colsBatchIterator) Remaining() int { return it.src.cols.Len() - it.pos }
+func (it *colsBatchIterator) Remaining() int { return it.cols.Len() - it.pos }
 func (it *colsBatchIterator) Err() error     { return nil }
 func (it *colsBatchIterator) Close()         {}
 

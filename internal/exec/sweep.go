@@ -80,56 +80,116 @@ func (in *flatInputs) span(m int) partRange {
 	return partRange{first.oLo, last.oHi, first.iLo, last.iHi}
 }
 
-// run sweeps every morsel on the worker pool and returns the morsel
-// outputs as one iterator, in morsel order. The first error a sweep
-// returns (a cancelled context) stops the pool and is returned.
-func (in *flatInputs) run(workers int, sweep func(p partRange) ([]frel.Tuple, error)) (BatchIterator, error) {
-	results := make([][]frel.Tuple, len(in.morsels))
+// selection is the output of one morsel sweep: the positions of its
+// surviving tuples in the input columns, in emission order, and their
+// degrees. A sweep that emits tuples of one input lists them in pos; a
+// join that emits pairs lists the outer tuple of each in pos and the
+// inner one in pos2.
+type selection struct {
+	pos, pos2 []int32
+	d         []float64
+}
+
+// newSelection returns a selection with room for n tuples, the most a
+// sweep of n tuples of the input it emits can keep.
+func newSelection(n int) selection {
+	return selection{pos: make([]int32, 0, n), d: make([]float64, 0, n)}
+}
+
+// keep appends tuple p at degree d when d is positive and at least floor,
+// the least degree the plan still needs.
+func (s *selection) keep(p int, d, floor float64) {
+	if d > 0 && d >= floor {
+		s.pos = append(s.pos, int32(p))
+		s.d = append(s.d, d)
+	}
+}
+
+// emitted is one column of a sweep's output: column col of the input
+// columns src, read at the selections' pos, or at their pos2 when second.
+type emitted struct {
+	src    *frel.Columns
+	col    int
+	second bool
+}
+
+// emitColumns lists the output columns of a sweep that emits tuples of
+// src: every column of src when cols is nil, the listed ones otherwise.
+func emitColumns(src *frel.Columns, cols []int) []emitted {
+	if cols == nil {
+		cols = make([]int, len(src.Num))
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	out := make([]emitted, len(cols))
+	for i, c := range cols {
+		out[i] = emitted{src: src, col: c}
+	}
+	return out
+}
+
+// run sweeps every morsel on the worker pool and serves the survivors the
+// morsels selected, in morsel order, as one set of columns: the columns
+// emit lists, each gathered once. The first error a sweep returns (a
+// cancelled context) stops the pool and is returned.
+func (in *flatInputs) run(workers int, emit []emitted, sweep func(p partRange) (selection, error)) (BatchIterator, error) {
+	sels := make([]selection, len(in.morsels))
 	err := runParallel(workers, len(in.morsels), func(m int) (err error) {
-		results[m], err = sweep(in.span(m))
+		sels[m], err = sweep(in.span(m))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &partsBatchIterator{parts: results}, nil
+	return &colsBatchIterator{cols: gather(sels, emit), sortedOn: -1}, nil
 }
 
-// partsBatchIterator replays per-morsel result slices in morsel order, a
-// BatchSize subslice at a time.
-type partsBatchIterator struct {
-	parts [][]frel.Tuple
-	p, i  int
-}
-
-func (it *partsBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	for it.p < len(it.parts) {
-		part := it.parts[it.p]
-		if it.i < len(part) {
-			end := it.i + BatchSize
-			if end > len(part) {
-				end = len(part)
-			}
-			b := part[it.i:end]
-			it.i = end
-			return b, true
+// gather builds the columns emit lists of the tuples sels selected, in
+// order: one allocation per column, pointer-free for numeric columns.
+func gather(sels []selection, emit []emitted) *frel.Columns {
+	n := 0
+	for _, s := range sels {
+		n += len(s.d)
+	}
+	out := &frel.Columns{
+		D:   make([]float64, 0, n),
+		Num: make([][]fuzzy.Trapezoid, len(emit)),
+		Str: make([][]string, len(emit)),
+	}
+	for _, s := range sels {
+		out.D = append(out.D, s.d...)
+	}
+	for j, e := range emit {
+		if num := e.src.Num[e.col]; num != nil {
+			out.Num[j] = gatherColumn(num, sels, e.second, n)
+		} else {
+			out.Str[j] = gatherColumn(e.src.Str[e.col], sels, e.second, n)
 		}
-		it.p++
-		it.i = 0
 	}
-	return nil, false
+	return out
 }
 
-func (it *partsBatchIterator) Remaining() int {
-	n := -it.i
-	for _, part := range it.parts[it.p:] {
-		n += len(part)
+// gatherColumn returns src[p] for each of the n positions p the
+// selections list (their pos2 when second), in order.
+func gatherColumn[T any](src []T, sels []selection, second bool, n int) []T {
+	dst := make([]T, 0, n)
+	for _, s := range sels {
+		for _, p := range s.at(second) {
+			dst = append(dst, src[p])
+		}
 	}
-	return n
+	return dst
 }
 
-func (it *partsBatchIterator) Err() error { return nil }
-func (it *partsBatchIterator) Close()     {}
+// at returns the positions of the first or the second tuple of each
+// selected row.
+func (s *selection) at(second bool) []int32 {
+	if second {
+		return s.pos2
+	}
+	return s.pos
+}
 
 // morselGrain picks the morsel weight target: serial runs get one morsel
 // (no scheduling overhead), parallel runs get roughly 16 morsels per
@@ -214,39 +274,6 @@ func (w *keyWindow) slide(rng []fuzzy.Trapezoid, limit int, lo, hi float64, tol 
 	}
 }
 
-// emitCarried builds the output of a sweep that reduced one degree per
-// tuple of an input: one row, at that degree, for every tuple lo+i of cols
-// whose degree degs[i] is positive and at least floor. A row holds the
-// columns emit lists (every column when emit is nil), built from the
-// columns into one arena. Both allocations are sized by the rows that
-// survive.
-func emitCarried(cols *frel.Columns, lo int, degs []float64, emit []int, floor float64) []frel.Tuple {
-	n := 0
-	for _, d := range degs {
-		if d > 0 && d >= floor {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	width := len(emit)
-	if emit == nil {
-		width = len(cols.Num)
-	}
-	out := make([]frel.Tuple, 0, n)
-	arena := make([]frel.Value, 0, n*width)
-	for i, d := range degs {
-		if d <= 0 || d < floor {
-			continue
-		}
-		off := len(arena)
-		arena = cols.AppendValues(arena, lo+i, emit)
-		out = append(out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: d})
-	}
-	return out
-}
-
 // outerRows is the output shape of a sweep that emits its outer tuples
 // (the anti-join, the group-aggregate join): every column of them, or the
 // columns EmitColumns selected.
@@ -261,7 +288,7 @@ func newOuterRows(outer *frel.Schema) outerRows { return outerRows{outer: outer,
 func (r *outerRows) Schema() *frel.Schema { return r.schema }
 
 // EmitColumns restricts the output to the given columns of the outer
-// tuples, in the given order: the sweep then builds only the values its
+// tuples, in the given order: the sweep then gathers only the columns its
 // consumer reads.
 func (r *outerRows) EmitColumns(emit []int) error {
 	schema := &frel.Schema{Name: r.outer.Name}
@@ -279,12 +306,12 @@ func (r *outerRows) EmitColumns(emit []int) error {
 var wholeRange = fuzzy.Trapezoid{A: math.Inf(-1), B: math.Inf(-1), C: math.Inf(1), D: math.Inf(1)}
 
 // collectSorted drains src into columns, verifying the Definition 3.1
-// sort order on attribute idx, and returns them with the range column the
-// sweeps read. An input that holds or decodes its rest as columns (a
-// cached order, an external sort's final merge, a heap scan) serves them
-// whole, a cached order without a copy; any other is appended batch by
-// batch into columns allocated once when the producer knows how many
-// tuples it holds. Columns checked to be sorted on idx when they were
+// sort order on attribute idx, and returns them with the
+// range column the sweeps read. An input that holds or decodes its rest
+// as columns (a cached order, an external sort's final merge, a heap
+// scan, another sweep) serves them whole, a cached order without a copy;
+// any other is appended batch by batch into columns allocated once when
+// the producer knows how many tuples it holds. Columns checked to be sorted on idx when they were
 // built are not checked again. Range index −1 is the whole-inner window:
 // every range is [−Inf, +Inf] and no order is checked.
 func collectSorted(src Source, idx int, side string) (*frel.Columns, []fuzzy.Trapezoid, error) {

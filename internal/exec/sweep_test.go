@@ -65,7 +65,7 @@ func TestCollectFlatKeys(t *testing.T) {
 		t.Helper()
 		rows := make([]frel.Tuple, got.Len())
 		for i := range rows {
-			rows[i] = frel.Tuple{Values: got.AppendValues(nil, i, nil), D: got.D[i]}
+			rows[i] = frel.Tuple{Values: got.AppendValues(nil, i), D: got.D[i]}
 		}
 		sameSequence(t, name, rows, want)
 		if len(rng) != len(rows) {

@@ -8,4 +8,5 @@ var (
 	StreamIDs  = streamIDs
 	IDs        = ids
 	SameIDs    = sameIDs
+	ColumnSort = columnSort
 )

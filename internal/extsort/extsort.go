@@ -573,27 +573,6 @@ func (s *Sorter) mergeRuns(runs []*storage.HeapFile, attr int, schema *frel.Sche
 	return out, nil
 }
 
-// SortRelation sorts an in-memory relation by o, in place, with the key,
-// comparator and algorithm of the external sort's runs, so the order and
-// the comparison count are the ones a single-run external sort of the
-// relation's tuples would give. It returns the comparison count.
-func SortRelation(r *frel.Relation, o Order) (int64, error) {
-	perm := make([]int32, len(r.Tuples))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	n, err := SortTids(r.Schema, r.Tuples, perm, o)
-	if err != nil {
-		return 0, err
-	}
-	sorted := make([]frel.Tuple, len(r.Tuples))
-	for i, p := range perm {
-		sorted[i] = r.Tuples[p]
-	}
-	copy(r.Tuples, sorted)
-	return n, nil
-}
-
 // SortTids orders tids, positions into tuples (tuples of schema), by o:
 // by their values' frel.Compare order, equal values by position. The key,
 // comparator and algorithm are those of the external sort's runs, so

@@ -289,17 +289,17 @@ func TestOrderByUnknown(t *testing.T) {
 	if _, _, err := sortToHeap(NewSorter(m, 4), src, Order{Attr: 1}); err == nil {
 		t.Errorf("Sort on attribute 1 of a 1-attribute schema: want error")
 	}
-	if _, err := SortRelation(frel.NewRelation(xSchema()), Order{Attr: -1}); err == nil {
-		t.Errorf("SortRelation on attribute -1: want error")
+	if _, _, err := columnSort(frel.NewRelation(xSchema()), Order{Attr: -1}); err == nil {
+		t.Errorf("SortColumnTids on attribute -1: want error")
 	}
 }
 
-func TestSortRelationInMemory(t *testing.T) {
+func TestSortColumnTidsInMemory(t *testing.T) {
 	r := frel.NewRelation(xSchema())
 	for _, v := range []float64{3, 1, 2} {
 		r.Append(frel.NewTuple(1, frel.Crisp(v)))
 	}
-	comps, err := SortRelation(r, byX)
+	sorted, comps, err := columnSort(r, byX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +307,30 @@ func TestSortRelationInMemory(t *testing.T) {
 		t.Errorf("comparisons = %d", comps)
 	}
 	for i, w := range []float64{1, 2, 3} {
-		if r.Tuples[i].Values[0].Num.A != w {
-			t.Errorf("tuple %d = %v", i, r.Tuples[i])
+		if sorted[i].Values[0].Num.A != w {
+			t.Errorf("tuple %d = %v", i, sorted[i])
 		}
 	}
+}
+
+// columnSort sorts rel's tuples in memory the way the sort cache does
+// (SortColumnTids over the tuples held as columns) and returns them in
+// the sorted order with the comparison count.
+func columnSort(rel *frel.Relation, o Order) ([]frel.Tuple, int64, error) {
+	cols := frel.NewColumns(rel.Schema, rel.Len())
+	for _, t := range rel.Tuples {
+		cols.AppendTuple(t)
+	}
+	tids := make([]int32, rel.Len())
+	for i := range tids {
+		tids[i] = int32(i)
+	}
+	n, err := SortColumnTids(rel.Schema, cols, tids, o)
+	sorted := make([]frel.Tuple, len(tids))
+	for i, p := range tids {
+		sorted[i] = rel.Tuples[p]
+	}
+	return sorted, n, err
 }
 
 func TestCheckDetectsDisorder(t *testing.T) {
@@ -394,7 +414,7 @@ func TestWithParallelismClamps(t *testing.T) {
 // TestSortKeepsIdenticalValuesAdjacent: values whose corners are equal as
 // numbers but not bit for bit — crisp −0 and +0, Tri(−0,1,2) and
 // Tri(+0,1,2) — are different values, and a sort leaves the identical ones
-// adjacent, −0 first: SortRelation, and the streamed external sort at one
+// adjacent, −0 first: SortColumnTids, and the streamed external sort at one
 // and two workers, in memory and over several runs.
 func TestSortKeepsIdenticalValuesAdjacent(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -420,10 +440,11 @@ func TestSortKeepsIdenticalValuesAdjacent(t *testing.T) {
 		for _, v := range vals {
 			rel.Append(frel.NewTuple(1, v))
 		}
-		if _, err := SortRelation(rel, byX); err != nil {
+		sorted, _, err := columnSort(rel, byX)
+		if err != nil {
 			t.Fatal(err)
 		}
-		groups("SortRelation", rel.Tuples, 2)
+		groups("SortColumnTids", sorted, 2)
 
 		for _, copies := range []int{1, 600} {
 			for _, workers := range []int{1, 2} {

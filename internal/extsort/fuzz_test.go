@@ -53,7 +53,7 @@ func (r *encodedRecords) Err() error { return r.err }
 // FuzzSortOrder: every way the engine sorts a relation gives one
 // permutation — the streamed external sort of a heap and of the same
 // tuples from a record source that is not a heap, each at one and two
-// run-generation workers, the in-memory SortRelation, and, on X, CREATE
+// run-generation workers, the in-memory SortColumnTids, and, on X, CREATE
 // INDEX's stable sort of the tids — and it is the stable sort of the
 // input by frel.Compare. The first bytes choose the sort attribute (NAME or X), a
 // sort memory of 2 to 8 pages and how often the tuples repeat; every
@@ -95,12 +95,12 @@ func FuzzSortOrder(f *testing.F) {
 		})
 		want := extsort.IDs(c.Tuples)
 
-		c = rel.Clone()
-		if _, err := extsort.SortRelation(c, order); err != nil {
+		mem, _, err := extsort.ColumnSort(rel, order)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !extsort.SameIDs(extsort.IDs(c.Tuples), want) {
-			t.Fatalf("SortRelation: %v, want %v", extsort.IDs(c.Tuples), want)
+		if !extsort.SameIDs(extsort.IDs(mem), want) {
+			t.Fatalf("SortColumnTids: %v, want %v", extsort.IDs(mem), want)
 		}
 
 		m, err := storage.NewManagerOptions("db", storage.ManagerOptions{PoolPages: 16, FS: storage.NewMemFS()})

@@ -147,7 +147,7 @@ func streamIDs(t *testing.T, str *Stream, schema *frel.Schema) []float64 {
 // final merge returns exactly sort.SliceStable's permutation of the input, run generation writes each
 // full batch as its stable sort and keeps the last one in memory, and
 // the comparisons are those of sorting each batch by (key, position) with
-// slices.SortFunc. The in-memory SortRelation returns the same
+// slices.SortFunc. The in-memory SortColumnTids returns the same
 // permutation with that algorithm's comparison count over the whole
 // input. The tuples are tie-heavy, so any instability shows.
 func TestSortIsTheStableSort(t *testing.T) {
@@ -168,17 +168,16 @@ func TestSortIsTheStableSort(t *testing.T) {
 	runsSeen := map[int]bool{}
 	overFanIn := false
 	for name, o := range orders {
-		mem := rel.Clone()
-		memCmp, err := SortRelation(mem, o)
+		mem, memCmp, err := columnSort(rel, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := stableIDs(rel.Tuples, o)
-		if got := ids(mem.Tuples); !sameIDs(got, want) {
-			t.Errorf("%s: SortRelation's permutation differs from sort.SliceStable's", name)
+		if got := ids(mem); !sameIDs(got, want) {
+			t.Errorf("%s: SortColumnTids's permutation differs from sort.SliceStable's", name)
 		}
 		if wantCmp := positionSortCmp(rel.Tuples, o); memCmp != wantCmp {
-			t.Errorf("%s: SortRelation made %d comparisons, the (key, position) sort %d", name, memCmp, wantCmp)
+			t.Errorf("%s: SortColumnTids made %d comparisons, the (key, position) sort %d", name, memCmp, wantCmp)
 		}
 		for _, memPages := range []int{3, 4, 8, 16, 64} {
 			for _, workers := range []int{1, 2, 4} {

@@ -51,19 +51,36 @@ func (c *Columns) Value(i, col int) Value {
 	return Str(c.Str[col][i])
 }
 
-// AppendValues appends the values of tuple i to dst: every attribute in
-// schema order when cols is nil, the listed attributes otherwise.
-func (c *Columns) AppendValues(dst []Value, i int, cols []int) []Value {
-	if cols == nil {
-		for col := range c.Num {
-			dst = append(dst, c.Value(i, col))
-		}
-		return dst
-	}
-	for _, col := range cols {
+// AppendValues appends the values of tuple i to dst, in schema order.
+func (c *Columns) AppendValues(dst []Value, i int) []Value {
+	for col := range c.Num {
 		dst = append(dst, c.Value(i, col))
 	}
 	return dst
+}
+
+// Relation returns the tuples as a relation of schema s (the columns'
+// schema), built in one pass: one tuple slice and one value arena hold
+// them all.
+func (c *Columns) Relation(s *Schema) *Relation {
+	n, w := c.Len(), len(c.Num)
+	tuples := make([]Tuple, n)
+	arena := make([]Value, n*w)
+	for i := range tuples {
+		tuples[i] = Tuple{Values: arena[i*w : (i+1)*w : (i+1)*w], D: c.D[i]}
+	}
+	for col := range w {
+		if num := c.Num[col]; num != nil {
+			for i, t := range num {
+				arena[i*w+col].Num = t // the zero Kind is KindNumber
+			}
+		} else {
+			for i, str := range c.Str[col] {
+				arena[i*w+col] = Str(str)
+			}
+		}
+	}
+	return &Relation{Schema: s, Tuples: tuples}
 }
 
 // AppendTuple appends t, whose values must match the columns' kinds.
@@ -113,32 +130,45 @@ func (c *Columns) AppendRecord(s *Schema, data []byte) error {
 }
 
 // Gather returns new columns holding tuple perm[0], perm[1], … of c, in
-// that order, each column allocated once at its exact size.
-func (c *Columns) Gather(perm []int32) *Columns {
+// that order, of the columns cols lists, in that order (nil: every
+// column), each column allocated once at its exact size.
+func (c *Columns) Gather(perm []int32, cols []int) *Columns {
+	if cols == nil {
+		cols = allAttrs(len(c.Num))
+	}
 	out := &Columns{
 		D:   make([]float64, len(perm)),
-		Num: make([][]fuzzy.Trapezoid, len(c.Num)),
-		Str: make([][]string, len(c.Str)),
+		Num: make([][]fuzzy.Trapezoid, len(cols)),
+		Str: make([][]string, len(cols)),
 	}
 	for i, p := range perm {
 		out.D[i] = c.D[p]
 	}
-	for col := range c.Num {
+	for j, col := range cols {
 		if src := c.Num[col]; src != nil {
 			dst := make([]fuzzy.Trapezoid, len(perm))
 			for i, p := range perm {
 				dst[i] = src[p]
 			}
-			out.Num[col] = dst
+			out.Num[j] = dst
 		} else {
 			src, dst := c.Str[col], make([]string, len(perm))
 			for i, p := range perm {
 				dst[i] = src[p]
 			}
-			out.Str[col] = dst
+			out.Str[j] = dst
 		}
 	}
 	return out
+}
+
+// allAttrs lists the attributes 0, 1, …, n−1.
+func allAttrs(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // Bytes returns the memory the columns' tuples take: the degree and every

@@ -1,15 +1,13 @@
 package frel
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
-// RowSet is the engine's duplicate-elimination structure: an
+// RowSet is the duplicate elimination of rows of values: an
 // insertion-ordered, open-addressing hash set of fixed-width value rows
 // under value identity (Value.Identical), keeping per row the maximum
 // membership degree it was added with — the fuzzy OR of Section 2.2 that
-// projection, temporary relations and GROUPBY groups all apply.
+// GROUPBY groups and in-memory relations (DedupMax) apply. The answer's
+// projection applies it over typed column rows instead (ColumnSet).
 //
 // The table holds row numbers and a probe hashes and compares values in
 // place: no key string is built. A row added whole is kept by reference
@@ -54,24 +52,6 @@ func (s *RowSet) Degree(i int) float64 { return s.rows[i].D }
 // Tuples returns the rows in insertion order, each at its maximum degree.
 // The slice is the set's own: it is valid until the next Add or Reset.
 func (s *RowSet) Tuples() []Tuple { return s.rows }
-
-// Grow reserves room for n more rows: adding them reallocates neither the
-// row columns nor the table. A consumer that knows how many rows it may
-// add (its input's size) calls it once, in place of the doublings.
-func (s *RowSet) Grow(n int) {
-	s.rows = slices.Grow(s.rows, n)
-	s.hashes = slices.Grow(s.hashes, n)
-	size := len(s.table)
-	for size < 2*(len(s.rows)+n) {
-		size *= 2
-	}
-	if size > len(s.table) {
-		s.table = make([]int32, size)
-		for row := range s.rows {
-			s.place(row)
-		}
-	}
-}
 
 // Reset empties the set, keeping its storage for reuse; rows handed out
 // before are invalid afterwards. The table shrinks back to its minimum so

@@ -79,7 +79,7 @@ func (v Value) Identical(w Value) bool {
 	if v.Kind == KindString {
 		return v.Str == w.Str
 	}
-	return sameBits(v.Num, w.Num)
+	return SameBits(v.Num, w.Num)
 }
 
 // String renders the value.
@@ -142,8 +142,9 @@ func Degree(op fuzzy.Op, v, w Value) float64 {
 
 // Key returns a canonical byte-string identity of the value; distinct
 // values have distinct keys, and two values have equal keys exactly when
-// they are Identical. The engine deduplicates with RowSet; Key remains as
-// the independent identity of the naive oracle, Relation.Equal and tests.
+// they are Identical. The engine deduplicates with ColumnSet and RowSet;
+// Key remains as the independent identity of the naive oracle,
+// Relation.Equal and tests.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
 
 // Compare is the engine's one sort order: the order of every sorted

@@ -49,7 +49,7 @@ func (s *ValueSet) AddNum(t fuzzy.Trapezoid) bool {
 	m := uint64(len(s.table) - 1)
 	p := hashNum(t) &^ s.narrow & m
 	for ; s.table[p] != 0; p = (p + 1) & m {
-		if sameBits(s.nums[s.table[p]-1], t) {
+		if SameBits(s.nums[s.table[p]-1], t) {
 			return false
 		}
 	}
@@ -99,8 +99,10 @@ func hashNum(t fuzzy.Trapezoid) uint64 {
 	return h ^ h>>29
 }
 
-// sameBits is Value.Identical on numbers.
-func sameBits(a, b fuzzy.Trapezoid) bool {
+// SameBits is Value.Identical on numbers: corner for corner the same bit
+// patterns, so −0 and +0 differ and a NaN corner is identical to the same
+// NaN. Every comparison of numeric identity in the engine goes through it.
+func SameBits(a, b fuzzy.Trapezoid) bool {
 	return math.Float64bits(a.A) == math.Float64bits(b.A) && math.Float64bits(a.B) == math.Float64bits(b.B) &&
 		math.Float64bits(a.C) == math.Float64bits(b.C) && math.Float64bits(a.D) == math.Float64bits(b.D)
 }

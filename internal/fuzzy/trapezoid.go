@@ -173,16 +173,29 @@ func (t Trapezoid) String() string {
 // and returns the extended buffer.
 func (t Trapezoid) AppendTo(b []byte) []byte {
 	if t.IsCrisp() {
-		return strconv.AppendFloat(b, t.A, 'g', -1, 64)
+		return appendCorner(b, t.A)
 	}
 	b = append(b, "TRAP("...)
 	for i, c := range [4]float64{t.A, t.B, t.C, t.D} {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendFloat(b, c, 'g', -1, 64)
+		b = appendCorner(b, c)
 	}
 	return append(b, ')')
+}
+
+// appendCorner appends x as strconv.AppendFloat(b, x, 'g', -1, 64) writes
+// it. An integer below 10^6 in magnitude, other than −0, takes
+// strconv.AppendInt, which writes the same bytes (the shortest 'g' form
+// switches to an exponent at 10^6) several times faster.
+func appendCorner(b []byte, x float64) []byte {
+	if x > -1e6 && x < 1e6 {
+		if i := int64(x); float64(i) == x && (i != 0 || !math.Signbit(x)) {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
+	return strconv.AppendFloat(b, x, 'g', -1, 64)
 }
 
 func clamp01(x float64) float64 {

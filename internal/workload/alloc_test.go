@@ -139,9 +139,14 @@ func TestFoldedQueryAllocs(t *testing.T) {
 // orders are columns in sort order, so a hit reads no page and decodes
 // nothing; the sweep takes the columns without copying them, the
 // group-aggregate sweep enters the aggregated column into one reused
-// value set per morsel, the projection's set is sized once, and the
-// Result is one string arena. A per-tuple or per-row allocation anywhere
-// costs thousands at these sizes and trips it. Warm EXPLAIN ANALYZE of
+// value set per morsel, the projection's column set is sized once, and
+// the Result is one flat cell slice over one byte arena. A per-tuple or per-row allocation anywhere
+// costs thousands at these sizes and trips it. At n = 8 000 the bytes
+// allocated per answer row are bounded too, at 272: the sweep hands its
+// survivors to the projection as columns, which deduplicates them in
+// place, and the answer's relation and its rendering are each built once
+// (215-218 bytes per row; 276-280 when the sweeps built rows of values
+// for a row set). Warm EXPLAIN ANALYZE of
 // the same statement shows every sort a cache hit that read no page, and
 // no pool miss in the whole statement. Skipped under -race, which
 // inflates allocation counts.
@@ -149,7 +154,7 @@ func TestWarmReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const maxAllocs = 1000
+	const maxAllocs, maxBytesPerRow = 1000, 272
 	for _, n := range []int{2000, 8000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -181,7 +186,11 @@ func TestWarmReadAllocs(t *testing.T) {
 			defer db.Close()
 			for _, class := range []string{"J", "JA", "JA-COUNT"} {
 				t.Run(class, func(t *testing.T) {
-					warmReadAllocs(t, db, fmt.Sprintf(classQueries[class], " WITH D >= 0.5"), n/4, maxAllocs)
+					maxBytes := 0.0
+					if n == 8000 {
+						maxBytes = maxBytesPerRow
+					}
+					warmReadAllocs(t, db, fmt.Sprintf(classQueries[class], " WITH D >= 0.5"), n/4, maxAllocs, maxBytes)
 				})
 			}
 		})
@@ -189,10 +198,12 @@ func TestWarmReadAllocs(t *testing.T) {
 }
 
 // warmReadAllocs runs sql twice to cache its orders, then requires at
-// least minRows answer rows from at most maxAllocs allocations per run,
-// and a warm EXPLAIN ANALYZE whose sorts are all cache hits that read no
-// page, with no pool miss.
-func warmReadAllocs(t *testing.T, db *fuzzydb.DB, sql string, minRows, maxAllocs int) {
+// least minRows answer rows from at most maxAllocs allocations per run
+// and, when maxBytesPerRow is not 0, at most that many bytes allocated
+// per answer row (runtime.MemStats.TotalAlloc over three runs), and a
+// warm EXPLAIN ANALYZE whose sorts are all cache hits that read no page,
+// with no pool miss.
+func warmReadAllocs(t *testing.T, db *fuzzydb.DB, sql string, minRows, maxAllocs int, maxBytesPerRow float64) {
 	rows := 0
 	query := func() {
 		res, err := db.Query(sql)
@@ -211,6 +222,18 @@ func warmReadAllocs(t *testing.T, db *fuzzydb.DB, sql string, minRows, maxAllocs
 		t.Errorf("a warm read of %d rows allocated %.0f times, want <= %d", rows, allocs, maxAllocs)
 	} else {
 		t.Logf("%.0f allocations for %d answer rows", allocs, rows)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 3 {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / 3 / float64(rows)
+	if maxBytesPerRow != 0 && perRow > maxBytesPerRow {
+		t.Errorf("a warm read of %d rows allocated %.0f bytes per row, want <= %.0f", rows, perRow, maxBytesPerRow)
+	} else {
+		t.Logf("%.0f bytes allocated per answer row", perRow)
 	}
 
 	_, st, err := db.ExplainAnalyze(sql)
