@@ -312,7 +312,7 @@ func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, e
 // finishProject projects, deduplicates and applies the answer shape
 // (threshold, order, limit).
 func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan.Shape) (*frel.Relation, error) {
-	proj, err := exec.NewProject(src, itemRefs(items), true)
+	proj, err := exec.NewProject(src, itemRefs(items))
 	if err != nil {
 		return nil, err
 	}

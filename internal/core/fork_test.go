@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/fsql"
+	"repro/internal/fuzzy"
 )
 
 func mustParseQuery(t *testing.T, src string) *fsql.Select {
@@ -74,6 +76,35 @@ func TestForkTermScope(t *testing.T) {
 	}
 	if _, err := execScript(f2, `SELECT F.NAME FROM F WHERE F.AGE = 'ancient'`); err != nil {
 		t.Errorf("fork cannot see shared term: %v", err)
+	}
+}
+
+// TestScopedTermRefusesNaN: a session-local term definition takes no NaN
+// or infinite corner, neither through DEFINE TERM (its literal is refused
+// when parsed) nor through DefineScopedTerm, and a refused term stays
+// undefined.
+func TestScopedTermRefusesNaN(t *testing.T) {
+	base, err := OpenSession(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if _, err := execScript(base, `CREATE TABLE F (AGE NUMBER); INSERT INTO F VALUES (25);`); err != nil {
+		t.Fatal(err)
+	}
+	f := base.Fork()
+	defer f.Close()
+	if _, err := execScript(f, `DEFINE TERM 'odd' AS ABOUT(1.7e308)`); err == nil {
+		t.Error("DEFINE TERM with an infinite corner: want error")
+	}
+	nan := math.NaN()
+	for _, tr := range []fuzzy.Trapezoid{{A: nan, B: nan, C: nan, D: nan}, {A: 0, B: nan, C: 1, D: 2}, {A: 0, B: 1, C: 2, D: math.Inf(1)}} {
+		if err := f.Env.DefineScopedTerm("odd", tr); err == nil {
+			t.Errorf("DefineScopedTerm(%v): want error", tr)
+		}
+	}
+	if _, err := execScript(f, `SELECT F.AGE FROM F WHERE F.AGE = 'odd'`); err == nil {
+		t.Error("a refused term is defined")
 	}
 }
 

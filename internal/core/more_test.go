@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -137,6 +139,70 @@ func TestHavingGradesGroups(t *testing.T) {
 	}
 	if !got.Equal(want, 0) {
 		t.Fatalf("HAVING:\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestGroupByDedupsSelectItems: a grouped block whose SELECT omits the
+// grouping attribute answers one row per distinct item row, at the
+// maximum degree of the groups that give it, in the order of its first
+// group. The expectation is graded here from the same query with the
+// grouping attribute, and the aggregate without GROUPBY (one group of
+// width zero) from the answer of the aggregated attribute: the engine and
+// the naive evaluator share groupProject, so their agreement alone cannot
+// show it.
+func TestGroupByDedupsSelectItems(t *testing.T) {
+	e := envRS(rand.New(rand.NewSource(50)), 30, 30, 0)
+	run := func(src string) map[string]*frel.Relation {
+		t.Helper()
+		q := mustParse(t, src)
+		engine, err := evalQ(e, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := e.EvalNaive(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*frel.Relation{"engine": engine, "naive": naive}
+	}
+	same := func(name string, got []frel.Tuple, want *frel.Relation) {
+		t.Helper()
+		if len(got) != want.Len() {
+			t.Fatalf("%s: %d rows, want %d:\n%v\nwant\n%v", name, len(got), want.Len(), got, want.Tuples)
+		}
+		for i, w := range want.Tuples {
+			if got[i].Key() != w.Key() || math.Float64bits(got[i].D) != math.Float64bits(w.D) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, got[i], w)
+			}
+		}
+	}
+	// Each evaluator is held to the expectation graded from its own
+	// answers: the order of first occurrence is the order it meets groups.
+	const from = ` FROM R, S WHERE R.Y = S.Z`
+	grouped := run(`SELECT R.U, COUNT(S.Z)` + from + ` GROUPBY R.U`)
+	for name, got := range run(`SELECT COUNT(S.Z)` + from + ` GROUPBY R.U`) {
+		counts := frel.NewRelation(nil)
+		for _, tup := range grouped[name].Tuples {
+			counts.Append(frel.Tuple{Values: tup.Values[1:], D: tup.D})
+		}
+		counts.DedupMax()
+		if counts.Len() < 2 || counts.Len() == grouped[name].Len() {
+			t.Fatalf("%s: %d groups, %d distinct counts: the case proves nothing", name, grouped[name].Len(), counts.Len())
+		}
+		same("GROUPBY "+name, got.Tuples, counts)
+	}
+
+	zs := run(`SELECT S.Z` + from)
+	for name, got := range run(`SELECT COUNT(S.Z)` + from) {
+		if zs[name].Len() < 2 {
+			t.Fatalf("%s: %d values of S.Z: the case proves nothing", name, zs[name].Len())
+		}
+		total := frel.NewRelation(nil)
+		total.Append(frel.NewTuple(0, frel.Crisp(float64(zs[name].Len()))))
+		for _, tup := range zs[name].Tuples {
+			total.Tuples[0].D = max(total.Tuples[0].D, tup.D)
+		}
+		same("no GROUPBY "+name, got.Tuples, total)
 	}
 }
 

@@ -155,7 +155,7 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*f
 		}
 		out = grouped
 	} else {
-		dedupByKey(out)
+		out.DedupMax()
 	}
 	pruned, err := finalizeAnswer(out, plan.ShapeOf(q))
 	if err != nil {
@@ -165,28 +165,6 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*f
 		e.notePruned(pruned)
 	}
 	return out, nil
-}
-
-// dedupByKey is the naive evaluator's own max-degree duplicate elimination
-// (Section 2.2), by canonical key string. It is deliberately not the
-// engine's frel.ColumnSet: the differential suites compare the unnested
-// engine against this evaluator, and the two should not share their
-// implementation of value identity.
-func dedupByKey(rel *frel.Relation) {
-	seen := make(map[string]int, len(rel.Tuples))
-	out := rel.Tuples[:0]
-	for _, t := range rel.Tuples {
-		k := t.Key()
-		if i, ok := seen[k]; ok {
-			if t.D > out[i].D {
-				out[i].D = t.D
-			}
-			continue
-		}
-		seen[k] = len(out)
-		out = append(out, t)
-	}
-	rel.Tuples = out
 }
 
 // finalizeAnswer applies the answer-shaping clauses captured by the
@@ -504,15 +482,16 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 	for _, j := range idx {
 		outSchema.Attrs = append(outSchema.Attrs, rel.Schema.Attrs[j])
 	}
+	// The graded groups, in SELECT order, end in one column set: a SELECT
+	// that omits grouping attributes can make two groups one row, at the
+	// maximum of their degrees.
 	degs := make([]float64, rel.Len())
 	prog.RunBatch(rel.Tuples, degs)
-	out := frel.NewRelation(outSchema)
+	set := frel.NewColumnSet(frel.NewColumns(outSchema, 0), nil, 0)
 	for i, t := range rel.Tuples {
-		if t.D = degs[i]; t.D <= 0 {
-			continue
+		if t.D = degs[i]; t.D > 0 {
+			set.AddTuple(t, idx)
 		}
-		out.Append(t.Project(idx))
 	}
-	out.DedupMax()
-	return out, nil
+	return set.Distinct().Relation(outSchema), nil
 }

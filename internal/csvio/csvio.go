@@ -66,7 +66,8 @@ func formatNum(t fuzzy.Trapezoid) string {
 // header row is required; its columns must match the schema's attribute
 // names (case-insensitively), optionally followed by a final D column.
 // Numeric cells accept numbers, fuzzy literals, and — with a resolver —
-// linguistic terms. A missing D column (or empty cell) defaults to 1.
+// linguistic terms. A missing D column (or empty cell) defaults to 1; any
+// other degree outside (0, 1], NaN included, is an error.
 func Import(r io.Reader, schema *frel.Schema, terms TermResolver) (*frel.Relation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -117,7 +118,7 @@ func Import(r io.Reader, schema *frel.Schema, terms TermResolver) (*frel.Relatio
 		d := 1.0
 		if hasD && rec[nAttrs] != "" {
 			d, err = strconv.ParseFloat(rec[nAttrs], 64)
-			if err != nil || d <= 0 || d > 1 {
+			if err != nil || !(d > 0 && d <= 1) { // NaN fails both tests
 				return nil, fmt.Errorf("csvio: line %d: bad degree %q", line, rec[nAttrs])
 			}
 		}

@@ -109,3 +109,28 @@ func TestExportQuotesCommas(t *testing.T) {
 		t.Errorf("fuzzy cell not quoted: %q", buf.String())
 	}
 }
+
+// TestImportRefusesNaN: no NaN degree or corner gets into an imported
+// relation. A degree must lie in (0, 1], which NaN, an infinity and both
+// zeros do not; a number cell is a literal, in which NaN and Inf are words
+// (unknown terms) and an overflowing number is a range error.
+func TestImportRefusesNaN(t *testing.T) {
+	for _, d := range []string{"NaN", "nan", "+Inf", "Inf", "0", "-0", "1.5"} {
+		if rel, err := Import(strings.NewReader("NAME,AGE,D\nAnn,1,"+d+"\n"), sampleSchema(), nil); err == nil {
+			t.Errorf("degree %q: imported %v", d, rel.Tuples)
+		}
+	}
+	terms := catalog.PaperTerms()
+	resolve := func(n string) (fuzzy.Trapezoid, bool) {
+		v, ok := terms[strings.ToLower(n)]
+		return v, ok
+	}
+	for _, cell := range []string{"NaN", "nan", "-NaN", "Inf", "+Inf", "1e999", `"TRAP(1,2,3,1e999)"`, `"ABOUT(1e308,1e308)"`} {
+		if rel, err := Import(strings.NewReader("NAME,AGE\nAnn,"+cell+"\n"), sampleSchema(), resolve); err == nil {
+			t.Errorf("cell %s: imported %v", cell, rel.Tuples)
+		}
+	}
+	if _, err := Import(strings.NewReader("NAME,AGE,D\nAnn,1,1\nBea,2,5e-324\n"), sampleSchema(), nil); err != nil {
+		t.Errorf("degrees 1 and the least positive float refused: %v", err)
+	}
+}

@@ -277,7 +277,7 @@ func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRel("R", 2500, 100, 5, rng) // > 2 batches
 	for i := range r.Tuples {
-		if i%3 == 0 { // duplicates for the dedup form to merge
+		if i%3 == 0 { // duplicates for the projection to merge
 			r.Tuples[i].Values[1] = frel.Crisp(float64(20 + i%40))
 		}
 	}
@@ -286,33 +286,31 @@ func TestBatchScanFilterProjectMatchesTuple(t *testing.T) {
 	}
 	prog := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGt,
 		Left: kernel.Column(1), Right: kernel.Constant(frel.Crisp(30))})
-	for _, dedup := range []bool{false, true} {
-		p, err := NewProject(NewFusedFilter(NewMemSource(r), prog, NewOpStats("filter", "")), []string{"R.X"}, dedup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []frel.Tuple
-		first := map[string]int{}
-		for _, tp := range r.Tuples {
-			d := fuzzy.Min(tp.D, pred(tp))
-			if d <= 0 {
-				continue
-			}
-			row := frel.Tuple{Values: tp.Values[1:2], D: d}
-			if i, ok := first[row.Key()]; ok && dedup {
-				if d > want[i].D {
-					want[i].D = d
-				}
-				continue
-			}
-			first[row.Key()] = len(want)
-			want = append(want, row)
-		}
-		if dedup && len(want) == len(r.Tuples) {
-			t.Fatal("no duplicates to eliminate")
-		}
-		sameSequence(t, "scan-filter-project", batchDrain(t, p), want)
+	p, err := NewProject(NewFusedFilter(NewMemSource(r), prog, NewOpStats("filter", "")), []string{"R.X"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var want []frel.Tuple
+	first := map[string]int{}
+	for _, tp := range r.Tuples {
+		d := fuzzy.Min(tp.D, pred(tp))
+		if d <= 0 {
+			continue
+		}
+		row := frel.Tuple{Values: tp.Values[1:2], D: d}
+		if i, ok := first[row.Key()]; ok {
+			if d > want[i].D {
+				want[i].D = d
+			}
+			continue
+		}
+		first[row.Key()] = len(want)
+		want = append(want, row)
+	}
+	if len(want) == len(r.Tuples) {
+		t.Fatal("no duplicates to eliminate")
+	}
+	sameSequence(t, "scan-filter-project", batchDrain(t, p), want)
 }
 
 // joinPipeline builds the scan -> filter -> merge-join pipeline the
@@ -324,29 +322,31 @@ func joinPipeline(t testing.TB, r, s *frel.Relation) Source {
 	prog := program(t, kernel.Step{Kind: kernel.StepCompare, Op: fuzzy.OpGe,
 		Left: kernel.Column(0), Right: kernel.Constant(frel.Crisp(0))})
 	st := NewOpStats("filter", "")
-	mj := mergeJoin(t, NewFusedFilter(NewMemSource(r), prog, st), NewFusedFilter(NewMemSource(s), prog, st),
+	return mergeJoin(t, NewFusedFilter(NewMemSource(r), prog, st), NewFusedFilter(NewMemSource(s), prog, st),
 		"R.X", "S.X", fuzzy.Crisp(0), nil)
-	// Project the answer attribute, the paper's answer-construction shape.
-	proj, err := NewProject(mj, []string{"R.ID"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proj
 }
 
-// TestBatchProjectedJoinMatchesTuple checks a plain projection over the
-// merge join of filtered scans against the all-pairs reference join,
-// projected one pair at a time.
+// TestBatchProjectedJoinMatchesTuple checks the projection of the answer
+// attribute, the paper's answer-construction shape, over the merge join
+// of filtered scans against the all-pairs reference join, projected one
+// pair at a time and deduplicated by the oracle's Relation.DedupMax.
 func TestBatchProjectedJoinMatchesTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		r := sortedRel(t, randomRel("R", 300+rng.Intn(200), 800, 4, rng), "X")
 		s := sortedRel(t, randomRel("S", 300+rng.Intn(200), 800, 4, rng), "X")
-		var want []frel.Tuple
+		want := frel.NewRelation(nil)
 		for _, pair := range bruteMergeJoin(r, s, fuzzy.Crisp(0), nil, NewOpStats("merge-join", "")) {
-			want = append(want, frel.Tuple{Values: pair.Values[:1], D: pair.D})
+			want.Append(frel.Tuple{Values: pair.Values[:1], D: pair.D})
 		}
-		sameSequence(t, "projected join", batchDrain(t, joinPipeline(t, r, s)), want)
+		if want.DedupMax(); want.Len() == 0 {
+			t.Fatal("empty join")
+		}
+		proj, err := NewProject(joinPipeline(t, r, s), []string{"R.ID"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSequence(t, "projected join", batchDrain(t, proj), want.Tuples)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestProjectDedupMax(t *testing.T) {
 		frel.NewTuple(0.7, frel.Crisp(2), frel.Str("Ann")),
 		frel.NewTuple(0.7, frel.Crisp(3), frel.Str("Betty")),
 	)
-	p, err := NewProject(NewMemSource(rel), []string{"NAME"}, true)
+	p, err := NewProject(NewMemSource(rel), []string{"NAME"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestProjectDedupLowCardinalityAllocs(t *testing.T) {
 	for i := range 200000 {
 		rel.Append(frel.NewTuple(1, frel.Crisp(float64(i%8)), frel.Str("")))
 	}
-	p, err := NewProject(NewMemSource(rel), []string{"X"}, true)
+	p, err := NewProject(NewMemSource(rel), []string{"X"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,24 +116,9 @@ func TestProjectDedupLowCardinalityAllocs(t *testing.T) {
 	}
 }
 
-func TestProjectNoDedupStreams(t *testing.T) {
-	rel := relXY("R",
-		frel.NewTuple(0.3, frel.Crisp(1), frel.Str("Ann")),
-		frel.NewTuple(0.7, frel.Crisp(2), frel.Str("Ann")),
-	)
-	p, err := NewProject(NewMemSource(rel), []string{"NAME"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := drain(t, p)
-	if out.Len() != 2 {
-		t.Errorf("len = %d, want duplicates kept", out.Len())
-	}
-}
-
 func TestProjectUnknownRef(t *testing.T) {
 	rel := relXY("R")
-	if _, err := NewProject(NewMemSource(rel), []string{"NOPE"}, true); err == nil {
+	if _, err := NewProject(NewMemSource(rel), []string{"NOPE"}); err == nil {
 		t.Errorf("want error")
 	}
 }

@@ -136,7 +136,7 @@ func TestKernelPipelineAllocs(t *testing.T) {
 	var rows int
 	allocs := testing.AllocsPerRun(5, func() {
 		ff := NewFusedFilter(NewMemSource(r), prog, st)
-		proj, err := NewProject(ff, []string{"R.ID"}, false)
+		proj, err := NewProject(ff, []string{"R.ID"})
 		if err != nil {
 			t.Fatal(err)
 		}

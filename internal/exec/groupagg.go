@@ -188,13 +188,13 @@ type AggItem struct {
 }
 
 // GroupAgg is a hash group-by with fuzzy aggregates, used for top-level
-// GROUPBY/HAVING clauses. Groups are keyed by value identity of the
-// grouping attributes. Within a group, each distinct value of an
-// aggregated attribute belongs to the group's fuzzy value set with the
-// maximum degree of the tuples carrying it, and the Section 6 aggregate
-// semantics apply to that set. The output tuple is (group values,
-// aggregate results) with degree max over the group's tuple degrees
-// (fuzzy OR).
+// GROUPBY/HAVING clauses. Groups are the distinct rows of the grouping
+// attributes in a column set (frel.ColumnSet), under value identity.
+// Within a group, each distinct value of an aggregated attribute belongs
+// to the group's fuzzy value set with the maximum degree of the tuples
+// carrying it, and the Section 6 aggregate semantics apply to that set.
+// The output tuple is (group values, aggregate results) with degree max
+// over the group's tuple degrees (fuzzy OR).
 type GroupAgg struct {
 	Src       Source
 	GroupRefs []string
@@ -248,7 +248,7 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 	// Groups are the distinct grouping rows, at the maximum degree of
 	// their tuples (fuzzy OR), in first-seen order; sets[g] holds one
 	// value set per aggregate item of group g, in input order.
-	groups := frel.NewRowSet(len(g.groupIdx))
+	groups := frel.NewColumnSet(frel.NewColumns(&frel.Schema{Attrs: g.schema.Attrs[:len(g.groupIdx)]}, 0), nil, 0)
 	var sets [][]*frel.ValueSet
 	for {
 		b, ok := it.NextBatch()
@@ -256,7 +256,7 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 			break
 		}
 		for _, t := range b {
-			gi, added := groups.Add(t.Values, g.groupIdx, t.D)
+			gi, added := groups.AddTuple(t, g.groupIdx)
 			if added {
 				ms := make([]*frel.ValueSet, len(g.Items))
 				for i := range ms {
@@ -273,10 +273,11 @@ func (g *GroupAgg) Open() (BatchIterator, error) {
 		return nil, err
 	}
 
-	out := make([]frel.Tuple, 0, groups.Len())
+	rows := groups.Distinct()
+	out := make([]frel.Tuple, 0, rows.Len())
 group:
-	for gi := 0; gi < groups.Len(); gi++ {
-		vals := append([]frel.Value(nil), groups.Row(gi)...)
+	for gi := range rows.Len() {
+		vals := rows.AppendValues(make([]frel.Value, 0, len(g.schema.Attrs)), gi)
 		for i, item := range g.Items {
 			a, ok := sets[gi][i].Aggregate(item.Agg)
 			if !ok {
@@ -284,7 +285,7 @@ group:
 			}
 			vals = append(vals, frel.Num(a))
 		}
-		out = append(out, frel.Tuple{Values: vals, D: groups.Degree(gi)})
+		out = append(out, frel.Tuple{Values: vals, D: rows.D[gi]})
 	}
 	return &memBatchIterator{tuples: out}, nil
 }

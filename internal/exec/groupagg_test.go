@@ -220,8 +220,11 @@ func TestGroupAggJoinSignedZeroGroups(t *testing.T) {
 // identical bit for bit (frel.Value.Identical), not equal as floats: −0
 // and +0 open separate groups, and so do two NaN payloads, while a NaN
 // repeated with its payload stays one group. Six outer tuples over four
-// distinct values build four groups (equality as floats would build five), one Rng(u) each. (A NaN support
-// meets no window, so only the grouping is checked here.)
+// distinct values build four groups (equality as floats would build
+// five), one Rng(u) each. Only the grouping is checked, not the answer
+// against bruteJA: a NaN support meets no window, while bruteJA's
+// fuzzy.Min keeps a NaN degree, so the two disagree on NaN values, and
+// no NaN gets into the engine (it is refused at input, DESIGN §9).
 func TestGroupAggJoinGroupsByBits(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)

@@ -205,15 +205,22 @@ func TestKernelMergeJoinEmitAndFold(t *testing.T) {
 					}
 				}
 			}
+			// reference is the all-pairs join projected one pair at a
+			// time, and deduplicated by the oracle when dedup is set.
 			reference := func(refs []string, dedup bool) []frel.Tuple {
 				_, extra := pairExtras(t)
-				pairs := &frel.Relation{Schema: r.Schema.Join(s.Schema),
-					Tuples: bruteMergeJoin(r, s, fuzzy.Crisp(0), extra, NewOpStats("merge-join", ""))}
-				proj, err := NewProject(NewMemSource(pairs), refs, dedup)
+				_, idx, err := r.Schema.Join(s.Schema).Project(refs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return batchDrain(t, proj)
+				out := frel.NewRelation(nil)
+				for _, pair := range bruteMergeJoin(r, s, fuzzy.Crisp(0), extra, NewOpStats("merge-join", "")) {
+					out.Append(pair.Project(idx))
+				}
+				if dedup {
+					out.DedupMax()
+				}
+				return out.Tuples
 			}
 			kjoin := func(emit []int, fold Fold, floor float64) ([]frel.Tuple, *OpStats) {
 				st := NewOpStats("merge-join", "")

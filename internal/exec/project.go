@@ -4,49 +4,43 @@ import (
 	"repro/internal/frel"
 )
 
-// Project projects tuples onto a subset of attributes and, when Dedup is
-// set, eliminates duplicates keeping the maximum membership degree (fuzzy
-// OR), the paper's answer-construction rule. Deduplication materializes
-// the distinct tuples, as columns, before serving them.
+// Project projects tuples onto a subset of attributes and eliminates
+// duplicates keeping the maximum membership degree (fuzzy OR), the paper's
+// answer-construction rule. It materializes the distinct tuples, as
+// columns, before serving them.
 type Project struct {
-	Src   Source
-	Refs  []string
-	Dedup bool
+	Src  Source
+	Refs []string
 
 	schema *frel.Schema
 	idx    []int
 }
 
 // NewProject builds a projection onto the given attribute references.
-func NewProject(src Source, refs []string, dedup bool) (*Project, error) {
+func NewProject(src Source, refs []string) (*Project, error) {
 	schema, idx, err := src.Schema().Project(refs)
 	if err != nil {
 		return nil, err
 	}
-	return &Project{Src: src, Refs: refs, Dedup: dedup, schema: schema, idx: idx}, nil
+	return &Project{Src: src, Refs: refs, schema: schema, idx: idx}, nil
 }
 
 // Schema implements Source.
 func (p *Project) Schema() *frel.Schema { return p.schema }
 
-// Open implements Source. The non-dedup projection writes the projected
-// values of each batch into one fresh arena (a single allocation per batch
-// instead of one per tuple). The dedup form enters every input row into
-// one column set (frel.ColumnSet), sized once to the input's size when
-// the input knows it (at most dedupPresizeMax rows: the input's size
-// bounds the distinct rows, it does not predict them), and serves the
-// distinct rows as columns. An input that serves its rest as columns (a
-// sweep's output) is deduplicated over them in place, and when every row
-// is distinct and the projection keeps every column they are served
-// without a copy; any other input's rows are appended, a batch at a time,
-// into the set's own columns, which keep only the new ones.
+// Open implements Source. It enters every input row into one column set
+// (frel.ColumnSet), sized once to the input's size when the input knows
+// it (at most dedupPresizeMax rows: the input's size bounds the distinct
+// rows, it does not predict them), and serves the distinct rows as
+// columns. An input that serves its rest as columns (a sweep's output) is
+// deduplicated over them in place, and when every row is distinct and the
+// projection keeps every column they are served without a copy; any other
+// input's rows are appended, a batch at a time, into the set's own
+// columns, which keep only the new ones.
 func (p *Project) Open() (BatchIterator, error) {
 	in, err := p.Src.Open()
 	if err != nil {
 		return nil, err
-	}
-	if !p.Dedup {
-		return &projectBatchIterator{in: in, idx: p.idx}, nil
 	}
 	defer in.Close()
 	var set *frel.ColumnSet
@@ -70,34 +64,7 @@ func (p *Project) Open() (BatchIterator, error) {
 	return &colsBatchIterator{cols: set.Distinct(), sortedOn: -1}, nil
 }
 
-// dedupPresizeMax caps the rows a duplicate-eliminating projection
-// reserves up front, about 1.5 MB of set: a low-cardinality projection of
-// a large input grows its set by doubling from there instead of reserving
-// a row per input tuple.
+// dedupPresizeMax caps the rows a projection reserves up front, about
+// 1.5 MB of set: a low-cardinality projection of a large input grows its
+// set by doubling from there instead of reserving a row per input tuple.
 const dedupPresizeMax = 1 << 15
-
-type projectBatchIterator struct {
-	in  BatchIterator
-	idx []int
-	out []frel.Tuple
-}
-
-func (it *projectBatchIterator) NextBatch() ([]frel.Tuple, bool) {
-	b, ok := it.in.NextBatch()
-	if !ok {
-		return nil, false
-	}
-	it.out = it.out[:0]
-	arena := make([]frel.Value, 0, len(b)*len(it.idx))
-	for _, t := range b {
-		off := len(arena)
-		for _, i := range it.idx {
-			arena = append(arena, t.Values[i])
-		}
-		it.out = append(it.out, frel.Tuple{Values: arena[off:len(arena):len(arena)], D: t.D})
-	}
-	return it.out, true
-}
-
-func (it *projectBatchIterator) Err() error { return it.in.Err() }
-func (it *projectBatchIterator) Close()     { it.in.Close() }

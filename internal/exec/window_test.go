@@ -246,7 +246,7 @@ func regraded(r *frel.Relation, anti []frel.Tuple) int {
 // onto refs: what a fold onto the input owning refs must answer.
 func foldedReference(t *testing.T, r, s *frel.Relation, pairs []frel.Tuple, refs []string) []frel.Tuple {
 	t.Helper()
-	proj, err := NewProject(NewMemSource(&frel.Relation{Schema: r.Schema.Join(s.Schema), Tuples: pairs}), refs, true)
+	proj, err := NewProject(NewMemSource(&frel.Relation{Schema: r.Schema.Join(s.Schema), Tuples: pairs}), refs)
 	if err != nil {
 		t.Fatal(err)
 	}

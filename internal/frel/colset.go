@@ -2,10 +2,11 @@ package frel
 
 import "math"
 
-// ColumnSet is the duplicate elimination of the answer (Section 2.2:
-// project, and keep the maximum degree of each duplicate) over typed
-// column rows. A row is a position in one store of columns, read at the
-// store's columns idx; the set keeps the distinct rows, under value
+// ColumnSet is the engine's duplicate elimination (Section 2.2: project,
+// and keep the maximum degree of each duplicate) over typed column rows:
+// of the answer's projection, and of GROUPBY groups and the SELECT items
+// of a grouped block. A row is a position in one store of columns, read
+// at the store's columns idx; the set keeps the distinct rows, under value
 // identity (Value.Identical: a trapezoid's four corner bit patterns, or a
 // string), each at the maximum degree it was added with, in the order of
 // first occurrence. It holds no Value and builds no key: a probe hashes
@@ -31,33 +32,39 @@ func NewColumnSet(store *Columns, idx []int, n int) *ColumnSet {
 	if idx == nil {
 		idx = allAttrs(len(store.Num))
 	}
-	size := rowSetMinSlots
+	size := setMinSlots
 	for size < 2*n {
 		size *= 2
 	}
 	return &ColumnSet{store: store, idx: idx, pos: make([]int32, 0, n), d: make([]float64, 0, n), table: make([]int32, size)}
 }
 
+// setMinSlots is the smallest table of a ColumnSet or ValueSet, a power
+// of two.
+const setMinSlots = 8
+
 // Len returns the number of distinct rows.
 func (s *ColumnSet) Len() int { return len(s.pos) }
 
-// Add enters row p of the store at the store's degree of tuple p and
-// reports whether it was new; for a row already present the kept degree
-// becomes the maximum of the two.
-func (s *ColumnSet) Add(p int) bool {
+// Add enters row p of the store at the store's degree of tuple p. It
+// returns the distinct row's number, its position in the order of first
+// occurrence, and whether it was new; for a row already present the kept
+// degree becomes the maximum of the two.
+func (s *ColumnSet) Add(p int) (row int, added bool) {
 	mask := uint64(len(s.table) - 1)
 	h := s.store.hashRow(p, s.idx) & mask
 	for ; s.table[h] != 0; h = (h + 1) & mask {
 		if r := s.table[h] - 1; s.store.sameRow(int(s.pos[r]), p, s.idx) {
 			s.d[r] = max(s.d[r], s.store.D[p])
-			return false
+			return int(r), false
 		}
 	}
+	row = len(s.pos)
 	s.pos = append(s.pos, int32(p))
 	s.d = append(s.d, s.store.D[p])
 	if 2*len(s.pos) <= len(s.table) {
 		s.table[h] = int32(len(s.pos))
-		return true
+		return row, true
 	}
 	// Half full: double the table and re-enter every row.
 	s.table = make([]int32, 2*len(s.table))
@@ -69,14 +76,15 @@ func (s *ColumnSet) Add(p int) bool {
 		}
 		s.table[h] = int32(r + 1)
 	}
-	return true
+	return row, true
 }
 
 // AddTuple enters the row t.Values[idx[0]], t.Values[idx[1]], … at degree
 // t.D into a set over its own store (columns of the row's schema, every
-// column a row): the row is appended to the store and kept there only
-// when it is new.
-func (s *ColumnSet) AddTuple(t Tuple, idx []int) {
+// column a row), and returns what Add does: the row is appended to the
+// store and kept there only when it is new, so distinct row r is tuple r
+// of the store.
+func (s *ColumnSet) AddTuple(t Tuple, idx []int) (row int, added bool) {
 	c := s.store
 	n := c.Len()
 	c.D = append(c.D, t.D)
@@ -87,9 +95,10 @@ func (s *ColumnSet) AddTuple(t Tuple, idx []int) {
 			c.Str[j] = append(c.Str[j], t.Values[col].Str)
 		}
 	}
-	if !s.Add(n) {
+	if row, added = s.Add(n); !added {
 		c.truncate(n)
 	}
+	return row, added
 }
 
 // Distinct returns the distinct rows as columns, in the order of first
@@ -138,6 +147,12 @@ func (c *Columns) hashRow(i int, idx []int) uint64 {
 		}
 	}
 	return h ^ h>>29
+}
+
+// mix folds one 64-bit word into a running hash.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0xff51afd7ed558ccd
+	return h ^ h>>32
 }
 
 // sameRow reports whether tuples r and i carry identical values in the

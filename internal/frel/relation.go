@@ -56,13 +56,25 @@ func (r *Relation) SortBy(attr string) error {
 // distinct value combination the maximum membership degree — the fuzzy OR
 // of Section 2.2 ("the highest membership degree of the identical name
 // pairs will be chosen for the answer"). Tuple order of first occurrence
-// is preserved.
+// is preserved. It is the naive oracle's duplicate elimination, keyed by
+// Tuple.Key, and deliberately not the engine's ColumnSet: the differential
+// suites compare the engine against the oracle, and the two should not
+// share their implementation of value identity.
 func (r *Relation) DedupMax() {
-	set := NewRowSet(len(r.Schema.Attrs))
+	seen := make(map[string]int, len(r.Tuples))
+	out := r.Tuples[:0]
 	for _, t := range r.Tuples {
-		set.Add(t.Values, nil, t.D)
+		k := t.Key()
+		if i, ok := seen[k]; ok {
+			if t.D > out[i].D {
+				out[i].D = t.D
+			}
+			continue
+		}
+		seen[k] = len(out)
+		out = append(out, t)
 	}
-	r.Tuples = append(r.Tuples[:0], set.Tuples()...)
+	r.Tuples = out
 }
 
 // Cut is the threshold of a WITH clause: D >= Z, or D > Z when Strict.

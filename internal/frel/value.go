@@ -142,9 +142,9 @@ func Degree(op fuzzy.Op, v, w Value) float64 {
 
 // Key returns a canonical byte-string identity of the value; distinct
 // values have distinct keys, and two values have equal keys exactly when
-// they are Identical. The engine deduplicates with ColumnSet and RowSet;
-// Key remains as the independent identity of the naive oracle,
-// Relation.Equal and tests.
+// they are Identical. The engine deduplicates with ColumnSet; Key is the
+// independent identity of the oracle's Relation.DedupMax, Relation.Equal
+// and tests.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
 
 // Compare is the engine's one sort order: the order of every sorted

@@ -6,10 +6,10 @@ import (
 	"repro/internal/fuzzy"
 )
 
-// ValueSet is the one-column counterpart of RowSet: the distinct values of
-// one attribute under the same bitwise identity (Value.Identical), the
-// fuzzy value set an aggregate is applied to (Section 6). It keeps no
-// degree, as no aggregate reads one. Numeric members are a pointer-free
+// ValueSet is the typed one-column member set beside ColumnSet: the
+// distinct values of one attribute under the same bitwise identity
+// (Value.Identical), the fuzzy value set an aggregate is applied to
+// (Section 6). It keeps no degree, as no aggregate reads one. Numeric members are a pointer-free
 // []fuzzy.Trapezoid in first-seen order, the order SUM and AVG add in, so
 // the same input gives the same bits; a probe of its open-addressing table
 // compares corner bit patterns in place. String members, which only COUNT
@@ -23,7 +23,7 @@ type ValueSet struct {
 }
 
 // NewValueSet creates an empty value set.
-func NewValueSet() *ValueSet { return &ValueSet{table: make([]int32, rowSetMinSlots)} }
+func NewValueSet() *ValueSet { return &ValueSet{table: make([]int32, setMinSlots)} }
 
 // Len returns the number of distinct members, numeric and string.
 func (s *ValueSet) Len() int { return len(s.nums) + len(s.strs) }

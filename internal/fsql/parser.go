@@ -742,17 +742,20 @@ func (p *parser) parseFuzzyLiteral(fn string) (fuzzy.Trapezoid, error) {
 		}
 		return fuzzy.NewTrap(args[0], args[1], args[1], args[2])
 	case "ABOUT":
+		var t fuzzy.Trapezoid
 		switch len(args) {
 		case 1:
-			return fuzzy.About(args[0], defaultAboutSpread(args[0])), nil
+			t = fuzzy.About(args[0], defaultAboutSpread(args[0]))
 		case 2:
 			if args[1] < 0 {
 				return fuzzy.Trapezoid{}, fmt.Errorf("fsql: ABOUT spread must be non-negative")
 			}
-			return fuzzy.About(args[0], args[1]), nil
+			t = fuzzy.About(args[0], args[1])
 		default:
 			return fuzzy.Trapezoid{}, fmt.Errorf("fsql: ABOUT takes 1 or 2 arguments, got %d", len(args))
 		}
+		// x ± spread can overflow to an infinite corner.
+		return fuzzy.NewTrap(t.A, t.B, t.C, t.D)
 	case "INTERVAL":
 		if len(args) != 2 {
 			return fuzzy.Trapezoid{}, fmt.Errorf("fsql: INTERVAL takes 2 arguments, got %d", len(args))

@@ -383,6 +383,48 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesNaN: no NaN (or infinite) corner or degree gets in
+// through SQL text. NaN and Inf do not lex as numbers, so where a number
+// is due they are words: an attribute reference in a predicate, an error
+// in a fuzzy literal, an INSERT value or a DEGREE; a number beyond the
+// float range is a range error; and every fuzzy literal is checked by
+// fuzzy.NewTrap, ABOUT's overflowing x ± spread included.
+func TestParseRefusesNaN(t *testing.T) {
+	for _, src := range []string{
+		`SELECT R.X FROM R WHERE R.Y = 1e999`,
+		`SELECT R.X FROM R WHERE R.Y = -1e999`,
+		`SELECT R.X FROM R WHERE R.Y = TRAP(0, 1, 2, 1e999)`,
+		`SELECT R.X FROM R WHERE R.Y = TRAP(NaN, 1, 2, 3)`,
+		`SELECT R.X FROM R WHERE R.Y = TRI(0, NaN, 2)`,
+		`SELECT R.X FROM R WHERE R.Y = INTERVAL(0, Inf)`,
+		`SELECT R.X FROM R WHERE R.Y = ABOUT(1.7e308)`,
+		`SELECT R.X FROM R WHERE R.Y = ABOUT(1e308, 1e308)`,
+		`INSERT INTO R VALUES (NaN)`,
+		`INSERT INTO R VALUES (1e999)`,
+		`INSERT INTO R VALUES (1) DEGREE NaN`,
+		`DEFINE TERM 'x' AS TRI(0, NaN, 2)`,
+		`DEFINE TERM 'x' AS ABOUT(1.7e308)`,
+	} {
+		if _, err := ParseStatement(src); err == nil {
+			t.Errorf("ParseStatement(%q): want error", src)
+		}
+	}
+	for _, src := range []string{
+		`SELECT R.X FROM R WHERE R.Y = NaN`,
+		`SELECT R.X FROM R WHERE R.Y = Inf AND R.Y IN (SELECT S.Y FROM S WHERE S.Z = nan)`,
+	} {
+		st, err := ParseStatement(src)
+		if err != nil {
+			t.Fatalf("ParseStatement(%q): %v", src, err)
+		}
+		walkOperands(st, func(o *Operand) {
+			if o.Kind == OpdNumber {
+				t.Errorf("%q: a word parsed as the number %v", src, o.Num)
+			}
+		})
+	}
+}
+
 func TestParseQuotedStringEscapes(t *testing.T) {
 	q := mustQuery(t, `SELECT R.X FROM R WHERE R.NAME = 'O''Brien'`)
 	if got := q.Where[0].Right.Str; got != "O'Brien" {

@@ -3,6 +3,7 @@ package fuzzydb
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -469,7 +470,8 @@ func (st *Stmt) Close() error {
 	return nil
 }
 
-// bindArgs converts Go argument values to Fuzzy SQL literal operands.
+// bindArgs converts Go argument values to Fuzzy SQL literal operands. A
+// float64 must be finite, as a number literal of SQL text is.
 func bindArgs(args []any) ([]fsql.Operand, error) {
 	if len(args) == 0 {
 		return nil, nil
@@ -482,6 +484,9 @@ func bindArgs(args []any) ([]fsql.Operand, error) {
 		case int64:
 			ops[i] = fsql.NumOperand(fuzzy.Crisp(float64(v)))
 		case float64:
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("argument %d: %v is not a finite number", i, v)
+			}
 			ops[i] = fsql.NumOperand(fuzzy.Crisp(v))
 		case string:
 			ops[i] = fsql.StrOperand(v)

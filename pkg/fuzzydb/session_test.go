@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -168,6 +169,43 @@ func TestPreparedParams(t *testing.T) {
 	}
 	if _, err := ins.Query(ctx, "x", 1); err == nil {
 		t.Error("Query on a prepared INSERT should fail")
+	}
+}
+
+// TestPreparedParamsRefuseNaN: a prepared statement's float64 argument
+// is a number literal, so NaN and the infinities are refused as SQL text
+// refuses them, and nothing is inserted.
+func TestPreparedParamsRefuseNaN(t *testing.T) {
+	db := openTemp(t)
+	if err := db.Exec(`CREATE TABLE T (NAME STRING, AGE NUMBER)`); err != nil {
+		t.Fatal(err)
+	}
+	s := openSession(t, db)
+	ctx := context.Background()
+	ins, err := s.Prepare(`INSERT INTO T VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	sel, err := s.Prepare(`SELECT T.NAME FROM T WHERE T.AGE > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sel.Close()
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := ins.Exec(ctx, "n", x); err == nil {
+			t.Errorf("INSERT of %v: want error", x)
+		}
+		if _, err := sel.Query(ctx, x); err == nil {
+			t.Errorf("AGE > %v: want error", x)
+		}
+	}
+	res, err := s.Query(`SELECT T.NAME FROM T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 0 {
+		t.Errorf("%d rows inserted, want 0", res.Len())
 	}
 }
 
