@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/frel"
 )
 
 // ExecStats is the result of an EXPLAIN ANALYZE evaluation: the chosen
@@ -160,7 +159,7 @@ func (e *Env) notePruned(n int) {
 // run's wall time, answer size and buffer-pool traffic, and the work of
 // its nodes is added to the environment's running total, also when the
 // run fails (a plain run counts there as it goes).
-func (e *Env) evaluate(ctx context.Context, es *ExecStats, run func() (*frel.Relation, error)) (*frel.Relation, error) {
+func (e *Env) evaluate(ctx context.Context, es *ExecStats, run func() (*Answer, error)) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -173,7 +172,7 @@ func (e *Env) evaluate(ctx context.Context, es *ExecStats, run func() (*frel.Rel
 	stats := e.cat.Manager().Stats()
 	reads0, _, hits0, _ := stats.Snapshot()
 	start := time.Now()
-	rel, err := run()
+	a, err := run()
 	es.Wall = time.Since(start)
 	for _, n := range es.nodes {
 		e.Work.Add(n)
@@ -182,10 +181,10 @@ func (e *Env) evaluate(ctx context.Context, es *ExecStats, run func() (*frel.Rel
 	if err != nil {
 		return nil, err
 	}
-	es.Answer = rel.Len()
+	es.Answer = a.Len()
 	reads1, _, hits1, _ := stats.Snapshot()
 	es.PoolHits, es.PoolMisses = hits1-hits0, reads1-reads0
 	es.Root.PoolHits.Store(es.PoolHits)
 	es.Root.PoolMisses.Store(es.PoolMisses)
-	return rel, nil
+	return a, nil
 }

@@ -21,7 +21,7 @@ import (
 // instrumentation) live here.
 
 // execPlan compiles and runs a planned query.
-func (e *Env) execPlan(p *plan.Plan) (*frel.Relation, error) {
+func (e *Env) execPlan(p *plan.Plan) (*Answer, error) {
 	defer e.closeStreams(len(e.streams))
 	if p.Strategy == StrategyNaive {
 		return e.naive(p.Query)
@@ -76,7 +76,7 @@ func (e *Env) compileLeaf(nd plan.Node) (exec.Source, error) {
 // left-deep steps replayed as merge sweeps over the window the plan
 // recorded, and the answer projected with max-degree duplicate
 // elimination and thresholded.
-func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
+func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*Answer, error) {
 	if j.Err != nil {
 		return nil, j.Err
 	}
@@ -154,16 +154,11 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 
 	// Final projection / grouping.
 	if hasAggItems(proj.Items) || len(proj.GroupBy) > 0 {
-		rel, err := e.groupProject(proj.Items, proj.GroupBy, proj.Having, out)
+		a, err := e.groupProject(proj.Items, proj.GroupBy, proj.Having, out)
 		if err != nil {
 			return nil, err
 		}
-		pruned, err := finalizeAnswer(rel, p.Root.Shape)
-		if err != nil {
-			return nil, err
-		}
-		e.notePruned(pruned)
-		return rel, nil
+		return e.shapeAnswer(a, p.Root.Shape)
 	}
 	if len(proj.Having) > 0 {
 		return nil, fmt.Errorf("core: HAVING requires GROUPBY or aggregates")
@@ -178,7 +173,7 @@ func (e *Env) execJoinPlan(p *plan.Plan, j *plan.Join) (*frel.Relation, error) {
 //
 // µS(s) and the inner block's local predicates arrive via the
 // pre-filtered inner tuple degree.
-func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, error) {
+func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*Answer, error) {
 	outer, err := e.compileLeaf(a.Outer)
 	if err != nil {
 		return nil, err
@@ -233,7 +228,7 @@ func (e *Env) execAntiPlan(p *plan.Plan, a *plan.AntiJoin) (*frel.Relation, erro
 
 // execGroupAggPlan runs the pipelined group-aggregate join of Queries JA′
 // and COUNT′ (Theorem 6.1).
-func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, error) {
+func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*Answer, error) {
 	outer, err := e.compileLeaf(g.Outer)
 	if err != nil {
 		return nil, err
@@ -276,7 +271,7 @@ func (e *Env) execGroupAggPlan(p *plan.Plan, g *plan.GroupAgg) (*frel.Relation, 
 // is evaluated once, aggregated to a constant, and applied as a filter
 // over the outer block (Section 6 notes no unnesting is needed). The
 // filter's node counts the subquery's evaluation too.
-func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, error) {
+func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*Answer, error) {
 	node := e.newNode("filter", "uncorrelated subquery")
 	set, err := e.evalSubquerySet(u.Sub, nil, node)
 	if err != nil {
@@ -310,22 +305,29 @@ func (e *Env) execUncorrPlan(p *plan.Plan, u *plan.UncorrSub) (*frel.Relation, e
 }
 
 // finishProject projects, deduplicates and applies the answer shape
-// (threshold, order, limit).
-func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan.Shape) (*frel.Relation, error) {
+// (threshold, order, limit): the answer is the projection's distinct
+// columns.
+func (e *Env) finishProject(src exec.Source, items []fsql.SelectItem, shape plan.Shape) (*Answer, error) {
 	proj, err := exec.NewProject(src, itemRefs(items))
 	if err != nil {
 		return nil, err
 	}
-	rel, err := exec.Collect(e.stated("project", "", proj, src))
+	cols, err := exec.CollectColumns(e.stated("project", "", proj, src))
 	if err != nil {
 		return nil, err
 	}
-	pruned, err := finalizeAnswer(rel, shape)
+	return e.shapeAnswer(&Answer{Schema: proj.Schema(), Cols: cols}, shape)
+}
+
+// shapeAnswer applies the answer shape to a and accounts the rows the
+// threshold dropped.
+func (e *Env) shapeAnswer(a *Answer, shape plan.Shape) (*Answer, error) {
+	pruned, err := finalizeAnswer(a, shape)
 	if err != nil {
 		return nil, err
 	}
 	e.notePruned(pruned)
-	return rel, nil
+	return a, nil
 }
 
 // outerEmit returns the columns of the outer schema the answer's items

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/exec"
@@ -22,28 +20,33 @@ import (
 // evaluation counts its degree evaluations into one node, which is the
 // whole tree of a non-nil es.
 func (e *Env) EvalNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*frel.Relation, error) {
+	return relation(e.runNaive(ctx, q, es))
+}
+
+// runNaive is EvalNaive returning the answer as its columns.
+func (e *Env) runNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*Answer, error) {
 	if es != nil {
 		es.Strategy, es.Note = StrategyNaive, "nested-loop evaluation of the nested form"
 	}
-	return e.evaluate(ctx, es, func() (*frel.Relation, error) { return e.naive(q) })
+	return e.evaluate(ctx, es, func() (*Answer, error) { return e.naive(q) })
 }
 
 // naive is EvalNaive inside a running evaluation (the engine's fallback
 // for shapes outside the paper's classes).
-func (e *Env) naive(q *fsql.Select) (*frel.Relation, error) {
+func (e *Env) naive(q *fsql.Select) (*Answer, error) {
 	node := e.newNode(StrategyNaive.String(), "")
 	if e.analyze == nil {
 		return e.evalBlock(q, nil, node)
 	}
 	e.analyze.Root = node
 	start := time.Now()
-	rel, err := e.evalBlock(q, nil, node)
+	a, err := e.evalBlock(q, nil, node)
 	if err != nil {
 		return nil, err
 	}
-	node.RowsOut.Add(int64(rel.Len()))
+	node.RowsOut.Add(int64(a.Len()))
 	node.WallNanos.Add(time.Since(start).Nanoseconds())
-	return rel, nil
+	return a, nil
 }
 
 // outerCtx carries the enclosing blocks' (qualified) attributes and the
@@ -59,7 +62,7 @@ type blockPred func(frel.Tuple) (float64, error)
 
 // evalBlock evaluates one query block, counting its degree evaluations
 // into node.
-func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*frel.Relation, error) {
+func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*Answer, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("core: query block has no FROM clause")
 	}
@@ -148,75 +151,27 @@ func (e *Env) evalBlock(q *fsql.Select, outer *outerCtx, node *exec.OpStats) (*f
 		return nil, err
 	}
 
+	var ans *Answer
 	if useGroup {
-		grouped, err := e.groupProject(q.Items, q.GroupBy, q.Having, exec.NewMemSource(satisfied))
-		if err != nil {
+		if ans, err = e.groupProject(q.Items, q.GroupBy, q.Having, exec.NewMemSource(satisfied)); err != nil {
 			return nil, err
 		}
-		out = grouped
 	} else {
 		out.DedupMax()
+		cols := frel.NewColumns(out.Schema, out.Len())
+		for _, t := range out.Tuples {
+			cols.AppendTuple(t)
+		}
+		ans = &Answer{Schema: out.Schema, Cols: cols}
 	}
-	pruned, err := finalizeAnswer(out, plan.ShapeOf(q))
+	pruned, err := finalizeAnswer(ans, plan.ShapeOf(q))
 	if err != nil {
 		return nil, err
 	}
 	if outer == nil {
 		e.notePruned(pruned)
 	}
-	return out, nil
-}
-
-// finalizeAnswer applies the answer-shaping clauses captured by the
-// plan.Shape IR node: the WITH threshold, ORDER BY (by degree or by an
-// attribute under the engine's order frel.Compare, with a deterministic
-// tie-break on the tuple values), and LIMIT. It returns the number of
-// tuples the threshold dropped.
-func finalizeAnswer(rel *frel.Relation, q plan.Shape) (int, error) {
-	before := rel.Len()
-	rel.Threshold(q.With)
-	pruned := before - rel.Len()
-	if q.OrderBy != "" {
-		if strings.EqualFold(q.OrderBy, "D") {
-			sortTuples(rel, func(a, b frel.Tuple) int {
-				switch {
-				case a.D < b.D:
-					return -1
-				case a.D > b.D:
-					return 1
-				default:
-					return 0
-				}
-			}, q.OrderDesc)
-		} else {
-			i, err := rel.Schema.Resolve(q.OrderBy)
-			if err != nil {
-				return pruned, err
-			}
-			sortTuples(rel, func(a, b frel.Tuple) int {
-				return frel.Compare(a.Values[i], b.Values[i])
-			}, q.OrderDesc)
-		}
-	}
-	if q.HasLimit && rel.Len() > q.Limit {
-		rel.Tuples = rel.Tuples[:q.Limit]
-	}
-	return pruned, nil
-}
-
-// sortTuples sorts by cmp (optionally reversed), breaking ties by the
-// canonical tuple key so LIMIT is deterministic across evaluators.
-func sortTuples(rel *frel.Relation, cmp func(a, b frel.Tuple) int, desc bool) {
-	sort.SliceStable(rel.Tuples, func(x, y int) bool {
-		c := cmp(rel.Tuples[x], rel.Tuples[y])
-		if desc {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-		return rel.Tuples[x].Key() < rel.Tuples[y].Key()
-	})
+	return ans, nil
 }
 
 func itemRefs(items []fsql.SelectItem) []string {
@@ -413,14 +368,14 @@ func checkScalarSubquery(sub *fsql.Select) error {
 // an uncorrelated subquery), counting into node, and returns its answer as
 // a fuzzy set of values.
 func (e *Env) evalSubquerySet(sub *fsql.Select, outer *outerCtx, node *exec.OpStats) ([]setMember, error) {
-	rel, err := e.evalBlock(sub, outer, node)
+	a, err := e.evalBlock(sub, outer, node)
 	if err != nil {
 		return nil, err
 	}
-	set := make([]setMember, 0, rel.Len())
-	for _, t := range rel.Tuples {
-		if t.D > 0 {
-			set = append(set, setMember{val: t.Values[0], mu: t.D})
+	set := make([]setMember, 0, a.Len())
+	for i, d := range a.Cols.D {
+		if d > 0 {
+			set = append(set, setMember{val: a.Cols.Value(i, 0), mu: d})
 		}
 	}
 	return set, nil
@@ -428,8 +383,8 @@ func (e *Env) evalSubquerySet(sub *fsql.Select, outer *outerCtx, node *exec.OpSt
 
 // groupProject applies the GROUPBY/aggregate path of a block: group the
 // source tuples, compute aggregates, apply HAVING, project the items in
-// SELECT order.
-func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having []fsql.Predicate, in exec.Source) (*frel.Relation, error) {
+// SELECT order, and answer the distinct rows.
+func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having []fsql.Predicate, in exec.Source) (*Answer, error) {
 	var aggItems []exec.AggItem
 	for _, it := range items {
 		if it.HasAgg {
@@ -493,5 +448,5 @@ func (e *Env) groupProject(items []fsql.SelectItem, groupRefs []string, having [
 			set.AddTuple(t, idx)
 		}
 	}
-	return set.Distinct().Relation(outSchema), nil
+	return &Answer{Schema: outSchema, Cols: set.Distinct()}, nil
 }

@@ -66,7 +66,7 @@ func (s *Session) Fork() *Session {
 // Forked reports whether the session was created by Fork.
 func (s *Session) Forked() bool { return s.forked }
 
-// Exec executes one statement. Queries return their answer relation;
+// Exec executes one statement. Queries return their answer as a relation;
 // other statements return nil. Statements that change the catalog (DDL
 // and term definitions) persist it, so the database survives reopening.
 func (s *Session) Exec(stmt fsql.Statement) (*frel.Relation, error) {
@@ -77,6 +77,12 @@ func (s *Session) Exec(stmt fsql.Statement) (*frel.Relation, error) {
 // running query (its leaf scans check for cancellation periodically) and
 // refuses to start further work.
 func (s *Session) ExecContext(ctx context.Context, stmt fsql.Statement) (*frel.Relation, error) {
+	return relation(s.Run(ctx, stmt))
+}
+
+// Run executes one statement as ExecContext does and returns a query's
+// answer as its columns (nil for other statements).
+func (s *Session) Run(ctx context.Context, stmt fsql.Statement) (*Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -86,22 +92,22 @@ func (s *Session) ExecContext(ctx context.Context, stmt fsql.Statement) (*frel.R
 		if err != nil {
 			return nil, err
 		}
-		return s.Eval(ctx, p, nil)
+		return s.RunPlan(ctx, p, nil)
 
 	case *fsql.Explain:
 		if st.Analyze {
-			_, stats, err := s.EvalAnalyze(ctx, st.Query)
+			_, stats, err := s.RunAnalyze(ctx, st.Query)
 			if err != nil {
 				return nil, err
 			}
-			return planRelation(stats.Lines()), nil
+			return planAnswer(stats.Lines()), nil
 		}
 		p, err := s.Env.PlanQuery(st.Query)
 		lines := []string{"strategy: " + PlanSummary(p, err)}
 		if err == nil {
 			lines = append(lines, p.Lines()...)
 		}
-		return planRelation(lines), nil
+		return planAnswer(lines), nil
 
 	case *fsql.Begin:
 		return nil, s.beginTxn()
@@ -262,40 +268,49 @@ func (s *Session) readSnapshot() *Snapshot {
 // to one consistent committed cut, so the query never blocks behind a
 // concurrent writer and never observes a torn or rolled-back transaction.
 func (s *Session) Eval(ctx context.Context, p *plan.Plan, es *ExecStats) (*frel.Relation, error) {
+	return relation(s.RunPlan(ctx, p, es))
+}
+
+// RunPlan is Eval returning the answer as its columns.
+func (s *Session) RunPlan(ctx context.Context, p *plan.Plan, es *ExecStats) (*Answer, error) {
 	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.Eval(ctx, p, es)
+	return s.Env.run(ctx, p, es)
 }
 
 // EvalNaive evaluates q by its nested semantics (see Env.EvalNaive) under
 // the session's read snapshot.
 func (s *Session) EvalNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*frel.Relation, error) {
+	return relation(s.RunNaive(ctx, q, es))
+}
+
+// RunNaive is EvalNaive returning the answer as its columns.
+func (s *Session) RunNaive(ctx context.Context, q *fsql.Select, es *ExecStats) (*Answer, error) {
 	defer s.Env.setSnapshot(s.readSnapshot())()
-	return s.Env.EvalNaive(ctx, q, es)
+	return s.Env.runNaive(ctx, q, es)
 }
 
 // EvalAnalyze plans q and runs it under the session's read snapshot,
 // returning the answer with the run's EXPLAIN ANALYZE statistics.
 func (s *Session) EvalAnalyze(ctx context.Context, q *fsql.Select) (*frel.Relation, *ExecStats, error) {
+	a, es, err := s.RunAnalyze(ctx, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.Relation(), es, nil
+}
+
+// RunAnalyze is EvalAnalyze returning the answer as its columns.
+func (s *Session) RunAnalyze(ctx context.Context, q *fsql.Select) (*Answer, *ExecStats, error) {
 	p, err := s.Env.PlanQuery(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	es := &ExecStats{}
-	rel, err := s.Eval(ctx, p, es)
+	a, err := s.RunPlan(ctx, p, es)
 	if err != nil {
 		return nil, nil, err
 	}
-	return rel, es, nil
-}
-
-// planRelation packs text lines into a single-column crisp relation, the
-// shape EXPLAIN output flows through the shell's relation printer with.
-func planRelation(lines []string) *frel.Relation {
-	rel := frel.NewRelation(frel.NewSchema("", frel.Attribute{Name: "PLAN", Kind: frel.KindString}))
-	for _, ln := range lines {
-		rel.Append(frel.NewTuple(1, frel.Str(ln)))
-	}
-	return rel
+	return a, es, nil
 }
 
 func (s *Session) insert(st *fsql.Insert) error {

@@ -46,10 +46,15 @@ const (
 // EXPLAIN ANALYZE tree (see ExecStats), whose work joins Env.Work when
 // the run ends.
 func (e *Env) Eval(ctx context.Context, p *plan.Plan, es *ExecStats) (*frel.Relation, error) {
+	return relation(e.run(ctx, p, es))
+}
+
+// run is Eval returning the answer as its columns.
+func (e *Env) run(ctx context.Context, p *plan.Plan, es *ExecStats) (*Answer, error) {
 	if es != nil {
 		es.Strategy, es.Note, es.Rules = p.Strategy, p.Note, p.Rules
 	}
-	return e.evaluate(ctx, es, func() (*frel.Relation, error) { return e.execPlan(p) })
+	return e.evaluate(ctx, es, func() (*Answer, error) { return e.execPlan(p) })
 }
 
 // PlanSummary renders the outcome of PlanQuery as EXPLAIN's strategy

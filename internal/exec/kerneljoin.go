@@ -20,8 +20,9 @@
 // Morsels: a skew range with a huge Rng would idle every other worker for
 // its whole duration if the inputs were cut into a few partitions up
 // front. Morsels are much smaller, and a worker that finishes one
-// immediately pulls the next, so the tail of a skewed join is the largest
-// single atomic range. Serial runs (Workers <= 1) use one morsel: the
+// immediately pulls the next, so the tail of a skewed join is its largest
+// morsel, the longest span between two cuts the cutter placed. Serial
+// runs (Workers <= 1) use one morsel: the
 // scheduler adds nothing when there is nobody to share with.
 package exec
 
@@ -160,9 +161,10 @@ func (j *KernelMergeJoin) Open() (BatchIterator, error) {
 		}
 	}
 	// best[k] is the folded degree of tuple k of the inner input. Morsels
-	// own disjoint spans of it. FoldInner is race-free only because of
-	// that: every outer tuple of a whole window sees every inner tuple, so
-	// a whole window is never cut into morsels.
+	// own disjoint spans of it: every boundary the cutter places is an
+	// atomic cut, which no joining pair straddles. FoldInner is race-free
+	// only because of that: every outer tuple of a whole window sees every
+	// inner tuple, so a whole window is one morsel and never searched.
 	var best []float64
 	var emit []emitted
 	switch j.fold {

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,11 +14,13 @@ import (
 // After both inputs are sorted on the Definition 3.1 interval order ≼, the
 // sorted runs split into independent support-interval ranges: wherever
 // every interval seen so far ends before the next interval begins, no join
-// pair can cross, and the two sides of the cut join independently. The
-// partitioner below finds these cuts, widening past overlapping intervals
-// exactly like the Rng(r) window of a sweep keeps a tuple in range while
-// anything still intersects it. No intersecting pair straddles a cut, so
-// concatenating the outputs of sweeps over consecutive ranges, in order,
+// pair can cross, and the two sides of the cut join independently. These
+// atomic cuts are where the Rng(r) window of a sweep empties. A sweep
+// needs only a few of them, one per morsel boundary, so the cutter below
+// does not walk the merge of both inputs to find every one: it jumps to
+// evenly spaced targets by binary search and steps forward from each to
+// the next atomic cut. No intersecting pair straddles a cut, so
+// concatenating the outputs of sweeps over consecutive spans, in order,
 // reproduces the serial output sequence tuple for tuple: degrees,
 // duplicate multiplicity and even the emission order are preserved, and
 // so is the work counted (only support-intersecting pairs are).
@@ -31,57 +34,75 @@ type partRange struct {
 	iLo, iHi int
 }
 
-// weight is the partition's work proxy for balancing.
-func (p partRange) weight() int { return (p.oHi - p.oLo) + (p.iHi - p.iLo) }
-
-// atomicCuts scans the range columns of both begin-sorted inputs
-// and returns the ranges between the cut points (o, i) at which
-// outer[:o] ∪ inner[:i] is join-independent from the rest: every support
-// interval consumed before the cut ends strictly before every interval
-// after it begins. The inner intervals are widened by the band tolerance
-// (an inner value s joins outer r when support(s ⊕ tol) intersects
-// support(r)), so no band-join pair crosses a cut either.
-func atomicCuts(outer, inner []fuzzy.Trapezoid, tol fuzzy.Trapezoid) []partRange {
-	var cuts [][2]int
-	maxHi := math.Inf(-1)
+// morselSpans cuts the range columns of both begin-sorted inputs into the
+// spans of the morsels of a sweep on the given number of workers. The
+// inputs are merged by support begin, an inner interval widened by the
+// band tolerance (an inner value s joins outer r when support(s ⊕ tol)
+// intersects support(r)), an outer tuple first on a tie. A state (o, i)
+// of that merge is an atomic cut when every interval of outer[:o] and
+// inner[:i] ends strictly before the next one begins. The targets lie
+// every morselGrain tuples of the merge; from the state at each target,
+// found by binary search, the cutter steps forward to the first atomic
+// cut before the next target and makes it a boundary, or makes none. The
+// support ends of the prefix before a state are maximized in one running
+// maximum, advanced input by input as the states move forward.
+func morselSpans(outer, inner []fuzzy.Trapezoid, tol fuzzy.Trapezoid, workers int) []partRange {
+	no, ni := len(outer), len(inner)
+	total := no + ni
+	grain := morselGrain(total, workers)
+	spans := make([]partRange, 0, total/grain+1)
+	maxHi := math.Inf(-1) // the latest end of outer[:o] and inner[:i]
 	o, i := 0, 0
-	for o < len(outer) || i < len(inner) {
-		var lo, hi float64
-		takeOuter := false
-		if o < len(outer) {
-			if i < len(inner) {
-				takeOuter = outer[o].A <= inner[i].A+tol.A
-			} else {
-				takeOuter = true
+	po, pi := 0, 0 // the last boundary
+	for t := grain; t < total; t += grain {
+		to := mergeSplit(outer, inner, tol.A, t)
+		for ; o < to; o++ {
+			if outer[o].D > maxHi {
+				maxHi = outer[o].D
 			}
 		}
-		if takeOuter {
-			lo, hi = outer[o].A, outer[o].D
-		} else {
-			lo, hi = inner[i].A+tol.A, inner[i].D+tol.D
+		for ; i < t-to; i++ {
+			if hi := inner[i].D + tol.D; hi > maxHi {
+				maxHi = hi
+			}
 		}
-		// Everything consumed so far ends before this interval begins:
-		// the ranges on either side cannot produce a joining pair.
-		if (o > 0 || i > 0) && lo > maxHi {
-			cuts = append(cuts, [2]int{o, i})
-		}
-		if hi > maxHi {
-			maxHi = hi
-		}
-		if takeOuter {
-			o++
-		} else {
-			i++
+		for end := min(t+grain, total); o+i < end; {
+			takeOuter := i == ni || o < no && outer[o].A <= inner[i].A+tol.A
+			var lo, hi float64
+			if takeOuter {
+				lo, hi = outer[o].A, outer[o].D
+			} else {
+				lo, hi = inner[i].A+tol.A, inner[i].D+tol.D
+			}
+			if lo > maxHi {
+				spans = append(spans, partRange{po, o, pi, i})
+				po, pi = o, i
+				break
+			}
+			if hi > maxHi {
+				maxHi = hi
+			}
+			if takeOuter {
+				o++
+			} else {
+				i++
+			}
 		}
 	}
-	ranges := make([]partRange, 0, len(cuts)+1)
-	po, pi := 0, 0
-	for _, c := range cuts {
-		ranges = append(ranges, partRange{po, c[0], pi, c[1]})
-		po, pi = c[0], c[1]
-	}
-	ranges = append(ranges, partRange{po, len(outer), pi, len(inner)})
-	return ranges
+	return append(spans, partRange{po, no, pi, ni})
+}
+
+// mergeSplit returns how many of the first t tuples of the merge of outer
+// and inner (by support begin, inner begins shifted by tolA, an outer
+// tuple first on a tie) are outer tuples: the least o at which inner
+// tuple t−o−1, if any, precedes outer tuple o, if any.
+func mergeSplit(outer, inner []fuzzy.Trapezoid, tolA float64, t int) int {
+	lo, hi := max(0, t-len(inner)), min(t, len(outer))
+	return lo + sort.Search(hi-lo, func(k int) bool {
+		o := lo + k
+		i := t - o
+		return i == 0 || o == len(outer) || inner[i-1].A+tolA < outer[o].A
+	})
 }
 
 // runParallel executes fn(0..n-1) on at most workers goroutines and

@@ -25,8 +25,8 @@
 // too: each morsel selects its survivors (positions and degrees), and the
 // columns the plan still reads are gathered once, in morsel order. The
 // duplicate-eliminating projection takes them in place (project.go), and
-// the answer's relation is built from its distinct rows in one pass
-// (Collect). A consumer that needs rows (a filter, a GROUPBY, the
+// its distinct columns are the answer (CollectColumns). A consumer that
+// needs rows (a filter, a GROUPBY, the
 // external sort of an intermediate) reads the same output as batches.
 //
 // Buffer-reuse contract: the []frel.Tuple a NextBatch returns is only
@@ -132,6 +132,40 @@ func Collect(src Source) (*frel.Relation, error) {
 		out.Append(b...)
 	}
 	return out, it.Err()
+}
+
+// CollectColumns drains a source into columns (see drainColumns).
+func CollectColumns(src Source) (*frel.Columns, error) {
+	it, err := src.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	cols, _ := drainColumns(it, src.Schema())
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
+	return cols, nil
+}
+
+// drainColumns serves the rest of it as columns of schema, with the
+// attribute they were checked to be sorted on (−1: none). An input that
+// holds or decodes its rest as columns (a cached order, an external
+// sort's final merge, a heap scan, a sweep, a projection) serves them
+// whole, a cached order without a copy; any other is appended batch by
+// batch into columns allocated once when the producer knows how many
+// tuples it holds.
+func drainColumns(it BatchIterator, schema *frel.Schema) (*frel.Columns, int) {
+	if cols, sortedOn, ok := columnsOf(it); ok {
+		return cols, sortedOn
+	}
+	cols := frel.NewColumns(schema, max(batchesRemaining(it), 0))
+	for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
+		for _, t := range b {
+			cols.AppendTuple(t)
+		}
+	}
+	return cols, -1
 }
 
 // MemSource serves tuples from an in-memory relation.

@@ -1,10 +1,10 @@
 // The flat-column sweep the kernel operators share. The kernel merge-join,
 // the kernel anti-min and the kernel group-aggregate all run the same way:
 // both sorted inputs are held as columns (frel.Columns: the degrees and
-// one array per attribute, in sort order), the atomic-cut partitioner
-// splits them into join-independent ranges, the ranges are coalesced into
-// morsels, and a pool of workers pulls morsels off a shared queue, each
-// sweeping its morsel with a two-cursor loop directly over the columns. A morsel owns disjoint
+// one array per attribute, in sort order), the morsel cutter (parallel.go)
+// splits them into join-independent spans, and a pool of workers pulls
+// morsels off a shared queue, each sweeping its span with a two-cursor
+// loop directly over the columns. A morsel owns disjoint
 // spans of both inputs, so whatever a sweep reduces per tuple of either
 // input (the maximum degree of a folded join, the minimum of an anti-join,
 // the aggregate comparison of a group) it writes without synchronization,
@@ -16,9 +16,9 @@
 // <, <=, >, >=, <>, none at all) sweeps the whole-inner window: both
 // inputs are collected with range index −1, which gives every tuple the
 // range [−Inf, +Inf]. The window cursor and the support pretest then admit
-// every inner tuple for every outer one, and the partitioner finds no
-// cut, so a whole window is one morsel and its sweep is serial. Both
-// windows hold both inputs in memory.
+// every inner tuple for every outer one, and the window never empties, so
+// a whole window is one morsel, cut by no search, and its sweep is serial.
+// Both windows hold both inputs in memory.
 package exec
 
 import (
@@ -28,20 +28,18 @@ import (
 
 	"repro/internal/frel"
 	"repro/internal/fuzzy"
-	"repro/internal/kernel"
 )
 
 // flatInputs is the materialized form of a kernel operator's two sorted
-// inputs, cut into morsels: each input as columns (frel.Columns), and
-// beside it its range column, the trapezoids of its range attribute. The
-// window cursor, the support pretest and the partitioner read the
-// supports [A, D] of the range columns in place; in a whole-inner window
-// every range is [−Inf, +Inf].
+// inputs, cut into morsels: each input as columns (frel.Columns), beside
+// it its range column, the trapezoids of its range attribute, and the
+// spans of both inputs each morsel sweeps. The window cursor, the support
+// pretest and the cutter read the supports [A, D] of the range columns in
+// place; in a whole-inner window every range is [−Inf, +Inf].
 type flatInputs struct {
 	outer, inner *frel.Columns
 	oRng, iRng   []fuzzy.Trapezoid
-	ranges       []partRange
-	morsels      []kernel.Morsel
+	spans        []partRange
 }
 
 // collectFlat drains both inputs of the operator named op (for the
@@ -58,26 +56,16 @@ func collectFlat(op string, outer, inner Source, oi, ii int, tol fuzzy.Trapezoid
 		return nil, err
 	}
 	no, ni := in.outer.Len(), in.inner.Len()
-	if workers <= 1 {
-		// One worker sweeps everything as one morsel; nothing to cut.
-		in.ranges = []partRange{{0, no, 0, ni}}
-		in.morsels = []kernel.Morsel{{Lo: 0, Hi: 1}}
+	if workers <= 1 || oi < 0 || ii < 0 {
+		// One worker sweeps everything as one morsel, and a whole window
+		// has no cut: nothing to search.
+		in.spans = []partRange{{0, no, 0, ni}}
 	} else {
-		in.ranges = atomicCuts(in.oRng, in.iRng, tol)
-		grain := morselGrain(no+ni, workers)
-		in.morsels = kernel.Coalesce(len(in.ranges), func(i int) int { return in.ranges[i].weight() }, grain)
+		in.spans = morselSpans(in.oRng, in.iRng, tol, workers)
 	}
-	st.Morsels.Add(int64(len(in.morsels)))
+	st.Morsels.Add(int64(len(in.spans)))
 	st.KernelTuples.Add(int64(no))
 	return in, nil
-}
-
-// span returns the outer and inner spans of morsel m. A morsel is a run of
-// consecutive atomic ranges, so both spans are contiguous and one
-// two-cursor sweep covers them: the window empties at every cut.
-func (in *flatInputs) span(m int) partRange {
-	first, last := in.ranges[in.morsels[m].Lo], in.ranges[in.morsels[m].Hi-1]
-	return partRange{first.oLo, last.oHi, first.iLo, last.iHi}
 }
 
 // selection is the output of one morsel sweep: the positions of its
@@ -134,9 +122,9 @@ func emitColumns(src *frel.Columns, cols []int) []emitted {
 // emit lists, each gathered once. The first error a sweep returns (a
 // cancelled context) stops the pool and is returned.
 func (in *flatInputs) run(workers int, emit []emitted, sweep func(p partRange) (selection, error)) (BatchIterator, error) {
-	sels := make([]selection, len(in.morsels))
-	err := runParallel(workers, len(in.morsels), func(m int) (err error) {
-		sels[m], err = sweep(in.span(m))
+	sels := make([]selection, len(in.spans))
+	err := runParallel(workers, len(in.spans), func(m int) (err error) {
+		sels[m], err = sweep(in.spans[m])
 		return err
 	})
 	if err != nil {
@@ -191,9 +179,10 @@ func (s *selection) at(second bool) []int32 {
 	return s.pos
 }
 
-// morselGrain picks the morsel weight target: serial runs get one morsel
-// (no scheduling overhead), parallel runs get roughly 16 morsels per
-// worker with a floor that keeps per-morsel bookkeeping negligible.
+// morselGrain picks the spacing of the morsel cutter's targets, in tuples
+// of both inputs: serial runs get one morsel (no scheduling overhead),
+// parallel runs get roughly 16 morsels per worker with a floor that keeps
+// per-morsel bookkeeping negligible.
 func morselGrain(total, workers int) int {
 	if workers <= 1 {
 		return total + 1
@@ -305,30 +294,19 @@ func (r *outerRows) EmitColumns(emit []int) error {
 // wholeRange is the range of every tuple of a whole-inner window.
 var wholeRange = fuzzy.Trapezoid{A: math.Inf(-1), B: math.Inf(-1), C: math.Inf(1), D: math.Inf(1)}
 
-// collectSorted drains src into columns, verifying the Definition 3.1
-// sort order on attribute idx, and returns them with the
-// range column the sweeps read. An input that holds or decodes its rest
-// as columns (a cached order, an external sort's final merge, a heap
-// scan, another sweep) serves them whole, a cached order without a copy;
-// any other is appended batch by batch into columns allocated once when
-// the producer knows how many tuples it holds. Columns checked to be sorted on idx when they were
-// built are not checked again. Range index −1 is the whole-inner window:
-// every range is [−Inf, +Inf] and no order is checked.
+// collectSorted drains src into columns (drainColumns), verifying the
+// Definition 3.1 sort order on attribute idx, and returns them with the
+// range column the sweeps read. Columns checked to be sorted on idx when
+// they were built are not checked again. Range index −1 is the
+// whole-inner window: every range is [−Inf, +Inf] and no order is
+// checked.
 func collectSorted(src Source, idx int, side string) (*frel.Columns, []fuzzy.Trapezoid, error) {
 	it, err := src.Open()
 	if err != nil {
 		return nil, nil, err
 	}
 	defer it.Close()
-	cols, sortedOn, whole := columnsOf(it)
-	if !whole {
-		cols = frel.NewColumns(src.Schema(), max(batchesRemaining(it), 0))
-		for b, ok := it.NextBatch(); ok; b, ok = it.NextBatch() {
-			for _, t := range b {
-				cols.AppendTuple(t)
-			}
-		}
-	}
+	cols, sortedOn := drainColumns(it, src.Schema())
 	if err := it.Err(); err != nil {
 		return nil, nil, err
 	}

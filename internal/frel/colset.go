@@ -96,7 +96,7 @@ func (s *ColumnSet) AddTuple(t Tuple, idx []int) (row int, added bool) {
 		}
 	}
 	if row, added = s.Add(n); !added {
-		c.truncate(n)
+		c.Truncate(n)
 	}
 	return row, added
 }
@@ -118,8 +118,8 @@ func (s *ColumnSet) Distinct() *Columns {
 	return out
 }
 
-// truncate drops every tuple from n on.
-func (c *Columns) truncate(n int) {
+// Truncate drops every tuple from n on.
+func (c *Columns) Truncate(n int) {
 	c.D = c.D[:n]
 	for i := range c.Num {
 		if c.Num[i] != nil {

@@ -83,6 +83,40 @@ func (c *Columns) Relation(s *Schema) *Relation {
 	return &Relation{Schema: s, Tuples: tuples}
 }
 
+// Threshold keeps, in place and in order, the tuples a WITH clause
+// admits (see Relation.Threshold), and returns how many it dropped.
+func (c *Columns) Threshold(cut Cut) int {
+	n := 0
+	for i, d := range c.D {
+		if !cut.Admits(d) {
+			continue
+		}
+		if n < i {
+			c.D[n] = d
+			for col := range c.Num {
+				if num := c.Num[col]; num != nil {
+					num[n] = num[i]
+				} else {
+					c.Str[col][n] = c.Str[col][i]
+				}
+			}
+		}
+		n++
+	}
+	dropped := c.Len() - n
+	c.Truncate(n)
+	return dropped
+}
+
+// Key returns tuple i's canonical key, Tuple.Key of its values.
+func (c *Columns) Key(i int) string {
+	var b []byte
+	for col := range c.Num {
+		b = c.Value(i, col).appendKey(b)
+	}
+	return string(b)
+}
+
 // AppendTuple appends t, whose values must match the columns' kinds.
 func (c *Columns) AppendTuple(t Tuple) {
 	c.D = append(c.D, t.D)

@@ -1,6 +1,7 @@
 package frel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -71,6 +72,40 @@ func TestThreshold(t *testing.T) {
 	r2.Threshold(Cut{})
 	if r2.Len() != 1 {
 		t.Errorf("Threshold(>= 0) should drop D=0 tuples, got %v", r2.Tuples)
+	}
+}
+
+// TestColumnsThreshold: thresholding columns in place keeps exactly the
+// tuples Relation.Threshold keeps, in order, over numeric and string
+// columns, and reports how many it dropped; Columns.Key is Tuple.Key.
+func TestColumnsThreshold(t *testing.T) {
+	s := NewSchema("R", Attribute{"X", KindNumber}, Attribute{"N", KindString})
+	r := NewRelation(s)
+	for i, d := range []float64{0.2, 0.7, 0, 0.5, 0.9, 0.5, 0.1} {
+		r.Append(NewTuple(d, Num(fuzzy.Tri(float64(i), float64(i)+1, float64(i)+3)), Str(fmt.Sprint("n", i))))
+	}
+	for _, cut := range []Cut{{}, {Z: 0.5}, {Z: 0.5, Strict: true}, {Z: 1}} {
+		cols := NewColumns(s, r.Len())
+		for _, tu := range r.Tuples {
+			cols.AppendTuple(tu)
+		}
+		want := r.Clone()
+		want.Threshold(cut)
+		if dropped := cols.Threshold(cut); dropped != r.Len()-want.Len() {
+			t.Errorf("%v: dropped %d, want %d", cut, dropped, r.Len()-want.Len())
+		}
+		got := cols.Relation(s)
+		if got.Len() != want.Len() {
+			t.Fatalf("%v: %d tuples, want %d", cut, got.Len(), want.Len())
+		}
+		for i, tu := range want.Tuples {
+			if !got.Tuples[i].IdenticalValues(tu) || got.Tuples[i].D != tu.D {
+				t.Errorf("%v: tuple %d is %v, want %v", cut, i, got.Tuples[i], tu)
+			}
+			if k := cols.Key(i); k != tu.Key() {
+				t.Errorf("%v: key of tuple %d is %q, want %q", cut, i, k, tu.Key())
+			}
+		}
 	}
 }
 

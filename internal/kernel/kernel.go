@@ -12,8 +12,7 @@
 // two entry points: RunBatch grades a batch of tuples step by step, with
 // no right row (filters, HAVING, DELETE), and a Program bound to the
 // columns of two inputs (Bind) grades one pair of their tuples with
-// EvalAnd (the merge operators over either window). Coalesce (morsel.go)
-// packs atomic join ranges into morsels for the pull-queue scheduler.
+// EvalAnd (the merge operators over either window).
 //
 // Every step calls the closed-form degree functions of Section 2.2
 // (fuzzy.Eq, fuzzy.Le, frel.Degree, ...), the ones the naive evaluator

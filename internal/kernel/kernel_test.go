@@ -351,40 +351,3 @@ func TestEvalAndShortCircuit(t *testing.T) {
 		t.Fatalf("floor at the minimum: d=%v, want 0.5", d)
 	}
 }
-
-// TestCoalesce covers the morsel packer: grain respected, boundaries
-// preserved, degenerate inputs.
-func TestCoalesce(t *testing.T) {
-	if m := Coalesce(0, func(int) int { return 1 }, 4); m != nil {
-		t.Fatalf("n=0: %v", m)
-	}
-	// Ten unit-weight items at grain 4: morsels of 4, 4, 2.
-	ms := Coalesce(10, func(int) int { return 1 }, 4)
-	want := []Morsel{{0, 4}, {4, 8}, {8, 10}}
-	if len(ms) != len(want) {
-		t.Fatalf("morsels = %v, want %v", ms, want)
-	}
-	for i := range ms {
-		if ms[i] != want[i] {
-			t.Fatalf("morsels = %v, want %v", ms, want)
-		}
-	}
-	// Morsels tile [0, n) exactly.
-	prev := 0
-	for _, m := range ms {
-		if m.Lo != prev || m.Hi <= m.Lo {
-			t.Fatalf("bad tiling: %v", ms)
-		}
-		prev = m.Hi
-	}
-	// A heavy item closes its morsel immediately; zero/negative weights
-	// count as 1 so progress is guaranteed.
-	ms = Coalesce(3, func(i int) int { return []int{100, 0, -5}[i] }, 4)
-	if len(ms) != 2 || ms[0] != (Morsel{0, 1}) || ms[1] != (Morsel{1, 3}) {
-		t.Fatalf("heavy item: %v", ms)
-	}
-	// Non-positive grain: one item per morsel.
-	if ms := Coalesce(3, func(int) int { return 1 }, 0); len(ms) != 3 {
-		t.Fatalf("grain 0: %v", ms)
-	}
-}

@@ -418,7 +418,13 @@ func (c *conn) sendRows(rows *fuzzydb.Rows, fetchSize uint32) error {
 // counts rows against its quota to know the server stopped.
 func (c *conn) sendBatches(id uint32, cur *cursor, max int) error {
 	ncols := len(cur.rows.Columns())
-	var batch []wire.Row // grown by append: a small answer allocates what it holds
+	// The batch's rows and their cells, row after row, are grown by
+	// append, so a small answer allocates what it holds, and reused for
+	// the next batch once a batch is sent (encoded and flushed). A row's
+	// values are its stretch of the cells; targets points Scan at them.
+	var batch []wire.Row
+	var cells []string
+	targets := make([]any, ncols)
 	sent := 0
 	for {
 		// Fill one batch.
@@ -431,8 +437,9 @@ func (c *conn) sendBatches(id uint32, cur *cursor, max int) error {
 				c.closeCursor(id, cur)
 				return c.send(&wire.RowBatch{Cursor: id, Rows: batch, More: false})
 			}
-			vals := make([]string, ncols)
-			targets := make([]any, ncols)
+			off := len(cells)
+			cells = append(cells, make([]string, ncols)...)
+			vals := cells[off:len(cells):len(cells)]
 			for i := range vals {
 				targets[i] = &vals[i]
 			}
@@ -451,7 +458,7 @@ func (c *conn) sendBatches(id uint32, cur *cursor, max int) error {
 		if err := c.send(&wire.RowBatch{Cursor: id, Rows: batch, More: true}); err != nil {
 			return err
 		}
-		batch = batch[:0]
+		batch, cells = batch[:0], cells[:0]
 	}
 }
 

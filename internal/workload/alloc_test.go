@@ -142,11 +142,11 @@ func TestFoldedQueryAllocs(t *testing.T) {
 // value set per morsel, the projection's column set is sized once, and
 // the Result is one flat cell slice over one byte arena. A per-tuple or per-row allocation anywhere
 // costs thousands at these sizes and trips it. At n = 8 000 the bytes
-// allocated per answer row are bounded too, at 272: the sweep hands its
+// allocated per answer row are bounded too, at 137: the sweep hands its
 // survivors to the projection as columns, which deduplicates them in
-// place, and the answer's relation and its rendering are each built once
-// (215-218 bytes per row; 276-280 when the sweeps built rows of values
-// for a row set). Warm EXPLAIN ANALYZE of
+// place, and the Result is rendered straight from the answer's distinct
+// columns (106-110 bytes per row; 215-218 when the answer was copied into
+// a relation before it was rendered). Warm EXPLAIN ANALYZE of
 // the same statement shows every sort a cache hit that read no page, and
 // no pool miss in the whole statement. Skipped under -race, which
 // inflates allocation counts.
@@ -154,7 +154,7 @@ func TestWarmReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const maxAllocs, maxBytesPerRow = 1000, 272
+	const maxAllocs, maxBytesPerRow = 1000, 137
 	for _, n := range []int{2000, 8000} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			dir := t.TempDir()

@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/frel"
 )
 
 // config collects the Open options.
@@ -246,13 +245,13 @@ func (db *DB) QueryNaive(sql string) (*Result, error) {
 		return nil, err
 	}
 	s := db.base
-	rel, err := s.read(func() (*frel.Relation, error) {
-		return s.sess.EvalNaive(context.Background(), q, nil)
+	a, err := s.read(func() (*core.Answer, error) {
+		return s.sess.RunNaive(context.Background(), q, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newResult(rel), nil
+	return newResult(a), nil
 }
 
 // Explain reports the unnesting strategy Query would use for the SELECT,

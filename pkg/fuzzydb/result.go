@@ -3,10 +3,11 @@ package fuzzydb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"unsafe"
 
-	"repro/internal/frel"
+	"repro/internal/core"
 )
 
 // Result is a query answer: a fuzzy relation rendered as rows of strings,
@@ -23,37 +24,44 @@ type Result struct {
 // at most, TRAP( ) and three commas.
 const maxNumberText = 128
 
-// newResult renders rel in one pass. Every cell of every row is one string
-// of one flat cell slice; a string value is the cell itself, and a number
-// is rendered into a byte arena, never written again, that its cell's
-// string reads in place. The arena is sized for integer keys and extended
-// by a new chunk when a cell might not fit, so the answer costs a fixed
-// number of allocations, not one per cell and row.
-func newResult(rel *frel.Relation) *Result {
-	width, n := len(rel.Schema.Attrs), rel.Len()
+// newResult renders the answer's columns in one pass, column by column.
+// Every cell of every row is one string of one flat cell slice; a string
+// value is the cell itself, and a number is rendered into a byte arena,
+// never written again, that its cell's string reads in place. The arena
+// is sized for integer keys and extended by a new chunk when a cell might
+// not fit, so the answer costs a fixed number of allocations, not one per
+// cell and row. The degrees are the answer's own column, kept as it is
+// unless it has room for many more.
+func newResult(a *core.Answer) *Result {
+	cols := a.Cols
+	width, n := len(a.Schema.Attrs), a.Len()
 	r := &Result{
 		columns: make([]string, width),
 		cells:   make([]string, n*width),
-		degrees: make([]float64, n),
+		degrees: cols.D,
 	}
-	for i, a := range rel.Schema.Attrs {
-		r.columns[i] = a.Name
+	if cap(r.degrees) > 2*n {
+		// A projection presized for its input: keep no spare room alive.
+		r.degrees = slices.Clone(r.degrees)
+	}
+	for i, attr := range a.Schema.Attrs {
+		r.columns[i] = attr.Name
 	}
 	var arena []byte
-	for i, t := range rel.Tuples {
-		r.degrees[i] = t.D
-		row := r.cells[i*width : (i+1)*width]
-		for j, v := range t.Values {
-			if v.Kind == frel.KindString {
-				row[j] = v.Str
-				continue
+	for j := range width {
+		if str := cols.Str[j]; str != nil {
+			for i, v := range str {
+				r.cells[i*width+j] = v
 			}
+			continue
+		}
+		for i, v := range cols.Num[j] {
 			if cap(arena)-len(arena) < maxNumberText {
-				arena = make([]byte, 0, max(8*(len(r.cells)-i*width), 4*maxNumberText))
+				arena = make([]byte, 0, max(8*((width-j)*n-i), 4*maxNumberText))
 			}
 			start := len(arena)
-			arena = v.Num.AppendTo(arena)
-			row[j] = unsafe.String(&arena[start], len(arena)-start)
+			arena = v.AppendTo(arena)
+			r.cells[i*width+j] = unsafe.String(&arena[start], len(arena)-start)
 		}
 	}
 	return r

@@ -3,6 +3,7 @@ package fuzzydb
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/frel"
 )
 
@@ -25,19 +26,19 @@ import (
 // Both Rows and Result remain supported: Result for small answers wanted
 // whole (it offers Equal, Stats, String), Rows for iteration.
 type Rows struct {
-	rel    *frel.Relation
+	ans    *core.Answer // read in place, a row at a time
 	cols   []string
 	i      int // index of the current row; -1 before the first Next
 	closed bool
 	err    error
 }
 
-func newRows(rel *frel.Relation) *Rows {
-	cols := make([]string, len(rel.Schema.Attrs))
-	for i, a := range rel.Schema.Attrs {
-		cols[i] = a.Name
+func newRows(a *core.Answer) *Rows {
+	cols := make([]string, len(a.Schema.Attrs))
+	for i, attr := range a.Schema.Attrs {
+		cols[i] = attr.Name
 	}
-	return &Rows{rel: rel, cols: cols, i: -1}
+	return &Rows{ans: a, cols: cols, i: -1}
 }
 
 // Columns returns the answer's column names.
@@ -46,7 +47,7 @@ func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 // Next advances to the next answer row. It returns false when the rows
 // are exhausted or closed; check Err afterwards.
 func (r *Rows) Next() bool {
-	if r.closed || r.err != nil || r.i+1 >= r.rel.Len() {
+	if r.closed || r.err != nil || r.i+1 >= r.ans.Len() {
 		return false
 	}
 	r.i++
@@ -61,15 +62,14 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.closed {
 		return errClosed("rows")
 	}
-	if r.i < 0 || r.i >= r.rel.Len() {
+	if r.i < 0 || r.i >= r.ans.Len() {
 		return &Error{Code: CodeExec, Msg: "Scan called without a successful Next"}
 	}
-	t := r.rel.Tuples[r.i]
-	if len(dest) != len(t.Values) {
-		return &Error{Code: CodeExec, Msg: fmt.Sprintf("Scan got %d targets for %d columns", len(dest), len(t.Values))}
+	if len(dest) != len(r.cols) {
+		return &Error{Code: CodeExec, Msg: fmt.Sprintf("Scan got %d targets for %d columns", len(dest), len(r.cols))}
 	}
 	for i, d := range dest {
-		v := t.Values[i]
+		v := r.ans.Cols.Value(r.i, i)
 		switch p := d.(type) {
 		case *string:
 			if v.Kind == frel.KindString {
@@ -92,10 +92,10 @@ func (r *Rows) Scan(dest ...any) error {
 
 // Degree returns the membership degree of the current row.
 func (r *Rows) Degree() float64 {
-	if r.i < 0 || r.i >= r.rel.Len() {
+	if r.i < 0 || r.i >= r.ans.Len() {
 		return 0
 	}
-	return r.rel.Tuples[r.i].D
+	return r.ans.Cols.D[r.i]
 }
 
 // Err returns the error, if any, that ended iteration early.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/frel"
 	"repro/internal/fsql"
 	"repro/internal/fuzzy"
 	"repro/internal/plan"
@@ -80,7 +79,7 @@ func lockClass(sess *core.Session, st fsql.Statement) int {
 }
 
 // run executes one parsed statement under the session and database locks.
-func (s *Session) run(ctx context.Context, st fsql.Statement) (*frel.Relation, error) {
+func (s *Session) run(ctx context.Context, st fsql.Statement) (*core.Answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.runLocked(ctx, st)
@@ -94,7 +93,7 @@ func (s *Session) run(ctx context.Context, st fsql.Statement) (*frel.Relation, e
 // Close), so concurrent transactions' writes never interleave, while
 // snapshot readers — including other sessions' read-only transactions —
 // proceed throughout.
-func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relation, error) {
+func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*core.Answer, error) {
 	class := lockClass(s.sess, st)
 	if class == lockBarrier && s.sess.InTxn() {
 		// The engine rejects barrier statements inside a transaction;
@@ -125,11 +124,11 @@ func (s *Session) runLocked(ctx context.Context, st fsql.Statement) (*frel.Relat
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.sess.ExecContext(ctx, st)
+	a, err := s.sess.Run(ctx, st)
 	if err != nil {
 		return nil, wrapErr(CodeExec, err)
 	}
-	return rel, nil
+	return a, nil
 }
 
 // prologue takes what a statement of class needs, in the one order every
@@ -165,7 +164,7 @@ func (s *Session) prologue(class int) (done func(), acquiredW bool, err error) {
 
 // read runs eval as a read-only statement of s, under s.mu and the read
 // prologue, and wraps its error as an execution error.
-func (s *Session) read(eval func() (*frel.Relation, error)) (*frel.Relation, error) {
+func (s *Session) read(eval func() (*core.Answer, error)) (*core.Answer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done, _, err := s.prologue(lockRead)
@@ -176,11 +175,11 @@ func (s *Session) read(eval func() (*frel.Relation, error)) (*frel.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	rel, err := eval()
+	a, err := eval()
 	if err != nil {
 		return nil, wrapErr(CodeExec, err)
 	}
-	return rel, nil
+	return a, nil
 }
 
 // Begin opens an explicit transaction on the session: until Commit or
@@ -242,11 +241,11 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.run(ctx, q)
+	a, err := s.run(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(rel), nil
+	return newResult(a), nil
 }
 
 // Query is QueryContext with a background context.
@@ -261,11 +260,11 @@ func (s *Session) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.run(ctx, q)
+	a, err := s.run(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return newRows(rel), nil
+	return newRows(a), nil
 }
 
 // Close releases the session's cached sort temporaries, rolling back an
@@ -322,7 +321,7 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 	if sel, ok := st.(*fsql.Select); ok {
 		stmt.sel = sel
 		if stmt.nparams == 0 {
-			if _, err := s.read(func() (*frel.Relation, error) {
+			if _, err := s.read(func() (*core.Answer, error) {
 				p, err := s.sess.Env.PlanQuery(sel)
 				stmt.cached = p
 				return nil, wrapErr(CodePlan, err)
@@ -352,23 +351,23 @@ func (st *Stmt) NumParams() int { return st.nparams }
 // EXPLAIN [ANALYZE] SELECT answers with its PLAN rows, as
 // Session.Query does.
 func (st *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
-	rel, err := st.query(ctx, args)
+	a, err := st.query(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(rel), nil
+	return newResult(a), nil
 }
 
 // QueryRows is Query returning a streaming cursor.
 func (st *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
-	rel, err := st.query(ctx, args)
+	a, err := st.query(ctx, args)
 	if err != nil {
 		return nil, err
 	}
-	return newRows(rel), nil
+	return newRows(a), nil
 }
 
-func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
+func (st *Stmt) query(ctx context.Context, args []any) (*core.Answer, error) {
 	if !st.IsQuery() {
 		return nil, st.errorf(CodeExec, "is not a query")
 	}
@@ -380,7 +379,7 @@ func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
 		return nil, err
 	}
 	s := st.s
-	return s.read(func() (*frel.Relation, error) {
+	return s.read(func() (*core.Answer, error) {
 		if st.closed {
 			return nil, errClosed("statement")
 		}
@@ -394,7 +393,7 @@ func (st *Stmt) query(ctx context.Context, args []any) (*frel.Relation, error) {
 				return nil, err
 			}
 		}
-		return s.sess.Eval(ctx, p, nil)
+		return s.sess.RunPlan(ctx, p, nil)
 	})
 }
 
@@ -440,7 +439,7 @@ func (st *Stmt) Exec(ctx context.Context, args ...any) error {
 }
 
 // run binds args into the statement and runs it on the statement path.
-func (st *Stmt) run(ctx context.Context, args []any) (*frel.Relation, error) {
+func (st *Stmt) run(ctx context.Context, args []any) (*core.Answer, error) {
 	ops, err := st.bind(args)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/frel"
 )
 
 // PlanStats is one node of the per-operator statistics tree an EXPLAIN
@@ -37,14 +36,14 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, sql string) (*Result, *
 	}
 	s := db.base
 	var es *core.ExecStats
-	rel, err := s.read(func() (rel *frel.Relation, err error) {
-		rel, es, err = s.sess.EvalAnalyze(ctx, q)
-		return rel, err
+	a, err := s.read(func() (a *core.Answer, err error) {
+		a, es, err = s.sess.RunAnalyze(ctx, q)
+		return a, err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	res := newResult(rel)
+	res := newResult(a)
 	res.stats = es.Summary()
 	return res, res.stats, nil
 }
